@@ -2,7 +2,7 @@
 # the tier-1 build/test pass plus formatting, vet, the repo's own
 # determinism analyzers (cmd/simlint), and the race detector over the
 # packages whose concurrency/determinism guarantees matter most (the
-# engine and the stats primitives).
+# engine, the parallel grid runner and the stats primitives).
 
 GO ?= go
 
@@ -27,11 +27,9 @@ vet:
 
 # lint runs the in-tree analyzer suite (internal/lint): wall-clock and
 # global math/rand use in simulator packages, map-iteration on sim
-# paths, non-exhaustive LineState switches, BSP phase purity
-# (compute-phase code may not inject into the NoC or write globals),
-# hot-path allocations against the committed hotalloc.allow worklist,
-# and mixed atomic/plain field access. `simlint -list` prints the
-# roster.
+# paths, non-exhaustive LineState switches, and hot-path allocations
+# against the committed hotalloc.allow worklist. `simlint -list` prints
+# the roster.
 lint:
 	$(GO) run ./cmd/simlint
 
@@ -41,15 +39,16 @@ lint:
 lint-json:
 	$(GO) run ./cmd/simlint -json -o simlint.json -annotate
 
-# race covers the packages that actually share state under the sharded
-# BSP engine (engine/pool, protocol nodes, NoC delivery counters, fault
-# layer, stats) and finishes with an end-to-end sharded mcsim run under
-# the detector. GOMAXPROCS is forced up so the pool's workers really
+# race covers the goroutines that remain: the parallel grid runner
+# (exp.GridParallel, the only engine-adjacent concurrency), the
+# off-engine resource sampler, and the engine/stats/fault packages they
+# drive, and finishes with an end-to-end parallel sweep under the
+# detector. GOMAXPROCS is forced up so the grid workers really
 # interleave even on small CI hosts.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/stats/... ./internal/fault/... \
-		./internal/coherence/... ./internal/noc/...
-	GOMAXPROCS=4 $(GO) run -race ./cmd/mcsim -bench counter -cpus 4 -incs 30 -shards 4 >/dev/null
+		./internal/exp/... ./internal/obs/resource/...
+	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp fig4 -sizes 2,4 -jobs 4 >/dev/null
 
 check: fmt vet lint build test race
 

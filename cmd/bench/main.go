@@ -11,13 +11,7 @@
 //   - workload pins: 16-CPU Ocean and Water under both WTI and
 //     WB-MESI, cycles and wall time each;
 //   - sweep wall-clock: the Figure 4–6 grid at reduced (-quick) scale,
-//     run serially and with -jobs workers, and the resulting speedup;
-//   - shard scaling: the 16-CPU Ocean/WTI and Water/WB pins re-run on
-//     the sharded BSP engine at 1, 2, 4 and 8 compute workers, with
-//     each point's speedup over the shards=1 baseline. On hosts with
-//     fewer cores than shards the curve is flat or degrades (barrier
-//     overhead with nothing to parallelize) — the host fields above
-//     say so; only cycles, which never move, are comparable then.
+//     run serially and with -jobs workers, and the resulting speedup.
 //
 // Usage:
 //
@@ -45,13 +39,14 @@ import (
 	"repro/internal/obs/resource"
 )
 
-// BenchSchemaVersion identifies the JSON layout below. Version 2 added
-// the shard_scaling section (the sharded BSP engine). Version 3
-// removes the `engine` block, which duplicated workloads[0] verbatim —
+// BenchSchemaVersion identifies the JSON layout below. Version 3
+// removed the `engine` block, which duplicated workloads[0] verbatim —
 // `engine_run` now names the pinned engine-throughput workload — and
-// adds off-engine resource telemetry: a whole-invocation `resources`
+// added off-engine resource telemetry: a whole-invocation `resources`
 // summary plus one per pinned workload (internal/obs/resource).
-const BenchSchemaVersion = 3
+// Version 4 is version 3 minus the `shard_scaling` section that
+// versions 2 and 3 carried.
+const BenchSchemaVersion = 4
 
 // BenchJSON is the export schema: one file per benchmark invocation.
 // Host fields record the environment the numbers were taken on —
@@ -69,27 +64,13 @@ type BenchJSON struct {
 
 	// EngineRun names the workload whose throughput is the engine
 	// figure (always workloads[0], the pinned ocean/WTI run).
-	EngineRun    string          `json:"engine_run"`
-	Workloads    []WorkloadBench `json:"workloads"`
-	Sweep        SweepBench      `json:"sweep"`
-	ShardScaling []ShardBench    `json:"shard_scaling"`
+	EngineRun string          `json:"engine_run"`
+	Workloads []WorkloadBench `json:"workloads"`
+	Sweep     SweepBench      `json:"sweep"`
 
 	// Resources is the process resource summary over the whole bench
-	// invocation (sweep and shard sections included).
+	// invocation (sweep section included).
 	Resources *resource.Summary `json:"resources,omitempty"`
-}
-
-// ShardBench is one point of the intra-run scaling curve: a pinned
-// workload on the sharded BSP engine at a given compute-worker count.
-// Cycles are identical across the curve (sharding is byte-exact);
-// only wall time moves.
-type ShardBench struct {
-	Run           string  `json:"run"`
-	Shards        int     `json:"shards"`
-	Cycles        uint64  `json:"cycles"`
-	WallMs        float64 `json:"wall_ms"`
-	MCyclesPerSec float64 `json:"mcycles_per_sec"`
-	Speedup       float64 `json:"speedup_vs_shards1"`
 }
 
 // WorkloadBench is one pinned end-to-end run, with the off-engine
@@ -192,36 +173,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "bench: sweep %v  serial %.1f ms  parallel(%d) %.1f ms  speedup %.2fx\n",
 		sweepSizes, b.Sweep.SerialMs, *jobs, b.Sweep.ParallelMs, b.Sweep.Speedup)
-
-	// Shard scaling: the first Ocean and Water pins across compute-
-	// worker counts. Each point re-runs the full workload; the
-	// shards=1 baseline is measured fresh (not reused from the pins)
-	// so the curve is internally consistent.
-	for _, r := range []exp.Run{pins[0], pins[3]} {
-		var base float64
-		for _, sh := range []int{1, 2, 4, 8} {
-			start := time.Now()
-			res, err := exp.ExecuteOpts(r, pinScale, exp.Options{Shards: sh})
-			if err != nil {
-				fatal(err)
-			}
-			wall := time.Since(start)
-			p := ShardBench{
-				Run:           r.Key(),
-				Shards:        sh,
-				Cycles:        res.Cycles,
-				WallMs:        ms(wall),
-				MCyclesPerSec: float64(res.Cycles) / wall.Seconds() / 1e6,
-			}
-			if sh == 1 {
-				base = p.WallMs
-			}
-			p.Speedup = base / p.WallMs
-			b.ShardScaling = append(b.ShardScaling, p)
-			fmt.Fprintf(os.Stderr, "bench: %-24s shards=%d %9d cycles  %8.1f ms  %6.3f Mcyc/s  %.2fx\n",
-				p.Run, p.Shards, p.Cycles, p.WallMs, p.MCyclesPerSec, p.Speedup)
-		}
-	}
 
 	sum := total.Stop()
 	b.Resources = &sum

@@ -44,7 +44,7 @@ func TestSchemaV3Dedup(t *testing.T) {
 	if doc["engine_run"] != "ocean/WTI/arch2/n16" {
 		t.Errorf("engine_run = %v", doc["engine_run"])
 	}
-	if v, _ := doc["schema_version"].(float64); int(v) != 3 {
-		t.Errorf("schema_version = %v, want 3", doc["schema_version"])
+	if v, _ := doc["schema_version"].(float64); int(v) != 4 {
+		t.Errorf("schema_version = %v, want 4", doc["schema_version"])
 	}
 }

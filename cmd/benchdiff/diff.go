@@ -15,9 +15,11 @@ import (
 //	v2 — v1 + shard_scaling
 //	v3 — drops the engine block (engine_run names the pinned workload,
 //	     which is workloads[0]) and adds per-run resources blocks
+//	v4 — v3 minus shard_scaling
 //
-// Unknown fields are ignored, so a reader this old keeps loading newer
-// additive schemas; only the fields compared below must be present.
+// Unknown fields are ignored — the v2/v3 shard_scaling section among
+// them — so a reader this old keeps loading newer additive schemas;
+// only the fields compared below must be present.
 type benchFile struct {
 	Path string `json:"-"`
 
@@ -29,30 +31,18 @@ type benchFile struct {
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	Quick         bool   `json:"quick"`
 
-	EngineRun    string      `json:"engine_run"` // v3+
-	Engine       *runPoint   `json:"engine"`     // v1, v2
-	Workloads    []runPoint  `json:"workloads"`
-	Sweep        *sweepPoint `json:"sweep"`
-	ShardScaling []runPoint  `json:"shard_scaling"` // v2+
+	EngineRun string      `json:"engine_run"` // v3+
+	Engine    *runPoint   `json:"engine"`     // v1, v2
+	Workloads []runPoint  `json:"workloads"`
+	Sweep     *sweepPoint `json:"sweep"`
 }
 
-// runPoint is one measured run: a workload pin or (with Shards set) a
-// shard-scaling point.
+// runPoint is one measured workload pin.
 type runPoint struct {
 	Run           string  `json:"run"`
-	Shards        int     `json:"shards,omitempty"`
 	Cycles        uint64  `json:"cycles"`
 	WallMs        float64 `json:"wall_ms"`
 	MCyclesPerSec float64 `json:"mcycles_per_sec"`
-}
-
-// key distinguishes shard-scaling points from the plain pins: the same
-// run string appears once per worker count on the scaling curve.
-func (p runPoint) key() string {
-	if p.Shards > 0 {
-		return fmt.Sprintf("%s shards=%d", p.Run, p.Shards)
-	}
-	return p.Run
 }
 
 type sweepPoint struct {
@@ -83,15 +73,14 @@ func loadBench(path string) (*benchFile, error) {
 }
 
 // points returns the comparable per-run measurements: the workload
-// pins plus the shard-scaling curve. The v1/v2 engine block duplicates
-// workloads[0] byte-for-byte, so it is only consulted when workloads
-// are absent (a hand-pruned file).
+// pins. The v1/v2 engine block duplicates workloads[0] byte-for-byte,
+// so it is only consulted when workloads are absent (a hand-pruned
+// file).
 func (b *benchFile) points() []runPoint {
-	pts := b.Workloads
-	if len(pts) == 0 && b.Engine != nil {
-		pts = []runPoint{*b.Engine}
+	if len(b.Workloads) == 0 && b.Engine != nil {
+		return []runPoint{*b.Engine}
 	}
-	return append(append([]runPoint{}, pts...), b.ShardScaling...)
+	return b.Workloads
 }
 
 // hostKey renders the normalization fields: wall-clock numbers are
@@ -137,14 +126,14 @@ func diffBench(old, new *benchFile, maxRegressPct float64) *diffReport {
 	newPts := make(map[string]runPoint)
 	var newOrder []string
 	for _, p := range new.points() {
-		if _, dup := newPts[p.key()]; !dup {
-			newPts[p.key()] = p
-			newOrder = append(newOrder, p.key())
+		if _, dup := newPts[p.Run]; !dup {
+			newPts[p.Run] = p
+			newOrder = append(newOrder, p.Run)
 		}
 	}
 	seen := make(map[string]bool)
 	for _, op := range old.points() {
-		k := op.key()
+		k := op.Run
 		if seen[k] {
 			continue
 		}
@@ -163,11 +152,7 @@ func diffBench(old, new *benchFile, maxRegressPct float64) *diffReport {
 				"cycles changed for %q: %d -> %d (engine behavior changed; Mcyc/s still compares throughput)",
 				k, op.Cycles, np.Cycles))
 		}
-		// Shard-scaling points are informational: they measure barrier
-		// overhead against whatever parallelism the host has, the
-		// noisiest number in the file. The gate arms only on the
-		// workload pins, the milestone trajectory.
-		if rep.SkipReason == "" && op.Shards == 0 && pct < -maxRegressPct {
+		if rep.SkipReason == "" && pct < -maxRegressPct {
 			rep.Regressions = append(rep.Regressions, fmt.Sprintf(
 				"%s: %.3f -> %.3f Mcyc/s (%s, threshold -%.1f%%)",
 				k, op.MCyclesPerSec, np.MCyclesPerSec,

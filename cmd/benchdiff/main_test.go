@@ -10,7 +10,8 @@ import (
 
 // host A/B fixtures: identical except where a case needs them to
 // differ. Bench JSON is hand-built per schema version so the reader's
-// v1/v2/v3 tolerance is exercised against realistic shapes.
+// v1-v4 tolerance is exercised against realistic shapes; the v2/v3
+// shard_scaling sections must load and be ignored.
 const hostA = `"go_version":"go1.24.0","goos":"linux","goarch":"amd64","num_cpu":1,"gomaxprocs":1`
 const hostB = `"go_version":"go1.24.0","goos":"darwin","goarch":"arm64","num_cpu":8,"gomaxprocs":8`
 
@@ -50,6 +51,21 @@ func v3File(host string, quick bool, oceanMcyc, waterMcyc float64) string {
 	}`
 }
 
+// v4File renders the current schema: v3 without shard_scaling.
+func v4File(host string, quick bool, oceanMcyc, waterMcyc float64) string {
+	return `{
+	  "schema_version": 4, ` + host + `, "quick": ` + boolStr(quick) + `,
+	  "engine_run": "ocean/WTI/arch2/n16",
+	  "workloads": [
+	    {"run":"ocean/WTI/arch2/n16","cycles":120583,"wall_ms":150,"mcycles_per_sec":` + f(oceanMcyc) + `,
+	     "resources":{"samples":5,"heap_alloc_peak":1048576}},
+	    {"run":"water/WB/arch2/n16","cycles":633887,"wall_ms":600,"mcycles_per_sec":` + f(waterMcyc) + `}
+	  ],
+	  "sweep": {"jobs":1,"serial_ms":1000,"parallel_ms":850,"speedup":1.18},
+	  "resources": {"samples":40,"heap_alloc_peak":2097152}
+	}`
+}
+
 func boolStr(b bool) string {
 	if b {
 		return "true"
@@ -74,37 +90,47 @@ func TestDiffGate(t *testing.T) {
 		{
 			name: "improvement passes",
 			old:  v2File(hostA, false, 0.80, 0.90), new: v2File(hostA, false, 0.90, 1.00),
-			threshold: 10, wantArmed: 3, wantLoadOK: true,
+			threshold: 10, wantArmed: 2, wantLoadOK: true,
 		},
 		{
 			name: "small regression within threshold passes",
 			old:  v2File(hostA, false, 1.00, 1.00), new: v2File(hostA, false, 0.95, 0.99),
-			threshold: 10, wantArmed: 3, wantLoadOK: true,
+			threshold: 10, wantArmed: 2, wantLoadOK: true,
 		},
 		{
 			name: "regression beyond threshold fails",
 			old:  v2File(hostA, false, 1.00, 1.00), new: v2File(hostA, false, 0.80, 1.00),
-			threshold: 10, wantFail: true, wantArmed: 3, wantLoadOK: true,
+			threshold: 10, wantFail: true, wantArmed: 2, wantLoadOK: true,
 		},
 		{
 			name: "cross-host regression skips the gate",
 			old:  v2File(hostA, false, 1.00, 1.00), new: v2File(hostB, false, 0.50, 0.50),
-			threshold: 10, wantSkip: true, wantArmed: 3, wantLoadOK: true,
+			threshold: 10, wantSkip: true, wantArmed: 2, wantLoadOK: true,
 		},
 		{
 			name: "quick vs full skips the gate",
 			old:  v2File(hostA, false, 1.00, 1.00), new: v2File(hostA, true, 0.50, 0.50),
-			threshold: 10, wantSkip: true, wantArmed: 3, wantLoadOK: true,
+			threshold: 10, wantSkip: true, wantArmed: 2, wantLoadOK: true,
 		},
 		{
 			name: "mixed schema v2 old vs v3 new gates normally",
 			old:  v2File(hostA, false, 1.00, 1.00), new: v3File(hostA, false, 0.70, 1.05),
-			threshold: 10, wantFail: true, wantArmed: 3, wantLoadOK: true,
+			threshold: 10, wantFail: true, wantArmed: 2, wantLoadOK: true,
 		},
 		{
 			name: "mixed schema v3 old vs v2 new improvement passes",
 			old:  v3File(hostA, false, 0.80, 0.90), new: v2File(hostA, false, 0.88, 0.95),
-			threshold: 10, wantArmed: 3, wantLoadOK: true,
+			threshold: 10, wantArmed: 2, wantLoadOK: true,
+		},
+		{
+			name: "mixed schema v3 old vs v4 new gates normally",
+			old:  v3File(hostA, false, 1.00, 1.00), new: v4File(hostA, false, 0.70, 1.05),
+			threshold: 10, wantFail: true, wantArmed: 2, wantLoadOK: true,
+		},
+		{
+			name: "mixed schema v3 old vs v4 new improvement passes",
+			old:  v3File(hostA, false, 0.80, 0.90), new: v4File(hostA, false, 0.88, 0.95),
+			threshold: 10, wantArmed: 2, wantLoadOK: true,
 		},
 		{
 			name: "malformed JSON refuses to load",

@@ -57,7 +57,7 @@ func trendBench(files []*benchFile) *trendReport {
 	for i, f := range files {
 		perFile[i] = make(map[string]runPoint)
 		for _, p := range f.points() {
-			k := p.key()
+			k := p.Run
 			if _, dup := perFile[i][k]; dup {
 				continue
 			}

@@ -53,9 +53,10 @@ func TestTrendTrajectory(t *testing.T) {
 	if len(rep.Notes) != 0 {
 		t.Errorf("unexpected notes: %v", rep.Notes)
 	}
-	// Rows: ocean workload, water workload, ocean shards=1 point.
-	if rep.Table.NumRows() != 3 {
-		t.Errorf("rows = %d, want 3\n%s", rep.Table.NumRows(), out)
+	// Rows: ocean workload, water workload; the fixtures' shard_scaling
+	// points are not read.
+	if rep.Table.NumRows() != 2 {
+		t.Errorf("rows = %d, want 2\n%s", rep.Table.NumRows(), out)
 	}
 }
 

@@ -71,7 +71,6 @@ func main() {
 	incs := flag.Int("incs", 100, "counter: increments per thread")
 	lurows := flag.Int("lurows", 3, "lu: matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
-	shards := flag.Int("shards", 1, "compute-phase worker goroutines for this run (sharded BSP engine; results are byte-identical for every value)")
 	noleap := flag.Bool("noleap", false, "step every cycle instead of leaping over dead ones (results are byte-identical either way; for timing comparisons)")
 	resInterval := flag.Duration("resources", 0, "sample host-process resources (heap, GC, RSS) every interval, e.g. 25ms (0 = off)")
 	resCSV := flag.String("resources-csv", "", "write the resource sample series as CSV (needs -resources)")
@@ -146,13 +145,6 @@ func main() {
 	cfg.Mem.RowBytes = *rowBytes
 	cfg.Mem.Ways = *ways
 	cfg.Mem.CacheToCache = *c2c
-	if *shards < 1 {
-		log.Fatalf("-shards must be at least 1, got %d", *shards)
-	}
-	if *traceN > 0 && *shards > 1 {
-		log.Fatal("-trace requires -shards 1: the protocol event log is inherently serial")
-	}
-	cfg.Shards = *shards
 	cfg.DisableLeap = *noleap
 	if *faultSpec != "" {
 		plan, err := fault.ParsePlan(*faultSpec)

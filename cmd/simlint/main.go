@@ -1,13 +1,11 @@
 // Command simlint runs the repository's custom static analyzers (see
 // internal/lint) over the module and exits nonzero on any finding. It
 // is part of `make check`: the simulator's results are only
-// trustworthy if two runs with the same seed are bit-identical and the
-// sharded BSP schedule matches the serial one, and these analyzers
-// reject the usual ways those properties quietly erode — wall-clock
-// reads, the process-global random generator, randomized map iteration
-// order, non-exhaustive protocol-state switches, compute-phase code
-// that escapes its shard, new allocations on the declared hot paths,
-// and mixed atomic/plain field access.
+// trustworthy if two runs with the same seed are bit-identical, and
+// these analyzers reject the usual ways that property quietly erodes —
+// wall-clock reads, the process-global random generator, randomized map
+// iteration order, non-exhaustive protocol-state switches — plus new
+// allocations on the declared hot paths.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or load error.
 package main

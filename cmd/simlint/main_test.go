@@ -36,14 +36,13 @@ func TestListRoster(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"walltime", "globalrand", "maprange", "exhaustive",
-		"phasepurity", "hotalloc", "atomicdiscipline"} {
+	for _, name := range []string{"walltime", "globalrand", "maprange", "exhaustive", "hotalloc"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout)
 		}
 	}
-	if lines := strings.Count(strings.TrimSpace(stdout), "\n") + 1; lines != 7 {
-		t.Errorf("-list printed %d lines, want 7:\n%s", lines, stdout)
+	if lines := strings.Count(strings.TrimSpace(stdout), "\n") + 1; lines != 5 {
+		t.Errorf("-list printed %d lines, want 5:\n%s", lines, stdout)
 	}
 }
 
@@ -58,7 +57,7 @@ func TestOnlyUnknownName(t *testing.T) {
 }
 
 func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-C", fixture, "-json", "-only", "atomicdiscipline")
+	code, stdout, _ := runCLI(t, "-C", fixture, "-json", "-only", "hotalloc")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -72,9 +71,13 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
 		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
 	}
-	if len(findings) != 1 || findings[0].Analyzer != "atomicdiscipline" ||
-		filepath.Base(findings[0].File) != "atomic.go" || findings[0].Line == 0 {
-		t.Fatalf("unexpected findings: %+v", findings)
+	if len(findings) != 8 {
+		t.Fatalf("got %d findings, want 8: %+v", len(findings), findings)
+	}
+	for _, f := range findings {
+		if f.Analyzer != "hotalloc" || filepath.Base(f.File) != "hot.go" || f.Line == 0 {
+			t.Fatalf("unexpected finding: %+v", f)
+		}
 	}
 }
 
@@ -91,7 +94,7 @@ func TestJSONEmptyArrayWhenClean(t *testing.T) {
 
 func TestOutputFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "findings.json")
-	code, stdout, _ := runCLI(t, "-C", fixture, "-json", "-o", path, "-only", "atomicdiscipline")
+	code, stdout, _ := runCLI(t, "-C", fixture, "-json", "-o", path, "-only", "hotalloc")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -103,13 +106,13 @@ func TestOutputFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arr []map[string]any
-	if err := json.Unmarshal(data, &arr); err != nil || len(arr) != 1 {
+	if err := json.Unmarshal(data, &arr); err != nil || len(arr) != 8 {
 		t.Fatalf("file content bad (err %v): %s", err, data)
 	}
 }
 
 func TestAnnotations(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-C", fixture, "-annotate", "-o", os.DevNull, "-only", "phasepurity")
+	code, stdout, _ := runCLI(t, "-C", fixture, "-annotate", "-o", os.DevNull, "-only", "hotalloc")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}

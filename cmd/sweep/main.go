@@ -6,12 +6,10 @@
 //	sweep [-exp all|table1|table2|fig4|fig5|fig6|mesh|strictsc|bestworst|
 //	       writeupdate|c2c|scale|dir|bus|ways|moesi|fault]
 //	      [-sizes 4,16,32,64] [-quick] [-csv] [-chart] [-jobs N]
-//	      [-shards S] [-fault drop=1e-4,delay=1e-3:8,seed=42]
+//	      [-fault drop=1e-4,delay=1e-3:8,seed=42]
 //
-// -jobs parallelizes across figure-grid simulations, -shards inside
-// each one (the sharded BSP engine); jobs*shards is clamped to
-// GOMAXPROCS with a note on stderr, since oversubscribing the host
-// only adds scheduler thrash. Neither knob changes any output byte.
+// -jobs parallelizes across figure-grid simulations; it changes no
+// output byte.
 //
 // The fault experiment is not part of -exp all: it measures robustness
 // under injected NoC faults (see internal/fault), not the paper's
@@ -40,7 +38,6 @@ func main() {
 	sizesFlag := flag.String("sizes", "4,16,32,64", "comma-separated CPU counts for the figure grid")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "simulations to run concurrently on the figure grid (1 = serial)")
-	shards := flag.Int("shards", 1, "compute-phase workers inside each figure-grid simulation (sharded BSP engine; jobs*shards is clamped to GOMAXPROCS)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	chart := flag.Bool("chart", false, "render figure tables as ASCII bar charts too")
 	obsInterval := flag.Uint64("obs-interval", 0, "sample metrics every K cycles during figure-grid runs")
@@ -76,15 +73,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards must be at least 1, got %d", *shards))
-	}
-	// Total-concurrency cap: across-run jobs times intra-run shards
-	// must fit the host, or the sharded engine's barriers thrash.
-	gridJobs, gridShards, note := exp.ClampConcurrency(*jobs, *shards, runtime.GOMAXPROCS(0))
-	if note != "" {
-		fmt.Fprintln(os.Stderr, "sweep:", note)
-	}
 	sc := exp.DefaultScale()
 	if *quick {
 		sc = exp.QuickScale()
@@ -116,8 +104,7 @@ func main() {
 	}
 
 	runFigures := func(names ...string) {
-		grid, err := exp.GridParallelOpts(sizes, sc,
-			exp.Options{Observe: observe, Shards: gridShards}, gridJobs)
+		grid, err := exp.GridParallel(sizes, sc, observe, *jobs)
 		if err != nil {
 			fatal(err)
 		}

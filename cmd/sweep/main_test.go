@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,5 +66,24 @@ func TestParseSizesRejectsFlagTokens(t *testing.T) {
 		if !strings.Contains(err.Error(), "looks like a flag") {
 			t.Errorf("parseSizes(%q) error %q does not identify the token as a flag", in, err)
 		}
+	}
+}
+
+// TestShardsFlagRejected pins that the removed -shards option is an
+// unknown flag, not a silently accepted no-op: the test re-executes
+// itself as sweep and expects the flag package's usage exit.
+func TestShardsFlagRejected(t *testing.T) {
+	if os.Getenv("SWEEP_TEST_RUN_MAIN") == "1" {
+		os.Args = []string{"sweep", "-exp", "table2", "-shards", "2"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestShardsFlagRejected$")
+	cmd.Env = append(os.Environ(), "SWEEP_TEST_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		!strings.Contains(string(out), "flag provided but not defined: -shards") {
+		t.Fatalf("sweep -shards 2: err = %v, output:\n%s", err, out)
 	}
 }

@@ -2,7 +2,7 @@ package coherence
 
 // msgPool is a per-node free list of protocol messages. Every message a
 // node sends is drawn from its own pool (Node.NewMsg) and recycled by
-// the *receiving* node once its sink has consumed it (Node.RecvPhase).
+// the *receiving* node once its sink has consumed it (Node.Tick).
 // The ownership hand-off is strict and one-way:
 //
 //	sender pool → outbound port → NoC → receiver sink → receiver pool
@@ -13,12 +13,6 @@ package coherence
 // they need — see memctrl.go's value-typed directory state), and
 // observers fire before the recycle point (Node.Trace on "rx",
 // core.TraceMessages) so they may key on the pointer but not keep it.
-//
-// Pools are per node, and all get/put calls happen in that node's own
-// tick phases, so the free list needs no synchronization under the
-// sharded BSP schedule: RecvPhase recycles into the receiver's pool
-// during its compute phase, and sends draw from the sender's pool in
-// protocol handlers (compute phase) or its serial commit slot.
 type msgPool struct {
 	free []*Msg
 }

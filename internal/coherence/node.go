@@ -40,7 +40,7 @@ type Node struct {
 	pool msgPool
 
 	// recvVeto is the first cycle after the most recent consumed
-	// delivery. That cycle must execute (the CPU ticks before RecvPhase
+	// delivery. That cycle must execute (the CPU ticks before the node
 	// sees a fill, so its reaction to the delivery happens one cycle
 	// later) — NextWake refuses to leap over it. Monotonic; stale values
 	// below the current cycle are inert.
@@ -142,31 +142,16 @@ func (n *Node) CanSendReq() bool {
 func (n *Node) OutQueueLen() int { return n.outQ.Len() }
 
 // Tick delivers arrived messages to the sink and drains the outbound
-// queue into the network. It is RecvPhase followed by SendPhase — the
-// serial schedule; the sharded schedule calls the phases separately
-// (receive during the parallel compute phase, send during the serial
-// commit phase) and relies on the split below keeping each phase's
-// behaviour bit-identical to its half of Tick.
-func (n *Node) Tick(now uint64) {
-	n.RecvPhase(now)
-	n.SendPhase(now)
-}
-
-// RecvPhase delivers arrived messages to the sink. It is the node's
-// compute phase: it reads the network's per-node arrival queue and
-// writes only node/sink state (plus the network's synchronized
-// in-flight counter), so nodes of different shards may receive
-// concurrently. It never injects into the network — handlers enqueue
-// responses on the outbound port, which SendPhase drains.
-//
-// RecvPhase runs for every node every non-quiescent cycle: hot path.
+// queue into the network. It runs for every node every non-quiescent
+// cycle: hot path.
 //
 //lint:hot
-func (n *Node) RecvPhase(now uint64) {
-	// The arrival check comes first: on the (common) cycles with
-	// nothing deliverable the sink is never consulted. Both sinks'
+func (n *Node) Tick(now uint64) {
+	// Receive. The arrival check comes first: on the (common) cycles
+	// with nothing deliverable the sink is never consulted. Both sinks'
 	// Accept are pure queries, so the swapped order cannot change
-	// behaviour.
+	// behaviour. Handlers never inject — they enqueue responses on the
+	// outbound port, which the send loop below drains.
 	for n.net.Deliverable(n.ID, now) && n.sink.Accept(now) {
 		m, ok := n.net.Deliver(n.ID, now)
 		if !ok {
@@ -184,6 +169,43 @@ func (n *Node) RecvPhase(now uint64) {
 		// handler unblocked acts then, not now.
 		n.pool.put(msg)
 		n.recvVeto = now + 1
+	}
+	// Send, preserving FIFO order (the port enforces it even when a
+	// later message has an earlier not-before cycle). The
+	// retransmission FSM gates the head: while a lost transfer backs
+	// off, nothing from this port enters the network — head-of-line
+	// blocking is what keeps the per-(src,dst) FIFO guarantee intact
+	// across retransmissions.
+	for {
+		head, ok := n.outQ.Peek(now)
+		if !ok {
+			break
+		}
+		if n.attempts > 0 && now < n.nextTry {
+			n.BackoffCycles++
+			break
+		}
+		pkt := noc.Packet{Src: n.ID, Dst: head.dst, Bytes: head.msg.WireBytes(), Payload: head.msg}
+		if !n.net.Inject(pkt, now) {
+			if n.drops != nil && n.drops.TookDrop(n.ID) {
+				n.transferLost(head, now)
+			}
+			break
+		}
+		if n.attempts > 0 {
+			// The retransmission went through; record how long the
+			// transfer fought the wire and return the FSM to idle.
+			n.Obs.Lat(obs.LatRetry, now-n.retryStart)
+			n.attempts = 0
+		}
+		if n.Trace != nil {
+			n.Trace(now, "tx", n.ID, head.dst, head.msg)
+		}
+		if n.Obs != nil {
+			n.Obs.Instant(obs.PortPid(n.ID), 0, head.msg.Kind.String(), now, head.msg.Addr)
+		}
+		n.MsgsSent++
+		n.outQ.Recv(now)
 	}
 }
 
@@ -219,54 +241,6 @@ func (n *Node) NextWake(cur uint64) uint64 {
 func (n *Node) LeapSkip(cur, target uint64) {
 	if at, ok := n.outQ.NextAt(); ok && at <= cur && n.attempts > 0 && n.nextTry > cur {
 		n.BackoffCycles += target - cur
-	}
-}
-
-// SendPhase drains the outbound queue into the network, preserving
-// FIFO order (the port enforces it even when a later message has an
-// earlier not-before cycle). It is the node's commit phase: the only
-// place this node calls Inject, run serially across all nodes in
-// registration order, so the global injection sequence — and with it
-// every fault-RNG draw — matches the serial schedule exactly. The
-// retransmission FSM gates the head: while a lost transfer backs off,
-// nothing from this port enters the network — head-of-line blocking is
-// what keeps the per-(src,dst) FIFO guarantee intact across
-// retransmissions.
-//
-// SendPhase runs for every node every non-quiescent cycle: hot path.
-//
-//lint:hot
-func (n *Node) SendPhase(now uint64) {
-	for {
-		head, ok := n.outQ.Peek(now)
-		if !ok {
-			break
-		}
-		if n.attempts > 0 && now < n.nextTry {
-			n.BackoffCycles++
-			break
-		}
-		pkt := noc.Packet{Src: n.ID, Dst: head.dst, Bytes: head.msg.WireBytes(), Payload: head.msg}
-		if !n.net.Inject(pkt, now) {
-			if n.drops != nil && n.drops.TookDrop(n.ID) {
-				n.transferLost(head, now)
-			}
-			break
-		}
-		if n.attempts > 0 {
-			// The retransmission went through; record how long the
-			// transfer fought the wire and return the FSM to idle.
-			n.Obs.Lat(obs.LatRetry, now-n.retryStart)
-			n.attempts = 0
-		}
-		if n.Trace != nil {
-			n.Trace(now, "tx", n.ID, head.dst, head.msg)
-		}
-		if n.Obs != nil {
-			n.Obs.Instant(obs.PortPid(n.ID), 0, head.msg.Kind.String(), now, head.msg.Addr)
-		}
-		n.MsgsSent++
-		n.outQ.Recv(now)
 	}
 }
 

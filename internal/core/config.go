@@ -75,16 +75,6 @@ type Config struct {
 	// MaxCycles bounds the simulation (0 = the defensive default).
 	MaxCycles uint64
 
-	// Shards, when above 1, selects the sharded BSP schedule: each
-	// CPU's cluster (CPU, caches, node receive side), the bank group,
-	// and the NoC become engine shards whose compute phases run on up
-	// to Shards worker goroutines, with all network injections
-	// committed serially in the serial schedule's order. Results are
-	// byte-identical to Shards <= 1 for every protocol, size, and fault
-	// campaign; only wall-clock time changes. The flag is therefore
-	// deliberately absent from Describe and the result JSON.
-	Shards int
-
 	// DisableLeap turns off the event-wheel cycle leaper (see
 	// System.NextWake): the engine then steps every cycle as before.
 	// Leaping is semantics-preserving — results are byte-identical
@@ -155,9 +145,6 @@ func (c *Config) normalize() error {
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000_000
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
 	}
 	return nil
 }

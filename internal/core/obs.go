@@ -48,24 +48,12 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		}
 	}
 
-	// Under the sharded schedule, components that record during the
-	// parallel compute phase write to their shard's child recorder
-	// (cluster i -> child i, banks -> child n); MergeShards folds the
-	// children back in at the end of System.Run. Nodes keep the parent:
-	// their recording happens in the serial send/commit phase. With
-	// Shards <= 1 everything shares the parent, exactly as before.
-	rec := func(shard int) *obs.Recorder {
-		if s.Cfg.Shards > 1 {
-			return r.Shard(shard)
-		}
-		return r
+	for _, c := range s.CPUs {
+		c.Obs = r
 	}
-	for i, c := range s.CPUs {
-		c.Obs = rec(i)
-	}
-	for i, dc := range s.DCaches {
+	for _, dc := range s.DCaches {
 		if o, ok := dc.(interface{ SetObserver(*obs.Recorder) }); ok {
-			o.SetObserver(rec(i))
+			o.SetObserver(r)
 		}
 	}
 	for _, nd := range s.Nodes {
@@ -75,7 +63,7 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		nd.Obs = r
 	}
 	for _, b := range s.Banks {
-		b.Obs = rec(n)
+		b.Obs = r
 	}
 
 	if !r.Sampling() {

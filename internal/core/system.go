@@ -131,48 +131,39 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 	// four slots regardless of the CPU count, and lets the bank and
 	// network groups register quiescence so fully idle cycles skip
 	// their ticks entirely.
-	//
-	// Shards > 1 selects the two-phase sharded registration instead
-	// (see shards.go); it produces byte-identical results — the serial
-	// grouping is kept verbatim for the default path so runs without
-	// -shards execute exactly the pre-shard code.
-	if cfg.Shards > 1 {
-		sys.registerSharded()
-	} else {
-		sys.Engine.Register("cpus", sim.TickFunc(func(now uint64) {
-			for _, c := range sys.CPUs {
-				c.Tick(now)
+	sys.Engine.Register("cpus", sim.TickFunc(func(now uint64) {
+		for _, c := range sys.CPUs {
+			c.Tick(now)
+		}
+	}))
+	sys.Engine.Register("caches", sim.TickFunc(func(now uint64) {
+		for i := range sys.DCaches {
+			sys.DCaches[i].Tick(now)
+			sys.ICaches[i].Tick(now)
+			sys.Nodes[i].Tick(now)
+		}
+	}))
+	sys.Engine.Register("banks", sim.TickerWithIdle(
+		func(now uint64) {
+			for _, nd := range sys.BNodes {
+				nd.Tick(now)
 			}
-		}))
-		sys.Engine.Register("caches", sim.TickFunc(func(now uint64) {
-			for i := range sys.DCaches {
-				sys.DCaches[i].Tick(now)
-				sys.ICaches[i].Tick(now)
-				sys.Nodes[i].Tick(now)
+		},
+		func(now uint64) bool {
+			for _, nd := range sys.BNodes {
+				if !nd.Quiescent(now) {
+					return false
+				}
 			}
-		}))
-		sys.Engine.Register("banks", sim.TickerWithIdle(
-			func(now uint64) {
-				for _, nd := range sys.BNodes {
-					nd.Tick(now)
-				}
-			},
-			func(now uint64) bool {
-				for _, nd := range sys.BNodes {
-					if !nd.Quiescent(now) {
-						return false
-					}
-				}
-				return true
-			},
-		))
-		sys.Engine.Register("noc", sim.TickerWithIdle(
-			net.Tick,
-			func(now uint64) bool { return net.Quiet() },
-		))
-	}
+			return true
+		},
+	))
+	sys.Engine.Register("noc", sim.TickerWithIdle(
+		net.Tick,
+		func(now uint64) bool { return net.Quiet() },
+	))
 	// Event-wheel cycle leaping: the system is its own leaper (see
-	// leap.go). Semantics-preserving, so it is on for every schedule;
+	// leap.go). Semantics-preserving, so it is on by default;
 	// DisableLeap exists for equivalence tests and debugging.
 	if !cfg.DisableLeap {
 		sys.Engine.SetLeaper(sys)
@@ -231,13 +222,6 @@ func (s *System) Quiescent() bool {
 // in the paper's Figure 4), then drains in-flight traffic so the final
 // memory state is stable for checking. It returns the results.
 func (s *System) Run() (*Result, error) {
-	// Release the compute-phase workers when done (idempotent no-op on
-	// serial runs) — sweeps build thousands of Systems, and leaked pool
-	// goroutines would accumulate. Fold shard-local observability back
-	// into the attached recorder on every exit path, so even a trace of
-	// a failed run shows the compute-phase events.
-	defer s.Engine.StopPool()
-	defer s.Obs.MergeShards()
 	cycles, err := s.Engine.Run(s.Cfg.MaxCycles, s.AllHalted)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w (pcs: %v)", err, s.pcs())
@@ -253,10 +237,6 @@ func (s *System) Run() (*Result, error) {
 	if drainErr != nil {
 		return nil, fmt.Errorf("core: drain did not quiesce: %w", drainErr)
 	}
-	// Merge before collect — the result's latency report must see the
-	// shard-local histograms (the deferred merge only covers the error
-	// exits; merging twice is a no-op, the fold drains the children).
-	s.Obs.MergeShards()
 	return s.collect(cycles), nil
 }
 

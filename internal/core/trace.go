@@ -17,16 +17,7 @@ import (
 // in-flight latency, but it doubles the log, so it is off by default.
 // limit bounds the number of lines (0 = unlimited); tracing stops
 // silently once it is reached. Call before Run.
-//
-// The hook shares one line counter and sequence map across all nodes,
-// and "rx" fires during the parallel compute phase of the sharded
-// schedule, so message tracing requires the serial schedule: it
-// panics when Cfg.Shards > 1 (mcsim rejects -trace with -shards
-// upfront; the panic catches library callers).
 func (s *System) TraceMessages(w io.Writer, limit int, rx bool) {
-	if s.Cfg.Shards > 1 {
-		panic("core: TraceMessages requires Shards <= 1 (the event log is inherently serial)")
-	}
 	var lines int
 	var seq uint64
 	var ids map[*coherence.Msg]uint64

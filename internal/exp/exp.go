@@ -132,22 +132,12 @@ func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 
 // Execute builds, runs, and verifies one run point.
 func Execute(r Run, sc Scale) (*core.Result, error) {
-	return ExecuteOpts(r, sc, Options{})
-}
-
-// Options bundles per-run execution knobs that are not part of the
-// simulation point itself: they never change results, only how the
-// run is observed or scheduled, which is why Run does not carry them.
-type Options struct {
-	// Observe attaches interval metrics to each run (see Observe).
-	Observe *Observe
-	// Shards, when above 1, executes each simulation on the sharded
-	// BSP engine with that many compute-phase workers
-	// (core.Config.Shards); results are byte-identical to serial.
-	Shards int
+	return ExecuteObserved(r, sc, nil)
 }
 
 // Observe configures per-run observability for experiment execution.
+// It never changes results, only how the run is observed, which is why
+// Run does not carry it.
 type Observe struct {
 	// Interval is the metrics sampling period in cycles.
 	Interval uint64
@@ -166,13 +156,6 @@ func (o *Observe) csvPath(r Run) string {
 // sampled every o.Interval cycles and, when o.Dir is set, the series
 // are written as CSV. A nil o (or zero interval) behaves like Execute.
 func ExecuteObserved(r Run, sc Scale, o *Observe) (*core.Result, error) {
-	return ExecuteOpts(r, sc, Options{Observe: o})
-}
-
-// ExecuteOpts builds, runs, and verifies one run point with the given
-// execution options.
-func ExecuteOpts(r Run, sc Scale, opt Options) (*core.Result, error) {
-	o := opt.Observe
 	spec, err := BuildSpec(r, sc)
 	if err != nil {
 		return nil, err
@@ -181,7 +164,6 @@ func ExecuteOpts(r Run, sc Scale, opt Options) (*core.Result, error) {
 	cfg.NoC = r.NoC
 	cfg.Mem.StrictSC = r.StrictSC
 	cfg.Mem.CacheToCache = r.C2C
-	cfg.Shards = opt.Shards
 	if r.Fault != "" {
 		plan, err := fault.ParsePlan(r.Fault)
 		if err != nil {

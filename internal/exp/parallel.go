@@ -20,15 +20,6 @@ import (
 // The one behavioural difference is that a failing point does not stop
 // already-dispatched points from finishing; their results are discarded.
 func GridParallel(sizes []int, sc Scale, o *Observe, jobs int) (map[Run]*core.Result, error) {
-	return GridParallelOpts(sizes, sc, Options{Observe: o}, jobs)
-}
-
-// GridParallelOpts is GridParallel with execution options applied to
-// every grid point — notably Options.Shards, which nests intra-run
-// parallelism inside the across-run workers. Callers are responsible
-// for keeping jobs × shards within the host (see ClampConcurrency;
-// cmd/sweep applies it).
-func GridParallelOpts(sizes []int, sc Scale, opt Options, jobs int) (map[Run]*core.Result, error) {
 	runs := gridRuns(sizes)
 	if jobs < 1 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -36,21 +27,8 @@ func GridParallelOpts(sizes []int, sc Scale, opt Options, jobs int) (map[Run]*co
 	if jobs > len(runs) {
 		jobs = len(runs)
 	}
-	if jobs <= 1 && opt.Shards <= 1 {
-		return GridObserved(sizes, sc, opt.Observe)
-	}
 	if jobs <= 1 {
-		// Serial across runs, sharded within each: keep the serial
-		// runner's enumeration order.
-		out := make(map[Run]*core.Result, len(runs))
-		for _, r := range runs {
-			res, err := ExecuteOpts(r, sc, opt)
-			if err != nil {
-				return nil, err
-			}
-			out[r] = res
-		}
-		return out, nil
+		return GridObserved(sizes, sc, o)
 	}
 
 	results := make([]*core.Result, len(runs))
@@ -62,7 +40,7 @@ func GridParallelOpts(sizes []int, sc Scale, opt Options, jobs int) (map[Run]*co
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = ExecuteOpts(runs[i], sc, opt)
+				results[i], errs[i] = ExecuteObserved(runs[i], sc, o)
 			}
 		}()
 	}

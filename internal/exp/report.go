@@ -43,15 +43,16 @@ func (r Report) Write(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ExecuteMeasured is ExecuteOpts bracketed by an off-engine resource
-// sampler: process resources are recorded every interval (see
+// ExecuteMeasured is ExecuteObserved bracketed by an off-engine
+// resource sampler: process resources are recorded every interval (see
 // resource.Start) from a separate goroutine while the simulation runs,
 // and summarized once it finishes. The sampler shares nothing with the
-// engine, so the returned Result is byte-for-byte the one ExecuteOpts
-// would have produced — pinned by TestResourceSamplingDoesNotPerturbRun.
-func ExecuteMeasured(r Run, sc Scale, opt Options, interval time.Duration) (*core.Result, *resource.Summary, error) {
+// engine, so the returned Result is byte-for-byte the one
+// ExecuteObserved would have produced — pinned by
+// TestResourceSamplingDoesNotPerturbRun.
+func ExecuteMeasured(r Run, sc Scale, o *Observe, interval time.Duration) (*core.Result, *resource.Summary, error) {
 	s := resource.Start(interval)
-	res, err := ExecuteOpts(r, sc, opt)
+	res, err := ExecuteObserved(r, sc, o)
 	sum := s.Stop()
 	if err != nil {
 		return nil, nil, err

@@ -32,7 +32,7 @@ func TestResourceSamplingDoesNotPerturbRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sampled, sum, err := ExecuteMeasured(r, sc, Options{}, time.Millisecond)
+	sampled, sum, err := ExecuteMeasured(r, sc, nil, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestResourceSamplingDoesNotPerturbRun(t *testing.T) {
 // plain Result JSON bytes.
 func TestReportMerge(t *testing.T) {
 	r := Run{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 4}
-	res, sum, err := ExecuteMeasured(r, QuickScale(), Options{}, time.Millisecond)
+	res, sum, err := ExecuteMeasured(r, QuickScale(), nil, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

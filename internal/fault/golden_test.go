@@ -23,12 +23,6 @@ var update = flag.Bool("update", false, "rewrite the golden files from current o
 // goldenRuns pins the exact command lines the goldens were captured
 // with: one text and one JSON mcsim point, one quick figure grid
 // (serial, so worker scheduling cannot reorder anything), and Table 1.
-//
-// Each run is additionally re-executed with -shards 4 appended and
-// compared against the SAME golden file: the sharded BSP engine's
-// byte-identity promise, pinned at the binary boundary. (On hosts
-// with fewer cores than jobs*shards, sweep clamps and notes it on
-// stderr — stdout must still not move.)
 var goldenRuns = []struct {
 	golden string
 	cmd    string // package under cmd/ to build
@@ -86,21 +80,6 @@ func TestGoldenZeroFaultByteIdentity(t *testing.T) {
 			if !bytes.Equal(stdout.Bytes(), want) {
 				t.Errorf("%s %v output is not byte-identical to %s:\ngot %d bytes, want %d\n--- got ---\n%s\n--- want ---\n%s",
 					r.cmd, r.args, path, stdout.Len(), len(want), clip(stdout.String()), clip(string(want)))
-			}
-
-			// Sharded re-run against the same golden: -shards must not
-			// change a byte of stdout.
-			shardArgs := append(append([]string{}, r.args...), "-shards", "4")
-			var shardOut, shardErr bytes.Buffer
-			shardCmd := exec.Command(built[r.cmd], shardArgs...)
-			shardCmd.Stdout = &shardOut
-			shardCmd.Stderr = &shardErr
-			if err := shardCmd.Run(); err != nil {
-				t.Fatalf("%s %v: %v\n%s", r.cmd, shardArgs, err, shardErr.String())
-			}
-			if !bytes.Equal(shardOut.Bytes(), want) {
-				t.Errorf("%s %v output is not byte-identical to %s:\ngot %d bytes, want %d\n--- got ---\n%s\n--- want ---\n%s",
-					r.cmd, shardArgs, path, shardOut.Len(), len(want), clip(shardOut.String()), clip(string(want)))
 			}
 		})
 	}

@@ -53,17 +53,6 @@ type dupPayload struct {
 //   - bank stall windows advance in Tick, so they can only open while
 //     the network ticker is live — a stall of an idle system would be
 //     unobservable anyway.
-//
-// Phase contract under the sharded BSP schedule (internal/sim): Inject
-// and Tick — the only methods that draw from the RNG streams or touch
-// cross-node state — run exclusively in the serial commit phase, in
-// the same global order as the serial schedule, so a campaign's
-// decision sequence is unchanged by sharding. Deliverable, Deliver and
-// stalled may be called concurrently for different nodes during the
-// compute phase; they touch only per-node state (stallUntil is written
-// solely by Tick, delivery queues are per-node in every wrapped model,
-// and duplicate suppression counts into a per-node slot summed by
-// FaultStats).
 type Net struct {
 	inner noc.Network
 	plan  *Plan
@@ -83,12 +72,6 @@ type Net struct {
 	// to bank indices for scope matching.
 	stallUntil []uint64
 	bankBase   int
-
-	// dupsSup[node] counts duplicates the node's sequence check
-	// discarded. Kept per node (not in st) because Deliver may run
-	// concurrently for different nodes under the sharded schedule;
-	// FaultStats folds the slots into the reported total.
-	dupsSup []uint64
 
 	st Stats
 }
@@ -121,7 +104,6 @@ func Wrap(inner noc.Network, plan *Plan, bankBase int) *Net {
 		staged:     make([][]stagedPkt, n),
 		dropNote:   make([]bool, n),
 		stallUntil: make([]uint64, n),
-		dupsSup:    make([]uint64, n),
 		bankBase:   bankBase,
 	}
 }
@@ -129,16 +111,8 @@ func Wrap(inner noc.Network, plan *Plan, bankBase int) *Net {
 // Plan returns the campaign the wrapper runs.
 func (f *Net) Plan() *Plan { return f.plan }
 
-// FaultStats returns the injected-fault counters. Call it from a
-// serial point (between cycles, or after a run): it folds the per-node
-// duplicate-suppression slots into the total.
-func (f *Net) FaultStats() Stats {
-	st := f.st
-	for _, n := range f.dupsSup {
-		st.DupsSuppressed += n
-	}
-	return st
-}
+// FaultStats returns the injected-fault counters.
+func (f *Net) FaultStats() Stats { return f.st }
 
 // Nodes implements noc.Network.
 func (f *Net) Nodes() int { return f.inner.Nodes() }
@@ -262,7 +236,7 @@ func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
 			return noc.Packet{}, false
 		}
 		if _, isDup := p.Payload.(dupPayload); isDup {
-			f.dupsSup[node]++
+			f.st.DupsSuppressed++
 			continue
 		}
 		return p, true

@@ -23,27 +23,20 @@ func bspFindings(t *testing.T) ([]string, []Finding) {
 	return got, findings
 }
 
-// TestBSPFixtureFindings pins the exact firing set of the three
-// module-wide analyzers over the bspmod fixture.
+// TestBSPFixtureFindings pins the exact firing set of hotalloc and the
+// directive hygiene checks over the bspmod fixture.
 func TestBSPFixtureFindings(t *testing.T) {
 	want := []string{
-		"allow.go:19:directive",         // //lint:allow without a reason
-		"allow.go:24:directive",         // //lint:allow with an unknown analyzer
-		"atomic.go:20:atomicdiscipline", // plain read of a sync/atomic field
-		"hot.go:34:hotalloc",            // make in Grow
-		"hot.go:40:hotalloc",            // fmt call reached from Grow
-		"hot.go:45:hotalloc",            // closure in Drain
-		"hot.go:47:hotalloc",            // new in Drain
-		"hot.go:49:hotalloc",            // string concat in Drain
-		"hot.go:52:hotalloc",            // interface-assignment boxing in Drain
-		"hot.go:54:hotalloc",            // &composite literal in Drain
-		"hot.go:62:hotalloc",            // interface-argument boxing in Report
-		"phase.go:29:phasepurity",       // Tick writes a package-level var
-		"phase.go:30:phasepurity",       // Tick calls commit-only Net.Inject
-		"phase.go:32:phasepurity",       // Tick calls //lint:commitphase publish
-		"phase.go:36:phasepurity",       // Idle writes a package-level var
-		"phase.go:49:phasepurity",       // Inject reached via helper -> injectAll
-		"phase.go:64:phasepurity",       // RecvPhase calls its own SendPhase
+		"allow.go:16:directive", // //lint:allow without a reason
+		"allow.go:21:directive", // //lint:allow with an unknown analyzer
+		"hot.go:34:hotalloc",    // make in Grow
+		"hot.go:40:hotalloc",    // fmt call reached from Grow
+		"hot.go:45:hotalloc",    // closure in Drain
+		"hot.go:47:hotalloc",    // new in Drain
+		"hot.go:49:hotalloc",    // string concat in Drain
+		"hot.go:52:hotalloc",    // interface-assignment boxing in Drain
+		"hot.go:54:hotalloc",    // &composite literal in Drain
+		"hot.go:62:hotalloc",    // interface-argument boxing in Report
 	}
 	got, _ := bspFindings(t)
 	if !reflect.DeepEqual(got, want) {
@@ -51,23 +44,16 @@ func TestBSPFixtureFindings(t *testing.T) {
 	}
 }
 
-// TestBSPFixtureNegatives spells out what must NOT fire: commit-phase
-// injection, shard-local writes, clean Phased types, allocations off
-// the hot set, allowlisted appends, typed atomics, suppressed findings.
+// TestBSPFixtureNegatives spells out what must NOT fire: allocations
+// off the hot set, allowlisted appends, suppressed findings.
 func TestBSPFixtureNegatives(t *testing.T) {
 	got, _ := bspFindings(t)
 	for _, f := range got {
 		for _, banned := range []string{
-			"phase.go:40:", "phase.go:41:", // Commit may inject and write globals
-			"phase.go:68:",                                 // SendPhase may inject
-			"phase.go:73:", "phase.go:74:", "phase.go:75:", // cleanShard is clean
 			"hot.go:17:",               // allocation-free Lookup
 			"hot.go:27:",               // Push's append is allowlisted
 			"hot.go:70:", "hot.go:71:", // coldPath is not hot-reachable
-			"atomic.go:14:", // the sanctioned atomic site
-			"atomic.go:16:", // typed atomic and plain cold field
-			"atomic.go:24:", // atomic.LoadUint64 + safe.Load + cold
-			"allow.go:12:",  // suppressed by //lint:allow with a reason
+			"allow.go:10:", // suppressed by //lint:allow with a reason
 		} {
 			if strings.HasPrefix(f, banned) {
 				t.Errorf("false positive: %s", f)
@@ -76,38 +62,18 @@ func TestBSPFixtureNegatives(t *testing.T) {
 	}
 }
 
-// TestBSPFixtureMessages checks the new analyzers' findings carry the
-// path/remediation context that makes them actionable.
+// TestBSPFixtureMessages checks hotalloc findings carry the
+// remediation context that makes them actionable.
 func TestBSPFixtureMessages(t *testing.T) {
 	_, findings := bspFindings(t)
-	var sawVia, sawAllowHint, sawAtomicSite bool
+	var sawAllowHint bool
 	for _, f := range findings {
-		switch f.Analyzer {
-		case "phasepurity":
-			if strings.Contains(f.Message, "via sim.(*shard).helper → sim.injectAll") {
-				sawVia = true
-			}
-			if !strings.Contains(f.Message, "compute phase") {
-				t.Errorf("phasepurity message lacks the phase context: %s", f.Message)
-			}
-		case "hotalloc":
-			if strings.Contains(f.Message, "hotalloc.allow") {
-				sawAllowHint = true
-			}
-		case "atomicdiscipline":
-			if strings.Contains(f.Message, "atomic.go:14") {
-				sawAtomicSite = true
-			}
+		if f.Analyzer == "hotalloc" && strings.Contains(f.Message, "hotalloc.allow") {
+			sawAllowHint = true
 		}
-	}
-	if !sawVia {
-		t.Error("no phasepurity finding reports the helper → injectAll call path")
 	}
 	if !sawAllowHint {
 		t.Error("no hotalloc finding points at hotalloc.allow")
-	}
-	if !sawAtomicSite {
-		t.Error("atomicdiscipline finding does not cite the first atomic site")
 	}
 }
 
@@ -155,17 +121,22 @@ func TestHotallocAllowlistHygiene(t *testing.T) {
 // exactly that analyzer's findings (no directive hygiene), and an
 // unknown name is an error naming the roster.
 func TestOnlySelection(t *testing.T) {
-	findings, err := RunOpts(filepath.Join("testdata", "bspmod"), Options{Only: []string{"atomicdiscipline"}})
+	findings, err := RunOpts(filepath.Join("testdata", "bspmod"), Options{Only: []string{"hotalloc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 || findings[0].Analyzer != "atomicdiscipline" {
-		t.Fatalf("only=atomicdiscipline: got %v", findings)
+	if len(findings) != 8 {
+		t.Fatalf("only=hotalloc: got %d findings, want 8: %v", len(findings), findings)
+	}
+	for _, f := range findings {
+		if f.Analyzer != "hotalloc" {
+			t.Fatalf("only=hotalloc reported %v", f)
+		}
 	}
 
 	_, err = RunOpts(filepath.Join("testdata", "bspmod"), Options{Only: []string{"nosuch"}})
 	if err == nil || !strings.Contains(err.Error(), `unknown analyzer "nosuch"`) ||
-		!strings.Contains(err.Error(), "phasepurity") {
+		!strings.Contains(err.Error(), "hotalloc") {
 		t.Fatalf("unknown -only name: err = %v", err)
 	}
 }
@@ -179,8 +150,7 @@ func TestRoster(t *testing.T) {
 			t.Errorf("analyzer %s has no one-line doc", info.Name)
 		}
 	}
-	want := []string{"walltime", "globalrand", "maprange", "exhaustive",
-		"phasepurity", "hotalloc", "atomicdiscipline"}
+	want := []string{"walltime", "globalrand", "maprange", "exhaustive", "hotalloc"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("roster = %v, want %v", names, want)
 	}

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide static call graph the BSP-aware
-// analyzers (phasepurity, hotalloc) walk. It is deliberately
-// conservative where Go's dynamism forces a choice:
+// This file builds the module-wide static call graph the hotalloc
+// analyzer walks. It is deliberately conservative where Go's dynamism
+// forces a choice:
 //
 //   - Direct calls and concrete method calls resolve to their single
 //     callee.
@@ -22,26 +22,14 @@ import (
 //     samplers) are contractually observe-only and remain covered by
 //     the -race matrix.
 //
-// Two comment directives feed the graph:
-//
-//	//lint:hot          — marks a function as a hot-path root for the
-//	                      hotalloc analyzer.
-//	//lint:commitphase  — marks a function (or interface method) as
-//	                      callable only from the serial commit phase;
-//	                      phasepurity reports any compute-phase path
-//	                      reaching it.
+// One comment directive feeds the graph: `//lint:hot` marks a function
+// as a hot-path root for the hotalloc analyzer.
 type module struct {
 	dir  string
 	fset *token.FileSet
 	pkgs []*pkg // base packages only (strictly typechecked)
 
 	funcs map[*types.Func]*funcNode
-
-	// commitOnly holds every function object that must not be reached
-	// from a compute phase: //lint:commitphase functions, interface
-	// methods so marked, their implementing concrete methods, and the
-	// SendPhase of every RecvPhase/SendPhase pair.
-	commitOnly map[*types.Func]string // obj -> origin note
 
 	// implCache memoizes interface-method resolution.
 	implCache map[implKey][]*types.Func
@@ -54,17 +42,10 @@ type funcNode struct {
 	decl *ast.FuncDecl
 	pkg  *pkg
 	hot  bool
-	// calls are the resolved outgoing edges, in source order.
-	calls []callSite
-}
-
-// callSite is one call expression with its resolved static targets.
-type callSite struct {
-	pos token.Pos
-	// iface is the interface method object for dynamic-dispatch calls
-	// (nil for direct calls); callees are the possible targets.
-	iface   *types.Func
-	callees []*types.Func
+	// calls are the resolved static targets of every call expression in
+	// the body (every implementation, for a dynamic-dispatch call), in
+	// source order.
+	calls []*types.Func
 }
 
 type implKey struct {
@@ -77,9 +58,8 @@ type implKey struct {
 func buildModule(dir string, fset *token.FileSet, pkgs []*pkg) *module {
 	m := &module{
 		dir: dir, fset: fset,
-		funcs:      map[*types.Func]*funcNode{},
-		commitOnly: map[*types.Func]string{},
-		implCache:  map[implKey][]*types.Func{},
+		funcs:     map[*types.Func]*funcNode{},
+		implCache: map[implKey][]*types.Func{},
 	}
 	for _, p := range pkgs {
 		if p.isTest || p.tpkg == nil {
@@ -99,97 +79,23 @@ func buildModule(dir string, fset *token.FileSet, pkgs []*pkg) *module {
 		}
 		for _, file := range p.files {
 			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					obj, ok := p.info.Defs[d.Name].(*types.Func)
-					if !ok {
-						continue
-					}
-					node := &funcNode{obj: obj, decl: d, pkg: p}
-					if hasDirective(d.Doc, "//lint:hot") {
-						node.hot = true
-					}
-					if hasDirective(d.Doc, "//lint:commitphase") {
-						m.commitOnly[obj] = "marked //lint:commitphase"
-					}
-					m.funcs[obj] = node
-				case *ast.GenDecl:
-					m.indexInterfaceDirectives(p, d)
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
 				}
+				obj, ok := p.info.Defs[d.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				m.funcs[obj] = &funcNode{obj: obj, decl: d, pkg: p,
+					hot: hasDirective(d.Doc, "//lint:hot")}
 			}
 		}
 	}
-	m.markStructuralCommitOnly()
-	m.expandIfaceCommitOnly()
 	for _, node := range m.funcs { //simlint:ignore maprange — edge building is order-independent
 		m.resolveCalls(node)
 	}
 	return m
-}
-
-// indexInterfaceDirectives picks up //lint:commitphase on interface
-// method declarations (the noc.Network Inject/Tick contract).
-func (m *module) indexInterfaceDirectives(p *pkg, d *ast.GenDecl) {
-	for _, spec := range d.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		it, ok := ts.Type.(*ast.InterfaceType)
-		if !ok {
-			continue
-		}
-		for _, field := range it.Methods.List {
-			if !hasDirective(field.Doc, "//lint:commitphase") || len(field.Names) == 0 {
-				continue
-			}
-			if obj, ok := p.info.Defs[field.Names[0]].(*types.Func); ok {
-				m.commitOnly[obj] = "marked //lint:commitphase"
-			}
-		}
-	}
-}
-
-// markStructuralCommitOnly applies the RecvPhase/SendPhase convention:
-// whenever a type declares both, its SendPhase is commit-only — that
-// split exists precisely so the sharded schedule can run the halves in
-// different phases.
-func (m *module) markStructuralCommitOnly() {
-	for _, named := range m.namedTypes {
-		recv := m.methodOf(named, "RecvPhase")
-		send := m.methodOf(named, "SendPhase")
-		if recv != nil && send != nil {
-			if _, done := m.commitOnly[send]; !done {
-				m.commitOnly[send] = "the SendPhase of a RecvPhase/SendPhase pair"
-			}
-		}
-	}
-}
-
-// expandIfaceCommitOnly propagates commit-only interface methods to
-// every module method that implements them, so a direct call on the
-// concrete type (gmn.Inject rather than Network.Inject) is caught too.
-func (m *module) expandIfaceCommitOnly() {
-	marked := make([]*types.Func, 0, len(m.commitOnly))
-	for obj := range m.commitOnly { //simlint:ignore maprange — marking is order-independent
-		marked = append(marked, obj)
-	}
-	for _, obj := range marked {
-		sig := obj.Type().(*types.Signature)
-		recv := sig.Recv()
-		if recv == nil {
-			continue
-		}
-		iface, ok := recv.Type().Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		for _, impl := range m.implementations(iface, obj.Name()) {
-			if _, done := m.commitOnly[impl]; !done {
-				m.commitOnly[impl] = "implements commit-phase-only " + obj.Name()
-			}
-		}
-	}
 }
 
 // methodOf returns the method named name in the full (pointer) method
@@ -241,28 +147,23 @@ func (m *module) resolveCalls(node *funcNode) {
 		if !ok {
 			return true
 		}
-		site := callSite{pos: call.Lparen}
 		switch fun := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
 			if fn, ok := info.Uses[fun].(*types.Func); ok {
-				site.callees = []*types.Func{origin(fn)}
+				node.calls = append(node.calls, origin(fn))
 			}
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[fun]; ok && (sel.Kind() == types.MethodVal || sel.Kind() == types.MethodExpr) {
 				fn := origin(sel.Obj().(*types.Func))
 				if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
-					site.iface = fn
-					site.callees = m.implementations(iface, fn.Name())
+					node.calls = append(node.calls, m.implementations(iface, fn.Name())...)
 				} else {
-					site.callees = []*types.Func{fn}
+					node.calls = append(node.calls, fn)
 				}
 			} else if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 				// Package-qualified call (pkg.Func).
-				site.callees = []*types.Func{origin(fn)}
+				node.calls = append(node.calls, origin(fn))
 			}
-		}
-		if site.iface != nil || len(site.callees) > 0 {
-			node.calls = append(node.calls, site)
 		}
 		return true
 	})
@@ -271,52 +172,6 @@ func (m *module) resolveCalls(node *funcNode) {
 // origin maps an instantiated generic method/function back to its
 // declaration object, the key funcs is indexed by.
 func origin(fn *types.Func) *types.Func { return fn.Origin() }
-
-// phaseRoots returns the compute-phase entry points, sorted: the Tick
-// and Idle methods of every type that also declares Commit (the
-// sim.Phased shape), and the RecvPhase of every RecvPhase/SendPhase
-// pair. Signatures are checked loosely (first parameter uint64) so the
-// detection does not depend on importing internal/sim.
-func (m *module) phaseRoots() []*funcNode {
-	var roots []*funcNode
-	seen := map[*types.Func]bool{}
-	add := func(fn *types.Func) {
-		if fn != nil && !seen[fn] {
-			if node := m.funcs[fn]; node != nil {
-				seen[fn] = true
-				roots = append(roots, node)
-			}
-		}
-	}
-	for _, named := range m.namedTypes {
-		tick := m.methodOf(named, "Tick")
-		commit := m.methodOf(named, "Commit")
-		if tick != nil && commit != nil && cycleMethod(tick) && cycleMethod(commit) {
-			add(tick)
-			if idle := m.methodOf(named, "Idle"); idle != nil && cycleMethod(idle) {
-				add(idle)
-			}
-		}
-		recv := m.methodOf(named, "RecvPhase")
-		send := m.methodOf(named, "SendPhase")
-		if recv != nil && send != nil && cycleMethod(recv) {
-			add(recv)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].obj.FullName() < roots[j].obj.FullName() })
-	return roots
-}
-
-// cycleMethod reports whether fn looks like a per-cycle phase method:
-// exactly one parameter, of type uint64 (the cycle counter).
-func cycleMethod(fn *types.Func) bool {
-	sig := fn.Type().(*types.Signature)
-	if sig.Params().Len() != 1 {
-		return false
-	}
-	basic, ok := sig.Params().At(0).Type().(*types.Basic)
-	return ok && basic.Kind() == types.Uint64
-}
 
 // hotRoots returns the //lint:hot functions, sorted.
 func (m *module) hotRoots() []*funcNode {

@@ -86,15 +86,13 @@ func (hotalloc) checkModule(m *module) []Finding {
 	for len(queue) > 0 {
 		node := queue[0]
 		queue = queue[1:]
-		for _, call := range node.calls {
-			for _, callee := range call.callees {
-				next := m.funcs[callee]
-				if next == nil || reach[next] || !hot[next.pkg.importPath] {
-					continue
-				}
-				reach[next] = true
-				queue = append(queue, next)
+		for _, callee := range node.calls {
+			next := m.funcs[callee]
+			if next == nil || reach[next] || !hot[next.pkg.importPath] {
+				continue
 			}
+			reach[next] = true
+			queue = append(queue, next)
 		}
 	}
 

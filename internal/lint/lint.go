@@ -1,11 +1,9 @@
 // Package lint implements the repository's custom static analyzers.
-// They enforce the two properties every result in this study depends
-// on: *the simulator is a deterministic function of its configuration
-// and seed*, and *the sharded BSP schedule is byte-identical to the
-// serial one*. Two runs with the same flags must produce bit-identical
-// statistics, the model checker's replay-based search is only sound if
-// re-running a choice path reproduces the same state, and the sharded
-// engine is only sound if compute-phase code never escapes its shard.
+// They enforce the property every result in this study depends on:
+// *the simulator is a deterministic function of its configuration and
+// seed*. Two runs with the same flags must produce bit-identical
+// statistics, and the model checker's replay-based search is only sound
+// if re-running a choice path reproduces the same state.
 //
 // Per-package analyzers (scoped to the simulation packages listed in
 // DeterminismPackages unless noted):
@@ -27,15 +25,8 @@
 //     every transition decision. Invalid is exempt: hit-guarded
 //     switches legitimately never see it.
 //
-// Module-wide analyzers (built on the call graph in callgraph.go):
+// Module-wide analyzer (built on the call graph in callgraph.go):
 //
-//   - phasepurity: starting from every compute-phase entry point (the
-//     Tick/Idle methods of sim.Phased implementations and every
-//     RecvPhase of a RecvPhase/SendPhase pair), walks the call graph
-//     and reports calls to commit-phase-only functions (network
-//     injection, SendPhase, anything marked `//lint:commitphase`) and
-//     writes to package-level variables. This is the static half of the
-//     BSP contract that makes `-shards N` byte-identical to serial.
 //   - hotalloc: reports heap-allocation constructs (make, new, append,
 //     closures, fmt calls, string concatenation, interface boxing,
 //     escaping composite literals) in code reachable from functions
@@ -43,10 +34,6 @@
 //     the committed hotalloc.allow file, whose entries must carry a
 //     reason — the file is the zero-alloc worklist, and a new
 //     allocation on a hot path fails the gate.
-//   - atomicdiscipline: a struct field whose address is passed to a
-//     sync/atomic function anywhere must be accessed through
-//     sync/atomic everywhere; a single plain read of a shared counter
-//     is a data race under the sharded compute phase.
 //
 // Suppressions: `//simlint:ignore <analyzer> <reason>` (legacy, reason
 // optional) or `//lint:allow <analyzer> <reason>` (reason required; a
@@ -130,7 +117,7 @@ type moduleAnalyzer interface {
 // pkgAnalyzers and modAnalyzers together are the roster, in the order
 // -list prints them.
 var pkgAnalyzers = []analyzer{walltime{}, globalrand{}, maprange{}, exhaustive{}}
-var modAnalyzers = []moduleAnalyzer{phasepurity{}, hotalloc{}, atomicdiscipline{}}
+var modAnalyzers = []moduleAnalyzer{hotalloc{}}
 
 // AnalyzerInfo names one analyzer for the -list roster.
 type AnalyzerInfo struct {

@@ -5,15 +5,12 @@ package sim
 
 var allowed int
 
-type suppressedShard struct{ x int }
-
-func (s *suppressedShard) Tick(cycle uint64) {
-	//lint:allow phasepurity — single-shard calibration mode; the engine never runs this sharded
-	allowed++
-	s.x++
+func suppressed(m map[int]int) {
+	//lint:allow maprange — the sum is order-independent
+	for _, v := range m {
+		allowed += v
+	}
 }
-
-func (s *suppressedShard) Commit(cycle uint64) {}
 
 func reasonless() {
 	//lint:allow maprange

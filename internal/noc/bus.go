@@ -1,7 +1,5 @@
 package noc
 
-import "sync/atomic"
-
 // BusConfig parameterises the shared-bus model.
 type BusConfig struct {
 	Nodes int
@@ -34,9 +32,7 @@ type Bus struct {
 	out       [][]busArrival
 	st        Stats
 	portFlits []uint64
-	// live is atomic for the same reason as GMN.inFlight: concurrent
-	// compute-phase Delivers under the sharded schedule.
-	live atomic.Int64
+	live      int // injected-but-undelivered packets
 }
 
 type busArrival struct {
@@ -76,7 +72,7 @@ func (b *Bus) Inject(p Packet, now uint64) bool {
 		return false
 	}
 	b.queues[p.Src] = append(b.queues[p.Src], p)
-	b.live.Add(1)
+	b.live++
 	return true
 }
 
@@ -110,8 +106,8 @@ func (b *Bus) Tick(now uint64) {
 	}
 }
 
-// Deliverable implements Network. It runs on every endpoint's
-// compute-phase arrival check: hot path.
+// Deliverable implements Network. It runs on every endpoint's arrival
+// check: hot path.
 //
 //lint:hot
 func (b *Bus) Deliverable(node int, now uint64) bool {
@@ -119,8 +115,8 @@ func (b *Bus) Deliverable(node int, now uint64) bool {
 	return len(q) != 0 && q[0].readyAt <= now
 }
 
-// Deliver implements Network. It runs on every compute-phase message
-// arrival: hot path.
+// Deliver implements Network. It runs on every message arrival: hot
+// path.
 //
 //lint:hot
 func (b *Bus) Deliver(node int, now uint64) (Packet, bool) {
@@ -131,12 +127,12 @@ func (b *Bus) Deliver(node int, now uint64) (Packet, bool) {
 	p := q[0].pkt
 	copy(q, q[1:])
 	b.out[node] = q[:len(q)-1]
-	b.live.Add(-1)
+	b.live--
 	return p, true
 }
 
 // Quiet implements Network.
-func (b *Bus) Quiet() bool { return b.live.Load() == 0 }
+func (b *Bus) Quiet() bool { return b.live == 0 }
 
 // NextEvent implements Network: a nonempty request queue acts when the
 // bus tenure ends (busyTill), and a delivery queue's head delivers at

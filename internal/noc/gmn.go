@@ -1,7 +1,5 @@
 package noc
 
-import "sync/atomic"
-
 // GMNConfig parameterises the Generic Micro Network model.
 type GMNConfig struct {
 	Nodes int
@@ -39,12 +37,8 @@ type GMN struct {
 
 	stats     Stats
 	portFlits []uint64
-	// inFlight is the injected-but-undelivered packet count. It is
-	// atomic because under the sharded schedule nodes of different
-	// shards Deliver concurrently during the compute phase; Inject and
-	// all Quiet reads happen at serial points, so the counter's
-	// synchronization is the only one the model needs.
-	inFlight atomic.Int64
+	// inFlight is the injected-but-undelivered packet count.
+	inFlight int
 }
 
 type gmnSrc struct {
@@ -98,7 +92,7 @@ func (g *GMN) Inject(p Packet, now uint64) bool {
 		return false
 	}
 	s.queue = append(s.queue, p)
-	g.inFlight.Add(1)
+	g.inFlight++
 	return true
 }
 
@@ -140,8 +134,8 @@ func (g *GMN) Tick(now uint64) {
 	}
 }
 
-// Deliverable implements Network. It runs on every endpoint's
-// compute-phase arrival check: hot path.
+// Deliverable implements Network. It runs on every endpoint's arrival
+// check: hot path.
 //
 //lint:hot
 func (g *GMN) Deliverable(node int, now uint64) bool {
@@ -149,8 +143,8 @@ func (g *GMN) Deliverable(node int, now uint64) bool {
 	return len(d.queue) != 0 && d.queue[0].readyAt <= now
 }
 
-// Deliver implements Network. It runs on every compute-phase message
-// arrival: hot path.
+// Deliver implements Network. It runs on every message arrival: hot
+// path.
 //
 //lint:hot
 func (g *GMN) Deliver(node int, now uint64) (Packet, bool) {
@@ -161,12 +155,12 @@ func (g *GMN) Deliver(node int, now uint64) (Packet, bool) {
 	p := d.queue[0].pkt
 	copy(d.queue, d.queue[1:])
 	d.queue = d.queue[:len(d.queue)-1]
-	g.inFlight.Add(-1)
+	g.inFlight--
 	return p, true
 }
 
 // Quiet implements Network.
-func (g *GMN) Quiet() bool { return g.inFlight.Load() == 0 }
+func (g *GMN) Quiet() bool { return g.inFlight == 0 }
 
 // NextEvent implements Network. A source queue's head moves when the
 // port frees (busyUntil); a destination queue's head delivers at its

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // MeshConfig parameterises the 2D-mesh router network.
 type MeshConfig struct {
@@ -53,9 +50,7 @@ type Mesh struct {
 	out       [][]meshEntry // per-node delivered packets
 	st        Stats
 	portFlits []uint64
-	// live is atomic for the same reason as GMN.inFlight: concurrent
-	// compute-phase Delivers under the sharded schedule.
-	live atomic.Int64
+	live      int // injected-but-undelivered packets
 }
 
 // NewMesh builds a k×k mesh large enough for cfg.Nodes endpoints, one
@@ -131,7 +126,7 @@ func (m *Mesh) Inject(p Packet, now uint64) bool {
 		return false
 	}
 	r.in[portLocal] = append(r.in[portLocal], meshEntry{readyAt: now, pkt: p})
-	m.live.Add(1)
+	m.live++
 	m.st.Packets++
 	m.st.TotalBytes += uint64(p.Bytes)
 	m.portFlits[p.Src] += uint64(p.Flits())
@@ -186,8 +181,8 @@ func (m *Mesh) Tick(now uint64) {
 	}
 }
 
-// Deliverable implements Network. It runs on every endpoint's
-// compute-phase arrival check: hot path.
+// Deliverable implements Network. It runs on every endpoint's arrival
+// check: hot path.
 //
 //lint:hot
 func (m *Mesh) Deliverable(node int, now uint64) bool {
@@ -195,8 +190,8 @@ func (m *Mesh) Deliverable(node int, now uint64) bool {
 	return len(q) != 0 && q[0].readyAt <= now
 }
 
-// Deliver implements Network. It runs on every compute-phase message
-// arrival: hot path.
+// Deliver implements Network. It runs on every message arrival: hot
+// path.
 //
 //lint:hot
 func (m *Mesh) Deliver(node int, now uint64) (Packet, bool) {
@@ -207,12 +202,12 @@ func (m *Mesh) Deliver(node int, now uint64) (Packet, bool) {
 	p := q[0].pkt
 	copy(q, q[1:])
 	m.out[node] = q[:len(q)-1]
-	m.live.Add(-1)
+	m.live--
 	return p, true
 }
 
 // Quiet implements Network.
-func (m *Mesh) Quiet() bool { return m.live.Load() == 0 }
+func (m *Mesh) Quiet() bool { return m.live == 0 }
 
 // NextEvent implements Network, conservatively: any queued entry
 // already ready vetoes (now+1), otherwise the minimum readyAt over

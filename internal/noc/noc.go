@@ -56,11 +56,7 @@ type Stats struct {
 type Network interface {
 	// Inject offers a packet at the source port at cycle now. It
 	// reports whether the packet was accepted; rejection means the
-	// source must retry (backpressure). Injection is a cross-shard
-	// effect: under the sharded BSP schedule only serial commit phases
-	// may call it (enforced statically by simlint's phasepurity).
-	//
-	//lint:commitphase
+	// source must retry (backpressure).
 	Inject(p Packet, now uint64) bool
 	// Deliver pops the next packet that has fully arrived at node by
 	// cycle now, if any.
@@ -69,11 +65,7 @@ type Network interface {
 	// packet, without popping it or touching any statistics. Endpoints
 	// use it as a cheap pre-check before consulting their sink.
 	Deliverable(node int, now uint64) bool
-	// Tick advances internal state by one cycle. It moves every
-	// in-flight packet, so it runs in the NoC shard's serial commit
-	// slot, after every send of the cycle (phasepurity-enforced).
-	//
-	//lint:commitphase
+	// Tick advances internal state by one cycle.
 	Tick(now uint64)
 	// Quiet reports whether no packets are in flight or queued.
 	Quiet() bool

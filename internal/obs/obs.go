@@ -49,10 +49,6 @@ type Recorder struct {
 	tb      *traceBuf
 	sampler *Sampler
 	lat     latencySet
-
-	// shards holds the shard-local child recorders handed out by Shard
-	// for the sharded BSP schedule; MergeShards folds them back in.
-	shards []*Recorder
 }
 
 // New builds a Recorder for the configuration. Latency attribution is

@@ -9,20 +9,9 @@
 // simulation results. This is the property that makes the whole model
 // deterministic and makes the protocol comparison fair.
 //
-// The latching property is also what enables the sharded
-// bulk-synchronous-parallel schedule (see Phased, RegisterShard,
-// SetShards): each cycle splits into a compute phase, where shards of
-// tickers run concurrently touching only shard-local state, and a
-// serial commit phase, where cross-shard sends happen in registration
-// order — the exact injection order of the serial schedule — so a
-// sharded run is byte-identical to a serial one. Within one cycle the
-// full order is: compute ticks (shard-major; registration order within
-// a shard), then commits in registration order, then Every hooks, then
-// — from Run — the watchdogs. SkippedTicks counts compute-phase Idler
-// skips plus commit-phase CommitIdler skips; because the partition is
-// fixed at build time and both predicates are evaluated at schedule
-// points equivalent to the serial ones, the count is identical across
-// shard settings.
+// There is one schedule. Within one cycle the full order is: tickers in
+// registration order (Idlers reporting idle are skipped and counted in
+// SkippedTicks), then Every hooks, then — from Run — the watchdogs.
 package sim
 
 import "fmt"
@@ -88,8 +77,8 @@ const NoWake = ^uint64(0)
 
 // SetLeaper attaches the event-wheel oracle consulted by Run after
 // every executed cycle. Passing nil detaches it. Registering any
-// further ticker also detaches it (see RegisterShard): the oracle
-// cannot vouch for components it does not know about.
+// further ticker also detaches it (see Register): the oracle cannot
+// vouch for components it does not know about.
 func (e *Engine) SetLeaper(l Leaper) { e.leaper = l }
 
 // Leaps reports how many leap spans Run has taken (diagnostics).
@@ -123,13 +112,7 @@ type Engine struct {
 	tickers []Ticker
 	// idlers[i] is non-nil when tickers[i] implements Idler; the
 	// parallel slice keeps Step free of per-cycle type assertions.
-	// phased, cidlers and shards are maintained the same way for the
-	// two-phase schedule (see shard.go).
 	idlers    []Idler
-	phased    []Phased
-	cidlers   []CommitIdler
-	shards    []int
-	names     []string
 	periodics []periodic
 	watchdogs []func(now uint64) error
 	skipped   uint64
@@ -139,20 +122,6 @@ type Engine struct {
 	leaper       Leaper
 	leaps        uint64
 	leapedCycles uint64
-
-	// Execution plan, derived lazily from the registrations: tickers in
-	// shard-major compute order, per-shard offsets, and the registration-
-	// order commit list.
-	planOK      bool
-	order       []int
-	shardStart  []int
-	commitOrder []int
-	nShards     int
-
-	// workers is the requested compute-phase parallelism (SetShards);
-	// pool is the running worker pool, nil while serial.
-	workers int
-	pool    *pool
 }
 
 // periodic is a sampling hook run every interval cycles, after all
@@ -169,14 +138,23 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() uint64 { return e.now }
 
 // Register adds a ticker to the engine. Tickers run every cycle in
-// registration order. The name is used in diagnostics only.
+// registration order. The name documents the call site only.
+//
+// Registering a ticker detaches any installed Leaper: the event-wheel
+// oracle proves cycles dead for the components it knows, and a ticker
+// added behind its back (a trace driver, a test probe) would have its
+// work leaped over. Callers that want leaping with extra tickers must
+// SetLeaper an oracle that covers them, after registration.
 func (e *Engine) Register(name string, t Ticker) {
-	e.RegisterShard(0, name, t)
+	e.leaper = nil
+	e.tickers = append(e.tickers, t)
+	id, _ := t.(Idler)
+	e.idlers = append(e.idlers, id)
 }
 
-// SkippedTicks reports how many ticks were skipped via Idle and
-// CommitIdle (diagnostics and tests; skipping is invisible to the
-// simulation itself, and the count is independent of SetShards).
+// SkippedTicks reports how many ticks were skipped via Idle
+// (diagnostics and tests; skipping is invisible to the simulation
+// itself).
 func (e *Engine) SkippedTicks() uint64 { return e.skipped }
 
 // Every registers fn to run each time interval further cycles have
@@ -203,11 +181,9 @@ func (e *Engine) Watchdog(fn func(now uint64) error) {
 	e.watchdogs = append(e.watchdogs, fn)
 }
 
-// Step advances the simulation by exactly one cycle: the compute phase
-// (serial shard-major, or on the worker pool when SetShards asked for
-// parallelism), then the commit phase in registration order, then the
-// Every hooks. For engines registered without shards the compute phase
-// degenerates to the classic single loop in registration order.
+// Step advances the simulation by exactly one cycle: every registered
+// ticker in registration order, skipping Idlers that report idle, then
+// the Every hooks.
 //
 // Step is the per-cycle engine loop, the hot-path root everything else
 // hangs off: allocations anywhere it reaches are gated by simlint's
@@ -215,21 +191,13 @@ func (e *Engine) Watchdog(fn func(now uint64) error) {
 //
 //lint:hot
 func (e *Engine) Step() {
-	if !e.planOK {
-		e.buildPlan()
-	}
 	now := e.now
-	if p := e.parallelPool(); p != nil {
-		p.runCycle(now)
-	} else {
-		e.runShardSet(0, 1, now, &e.skipped)
-	}
-	for _, ti := range e.commitOrder {
-		if ci := e.cidlers[ti]; ci != nil && ci.CommitIdle(now) {
+	for i, t := range e.tickers {
+		if id := e.idlers[i]; id != nil && id.Idle(now) {
 			e.skipped++
 			continue
 		}
-		e.phased[ti].Commit(now)
+		t.Tick(now)
 	}
 	e.now++
 	if len(e.periodics) != 0 {

@@ -122,6 +122,31 @@ func TestEngineWatchdogQuietWhenHealthy(t *testing.T) {
 	}
 }
 
+// TestEngineWatchdogPolledAfterTickersAndHooks pins the Run-loop order
+// within one cycle: the watchdog polled after executing cycle t-1 (at
+// now == t) has already seen that cycle's tickers and Every hooks.
+func TestEngineWatchdogPolledAfterTickersAndHooks(t *testing.T) {
+	e := NewEngine()
+	var lastTick, lastHook uint64
+	e.Register("t", TickFunc(func(now uint64) { lastTick = now }))
+	e.Every(1, func(now uint64) { lastHook = now })
+	var polled []uint64
+	e.Watchdog(func(now uint64) error {
+		if lastTick != now-1 || lastHook != now {
+			t.Fatalf("watchdog at now=%d saw tick of cycle %d, hook at %d; both must precede it",
+				now, lastTick, lastHook)
+		}
+		polled = append(polled, now)
+		return nil
+	})
+	if _, err := e.Run(3, func() bool { return false }); err == nil {
+		t.Fatal("Run: want the 3-cycle deadline")
+	}
+	if !equalU64(polled, []uint64{1, 2, 3}) {
+		t.Fatalf("watchdog polls = %v, want [1 2 3]", polled)
+	}
+}
+
 func TestEngineEveryRunsAfterTickersOfItsCycle(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -281,6 +306,26 @@ func TestLeapNoWakeWithoutDeadlineFallsBackToStepping(t *testing.T) {
 	}
 	if e.Leaps() != 0 || len(l.spans) != 0 {
 		t.Fatalf("leaped %d spans with nothing to leap to", len(l.spans))
+	}
+}
+
+// TestRegisterAfterSetLeaperDetachesLeaper pins the Register rule: an
+// oracle installed before a later registration cannot vouch for the new
+// ticker, so the engine drops it and steps every cycle — the late
+// ticker (the trace harness's CPUs register this way) is never leaped
+// over.
+func TestRegisterAfterSetLeaperDetachesLeaper(t *testing.T) {
+	e := NewEngine()
+	e.Register("known", TickFunc(func(uint64) {}))
+	e.SetLeaper(&scriptLeaper{wake: func(uint64) uint64 { return NoWake }})
+	ticks := 0
+	e.Register("late", TickFunc(func(uint64) { ticks++ }))
+	if cycles, _ := e.Run(20, func() bool { return false }); cycles != 20 {
+		t.Fatalf("Run = %d cycles, want the 20-cycle deadline", cycles)
+	}
+	if ticks != 20 || e.Leaps() != 0 {
+		t.Fatalf("late ticker ran %d of 20 cycles with %d leaps; it must never be leaped over",
+			ticks, e.Leaps())
 	}
 }
 
