@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint lint-json race bench benchjson benchdiff sweep mcheck soak
+.PHONY: all build test check fmt vet lint lint-json race bench benchjson benchdiff sweep mcheck soak loc
 
 all: check
 
@@ -51,6 +51,12 @@ race:
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp fig4 -sizes 2,4 -jobs 4 >/dev/null
 
 check: fmt vet lint build test race
+
+# loc prints the size figure CHANGES.md quotes per PR: lines of non-test
+# Go outside benchmark/ and the lint fixtures' testdata/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		-exec cat {} + | wc -l
 
 # soak runs the nightly fault-injection tier: the full campaign grid on
 # real workloads (see internal/fault/soak_full_test.go). The quick tier

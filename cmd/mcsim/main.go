@@ -71,7 +71,7 @@ func main() {
 	incs := flag.Int("incs", 100, "counter: increments per thread")
 	lurows := flag.Int("lurows", 3, "lu: matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
-	noleap := flag.Bool("noleap", false, "step every cycle instead of leaping over dead ones (results are byte-identical either way; for timing comparisons)")
+	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way; for timing comparisons)")
 	resInterval := flag.Duration("resources", 0, "sample host-process resources (heap, GC, RSS) every interval, e.g. 25ms (0 = off)")
 	resCSV := flag.String("resources-csv", "", "write the resource sample series as CSV (needs -resources)")
 	profCfg := prof.RegisterFlags()
@@ -110,6 +110,15 @@ func main() {
 	if arch == mem.Arch2 {
 		mode = codegen.DS
 	}
+	nocKind, ok := map[string]core.NoCKind{"gmn": core.GMNNet, "mesh": core.MeshNet, "bus": core.BusNet}[*nocFlag]
+	if !ok {
+		log.Fatalf("unknown noc %q", *nocFlag)
+	}
+	// The workload generators size their code for the CPU count, so it
+	// is checked before anything is built from it.
+	if *cpus < 1 || *cpus > 64 {
+		log.Fatalf("bad CPU count %d (need 1..64)", *cpus)
+	}
 
 	l := mem.DefaultLayout(*cpus)
 	var spec *workload.Spec
@@ -134,12 +143,7 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig(proto, arch, *cpus)
-	switch *nocFlag {
-	case "mesh":
-		cfg.NoC = core.MeshNet
-	case "bus":
-		cfg.NoC = core.BusNet
-	}
+	cfg.NoC = nocKind
 	cfg.Mem.StrictSC = *strict
 	cfg.Mem.DirPointers = *dirPtrs
 	cfg.Mem.RowBytes = *rowBytes
@@ -276,12 +280,20 @@ func main() {
 	fmt.Printf("NoC: %d packets, %d flits, inject stalls %d\n",
 		res.Net.Packets, res.Net.TotalFlits, res.Net.InjectStallCycles)
 	// Host-side diagnostics, not part of the deterministic result: how
-	// much of the run the event-wheel leaper skipped (EXPERIMENTS.md has
-	// the worked example).
-	if leaps := sys.Engine.Leaps(); leaps > 0 && res.Cycles > 0 {
-		leaped := sys.Engine.LeapedCycles()
-		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%)\n",
-			leaps, leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles))
+	// much of the schedule the wake contract kept off the host, whole
+	// cycles first, then ticks per layer (EXPERIMENTS.md has the worked
+	// example).
+	if eng := sys.Engine; eng.SkippedTicks() > 0 && res.Cycles > 0 {
+		leaped := eng.LeapedCycles()
+		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped:",
+			eng.Leaps(), leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles))
+		sep := " "
+		for _, c := range eng.TickCounts() {
+			fmt.Fprintf(os.Stderr, "%s%s %.1f%%", sep, c.Name,
+				100*float64(c.Skipped)/float64(c.Executed+c.Skipped))
+			sep = ", "
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 
 	if res.Latency != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -21,21 +22,74 @@ func TestRejectPositional(t *testing.T) {
 	}
 }
 
-// TestShardsFlagRejected pins that the removed -shards option is an
-// unknown flag, not a silently accepted no-op: the test re-executes
-// itself as mcsim and expects the flag package's usage exit.
-func TestShardsFlagRejected(t *testing.T) {
-	if os.Getenv("MCSIM_TEST_RUN_MAIN") == "1" {
-		os.Args = []string{"mcsim", "-bench", "counter", "-cpus", "2", "-incs", "5", "-shards", "2"}
+// TestMain lets a test re-execute this binary as mcsim itself: with
+// MCSIM_TEST_ARGS set, it runs main on those arguments and exits.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("MCSIM_TEST_ARGS"); ok {
+		os.Args = append([]string{"mcsim"}, strings.Fields(args)...)
 		main()
-		return
+		os.Exit(0)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestShardsFlagRejected$")
-	cmd.Env = append(os.Environ(), "MCSIM_TEST_RUN_MAIN=1")
+	os.Exit(m.Run())
+}
+
+// runMain runs mcsim with args in a child process and returns its
+// combined output and exit code.
+func runMain(t *testing.T, args string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "MCSIM_TEST_ARGS="+args)
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
-		!strings.Contains(string(out), "flag provided but not defined: -shards") {
-		t.Fatalf("mcsim -shards 2: err = %v, output:\n%s", err, out)
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("mcsim %s: %v", args, err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// TestShardsFlagRejected pins that the removed -shards option is an
+// unknown flag, not a silently accepted no-op: the flag package's usage
+// exit.
+func TestShardsFlagRejected(t *testing.T) {
+	out, code := runMain(t, "-bench counter -cpus 2 -incs 5 -shards 2")
+	if code != 2 || !strings.Contains(out, "flag provided but not defined: -shards") {
+		t.Fatalf("mcsim -shards 2: exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestBadFlagValuesRejected pins that a value no machine can be built
+// from is refused up front with a one-line error and exit 1 — not a
+// goroutine trace from the workload generator (-cpus 0 used to reach
+// codegen.NewRuntime) and not a silent fallback (-noc foo used to
+// simulate the GMN).
+func TestBadFlagValuesRejected(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-cpus 0", "bad CPU count 0 (need 1..64)"},
+		{"-cpus -1", "bad CPU count -1 (need 1..64)"},
+		{"-cpus 65", "bad CPU count 65 (need 1..64)"},
+		{"-bench counter -cpus 2 -noc foo", `unknown noc "foo"`},
+		{"-bench counter -cpus 2 -protocol mesi", `unknown protocol "mesi"`},
+	} {
+		out, code := runMain(t, c.args)
+		if code != 1 || !strings.Contains(out, c.want) || strings.Count(out, "\n") != 1 {
+			t.Errorf("mcsim %s: exit %d, want 1 and the one line %q; output:\n%s", c.args, code, c.want, out)
+		}
+	}
+}
+
+// TestEngineLineReportsPerLayerSkips pins the stderr diagnostic: one
+// run says how many cycles were leaped and, per layer, what share of
+// its ticks the wake contract skipped; the naive schedule skips
+// nothing and says nothing.
+func TestEngineLineReportsPerLayerSkips(t *testing.T) {
+	const run = "-bench counter -cpus 2 -incs 5 -noc bus"
+	out, code := runMain(t, run)
+	line := regexp.MustCompile(`(?m)^engine: \d+ leaps skipped \d+ of \d+ cycles \([\d.]+%\); ` +
+		`ticks skipped: cpus [\d.]+%, banks [\d.]+%, noc [\d.]+%$`)
+	if code != 0 || !line.MatchString(out) {
+		t.Fatalf("mcsim %s: exit %d, no engine line in:\n%s", run, code, out)
+	}
+	if out, code := runMain(t, run+" -noleap"); code != 0 || strings.Contains(out, "engine:") {
+		t.Fatalf("mcsim %s -noleap: exit %d, output:\n%s", run, code, out)
 	}
 }

@@ -28,6 +28,9 @@ func main() {
 	storeFrac := flag.Float64("store", 0.3, "store fraction (uniform/hotspot)")
 	hotFrac := flag.Float64("hot", 0.05, "hot-word fraction (hotspot)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q (all options are flags; see -h)", flag.Arg(0))
+	}
 
 	var proto coherence.Protocol
 	switch *protoFlag {

@@ -59,6 +59,8 @@ func (f *flatPort) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) 
 }
 
 func (f *flatPort) Tick(now uint64)                        {}
+func (f *flatPort) NextWake(now uint64) uint64             { return ^uint64(0) }
+func (f *flatPort) Skip(from, to uint64)                   {}
 func (f *flatPort) HandleMsg(m *coherence.Msg, now uint64) {}
 func (f *flatPort) Drained() bool                          { return true }
 func (f *flatPort) Stats() *coherence.DCacheStats          { return &f.st }

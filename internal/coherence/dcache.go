@@ -18,6 +18,14 @@ type DataCache interface {
 	// Tick retries any postponed protocol actions (posted writes,
 	// unsent requests).
 	Tick(now uint64)
+	// NextWake reports now while Tick has such an action to retry and
+	// sim.NoWake once it is a strict no-op until protocol state changes
+	// (the sim.Sleeper question). Pure.
+	NextWake(now uint64) uint64
+	// Skip accounts the rejected retries of the access a data-stalled
+	// core re-issues on each of the cycles [from, to) it does not
+	// execute.
+	Skip(from, to uint64)
 	// HandleMsg processes a message delivered to this cache.
 	HandleMsg(m *Msg, now uint64)
 	// Drained reports whether the cache has no outstanding activity

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // ICache is the read-only instruction cache. Code is never written by
@@ -75,15 +76,19 @@ func (c *ICache) tryIssue(now uint64) {
 // Tick retries an unsent refill request.
 func (c *ICache) Tick(now uint64) { c.tryIssue(now) }
 
-// TickIdle reports whether Tick is a strict no-op until protocol state
-// changes: an unissued refill retries (and charges send-stall counters)
-// every cycle. Pure; the system-level leaper consults it.
-func (c *ICache) TickIdle(uint64) bool { return !c.pendActive || c.pendIssued }
+// NextWake reports now while an unissued refill retries (and charges
+// send-stall counters) every cycle; otherwise Tick is a strict no-op
+// until protocol state changes. Pure.
+func (c *ICache) NextWake(now uint64) uint64 {
+	if c.pendActive && !c.pendIssued {
+		return now
+	}
+	return sim.NoWake
+}
 
-// SkipFetchHits account-compensates k leaped cycles of a data-stalled
-// CPU: each stalled retry re-fetches the current instruction, which
-// hits and counts.
-func (c *ICache) SkipFetchHits(k uint64) { c.Fetches += k }
+// Skip implements cpu.InstrPort: each retry of a data-stalled core
+// re-fetches the current instruction, which hits and counts.
+func (c *ICache) Skip(from, to uint64) { c.Fetches += to - from }
 
 // HandleMsg processes the refill response.
 func (c *ICache) HandleMsg(m *Msg, now uint64) {

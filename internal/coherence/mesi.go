@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // MESICache is the write-back MESI (Illinois-like) data-cache
@@ -289,12 +290,19 @@ func (c *MESICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool)
 // Tick implements DataCache.
 func (c *MESICache) Tick(now uint64) { c.tryIssue(now) }
 
-// TickIdle reports whether Tick is a strict no-op until protocol state
-// changes: an unissued pending request retries (and charges send-stall
-// counters) every cycle; an active eviction is passive — its writeback
-// already sits in the node's outbound queue. Pure; the system-level
-// leaper consults it.
-func (c *MESICache) TickIdle(uint64) bool { return !c.pend.active || c.pend.issued }
+// NextWake implements DataCache: an unissued pending request retries
+// (and charges send-stall counters) every cycle; an active eviction is
+// passive — its writeback already sits in the node's outbound queue.
+func (c *MESICache) NextWake(now uint64) uint64 {
+	if c.pend.active && !c.pend.issued {
+		return now
+	}
+	return sim.NoWake
+}
+
+// Skip implements DataCache: a retry against the pending transaction is
+// rejected without counting anything.
+func (c *MESICache) Skip(from, to uint64) {}
 
 // completeWrite applies the deferred store/swap to the (now exclusive)
 // line and marks the transaction done.

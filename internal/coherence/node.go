@@ -42,8 +42,8 @@ type Node struct {
 	// recvVeto is the first cycle after the most recent consumed
 	// delivery. That cycle must execute (the CPU ticks before the node
 	// sees a fill, so its reaction to the delivery happens one cycle
-	// later) — NextWake refuses to leap over it. Monotonic; stale values
-	// below the current cycle are inert.
+	// later) — NextWake refuses to sleep through it. Monotonic; stale
+	// values below the current cycle are inert.
 	recvVeto uint64
 
 	// ReqBound is the admission bound for request-class messages.
@@ -142,8 +142,8 @@ func (n *Node) CanSendReq() bool {
 func (n *Node) OutQueueLen() int { return n.outQ.Len() }
 
 // Tick delivers arrived messages to the sink and drains the outbound
-// queue into the network. It runs for every node every non-quiescent
-// cycle: hot path.
+// queue into the network. It runs for every awake node every cycle:
+// hot path.
 //
 //lint:hot
 func (n *Node) Tick(now uint64) {
@@ -209,38 +209,34 @@ func (n *Node) Tick(now uint64) {
 	}
 }
 
-// NextWake reports the earliest cycle at or after cur at which this
-// node can act (sim.Leaper protocol, consulted by the system-level
-// leaper). cur is the next cycle to execute. A queued send that is
-// ready — or only backing off — wakes at its injection attempt; a
-// just-consumed delivery pins cur itself. Must be pure: Peek has side
-// ordering effects, so the port's NextAt is used instead.
-func (n *Node) NextWake(cur uint64) uint64 {
-	if n.recvVeto >= cur {
-		return cur
+// NextWake implements sim.Sleeper: Tick(now) is a strict no-op unless
+// a packet is deliverable, a queued send is ready to offer, or the
+// previous cycle consumed a delivery. A send that is latched for later
+// — or only backing off — wakes at its injection attempt. Must be pure:
+// Peek has side ordering effects, so the port's NextAt is used instead.
+func (n *Node) NextWake(now uint64) uint64 {
+	if n.recvVeto >= now || n.net.Deliverable(n.ID, now) {
+		return now
 	}
 	at, ok := n.outQ.NextAt()
 	if !ok {
-		return ^uint64(0)
+		return sim.NoWake
 	}
-	if at > cur {
-		return at
+	if n.attempts > 0 && at <= now {
+		at = n.nextTry
 	}
-	if n.attempts > 0 && n.nextTry > cur {
-		return n.nextTry
-	}
-	// Head is ready to offer: the injection attempt itself is an event
-	// (a refused Inject charges the network's stall counter every
-	// cycle), so the node vetoes leaping.
-	return cur
+	// A head ready to offer runs now: the injection attempt itself is an
+	// event (a refused Inject charges the network's stall counter every
+	// cycle).
+	return max(at, now)
 }
 
-// LeapSkip account-compensates a leap over cycles [cur, target): the
-// only per-cycle counter a provably-dead node cycle advances is the
-// backoff wait of a ready head held by the retry FSM.
-func (n *Node) LeapSkip(cur, target uint64) {
-	if at, ok := n.outQ.NextAt(); ok && at <= cur && n.attempts > 0 && n.nextTry > cur {
-		n.BackoffCycles += target - cur
+// Skip implements sim.Sleeper: the only per-cycle counter a sleeping
+// node advances is the backoff wait of a ready head held by the retry
+// FSM.
+func (n *Node) Skip(from, to uint64) {
+	if at, ok := n.outQ.NextAt(); ok && at <= from && n.attempts > 0 && n.nextTry > from {
+		n.BackoffCycles += to - from
 	}
 }
 
@@ -265,10 +261,3 @@ func (n *Node) transferLost(head outMsg, now uint64) {
 
 // Idle reports whether the node has nothing left to send.
 func (n *Node) Idle() bool { return n.outQ.Empty() }
-
-// Quiescent reports whether Tick(now) would be a strict no-op: nothing
-// queued to send and nothing arriving from the network this cycle. It
-// is the engine-facing idle predicate (sim.Idler contract).
-func (n *Node) Quiescent(now uint64) bool {
-	return n.outQ.Empty() && !n.net.Deliverable(n.ID, now)
-}

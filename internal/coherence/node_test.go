@@ -89,20 +89,28 @@ func TestNodeCanSendReqMatchesTrySendReq(t *testing.T) {
 	}
 }
 
-func TestNodeQuiescent(t *testing.T) {
+// TestNodeNextWake walks the node's answer to the wake contract: asleep
+// with nothing queued and nothing arriving, due at a latched send's
+// not-before cycle, awake for a ready send, a deliverable packet and
+// the cycle after a consumed delivery.
+func TestNodeNextWake(t *testing.T) {
+	const never = ^uint64(0)
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 1, FIFODepth: 8, SrcDepth: 4})
 	sink := &recordSink{accept: true}
 	n0 := NewNode(0, net, sink)
 	n1 := NewNode(1, net, sink)
-	if !n0.Quiescent(0) || !n1.Quiescent(0) {
-		t.Fatal("fresh nodes not quiescent")
+	if n0.NextWake(1) != never || n1.NextWake(1) != never {
+		t.Fatal("fresh nodes not asleep")
 	}
-	n0.SendCtrl(&Msg{Kind: RspWriteAck}, 1, 0)
-	if n0.Quiescent(0) {
-		t.Fatal("node with queued output reported quiescent")
+	n0.SendCtrl(&Msg{Kind: RspWriteAck}, 1, 3)
+	if w := n0.NextWake(1); w != 3 {
+		t.Fatalf("send latched for cycle 3: NextWake(1) = %d", w)
+	}
+	if w := n0.NextWake(3); w != 3 {
+		t.Fatalf("ready send: NextWake(3) = %d, want 3 (awake)", w)
 	}
 	var arrived uint64
-	for cyc := uint64(0); cyc < 20; cyc++ {
+	for cyc := uint64(3); cyc < 20; cyc++ {
 		if net.Deliverable(1, cyc) {
 			arrived = cyc
 			break
@@ -114,16 +122,21 @@ func TestNodeQuiescent(t *testing.T) {
 		t.Fatal("packet never arrived")
 	}
 	// The receiver has nothing queued, but a deliverable packet means
-	// its tick is not a no-op: it must not report quiescent.
-	if n1.Quiescent(arrived) {
-		t.Fatal("node with a deliverable packet reported quiescent")
+	// its tick is not a no-op: it must be awake.
+	if w := n1.NextWake(arrived); w != arrived {
+		t.Fatalf("deliverable packet: NextWake(%d) = %d", arrived, w)
 	}
 	n1.Tick(arrived)
 	if len(sink.msgs) != 1 {
 		t.Fatal("packet not delivered")
 	}
-	if !n0.Quiescent(arrived) || !n1.Quiescent(arrived) {
-		t.Fatal("drained nodes not quiescent")
+	// The cycle after a consumed delivery stays live (whatever the
+	// handler unblocked acts then); after it the drained node sleeps.
+	if w := n1.NextWake(arrived + 1); w != arrived+1 {
+		t.Fatalf("cycle after a delivery: NextWake = %d, want awake", w)
+	}
+	if n0.NextWake(arrived) != never || n1.NextWake(arrived+2) != never {
+		t.Fatal("drained nodes not asleep")
 	}
 }
 

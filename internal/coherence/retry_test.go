@@ -72,7 +72,7 @@ func (d *lossyNet) Deliver(node int, now uint64) (noc.Packet, bool) { return noc
 func (d *lossyNet) Deliverable(node int, now uint64) bool           { return false }
 func (d *lossyNet) Tick(now uint64)                                 {}
 func (d *lossyNet) Quiet() bool                                     { return true }
-func (d *lossyNet) NextEvent(now uint64) uint64                     { return ^uint64(0) }
+func (d *lossyNet) NextWake(now uint64) uint64                      { return ^uint64(0) }
 func (d *lossyNet) Stats() noc.Stats                                { return noc.Stats{} }
 func (d *lossyNet) PortFlits() []uint64                             { return nil }
 func (d *lossyNet) Nodes() int                                      { return 2 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // WTICache is the write-through data-cache controller: a direct-mapped,
@@ -48,8 +49,8 @@ type WTICache struct {
 	strictDone  bool
 
 	// lastStoreFull records that the most recent Store attempt was
-	// rejected on a full write buffer: the exact stall SkipStallCycles
-	// compensates when the engine leaps over the retry cycles.
+	// rejected on a full write buffer: the exact stall Skip charges for
+	// the retry cycles the engine does not execute.
 	lastStoreFull bool
 
 	// sendVeto is the first cycle after the most recent write-buffer
@@ -279,30 +280,27 @@ func (c *WTICache) Tick(now uint64) {
 	}
 }
 
-// TickIdle reports whether the cache can prove every cycle from cur on
-// dead until protocol state changes: no unissued pending request (an
-// issue retry charges send-stall counters), no write-buffer entry ready
-// to depart, and no departure in the cycle just executed (sendVeto —
-// the CPU's stalled retry may react to it at cur). Pure; the
-// system-level leaper consults it.
-func (c *WTICache) TickIdle(cur uint64) bool {
-	if c.sendVeto >= cur {
-		return false
+// NextWake implements DataCache: now while there is an unissued pending
+// request (an issue retry charges send-stall counters), a write-buffer
+// entry ready to depart, or a departure in the cycle just executed
+// (sendVeto — the CPU's stalled retry may react to it now).
+func (c *WTICache) NextWake(now uint64) uint64 {
+	if c.sendVeto >= now || c.pend.active && !c.pend.issued {
+		return now
 	}
-	if c.pend.active && !c.pend.issued {
-		return false
+	if _, ok := c.wb.NextToSend(); ok {
+		return now
 	}
-	_, ok := c.wb.NextToSend()
-	return !ok
+	return sim.NoWake
 }
 
-// SkipStallCycles account-compensates k leaped cycles during which the
-// CPU would have retried a store against a full write buffer: each
-// retry charges the cache's and the buffer's full-stall counters.
-func (c *WTICache) SkipStallCycles(k uint64) {
+// Skip implements DataCache: each retry of a store against a full
+// write buffer charges the cache's and the buffer's full-stall
+// counters.
+func (c *WTICache) Skip(from, to uint64) {
 	if c.lastStoreFull {
-		c.st.WBufFullStalls += k
-		c.wb.FullStalls += k
+		c.st.WBufFullStalls += to - from
+		c.wb.FullStalls += to - from
 	}
 }
 

@@ -75,11 +75,11 @@ type Config struct {
 	// MaxCycles bounds the simulation (0 = the defensive default).
 	MaxCycles uint64
 
-	// DisableLeap turns off the event-wheel cycle leaper (see
-	// System.NextWake): the engine then steps every cycle as before.
-	// Leaping is semantics-preserving — results are byte-identical
-	// either way — so the switch exists for equivalence tests and
-	// debugging, and is absent from Describe and the result JSON.
+	// DisableLeap selects the naive reference schedule: every component
+	// ticks on every cycle, nothing is skipped or leaped. Results are
+	// byte-identical either way, so the switch exists for equivalence
+	// tests and debugging, and is absent from Describe and the result
+	// JSON.
 	DisableLeap bool
 }
 

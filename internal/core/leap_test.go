@@ -30,10 +30,11 @@ func buildCounterSys(t *testing.T, cfg Config) *System {
 	return sys
 }
 
-// TestLeapEquivalence pins the Leaper contract at system level: a run
-// with the event-wheel leaper is byte-identical — full Result, not just
-// the cycle count — to the same run stepped cycle by cycle, across
-// every protocol, interconnect, and the fault-injection path.
+// TestLeapEquivalence pins the wake contract at system level: a
+// scheduled run (sleeping tickers skipped, dead cycles leaped) is
+// byte-identical — full Result, not just the cycle count — to the naive
+// run that ticks every component on every cycle, across every protocol,
+// interconnect, and the fault-injection path.
 func TestLeapEquivalence(t *testing.T) {
 	points := []struct {
 		name  string
@@ -81,7 +82,7 @@ func TestLeapEquivalence(t *testing.T) {
 				t.Errorf("results differ:\nstepped: %+v\nleaped:  %+v", stepped, leaped)
 			}
 			if leaps == 0 || leapedCycles == 0 {
-				t.Errorf("leaper never leaped (leaps=%d cycles=%d) — the equivalence was vacuous", leaps, leapedCycles)
+				t.Errorf("nothing ever leaped (leaps=%d cycles=%d) — the equivalence was vacuous", leaps, leapedCycles)
 			}
 		})
 	}
@@ -97,5 +98,63 @@ func TestLeapCounterExposed(t *testing.T) {
 	leaps, cycles := sys.Engine.Leaps(), sys.Engine.LeapedCycles()
 	if leaps == 0 || cycles < leaps {
 		t.Fatalf("leap accounting implausible: %d leaps, %d leaped cycles", leaps, cycles)
+	}
+}
+
+// TestClustersSleepIndependently is the per-cluster case of the
+// equivalence: on a lock-and-barrier workload one CPU sits in a long
+// stall while its neighbours retire, so clusters must sleep one by one
+// — not only when the whole machine is dead — and every per-CPU counter
+// a sleeping cluster owes (stall cycles, the re-fetches of its stalled
+// instruction, write-buffer-full retries) must still come out as the
+// naive schedule counts them.
+func TestClustersSleepIndependently(t *testing.T) {
+	const n = 4
+	spec, err := workload.BuildOcean(mem.DefaultLayout(n), codegen.DS,
+		workload.OceanParams{Threads: n, RowsPerThread: 2, Iters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(naive bool) *System {
+		cfg := DefaultConfig(coherence.WTI, mem.Arch2, n)
+		cfg.DisableLeap = naive
+		sys, err := Build(cfg, spec.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("run (naive=%t): %v", naive, err)
+		}
+		return sys
+	}
+	naive, sched := run(true), run(false)
+	var wbFull uint64
+	for i := 0; i < n; i++ {
+		a, b := naive.CPUs[i].Stats(), sched.CPUs[i].Stats()
+		if *a != *b {
+			t.Errorf("cpu %d: naive %+v, scheduled %+v", i, *a, *b)
+		}
+		if a, b := naive.ICaches[i].Fetches, sched.ICaches[i].Fetches; a != b {
+			t.Errorf("icache %d: %d fetches naive, %d scheduled", i, a, b)
+		}
+		a2, b2 := naive.DCaches[i].Stats(), sched.DCaches[i].Stats()
+		if *a2 != *b2 {
+			t.Errorf("dcache %d: naive %+v, scheduled %+v", i, *a2, *b2)
+		}
+		wbFull += b2.WBufFullStalls
+	}
+	if wbFull == 0 {
+		t.Error("no store ever retried against a full write buffer — that compensation went untested")
+	}
+	if naive.Engine.SkippedTicks() != 0 || naive.Engine.Leaps() != 0 {
+		t.Errorf("the naive schedule skipped %d ticks and leaped %d times",
+			naive.Engine.SkippedTicks(), naive.Engine.Leaps())
+	}
+	// Whole-machine leaps account for leaped×n cluster ticks; anything
+	// beyond is a cluster asleep while a neighbour ran.
+	cpus := sched.Engine.TickCounts()[0]
+	if whole := sched.Engine.LeapedCycles() * n; cpus.Name != "cpus" || cpus.Skipped <= whole {
+		t.Errorf("%s: %d ticks skipped, %d of them in whole-machine leaps — no cluster ever slept on its own",
+			cpus.Name, cpus.Skipped, whole)
 	}
 }

@@ -121,53 +121,18 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 		sys.Nodes = append(sys.Nodes, node)
 	}
 
-	// Tick order: CPUs issue, caches retry pending work, CPU nodes
-	// move messages, bank nodes deliver/respond, then the network
-	// advances. All cross-component messages are latched, so this
-	// order is a convention, not a correctness requirement — but the
-	// grouped tickers below run the components in exactly the sequence
-	// the per-component registration used, so existing runs reproduce
-	// bit-identically. Grouping keeps the engine's dispatch loop at
-	// four slots regardless of the CPU count, and lets the bank and
-	// network groups register quiescence so fully idle cycles skip
-	// their ticks entirely.
-	sys.Engine.Register("cpus", sim.TickFunc(func(now uint64) {
-		for _, c := range sys.CPUs {
-			c.Tick(now)
-		}
-	}))
-	sys.Engine.Register("caches", sim.TickFunc(func(now uint64) {
-		for i := range sys.DCaches {
-			sys.DCaches[i].Tick(now)
-			sys.ICaches[i].Tick(now)
-			sys.Nodes[i].Tick(now)
-		}
-	}))
-	sys.Engine.Register("banks", sim.TickerWithIdle(
-		func(now uint64) {
-			for _, nd := range sys.BNodes {
-				nd.Tick(now)
-			}
-		},
-		func(now uint64) bool {
-			for _, nd := range sys.BNodes {
-				if !nd.Quiescent(now) {
-					return false
-				}
-			}
-			return true
-		},
-	))
-	sys.Engine.Register("noc", sim.TickerWithIdle(
-		net.Tick,
-		func(now uint64) bool { return net.Quiet() },
-	))
-	// Event-wheel cycle leaping: the system is its own leaper (see
-	// leap.go). Semantics-preserving, so it is on by default;
-	// DisableLeap exists for equivalence tests and debugging.
-	if !cfg.DisableLeap {
-		sys.Engine.SetLeaper(sys)
+	// Tick order: each CPU with its caches and node, then the bank
+	// nodes deliver/respond, then the network advances. All
+	// cross-component messages are latched, so this order is a
+	// convention, not a correctness requirement. Every ticker answers
+	// the sim.Sleeper contract.
+	for i := range sys.CPUs {
+		sys.Register("cpus", &cluster{sys.CPUs[i], sys.DCaches[i], sys.ICaches[i], sys.Nodes[i]})
 	}
+	for _, nd := range sys.BNodes {
+		sys.Register("banks", nd)
+	}
+	sys.Register("noc", netTicker{net})
 	// Liveness watchdog: under a fault plan, a port that burns through
 	// its retransmission budget aborts the run right away with a
 	// replayable diagnostic instead of limping to the cycle deadline.
@@ -188,6 +153,64 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 	}
 	return sys, nil
 }
+
+// Register adds a ticker to the system's schedule, after those Build
+// registered. Under Cfg.DisableLeap it registers the bare Tick, which
+// the engine then runs on every cycle — the naive reference schedule
+// the equivalence tests compare against.
+func (s *System) Register(name string, t sim.Ticker) {
+	if s.Cfg.DisableLeap {
+		t = sim.TickFunc(t.Tick)
+	}
+	s.Engine.Register(name, t)
+}
+
+// cluster is one CPU with its caches and its NoC port, scheduled as a
+// unit. A cluster only changes state in its own Tick — everything that
+// reaches it from outside is latched through the NoC and consumed by
+// its node — so while it sleeps it is frozen, and its wake is the
+// earliest of its parts'.
+type cluster struct {
+	cpu  *cpu.CPU
+	dc   coherence.DataCache
+	ic   *coherence.ICache
+	node *coherence.Node
+}
+
+func (c *cluster) Tick(now uint64) {
+	c.cpu.Tick(now)
+	c.dc.Tick(now)
+	c.ic.Tick(now)
+	c.node.Tick(now)
+}
+
+func (c *cluster) NextWake(now uint64) uint64 {
+	w := c.cpu.NextWake(now)
+	if w <= now {
+		return now
+	}
+	return min(w, c.dc.NextWake(now), c.ic.NextWake(now), c.node.NextWake(now))
+}
+
+// Skip charges the stalled core's retries (the core forwards its
+// ports' share) and the node's backoff wait; the caches' own Ticks
+// count nothing while asleep.
+func (c *cluster) Skip(from, to uint64) {
+	c.cpu.Skip(from, to)
+	c.node.Skip(from, to)
+}
+
+// netTicker schedules the interconnect, whose skipped Ticks count
+// nothing.
+type netTicker struct{ noc.Network }
+
+func (netTicker) Skip(from, to uint64) {}
+
+// NextWake reports the earliest cycle at or after now at which any
+// component must run — now itself if one must — or sim.NoWake when only
+// the run deadline can re-awaken the system. It is the pure fold of the
+// per-ticker answers the engine schedules by.
+func (s *System) NextWake(now uint64) uint64 { return s.Engine.NextWake(now) }
 
 // AllHalted reports whether every CPU has executed HALT.
 func (s *System) AllHalted() bool {

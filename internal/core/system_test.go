@@ -75,11 +75,12 @@ func TestCounterDeterminism(t *testing.T) {
 	}
 }
 
-// TestIdleTicksAreSkipped checks the quiescence wiring end to end: on a
-// real run, cycles in which the bank nodes or the network have no
-// pending work must be skipped by the engine (the runs above and the
+// TestIdleTicksAreSkipped checks the wake-contract wiring end to end: on
+// a real run every layer — CPU clusters, bank nodes, the network — must
+// have ticks skipped by the engine (the equivalence matrices and the
 // byte-identical sweep output prove skipping changes no results; this
-// test proves the fast path actually engages).
+// test proves the fast path actually engages), and what the engine did
+// not skip it executed.
 func TestIdleTicksAreSkipped(t *testing.T) {
 	spec, err := buildQuickCounter(2)
 	if err != nil {
@@ -92,8 +93,16 @@ func TestIdleTicksAreSkipped(t *testing.T) {
 	if _, err := sys.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if sys.Engine.SkippedTicks() == 0 {
-		t.Fatal("no idle ticks skipped over a whole run")
+	counts := sys.Engine.TickCounts()
+	if len(counts) != 3 {
+		t.Fatalf("TickCounts = %+v, want the cpus, banks and noc rows", counts)
+	}
+	tickers := map[string]uint64{"cpus": 2, "banks": uint64(len(sys.BNodes)), "noc": 1}
+	for _, c := range counts {
+		if c.Skipped == 0 || c.Executed == 0 || c.Executed+c.Skipped != tickers[c.Name]*sys.Engine.Now() {
+			t.Errorf("%s: %d executed + %d skipped over %d tickers x %d cycles",
+				c.Name, c.Executed, c.Skipped, tickers[c.Name], sys.Engine.Now())
+		}
 	}
 }
 

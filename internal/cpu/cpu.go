@@ -16,10 +16,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Per-tick outcomes, recorded for the event-wheel oracle. outcomeActive
-// (the zero value) means the core retired or attempted real work and
-// must execute every cycle; the others are stall states whose per-cycle
-// effect is exactly one counter bump, which LeapSkip can compensate.
+// Per-tick outcomes, recorded for the wake contract. outcomeActive (the
+// zero value) means the core retired or attempted real work and must
+// execute every cycle; the others are stall states whose per-cycle
+// effect is exactly one counter bump, which Skip charges.
 const (
 	outcomeActive uint8 = iota
 	outcomeHalted
@@ -43,6 +43,9 @@ const (
 // coherence.ICache and by test fakes.
 type InstrPort interface {
 	Fetch(now uint64, addr uint32) (uint32, bool)
+	// Skip accounts the repeated hit fetches of the cycles [from, to)
+	// a data-stalled core did not execute.
+	Skip(from, to uint64)
 }
 
 // FPUTiming gives the multi-cycle latencies of floating-point
@@ -83,10 +86,9 @@ type CPU struct {
 	busyUntil uint64
 	halted    bool
 
-	// outcome records what the most recent Tick did — the core's
-	// contribution to the system event wheel (LeapWake/LeapSkip). It is
-	// updated at every Tick return point, so between cycles it always
-	// describes the core's current steady state.
+	// outcome records what the most recent Tick did, for NextWake and
+	// Skip. It is updated at every Tick return point, so between cycles
+	// it always describes the core's current steady state.
 	outcome uint8
 
 	// One-entry decoded-instruction cache. isa.Decode is a pure
@@ -201,46 +203,40 @@ func (c *CPU) retire(now uint64, nextPC uint32) {
 	c.outcome = outcomeActive
 }
 
-// LeapWake reports the core's contribution to the system event wheel,
-// given cur = the next cycle to execute. An active core vetoes (returns
-// cur): it retires or attempts work every cycle. A halted or
-// cache-stalled core contributes no wake of its own — a stalled core is
-// woken by a message delivery, which the network's event already
-// covers. An FPU-busy core wakes itself when the unit frees.
-func (c *CPU) LeapWake(cur uint64) uint64 {
+// NextWake implements the sim.Sleeper contract. An active core runs
+// every cycle. A halted or cache-stalled core has no wake of its own —
+// it is woken by a message delivery, which its node reports. An
+// FPU-busy core wakes itself when the unit frees.
+func (c *CPU) NextWake(now uint64) uint64 {
 	switch c.outcome {
 	case outcomeHalted, outcomeInstStall, outcomeDataStall:
 		return ^uint64(0)
 	case outcomeFPU:
-		if c.busyUntil > cur {
-			return c.busyUntil
-		}
-		return cur
+		return max(c.busyUntil, now)
 	default:
-		return cur
+		return now
 	}
 }
 
-// LeapSkip applies the counter bumps that executing k more cycles in
-// the core's current stall state would have applied — the Leaper
-// compensation matching LeapWake. The stalled retry paths themselves
-// are pure (re-polling a pending miss or a full write buffer changes
-// no state), so the counters are the whole per-cycle effect.
-func (c *CPU) LeapSkip(k uint64) {
+// Skip implements the sim.Sleeper contract: the counter bumps of the
+// cycles [from, to) not executed in the core's current stall state. The
+// stalled retry paths themselves are pure (re-polling a pending miss or
+// a full write buffer changes no state), so the counters are the whole
+// per-cycle effect — the core's own, and those its ports keep for the
+// fetch that re-hits and the access that is re-rejected on every retry
+// of a data stall.
+func (c *CPU) Skip(from, to uint64) {
 	switch c.outcome {
 	case outcomeFPU:
-		c.st.FPUBusyCycles += k
+		c.st.FPUBusyCycles += to - from
 	case outcomeInstStall:
-		c.st.InstStallCycles += k
+		c.st.InstStallCycles += to - from
 	case outcomeDataStall:
-		c.st.DataStallCycles += k
+		c.st.DataStallCycles += to - from
+		c.icache.Skip(from, to)
+		c.dcache.Skip(from, to)
 	}
 }
-
-// DataStalled reports whether the core's last cycle was a data-access
-// stall; the system leaper uses it to route the write-buffer-full
-// compensation to the data cache alongside LeapSkip.
-func (c *CPU) DataStalled() bool { return c.outcome == outcomeDataStall }
 
 // noteStall extends or begins the stall run of the given kind.
 func (c *CPU) noteStall(now uint64, kind uint8) {

@@ -39,6 +39,8 @@ func (f *flatMem) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) {
 }
 
 func (f *flatMem) Tick(now uint64)                        {}
+func (f *flatMem) NextWake(now uint64) uint64             { return ^uint64(0) }
+func (f *flatMem) Skip(from, to uint64)                   {}
 func (f *flatMem) HandleMsg(m *coherence.Msg, now uint64) {}
 func (f *flatMem) Drained() bool                          { return true }
 func (f *flatMem) Stats() *coherence.DCacheStats          { return &f.st }

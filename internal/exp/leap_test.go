@@ -1,6 +1,6 @@
 package exp
 
-// Leap-equivalence regression grid over real workloads. The water rows
+// Scheduled-vs-naive regression grid over real workloads. The water rows
 // are the ones that exposed the write-buffer-departure veto (a
 // data-stalled load blocked on HasUnsentInBlock reacts one cycle after
 // the departing entry leaves for the network, with no message delivery
@@ -8,6 +8,7 @@ package exp
 // per-protocol/per-NoC matrix on the cheaper counter workload.
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/coherence"
@@ -60,12 +61,19 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 		{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch1, NumCPUs: 2, StrictSC: true},
 	}
 	for _, r := range pts {
-		stepped := runPoint(t, r, sc, true)
-		leaped := runPoint(t, r, sc, false)
-		if stepped.Cycles != leaped.Cycles {
-			t.Errorf("%s: cycles stepped=%d leaped=%d (diff %d)",
-				r.Key(), stepped.Cycles, leaped.Cycles,
-				int64(leaped.Cycles)-int64(stepped.Cycles))
+		naive := runPoint(t, r, sc, true)
+		sched := runPoint(t, r, sc, false)
+		if naive.Cycles != sched.Cycles {
+			t.Errorf("%s: cycles naive=%d scheduled=%d (diff %d)",
+				r.Key(), naive.Cycles, sched.Cycles,
+				int64(sched.Cycles)-int64(naive.Cycles))
+		}
+		// Clusters sleep one by one at n=4 on these workloads, so the
+		// per-CPU rows — stall cycles, write-buffer-full retries — and
+		// the I-fetch total must match too, not just the end cycle.
+		naive.Config.DisableLeap = false
+		if !reflect.DeepEqual(naive, sched) {
+			t.Errorf("%s: results differ:\nnaive:     %+v\nscheduled: %+v", r.Key(), naive, sched)
 		}
 	}
 }

@@ -46,7 +46,7 @@ type dupPayload struct {
 //     plan seed, one independent stream per fault dimension, advanced
 //     only inside Inject and Tick — never inside the read-only
 //     Deliverable/Quiet/Stats queries, whose call counts may legally
-//     vary (the engine's quiescence skipping probes them);
+//     vary (the engine's wake scheduling probes them);
 //   - delayed transfers are staged per source and released strictly in
 //     arrival order, so the per-(source,destination) FIFO guarantee of
 //     the wrapped model is preserved;
@@ -246,16 +246,15 @@ func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
 // Quiet implements noc.Network: staged transfers count as in flight.
 func (f *Net) Quiet() bool { return f.stagedN == 0 && f.inner.Quiet() }
 
-// NextEvent implements noc.Network with the blanket veto: while
+// NextWake implements noc.Network with the blanket veto: while
 // anything is in flight the fault layer may draw from its RNG streams
 // or advance stall windows on any Tick, so no cycle is provably dead.
-// Leaping therefore only happens in fault runs while the network is
-// completely quiet — which is also the only time the per-cycle fault
-// machinery is skippable (the engine idle-skips the NoC ticker then,
-// so no RNG draw is lost).
-func (f *Net) NextEvent(now uint64) uint64 {
+// The network ticker therefore only sleeps in fault runs while the
+// network is completely quiet — which is also the only time the
+// per-cycle fault machinery is skippable (no RNG draw is lost).
+func (f *Net) NextWake(now uint64) uint64 {
 	if f.Quiet() {
 		return ^uint64(0)
 	}
-	return now + 1
+	return now
 }

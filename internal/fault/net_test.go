@@ -46,11 +46,11 @@ func (f *fakeNet) Stats() noc.Stats                      { return noc.Stats{} }
 func (f *fakeNet) PortFlits() []uint64                   { return nil }
 func (f *fakeNet) Nodes() int                            { return f.nodes }
 
-func (f *fakeNet) NextEvent(now uint64) uint64 {
+func (f *fakeNet) NextWake(now uint64) uint64 {
 	if f.Quiet() {
 		return ^uint64(0)
 	}
-	return now + 1
+	return now
 }
 
 func (f *fakeNet) Quiet() bool {

@@ -134,22 +134,20 @@ func (b *Bus) Deliver(node int, now uint64) (Packet, bool) {
 // Quiet implements Network.
 func (b *Bus) Quiet() bool { return b.live == 0 }
 
-// NextEvent implements Network: a nonempty request queue acts when the
+// NextWake implements Network: a nonempty request queue acts when the
 // bus tenure ends (busyTill), and a delivery queue's head delivers at
 // its readyAt (nondecreasing along the queue, so the head is the
 // minimum).
-func (b *Bus) NextEvent(now uint64) uint64 {
+func (b *Bus) NextWake(now uint64) uint64 {
 	next := ^uint64(0)
 	for i := range b.queues {
 		if len(b.queues[i]) == 0 {
 			continue
 		}
 		if b.busyTill <= now {
-			return now + 1
+			return now
 		}
-		if b.busyTill < next {
-			next = b.busyTill
-		}
+		next = b.busyTill
 		break
 	}
 	for i := range b.out {
@@ -158,7 +156,7 @@ func (b *Bus) NextEvent(now uint64) uint64 {
 			continue
 		}
 		if r := q[0].readyAt; r <= now {
-			return now + 1
+			return now
 		} else if r < next {
 			next = r
 		}

@@ -162,13 +162,13 @@ func (g *GMN) Deliver(node int, now uint64) (Packet, bool) {
 // Quiet implements Network.
 func (g *GMN) Quiet() bool { return g.inFlight == 0 }
 
-// NextEvent implements Network. A source queue's head moves when the
+// NextWake implements Network. A source queue's head moves when the
 // port frees (busyUntil); a destination queue's head delivers at its
 // readyAt, which is nondecreasing along the queue, so the head is the
-// queue's minimum. A head already movable or deliverable at now+1
-// makes now+1 the answer — the destination-FIFO-full case included,
-// where returning now+1 is the safe conservative veto.
-func (g *GMN) NextEvent(now uint64) uint64 {
+// queue's minimum. A head already movable or deliverable makes now the
+// answer — the destination-FIFO-full case included, where staying
+// awake is the safe conservative choice.
+func (g *GMN) NextWake(now uint64) uint64 {
 	next := ^uint64(0)
 	for i := range g.src {
 		s := &g.src[i]
@@ -176,7 +176,7 @@ func (g *GMN) NextEvent(now uint64) uint64 {
 			continue
 		}
 		if s.busyUntil <= now {
-			return now + 1
+			return now
 		}
 		if s.busyUntil < next {
 			next = s.busyUntil
@@ -188,7 +188,7 @@ func (g *GMN) NextEvent(now uint64) uint64 {
 			continue
 		}
 		if r := d.queue[0].readyAt; r <= now {
-			return now + 1
+			return now
 		} else if r < next {
 			next = r
 		}

@@ -209,12 +209,12 @@ func (m *Mesh) Deliver(node int, now uint64) (Packet, bool) {
 // Quiet implements Network.
 func (m *Mesh) Quiet() bool { return m.live == 0 }
 
-// NextEvent implements Network, conservatively: any queued entry
-// already ready vetoes (now+1), otherwise the minimum readyAt over
-// every router input and every delivered-but-unconsumed packet bounds
-// the next possible action. Output-port busy windows only delay
-// actions further, so ignoring them errs on the safe (earlier) side.
-func (m *Mesh) NextEvent(now uint64) uint64 {
+// NextWake implements Network, conservatively: any queued entry
+// already ready answers now, otherwise the minimum readyAt over every
+// router input and every delivered-but-unconsumed packet bounds the
+// next possible action. Output-port busy windows only delay actions
+// further, so ignoring them errs on the safe (earlier) side.
+func (m *Mesh) NextWake(now uint64) uint64 {
 	next := ^uint64(0)
 	consider := func(q []meshEntry) bool {
 		for i := range q {
@@ -230,13 +230,13 @@ func (m *Mesh) NextEvent(now uint64) uint64 {
 		r := &m.r[idx]
 		for in := 0; in < numPorts; in++ {
 			if consider(r.in[in]) {
-				return now + 1
+				return now
 			}
 		}
 	}
 	for node := range m.out {
 		if consider(m.out[node]) {
-			return now + 1
+			return now
 		}
 	}
 	return next

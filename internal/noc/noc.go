@@ -69,16 +69,17 @@ type Network interface {
 	Tick(now uint64)
 	// Quiet reports whether no packets are in flight or queued.
 	Quiet() bool
-	// NextEvent reports the earliest cycle strictly after now — the
-	// last executed cycle — at which the network's state can change or
-	// act on its own: a queued packet becoming movable by Tick, or an
-	// in-flight packet becoming deliverable. A network with anything
-	// movable or deliverable at now+1 must return now+1 (which vetoes
-	// leaping); an empty network returns ^uint64(0). Returning a cycle
-	// earlier than the true next event is always safe — the engine just
-	// leaps less — while returning a later one would skip live cycles,
-	// so implementations err conservative. Must be pure.
-	NextEvent(now uint64) uint64
+	// NextWake reports the earliest cycle at or after now — the cycle
+	// about to execute — at which the network's state can change or act
+	// on its own: a queued packet becoming movable by Tick, or an
+	// in-flight packet becoming deliverable (the sim.Sleeper question,
+	// answered for the endpoints' arrivals too). A network with anything
+	// movable or deliverable at now must return now; an empty network
+	// returns ^uint64(0). Returning a cycle earlier than the true next
+	// event is always safe — the engine just skips less — while
+	// returning a later one would skip live cycles, so implementations
+	// err conservative. Must be pure.
+	NextWake(now uint64) uint64
 	// Stats returns accumulated traffic counters.
 	Stats() Stats
 	// PortFlits returns the cumulative flits injected per source port,

@@ -85,6 +85,43 @@ func TestTraceJSONLoads(t *testing.T) {
 	}
 }
 
+// TestTraceOrderIgnoresTickInterleaving pins the buffer's canonical
+// order: whether the engine runs every core before any cache (as it
+// used to) or each core right before its own caches and port (as it
+// does now), the file is the same — within a cycle, the cores' stall
+// rows first, then the rest, each in recording order.
+func TestTraceOrderIgnoresTickInterleaving(t *testing.T) {
+	core := func(r *Recorder, i int, now uint64) {
+		r.Span(CPUPid(i), TidStall, "data stall", now-3, now, 0x40)
+	}
+	port := func(r *Recorder, i int, now uint64) {
+		r.Span(CPUPid(i), TidDCache, "read miss", now-9, now, 0x80)
+		r.Instant(PortPid(i), 0, "ReqRead", now, 0x80)
+	}
+	grouped, clustered := New(Config{Trace: true}), New(Config{Trace: true})
+	for now := uint64(10); now < 13; now++ {
+		core(grouped, 0, now)
+		core(grouped, 1, now)
+		port(grouped, 0, now)
+		port(grouped, 1, now)
+
+		core(clustered, 0, now)
+		port(clustered, 0, now)
+		core(clustered, 1, now)
+		port(clustered, 1, now)
+	}
+	var a, b bytes.Buffer
+	if err := grouped.WriteTrace(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := clustered.WriteTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("trace depends on the tick interleaving:\ngrouped:\n%s\nclustered:\n%s", a.String(), b.String())
+	}
+}
+
 func TestLaneReuse(t *testing.T) {
 	r := New(Config{Trace: true})
 	a := r.Begin(DirPid(0), "a", 0, 0)

@@ -69,6 +69,10 @@ type traceBuf struct {
 	max     int
 	events  []event
 	dropped uint64
+	// cycle is the cycle of the latest add; coreEnd is where that
+	// cycle's next sample or core-row event goes (see add).
+	cycle   uint64
+	coreEnd int
 
 	open   map[SpanID]openSpan
 	lanes  map[int32]*lanePool
@@ -93,16 +97,31 @@ func newTraceBuf(max int) *traceBuf {
 	}
 }
 
-func (t *traceBuf) add(e event) {
+// add buffers e, recorded at cycle at (nondecreasing across calls). The
+// buffer keeps one canonical order whatever order the engine ticks
+// components in within a cycle: cycle by cycle, the interval samples
+// taken on entering the cycle, then the cores' own rows (a CPU's stall
+// row), then everything the caches, ports and banks recorded — each
+// group in recording order. A core's events are therefore moved ahead
+// of what its neighbours' caches already recorded this cycle.
+func (t *traceBuf) add(at uint64, e event) {
 	if len(t.events) >= t.max {
 		t.dropped++
 		return
 	}
+	if at != t.cycle {
+		t.cycle, t.coreEnd = at, len(t.events)
+	}
 	t.events = append(t.events, e)
+	if e.ph == phCounter || e.tid == TidStall && e.pid >= cpuPidBase && e.pid < dirPidBase {
+		copy(t.events[t.coreEnd+1:], t.events[t.coreEnd:])
+		t.events[t.coreEnd] = e
+		t.coreEnd++
+	}
 }
 
 func (t *traceBuf) counter(pid int, name string, now uint64, v float64) {
-	t.add(event{pid: int32(pid), ph: phCounter, ts: now, name: name, val: v})
+	t.add(now, event{pid: int32(pid), ph: phCounter, ts: now, name: name, val: v})
 }
 
 // NameProcess labels a track group (trace "process") and fixes its
@@ -131,12 +150,9 @@ func (r *Recorder) Span(pid, tid int, name string, begin, end uint64, addr uint3
 	if r == nil || r.tb == nil {
 		return
 	}
-	if end <= begin {
-		end = begin + 1
-	}
-	r.tb.add(event{
+	r.tb.add(end, event{
 		pid: int32(pid), tid: int32(tid), ph: phComplete,
-		ts: begin, dur: end - begin, name: name, addr: addr, arg: true,
+		ts: begin, dur: max(end, begin+1) - begin, name: name, addr: addr, arg: true,
 	})
 }
 
@@ -145,7 +161,7 @@ func (r *Recorder) Instant(pid, tid int, name string, now uint64, addr uint32) {
 	if r == nil || r.tb == nil {
 		return
 	}
-	r.tb.add(event{
+	r.tb.add(now, event{
 		pid: int32(pid), tid: int32(tid), ph: phInstant,
 		ts: now, name: name, addr: addr, arg: true,
 	})
@@ -188,13 +204,9 @@ func (r *Recorder) End(id SpanID, now uint64) {
 	}
 	delete(t.open, id)
 	t.lanes[s.pid].put(s.lane)
-	end := now
-	if end <= s.begin {
-		end = s.begin + 1
-	}
-	t.add(event{
+	t.add(now, event{
 		pid: s.pid, tid: s.lane, ph: phComplete,
-		ts: s.begin, dur: end - s.begin, name: s.name, addr: s.addr, arg: s.arg,
+		ts: s.begin, dur: max(now, s.begin+1) - s.begin, name: s.name, addr: s.addr, arg: s.arg,
 	})
 }
 

@@ -86,7 +86,7 @@ func (p *Port[T]) Each(f func(at uint64, msg T)) {
 // NextAt reports the head message's not-before cycle, if any message is
 // queued. Because delivery is FIFO regardless of per-message cycles,
 // the head's cycle is the earliest at which Recv can make progress —
-// the port's contribution to an event-wheel wake time.
+// the port's contribution to its owner's NextWake.
 func (p *Port[T]) NextAt() (uint64, bool) {
 	if len(p.q) == 0 {
 		return 0, false

@@ -9,9 +9,16 @@
 // simulation results. This is the property that makes the whole model
 // deterministic and makes the protocol comparison fair.
 //
-// There is one schedule. Within one cycle the full order is: tickers in
-// registration order (Idlers reporting idle are skipped and counted in
-// SkippedTicks), then Every hooks, then — from Run — the watchdogs.
+// # One wake contract
+//
+// There is one schedule and one way to stay off it. A Ticker that also
+// implements Sleeper answers "when must I next run" each cycle; the
+// engine skips it while the answer lies ahead, and when every ticker's
+// answer lies ahead it moves the clock straight to the earliest one. A
+// ticker without the interface is simply always awake: it runs every
+// cycle and no cycle it is registered for is ever leaped. Within one
+// cycle the full order is: tickers in registration order, then Every
+// hooks, then — from Run — the watchdogs.
 package sim
 
 import "fmt"
@@ -29,97 +36,54 @@ type TickFunc func(now uint64)
 // Tick implements Ticker.
 func (f TickFunc) Tick(now uint64) { f(now) }
 
-// Idler is the optional quiescence interface: a Ticker that also
-// implements Idler is skipped on every cycle for which Idle reports
-// true. Idle must be true only when Tick(now) would change no
-// observable state — neither simulation state nor statistics — so a
-// skipped tick is indistinguishable from an executed one and
-// determinism is preserved. Idle itself must not mutate anything.
-type Idler interface {
-	Ticker
-	Idle(now uint64) bool
-}
-
-// Leaper is the event-wheel interface: a single system-level oracle
-// that lets Run skip provably-dead cycles wholesale instead of
-// executing them one Step at a time. It generalises Idler from "this
-// component does nothing this cycle" to "nothing in the whole system
-// does anything until cycle w".
+// Sleeper is the optional wake contract of a Ticker.
 //
-// NextWake(cur) is called with cur = the next cycle Run would execute.
-// It returns:
+// NextWake(now) is asked at the ticker's turn in every cycle the engine
+// executes, with now = that cycle. A result > now promises that Tick
+// would change nothing from now until then except the fixed per-cycle
+// counter bumps Skip accounts for — absent input from another ticker,
+// which is why the question is re-asked every cycle rather than
+// remembered. A result <= now means "run me"; NoWake means no event of
+// the ticker's own is scheduled at all. It must be pure, and erring
+// early is always safe: the engine just skips less.
 //
-//   - cur (or anything <= cur) to veto leaping — some component may do
-//     real work at cur;
-//   - NoWake (^uint64(0)) when no future event is scheduled at all —
-//     the system is inert until an external deadline;
-//   - otherwise the earliest cycle w > cur at which some component must
-//     execute. Every cycle in [cur, w) must be dead: executing it would
-//     change nothing beyond the fixed per-cycle counter bumps that
-//     SkipTo compensates.
+// Skip(from, to) charges exactly the statistic increments that
+// executing Tick on cycles [from, to) would have applied, and nothing
+// else. The engine owes it for every cycle it did not Tick and pays
+// lazily: before the ticker's next Tick, before any Every hook fires,
+// and before Step or Run return — in contiguous spans, split at hook
+// boundaries. It must therefore depend only on state the ticker's own
+// Tick changes, which is frozen while the ticker sleeps.
 //
-// SkipTo(cur, target) is then called for each leaped span: it must
-// apply exactly the statistic increments (stall counters, backoff
-// counters, ...) that executing cycles [cur, target) one by one would
-// have applied, and nothing else. Run may split one leap into several
-// SkipTo calls at periodic-hook boundaries; the spans are contiguous.
-//
-// Both methods must be pure apart from SkipTo's counter compensation:
-// a run with a Leaper attached is byte-identical to the same run
-// without one, just faster.
-type Leaper interface {
-	NextWake(cur uint64) uint64
-	SkipTo(cur, target uint64)
+// A run scheduled through Sleepers is byte-identical to the naive run
+// that ticks everything every cycle, just faster.
+type Sleeper interface {
+	NextWake(now uint64) uint64
+	Skip(from, to uint64)
 }
 
 // NoWake is the NextWake result meaning "no future event scheduled".
 const NoWake = ^uint64(0)
 
-// SetLeaper attaches the event-wheel oracle consulted by Run after
-// every executed cycle. Passing nil detaches it. Registering any
-// further ticker also detaches it (see Register): the oracle cannot
-// vouch for components it does not know about.
-func (e *Engine) SetLeaper(l Leaper) { e.leaper = l }
-
-// Leaps reports how many leap spans Run has taken (diagnostics).
-func (e *Engine) Leaps() uint64 { return e.leaps }
-
-// LeapedCycles reports how many cycles Run skipped via the Leaper
-// (diagnostics; a leaped run still counts these in its cycle total,
-// it just never executed them).
-func (e *Engine) LeapedCycles() uint64 { return e.leapedCycles }
-
-// idleTicker pairs a tick function with an idleness predicate.
-type idleTicker struct {
-	tick func(now uint64)
-	idle func(now uint64) bool
-}
-
-func (t idleTicker) Tick(now uint64)      { t.tick(now) }
-func (t idleTicker) Idle(now uint64) bool { return t.idle(now) }
-
-// TickerWithIdle adapts a tick function and an idleness predicate to
-// the Idler interface, for tickers built from closures (TickFunc alone
-// cannot express quiescence). The Idler contract applies: idle must be
-// true only when tick(now) would be a strict no-op.
-func TickerWithIdle(tick func(now uint64), idle func(now uint64) bool) Ticker {
-	return idleTicker{tick: tick, idle: idle}
+// slot is one registered ticker with its scheduling account.
+type slot struct {
+	name  string
+	tick  Ticker
+	sleep Sleeper // nil: always awake
+	// settled is the first cycle neither ticked nor charged to Skip yet.
+	settled        uint64
+	ticks, skipped uint64
 }
 
 // Engine drives a set of Tickers cycle by cycle.
 type Engine struct {
-	now     uint64
-	tickers []Ticker
-	// idlers[i] is non-nil when tickers[i] implements Idler; the
-	// parallel slice keeps Step free of per-cycle type assertions.
-	idlers    []Idler
+	now       uint64
+	slots     []slot
 	periodics []periodic
 	watchdogs []func(now uint64) error
-	skipped   uint64
 
-	// leaper, when non-nil, is the event-wheel oracle Run consults to
-	// skip dead cycles; leaps/leapedCycles account for what it skipped.
-	leaper       Leaper
+	// leaps counts the spans in which no ticker ran, leapedCycles their
+	// summed length.
 	leaps        uint64
 	leapedCycles uint64
 }
@@ -137,31 +101,87 @@ func NewEngine() *Engine { return &Engine{} }
 // Now reports the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
-// Register adds a ticker to the engine. Tickers run every cycle in
-// registration order. The name documents the call site only.
-//
-// Registering a ticker detaches any installed Leaper: the event-wheel
-// oracle proves cycles dead for the components it knows, and a ticker
-// added behind its back (a trace driver, a test probe) would have its
-// work leaped over. Callers that want leaping with extra tickers must
-// SetLeaper an oracle that covers them, after registration.
+// Register adds a ticker to the engine. Tickers run in registration
+// order, every cycle unless they implement Sleeper. Tickers sharing a
+// name share one row of TickCounts.
 func (e *Engine) Register(name string, t Ticker) {
-	e.leaper = nil
-	e.tickers = append(e.tickers, t)
-	id, _ := t.(Idler)
-	e.idlers = append(e.idlers, id)
+	s, _ := t.(Sleeper)
+	e.slots = append(e.slots, slot{name: name, tick: t, sleep: s, settled: e.now})
 }
 
-// SkippedTicks reports how many ticks were skipped via Idle
-// (diagnostics and tests; skipping is invisible to the simulation
-// itself).
-func (e *Engine) SkippedTicks() uint64 { return e.skipped }
+// TickCount is one Register name's share of the schedule: ticks
+// executed and ticks skipped (charged to Skip instead), summed over the
+// tickers registered under that name.
+type TickCount struct {
+	Name              string
+	Executed, Skipped uint64
+}
+
+// TickCounts reports executed and skipped ticks per Register name, in
+// first-registration order (host-side diagnostics, like Leaps).
+func (e *Engine) TickCounts() []TickCount {
+	var out []TickCount
+next:
+	for i := range e.slots {
+		s := &e.slots[i]
+		for j := range out {
+			if out[j].Name == s.name {
+				out[j].Executed += s.ticks
+				out[j].Skipped += s.skipped
+				continue next
+			}
+		}
+		out = append(out, TickCount{Name: s.name, Executed: s.ticks, Skipped: s.skipped})
+	}
+	return out
+}
+
+// SkippedTicks reports how many ticks were not executed because their
+// ticker slept, leaped cycles included (diagnostics and tests; skipping
+// is invisible to the simulation itself).
+func (e *Engine) SkippedTicks() uint64 {
+	var n uint64
+	for i := range e.slots {
+		n += e.slots[i].skipped
+	}
+	return n
+}
+
+// Leaps reports how many spans of cycles passed with every ticker
+// asleep (diagnostics).
+func (e *Engine) Leaps() uint64 { return e.leaps }
+
+// LeapedCycles reports how many cycles those spans covered
+// (diagnostics; a leaped cycle still counts in the cycle total, nothing
+// executed in it).
+func (e *Engine) LeapedCycles() uint64 { return e.leapedCycles }
+
+// NextWake folds the registered tickers' answers into the engine's own:
+// now if any ticker must run at now, else the earliest wake, else
+// NoWake. Pure; the scheduler itself never calls it (advance asks each
+// ticker at its turn).
+func (e *Engine) NextWake(now uint64) uint64 {
+	wake := NoWake
+	for i := range e.slots {
+		s := e.slots[i].sleep
+		if s == nil {
+			return now
+		}
+		if w := s.NextWake(now); w <= now {
+			return now
+		} else if w < wake {
+			wake = w
+		}
+	}
+	return wake
+}
 
 // Every registers fn to run each time interval further cycles have
 // completed (at cycles interval, 2*interval, ...), after every ticker
 // of that cycle. It is the observability sampling hook: fn must only
 // observe state, never mutate it, so registered hooks cannot change
-// simulation results. interval must be positive.
+// simulation results. Every counter a sleeping ticker owes is charged
+// before fn runs. interval must be positive.
 func (e *Engine) Every(interval uint64, fn func(now uint64)) {
 	if interval == 0 {
 		panic("sim: Every needs a positive interval")
@@ -169,43 +189,113 @@ func (e *Engine) Every(interval uint64, fn func(now uint64)) {
 	e.periodics = append(e.periodics, periodic{interval: interval, fn: fn})
 }
 
-// Watchdog registers a liveness check polled by Run once per cycle,
-// after all tickers of that cycle. A non-nil error aborts the run
-// immediately with that error — before the deadline would fire — so a
-// stuck transaction surfaces as its own diagnostic instead of the
-// anonymous ErrDeadline thousands of cycles later. fn must only
-// observe state, never mutate it (the Idler reasoning: registering a
-// watchdog cannot change simulation results). Runs with no registered
+// Watchdog registers a liveness check polled by Run once per executed
+// cycle, after all tickers of that cycle. A non-nil error aborts the
+// run immediately with that error — before the deadline would fire — so
+// a stuck transaction surfaces as its own diagnostic instead of the
+// anonymous ErrDeadline thousands of cycles later. fn must only observe
+// state, never mutate it, and must not read Skip-charged counters
+// (they settle at hooks and at return). Runs with no registered
 // watchdog pay nothing.
 func (e *Engine) Watchdog(fn func(now uint64) error) {
 	e.watchdogs = append(e.watchdogs, fn)
 }
 
 // Step advances the simulation by exactly one cycle: every registered
-// ticker in registration order, skipping Idlers that report idle, then
-// the Every hooks.
+// ticker in registration order except the Sleepers whose wake lies
+// ahead, then the Every hooks.
+func (e *Engine) Step() {
+	e.advance(e.now + 1)
+	e.settle()
+}
+
+// advance is the one scheduling loop. It asks every ticker, at its
+// turn, whether cycle e.now concerns it, and ticks those it does; if
+// none ran, the cycle was dead for everyone and the clock moves to the
+// earliest wake instead of e.now+1 — never past limit, and one cycle at
+// a time when neither a wake nor a limit bounds the span. It reports
+// whether any ticker executed.
 //
-// Step is the per-cycle engine loop, the hot-path root everything else
-// hangs off: allocations anywhere it reaches are gated by simlint's
-// hotalloc analyzer against the committed hotalloc.allow worklist.
+// This is the hot-path root everything else hangs off: allocations
+// anywhere it reaches are gated by simlint's hotalloc analyzer against
+// the committed hotalloc.allow worklist.
 //
 //lint:hot
-func (e *Engine) Step() {
+func (e *Engine) advance(limit uint64) bool {
 	now := e.now
-	for i, t := range e.tickers {
-		if id := e.idlers[i]; id != nil && id.Idle(now) {
-			e.skipped++
-			continue
+	wake := NoWake
+	for i := range e.slots {
+		s := &e.slots[i]
+		if s.sleep != nil {
+			if w := s.sleep.NextWake(now); w > now {
+				if w < wake {
+					wake = w
+				}
+				continue
+			}
+			if s.settled < now {
+				s.settle(now)
+			}
 		}
-		t.Tick(now)
+		s.tick.Tick(now)
+		s.ticks++
+		s.settled = now + 1
+		wake = now
 	}
-	e.now++
-	if len(e.periodics) != 0 {
+	ran := wake == now
+	target := now + 1
+	if !ran {
+		if t := min(wake, limit); t != NoWake {
+			target = t
+		}
+		e.leaps++
+		e.leapedCycles += target - now
+	}
+	if len(e.periodics) == 0 {
+		e.now = target
+		return ran
+	}
+	// Move the clock boundary by boundary so every hook fires at each
+	// multiple of its interval the span crosses, with the counters owed
+	// up to that boundary charged first — the observation sequence of
+	// the naive schedule.
+	for e.now < target {
+		next := target
 		for i := range e.periodics {
 			p := &e.periodics[i]
-			if e.now%p.interval == 0 {
-				p.fn(e.now)
+			if b := (e.now/p.interval + 1) * p.interval; b < next {
+				next = b
 			}
+		}
+		e.now = next
+		settled := false
+		for i := range e.periodics {
+			p := &e.periodics[i]
+			if next%p.interval == 0 {
+				if !settled {
+					e.settle()
+					settled = true
+				}
+				p.fn(next)
+			}
+		}
+	}
+	return ran
+}
+
+// settle charges the ticker's Skip for the cycles [settled, upTo) it
+// slept through.
+func (s *slot) settle(upTo uint64) {
+	s.sleep.Skip(s.settled, upTo)
+	s.skipped += upTo - s.settled
+	s.settled = upTo
+}
+
+// settle brings every sleeping ticker's account up to e.now.
+func (e *Engine) settle() {
+	for i := range e.slots {
+		if s := &e.slots[i]; s.sleep != nil && s.settled < e.now {
+			s.settle(e.now)
 		}
 	}
 }
@@ -221,92 +311,38 @@ func (e *ErrDeadline) Error() string {
 }
 
 // Run advances the simulation until done() reports true, checking the
-// predicate once per cycle after all tickers have run. It returns the
-// number of cycles elapsed (executed plus leaped). If maxCycles is
-// non-zero and elapses first, Run stops and returns ErrDeadline.
+// predicate before each cycle. It returns the number of cycles elapsed
+// (executed plus leaped). If maxCycles is non-zero and elapses first,
+// Run stops and returns ErrDeadline.
 //
-// When a Leaper is attached (SetLeaper), Run consults it after the
-// done and deadline checks, before executing the next cycle, and may
-// advance e.now over a span of dead cycles without executing them.
-// Leaping before the checks rather than after Step means a predicate
-// that becomes true (or a deadline that expires) is observed at the
-// exact cycle stepped execution would have observed it — the leap can
-// never overshoot the end of the run. Leaps are clamped to the
-// deadline, and broken at every Every-hook boundary so each periodic
-// hook still fires at cycles interval, 2*interval, ... with the
-// counter compensation for the span already applied. Watchdogs are
-// not polled inside a leaped span: a leapable window is frozen by
-// definition, so a watchdog that would fire during it already fired
-// at the poll after the last executed cycle.
+// A leap never overshoots the end of the run: done and the deadline
+// are checked at the leaped-to cycle before it executes, and leaps are
+// clamped to the deadline. Watchdogs are polled after executed cycles
+// only: a span with every ticker asleep is frozen by definition, so a
+// watchdog that would fire during it already fired at the poll after
+// the last executed cycle. Like watchdogs, done must not read
+// Skip-charged counters; they are exact again when Run returns.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	start := e.now
+	limit := NoWake
+	if maxCycles != 0 {
+		limit = start + maxCycles
+	}
+	defer e.settle()
 	for {
 		if done() {
 			return e.now - start, nil
 		}
-		if maxCycles != 0 && e.now-start >= maxCycles {
+		if e.now >= limit {
 			return e.now - start, &ErrDeadline{Cycles: maxCycles}
 		}
-		if e.leaper != nil && e.leap(start, maxCycles) {
-			// The leap advanced e.now; re-run the done and deadline
-			// checks at the leaped-to cycle before executing it.
+		if !e.advance(limit) {
 			continue
 		}
-		e.Step()
 		for _, w := range e.watchdogs {
 			if err := w(e.now); err != nil {
 				return e.now - start, err
 			}
 		}
 	}
-}
-
-// leap consults the Leaper once and, if a dead span lies ahead,
-// advances e.now across it boundary by boundary: each segment ends at
-// the nearest periodic-hook multiple (or the target), SkipTo applies
-// the segment's counter compensation, and the hooks due at the segment
-// end fire — exactly the observation sequence stepped execution would
-// have produced. It reports whether it advanced e.now.
-func (e *Engine) leap(start, maxCycles uint64) bool {
-	cur := e.now
-	wake := e.leaper.NextWake(cur)
-	if wake <= cur {
-		return false
-	}
-	target := wake
-	if maxCycles != 0 {
-		if deadline := start + maxCycles; target > deadline {
-			// Clamp to the deadline: cycles past it would never have
-			// been executed, so they must not be leaped either.
-			target = deadline
-		}
-	} else if wake == NoWake {
-		// No future event and no deadline to clamp to: leaping would
-		// jump nowhere meaningful. Fall back to stepped execution
-		// (done() may still end the run).
-		return false
-	}
-	if target <= cur {
-		return false
-	}
-	e.leaps++
-	for e.now < target {
-		next := target
-		for i := range e.periodics {
-			p := &e.periodics[i]
-			if b := (e.now/p.interval + 1) * p.interval; b < next {
-				next = b
-			}
-		}
-		e.leaper.SkipTo(e.now, next)
-		e.leapedCycles += next - e.now
-		e.now = next
-		for i := range e.periodics {
-			p := &e.periodics[i]
-			if e.now%p.interval == 0 {
-				p.fn(e.now)
-			}
-		}
-	}
-	return true
 }

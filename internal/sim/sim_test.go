@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -175,53 +177,81 @@ func TestEngineEveryRunsAfterTickersOfItsCycle(t *testing.T) {
 	}
 }
 
+// sleeper is a scripted Ticker+Sleeper: wake answers NextWake per
+// question, and every executed tick and every Skip span is recorded so
+// tests can pin exactly what the engine ran and what it charged.
+type sleeper struct {
+	wake  func(now uint64) uint64
+	ticks []uint64
+	spans [][2]uint64
+}
+
+func (s *sleeper) Tick(now uint64)            { s.ticks = append(s.ticks, now) }
+func (s *sleeper) NextWake(now uint64) uint64 { return s.wake(now) }
+func (s *sleeper) Skip(from, to uint64)       { s.spans = append(s.spans, [2]uint64{from, to}) }
+func awakeExceptAt(at, until uint64) *sleeper {
+	return &sleeper{wake: func(now uint64) uint64 {
+		if now == at {
+			return until
+		}
+		return now
+	}}
+}
+
+func equalSpans(got, want [][2]uint64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEngineIdleSkip(t *testing.T) {
+	// Per-ticker skip: a sleeping ticker is passed over while the others
+	// and the cycle count advance as always, and its Skip is charged for
+	// exactly the cycles it did not run.
 	e := NewEngine()
 	idle := false
-	var ticks, plainTicks int
-	e.Register("skippable", TickerWithIdle(
-		func(now uint64) { ticks++ },
-		func(now uint64) bool { return idle },
-	))
+	s := &sleeper{wake: func(now uint64) uint64 {
+		if idle {
+			return NoWake
+		}
+		return now
+	}}
+	plainTicks := 0
+	e.Register("skippable", s)
 	e.Register("plain", TickFunc(func(now uint64) { plainTicks++ }))
 
 	e.Step()
 	e.Step()
-	if ticks != 2 || e.SkippedTicks() != 0 {
-		t.Fatalf("busy phase: ticks=%d skipped=%d", ticks, e.SkippedTicks())
+	if len(s.ticks) != 2 || e.SkippedTicks() != 0 {
+		t.Fatalf("busy phase: ticks=%v skipped=%d", s.ticks, e.SkippedTicks())
 	}
 	idle = true
 	e.Step()
 	e.Step()
-	if ticks != 2 {
-		t.Fatalf("idle ticker still ran: ticks=%d", ticks)
+	if len(s.ticks) != 2 {
+		t.Fatalf("sleeping ticker still ran: ticks=%v", s.ticks)
 	}
-	if e.SkippedTicks() != 2 {
-		t.Fatalf("skipped = %d, want 2", e.SkippedTicks())
+	if e.SkippedTicks() != 2 || !equalSpans(s.spans, [][2]uint64{{2, 3}, {3, 4}}) {
+		t.Fatalf("skipped = %d, Skip spans %v; want 2 ticks charged as [2,3) [3,4)", e.SkippedTicks(), s.spans)
 	}
-	// Only the Idler is skipped; other tickers and the cycle count
-	// advance as always.
-	if plainTicks != 4 || e.Now() != 4 {
-		t.Fatalf("plainTicks=%d now=%d", plainTicks, e.Now())
+	if plainTicks != 4 || e.Now() != 4 || e.Leaps() != 0 {
+		t.Fatalf("plainTicks=%d now=%d leaps=%d", plainTicks, e.Now(), e.Leaps())
 	}
 	idle = false
 	e.Step()
-	if ticks != 3 {
-		t.Fatalf("ticker did not resume: ticks=%d", ticks)
+	if !equalU64(s.ticks, []uint64{0, 1, 4}) {
+		t.Fatalf("ticker did not resume: ticks=%v", s.ticks)
 	}
-}
-
-// scriptLeaper drives the engine's leap path from a table: wake decides
-// NextWake per consultation, and every SkipTo span is recorded so tests
-// can pin the exact segmentation Run performed.
-type scriptLeaper struct {
-	wake  func(cur uint64) uint64
-	spans [][2]uint64
-}
-
-func (l *scriptLeaper) NextWake(cur uint64) uint64 { return l.wake(cur) }
-func (l *scriptLeaper) SkipTo(cur, target uint64) {
-	l.spans = append(l.spans, [2]uint64{cur, target})
+	want := []TickCount{{"skippable", 3, 2}, {"plain", 5, 0}}
+	if got := e.TickCounts(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("TickCounts = %+v, want %+v", got, want)
+	}
 }
 
 func TestLeapFiresEveryCrossedHookBoundary(t *testing.T) {
@@ -229,18 +259,12 @@ func TestLeapFiresEveryCrossedHookBoundary(t *testing.T) {
 	// the Every(5) hook at 5, 10 — every interval multiple the span
 	// crosses — exactly as stepped execution would have.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
+	s := awakeExceptAt(1, 14)
+	e.Register("t", s)
 	var fired3, fired5 []uint64
-	e.Every(3, func(now uint64) { fired3 = append(fired3, now) })
-	e.Every(5, func(now uint64) { fired5 = append(fired5, now) })
-	l := &scriptLeaper{wake: func(cur uint64) uint64 {
-		if cur == 1 {
-			return 14
-		}
-		return cur // veto: step normally
-	}}
-	e.SetLeaper(l)
+	charged := 0 // Skip spans seen by the most recent hook
+	e.Every(3, func(now uint64) { fired3 = append(fired3, now); charged = len(s.spans) })
+	e.Every(5, func(now uint64) { fired5 = append(fired5, now); charged = len(s.spans) })
 	cycles, err := e.Run(20, func() bool { return false })
 	var dl *ErrDeadline
 	if !errors.As(err, &dl) || cycles != 20 {
@@ -252,100 +276,98 @@ func TestLeapFiresEveryCrossedHookBoundary(t *testing.T) {
 		t.Fatalf("hooks fired at %v / %v; want %v / %v", fired3, fired5, want3, want5)
 	}
 	// Cycles 1..13 were leaped, so only cycles 0 and 14..19 executed.
-	if steps != 7 {
-		t.Fatalf("executed %d cycles; want 7", steps)
+	if !equalU64(s.ticks, []uint64{0, 14, 15, 16, 17, 18, 19}) {
+		t.Fatalf("executed cycles %v; want 0 and 14..19", s.ticks)
 	}
 	if e.Leaps() != 1 || e.LeapedCycles() != 13 {
 		t.Fatalf("leaps=%d leaped=%d; want 1 leap of 13 cycles", e.Leaps(), e.LeapedCycles())
 	}
-	// The leap was segmented at every hook boundary, contiguously.
+	// The span was charged contiguously, segmented at every hook
+	// boundary (each hook saw the counters owed up to it), the tail
+	// before the ticker's next Tick.
 	wantSpans := [][2]uint64{{1, 3}, {3, 5}, {5, 6}, {6, 9}, {9, 10}, {10, 12}, {12, 14}}
-	if len(l.spans) != len(wantSpans) {
-		t.Fatalf("SkipTo spans = %v; want %v", l.spans, wantSpans)
-	}
-	for i := range wantSpans {
-		if l.spans[i] != wantSpans[i] {
-			t.Fatalf("SkipTo spans = %v; want %v", l.spans, wantSpans)
-		}
+	if !equalSpans(s.spans, wantSpans) || charged != len(wantSpans) {
+		t.Fatalf("Skip spans = %v (last hook saw %d); want %v", s.spans, charged, wantSpans)
 	}
 }
 
 func TestLeapClampedToDeadline(t *testing.T) {
 	// NoWake with a deadline: the engine leaps straight to the deadline
 	// — never past it — and reports ErrDeadline at the exact cycle
-	// count a stepped run would have.
+	// count a stepped run would have, with the whole span charged
+	// before Run returns.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
-	l := &scriptLeaper{wake: func(cur uint64) uint64 { return NoWake }}
-	e.SetLeaper(l)
+	s := &sleeper{wake: func(uint64) uint64 { return NoWake }}
+	e.Register("t", s)
 	cycles, err := e.Run(100, func() bool { return false })
 	var dl *ErrDeadline
 	if !errors.As(err, &dl) || dl.Cycles != 100 {
 		t.Fatalf("Run err = %v; want the 100-cycle deadline", err)
 	}
-	if cycles != 100 || steps != 0 {
-		t.Fatalf("cycles=%d steps=%d; want all 100 cycles leaped", cycles, steps)
+	if cycles != 100 || len(s.ticks) != 0 {
+		t.Fatalf("cycles=%d ticks=%v; want all 100 cycles leaped", cycles, s.ticks)
 	}
-	if e.Leaps() != 1 || e.LeapedCycles() != 100 {
-		t.Fatalf("leaps=%d leaped=%d", e.Leaps(), e.LeapedCycles())
+	if e.Leaps() != 1 || e.LeapedCycles() != 100 || !equalSpans(s.spans, [][2]uint64{{0, 100}}) {
+		t.Fatalf("leaps=%d leaped=%d spans=%v", e.Leaps(), e.LeapedCycles(), s.spans)
 	}
 }
 
 func TestLeapNoWakeWithoutDeadlineFallsBackToStepping(t *testing.T) {
-	// With maxCycles 0 there is no deadline to clamp a NoWake leap to:
-	// the engine must keep stepping so done() can end the run.
+	// With maxCycles 0 there is no deadline to clamp a NoWake span to:
+	// the clock must advance one cycle at a time so done() can end the
+	// run.
 	e := NewEngine()
-	count := 0
-	e.Register("c", TickFunc(func(now uint64) { count++ }))
-	l := &scriptLeaper{wake: func(cur uint64) uint64 { return NoWake }}
-	e.SetLeaper(l)
-	cycles, err := e.Run(0, func() bool { return count >= 5 })
-	if err != nil || cycles != 5 || count != 5 {
-		t.Fatalf("Run = %d, %v (count %d); want 5 stepped cycles", cycles, err, count)
+	s := &sleeper{wake: func(uint64) uint64 { return NoWake }}
+	e.Register("c", s)
+	polls := 0
+	cycles, err := e.Run(0, func() bool { polls++; return e.Now() >= 5 })
+	if err != nil || cycles != 5 || polls != 6 {
+		t.Fatalf("Run = %d, %v after %d polls; want 5 cycles, done polled at each", cycles, err, polls)
 	}
-	if e.Leaps() != 0 || len(l.spans) != 0 {
-		t.Fatalf("leaped %d spans with nothing to leap to", len(l.spans))
+	if len(s.ticks) != 0 || e.LeapedCycles() != 5 {
+		t.Fatalf("ticks=%v leaped=%d; want nothing executed over 5 cycles", s.ticks, e.LeapedCycles())
 	}
 }
 
-// TestRegisterAfterSetLeaperDetachesLeaper pins the Register rule: an
-// oracle installed before a later registration cannot vouch for the new
-// ticker, so the engine drops it and steps every cycle — the late
-// ticker (the trace harness's CPUs register this way) is never leaped
-// over.
-func TestRegisterAfterSetLeaperDetachesLeaper(t *testing.T) {
+// TestTickerWithoutNextWakeIsNeverSkipped pins the default: a ticker
+// that does not implement Sleeper (the trace harness's CPUs used to
+// register this way, behind an oracle that could not vouch for them) is
+// always awake — it runs every cycle and vetoes every leap — while a
+// Sleeper beside it is still skipped on its own.
+func TestTickerWithoutNextWakeIsNeverSkipped(t *testing.T) {
 	e := NewEngine()
-	e.Register("known", TickFunc(func(uint64) {}))
-	e.SetLeaper(&scriptLeaper{wake: func(uint64) uint64 { return NoWake }})
+	s := &sleeper{wake: func(uint64) uint64 { return NoWake }}
+	e.Register("asleep", s)
 	ticks := 0
-	e.Register("late", TickFunc(func(uint64) { ticks++ }))
+	e.Register("plain", TickFunc(func(uint64) { ticks++ }))
 	if cycles, _ := e.Run(20, func() bool { return false }); cycles != 20 {
 		t.Fatalf("Run = %d cycles, want the 20-cycle deadline", cycles)
 	}
-	if ticks != 20 || e.Leaps() != 0 {
-		t.Fatalf("late ticker ran %d of 20 cycles with %d leaps; it must never be leaped over",
+	if ticks != 20 || e.Leaps() != 0 || e.NextWake(e.Now()) != e.Now() {
+		t.Fatalf("plain ticker ran %d of 20 cycles with %d leaps; it must never be leaped over",
 			ticks, e.Leaps())
+	}
+	if len(s.ticks) != 0 || e.SkippedTicks() != 20 {
+		t.Fatalf("sleeper ran %v, skipped %d; want 20 skipped ticks", s.ticks, e.SkippedTicks())
 	}
 }
 
 func TestLeapVetoedKeepsStepping(t *testing.T) {
-	// NextWake <= cur is a veto: every cycle executes normally.
+	// NextWake <= now means "run me": every cycle executes normally.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
 	consulted := 0
-	l := &scriptLeaper{wake: func(cur uint64) uint64 { consulted++; return cur }}
-	e.SetLeaper(l)
+	s := &sleeper{wake: func(now uint64) uint64 { consulted++; return now }}
+	e.Register("t", s)
 	if _, err := e.Run(6, func() bool { return false }); err == nil {
 		t.Fatal("want ErrDeadline")
 	}
-	if steps != 6 || e.Leaps() != 0 || e.LeapedCycles() != 0 {
-		t.Fatalf("steps=%d leaps=%d leaped=%d; want 6 stepped, 0 leaped", steps, e.Leaps(), e.LeapedCycles())
+	if len(s.ticks) != 6 || e.Leaps() != 0 || e.LeapedCycles() != 0 || len(s.spans) != 0 {
+		t.Fatalf("ticks=%v leaps=%d leaped=%d spans=%v; want 6 stepped, nothing skipped",
+			s.ticks, e.Leaps(), e.LeapedCycles(), s.spans)
 	}
-	// Consulted once per cycle, before executing it.
+	// Asked once per cycle, at its turn.
 	if consulted != 6 {
-		t.Fatalf("leaper consulted %d times; want 6", consulted)
+		t.Fatalf("NextWake asked %d times; want 6", consulted)
 	}
 }
 
@@ -355,30 +377,23 @@ func TestLeapDoneObservedAtLeapedToCycle(t *testing.T) {
 	// without an extra Step, at the same cycle count as stepped
 	// execution.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
-	l := &scriptLeaper{wake: func(cur uint64) uint64 {
-		if cur == 1 {
-			return 9
-		}
-		return cur
-	}}
-	e.SetLeaper(l)
+	s := awakeExceptAt(1, 9)
+	e.Register("t", s)
 	cycles, err := e.Run(50, func() bool { return e.Now() >= 9 })
 	if err != nil || cycles != 9 {
 		t.Fatalf("Run = %d, %v; want done at cycle 9", cycles, err)
 	}
-	if steps != 1 {
-		t.Fatalf("steps=%d; want only cycle 0 executed", steps)
+	if !equalU64(s.ticks, []uint64{0}) || !equalSpans(s.spans, [][2]uint64{{1, 9}}) {
+		t.Fatalf("ticks=%v spans=%v; want only cycle 0 executed, [1,9) charged", s.ticks, s.spans)
 	}
 }
 
 func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
-	// Watchdogs observe frozen state during a leapable window, so they
+	// Watchdogs observe frozen state while every ticker sleeps, so they
 	// are polled after executed cycles only — and still abort the run
 	// at the first executed cycle after a leap.
 	e := NewEngine()
-	e.Register("t", TickFunc(func(now uint64) {}))
+	e.Register("t", awakeExceptAt(1, 10))
 	var polled []uint64
 	wantErr := errors.New("stuck")
 	e.Watchdog(func(now uint64) error {
@@ -388,13 +403,6 @@ func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
 		}
 		return nil
 	})
-	l := &scriptLeaper{wake: func(cur uint64) uint64 {
-		if cur == 1 {
-			return 10
-		}
-		return cur
-	}}
-	e.SetLeaper(l)
 	cycles, err := e.Run(50, func() bool { return false })
 	if !errors.Is(err, wantErr) || cycles != 11 {
 		t.Fatalf("Run = %d, %v; want the watchdog abort at cycle 11", cycles, err)
@@ -404,73 +412,109 @@ func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
 	}
 }
 
-// stallComp is a self-leaping component: it stalls (bumping a counter)
-// until wakeAt, does one unit of work, then stalls again. Its Leaper
-// half compensates the stall counter for leaped spans — the same
-// contract the system-level leaper implements for CPU stalls and node
-// backoff.
-type stallComp struct {
+// napper is a randomised sleeping component: it works on the cycle it
+// wakes, then naps for a random span during which Tick only bumps the
+// idle counter — the shape of a stalled CPU or a backing-off port. A
+// working napper may also poke a neighbour awake one cycle later (a
+// latched message), which is why NextWake has to be re-asked.
+type napper struct {
+	rng    *rand.Rand
+	peers  []*napper
 	wakeAt uint64
-	stall  uint64
-	work   int
+	idle   uint64
+	log    []uint64 // cycles worked
 }
 
-func (c *stallComp) Tick(now uint64) {
-	if now < c.wakeAt {
-		c.stall++
+func (n *napper) Tick(now uint64) {
+	if now < n.wakeAt {
+		n.idle++
 		return
 	}
-	c.work++
-	c.wakeAt = now + 7
-}
-
-func (c *stallComp) NextWake(cur uint64) uint64 {
-	if c.wakeAt > cur {
-		return c.wakeAt
+	n.log = append(n.log, now)
+	n.wakeAt = now + 1 + uint64(n.rng.Intn(4)*n.rng.Intn(12))
+	if p := n.peers[n.rng.Intn(len(n.peers))]; n.rng.Intn(3) == 0 && p.wakeAt > now+1 {
+		p.wakeAt = now + 1
 	}
-	return cur
 }
 
-func (c *stallComp) SkipTo(cur, target uint64) { c.stall += target - cur }
+func (n *napper) NextWake(now uint64) uint64 { return max(n.wakeAt, now) }
+func (n *napper) Skip(from, to uint64)       { n.idle += to - from }
 
 func TestLeapEquivalentToSteppedRun(t *testing.T) {
-	// The end-to-end cadence pin: a leaped run and a stepped run of the
-	// same component must produce identical Every-hook observation
-	// sequences, identical final counters, and identical cycle counts.
-	run := func(leap bool) (snaps [][2]uint64, c *stallComp, cycles uint64) {
+	// The wake contract as a property: for random tickers with random
+	// sleep spans, the scheduled run and the naive run (the same
+	// components registered without their Sleeper half) have identical
+	// tick logs for the awake cycles, identical counters, identical
+	// Every-hook observation sequences and identical cycle counts.
+	type outcome struct {
+		cycles uint64
+		snaps  [][3]uint64 // hook id, cycle, summed idle counters
+		comps  []*napper
+	}
+	run := func(seed int64, scheduled bool) (outcome, *Engine) {
+		rng := rand.New(rand.NewSource(seed))
+		var o outcome
 		e := NewEngine()
-		c = &stallComp{}
-		e.Register("c", c)
-		e.Every(10, func(now uint64) {
-			snaps = append(snaps, [2]uint64{now, c.stall})
-		})
-		if leap {
-			e.SetLeaper(c)
+		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+			o.comps = append(o.comps, &napper{rng: rand.New(rand.NewSource(rng.Int63()))})
 		}
-		cycles, err := e.Run(0, func() bool { return c.work >= 13 })
+		for _, c := range o.comps {
+			c.peers = o.comps
+			if scheduled {
+				e.Register("n", c)
+			} else {
+				e.Register("n", TickFunc(c.Tick))
+			}
+		}
+		for id, k := range []uint64{1 + uint64(rng.Intn(7)), 10} {
+			id := uint64(id)
+			e.Every(k, func(now uint64) {
+				var idle uint64
+				for _, c := range o.comps {
+					idle += c.idle
+				}
+				o.snaps = append(o.snaps, [3]uint64{id, now, idle})
+			})
+		}
+		work := 100 + rng.Intn(200)
+		cycles, err := e.Run(0, func() bool {
+			done := 0
+			for _, c := range o.comps {
+				done += len(c.log)
+			}
+			return done >= work
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snaps, c, cycles
+		o.cycles = cycles
+		return o, e
 	}
-	sSnaps, sComp, sCycles := run(false)
-	lSnaps, lComp, lCycles := run(true)
-	if sCycles != lCycles {
-		t.Fatalf("cycle counts diverge: stepped %d, leaped %d", sCycles, lCycles)
-	}
-	if sComp.stall != lComp.stall || sComp.work != lComp.work {
-		t.Fatalf("final state diverges: stepped %+v, leaped %+v", sComp, lComp)
-	}
-	if len(sSnaps) != len(lSnaps) {
-		t.Fatalf("snapshot counts diverge: %v vs %v", sSnaps, lSnaps)
-	}
-	for i := range sSnaps {
-		if sSnaps[i] != lSnaps[i] {
-			t.Fatalf("snapshot %d diverges: stepped %v, leaped %v", i, sSnaps[i], lSnaps[i])
+	var skipped, leaped uint64
+	for seed := int64(1); seed <= 200; seed++ {
+		naive, ne := run(seed, false)
+		sched, se := run(seed, true)
+		if ne.SkippedTicks() != 0 || ne.Leaps() != 0 {
+			t.Fatalf("seed %d: the naive run skipped %d ticks, leaped %d times", seed, ne.SkippedTicks(), ne.Leaps())
+		}
+		skipped += se.SkippedTicks()
+		leaped += se.LeapedCycles()
+		if naive.cycles != sched.cycles {
+			t.Fatalf("seed %d: cycle counts diverge: naive %d, scheduled %d", seed, naive.cycles, sched.cycles)
+		}
+		if !reflect.DeepEqual(naive.snaps, sched.snaps) {
+			t.Fatalf("seed %d: hook observations diverge:\nnaive     %v\nscheduled %v", seed, naive.snaps, sched.snaps)
+		}
+		for i := range naive.comps {
+			a, b := naive.comps[i], sched.comps[i]
+			if a.idle != b.idle || !equalU64(a.log, b.log) {
+				t.Fatalf("seed %d ticker %d diverges:\nnaive     idle=%d log=%v\nscheduled idle=%d log=%v",
+					seed, i, a.idle, a.log, b.idle, b.log)
+			}
 		}
 	}
-	if lComp.stall == 0 || sCycles < 80 {
-		t.Fatalf("test exercised nothing: stall=%d cycles=%d", lComp.stall, sCycles)
+	if skipped == 0 || leaped == 0 {
+		t.Fatalf("test exercised nothing: %d ticks skipped, %d cycles leaped", skipped, leaped)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -84,6 +85,24 @@ func (c *CPU) Tick(now uint64) {
 	c.nextAt = now + 1 + c.think
 }
 
+// NextWake implements sim.Sleeper: the CPU sleeps through its think
+// time and once its stream is exhausted; an operation in progress polls
+// the cache every cycle.
+func (c *CPU) NextWake(now uint64) uint64 {
+	if c.done {
+		return sim.NoWake
+	}
+	return max(c.nextAt, now)
+}
+
+// Skip implements sim.Sleeper: skipped cycles are think time unless the
+// stream is exhausted.
+func (c *CPU) Skip(from, to uint64) {
+	if !c.done {
+		c.st.ThinkCycles += to - from
+	}
+}
+
 // Harness couples trace CPUs to a full platform (whose interpreted
 // CPUs halt immediately and stay out of the way).
 type Harness struct {
@@ -112,7 +131,7 @@ func NewHarness(cfg core.Config, gen func(cpu int) Generator, ops uint64, think 
 	for i := 0; i < cfg.NumCPUs; i++ {
 		tc := NewCPU(i, sys.DCaches[i], gen(i), ops, think)
 		h.CPUs = append(h.CPUs, tc)
-		sys.Engine.Register(fmt.Sprintf("trace%d", i), tc)
+		sys.Register("trace", tc)
 	}
 	return h, nil
 }
