@@ -2,11 +2,11 @@
 # the tier-1 build/test pass plus formatting, vet, the repo's own
 # determinism analyzers (cmd/simlint), and the race detector over the
 # packages whose concurrency/determinism guarantees matter most (the
-# engine, the parallel grid runner and the stats primitives).
+# engine, the experiment worker pool and the stats primitives).
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint lint-json race bench benchjson benchdiff sweep mcheck soak loc
+.PHONY: all build test check fmt vet lint lint-json race bench sweep mcheck soak loc
 
 all: check
 
@@ -39,16 +39,18 @@ lint:
 lint-json:
 	$(GO) run ./cmd/simlint -json -o simlint.json -annotate
 
-# race covers the goroutines that remain: the parallel grid runner
-# (exp.GridParallel, the only engine-adjacent concurrency), the
+# race covers the goroutines that remain: the experiment worker pool
+# (exp.ExecuteAll, the only engine-adjacent concurrency), the
 # off-engine resource sampler, and the engine/stats/fault packages they
-# drive, and finishes with an end-to-end parallel sweep under the
-# detector. GOMAXPROCS is forced up so the grid workers really
-# interleave even on small CI hosts.
+# drive, and finishes with two end-to-end parallel sweeps under the
+# detector: the figure grid and one ablation, which goes through the
+# same pool. GOMAXPROCS is forced up so the workers really interleave
+# even on small CI hosts.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/stats/... ./internal/fault/... \
 		./internal/exp/... ./internal/obs/resource/...
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp fig4 -sizes 2,4 -jobs 4 >/dev/null
+	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp ways -jobs 4 >/dev/null
 
 check: fmt vet lint build test race
 
@@ -69,26 +71,11 @@ soak:
 mcheck:
 	$(GO) run ./cmd/mcheck -protocol both
 
+# bench runs the repository benchmark (benchmark/, declared in
+# BENCHMARK.json): every workload, end-to-end and per-layer metrics,
+# exit 1 on any failed op.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# benchjson runs the pinned benchmark set (cmd/bench) and writes the
-# measurements to BENCH.json (gitignored). To record a milestone, run
-# it with an explicit output: `go run ./cmd/bench -o BENCH_PRn.json`.
-benchjson:
-	$(GO) run ./cmd/bench -o BENCH.json
-
-# benchdiff is the perf regression gate: run the quick bench and diff
-# it against the committed same-host quick baseline (BENCH_PR8.quick
-# .json). On a different host or Go version the wall-clock gate skips
-# with a notice and the target still passes — only cycle counts are
-# comparable then. The threshold is wider than benchdiff's default
-# because quick-scale runs are short enough for scheduler noise to
-# move single-digit percentages on small hosts.
-BENCH_BASELINE ?= BENCH_PR8.quick.json
-benchdiff:
-	$(GO) run ./cmd/bench -quick -o BENCH.quick.json
-	$(GO) run ./cmd/benchdiff -max-regress 25 $(BENCH_BASELINE) BENCH.quick.json
+	$(GO) run ./benchmark
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

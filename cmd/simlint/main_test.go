@@ -71,8 +71,8 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
 		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
 	}
-	if len(findings) != 8 {
-		t.Fatalf("got %d findings, want 8: %+v", len(findings), findings)
+	if len(findings) != 9 {
+		t.Fatalf("got %d findings, want 9: %+v", len(findings), findings)
 	}
 	for _, f := range findings {
 		if f.Analyzer != "hotalloc" || filepath.Base(f.File) != "hot.go" || f.Line == 0 {
@@ -106,7 +106,7 @@ func TestOutputFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arr []map[string]any
-	if err := json.Unmarshal(data, &arr); err != nil || len(arr) != 8 {
+	if err := json.Unmarshal(data, &arr); err != nil || len(arr) != 9 {
 		t.Fatalf("file content bad (err %v): %s", err, data)
 	}
 }

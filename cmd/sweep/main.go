@@ -1,20 +1,16 @@
-// Command sweep regenerates the paper's tables and figures. By default
-// it runs everything; -exp selects one experiment.
+// Command sweep regenerates the paper's tables and figures by walking
+// the experiment table of internal/exp. By default it runs everything
+// that table marks as part of "all"; -exp selects one experiment (-h
+// lists the names).
 //
 // Usage:
 //
-//	sweep [-exp all|table1|table2|fig4|fig5|fig6|mesh|strictsc|bestworst|
-//	       writeupdate|c2c|scale|dir|bus|ways|moesi|fault]
-//	      [-sizes 4,16,32,64] [-quick] [-csv] [-chart] [-jobs N]
-//	      [-fault drop=1e-4,delay=1e-3:8,seed=42]
+//	sweep [-exp NAME] [-sizes 4,16,32,64] [-quick] [-csv] [-chart]
+//	      [-jobs N] [-fault drop=1e-4,delay=1e-3:8,seed=42]
+//	      [-obs-interval K [-obs-dir DIR]]
 //
-// -jobs parallelizes across figure-grid simulations; it changes no
-// output byte.
-//
-// The fault experiment is not part of -exp all: it measures robustness
-// under injected NoC faults (see internal/fault), not the paper's
-// figures, and keeping it out preserves the byte-identical default
-// output the regression tests pin.
+// -jobs parallelizes across the simulations of each experiment; it
+// changes no output byte.
 package main
 
 import (
@@ -26,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/coherence"
 	"repro/internal/exp"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/resource"
@@ -34,21 +29,46 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment to run: all, table1, table2, fig4, fig5, fig6, mesh, strictsc, bestworst, writeupdate, c2c, scale, dir, bus, ways, moesi, fault")
+	which := flag.String("exp", "all", "experiment to run: "+strings.Join(exp.Names(), ", "))
 	sizesFlag := flag.String("sizes", "4,16,32,64", "comma-separated CPU counts for the figure grid")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "simulations to run concurrently on the figure grid (1 = serial)")
+	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "simulations of one experiment to run concurrently (1 = serial)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	chart := flag.Bool("chart", false, "render figure tables as ASCII bar charts too")
-	obsInterval := flag.Uint64("obs-interval", 0, "sample metrics every K cycles during figure-grid runs")
+	obsInterval := flag.Uint64("obs-interval", 0, "sample metrics every K cycles during every simulation")
 	obsDir := flag.String("obs-dir", "", "directory for per-run interval CSVs (needs -obs-interval)")
-	faultSpec := flag.String("fault", "", "fault campaign spec for -exp fault (default: the built-in grid); e.g. drop=1e-4,delay=1e-3:8,seed=42")
+	faultSpec := flag.String("fault", "", "one fault campaign spec instead of the built-in grid, for the experiment that runs campaigns; e.g. drop=1e-4,delay=1e-3:8,seed=42")
 	resInterval := flag.Duration("resources", 0, "sample host-process resources every interval and print a summary on stderr at exit (0 = off)")
 	profCfg := prof.RegisterFlags()
 	flag.Parse()
 	if err := rejectPositional(flag.Args()); err != nil {
 		fatal(err)
 	}
+	selected, err := exp.Select(*which)
+	if err != nil {
+		usage(err)
+	}
+	if err := checkFlagUse(selected, *faultSpec != "", *chart); err != nil {
+		usage(err)
+	}
+	if *obsDir != "" && *obsInterval == 0 {
+		fatal(fmt.Errorf("-obs-dir requires -obs-interval"))
+	}
+	sizes, err := parseSizes(*sizesFlag)
+	if err != nil {
+		fatal(err)
+	}
+	params := exp.Params{Sizes: sizes, Scale: exp.DefaultScale(), Jobs: *jobs}
+	if *quick {
+		params.Scale = exp.QuickScale()
+	}
+	if *faultSpec != "" {
+		params.Faults = []string{*faultSpec}
+	}
+	if *obsInterval > 0 {
+		params.Observe = &exp.Observe{Interval: *obsInterval, Dir: *obsDir}
+	}
+
 	stopProf, err := profCfg.Start()
 	if err != nil {
 		fatal(err)
@@ -56,9 +76,9 @@ func main() {
 	// Profiling and resource sampling cover the whole sweep: for a
 	// tool whose unit of work is a grid of simulations, the per-
 	// invocation profile is the one that shows where the time and
-	// memory go. Deferred so every -exp branch is covered; an error
-	// path through fatal() exits without flushing profiles, which is
-	// fine — the run it would have profiled did not finish either.
+	// memory go. An error path through fatal() exits without flushing
+	// profiles, which is fine — the run it would have profiled did not
+	// finish either.
 	defer func() {
 		if err := stopProf(); err != nil {
 			fatal(err)
@@ -69,189 +89,40 @@ func main() {
 		defer func() { fmt.Fprintf(os.Stderr, "sweep: %s\n", rs.Stop()) }()
 	}
 
-	sizes, err := parseSizes(*sizesFlag)
-	if err != nil {
-		fatal(err)
-	}
-	sc := exp.DefaultScale()
-	if *quick {
-		sc = exp.QuickScale()
-	}
-
-	emit := func(t *stats.Table) {
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.Render())
-		}
-	}
-
-	runTable1 := func() {
-		for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
-			t, err := exp.Table1(proto)
-			if err != nil {
-				fatal(err)
-			}
-			emit(t)
-		}
-	}
-	if *obsDir != "" && *obsInterval == 0 {
-		fatal(fmt.Errorf("-obs-dir requires -obs-interval"))
-	}
-	var observe *exp.Observe
-	if *obsInterval > 0 {
-		observe = &exp.Observe{Interval: *obsInterval, Dir: *obsDir}
-	}
-
-	runFigures := func(names ...string) {
-		grid, err := exp.GridParallel(sizes, sc, observe, *jobs)
+	done := exp.Results{}
+	for _, e := range selected {
+		tables, err := e.Tables(params, done)
 		if err != nil {
 			fatal(err)
 		}
-		for _, name := range names {
-			var t *stats.Table
-			switch name {
-			case "fig4":
-				t = exp.Fig4(grid, sizes)
-			case "fig5":
-				t = exp.Fig5(grid, sizes)
-			case "fig6":
-				t = exp.Fig6(grid, sizes)
+		for _, t := range tables {
+			if *csv {
+				fmt.Print(t.CSV())
+			} else {
+				fmt.Println(t.Render())
 			}
-			emit(t)
-			if *chart {
+			if *chart && e.Chart {
 				fmt.Println(figureChart(t))
 			}
 		}
 	}
-	runMesh := func() {
-		t, err := exp.AblationMesh(16, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runStrict := func() {
-		t, err := exp.AblationStrictSC(16, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runBestWorst := func() {
-		t, err := exp.AblationBestWorst(16)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runWriteUpdate := func() {
-		t, err := exp.AblationWriteUpdate(16, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runC2C := func() {
-		t, err := exp.AblationC2C(16, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runScale := func() {
-		t, err := exp.AblationScale(16, []int{2, 4, 8, 16})
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runDir := func() {
-		t, err := exp.AblationDirLimited(16, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runBus := func() {
-		t, err := exp.AblationBus([]int{4, 16}, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runWays := func() {
-		t, err := exp.AblationWays(16, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runMOESI := func() {
-		t, err := exp.AblationMOESI(16, sc)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
-	runFault := func() {
-		specs := exp.DefaultFaultSpecs()
-		if *faultSpec != "" {
-			specs = []string{*faultSpec}
-		}
-		t, err := exp.FaultCampaign(4, sc, specs)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
-	}
+}
 
-	switch *which {
-	case "all":
-		emit(exp.Table2(sizes))
-		runTable1()
-		runFigures("fig4", "fig5", "fig6")
-		runMesh()
-		runStrict()
-		runBestWorst()
-		runWriteUpdate()
-		runC2C()
-		runScale()
-		runDir()
-		runBus()
-		runWays()
-		runMOESI()
-	case "table1":
-		runTable1()
-	case "table2":
-		emit(exp.Table2(sizes))
-	case "fig4", "fig5", "fig6":
-		runFigures(*which)
-	case "mesh":
-		runMesh()
-	case "strictsc":
-		runStrict()
-	case "bestworst":
-		runBestWorst()
-	case "writeupdate":
-		runWriteUpdate()
-	case "c2c":
-		runC2C()
-	case "scale":
-		runScale()
-	case "dir":
-		runDir()
-	case "bus":
-		runBus()
-	case "ways":
-		runWays()
-	case "moesi":
-		runMOESI()
-	case "fault":
-		runFault()
-	default:
-		fatal(fmt.Errorf("unknown experiment %q", *which))
+// checkFlagUse refuses flags the selection would silently ignore: the
+// fault spec when the selection is not an experiment that reads it,
+// and -chart when nothing selected is a figure.
+func checkFlagUse(selected []*exp.Experiment, fault, chart bool) error {
+	var anyChart bool
+	for _, e := range selected {
+		anyChart = anyChart || e.Chart
 	}
+	switch {
+	case fault && (len(selected) != 1 || !selected[0].Faults):
+		return fmt.Errorf("-fault does nothing with this -exp: no selected experiment takes a fault spec")
+	case chart && !anyChart:
+		return fmt.Errorf("-chart does nothing with this -exp: no selected experiment is a figure")
+	}
+	return nil
 }
 
 // figureChart renders a figure table as bar pairs (WTI vs WB per
@@ -308,4 +179,11 @@ func rejectPositional(args []string) error {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sweep:", err)
 	os.Exit(1)
+}
+
+// usage reports a flag combination that cannot mean anything, with the
+// flag package's own exit code for a bad command line.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "sweep:", err)
+	os.Exit(2)
 }

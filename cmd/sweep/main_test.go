@@ -4,9 +4,12 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -69,21 +72,89 @@ func TestParseSizesRejectsFlagTokens(t *testing.T) {
 	}
 }
 
-// TestShardsFlagRejected pins that the removed -shards option is an
-// unknown flag, not a silently accepted no-op: the test re-executes
-// itself as sweep and expects the flag package's usage exit.
-func TestShardsFlagRejected(t *testing.T) {
-	if os.Getenv("SWEEP_TEST_RUN_MAIN") == "1" {
-		os.Args = []string{"sweep", "-exp", "table2", "-shards", "2"}
+// TestMain lets a test run the real command: with SWEEP_TEST_ARGS set,
+// the test binary is sweep with those arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("SWEEP_TEST_ARGS"); ok {
+		os.Args = append([]string{"sweep"}, strings.Fields(args)...)
 		main()
-		return
+		os.Exit(0)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestShardsFlagRejected$")
-	cmd.Env = append(os.Environ(), "SWEEP_TEST_RUN_MAIN=1")
+	os.Exit(m.Run())
+}
+
+// sweep re-executes the test binary as sweep and returns its exit code
+// and combined output.
+func sweep(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "SWEEP_TEST_ARGS="+strings.Join(args, " "))
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
-		!strings.Contains(string(out), "flag provided but not defined: -shards") {
-		t.Fatalf("sweep -shards 2: err = %v, output:\n%s", err, out)
+	switch {
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &exit):
+		return exit.ExitCode(), string(out)
+	}
+	t.Fatalf("sweep %v: %v", args, err)
+	return 0, ""
+}
+
+// TestShardsFlagRejected pins that the removed -shards option is an
+// unknown flag, not a silently accepted no-op.
+func TestShardsFlagRejected(t *testing.T) {
+	code, out := sweep(t, "-exp", "table2", "-shards", "2")
+	if code != 2 || !strings.Contains(out, "flag provided but not defined: -shards") {
+		t.Fatalf("sweep -shards 2: exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestIgnoredFlagsRejected pins that a flag the selected experiment
+// would not read is refused by name instead of silently dropped, and
+// that an unknown experiment is answered with the table's names.
+func TestIgnoredFlagsRejected(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "table2", "-fault", "drop=0.01,seed=7"}, "-fault"},
+		{[]string{"-exp", "all", "-fault", "drop=0.01,seed=7"}, "-fault"},
+		{[]string{"-exp", "table2", "-chart"}, "-chart"},
+		{[]string{"-exp", "nosuch"}, strings.Join(exp.Names(), ", ")},
+	} {
+		code, out := sweep(t, c.args...)
+		if code != 2 || !strings.Contains(out, c.want) {
+			t.Errorf("sweep %v: exit %d, want 2 and %q in:\n%s", c.args, code, c.want, out)
+		}
+	}
+	// The same flags where they mean something are accepted.
+	if code, out := sweep(t, "-exp", "fig4", "-sizes", "2", "-quick", "-chart"); code != 0 {
+		t.Errorf("sweep -exp fig4 -chart: exit %d:\n%s", code, out)
+	}
+}
+
+// TestObserveCoversEveryExperiment pins that -obs-interval/-obs-dir
+// reach the points of a non-grid experiment, one CSV per point, named
+// by keys that differ.
+func TestObserveCoversEveryExperiment(t *testing.T) {
+	dir := t.TempDir()
+	if code, out := sweep(t, "-exp", "strictsc", "-quick", "-obs-interval", "1000", "-obs-dir", dir); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, filepath.Base(f))
+	}
+	want := []string{
+		"ocean_WTI_arch2_n16.csv", "ocean_WTI_arch2_n16_strictsc.csv",
+		"water_WTI_arch2_n16.csv", "water_WTI_arch2_n16_strictsc.csv",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("obs files = %v, want %v", names, want)
 	}
 }

@@ -1,31 +1,39 @@
 // Package exp regenerates every table and figure of the paper's
-// evaluation section, plus the repository's own ablations. cmd/sweep
-// and the top-level benchmarks are thin wrappers around it.
+// evaluation section, plus the repository's own ablations. It is one
+// plane: Run describes a simulation point, Execute is the one
+// build→run→flush→check sequence, ExecuteAll puts a list of points
+// through the one worker pool, and every experiment is an entry of the
+// Experiments table — the points it needs and the renderer from their
+// results to tables. cmd/sweep walks that table.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index, by table name (DESIGN.md §4 has the full mapping;
+// TestExperimentTable keeps both in step with the table):
 //
-//	Table1    — per-request hop costs of both protocols (directed probes)
-//	Table2    — simulated platform characteristics
-//	Fig4      — execution time, Ocean & Water × arch × protocol × n
-//	Fig5      — total NoC traffic in bytes, same grid
-//	Fig6      — data-cache stall share, same grid
-//	AblationMesh        — GMN crossbar model vs real 2D-mesh routers
-//	AblationStrictSC    — paper's posted write buffer vs strict SC stores
-//	AblationBestWorst   — protocol best/worst-case synthetic workloads
-//	AblationWriteUpdate — WTI/WTU/WB three-way comparison
-//	AblationC2C         — MESI cache-to-cache transfers
-//	AblationScale       — WTI/WB ratio vs compute per barrier
-//	AblationDirLimited  — full-map vs limited-pointer directories
-//	AblationBus         — shared bus vs NoC (the paper's premise)
-//	AblationWays        — cache associativity at fixed capacity
-//	AblationMOESI       — write-back family: MESI, MESI+C2C, MOESI
+//	table1      — per-request hop costs of both protocols (directed probes)
+//	table2      — simulated platform characteristics
+//	fig4        — execution time, Ocean & Water × arch × protocol × n
+//	fig5        — total NoC traffic in bytes, same grid
+//	fig6        — data-cache stall share, same grid
+//	mesh        — GMN crossbar model vs real 2D-mesh routers
+//	strictsc    — paper's posted write buffer vs strict SC stores
+//	bestworst   — protocol best/worst-case synthetic workloads
+//	writeupdate — WTI/WTU/WB three-way comparison
+//	c2c         — MESI cache-to-cache transfers
+//	scale       — WTI/WB ratio vs compute per barrier
+//	dir         — full-map vs limited-pointer directories
+//	bus         — shared bus vs NoC (the paper's premise)
+//	ways        — cache associativity at fixed capacity
+//	moesi       — write-back family: MESI, MESI+C2C, MOESI
+//	fault       — WTI vs WB under injected NoC faults (not part of "all")
 package exp
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/coherence"
@@ -44,40 +52,46 @@ type Scale struct {
 	OceanIters int
 	WaterMols  int // molecules per thread
 	WaterSteps int
-	LURows     int // matrix rows per thread (extension workload)
 }
 
 // DefaultScale is used by cmd/sweep and the benchmarks.
 func DefaultScale() Scale {
-	return Scale{OceanRows: 4, OceanIters: 4, WaterMols: 3, WaterSteps: 3, LURows: 3}
+	return Scale{OceanRows: 4, OceanIters: 4, WaterMols: 3, WaterSteps: 3}
 }
 
 // QuickScale keeps tests fast.
 func QuickScale() Scale {
-	return Scale{OceanRows: 2, OceanIters: 2, WaterMols: 2, WaterSteps: 2, LURows: 2}
+	return Scale{OceanRows: 2, OceanIters: 2, WaterMols: 2, WaterSteps: 2}
 }
 
 // Bench names the application driven through the platform.
 type Bench string
 
-// The two applications of the paper's evaluation, plus the LU
-// extension workload.
+// The two applications of the paper's evaluation.
 const (
 	Ocean Bench = "ocean"
 	Water Bench = "water"
-	LU    Bench = "lu"
 )
 
-// Run describes one simulation point of the Figure 4–6 grid.
+// Run is the complete description of one simulation point: every
+// experiment is a list of Runs, and two Runs that compare equal are the
+// same simulation. The zero value of each field below NumCPUs is the
+// paper's platform (Table 2).
 type Run struct {
 	Bench    Bench
 	Protocol coherence.Protocol
 	Arch     mem.Arch
 	NumCPUs  int
 
-	NoC      core.NoCKind
-	StrictSC bool
-	C2C      bool // MESI cache-to-cache transfers
+	NoC         core.NoCKind
+	StrictSC    bool
+	C2C         bool // MESI cache-to-cache transfers
+	Ways        int  // cache associativity at fixed capacity; 0 = direct-mapped
+	DirPointers int  // Dir_k_B pointers per directory entry; 0 = full map
+
+	// Scale, when non-zero, replaces the workload size Execute is
+	// called with: the compute-per-barrier sweep's axis is the size.
+	Scale Scale
 
 	// Fault, when non-empty, is a fault.ParsePlan spec string injected
 	// into the run's interconnect. A string (not a parsed plan) keeps
@@ -86,13 +100,54 @@ type Run struct {
 	Fault string
 }
 
-// Key renders the point compactly for table rows and caches.
+// Key renders the point compactly for error messages and per-run file
+// names. Fields at their zero value are left out, so the figure grid's
+// keys are four segments long; every other field adds its own segment,
+// so distinct Runs have distinct keys.
 func (r Run) Key() string {
 	k := fmt.Sprintf("%s/%v/%v/n%d", r.Bench, r.Protocol, r.Arch, r.NumCPUs)
+	if r.NoC != core.GMNNet {
+		k += "/" + r.NoC.String()
+	}
+	if r.StrictSC {
+		k += "/strictsc"
+	}
+	if r.C2C {
+		k += "/c2c"
+	}
+	if r.Ways != 0 {
+		k += fmt.Sprintf("/ways=%d", r.Ways)
+	}
+	if r.DirPointers != 0 {
+		k += fmt.Sprintf("/dir=%d", r.DirPointers)
+	}
+	if s := r.Scale; s != (Scale{}) {
+		k += fmt.Sprintf("/scale=%d.%d.%d.%d", s.OceanRows, s.OceanIters, s.WaterMols, s.WaterSteps)
+	}
 	if r.Fault != "" {
 		k += "/fault=" + r.Fault
 	}
 	return k
+}
+
+// Config maps the point onto the platform configuration it simulates.
+func (r Run) Config() (core.Config, error) {
+	cfg := core.DefaultConfig(r.Protocol, r.Arch, r.NumCPUs)
+	cfg.NoC = r.NoC
+	cfg.Mem.StrictSC = r.StrictSC
+	cfg.Mem.CacheToCache = r.C2C
+	if r.Ways != 0 {
+		cfg.Mem.Ways = r.Ways
+	}
+	cfg.Mem.DirPointers = r.DirPointers
+	if r.Fault != "" {
+		plan, err := fault.ParsePlan(r.Fault)
+		if err != nil {
+			return cfg, fmt.Errorf("exp: %s: %w", r.Key(), err)
+		}
+		cfg.Fault = plan
+	}
+	return cfg, nil
 }
 
 // schedModeFor pairs the architectures with their kernels as the paper
@@ -106,6 +161,9 @@ func schedModeFor(arch mem.Arch) codegen.SchedMode {
 
 // BuildSpec builds the workload image for one run point.
 func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
+	if r.Scale != (Scale{}) {
+		sc = r.Scale
+	}
 	l := mem.DefaultLayout(r.NumCPUs)
 	mode := schedModeFor(r.Arch)
 	switch r.Bench {
@@ -117,22 +175,9 @@ func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 		return workload.BuildWater(l, mode, workload.WaterParams{
 			Threads: r.NumCPUs, MolsPerThread: sc.WaterMols, Steps: sc.WaterSteps,
 		})
-	case LU:
-		rows := sc.LURows
-		if rows == 0 {
-			rows = 3
-		}
-		return workload.BuildLU(l, mode, workload.LUParams{
-			Threads: r.NumCPUs, RowsPerThread: rows,
-		})
 	default:
 		return nil, fmt.Errorf("exp: unknown bench %q", r.Bench)
 	}
-}
-
-// Execute builds, runs, and verifies one run point.
-func Execute(r Run, sc Scale) (*core.Result, error) {
-	return ExecuteObserved(r, sc, nil)
 }
 
 // Observe configures per-run observability for experiment execution.
@@ -146,30 +191,22 @@ type Observe struct {
 	Dir string
 }
 
-// csvPath maps a run to its sample file under o.Dir.
-func (o *Observe) csvPath(r Run) string {
-	name := strings.ReplaceAll(r.Key(), "/", "_") + ".csv"
-	return filepath.Join(o.Dir, name)
+// Execute builds, runs, and verifies one run point.
+func Execute(r Run, sc Scale) (*core.Result, error) {
+	return execute(r, sc, nil)
 }
 
-// ExecuteObserved is Execute with interval metrics attached: the run is
-// sampled every o.Interval cycles and, when o.Dir is set, the series
-// are written as CSV. A nil o (or zero interval) behaves like Execute.
-func ExecuteObserved(r Run, sc Scale, o *Observe) (*core.Result, error) {
+// execute is the one build→run→flush→check sequence. With o set (and a
+// non-zero interval) the run is sampled every o.Interval cycles and,
+// when o.Dir is set, the series are written as CSV.
+func execute(r Run, sc Scale, o *Observe) (*core.Result, error) {
 	spec, err := BuildSpec(r, sc)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig(r.Protocol, r.Arch, r.NumCPUs)
-	cfg.NoC = r.NoC
-	cfg.Mem.StrictSC = r.StrictSC
-	cfg.Mem.CacheToCache = r.C2C
-	if r.Fault != "" {
-		plan, err := fault.ParsePlan(r.Fault)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", r.Key(), err)
-		}
-		cfg.Fault = plan
+	cfg, err := r.Config()
+	if err != nil {
+		return nil, err
 	}
 	sys, err := core.Build(cfg, spec.Image)
 	if err != nil {
@@ -181,71 +218,97 @@ func ExecuteObserved(r Run, sc Scale, o *Observe) (*core.Result, error) {
 		sys.AttachObserver(rec)
 	}
 	res, err := sys.Run()
+	if err == nil {
+		sys.FlushCaches()
+		if spec.Check != nil {
+			err = spec.Check(sys.Space)
+		}
+	}
+	if err == nil && rec != nil && o.Dir != "" {
+		err = writeSamples(filepath.Join(o.Dir, strings.ReplaceAll(r.Key(), "/", "_")+".csv"), rec)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", r.Key(), err)
-	}
-	sys.FlushCaches()
-	if spec.Check != nil {
-		if err := spec.Check(sys.Space); err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", r.Key(), err)
-		}
-	}
-	if rec != nil && o.Dir != "" {
-		if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", r.Key(), err)
-		}
-		f, err := os.Create(o.csvPath(r))
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", r.Key(), err)
-		}
-		if err := rec.Sampler().WriteCSV(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("exp: %s: %w", r.Key(), err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", r.Key(), err)
-		}
 	}
 	return res, nil
 }
 
-// Grid runs the full Figure 4–6 grid (both benches and architectures,
-// both protocols, the given CPU counts) and returns results keyed by
-// run point. Every run is verified against its host reference.
-func Grid(sizes []int, sc Scale) (map[Run]*core.Result, error) {
-	return GridObserved(sizes, sc, nil)
-}
-
-// GridObserved is Grid with per-run observability (see ExecuteObserved).
-func GridObserved(sizes []int, sc Scale, o *Observe) (map[Run]*core.Result, error) {
-	out := make(map[Run]*core.Result)
-	for _, r := range gridRuns(sizes) {
-		res, err := ExecuteObserved(r, sc, o)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = res
+func writeSamples(path string, rec *obs.Recorder) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
-	return out, nil
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rec.Sampler().WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// gridRuns enumerates the Figure 4–6 grid points in their canonical
-// order (bench, then architecture, then protocol, then CPU count). Both
-// the serial and the parallel grid runner draw from this one list, so
-// they cover — and on error, report — identical work.
-func gridRuns(sizes []int) []Run {
-	var runs []Run
-	for _, bench := range []Bench{Ocean, Water} {
-		for _, arch := range []mem.Arch{mem.Arch1, mem.Arch2} {
-			for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
-				for _, n := range sizes {
-					runs = append(runs, Run{Bench: bench, Protocol: proto, Arch: arch, NumCPUs: n})
-				}
+// ExecuteAll executes runs with up to jobs simulations in flight
+// (jobs < 1 selects GOMAXPROCS) and returns their results in the order
+// of runs. Every point builds its own isolated System, so the results —
+// and everything rendered from them — are byte-identical at any jobs
+// value (TestExecuteAllMatchesSerial). The error reported is that of
+// the first failing run in the order of runs, whichever worker fails
+// first in wall-clock time; at jobs > 1 a failing point does not stop
+// points already dispatched, whose results are discarded. With o.Dir
+// set, runs must be distinct: each writes the file named by its key.
+func ExecuteAll(runs []Run, sc Scale, o *Observe, jobs int) ([]*core.Result, error) {
+	results := make([]*core.Result, len(runs))
+	err := forEach(len(runs), jobs, func(i int) (err error) {
+		results[i], err = execute(runs[i], sc, o)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// forEach is the package's one worker pool: it calls fn(0) … fn(n-1)
+// from up to jobs goroutines and returns the error of the lowest
+// failing index. One job runs on the caller's goroutine and stops at
+// the first error.
+func forEach(n, jobs int, fn func(i int) error) error {
+	if jobs < 1 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	if jobs > n {
+		jobs = n
+	}
+	if jobs <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	return runs
+	errs := make([]error, n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
-
-// PaperSizes is the paper's processor-count axis (Table 2).
-func PaperSizes() []int { return []int{4, 16, 32, 64} }

@@ -2,10 +2,16 @@ package exp
 
 import (
 	"fmt"
+	"os"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/stats"
 )
 
 func TestTable1WTI(t *testing.T) {
@@ -97,10 +103,7 @@ func TestTable2(t *testing.T) {
 
 func TestGridAndFiguresQuick(t *testing.T) {
 	sizes := []int{2, 4}
-	grid, err := Grid(sizes, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := mustRun(t, gridRuns(sizes), 0)
 	if len(grid) != 2*2*2*len(sizes) {
 		t.Fatalf("grid has %d entries", len(grid))
 	}
@@ -135,31 +138,31 @@ func TestGridAndFiguresQuick(t *testing.T) {
 	}
 }
 
+// ablation runs an experiment's points at test size (the table's
+// entries pin n=16) and renders them.
+func ablation(t *testing.T, runs []Run, render func([]Run, Results) *stats.Table) *stats.Table {
+	t.Helper()
+	return render(runs, mustRun(t, runs, 0))
+}
+
+func wantRows(t *testing.T, tb *stats.Table, rows int) {
+	t.Helper()
+	if tb.NumRows() != rows {
+		t.Fatalf("%s: rows = %d, want %d", tb.Title, tb.NumRows(), rows)
+	}
+}
+
 func TestAblationsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation runs")
 	}
-	meshT, err := AblationMesh(4, QuickScale())
+	wantRows(t, ablation(t, meshRuns(4), renderMesh), 2)
+	wantRows(t, ablation(t, strictSCRuns(4), renderStrictSC), 2)
+	bw, err := bestWorst(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meshT.NumRows() != 2 {
-		t.Fatalf("mesh rows = %d", meshT.NumRows())
-	}
-	strictT, err := AblationStrictSC(4, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strictT.NumRows() != 2 {
-		t.Fatalf("strict rows = %d", strictT.NumRows())
-	}
-	bw, err := AblationBestWorst(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw.NumRows() != 2 {
-		t.Fatalf("bestworst rows = %d", bw.NumRows())
-	}
+	wantRows(t, bw[0], 2)
 }
 
 func TestExecuteVerifiesResults(t *testing.T) {
@@ -178,13 +181,8 @@ func TestExecuteVerifiesResults(t *testing.T) {
 func TestAblationBusShowsTheCrossover(t *testing.T) {
 	// The paper's thesis in one assertion: WTI's position relative to
 	// WB must be strictly worse on the shared bus than on the NoC.
-	tb, err := AblationBus([]int{4}, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
+	tb := ablation(t, busRuns([]int{4}), renderBus)
+	wantRows(t, tb, 2)
 	var busRatio, nocRatio float64
 	for _, r := range tb.Rows() {
 		var v float64
@@ -203,61 +201,125 @@ func TestAblationBusShowsTheCrossover(t *testing.T) {
 }
 
 func TestAblationDirLimitedQuick(t *testing.T) {
-	tb, err := AblationDirLimited(4, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 8 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
+	wantRows(t, ablation(t, dirRuns(4), renderDir), 8)
 }
 
 func TestAblationScaleQuick(t *testing.T) {
-	tb, err := AblationScale(4, []int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
+	wantRows(t, ablation(t, scaleRuns(4, []int{2, 4}), renderScale), 2)
 }
 
 func TestAblationWriteUpdateQuick(t *testing.T) {
-	tb, err := AblationWriteUpdate(4, QuickScale())
+	runs := writeUpdateRuns(4)
+	tb, err := renderWriteUpdate(Params{}, runs, mustRun(t, runs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 6 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
+	wantRows(t, tb[0], 6)
 }
 
 func TestAblationC2CQuick(t *testing.T) {
-	tb, err := AblationC2C(4, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
+	wantRows(t, ablation(t, c2cRuns(4), renderC2C), 2)
 }
 
 func TestAblationWaysQuick(t *testing.T) {
-	tb, err := AblationWays(4, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 6 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
+	wantRows(t, ablation(t, waysRuns(4), renderWays), 6)
 }
 
 func TestAblationMOESIQuick(t *testing.T) {
-	tb, err := AblationMOESI(4, QuickScale())
+	wantRows(t, ablation(t, moesiRuns(4), renderMOESI), 6)
+}
+
+// TestRunKeyNamesEveryField pins Key's two promises: the figure grid's
+// keys (and with them the -obs-dir file names) are the four-segment
+// form they always were, and two Runs that differ in any one field
+// have different keys.
+func TestRunKeyNamesEveryField(t *testing.T) {
+	base := Run{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 16}
+	if got, want := base.Key(), "ocean/WTI/arch2/n16"; got != want {
+		t.Fatalf("grid key = %q, want %q", got, want)
+	}
+	variants := map[string]func(r *Run){
+		"Bench":       func(r *Run) { r.Bench = Water },
+		"Protocol":    func(r *Run) { r.Protocol = coherence.WBMESI },
+		"Arch":        func(r *Run) { r.Arch = mem.Arch1 },
+		"NumCPUs":     func(r *Run) { r.NumCPUs = 4 },
+		"NoC":         func(r *Run) { r.NoC = core.MeshNet },
+		"StrictSC":    func(r *Run) { r.StrictSC = true },
+		"C2C":         func(r *Run) { r.C2C = true },
+		"Ways":        func(r *Run) { r.Ways = 2 },
+		"DirPointers": func(r *Run) { r.DirPointers = 2 },
+		"Scale":       func(r *Run) { r.Scale = Scale{OceanRows: 8, OceanIters: 3} },
+		"Fault":       func(r *Run) { r.Fault = "drop=0.002,seed=42" },
+	}
+	if n := reflect.TypeOf(base).NumField(); n != len(variants) {
+		t.Fatalf("Run has %d fields, the table varies %d: add the new field here and to Key", n, len(variants))
+	}
+	keys := map[string]string{base.Key(): "the base run"}
+	for field, vary := range variants {
+		r := base
+		vary(&r)
+		if other, dup := keys[r.Key()]; dup {
+			t.Errorf("varying %s gives key %q, the same as %s", field, r.Key(), other)
+		}
+		keys[r.Key()] = "varying " + field
+	}
+}
+
+// TestExperimentTable checks the table against the places that list it
+// by hand: names are unique, every entry renders, "all" is the table
+// minus the fault campaign, an unknown name is refused with the valid
+// ones, and the package doc's experiment index and DESIGN.md's name
+// every entry.
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]bool{"all": true}
+	for _, e := range Experiments {
+		if seen[e.Name] {
+			t.Errorf("experiment name %q is taken twice", e.Name)
+		}
+		seen[e.Name] = true
+		if e.Render == nil {
+			t.Errorf("%s: no renderer", e.Name)
+		}
+	}
+	all, err := Select("all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 6 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	for _, e := range all {
+		if e.Faults {
+			t.Errorf("all includes %s", e.Name)
+		}
+	}
+	if len(all) != len(Experiments)-1 {
+		t.Errorf("all selects %d of %d experiments", len(all), len(Experiments))
+	}
+	if _, err := Select("nosuch"); err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+		t.Errorf("Select(nosuch): err = %v, want the valid names", err)
+	}
+	pkgDoc, err := os.ReadFile("exp.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Experiments {
+		if !strings.Contains(string(design), "-exp "+e.Name+"`") {
+			t.Errorf("DESIGN.md: no experiment index row for `-exp %s`", e.Name)
+		}
+	}
+	indexed := map[string]bool{"all": true}
+	for _, m := range regexp.MustCompile(`(?m)^//\t(\w+) +— `).FindAllSubmatch(pkgDoc, -1) {
+		name := string(m[1])
+		if !seen[name] {
+			t.Errorf("package doc indexes %q, which is not in the table", name)
+		}
+		indexed[name] = true
+	}
+	for name := range seen {
+		if !indexed[name] {
+			t.Errorf("package doc has no index line for %q", name)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"repro/internal/coherence"
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
@@ -20,35 +19,38 @@ func DefaultFaultSpecs() []string {
 	}
 }
 
-// FaultCampaign measures how each write policy degrades under injected
-// interconnect faults: both protocols run Ocean on Architecture 2 under
-// each campaign spec (plus the zero-fault baseline), with the usual
-// host-reference check on the final memory image — correctness under
-// faults is the point, the slowdown is the measurement.
-func FaultCampaign(n int, sc Scale, specs []string) (*stats.Table, error) {
+// The fault campaign measures how each write policy degrades under
+// injected interconnect faults: both protocols run Ocean on
+// Architecture 2 under each campaign spec (nil: DefaultFaultSpecs)
+// after the zero-fault baseline, with the usual host-reference check
+// on the final memory image — correctness under faults is the point,
+// the slowdown is the measurement.
+func faultRuns(n int, specs []string) []Run {
+	if specs == nil {
+		specs = DefaultFaultSpecs()
+	}
+	var runs []Run
+	for _, spec := range append([]string{""}, specs...) {
+		runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, Fault: spec})...)
+	}
+	return runs
+}
+
+func renderFault(runs []Run, res Results) *stats.Table {
 	t := stats.NewTable("Fault campaigns — Ocean/arch2, WTI vs WB under injected NoC faults",
 		"campaign", "protocol", "Mcycles", "MB traffic", "drops", "retx", "delayed", "dups", "stalls")
-	all := append([]string{""}, specs...)
-	for _, spec := range all {
-		for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
-			res, err := Execute(Run{
-				Bench: Ocean, Protocol: proto, Arch: mem.Arch2, NumCPUs: n, Fault: spec,
-			}, sc)
-			if err != nil {
-				return nil, err
-			}
-			label := spec
-			if label == "" {
-				label = "(none)"
-			}
-			var drops, retx, delayed, dups, stalls uint64
-			if f := res.Fault; f != nil {
-				drops, retx = f.Stats.Drops, f.Retransmits
-				delayed, dups, stalls = f.Stats.Delayed, f.Stats.Dups, f.Stats.StallWindows
-			}
-			t.AddRow(label, proto.String(), res.MegaCycles(),
-				float64(res.TrafficBytes())/1e6, drops, retx, delayed, dups, stalls)
+	for _, r := range runs {
+		label := r.Fault
+		if label == "" {
+			label = "(none)"
 		}
+		var drops, retx, delayed, dups, stalls uint64
+		if f := res[r].Fault; f != nil {
+			drops, retx = f.Stats.Drops, f.Retransmits
+			delayed, dups, stalls = f.Stats.Delayed, f.Stats.Dups, f.Stats.StallWindows
+		}
+		t.AddRow(label, r.Protocol.String(), res[r].MegaCycles(),
+			float64(res[r].TrafficBytes())/1e6, drops, retx, delayed, dups, stalls)
 	}
-	return t, nil
+	return t
 }

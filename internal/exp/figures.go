@@ -7,25 +7,41 @@ import (
 	"repro/internal/stats"
 )
 
-// figRow looks up the WTI and WB results for one (bench, arch, n) cell.
-func figRow(grid map[Run]*core.Result, bench Bench, arch mem.Arch, n int) (wti, wb *core.Result) {
-	wti = grid[Run{Bench: bench, Protocol: coherence.WTI, Arch: arch, NumCPUs: n}]
-	wb = grid[Run{Bench: bench, Protocol: coherence.WBMESI, Arch: arch, NumCPUs: n}]
-	return wti, wb
+// gridRuns enumerates the Figure 4–6 grid (both benches and
+// architectures, both protocols, the given CPU counts) in its canonical
+// order: bench, then architecture, then protocol, then CPU count.
+func gridRuns(sizes []int) []Run {
+	var runs []Run
+	for _, bench := range []Bench{Ocean, Water} {
+		for _, arch := range []mem.Arch{mem.Arch1, mem.Arch2} {
+			for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
+				for _, n := range sizes {
+					runs = append(runs, Run{Bench: bench, Protocol: proto, Arch: arch, NumCPUs: n})
+				}
+			}
+		}
+	}
+	return runs
+}
+
+func gridPoints(p Params) []Run { return gridRuns(p.Sizes) }
+
+// figure is the Render of one figure over the grid.
+func figure(f func(grid Results, sizes []int) *stats.Table) func(Params, []Run, Results) ([]*stats.Table, error) {
+	return func(p Params, _ []Run, res Results) ([]*stats.Table, error) {
+		return []*stats.Table{f(res, p.Sizes)}, nil
+	}
 }
 
 // forEachCell iterates the figure grid in the paper's presentation
-// order (Ocean before Water, Architecture 1 before 2, n ascending).
-func forEachCell(grid map[Run]*core.Result, sizes []int,
-	f func(bench Bench, arch mem.Arch, n int, wti, wb *core.Result)) {
+// order (Ocean before Water, Architecture 1 before 2, n ascending),
+// handing f the cell's WTI run and both protocols' results.
+func forEachCell(grid Results, sizes []int, f func(r Run, wti, wb *core.Result)) {
 	for _, bench := range []Bench{Ocean, Water} {
 		for _, arch := range []mem.Arch{mem.Arch1, mem.Arch2} {
 			for _, n := range sizes {
-				wti, wb := figRow(grid, bench, arch, n)
-				if wti == nil || wb == nil {
-					continue
-				}
-				f(bench, arch, n, wti, wb)
+				pair := wtiWB(Run{Bench: bench, Arch: arch, NumCPUs: n})
+				f(pair[0], grid[pair[0]], grid[pair[1]])
 			}
 		}
 	}
@@ -35,11 +51,11 @@ func forEachCell(grid map[Run]*core.Result, sizes []int,
 // the paper's Figure 4. The paper's observations to compare against:
 // WTI ≈ WB on both architectures, and Architecture 2 (DS) up to ~30%
 // faster on Ocean with the gap growing with n.
-func Fig4(grid map[Run]*core.Result, sizes []int) *stats.Table {
+func Fig4(grid Results, sizes []int) *stats.Table {
 	t := stats.NewTable("Figure 4 — execution time (megacycles)",
 		"bench", "arch", "cpus", "WTI", "WB", "WTI/WB")
-	forEachCell(grid, sizes, func(bench Bench, arch mem.Arch, n int, wti, wb *core.Result) {
-		t.AddRow(string(bench), arch.String(), n,
+	forEachCell(grid, sizes, func(r Run, wti, wb *core.Result) {
+		t.AddRow(string(r.Bench), r.Arch.String(), r.NumCPUs,
 			wti.MegaCycles(), wb.MegaCycles(),
 			stats.Ratio(wti.MegaCycles(), wb.MegaCycles()))
 	})
@@ -49,11 +65,11 @@ func Fig4(grid map[Run]*core.Result, sizes []int) *stats.Table {
 // Fig5 renders total NoC traffic in bytes — the paper's Figure 5. The
 // paper's observation: same order of magnitude for both protocols, no
 // systematic winner.
-func Fig5(grid map[Run]*core.Result, sizes []int) *stats.Table {
+func Fig5(grid Results, sizes []int) *stats.Table {
 	t := stats.NewTable("Figure 5 — total NoC traffic (bytes)",
 		"bench", "arch", "cpus", "WTI", "WB", "WTI/WB")
-	forEachCell(grid, sizes, func(bench Bench, arch mem.Arch, n int, wti, wb *core.Result) {
-		t.AddRow(string(bench), arch.String(), n,
+	forEachCell(grid, sizes, func(r Run, wti, wb *core.Result) {
+		t.AddRow(string(r.Bench), r.Arch.String(), r.NumCPUs,
 			wti.TrafficBytes(), wb.TrafficBytes(),
 			stats.Ratio(float64(wti.TrafficBytes()), float64(wb.TrafficBytes())))
 	})
@@ -63,11 +79,11 @@ func Fig5(grid map[Run]*core.Result, sizes []int) *stats.Table {
 // Fig6 renders the percentage of data-cache stall cycles — the paper's
 // Figure 6. The paper's observation: both protocols nearly identical;
 // Architecture 1 stalls more; ~70% at 32+ CPUs on Architecture 1.
-func Fig6(grid map[Run]*core.Result, sizes []int) *stats.Table {
+func Fig6(grid Results, sizes []int) *stats.Table {
 	t := stats.NewTable("Figure 6 — data-cache stall cycles (% of execution)",
 		"bench", "arch", "cpus", "WTI%", "WB%")
-	forEachCell(grid, sizes, func(bench Bench, arch mem.Arch, n int, wti, wb *core.Result) {
-		t.AddRow(string(bench), arch.String(), n,
+	forEachCell(grid, sizes, func(r Run, wti, wb *core.Result) {
+		t.AddRow(string(r.Bench), r.Arch.String(), r.NumCPUs,
 			wti.DataStallPercent(), wb.DataStallPercent())
 	})
 	return t

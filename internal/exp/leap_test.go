@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/mem"
 )
 
@@ -23,19 +22,12 @@ func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig(r.Protocol, r.Arch, r.NumCPUs)
-	cfg.NoC = r.NoC
-	cfg.Mem.StrictSC = r.StrictSC
-	cfg.Mem.CacheToCache = r.C2C
+	cfg, err := r.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.DisableLeap = disableLeap
 	cfg.MaxCycles = 3_000_000
-	if r.Fault != "" {
-		plan, err := fault.ParsePlan(r.Fault)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Fault = plan
-	}
 	sys, err := core.Build(cfg, spec.Image)
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,13 @@
-// Off-engine run measurement: resource-sampled execution and the
-// merged report schema. The deterministic Result JSON (core.ResultJSON)
-// never carries host-side measurements — its bytes are pinned identical
-// whether or not anything observes the run — so the merge happens here,
-// one layer up, where wall-clock data is allowed to exist.
+// The merged report schema of a resource-sampled run. The deterministic
+// Result JSON (core.ResultJSON) never carries host-side measurements —
+// its bytes are pinned identical whether or not anything observes the
+// run — so the merge happens here, one layer up, where wall-clock data
+// is allowed to exist.
 package exp
 
 import (
 	"encoding/json"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs/resource"
@@ -41,21 +40,4 @@ func (r Report) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ExecuteMeasured is ExecuteObserved bracketed by an off-engine
-// resource sampler: process resources are recorded every interval (see
-// resource.Start) from a separate goroutine while the simulation runs,
-// and summarized once it finishes. The sampler shares nothing with the
-// engine, so the returned Result is byte-for-byte the one
-// ExecuteObserved would have produced — pinned by
-// TestResourceSamplingDoesNotPerturbRun.
-func ExecuteMeasured(r Run, sc Scale, o *Observe, interval time.Duration) (*core.Result, *resource.Summary, error) {
-	s := resource.Start(interval)
-	res, err := ExecuteObserved(r, sc, o)
-	sum := s.Stop()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &sum, nil
 }

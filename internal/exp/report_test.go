@@ -32,7 +32,9 @@ func TestResourceSamplingDoesNotPerturbRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sampled, sum, err := ExecuteMeasured(r, sc, nil, time.Millisecond)
+	sampler := resource.Start(time.Millisecond)
+	sampled, err := Execute(r, sc)
+	sum := sampler.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestResourceSamplingDoesNotPerturbRun(t *testing.T) {
 			baseJSON.String(), sampledJSON.String())
 	}
 	// And the sampler really ran: first+final at minimum.
-	if sum == nil || sum.Samples < 2 {
+	if sum.Samples < 2 {
 		t.Fatalf("sampler recorded %+v, want at least 2 samples", sum)
 	}
 	if sum.HeapAllocPeak == 0 {
@@ -64,13 +66,15 @@ func TestResourceSamplingDoesNotPerturbRun(t *testing.T) {
 // plain Result JSON bytes.
 func TestReportMerge(t *testing.T) {
 	r := Run{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 4}
-	res, sum, err := ExecuteMeasured(r, QuickScale(), nil, time.Millisecond)
+	sampler := resource.Start(time.Millisecond)
+	res, err := Execute(r, QuickScale())
+	sum := sampler.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var merged bytes.Buffer
-	if err := NewReport(res, sum).Write(&merged); err != nil {
+	if err := NewReport(res, &sum).Write(&merged); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any

@@ -217,3 +217,16 @@ func pathHops(msgs uint64) uint64 {
 	}
 	return msgs
 }
+
+// renderTable1 is Table 1 under both of the paper's protocols.
+func renderTable1(Params, []Run, Results) ([]*stats.Table, error) {
+	var out []*stats.Table
+	for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
+		t, err := Table1(proto)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}

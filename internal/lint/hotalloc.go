@@ -23,10 +23,15 @@ import (
 //	new     — new()
 //	append  — append() (may grow the backing array)
 //	closure — a func literal (captures escape to the heap)
-//	fmt     — any fmt.* call (formats allocate; panic paths included)
+//	fmt     — any fmt.* call (formats allocate)
 //	concat  — non-constant string concatenation (+ / +=)
 //	box     — a non-pointer-shaped value converted to an interface
 //	lit     — &CompositeLit (escapes to the heap when it leaves scope)
+//
+// A statement list whose last statement is a panic call is cold — a
+// correct run never enters it — so nothing inside it is reported: the
+// diagnostic a protocol-violation panic formats is not a hot-path
+// allocation.
 //
 // Findings are suppressed by the committed hotalloc.allow file at the
 // analyzed module's root, one entry per function+kind:
@@ -189,6 +194,10 @@ func allocSites(node *funcNode) []allocSite {
 	}
 	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
+		case *ast.BlockStmt:
+			return !endsInPanic(info, e.List)
+		case *ast.CaseClause:
+			return !endsInPanic(info, e.Body)
 		case *ast.CallExpr:
 			scanCall(info, e, add)
 		case *ast.FuncLit:
@@ -218,22 +227,44 @@ func allocSites(node *funcNode) []allocSite {
 	return sites
 }
 
+// endsInPanic reports whether the statement list's last statement is a
+// call of the builtin panic.
+func endsInPanic(info *types.Info, list []ast.Stmt) bool {
+	if len(list) == 0 {
+		return false
+	}
+	st, ok := list[len(list)-1].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := st.X.(*ast.CallExpr)
+	return ok && builtinName(info, call) == "panic"
+}
+
+// builtinName returns the name of the builtin call calls, or "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
 // scanCall classifies builtin allocators, fmt calls, conversions to
 // interface, and interface-typed arguments.
 func scanCall(info *types.Info, call *ast.CallExpr, add func(pos token.Pos, kind, what, detail string)) {
 	fun := ast.Unparen(call.Fun)
-	if id, ok := fun.(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make":
-				add(call.Pos(), "make", "make()", "allocates; hoist the buffer out of the per-cycle path")
-			case "new":
-				add(call.Pos(), "new", "new()", "allocates; hoist or pool the object")
-			case "append":
-				add(call.Pos(), "append", "append()", "may grow the backing array; preallocate or bound the queue")
-			}
-			return
+	if name := builtinName(info, call); name != "" {
+		switch name {
+		case "make":
+			add(call.Pos(), "make", "make()", "allocates; hoist the buffer out of the per-cycle path")
+		case "new":
+			add(call.Pos(), "new", "new()", "allocates; hoist or pool the object")
+		case "append":
+			add(call.Pos(), "append", "append()", "may grow the backing array; preallocate or bound the queue")
 		}
+		return
 	}
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
 		if id, ok := sel.X.(*ast.Ident); ok {

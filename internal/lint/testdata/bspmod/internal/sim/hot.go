@@ -68,3 +68,21 @@ func coldPath(r *ring) {
 	r.slots = append(r.slots, 1)
 	fmt.Println("cold", r.head)
 }
+
+// Check exercises the cold-block rule: a statement list that ends in
+// panic is never entered by a correct run, so what it allocates on the
+// way to the panic is not a hot-path allocation.
+//
+//lint:hot
+func (r *ring) Check(v int) {
+	if v < 0 {
+		panic(fmt.Sprintf("ring: negative value %d", v)) // cold: the block ends in panic
+	}
+	switch {
+	case v > len(r.slots):
+		msg := fmt.Sprintf("ring: %d out of range", v) // cold: so does this clause
+		panic(msg)
+	case v == r.head:
+		fmt.Println("ring: at head") // BAD: this clause returns normally
+	}
+}

@@ -13,9 +13,9 @@
 //
 // The time-series shape (RSS/Alloc/Sys/NumGC points on a wall-clock
 // axis) follows the memory-stat telemetry of long-running Go services;
-// the summary block is what gets merged into Result reports and the
-// cmd/bench schema (v3) so milestones record where memory went, not
-// just how long the run took.
+// the summary block is what gets merged into Result reports
+// (exp.Report, `mcsim -json -resources`) so a run records where memory
+// went, not just how long it took.
 package resource
 
 import (
