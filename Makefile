@@ -43,14 +43,14 @@ lint-json:
 # (exp.ExecuteAll, the only engine-adjacent concurrency), the
 # off-engine resource sampler, and the engine/stats/fault packages they
 # drive, and finishes with two end-to-end parallel sweeps under the
-# detector: the figure grid and one ablation, which goes through the
-# same pool. GOMAXPROCS is forced up so the workers really interleave
-# even on small CI hosts.
+# detector: the figure grid and the stream-bench ablation, which goes
+# through the same pool. GOMAXPROCS is forced up so the workers really
+# interleave even on small CI hosts.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/stats/... ./internal/fault/... \
 		./internal/exp/... ./internal/obs/resource/...
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp fig4 -sizes 2,4 -jobs 4 >/dev/null
-	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp ways -jobs 4 >/dev/null
+	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -exp bestworst -jobs 4 >/dev/null
 
 check: fmt vet lint build test race
 

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	mcsim [-bench ocean|water|counter] [-protocol wti|wb] [-arch 1|2]
-//	      [-cpus N] [-noc gmn|mesh] [-strict] [-v]
+//	mcsim [-bench ocean|water|lu|counter] [-protocol wti|wtu|wb|moesi]
+//	      [-arch 1|2] [-cpus N] [-noc gmn|mesh|bus] [-strict] [-v]
 //	      [-fault drop=1e-4,delay=1e-3:8,seed=42]
 //	      [-resources DUR] [-resources-csv FILE]
 //	      [-cpuprofile FILE] [-memprofile FILE] [-pprof-http ADDR]
@@ -22,17 +22,14 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/codegen"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/resource"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // rejectPositional refuses leftover positional arguments: every option
@@ -64,12 +61,14 @@ func main() {
 	rowBytes := flag.Int("rowbytes", 0, "DRAM open-page row size (0 = flat bank latency)")
 	ways := flag.Int("ways", 1, "cache associativity (Table 2: 1 = direct-mapped)")
 	c2c := flag.Bool("c2c", false, "MESI cache-to-cache transfers")
-	rows := flag.Int("rows", 4, "ocean: rows per processor")
-	iters := flag.Int("iters", 4, "ocean: sweeps")
-	mols := flag.Int("mols", 3, "water: molecules per processor")
-	steps := flag.Int("steps", 3, "water: time steps")
-	incs := flag.Int("incs", 100, "counter: increments per thread")
-	lurows := flag.Int("lurows", 3, "lu: matrix rows per processor")
+	var size exp.Scale
+	def := exp.DefaultScale()
+	flag.IntVar(&size.OceanRows, "rows", def.OceanRows, "ocean: rows per processor")
+	flag.IntVar(&size.OceanIters, "iters", def.OceanIters, "ocean: sweeps")
+	flag.IntVar(&size.WaterMols, "mols", def.WaterMols, "water: molecules per processor")
+	flag.IntVar(&size.WaterSteps, "steps", def.WaterSteps, "water: time steps")
+	flag.IntVar(&size.CounterIncs, "incs", def.CounterIncs, "counter: increments per thread")
+	flag.IntVar(&size.LURows, "lurows", def.LURows, "lu: matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
 	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way; for timing comparisons)")
 	resInterval := flag.Duration("resources", 0, "sample host-process resources (heap, GC, RSS) every interval, e.g. 25ms (0 = off)")
@@ -84,31 +83,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var proto coherence.Protocol
-	switch *protoFlag {
-	case "wti":
-		proto = coherence.WTI
-	case "wtu":
-		proto = coherence.WTU
-	case "wb":
-		proto = coherence.WBMESI
-	case "moesi":
-		proto = coherence.MOESI
-	default:
-		log.Fatalf("unknown protocol %q", *protoFlag)
+	proto, err := coherence.ParseProtocol(*protoFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var arch mem.Arch
-	switch *archFlag {
-	case 1:
-		arch = mem.Arch1
-	case 2:
-		arch = mem.Arch2
-	default:
+	arch, ok := map[int]mem.Arch{1: mem.Arch1, 2: mem.Arch2}[*archFlag]
+	if !ok {
 		log.Fatalf("arch must be 1 or 2")
-	}
-	mode := codegen.SMP
-	if arch == mem.Arch2 {
-		mode = codegen.DS
 	}
 	nocKind, ok := map[string]core.NoCKind{"gmn": core.GMNNet, "mesh": core.MeshNet, "bus": core.BusNet}[*nocFlag]
 	if !ok {
@@ -120,43 +101,23 @@ func main() {
 		log.Fatalf("bad CPU count %d (need 1..64)", *cpus)
 	}
 
-	l := mem.DefaultLayout(*cpus)
-	var spec *workload.Spec
-	switch *bench {
-	case "ocean":
-		spec, err = workload.BuildOcean(l, mode, workload.OceanParams{
-			Threads: *cpus, RowsPerThread: *rows, Iters: *iters})
-	case "water":
-		spec, err = workload.BuildWater(l, mode, workload.WaterParams{
-			Threads: *cpus, MolsPerThread: *mols, Steps: *steps})
-	case "lu":
-		spec, err = workload.BuildLU(l, mode, workload.LUParams{
-			Threads: *cpus, RowsPerThread: *lurows})
-	case "counter":
-		spec, err = workload.BuildCounter(l, mode, workload.CounterParams{
-			Threads: *cpus, Incs: *incs})
-	default:
-		log.Fatalf("unknown bench %q", *bench)
+	// The flags name one point of the experiment plane; what Run
+	// deliberately lacks is set on its configuration below.
+	run := exp.Run{
+		Bench: exp.Bench(*bench), Protocol: proto, Arch: arch, NumCPUs: *cpus,
+		NoC: nocKind, StrictSC: *strict, C2C: *c2c, Ways: *ways, DirPointers: *dirPtrs,
+		Fault: *faultSpec,
 	}
+	spec, err := exp.BuildSpec(run, size)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	cfg := core.DefaultConfig(proto, arch, *cpus)
-	cfg.NoC = nocKind
-	cfg.Mem.StrictSC = *strict
-	cfg.Mem.DirPointers = *dirPtrs
-	cfg.Mem.RowBytes = *rowBytes
-	cfg.Mem.Ways = *ways
-	cfg.Mem.CacheToCache = *c2c
-	cfg.DisableLeap = *noleap
-	if *faultSpec != "" {
-		plan, err := fault.ParsePlan(*faultSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Fault = plan
+	cfg, err := run.Config()
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg.Mem.RowBytes = *rowBytes
+	cfg.DisableLeap = *noleap
 	sys, err := core.Build(cfg, spec.Image)
 	if err != nil {
 		log.Fatal(err)

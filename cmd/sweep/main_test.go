@@ -135,26 +135,42 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 }
 
 // TestObserveCoversEveryExperiment pins that -obs-interval/-obs-dir
-// reach the points of a non-grid experiment, one CSV per point, named
-// by keys that differ.
+// reach the points of a non-grid experiment — stream benches included,
+// which used to exit 0 having written nothing — one CSV per point,
+// named by keys that differ.
 func TestObserveCoversEveryExperiment(t *testing.T) {
-	dir := t.TempDir()
-	if code, out := sweep(t, "-exp", "strictsc", "-quick", "-obs-interval", "1000", "-obs-dir", dir); code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, f := range files {
-		names = append(names, filepath.Base(f))
-	}
-	want := []string{
-		"ocean_WTI_arch2_n16.csv", "ocean_WTI_arch2_n16_strictsc.csv",
-		"water_WTI_arch2_n16.csv", "water_WTI_arch2_n16_strictsc.csv",
-	}
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("obs files = %v, want %v", names, want)
+	for _, c := range []struct {
+		exp  string
+		want []string
+	}{
+		{"strictsc", []string{
+			"ocean_WTI_arch2_n16.csv", "ocean_WTI_arch2_n16_strictsc.csv",
+			"water_WTI_arch2_n16.csv", "water_WTI_arch2_n16_strictsc.csv",
+		}},
+		{"bestworst", []string{
+			"rmw_WB_arch2_n16.csv", "rmw_WTI_arch2_n16.csv",
+			"sparse_WB_arch2_n16.csv", "sparse_WTI_arch2_n16.csv",
+		}},
+	} {
+		dir := t.TempDir()
+		if code, out := sweep(t, "-exp", c.exp, "-quick", "-obs-interval", "1000", "-obs-dir", dir); code != 0 {
+			t.Fatalf("%s: exit %d:\n%s", c.exp, code, out)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			names = append(names, filepath.Base(f))
+			// The probes average over the CPUs; a machine without
+			// interpreters must not make that a division by zero.
+			if data, err := os.ReadFile(f); err != nil || strings.Contains(string(data), "NaN") || strings.Contains(string(data), "Inf") {
+				t.Errorf("%s: unreadable or non-finite samples (err %v)", f, err)
+			}
+		}
+		if !reflect.DeepEqual(names, c.want) {
+			t.Errorf("%s: obs files = %v, want %v", c.exp, names, c.want)
+		}
 	}
 }

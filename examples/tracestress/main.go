@@ -23,47 +23,27 @@ func main() {
 	flag.Parse()
 
 	l := mem.DefaultLayout(*n)
-	patterns := []struct {
-		name string
-		gen  func(cpu int) trace.Generator
-	}{
-		{"sparse writes (WTI best case)", func(cpu int) trace.Generator {
-			return trace.NewWriteStream(l.SharedBase+uint32(cpu)*0x40000, 0x40000, 32)
-		}},
-		{"dense write stream (word overhead)", func(cpu int) trace.Generator {
-			return trace.NewWriteStream(l.SharedBase+uint32(cpu)*0x40000, 0x40000, 4)
-		}},
-		{"private rmw (WB best case)", func(cpu int) trace.Generator {
-			return trace.NewPrivateRMW(l.PrivateSeg(cpu), 2048)
-		}},
-		{"hot spot (contended)", func(cpu int) trace.Generator {
-			return trace.NewHotSpot(trace.HotSpotParams{
-				PrivateBase: l.PrivateSeg(cpu), PrivateSize: 8192,
-				HotBase: l.SharedBase, HotSize: 32,
-				HotFrac: 0.05, StoreFrac: 0.3, Seed: int64(cpu) + 1,
-			})
-		}},
-	}
-
+	mix := trace.Mix{Store: 0.3, Hot: 0.05}
 	t := stats.NewTable(fmt.Sprintf("Synthetic streams, %d CPUs, %d ops each", *n, *ops),
 		"pattern", "protocol", "Mcycles", "traffic MB", "stall cyc/op")
-	for _, p := range patterns {
+	for _, p := range trace.Patterns {
 		for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
-			h, err := trace.NewHarness(core.DefaultConfig(proto, mem.Arch2, *n), p.gen, *ops, 2)
+			sys, err := core.BuildStreams(core.DefaultConfig(proto, mem.Arch2, *n),
+				func(cpu int) trace.Generator { return p.Gen(l, cpu, mix) }, *ops, 2)
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := h.Run(0)
+			res, err := sys.Run()
 			if err != nil {
 				log.Fatal(err)
 			}
 			var stall, done uint64
-			for _, c := range res.CPUs {
+			for _, c := range res.Stream {
 				stall += c.StallCycles
 				done += c.Ops
 			}
-			t.AddRow(p.name, proto.String(), stats.Mega(res.Cycles),
-				float64(res.Net.TotalBytes)/1e6, stats.Ratio(float64(stall), float64(done)))
+			t.AddRow(p.Name+": "+p.Doc, proto.String(), res.MegaCycles(),
+				float64(res.TrafficBytes())/1e6, stats.Ratio(float64(stall), float64(done)))
 		}
 	}
 	fmt.Println(t.Render())

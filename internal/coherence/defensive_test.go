@@ -76,3 +76,21 @@ func TestCacheArrayBadGeometryPanics(t *testing.T) {
 		newCacheArray(4096, 32, 3)
 	})
 }
+
+// TestParseProtocol pins the one protocol-name parser the CLIs share:
+// the four names of their -protocol help, and nothing else.
+func TestParseProtocol(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Protocol
+	}{{"wti", WTI}, {"wtu", WTU}, {"wb", WBMESI}, {"moesi", MOESI}} {
+		if got, err := ParseProtocol(c.name); err != nil || got != c.want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	for _, name := range []string{"", "WTI", "mesi", "wbmesi", "both"} {
+		if p, err := ParseProtocol(name); err == nil {
+			t.Errorf("ParseProtocol(%q) = %v, want an error", name, p)
+		}
+	}
+}

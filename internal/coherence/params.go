@@ -1,6 +1,9 @@
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Protocol selects the memory write policy under study.
 type Protocol int
@@ -45,6 +48,17 @@ func (p Protocol) String() string {
 	default:
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
+}
+
+// ParseProtocol is the inverse of String for the names the CLIs take:
+// wti, wtu, wb or moesi.
+func ParseProtocol(name string) (Protocol, error) {
+	for _, p := range []Protocol{WTI, WTU, WBMESI, MOESI} {
+		if strings.ToLower(p.String()) == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown protocol %q", name)
 }
 
 // Params collects the memory-hierarchy parameters shared by every

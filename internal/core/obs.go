@@ -15,7 +15,8 @@ import (
 // callers may pass one through unconditionally.
 //
 // When the recorder samples (Config.SampleInterval > 0) the standard
-// probe set is registered — IPC, data-stall share, write-buffer
+// probe set is registered — IPC (a stream CPU's completed references
+// count as its instructions), data-stall share, write-buffer
 // occupancy, directory queue depth and per-port flit rates — and the
 // engine is scheduled to tick the sampler every interval cycles.
 func (s *System) AttachObserver(r *obs.Recorder) {
@@ -23,11 +24,11 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		return
 	}
 	s.Obs = r
-	n := len(s.CPUs)
+	n := s.Cfg.NumCPUs
 
 	if r.Tracing() {
 		r.NameProcess(obs.MetricsPid, "metrics", 0)
-		for i := range s.CPUs {
+		for i := 0; i < n; i++ {
 			pid := obs.CPUPid(i)
 			r.NameProcess(pid, fmt.Sprintf("cpu%d", i), 10+i)
 			r.NameThread(pid, obs.TidStall, "stall")
@@ -78,6 +79,9 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		for _, c := range s.CPUs {
 			total += c.Stats().Instructions
 		}
+		for _, c := range s.Streams {
+			total += c.Stats().Ops
+		}
 		d := total - prevInstr
 		prevInstr = total
 		return float64(d) / float64(interval) / float64(n)
@@ -87,6 +91,9 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		var total uint64
 		for _, c := range s.CPUs {
 			total += c.Stats().DataStallCycles
+		}
+		for _, c := range s.Streams {
+			total += c.Stats().StallCycles
 		}
 		d := total - prevStall
 		prevStall = total

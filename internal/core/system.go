@@ -10,6 +10,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // System is one fully wired platform ready to run a loaded image.
@@ -21,7 +22,12 @@ type System struct {
 	Space   *mem.Space
 	AddrMap *mem.AddrMap
 
+	// CPUs are the interpreters of a machine built from an image,
+	// Streams the reference-stream CPUs of one built by BuildStreams;
+	// the other is empty.
 	CPUs    []*cpu.CPU
+	Streams []*trace.CPU
+	fronts  []frontEnd // whichever of the two, as the clusters see them
 	DCaches []coherence.DataCache
 	ICaches []*coherence.ICache
 	Nodes   []*coherence.Node // CPU-side nodes
@@ -42,10 +48,41 @@ type System struct {
 	runtimeCheckCycle uint64
 }
 
-// Build wires a platform for cfg and loads the image. Every CPU resets
-// to the image entry with its conventional stack pointer (runtime-based
-// programs install their own stacks immediately).
+// Build wires a platform for cfg whose CPUs interpret the image. Every
+// CPU resets to the image entry with its conventional stack pointer
+// (runtime-based programs install their own stacks immediately).
 func Build(cfg Config, img *mem.Image) (*System, error) {
+	sys, err := build(cfg, func(s *System, i int) frontEnd {
+		c := cpu.New(i, s.ICaches[i], s.DCaches[i], s.Cfg.FPU)
+		c.Reset(img.Entry, s.Layout.StackTop(i), s.Cfg.NumCPUs)
+		s.CPUs = append(s.CPUs, c)
+		return c
+	})
+	if err == nil {
+		img.LoadInto(sys.Space)
+	}
+	return sys, err
+}
+
+// BuildStreams wires the same platform with no program: CPU i replays
+// ops references of gen(i), think cycles apart, straight into its data
+// cache. With ops == 0 the CPUs are idle from the first cycle (gen may
+// be nil) and the caches can be driven by hand, as Table 1's probes do.
+func BuildStreams(cfg Config, gen func(cpu int) trace.Generator, ops, think uint64) (*System, error) {
+	return build(cfg, func(s *System, i int) frontEnd {
+		var g trace.Generator
+		if gen != nil {
+			g = gen(i)
+		}
+		c := trace.NewCPU(i, s.DCaches[i], g, ops, think)
+		s.Streams = append(s.Streams, c)
+		return c
+	})
+}
+
+// build wires the platform; front makes the front-end of CPU slot i
+// once the slot's caches exist.
+func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -74,8 +111,6 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 	}
 
 	space := mem.NewSpace()
-	img.LoadInto(space)
-
 	sys := &System{
 		Cfg:     cfg,
 		Layout:  layout,
@@ -113,12 +148,10 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 		ic := coherence.NewICache(i, cfg.Mem, node, amap, n)
 		sink.D = dc
 		sink.I = ic
-		c := cpu.New(i, ic, dc, cfg.FPU)
-		c.Reset(img.Entry, layout.StackTop(i), n)
-		sys.CPUs = append(sys.CPUs, c)
 		sys.DCaches = append(sys.DCaches, dc)
 		sys.ICaches = append(sys.ICaches, ic)
 		sys.Nodes = append(sys.Nodes, node)
+		sys.fronts = append(sys.fronts, front(sys, i))
 	}
 
 	// Tick order: each CPU with its caches and node, then the bank
@@ -126,13 +159,13 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 	// cross-component messages are latched, so this order is a
 	// convention, not a correctness requirement. Every ticker answers
 	// the sim.Sleeper contract.
-	for i := range sys.CPUs {
-		sys.Register("cpus", &cluster{sys.CPUs[i], sys.DCaches[i], sys.ICaches[i], sys.Nodes[i]})
+	for i, f := range sys.fronts {
+		sys.register("cpus", &cluster{f, sys.DCaches[i], sys.ICaches[i], sys.Nodes[i]})
 	}
 	for _, nd := range sys.BNodes {
-		sys.Register("banks", nd)
+		sys.register("banks", nd)
 	}
-	sys.Register("noc", netTicker{net})
+	sys.register("noc", netTicker{net})
 	// Liveness watchdog: under a fault plan, a port that burns through
 	// its retransmission budget aborts the run right away with a
 	// replayable diagnostic instead of limping to the cycle deadline.
@@ -154,15 +187,22 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 	return sys, nil
 }
 
-// Register adds a ticker to the system's schedule, after those Build
-// registered. Under Cfg.DisableLeap it registers the bare Tick, which
-// the engine then runs on every cycle — the naive reference schedule
-// the equivalence tests compare against.
-func (s *System) Register(name string, t sim.Ticker) {
+// register adds a ticker to the schedule. Under Cfg.DisableLeap it
+// registers the bare Tick, which the engine then runs on every cycle —
+// the naive reference schedule the equivalence tests compare against.
+func (s *System) register(name string, t sim.Ticker) {
 	if s.Cfg.DisableLeap {
 		t = sim.TickFunc(t.Tick)
 	}
 	s.Engine.Register(name, t)
+}
+
+// frontEnd is what fills a cluster's CPU slot: the wake contract plus
+// "halted". The SR32 interpreter and the synthetic stream CPU both do.
+type frontEnd interface {
+	sim.Ticker
+	sim.Sleeper
+	Halted() bool
 }
 
 // cluster is one CPU with its caches and its NoC port, scheduled as a
@@ -171,7 +211,7 @@ func (s *System) Register(name string, t sim.Ticker) {
 // its node — so while it sleeps it is frozen, and its wake is the
 // earliest of its parts'.
 type cluster struct {
-	cpu  *cpu.CPU
+	cpu  frontEnd
 	dc   coherence.DataCache
 	ic   *coherence.ICache
 	node *coherence.Node
@@ -212,9 +252,10 @@ func (netTicker) Skip(from, to uint64) {}
 // per-ticker answers the engine schedules by.
 func (s *System) NextWake(now uint64) uint64 { return s.Engine.NextWake(now) }
 
-// AllHalted reports whether every CPU has executed HALT.
+// AllHalted reports whether every CPU has executed HALT or exhausted
+// its stream.
 func (s *System) AllHalted() bool {
-	for _, c := range s.CPUs {
+	for _, c := range s.fronts {
 		if !c.Halted() {
 			return false
 		}
@@ -247,18 +288,19 @@ func (s *System) Quiescent() bool {
 func (s *System) Run() (*Result, error) {
 	cycles, err := s.Engine.Run(s.Cfg.MaxCycles, s.AllHalted)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w (pcs: %v)", err, s.pcs())
+		err = fmt.Errorf("core: %w (pcs: %v)", err, s.pcs())
+	} else if _, drainErr := s.Engine.Run(1_000_000, s.Quiescent); drainErr != nil {
+		// Drain phase: not part of the measured execution time.
+		err = fmt.Errorf("core: drain did not quiesce: %w", drainErr)
 	}
-	// Drain phase: not part of the measured execution time.
-	_, drainErr := s.Engine.Run(1_000_000, s.Quiescent)
 	if s.runtimeCheckErr != nil {
 		// An invariant violation explains a lot more than the hang it
-		// may have caused; report it even if the drain timed out.
+		// may have caused; report it even if the run timed out.
 		return nil, fmt.Errorf("core: runtime invariant violated at cycle %d: %w",
 			s.runtimeCheckCycle, s.runtimeCheckErr)
 	}
-	if drainErr != nil {
-		return nil, fmt.Errorf("core: drain did not quiesce: %w", drainErr)
+	if err != nil {
+		return nil, err
 	}
 	return s.collect(cycles), nil
 }
@@ -317,6 +359,11 @@ func (s *System) pcs() []string {
 	for _, c := range s.CPUs {
 		if !c.Halted() {
 			out = append(out, fmt.Sprintf("cpu%d@%#x", c.ID, c.PC()))
+		}
+	}
+	for _, c := range s.Streams {
+		if !c.Halted() {
+			out = append(out, fmt.Sprintf("cpu%d@op%d", c.ID, c.Stats().Ops))
 		}
 	}
 	return out

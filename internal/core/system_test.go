@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/coherence"
 	"repro/internal/mem"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -110,4 +112,48 @@ func TestIdleTicksAreSkipped(t *testing.T) {
 func buildQuickCounter(n int) (*workload.Spec, error) {
 	return workload.BuildCounter(mem.DefaultLayout(n), codegen.DS,
 		workload.CounterParams{Threads: n, Incs: 20})
+}
+
+// TestStreamMachineRuntimeChecks drives a shared-region uniform stream
+// through the one run path under every protocol with the runtime
+// invariant checker on every cycle and the quiescent checker at the
+// end; then, with a directory that skips an invalidation, Run itself
+// must report the stale copy for a machine that has no interpreter —
+// not the hang it leads to.
+func TestStreamMachineRuntimeChecks(t *testing.T) {
+	const n = 4
+	l := mem.DefaultLayout(n)
+	build := func(proto coherence.Protocol) *System {
+		cfg := DefaultConfig(proto, mem.Arch2, n)
+		cfg.MaxCycles = 100_000
+		sys, err := BuildStreams(cfg, func(cpu int) trace.Generator {
+			return trace.NewUniform(trace.UniformParams{
+				Base: l.SharedBase, Size: 1024, StoreFrac: 0.4, Seed: int64(cpu) + 1})
+		}, 200, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.EnableRuntimeChecks(1)
+		return sys
+	}
+	for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WTU, coherence.WBMESI, coherence.MOESI} {
+		sys := build(proto)
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatalf("%v: %v", proto, err)
+		}
+		if err := sys.CheckCoherence(); err != nil {
+			t.Fatalf("%v: %v", proto, err)
+		}
+		if len(res.Stream) != n || len(res.CPU) != 0 || res.Stream[0].Ops != 200 {
+			t.Fatalf("%v: result has %d stream and %d interpreter CPUs", proto, len(res.Stream), len(res.CPU))
+		}
+	}
+	sys := build(coherence.WTI)
+	for _, b := range sys.Banks {
+		b.Fault.DropInvals = 1
+	}
+	if _, err := sys.Run(); err == nil || !strings.Contains(err.Error(), "runtime invariant violated") {
+		t.Fatalf("a dropped invalidation: Run returned %v, want the invariant violation", err)
+	}
 }

@@ -41,6 +41,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -48,15 +49,18 @@ import (
 // SPLASH-2 to completion over hundreds of megacycles; Default keeps
 // the same shape at simulation-friendly sizes, Quick is for tests.
 type Scale struct {
-	OceanRows  int // rows per thread
-	OceanIters int
-	WaterMols  int // molecules per thread
-	WaterSteps int
+	OceanRows   int // rows per thread
+	OceanIters  int
+	WaterMols   int // molecules per thread
+	WaterSteps  int
+	LURows      int // matrix rows per thread
+	CounterIncs int // increments per thread
 }
 
-// DefaultScale is used by cmd/sweep and the benchmarks.
+// DefaultScale is used by cmd/sweep, cmd/mcsim's flag defaults and the
+// benchmarks.
 func DefaultScale() Scale {
-	return Scale{OceanRows: 4, OceanIters: 4, WaterMols: 3, WaterSteps: 3}
+	return Scale{OceanRows: 4, OceanIters: 4, WaterMols: 3, WaterSteps: 3, LURows: 3, CounterIncs: 100}
 }
 
 // QuickScale keeps tests fast.
@@ -64,13 +68,17 @@ func QuickScale() Scale {
 	return Scale{OceanRows: 2, OceanIters: 2, WaterMols: 2, WaterSteps: 2}
 }
 
-// Bench names the application driven through the platform.
+// Bench names what the CPUs of the platform execute: a program for the
+// SR32 interpreters, or a synthetic reference stream (streams.go).
 type Bench string
 
-// The two applications of the paper's evaluation.
+// The programs: the two applications of the paper's evaluation, then
+// the LU kernel and the lock-counter microbenchmark.
 const (
-	Ocean Bench = "ocean"
-	Water Bench = "water"
+	Ocean   Bench = "ocean"
+	Water   Bench = "water"
+	LU      Bench = "lu"
+	Counter Bench = "counter"
 )
 
 // Run is the complete description of one simulation point: every
@@ -123,6 +131,9 @@ func (r Run) Key() string {
 	}
 	if s := r.Scale; s != (Scale{}) {
 		k += fmt.Sprintf("/scale=%d.%d.%d.%d", s.OceanRows, s.OceanIters, s.WaterMols, s.WaterSteps)
+		if s.LURows != 0 || s.CounterIncs != 0 {
+			k += fmt.Sprintf(".%d.%d", s.LURows, s.CounterIncs)
+		}
 	}
 	if r.Fault != "" {
 		k += "/fault=" + r.Fault
@@ -159,7 +170,8 @@ func schedModeFor(arch mem.Arch) codegen.SchedMode {
 	return codegen.DS
 }
 
-// BuildSpec builds the workload image for one run point.
+// BuildSpec builds the workload image for one run point whose Bench is
+// a program.
 func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 	if r.Scale != (Scale{}) {
 		sc = r.Scale
@@ -175,8 +187,16 @@ func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 		return workload.BuildWater(l, mode, workload.WaterParams{
 			Threads: r.NumCPUs, MolsPerThread: sc.WaterMols, Steps: sc.WaterSteps,
 		})
+	case LU:
+		return workload.BuildLU(l, mode, workload.LUParams{
+			Threads: r.NumCPUs, RowsPerThread: sc.LURows,
+		})
+	case Counter:
+		return workload.BuildCounter(l, mode, workload.CounterParams{
+			Threads: r.NumCPUs, Incs: sc.CounterIncs,
+		})
 	default:
-		return nil, fmt.Errorf("exp: unknown bench %q", r.Bench)
+		return nil, fmt.Errorf("exp: no program called %q (programs: %s, %s, %s, %s)", r.Bench, Ocean, Water, LU, Counter)
 	}
 }
 
@@ -200,15 +220,23 @@ func Execute(r Run, sc Scale) (*core.Result, error) {
 // non-zero interval) the run is sampled every o.Interval cycles and,
 // when o.Dir is set, the series are written as CSV.
 func execute(r Run, sc Scale, o *Observe) (*core.Result, error) {
-	spec, err := BuildSpec(r, sc)
-	if err != nil {
-		return nil, err
-	}
 	cfg, err := r.Config()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.Build(cfg, spec.Image)
+	var sys *core.System
+	var check func(*mem.Space) error // nil: no host-side reference
+	if sb, ok := streamBenches[r.Bench]; ok {
+		l := mem.DefaultLayout(r.NumCPUs)
+		sys, err = core.BuildStreams(cfg,
+			func(cpu int) trace.Generator { return sb.gen(l, cpu) }, sb.ops, streamThink)
+	} else {
+		var spec *workload.Spec
+		if spec, err = BuildSpec(r, sc); err == nil {
+			check = spec.Check
+			sys, err = core.Build(cfg, spec.Image)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -220,8 +248,8 @@ func execute(r Run, sc Scale, o *Observe) (*core.Result, error) {
 	res, err := sys.Run()
 	if err == nil {
 		sys.FlushCaches()
-		if spec.Check != nil {
-			err = spec.Check(sys.Space)
+		if check != nil {
+			err = check(sys.Space)
 		}
 	}
 	if err == nil && rec != nil && o.Dir != "" {

@@ -158,11 +158,7 @@ func TestAblationsQuick(t *testing.T) {
 	}
 	wantRows(t, ablation(t, meshRuns(4), renderMesh), 2)
 	wantRows(t, ablation(t, strictSCRuns(4), renderStrictSC), 2)
-	bw, err := bestWorst(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, bw[0], 2)
+	wantRows(t, ablation(t, bestWorstRuns(4), renderBestWorst), 2)
 }
 
 func TestExecuteVerifiesResults(t *testing.T) {
@@ -209,12 +205,7 @@ func TestAblationScaleQuick(t *testing.T) {
 }
 
 func TestAblationWriteUpdateQuick(t *testing.T) {
-	runs := writeUpdateRuns(4)
-	tb, err := renderWriteUpdate(Params{}, runs, mustRun(t, runs, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, tb[0], 6)
+	wantRows(t, ablation(t, writeUpdateRuns(4), renderWriteUpdate), 6)
 }
 
 func TestAblationC2CQuick(t *testing.T) {
@@ -254,6 +245,17 @@ func TestRunKeyNamesEveryField(t *testing.T) {
 	if n := reflect.TypeOf(base).NumField(); n != len(variants) {
 		t.Fatalf("Run has %d fields, the table varies %d: add the new field here and to Key", n, len(variants))
 	}
+	// Every other bench, and the two sizes the scale segment names only
+	// when set.
+	for _, b := range []Bench{LU, Counter, SparseWrites, PrivateRMW, ProdCons} {
+		b := b
+		variants["Bench="+string(b)] = func(r *Run) { r.Bench = b }
+	}
+	variants["Scale.LURows"] = func(r *Run) { r.Scale = Scale{OceanRows: 8, OceanIters: 3, LURows: 2} }
+	variants["Scale.CounterIncs"] = func(r *Run) { r.Scale = Scale{OceanRows: 8, OceanIters: 3, CounterIncs: 2} }
+	if n := reflect.TypeOf(Scale{}).NumField(); n != 6 {
+		t.Fatalf("Scale has %d fields, Key names 6: add the new one to Key and here", n)
+	}
 	keys := map[string]string{base.Key(): "the base run"}
 	for field, vary := range variants {
 		r := base
@@ -279,6 +281,24 @@ func TestExperimentTable(t *testing.T) {
 		seen[e.Name] = true
 		if e.Render == nil {
 			t.Errorf("%s: no renderer", e.Name)
+		}
+		// A renderer simulates nothing: everything but the two tables
+		// that are not simulations of Runs declares its points, and
+		// every point names something execute can build.
+		if e.Points == nil {
+			if e.Name != "table1" && e.Name != "table2" {
+				t.Errorf("%s: no points", e.Name)
+			}
+			continue
+		}
+		for _, r := range e.Points(Params{Sizes: []int{2}}) {
+			if _, stream := streamBenches[r.Bench]; stream {
+				continue
+			}
+			r.NumCPUs = 2
+			if _, err := BuildSpec(r, QuickScale()); err != nil {
+				t.Errorf("%s: point %s: %v", e.Name, r.Key(), err)
+			}
 		}
 	}
 	all, err := Select("all")

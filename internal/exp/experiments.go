@@ -35,8 +35,8 @@ type Experiment struct {
 	// are reported; nil when the experiment runs none.
 	Points func(p Params) []Run
 	// Render builds the experiment's tables. runs is what Points
-	// returned, and res holds at least those. The trace-driven rows
-	// and Table 1's probes, which are not Runs, execute here.
+	// returned, and res holds at least those. Only Table 1's directed
+	// probes, which are not Runs, execute here.
 	Render func(p Params, runs []Run, res Results) ([]*stats.Table, error)
 }
 
@@ -54,9 +54,8 @@ var Experiments = []*Experiment{
 	{Name: "fig6", All: true, Chart: true, Points: gridPoints, Render: figure(Fig6)},
 	{Name: "mesh", All: true, Points: fixed(meshRuns(16)), Render: table(renderMesh)},
 	{Name: "strictsc", All: true, Points: fixed(strictSCRuns(16)), Render: table(renderStrictSC)},
-	{Name: "bestworst", All: true,
-		Render: func(p Params, _ []Run, _ Results) ([]*stats.Table, error) { return bestWorst(16, p.Jobs) }},
-	{Name: "writeupdate", All: true, Points: fixed(writeUpdateRuns(16)), Render: renderWriteUpdate},
+	{Name: "bestworst", All: true, Points: fixed(bestWorstRuns(16)), Render: table(renderBestWorst)},
+	{Name: "writeupdate", All: true, Points: fixed(writeUpdateRuns(16)), Render: table(renderWriteUpdate)},
 	{Name: "c2c", All: true, Points: fixed(c2cRuns(16)), Render: table(renderC2C)},
 	{Name: "scale", All: true, Points: fixed(scaleRuns(16, []int{2, 4, 8, 16})), Render: table(renderScale)},
 	{Name: "dir", All: true, Points: fixed(dirRuns(16)), Render: table(renderDir)},

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/codegen"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -18,21 +17,11 @@ type probeRig struct {
 	sys *core.System
 }
 
-// newProbeRig builds a 4-CPU Architecture-2 platform whose CPUs halt
-// immediately, leaving the protocol machinery idle for directed use.
+// newProbeRig builds a 4-CPU Architecture-2 platform with no program
+// and no references of its own, leaving the protocol machinery idle
+// for directed use.
 func newProbeRig(proto coherence.Protocol) (*probeRig, error) {
-	n := 4
-	l := mem.DefaultLayout(n)
-	b := codegen.NewBuilder(l.CodeBase)
-	b.Halt()
-	code, err := b.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	img := mem.NewImage()
-	img.AddSegment(l.CodeBase, code)
-	img.Entry = l.CodeBase
-	sys, err := core.Build(core.DefaultConfig(proto, mem.Arch2, n), img)
+	sys, err := core.BuildStreams(core.DefaultConfig(proto, mem.Arch2, 4), nil, 0, 0)
 	if err != nil {
 		return nil, err
 	}

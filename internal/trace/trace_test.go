@@ -1,13 +1,8 @@
 package trace
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/coherence"
-	"repro/internal/core"
-	"repro/internal/mem"
 )
 
 func TestUniformStaysInRegionProperty(t *testing.T) {
@@ -83,127 +78,5 @@ func TestPrivateRMWAlternates(t *testing.T) {
 		if ld.Store || !st.Store || ld.Addr != st.Addr {
 			t.Fatalf("pair %d: %+v / %+v", i, ld, st)
 		}
-	}
-}
-
-func TestHarnessRunsBothProtocols(t *testing.T) {
-	l := mem.DefaultLayout(2)
-	for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
-		h, err := NewHarness(core.DefaultConfig(proto, mem.Arch2, 2), func(cpu int) Generator {
-			return NewUniform(UniformParams{
-				Base: l.SharedBase, Size: 2048, StoreFrac: 0.3, Seed: int64(cpu) + 1,
-			})
-		}, 300, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := h.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var done uint64
-		for _, c := range res.CPUs {
-			done += c.Ops
-		}
-		if done != 600 {
-			t.Fatalf("%v: completed %d ops, want 600", proto, done)
-		}
-		if res.Net.TotalBytes == 0 {
-			t.Fatalf("%v: no traffic recorded", proto)
-		}
-	}
-}
-
-// TestHarnessScheduledMatchesNaive pins the trace CPUs' half of the wake
-// contract: sleeping through think time and past the end of the stream
-// (and letting the platform under them sleep and leap) changes no
-// result — cycles, traffic, per-CPU stall, think and latency counters —
-// against the naive schedule that ticks everything every cycle.
-func TestHarnessScheduledMatchesNaive(t *testing.T) {
-	l := mem.DefaultLayout(2)
-	gens := []struct {
-		name string
-		gen  func(int) Generator
-	}{
-		{"uniform", func(cpu int) Generator {
-			return NewUniform(UniformParams{Base: l.SharedBase, Size: 2048, StoreFrac: 0.4, Seed: int64(cpu) + 1})
-		}},
-		{"hotspot", func(cpu int) Generator {
-			return NewHotSpot(HotSpotParams{PrivateBase: l.PrivateSeg(cpu), PrivateSize: 4096,
-				HotBase: l.SharedBase, HotSize: 32, HotFrac: 0.2, StoreFrac: 0.5, Seed: int64(cpu) + 1})
-		}},
-		{"rmw", func(cpu int) Generator { return NewPrivateRMW(l.PrivateSeg(cpu), 1024) }},
-	}
-	for _, g := range gens {
-		name, gen := g.name, g.gen
-		for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WTU, coherence.WBMESI} {
-			for _, think := range []int{0, 9} {
-				run := func(naive bool) (*Result, *core.System) {
-					cfg := core.DefaultConfig(proto, mem.Arch2, 2)
-					cfg.DisableLeap = naive
-					h, err := NewHarness(cfg, gen, 400, think)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := h.Run(0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, h.Sys
-				}
-				naive, nsys := run(true)
-				sched, ssys := run(false)
-				if !reflect.DeepEqual(naive, sched) {
-					t.Errorf("%s/%v/think %d: results differ:\nnaive:     %+v\nscheduled: %+v", name, proto, think, naive, sched)
-				}
-				if nsys.Engine.SkippedTicks() != 0 || ssys.Engine.SkippedTicks() == 0 {
-					t.Errorf("%s/%v/think %d: skipped ticks naive %d, scheduled %d; want 0 and > 0",
-						name, proto, think, nsys.Engine.SkippedTicks(), ssys.Engine.SkippedTicks())
-				}
-				if think > 0 && (sched.CPUs[0].ThinkCycles == 0 || ssys.Engine.Leaps() == 0) {
-					t.Errorf("%s/%v: think time neither counted (%d) nor leaped (%d leaps)",
-						name, proto, sched.CPUs[0].ThinkCycles, ssys.Engine.Leaps())
-				}
-			}
-		}
-	}
-}
-
-func TestBestWorstCaseShapes(t *testing.T) {
-	// The defining asymmetry: write streaming favours WTI, private RMW
-	// favours WB — in NoC traffic.
-	l := mem.DefaultLayout(2)
-	traffic := func(proto coherence.Protocol, gen func(int) Generator) uint64 {
-		h, err := NewHarness(core.DefaultConfig(proto, mem.Arch2, 2), gen, 2000, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := h.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Net.TotalBytes
-	}
-
-	sparse := func(cpu int) Generator {
-		return NewWriteStream(l.SharedBase+uint32(cpu)*0x40000, 0x40000, 32)
-	}
-	if wti, wb := traffic(coherence.WTI, sparse), traffic(coherence.WBMESI, sparse); wti >= wb {
-		t.Fatalf("sparse writes: WTI traffic %d >= WB %d", wti, wb)
-	}
-
-	// The dense regime flips: per-word overhead outweighs block moves.
-	dense := func(cpu int) Generator {
-		return NewWriteStream(l.SharedBase+uint32(cpu)*0x40000, 0x40000, 4)
-	}
-	if wti, wb := traffic(coherence.WTI, dense), traffic(coherence.WBMESI, dense); wb >= wti {
-		t.Fatalf("dense writes: WB traffic %d >= WTI %d", wb, wti)
-	}
-
-	rmw := func(cpu int) Generator {
-		return NewPrivateRMW(l.PrivateSeg(cpu), 1024)
-	}
-	if wti, wb := traffic(coherence.WTI, rmw), traffic(coherence.WBMESI, rmw); wb >= wti {
-		t.Fatalf("private rmw: WB traffic %d >= WTI %d", wb, wti)
 	}
 }
