@@ -101,6 +101,15 @@ func main() {
 		log.Fatalf("bad CPU count %d (need 1..64)", *cpus)
 	}
 
+	if *traceRx && *traceN == 0 {
+		log.Fatal("-trace-rx requires -trace")
+	}
+	// Run spells the default associativity 0, so a default run's key
+	// and errors read like the figure grid's point, not ".../ways=1".
+	if *ways == 1 {
+		*ways = 0
+	}
+
 	// The flags name one point of the experiment plane; what Run
 	// deliberately lacks is set on its configuration below.
 	run := exp.Run{

@@ -69,6 +69,11 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{"-cpus 65", "bad CPU count 65 (need 1..64)"},
 		{"-bench counter -cpus 2 -noc foo", `unknown noc "foo"`},
 		{"-bench counter -cpus 2 -protocol mesi", `unknown protocol "mesi"`},
+		// -trace-rx only widens -trace's log; alone it used to be ignored.
+		{"-bench counter -cpus 2 -trace-rx", "-trace-rx requires -trace"},
+		// The default -ways 1 is the grid's point: no /ways=1 in its key.
+		{"-bench counter -cpus 2 -fault bogus", "exp: counter/WTI/arch2/n2/fault=bogus: "},
+		{"-bench counter -cpus 2 -ways 2 -fault bogus", "exp: counter/WTI/arch2/n2/ways=2/fault=bogus: "},
 	} {
 		out, code := runMain(t, c.args)
 		if code != 1 || !strings.Contains(out, c.want) || strings.Count(out, "\n") != 1 {

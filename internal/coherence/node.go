@@ -36,7 +36,7 @@ type Node struct {
 	ID   int
 	net  noc.Network
 	sink Sink
-	outQ *sim.Port[outMsg]
+	outQ sim.Port[outMsg]
 	pool msgPool
 
 	// recvVeto is the first cycle after the most recent consumed
@@ -89,8 +89,7 @@ type Node struct {
 // does), the node arms its retransmission state machine with
 // DefaultRetryPolicy.
 func NewNode(id int, net noc.Network, sink Sink) *Node {
-	n := &Node{ID: id, net: net, sink: sink, outQ: sim.NewPort[outMsg](0), ReqBound: 4,
-		Retry: DefaultRetryPolicy}
+	n := &Node{ID: id, net: net, sink: sink, ReqBound: 4, Retry: DefaultRetryPolicy}
 	n.drops, _ = net.(noc.DropNotifier)
 	return n
 }
@@ -121,7 +120,7 @@ func (n *Node) TrySendReq(m *Msg, dst int, notBefore uint64) bool {
 		n.SendStallCycles++
 		return false
 	}
-	n.outQ.Send(outMsg{dst: dst, msg: m}, notBefore)
+	n.SendCtrl(m, dst, notBefore)
 	return true
 }
 
@@ -177,10 +176,10 @@ func (n *Node) Tick(now uint64) {
 	// blocking is what keeps the per-(src,dst) FIFO guarantee intact
 	// across retransmissions.
 	for {
-		head, ok := n.outQ.Peek(now)
-		if !ok {
+		if !n.outQ.Ready(now) {
 			break
 		}
+		head := n.outQ.Head()
 		if n.attempts > 0 && now < n.nextTry {
 			n.BackoffCycles++
 			break
@@ -188,7 +187,7 @@ func (n *Node) Tick(now uint64) {
 		pkt := noc.Packet{Src: n.ID, Dst: head.dst, Bytes: head.msg.WireBytes(), Payload: head.msg}
 		if !n.net.Inject(pkt, now) {
 			if n.drops != nil && n.drops.TookDrop(n.ID) {
-				n.transferLost(head, now)
+				n.transferLost(*head, now)
 			}
 			break
 		}

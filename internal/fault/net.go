@@ -1,6 +1,9 @@
 package fault
 
-import "repro/internal/noc"
+import (
+	"repro/internal/noc"
+	"repro/internal/sim"
+)
 
 // Stats counts the faults a campaign actually injected; campaigns are
 // only measurable when the injected adversity is itself measured.
@@ -21,14 +24,6 @@ type Stats struct {
 	// summed cycles banks spent refusing delivery.
 	StallWindows uint64
 	StallCycles  uint64
-}
-
-// stagedPkt is a transfer held in the wrapper before injection into
-// the wrapped network: a delayed original, an in-order follower behind
-// one, or a duplicate.
-type stagedPkt struct {
-	readyAt uint64
-	pkt     noc.Packet
 }
 
 // dupPayload marks a duplicated transfer's payload so the delivery
@@ -62,8 +57,10 @@ type Net struct {
 	dupRng   rng
 	stallRng rng
 
-	// staged holds not-yet-injected transfers per source node.
-	staged  [][]stagedPkt
+	// staged holds the transfers not yet injected into the wrapped
+	// network, per source node: a delayed original, an in-order
+	// follower behind one, or a duplicate.
+	staged  []sim.Port[noc.Packet]
 	stagedN int
 	// dropNote[src] records that src's last rejected Inject was a drop.
 	dropNote []bool
@@ -101,7 +98,7 @@ func Wrap(inner noc.Network, plan *Plan, bankBase int) *Net {
 		delayRng:   streamRNG(plan.Seed, streamDelay),
 		dupRng:     streamRNG(plan.Seed, streamDup),
 		stallRng:   streamRNG(plan.Seed, streamStall),
-		staged:     make([][]stagedPkt, n),
+		staged:     make([]sim.Port[noc.Packet], n),
 		dropNote:   make([]bool, n),
 		stallUntil: make([]uint64, n),
 		bankBase:   bankBase,
@@ -146,23 +143,22 @@ func (f *Net) Inject(p noc.Packet, now uint64) bool {
 		dup = true
 		f.st.Dups++
 	}
-	if extra == 0 && !dup && len(f.staged[p.Src]) == 0 {
+	if extra == 0 && !dup && f.staged[p.Src].Empty() {
 		return f.inner.Inject(p, now) // zero-fault fast path: plain backpressure
 	}
 	// Stage the original (behind any earlier staged transfer from this
 	// source, preserving its order) and, for a duplication, the marked
 	// copy right behind it.
-	f.stage(p.Src, stagedPkt{readyAt: now + uint64(extra), pkt: p})
+	f.stage(p, now+uint64(extra))
 	if dup {
-		d := p
-		d.Payload = dupPayload{inner: p.Payload}
-		f.stage(p.Src, stagedPkt{readyAt: now + uint64(extra), pkt: d})
+		p.Payload = dupPayload{inner: p.Payload}
+		f.stage(p, now+uint64(extra))
 	}
 	return true
 }
 
-func (f *Net) stage(src int, s stagedPkt) {
-	f.staged[src] = append(f.staged[src], s)
+func (f *Net) stage(p noc.Packet, at uint64) {
+	f.staged[p.Src].Send(p, at)
 	f.stagedN++
 }
 
@@ -192,16 +188,13 @@ func (f *Net) Tick(now uint64) {
 	}
 	if f.stagedN > 0 {
 		for src := range f.staged {
-			q := f.staged[src]
-			for len(q) > 0 && q[0].readyAt <= now {
-				if !f.inner.Inject(q[0].pkt, now) {
-					break // backpressure: keep order, retry next cycle
-				}
-				copy(q, q[1:])
-				q = q[:len(q)-1]
+			q := &f.staged[src]
+			// A refused Inject is backpressure: keep order, retry next
+			// cycle.
+			for q.Ready(now) && f.inner.Inject(*q.Head(), now) {
+				q.Recv(now)
 				f.stagedN--
 			}
-			f.staged[src] = q
 		}
 	}
 	f.inner.Tick(now)

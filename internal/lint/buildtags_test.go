@@ -1,11 +1,8 @@
 package lint
 
 import (
-	"go/parser"
-	"go/token"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -28,68 +25,5 @@ func TestTagmodConstraints(t *testing.T) {
 	want := []string{"on_soak.go:11:walltime"} // the soak-tagged wall-clock read, nothing else
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("findings:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestConstraintIncluded covers //go:build and legacy // +build parsing
-// on synthetic sources (legacy lines live here rather than in fixture
-// files because gofmt insists on pairing them with //go:build lines).
-func TestConstraintIncluded(t *testing.T) {
-	for _, c := range []struct {
-		name, src string
-		want      bool
-	}{
-		{"no constraint", "package p\n", true},
-		{"gobuild enabled tag", "//go:build soak\n\npackage p\n", true},
-		{"gobuild disabled tag", "//go:build falsetag\n\npackage p\n", false},
-		{"gobuild negation", "//go:build !soak\n\npackage p\n", false},
-		{"gobuild or", "//go:build falsetag || soak\n\npackage p\n", true},
-		{"gobuild and", "//go:build falsetag && soak\n\npackage p\n", false},
-		{"gobuild host os", "//go:build " + runtime.GOOS + "\n\npackage p\n", true},
-		{"gobuild go release", "//go:build go1.22\n\npackage p\n", true},
-		{"legacy enabled", "// +build soak\n\npackage p\n", true},
-		{"legacy disabled", "// +build falsetag\n\npackage p\n", false},
-		{"legacy multi-line and", "// +build soak\n// +build falsetag\n\npackage p\n", false},
-		{"legacy after package ignored", "package p\n\n// +build falsetag\n", true},
-		{"gobuild wins over legacy", "//go:build soak\n// +build falsetag\n\npackage p\n", true},
-	} {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, "x.go", c.src, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := constraintIncluded(fset, f); got != c.want {
-			t.Errorf("%s: constraintIncluded = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestFilenameIncluded covers the _GOOS/_GOARCH suffix rule.
-func TestFilenameIncluded(t *testing.T) {
-	hostOS, hostArch := runtime.GOOS, runtime.GOARCH
-	otherOS := "windows"
-	if hostOS == "windows" {
-		otherOS = "linux"
-	}
-	for _, c := range []struct {
-		name string
-		want bool
-	}{
-		{"plain.go", true},
-		{"x_" + hostOS + ".go", true},
-		{"x_" + otherOS + ".go", false},
-		{"x_" + hostOS + "_" + hostArch + ".go", true},
-		{"x_" + otherOS + "_" + hostArch + ".go", false},
-		{"x_" + hostOS + "_test.go", true},
-		{"x_" + otherOS + "_test.go", false},
-		// A bare GOOS name with nothing before the suffix is not
-		// constrained (go/build's rule).
-		{hostOS + ".go", true},
-		{otherOS + ".go", true},
-		{"x_frobnitz.go", true}, // unknown suffix: unconstrained
-	} {
-		if got := filenameIncluded(c.name); got != c.want {
-			t.Errorf("filenameIncluded(%q) = %v, want %v", c.name, got, c.want)
-		}
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -13,6 +14,12 @@ import (
 	"strconv"
 	"strings"
 )
+
+// ExtraBuildTags are custom build tags treated as enabled when the
+// loader evaluates //go:build constraints. The soak tier (the nightly
+// fault grid behind `-tags soak`) must stay under analysis: a
+// nondeterministic soak test is still a flaky test.
+var ExtraBuildTags = []string{"soak"}
 
 // pkg is one loaded, typechecked module package.
 type pkg struct {
@@ -44,11 +51,11 @@ type pkg struct {
 //
 // Files excluded by build constraints — a //go:build (or legacy
 // // +build) line, or a _GOOS/_GOARCH filename suffix — that does not
-// match the host's GOOS/GOARCH plus ExtraBuildTags are skipped, exactly
-// as `go build` would skip them, so platform-specific twin files no
-// longer collide in the typechecker. Files guarded by the tags in
-// ExtraBuildTags (the soak tier) stay in: a nondeterministic soak test
-// is still a flaky test.
+// match the host's GOOS/GOARCH plus ExtraBuildTags are skipped, by
+// go/build's own MatchFile and so exactly as `go build` would skip
+// them: platform-specific twin files do not collide in the
+// typechecker. Files guarded by the tags in ExtraBuildTags (the soak
+// tier) stay in: a nondeterministic soak test is still a flaky test.
 func loadModule(dir string) ([]*pkg, *token.FileSet, *directives, error) {
 	modPath, err := modulePath(filepath.Join(dir, "go.mod"))
 	if err != nil {
@@ -59,6 +66,8 @@ func loadModule(dir string) ([]*pkg, *token.FileSet, *directives, error) {
 		return nil, nil, nil, err
 	}
 
+	buildCtx := build.Default
+	buildCtx.BuildTags = ExtraBuildTags
 	fset := token.NewFileSet()
 	dirs := newDirectives()
 	parsed := make(map[string]*pkg) // import path -> pkg (files parsed, not yet typechecked)
@@ -80,15 +89,14 @@ func loadModule(dir string) ([]*pkg, *token.FileSet, *directives, error) {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 				continue
 			}
-			if !filenameIncluded(e.Name()) {
+			if ok, err := buildCtx.MatchFile(pd, e.Name()); err != nil {
+				return nil, nil, nil, fmt.Errorf("lint: %v", err)
+			} else if !ok {
 				continue
 			}
 			f, err := parser.ParseFile(fset, filepath.Join(pd, e.Name()), nil, parser.ParseComments)
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("lint: parse: %v", err)
-			}
-			if !constraintIncluded(fset, f) {
-				continue
 			}
 			p.files = append(p.files, f)
 			for _, cg := range f.Comments {

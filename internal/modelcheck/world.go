@@ -324,21 +324,16 @@ func (w *world) fingerprint() [16]byte {
 			qm.Msg.Fingerprint(&b)
 		}
 	}
-	src, dst := w.net.Snapshot(w.now)
-	for _, ps := range src {
-		fmt.Fprintf(&b, "S%d:", ps.Busy)
-		for _, qp := range ps.Queue {
-			fmt.Fprintf(&b, "%d>%d:%d:", qp.Pkt.Src, qp.Pkt.Dst, qp.Ready)
-			qp.Pkt.Payload.(*coherence.Msg).Fingerprint(&b)
+	w.net.Each(w.now, func(dst bool, busy uint64) {
+		tag := 'S'
+		if dst {
+			tag = 'T'
 		}
-	}
-	for _, ps := range dst {
-		fmt.Fprintf(&b, "T%d:", ps.Busy)
-		for _, qp := range ps.Queue {
-			fmt.Fprintf(&b, "%d>%d:%d:", qp.Pkt.Src, qp.Pkt.Dst, qp.Ready)
-			qp.Pkt.Payload.(*coherence.Msg).Fingerprint(&b)
-		}
-	}
+		fmt.Fprintf(&b, "%c%d:", tag, busy)
+	}, func(ready uint64, p noc.Packet) {
+		fmt.Fprintf(&b, "%d>%d:%d:", p.Src, p.Dst, ready)
+		p.Payload.(*coherence.Msg).Fingerprint(&b)
+	})
 	for _, a := range w.sc.Addrs {
 		fmt.Fprintf(&b, "M%x;", w.space.ReadWord(a))
 	}

@@ -1,6 +1,10 @@
 package noc
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/sim"
+)
 
 // MeshConfig parameterises the 2D-mesh router network.
 type MeshConfig struct {
@@ -27,13 +31,11 @@ const (
 	numPorts
 )
 
-type meshEntry struct {
-	readyAt uint64
-	pkt     Packet
-}
-
+// meshRouter is one router: an input queue per port (the local one is
+// the node's injection port), and per output the cycle its link frees
+// and the round-robin pointer.
 type meshRouter struct {
-	in      [numPorts][]meshEntry
+	in      [numPorts]*sim.Port[Packet]
 	outBusy [numPorts]uint64
 	rr      [numPorts]int
 }
@@ -44,13 +46,10 @@ type meshRouter struct {
 // to validate the paper's GMN approximation: the headline experiments
 // can be re-run on it to check that conclusions survive a "real" NoC.
 type Mesh struct {
-	cfg       MeshConfig
-	k         int // grid side
-	r         []meshRouter
-	out       [][]meshEntry // per-node delivered packets
-	st        Stats
-	portFlits []uint64
-	live      int // injected-but-undelivered packets
+	endpoints
+	k           int // grid side
+	routerDelay uint64
+	r           []meshRouter
 }
 
 // NewMesh builds a k×k mesh large enough for cfg.Nodes endpoints, one
@@ -59,25 +58,25 @@ func NewMesh(cfg MeshConfig) *Mesh {
 	if cfg.Nodes <= 0 {
 		panic("noc: mesh needs at least one node")
 	}
-	if cfg.RouterDelay < 1 {
-		cfg.RouterDelay = 1
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
-	}
+	depth := max(cfg.QueueDepth, 1)
 	k := int(math.Ceil(math.Sqrt(float64(cfg.Nodes))))
 	m := &Mesh{
-		cfg:       cfg,
-		k:         k,
-		r:         make([]meshRouter, k*k),
-		out:       make([][]meshEntry, cfg.Nodes),
-		portFlits: make([]uint64, cfg.Nodes),
+		endpoints:   newEndpoints(cfg.Nodes, depth, 0),
+		k:           k,
+		routerDelay: uint64(max(cfg.RouterDelay, 1)),
+		r:           make([]meshRouter, k*k),
+	}
+	for idx := range m.r {
+		for in := range m.r[idx].in {
+			if in == portLocal && idx < cfg.Nodes {
+				m.r[idx].in[in] = &m.inj[idx]
+			} else {
+				m.r[idx].in[in] = sim.NewPort[Packet](depth)
+			}
+		}
 	}
 	return m
 }
-
-// Nodes implements Network.
-func (m *Mesh) Nodes() int { return m.cfg.Nodes }
 
 func (m *Mesh) coords(node int) (x, y int) { return node % m.k, node / m.k }
 
@@ -115,21 +114,13 @@ func (m *Mesh) neighbor(idx, out int) (next, inPort int) {
 	panic("noc: neighbor of local port")
 }
 
-// Inject implements Network.
+// Inject implements Network. The mesh counts a packet when it enters
+// the source router, and its flits once per link crossed.
 func (m *Mesh) Inject(p Packet, now uint64) bool {
-	if p.Src < 0 || p.Src >= m.cfg.Nodes || p.Dst < 0 || p.Dst >= m.cfg.Nodes {
-		panic("noc: packet endpoint out of range")
-	}
-	r := &m.r[p.Src]
-	if len(r.in[portLocal]) >= m.cfg.QueueDepth {
-		m.st.InjectStallCycles++
+	if !m.endpoints.Inject(p, now) {
 		return false
 	}
-	r.in[portLocal] = append(r.in[portLocal], meshEntry{readyAt: now, pkt: p})
-	m.live++
-	m.st.Packets++
-	m.st.TotalBytes += uint64(p.Bytes)
-	m.portFlits[p.Src] += uint64(p.Flits())
+	m.count(p, uint64(p.Flits()))
 	return true
 }
 
@@ -144,106 +135,47 @@ func (m *Mesh) Tick(now uint64) {
 				continue
 			}
 			// Round-robin over input ports for this output.
-			granted := false
-			for probe := 0; probe < numPorts && !granted; probe++ {
+			for probe := 0; probe < numPorts; probe++ {
 				in := (r.rr[out] + probe) % numPorts
 				q := r.in[in]
-				if len(q) == 0 || q[0].readyAt > now {
+				if !q.Ready(now) {
 					continue
 				}
-				pkt := q[0].pkt
-				if m.route(x, y, pkt.Dst) != out {
+				head := q.Head()
+				if m.route(x, y, head.Dst) != out {
 					continue
 				}
-				flits := uint64(pkt.Flits())
+				flits := uint64(head.Flits())
 				if out == portLocal {
 					// Eject to the endpoint.
-					m.out[pkt.Dst] = append(m.out[pkt.Dst], meshEntry{
-						readyAt: now + flits, pkt: pkt,
-					})
+					m.arr[head.Dst].Send(*head, now+flits)
 				} else {
 					next, inPort := m.neighbor(idx, out)
-					nr := &m.r[next]
-					if len(nr.in[inPort]) >= m.cfg.QueueDepth {
+					if !m.r[next].in[inPort].Send(*head, now+flits+m.routerDelay) {
 						continue // downstream full
 					}
-					arrive := now + flits + uint64(m.cfg.RouterDelay)
-					nr.in[inPort] = append(nr.in[inPort], meshEntry{readyAt: arrive, pkt: pkt})
-					m.st.TotalFlits += flits
+					m.stats.TotalFlits += flits
 				}
 				r.outBusy[out] = now + flits
-				copy(q, q[1:])
-				r.in[in] = q[:len(q)-1]
+				q.Recv(now)
 				r.rr[out] = (in + 1) % numPorts
-				granted = true
+				break
 			}
 		}
 	}
 }
 
-// Deliverable implements Network. It runs on every endpoint's arrival
-// check: hot path.
-//
-//lint:hot
-func (m *Mesh) Deliverable(node int, now uint64) bool {
-	q := m.out[node]
-	return len(q) != 0 && q[0].readyAt <= now
-}
-
-// Deliver implements Network. It runs on every message arrival: hot
-// path.
-//
-//lint:hot
-func (m *Mesh) Deliver(node int, now uint64) (Packet, bool) {
-	q := m.out[node]
-	if len(q) == 0 || q[0].readyAt > now {
-		return Packet{}, false
-	}
-	p := q[0].pkt
-	copy(q, q[1:])
-	m.out[node] = q[:len(q)-1]
-	m.live--
-	return p, true
-}
-
-// Quiet implements Network.
-func (m *Mesh) Quiet() bool { return m.live == 0 }
-
-// NextWake implements Network, conservatively: any queued entry
-// already ready answers now, otherwise the minimum readyAt over every
-// router input and every delivered-but-unconsumed packet bounds the
-// next possible action. Output-port busy windows only delay actions
-// further, so ignoring them errs on the safe (earlier) side.
+// NextWake implements Network: the earliest head over every router
+// input and every arrival port. Output-port busy windows only delay
+// actions further, so ignoring them errs on the safe (earlier) side.
 func (m *Mesh) NextWake(now uint64) uint64 {
-	next := ^uint64(0)
-	consider := func(q []meshEntry) bool {
-		for i := range q {
-			if r := q[i].readyAt; r <= now {
-				return true
-			} else if r < next {
-				next = r
-			}
-		}
-		return false
-	}
+	next := m.nextArrival(now)
 	for idx := range m.r {
-		r := &m.r[idx]
-		for in := 0; in < numPorts; in++ {
-			if consider(r.in[in]) {
+		for _, q := range m.r[idx].in {
+			if next = headWake(next, q, now); next == now {
 				return now
 			}
 		}
 	}
-	for node := range m.out {
-		if consider(m.out[node]) {
-			return now
-		}
-	}
 	return next
 }
-
-// Stats implements Network.
-func (m *Mesh) Stats() Stats { return m.st }
-
-// PortFlits implements Network.
-func (m *Mesh) PortFlits() []uint64 { return m.portFlits }

@@ -1,4 +1,4 @@
-// Package noc models the on-chip interconnect. Two interchangeable
+// Package noc models the on-chip interconnect. Three interchangeable
 // models are provided behind the Network interface:
 //
 //   - GMN: the paper's "Generic Micro Network" — a crossbar-like
@@ -9,14 +9,27 @@
 //   - Mesh: a real 2D-mesh of store-and-forward routers with XY
 //     routing, used for the ablation that checks the GMN approximation
 //     does not change the study's conclusions.
+//   - Bus: one shared medium, one transaction at a time — the
+//     interconnect the paper's introduction dismisses, kept for the
+//     ablation that shows why.
 //
-// Both models serialize packets at one flit per cycle per port, give
+// All three serialize packets at one flit per cycle per port, give
 // per-(source,destination) FIFO ordering (which the coherence protocols
 // require), exert backpressure through bounded buffers, and account
 // traffic in bytes for the paper's Figure 5.
+//
+// Every queue in the package is a sim.Port[Packet], and the half of a
+// model that faces the nodes — injection and arrival ports, delivery,
+// the traffic counters — is the one endpoints struct all three embed.
+// A model's own file holds only its transit: Tick, the transit half of
+// NextWake, and the point at which it counts a packet.
 package noc
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/sim"
+)
 
 // FlitBytes is the payload width of one flit (one cycle of link
 // occupancy), matching a 32-bit VCI data path.
@@ -88,6 +101,116 @@ type Network interface {
 	PortFlits() []uint64
 	// Nodes returns the number of attached nodes.
 	Nodes() int
+}
+
+// endpoints is the node-facing half of every model: one bounded
+// injection port per source, one arrival port per destination whose
+// head is deliverable from its not-before cycle, and the counters. A
+// model embeds it, so Deliverable, Deliver, Quiet, Stats, PortFlits and
+// Nodes are defined here once; its Tick moves packets from inj (or from
+// wherever inj leads) to arr.
+type endpoints struct {
+	inj, arr  []sim.Port[Packet]
+	stats     Stats
+	portFlits []uint64
+	// live is the injected-but-undelivered packet count.
+	live int
+}
+
+// newEndpoints builds the ports for nodes endpoints; a depth of 0
+// leaves the arrival ports unbounded.
+func newEndpoints(nodes, injDepth, arrDepth int) endpoints {
+	e := endpoints{
+		inj:       make([]sim.Port[Packet], nodes),
+		arr:       make([]sim.Port[Packet], nodes),
+		portFlits: make([]uint64, nodes),
+	}
+	for i := range e.inj {
+		e.inj[i] = *sim.NewPort[Packet](injDepth)
+		e.arr[i] = *sim.NewPort[Packet](arrDepth)
+	}
+	return e
+}
+
+// Nodes implements Network.
+func (e *endpoints) Nodes() int { return len(e.arr) }
+
+// Inject implements Network: the packet waits in its source's injection
+// port, movable from now.
+func (e *endpoints) Inject(p Packet, now uint64) bool {
+	if p.Src < 0 || p.Src >= len(e.inj) || p.Dst < 0 || p.Dst >= len(e.arr) {
+		panic("noc: packet endpoint out of range")
+	}
+	if !e.inj[p.Src].Send(p, now) {
+		e.stats.InjectStallCycles++
+		return false
+	}
+	e.live++
+	return true
+}
+
+// count charges one packet to the per-packet traffic counters, at the
+// point the embedding model counts it: the GMN at crossbar entry, the
+// mesh at injection, the bus at grant. TotalFlits is per link crossed
+// and stays with the model.
+func (e *endpoints) count(p Packet, flits uint64) {
+	e.stats.Packets++
+	e.stats.TotalBytes += uint64(p.Bytes)
+	e.portFlits[p.Src] += flits
+}
+
+// Deliverable implements Network. It runs on every endpoint's arrival
+// check: hot path.
+//
+//lint:hot
+func (e *endpoints) Deliverable(node int, now uint64) bool {
+	return e.arr[node].Ready(now)
+}
+
+// Deliver implements Network. It runs on every message arrival: hot
+// path.
+//
+//lint:hot
+func (e *endpoints) Deliver(node int, now uint64) (Packet, bool) {
+	p, ok := e.arr[node].Recv(now)
+	if ok {
+		e.live--
+	}
+	return p, ok
+}
+
+// Quiet implements Network.
+func (e *endpoints) Quiet() bool { return e.live == 0 }
+
+// Stats implements Network.
+func (e *endpoints) Stats() Stats { return e.stats }
+
+// PortFlits implements Network.
+func (e *endpoints) PortFlits() []uint64 { return e.portFlits }
+
+// nextArrival is the delivery half of every model's NextWake: now if
+// some arrival port's head is already deliverable, else the earliest
+// head's cycle, else sim.NoWake.
+func (e *endpoints) nextArrival(now uint64) uint64 {
+	next := sim.NoWake
+	for i := range e.arr {
+		if next = headWake(next, &e.arr[i], now); next == now {
+			break
+		}
+	}
+	return next
+}
+
+// headWake folds port q into a NextWake answer: the earlier of next
+// and the cycle q's head becomes receivable, which is now if it already
+// is. Heads suffice — every queue in the package is filled in
+// nondecreasing ready order, so a queue's head is its minimum.
+func headWake(next uint64, q *sim.Port[Packet], now uint64) uint64 {
+	at, ok := q.NextAt()
+	if !ok {
+		return next
+	}
+	return min(next, max(at, now))
 }
 
 // DropNotifier is the optional sender-side loss-notification interface

@@ -12,10 +12,6 @@ package sim
 type Port[T any] struct {
 	q   []portEntry[T]
 	cap int // 0 = unbounded
-	// Stats
-	Sent     uint64
-	Received uint64
-	MaxDepth int
 }
 
 type portEntry[T any] struct {
@@ -41,38 +37,39 @@ func (p *Port[T]) Send(msg T, at uint64) bool {
 		return false
 	}
 	p.q = append(p.q, portEntry[T]{at: at, msg: msg})
-	p.Sent++
-	if len(p.q) > p.MaxDepth {
-		p.MaxDepth = len(p.q)
-	}
 	return true
 }
 
 // Recv pops and returns the head message if it is deliverable at cycle
 // now. The second result reports whether a message was returned.
 func (p *Port[T]) Recv(now uint64) (T, bool) {
-	var zero T
-	if len(p.q) == 0 || p.q[0].at > now {
+	if !p.Ready(now) {
+		var zero T
 		return zero, false
 	}
 	msg := p.q[0].msg
 	// Shift rather than reslice so the backing array does not grow
-	// without bound across the run.
+	// without bound across the run. Every queue in the system is a
+	// handful of entries deep (the NoC depths are <= 8, a node's
+	// outbound queue hovers at its ReqBound), so the shift is cheaper
+	// than a ring's index arithmetic on every head probe.
 	copy(p.q, p.q[1:])
 	p.q = p.q[:len(p.q)-1]
-	p.Received++
 	return msg, true
 }
 
-// Peek returns the head message without removing it, if deliverable at
-// cycle now.
-func (p *Port[T]) Peek(now uint64) (T, bool) {
-	var zero T
-	if len(p.q) == 0 || p.q[0].at > now {
-		return zero, false
-	}
-	return p.q[0].msg, true
+// Ready reports whether the head message is receivable at cycle now.
+// Arbiters probe many heads per cycle (a mesh router asks all five
+// inputs for each output), so the probe is two comparisons and returns
+// nothing to copy; Head reads the message once the probe has passed.
+func (p *Port[T]) Ready(now uint64) bool {
+	return len(p.q) != 0 && p.q[0].at <= now
 }
+
+// Head returns the head message in place, without removing or copying
+// it. The port must not be empty; the pointer is valid until the next
+// Send or Recv.
+func (p *Port[T]) Head() *T { return &p.q[0].msg }
 
 // Each calls f for every queued message in FIFO order together with its
 // not-before cycle. It is an inspection hook (used by the model checker

@@ -3,9 +3,16 @@
 //
 // The kernel is deliberately simple: a global cycle counter, a set of
 // Tickers advanced once per cycle in registration order, and latched
-// message ports. All inter-component communication goes through ports,
-// and a message sent at cycle t becomes visible at cycle t+1 at the
-// earliest, so the relative tick order of components cannot change
+// message ports. All communication between nodes goes through ports:
+// a coherence.Node's outbound FIFO, every queue inside the three noc
+// models (injection, router link, delay and arrival queues) and the
+// fault layer's staging queues are each a Port[T] — there is no other
+// queue between a controller and a sink. (A CPU and its own caches are
+// one cluster and talk by direct call, the blocking cache interface.)
+// A port's head is receivable only from its not-before cycle, and every
+// arrival port is filled with a cycle later than the one it is filled
+// in, so a message sent at cycle t becomes visible at cycle t+1 at the
+// earliest and the relative tick order of components cannot change
 // simulation results. This is the property that makes the whole model
 // deterministic and makes the protocol comparison fair.
 //

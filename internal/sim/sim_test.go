@@ -584,12 +584,11 @@ func TestPortCapacity(t *testing.T) {
 func TestPortPeek(t *testing.T) {
 	p := NewPort[int](0)
 	p.Send(7, 3)
-	if _, ok := p.Peek(2); ok {
-		t.Fatal("peek before ready")
+	if p.Ready(2) {
+		t.Fatal("head ready before its cycle")
 	}
-	v, ok := p.Peek(3)
-	if !ok || v != 7 {
-		t.Fatalf("peek = %d, %v", v, ok)
+	if !p.Ready(3) || *p.Head() != 7 {
+		t.Fatalf("Ready(3) = %v, Head = %d", p.Ready(3), *p.Head())
 	}
 	if p.Len() != 1 {
 		t.Fatal("peek consumed the message")
@@ -617,34 +616,75 @@ func TestPortNextAt(t *testing.T) {
 }
 
 func TestPortOrderProperty(t *testing.T) {
-	// Whatever the delivery cycles, messages come out in send order.
-	f := func(delays []uint8) bool {
-		if len(delays) == 0 {
-			return true
-		}
-		p := NewPort[int](0)
-		for i, d := range delays {
-			p.Send(i, uint64(d))
-		}
-		var got []int
-		for now := uint64(0); now < 300; now++ {
-			for {
-				v, ok := p.Recv(now)
-				if !ok {
-					break
+	// Every queue between a controller and a sink is a Port, so the
+	// whole contract is held against the obvious queue: a slice of
+	// (cycle, value) pairs, bounded by refusing sends, receivable at the
+	// head only. Each script byte is one operation at an advancing
+	// clock: a send (with a delay that may put it ahead of its
+	// predecessors' cycles, which must not let it overtake them) or a
+	// receive attempt; every accessor is compared after each.
+	type entry struct {
+		at  uint64
+		val int
+	}
+	f := func(capacity uint8, script []uint8) bool {
+		capN := int(capacity % 5) // 0 = unbounded
+		p := NewPort[int](capN)
+		var ref []entry
+		for i, op := range script {
+			now := uint64(i / 2)
+			if op&1 == 0 {
+				at := now + uint64(op>>4)
+				room := capN == 0 || len(ref) < capN
+				if p.CanSend() != room || p.Send(i, at) != room {
+					return false
 				}
-				got = append(got, v)
+				if room {
+					ref = append(ref, entry{at, i})
+				}
+			} else {
+				ready := len(ref) > 0 && ref[0].at <= now
+				if p.Ready(now) != ready || (ready && *p.Head() != ref[0].val) {
+					return false
+				}
+				v, ok := p.Recv(now)
+				if ok != ready || (ready && v != ref[0].val) {
+					return false
+				}
+				if ready {
+					ref = ref[1:]
+				}
+			}
+			if p.Len() != len(ref) || p.Empty() != (len(ref) == 0) {
+				return false
+			}
+			if at, ok := p.NextAt(); ok != (len(ref) > 0) || (ok && at != ref[0].at) {
+				return false
+			}
+			var walked []entry
+			p.Each(func(at uint64, v int) { walked = append(walked, entry{at, v}) })
+			if len(walked) != len(ref) {
+				return false
+			}
+			for j := range ref {
+				if walked[j] != ref[j] {
+					return false
+				}
 			}
 		}
-		if len(got) != len(delays) {
-			return false
-		}
-		for i, v := range got {
-			if v != i {
+		// Drain: whatever the cycles, what is left comes out in send
+		// order.
+		for now := uint64(len(script)); len(ref) > 0; now++ {
+			if v, ok := p.Recv(now); ok {
+				if v != ref[0].val || ref[0].at > now {
+					return false
+				}
+				ref = ref[1:]
+			} else if ref[0].at <= now {
 				return false
 			}
 		}
-		return true
+		return p.Empty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

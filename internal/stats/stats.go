@@ -87,20 +87,3 @@ func (s *Set) String() string {
 	}
 	return strings.Join(parts, " ")
 }
-
-// PercentDelta returns the signed percent change from old to new
-// (+10 means new is 10% above old). A zero old value yields 0: there
-// is no meaningful baseline to compare against.
-func PercentDelta(old, new float64) float64 {
-	if old == 0 {
-		return 0
-	}
-	return 100 * (new - old) / old
-}
-
-// FormatPercentDelta renders a signed percent change with an explicit
-// sign ("+4.2%", "-11.0%"), the convention of the bench delta tables:
-// regressions and improvements must be tellable apart at a glance.
-func FormatPercentDelta(pct float64) string {
-	return fmt.Sprintf("%+.1f%%", pct)
-}

@@ -292,38 +292,3 @@ func TestSparklineDownsample(t *testing.T) {
 		t.Fatalf("short series resampled to %d", got)
 	}
 }
-
-func TestPercentDelta(t *testing.T) {
-	cases := []struct {
-		old, new, want float64
-	}{
-		{100, 110, 10},
-		{100, 90, -10},
-		{100, 100, 0},
-		{50, 75, 50},
-		{0, 42, 0}, // no baseline: defined as zero, not +Inf
-		{0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := PercentDelta(c.old, c.new); got != c.want {
-			t.Errorf("PercentDelta(%v, %v) = %v, want %v", c.old, c.new, got, c.want)
-		}
-	}
-}
-
-func TestFormatPercentDelta(t *testing.T) {
-	cases := []struct {
-		pct  float64
-		want string
-	}{
-		{10, "+10.0%"},
-		{-11.04, "-11.0%"},
-		{0, "+0.0%"},
-		{0.25, "+0.2%"},
-	}
-	for _, c := range cases {
-		if got := FormatPercentDelta(c.pct); got != c.want {
-			t.Errorf("FormatPercentDelta(%v) = %q, want %q", c.pct, got, c.want)
-		}
-	}
-}
