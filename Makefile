@@ -60,7 +60,7 @@ check: fmt vet lint build test race
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 50: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 16500
+LOC_CEILING := 16200
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \
@@ -74,10 +74,10 @@ loc:
 soak:
 	$(GO) test -tags soak ./internal/fault/ -run TestSoakFull -v
 
-# mcheck exhaustively model-checks the default small scope for both of
-# the paper's write policies, driving the real cache/directory code.
+# mcheck exhaustively model-checks the default small scope for every
+# row of coherence.Protocols, driving the real cache/directory code.
 mcheck:
-	$(GO) run ./cmd/mcheck -protocol both
+	$(GO) run ./cmd/mcheck -protocol all
 
 # bench runs the repository benchmark (benchmark/, declared in
 # BENCHMARK.json): every workload, end-to-end and per-layer metrics,

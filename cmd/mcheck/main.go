@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		protoFlag = flag.String("protocol", "both", "protocol(s): wti|wtu|wb|moesi|both|all (both = the paper's wti+wb)")
+		protoFlag = flag.String("protocol", "both", "protocol(s): "+protocolNames()+" (both = the paper's wti+wb)")
 		cpus      = flag.Int("cpus", 2, "number of caches (1..4)")
 		banks     = flag.Int("banks", 1, "number of directory banks (1..2)")
 		addrs     = flag.Int("addrs", 1, "number of scoped words (consecutive blocks)")
@@ -40,16 +40,22 @@ func main() {
 		verbose   = flag.Bool("v", false, "print the counterexample trace on violation")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Almost always a misplaced flag value (mcheck wti used to
+		// check "both").
+		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
+	if *addrs < 1 {
+		usage(fmt.Errorf("-addrs %d: need at least one scoped word", *addrs))
+	}
 
 	protos, err := parseProtocols(*protoFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcheck:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	values, err := parseVals(*vals)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcheck:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	var fault coherence.FaultPlan
 	switch *faultFlag {
@@ -59,8 +65,7 @@ func main() {
 	case "skip-wt-apply":
 		fault.SkipWTApply = *faultN
 	default:
-		fmt.Fprintf(os.Stderr, "mcheck: unknown -fault %q\n", *faultFlag)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown -fault %q", *faultFlag))
 	}
 
 	exitCode := 0
@@ -73,20 +78,14 @@ func main() {
 		sc.OpsPerCPU = *ops
 		sc.MaxStates = *maxStates
 		sc.Fault = fault
-		sc.Addrs = nil
-		for i := 0; i < *addrs; i++ {
-			// One word per block so each extra address adds a real
-			// block-level interleaving, not intra-block noise.
-			sc.Addrs = append(sc.Addrs, 0x10000+uint32(i)*32)
-		}
+		sc.Addrs = modelcheck.ScopeAddrs(*addrs)
 
 		fmt.Printf("mcheck %v: %d cpus, %d banks, %d addr(s), vals %v, swap=%t, %d ops/cpu\n",
 			proto, sc.CPUs, sc.Banks, len(sc.Addrs), sc.Vals, sc.WithSwap, sc.OpsPerCPU)
 		start := time.Now()
 		res, err := modelcheck.Explore(sc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcheck:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
 		completeness := "exhausted"
@@ -113,22 +112,36 @@ func main() {
 	os.Exit(exitCode)
 }
 
+// usage reports a bad invocation and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "mcheck:", err)
+	os.Exit(2)
+}
+
+// protocolNames lists what -protocol takes: every row of
+// coherence.Protocols, then the two sets.
+func protocolNames() string {
+	return strings.Join(append(coherence.ProtocolNames(), "both", "all"), "|")
+}
+
 func parseProtocols(s string) ([]coherence.Protocol, error) {
-	switch strings.ToLower(s) {
+	switch s = strings.ToLower(s); s {
 	case "both":
 		return []coherence.Protocol{coherence.WTI, coherence.WBMESI}, nil
 	case "all":
-		return []coherence.Protocol{coherence.WTI, coherence.WTU, coherence.WBMESI, coherence.MOESI}, nil
-	case "wti":
-		return []coherence.Protocol{coherence.WTI}, nil
-	case "wtu":
-		return []coherence.Protocol{coherence.WTU}, nil
-	case "wb", "mesi", "wbmesi":
-		return []coherence.Protocol{coherence.WBMESI}, nil
-	case "moesi":
-		return []coherence.Protocol{coherence.MOESI}, nil
+		all := make([]coherence.Protocol, len(coherence.Protocols))
+		for p := range all {
+			all[p] = coherence.Protocol(p)
+		}
+		return all, nil
+	case "mesi", "wbmesi": // WB's other names
+		s = "wb"
 	}
-	return nil, fmt.Errorf("unknown -protocol %q", s)
+	p, err := coherence.ParseProtocol(s)
+	if err != nil {
+		return nil, fmt.Errorf("unknown -protocol %q (valid: %s)", s, protocolNames())
+	}
+	return []coherence.Protocol{p}, nil
 }
 
 func parseVals(s string) ([]uint32, error) {

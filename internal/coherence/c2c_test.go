@@ -1,53 +1,10 @@
 package coherence
 
-import (
-	"testing"
-
-	"repro/internal/mem"
-	"repro/internal/noc"
-)
+import "testing"
 
 // newC2CRig builds a MESI rig with cache-to-cache transfers enabled.
 func newC2CRig(t *testing.T, ncpu, nbank int) *rig {
-	t.Helper()
-	p := DefaultParams(ncpu)
-	p.CacheToCache = true
-	amap := mem.NewAddrMap(nbank)
-	banks := make([]int, nbank)
-	for i := range banks {
-		banks[i] = i
-	}
-	region := mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: banks}
-	if nbank > 1 {
-		region.Granule = 64
-	}
-	amap.AddRegion(region)
-	r := &rig{
-		t:     t,
-		proto: WBMESI,
-		net:   noc.NewGMN(noc.DefaultGMNConfig(ncpu + nbank)),
-		space: mem.NewSpace(),
-		amap:  amap,
-	}
-	for b := 0; b < nbank; b++ {
-		mc := NewMemCtrl(b, ncpu+b, p, WBMESI, r.space)
-		node := NewNode(ncpu+b, r.net, mc)
-		mc.SetNode(node)
-		r.banks = append(r.banks, mc)
-		r.bnodes = append(r.bnodes, node)
-	}
-	for i := 0; i < ncpu; i++ {
-		sink := &CPUSink{}
-		node := NewNode(i, r.net, sink)
-		dc := NewMESICache(i, p, node, amap, ncpu)
-		ic := NewICache(i, p, node, amap, ncpu)
-		sink.D = dc
-		sink.I = ic
-		r.caches = append(r.caches, dc)
-		r.icache = append(r.icache, ic)
-		r.nodes = append(r.nodes, node)
-	}
-	return r
+	return newRigWith(t, WBMESI, ncpu, nbank, func(p *Params) { p.CacheToCache = true })
 }
 
 func TestC2CSharedTransfer(t *testing.T) {
@@ -60,7 +17,7 @@ func TestC2CSharedTransfer(t *testing.T) {
 	}
 	r.settle()
 	// The transfer came from the owner, not the bank.
-	if got := r.caches[0].Stats().C2CTransfers; got != 1 {
+	if got := r.DCaches[0].Stats().C2CTransfers; got != 1 {
 		t.Fatalf("C2CTransfers = %d", got)
 	}
 	// Shared downgrade must have refreshed memory.
@@ -147,20 +104,20 @@ func TestC2CCounterAtomicity(t *testing.T) {
 			alldone = false
 			switch a.phase {
 			case 0:
-				if old, ok := r.caches[i].Swap(r.now, lock, 1); ok && old == 0 {
+				if old, ok := r.DCaches[i].Swap(r.now, lock, 1); ok && old == 0 {
 					a.phase = 1
 				}
 			case 1:
-				if v, ok := r.caches[i].Load(r.now, counter, 0xf); ok {
+				if v, ok := r.DCaches[i].Load(r.now, counter, 0xf); ok {
 					a.val = v
 					a.phase = 2
 				}
 			case 2:
-				if r.caches[i].Store(r.now, counter, a.val+1, 0xf) {
+				if r.DCaches[i].Store(r.now, counter, a.val+1, 0xf) {
 					a.phase = 3
 				}
 			case 3:
-				if r.caches[i].Store(r.now, lock, 0, 0xf) {
+				if r.DCaches[i].Store(r.now, lock, 0, 0xf) {
 					a.phase = 0
 					a.todo--
 				}
@@ -172,7 +129,7 @@ func TestC2CCounterAtomicity(t *testing.T) {
 		r.step()
 	}
 	r.settle()
-	flushDirty(r)
+	r.FlushCaches()
 	if got := r.space.ReadWord(counter); got != 60 {
 		t.Fatalf("counter = %d, want 60", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"strings"
 )
 
 // LineState is the stable state of one cache line. WTI uses only
@@ -240,4 +241,26 @@ func (c *cacheArray) invalidate(addr uint32) bool {
 		return true
 	}
 	return false
+}
+
+// lines enumerates the resident lines.
+func (c *cacheArray) lines() []LineInfo {
+	var out []LineInfo
+	for line, st := range c.state {
+		if st != Invalid {
+			out = append(out, LineInfo{Addr: c.blockAddr(line), State: st, Data: c.lineData(line)})
+		}
+	}
+	return out
+}
+
+// fingerprint writes every resident line: address, state and bytes.
+// Replacement stamps are left out: the model checker's scopes never
+// fill a set.
+func (c *cacheArray) fingerprint(b *strings.Builder) {
+	for line, st := range c.state {
+		if st != Invalid {
+			fmt.Fprintf(b, "L%x:%d:%x;", c.blockAddr(line), st, c.lineData(line))
+		}
+	}
 }

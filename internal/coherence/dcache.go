@@ -1,7 +1,19 @@
 package coherence
 
-// DataCache is the CPU-facing interface implemented by both protocol
-// controllers. Operations follow a poll-retry discipline: the CPU calls
+import (
+	"strings"
+
+	"repro/internal/mem"
+	"repro/internal/obs"
+)
+
+// DataCache is one protocol's data-cache controller: the CPU-facing
+// operations, the scheduling contract, and what the platform around it
+// (Hierarchy, the invariant checkers, the model checker, the
+// observability layer) asks of any controller, so that none of them
+// names a concrete one.
+//
+// Operations follow a poll-retry discipline: the CPU calls
 // the same operation every cycle until ok is reported; controllers keep
 // the outstanding transaction state, so repeated calls are idempotent.
 //
@@ -34,6 +46,39 @@ type DataCache interface {
 	Stats() *DCacheStats
 	// Protocol identifies the controller's write policy.
 	Protocol() Protocol
+
+	// Lines enumerates the resident (non-Invalid) lines.
+	Lines() []LineInfo
+	// PostedBytes reports which bytes of the aligned word at waddr are
+	// covered by writes the cache has posted but memory has not yet
+	// acknowledged (a byte-enable mask; 0 for a controller without a
+	// write buffer). The runtime checker exempts them from value
+	// agreement with memory.
+	PostedBytes(waddr uint32) uint8
+	// WBOccupancy reports the occupied write-buffer entries (0 for a
+	// controller without one).
+	WBOccupancy() int
+	// FlushDirty writes every dirty block into s, so host-side checks
+	// see the final architectural state. Write-through caches have
+	// nothing to flush.
+	FlushDirty(s *mem.Space)
+	// Fingerprint writes a canonical encoding of the controller's
+	// complete behaviour-relevant state — pending transactions, posted
+	// writes, resident lines — into b. Counters, observability handles
+	// and latency-attribution timestamps are excluded: they do not
+	// influence future behaviour, and including them would keep the
+	// model checker from ever merging two states.
+	Fingerprint(b *strings.Builder)
+	// SetObserver attaches the observability recorder (nil detaches).
+	SetObserver(r *obs.Recorder)
+}
+
+// LineInfo describes one resident cache line for inspection. Data
+// aliases the cache's storage: read it before the cache next runs.
+type LineInfo struct {
+	Addr  uint32
+	State LineState
+	Data  []byte
 }
 
 // DCacheStats aggregates one data cache's activity counters.

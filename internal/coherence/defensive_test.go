@@ -19,28 +19,28 @@ func expectPanic(t *testing.T, what string, f func()) {
 func TestStrayInvAckPanics(t *testing.T) {
 	r := newRig(t, WTI, 1, 1)
 	expectPanic(t, "stray inv ack", func() {
-		r.banks[0].HandleMsg(&Msg{Kind: RspInvAck, Src: 0, Addr: rigBase}, 0)
+		r.Banks[0].HandleMsg(&Msg{Kind: RspInvAck, Src: 0, Addr: rigBase}, 0)
 	})
 }
 
 func TestStrayFetchResponsePanics(t *testing.T) {
 	r := newRig(t, WBMESI, 1, 1)
 	expectPanic(t, "stray fetch response", func() {
-		r.banks[0].HandleMsg(&Msg{Kind: RspFetch, Src: 0, Addr: rigBase}, 0)
+		r.Banks[0].HandleMsg(&Msg{Kind: RspFetch, Src: 0, Addr: rigBase}, 0)
 	})
 }
 
 func TestStrayC2CDonePanics(t *testing.T) {
 	r := newRig(t, WBMESI, 1, 1)
 	expectPanic(t, "stray c2c done", func() {
-		r.banks[0].HandleMsg(&Msg{Kind: RspC2CDone, Src: 0, Addr: rigBase}, 0)
+		r.Banks[0].HandleMsg(&Msg{Kind: RspC2CDone, Src: 0, Addr: rigBase}, 0)
 	})
 }
 
 func TestStrayWriteAckAtCachePanics(t *testing.T) {
 	r := newRig(t, WTI, 1, 1)
 	expectPanic(t, "stray write ack", func() {
-		r.caches[0].HandleMsg(&Msg{Kind: RspWriteAck, Addr: rigBase}, 0)
+		r.DCaches[0].HandleMsg(&Msg{Kind: RspWriteAck, Addr: rigBase}, 0)
 	})
 }
 
@@ -48,7 +48,7 @@ func TestUnexpectedDataAtCachePanics(t *testing.T) {
 	for _, proto := range []Protocol{WTI, WBMESI} {
 		r := newRig(t, proto, 1, 1)
 		expectPanic(t, "unexpected data response", func() {
-			r.caches[0].HandleMsg(&Msg{Kind: RspData, Addr: rigBase, Data: make([]byte, 32)}, 0)
+			r.DCaches[0].HandleMsg(&Msg{Kind: RspData, Addr: rigBase, Data: make([]byte, 32)}, 0)
 		})
 	}
 }
@@ -56,18 +56,18 @@ func TestUnexpectedDataAtCachePanics(t *testing.T) {
 func TestWriteBackUnderWTIPanics(t *testing.T) {
 	r := newRig(t, WTI, 1, 1)
 	expectPanic(t, "unhandled message kind", func() {
-		r.banks[0].HandleMsg(&Msg{Kind: ReqUpgrade, Src: 0, Addr: rigBase}, 0)
+		r.Banks[0].HandleMsg(&Msg{Kind: ReqUpgrade, Src: 0, Addr: rigBase}, 0)
 		// WTI directories never see upgrades; the entry path promotes
 		// it to ReadExcl which is MESI-only bookkeeping. Force the
 		// truly-invalid kind instead:
-		r.banks[0].HandleMsg(&Msg{Kind: MsgInvalid, Src: 0, Addr: rigBase}, 4)
+		r.Banks[0].HandleMsg(&Msg{Kind: MsgInvalid, Src: 0, Addr: rigBase}, 4)
 	})
 }
 
 func TestMOESIWithoutC2CPanics(t *testing.T) {
 	p := DefaultParams(1)
 	expectPanic(t, "MOESI without cache-to-cache", func() {
-		NewMOESICache(0, p, nil, nil, 1)
+		newWriteBackCache(MOESI, 0, p, nil, nil, 1)
 	})
 }
 

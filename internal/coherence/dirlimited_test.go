@@ -1,51 +1,10 @@
 package coherence
 
-import (
-	"testing"
-
-	"repro/internal/mem"
-	"repro/internal/noc"
-)
+import "testing"
 
 // newLimitedRig builds a rig with a Dir_k_B limited-pointer directory.
 func newLimitedRig(t testingT, proto Protocol, ncpu, k int) *rig {
-	t.Helper()
-	p := DefaultParams(ncpu)
-	p.DirPointers = k
-	amap := mem.NewAddrMap(1)
-	amap.AddRegion(mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: []int{0}})
-	r := &rig{
-		t:     t,
-		proto: proto,
-		net:   noc.NewGMN(noc.DefaultGMNConfig(ncpu + 1)),
-		space: mem.NewSpace(),
-		amap:  amap,
-	}
-	mc := NewMemCtrl(0, ncpu, p, proto, r.space)
-	node := NewNode(ncpu, r.net, mc)
-	mc.SetNode(node)
-	r.banks = append(r.banks, mc)
-	r.bnodes = append(r.bnodes, node)
-	for i := 0; i < ncpu; i++ {
-		sink := &CPUSink{}
-		n := NewNode(i, r.net, sink)
-		var dc DataCache
-		switch proto {
-		case WTI:
-			dc = NewWTICache(i, p, n, amap, ncpu)
-		case WTU:
-			dc = NewWTUCache(i, p, n, amap, ncpu)
-		default:
-			dc = NewMESICache(i, p, n, amap, ncpu)
-		}
-		ic := NewICache(i, p, n, amap, ncpu)
-		sink.D = dc
-		sink.I = ic
-		r.caches = append(r.caches, dc)
-		r.icache = append(r.icache, ic)
-		r.nodes = append(r.nodes, n)
-	}
-	return r
+	return newRigWith(t, proto, ncpu, 1, func(p *Params) { p.DirPointers = k })
 }
 
 func TestLimitedDirBroadcastsOnOverflow(t *testing.T) {
@@ -57,10 +16,10 @@ func TestLimitedDirBroadcastsOnOverflow(t *testing.T) {
 	r.load(2, addr)
 	r.load(3, addr)
 	r.settle()
-	before := r.banks[0].Stats().InvalsSent
+	before := r.Banks[0].Stats().InvalsSent
 	r.store(0, addr, 1)
 	r.settle()
-	got := r.banks[0].Stats().InvalsSent - before
+	got := r.Banks[0].Stats().InvalsSent - before
 	// Broadcast: everyone but the writer (3 caches), even though cache
 	// 0 could have been excluded more precisely under a full map too —
 	// the point is non-sharers would also be hit at larger n.
@@ -81,10 +40,10 @@ func TestLimitedDirPreciseBelowThreshold(t *testing.T) {
 	addr := uint32(rigBase + 0x80)
 	r.load(1, addr)
 	r.settle()
-	before := r.banks[0].Stats().InvalsSent
+	before := r.Banks[0].Stats().InvalsSent
 	r.store(0, addr, 1)
 	r.settle()
-	if got := r.banks[0].Stats().InvalsSent - before; got != 1 {
+	if got := r.Banks[0].Stats().InvalsSent - before; got != 1 {
 		t.Fatalf("invals sent = %d, want precise 1", got)
 	}
 	r.check()
@@ -102,30 +61,7 @@ func TestLimitedDirStressAllProtocols(t *testing.T) {
 func TestRowBufferTiming(t *testing.T) {
 	// With the open-page model, the second read to the same row is
 	// faster than a read to a different row.
-	mk := func() *rig {
-		p := DefaultParams(1)
-		p.RowBytes = 1024
-		amap := mem.NewAddrMap(1)
-		amap.AddRegion(mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: []int{0}})
-		r := &rig{t: t, proto: WTI, net: noc.NewGMN(noc.DefaultGMNConfig(2)), space: mem.NewSpace(), amap: amap}
-		mc := NewMemCtrl(0, 1, p, WTI, r.space)
-		node := NewNode(1, r.net, mc)
-		mc.SetNode(node)
-		r.banks = append(r.banks, mc)
-		r.bnodes = append(r.bnodes, node)
-		sink := &CPUSink{}
-		n := NewNode(0, r.net, sink)
-		dc := NewWTICache(0, p, n, amap, 1)
-		ic := NewICache(0, p, n, amap, 1)
-		sink.D = dc
-		sink.I = ic
-		r.caches = append(r.caches, dc)
-		r.icache = append(r.icache, ic)
-		r.nodes = append(r.nodes, n)
-		return r
-	}
-
-	r := mk()
+	r := newRigWith(t, WTI, 1, 1, func(p *Params) { p.RowBytes = 1024 })
 	start := r.now
 	r.load(0, rigBase) // row miss (cold)
 	cold := r.now - start
@@ -141,7 +77,7 @@ func TestRowBufferTiming(t *testing.T) {
 	if cold <= hit {
 		t.Fatalf("cold access (%d) should be a row miss, hit was %d", cold, hit)
 	}
-	st := r.banks[0].Stats()
+	st := r.Banks[0].Stats()
 	if st.RowHits != 1 || st.RowMisses != 2 {
 		t.Fatalf("row stats: hits=%d misses=%d", st.RowHits, st.RowMisses)
 	}

@@ -1,9 +1,24 @@
-// Package coherence implements the two compared cache-coherence
-// protocols of the paper — write-through invalidate (WTI) and
-// write-back MESI (WB) — together with everything they need: direct-
-// mapped cache arrays, the 8-word write buffer, the read-only
-// instruction cache, the full-map (Censier–Feautrier) directory, and
-// the memory-bank controller.
+// Package coherence implements the memory hierarchy of the paper's
+// Figure 3 and the write policies compared on it: the paper's two —
+// write-through invalidate (WTI) and write-back MESI (WB) — and two
+// extensions, write-through update (WTU) and MOESI.
+//
+// A policy is one row of the Protocols table (params.go): its name, its
+// data-cache controller's constructor, and what the platform must know
+// about it. The controllers (wti.go serves WTI and WTU, mesi.go WB and
+// MOESI) implement DataCache; the directory side of every policy is the
+// memory-bank controller (memctrl.go). Around them sit the parts all
+// policies share: set-associative cache arrays, the 8-word write
+// buffer, the read-only instruction cache, the full-map
+// (Censier–Feautrier) or limited-pointer directory, and the NoC port
+// (Node).
+//
+// NewHierarchy (hierarchy.go) is the one place the parts are wired
+// together — node ids, sinks, the bank/port attachment. The simulator
+// (core), the model checker (modelcheck) and this package's test rigs
+// all build a Hierarchy and use its Step, Pending, CheckCoherence,
+// CheckRuntime, FlushCaches and Fingerprint; none of them names a
+// concrete controller.
 //
 // # Transport assumptions
 //

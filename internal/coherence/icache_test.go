@@ -4,7 +4,7 @@ import "testing"
 
 func TestICacheRefillAndHits(t *testing.T) {
 	r := newRig(t, WTI, 1, 1)
-	ic := r.icache[0]
+	ic := r.ICaches[0]
 	// Seed code into memory.
 	r.space.WriteWord(rigBase+0x800, 0x12345678)
 	r.space.WriteWord(rigBase+0x804, 0x9abcdef0)
@@ -43,7 +43,7 @@ func TestICacheSharesPortWithDCache(t *testing.T) {
 	// both request kinds.
 	r := newRig(t, WTI, 1, 1)
 	r.space.WriteWord(rigBase+0x900, 42)
-	ic := r.icache[0]
+	ic := r.ICaches[0]
 	ic.Fetch(r.now, rigBase+0xa00)
 	v := r.load(0, rigBase+0x900)
 	if v != 42 {
@@ -59,7 +59,7 @@ func TestICacheSharesPortWithDCache(t *testing.T) {
 
 func TestICacheConflictEviction(t *testing.T) {
 	r := newRig(t, WTI, 1, 1)
-	ic := r.icache[0]
+	ic := r.ICaches[0]
 	p := DefaultParams(1)
 	a := uint32(rigBase + 0xb00)
 	b := a + uint32(p.ICacheBytes) // same set

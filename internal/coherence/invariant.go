@@ -4,43 +4,30 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-
-	"repro/internal/mem"
 )
 
-// LineInfo describes one resident cache line for inspection.
-type LineInfo struct {
-	Addr  uint32
-	State LineState
-	Data  []byte
+// holder is one cache's copy of a block.
+type holder struct {
+	cpu  int
+	info LineInfo
 }
 
-// Inspectable is implemented by cache controllers that can enumerate
-// their resident lines; the invariant checker and tests use it.
-type Inspectable interface {
-	Lines() []LineInfo
-}
-
-// Lines implements Inspectable.
-func (c *WTICache) Lines() []LineInfo { return c.arr.lines() }
-
-// Lines implements Inspectable.
-func (c *MESICache) Lines() []LineInfo { return c.arr.lines() }
-
-// Lines implements Inspectable for the instruction cache.
-func (c *ICache) Lines() []LineInfo { return c.arr.lines() }
-
-func (c *cacheArray) lines() []LineInfo {
-	var out []LineInfo
-	for line := 0; line < c.numSets*c.ways; line++ {
-		if c.state[line] == Invalid {
-			continue
+// copies groups every resident data-cache line by block, with the block
+// addresses sorted so a multi-violation state always reports the same
+// (lowest-addressed) violation — checker output is part of the
+// determinism contract.
+func (h *Hierarchy) copies() (blocks map[uint32][]holder, blkAddrs []uint32) {
+	blocks = make(map[uint32][]holder)
+	for cpu, dc := range h.DCaches {
+		for _, li := range dc.Lines() {
+			if blocks[li.Addr] == nil {
+				blkAddrs = append(blkAddrs, li.Addr)
+			}
+			blocks[li.Addr] = append(blocks[li.Addr], holder{cpu: cpu, info: li})
 		}
-		d := make([]byte, c.blockBytes)
-		copy(d, c.lineData(line))
-		out = append(out, LineInfo{Addr: c.blockAddr(line), State: c.state[line], Data: d})
 	}
-	return out
+	sort.Slice(blkAddrs, func(i, j int) bool { return blkAddrs[i] < blkAddrs[j] })
+	return blocks, blkAddrs
 }
 
 // CheckCoherence verifies the protocol invariants over a quiescent
@@ -54,45 +41,22 @@ func (c *cacheArray) lines() []LineInfo {
 //     recorded owner; every S copy's holder is in the recorded sharer
 //     set (the directory may record stale sharers for silently dropped
 //     copies, but never the reverse).
-//
-// bankOf maps a block address to its directory-holding bank.
-func CheckCoherence(caches []DataCache, space *mem.Space, bankOf func(addr uint32) *MemCtrl) error {
-	type holder struct {
-		cpu  int
-		info LineInfo
-	}
-	blocks := make(map[uint32][]holder)
-	for cpu, dc := range caches {
-		insp, ok := dc.(Inspectable)
-		if !ok {
-			return fmt.Errorf("coherence: cache %d is not inspectable", cpu)
-		}
-		for _, li := range insp.Lines() {
-			blocks[li.Addr] = append(blocks[li.Addr], holder{cpu: cpu, info: li})
-		}
-	}
-	// Sorted iteration so a multi-violation state always reports the
-	// same (lowest-addressed) violation — checker output is part of the
-	// determinism contract.
-	blkAddrs := make([]uint32, 0, len(blocks))
-	for blk := range blocks { //simlint:ignore maprange — sorted immediately below
-		blkAddrs = append(blkAddrs, blk)
-	}
-	sort.Slice(blkAddrs, func(i, j int) bool { return blkAddrs[i] < blkAddrs[j] })
+func (h *Hierarchy) CheckCoherence() error {
+	blocks, blkAddrs := h.copies()
 	for _, blk := range blkAddrs {
 		hs := blocks[blk]
 		// At most one supplier (Owned/Exclusive/Modified) per block.
 		supplier := -1
 		var supplierState LineState
 		var supplierData []byte
-		for _, h := range hs {
-			if h.info.State >= Owned {
+		for _, c := range hs {
+			if c.info.State >= Owned {
 				if supplier >= 0 {
-					return fmt.Errorf("coherence: block %#x: two supplier holders (cpu %d and %d)", blk, supplier, h.cpu)
+					return fmt.Errorf("coherence: block %#x: two supplier holders (cpu %d and %d)", blk, supplier, c.cpu)
 				}
-				supplier = h.cpu
-				supplierState = h.info.State
-				supplierData = h.info.Data
+				supplier = c.cpu
+				supplierState = c.info.State
+				supplierData = c.info.Data
 			}
 		}
 		// E and M exclude every other copy; O coexists with S copies.
@@ -101,35 +65,35 @@ func CheckCoherence(caches []DataCache, space *mem.Space, bankOf func(addr uint3
 				blk, supplier, len(hs)-1)
 		}
 		memData := make([]byte, len(hs[0].info.Data))
-		space.ReadBlock(blk, memData)
-		mc := bankOf(blk)
+		h.space.ReadBlock(blk, memData)
+		mc := h.bankFor(blk)
 		sharers, owner := mc.DirSnapshot(blk)
-		for _, h := range hs {
-			switch h.info.State {
+		for _, c := range hs {
+			switch c.info.State {
 			case Shared:
 				if supplierState == Owned {
 					// Memory may be stale; the Owned copy is the
 					// authority the Shared copies must agree with.
-					if !bytes.Equal(h.info.Data, supplierData) {
-						return fmt.Errorf("coherence: block %#x: cpu %d shared copy differs from the Owned copy", blk, h.cpu)
+					if !bytes.Equal(c.info.Data, supplierData) {
+						return fmt.Errorf("coherence: block %#x: cpu %d shared copy differs from the Owned copy", blk, c.cpu)
 					}
-				} else if !bytes.Equal(h.info.Data, memData) {
-					return fmt.Errorf("coherence: block %#x: cpu %d shared copy differs from memory", blk, h.cpu)
+				} else if !bytes.Equal(c.info.Data, memData) {
+					return fmt.Errorf("coherence: block %#x: cpu %d shared copy differs from memory", blk, c.cpu)
 				}
-				if sharers&(1<<h.cpu) == 0 && owner != h.cpu {
-					return fmt.Errorf("coherence: block %#x: cpu %d holds S copy unknown to the directory", blk, h.cpu)
+				if sharers&(1<<c.cpu) == 0 && owner != c.cpu {
+					return fmt.Errorf("coherence: block %#x: cpu %d holds S copy unknown to the directory", blk, c.cpu)
 				}
 			case Exclusive:
-				if !bytes.Equal(h.info.Data, memData) {
-					return fmt.Errorf("coherence: block %#x: cpu %d exclusive copy differs from memory", blk, h.cpu)
+				if !bytes.Equal(c.info.Data, memData) {
+					return fmt.Errorf("coherence: block %#x: cpu %d exclusive copy differs from memory", blk, c.cpu)
 				}
-				if owner != h.cpu {
-					return fmt.Errorf("coherence: block %#x: cpu %d holds E but directory owner is %d", blk, h.cpu, owner)
+				if owner != c.cpu {
+					return fmt.Errorf("coherence: block %#x: cpu %d holds E but directory owner is %d", blk, c.cpu, owner)
 				}
 			case Owned, Modified:
-				if owner != h.cpu {
+				if owner != c.cpu {
 					return fmt.Errorf("coherence: block %#x: cpu %d holds %v but directory owner is %d",
-						blk, h.cpu, h.info.State, owner)
+						blk, c.cpu, c.info.State, owner)
 				}
 			}
 		}
@@ -163,73 +127,55 @@ func CheckCoherence(caches []DataCache, space *mem.Space, bankOf func(addr uint3
 //     holder is the recorded owner. (The reverse — the directory
 //     recording caches that silently dropped clean copies — is allowed,
 //     as in CheckCoherence.)
-func CheckRuntime(caches []DataCache, space *mem.Space, bankOf func(addr uint32) *MemCtrl) error {
-	type holder struct {
-		cpu  int
-		info LineInfo
-	}
-	blocks := make(map[uint32][]holder)
-	for cpu, dc := range caches {
-		insp, ok := dc.(Inspectable)
-		if !ok {
-			return fmt.Errorf("coherence: cache %d is not inspectable", cpu)
-		}
-		for _, li := range insp.Lines() {
-			blocks[li.Addr] = append(blocks[li.Addr], holder{cpu: cpu, info: li})
-		}
-	}
-	blkAddrs := make([]uint32, 0, len(blocks))
-	for blk := range blocks { //simlint:ignore maprange — sorted immediately below
-		blkAddrs = append(blkAddrs, blk)
-	}
-	sort.Slice(blkAddrs, func(i, j int) bool { return blkAddrs[i] < blkAddrs[j] })
+func (h *Hierarchy) CheckRuntime() error {
+	blocks, blkAddrs := h.copies()
 	for _, blk := range blkAddrs {
 		hs := blocks[blk]
 		// SWMR: holds in every reachable state.
 		supplier := -1
 		var supplierState LineState
 		var supplierData []byte
-		for _, h := range hs {
-			if h.info.State >= Owned {
+		for _, c := range hs {
+			if c.info.State >= Owned {
 				if supplier >= 0 {
 					return fmt.Errorf("coherence: SWMR: block %#x: two supplier holders (cpu %d in %v and cpu %d in %v)",
-						blk, supplier, supplierState, h.cpu, h.info.State)
+						blk, supplier, supplierState, c.cpu, c.info.State)
 				}
-				supplier = h.cpu
-				supplierState = h.info.State
-				supplierData = h.info.Data
+				supplier = c.cpu
+				supplierState = c.info.State
+				supplierData = c.info.Data
 			}
 		}
 		if supplier >= 0 && supplierState != Owned && len(hs) > 1 {
 			return fmt.Errorf("coherence: SWMR: block %#x: %v holder cpu %d coexists with %d other copies",
 				blk, supplierState, supplier, len(hs)-1)
 		}
-		mc := bankOf(blk)
+		mc := h.bankFor(blk)
 		if mc.DirBusy(blk) {
 			continue // open transaction: value/directory state in motion
 		}
 		memData := make([]byte, len(hs[0].info.Data))
-		space.ReadBlock(blk, memData)
+		h.space.ReadBlock(blk, memData)
 		sharers, owner := mc.DirSnapshot(blk)
-		for _, h := range hs {
-			known := sharers&(1<<h.cpu) != 0 || owner == h.cpu
+		for _, c := range hs {
+			known := sharers&(1<<c.cpu) != 0 || owner == c.cpu
 			if !known {
 				return fmt.Errorf("coherence: directory: block %#x: cpu %d holds a %v copy unknown to the directory",
-					blk, h.cpu, h.info.State)
+					blk, c.cpu, c.info.State)
 			}
-			if h.info.State >= Owned && owner != h.cpu {
+			if c.info.State >= Owned && owner != c.cpu {
 				return fmt.Errorf("coherence: directory: block %#x: cpu %d holds %v but directory owner is %d",
-					blk, h.cpu, h.info.State, owner)
+					blk, c.cpu, c.info.State, owner)
 			}
 			switch {
-			case h.info.State == Modified || h.info.State == Owned:
+			case c.info.State == Modified || c.info.State == Owned:
 				// Dirty supplier: memory is legitimately stale.
-			case supplierState == Owned && h.info.State == Shared:
-				if !bytes.Equal(h.info.Data, supplierData) {
-					return fmt.Errorf("coherence: value: block %#x: cpu %d shared copy differs from the Owned copy", blk, h.cpu)
+			case supplierState == Owned && c.info.State == Shared:
+				if !bytes.Equal(c.info.Data, supplierData) {
+					return fmt.Errorf("coherence: value: block %#x: cpu %d shared copy differs from the Owned copy", blk, c.cpu)
 				}
 			default:
-				if err := checkCopyAgainstMemory(caches[h.cpu], blk, h, memData); err != nil {
+				if err := checkCopyAgainstMemory(h.DCaches[c.cpu], blk, c, memData); err != nil {
 					return err
 				}
 			}
@@ -239,32 +185,13 @@ func CheckRuntime(caches []DataCache, space *mem.Space, bankOf func(addr uint32)
 }
 
 // checkCopyAgainstMemory compares one clean copy with memory, byte by
-// byte, exempting bytes covered by the holder's own posted write buffer
-// (the write-through transient).
-func checkCopyAgainstMemory(dc DataCache, blk uint32, h struct {
-	cpu  int
-	info LineInfo
-}, memData []byte) error {
-	var covered []uint8 // per-word byte-enable union, lazily built
-	if wt, ok := dc.(*WTICache); ok {
-		words := len(memData) / 4
-		for _, e := range wt.WBEntries() {
-			if e.Addr&^uint32(len(memData)-1) != blk {
-				continue
-			}
-			if covered == nil {
-				covered = make([]uint8, words)
-			}
-			covered[(e.Addr-blk)/4] |= e.ByteEn
-		}
-	}
+// byte, exempting bytes covered by the holder's own posted writes (the
+// write-through transient).
+func checkCopyAgainstMemory(dc DataCache, blk uint32, c holder, memData []byte) error {
 	for i := range memData {
-		if covered != nil && covered[i/4]&(1<<(uint(i)%4)) != 0 {
-			continue
-		}
-		if h.info.Data[i] != memData[i] {
+		if c.info.Data[i] != memData[i] && dc.PostedBytes(blk+uint32(i&^3))&(1<<(i%4)) == 0 {
 			return fmt.Errorf("coherence: value: block %#x: cpu %d %v copy byte %d is %#x, memory has %#x (no covering write)",
-				blk, h.cpu, h.info.State, i, h.info.Data[i], memData[i])
+				blk, c.cpu, c.info.State, i, c.info.Data[i], memData[i])
 		}
 	}
 	return nil

@@ -50,18 +50,18 @@ func runLitmus(t *testing.T, r *rig, seqs [][]litmusOp, delay int) {
 			op := &seqs[c][idx[c]]
 			switch {
 			case op.swap:
-				if old, ok := r.caches[c].Swap(r.now, op.addr, op.val); ok {
+				if old, ok := r.DCaches[c].Swap(r.now, op.addr, op.val); ok {
 					if op.out != nil {
 						*op.out = old
 					}
 					idx[c]++
 				}
 			case op.store:
-				if r.caches[c].Store(r.now, op.addr, op.val, 0xf) {
+				if r.DCaches[c].Store(r.now, op.addr, op.val, 0xf) {
 					idx[c]++
 				}
 			default:
-				if v, ok := r.caches[c].Load(r.now, op.addr, 0xf); ok {
+				if v, ok := r.DCaches[c].Load(r.now, op.addr, 0xf); ok {
 					if op.spin && v != op.spinUntil {
 						break // retry the same load
 					}
@@ -84,14 +84,8 @@ func runLitmus(t *testing.T, r *rig, seqs [][]litmusOp, delay int) {
 // litmus run doubles as an invariant test: the runtime checker runs on
 // every single cycle.
 func litmusRig(t *testing.T, proto Protocol, strict bool) (r *rig, x, y uint32) {
-	r = newRig(t, proto, 2, 2)
+	r = newRigWith(t, proto, 2, 2, func(p *Params) { p.StrictSC = strict })
 	r.checkEvery = 1
-	if strict {
-		for i := range r.caches {
-			c := r.caches[i].(*WTICache)
-			c.p.StrictSC = true
-		}
-	}
 	// Different interleave granules → different banks.
 	return r, rigBase, rigBase + 64
 }

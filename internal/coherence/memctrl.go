@@ -2,6 +2,8 @@ package coherence
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -682,4 +684,43 @@ func (mc *MemCtrl) DirSnapshot(blk uint32) (sharers uint64, owner int) {
 		return 0, -1
 	}
 	return e.sharers, int(e.owner)
+}
+
+// DirBusy reports whether the block has a directory transaction open
+// (requests arriving now would be deferred). The runtime invariant
+// checker uses it to recognize transient windows.
+func (mc *MemCtrl) DirBusy(blk uint32) bool {
+	e := mc.dir[blk]
+	return e != nil && e.busy
+}
+
+// Fingerprint writes the bank's behaviour-relevant state into b: every
+// directory entry holding any state (by block address, so the result is
+// deterministic) with its serialization state and deferred requests,
+// the cycles the service port stays occupied from now, and the open
+// row.
+func (mc *MemCtrl) Fingerprint(b *strings.Builder, now uint64) {
+	blks := make([]uint32, 0, len(mc.dir))
+	for blk, e := range mc.dir { //lint:allow maprange — sorted immediately below
+		if e.busy || e.sharers != 0 || e.owner >= 0 || e.bcast || len(e.deferred) > 0 {
+			blks = append(blks, blk) // else indistinguishable from an absent entry
+		}
+	}
+	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	for _, blk := range blks {
+		e := mc.dir[blk]
+		reqSrc := -1
+		if e.busy {
+			reqSrc = e.req.Src
+		}
+		fmt.Fprintf(b, "E%x:%x:%d:%t:%t:%d:%d:%d:%d:%t%t%t%t%t%t:%x;",
+			blk, e.sharers, e.owner, e.bcast, e.busy, e.kind, reqSrc, e.waitAcks,
+			e.fetchTarget, e.fetchPending, e.fetchSeen, e.fetchFwd, e.fetchHadData,
+			e.retainOwner, e.c2cDone, e.oldWord)
+		for i := range e.deferred {
+			b.WriteByte('d')
+			e.deferred[i].Fingerprint(b)
+		}
+	}
+	fmt.Fprintf(b, "B%d;R%t:%x;", max(mc.busyUntil, now)-now, mc.rowOpen, mc.openRow)
 }

@@ -3,6 +3,7 @@ package coherence
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -19,7 +20,7 @@ import (
 // Table 1).
 type MESICache struct {
 	id       int
-	moesi    bool
+	proto    Protocol
 	p        Params
 	arr      *cacheArray
 	node     *Node
@@ -58,10 +59,18 @@ type mesiEvict struct {
 	begin  uint64 // cycle the victim entered the buffer
 }
 
-// NewMESICache builds the write-back MESI controller for CPU id.
-func NewMESICache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) *MESICache {
+// newWriteBackCache builds the write-back controller for CPU id under
+// proto; the Protocols table's constructor. MOESI (extension) is MESI
+// in which a fetched dirty block stays with its owner in Owned state
+// and is supplied cache-to-cache without refreshing memory, so it
+// requires Params.CacheToCache.
+func newWriteBackCache(proto Protocol, id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) DataCache {
+	if proto == MOESI && !p.CacheToCache {
+		panic("coherence: MOESI requires Params.CacheToCache")
+	}
 	return &MESICache{
 		id:       id,
+		proto:    proto,
 		p:        p,
 		arr:      newCacheArray(p.DCacheBytes, p.BlockBytes, p.Ways),
 		node:     node,
@@ -70,32 +79,20 @@ func NewMESICache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int)
 	}
 }
 
-// NewMOESICache builds the MOESI controller (extension): like MESI,
-// but a fetched dirty block stays with its owner in Owned state and is
-// supplied cache-to-cache without refreshing memory. It requires
-// Params.CacheToCache.
-func NewMOESICache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) *MESICache {
-	if !p.CacheToCache {
-		panic("coherence: MOESI requires Params.CacheToCache")
-	}
-	c := NewMESICache(id, p, node, amap, bankBase)
-	c.moesi = true
-	return c
-}
-
 // Protocol implements DataCache.
-func (c *MESICache) Protocol() Protocol {
-	if c.moesi {
-		return MOESI
-	}
-	return WBMESI
-}
+func (c *MESICache) Protocol() Protocol { return c.proto }
 
 // Stats implements DataCache.
 func (c *MESICache) Stats() *DCacheStats { return &c.st }
 
-// SetObserver attaches the observability recorder (nil detaches).
+// SetObserver implements DataCache.
 func (c *MESICache) SetObserver(r *obs.Recorder) { c.Obs = r }
+
+// WBOccupancy implements DataCache: there is no write buffer.
+func (c *MESICache) WBOccupancy() int { return 0 }
+
+// PostedBytes implements DataCache: there are no posted writes.
+func (c *MESICache) PostedBytes(uint32) uint8 { return 0 }
 
 func (c *MESICache) bankNode(addr uint32) int {
 	return c.bankBase + c.amap.BankOf(addr)
@@ -388,7 +385,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 			// MOESI: a dirty block fetched for reading stays here in
 			// Owned state; memory is not refreshed and this cache keeps
 			// supplying the data.
-			retain := c.moesi && m.Kind == CmdFetch && c.arr.state[set].Dirty()
+			retain := c.proto == MOESI && m.Kind == CmdFetch && c.arr.state[set].Dirty()
 			if m.HasFwd {
 				// Cache-to-cache transfer: data goes straight to the
 				// requester. For an exclusive transfer (and for an
@@ -444,17 +441,11 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 // Drained implements DataCache.
 func (c *MESICache) Drained() bool { return !c.pend.active && !c.evict.active }
 
-// PeekLine exposes line state for the invariant checker and tests.
-func (c *MESICache) PeekLine(addr uint32) (LineState, []byte) {
-	if line, hit := c.arr.probe(addr); hit {
-		return c.arr.state[line], c.arr.lineData(line)
-	}
-	return Invalid, nil
-}
+// Lines implements DataCache.
+func (c *MESICache) Lines() []LineInfo { return c.arr.lines() }
 
-// FlushDirtyInto copies every Modified block into the space; tests use
-// it to compare final memory against a reference model at end of run.
-func (c *MESICache) FlushDirtyInto(s *mem.Space) {
+// FlushDirty implements DataCache.
+func (c *MESICache) FlushDirty(s *mem.Space) {
 	for line := 0; line < c.arr.numSets*c.arr.ways; line++ {
 		if c.arr.state[line].Dirty() {
 			addr := c.arr.blockAddr(line)
@@ -464,4 +455,14 @@ func (c *MESICache) FlushDirtyInto(s *mem.Space) {
 			}
 		}
 	}
+}
+
+// Fingerprint implements DataCache; the one-entry eviction buffer is
+// part of the transaction state.
+func (c *MESICache) Fingerprint(b *strings.Builder) {
+	p := &c.pend
+	fmt.Fprintf(b, "P%t%t%t%t%t:%d:%x:%x:%x:%x:%x:%t:%x;", p.active, p.issued, p.apply,
+		p.isSwap, p.done, p.kind, p.blk, p.waddr, p.word, p.byteEn, p.swapOld,
+		c.evict.active, c.evict.addr)
+	c.arr.fingerprint(b)
 }

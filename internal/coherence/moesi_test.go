@@ -51,7 +51,7 @@ func TestMOESIOwnerUpgrade(t *testing.T) {
 	if st := r.state(1, addr); st != Invalid {
 		t.Fatalf("sharer after owner upgrade = %v, want I", st)
 	}
-	if up := r.caches[0].Stats().Upgrades; up != 1 {
+	if up := r.DCaches[0].Stats().Upgrades; up != 1 {
 		t.Fatalf("Upgrades = %d", up)
 	}
 	r.check()
@@ -106,14 +106,7 @@ func TestMOESITrafficBeatsMESIOnDirtySharing(t *testing.T) {
 	// with conflict evictions in between) moves less data under MOESI:
 	// the owner never writes memory back on a fetch.
 	traffic := func(proto Protocol, c2c bool) uint64 {
-		p := DefaultParams(3)
-		p.CacheToCache = c2c || proto == MOESI
-		r := newRig(t, proto, 3, 1)
-		// Override params after construction is not possible; rebuild
-		// via the C2C rig when needed.
-		if proto == WBMESI && c2c {
-			r = newC2CRig(t, 3, 1)
-		}
+		r := newRigWith(t, proto, 3, 1, func(p *Params) { p.CacheToCache = c2c })
 		addr := uint32(rigBase + 0x900)
 		for i := 0; i < 20; i++ {
 			r.store(0, addr, uint32(i))
@@ -154,20 +147,20 @@ func TestMOESICounterEndToEndRig(t *testing.T) {
 			alldone = false
 			switch a.phase {
 			case 0:
-				if old, ok := r.caches[i].Swap(r.now, lock, 1); ok && old == 0 {
+				if old, ok := r.DCaches[i].Swap(r.now, lock, 1); ok && old == 0 {
 					a.phase = 1
 				}
 			case 1:
-				if v, ok := r.caches[i].Load(r.now, counter, 0xf); ok {
+				if v, ok := r.DCaches[i].Load(r.now, counter, 0xf); ok {
 					a.val = v
 					a.phase = 2
 				}
 			case 2:
-				if r.caches[i].Store(r.now, counter, a.val+1, 0xf) {
+				if r.DCaches[i].Store(r.now, counter, a.val+1, 0xf) {
 					a.phase = 3
 				}
 			case 3:
-				if r.caches[i].Store(r.now, lock, 0, 0xf) {
+				if r.DCaches[i].Store(r.now, lock, 0, 0xf) {
 					a.phase = 0
 					a.todo--
 				}
@@ -179,7 +172,7 @@ func TestMOESICounterEndToEndRig(t *testing.T) {
 		r.step()
 	}
 	r.settle()
-	flushDirty(r)
+	r.FlushCaches()
 	if got := r.space.ReadWord(counter); got != 60 {
 		t.Fatalf("counter = %d, want 60", got)
 	}

@@ -1,6 +1,9 @@
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // MsgKind identifies a protocol message.
 type MsgKind uint8
@@ -134,4 +137,14 @@ func (m *Msg) ensureData(n int) {
 
 func (m *Msg) String() string {
 	return fmt.Sprintf("%s src=%d addr=%#x", m.Kind, m.Src, m.Addr)
+}
+
+// Fingerprint writes a canonical encoding of the message into b. All
+// behaviour-relevant fields participate.
+func (m *Msg) Fingerprint(b *strings.Builder) {
+	fmt.Fprintf(b, "%d:%d:%x:%x:%x", m.Kind, m.Src, m.Addr, m.Word, m.ByteEn)
+	if len(m.Data) > 0 {
+		fmt.Fprintf(b, ":%x", m.Data)
+	}
+	fmt.Fprintf(b, ":%t%t%t%d%t%t;", m.Excl, m.NoData, m.HasFwd, m.Fwd, m.Forwarded, m.RetainOwner)
 }

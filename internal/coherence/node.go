@@ -1,6 +1,9 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -137,9 +140,6 @@ func (n *Node) CanSendReq() bool {
 	return true
 }
 
-// OutQueueLen reports the pending outbound messages (diagnostics).
-func (n *Node) OutQueueLen() int { return n.outQ.Len() }
-
 // Tick delivers arrived messages to the sink and drains the outbound
 // queue into the network. It runs for every awake node every cycle:
 // hot path.
@@ -260,3 +260,12 @@ func (n *Node) transferLost(head outMsg, now uint64) {
 
 // Idle reports whether the node has nothing left to send.
 func (n *Node) Idle() bool { return n.outQ.Empty() }
+
+// Fingerprint writes the outbound FIFO in order — destination, latch
+// delay relative to now (0 = injectable now), message — into b.
+func (n *Node) Fingerprint(b *strings.Builder, now uint64) {
+	n.outQ.Each(func(at uint64, m outMsg) {
+		fmt.Fprintf(b, "Q%d:%d:", m.dst, max(at, now)-now)
+		m.msg.Fingerprint(b)
+	})
+}

@@ -3,17 +3,28 @@ package coherence
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/mem"
 )
 
-// Protocol selects the memory write policy under study.
+// Protocol selects the memory write policy under study: an index into
+// the Protocols table.
 type Protocol int
 
-// The two compared protocols.
+// The paper's two compared policies and the two extensions.
 const (
 	// WTI is write-through invalidate: write-no-allocate caches with
 	// Valid/Invalid lines, every store forwarded to memory through the
 	// write buffer, other copies invalidated by the directory.
 	WTI Protocol = iota
+	// WTU is write-through update: like WTI, every store is forwarded
+	// to memory, but instead of invalidating the other cached copies
+	// the directory sends them the written word. Copies stay readable
+	// at the price of update traffic to every (possibly stale-listed)
+	// sharer — the other hardware-protocol category the paper cites
+	// (Stenström's write-update class). Provided as an extension for
+	// the three-way ablation.
+	WTU
 	// WBMESI is write-back MESI (Illinois-like): dirty blocks live in
 	// caches, stores require exclusivity obtained from the directory.
 	WBMESI
@@ -24,41 +35,63 @@ const (
 	// block straight to the requester) and is provided as an extension
 	// beyond the paper's two policies.
 	MOESI
-	// WTU is write-through update: like WTI, every store is forwarded
-	// to memory, but instead of invalidating the other cached copies
-	// the directory sends them the written word. Copies stay readable
-	// at the price of update traffic to every (possibly stale-listed)
-	// sharer — the other hardware-protocol category the paper cites
-	// (Stenström's write-update class). Provided as an extension for
-	// the three-way ablation.
-	WTU
 )
+
+// ProtocolRow is everything the platform needs to know about one write
+// policy besides its controller code.
+type ProtocolRow struct {
+	// Name is the paper's label; the CLIs take it in lower case.
+	Name string
+	// New builds the policy's data-cache controller for CPU id, whose
+	// port is node and whose banks are nodes bankBase, bankBase+1, ….
+	New func(proto Protocol, id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) DataCache
+	// ForcesC2C marks a policy that only works with cache-to-cache
+	// transfers: NewHierarchy switches Params.CacheToCache on for it.
+	ForcesC2C bool
+	// EvictBuffer marks a controller with a background eviction buffer
+	// (the observability trace gives it a track of its own).
+	EvictBuffer bool
+}
+
+// Protocols is the table of write policies, indexed by Protocol.
+// Adding a policy is a constant above, a row here and its controller
+// (plus memctrl.go where its directory side differs); String,
+// ParseProtocol, NewHierarchy, the model checker's "all" and the test
+// rigs walk the table.
+var Protocols = [...]ProtocolRow{
+	WTI:    {Name: "WTI", New: newWriteThroughCache},
+	WTU:    {Name: "WTU", New: newWriteThroughCache},
+	WBMESI: {Name: "WB", New: newWriteBackCache, EvictBuffer: true},
+	MOESI:  {Name: "MOESI", New: newWriteBackCache, EvictBuffer: true, ForcesC2C: true},
+}
 
 // String implements fmt.Stringer using the paper's labels.
 func (p Protocol) String() string {
-	switch p {
-	case WTI:
-		return "WTI"
-	case WBMESI:
-		return "WB"
-	case WTU:
-		return "WTU"
-	case MOESI:
-		return "MOESI"
-	default:
+	if p < 0 || int(p) >= len(Protocols) {
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
+	return Protocols[p].Name
 }
 
-// ParseProtocol is the inverse of String for the names the CLIs take:
-// wti, wtu, wb or moesi.
+// ProtocolNames lists the names the CLIs take, in table order: each
+// row's Name in lower case.
+func ProtocolNames() []string {
+	names := make([]string, len(Protocols))
+	for p := range Protocols {
+		names[p] = strings.ToLower(Protocols[p].Name)
+	}
+	return names
+}
+
+// ParseProtocol is the inverse of String for ProtocolNames.
 func ParseProtocol(name string) (Protocol, error) {
-	for _, p := range []Protocol{WTI, WTU, WBMESI, MOESI} {
-		if strings.ToLower(p.String()) == name {
-			return p, nil
+	names := ProtocolNames()
+	for p, n := range names {
+		if n == name {
+			return Protocol(p), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown protocol %q", name)
+	return 0, fmt.Errorf("unknown protocol %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Params collects the memory-hierarchy parameters shared by every

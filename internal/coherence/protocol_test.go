@@ -17,20 +17,14 @@ type testingT interface {
 	Fatalf(format string, args ...any)
 }
 
-// rig wires caches and banks over a GMN without CPUs so protocol
-// transactions can be driven and observed directly.
+// rig is a Hierarchy over a GMN without CPUs, so protocol transactions
+// can be driven and observed directly.
 type rig struct {
-	t      testingT
-	proto  Protocol
-	net    *noc.GMN
-	space  *mem.Space
-	amap   *mem.AddrMap
-	caches []DataCache
-	icache []*ICache
-	nodes  []*Node
-	banks  []*MemCtrl
-	bnodes []*Node
-	now    uint64
+	*Hierarchy
+	t     testingT
+	net   *noc.GMN
+	space *mem.Space
+	now   uint64
 	// checkEvery > 0 runs the transient-safe runtime invariant checker
 	// every that many cycles inside step().
 	checkEvery uint64
@@ -39,10 +33,15 @@ type rig struct {
 const rigBase = 0x10000
 
 func newRig(t testingT, proto Protocol, ncpu, nbank int) *rig {
+	return newRigWith(t, proto, ncpu, nbank, nil)
+}
+
+// newRigWith builds the rig on DefaultParams as adjusted by tweak.
+func newRigWith(t testingT, proto Protocol, ncpu, nbank int, tweak func(*Params)) *rig {
 	t.Helper()
 	p := DefaultParams(ncpu)
-	if proto == MOESI {
-		p.CacheToCache = true
+	if tweak != nil {
+		tweak(&p)
 	}
 	amap := mem.NewAddrMap(nbank)
 	banks := make([]int, nbank)
@@ -54,59 +53,16 @@ func newRig(t testingT, proto Protocol, ncpu, nbank int) *rig {
 		region.Granule = 64
 	}
 	amap.AddRegion(region)
-	r := &rig{
-		t:     t,
-		proto: proto,
-		net:   noc.NewGMN(noc.DefaultGMNConfig(ncpu + nbank)),
-		space: mem.NewSpace(),
-		amap:  amap,
-	}
-	for b := 0; b < nbank; b++ {
-		mc := NewMemCtrl(b, ncpu+b, p, proto, r.space)
-		node := NewNode(ncpu+b, r.net, mc)
-		mc.SetNode(node)
-		r.banks = append(r.banks, mc)
-		r.bnodes = append(r.bnodes, node)
-	}
-	for i := 0; i < ncpu; i++ {
-		sink := &CPUSink{}
-		node := NewNode(i, r.net, sink)
-		var dc DataCache
-		switch proto {
-		case WTI:
-			dc = NewWTICache(i, p, node, amap, ncpu)
-		case WTU:
-			dc = NewWTUCache(i, p, node, amap, ncpu)
-		case MOESI:
-			dc = NewMOESICache(i, p, node, amap, ncpu)
-		default:
-			dc = NewMESICache(i, p, node, amap, ncpu)
-		}
-		ic := NewICache(i, p, node, amap, ncpu)
-		sink.D = dc
-		sink.I = ic
-		r.caches = append(r.caches, dc)
-		r.icache = append(r.icache, ic)
-		r.nodes = append(r.nodes, node)
-	}
+	r := &rig{t: t, net: noc.NewGMN(noc.DefaultGMNConfig(ncpu + nbank)), space: mem.NewSpace()}
+	r.Hierarchy = NewHierarchy(r.net, r.space, amap, p, proto)
 	return r
 }
 
 func (r *rig) step() {
-	for i := range r.caches {
-		r.caches[i].Tick(r.now)
-		r.nodes[i].Tick(r.now)
-	}
-	for b := range r.bnodes {
-		r.bnodes[b].Tick(r.now)
-	}
-	r.net.Tick(r.now)
+	r.Step(r.now)
 	r.now++
 	if r.checkEvery > 0 && r.now%r.checkEvery == 0 {
-		err := CheckRuntime(r.caches, r.space, func(addr uint32) *MemCtrl {
-			return r.banks[r.amap.BankOf(addr)]
-		})
-		if err != nil {
+		if err := r.CheckRuntime(); err != nil {
 			r.t.Fatalf("cycle %d: %v", r.now, err)
 		}
 	}
@@ -114,14 +70,7 @@ func (r *rig) step() {
 
 func (r *rig) settle() {
 	for i := 0; i < 100000; i++ {
-		done := r.net.Quiet()
-		for j := range r.caches {
-			done = done && r.caches[j].Drained() && r.nodes[j].Idle()
-		}
-		for b := range r.banks {
-			done = done && r.banks[b].Drained() && r.bnodes[b].Idle()
-		}
-		if done {
+		if !r.Pending(nil) {
 			return
 		}
 		r.step()
@@ -131,7 +80,7 @@ func (r *rig) settle() {
 
 func (r *rig) load(cpu int, addr uint32) uint32 {
 	for i := 0; i < 100000; i++ {
-		if v, ok := r.caches[cpu].Load(r.now, addr, 0xf); ok {
+		if v, ok := r.DCaches[cpu].Load(r.now, addr, 0xf); ok {
 			return v
 		}
 		r.step()
@@ -142,7 +91,7 @@ func (r *rig) load(cpu int, addr uint32) uint32 {
 
 func (r *rig) store(cpu int, addr uint32, v uint32) {
 	for i := 0; i < 100000; i++ {
-		if r.caches[cpu].Store(r.now, addr, v, 0xf) {
+		if r.DCaches[cpu].Store(r.now, addr, v, 0xf) {
 			return
 		}
 		r.step()
@@ -152,7 +101,7 @@ func (r *rig) store(cpu int, addr uint32, v uint32) {
 
 func (r *rig) swap(cpu int, addr uint32, v uint32) uint32 {
 	for i := 0; i < 100000; i++ {
-		if old, ok := r.caches[cpu].Swap(r.now, addr, v); ok {
+		if old, ok := r.DCaches[cpu].Swap(r.now, addr, v); ok {
 			return old
 		}
 		r.step()
@@ -162,13 +111,10 @@ func (r *rig) swap(cpu int, addr uint32, v uint32) uint32 {
 }
 
 func (r *rig) state(cpu int, addr uint32) LineState {
-	switch c := r.caches[cpu].(type) {
-	case *WTICache:
-		st, _ := c.PeekLine(addr)
-		return st
-	case *MESICache:
-		st, _ := c.PeekLine(addr)
-		return st
+	for _, li := range r.DCaches[cpu].Lines() {
+		if li.Addr == DefaultParams(1).BlockAddr(addr) {
+			return li.State
+		}
 	}
 	return Invalid
 }
@@ -189,14 +135,14 @@ func TestWTUUpdatesInsteadOfInvalidating(t *testing.T) {
 		t.Fatalf("cpu2 lost its copy: %v", st)
 	}
 	// And they were updated in place (hits, not refills).
-	missesBefore := r.caches[1].Stats().LoadMisses
+	missesBefore := r.DCaches[1].Stats().LoadMisses
 	if v := r.load(1, addr); v != 321 {
 		t.Fatalf("cpu1 reads %d", v)
 	}
-	if r.caches[1].Stats().LoadMisses != missesBefore {
+	if r.DCaches[1].Stats().LoadMisses != missesBefore {
 		t.Fatal("updated copy should have been a load hit")
 	}
-	if r.caches[1].Stats().UpdatesApplied == 0 {
+	if r.DCaches[1].Stats().UpdatesApplied == 0 {
 		t.Fatal("no update applied")
 	}
 	r.check()
@@ -212,8 +158,8 @@ func TestWTUWriterOwnCopySerialization(t *testing.T) {
 		r.load(cpu, addr)
 	}
 	r.settle()
-	r.caches[0].Store(r.now, addr, 111, 0xf)
-	r.caches[1].Store(r.now, addr, 222, 0xf)
+	r.DCaches[0].Store(r.now, addr, 111, 0xf)
+	r.DCaches[1].Store(r.now, addr, 222, 0xf)
 	r.settle()
 	r.check()
 	final := r.space.ReadWord(addr)
@@ -250,10 +196,7 @@ func TestWTUSwapUpdatesSpinners(t *testing.T) {
 
 func (r *rig) check() {
 	r.t.Helper()
-	err := CheckCoherence(r.caches, r.space, func(addr uint32) *MemCtrl {
-		return r.banks[r.amap.BankOf(addr)]
-	})
-	if err != nil {
+	if err := r.CheckCoherence(); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -420,7 +363,7 @@ func TestMESIUpgradeFromShared(t *testing.T) {
 	if st := r.state(0, addr); st != Invalid {
 		t.Fatalf("other sharer = %v, want I", st)
 	}
-	if up := r.caches[1].Stats().Upgrades; up != 1 {
+	if up := r.DCaches[1].Stats().Upgrades; up != 1 {
 		t.Fatalf("Upgrades = %d", up)
 	}
 	r.check()
@@ -438,7 +381,7 @@ func TestMESIDirtyEvictionWritesBack(t *testing.T) {
 	if got := r.space.ReadWord(addr); got != 42 {
 		t.Fatalf("memory after eviction = %d", got)
 	}
-	if wb := r.caches[0].Stats().Writebacks; wb != 1 {
+	if wb := r.DCaches[0].Stats().Writebacks; wb != 1 {
 		t.Fatalf("Writebacks = %d", wb)
 	}
 	r.check()
@@ -499,10 +442,10 @@ func TestConcurrentUpgradeRace(t *testing.T) {
 	done0, done1 := false, false
 	for i := 0; i < 100000 && !(done0 && done1); i++ {
 		if !done0 {
-			done0 = r.caches[0].Store(r.now, addr, 100, 0xf)
+			done0 = r.DCaches[0].Store(r.now, addr, 100, 0xf)
 		}
 		if !done1 {
-			done1 = r.caches[1].Store(r.now, addr, 200, 0xf)
+			done1 = r.DCaches[1].Store(r.now, addr, 200, 0xf)
 		}
 		r.step()
 	}
@@ -523,8 +466,8 @@ func TestConcurrentWriteRaceWTI(t *testing.T) {
 	r.load(0, addr)
 	r.load(1, addr)
 	r.settle()
-	r.caches[0].Store(r.now, addr, 100, 0xf)
-	r.caches[1].Store(r.now, addr, 200, 0xf)
+	r.DCaches[0].Store(r.now, addr, 100, 0xf)
+	r.DCaches[1].Store(r.now, addr, 200, 0xf)
 	r.settle()
 	v := r.space.ReadWord(addr)
 	if v != 100 && v != 200 {
@@ -547,14 +490,14 @@ func TestWTIWriteBufferFillsUnderLatency(t *testing.T) {
 	// the buffer must eventually refuse.
 	accepted := 0
 	for i := 0; i < p.WriteBufferWords+4; i++ {
-		if r.caches[0].Store(r.now, uint32(rigBase+i*64), uint32(i), 0xf) {
+		if r.DCaches[0].Store(r.now, uint32(rigBase+i*64), uint32(i), 0xf) {
 			accepted++
 		}
 	}
 	if accepted != p.WriteBufferWords {
 		t.Fatalf("accepted %d posted writes, want %d", accepted, p.WriteBufferWords)
 	}
-	if r.caches[0].Stats().WBufFullStalls == 0 {
+	if r.DCaches[0].Stats().WBufFullStalls == 0 {
 		t.Fatal("full-buffer stalls not counted")
 	}
 	r.settle()
@@ -588,20 +531,20 @@ func TestSwapAtomicityUnderContention(t *testing.T) {
 					alldone = false
 					switch a.phase {
 					case 0:
-						if old, ok := r.caches[i].Swap(r.now, lock, 1); ok && old == 0 {
+						if old, ok := r.DCaches[i].Swap(r.now, lock, 1); ok && old == 0 {
 							a.phase = 1
 						}
 					case 1:
-						if v, ok := r.caches[i].Load(r.now, counter, 0xf); ok {
+						if v, ok := r.DCaches[i].Load(r.now, counter, 0xf); ok {
 							a.val = v
 							a.phase = 2
 						}
 					case 2:
-						if r.caches[i].Store(r.now, counter, a.val+1, 0xf) {
+						if r.DCaches[i].Store(r.now, counter, a.val+1, 0xf) {
 							a.phase = 3
 						}
 					case 3:
-						if r.caches[i].Store(r.now, lock, 0, 0xf) {
+						if r.DCaches[i].Store(r.now, lock, 0, 0xf) {
 							a.phase = 0
 							a.todo--
 						}
@@ -613,20 +556,12 @@ func TestSwapAtomicityUnderContention(t *testing.T) {
 				r.step()
 			}
 			r.settle()
-			flushDirty(r)
+			r.FlushCaches()
 			if got := r.space.ReadWord(counter); got != 80 {
 				t.Fatalf("counter = %d, want 80 (lost updates)", got)
 			}
 			r.check()
 		})
-	}
-}
-
-func flushDirty(r *rig) {
-	for _, dc := range r.caches {
-		if m, ok := dc.(*MESICache); ok {
-			m.FlushDirtyInto(r.space)
-		}
 	}
 }
 
@@ -707,18 +642,18 @@ func stressRig(t *testing.T, r *rig, ncpu, opsPerCPU int, seed int64) {
 			o := pending[c]
 			switch {
 			case o.swap:
-				if old, ok := r.caches[c].Swap(r.now, o.addr, o.val); ok {
+				if old, ok := r.DCaches[c].Swap(r.now, o.addr, o.val); ok {
 					if !written[o.addr][old] {
 						t.Fatalf("swap at %#x returned %d, never written there", o.addr, old)
 					}
 					pending[c] = nil
 				}
 			case o.store:
-				if r.caches[c].Store(r.now, o.addr, o.val, 0xf) {
+				if r.DCaches[c].Store(r.now, o.addr, o.val, 0xf) {
 					pending[c] = nil
 				}
 			default:
-				if v, ok := r.caches[c].Load(r.now, o.addr, 0xf); ok {
+				if v, ok := r.DCaches[c].Load(r.now, o.addr, 0xf); ok {
 					if !written[o.addr][v] {
 						t.Fatalf("load at %#x returned %d, never written there", o.addr, v)
 					}
@@ -815,10 +750,10 @@ func TestCrossProtocolFinalMemoryAgreement(t *testing.T) {
 				alldone = false
 				o := scripts[c][idx[c]]
 				if o.store {
-					if r.caches[c].Store(r.now, o.addr, o.val, 0xf) {
+					if r.DCaches[c].Store(r.now, o.addr, o.val, 0xf) {
 						idx[c]++
 					}
-				} else if _, ok := r.caches[c].Load(r.now, o.addr, 0xf); ok {
+				} else if _, ok := r.DCaches[c].Load(r.now, o.addr, 0xf); ok {
 					idx[c]++
 				}
 			}
@@ -834,7 +769,7 @@ func TestCrossProtocolFinalMemoryAgreement(t *testing.T) {
 		}
 		r.settle()
 		r.check()
-		flushDirty(r)
+		r.FlushCaches()
 		out := make([]uint32, ncpu*wordsPer)
 		for w := range out {
 			out[w] = r.space.ReadWord(addrOf(w))
@@ -850,5 +785,50 @@ func TestCrossProtocolFinalMemoryAgreement(t *testing.T) {
 					proto, w, addrOf(w), got[w], want)
 			}
 		}
+	}
+}
+
+// TestProtocolTable walks Protocols: everything that used to be a
+// four-way switch somewhere (names, the constructor, the MOESI rule)
+// must agree with the row, and a machine built from the row alone must
+// work end to end through the hierarchy's own Step and Pending.
+func TestProtocolTable(t *testing.T) {
+	for i := range Protocols {
+		proto, row := Protocol(i), Protocols[i]
+		t.Run(row.Name, func(t *testing.T) {
+			if proto.String() != row.Name {
+				t.Errorf("String() = %q, row is %q", proto, row.Name)
+			}
+			if got, err := ParseProtocol(ProtocolNames()[i]); err != nil || got != proto {
+				t.Errorf("ParseProtocol(%q) = %v, %v", ProtocolNames()[i], got, err)
+			}
+			r := newRig(t, proto, 2, 1)
+			if got := r.DCaches[0].Protocol(); got != proto {
+				t.Errorf("the row's cache reports protocol %v", got)
+			}
+			addr := uint32(rigBase + 0x40)
+			r.store(0, addr, 7) // cpu0 owns the block where the policy has owners
+			r.settle()
+			var parts []string
+			if _, ok := r.DCaches[1].Load(r.now, addr, 0xf); ok {
+				t.Fatal("cold remote load hit")
+			}
+			if !r.Pending(func(part string) { parts = append(parts, part) }) || parts[0] != "cache1 not drained" {
+				t.Fatalf("a miss in flight is pending as %q", parts)
+			}
+			if v := r.load(1, addr); v != 7 {
+				t.Fatalf("remote load = %d, want 7", v)
+			}
+			r.settle()
+			if r.Pending(nil) {
+				t.Fatal("settled hierarchy still reports pending work")
+			}
+			r.check()
+			// The C2C rule: on DefaultParams a forcing row transfers
+			// cache to cache, any other row only when asked.
+			if got := r.DCaches[0].Stats().C2CTransfers > 0; got != row.ForcesC2C {
+				t.Errorf("cache-to-cache transfer served = %t, row forces it = %t", got, row.ForcesC2C)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -73,17 +74,9 @@ type wtiPending struct {
 	begin  uint64 // cycle the request became pending (latency attribution)
 }
 
-// NewWTICache builds the write-through invalidate controller for CPU id.
-func NewWTICache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) *WTICache {
-	return newWriteThroughCache(id, WTI, p, node, amap, bankBase)
-}
-
-// NewWTUCache builds the write-through update controller for CPU id.
-func NewWTUCache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) *WTICache {
-	return newWriteThroughCache(id, WTU, p, node, amap, bankBase)
-}
-
-func newWriteThroughCache(id int, proto Protocol, p Params, node *Node, amap *mem.AddrMap, bankBase int) *WTICache {
+// newWriteThroughCache builds the write-through controller for CPU id
+// under proto (WTI or WTU); the Protocols table's constructor.
+func newWriteThroughCache(proto Protocol, id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) DataCache {
 	return &WTICache{
 		id:       id,
 		proto:    proto,
@@ -99,13 +92,13 @@ func newWriteThroughCache(id int, proto Protocol, p Params, node *Node, amap *me
 // Protocol implements DataCache.
 func (c *WTICache) Protocol() Protocol { return c.proto }
 
-// SetObserver attaches the observability recorder (nil detaches).
+// SetObserver implements DataCache.
 func (c *WTICache) SetObserver(r *obs.Recorder) {
 	c.Obs = r
 	c.wb.attachObs(r, obs.CPUPid(c.id))
 }
 
-// WBOccupancy reports the write buffer's occupied entries (sampling).
+// WBOccupancy implements DataCache.
 func (c *WTICache) WBOccupancy() int { return c.wb.Len() }
 
 // Stats implements DataCache.
@@ -367,10 +360,33 @@ func (c *WTICache) Drained() bool {
 	return !c.pend.active && c.wb.Empty()
 }
 
-// PeekLine exposes line state for the invariant checker and tests.
-func (c *WTICache) PeekLine(addr uint32) (LineState, []byte) {
-	if line, hit := c.arr.probe(addr); hit {
-		return c.arr.state[line], c.arr.lineData(line)
+// Lines implements DataCache.
+func (c *WTICache) Lines() []LineInfo { return c.arr.lines() }
+
+// PostedBytes implements DataCache: the union of the write buffer's
+// entries for the word.
+func (c *WTICache) PostedBytes(waddr uint32) uint8 {
+	var covered uint8
+	for i := range c.wb.entries {
+		if e := &c.wb.entries[i]; e.addr == waddr {
+			covered |= e.byteEn
+		}
 	}
-	return Invalid, nil
+	return covered
+}
+
+// FlushDirty implements DataCache: memory is always up to date, one of
+// the write-through properties the paper highlights.
+func (c *WTICache) FlushDirty(*mem.Space) {}
+
+// Fingerprint implements DataCache.
+func (c *WTICache) Fingerprint(b *strings.Builder) {
+	p := &c.pend
+	fmt.Fprintf(b, "P%t%t%t%t%t%t:%x:%x:%x;", p.active, p.isSwap, p.issued, p.done,
+		c.strictStore, c.strictDone, p.addr, p.newVal, p.oldVal)
+	for i := range c.wb.entries {
+		e := &c.wb.entries[i]
+		fmt.Fprintf(b, "W%x:%x:%x:%t;", e.addr, e.word, e.byteEn, e.sent)
+	}
+	c.arr.fingerprint(b)
 }

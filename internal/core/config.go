@@ -100,16 +100,14 @@ func (c *Config) normalize() error {
 	if c.NumCPUs < 1 {
 		return fmt.Errorf("core: NumCPUs must be positive")
 	}
+	if c.Protocol < 0 || int(c.Protocol) >= len(coherence.Protocols) {
+		return fmt.Errorf("core: unknown protocol %v", c.Protocol)
+	}
 	if c.Mem.NumCPUs == 0 {
 		c.Mem = coherence.DefaultParams(c.NumCPUs)
 	}
 	if c.Mem.NumCPUs != c.NumCPUs {
 		return fmt.Errorf("core: Mem.NumCPUs (%d) != NumCPUs (%d)", c.Mem.NumCPUs, c.NumCPUs)
-	}
-	if c.Protocol == coherence.MOESI {
-		// MOESI's Owned state only works when owners can supply
-		// requesters directly.
-		c.Mem.CacheToCache = true
 	}
 	if err := c.Mem.Validate(); err != nil {
 		return err
@@ -150,16 +148,34 @@ func (c *Config) normalize() error {
 }
 
 // Describe renders the configuration in the style of the paper's
-// Table 2.
+// Table 2, followed by every axis that is off its default (as
+// exp.Run.Key names them), so different machines never print the same
+// line.
 func (c Config) Describe() string {
 	cfg := c
 	if err := cfg.normalize(); err != nil {
 		return "invalid config: " + err.Error()
 	}
-	banks := cfg.Arch.NumBanks(cfg.NumCPUs)
-	return fmt.Sprintf(
-		"protocol=%v arch=%v cpus=%d banks=%d dcache=%dB icache=%dB block=%dB assoc=direct wbuf=%dw noc=%v",
-		cfg.Protocol, cfg.Arch, cfg.NumCPUs, banks,
-		cfg.Mem.DCacheBytes, cfg.Mem.ICacheBytes, cfg.Mem.BlockBytes,
+	assoc := "direct"
+	if cfg.Mem.Ways > 1 {
+		assoc = fmt.Sprintf("%d-way", cfg.Mem.Ways)
+	}
+	s := fmt.Sprintf(
+		"protocol=%v arch=%v cpus=%d banks=%d dcache=%dB icache=%dB block=%dB assoc=%s wbuf=%dw noc=%v",
+		cfg.Protocol, cfg.Arch, cfg.NumCPUs, cfg.Arch.NumBanks(cfg.NumCPUs),
+		cfg.Mem.DCacheBytes, cfg.Mem.ICacheBytes, cfg.Mem.BlockBytes, assoc,
 		cfg.Mem.WriteBufferWords, cfg.NoC)
+	if cfg.Mem.StrictSC {
+		s += " strictsc"
+	}
+	if cfg.Mem.CacheToCache && !coherence.Protocols[cfg.Protocol].ForcesC2C {
+		s += " c2c"
+	}
+	if cfg.Mem.DirPointers != 0 {
+		s += fmt.Sprintf(" dir=%d", cfg.Mem.DirPointers)
+	}
+	if cfg.Mem.RowBytes != 0 {
+		s += fmt.Sprintf(" rowbytes=%d", cfg.Mem.RowBytes)
+	}
+	return s
 }

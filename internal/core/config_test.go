@@ -63,11 +63,30 @@ func TestConfigMeshNormalization(t *testing.T) {
 }
 
 func TestDescribeMentionsEverything(t *testing.T) {
-	s := DefaultConfig(coherence.WBMESI, mem.Arch1, 16).Describe()
-	for _, want := range []string{"WB", "arch1", "cpus=16", "banks=2", "dcache=4096B", "block=32B", "wbuf=8w"} {
+	cfg := DefaultConfig(coherence.WBMESI, mem.Arch1, 16)
+	s := cfg.Describe()
+	for _, want := range []string{"WB", "arch1", "cpus=16", "banks=2", "dcache=4096B", "block=32B", "assoc=direct", "wbuf=8w"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Describe() = %q missing %q", s, want)
 		}
+	}
+	// Every axis off its default is named after the default line, so
+	// two different machines never print the same header.
+	cfg.Mem.Ways = 2
+	cfg.Mem.StrictSC = true
+	cfg.Mem.CacheToCache = true
+	cfg.Mem.DirPointers = 2
+	cfg.Mem.RowBytes = 1024
+	want := strings.Replace(s, "assoc=direct", "assoc=2-way", 1) + " strictsc c2c dir=2 rowbytes=1024"
+	if got := cfg.Describe(); got != want {
+		t.Errorf("Describe() = %q, want %q", got, want)
+	}
+	// MOESI implies cache-to-cache: asking for it is not another machine.
+	moesi := DefaultConfig(coherence.MOESI, mem.Arch1, 16)
+	plain := moesi.Describe()
+	moesi.Mem.CacheToCache = true
+	if got := moesi.Describe(); got != plain || strings.Contains(got, "c2c") {
+		t.Errorf("MOESI Describe() = %q with -c2c, %q without", got, plain)
 	}
 }
 

@@ -33,19 +33,15 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 			r.NameProcess(pid, fmt.Sprintf("cpu%d", i), 10+i)
 			r.NameThread(pid, obs.TidStall, "stall")
 			r.NameThread(pid, obs.TidDCache, "dcache")
-			if _, ok := s.DCaches[i].(*coherence.MESICache); ok {
+			if coherence.Protocols[s.Cfg.Protocol].EvictBuffer {
 				r.NameThread(pid, obs.TidEvict, "evict")
 			}
 		}
 		for b := range s.Banks {
 			r.NameProcess(obs.DirPid(b), fmt.Sprintf("bank%d dir", b), 1000+b)
 		}
-		for i := range s.Nodes {
-			r.NameProcess(obs.PortPid(i), fmt.Sprintf("port%d (cpu%d)", i, i), 2000+i)
-		}
-		for b := range s.BNodes {
-			p := n + b
-			r.NameProcess(obs.PortPid(p), fmt.Sprintf("port%d (bank%d)", p, b), 2000+p)
+		for p := range s.Ports {
+			r.NameProcess(obs.PortPid(p), fmt.Sprintf("port%d (%s)", p, s.nodeName(p)), 2000+p)
 		}
 	}
 
@@ -53,14 +49,9 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		c.Obs = r
 	}
 	for _, dc := range s.DCaches {
-		if o, ok := dc.(interface{ SetObserver(*obs.Recorder) }); ok {
-			o.SetObserver(r)
-		}
+		dc.SetObserver(r)
 	}
-	for _, nd := range s.Nodes {
-		nd.Obs = r
-	}
-	for _, nd := range s.BNodes {
+	for _, nd := range s.Ports {
 		nd.Obs = r
 	}
 	for _, b := range s.Banks {
@@ -102,9 +93,7 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	sp.AddProbe("wb_occupancy", func(now uint64) float64 {
 		var total int
 		for _, dc := range s.DCaches {
-			if w, ok := dc.(*coherence.WTICache); ok {
-				total += w.WBOccupancy()
-			}
+			total += dc.WBOccupancy()
 		}
 		return float64(total)
 	})
@@ -127,10 +116,7 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 			obs.DeltaProbe(func() uint64 { return s.FNet.FaultStats().Drops }))
 		sp.AddProbe("fault_retransmits", obs.DeltaProbe(func() uint64 {
 			var total uint64
-			for _, nd := range s.Nodes {
-				total += nd.Retransmits
-			}
-			for _, nd := range s.BNodes {
+			for _, nd := range s.Ports {
 				total += nd.Retransmits
 			}
 			return total

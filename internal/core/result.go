@@ -72,11 +72,7 @@ func (s *System) collect(cycles uint64) *Result {
 	}
 	if s.FNet != nil {
 		fr := &FaultReport{Plan: s.FNet.Plan().String(), Stats: s.FNet.FaultStats()}
-		for _, nd := range s.Nodes {
-			fr.Retransmits += nd.Retransmits
-			fr.BackoffCycles += nd.BackoffCycles
-		}
-		for _, nd := range s.BNodes {
+		for _, nd := range s.Ports {
 			fr.Retransmits += nd.Retransmits
 			fr.BackoffCycles += nd.BackoffCycles
 		}

@@ -28,11 +28,12 @@ type System struct {
 	CPUs    []*cpu.CPU
 	Streams []*trace.CPU
 	fronts  []frontEnd // whichever of the two, as the clusters see them
-	DCaches []coherence.DataCache
-	ICaches []*coherence.ICache
-	Nodes   []*coherence.Node // CPU-side nodes
-	Banks   []*coherence.MemCtrl
-	BNodes  []*coherence.Node // bank-side nodes
+
+	// Hierarchy is everything below the CPUs (DCaches, ICaches, Nodes,
+	// Banks, BNodes, Ports) with its invariant checks and FlushCaches.
+	// Its Step is for owners without an engine; a System advances
+	// through Engine.
+	*coherence.Hierarchy
 
 	// Obs is the attached observability recorder (nil when disabled);
 	// see AttachObserver.
@@ -89,7 +90,6 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	n := cfg.NumCPUs
 	layout := mem.DefaultLayout(n)
 	amap := cfg.Arch.BuildMap(layout)
-	banks := amap.NumBanks
 
 	var net noc.Network
 	switch cfg.NoC {
@@ -112,45 +112,16 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 
 	space := mem.NewSpace()
 	sys := &System{
-		Cfg:     cfg,
-		Layout:  layout,
-		Engine:  sim.NewEngine(),
-		Net:     net,
-		Space:   space,
-		AddrMap: amap,
-		FNet:    fnet,
+		Cfg:       cfg,
+		Layout:    layout,
+		Engine:    sim.NewEngine(),
+		Net:       net,
+		Space:     space,
+		AddrMap:   amap,
+		Hierarchy: coherence.NewHierarchy(net, space, amap, cfg.Mem, cfg.Protocol),
+		FNet:      fnet,
 	}
-
-	// Memory banks: node ids n..n+m-1.
-	for b := 0; b < banks; b++ {
-		mc := coherence.NewMemCtrl(b, n+b, cfg.Mem, cfg.Protocol, space)
-		node := coherence.NewNode(n+b, net, mc)
-		mc.SetNode(node)
-		sys.Banks = append(sys.Banks, mc)
-		sys.BNodes = append(sys.BNodes, node)
-	}
-
-	// CPUs with split caches sharing one node each: node ids 0..n-1.
 	for i := 0; i < n; i++ {
-		sink := &coherence.CPUSink{}
-		node := coherence.NewNode(i, net, sink)
-		var dc coherence.DataCache
-		switch cfg.Protocol {
-		case coherence.WTI:
-			dc = coherence.NewWTICache(i, cfg.Mem, node, amap, n)
-		case coherence.WTU:
-			dc = coherence.NewWTUCache(i, cfg.Mem, node, amap, n)
-		case coherence.MOESI:
-			dc = coherence.NewMOESICache(i, cfg.Mem, node, amap, n)
-		default:
-			dc = coherence.NewMESICache(i, cfg.Mem, node, amap, n)
-		}
-		ic := coherence.NewICache(i, cfg.Mem, node, amap, n)
-		sink.D = dc
-		sink.I = ic
-		sys.DCaches = append(sys.DCaches, dc)
-		sys.ICaches = append(sys.ICaches, ic)
-		sys.Nodes = append(sys.Nodes, node)
 		sys.fronts = append(sys.fronts, front(sys, i))
 	}
 
@@ -171,12 +142,7 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	// replayable diagnostic instead of limping to the cycle deadline.
 	if fnet != nil {
 		sys.Engine.Watchdog(func(now uint64) error {
-			for _, nd := range sys.Nodes {
-				if err := nd.RetryErr(); err != nil {
-					return fmt.Errorf("%w (replay: -fault %q)", err, cfg.Fault.String())
-				}
-			}
-			for _, nd := range sys.BNodes {
+			for _, nd := range sys.Ports {
 				if err := nd.RetryErr(); err != nil {
 					return fmt.Errorf("%w (replay: -fault %q)", err, cfg.Fault.String())
 				}
@@ -265,22 +231,7 @@ func (s *System) AllHalted() bool {
 
 // Quiescent reports whether, additionally, no protocol activity is in
 // flight anywhere.
-func (s *System) Quiescent() bool {
-	if !s.AllHalted() || !s.Net.Quiet() {
-		return false
-	}
-	for i := range s.DCaches {
-		if !s.DCaches[i].Drained() || !s.ICaches[i].Drained() || !s.Nodes[i].Idle() {
-			return false
-		}
-	}
-	for b := range s.Banks {
-		if !s.Banks[b].Drained() || !s.BNodes[b].Idle() {
-			return false
-		}
-	}
-	return true
-}
+func (s *System) Quiescent() bool { return s.AllHalted() && !s.Pending(nil) }
 
 // Run executes until every CPU halts (the measured execution time, as
 // in the paper's Figure 4), then drains in-flight traffic so the final
@@ -305,23 +256,6 @@ func (s *System) Run() (*Result, error) {
 	return s.collect(cycles), nil
 }
 
-// CheckCoherence verifies the protocol invariants over the quiescent
-// system (call after Run, before FlushCaches).
-func (s *System) CheckCoherence() error {
-	return coherence.CheckCoherence(s.DCaches, s.Space, s.bankFor)
-}
-
-// CheckRuntime verifies the transient-safe invariants (SWMR, value and
-// directory agreement outside open-transaction windows); unlike
-// CheckCoherence it is valid at any cycle, mid-transaction included.
-func (s *System) CheckRuntime() error {
-	return coherence.CheckRuntime(s.DCaches, s.Space, s.bankFor)
-}
-
-func (s *System) bankFor(addr uint32) *coherence.MemCtrl {
-	return s.Banks[s.AddrMap.BankOf(addr)]
-}
-
 // EnableRuntimeChecks arranges for CheckRuntime to run every `every`
 // cycles for the rest of the run (mcsim -check). The first violation is
 // recorded and turned into an error by Run — at ~1µs per check on small
@@ -340,18 +274,6 @@ func (s *System) EnableRuntimeChecks(every uint64) {
 			}
 		}
 	})
-}
-
-// FlushCaches writes every dirty cached block back into the memory
-// space so host-side checks observe the final architectural state.
-// Write-through caches have nothing to flush — memory is always up to
-// date, one of the WTI properties the paper highlights.
-func (s *System) FlushCaches() {
-	for _, dc := range s.DCaches {
-		if m, ok := dc.(*coherence.MESICache); ok {
-			m.FlushDirtyInto(s.Space)
-		}
-	}
 }
 
 func (s *System) pcs() []string {

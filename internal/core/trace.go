@@ -52,10 +52,7 @@ func (s *System) TraceMessages(w io.Writer, limit int, rx bool) {
 		fmt.Fprintf(w, "[%8d] %s #%d %s --%s--> %s addr=%#x\n",
 			now, dir, id, s.nodeName(from), m.Kind, s.nodeName(to), m.Addr)
 	}
-	for _, n := range s.Nodes {
-		n.Trace = hook
-	}
-	for _, n := range s.BNodes {
+	for _, n := range s.Ports {
 		n.Trace = hook
 	}
 }

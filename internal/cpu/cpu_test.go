@@ -14,7 +14,9 @@ import (
 // can be tested without the coherence machinery.
 type flatMem struct {
 	space *mem.Space
-	st    coherence.DCacheStats
+	// The CPU calls Load, Store, Swap and Skip; the rest of the
+	// interface stays unimplemented.
+	coherence.DataCache
 }
 
 func newFlatMem() *flatMem { return &flatMem{space: mem.NewSpace()} }
@@ -38,13 +40,7 @@ func (f *flatMem) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) {
 	return old, true
 }
 
-func (f *flatMem) Tick(now uint64)                        {}
-func (f *flatMem) NextWake(now uint64) uint64             { return ^uint64(0) }
-func (f *flatMem) Skip(from, to uint64)                   {}
-func (f *flatMem) HandleMsg(m *coherence.Msg, now uint64) {}
-func (f *flatMem) Drained() bool                          { return true }
-func (f *flatMem) Stats() *coherence.DCacheStats          { return &f.st }
-func (f *flatMem) Protocol() coherence.Protocol           { return coherence.WTI }
+func (f *flatMem) Skip(from, to uint64) {}
 
 // run executes instructions on a fresh CPU until HALT (or maxCycles).
 func run(t *testing.T, prog []isa.Instr, setup func(*CPU, *flatMem)) (*CPU, *flatMem) {

@@ -92,7 +92,7 @@ func buildModule(dir string, fset *token.FileSet, pkgs []*pkg) *module {
 			}
 		}
 	}
-	for _, node := range m.funcs { //simlint:ignore maprange — edge building is order-independent
+	for _, node := range m.funcs { //lint:allow maprange — edge building is order-independent
 		m.resolveCalls(node)
 	}
 	return m
@@ -176,7 +176,7 @@ func origin(fn *types.Func) *types.Func { return fn.Origin() }
 // hotRoots returns the //lint:hot functions, sorted.
 func (m *module) hotRoots() []*funcNode {
 	var roots []*funcNode
-	for _, node := range m.funcs { //simlint:ignore maprange — sorted immediately below
+	for _, node := range m.funcs { //lint:allow maprange — sorted immediately below
 		if node.hot {
 			roots = append(roots, node)
 		}

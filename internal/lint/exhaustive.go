@@ -66,7 +66,7 @@ func (e exhaustive) check(p *pkg, report func(token.Pos, string)) {
 				return true
 			}
 			var missing []string
-			for v, name := range lineStates { //simlint:ignore maprange — sorted immediately below
+			for v, name := range lineStates { //lint:allow maprange — sorted immediately below
 				if !covered[v] {
 					missing = append(missing, name)
 				}

@@ -102,7 +102,7 @@ func (hotalloc) checkModule(m *module) []Finding {
 	}
 
 	nodes := make([]*funcNode, 0, len(reach))
-	for node := range reach { //simlint:ignore maprange — sorted immediately below
+	for node := range reach { //lint:allow maprange — sorted immediately below
 		nodes = append(nodes, node)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].obj.FullName() < nodes[j].obj.FullName() })
@@ -125,7 +125,7 @@ func (hotalloc) checkModule(m *module) []Finding {
 		}
 	}
 	// Stale entries: the worklist must shrink when the code improves.
-	for key, line := range allow { //simlint:ignore maprange — findings are sorted by the caller
+	for key, line := range allow { //lint:allow maprange — findings are sorted by the caller
 		if !used[key] {
 			findings = append(findings, Finding{
 				Pos:      token.Position{Filename: filepath.Join(m.dir, allowFileName), Line: line},

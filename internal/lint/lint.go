@@ -18,7 +18,7 @@
 //     deliberately randomized by the runtime — any simulator behaviour
 //     reached through such a loop differs run to run. Iterate a sorted
 //     key slice instead, or suppress a provably order-independent loop
-//     with `//simlint:ignore maprange <reason>`.
+//     with `//lint:allow maprange <reason>`.
 //   - exhaustive: module-wide; a switch over coherence.LineState must
 //     either have a default clause or cover every protocol state
 //     (Shared, Owned, Exclusive, Modified) so adding a state revisits
@@ -35,8 +35,7 @@
 //     reason — the file is the zero-alloc worklist, and a new
 //     allocation on a hot path fails the gate.
 //
-// Suppressions: `//simlint:ignore <analyzer> <reason>` (legacy, reason
-// optional) or `//lint:allow <analyzer> <reason>` (reason required; a
+// Suppressions: `//lint:allow <analyzer> <reason>` (reason required; a
 // reasonless or unknown-analyzer allow is itself reported, as analyzer
 // "directive") on the finding's line or the line directly above it.
 //
@@ -257,7 +256,6 @@ type allowDirective struct {
 	pos      token.Position
 	analyzer string
 	reason   string
-	legacy   bool // //simlint:ignore form (reason optional)
 }
 
 // directives holds every suppression comment of the module, keyed by
@@ -285,10 +283,7 @@ func (d *directives) add(a allowDirective) {
 // without a reason does not suppress — the reason is the audit trail.
 func (d *directives) suppressed(analyzer string, pos token.Position) bool {
 	for _, a := range d.byFile[pos.Filename] {
-		if a.analyzer != analyzer || (a.line() != pos.Line && a.line() != pos.Line-1) {
-			continue
-		}
-		if a.legacy || a.reason != "" {
+		if a.analyzer == analyzer && a.reason != "" && (a.line() == pos.Line || a.line() == pos.Line-1) {
 			return true
 		}
 	}
@@ -302,11 +297,8 @@ func (a allowDirective) line() int { return a.pos.Line }
 // name (usually a typo that silently disarms the suppression).
 func (d *directives) hygieneFindings() []Finding {
 	var out []Finding
-	for _, as := range d.byFile { //simlint:ignore maprange — findings are sorted by the caller
+	for _, as := range d.byFile { //lint:allow maprange — findings are sorted by the caller
 		for _, a := range as {
-			if a.legacy {
-				continue
-			}
 			switch {
 			case !d.known[a.analyzer]:
 				out = append(out, Finding{Pos: a.pos, Analyzer: "directive",
@@ -318,20 +310,6 @@ func (d *directives) hygieneFindings() []Finding {
 		}
 	}
 	return out
-}
-
-// parseIgnore extracts the analyzer name from a legacy suppression
-// comment, returning "" if the comment is not one.
-func parseIgnore(text string) string {
-	const prefix = "//simlint:ignore "
-	if !strings.HasPrefix(text, prefix) {
-		return ""
-	}
-	rest := strings.TrimSpace(text[len(prefix):])
-	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		rest = rest[:i]
-	}
-	return rest
 }
 
 // parseAllow extracts analyzer and reason from a //lint:allow comment,

@@ -88,7 +88,7 @@ func TestFixtureMessages(t *testing.T) {
 		}
 		switch f.Analyzer {
 		case "maprange":
-			if !strings.Contains(f.Message, "simlint:ignore maprange") {
+			if !strings.Contains(f.Message, "//lint:allow maprange") {
 				t.Errorf("maprange message lacks the suppression hint: %s", f.Message)
 			}
 		case "exhaustive":
@@ -125,20 +125,5 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
-	}
-}
-
-func TestParseIgnore(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{"//simlint:ignore maprange — reason", "maprange"},
-		{"//simlint:ignore maprange", "maprange"},
-		{"//simlint:ignore walltime because", "walltime"},
-		{"// simlint:ignore maprange", ""}, // space breaks the directive, like //go:
-		{"//simlint:ignored maprange", ""},
-		{"// regular comment", ""},
-	} {
-		if got := parseIgnore(c.in); got != c.want {
-			t.Errorf("parseIgnore(%q) = %q, want %q", c.in, got, c.want)
-		}
 	}
 }

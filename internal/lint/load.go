@@ -101,9 +101,7 @@ func loadModule(dir string) ([]*pkg, *token.FileSet, *directives, error) {
 			p.files = append(p.files, f)
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if name := parseIgnore(c.Text); name != "" {
-						dirs.add(allowDirective{pos: fset.Position(c.Pos()), analyzer: name, legacy: true})
-					} else if analyzer, reason, ok := parseAllow(c.Text); ok {
+					if analyzer, reason, ok := parseAllow(c.Text); ok {
 						dirs.add(allowDirective{pos: fset.Position(c.Pos()), analyzer: analyzer, reason: reason})
 					}
 				}
@@ -250,7 +248,7 @@ func topoOrder(parsed map[string]*pkg) ([]string, error) {
 		sort.Strings(deps[ip])
 	}
 	names := make([]string, 0, len(parsed))
-	for ip := range parsed { //simlint:ignore maprange — sorted immediately below
+	for ip := range parsed { //lint:allow maprange — sorted immediately below
 		names = append(names, ip)
 	}
 	sort.Strings(names)

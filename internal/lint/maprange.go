@@ -13,7 +13,7 @@ import (
 // identical seeds. The fix is to collect and sort the keys, keep an
 // explicit gauge/counter, or — only when the loop is provably
 // order-independent (pure accumulation into an order-insensitive
-// value) — suppress with `//simlint:ignore maprange <why>`.
+// value) — suppress with `//lint:allow maprange <why>`.
 type maprange struct{}
 
 func (maprange) name() string { return "maprange" }
@@ -38,7 +38,7 @@ func (m maprange) check(p *pkg, report func(token.Pos, string)) {
 			}
 			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 				report(rs.Pos(), "range over a map iterates in randomized order; "+
-					"sort the keys first, or suppress with //simlint:ignore maprange if provably order-independent")
+					"sort the keys first, or suppress with //lint:allow maprange <why> if provably order-independent")
 			}
 			return true
 		})

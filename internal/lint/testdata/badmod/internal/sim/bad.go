@@ -28,7 +28,7 @@ func mapIter(m map[int]int) int {
 	for _, v := range m { // want maprange
 		s += v
 	}
-	//simlint:ignore maprange — order-independent sum
+	//lint:allow maprange — order-independent sum
 	for _, v := range m {
 		s += v
 	}
@@ -42,7 +42,7 @@ func mapIter(m map[int]int) int {
 // order-independent) then sort.
 func sortedKeys(m map[int]int) []int {
 	keys := make([]int, 0, len(m))
-	//simlint:ignore maprange — keys are collected then sorted
+	//lint:allow maprange — keys are collected then sorted
 	for k := range m {
 		keys = append(keys, k)
 	}

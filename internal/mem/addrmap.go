@@ -64,9 +64,6 @@ func (m *AddrMap) AddRegion(r Region) {
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Base < m.regions[j].Base })
 }
 
-// Regions returns the registered regions sorted by base address.
-func (m *AddrMap) Regions() []Region { return m.regions }
-
 // Lookup returns the region containing addr, or nil.
 func (m *AddrMap) Lookup(addr uint32) *Region {
 	// Binary search over sorted regions.

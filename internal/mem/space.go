@@ -134,6 +134,3 @@ func (s *Space) ReadFloat(addr uint32) float32 {
 func (s *Space) WriteFloat(addr uint32, v float32) {
 	s.WriteWord(addr, math.Float32bits(v))
 }
-
-// TouchedPages reports how many distinct pages have been allocated.
-func (s *Space) TouchedPages() int { return len(s.pages) }

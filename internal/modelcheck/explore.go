@@ -103,7 +103,7 @@ func Explore(sc Scope) (Result, error) {
 			if !cur.remainingOps() {
 				res.Terminal++
 			}
-			if err := cur.quiescentCheck(); err != nil {
+			if err := cur.CheckCoherence(); err != nil {
 				res.Violation = violationFrom(&sc, ops, values, prefix, "quiescent", err)
 				return res, nil
 			}
@@ -189,25 +189,7 @@ func describePending(w *world) string {
 			parts = append(parts, fmt.Sprintf("cpu%d %s in flight", i, w.drv[i].op))
 		}
 	}
-	for i := range w.caches {
-		if !w.caches[i].Drained() {
-			parts = append(parts, fmt.Sprintf("cache%d not drained", i))
-		}
-		if !w.nodes[i].Idle() {
-			parts = append(parts, fmt.Sprintf("node%d queue not empty", i))
-		}
-	}
-	for b := range w.banks {
-		if !w.banks[b].Drained() {
-			parts = append(parts, fmt.Sprintf("bank%d not drained", b))
-		}
-		if !w.bnodes[b].Idle() {
-			parts = append(parts, fmt.Sprintf("bank-node%d queue not empty", b))
-		}
-	}
-	if !w.net.Quiet() {
-		parts = append(parts, "packets in flight")
-	}
+	w.Pending(func(part string) { parts = append(parts, part) })
 	return strings.Join(parts, ", ")
 }
 
@@ -227,10 +209,7 @@ func violationFrom(sc *Scope, ops []op, values []uint32, path []choice, kind str
 		fmt.Fprintf(&b, "  cycle %3d: node %d %s %s node %d  %v addr=%#x word=%#x\n",
 			now, self, dir, arrow, peer, m.Kind, m.Addr, m.Word)
 	}
-	for _, n := range w.nodes {
-		n.Trace = trace
-	}
-	for _, n := range w.bnodes {
+	for _, n := range w.Ports {
 		n.Trace = trace
 	}
 	base := len(ops) + 1

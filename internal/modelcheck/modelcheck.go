@@ -1,8 +1,9 @@
 // Package modelcheck exhaustively enumerates the reachable state space
-// of a small configured system — real WTICache/MESICache controllers,
-// real directory banks, the real GMN interconnect, stepped by the same
-// per-cycle order the simulator uses — and checks coherence invariants
-// in every reachable state.
+// of a small configured system — the coherence.Hierarchy the simulator
+// itself wires (any row of coherence.Protocols, real directory banks)
+// over the real GMN interconnect, stepped by Hierarchy.Step, whose
+// per-cycle order is the one the simulator's tickers are registered in
+// — and checks coherence invariants in every reachable state.
 //
 // The explorer is a breadth-first search over *joint CPU choices*: each
 // cycle, every idle CPU either stays silent or initiates one operation
@@ -14,16 +15,17 @@
 // is re-entered by replaying its path from reset. States are
 // deduplicated by a 128-bit FNV hash of the complete
 // micro-architectural state (cache lines, pending transactions, write
-// buffers, directory entries, node FIFOs, in-flight NoC packets, scoped
-// memory words), with all times expressed relative to the current
-// cycle so equivalent states reached at different absolute cycles
-// merge.
+// buffers, directory entries, node FIFOs — each component writes its
+// own, Hierarchy.Fingerprint — plus in-flight NoC packets and the
+// scoped memory words), with all times expressed relative to the
+// current cycle so equivalent states reached at different absolute
+// cycles merge.
 //
 // In every state the transient-safe runtime invariants run
-// (coherence.CheckRuntime: SWMR, value agreement, directory agreement)
+// (Hierarchy.CheckRuntime: SWMR, value agreement, directory agreement)
 // plus a ghost-value check — a completed load or swap must observe a
 // value some CPU actually wrote. In every quiescent state the stricter
-// coherence.CheckCoherence runs too. A state from which the all-silent
+// Hierarchy.CheckCoherence runs too. A state from which the all-silent
 // step changes nothing while work is still in flight is a deadlock.
 // Any violation is reported as a replayable counterexample: the choice
 // path, re-run with message tracing enabled, prints the full protocol
@@ -74,6 +76,17 @@ type Scope struct {
 // scopeBase is where the scoped words live (an arbitrary mapped base).
 const scopeBase = 0x10000
 
+// ScopeAddrs returns n scoped word addresses, one per consecutive
+// block, so each extra address adds a real block-level interleaving
+// (and, with two banks, a second bank), not intra-block noise.
+func ScopeAddrs(n int) []uint32 {
+	addrs := make([]uint32, n)
+	for i := range addrs {
+		addrs[i] = scopeBase + uint32(i*coherence.DefaultParams(1).BlockBytes)
+	}
+	return addrs
+}
+
 // DefaultScope returns the standard small scope for a protocol:
 // 2 CPUs, 1 bank, 1 shared word, values {1,2}, swap enabled,
 // 2 operations per CPU.
@@ -82,7 +95,7 @@ func DefaultScope(proto coherence.Protocol) Scope {
 		Proto:     proto,
 		CPUs:      2,
 		Banks:     1,
-		Addrs:     []uint32{scopeBase},
+		Addrs:     ScopeAddrs(1),
 		Vals:      []uint32{1, 2},
 		WithSwap:  true,
 		OpsPerCPU: 2,
@@ -102,7 +115,7 @@ func (sc *Scope) normalize() error {
 		return fmt.Errorf("modelcheck: Banks must be 1..2, got %d", sc.Banks)
 	}
 	if len(sc.Addrs) == 0 {
-		sc.Addrs = []uint32{scopeBase}
+		sc.Addrs = ScopeAddrs(1)
 	}
 	if len(sc.Vals) == 0 {
 		sc.Vals = []uint32{1, 2}

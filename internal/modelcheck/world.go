@@ -10,23 +10,20 @@ import (
 	"repro/internal/noc"
 )
 
-// world is one concrete instance of the scoped system: real protocol
-// controllers, banks and interconnect, plus the per-CPU drivers and the
-// ghost written-value sets. The explorer rebuilds a world from reset
-// and replays a choice path to re-enter any state.
+// world is one concrete instance of the scoped system: the memory
+// hierarchy the simulator wires (coherence.NewHierarchy) over the real
+// interconnect, plus the per-CPU drivers and the ghost written-value
+// sets. The explorer rebuilds a world from reset and replays a choice
+// path to re-enter any state.
 type world struct {
 	sc     *Scope
 	ops    []op
 	values []uint32
 
-	net    *noc.GMN
-	space  *mem.Space
-	amap   *mem.AddrMap
-	caches []coherence.DataCache
-	nodes  []*coherence.Node
-	banks  []*coherence.MemCtrl
-	bnodes []*coherence.Node
-	now    uint64
+	*coherence.Hierarchy
+	net   *noc.GMN
+	space *mem.Space
+	now   uint64
 
 	drv []driver
 	// ghost[i] is the set of value-table indices ever written to
@@ -67,16 +64,15 @@ func joinDigits(digits []int, base int) choice {
 	return c
 }
 
-// newWorld builds the scoped system from reset. It mirrors the
-// simulator's wiring (core.Build) at miniature scale.
+// newWorld builds the scoped system from reset.
 func newWorld(sc *Scope, ops []op, values []uint32) *world {
 	p := coherence.DefaultParams(sc.CPUs)
 	p.WriteBufferWords = sc.WBWords
 	p.MemLatency = 2
 	p.MemService = 1
-	if sc.Proto == coherence.MOESI {
-		p.CacheToCache = true
-	}
+	// The drivers never fetch, and a world is rebuilt for every replay:
+	// one line keeps the instruction caches out of the allocator.
+	p.ICacheBytes = p.BlockBytes
 	amap := mem.NewAddrMap(sc.Banks)
 	banks := make([]int, sc.Banks)
 	for i := range banks {
@@ -99,45 +95,17 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 			FIFODepth: sc.FIFODepth,
 		}),
 		space: mem.NewSpace(),
-		amap:  amap,
 		drv:   make([]driver, sc.CPUs),
 		ghost: make([]uint16, len(sc.Addrs)),
 	}
+	w.Hierarchy = coherence.NewHierarchy(w.net, w.space, amap, p, sc.Proto)
 	for i := range w.ghost {
 		w.ghost[i] = 1 // initial memory value (table index 0) is readable
 	}
-	for b := 0; b < sc.Banks; b++ {
-		mc := coherence.NewMemCtrl(b, sc.CPUs+b, p, sc.Proto, w.space)
+	for _, mc := range w.Banks {
 		mc.Fault = sc.Fault
-		node := coherence.NewNode(sc.CPUs+b, w.net, mc)
-		mc.SetNode(node)
-		w.banks = append(w.banks, mc)
-		w.bnodes = append(w.bnodes, node)
-	}
-	for i := 0; i < sc.CPUs; i++ {
-		sink := &coherence.CPUSink{}
-		node := coherence.NewNode(i, w.net, sink)
-		var dc coherence.DataCache
-		switch sc.Proto {
-		case coherence.WTI:
-			dc = coherence.NewWTICache(i, p, node, amap, sc.CPUs)
-		case coherence.WTU:
-			dc = coherence.NewWTUCache(i, p, node, amap, sc.CPUs)
-		case coherence.MOESI:
-			dc = coherence.NewMOESICache(i, p, node, amap, sc.CPUs)
-		default:
-			dc = coherence.NewMESICache(i, p, node, amap, sc.CPUs)
-		}
-		sink.D = dc
-		sink.I = coherence.NewICache(i, p, node, amap, sc.CPUs)
-		w.caches = append(w.caches, dc)
-		w.nodes = append(w.nodes, node)
 	}
 	return w
-}
-
-func (w *world) bankFor(addr uint32) *coherence.MemCtrl {
-	return w.banks[w.amap.BankOf(addr)]
 }
 
 func (w *world) addrIndex(addr uint32) int {
@@ -149,12 +117,12 @@ func (w *world) addrIndex(addr uint32) int {
 	return -1
 }
 
-// step advances the world one cycle under the given joint choice,
-// following the simulator's canonical order: CPU operations first, then
-// cache controllers, CPU nodes, bank nodes, and finally the network.
-// When check is set, the transient-safe runtime invariants are
-// evaluated on the resulting state; replayed prefixes skip this because
-// every prefix state was checked when first discovered.
+// step advances the world one cycle under the given joint choice: the
+// CPUs' operations first, then the hierarchy's own cycle
+// (coherence.Hierarchy.Step). When check is set, the transient-safe
+// runtime invariants are evaluated on the resulting state; replayed
+// prefixes skip this because every prefix state was checked when first
+// discovered.
 func (w *world) step(c choice, check bool) {
 	base := len(w.ops) + 1
 	for cpu := range w.drv {
@@ -174,19 +142,10 @@ func (w *world) step(c choice, check bool) {
 			w.driveOp(cpu)
 		}
 	}
-	for i := range w.caches {
-		w.caches[i].Tick(w.now)
-		w.nodes[i].Tick(w.now)
-	}
-	for b := range w.bnodes {
-		w.bnodes[b].Tick(w.now)
-	}
-	w.net.Tick(w.now)
+	w.Step(w.now)
 	w.now++
 	if check && w.err == nil {
-		if err := coherence.CheckRuntime(w.caches, w.space, w.bankFor); err != nil {
-			w.err = err
-		}
+		w.err = w.CheckRuntime()
 	}
 }
 
@@ -195,18 +154,18 @@ func (w *world) driveOp(cpu int) {
 	d := &w.drv[cpu]
 	switch d.op.kind {
 	case opLoad:
-		if v, ok := w.caches[cpu].Load(w.now, d.op.addr, 0xF); ok {
+		if v, ok := w.DCaches[cpu].Load(w.now, d.op.addr, 0xF); ok {
 			w.observed(cpu, "load", d.op.addr, v)
 			d.busy = false
 			d.done++
 		}
 	case opStore:
-		if w.caches[cpu].Store(w.now, d.op.addr, d.op.val, 0xF) {
+		if w.DCaches[cpu].Store(w.now, d.op.addr, d.op.val, 0xF) {
 			d.busy = false
 			d.done++
 		}
 	case opSwap:
-		if old, ok := w.caches[cpu].Swap(w.now, d.op.addr, d.op.val); ok {
+		if old, ok := w.DCaches[cpu].Swap(w.now, d.op.addr, d.op.val); ok {
 			w.observed(cpu, "swap", d.op.addr, old)
 			d.busy = false
 			d.done++
@@ -234,27 +193,16 @@ func (w *world) observed(cpu int, what string, addr uint32, v uint32) {
 }
 
 // pendingWork reports whether anything is still in flight: an
-// unfinished CPU operation, an undrained controller or bank, a queued
-// node message, or an in-flight packet. A state with no pending work is
-// quiescent; a state with pending work that the all-silent step cannot
-// change is deadlocked.
+// unfinished CPU operation, or work below the CPUs. A state with no
+// pending work is quiescent; a state with pending work that the
+// all-silent step cannot change is deadlocked.
 func (w *world) pendingWork() bool {
 	for i := range w.drv {
 		if w.drv[i].busy {
 			return true
 		}
 	}
-	for i := range w.caches {
-		if !w.caches[i].Drained() || !w.nodes[i].Idle() {
-			return true
-		}
-	}
-	for b := range w.banks {
-		if !w.banks[b].Drained() || !w.bnodes[b].Idle() {
-			return true
-		}
-	}
-	return !w.net.Quiet()
+	return w.Pending(nil)
 }
 
 // remainingOps reports whether any CPU may still initiate operations.
@@ -279,51 +227,7 @@ func (w *world) fingerprint() [16]byte {
 		fmt.Fprintf(&b, "D%t:%d:%x:%x:%d;", d.busy, d.op.kind, d.op.addr, d.op.val, d.done)
 	}
 	fmt.Fprintf(&b, "G%x;", w.ghost)
-	for i, c := range w.caches {
-		switch cc := c.(type) {
-		case *coherence.WTICache:
-			p := cc.PendingInfo()
-			fmt.Fprintf(&b, "P%t%t%t%t%t%t:%x:%x:%x;", p.Active, p.IsSwap, p.Issued, p.Done,
-				p.StrictStore, p.StrictDone, p.Addr, p.NewVal, p.OldVal)
-			for _, e := range cc.WBEntries() {
-				fmt.Fprintf(&b, "W%x:%x:%x:%t;", e.Addr, e.Word, e.ByteEn, e.Sent)
-			}
-		case *coherence.MESICache:
-			p := cc.PendingInfo()
-			fmt.Fprintf(&b, "P%t%t%t%t%t:%d:%x:%x:%x:%x:%x:%t:%x;", p.Active, p.Issued, p.Apply,
-				p.IsSwap, p.Done, p.Kind, p.Blk, p.WAddr, p.Word, p.ByteEn, p.SwapOld,
-				p.EvictActive, p.EvictAddr)
-		}
-		for _, li := range c.(coherence.Inspectable).Lines() {
-			fmt.Fprintf(&b, "L%x:%d:%x;", li.Addr, li.State, li.Data)
-		}
-		for _, qm := range w.nodes[i].QueuedMsgs(w.now) {
-			fmt.Fprintf(&b, "Q%d:%d:", qm.Dst, qm.NotBefore)
-			qm.Msg.Fingerprint(&b)
-		}
-	}
-	for bi, mc := range w.banks {
-		for _, e := range mc.DirEntries() {
-			if !e.Busy && e.Sharers == 0 && e.Owner < 0 && !e.Bcast && len(e.Deferred) == 0 {
-				continue // indistinguishable from an absent entry
-			}
-			fmt.Fprintf(&b, "E%x:%x:%d:%t:%t:%d:%d:%d:%d:%t%t%t%t%t%t:%x;",
-				e.Blk, e.Sharers, e.Owner, e.Bcast, e.Busy, e.Kind, e.ReqSrc, e.WaitAcks,
-				e.FetchTarget, e.FetchPending, e.FetchSeen, e.FetchFwd, e.FetchHadData,
-				e.RetainOwner, e.C2CDone, e.OldWord)
-			for _, m := range e.Deferred {
-				b.WriteByte('d')
-				m.Fingerprint(&b)
-			}
-		}
-		fmt.Fprintf(&b, "B%d;", mc.BusyFor(w.now))
-		open, row := mc.RowState()
-		fmt.Fprintf(&b, "R%t:%x;", open, row)
-		for _, qm := range w.bnodes[bi].QueuedMsgs(w.now) {
-			fmt.Fprintf(&b, "Q%d:%d:", qm.Dst, qm.NotBefore)
-			qm.Msg.Fingerprint(&b)
-		}
-	}
+	w.Hierarchy.Fingerprint(&b, w.now)
 	w.net.Each(w.now, func(dst bool, busy uint64) {
 		tag := 'S'
 		if dst {
@@ -342,10 +246,4 @@ func (w *world) fingerprint() [16]byte {
 	var fp [16]byte
 	h.Sum(fp[:0])
 	return fp
-}
-
-// quiescentCheck runs the strict whole-system invariant on a state with
-// no pending work.
-func (w *world) quiescentCheck() error {
-	return coherence.CheckCoherence(w.caches, w.space, w.bankFor)
 }

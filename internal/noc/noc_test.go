@@ -322,7 +322,7 @@ func TestMeshAllPairsDeliver(t *testing.T) {
 	}
 	got := drive(t, m, 100000)
 	total := 0
-	for _, ps := range got { //simlint:ignore maprange — order-independent sum
+	for _, ps := range got { //lint:allow maprange — order-independent sum
 		total += len(ps)
 	}
 	if total != want {

@@ -13,7 +13,7 @@
 //     and per NoC port — see WriteTrace;
 //   - interval samples of whole-system time series (IPC, stall share,
 //     write-buffer occupancy, directory queue depth, per-port NoC
-//     flits) — see Sampler, WriteCSV and WriteJSONL;
+//     flits) — see Sampler and WriteCSV;
 //   - latency histograms keyed by request type that reproduce the
 //     paper's Table 1 hop costs empirically from live runs — see
 //     LatencyReport.

@@ -183,18 +183,6 @@ func TestSamplerCSVAndSeries(t *testing.T) {
 	if len(lines) != 4 || lines[1] != "100,1,7" {
 		t.Errorf("csv rows wrong: %v", lines)
 	}
-
-	buf.Reset()
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	var row map[string]float64
-	if err := json.Unmarshal([]byte(strings.Split(buf.String(), "\n")[0]), &row); err != nil {
-		t.Fatalf("jsonl row invalid: %v", err)
-	}
-	if row["cycle"] != 100 || row["occ"] != 1 {
-		t.Errorf("jsonl row wrong: %v", row)
-	}
 }
 
 func TestSamplerCountersAppearInTrace(t *testing.T) {

@@ -4,13 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
-// csvHeader is the column order of the resource CSV. ReadCSV checks it
-// verbatim, so the format round-trips and a stale file from another
-// schema fails loudly instead of mis-parsing.
+// csvHeader is the column order of the resource CSV.
 const csvHeader = "elapsed_ms,heap_alloc,sys,num_gc,pause_total_ns,goroutines,rss"
 
 // WriteCSV writes the series recorded so far, one row per sample.
@@ -29,60 +25,4 @@ func WriteCSV(w io.Writer, samples []Sample) error {
 			sm.PauseTotalNs, sm.Goroutines, sm.RSS)
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a series written by WriteCSV. It exists for tooling
-// that post-processes run telemetry (and pins the round-trip in tests).
-func ReadCSV(r io.Reader) ([]Sample, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("resource: empty CSV (missing header)")
-	}
-	if got := strings.TrimSpace(sc.Text()); got != csvHeader {
-		return nil, fmt.Errorf("resource: unexpected CSV header %q", got)
-	}
-	var out []Sample
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != 7 {
-			return nil, fmt.Errorf("resource: line %d: %d fields, want 7", line, len(fields))
-		}
-		var sm Sample
-		var err error
-		if sm.ElapsedMs, err = strconv.ParseFloat(fields[0], 64); err != nil {
-			return nil, fmt.Errorf("resource: line %d: elapsed_ms: %v", line, err)
-		}
-		u := func(i int, dst *uint64) {
-			if err == nil {
-				*dst, err = strconv.ParseUint(fields[i], 10, 64)
-			}
-		}
-		u(1, &sm.HeapAlloc)
-		u(2, &sm.Sys)
-		var numGC uint64
-		u(3, &numGC)
-		sm.NumGC = uint32(numGC)
-		u(4, &sm.PauseTotalNs)
-		var gor uint64
-		u(5, &gor)
-		sm.Goroutines = int(gor)
-		u(6, &sm.RSS)
-		if err != nil {
-			return nil, fmt.Errorf("resource: line %d: %v", line, err)
-		}
-		out = append(out, sm)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -55,44 +55,24 @@ func TestRSS(t *testing.T) {
 	}
 }
 
-// TestCSVRoundTrip pins Write/Read symmetry on a synthetic series.
+// TestCSVRoundTrip pins the file format: the exact bytes WriteCSV
+// produces for a synthetic series.
 func TestCSVRoundTrip(t *testing.T) {
 	in := []Sample{
 		{ElapsedMs: 0, HeapAlloc: 100, Sys: 2000, NumGC: 1, PauseTotalNs: 5000, Goroutines: 3, RSS: 4096},
 		{ElapsedMs: 25.125, HeapAlloc: 900, Sys: 2100, NumGC: 2, PauseTotalNs: 9000, Goroutines: 4, RSS: 8192},
 		{ElapsedMs: 50.5, HeapAlloc: 300, Sys: 2100, NumGC: 3, PauseTotalNs: 12000, Goroutines: 3, RSS: 8192},
 	}
+	const want = "elapsed_ms,heap_alloc,sys,num_gc,pause_total_ns,goroutines,rss\n" +
+		"0.000,100,2000,1,5000,3,4096\n" +
+		"25.125,900,2100,2,9000,4,8192\n" +
+		"50.500,300,2100,3,12000,3,8192\n"
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round-trip: %d samples, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Errorf("sample %d changed: %+v -> %+v", i, in[i], out[i])
-		}
-	}
-}
-
-// TestReadCSVErrors pins the failure modes a stale or truncated file
-// must hit instead of mis-parsing.
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":        "",
-		"wrong header": "time,heap\n1,2\n",
-		"short row":    csvHeader + "\n1.0,2,3\n",
-		"bad number":   csvHeader + "\n1.0,x,3,4,5,6,7\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ReadCSV accepted %q", name, in)
-		}
+	if buf.String() != want {
+		t.Errorf("WriteCSV wrote\n%s\nwant\n%s", buf.String(), want)
 	}
 }
 
@@ -149,8 +129,8 @@ func TestNilSampler(t *testing.T) {
 	}
 }
 
-// TestSamplerCSVFromLiveRun: a real sampler's CSV parses back to the
-// same series it reports via Samples.
+// TestSamplerCSVFromLiveRun: a real sampler's CSV has the header and
+// one row for each sample it reports via Samples.
 func TestSamplerCSVFromLiveRun(t *testing.T) {
 	s := Start(time.Millisecond)
 	time.Sleep(5 * time.Millisecond)
@@ -159,11 +139,7 @@ func TestSamplerCSVFromLiveRun(t *testing.T) {
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(s.Samples()) {
-		t.Fatalf("CSV has %d rows, sampler has %d", len(back), len(s.Samples()))
+	if rows := strings.Count(buf.String(), "\n") - 1; rows != len(s.Samples()) {
+		t.Fatalf("CSV has %d rows, sampler has %d", rows, len(s.Samples()))
 	}
 }

@@ -115,20 +115,3 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// WriteJSONL emits the samples as JSON lines, one object per sampling
-// instant, for downstream tooling that prefers self-describing rows.
-func (s *Sampler) WriteJSONL(w io.Writer) error {
-	if s == nil {
-		return fmt.Errorf("obs: sampling was not enabled")
-	}
-	bw := bufio.NewWriter(w)
-	for i, row := range s.rows {
-		fmt.Fprintf(bw, `{"cycle":%d`, s.cycles[i])
-		for j, v := range row {
-			fmt.Fprintf(bw, ",%q:%g", s.names[j], v)
-		}
-		bw.WriteString("}\n")
-	}
-	return bw.Flush()
-}

@@ -23,34 +23,6 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
-func TestSet(t *testing.T) {
-	var s Set
-	s.Add("loads", 3)
-	s.Add("stores", 1)
-	s.Add("loads", 2)
-	if s.Get("loads") != 5 {
-		t.Fatalf("loads = %d", s.Get("loads"))
-	}
-	if s.Get("missing") != 0 {
-		t.Fatal("missing counter not zero")
-	}
-	cs := s.Counters()
-	if len(cs) != 2 || cs[0].Name != "loads" || cs[1].Name != "stores" {
-		t.Fatalf("counters = %v", cs)
-	}
-
-	var other Set
-	other.Add("stores", 4)
-	other.Add("swaps", 7)
-	s.Merge(&other)
-	if s.Get("stores") != 5 || s.Get("swaps") != 7 {
-		t.Fatalf("after merge: %s", s.String())
-	}
-	if got := s.String(); !strings.Contains(got, "loads=5") {
-		t.Fatalf("String() = %q", got)
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("x", 1)
