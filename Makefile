@@ -13,8 +13,12 @@ all: check
 build:
 	$(GO) build ./...
 
+# test also runs internal/noc's per-layer benchmark for one iteration
+# per case, so the table (3 models x 2 sizes x 3 loads) cannot rot
+# between the PRs that quote it.
 test:
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench NoC -benchtime 1x ./internal/noc
 
 fmt:
 	@out="$$(gofmt -l .)"; \

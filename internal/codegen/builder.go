@@ -114,12 +114,6 @@ func (b *Builder) AutoLabel(prefix string) string {
 	return fmt.Sprintf(".%s.%d", prefix, b.autoN)
 }
 
-// PC returns the address of the next emitted instruction.
-func (b *Builder) PC() uint32 { return b.base + uint32(len(b.ins))*4 }
-
-// Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.ins) }
-
 func (b *Builder) emit(in isa.Instr) {
 	b.ins = append(b.ins, in)
 }

@@ -316,6 +316,12 @@ func TestEncodedStreamDisassembles(t *testing.T) {
 	}
 }
 
+// PC returns the address of the next emitted instruction.
+func (b *Builder) PC() uint32 { return b.base + uint32(len(b.ins))*4 }
+
+// Len returns the number of instructions emitted so far.
+func (b *Builder) Len() int { return len(b.ins) }
+
 func TestEveryEmitterExecutes(t *testing.T) {
 	// One program touching every builder emitter, verified end to end.
 	b := NewBuilder(0x1000)
@@ -410,7 +416,7 @@ func TestRuntimeAllocatorsAccessible(t *testing.T) {
 	if sh < l.SharedBase {
 		t.Fatal("shared allocation outside region")
 	}
-	pr := rt.Private(1).Alloc(64, 8)
+	pr := rt.private[1].Alloc(64, 8)
 	if pr < l.PrivateSeg(1) || pr >= l.PrivateSeg(1)+l.PrivateSize {
 		t.Fatal("private allocation outside segment")
 	}

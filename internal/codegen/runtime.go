@@ -162,9 +162,6 @@ func NewRuntime(b *Builder, l mem.Layout, mode SchedMode, threads int) *Runtime 
 // Shared returns the shared-region allocator for workload data.
 func (rt *Runtime) Shared() *BumpAlloc { return rt.shared }
 
-// Private returns CPU cpu's private-region allocator.
-func (rt *Runtime) Private(cpu int) *BumpAlloc { return rt.private[cpu] }
-
 // queueAddrOf returns the ready-queue address for a home CPU
 // (host-side mirror of the generated address computation).
 func (rt *Runtime) queueAddrOf(home int) uint32 {

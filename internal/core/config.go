@@ -115,31 +115,36 @@ func (c *Config) normalize() error {
 	if c.FPU == (cpu.FPUTiming{}) {
 		c.FPU = cpu.DefaultFPUTiming()
 	}
+	// The selected interconnect's parameters default as a whole (Nodes
+	// == 0) or are taken as given: a partly filled config is an error
+	// naming the field, not a machine with quietly repaired queues.
 	nodes := c.NumCPUs + c.Arch.NumBanks(c.NumCPUs)
+	var configured int
+	var err error
 	switch c.NoC {
 	case GMNNet:
 		if c.GMN.Nodes == 0 {
 			c.GMN = noc.DefaultGMNConfig(nodes)
 		}
-		if c.GMN.Nodes != nodes {
-			return fmt.Errorf("core: GMN configured for %d nodes, platform has %d", c.GMN.Nodes, nodes)
-		}
+		configured, err = c.GMN.Nodes, c.GMN.Validate()
 	case MeshNet:
 		if c.Mesh.Nodes == 0 {
 			c.Mesh = noc.DefaultMeshConfig(nodes)
 		}
-		if c.Mesh.Nodes != nodes {
-			return fmt.Errorf("core: mesh configured for %d nodes, platform has %d", c.Mesh.Nodes, nodes)
-		}
+		configured, err = c.Mesh.Nodes, c.Mesh.Validate()
 	case BusNet:
 		if c.Bus.Nodes == 0 {
 			c.Bus = noc.DefaultBusConfig(nodes)
 		}
-		if c.Bus.Nodes != nodes {
-			return fmt.Errorf("core: bus configured for %d nodes, platform has %d", c.Bus.Nodes, nodes)
-		}
+		configured, err = c.Bus.Nodes, c.Bus.Validate()
 	default:
 		return fmt.Errorf("core: unknown NoC kind %d", c.NoC)
+	}
+	if err != nil {
+		return err
+	}
+	if configured != nodes {
+		return fmt.Errorf("core: %v configured for %d nodes, platform has %d", c.NoC, configured, nodes)
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000_000

@@ -51,6 +51,12 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 		{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 4},
 		{Bench: Ocean, Protocol: coherence.WTU, Arch: mem.Arch2, NumCPUs: 4},
 		{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch1, NumCPUs: 2, StrictSC: true},
+		// Real routers and the bus: on these the network's own wake
+		// answer (per-router wake times, the bus tenure) gates its Tick,
+		// under contention the 2-CPU counter in core's test never raises.
+		{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 4, NoC: core.MeshNet},
+		{Bench: Water, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 4, NoC: core.MeshNet},
+		{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 4, NoC: core.BusNet},
 	}
 	for _, r := range pts {
 		naive := runPoint(t, r, sc, true)

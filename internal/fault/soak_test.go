@@ -91,7 +91,7 @@ func runSoakPoint(t *testing.T, proto coherence.Protocol, planSpec string, cpus,
 // varies with protocol and fault timing.
 func outputDigest(t *testing.T, sys *core.System, spec *workload.Spec) uint64 {
 	t.Helper()
-	base, ok := spec.Image.Symbol("counter")
+	base, ok := spec.Image.Symbols["counter"]
 	if !ok {
 		t.Fatal("workload image defines no `counter` symbol")
 	}

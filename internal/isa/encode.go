@@ -104,21 +104,3 @@ func Decode(w uint32) Instr {
 		}
 	}
 }
-
-// Canonical returns in with fields not used by its encoding class
-// cleared, so that Decode(MustEncode(in)) == Canonical(in) holds for
-// every encodable instruction. Property tests rely on it.
-func Canonical(in Instr) Instr {
-	if in.Op == OpInvalid || in.Op >= numOps {
-		return Instr{Op: OpInvalid}
-	}
-	switch opTable[in.Op].class {
-	case ClassR:
-		in.Imm = 0
-	case ClassI:
-		in.Rs2 = 0
-	case ClassJ:
-		in.Rd, in.Rs1, in.Rs2 = 0, 0, 0
-	}
-	return in
-}

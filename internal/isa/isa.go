@@ -121,8 +121,6 @@ type opInfo struct {
 	major  uint8 // 6-bit major opcode
 	funct  uint16
 	memory bool // touches data memory
-	store  bool
-	branch bool
 }
 
 // Major opcode groups. R-type integer ops share major 0, R-type float
@@ -158,23 +156,23 @@ var opTable = [numOps]opInfo{
 	OpLui:  {name: "lui", class: ClassI, major: 10},
 
 	OpLw:   {name: "lw", class: ClassI, major: 11, memory: true},
-	OpSw:   {name: "sw", class: ClassI, major: 12, memory: true, store: true},
+	OpSw:   {name: "sw", class: ClassI, major: 12, memory: true},
 	OpLb:   {name: "lb", class: ClassI, major: 13, memory: true},
 	OpLbu:  {name: "lbu", class: ClassI, major: 14, memory: true},
-	OpSb:   {name: "sb", class: ClassI, major: 15, memory: true, store: true},
-	OpSwap: {name: "swap", class: ClassI, major: 16, memory: true, store: true},
+	OpSb:   {name: "sb", class: ClassI, major: 15, memory: true},
+	OpSwap: {name: "swap", class: ClassI, major: 16, memory: true},
 
-	OpBeq:  {name: "beq", class: ClassI, major: 17, branch: true},
-	OpBne:  {name: "bne", class: ClassI, major: 18, branch: true},
-	OpBlt:  {name: "blt", class: ClassI, major: 19, branch: true},
-	OpBge:  {name: "bge", class: ClassI, major: 20, branch: true},
-	OpBltu: {name: "bltu", class: ClassI, major: 21, branch: true},
-	OpBgeu: {name: "bgeu", class: ClassI, major: 22, branch: true},
-	OpJal:  {name: "jal", class: ClassJ, major: 23, branch: true},
-	OpJalr: {name: "jalr", class: ClassI, major: 24, branch: true},
+	OpBeq:  {name: "beq", class: ClassI, major: 17},
+	OpBne:  {name: "bne", class: ClassI, major: 18},
+	OpBlt:  {name: "blt", class: ClassI, major: 19},
+	OpBge:  {name: "bge", class: ClassI, major: 20},
+	OpBltu: {name: "bltu", class: ClassI, major: 21},
+	OpBgeu: {name: "bgeu", class: ClassI, major: 22},
+	OpJal:  {name: "jal", class: ClassJ, major: 23},
+	OpJalr: {name: "jalr", class: ClassI, major: 24},
 
 	OpFlw: {name: "flw", class: ClassI, major: 25, memory: true},
-	OpFsw: {name: "fsw", class: ClassI, major: 26, memory: true, store: true},
+	OpFsw: {name: "fsw", class: ClassI, major: 26, memory: true},
 
 	OpFadd:  {name: "fadd", class: ClassR, major: majRF, funct: 1},
 	OpFsub:  {name: "fsub", class: ClassR, major: majRF, funct: 2},
@@ -231,13 +229,6 @@ func (op Op) String() string { return op.Name() }
 // IsMemory reports whether op accesses data memory.
 func (op Op) IsMemory() bool { return op < numOps && opTable[op].memory }
 
-// IsStore reports whether op writes data memory (SWAP counts as both a
-// load and a store and reports true).
-func (op Op) IsStore() bool { return op < numOps && opTable[op].store }
-
-// IsBranch reports whether op may redirect control flow.
-func (op Op) IsBranch() bool { return op < numOps && opTable[op].branch }
-
 // Class returns the encoding class of op.
 func (op Op) Class() Class {
 	if op < numOps {
@@ -254,15 +245,4 @@ func OpByName(name string) (Op, bool) {
 		}
 	}
 	return OpInvalid, false
-}
-
-// AllOps returns every defined operation, for exhaustive tests.
-func AllOps() []Op {
-	out := make([]Op, 0, int(numOps)-1)
-	for op := Op(1); op < numOps; op++ {
-		if opTable[op].name != "" {
-			out = append(out, op)
-		}
-	}
-	return out
 }

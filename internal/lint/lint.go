@@ -145,14 +145,10 @@ type Options struct {
 	Only []string
 }
 
-// Run loads every package of the module rooted at dir, typechecks it,
-// and runs all analyzers. Findings come back sorted by position.
-// Test files are analyzed too: a nondeterministic test is a flaky test.
-func Run(dir string) ([]Finding, error) {
-	return RunOpts(dir, Options{})
-}
-
-// RunOpts is Run with analyzer selection.
+// RunOpts loads every package of the module rooted at dir, typechecks
+// it, and runs the selected analyzers (all, when opts names none).
+// Findings come back sorted by position. Test files are analyzed too: a
+// nondeterministic test is a flaky test.
 func RunOpts(dir string, opts Options) ([]Finding, error) {
 	selected, err := selectAnalyzers(opts.Only)
 	if err != nil {

@@ -36,6 +36,9 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
+// Run is RunOpts with every analyzer.
+func Run(dir string) ([]Finding, error) { return RunOpts(dir, Options{}) }
+
 func TestFixtureFindings(t *testing.T) {
 	want := []string{
 		"main.go:21:exhaustive",   // LineState rule applies module-wide

@@ -17,11 +17,6 @@ type Region struct {
 	Granule uint32 // interleave granule in bytes; ignored for 1 bank
 }
 
-// Contains reports whether addr falls inside the region.
-func (r *Region) Contains(addr uint32) bool {
-	return addr >= r.Base && addr-r.Base < r.Size
-}
-
 // AddrMap resolves addresses to memory-bank indices. It is the piece of
 // configuration that distinguishes the paper's Architecture 1
 // (centralized: everything in one bank) from Architecture 2

@@ -70,12 +70,6 @@ func (im *Image) WriteFloat(addr uint32, v float32) {
 // Define records a symbol for later lookup by tests and harnesses.
 func (im *Image) Define(name string, addr uint32) { im.Symbols[name] = addr }
 
-// Symbol returns the address of a defined symbol.
-func (im *Image) Symbol(name string) (uint32, bool) {
-	a, ok := im.Symbols[name]
-	return a, ok
-}
-
 // MustSymbol is Symbol but panics when the symbol is unknown.
 func (im *Image) MustSymbol(name string) uint32 {
 	a, ok := im.Symbols[name]
@@ -92,13 +86,4 @@ func (im *Image) LoadInto(s *Space) {
 			s.SetByte(seg.base+uint32(i), b)
 		}
 	}
-}
-
-// Size reports the total initialized bytes in the image.
-func (im *Image) Size() int {
-	n := 0
-	for _, s := range im.segments {
-		n += len(s.data)
-	}
-	return n
 }

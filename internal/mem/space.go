@@ -43,14 +43,6 @@ func (s *Space) page(addr uint32, alloc bool) *[pageSize]byte {
 	return p
 }
 
-// Byte returns the byte at addr (zero if the page was never written).
-func (s *Space) Byte(addr uint32) byte {
-	if p := s.page(addr, false); p != nil {
-		return p[addr&pageMask]
-	}
-	return 0
-}
-
 // SetByte stores one byte at addr.
 func (s *Space) SetByte(addr uint32, v byte) {
 	s.page(addr, true)[addr&pageMask] = v
@@ -128,9 +120,4 @@ func (s *Space) WriteBlock(addr uint32, src []byte) {
 // ReadFloat returns the float32 stored at word-aligned addr.
 func (s *Space) ReadFloat(addr uint32) float32 {
 	return math.Float32frombits(s.ReadWord(addr))
-}
-
-// WriteFloat stores a float32 at word-aligned addr.
-func (s *Space) WriteFloat(addr uint32, v float32) {
-	s.WriteWord(addr, math.Float32bits(v))
 }

@@ -29,14 +29,20 @@ type Bus struct {
 	busyTill uint64
 }
 
-// NewBus builds the shared bus.
+// Validate reports the first parameter no bus can be built with.
+func (c BusConfig) Validate() error {
+	return checkMin("bus", minField{"Nodes", c.Nodes, 1}, minField{"ArbDelay", c.ArbDelay, 0},
+		minField{"QueueDepth", c.QueueDepth, 1})
+}
+
+// NewBus builds the shared bus, or panics with Validate's error.
 func NewBus(cfg BusConfig) *Bus {
-	if cfg.Nodes <= 0 {
-		panic("noc: bus needs at least one node")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &Bus{
-		endpoints: newEndpoints(cfg.Nodes, max(cfg.QueueDepth, 1), 0),
-		arbDelay:  uint64(max(cfg.ArbDelay, 0)),
+		endpoints: newEndpoints(cfg.Nodes, cfg.QueueDepth, 0),
+		arbDelay:  uint64(cfg.ArbDelay),
 	}
 }
 
@@ -46,20 +52,21 @@ func (b *Bus) Tick(now uint64) {
 	if b.busyTill > now {
 		return
 	}
-	for probe := range b.inj {
-		src := (b.rr + probe) % len(b.inj)
-		p, ok := b.inj[src].Recv(now)
-		if !ok {
-			continue
+	// Round-robin: requesters from rr up, then from 0 up to it.
+	for _, from := range [2]int{b.rr, 0} {
+		for src := b.injSet.next(from); src >= 0; src = b.injSet.next(src + 1) {
+			p, ok := b.take(src, now)
+			if !ok {
+				continue
+			}
+			flits := uint64(p.Flits())
+			b.busyTill = now + b.arbDelay + flits
+			b.arrive(p, b.busyTill)
+			b.count(p, flits)
+			b.stats.TotalFlits += flits
+			b.rr = (src + 1) % len(b.inj)
+			return
 		}
-		flits := uint64(p.Flits())
-		b.busyTill = now + b.arbDelay + flits
-		b.arr[p.Dst].Send(p, b.busyTill)
-
-		b.count(p, flits)
-		b.stats.TotalFlits += flits
-		b.rr = (src + 1) % len(b.inj)
-		return
 	}
 }
 
@@ -68,10 +75,8 @@ func (b *Bus) Tick(now uint64) {
 // ports.
 func (b *Bus) NextWake(now uint64) uint64 {
 	next := b.nextArrival(now)
-	for i := range b.inj {
-		if !b.inj[i].Empty() {
-			return max(now, min(next, b.busyTill))
-		}
+	if b.injSet.next(0) >= 0 {
+		next = max(now, min(next, b.busyTill))
 	}
 	return next
 }

@@ -43,14 +43,20 @@ type GMN struct {
 	srcBusy, dstBusy []uint64
 }
 
-// NewGMN builds a Generic Micro Network.
+// Validate reports the first parameter no GMN can be built with.
+func (c GMNConfig) Validate() error {
+	return checkMin("GMN", minField{"Nodes", c.Nodes, 1}, minField{"Delay", c.Delay, 1},
+		minField{"FIFODepth", c.FIFODepth, 1}, minField{"SrcDepth", c.SrcDepth, 1})
+}
+
+// NewGMN builds a Generic Micro Network, or panics with Validate's error.
 func NewGMN(cfg GMNConfig) *GMN {
-	if cfg.Nodes <= 0 {
-		panic("noc: GMN needs at least one node")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &GMN{
-		endpoints: newEndpoints(cfg.Nodes, max(cfg.SrcDepth, 1), max(cfg.FIFODepth, 1)),
-		delay:     uint64(max(cfg.Delay, 1)),
+		endpoints: newEndpoints(cfg.Nodes, cfg.SrcDepth, cfg.FIFODepth),
+		delay:     uint64(cfg.Delay),
 		srcBusy:   make([]uint64, cfg.Nodes),
 		dstBusy:   make([]uint64, cfg.Nodes),
 	}
@@ -60,16 +66,12 @@ func NewGMN(cfg GMNConfig) *GMN {
 // injection queue into the crossbar, modelling source serialization and
 // destination-FIFO backpressure.
 func (g *GMN) Tick(now uint64) {
-	for i := range g.inj {
-		s := &g.inj[i]
-		if !s.Ready(now) || g.srcBusy[i] > now {
+	for i := g.injSet.next(0); i >= 0; i = g.injSet.next(i + 1) {
+		// A full destination FIFO blocks the head of the line.
+		if s := &g.inj[i]; !s.Ready(now) || g.srcBusy[i] > now || !g.arr[s.Head().Dst].CanSend() {
 			continue
 		}
-		d := &g.arr[s.Head().Dst]
-		if !d.CanSend() {
-			continue // destination FIFO full: head-of-line blocking
-		}
-		p, _ := s.Recv(now)
+		p, _ := g.take(i, now)
 		flits := uint64(p.Flits())
 		// The source port serializes the packet...
 		depart := now + flits
@@ -80,8 +82,7 @@ func (g *GMN) Tick(now uint64) {
 		arrive = max(arrive, g.dstBusy[p.Dst])
 		ready := arrive + flits
 		g.dstBusy[p.Dst] = ready
-		d.Send(p, ready)
-
+		g.arrive(p, ready)
 		g.count(p, flits)
 		g.stats.TotalFlits += flits
 	}
@@ -93,14 +94,8 @@ func (g *GMN) Tick(now uint64) {
 // case included, where staying awake is the safe conservative choice.
 func (g *GMN) NextWake(now uint64) uint64 {
 	next := g.nextArrival(now)
-	for i := range g.inj {
-		if g.inj[i].Empty() {
-			continue
-		}
-		if g.srcBusy[i] <= now {
-			return now
-		}
-		next = min(next, g.srcBusy[i])
+	for i := g.injSet.next(0); i >= 0 && next > now; i = g.injSet.next(i + 1) {
+		next = min(next, max(g.srcBusy[i], now))
 	}
 	return next
 }

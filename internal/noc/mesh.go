@@ -31,6 +31,9 @@ const (
 	numPorts
 )
 
+// opposite[out] is the input port the link from output out arrives at.
+var opposite = [numPorts]int{portLocal, portWest, portEast, portSouth, portNorth}
+
 // meshRouter is one router: an input queue per port (the local one is
 // the node's injection port), and per output the cycle its link frees
 // and the round-robin pointer.
@@ -38,6 +41,16 @@ type meshRouter struct {
 	in      [numPorts]*sim.Port[Packet]
 	outBusy [numPorts]uint64
 	rr      [numPorts]int
+	// want[in] is the output the head of input in routes to (numPorts
+	// while the input is empty), computed when a packet becomes the head —
+	// enqueued into an empty input, or exposed by the Recv in front of
+	// it — not on every arbitration probe.
+	want [numPorts]uint8
+	// wake is the first cycle Tick can do anything here: the minimum
+	// over the non-empty inputs of max(head's ready cycle, the cycle its
+	// wanted output frees), sim.NoWake when all are empty. Tick recomputes
+	// it after a visit; an enqueue that makes a new head lowers it.
+	wake uint64
 }
 
 // Mesh is a 2D mesh of store-and-forward routers with dimension-ordered
@@ -47,71 +60,65 @@ type meshRouter struct {
 // can be re-run on it to check that conclusions survive a "real" NoC.
 type Mesh struct {
 	endpoints
-	k           int // grid side
+	k           int           // grid side
+	step        [numPorts]int // step[out]: index distance to the router output out leads to
 	routerDelay uint64
 	r           []meshRouter
+	// active holds the routers with a queued packet (wake != sim.NoWake).
+	active bitset
+}
+
+// Validate reports the first parameter no mesh can be built with.
+func (c MeshConfig) Validate() error {
+	return checkMin("mesh", minField{"Nodes", c.Nodes, 1}, minField{"RouterDelay", c.RouterDelay, 1},
+		minField{"QueueDepth", c.QueueDepth, 1})
 }
 
 // NewMesh builds a k×k mesh large enough for cfg.Nodes endpoints, one
-// endpoint per router (remaining routers are unused).
+// endpoint per router (remaining routers are unused), or panics with
+// Validate's error.
 func NewMesh(cfg MeshConfig) *Mesh {
-	if cfg.Nodes <= 0 {
-		panic("noc: mesh needs at least one node")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	depth := max(cfg.QueueDepth, 1)
 	k := int(math.Ceil(math.Sqrt(float64(cfg.Nodes))))
 	m := &Mesh{
-		endpoints:   newEndpoints(cfg.Nodes, depth, 0),
+		endpoints:   newEndpoints(cfg.Nodes, cfg.QueueDepth, 0),
 		k:           k,
-		routerDelay: uint64(max(cfg.RouterDelay, 1)),
+		step:        [numPorts]int{0, 1, -1, -k, k},
+		routerDelay: uint64(cfg.RouterDelay),
 		r:           make([]meshRouter, k*k),
+		active:      newBitset(k * k),
 	}
 	for idx := range m.r {
-		for in := range m.r[idx].in {
+		r := &m.r[idx]
+		r.wake = sim.NoWake
+		for in := range r.in {
+			r.want[in] = numPorts
 			if in == portLocal && idx < cfg.Nodes {
-				m.r[idx].in[in] = &m.inj[idx]
+				r.in[in] = &m.inj[idx]
 			} else {
-				m.r[idx].in[in] = sim.NewPort[Packet](depth)
+				r.in[in] = sim.NewPort[Packet](cfg.QueueDepth)
 			}
 		}
 	}
 	return m
 }
 
-func (m *Mesh) coords(node int) (x, y int) { return node % m.k, node / m.k }
-
-// route returns the output port a packet at router (x,y) bound for node
+// route returns the output port a packet at router idx bound for node
 // dst should take, using XY dimension order.
-func (m *Mesh) route(x, y, dst int) int {
-	dx, dy := m.coords(dst)
-	switch {
-	case dx > x:
+func (m *Mesh) route(idx, dst int) uint8 {
+	switch dx, dy := dst%m.k-idx%m.k, dst/m.k-idx/m.k; {
+	case dx > 0:
 		return portEast
-	case dx < x:
+	case dx < 0:
 		return portWest
-	case dy > y:
+	case dy > 0:
 		return portSouth
-	case dy < y:
+	case dy < 0:
 		return portNorth
-	default:
-		return portLocal
 	}
-}
-
-// neighbor returns the router index and the input port reached by
-// leaving router idx through output port out.
-func (m *Mesh) neighbor(idx, out int) (next, inPort int) {
-	switch out {
-	case portEast:
-		return idx + 1, portWest
-	case portWest:
-		return idx - 1, portEast
-	case portSouth:
-		return idx + m.k, portNorth
-	case portNorth:
-		return idx - m.k, portSouth
-	}
-	panic("noc: neighbor of local port")
+	return portLocal
 }
 
 // Inject implements Network. The mesh counts a packet when it enters
@@ -121,61 +128,104 @@ func (m *Mesh) Inject(p Packet, now uint64) bool {
 		return false
 	}
 	m.count(p, uint64(p.Flits()))
+	m.enqueued(p.Src, portLocal, now)
 	return true
 }
 
+// enqueued keeps router idx's books for a packet just sent into its
+// input in, movable from at. Only a new head can bring the router's
+// wake forward: behind another packet it waits for that one's Recv.
+func (m *Mesh) enqueued(idx, in int, at uint64) {
+	r := &m.r[idx]
+	m.active.set(idx)
+	if q := r.in[in]; q.Len() == 1 {
+		r.want[in] = m.route(idx, q.Head().Dst)
+		r.wake = min(r.wake, max(at, r.outBusy[r.want[in]]))
+	}
+}
+
 // Tick implements Network: every router forwards at most one packet per
-// output port per cycle.
+// output port per cycle. Only routers holding a packet whose wake has
+// come are visited, in ascending index as a scan would: whether a
+// downstream queue is full depends on whether that router has already
+// dequeued this cycle. (One that gets its first packet during the walk
+// may or may not be reached; the packet cannot move before now+1.)
 func (m *Mesh) Tick(now uint64) {
-	for idx := range m.r {
+	for idx := m.active.next(0); idx >= 0; idx = m.active.next(idx + 1) {
 		r := &m.r[idx]
-		x, y := idx%m.k, idx/m.k
-		for out := 0; out < numPorts; out++ {
-			if r.outBusy[out] > now {
+		if r.wake > now {
+			continue
+		}
+		// Outputs no head routes to are not arbitrated (bit numPorts
+		// stands for the empty inputs).
+		var wanted uint8
+		for _, w := range r.want {
+			wanted |= 1 << w
+		}
+		for out := uint8(0); out < numPorts; out++ {
+			if wanted>>out&1 == 0 || r.outBusy[out] > now {
 				continue
 			}
 			// Round-robin over input ports for this output.
 			for probe := 0; probe < numPorts; probe++ {
-				in := (r.rr[out] + probe) % numPorts
+				in := r.rr[out] + probe
+				if in >= numPorts {
+					in -= numPorts
+				}
 				q := r.in[in]
-				if !q.Ready(now) {
+				if r.want[in] != out || !q.Ready(now) {
 					continue
 				}
 				head := q.Head()
-				if m.route(x, y, head.Dst) != out {
-					continue
-				}
 				flits := uint64(head.Flits())
 				if out == portLocal {
 					// Eject to the endpoint.
-					m.arr[head.Dst].Send(*head, now+flits)
+					m.arrive(*head, now+flits)
 				} else {
-					next, inPort := m.neighbor(idx, out)
-					if !m.r[next].in[inPort].Send(*head, now+flits+m.routerDelay) {
+					next, inPort, at := idx+m.step[out], opposite[out], now+flits+m.routerDelay
+					if !m.r[next].in[inPort].Send(*head, at) {
 						continue // downstream full
 					}
+					m.enqueued(next, inPort, at)
 					m.stats.TotalFlits += flits
 				}
 				r.outBusy[out] = now + flits
 				q.Recv(now)
 				r.rr[out] = (in + 1) % numPorts
+				// The packet behind becomes the head at once: an output
+				// later in this visit may already grant it.
+				r.want[in] = numPorts
+				if !q.Empty() {
+					r.want[in] = m.route(idx, q.Head().Dst)
+					wanted |= 1 << r.want[in]
+				} else if in == portLocal {
+					m.injSet.clear(idx)
+				}
 				break
 			}
+		}
+		// A head left ready with its output free was refused by a full
+		// downstream queue or exposed after its output's turn. Neither has
+		// a timer: the wake stays in the past and the next Tick looks again.
+		r.wake = sim.NoWake
+		for in, q := range r.in {
+			if at, ok := q.NextAt(); ok {
+				r.wake = min(r.wake, max(at, r.outBusy[r.want[in]]))
+			}
+		}
+		if r.wake == sim.NoWake {
+			m.active.clear(idx)
 		}
 	}
 }
 
-// NextWake implements Network: the earliest head over every router
-// input and every arrival port. Output-port busy windows only delay
-// actions further, so ignoring them errs on the safe (earlier) side.
+// NextWake implements Network: the earliest router wake or arrival,
+// which is the next cycle a Tick or a Deliver can do anything — a busy
+// output link is waited out, not polled.
 func (m *Mesh) NextWake(now uint64) uint64 {
 	next := m.nextArrival(now)
-	for idx := range m.r {
-		for _, q := range m.r[idx].in {
-			if next = headWake(next, q, now); next == now {
-				return now
-			}
-		}
+	for idx := m.active.next(0); idx >= 0 && next > now; idx = m.active.next(idx + 1) {
+		next = min(next, max(m.r[idx].wake, now))
 	}
 	return next
 }

@@ -22,11 +22,16 @@
 // model that faces the nodes — injection and arrival ports, delivery,
 // the traffic counters — is the one endpoints struct all three embed.
 // A model's own file holds only its transit: Tick, the transit half of
-// NextWake, and the point at which it counts a packet.
+// NextWake, and the point at which it counts a packet. No model scans
+// for work: one occupancy bit per non-empty port (and, on the mesh, per
+// non-empty router) is kept where packets are enqueued and dequeued, and
+// Tick and NextWake walk the set bits.
 package noc
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -46,11 +51,7 @@ type Packet struct {
 
 // Flits returns the number of flits the packet occupies on a link.
 func (p Packet) Flits() int {
-	f := (p.Bytes + FlitBytes - 1) / FlitBytes
-	if f < 1 {
-		f = 1
-	}
-	return f
+	return max((p.Bytes+FlitBytes-1)/FlitBytes, 1)
 }
 
 // Stats aggregates network traffic counters. TotalBytes is the metric
@@ -90,8 +91,11 @@ type Network interface {
 	// movable or deliverable at now must return now; an empty network
 	// returns ^uint64(0). Returning a cycle earlier than the true next
 	// event is always safe — the engine just skips less — while
-	// returning a later one would skip live cycles, so implementations
-	// err conservative. Must be pure.
+	// returning a later one would skip live cycles. The models answer
+	// with the event itself — a queued head's ready cycle or the cycle
+	// the link or port it needs frees, whichever is later — except that a
+	// head held only by a full queue downstream has no timer and keeps
+	// the answer at now. Must be pure.
 	NextWake(now uint64) uint64
 	// Stats returns accumulated traffic counters.
 	Stats() Stats
@@ -110,9 +114,12 @@ type Network interface {
 // Nodes are defined here once; its Tick moves packets from inj (or from
 // wherever inj leads) to arr.
 type endpoints struct {
-	inj, arr  []sim.Port[Packet]
-	stats     Stats
-	portFlits []uint64
+	inj, arr []sim.Port[Packet]
+	// injSet and arrSet hold the non-empty ports of inj and arr: packets
+	// enter and leave only through Inject, take, arrive and Deliver.
+	injSet, arrSet bitset
+	stats          Stats
+	portFlits      []uint64
 	// live is the injected-but-undelivered packet count.
 	live int
 }
@@ -123,6 +130,8 @@ func newEndpoints(nodes, injDepth, arrDepth int) endpoints {
 	e := endpoints{
 		inj:       make([]sim.Port[Packet], nodes),
 		arr:       make([]sim.Port[Packet], nodes),
+		injSet:    newBitset(nodes),
+		arrSet:    newBitset(nodes),
 		portFlits: make([]uint64, nodes),
 	}
 	for i := range e.inj {
@@ -139,14 +148,32 @@ func (e *endpoints) Nodes() int { return len(e.arr) }
 // port, movable from now.
 func (e *endpoints) Inject(p Packet, now uint64) bool {
 	if p.Src < 0 || p.Src >= len(e.inj) || p.Dst < 0 || p.Dst >= len(e.arr) {
-		panic("noc: packet endpoint out of range")
+		panic(fmt.Sprintf("noc: packet %d->%d outside the network's %d nodes", p.Src, p.Dst, len(e.arr)))
 	}
 	if !e.inj[p.Src].Send(p, now) {
 		e.stats.InjectStallCycles++
 		return false
 	}
+	e.injSet.set(p.Src)
 	e.live++
 	return true
+}
+
+// take pops the head of src's injection port if it is movable at now.
+func (e *endpoints) take(src int, now uint64) (Packet, bool) {
+	p, ok := e.inj[src].Recv(now)
+	if ok && e.inj[src].Empty() {
+		e.injSet.clear(src)
+	}
+	return p, ok
+}
+
+// arrive queues p at its destination's arrival port, deliverable from
+// at: the one way out of every model's transit. Where the port is
+// bounded (the GMN's) the caller has checked CanSend.
+func (e *endpoints) arrive(p Packet, at uint64) {
+	e.arr[p.Dst].Send(p, at)
+	e.arrSet.set(p.Dst)
 }
 
 // count charges one packet to the per-packet traffic counters, at the
@@ -175,6 +202,9 @@ func (e *endpoints) Deliver(node int, now uint64) (Packet, bool) {
 	p, ok := e.arr[node].Recv(now)
 	if ok {
 		e.live--
+		if e.arr[node].Empty() {
+			e.arrSet.clear(node)
+		}
 	}
 	return p, ok
 }
@@ -193,24 +223,47 @@ func (e *endpoints) PortFlits() []uint64 { return e.portFlits }
 // head's cycle, else sim.NoWake.
 func (e *endpoints) nextArrival(now uint64) uint64 {
 	next := sim.NoWake
-	for i := range e.arr {
-		if next = headWake(next, &e.arr[i], now); next == now {
-			break
-		}
+	for i := e.arrSet.next(0); i >= 0 && next > now; i = e.arrSet.next(i + 1) {
+		at, _ := e.arr[i].NextAt()
+		next = min(next, max(at, now))
 	}
 	return next
 }
 
-// headWake folds port q into a NextWake answer: the earlier of next
-// and the cycle q's head becomes receivable, which is now if it already
-// is. Heads suffice — every queue in the package is filled in
-// nondecreasing ready order, so a queue's head is its minimum.
-func headWake(next uint64, q *sim.Port[Packet], now uint64) uint64 {
-	at, ok := q.NextAt()
-	if !ok {
-		return next
+// bitset is a fixed-size set of small integers walked in ascending
+// order, for i := b.next(0); i >= 0; i = b.next(i + 1), on the live
+// words: members may be cleared or set as the walk goes.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// next returns the smallest member at or after i, or -1.
+func (b bitset) next(i int) int {
+	for w := i >> 6; w < len(b); w, i = w+1, (w+1)<<6 {
+		if word := b[w] >> (i & 63); word != 0 {
+			return i + bits.TrailingZeros64(word)
+		}
 	}
-	return min(next, max(at, now))
+	return -1
+}
+
+// minField is one configuration value with the least it may be.
+type minField struct {
+	name   string
+	v, min int
+}
+
+// checkMin is the three configs' Validate: an error naming the first
+// field below its minimum.
+func checkMin(model string, fields ...minField) error {
+	for _, f := range fields {
+		if f.v < f.min {
+			return fmt.Errorf("noc: %s %s = %d, need at least %d", model, f.name, f.v, f.min)
+		}
+	}
+	return nil
 }
 
 // DropNotifier is the optional sender-side loss-notification interface
@@ -234,9 +287,5 @@ type DropNotifier interface {
 // in for the paper's (OCR-garbled) Table 2 latency formula.
 func MeshLatency(nodes, perHop, overhead int) int {
 	k := int(math.Ceil(math.Sqrt(float64(nodes))))
-	avgHops := (2*k + 2) / 3
-	if avgHops < 1 {
-		avgHops = 1
-	}
-	return avgHops*perHop + overhead
+	return max((2*k+2)/3, 1)*perHop + overhead
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -397,5 +398,56 @@ func TestMeshLatencyFormula(t *testing.T) {
 	}
 	if MeshLatency(64, 2, 3) <= MeshLatency(4, 2, 3) {
 		t.Fatal("latency must grow with node count")
+	}
+}
+
+// mustPanic runs f and returns what it panicked with, rendered.
+func mustPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	f()
+	return ""
+}
+
+// TestConstructorsRejectBadConfigs: a depth, delay or node count no
+// network can have is refused with the field's name, not clamped into
+// some other network (core.Config.normalize reports the same Validate
+// error without the panic).
+func TestConstructorsRejectBadConfigs(t *testing.T) {
+	cases := []struct {
+		want string
+		mk   func()
+	}{
+		{"GMN Nodes = 0", func() { NewGMN(GMNConfig{}) }},
+		{"GMN Delay = 0", func() { NewGMN(GMNConfig{Nodes: 2, FIFODepth: 1, SrcDepth: 1}) }},
+		{"GMN FIFODepth = -1", func() { NewGMN(GMNConfig{Nodes: 2, Delay: 1, FIFODepth: -1, SrcDepth: 1}) }},
+		{"GMN SrcDepth = 0", func() { NewGMN(GMNConfig{Nodes: 2, Delay: 1, FIFODepth: 1}) }},
+		{"mesh Nodes = -4", func() { NewMesh(MeshConfig{Nodes: -4, RouterDelay: 2, QueueDepth: 4}) }},
+		{"mesh RouterDelay = 0", func() { NewMesh(MeshConfig{Nodes: 4, QueueDepth: 4}) }},
+		{"mesh QueueDepth = 0", func() { NewMesh(MeshConfig{Nodes: 4, RouterDelay: 3}) }},
+		{"bus Nodes = 0", func() { NewBus(BusConfig{QueueDepth: 4}) }},
+		{"bus ArbDelay = -2", func() { NewBus(BusConfig{Nodes: 4, ArbDelay: -2, QueueDepth: 4}) }},
+		{"bus QueueDepth = 0", func() { NewBus(BusConfig{Nodes: 4}) }},
+	}
+	for _, c := range cases {
+		if got := mustPanic(t, c.mk); !strings.Contains(got, c.want) {
+			t.Errorf("panic %q does not name %q", got, c.want)
+		}
+	}
+	NewBus(BusConfig{Nodes: 4, QueueDepth: 1}) // no arbitration delay is a legal bus
+}
+
+func TestInjectOutOfRangeNamesEndpoints(t *testing.T) {
+	for _, nc := range nets(9) {
+		got := mustPanic(t, func() { nc.mk().Inject(Packet{Src: 3, Dst: 9, Bytes: 4}, 0) })
+		if want := "packet 3->9 outside the network's 9 nodes"; !strings.Contains(got, want) {
+			t.Errorf("%s: panic %q does not say %q", nc.name, got, want)
+		}
 	}
 }

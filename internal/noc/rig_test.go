@@ -1,0 +1,291 @@
+package noc
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// rigCase is one seed of the differential rig: a machine, a traffic
+// script and the sinks' behaviour, all drawn from the seed.
+type rigCase struct {
+	seed       int
+	nodes      int
+	load       string // one of rigLoads
+	gmn        GMNConfig
+	mesh       MeshConfig
+	bus        BusConfig
+	script     [][]Packet // packets offered per generation cycle, ids in Payload
+	packets    int
+	refuse     int  // a sink refuses on cycles where (cyc+node)%refuse == 0; 0 = never
+	nodesFirst bool // nodes act before the network's turn (the engine's order) or after (the pin script's)
+}
+
+// rigLoads are the offered loads: a few packets a cycle to uniform
+// destinations, the same with half aimed at one node, and every source
+// every cycle.
+var rigLoads = [...]string{"uniform", "hotspot", "saturated"}
+
+func newRigCase(seed int) rigCase {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	pick := func(vs ...int) int { return vs[rng.Intn(len(vs))] }
+	c := rigCase{
+		seed:       seed,
+		nodes:      [...]int{4, 9, 35, 131}[seed%4],
+		load:       rigLoads[seed/4%len(rigLoads)],
+		refuse:     pick(0, 2, 3, 5),
+		nodesFirst: seed/12%2 == 0,
+	}
+	c.gmn = GMNConfig{Nodes: c.nodes, Delay: pick(1, MeshLatency(c.nodes, 2, 3)), FIFODepth: pick(1, 2, 8), SrcDepth: pick(1, 4)}
+	c.mesh = MeshConfig{Nodes: c.nodes, RouterDelay: pick(1, 2, 3), QueueDepth: pick(1, 2, 4)}
+	c.bus = BusConfig{Nodes: c.nodes, ArbDelay: pick(0, 2), QueueDepth: pick(1, 4)}
+
+	genCycles := 40 + rng.Intn(80)
+	if c.load == "saturated" {
+		genCycles = 2 + 200/c.nodes
+	}
+	hot := rng.Intn(c.nodes)
+	for cyc := 0; cyc < genCycles; cyc++ {
+		var offered []Packet
+		count := rng.Intn(4)
+		if c.load == "saturated" {
+			count = c.nodes
+		}
+		for i := 0; i < count; i++ {
+			src, dst := rng.Intn(c.nodes), rng.Intn(c.nodes)
+			if c.load == "saturated" {
+				src = i
+			}
+			if c.load == "hotspot" && rng.Intn(2) == 0 {
+				dst = hot
+			}
+			if dst == src {
+				dst = (src + 1) % c.nodes
+			}
+			offered = append(offered, Packet{Src: src, Dst: dst, Bytes: pick(4, 8, 40), Payload: c.packets})
+			c.packets++
+		}
+		c.script = append(c.script, offered)
+	}
+	return c
+}
+
+func (c rigCase) String() string {
+	return fmt.Sprintf("seed %d (%d nodes, %s, refuse %d, nodesFirst %v, %+v %+v %+v)",
+		c.seed, c.nodes, c.load, c.refuse, c.nodesFirst, c.gmn, c.mesh, c.bus)
+}
+
+// rigNet is one network under the rig with its nodes: per-source
+// backlogs offered in order until refused, as coherence.Node does, and
+// the cycle each packet was delivered.
+type rigNet struct {
+	Network
+	backlog [][]Packet
+	at      []int
+	pending int
+}
+
+func newRigNet(n Network, c rigCase) *rigNet {
+	r := &rigNet{Network: n, backlog: make([][]Packet, c.nodes), at: make([]int, c.packets)}
+	for i := range r.at {
+		r.at[i] = -1
+	}
+	return r
+}
+
+// nodesAct is every node's turn in cycle cyc: new packets join the
+// backlogs, each sink that is not refusing drains its arrivals, each
+// source offers its backlog.
+func (r *rigNet) nodesAct(t *testing.T, c rigCase, cyc uint64) {
+	if cyc < uint64(len(c.script)) {
+		for _, p := range c.script[cyc] {
+			r.backlog[p.Src] = append(r.backlog[p.Src], p)
+			r.pending++
+		}
+	}
+	for node := range r.backlog {
+		refusing := c.refuse != 0 && (cyc+uint64(node))%uint64(c.refuse) == 0
+		for !refusing && r.Deliverable(node, cyc) {
+			p, ok := r.Deliver(node, cyc)
+			if !ok || p.Dst != node || r.at[p.Payload.(int)] != -1 {
+				t.Fatalf("%v cycle %d node %d: Deliverable, but Deliver = %+v, %v", c, cyc, node, p, ok)
+			}
+			r.at[p.Payload.(int)] = int(cyc)
+			r.pending--
+		}
+		for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) {
+			r.backlog[node] = r.backlog[node][1:]
+		}
+	}
+}
+
+// TestDifferentialRig drives the scanning reference models (ref_test.go)
+// and the occupancy-indexed models through random traffic in lock-step.
+// Per seed and model it holds three networks to one another:
+//
+//   - ref and opt, ticked every cycle, must agree every cycle on Quiet,
+//     Stats and the undelivered count, and at the end on every packet's
+//     delivery cycle and on PortFlits. GMN and bus NextWake answers must
+//     be equal; the mesh's may only be later than the reference's
+//     (which answers now for any ready head).
+//   - gated, an opt ticked only on cycles where NextWake(now) <= now,
+//     must match opt in all of that, answer included: a wake that is
+//     too late shows as a late packet (soundness).
+//   - on the mesh a NextWake(now) == now must be followed by a Tick that
+//     moves or ejects a packet, or find a head refused by a full
+//     downstream queue, or a deliverable arrival: an answer that is
+//     merely safe — "now while anything is queued" — fails (tightness).
+//
+// The occupancy sets and the routers' cached routes are checked against
+// the queues they summarise after every cycle.
+func TestDifferentialRig(t *testing.T) {
+	seeds := 216
+	if testing.Short() {
+		seeds = 48
+	}
+	models := []struct {
+		name     string
+		ref, opt func(rigCase) Network
+	}{
+		{"gmn", func(c rigCase) Network { return newRefGMN(c.gmn) }, func(c rigCase) Network { return NewGMN(c.gmn) }},
+		{"mesh", func(c rigCase) Network { return newRefMesh(c.mesh) }, func(c rigCase) Network { return NewMesh(c.mesh) }},
+		{"bus", func(c rigCase) Network { return newRefBus(c.bus) }, func(c rigCase) Network { return NewBus(c.bus) }},
+	}
+	for _, m := range models {
+		t.Run(m.name, func(t *testing.T) {
+			for seed := 0; seed < seeds; seed++ {
+				c := newRigCase(seed)
+				rigRun(t, c, newRigNet(m.ref(c), c), newRigNet(m.opt(c), c), newRigNet(m.opt(c), c))
+			}
+		})
+	}
+}
+
+func rigRun(t *testing.T, c rigCase, ref, opt, gated *rigNet) {
+	nets := [...]*rigNet{ref, opt, gated}
+	rm, _ := ref.Network.(*refMesh) // nil unless the model is the mesh
+	for cyc := uint64(0); ; cyc++ {
+		if cyc > 200000 {
+			t.Fatalf("%v: not drained after %d cycles", c, cyc)
+		}
+		if c.nodesFirst {
+			for _, n := range nets {
+				n.nodesAct(t, c, cyc)
+			}
+		}
+		wRef, wOpt, wGated := ref.NextWake(cyc), opt.NextWake(cyc), gated.NextWake(cyc)
+		if wOpt < wRef || wGated != wOpt || (rm == nil && wOpt != wRef) {
+			t.Fatalf("%v cycle %d: NextWake ref %d, opt %d, gated %d", c, cyc, wRef, wOpt, wGated)
+		}
+		// mustMove: the mesh said now with nothing deliverable and no
+		// head blocked, so this Tick has to move or eject a packet.
+		var progress uint64
+		mustMove := wOpt == cyc && rm != nil && rm.nextArrival(cyc) != cyc && !rm.blockedHead(cyc)
+		if mustMove {
+			progress = rm.progress()
+		}
+		ref.Tick(cyc)
+		opt.Tick(cyc)
+		if wGated <= cyc {
+			gated.Tick(cyc)
+		}
+		if mustMove && rm.progress() == progress {
+			t.Fatalf("%v cycle %d: mesh NextWake answered now, but nothing was movable, blocked or deliverable", c, cyc)
+		}
+		if !c.nodesFirst {
+			for _, n := range nets {
+				n.nodesAct(t, c, cyc)
+			}
+		}
+		for _, n := range nets[1:] {
+			if n.Quiet() != ref.Quiet() || n.Stats() != ref.Stats() || n.pending != ref.pending {
+				t.Fatalf("%v cycle %d: quiet %v stats %+v pending %d, reference quiet %v stats %+v pending %d",
+					c, cyc, n.Quiet(), n.Stats(), n.pending, ref.Quiet(), ref.Stats(), ref.pending)
+			}
+			checkOccupancy(t, c, cyc, n.Network)
+		}
+		if cyc >= uint64(len(c.script)) && ref.pending == 0 {
+			break
+		}
+	}
+	for _, n := range nets[1:] {
+		if !n.Quiet() || !reflect.DeepEqual(n.at, ref.at) || !reflect.DeepEqual(n.PortFlits(), ref.PortFlits()) {
+			t.Fatalf("%v: quiet %v\ndeliveries %v\nreference  %v\nportflits %v\nreference %v",
+				c, n.Quiet(), n.at, ref.at, n.PortFlits(), ref.PortFlits())
+		}
+	}
+}
+
+// progress changes whenever a Tick moves a packet between routers
+// (flits are counted per link crossed) or ejects one into an arrival
+// port.
+func (m *refMesh) progress() uint64 {
+	n := m.stats.TotalFlits
+	for i := range m.arr {
+		n += uint64(m.arr[i].Len()) << 40
+	}
+	return n
+}
+
+// blockedHead reports whether some router input's head is ready at now
+// with its output link free and the downstream queue full: the one
+// state in which a Tick polls without a timer to wait for.
+func (m *refMesh) blockedHead(now uint64) bool {
+	for idx := range m.r {
+		r := &m.r[idx]
+		for _, q := range r.in {
+			if !q.Ready(now) {
+				continue
+			}
+			out := m.route(idx%m.k, idx/m.k, q.Head().Dst)
+			if out == portLocal || r.outBusy[out] > now {
+				continue
+			}
+			if next, inPort := m.neighbor(idx, out); !m.r[next].in[inPort].CanSend() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (b bitset) has(i int) bool { return b.next(i) == i }
+
+// checkOccupancy holds every incrementally maintained summary to the
+// queues it summarises.
+func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
+	var e *endpoints
+	switch n := n.(type) {
+	case *GMN:
+		e = &n.endpoints
+	case *Bus:
+		e = &n.endpoints
+	case *Mesh:
+		e = &n.endpoints
+		for idx := range n.r {
+			r := &n.r[idx]
+			queued, wake := 0, ^uint64(0)
+			for in, q := range r.in {
+				queued += q.Len()
+				want := uint8(numPorts)
+				if at, ok := q.NextAt(); ok {
+					want = n.route(idx, q.Head().Dst)
+					wake = min(wake, max(at, r.outBusy[want]))
+				}
+				if r.want[in] != want {
+					t.Fatalf("%v cycle %d: router %d input %d caches route %d, head wants %d", c, cyc, idx, in, r.want[in], want)
+				}
+			}
+			if n.active.has(idx) != (queued > 0) || r.wake != wake {
+				t.Fatalf("%v cycle %d: router %d holds %d packets, next event %d; books say active %v, wake %d",
+					c, cyc, idx, queued, wake, n.active.has(idx), r.wake)
+			}
+		}
+	}
+	for i := range e.inj {
+		if e.injSet.has(i) == e.inj[i].Empty() || e.arrSet.has(i) == e.arr[i].Empty() {
+			t.Fatalf("%v cycle %d: node %d occupancy bits disagree with its ports", c, cyc, i)
+		}
+	}
+}

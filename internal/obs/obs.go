@@ -69,9 +69,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Enabled reports whether any observability is attached.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Tracing reports whether span/event recording is active.
 func (r *Recorder) Tracing() bool { return r != nil && r.tb != nil }
 

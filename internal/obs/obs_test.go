@@ -11,7 +11,7 @@ import (
 // recorder — this is the zero-overhead-when-disabled contract.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() || r.Tracing() || r.Sampling() {
+	if r.Tracing() || r.Sampling() {
 		t.Fatal("nil recorder reports itself enabled")
 	}
 	r.NameProcess(1, "x", 0)

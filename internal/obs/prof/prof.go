@@ -70,15 +70,6 @@ func (c *Config) Start() (stop func() error, err error) {
 	return c.stopAll, nil
 }
 
-// ListenAddr returns the live pprof endpoint address ("" when off),
-// resolving a ":0" request to the bound port.
-func (c *Config) ListenAddr() string {
-	if c.ln == nil {
-		return ""
-	}
-	return c.ln.Addr().String()
-}
-
 func (c *Config) stopCPU() {
 	if c.cpuFile == nil {
 		return

@@ -50,10 +50,10 @@ func TestHTTPEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := c.ListenAddr()
-	if addr == "" {
-		t.Fatal("no listen address after Start")
+	if c.ln == nil {
+		t.Fatal("no listener after Start")
 	}
+	addr := c.ln.Addr().String() // ":0" resolved to the bound port
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/", addr))
 	if err != nil {
 		t.Fatalf("GET /debug/pprof/: %v", err)
@@ -69,7 +69,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	if c.ListenAddr() != "" {
+	if c.ln != nil {
 		t.Error("listener still registered after stop")
 	}
 }

@@ -67,14 +67,6 @@ func (s *Sampler) Samples() int {
 	return len(s.rows)
 }
 
-// Names returns the column names in registration order.
-func (s *Sampler) Names() []string {
-	if s == nil {
-		return nil
-	}
-	return s.names
-}
-
 // Series extracts one named column as a dense slice (nil when the name
 // is unknown).
 func (s *Sampler) Series(name string) []float64 {

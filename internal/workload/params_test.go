@@ -44,7 +44,7 @@ func TestSpecSymbolsDefined(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sym := range []string{"ocean_gridA", "ocean_gridB", "rt_finished"} {
-		if _, ok := ocean.Image.Symbol(sym); !ok {
+		if _, ok := ocean.Image.Symbols[sym]; !ok {
 			t.Errorf("ocean image missing symbol %q", sym)
 		}
 	}
@@ -52,14 +52,14 @@ func TestSpecSymbolsDefined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := water.Image.Symbol("water_pos"); !ok {
+	if _, ok := water.Image.Symbols["water_pos"]; !ok {
 		t.Error("water image missing water_pos")
 	}
 	lu, err := BuildLU(l, codegen.DS, LUParams{Threads: 2, RowsPerThread: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := lu.Image.Symbol("lu_matrix"); !ok {
+	if _, ok := lu.Image.Symbols["lu_matrix"]; !ok {
 		t.Error("lu image missing lu_matrix")
 	}
 }
