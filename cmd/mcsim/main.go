@@ -70,7 +70,7 @@ func main() {
 	flag.IntVar(&size.CounterIncs, "incs", def.CounterIncs, "counter: increments per thread")
 	flag.IntVar(&size.LURows, "lurows", def.LURows, "lu: matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
-	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way; for timing comparisons)")
+	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way, under every -fault plan; for timing comparisons)")
 	resInterval := flag.Duration("resources", 0, "sample host-process resources (heap, GC, RSS) every interval, e.g. 25ms (0 = off)")
 	resCSV := flag.String("resources-csv", "", "write the resource sample series as CSV (needs -resources)")
 	profCfg := prof.RegisterFlags()
@@ -251,19 +251,20 @@ func main() {
 		res.Net.Packets, res.Net.TotalFlits, res.Net.InjectStallCycles)
 	// Host-side diagnostics, not part of the deterministic result: how
 	// much of the schedule the wake contract kept off the host, whole
-	// cycles first, then ticks per layer (EXPERIMENTS.md has the worked
-	// example).
+	// cycles first, then ticks per layer, then what deciding it cost in
+	// NextWake questions (EXPERIMENTS.md has the worked example).
 	if eng := sys.Engine; eng.SkippedTicks() > 0 && res.Cycles > 0 {
 		leaped := eng.LeapedCycles()
-		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped:",
-			eng.Leaps(), leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles))
-		sep := " "
+		var skipped, asked string
+		var questions uint64
 		for _, c := range eng.TickCounts() {
-			fmt.Fprintf(os.Stderr, "%s%s %.1f%%", sep, c.Name,
-				100*float64(c.Skipped)/float64(c.Executed+c.Skipped))
-			sep = ", "
+			skipped += fmt.Sprintf(", %s %.1f%%", c.Name, 100*float64(c.Skipped)/float64(c.Executed+c.Skipped))
+			asked += fmt.Sprintf(", %s %d", c.Name, c.Asked)
+			questions += c.Asked
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.1f per executed cycle)\n",
+			eng.Leaps(), leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles),
+			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped))
 	}
 
 	if res.Latency != nil {

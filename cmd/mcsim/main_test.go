@@ -83,14 +83,15 @@ func TestBadFlagValuesRejected(t *testing.T) {
 }
 
 // TestEngineLineReportsPerLayerSkips pins the stderr diagnostic: one
-// run says how many cycles were leaped and, per layer, what share of
-// its ticks the wake contract skipped; the naive schedule skips
-// nothing and says nothing.
+// run says how many cycles were leaped, per layer what share of its
+// ticks the wake contract skipped and how many NextWake questions that
+// took; the naive schedule skips nothing and says nothing.
 func TestEngineLineReportsPerLayerSkips(t *testing.T) {
 	const run = "-bench counter -cpus 2 -incs 5 -noc bus"
 	out, code := runMain(t, run)
 	line := regexp.MustCompile(`(?m)^engine: \d+ leaps skipped \d+ of \d+ cycles \([\d.]+%\); ` +
-		`ticks skipped: cpus [\d.]+%, banks [\d.]+%, noc [\d.]+%$`)
+		`ticks skipped: cpus [\d.]+%, banks [\d.]+%, noc [\d.]+%; ` +
+		`asked: cpus \d+, banks \d+, noc \d+ \([\d.]+ per executed cycle\)$`)
 	if code != 0 || !line.MatchString(out) {
 		t.Fatalf("mcsim %s: exit %d, no engine line in:\n%s", run, code, out)
 	}

@@ -151,7 +151,7 @@ func (n *Node) Tick(now uint64) {
 	// Accept are pure queries, so the swapped order cannot change
 	// behaviour. Handlers never inject — they enqueue responses on the
 	// outbound port, which the send loop below drains.
-	for n.net.Deliverable(n.ID, now) && n.sink.Accept(now) {
+	for n.net.ArrivalAt(n.ID) <= now && n.sink.Accept(now) {
 		m, ok := n.net.Deliver(n.ID, now)
 		if !ok {
 			break
@@ -211,15 +211,17 @@ func (n *Node) Tick(now uint64) {
 // NextWake implements sim.Sleeper: Tick(now) is a strict no-op unless
 // a packet is deliverable, a queued send is ready to offer, or the
 // previous cycle consumed a delivery. A send that is latched for later
-// — or only backing off — wakes at its injection attempt. Must be pure:
-// Peek has side ordering effects, so the port's NextAt is used instead.
+// — or only backing off — wakes at its injection attempt, a packet on
+// its way at its arrival: the network pushes that cycle to the node's
+// Waker, but the next answer replaces what was pushed. Must be pure.
 func (n *Node) NextWake(now uint64) uint64 {
-	if n.recvVeto >= now || n.net.Deliverable(n.ID, now) {
+	arrival := n.net.ArrivalAt(n.ID)
+	if n.recvVeto >= now || arrival <= now {
 		return now
 	}
 	at, ok := n.outQ.NextAt()
 	if !ok {
-		return sim.NoWake
+		return arrival
 	}
 	if n.attempts > 0 && at <= now {
 		at = n.nextTry
@@ -227,7 +229,7 @@ func (n *Node) NextWake(now uint64) uint64 {
 	// A head ready to offer runs now: the injection attempt itself is an
 	// event (a refused Inject charges the network's stall counter every
 	// cycle).
-	return max(at, now)
+	return min(arrival, max(at, now))
 }
 
 // Skip implements sim.Sleeper: the only per-cycle counter a sleeping

@@ -119,9 +119,14 @@ func TestNodeNextWake(t *testing.T) {
 	}
 	var arrived uint64
 	for cyc := uint64(3); cyc < 20; cyc++ {
-		if net.Deliverable(1, cyc) {
+		if net.ArrivalAt(1) <= cyc {
 			arrived = cyc
 			break
+		}
+		// A packet on its way is the node's to answer for, now that the
+		// engine remembers: the next re-ask replaces the pushed wake.
+		if at := net.ArrivalAt(1); at != never && n1.NextWake(cyc) != at {
+			t.Fatalf("cycle %d: arrival due at %d, NextWake = %d", cyc, at, n1.NextWake(cyc))
 		}
 		n0.Tick(cyc)
 		net.Tick(cyc)

@@ -51,6 +51,10 @@ func TestLeapEquivalence(t *testing.T) {
 		{name: "wb/bus", proto: coherence.WBMESI, arch: mem.Arch1, noc: BusNet},
 		{name: "wti/fault", proto: coherence.WTI, arch: mem.Arch1,
 			fault: "drop=2e-3,delay=1e-3:6,seed=7"},
+		// Stall windows draw once per cycle whether or not the network
+		// ticker ran: its Skip replays the draws of the cycles it slept.
+		{name: "wb/dup+bankstall", proto: coherence.WBMESI, arch: mem.Arch2,
+			fault: "dup=5e-3,bankstall=0.01:12,seed=7"},
 	}
 	for _, p := range points {
 		t.Run(p.name, func(t *testing.T) {

@@ -129,14 +129,17 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	// nodes deliver/respond, then the network advances. All
 	// cross-component messages are latched, so this order is a
 	// convention, not a correctness requirement. Every ticker answers
-	// the sim.Sleeper contract.
+	// the sim.Sleeper contract; the only input one gets from another
+	// comes through the network, which is handed every node's waker (in
+	// node-id order) and its own.
+	wakers := make([]sim.Waker, 0, len(sys.Ports))
 	for i, f := range sys.fronts {
-		sys.register("cpus", &cluster{f, sys.DCaches[i], sys.ICaches[i], sys.Nodes[i]})
+		wakers = append(wakers, sys.register("cpus", &cluster{f, sys.DCaches[i], sys.ICaches[i], sys.Nodes[i]}))
 	}
 	for _, nd := range sys.BNodes {
-		sys.register("banks", nd)
+		wakers = append(wakers, sys.register("banks", nd))
 	}
-	sys.register("noc", netTicker{net})
+	net.Attach(sys.register("noc", net), wakers)
 	// Liveness watchdog: under a fault plan, a port that burns through
 	// its retransmission budget aborts the run right away with a
 	// replayable diagnostic instead of limping to the cycle deadline.
@@ -156,11 +159,11 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 // register adds a ticker to the schedule. Under Cfg.DisableLeap it
 // registers the bare Tick, which the engine then runs on every cycle —
 // the naive reference schedule the equivalence tests compare against.
-func (s *System) register(name string, t sim.Ticker) {
+func (s *System) register(name string, t sim.Ticker) sim.Waker {
 	if s.Cfg.DisableLeap {
 		t = sim.TickFunc(t.Tick)
 	}
-	s.Engine.Register(name, t)
+	return s.Engine.Register(name, t)
 }
 
 // frontEnd is what fills a cluster's CPU slot: the wake contract plus
@@ -205,12 +208,6 @@ func (c *cluster) Skip(from, to uint64) {
 	c.cpu.Skip(from, to)
 	c.node.Skip(from, to)
 }
-
-// netTicker schedules the interconnect, whose skipped Ticks count
-// nothing.
-type netTicker struct{ noc.Network }
-
-func (netTicker) Skip(from, to uint64) {}
 
 // NextWake reports the earliest cycle at or after now at which any
 // component must run — now itself if one must — or sim.NoWake when only

@@ -81,8 +81,9 @@ func TestCounterDeterminism(t *testing.T) {
 // a real run every layer — CPU clusters, bank nodes, the network — must
 // have ticks skipped by the engine (the equivalence matrices and the
 // byte-identical sweep output prove skipping changes no results; this
-// test proves the fast path actually engages), and what the engine did
-// not skip it executed.
+// test proves the fast path actually engages), what the engine did
+// not skip it executed, and it remembered: an executed tick takes one
+// NextWake question, a skipped one mostly none.
 func TestIdleTicksAreSkipped(t *testing.T) {
 	spec, err := buildQuickCounter(2)
 	if err != nil {
@@ -104,6 +105,9 @@ func TestIdleTicksAreSkipped(t *testing.T) {
 		if c.Skipped == 0 || c.Executed == 0 || c.Executed+c.Skipped != tickers[c.Name]*sys.Engine.Now() {
 			t.Errorf("%s: %d executed + %d skipped over %d tickers x %d cycles",
 				c.Name, c.Executed, c.Skipped, tickers[c.Name], sys.Engine.Now())
+		}
+		if c.Asked < c.Executed || c.Asked > c.Executed+c.Skipped/2 {
+			t.Errorf("%s: asked %d times for %d executed and %d skipped ticks", c.Name, c.Asked, c.Executed, c.Skipped)
 		}
 	}
 }

@@ -57,6 +57,9 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 		{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 4, NoC: core.MeshNet},
 		{Bench: Water, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 4, NoC: core.MeshNet},
 		{Bench: Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 4, NoC: core.BusNet},
+		// Bank stall windows: -noleap must stay the reference when the
+		// network ticker sleeps through cycles that draw.
+		{Bench: Water, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 4, Fault: "bankstall=0.005:16,seed=42"},
 	}
 	for _, r := range pts {
 		naive := runPoint(t, r, sc, true)

@@ -39,18 +39,19 @@ type dupPayload struct {
 //
 //   - every decision is drawn from splitmix64 streams derived from the
 //     plan seed, one independent stream per fault dimension, advanced
-//     only inside Inject and Tick — never inside the read-only
-//     Deliverable/Quiet/Stats queries, whose call counts may legally
-//     vary (the engine's wake scheduling probes them);
+//     only inside Inject and Tick (and Skip, Tick's stand-in) — never
+//     inside the read-only ArrivalAt/Quiet/Stats queries, whose call
+//     counts may legally vary (the engine's wake scheduling probes them);
 //   - delayed transfers are staged per source and released strictly in
 //     arrival order, so the per-(source,destination) FIFO guarantee of
 //     the wrapped model is preserved;
-//   - bank stall windows advance in Tick, so they can only open while
-//     the network ticker is live — a stall of an idle system would be
-//     unobservable anyway.
+//   - bank stall windows advance once per cycle, in Tick or, for the
+//     cycles the network ticker slept through, in Skip — the same draws
+//     in the same order, so -noleap is the reference under bankstall too.
 type Net struct {
 	inner noc.Network
 	plan  *Plan
+	self  sim.Waker // the network's own slot, see Attach
 
 	dropRng  rng
 	delayRng rng
@@ -154,12 +155,19 @@ func (f *Net) Inject(p noc.Packet, now uint64) bool {
 		p.Payload = dupPayload{inner: p.Payload}
 		f.stage(p, now+uint64(extra))
 	}
+	f.self.Wake(now) // as the model's own accepted Inject does
 	return true
 }
 
 func (f *Net) stage(p noc.Packet, at uint64) {
 	f.staged[p.Src].Send(p, at)
 	f.stagedN++
+}
+
+// Attach implements noc.Network; the wrapped model announces the arrivals.
+func (f *Net) Attach(self sim.Waker, nodes []sim.Waker) {
+	f.self = self
+	f.inner.Attach(self, nodes)
 }
 
 // TookDrop implements noc.DropNotifier.
@@ -169,23 +177,10 @@ func (f *Net) TookDrop(src int) bool {
 	return v
 }
 
-// Tick implements noc.Network: advance bank stall windows, release
+// Tick implements noc.Network: one cycle of Skip's stall windows, release
 // staged transfers whose delay elapsed, then tick the wrapped model.
 func (f *Net) Tick(now uint64) {
-	if len(f.plan.BankStall) > 0 {
-		for node := f.bankBase; node < len(f.stallUntil); node++ {
-			if f.stallUntil[node] > now {
-				f.st.StallCycles++
-				continue
-			}
-			s := f.plan.stallFor(node - f.bankBase)
-			if s != nil && s.Rate > 0 && f.stallRng.chance(s.Rate) {
-				f.stallUntil[node] = now + uint64(s.Window)
-				f.st.StallWindows++
-				f.st.StallCycles++
-			}
-		}
-	}
+	f.Skip(now, now+1)
 	if f.stagedN > 0 {
 		for src := range f.staged {
 			q := &f.staged[src]
@@ -200,27 +195,43 @@ func (f *Net) Tick(now uint64) {
 	f.inner.Tick(now)
 }
 
-// stalled reports whether delivery at node is frozen this cycle.
-func (f *Net) stalled(node int, now uint64) bool {
-	return f.stallUntil[node] > now
+// Skip implements sim.Sleeper, which is what core registers the wrapper
+// as: the stall windows advance on every cycle, executed or not — one
+// draw per unstalled bank per cycle, in node order.
+func (f *Net) Skip(from, to uint64) {
+	if len(f.plan.BankStall) == 0 {
+		return
+	}
+	for now := from; now < to; now++ {
+		for node := f.bankBase; node < len(f.stallUntil); node++ {
+			if f.stallUntil[node] > now {
+				f.st.StallCycles++
+				continue
+			}
+			s := f.plan.stallFor(node - f.bankBase)
+			if s != nil && s.Rate > 0 && f.stallRng.chance(s.Rate) {
+				f.stallUntil[node] = now + uint64(s.Window)
+				f.st.StallWindows++
+				f.st.StallCycles++
+			}
+		}
+	}
 }
 
-// Deliverable implements noc.Network. A true result may still yield no
-// packet from Deliver when only a suppressed duplicate heads the
-// queue; endpoints already tolerate that (a Deliver miss ends their
-// receive loop).
-func (f *Net) Deliverable(node int, now uint64) bool {
-	if f.stalled(node, now) {
-		return false
-	}
-	return f.inner.Deliverable(node, now)
+// ArrivalAt implements noc.Network: the later of the wrapped model's
+// arrival and the end of the node's stall window, which no arrive
+// announces. Deliver may still yield no packet at that cycle, when only
+// a suppressed duplicate heads the queue; endpoints already tolerate
+// that (a Deliver miss ends their receive loop).
+func (f *Net) ArrivalAt(node int) uint64 {
+	return max(f.inner.ArrivalAt(node), f.stallUntil[node])
 }
 
 // Deliver implements noc.Network, discarding duplicate transfers (the
 // receiving port's sequence check) so protocol sinks only ever see
 // each message once.
 func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
-	if f.stalled(node, now) {
+	if f.stallUntil[node] > now {
 		return noc.Packet{}, false
 	}
 	for {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
 // fakeNet is a trivial zero-latency noc.Network: injected packets are
@@ -40,11 +41,18 @@ func (f *fakeNet) Deliver(node int, now uint64) (noc.Packet, bool) {
 	return p, true
 }
 
-func (f *fakeNet) Deliverable(node int, now uint64) bool { return len(f.queues[node]) > 0 }
-func (f *fakeNet) Tick(now uint64)                       { f.ticks++ }
-func (f *fakeNet) Stats() noc.Stats                      { return noc.Stats{} }
-func (f *fakeNet) PortFlits() []uint64                   { return nil }
-func (f *fakeNet) Nodes() int                            { return f.nodes }
+func (f *fakeNet) Attach(self sim.Waker, nodes []sim.Waker) {}
+func (f *fakeNet) Tick(now uint64)                          { f.ticks++ }
+func (f *fakeNet) Stats() noc.Stats                         { return noc.Stats{} }
+func (f *fakeNet) PortFlits() []uint64                      { return nil }
+func (f *fakeNet) Nodes() int                               { return f.nodes }
+
+func (f *fakeNet) ArrivalAt(node int) uint64 {
+	if len(f.queues[node]) > 0 {
+		return 0
+	}
+	return sim.NoWake
+}
 
 func (f *fakeNet) NextWake(now uint64) uint64 {
 	if f.Quiet() {
@@ -204,23 +212,23 @@ func TestNetBankStallFreezesDelivery(t *testing.T) {
 		t.Fatal("Inject rejected")
 	}
 	n.Tick(0) // opens the stall window: cycles 0..2 frozen
-	if n.Deliverable(3, 0) {
-		t.Fatal("stalled bank must refuse delivery")
+	if n.ArrivalAt(3) != 3 {
+		t.Fatal("stalled bank must refuse delivery until the window closes")
 	}
 	if _, ok := n.Deliver(3, 0); ok {
 		t.Fatal("stalled bank must deliver nothing")
 	}
-	if n.Deliverable(2, 0) != inner.Deliverable(2, 0) {
+	if n.ArrivalAt(2) != inner.ArrivalAt(2) {
 		t.Fatal("unstalled node delivery must pass through")
 	}
 	n.Tick(1)
 	n.Tick(2)
-	if n.Deliverable(3, 2) {
+	if n.ArrivalAt(3) <= 2 {
 		t.Fatal("stall window must cover all 3 cycles")
 	}
 	// Window over at cycle 3; with rate=1 Tick(3) immediately opens the
-	// next one, so check Deliverable before ticking.
-	if !n.Deliverable(3, 3) {
+	// next one, so check ArrivalAt before ticking.
+	if n.ArrivalAt(3) > 3 {
 		t.Fatal("delivery must resume when the window closes")
 	}
 	if _, ok := n.Deliver(3, 3); !ok {
@@ -268,7 +276,7 @@ func TestNetReplayDeterminism(t *testing.T) {
 			}
 			n.Tick(now)
 			for node := 4; node < 8; node++ {
-				for n.Deliverable(node, now) {
+				for n.ArrivalAt(node) <= now {
 					n.Deliver(node, now)
 				}
 			}
@@ -287,5 +295,141 @@ func TestNetReplayDeterminism(t *testing.T) {
 	st3, _ := run("drop=0.1,delay=0.2:4,dup=0.05,bankstall=0.01:6,seed=43")
 	if st1 == st3 {
 		t.Fatal("different seeds produced an identical fault pattern")
+	}
+}
+
+// edgeNode is one endpoint of the wake-edge harness: it drains what has
+// arrived and offers its backlog in order, every cycle by hand or, as an
+// engine ticker, asleep while it has nothing to offer and nothing has
+// arrived — coherence.Node's shape, the arrival folded into its answer.
+type edgeNode struct {
+	net     *Net
+	id      int
+	script  [][]noc.Packet // packets offered per cycle, all nodes'
+	offers  []uint64       // the cycles with one from this node, ascending
+	backlog []noc.Packet
+	at      []int // delivery cycle per packet id, shared by the nodes
+}
+
+func (n *edgeNode) Tick(now uint64) {
+	for ; len(n.offers) > 0 && n.offers[0] == now; n.offers = n.offers[1:] {
+		for _, p := range n.script[now] {
+			if p.Src == n.id {
+				n.backlog = append(n.backlog, p)
+			}
+		}
+	}
+	for n.net.ArrivalAt(n.id) <= now {
+		p, ok := n.net.Deliver(n.id, now)
+		if !ok {
+			break // a suppressed duplicate was all there was
+		}
+		n.at[p.Payload.(int)] = int(now)
+	}
+	for len(n.backlog) > 0 && n.net.Inject(n.backlog[0], now) {
+		n.backlog = n.backlog[1:]
+	}
+}
+
+func (n *edgeNode) NextWake(now uint64) uint64 {
+	arrival := n.net.ArrivalAt(n.id)
+	if len(n.backlog) > 0 || arrival <= now {
+		return now
+	}
+	if len(n.offers) > 0 {
+		return min(arrival, n.offers[0])
+	}
+	return arrival
+}
+
+func (n *edgeNode) Skip(from, to uint64) {}
+
+// TestWakeEdgesUnderFaults is noc's TestWakeEdges for the wrapper: over
+// the real GMN and mesh with a delay+dup+bankstall plan, the same sparse
+// random traffic is run every-cycle by hand and on a sim.Engine that
+// remembers wakes, with the Net registered as its own Sleeper. A staged
+// transfer must wake the network's slot, Attach must reach the wrapped
+// model, a stall window's end must show in ArrivalAt (no arrive
+// announces it), and the draws of the cycles the network slept through
+// must be replayed by Skip: any of them missing shows as a packet
+// delivered in a different cycle, different fault counters, or a run
+// that never drains.
+func TestWakeEdgesUnderFaults(t *testing.T) {
+	const cpus, nodes, genCycles, limit = 4, 8, 400, 20000
+	models := map[string]func() noc.Network{
+		"gmn":  func() noc.Network { return noc.NewGMN(noc.DefaultGMNConfig(nodes)) },
+		"mesh": func() noc.Network { return noc.NewMesh(noc.DefaultMeshConfig(nodes)) },
+	}
+	for name, mk := range models {
+		var slept, stalls uint64
+		for seed := uint64(1); seed <= 16; seed++ {
+			// One packet every sixth cycle or so, so the network falls
+			// quiet — asleep — between transfers while windows keep opening.
+			script, ids := make([][]noc.Packet, genCycles), 0
+			gen := streamRNG(seed, 9)
+			for cyc := range script {
+				if gen.chance(1.0 / 6) {
+					src := int(gen.next() % nodes)
+					dst := (src + 1 + int(gen.next()%(nodes-1))) % nodes
+					script[cyc] = append(script[cyc], noc.Packet{Src: src, Dst: dst, Bytes: 4 + 4*int(gen.next()%8), Payload: ids})
+					ids++
+				}
+			}
+			run := func(engine bool) ([]int, noc.Stats, Stats, uint64) {
+				plan := mustPlan(t, "delay=0.2:6,dup=0.1,bankstall=0.02:9")
+				plan.Seed = seed
+				net := Wrap(mk(), plan, cpus)
+				at := make([]int, ids)
+				ns := make([]*edgeNode, nodes)
+				for id := range ns {
+					ns[id] = &edgeNode{net: net, id: id, script: script, at: at}
+				}
+				for cyc, offered := range script {
+					for _, p := range offered {
+						ns[p.Src].offers = append(ns[p.Src].offers, uint64(cyc))
+					}
+				}
+				done := func() bool {
+					for _, n := range ns {
+						if len(n.offers) > 0 || len(n.backlog) > 0 {
+							return false
+						}
+					}
+					return net.Quiet()
+				}
+				if !engine {
+					now := uint64(0)
+					for ; !done() && now < limit; now++ {
+						for _, n := range ns {
+							n.Tick(now)
+						}
+						net.Tick(now)
+					}
+					return at, net.Stats(), net.FaultStats(), now
+				}
+				e := sim.NewEngine()
+				wakers := make([]sim.Waker, nodes)
+				for id, n := range ns {
+					wakers[id] = e.Register("node", n)
+				}
+				net.Attach(e.Register("net", net), wakers)
+				cycles, _ := e.Run(limit, done)
+				slept += e.TickCounts()[1].Skipped
+				return at, net.Stats(), net.FaultStats(), cycles
+			}
+			handAt, handStats, handFaults, handCycles := run(false)
+			at, stats, faults, cycles := run(true)
+			if handCycles == limit || cycles != handCycles || !reflect.DeepEqual(at, handAt) || stats != handStats || faults != handFaults {
+				t.Fatalf("%s seed %d: %d cycles, %+v, %+v\ndeliveries  %v\nevery-cycle run: %d cycles, %+v, %+v\ndeliveries  %v",
+					name, seed, cycles, stats, faults, at, handCycles, handStats, handFaults, handAt)
+			}
+			if faults.Delayed == 0 || faults.Dups == 0 || faults.DupsSuppressed != faults.Dups {
+				t.Fatalf("%s seed %d: campaign too thin to mean anything: %+v", name, seed, faults)
+			}
+			stalls += faults.StallWindows
+		}
+		if slept == 0 || stalls == 0 {
+			t.Fatalf("%s: network slept %d ticks, %d stall windows: the property was vacuous", name, slept, stalls)
+		}
 	}
 }

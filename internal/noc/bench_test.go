@@ -47,7 +47,7 @@ func BenchmarkNoC(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						now := uint64(i)
 						for node := 0; node < nodes; node++ {
-							for n.Deliverable(node, now) {
+							for n.ArrivalAt(node) <= now {
 								n.Deliver(node, now)
 							}
 							if load.every == 0 && n.Inject(offer[node], now) {

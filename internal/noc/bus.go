@@ -1,5 +1,7 @@
 package noc
 
+import "repro/internal/sim"
+
 // BusConfig parameterises the shared-bus model.
 type BusConfig struct {
 	Nodes int
@@ -74,9 +76,8 @@ func (b *Bus) Tick(now uint64) {
 // bus tenure ends (busyTill); the delivery queues are the arrival
 // ports.
 func (b *Bus) NextWake(now uint64) uint64 {
-	next := b.nextArrival(now)
 	if b.injSet.next(0) >= 0 {
-		next = max(now, min(next, b.busyTill))
+		return max(now, b.busyTill)
 	}
-	return next
+	return sim.NoWake
 }

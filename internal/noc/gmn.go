@@ -93,7 +93,7 @@ func (g *GMN) Tick(now uint64) {
 // already movable makes now the answer — the destination-FIFO-full
 // case included, where staying awake is the safe conservative choice.
 func (g *GMN) NextWake(now uint64) uint64 {
-	next := g.nextArrival(now)
+	next := sim.NoWake
 	for i := g.injSet.next(0); i >= 0 && next > now; i = g.injSet.next(i + 1) {
 		next = min(next, max(g.srcBusy[i], now))
 	}

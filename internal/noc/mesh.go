@@ -219,11 +219,11 @@ func (m *Mesh) Tick(now uint64) {
 	}
 }
 
-// NextWake implements Network: the earliest router wake or arrival,
-// which is the next cycle a Tick or a Deliver can do anything — a busy
-// output link is waited out, not polled.
+// NextWake implements Network: the earliest router wake, which is the
+// next cycle a Tick can do anything — a busy output link is waited out,
+// not polled.
 func (m *Mesh) NextWake(now uint64) uint64 {
-	next := m.nextArrival(now)
+	next := sim.NoWake
 	for idx := m.active.next(0); idx >= 0 && next > now; idx = m.active.next(idx + 1) {
 		next = min(next, max(m.r[idx].wake, now))
 	}

@@ -21,11 +21,12 @@
 // Every queue in the package is a sim.Port[Packet], and the half of a
 // model that faces the nodes — injection and arrival ports, delivery,
 // the traffic counters — is the one endpoints struct all three embed.
-// A model's own file holds only its transit: Tick, the transit half of
-// NextWake, and the point at which it counts a packet. No model scans
-// for work: one occupancy bit per non-empty port (and, on the mesh, per
+// A model's own file holds only its transit: Tick, NextWake, and the
+// point at which it counts a packet. No model scans for work: one
+// occupancy bit per non-empty injection port (and, on the mesh, per
 // non-empty router) is kept where packets are enqueued and dequeued, and
-// Tick and NextWake walk the set bits.
+// Tick and NextWake walk the set bits. Nor is one polled: arrive tells
+// the destination's sim.Waker the cycle, Inject the network's own.
 package noc
 
 import (
@@ -75,23 +76,26 @@ type Network interface {
 	// Deliver pops the next packet that has fully arrived at node by
 	// cycle now, if any.
 	Deliver(node int, now uint64) (Packet, bool)
-	// Deliverable reports whether Deliver(node, now) would return a
-	// packet, without popping it or touching any statistics. Endpoints
-	// use it as a cheap pre-check before consulting their sink.
-	Deliverable(node int, now uint64) bool
+	// ArrivalAt reports the first cycle Deliver(node, ·) can return a
+	// packet — the head of node's arrival queue — or sim.NoWake. Pure. It
+	// is the state behind the Wake below, for the node's own NextWake.
+	ArrivalAt(node int) uint64
+	// Attach hands the network the two edges it owes an engine that
+	// remembers wakes: nodes[p] is told the cycle of every packet that
+	// becomes deliverable at node p, and self — the network's own slot —
+	// is woken by every accepted Inject. Unattached, it wakes nobody.
+	Attach(self sim.Waker, nodes []sim.Waker)
 	// Tick advances internal state by one cycle.
 	Tick(now uint64)
 	// Quiet reports whether no packets are in flight or queued.
 	Quiet() bool
 	// NextWake reports the earliest cycle at or after now — the cycle
-	// about to execute — at which the network's state can change or act
-	// on its own: a queued packet becoming movable by Tick, or an
-	// in-flight packet becoming deliverable (the sim.Sleeper question,
-	// answered for the endpoints' arrivals too). A network with anything
-	// movable or deliverable at now must return now; an empty network
-	// returns ^uint64(0). Returning a cycle earlier than the true next
-	// event is always safe — the engine just skips less — while
-	// returning a later one would skip live cycles. The models answer
+	// about to execute — at which Tick can move a queued packet (the
+	// sim.Sleeper question; arrivals are the nodes' to answer, through
+	// ArrivalAt). A network with anything movable at now must return now;
+	// one with nothing queued returns sim.NoWake. Returning a cycle
+	// earlier than the true next event is always safe — the engine just
+	// skips less — while a later one would skip live cycles. The models answer
 	// with the event itself — a queued head's ready cycle or the cycle
 	// the link or port it needs frees, whichever is later — except that a
 	// head held only by a full queue downstream has no timer and keeps
@@ -110,16 +114,19 @@ type Network interface {
 // endpoints is the node-facing half of every model: one bounded
 // injection port per source, one arrival port per destination whose
 // head is deliverable from its not-before cycle, and the counters. A
-// model embeds it, so Deliverable, Deliver, Quiet, Stats, PortFlits and
-// Nodes are defined here once; its Tick moves packets from inj (or from
-// wherever inj leads) to arr.
+// model embeds it, so ArrivalAt, Deliver, Attach, Quiet, Stats,
+// PortFlits and Nodes are defined here once; its Tick moves packets from
+// inj (or from wherever inj leads) to arr.
 type endpoints struct {
 	inj, arr []sim.Port[Packet]
-	// injSet and arrSet hold the non-empty ports of inj and arr: packets
-	// enter and leave only through Inject, take, arrive and Deliver.
-	injSet, arrSet bitset
-	stats          Stats
-	portFlits      []uint64
+	// injSet holds the non-empty ports of inj: packets enter and leave
+	// them only through Inject and take (or the mesh's own dequeue).
+	injSet bitset
+	// self and nodes are Attach's wakers, inert until it is called.
+	self      sim.Waker
+	nodes     []sim.Waker
+	stats     Stats
+	portFlits []uint64
 	// live is the injected-but-undelivered packet count.
 	live int
 }
@@ -131,7 +138,7 @@ func newEndpoints(nodes, injDepth, arrDepth int) endpoints {
 		inj:       make([]sim.Port[Packet], nodes),
 		arr:       make([]sim.Port[Packet], nodes),
 		injSet:    newBitset(nodes),
-		arrSet:    newBitset(nodes),
+		nodes:     make([]sim.Waker, nodes),
 		portFlits: make([]uint64, nodes),
 	}
 	for i := range e.inj {
@@ -143,6 +150,9 @@ func newEndpoints(nodes, injDepth, arrDepth int) endpoints {
 
 // Nodes implements Network.
 func (e *endpoints) Nodes() int { return len(e.arr) }
+
+// Attach implements Network.
+func (e *endpoints) Attach(self sim.Waker, nodes []sim.Waker) { e.self, e.nodes = self, nodes }
 
 // Inject implements Network: the packet waits in its source's injection
 // port, movable from now.
@@ -156,6 +166,7 @@ func (e *endpoints) Inject(p Packet, now uint64) bool {
 	}
 	e.injSet.set(p.Src)
 	e.live++
+	e.self.Wake(now)
 	return true
 }
 
@@ -173,7 +184,7 @@ func (e *endpoints) take(src int, now uint64) (Packet, bool) {
 // bounded (the GMN's) the caller has checked CanSend.
 func (e *endpoints) arrive(p Packet, at uint64) {
 	e.arr[p.Dst].Send(p, at)
-	e.arrSet.set(p.Dst)
+	e.nodes[p.Dst].Wake(at)
 }
 
 // count charges one packet to the per-packet traffic counters, at the
@@ -186,12 +197,15 @@ func (e *endpoints) count(p Packet, flits uint64) {
 	e.portFlits[p.Src] += flits
 }
 
-// Deliverable implements Network. It runs on every endpoint's arrival
+// ArrivalAt implements Network. It runs on every endpoint's arrival
 // check: hot path.
 //
 //lint:hot
-func (e *endpoints) Deliverable(node int, now uint64) bool {
-	return e.arr[node].Ready(now)
+func (e *endpoints) ArrivalAt(node int) uint64 {
+	if at, ok := e.arr[node].NextAt(); ok {
+		return at
+	}
+	return sim.NoWake
 }
 
 // Deliver implements Network. It runs on every message arrival: hot
@@ -202,9 +216,6 @@ func (e *endpoints) Deliver(node int, now uint64) (Packet, bool) {
 	p, ok := e.arr[node].Recv(now)
 	if ok {
 		e.live--
-		if e.arr[node].Empty() {
-			e.arrSet.clear(node)
-		}
 	}
 	return p, ok
 }
@@ -212,23 +223,15 @@ func (e *endpoints) Deliver(node int, now uint64) (Packet, bool) {
 // Quiet implements Network.
 func (e *endpoints) Quiet() bool { return e.live == 0 }
 
+// Skip makes every model a sim.Sleeper beside its NextWake: a Tick not
+// executed counts nothing.
+func (e *endpoints) Skip(from, to uint64) {}
+
 // Stats implements Network.
 func (e *endpoints) Stats() Stats { return e.stats }
 
 // PortFlits implements Network.
 func (e *endpoints) PortFlits() []uint64 { return e.portFlits }
-
-// nextArrival is the delivery half of every model's NextWake: now if
-// some arrival port's head is already deliverable, else the earliest
-// head's cycle, else sim.NoWake.
-func (e *endpoints) nextArrival(now uint64) uint64 {
-	next := sim.NoWake
-	for i := e.arrSet.next(0); i >= 0 && next > now; i = e.arrSet.next(i + 1) {
-		at, _ := e.arr[i].NextAt()
-		next = min(next, max(at, now))
-	}
-	return next
-}
 
 // bitset is a fixed-size set of small integers walked in ascending
 // order, for i := b.next(0); i >= 0; i = b.next(i + 1), on the live

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 // drive ticks the network and collects deliveries for every node until
@@ -76,13 +78,14 @@ func TestDelivery(t *testing.T) {
 }
 
 func TestDeliverableAgreesWithDeliver(t *testing.T) {
-	// Deliverable must predict Deliver exactly at every cycle, on every
-	// model, without consuming the packet.
+	// ArrivalAt must predict Deliver exactly at every cycle, on every
+	// model, without consuming the packet: deliverable from that cycle on,
+	// not before.
 	for _, nc := range nets(4) {
 		t.Run(nc.name, func(t *testing.T) {
 			n := nc.mk()
-			if n.Deliverable(3, 0) {
-				t.Fatal("idle network claims a deliverable packet")
+			if n.ArrivalAt(3) != sim.NoWake {
+				t.Fatal("idle network claims an arrival")
 			}
 			if !n.Inject(Packet{Src: 0, Dst: 3, Bytes: 8, Payload: "p"}, 0) {
 				t.Fatal("inject refused")
@@ -90,13 +93,13 @@ func TestDeliverableAgreesWithDeliver(t *testing.T) {
 			delivered := false
 			for cyc := uint64(0); cyc < 1000 && !delivered; cyc++ {
 				n.Tick(cyc)
-				can := n.Deliverable(3, cyc)
-				if can != n.Deliverable(3, cyc) {
-					t.Fatalf("cycle %d: Deliverable not idempotent", cyc)
+				at := n.ArrivalAt(3)
+				if at != n.ArrivalAt(3) {
+					t.Fatalf("cycle %d: ArrivalAt not idempotent", cyc)
 				}
 				p, ok := n.Deliver(3, cyc)
-				if can != ok {
-					t.Fatalf("cycle %d: Deliverable=%v but Deliver=%v", cyc, can, ok)
+				if (at <= cyc) != ok {
+					t.Fatalf("cycle %d: ArrivalAt=%d but Deliver=%v", cyc, at, ok)
 				}
 				if ok {
 					if p.Payload != "p" {

@@ -9,7 +9,9 @@ import (
 // scriptedTraffic drives one fixed, contended script through n and
 // returns everything the models are pinned on: each packet's delivery
 // cycle (indexed by packet id), the final Stats (InjectStallCycles
-// included) and PortFlits, and a hash of every cycle's NextWake answer.
+// included) and PortFlits, and a hash of every cycle's wholeWake answer
+// (NextWake folded with the arrivals, which is what NextWake itself
+// answered when the hashes were recorded).
 //
 // The script is an LCG, so it is the same on every model and every
 // commit: three new packets per cycle for 40 cycles over 9 nodes, half
@@ -34,7 +36,7 @@ func scriptedTraffic(t *testing.T, n Network) string {
 		if cyc > 20000 {
 			t.Fatalf("script not drained after %d cycles", cyc)
 		}
-		wakeHash = (wakeHash ^ n.NextWake(cyc)) * 1099511628211
+		wakeHash = (wakeHash ^ wholeWake(n, cyc)) * 1099511628211
 		if cyc < genCycles {
 			for i := 0; i < perCycle; i++ {
 				src, dst := next(nodes), 4
@@ -53,10 +55,10 @@ func scriptedTraffic(t *testing.T, n Network) string {
 		}
 		n.Tick(cyc)
 		for node := 0; node < nodes; node++ {
-			for (cyc+uint64(node))%3 != 0 && n.Deliverable(node, cyc) {
+			for (cyc+uint64(node))%3 != 0 && n.ArrivalAt(node) <= cyc {
 				p, ok := n.Deliver(node, cyc)
 				if !ok || p.Dst != node {
-					t.Fatalf("cycle %d node %d: Deliverable but Deliver = %+v, %v", cyc, node, p, ok)
+					t.Fatalf("cycle %d node %d: arrival due but Deliver = %+v, %v", cyc, node, p, ok)
 				}
 				delivered[p.Payload.(int)] = int(cyc)
 				pending--
@@ -93,7 +95,7 @@ func TestScriptedTrafficPin(t *testing.T) {
 	}
 }
 
-// TestScriptedWakePin holds every cycle's NextWake answer on the same
+// TestScriptedWakePin holds every cycle's wholeWake answer on the same
 // script to the pins' wakehash= lines, apart from the traffic so that
 // a change of answers cannot hide a change of timing or the reverse.
 func TestScriptedWakePin(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 // renamed ref*. They are what TestDifferentialRig holds the real models
 // to, packet for packet and cycle for cycle; they share nothing with
 // them but Packet, Stats, the config structs and the port constants.
-// Do not optimise them.
+// Do not optimise them. Their NextWake still answers for the arrivals
+// too, as every model's did until the engine began to remember wakes;
+// wholeWake puts a real model's answer back together for comparison.
 
 type refEndpoints struct {
 	inj, arr  []sim.Port[Packet]
@@ -54,8 +56,24 @@ func (e *refEndpoints) count(p Packet, flits uint64) {
 	e.portFlits[p.Src] += flits
 }
 
-func (e *refEndpoints) Deliverable(node int, now uint64) bool {
-	return e.arr[node].Ready(now)
+func (e *refEndpoints) ArrivalAt(node int) uint64 {
+	if at, ok := e.arr[node].NextAt(); ok {
+		return at
+	}
+	return sim.NoWake
+}
+
+func (e *refEndpoints) Attach(self sim.Waker, nodes []sim.Waker) {}
+
+// wholeWake is the question the networks answered until arrivals became
+// the nodes' to answer for: n's own NextWake folded with every node's
+// arrival, now if one is already deliverable.
+func wholeWake(n Network, now uint64) uint64 {
+	next := n.NextWake(now)
+	for p := 0; p < n.Nodes(); p++ {
+		next = min(next, max(n.ArrivalAt(p), now))
+	}
+	return next
 }
 
 func (e *refEndpoints) Deliver(node int, now uint64) (Packet, bool) {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // rigCase is one seed of the differential rig: a machine, a traffic
@@ -81,9 +83,10 @@ func (c rigCase) String() string {
 // the cycle each packet was delivered.
 type rigNet struct {
 	Network
-	backlog [][]Packet
-	at      []int
-	pending int
+	backlog  [][]Packet
+	at       []int
+	pending  int
+	injected uint64 // the last cycle an Inject was accepted
 }
 
 func newRigNet(n Network, c rigCase) *rigNet {
@@ -105,18 +108,25 @@ func (r *rigNet) nodesAct(t *testing.T, c rigCase, cyc uint64) {
 		}
 	}
 	for node := range r.backlog {
-		refusing := c.refuse != 0 && (cyc+uint64(node))%uint64(c.refuse) == 0
-		for !refusing && r.Deliverable(node, cyc) {
-			p, ok := r.Deliver(node, cyc)
-			if !ok || p.Dst != node || r.at[p.Payload.(int)] != -1 {
-				t.Fatalf("%v cycle %d node %d: Deliverable, but Deliver = %+v, %v", c, cyc, node, p, ok)
-			}
-			r.at[p.Payload.(int)] = int(cyc)
-			r.pending--
+		r.nodeAct(t, c, cyc, node)
+	}
+}
+
+// nodeAct is one node's turn: drain the arrivals unless the sink is
+// refusing, then offer the backlog.
+func (r *rigNet) nodeAct(t *testing.T, c rigCase, cyc uint64, node int) {
+	refusing := c.refuse != 0 && (cyc+uint64(node))%uint64(c.refuse) == 0
+	for !refusing && r.ArrivalAt(node) <= cyc {
+		p, ok := r.Deliver(node, cyc)
+		if !ok || p.Dst != node || r.at[p.Payload.(int)] != -1 {
+			t.Fatalf("%v cycle %d node %d: arrival due, but Deliver = %+v, %v", c, cyc, node, p, ok)
 		}
-		for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) {
-			r.backlog[node] = r.backlog[node][1:]
-		}
+		r.at[p.Payload.(int)] = int(cyc)
+		r.pending--
+	}
+	for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) {
+		r.backlog[node] = r.backlog[node][1:]
+		r.injected = cyc
 	}
 }
 
@@ -126,12 +136,13 @@ func (r *rigNet) nodesAct(t *testing.T, c rigCase, cyc uint64) {
 //
 //   - ref and opt, ticked every cycle, must agree every cycle on Quiet,
 //     Stats and the undelivered count, and at the end on every packet's
-//     delivery cycle and on PortFlits. GMN and bus NextWake answers must
-//     be equal; the mesh's may only be later than the reference's
-//     (which answers now for any ready head).
-//   - gated, an opt ticked only on cycles where NextWake(now) <= now,
-//     must match opt in all of that, answer included: a wake that is
-//     too late shows as a late packet (soundness).
+//     delivery cycle and on PortFlits. GMN and bus wholeWake answers
+//     (NextWake folded with the arrivals, as the reference's NextWake
+//     still is) must be equal; the mesh's may only be later than the
+//     reference's (which answers now for any ready head).
+//   - gated, an opt ticked only on cycles where its own NextWake(now)
+//     <= now, must match opt in all of that, answer included: a wake
+//     that is too late shows as a late packet (soundness).
 //   - on the mesh a NextWake(now) == now must be followed by a Tick that
 //     moves or ejects a packet, or find a head refused by a full
 //     downstream queue, or a deliverable arrival: an answer that is
@@ -162,6 +173,139 @@ func TestDifferentialRig(t *testing.T) {
 	}
 }
 
+// rigNode is one node of a rigNet as an engine ticker: its turn of
+// nodesAct, asleep while it has nothing to offer and nothing has
+// arrived — as coherence.Node is, the arrival folded into its answer.
+type rigNode struct {
+	t      *testing.T
+	c      rigCase
+	r      *rigNet
+	id     int
+	offers []uint64 // the script cycles that offer a packet from this node, ascending
+	asked  uint64   // the last cycle the engine asked (bookkeeping for the test, not state)
+}
+
+func (n *rigNode) Tick(now uint64) {
+	for ; len(n.offers) > 0 && n.offers[0] == now; n.offers = n.offers[1:] {
+		for _, p := range n.c.script[now] {
+			if p.Src == n.id {
+				n.r.backlog[n.id] = append(n.r.backlog[n.id], p)
+				n.r.pending++
+			}
+		}
+	}
+	n.r.nodeAct(n.t, n.c, now, n.id)
+}
+
+func (n *rigNode) NextWake(now uint64) uint64 {
+	n.asked = now
+	arrival := n.r.ArrivalAt(n.id)
+	if len(n.r.backlog[n.id]) > 0 || arrival <= now {
+		return now // a refused offer or a refusing sink is retried every cycle
+	}
+	if len(n.offers) > 0 {
+		return min(arrival, n.offers[0])
+	}
+	return arrival
+}
+
+func (n *rigNode) Skip(from, to uint64) {}
+
+// rigTicker is the network's slot, noting when the engine asks it.
+type rigTicker struct {
+	Network
+	asked uint64
+}
+
+func (n *rigTicker) NextWake(now uint64) uint64 { n.asked = now; return n.Network.NextWake(now) }
+func (n *rigTicker) Skip(from, to uint64)       {}
+
+// TestWakeEdges holds the two edges the network owes an engine that
+// remembers wakes, on the differential rig's seeds: the same traffic is
+// run every-cycle by hand and on a sim.Engine whose node and network
+// tickers are only asked when their remembered wake has come, after
+// they ran, or after a Wake. Every cycle of the engine run, a node with
+// a packet deliverable must have been asked in that cycle (so arrive
+// announced it, with a cycle no later than the packet's, before it came)
+// and so must the network in a cycle with an accepted Inject; at the end
+// every packet was delivered in the cycle the every-cycle run delivered
+// it, with the same Stats and PortFlits.
+func TestWakeEdges(t *testing.T) {
+	seeds := 216
+	if testing.Short() {
+		seeds = 48
+	}
+	for _, m := range []struct {
+		name string
+		mk   func(rigCase) Network
+	}{
+		{"gmn", func(c rigCase) Network { return NewGMN(c.gmn) }},
+		{"mesh", func(c rigCase) Network { return NewMesh(c.mesh) }},
+		{"bus", func(c rigCase) Network { return NewBus(c.bus) }},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			var passed uint64
+			for seed := 0; seed < seeds; seed++ {
+				c := newRigCase(seed)
+				hand := newRigNet(m.mk(c), c)
+				for cyc := uint64(0); cyc < uint64(len(c.script)) || hand.pending > 0; cyc++ {
+					hand.nodesAct(t, c, cyc)
+					hand.Tick(cyc)
+				}
+				passed += wakeEdgeRun(t, c, hand, newRigNet(m.mk(c), c))
+			}
+			if passed == 0 {
+				t.Fatal("no ticker was ever passed over: the property was vacuous")
+			}
+		})
+	}
+}
+
+// wakeEdgeRun runs c on an engine and holds it to hand, the every-cycle
+// run; it returns how many ticks the engine passed over.
+func wakeEdgeRun(t *testing.T, c rigCase, hand, r *rigNet) uint64 {
+	e := sim.NewEngine()
+	nodes := make([]*rigNode, c.nodes)
+	wakers := make([]sim.Waker, c.nodes)
+	for id := range nodes {
+		nodes[id] = &rigNode{t: t, c: c, r: r, id: id}
+		wakers[id] = e.Register("node", nodes[id])
+	}
+	for cyc, offered := range c.script {
+		for _, p := range offered {
+			if o := nodes[p.Src].offers; len(o) == 0 || o[len(o)-1] != uint64(cyc) {
+				nodes[p.Src].offers = append(o, uint64(cyc))
+			}
+		}
+	}
+	net := &rigTicker{Network: r.Network}
+	r.Attach(e.Register("net", net), wakers)
+	r.injected = sim.NoWake
+	e.Every(1, func(now uint64) {
+		cyc := now - 1
+		if cyc > 200000 {
+			t.Fatalf("%v: not drained after %d cycles", c, cyc)
+		}
+		for _, n := range nodes {
+			if at := r.ArrivalAt(n.id); at <= cyc && n.asked != cyc {
+				t.Fatalf("%v cycle %d: node %d was passed over with a packet deliverable since %d (last asked at %d)",
+					c, cyc, n.id, at, n.asked)
+			}
+		}
+		if r.injected == cyc && net.asked != cyc {
+			t.Fatalf("%v cycle %d: an Inject was accepted, the network not asked (last at %d)", c, cyc, net.asked)
+		}
+	})
+	if _, err := e.Run(0, func() bool { return e.Now() >= uint64(len(c.script)) && r.pending == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Quiet() || !reflect.DeepEqual(r.at, hand.at) || r.Stats() != hand.Stats() || !reflect.DeepEqual(r.PortFlits(), hand.PortFlits()) {
+		t.Fatalf("%v: quiet %v stats %+v, every-cycle run %+v\ndeliveries  %v\nevery-cycle %v",
+			c, r.Quiet(), r.Stats(), hand.Stats(), r.at, hand.at)
+	}
+	return e.SkippedTicks()
+}
+
 func rigRun(t *testing.T, c rigCase, ref, opt, gated *rigNet) {
 	nets := [...]*rigNet{ref, opt, gated}
 	rm, _ := ref.Network.(*refMesh) // nil unless the model is the mesh
@@ -174,7 +318,7 @@ func rigRun(t *testing.T, c rigCase, ref, opt, gated *rigNet) {
 				n.nodesAct(t, c, cyc)
 			}
 		}
-		wRef, wOpt, wGated := ref.NextWake(cyc), opt.NextWake(cyc), gated.NextWake(cyc)
+		wRef, wOpt, wGated := ref.NextWake(cyc), wholeWake(opt, cyc), wholeWake(gated, cyc)
 		if wOpt < wRef || wGated != wOpt || (rm == nil && wOpt != wRef) {
 			t.Fatalf("%v cycle %d: NextWake ref %d, opt %d, gated %d", c, cyc, wRef, wOpt, wGated)
 		}
@@ -187,7 +331,7 @@ func rigRun(t *testing.T, c rigCase, ref, opt, gated *rigNet) {
 		}
 		ref.Tick(cyc)
 		opt.Tick(cyc)
-		if wGated <= cyc {
+		if gated.NextWake(cyc) <= cyc {
 			gated.Tick(cyc)
 		}
 		if mustMove && rm.progress() == progress {
@@ -284,7 +428,7 @@ func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
 		}
 	}
 	for i := range e.inj {
-		if e.injSet.has(i) == e.inj[i].Empty() || e.arrSet.has(i) == e.arr[i].Empty() {
+		if e.injSet.has(i) == e.inj[i].Empty() {
 			t.Fatalf("%v cycle %d: node %d occupancy bits disagree with its ports", c, cyc, i)
 		}
 	}

@@ -19,13 +19,14 @@
 // # One wake contract
 //
 // There is one schedule and one way to stay off it. A Ticker that also
-// implements Sleeper answers "when must I next run" each cycle; the
-// engine skips it while the answer lies ahead, and when every ticker's
-// answer lies ahead it moves the clock straight to the earliest one. A
-// ticker without the interface is simply always awake: it runs every
-// cycle and no cycle it is registered for is ever leaped. Within one
-// cycle the full order is: tickers in registration order, then Every
-// hooks, then — from Run — the watchdogs.
+// implements Sleeper answers "when must I next run"; the engine
+// remembers the answer, passes the ticker over until that cycle comes —
+// or until whoever hands it input says so through its Waker — and when
+// every ticker's cycle lies ahead it moves the clock straight to the
+// earliest one. A ticker without the interface is simply always awake:
+// it runs every cycle and no cycle it is registered for is ever leaped.
+// Within one cycle the full order is: tickers in registration order,
+// then Every hooks, then — from Run — the watchdogs.
 package sim
 
 import "fmt"
@@ -45,12 +46,14 @@ func (f TickFunc) Tick(now uint64) { f(now) }
 
 // Sleeper is the optional wake contract of a Ticker.
 //
-// NextWake(now) is asked at the ticker's turn in every cycle the engine
-// executes, with now = that cycle. A result > now promises that Tick
-// would change nothing from now until then except the fixed per-cycle
-// counter bumps Skip accounts for — absent input from another ticker,
-// which is why the question is re-asked every cycle rather than
-// remembered. A result <= now means "run me"; NoWake means no event of
+// NextWake(now) is asked at the ticker's turn in cycle now. A result
+// > now promises that Tick would change nothing from now until then
+// except the fixed per-cycle counter bumps Skip accounts for — absent
+// input from another ticker. The engine remembers the answer and asks
+// again when that cycle comes, after the ticker ran, or after a Wake:
+// whoever hands a sleeping ticker input owes its Waker the cycle it
+// takes effect, and the next answer, which replaces what was pushed,
+// must show it. A result <= now means "run me"; NoWake means no event of
 // the ticker's own is scheduled at all. It must be pure, and erring
 // early is always safe: the engine just skips less.
 //
@@ -78,14 +81,20 @@ type slot struct {
 	tick  Ticker
 	sleep Sleeper // nil: always awake
 	// settled is the first cycle neither ticked nor charged to Skip yet.
-	settled        uint64
-	ticks, skipped uint64
+	settled               uint64
+	ticks, skipped, asked uint64
 }
 
 // Engine drives a set of Tickers cycle by cycle.
 type Engine struct {
-	now       uint64
-	slots     []slot
+	now   uint64
+	slots []slot
+	// wake[i] is the cycle slot i is next asked at: its last answer, the
+	// cycle after its last Tick, or an earlier one a Waker pushed — one
+	// dense word per ticker, so a sleeping machine is a scan. Step and Run
+	// forget it on entry: code between calls may touch anything (Table
+	// 1's probes drive the caches between Steps).
+	wake      []uint64
 	periodics []periodic
 	watchdogs []func(now uint64) error
 
@@ -108,20 +117,38 @@ func NewEngine() *Engine { return &Engine{} }
 // Now reports the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
-// Register adds a ticker to the engine. Tickers run in registration
-// order, every cycle unless they implement Sleeper. Tickers sharing a
-// name share one row of TickCounts.
-func (e *Engine) Register(name string, t Ticker) {
+// Register adds a ticker to the engine and returns the handle that
+// wakes it. Tickers run in registration order, every cycle unless they
+// implement Sleeper. Tickers sharing a name share one row of TickCounts.
+func (e *Engine) Register(name string, t Ticker) Waker {
 	s, _ := t.(Sleeper)
 	e.slots = append(e.slots, slot{name: name, tick: t, sleep: s, settled: e.now})
+	e.wake = append(e.wake, 0)
+	return Waker{e, len(e.wake) - 1}
+}
+
+// Waker is the push half of the wake contract for one registered
+// ticker; the zero value wakes nobody.
+type Waker struct {
+	e *Engine
+	i int
+}
+
+// Wake says input handed to the ticker takes effect at cycle at: ask it
+// again by then. It only ever lowers the remembered cycle, so it is safe
+// from any slot at any point of a cycle; too early costs one question.
+func (w Waker) Wake(at uint64) {
+	if w.e != nil && at < w.e.wake[w.i] {
+		w.e.wake[w.i] = at
+	}
 }
 
 // TickCount is one Register name's share of the schedule: ticks
-// executed and ticks skipped (charged to Skip instead), summed over the
-// tickers registered under that name.
+// executed, ticks skipped (charged to Skip instead) and NextWake
+// questions asked, summed over the tickers registered under that name.
 type TickCount struct {
-	Name              string
-	Executed, Skipped uint64
+	Name                     string
+	Executed, Skipped, Asked uint64
 }
 
 // TickCounts reports executed and skipped ticks per Register name, in
@@ -135,10 +162,11 @@ next:
 			if out[j].Name == s.name {
 				out[j].Executed += s.ticks
 				out[j].Skipped += s.skipped
+				out[j].Asked += s.asked
 				continue next
 			}
 		}
-		out = append(out, TickCount{Name: s.name, Executed: s.ticks, Skipped: s.skipped})
+		out = append(out, TickCount{s.name, s.ticks, s.skipped, s.asked})
 	}
 	return out
 }
@@ -165,8 +193,8 @@ func (e *Engine) LeapedCycles() uint64 { return e.leapedCycles }
 
 // NextWake folds the registered tickers' answers into the engine's own:
 // now if any ticker must run at now, else the earliest wake, else
-// NoWake. Pure; the scheduler itself never calls it (advance asks each
-// ticker at its turn).
+// NoWake. Pure, and it asks everyone; the scheduler itself never calls
+// it (advance asks the tickers whose remembered cycle has come).
 func (e *Engine) NextWake(now uint64) uint64 {
 	wake := NoWake
 	for i := range e.slots {
@@ -212,16 +240,19 @@ func (e *Engine) Watchdog(fn func(now uint64) error) {
 // ticker in registration order except the Sleepers whose wake lies
 // ahead, then the Every hooks.
 func (e *Engine) Step() {
+	clear(e.wake)
 	e.advance(e.now + 1)
 	e.settle()
 }
 
-// advance is the one scheduling loop. It asks every ticker, at its
-// turn, whether cycle e.now concerns it, and ticks those it does; if
-// none ran, the cycle was dead for everyone and the clock moves to the
+// advance is the one scheduling loop. It passes over every ticker
+// whose remembered wake lies ahead, asks the others, at their turn,
+// whether cycle e.now concerns them, and ticks those it does; if none
+// ran, the cycle was dead for everyone and the clock moves to the
 // earliest wake instead of e.now+1 — never past limit, and one cycle at
 // a time when neither a wake nor a limit bounds the span. It reports
-// whether any ticker executed.
+// whether any ticker executed. (A Wake can only come from a ticker that
+// ran, so no cycle with one is ever leaped from.)
 //
 // This is the hot-path root everything else hangs off: allocations
 // anywhere it reaches are gated by simlint's hotalloc analyzer against
@@ -231,13 +262,17 @@ func (e *Engine) Step() {
 func (e *Engine) advance(limit uint64) bool {
 	now := e.now
 	wake := NoWake
-	for i := range e.slots {
+	for i, w := range e.wake { // read at slot i's turn: an earlier slot's Wake counts
+		if w > now {
+			wake = min(wake, w)
+			continue
+		}
 		s := &e.slots[i]
 		if s.sleep != nil {
+			s.asked++
 			if w := s.sleep.NextWake(now); w > now {
-				if w < wake {
-					wake = w
-				}
+				e.wake[i] = w
+				wake = min(wake, w)
 				continue
 			}
 			if s.settled < now {
@@ -247,6 +282,7 @@ func (e *Engine) advance(limit uint64) bool {
 		s.tick.Tick(now)
 		s.ticks++
 		s.settled = now + 1
+		e.wake[i] = now + 1
 		wake = now
 	}
 	ran := wake == now
@@ -335,6 +371,7 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	if maxCycles != 0 {
 		limit = start + maxCycles
 	}
+	clear(e.wake)
 	defer e.settle()
 	for {
 		if done() {

@@ -223,7 +223,7 @@ func TestEngineIdleSkip(t *testing.T) {
 		return now
 	}}
 	plainTicks := 0
-	e.Register("skippable", s)
+	w := e.Register("skippable", s)
 	e.Register("plain", TickFunc(func(now uint64) { plainTicks++ }))
 
 	e.Step()
@@ -243,12 +243,15 @@ func TestEngineIdleSkip(t *testing.T) {
 	if plainTicks != 4 || e.Now() != 4 || e.Leaps() != 0 {
 		t.Fatalf("plainTicks=%d now=%d leaps=%d", plainTicks, e.Now(), e.Leaps())
 	}
+	// Whoever changes what a sleeping ticker would answer owes it a Wake
+	// (a courtesy between Steps, which forget what they remembered).
 	idle = false
+	w.Wake(e.Now())
 	e.Step()
 	if !equalU64(s.ticks, []uint64{0, 1, 4}) {
 		t.Fatalf("ticker did not resume: ticks=%v", s.ticks)
 	}
-	want := []TickCount{{"skippable", 3, 2}, {"plain", 5, 0}}
+	want := []TickCount{{"skippable", 3, 2, 5}, {"plain", 5, 0, 0}}
 	if got := e.TickCounts(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("TickCounts = %+v, want %+v", got, want)
 	}
@@ -416,10 +419,12 @@ func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
 // wakes, then naps for a random span during which Tick only bumps the
 // idle counter — the shape of a stalled CPU or a backing-off port. A
 // working napper may also poke a neighbour awake one cycle later (a
-// latched message), which is why NextWake has to be re-asked.
+// latched message), and owes that neighbour's Waker the cycle (the zero
+// Waker in the naive run).
 type napper struct {
 	rng    *rand.Rand
 	peers  []*napper
+	waker  Waker
 	wakeAt uint64
 	idle   uint64
 	log    []uint64 // cycles worked
@@ -434,6 +439,7 @@ func (n *napper) Tick(now uint64) {
 	n.wakeAt = now + 1 + uint64(n.rng.Intn(4)*n.rng.Intn(12))
 	if p := n.peers[n.rng.Intn(len(n.peers))]; n.rng.Intn(3) == 0 && p.wakeAt > now+1 {
 		p.wakeAt = now + 1
+		p.waker.Wake(now + 1)
 	}
 }
 
@@ -461,7 +467,7 @@ func TestLeapEquivalentToSteppedRun(t *testing.T) {
 		for _, c := range o.comps {
 			c.peers = o.comps
 			if scheduled {
-				e.Register("n", c)
+				c.waker = e.Register("n", c)
 			} else {
 				e.Register("n", TickFunc(c.Tick))
 			}
@@ -516,6 +522,143 @@ func TestLeapEquivalentToSteppedRun(t *testing.T) {
 	if skipped == 0 || leaped == 0 {
 		t.Fatalf("test exercised nothing: %d ticks skipped, %d cycles leaped", skipped, leaped)
 	}
+}
+
+// dozer sleeps until wakeAt, works on that cycle and goes back to sleep
+// for good: every wake it ever gets is someone else's doing.
+type dozer struct {
+	wakeAt uint64
+	worked []uint64
+	asked  int
+}
+
+func (d *dozer) Tick(now uint64) {
+	if now >= d.wakeAt {
+		d.worked = append(d.worked, now)
+		d.wakeAt = NoWake
+	}
+}
+func (d *dozer) NextWake(now uint64) uint64 { d.asked++; return max(d.wakeAt, now) }
+func (d *dozer) Skip(from, to uint64)       {}
+
+// poker runs do on the cycles listed in at (ascending) and sleeps in
+// between.
+type poker struct {
+	at []uint64
+	do func(now uint64)
+}
+
+func (p *poker) Tick(now uint64) {
+	if len(p.at) > 0 && p.at[0] == now {
+		p.at = p.at[1:]
+		p.do(now)
+	}
+}
+func (p *poker) NextWake(now uint64) uint64 {
+	if len(p.at) == 0 {
+		return NoWake
+	}
+	return max(p.at[0], now)
+}
+func (p *poker) Skip(from, to uint64) {}
+
+func TestPokeWithoutWakeEndsInDeadline(t *testing.T) {
+	// The edge the contract adds: input handed to a sleeping ticker must
+	// come with a Wake. A missing one does not diverge silently — the
+	// sleeper's remembered NoWake stands, everyone sleeps, and the run
+	// leaps to its deadline.
+	for _, wakes := range []bool{true, false} {
+		e := NewEngine()
+		d := &dozer{wakeAt: NoWake}
+		var w Waker
+		e.Register("poker", &poker{at: []uint64{3}, do: func(now uint64) {
+			d.wakeAt = now + 1
+			if wakes {
+				w.Wake(now + 1)
+			}
+		}})
+		w = e.Register("dozer", d)
+		cycles, err := e.Run(50, func() bool { return len(d.worked) > 0 })
+		var dl *ErrDeadline
+		if wakes && (err != nil || cycles != 5 || !equalU64(d.worked, []uint64{4})) {
+			t.Fatalf("with Wake: Run = %d, %v, worked %v; want the poke honoured at cycle 4", cycles, err, d.worked)
+		}
+		if !wakes && (!errors.As(err, &dl) || cycles != 50 || len(d.worked) != 0) {
+			t.Fatalf("without Wake: Run = %d, %v, worked %v; want the 50-cycle deadline", cycles, err, d.worked)
+		}
+	}
+}
+
+func TestPokeBetweenCallsNeedsNoWake(t *testing.T) {
+	// Remembered answers live inside one Step or Run call: code between
+	// calls may touch anything (Table 1's probes drive the caches between
+	// Steps), so both forget on entry and ask everyone afresh.
+	e := NewEngine()
+	d := &dozer{wakeAt: NoWake}
+	e.Register("dozer", d)
+	e.Step()
+	e.Step()
+	d.wakeAt = e.Now()
+	e.Step()
+	if !equalU64(d.worked, []uint64{2}) {
+		t.Fatalf("poke between Steps: worked %v, want [2]", d.worked)
+	}
+	if _, err := e.Run(5, func() bool { return false }); err == nil {
+		t.Fatal("want the deadline")
+	}
+	d.wakeAt = e.Now() + 2
+	cycles, err := e.Run(50, func() bool { return len(d.worked) > 1 })
+	if err != nil || cycles != 3 || !equalU64(d.worked, []uint64{2, 10}) {
+		t.Fatalf("poke between Runs: Run = %d, %v, worked %v; want cycle 10 worked", cycles, err, d.worked)
+	}
+}
+
+func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
+	// Wake only lowers, so it is safe from a slot earlier in the cycle
+	// (the target's turn is still to come: it is passed over until the
+	// pushed cycle, or asked in this very cycle if that is the one
+	// pushed), from a later one (its turn has passed: nothing to undo),
+	// and from a later one with a cycle that is already here (asked at
+	// its next turn, one cycle on — where the naive schedule sees the
+	// poke too). A wake later than the remembered cycle (cycle 3 pushes 8
+	// onto the 5 pushed at 2) must not raise it. The target is asked on
+	// due, after a tick and after a wake, never otherwise.
+	run := func(scheduled bool) *dozer {
+		e := NewEngine()
+		d := &dozer{wakeAt: NoWake}
+		var w Waker
+		poke := func(delays map[uint64]uint64) func(uint64) {
+			return func(now uint64) { d.wakeAt = now + delays[now]; w.Wake(d.wakeAt) }
+		}
+		early := &poker{at: []uint64{2, 15}, do: poke(map[uint64]uint64{2: 3, 15: 0})}
+		late := &poker{at: []uint64{7, 11}, do: poke(map[uint64]uint64{7: 2, 11: 0})}
+		noise := &poker{at: []uint64{3}, do: func(uint64) { w.Wake(8) }}
+		if scheduled {
+			e.Register("early", early)
+			w = e.Register("dozer", d)
+			e.Register("late", late)
+			e.Register("noise", noise)
+		} else {
+			for _, c := range []Ticker{early, d, late, noise} {
+				e.Register("naive", TickFunc(c.Tick))
+			}
+		}
+		if cycles, _ := e.Run(20, func() bool { return false }); cycles != 20 {
+			t.Fatalf("Run = %d cycles, want the 20-cycle deadline", cycles)
+		}
+		return d
+	}
+	naive, sched := run(false), run(true)
+	if want := []uint64{5, 9, 12, 15}; !equalU64(naive.worked, want) || !equalU64(sched.worked, want) {
+		t.Fatalf("worked: naive %v, scheduled %v; want %v", naive.worked, sched.worked, want)
+	}
+	// Cycle 0; due at 5, 9, 12 and 15 (pushed at 2, 7, 11 and 15), each
+	// followed by the question after the tick.
+	if sched.asked != 9 {
+		t.Fatalf("dozer asked %d times, want 9", sched.asked)
+	}
+	var zero Waker
+	zero.Wake(3) // wakes nobody, touches nothing
 }
 
 func equalU64(got, want []uint64) bool {
