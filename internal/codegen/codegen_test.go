@@ -23,7 +23,7 @@ func flatRunner(t *testing.T, b *Builder, base uint32) *cpu.CPU {
 		space.SetByte(base+uint32(i), by)
 	}
 	fm := &flatPort{space: space}
-	c := cpu.New(0, fm, fm, cpu.DefaultFPUTiming())
+	c := cpu.New(0, fm, &fm.fetches, fm, cpu.DefaultFPUTiming())
 	c.Reset(base, 0x80000, 1)
 	for cyc := uint64(0); cyc < 1_000_000 && !c.Halted(); cyc++ {
 		c.Tick(cyc)
@@ -39,10 +39,20 @@ type flatPort struct {
 	// The CPU calls Load, Store, Swap and Skip; the rest of the
 	// interface stays unimplemented.
 	coherence.DataCache
+
+	// line is the block Line decodes afresh on every call (the core
+	// replaces its window with each result, so one buffer serves).
+	line    [8]isa.Instr
+	fetches uint64
 }
 
-func (f *flatPort) Fetch(now uint64, addr uint32) (uint32, bool) {
-	return f.space.ReadWord(addr &^ 3), true
+func (f *flatPort) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
+	f.fetches++
+	base := addr &^ uint32(4*len(f.line)-1)
+	for i := range f.line {
+		f.line[i] = isa.Decode(f.space.ReadWord(base + uint32(4*i)))
+	}
+	return f.line[:], true
 }
 
 func (f *flatPort) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {

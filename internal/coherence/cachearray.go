@@ -46,118 +46,69 @@ func (s LineState) String() string {
 // cacheArray is a set-associative tag/data array with LRU replacement.
 // The paper's platforms are direct-mapped (Table 2), the default; the
 // associativity knob exists for the cache-geometry ablation. Lines are
-// addressed by a flat line index (set*ways + way).
+// addressed by a flat line index (set*ways + way). Block size and set
+// count are powers of two — the contract, Params.Validate rejects the
+// rest — so set and tag are a shift and a mask. A direct-mapped array
+// keeps no replacement state: a set's only way is its victim.
 type cacheArray struct {
-	blockBytes int
 	ways       int
-	numSets    int
-
-	// Shift/mask forms of the index arithmetic, valid when blockBytes
-	// and numSets are both powers of two (every standard geometry;
-	// setOf and tagOf sit on the per-access hot path and the divisors
-	// are not compile-time constants, so the strength reduction has to
-	// be done by hand).
-	pow2       bool
 	blockShift uint32
 	setMask    uint32
 	tagShift   uint32
 
-	// Magic-multiply form of the division by numSets for non-pow2 set
-	// counts (the geometry ablation), valid whenever blockBytes is a
-	// power of two: q = (x*magicM)>>magicP computes x/numSets exactly
-	// for every 30-bit x (see newCacheArray for the error bound).
-	magicOK bool
-	magicM  uint64
-	magicP  uint32
-
 	state []LineState
 	tag   []uint32
-	lru   []uint64 // last-touch stamp per line
-	data  []byte   // numSets*ways*blockBytes
+	lru   []uint64 // last-touch stamp per line; nil when ways == 1
+	data  []byte   // lines*blockBytes; nil in a tag-only array
 	clock uint64
 }
 
+// newCacheArray builds the tag and data arrays of a cache.
 func newCacheArray(cacheBytes, blockBytes, ways int) *cacheArray {
+	c := newTagArray(cacheBytes, blockBytes, ways)
+	c.data = make([]byte, cacheBytes)
+	return c
+}
+
+// newTagArray builds one without data: the owner keeps the lines' content.
+func newTagArray(cacheBytes, blockBytes, ways int) *cacheArray {
 	lines := cacheBytes / blockBytes
-	if ways < 1 || lines%ways != 0 {
-		panic(fmt.Sprintf("coherence: %d lines cannot form %d-way sets", lines, ways))
+	if ways < 1 || lines%ways != 0 || !isPow2(lines/ways) || !isPow2(blockBytes) {
+		panic(fmt.Sprintf("coherence: %d lines of %d bytes cannot form a power-of-two number of %d-way sets", lines, blockBytes, ways))
 	}
 	c := &cacheArray{
-		blockBytes: blockBytes,
 		ways:       ways,
-		numSets:    lines / ways,
+		blockShift: uint32(bits.TrailingZeros32(uint32(blockBytes))),
+		setMask:    uint32(lines/ways - 1),
 		state:      make([]LineState, lines),
 		tag:        make([]uint32, lines),
-		lru:        make([]uint64, lines),
-		data:       make([]byte, lines*blockBytes),
 	}
-	if isPow2(blockBytes) {
-		c.blockShift = uint32(bits.TrailingZeros32(uint32(blockBytes)))
-		if isPow2(c.numSets) {
-			c.pow2 = true
-			c.setMask = uint32(c.numSets - 1)
-			c.tagShift = c.blockShift + uint32(bits.TrailingZeros32(uint32(c.numSets)))
-		} else if c.blockShift >= 2 {
-			// Round-up magic number for division by d := numSets: with
-			// p = 32+L, L = ceil(log2 d), m = ceil(2^p/d), the error
-			// e := m*d - 2^p satisfies 0 <= e < d <= 2^L, so for
-			// x < 2^30 the term x*e < 2^(30+L) stays below d*2^p times
-			// the worst fractional gap 1/d — hence floor((x*m)>>p) is
-			// exactly x/d. blockShift >= 2 keeps x = addr>>blockShift
-			// under 2^30, and the product under 2^63.
-			d := uint64(c.numSets)
-			L := uint32(bits.Len64(d - 1))
-			c.magicP = 32 + L
-			c.magicM = ((uint64(1) << c.magicP) + d - 1) / d
-			c.magicOK = true
-		}
+	c.tagShift = c.blockShift + uint32(bits.Len32(c.setMask))
+	if ways > 1 {
+		c.lru = make([]uint64, lines)
 	}
 	return c
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// setOf returns the set selected by addr.
-func (c *cacheArray) setOf(addr uint32) int {
-	if c.pow2 {
-		return int((addr >> c.blockShift) & c.setMask)
-	}
-	if c.magicOK {
-		x := addr >> c.blockShift
-		q := uint32((uint64(x) * c.magicM) >> c.magicP)
-		return int(x - q*uint32(c.numSets))
-	}
-	return int(addr/uint32(c.blockBytes)) % c.numSets
-}
-
-// tagOf returns the tag portion of addr.
-func (c *cacheArray) tagOf(addr uint32) uint32 {
-	if c.pow2 {
-		return addr >> c.tagShift
-	}
-	if c.magicOK {
-		x := addr >> c.blockShift
-		return uint32((uint64(x) * c.magicM) >> c.magicP)
-	}
-	return addr / uint32(c.blockBytes) / uint32(c.numSets)
-}
-
 // blockAddr reconstructs the block address stored at line.
 func (c *cacheArray) blockAddr(line int) uint32 {
-	set := line / c.ways
-	return (c.tag[line]*uint32(c.numSets) + uint32(set)) * uint32(c.blockBytes)
+	return c.tag[line]<<c.tagShift | uint32(line/c.ways)<<c.blockShift
 }
 
 // probe locates the addressed block without touching replacement state
-// (used by invalidations, peeks, and the invariant checker).
+// (used by invalidations, peeks, and the invariant checker). On a miss
+// line is the first way of the addressed set.
 //
 //lint:hot
 func (c *cacheArray) probe(addr uint32) (line int, hit bool) {
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := base + w
+	tag := addr >> c.tagShift
+	base := int(addr>>c.blockShift&c.setMask) * c.ways
+	if c.ways == 1 {
+		return base, c.state[base] != Invalid && c.tag[base] == tag
+	}
+	for l := base; l < base+c.ways; l++ {
 		if c.state[l] != Invalid && c.tag[l] == tag {
 			return l, true
 		}
@@ -171,7 +122,7 @@ func (c *cacheArray) probe(addr uint32) (line int, hit bool) {
 //lint:hot
 func (c *cacheArray) lookup(addr uint32) (line int, hit bool) {
 	line, hit = c.probe(addr)
-	if hit {
+	if hit && c.lru != nil {
 		c.clock++
 		c.lru[line] = c.clock
 	}
@@ -181,14 +132,12 @@ func (c *cacheArray) lookup(addr uint32) (line int, hit bool) {
 // victim returns the line a fill of addr would use: the block itself if
 // resident, else an Invalid way, else the least recently used way.
 func (c *cacheArray) victim(addr uint32) int {
-	if line, hit := c.probe(addr); hit {
-		return line
+	base, hit := c.probe(addr)
+	if hit || c.ways == 1 {
+		return base
 	}
-	set := c.setOf(addr)
-	base := set * c.ways
 	best := base
-	for w := 0; w < c.ways; w++ {
-		l := base + w
+	for l := base; l < base+c.ways; l++ {
 		if c.state[l] == Invalid {
 			return l
 		}
@@ -201,30 +150,35 @@ func (c *cacheArray) victim(addr uint32) int {
 
 // lineData returns the data slice of line.
 func (c *cacheArray) lineData(line int) []byte {
-	return c.data[line*c.blockBytes : (line+1)*c.blockBytes]
+	return c.data[line<<c.blockShift : (line+1)<<c.blockShift]
 }
 
-// fill installs a block into its victim way and returns the line.
+// fill installs a block into its victim way, marked most recently used,
+// and returns the line; a tag-only array takes no block.
 func (c *cacheArray) fill(addr uint32, st LineState, block []byte) int {
 	line := c.victim(addr)
 	c.state[line] = st
-	c.tag[line] = c.tagOf(addr)
-	copy(c.lineData(line), block)
-	c.clock++
-	c.lru[line] = c.clock
+	c.tag[line] = addr >> c.tagShift
+	if c.lru != nil {
+		c.clock++
+		c.lru[line] = c.clock
+	}
+	if c.data != nil {
+		copy(c.lineData(line), block)
+	}
 	return line
 }
 
 // readWord returns the 32-bit word at addr from the hitting line.
 func (c *cacheArray) readWord(line int, addr uint32) uint32 {
-	off := addr & uint32(c.blockBytes-1) &^ 3
+	off := addr & (1<<c.blockShift - 1) &^ 3
 	d := c.lineData(line)
 	return binary.LittleEndian.Uint32(d[off : off+4])
 }
 
 // writeWord updates bytes of the word at addr selected by byteEn.
 func (c *cacheArray) writeWord(line int, addr uint32, v uint32, byteEn uint8) {
-	off := addr & uint32(c.blockBytes-1) &^ 3
+	off := addr & (1<<c.blockShift - 1) &^ 3
 	d := c.lineData(line)
 	for i := uint32(0); i < 4; i++ {
 		if byteEn&(1<<i) != 0 {

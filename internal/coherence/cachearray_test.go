@@ -7,8 +7,8 @@ import (
 
 func TestCacheArrayGeometry(t *testing.T) {
 	c := newCacheArray(4096, 32, 1)
-	if c.numSets != 128 {
-		t.Fatalf("numSets = %d, want 128 (Table 2: 4KB direct-mapped, 32B blocks)", c.numSets)
+	if sets := len(c.state) / c.ways; sets != 128 || c.setMask != 127 {
+		t.Fatalf("%d sets, mask %#x; want 128 (Table 2: 4KB direct-mapped, 32B blocks)", sets, c.setMask)
 	}
 }
 
@@ -22,39 +22,6 @@ func TestCacheArrayAddressDecomposition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCacheArrayMagicDivisionMatchesPlain(t *testing.T) {
-	// Non-pow2 set counts (the geometry ablation) take the
-	// magic-multiply path; it must agree with plain division for every
-	// address. 96 sets * 32B blocks * 3 ways and a handful of other
-	// non-pow2 geometries.
-	for _, g := range []struct{ cacheBytes, blockBytes, ways int }{
-		{96 * 32, 32, 1},
-		{96 * 32 * 3, 32, 3},
-		{768 * 64, 64, 1},
-		{5 * 16, 16, 1},
-		{7 * 128 * 2, 128, 2},
-	} {
-		c := newCacheArray(g.cacheBytes, g.blockBytes, g.ways)
-		if !c.magicOK || c.pow2 {
-			t.Fatalf("geometry %+v: expected magic path (magicOK=%t pow2=%t)", g, c.magicOK, c.pow2)
-		}
-		f := func(addr uint32) bool {
-			wantSet := int(addr/uint32(c.blockBytes)) % c.numSets
-			wantTag := addr / uint32(c.blockBytes) / uint32(c.numSets)
-			return c.setOf(addr) == wantSet && c.tagOf(addr) == wantTag
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-			t.Fatalf("geometry %+v: %v", g, err)
-		}
-		// Edge addresses the generator rarely hits.
-		for _, addr := range []uint32{0, 1, ^uint32(0), ^uint32(0) - 1, 1 << 31, (1 << 31) - 1} {
-			if !f(addr) {
-				t.Fatalf("geometry %+v: mismatch at addr %#x", g, addr)
-			}
-		}
 	}
 }
 
@@ -174,6 +141,9 @@ func TestParamsValidate(t *testing.T) {
 		func() Params { p := DefaultParams(8); p.NumCPUs = 65; return p }(),
 		func() Params { p := DefaultParams(8); p.BlockBytes = 24; return p }(),
 		func() Params { p := DefaultParams(8); p.DCacheBytes = 100; return p }(),
+		// 96 sets: every array indexes by shift and mask.
+		func() Params { p := DefaultParams(8); p.DCacheBytes = 96 * 32; return p }(),
+		func() Params { p := DefaultParams(8); p.ICacheBytes = 96 * 32 * 2; p.Ways = 2; return p }(),
 		func() Params { p := DefaultParams(8); p.WriteBufferWords = 0; return p }(),
 		func() Params { p := DefaultParams(8); p.MemService = 0; return p }(),
 	}

@@ -26,6 +26,7 @@ type Hierarchy struct {
 	net   noc.Network
 	space *mem.Space
 	amap  *mem.AddrMap
+	code  codeStore // the one decoded copy of the program the ICaches share
 }
 
 // NewHierarchy builds the hierarchy for p.NumCPUs caches running proto
@@ -45,6 +46,7 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 		net:     net,
 		space:   space,
 		amap:    amap,
+		code:    codeStore{},
 	}
 	h.Nodes, h.BNodes = h.Ports[:n:n], h.Ports[n:]
 	for b := range h.Banks {
@@ -59,10 +61,20 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 		sink := &CPUSink{}
 		h.Nodes[i] = NewNode(i, net, sink)
 		h.DCaches[i] = row.New(proto, i, p, h.Nodes[i], amap, n)
-		h.ICaches[i] = NewICache(i, p, h.Nodes[i], amap, n)
+		h.ICaches[i] = newICache(i, p, h.Nodes[i], amap, n, h.code)
 		sink.D, sink.I = h.DCaches[i], h.ICaches[i]
 	}
 	return h
+}
+
+// SeedCode decodes the code loaded at base, as memory holds it, ahead
+// of the run, so the fills of an unmodified program allocate nothing.
+func (h *Hierarchy) SeedCode(base uint32, code []byte) {
+	buf := make([]byte, h.ICaches[0].p.BlockBytes)
+	for a := base &^ uint32(len(buf)-1); a < base+uint32(len(code)); a += uint32(len(buf)) {
+		h.space.ReadBlock(a, buf)
+		h.code.block(buf)
+	}
 }
 
 // Step runs one cycle without an engine, in the order the simulator's

@@ -1,21 +1,53 @@
 package coherence
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
+
+// codeStore is the decoded form of every distinct code block a
+// hierarchy's instruction caches were filled with, keyed by its bytes:
+// the n cores run one read-only program, so a block is decoded once (at
+// SeedCode, else at its first fill) and shared. A line is thus exactly
+// what its RspIData carried; rewritten text just adds blocks.
+type codeStore map[string][]isa.Instr
+
+// block finds or adds the decoded form of data.
+func (s codeStore) block(data []byte) []isa.Instr {
+	b, ok := s[string(data)]
+	if !ok {
+		b = make([]isa.Instr, len(data)/4)
+		for i := range b {
+			b[i] = isa.Decode(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		s[string(data)] = b
+	}
+	return b
+}
 
 // ICache is the read-only instruction cache. Code is never written by
 // the simulated programs, so instruction blocks are fetched outside the
 // directory (ReqIFetch) and never invalidated; the cache still shares
 // the CPU's single NoC port with the data cache, so heavy data traffic
 // delays instruction refills exactly as the paper describes.
+//
+// It is tags plus a reference per line into the hierarchy's code store,
+// and the core fetches by line: Line hands out the resident block and
+// the core indexes it while the pc stays inside, counting those fetches
+// in Fetches itself. A line is replaced only by the fill answering this
+// core's own miss, and on that miss — a failed Line — the core drops its
+// line. Those fetches skip the LRU stamp: re-touching the most recent
+// line cannot change the order victim reads; stamps are in no output.
 type ICache struct {
 	id       int
 	p        Params
-	arr      *cacheArray
+	arr      *cacheArray   // tags only
+	lines    [][]isa.Instr // per line of arr: its block in code
+	code     codeStore
 	node     *Node
 	amap     *mem.AddrMap
 	bankBase int
@@ -29,35 +61,36 @@ type ICache struct {
 	Misses  uint64
 }
 
-// NewICache builds the instruction cache for CPU id.
-func NewICache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) *ICache {
+// newICache builds the instruction cache for CPU id.
+func newICache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int, code codeStore) *ICache {
 	return &ICache{
 		id:       id,
 		p:        p,
-		arr:      newCacheArray(p.ICacheBytes, p.BlockBytes, p.Ways),
+		arr:      newTagArray(p.ICacheBytes, p.BlockBytes, p.Ways),
+		lines:    make([][]isa.Instr, p.ICacheBytes/p.BlockBytes),
+		code:     code,
 		node:     node,
 		amap:     amap,
 		bankBase: bankBase,
 	}
 }
 
-// Fetch returns the instruction word at addr if present, following the
-// same poll-retry discipline as the data cache.
-func (c *ICache) Fetch(now uint64, addr uint32) (uint32, bool) {
+// Line counts one fetch at addr and returns the decoded block holding
+// it; a miss starts the refill and reports false until it has landed.
+func (c *ICache) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	if c.pendActive {
-		return 0, false
-	}
-	if set, hit := c.arr.lookup(addr); hit {
-		c.Fetches++
-		return c.arr.readWord(set, WordAddr(addr)), true
+		return nil, false
 	}
 	c.Fetches++
+	if line, hit := c.arr.lookup(addr); hit {
+		return c.lines[line], true
+	}
 	c.Misses++
 	c.pendActive = true
 	c.pendIssued = false
 	c.pendAddr = c.p.BlockAddr(addr)
 	c.tryIssue(now)
-	return 0, false
+	return nil, false
 }
 
 func (c *ICache) tryIssue(now uint64) {
@@ -86,16 +119,12 @@ func (c *ICache) NextWake(now uint64) uint64 {
 	return sim.NoWake
 }
 
-// Skip implements cpu.InstrPort: each retry of a data-stalled core
-// re-fetches the current instruction, which hits and counts.
-func (c *ICache) Skip(from, to uint64) { c.Fetches += to - from }
-
 // HandleMsg processes the refill response.
 func (c *ICache) HandleMsg(m *Msg, now uint64) {
 	if m.Kind != RspIData || !c.pendActive || m.Addr != c.pendAddr {
 		panic(fmt.Sprintf("coherence: icache %d: unexpected %v", c.id, m))
 	}
-	c.arr.fill(m.Addr, Shared, m.Data)
+	c.lines[c.arr.fill(m.Addr, Shared, nil)] = c.code.block(m.Data)
 	c.pendActive = false
 }
 

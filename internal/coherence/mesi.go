@@ -446,7 +446,7 @@ func (c *MESICache) Lines() []LineInfo { return c.arr.lines() }
 
 // FlushDirty implements DataCache.
 func (c *MESICache) FlushDirty(s *mem.Space) {
-	for line := 0; line < c.arr.numSets*c.arr.ways; line++ {
+	for line := range c.arr.state {
 		if c.arr.state[line].Dirty() {
 			addr := c.arr.blockAddr(line)
 			d := c.arr.lineData(line)

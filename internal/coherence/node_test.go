@@ -204,12 +204,12 @@ func TestCPUSinkRouting(t *testing.T) {
 	amap := mem.NewAddrMap(1)
 	amap.AddRegion(mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: []int{0}})
 	dc := newWriteThroughCache(WTI, 0, p, node, amap, 1)
-	ic := NewICache(0, p, node, amap, 1)
+	ic := newICache(0, p, node, amap, 1, codeStore{})
 	sink.D = dc
 	sink.I = ic
 
 	// An instruction response goes to the icache...
-	ic.Fetch(0, rigBase) // start a pending refill so the handler accepts
+	ic.Line(0, rigBase) // start a pending refill so the handler accepts
 	blk := make([]byte, p.BlockBytes)
 	sink.HandleMsg(&Msg{Kind: RspIData, Addr: rigBase, Data: blk}, 1)
 	if !ic.Drained() {

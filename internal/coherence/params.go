@@ -167,6 +167,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("coherence: ICacheBytes %d must be a multiple of the block size", p.ICacheBytes)
 	case p.Ways < 1 || (p.DCacheBytes/p.BlockBytes)%p.Ways != 0 || (p.ICacheBytes/p.BlockBytes)%p.Ways != 0:
 		return fmt.Errorf("coherence: Ways %d must divide the line counts", p.Ways)
+	case !isPow2(p.DCacheBytes/p.BlockBytes/p.Ways) || !isPow2(p.ICacheBytes/p.BlockBytes/p.Ways):
+		return fmt.Errorf("coherence: the set counts DCacheBytes/BlockBytes/Ways and ICacheBytes/BlockBytes/Ways must be powers of two")
 	case p.WriteBufferWords < 1:
 		return fmt.Errorf("coherence: WriteBufferWords must be positive")
 	case p.MemLatency < 0 || p.MemService < 1:

@@ -54,13 +54,14 @@ type System struct {
 // (runtime-based programs install their own stacks immediately).
 func Build(cfg Config, img *mem.Image) (*System, error) {
 	sys, err := build(cfg, func(s *System, i int) frontEnd {
-		c := cpu.New(i, s.ICaches[i], s.DCaches[i], s.Cfg.FPU)
+		c := cpu.New(i, s.ICaches[i], &s.ICaches[i].Fetches, s.DCaches[i], s.Cfg.FPU)
 		c.Reset(img.Entry, s.Layout.StackTop(i), s.Cfg.NumCPUs)
 		s.CPUs = append(s.CPUs, c)
 		return c
 	})
 	if err == nil {
 		img.LoadInto(sys.Space)
+		sys.SeedCode(img.Code()) // decoded once, ahead of the run: fills allocate nothing
 	}
 	return sys, err
 }

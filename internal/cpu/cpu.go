@@ -5,6 +5,11 @@
 // stalled cycle is attributed to its cause (instruction refill, data
 // access, or FPU occupancy). The data-stall share of execution time is
 // the metric of the paper's Figure 6.
+//
+// The core fetches by line: Line gives it the decoded block around the
+// pc and it serves the fetches inside that window by index, counting
+// them itself. The core owns the window; one rule keeps it true: a
+// failed Line (and Reset) drops it. See coherence.ICache.
 package cpu
 
 import (
@@ -42,10 +47,9 @@ const (
 // InstrPort is the CPU's instruction-fetch interface, implemented by
 // coherence.ICache and by test fakes.
 type InstrPort interface {
-	Fetch(now uint64, addr uint32) (uint32, bool)
-	// Skip accounts the repeated hit fetches of the cycles [from, to)
-	// a data-stalled core did not execute.
-	Skip(from, to uint64)
+	// Line counts one fetch at addr and returns the decoded, naturally
+	// aligned block holding it, or false while that block is refilled.
+	Line(now uint64, addr uint32) ([]isa.Instr, bool)
 }
 
 // FPUTiming gives the multi-cycle latencies of floating-point
@@ -83,6 +87,10 @@ type CPU struct {
 	dcache coherence.DataCache
 	fpu    FPUTiming
 
+	window  []isa.Instr // the block the last Line returned; nil if it failed
+	winBase uint32      // window's address
+	fetches *uint64     // icache's fetch counter
+
 	busyUntil uint64
 	halted    bool
 
@@ -90,14 +98,6 @@ type CPU struct {
 	// Skip. It is updated at every Tick return point, so between cycles
 	// it always describes the core's current steady state.
 	outcome uint8
-
-	// One-entry decoded-instruction cache. isa.Decode is a pure
-	// function of the word, so reusing the previous decode is invisible
-	// to execution; it pays because stall retries and tight loops fetch
-	// the same word for many consecutive cycles.
-	lastWord  uint32
-	lastInstr isa.Instr
-	lastValid bool
 
 	// Obs, when attached, records stall runs as spans on this CPU's
 	// stall row. stallKind remembers the run in progress (0 none,
@@ -110,9 +110,9 @@ type CPU struct {
 	st Stats
 }
 
-// New builds a core wired to its caches.
-func New(id int, ic InstrPort, dc coherence.DataCache, fpu FPUTiming) *CPU {
-	return &CPU{ID: id, icache: ic, dcache: dc, fpu: fpu}
+// New builds a core wired to its caches; fetches is ic's fetch counter.
+func New(id int, ic InstrPort, fetches *uint64, dc coherence.DataCache, fpu FPUTiming) *CPU {
+	return &CPU{ID: id, icache: ic, fetches: fetches, dcache: dc, fpu: fpu}
 }
 
 // Reset initializes the architectural state: entry PC, stack pointer,
@@ -126,7 +126,7 @@ func (c *CPU) Reset(entry, sp uint32, numCPUs int) {
 	c.regs[RegSP] = sp
 	c.halted = false
 	c.busyUntil = 0
-	c.lastValid = false
+	c.window = nil
 	c.outcome = outcomeActive
 }
 
@@ -162,24 +162,24 @@ func (c *CPU) Tick(now uint64) {
 		c.outcome = outcomeFPU
 		return
 	}
-	word, ok := c.icache.Fetch(now, c.pc)
-	if !ok {
-		c.st.InstStallCycles++
-		c.noteStall(now, 1)
-		c.outcome = outcomeInstStall
-		return
-	}
-	var in isa.Instr
-	if c.lastValid && word == c.lastWord {
-		in = c.lastInstr
+	// A pc below winBase wraps high: one compare for both ends.
+	i := (c.pc - c.winBase) >> 2
+	if i < uint32(len(c.window)) {
+		*c.fetches++
 	} else {
-		in = isa.Decode(word)
-		c.lastWord = word
-		c.lastInstr = in
-		c.lastValid = true
+		var ok bool
+		if c.window, ok = c.icache.Line(now, c.pc); !ok {
+			c.st.InstStallCycles++
+			c.noteStall(now, 1)
+			c.outcome = outcomeInstStall
+			return
+		}
+		i = c.pc / 4 % uint32(len(c.window))
+		c.winBase = c.pc - c.pc%4 - 4*i
 	}
+	in := c.window[i]
 	if in.Op == isa.OpInvalid {
-		panic(fmt.Sprintf("cpu %d: illegal instruction %#08x at pc=%#x", c.ID, word, c.pc))
+		panic(fmt.Sprintf("cpu %d: illegal instruction %#08x at pc=%#x", c.ID, uint32(in.Imm), c.pc))
 	}
 	if in.Op.IsMemory() {
 		if !c.execMem(now, in) {
@@ -222,9 +222,9 @@ func (c *CPU) NextWake(now uint64) uint64 {
 // cycles [from, to) not executed in the core's current stall state. The
 // stalled retry paths themselves are pure (re-polling a pending miss or
 // a full write buffer changes no state), so the counters are the whole
-// per-cycle effect — the core's own, and those its ports keep for the
-// fetch that re-hits and the access that is re-rejected on every retry
-// of a data stall.
+// per-cycle effect — the core's own, the fetch inside the window that
+// every retry of a data stall repeats, and what the data cache keeps
+// for the access it re-rejects.
 func (c *CPU) Skip(from, to uint64) {
 	switch c.outcome {
 	case outcomeFPU:
@@ -233,7 +233,7 @@ func (c *CPU) Skip(from, to uint64) {
 		c.st.InstStallCycles += to - from
 	case outcomeDataStall:
 		c.st.DataStallCycles += to - from
-		c.icache.Skip(from, to)
+		*c.fetches += to - from
 		c.dcache.Skip(from, to)
 	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -17,12 +18,22 @@ type flatMem struct {
 	// The CPU calls Load, Store, Swap and Skip; the rest of the
 	// interface stays unimplemented.
 	coherence.DataCache
+
+	// line is the block Line decodes afresh on every call (the core
+	// replaces its window with each result, so one buffer serves).
+	line    [8]isa.Instr
+	fetches uint64
 }
 
 func newFlatMem() *flatMem { return &flatMem{space: mem.NewSpace()} }
 
-func (f *flatMem) Fetch(now uint64, addr uint32) (uint32, bool) {
-	return f.space.ReadWord(addr &^ 3), true
+func (f *flatMem) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
+	f.fetches++
+	base := addr &^ uint32(4*len(f.line)-1)
+	for i := range f.line {
+		f.line[i] = isa.Decode(f.space.ReadWord(base + uint32(4*i)))
+	}
+	return f.line[:], true
 }
 
 func (f *flatMem) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
@@ -50,7 +61,7 @@ func run(t *testing.T, prog []isa.Instr, setup func(*CPU, *flatMem)) (*CPU, *fla
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
 	c.Reset(base, 0x8000, 1)
 	if setup != nil {
 		setup(c, fm)
@@ -303,7 +314,7 @@ func TestLuiOriComposition(t *testing.T) {
 
 func TestResetConventions(t *testing.T) {
 	fm := newFlatMem()
-	c := New(3, fm, fm, DefaultFPUTiming())
+	c := New(3, fm, &fm.fetches, fm, DefaultFPUTiming())
 	c.Reset(0x1000, 0x9000, 8)
 	if c.Reg(RegID) != 3 || c.Reg(RegNum) != 8 || c.Reg(RegSP) != 0x9000 {
 		t.Fatalf("reset registers: id=%d nc=%d sp=%#x", c.Reg(RegID), c.Reg(RegNum), c.Reg(RegSP))
@@ -316,11 +327,12 @@ func TestResetConventions(t *testing.T) {
 func TestIllegalInstructionPanics(t *testing.T) {
 	fm := newFlatMem()
 	fm.space.WriteWord(0x1000, 0xf4000000) // unassigned major opcode 61
-	c := New(0, fm, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
 	c.Reset(0x1000, 0, 1)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("illegal instruction did not panic")
+		want := "cpu 0: illegal instruction 0xf4000000 at pc=0x1000"
+		if got := fmt.Sprint(recover()); got != want {
+			t.Fatalf("illegal instruction: panic %q, want %q", got, want)
 		}
 	}()
 	c.Tick(0)
@@ -329,7 +341,7 @@ func TestIllegalInstructionPanics(t *testing.T) {
 func TestUnalignedAccessPanics(t *testing.T) {
 	fm := newFlatMem()
 	fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpLw, Rd: 1, Rs1: 2, Imm: 1}))
-	c := New(0, fm, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
 	c.Reset(0x1000, 0, 1)
 	defer func() {
 		if recover() == nil {
@@ -365,7 +377,7 @@ func TestDataStallAccounting(t *testing.T) {
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, sp, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, sp, DefaultFPUTiming())
 	c.Reset(base, 0, 1)
 	for cyc := uint64(0); cyc < 100 && !c.Halted(); cyc++ {
 		c.Tick(cyc)
@@ -486,7 +498,7 @@ func TestInstStallAccounting(t *testing.T) {
 	fm := newFlatMem()
 	sp := &stallFetch{flatMem: fm, delay: 3}
 	fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
-	c := New(0, sp, fm, DefaultFPUTiming())
+	c := New(0, sp, &fm.fetches, fm, DefaultFPUTiming())
 	c.Reset(0x1000, 0, 1)
 	for cyc := uint64(0); cyc < 100 && !c.Halted(); cyc++ {
 		c.Tick(cyc)
@@ -502,12 +514,12 @@ type stallFetch struct {
 	count int
 }
 
-func (s *stallFetch) Fetch(now uint64, addr uint32) (uint32, bool) {
+func (s *stallFetch) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	s.count++
 	if s.count%s.delay != 0 {
-		return 0, false
+		return nil, false
 	}
-	return s.flatMem.Fetch(now, addr)
+	return s.flatMem.Line(now, addr)
 }
 
 func TestStoreByteOnEveryLane(t *testing.T) {
@@ -538,7 +550,7 @@ func TestFswStallRetries(t *testing.T) {
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, sp, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, sp, DefaultFPUTiming())
 	c.Reset(base, 0, 1)
 	c.regs[11] = 77
 	for cyc := uint64(0); cyc < 100 && !c.Halted(); cyc++ {
@@ -564,4 +576,91 @@ func (s *stallStore) Store(now uint64, addr uint32, w uint32, be uint8) bool {
 		return false
 	}
 	return s.flatMem.Store(now, addr, w, be)
+}
+
+// TestWindowServesTheLineAndIsDroppedOnFailure pins who asks the port
+// and when: one Line per line entered, every other fetch counted by the
+// core itself, and no window left after a failed Line or a Reset.
+func TestWindowServesTheLineAndIsDroppedOnFailure(t *testing.T) {
+	fm := newFlatMem()
+	sp := &stallFetch{flatMem: fm, delay: 1} // every Line succeeds
+	for i := uint32(0); i < 16; i++ {
+		fm.space.WriteWord(0x1000+4*i, isa.MustEncode(isa.Instr{Op: isa.OpNop}))
+	}
+	// Word 5 jumps to the last word of the next line.
+	fm.space.WriteWord(0x1000+4*5, isa.MustEncode(isa.Instr{Op: isa.OpJal, Imm: 15 - 6}))
+	c := New(0, sp, &fm.fetches, fm, DefaultFPUTiming())
+	c.Reset(0x1000, 0, 1)
+	now := uint64(0)
+	tick := func(n int) {
+		for ; n > 0; n-- {
+			c.Tick(now)
+			now++
+		}
+	}
+	tick(6) // words 0..5 of the first line
+	if sp.count != 1 || fm.fetches != 6 || c.PC() != 0x1000+4*15 {
+		t.Fatalf("first line: %d Line calls, %d fetches, pc=%#x; want 1, 6, word 15", sp.count, fm.fetches, c.PC())
+	}
+	tick(1) // word 15: a new line, entered at its far end
+	if sp.count != 2 || fm.fetches != 7 || c.st.Instructions != 7 {
+		t.Fatalf("second line: %d Line calls, %d fetches, %d instructions", sp.count, fm.fetches, c.st.Instructions)
+	}
+	// Falling through into a line whose Line fails stalls the core and
+	// leaves it without a window.
+	fm.space.WriteWord(0x1000+4*16, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
+	sp.delay, sp.count = 3, 0
+	tick(1)
+	if c.window != nil || c.outcome != outcomeInstStall {
+		t.Fatalf("after a failed Line: window of %d, outcome %d", len(c.window), c.outcome)
+	}
+	tick(2)
+	if !c.Halted() || c.st.InstStallCycles != 2 {
+		t.Fatalf("halted=%t after %d instruction-stall cycles", c.Halted(), c.st.InstStallCycles)
+	}
+	// Reset lands inside the line the core holds; it must ask again.
+	sp.delay = 1
+	c.Reset(0x1000+4*16, 0, 1)
+	if c.window != nil {
+		t.Fatal("Reset kept the window")
+	}
+	calls := sp.count
+	tick(1)
+	if sp.count != calls+1 {
+		t.Fatal("the first fetch after Reset did not go to the port")
+	}
+}
+
+// TestStalledCoreCountsOneFetchPerRetry holds the two ways a data
+// stall is paid for to each other: ticked every cycle (-noleap, the
+// benchmark's stepped driver) the core re-fetches inside its window on
+// every retry; slept over, Skip charges the same fetches.
+func TestStalledCoreCountsOneFetchPerRetry(t *testing.T) {
+	run := func(skip bool) (fetches uint64, st Stats) {
+		fm := newFlatMem()
+		sp := &stallStore{flatMem: fm, delay: 10}
+		fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpSw, Rd: 11, Rs1: 0, Imm: 0x200}))
+		fm.space.WriteWord(0x1004, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
+		c := New(0, fm, &fm.fetches, sp, DefaultFPUTiming())
+		c.Reset(0x1000, 0, 1)
+		for now := uint64(0); !c.Halted(); now++ {
+			c.Tick(now)
+			if skip && c.outcome == outcomeDataStall && sp.count == 1 {
+				// Sleep through the next five retries; the fake store
+				// counts its own attempts, so make them for it.
+				c.Skip(now+1, now+6)
+				sp.count += 5
+				now += 5
+			}
+		}
+		return fm.fetches, *c.Stats()
+	}
+	ticked, tst := run(false)
+	slept, sst := run(true)
+	if ticked != 11 || tst.DataStallCycles != 9 || tst.Instructions != 2 {
+		t.Fatalf("ticked: %d fetches, %+v; want 11 = 9 retries + 2 instructions", ticked, tst)
+	}
+	if slept != ticked || sst != tst {
+		t.Fatalf("slept: %d fetches %+v, ticked: %d fetches %+v", slept, sst, ticked, tst)
+	}
 }

@@ -59,48 +59,36 @@ func MustEncode(in Instr) uint32 {
 
 // Decode unpacks a 32-bit machine word. Unknown encodings decode to an
 // Instr with Op == OpInvalid rather than an error, so the CPU can treat
-// them as an illegal-instruction condition.
+// them as an illegal-instruction condition; Imm then carries the word
+// for the diagnostic.
 func Decode(w uint32) Instr {
 	major := uint8(w >> 26)
+	op := majorOp[major]
 	switch major {
 	case majR:
-		op := rFunct[w&0x7ff]
-		if op == OpInvalid {
-			return Instr{Op: OpInvalid}
-		}
-		return Instr{
-			Op:  op,
-			Rd:  uint8(w >> 21 & 31),
-			Rs1: uint8(w >> 16 & 31),
-			Rs2: uint8(w >> 11 & 31),
-		}
+		op = rFunct[w&0x7ff]
 	case majRF:
-		op := rfFunct[w&0x7ff]
-		if op == OpInvalid {
-			return Instr{Op: OpInvalid}
-		}
+		op = rfFunct[w&0x7ff]
+	}
+	if op == OpInvalid {
+		return Instr{Op: OpInvalid, Imm: int32(w)}
+	}
+	switch opTable[op].class {
+	case ClassR:
 		return Instr{
 			Op:  op,
 			Rd:  uint8(w >> 21 & 31),
 			Rs1: uint8(w >> 16 & 31),
 			Rs2: uint8(w >> 11 & 31),
 		}
-	default:
-		op := majorOp[major]
-		if op == OpInvalid {
-			return Instr{Op: OpInvalid}
+	case ClassI:
+		return Instr{
+			Op:  op,
+			Rd:  uint8(w >> 21 & 31),
+			Rs1: uint8(w >> 16 & 31),
+			Imm: int32(int16(w & 0xffff)),
 		}
-		switch opTable[op].class {
-		case ClassI:
-			return Instr{
-				Op:  op,
-				Rd:  uint8(w >> 21 & 31),
-				Rs1: uint8(w >> 16 & 31),
-				Imm: int32(int16(w & 0xffff)),
-			}
-		default: // ClassJ
-			imm := int32(w<<6) >> 6 // sign-extend 26 bits
-			return Instr{Op: op, Imm: imm}
-		}
+	default: // ClassJ
+		return Instr{Op: op, Imm: int32(w<<6) >> 6} // sign-extend 26 bits
 	}
 }

@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,32 +36,33 @@ func (im *Image) AddSegment(base uint32, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	for _, s := range im.segments {
+	// Sorted by base and disjoint: only the neighbours can overlap.
+	i := sort.Search(len(im.segments), func(i int) bool { return im.segments[i].base > base })
+	for _, s := range im.segments[max(i-1, 0):min(i+1, len(im.segments))] {
 		if base < s.base+uint32(len(s.data)) && s.base < base+uint32(len(data)) {
 			panic(fmt.Sprintf("mem: image segment at %#x overlaps segment at %#x", base, s.base))
 		}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	im.segments = append(im.segments, segment{base: base, data: cp})
-	sort.Slice(im.segments, func(i, j int) bool { return im.segments[i].base < im.segments[j].base })
+	im.segments = slices.Insert(im.segments, i, segment{base: base, data: slices.Clone(data)})
 }
 
-// WriteWord stores a single initialized word into the image, merging
-// into an existing segment when possible.
+// WriteWord stores a single initialized word into the image: inside the
+// segment covering it, on the end of the one below, else as a new one.
 func (im *Image) WriteWord(addr uint32, v uint32) {
-	var b [4]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	for idx := range im.segments {
-		s := &im.segments[idx]
-		if addr >= s.base && addr+4 <= s.base+uint32(len(s.data)) {
-			copy(s.data[addr-s.base:], b[:])
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4), v)
+	if i := sort.Search(len(im.segments), func(i int) bool { return im.segments[i].base > addr }); i > 0 {
+		s := &im.segments[i-1]
+		end := s.base + uint32(len(s.data))
+		switch {
+		case addr+4 <= end:
+			copy(s.data[addr-s.base:], b)
+			return
+		case addr == end && (i == len(im.segments) || addr+4 <= im.segments[i].base):
+			s.data = append(s.data, b...)
 			return
 		}
 	}
-	im.AddSegment(addr, b[:])
+	im.AddSegment(addr, b)
 }
 
 // WriteFloat stores a float32 into the image.
@@ -77,6 +80,16 @@ func (im *Image) MustSymbol(name string) uint32 {
 		panic(fmt.Sprintf("mem: undefined symbol %q", name))
 	}
 	return a
+}
+
+// Code returns the segment the entry point lies in: the program text.
+func (im *Image) Code() (base uint32, data []byte) {
+	for _, s := range im.segments {
+		if im.Entry-s.base < uint32(len(s.data)) {
+			return s.base, s.data
+		}
+	}
+	return 0, nil
 }
 
 // LoadInto copies every segment into the space.

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -275,14 +277,75 @@ func TestImageSegmentsAndSymbols(t *testing.T) {
 }
 
 func TestImageOverlapPanics(t *testing.T) {
-	img := NewImage()
-	img.AddSegment(0x1000, make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overlapping image segment did not panic")
+	for _, c := range []struct {
+		name string
+		add  func(img *Image)
+		want string
+	}{
+		{"into the segment below", func(img *Image) { img.AddSegment(0x1008, make([]byte, 16)) },
+			"mem: image segment at 0x1008 overlaps segment at 0x1000"},
+		{"into the segment above", func(img *Image) { img.AddSegment(0xff8, make([]byte, 16)) },
+			"mem: image segment at 0xff8 overlaps segment at 0x1000"},
+		{"over several", func(img *Image) { img.AddSegment(0x800, make([]byte, 0x2000)) },
+			"mem: image segment at 0x800 overlaps segment at 0x1000"},
+		{"a word across a segment's end", func(img *Image) { img.WriteWord(0x100e, 1) },
+			"mem: image segment at 0x100e overlaps segment at 0x1000"},
+		{"a word grown into the next segment", func(img *Image) { img.WriteWord(0x1ffe, 1); img.WriteWord(0x2002, 1) },
+			"mem: image segment at 0x2002 overlaps segment at 0x2004"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			img := NewImage()
+			img.AddSegment(0x1000, make([]byte, 16))
+			img.AddSegment(0x2004, make([]byte, 16))
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want {
+					t.Fatalf("panic %q, want %q", got, c.want)
+				}
+			}()
+			c.add(img)
+		})
+	}
+}
+
+// TestImageWordsLoadLikeANaiveImage writes words in the orders the
+// workloads do — runs that grow upward, two arrays interleaved, strays,
+// rewrites — and checks the loaded Space page for page against one the
+// same words were written into directly, with the segments coalesced
+// instead of one per word.
+func TestImageWordsLoadLikeANaiveImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	img, want := NewImage(), NewSpace()
+	img.AddSegment(0x1000, make([]byte, 64)) // code
+	want.WriteBlock(0x1000, make([]byte, 64))
+	write := func(addr, v uint32) {
+		img.WriteWord(addr, v)
+		want.WriteWord(addr, v)
+	}
+	for i := uint32(0); i < 300; i++ {
+		write(0x20000+4*i, rng.Uint32()) // one array ...
+		write(0x30000+4*i, rng.Uint32()) // ... interleaved with another
+		if i%7 == 0 {
+			write(0x40000+64*uint32(rng.Intn(200)), i) // strays, any order, repeats
+			write(0x20000+4*uint32(rng.Intn(int(i+1))), i)
 		}
-	}()
-	img.AddSegment(0x1008, make([]byte, 16))
+		if i%50 == 0 {
+			write(0x1000+4*uint32(rng.Intn(16)), i) // inside an added segment
+		}
+	}
+	if n := len(img.segments); n > 3+43 {
+		t.Fatalf("%d segments for code, two arrays and at most 43 strays", n)
+	}
+	got := NewSpace()
+	img.LoadInto(got)
+	if len(got.pages) != len(want.pages) {
+		t.Fatalf("%d pages loaded, want %d", len(got.pages), len(want.pages))
+	}
+	//lint:allow maprange every page is compared, in any order
+	for pn, p := range want.pages {
+		if g := got.pages[pn]; g == nil || *g != *p {
+			t.Fatalf("page %#x differs from the words written", pn)
+		}
+	}
 }
 
 func TestLayoutStacksDisjoint(t *testing.T) {

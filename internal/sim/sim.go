@@ -249,10 +249,10 @@ func (e *Engine) Step() {
 // whose remembered wake lies ahead, asks the others, at their turn,
 // whether cycle e.now concerns them, and ticks those it does; if none
 // ran, the cycle was dead for everyone and the clock moves to the
-// earliest wake instead of e.now+1 — never past limit, and one cycle at
-// a time when neither a wake nor a limit bounds the span. It reports
-// whether any ticker executed. (A Wake can only come from a ticker that
-// ran, so no cycle with one is ever leaped from.)
+// earliest wake (e.wake holds every answer) instead of e.now+1 — never
+// past limit, one cycle at a time when neither a wake nor a limit bounds
+// the span. It reports whether any ticker executed. (A Wake can only come
+// from a ticker that ran, so no cycle with one is ever leaped from.)
 //
 // This is the hot-path root everything else hangs off: allocations
 // anywhere it reaches are gated by simlint's hotalloc analyzer against
@@ -261,10 +261,9 @@ func (e *Engine) Step() {
 //lint:hot
 func (e *Engine) advance(limit uint64) bool {
 	now := e.now
-	wake := NoWake
+	ran := false
 	for i, w := range e.wake { // read at slot i's turn: an earlier slot's Wake counts
 		if w > now {
-			wake = min(wake, w)
 			continue
 		}
 		s := &e.slots[i]
@@ -272,7 +271,6 @@ func (e *Engine) advance(limit uint64) bool {
 			s.asked++
 			if w := s.sleep.NextWake(now); w > now {
 				e.wake[i] = w
-				wake = min(wake, w)
 				continue
 			}
 			if s.settled < now {
@@ -283,13 +281,16 @@ func (e *Engine) advance(limit uint64) bool {
 		s.ticks++
 		s.settled = now + 1
 		e.wake[i] = now + 1
-		wake = now
+		ran = true
 	}
-	ran := wake == now
 	target := now + 1
 	if !ran {
-		if t := min(wake, limit); t != NoWake {
-			target = t
+		wake := limit
+		for _, w := range e.wake {
+			wake = min(wake, w)
+		}
+		if wake != NoWake {
+			target = wake
 		}
 		e.leaps++
 		e.leapedCycles += target - now
