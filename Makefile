@@ -60,9 +60,12 @@ race:
 # sizes the unit matrices (n <= 4) stop short of: mcsim built once, then
 # -json stdout with and without -noleap compared byte for byte on the
 # four BENCHMARK.json pins, the mesh at n64, a 2-way run (the one
-# associativity above 1 here: the core's line window skips LRU stamps)
-# and a fault plan carrying every directive, bankstall included (about
-# 20 s).
+# associativity above 1 here: the core's line window skips LRU stamps),
+# a fault plan carrying every directive, bankstall included, and the two
+# runs that lean on the cores' run-ahead: a spin-dominated arch1 water
+# (14.7 M instructions in 2.7 Mcyc, four fifths of them retired ahead of
+# the clock) and WTU on the bus (the empty-write-buffer rule of
+# DataCache.Hit, the bus's MinTransit) — about 25 s.
 EQUIV_RUNS := \
 	"-bench ocean -protocol wti -cpus 4 -rows 32 -iters 32" \
 	"-bench water -protocol wb -cpus 16 -mols 6 -steps 4" \
@@ -70,7 +73,9 @@ EQUIV_RUNS := \
 	"-bench ocean -protocol wti -cpus 16 -noc mesh -rows 8 -iters 4" \
 	"-noc mesh -cpus 64 -rows 4 -iters 2" \
 	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
-	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42"
+	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \
+	"-bench water -protocol wb -arch 1 -cpus 32 -mols 2 -steps 1" \
+	"-bench ocean -protocol wtu -cpus 8 -noc bus"
 equiv:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/mcsim" ./cmd/mcsim || exit 1; \

@@ -252,7 +252,8 @@ func main() {
 	// Host-side diagnostics, not part of the deterministic result: how
 	// much of the schedule the wake contract kept off the host, whole
 	// cycles first, then ticks per layer, then what deciding it cost in
-	// NextWake questions (EXPERIMENTS.md has the worked example).
+	// NextWake questions, then how many instructions the cores retired
+	// ahead of the clock (EXPERIMENTS.md has the worked example).
 	if eng := sys.Engine; eng.SkippedTicks() > 0 && res.Cycles > 0 {
 		leaped := eng.LeapedCycles()
 		var skipped, asked string
@@ -262,9 +263,14 @@ func main() {
 			asked += fmt.Sprintf(", %s %d", c.Name, c.Asked)
 			questions += c.Asked
 		}
-		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.1f per executed cycle)\n",
+		var ahead, bursts, instr uint64
+		for _, c := range sys.CPUs {
+			a, b := c.Ahead()
+			ahead, bursts, instr = ahead+a, bursts+b, instr+c.Stats().Instructions
+		}
+		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.1f per executed cycle); run ahead: %d of %d instr in %d bursts\n",
 			eng.Leaps(), leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles),
-			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped))
+			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped), ahead, instr, bursts)
 	}
 
 	if res.Latency != nil {

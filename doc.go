@@ -10,6 +10,6 @@
 //
 // Start with internal/core to build and run a platform, internal/exp
 // to regenerate the paper's tables and figures, and the runnable
-// programs under examples/ and cmd/. DESIGN.md maps every subsystem
+// programs under cmd/. DESIGN.md maps every subsystem
 // and experiment; EXPERIMENTS.md records paper-versus-measured results.
 package repro

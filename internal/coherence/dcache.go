@@ -27,6 +27,13 @@ type DataCache interface {
 	Load(now uint64, addr uint32, byteEn uint8) (word uint32, ok bool)
 	Store(now uint64, addr uint32, word uint32, byteEn uint8) bool
 	Swap(now uint64, addr uint32, newWord uint32) (old uint32, ok bool)
+	// Hit reports whether an aligned word Load of addr would be served
+	// this cycle from the cache's own line, touching nothing a message
+	// or another Tick could observe: no transaction pending and the block
+	// resident (and, under WTU, no posted write that must be forwarded
+	// first). Pure; it stays true until the controller's next Tick or
+	// HandleMsg, which is what lets a core load ahead of the clock.
+	Hit(addr uint32) bool
 	// Tick retries any postponed protocol actions (posted writes,
 	// unsent requests).
 	Tick(now uint64)

@@ -184,6 +184,12 @@ func (c *MESICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 	return 0, false
 }
 
+// Hit implements DataCache.
+func (c *MESICache) Hit(addr uint32) bool {
+	_, hit := c.arr.probe(addr)
+	return hit && !c.pend.active
+}
+
 // Store implements DataCache.
 func (c *MESICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
 	if c.pend.active {

@@ -78,6 +78,7 @@ func (d *lossyNet) NextWake(now uint64) uint64                      { return ^ui
 func (d *lossyNet) Stats() noc.Stats                                { return noc.Stats{} }
 func (d *lossyNet) PortFlits() []uint64                             { return nil }
 func (d *lossyNet) Nodes() int                                      { return 2 }
+func (d *lossyNet) MinTransit() uint64                              { return 1 }
 
 type nullSink struct{}
 
@@ -108,9 +109,9 @@ func TestNodeRetransmitSchedule(t *testing.T) {
 	if err := n.RetryErr(); err != nil {
 		t.Errorf("RetryErr = %v; want nil within budget", err)
 	}
-	h := rec.Histogram(obs.LatRetry)
-	if h.Count() != 1 || h.Max() < 24 {
-		t.Errorf("LatRetry samples = %d (max %d); want one sample covering the 24-cycle fight", h.Count(), h.Max())
+	rep := rec.LatencyReport()
+	if rep == nil || len(rep.Entries) != 1 || rep.Entries[0].Kind != obs.LatRetry.String() || rep.Entries[0].Count != 1 || rep.Entries[0].Max < 24 {
+		t.Errorf("latency report %+v; want one LatRetry sample covering the 24-cycle fight", rep)
 	}
 	// The FSM is idle again: a fresh message goes straight out.
 	n.SendCtrl(&Msg{Kind: ReqWriteThrough, Addr: 0x44}, 1, 25)

@@ -158,6 +158,15 @@ func (c *WTICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 	return 0, false
 }
 
+// Hit implements DataCache.
+func (c *WTICache) Hit(addr uint32) bool {
+	if c.pend.active || c.proto == WTU && !c.wb.Empty() {
+		return false
+	}
+	_, hit := c.arr.probe(addr)
+	return hit
+}
+
 // Store implements DataCache.
 func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
 	waddr := WordAddr(addr)

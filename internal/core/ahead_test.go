@@ -1,0 +1,154 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/codegen"
+	"repro/internal/coherence"
+	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/workload"
+)
+
+// buildWaterSys wires a small water run — FPU waits, spin-locks, a
+// barrier per step — under proto, on the scheduled engine or the naive
+// reference schedule.
+func buildWaterSys(t *testing.T, proto coherence.Protocol, n int, naive bool, maxCycles uint64) *System {
+	t.Helper()
+	spec, err := workload.BuildWater(mem.DefaultLayout(n), codegen.DS,
+		workload.WaterParams{Threads: n, MolsPerThread: 2, Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(proto, mem.Arch2, n)
+	cfg.DisableLeap = naive
+	if maxCycles != 0 {
+		cfg.MaxCycles = maxCycles
+	}
+	sys, err := Build(cfg, spec.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// ranAhead sums what the cores retired ahead of the clock.
+func ranAhead(sys *System) (instr uint64) {
+	for _, c := range sys.CPUs {
+		a, _ := c.Ahead()
+		instr += a
+	}
+	return instr
+}
+
+// TestObserversNeverSeeACoreAhead: the interval sampler and the runtime
+// checker are Every hooks, and Engine.Horizon stops every core at the
+// next hook boundary, so what they record is what the naive schedule
+// records — and what the parent of the run-ahead change recorded (the
+// hash below was taken there). Without that bound the CSV differs from
+// row 10 on while every other test stays green.
+func TestObserversNeverSeeACoreAhead(t *testing.T) {
+	const golden = "cd838fd8ce9205b5" // fnv64a of the CSV, recorded at PR 21
+	run := func(naive bool) (string, *System) {
+		sys := buildWaterSys(t, coherence.WBMESI, 2, naive, 0)
+		rec := obs.New(obs.Config{SampleInterval: 37})
+		sys.AttachObserver(rec)
+		sys.EnableRuntimeChecks(13)
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("naive=%t: %v", naive, err)
+		}
+		var csv bytes.Buffer
+		if err := rec.Sampler().WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		return csv.String(), sys
+	}
+	naive, _ := run(true)
+	sched, sys := run(false)
+	if naive != sched {
+		a, b := strings.Split(naive, "\n"), strings.Split(sched, "\n")
+		for i := range a {
+			if i >= len(b) || a[i] != b[i] {
+				t.Fatalf("sampled CSV differs at row %d:\nnaive     %s\nscheduled %s", i, a[i], b[min(i, len(b)-1)])
+			}
+		}
+		t.Fatalf("sampled CSV: %d rows naive, %d scheduled", len(a), len(b))
+	}
+	h := fnv.New64a()
+	h.Write([]byte(sched))
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != golden {
+		t.Errorf("sampled CSV hashes to %s, want %s (%d rows)", got, golden, strings.Count(sched, "\n"))
+	}
+	if ranAhead(sys) == 0 {
+		t.Fatal("no core ever ran ahead: the bound went untested")
+	}
+}
+
+// TestDeadlineMidSpinNamesTheSamePCs: a deadline is an observer too. The
+// pcs its error lists are where the cores stand at that cycle, never
+// where a burst would have taken them — the same text on both schedules,
+// at deadlines that fall in lock spins, barrier spins and FPU waits.
+func TestDeadlineMidSpinNamesTheSamePCs(t *testing.T) {
+	var ahead uint64
+	for deadline := uint64(400); deadline < 6000; deadline += 397 {
+		var text [2]string
+		for i, naive := range []bool{true, false} {
+			sys := buildWaterSys(t, coherence.WBMESI, 2, naive, deadline)
+			_, err := sys.Run()
+			if err == nil {
+				t.Fatalf("deadline %d: the run finished; shorten the sweep", deadline)
+			}
+			text[i] = err.Error()
+			ahead += ranAhead(sys)
+		}
+		if text[0] != text[1] || !strings.Contains(text[0], "pcs: [cpu") {
+			t.Errorf("deadline %d:\nnaive     %s\nscheduled %s", deadline, text[0], text[1])
+		}
+	}
+	if ahead == 0 {
+		t.Fatal("no core ever ran ahead before a deadline")
+	}
+}
+
+// TestSlicedRunResumesCoresAhead drives the engine the way the benchmark
+// does: Run after Run, each ended by done at a slice boundary with the
+// deadline far off, so nothing bounds a burst at the boundary and Run
+// returns with cores ahead of the clock (they have retired more than the
+// naive run at the same cycle). The next Run forgets every wake and must
+// resume each core at the cycle it stands at. The end state is the
+// unsliced naive run's.
+func TestSlicedRunResumesCoresAhead(t *testing.T) {
+	const slice = 5 // well inside the GMN's lookahead of 11
+	naive := buildWaterSys(t, coherence.WTI, 4, true, 0)
+	sched := buildWaterSys(t, coherence.WTI, 4, false, 0)
+	boundariesAhead := 0
+	for end := uint64(slice); !naive.AllHalted() || !sched.AllHalted(); end += slice {
+		for _, sys := range []*System{naive, sched} {
+			eng := sys.Engine
+			if _, err := eng.Run(1_000_000, func() bool { return eng.Now() >= end || sys.AllHalted() }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, c := range sched.CPUs {
+			if c.Stats().Instructions > naive.CPUs[i].Stats().Instructions {
+				boundariesAhead++
+			}
+		}
+	}
+	if boundariesAhead == 0 {
+		t.Fatal("no core was ever ahead at a slice boundary")
+	}
+	if naive.Engine.Now() != sched.Engine.Now() {
+		t.Fatalf("halted at cycle %d naive, %d scheduled", naive.Engine.Now(), sched.Engine.Now())
+	}
+	a, b := naive.collect(naive.Engine.Now()), sched.collect(sched.Engine.Now())
+	a.Config.DisableLeap = false
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("sliced runs differ:\nnaive     %+v\nscheduled %+v", a, b)
+	}
+}

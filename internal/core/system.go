@@ -135,7 +135,13 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	// node-id order) and its own.
 	wakers := make([]sim.Waker, 0, len(sys.Ports))
 	for i, f := range sys.fronts {
-		wakers = append(wakers, sys.register("cpus", &cluster{f, sys.DCaches[i], sys.ICaches[i], sys.Nodes[i]}))
+		cl := &cluster{cpu: f, dc: sys.DCaches[i], ic: sys.ICaches[i], node: sys.Nodes[i], eng: sys.Engine, net: net}
+		// Only an interpreter on the scheduled engine looks ahead: the
+		// reference schedule ticks every cycle, so its lookahead is 0.
+		if cl.core, _ = f.(*cpu.CPU); cl.core != nil && !cfg.DisableLeap {
+			cl.lookahead = net.MinTransit()
+		}
+		wakers = append(wakers, sys.register("cpus", cl))
 	}
 	for _, nd := range sys.BNodes {
 		wakers = append(wakers, sys.register("banks", nd))
@@ -180,11 +186,24 @@ type frontEnd interface {
 // reaches it from outside is latched through the NoC and consumed by
 // its node — so while it sleeps it is frozen, and its wake is the
 // earliest of its parts'.
+//
+// For the same reason it may run its core ahead of the clock: once the
+// four parts have ticked, nothing reaches the cluster before the earliest
+// of its caches' and node's next events (arrivals on their way included)
+// and now + lookahead, the network's MinTransit, and nobody looks before
+// the engine's Horizon. Up to there the core executes every cycle that
+// is local to it (cpu.CPU.RunAhead).
 type cluster struct {
 	cpu  frontEnd
 	dc   coherence.DataCache
 	ic   *coherence.ICache
 	node *coherence.Node
+
+	core      *cpu.CPU // cpu, when it is an interpreter
+	eng       *sim.Engine
+	net       noc.Network
+	lookahead uint64
+	ahead     uint64 // the core's: first cycle it has not executed
 }
 
 func (c *cluster) Tick(now uint64) {
@@ -192,9 +211,21 @@ func (c *cluster) Tick(now uint64) {
 	c.dc.Tick(now)
 	c.ic.Tick(now)
 	c.node.Tick(now)
+	// An active core only: a stalled or halted one has nothing to run.
+	if h := now + c.lookahead; h > now+1 && c.core.NextWake(now+1) == now+1 {
+		h = min(h, c.eng.Horizon(), c.dc.NextWake(now+1), c.ic.NextWake(now+1), c.node.NextWake(now+1))
+		c.ahead = c.core.RunAhead(now+1, h)
+	}
 }
 
 func (c *cluster) NextWake(now uint64) uint64 {
+	// A core ahead of the clock answers for the cluster: the horizon it
+	// ran to was the other parts' earliest wake, and an arrival pushed
+	// since is no earlier (MinTransit). One that is falls through, gets
+	// the cluster ticked behind its core, and the core panics.
+	if now < c.ahead && c.net.ArrivalAt(c.node.ID) >= c.ahead {
+		return c.ahead
+	}
 	w := c.cpu.NextWake(now)
 	if w <= now {
 		return now

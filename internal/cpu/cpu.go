@@ -10,6 +10,20 @@
 // pc and it serves the fetches inside that window by index, counting
 // them itself. The core owns the window; one rule keeps it true: a
 // failed Line (and Reset) drops it. See coherence.ICache.
+//
+// A core can run ahead of the clock (RunAhead) through cycles that are
+// local: an FPU wait, or an instruction inside the window it holds that
+// is a register, branch or FPU operation or an aligned word load its
+// data cache says hits (coherence.DataCache.Hit). Such a cycle touches
+// only the core's registers, counters and the cache's replacement
+// stamps — nothing a message, another ticker or a hook can observe
+// before that cycle comes — so executing it early, with that cycle as
+// now, is executing it. Everything else runs at its own cycle through
+// Tick: a miss or a window exit starts a transaction, HALT ends the run,
+// an illegal or misaligned access must panic where it stands, a byte
+// load is too rare to pay for. Stores too, even to an owned line: a
+// store is what the rest of the machine observes (and letting MESI's
+// join measured slower, not faster).
 package cpu
 
 import (
@@ -94,6 +108,11 @@ type CPU struct {
 	busyUntil uint64
 	halted    bool
 
+	// ahead is the first cycle RunAhead has not executed: Tick comes no
+	// earlier, NextWake answers it, Skip charges nothing below it.
+	// ranAhead and bursts are Ahead's counts.
+	ahead, ranAhead, bursts uint64
+
 	// outcome records what the most recent Tick did, for NextWake and
 	// Skip. It is updated at every Tick return point, so between cycles
 	// it always describes the core's current steady state.
@@ -126,6 +145,7 @@ func (c *CPU) Reset(entry, sp uint32, numCPUs int) {
 	c.regs[RegSP] = sp
 	c.halted = false
 	c.busyUntil = 0
+	c.ahead = 0
 	c.window = nil
 	c.outcome = outcomeActive
 }
@@ -151,8 +171,15 @@ func (c *CPU) setReg(r uint8, v uint32) {
 	}
 }
 
+// Ahead reports the instructions retired ahead of the clock and the
+// bursts they came in (host-side diagnostics, like sim.TickCount).
+func (c *CPU) Ahead() (instructions, bursts uint64) { return c.ranAhead, c.bursts }
+
 // Tick advances the core by one cycle.
 func (c *CPU) Tick(now uint64) {
+	if now < c.ahead {
+		panic(fmt.Sprintf("cpu %d: Tick at cycle %d, already run ahead to %d (pc=%#x)", c.ID, now, c.ahead, c.pc))
+	}
 	if c.halted {
 		c.outcome = outcomeHalted
 		return
@@ -194,6 +221,56 @@ func (c *CPU) Tick(now uint64) {
 	c.exec(now, in)
 }
 
+// RunAhead executes the cycles [from, horizon) for as long as each is
+// local (see the package comment), exactly as Tick would at that cycle,
+// and returns the first it did not execute: the next the core is ticked
+// at. from is the cycle after the last Tick; the caller vouches that
+// before horizon nothing reaches the core's caches and no observer looks.
+func (c *CPU) RunAhead(from, horizon uint64) uint64 {
+	now, retired := from, c.st.Instructions
+	if c.halted { // HALT retires like any instruction: outcome cannot tell
+		horizon = from
+	}
+loop:
+	for now < horizon {
+		if c.busyUntil > now {
+			n := min(c.busyUntil, horizon) - now
+			c.st.FPUBusyCycles += n
+			c.outcome = outcomeFPU
+			now += n
+			continue
+		}
+		i := (c.pc - c.winBase) >> 2
+		if i >= uint32(len(c.window)) {
+			break
+		}
+		// The fetch counts only once the cycle is known to be local.
+		switch in := c.window[i]; in.Op {
+		case isa.OpLw, isa.OpFlw:
+			if addr := c.regs[in.Rs1] + uint32(in.Imm); addr%4 != 0 || !c.dcache.Hit(addr) {
+				break loop
+			}
+			*c.fetches++
+			if !c.execMem(now, in) {
+				panic(fmt.Sprintf("cpu %d: load at pc=%#x missed after Hit", c.ID, c.pc))
+			}
+			c.retire(now, c.pc+4)
+		case isa.OpSw, isa.OpFsw, isa.OpSb, isa.OpLb, isa.OpLbu, isa.OpSwap, isa.OpHalt, isa.OpInvalid:
+			break loop
+		default:
+			*c.fetches++
+			c.exec(now, in)
+		}
+		now++
+	}
+	c.ahead = now
+	if n := c.st.Instructions - retired; n != 0 {
+		c.ranAhead += n
+		c.bursts++
+	}
+	return now
+}
+
 func (c *CPU) retire(now uint64, nextPC uint32) {
 	if c.stallKind != 0 {
 		c.flushStall(now)
@@ -208,6 +285,9 @@ func (c *CPU) retire(now uint64, nextPC uint32) {
 // it is woken by a message delivery, which its node reports. An
 // FPU-busy core wakes itself when the unit frees.
 func (c *CPU) NextWake(now uint64) uint64 {
+	if now < c.ahead {
+		return c.ahead
+	}
 	switch c.outcome {
 	case outcomeHalted, outcomeInstStall, outcomeDataStall:
 		return ^uint64(0)
@@ -226,6 +306,9 @@ func (c *CPU) NextWake(now uint64) uint64 {
 // every retry of a data stall repeats, and what the data cache keeps
 // for the access it re-rejects.
 func (c *CPU) Skip(from, to uint64) {
+	if from = max(from, c.ahead); from >= to {
+		return // executed ahead of the clock, counters and all
+	}
 	switch c.outcome {
 	case outcomeFPU:
 		c.st.FPUBusyCycles += to - from

@@ -123,6 +123,10 @@ func (f *Net) Stats() noc.Stats { return f.inner.Stats() }
 // PortFlits implements noc.Network.
 func (f *Net) PortFlits() []uint64 { return f.inner.PortFlits() }
 
+// MinTransit implements noc.Network: a staged transfer enters the wrapped
+// model later than offered, never sooner.
+func (f *Net) MinTransit() uint64 { return f.inner.MinTransit() }
+
 // Inject implements noc.Network. The fault draws happen here, once per
 // offered transfer, in a fixed order (drop, delay, duplicate) so a
 // campaign's decision sequence is a pure function of the plan seed and

@@ -46,6 +46,7 @@ func (f *fakeNet) Tick(now uint64)                          { f.ticks++ }
 func (f *fakeNet) Stats() noc.Stats                         { return noc.Stats{} }
 func (f *fakeNet) PortFlits() []uint64                      { return nil }
 func (f *fakeNet) Nodes() int                               { return f.nodes }
+func (f *fakeNet) MinTransit() uint64                       { return 1 }
 
 func (f *fakeNet) ArrivalAt(node int) uint64 {
 	if len(f.queues[node]) > 0 {
@@ -309,6 +310,10 @@ type edgeNode struct {
 	offers  []uint64       // the cycles with one from this node, ascending
 	backlog []noc.Packet
 	at      []int // delivery cycle per packet id, shared by the nodes
+	// accepted is the cycle each packet's Inject was taken, shared too:
+	// staged or not, none is delivered sooner than MinTransit after it.
+	accepted []uint64
+	t        *testing.T
 }
 
 func (n *edgeNode) Tick(now uint64) {
@@ -324,9 +329,13 @@ func (n *edgeNode) Tick(now uint64) {
 		if !ok {
 			break // a suppressed duplicate was all there was
 		}
+		if at := n.accepted[p.Payload.(int)]; now < at+n.net.MinTransit() {
+			n.t.Fatalf("packet %d accepted at %d, delivered at %d: sooner than MinTransit() = %d", p.Payload, at, now, n.net.MinTransit())
+		}
 		n.at[p.Payload.(int)] = int(now)
 	}
 	for len(n.backlog) > 0 && n.net.Inject(n.backlog[0], now) {
+		n.accepted[n.backlog[0].Payload.(int)] = now
 		n.backlog = n.backlog[1:]
 	}
 }
@@ -353,7 +362,9 @@ func (n *edgeNode) Skip(from, to uint64) {}
 // announces it), and the draws of the cycles the network slept through
 // must be replayed by Skip: any of them missing shows as a packet
 // delivered in a different cycle, different fault counters, or a run
-// that never drains.
+// that never drains. The wrapper states its inner model's MinTransit: a
+// delayed or duplicated transfer enters it later than offered, never
+// sooner, so no delivery may come earlier than that after its Inject.
 func TestWakeEdgesUnderFaults(t *testing.T) {
 	const cpus, nodes, genCycles, limit = 4, 8, 400, 20000
 	models := map[string]func() noc.Network{
@@ -378,11 +389,15 @@ func TestWakeEdgesUnderFaults(t *testing.T) {
 			run := func(engine bool) ([]int, noc.Stats, Stats, uint64) {
 				plan := mustPlan(t, "delay=0.2:6,dup=0.1,bankstall=0.02:9")
 				plan.Seed = seed
-				net := Wrap(mk(), plan, cpus)
-				at := make([]int, ids)
+				inner := mk()
+				net := Wrap(inner, plan, cpus)
+				if net.MinTransit() != inner.MinTransit() {
+					t.Fatalf("%s: wrapper states MinTransit %d, the model it wraps %d", name, net.MinTransit(), inner.MinTransit())
+				}
+				at, accepted := make([]int, ids), make([]uint64, ids)
 				ns := make([]*edgeNode, nodes)
 				for id := range ns {
-					ns[id] = &edgeNode{net: net, id: id, script: script, at: at}
+					ns[id] = &edgeNode{net: net, id: id, script: script, at: at, accepted: accepted, t: t}
 				}
 				for cyc, offered := range script {
 					for _, p := range offered {

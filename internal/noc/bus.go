@@ -72,6 +72,9 @@ func (b *Bus) Tick(now uint64) {
 	}
 }
 
+// MinTransit implements Network: a one-flit tenure.
+func (b *Bus) MinTransit() uint64 { return b.arbDelay + 1 }
+
 // NextWake implements Network: a nonempty request queue acts when the
 // bus tenure ends (busyTill); the delivery queues are the arrival
 // ports.

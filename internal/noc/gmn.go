@@ -88,6 +88,10 @@ func (g *GMN) Tick(now uint64) {
 	}
 }
 
+// MinTransit implements Network: one flit through the source port, the
+// crossing, one flit through the destination port.
+func (g *GMN) MinTransit() uint64 { return g.delay + 2 }
+
 // NextWake implements Network. A source queue's head moves when the
 // port frees (srcBusy); the delay FIFOs are the arrival ports. A head
 // already movable makes now the answer — the destination-FIFO-full

@@ -219,6 +219,10 @@ func (m *Mesh) Tick(now uint64) {
 	}
 }
 
+// MinTransit implements Network: a packet already at its last router is
+// one flit from ejection.
+func (m *Mesh) MinTransit() uint64 { return 1 }
+
 // NextWake implements Network: the earliest router wake, which is the
 // next cycle a Tick can do anything — a busy output link is waited out,
 // not polled.

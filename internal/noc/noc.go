@@ -85,6 +85,12 @@ type Network interface {
 	// becomes deliverable at node p, and self — the network's own slot —
 	// is woken by every accepted Inject. Unattached, it wakes nobody.
 	Attach(self sim.Waker, nodes []sim.Waker)
+	// MinTransit is the model's lookahead: a packet not yet in an arrival
+	// port when cycle t executes is deliverable no sooner than
+	// t+MinTransit(), whatever is injected at t or later — the one-flit
+	// transit of an idle network. A node thus knows at t every arrival it
+	// can see before then. At least 1, constant for the network's life.
+	MinTransit() uint64
 	// Tick advances internal state by one cycle.
 	Tick(now uint64)
 	// Quiet reports whether no packets are in flight or queued.

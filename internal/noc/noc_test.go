@@ -131,6 +131,55 @@ func TestMinimumLatency(t *testing.T) {
 	}
 }
 
+// TestMinTransitIsTheIdleOneFlitTransit pins the lookahead each model
+// states where no pinned run can see it (every coherence message is two
+// flits or more, so a bound a cycle or two too long passes them all): a
+// one-flit packet a node injects at cycle t on an idle network — the
+// node's turn, then the network's, as the engine orders them — is
+// deliverable at exactly t + MinTransit(), for configurations off the
+// defaults too. The mesh's bound is its last hop, ejection one flit
+// after a packet reaches its own router; only a self-send is that close.
+func TestMinTransitIsTheIdleOneFlitTransit(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		n        Network
+		src, dst int
+		want     uint64
+	}{
+		{"gmn", NewGMN(DefaultGMNConfig(9)), 0, 5, uint64(MeshLatency(9, 2, 3)) + 2},
+		{"gmn/delay=1", NewGMN(GMNConfig{Nodes: 4, Delay: 1, FIFODepth: 1, SrcDepth: 1}), 3, 0, 3},
+		{"gmn/n131", NewGMN(DefaultGMNConfig(131)), 130, 7, 19 + 2},
+		{"bus", NewBus(DefaultBusConfig(9)), 0, 5, 3},
+		{"bus/arb=0", NewBus(BusConfig{Nodes: 4, ArbDelay: 0, QueueDepth: 1}), 2, 1, 1},
+		{"mesh", NewMesh(DefaultMeshConfig(9)), 4, 4, 1},
+		{"mesh/delay=3", NewMesh(MeshConfig{Nodes: 4, RouterDelay: 3, QueueDepth: 1}), 0, 0, 1},
+	} {
+		if got := c.n.MinTransit(); got != c.want {
+			t.Errorf("%s: MinTransit() = %d, want %d", c.name, got, c.want)
+		}
+		const at = 5
+		for cyc := uint64(0); cyc < at+100; cyc++ {
+			if cyc == at && !c.n.Inject(Packet{Src: c.src, Dst: c.dst, Bytes: FlitBytes}, cyc) {
+				t.Fatalf("%s: idle network refused the packet", c.name)
+			}
+			c.n.Tick(cyc)
+			if arr := c.n.ArrivalAt(c.dst); arr != sim.NoWake {
+				if arr != at+c.n.MinTransit() || cyc != at {
+					t.Errorf("%s: injected at %d, deliverable at %d (known at %d), want %d known at once",
+						c.name, at, arr, cyc, at+c.n.MinTransit())
+				}
+				break
+			}
+		}
+		if _, ok := c.n.Deliver(c.dst, at+c.n.MinTransit()-1); ok {
+			t.Errorf("%s: delivered a cycle early", c.name)
+		}
+		if _, ok := c.n.Deliver(c.dst, at+c.n.MinTransit()); !ok {
+			t.Errorf("%s: not delivered at inject + MinTransit", c.name)
+		}
+	}
+}
+
 func TestPerPairOrdering(t *testing.T) {
 	for _, nc := range nets(9) {
 		t.Run(nc.name, func(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 // offer their backlog in order until refused, as coherence.Node does,
 // and every sink refuses one cycle in three, so injection backpressure,
 // full internal FIFOs and delivered-but-unconsumed packets all occur.
+// No packet may be delivered sooner than MinTransit after its Inject.
 func scriptedTraffic(t *testing.T, n Network) string {
 	t.Helper()
 	const nodes, genCycles, perCycle = 9, 40, 3
@@ -31,6 +32,7 @@ func scriptedTraffic(t *testing.T, n Network) string {
 	}
 	backlog := make([][]Packet, nodes)
 	delivered := make([]int, 0, genCycles*perCycle)
+	var accepted [genCycles * perCycle]uint64 // the cycle each packet's Inject was taken
 	pending, wakeHash := 0, uint64(14695981039346656037)
 	for cyc := uint64(0); ; cyc++ {
 		if cyc > 20000 {
@@ -60,10 +62,14 @@ func scriptedTraffic(t *testing.T, n Network) string {
 				if !ok || p.Dst != node {
 					t.Fatalf("cycle %d node %d: arrival due but Deliver = %+v, %v", cyc, node, p, ok)
 				}
+				if at := accepted[p.Payload.(int)]; cyc < at+n.MinTransit() {
+					t.Fatalf("packet %d accepted at %d, delivered at %d: sooner than MinTransit() = %d", p.Payload, at, cyc, n.MinTransit())
+				}
 				delivered[p.Payload.(int)] = int(cyc)
 				pending--
 			}
 			for len(backlog[node]) > 0 && n.Inject(backlog[node][0], cyc) {
+				accepted[backlog[node][0].Payload.(int)] = cyc
 				backlog[node] = backlog[node][1:]
 			}
 		}

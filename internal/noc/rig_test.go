@@ -84,13 +84,14 @@ func (c rigCase) String() string {
 type rigNet struct {
 	Network
 	backlog  [][]Packet
-	at       []int
+	at       []int    // delivery cycle by packet id, -1 until then
+	accepted []uint64 // the cycle the packet's Inject was taken
 	pending  int
 	injected uint64 // the last cycle an Inject was accepted
 }
 
 func newRigNet(n Network, c rigCase) *rigNet {
-	r := &rigNet{Network: n, backlog: make([][]Packet, c.nodes), at: make([]int, c.packets)}
+	r := &rigNet{Network: n, backlog: make([][]Packet, c.nodes), at: make([]int, c.packets), accepted: make([]uint64, c.packets)}
 	for i := range r.at {
 		r.at[i] = -1
 	}
@@ -121,10 +122,14 @@ func (r *rigNet) nodeAct(t *testing.T, c rigCase, cyc uint64, node int) {
 		if !ok || p.Dst != node || r.at[p.Payload.(int)] != -1 {
 			t.Fatalf("%v cycle %d node %d: arrival due, but Deliver = %+v, %v", c, cyc, node, p, ok)
 		}
+		if at := r.accepted[p.Payload.(int)]; cyc < at+r.MinTransit() {
+			t.Fatalf("%v: packet %d accepted at %d, delivered at %d: sooner than MinTransit() = %d", c, p.Payload, at, cyc, r.MinTransit())
+		}
 		r.at[p.Payload.(int)] = int(cyc)
 		r.pending--
 	}
 	for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) {
+		r.accepted[r.backlog[node][0].Payload.(int)] = cyc
 		r.backlog[node] = r.backlog[node][1:]
 		r.injected = cyc
 	}
@@ -149,7 +154,8 @@ func (r *rigNet) nodeAct(t *testing.T, c rigCase, cyc uint64, node int) {
 //     merely safe — "now while anything is queued" — fails (tightness).
 //
 // The occupancy sets and the routers' cached routes are checked against
-// the queues they summarise after every cycle.
+// the queues they summarise after every cycle, and no packet is
+// delivered sooner than its model's MinTransit after its Inject.
 func TestDifferentialRig(t *testing.T) {
 	seeds := 216
 	if testing.Short() {

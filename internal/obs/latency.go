@@ -128,15 +128,6 @@ func (r *Recorder) LatencyReport() *LatencyReport {
 	return rep
 }
 
-// Histogram exposes the raw histogram of one request class (tests and
-// custom reporting).
-func (r *Recorder) Histogram(k LatKind) *stats.Histogram {
-	if r == nil {
-		return nil
-	}
-	return &r.lat.hist[k]
-}
-
 // String renders the report as an aligned table.
 func (rep *LatencyReport) String() string {
 	if rep == nil || len(rep.Entries) == 0 {

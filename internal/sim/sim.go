@@ -27,6 +27,13 @@
 // it runs every cycle and no cycle it is registered for is ever leaped.
 // Within one cycle the full order is: tickers in registration order,
 // then Every hooks, then — from Run — the watchdogs.
+//
+// A ticker may also act early: execute, inside the Tick of cycle t, the
+// cycles after t on which it only touches state no other ticker can
+// observe before their cycle (a core hitting in its own caches, with no
+// message able to reach it sooner). What watches from outside the
+// tickers — Every hooks, the deadline, the cycle Run or Step stops at —
+// bounds that through Engine.Horizon.
 package sim
 
 import "fmt"
@@ -65,6 +72,10 @@ func (f TickFunc) Tick(now uint64) { f(now) }
 // boundaries. It must therefore depend only on state the ticker's own
 // Tick changes, which is frozen while the ticker sleeps.
 //
+// A ticker that acted early (see the package comment) answers NextWake
+// with the first cycle it has not executed, charges nothing in Skip
+// below it, and never runs past Engine.Horizon.
+//
 // A run scheduled through Sleepers is byte-identical to the naive run
 // that ticks everything every cycle, just faster.
 type Sleeper interface {
@@ -94,7 +105,9 @@ type Engine struct {
 	// dense word per ticker, so a sleeping machine is a scan. Step and Run
 	// forget it on entry: code between calls may touch anything (Table
 	// 1's probes drive the caches between Steps).
-	wake      []uint64
+	wake []uint64
+	// limit is the cycle the advance in progress may not reach past.
+	limit     uint64
 	periodics []periodic
 	watchdogs []func(now uint64) error
 
@@ -211,6 +224,21 @@ func (e *Engine) NextWake(now uint64) uint64 {
 	return wake
 }
 
+// Horizon is the bound observers impose on a ticker acting early inside
+// its Tick: the first cycle it may not execute yet — the limit of the Run
+// or Step in progress or the next Every boundary, whichever comes first
+// — so no hook, deadline or returning Step sees it ahead of the clock.
+// (done, or a watchdog aborting the run, may: see Run.) Only meaningful
+// in a Tick.
+func (e *Engine) Horizon() uint64 {
+	h := e.limit
+	for i := range e.periodics {
+		p := &e.periodics[i]
+		h = min(h, (e.now/p.interval+1)*p.interval)
+	}
+	return h
+}
+
 // Every registers fn to run each time interval further cycles have
 // completed (at cycles interval, 2*interval, ...), after every ticker
 // of that cycle. It is the observability sampling hook: fn must only
@@ -261,6 +289,7 @@ func (e *Engine) Step() {
 //lint:hot
 func (e *Engine) advance(limit uint64) bool {
 	now := e.now
+	e.limit = limit
 	ran := false
 	for i, w := range e.wake { // read at slot i's turn: an earlier slot's Wake counts
 		if w > now {
@@ -365,7 +394,9 @@ func (e *ErrDeadline) Error() string {
 // only: a span with every ticker asleep is frozen by definition, so a
 // watchdog that would fire during it already fired at the poll after
 // the last executed cycle. Like watchdogs, done must not read
-// Skip-charged counters; they are exact again when Run returns.
+// Skip-charged counters — exact again when Run returns — nor what a
+// ticker may do early: when done (or a watchdog) ends the run, a ticker
+// can be ahead of the clock; the NextWake the next Run opens with says so.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	start := e.now
 	limit := NoWake

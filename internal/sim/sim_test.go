@@ -673,6 +673,83 @@ func equalU64(got, want []uint64) bool {
 	return true
 }
 
+// eager is a ticker that acts early: inside each Tick it also executes
+// the cycles up to the engine's Horizon (at most reach of them), says so
+// through NextWake and charges nothing below in Skip. It fails the test
+// if it is ticked behind what it executed or past a cycle nobody ran.
+type eager struct {
+	t     *testing.T
+	e     *Engine
+	reach uint64
+	ahead uint64 // first cycle neither executed nor slept through
+	slept uint64 // cycles charged by Skip
+}
+
+func (g *eager) Tick(now uint64) {
+	if now != g.ahead {
+		g.t.Fatalf("Tick(%d) with cycles up to %d accounted for", now, g.ahead)
+	}
+	g.ahead = max(now+1, min(now+1+g.reach, g.e.Horizon()))
+}
+
+func (g *eager) NextWake(now uint64) uint64 { return max(now, g.ahead) }
+func (g *eager) Skip(from, to uint64) {
+	if from = max(from, g.ahead); from < to {
+		g.slept, g.ahead = g.slept+to-from, to
+	}
+}
+
+// TestHorizonBoundsATickerActingEarly pins Engine.Horizon from the three
+// sides that impose it: an Every hook never finds the ticker ahead of the
+// clock, a deadline never finds it past the limit, a Step leaves it
+// exactly at the clock. A Run that done ends may leave it ahead — the
+// benchmark's slices do — and the Run that follows, having forgotten
+// every wake, must pick it up from its NextWake without ticking it early.
+func TestHorizonBoundsATickerActingEarly(t *testing.T) {
+	build := func() (*Engine, *eager) {
+		e := NewEngine()
+		g := &eager{t: t, e: e, reach: 7}
+		e.Register("eager", g)
+		e.Register("plain", TickFunc(func(uint64) {})) // always awake: no cycle is leaped
+		return e, g
+	}
+	e, g := build()
+	hooks := 0
+	e.Every(10, func(now uint64) {
+		hooks++
+		if g.ahead != now {
+			t.Fatalf("hook at %d: ticker has executed up to %d", now, g.ahead)
+		}
+	})
+	for i := 0; i < 3; i++ {
+		e.Step()
+		if g.ahead != e.Now() {
+			t.Fatalf("after Step %d the ticker is at %d, the clock at %d", i, g.ahead, e.Now())
+		}
+	}
+	if _, err := e.Run(92, func() bool { return false }); err == nil || g.ahead != 95 || e.Now() != 95 {
+		t.Fatalf("deadline: err=%v, ticker at %d, clock at %d; want both at 95", err, g.ahead, e.Now())
+	}
+	if hooks != 9 || g.slept != 0 {
+		t.Fatalf("%d hooks fired, %d cycles charged to Skip; want 9 and 0", hooks, g.slept)
+	}
+	// done-ended slices, no hook in the way: the ticker is ahead at the
+	// boundary and the next Run resumes it where it stands.
+	e, g = build()
+	aheadAtBoundary := 0
+	for end := uint64(5); end <= 60; end += 5 {
+		if _, err := e.Run(1000, func() bool { return e.Now() >= end }); err != nil || e.Now() != end {
+			t.Fatalf("slice to %d: err=%v, clock at %d", end, err, e.Now())
+		}
+		if g.ahead > end {
+			aheadAtBoundary++
+		}
+	}
+	if aheadAtBoundary == 0 || g.slept != 0 {
+		t.Fatalf("ticker ahead at %d slice boundaries, %d cycles charged to Skip", aheadAtBoundary, g.slept)
+	}
+}
+
 func TestPortLatency(t *testing.T) {
 	p := NewPort[int](0)
 	p.Send(42, 10)

@@ -7,7 +7,7 @@ import (
 
 // Table renders tabular experiment results as aligned ASCII or CSV. It
 // is the single formatting path for every table and figure harness so
-// the output of cmd/sweep, the examples, and the benchmarks all look
+// the output of cmd/sweep, cmd/mcsim and the benchmarks all look
 // alike.
 type Table struct {
 	Title   string
