@@ -45,3 +45,22 @@ func TestAssembleDisasmRun(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlappingOrgIsAnInputError: two segments laid over each other
+// are the user's mistake, reported as one asm: line and exit status 1,
+// not as a panic out of the image loader.
+func TestOverlappingOrgIsAnInputError(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "t.s")
+	if err := os.WriteFile(src, []byte(".org 0x1000\n.word 1, 2\n.org 0x1004\n.word 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "SR32ASM_TEST_ARGS=-run "+src)
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("sr32asm -run: %v, want exit status 1\n%s", err, out)
+	}
+	if s := string(out); !strings.Contains(s, "asm: line 4: 0x1004 overlaps the segment at 0x1000") || strings.Contains(s, "goroutine") {
+		t.Errorf("output:\n%s", s)
+	}
+}

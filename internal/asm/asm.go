@@ -1,28 +1,40 @@
-// Package asm is a two-pass text assembler for SR32. It accepts the
-// syntax produced by isa.Disasm plus labels, directives and the usual
-// pseudo-instructions, and produces a loadable memory image. The
-// programmatic builder in internal/codegen is the primary code path
-// for the workloads; the assembler exists for hand-written test
-// programs and the sr32asm command-line tool.
+// Package asm is a two-pass text assembler for SR32. The programmatic
+// builder in internal/codegen is the primary code path for the
+// workloads; the assembler exists for hand-written test programs and
+// the sr32asm command-line tool.
+//
+// How an instruction is written is not decided here: each row of
+// internal/isa's op table spells its operands in syntax letters
+// (isa.Op.Syntax), isa.Disasm prints from that string and this package
+// parses from it, so whatever Disasm prints assembles back to the same
+// word (TestSyntaxTableRoundTrip walks every op). The pseudo-instructions
+// (b, j, ret, mv, li, la) rewrite themselves into a machine instruction
+// before the table is consulted. Adding an instruction is one isa table
+// row with its syntax string and one case in the cpu's exec (optionally
+// a codegen.Builder emitter); nothing changes here.
 //
 // Syntax:
 //
 //	# comment            ; comment
 //	label:               (labels may share a line with an instruction)
 //	add  rd, rs1, rs2    lw rd, off(rs)      sw rs, off(rs)
-//	beq  rs1, rs2, label jal label           jalr rd, rs, off
+//	beq  rs1, rs2, addr  jal addr            jalr rd, rs, off
 //	li   rd, imm32       la rd, symbol       mv rd, rs
-//	b    label           j label             nop   ret   halt
+//	b    addr            j addr              nop   ret   halt
 //	.org addr            .word v[, v...]     .float f[, f...]
 //	.space n             .align n            .equ name, value
 //
-// Registers accept numeric (r0..r31, f0..f31) and ABI names (zero, id,
-// nc, a0..a5, t0..t7, s0..s8, gp, k0, k1, sp, fp, ra).
+// Every number — immediate, offset, code address, li/la value, directive
+// operand — is a literal (decimal or 0x hex, signed) or a symbol with an
+// optional +N/-N; code addresses and li/la values may name symbols
+// defined later in the source. Registers accept numeric (r0..r31,
+// f0..f31) and ABI names (zero, id, nc, a0..a5, t0..t7, s0..s8, gp, k0,
+// k1, sp, fp, ra). Segments laid over each other (.org back into
+// assembled words) are an error.
 package asm
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -77,61 +89,44 @@ var regNames = map[string]uint8{
 	"gp": 26, "k1": 27, "k0": 28, "sp": 29, "fp": 30, "ra": 31,
 }
 
-// parseReg accepts r<N> or an ABI alias.
-func parseReg(tok string) (uint8, error) {
+// parseReg accepts r<N> or an ABI alias, or with float set f<N>.
+func parseReg(tok string, float bool) (uint8, error) {
 	tok = strings.ToLower(tok)
-	if r, ok := regNames[tok]; ok {
+	prefix, kind := "r", "register"
+	if float {
+		prefix, kind = "f", "float register"
+	} else if r, ok := regNames[tok]; ok {
 		return r, nil
 	}
-	if strings.HasPrefix(tok, "r") {
+	if strings.HasPrefix(tok, prefix) {
 		if n, err := strconv.Atoi(tok[1:]); err == nil && n >= 0 && n <= 31 {
 			return uint8(n), nil
 		}
 	}
-	return 0, fmt.Errorf("bad register %q", tok)
+	return 0, fmt.Errorf("bad %s %q", kind, tok)
 }
 
-// parseFReg accepts f<N>.
-func parseFReg(tok string) (uint8, error) {
-	tok = strings.ToLower(tok)
-	if strings.HasPrefix(tok, "f") {
-		if n, err := strconv.Atoi(tok[1:]); err == nil && n >= 0 && n <= 31 {
-			return uint8(n), nil
-		}
-	}
-	return 0, fmt.Errorf("bad float register %q", tok)
-}
-
-// item is one assembled unit: either a literal word, an instruction
-// (possibly needing fixup), or reserved space.
+// item is one assembled unit: an instruction, literal words, or
+// reserved space.
 type item struct {
 	line  int
+	name  string // mnemonic as written, for diagnostics
 	addr  uint32
 	words int
 
-	raw     []uint32 // literal data (directives)
-	in      isa.Instr
-	isInstr bool
-	fix     fixKind
-	sym     string // fixup target symbol
-	symOff  int32
+	raw []uint32  // literal data; nil (and no instruction) is .space
+	in  isa.Instr // Op == OpInvalid for data
+	// target is the operand pass 2 resolves, once every symbol is
+	// known: the code address of a branch or jal, or (words == 2) the
+	// value li/la load with lui+ori.
+	target string
 }
-
-type fixKind uint8
-
-const (
-	fixNone fixKind = iota
-	fixBranch
-	fixJal
-	fixLiLa // two-word li/la of a symbol
-)
 
 // Assembler holds the two-pass state.
 type Assembler struct {
-	items  []item
-	syms   map[string]uint32
-	pc     uint32
-	orgSet bool
+	items []item
+	syms  map[string]uint32
+	pc    uint32
 }
 
 // New returns an assembler with the program counter at base.
@@ -205,100 +200,75 @@ func splitOperands(s string) []string {
 	return parts
 }
 
-// Finish resolves fixups and produces the program.
+// Finish resolves what pass 1 left for it and produces the program:
+// one segment per run of contiguous items, in source order.
 func (a *Assembler) Finish() (*Program, error) {
 	p := &Program{Segments: make(map[uint32][]uint32), Symbols: a.syms}
-	// Resolve and encode.
-	var segBase uint32
-	var seg []uint32
-	var started bool
-	flush := func() {
-		if started && len(seg) > 0 {
-			p.Segments[segBase] = seg
-		}
-		seg = nil
-		started = false
-	}
-	expect := uint32(0)
+	var bases []uint32 // of p.Segments, in source order
+	var end uint64     // of the segment being extended
 	for _, it := range a.items {
-		if !started || it.addr != expect {
-			flush()
-			segBase = it.addr
-			started = true
-		}
 		words, err := a.encodeItem(&it)
 		if err != nil {
 			return nil, err
 		}
-		seg = append(seg, words...)
-		expect = it.addr + uint32(4*len(words))
-	}
-	flush()
-	if e, ok := a.syms["_start"]; ok {
-		p.Entry = e
-	} else {
-		min := uint32(math.MaxUint32)
-		for base := range p.Segments {
-			if base < min {
-				min = base
+		lo := uint64(it.addr)
+		hi := lo + 4*uint64(len(words))
+		for _, b := range bases {
+			if lo < uint64(b)+4*uint64(len(p.Segments[b])) && uint64(b) < hi {
+				return nil, &Error{Line: it.line, Msg: fmt.Sprintf("%#x overlaps the segment at %#x", lo, b)}
 			}
 		}
-		if min != math.MaxUint32 {
-			p.Entry = min
+		if lo != end || len(bases) == 0 {
+			bases = append(bases, it.addr)
 		}
+		base := bases[len(bases)-1]
+		p.Segments[base] = append(p.Segments[base], words...)
+		end = hi
+	}
+	for i, b := range bases {
+		if i == 0 || b < p.Entry {
+			p.Entry = b
+		}
+	}
+	if e, ok := a.syms["_start"]; ok {
+		p.Entry = e
 	}
 	return p, nil
 }
 
-func (a *Assembler) resolve(it *item) (uint32, error) {
-	v, ok := a.syms[it.sym]
-	if !ok {
-		return 0, &Error{Line: it.line, Msg: fmt.Sprintf("undefined symbol %q", it.sym)}
-	}
-	return v + uint32(it.symOff), nil
-}
-
+// encodeItem is pass 2 for one item.
 func (a *Assembler) encodeItem(it *item) ([]uint32, error) {
-	if !it.isInstr {
+	if it.in.Op == isa.OpInvalid {
 		if it.raw != nil {
 			return it.raw, nil
 		}
 		return make([]uint32, it.words), nil // .space
 	}
-	switch it.fix {
-	case fixNone:
-		w, err := isa.Encode(it.in)
-		if err != nil {
-			return nil, &Error{Line: it.line, Msg: err.Error()}
+	bad := func(err error) ([]uint32, error) {
+		return nil, &Error{Line: it.line, Msg: it.name + ": " + err.Error()}
+	}
+	ins := []isa.Instr{it.in}
+	if it.target != "" {
+		v, err := a.parseNum(it.target)
+		switch {
+		case err != nil:
+			return bad(err)
+		case it.words == 2: // li/la: pass 1's lui takes the high half, an ori the low
+			ins[0].Imm = int32(int16(v >> 16))
+			ins = append(ins, isa.Instr{Op: isa.OpOri, Rd: it.in.Rd, Rs1: it.in.Rd, Imm: int32(int16(v))})
+		case v&3 != 0:
+			return bad(fmt.Errorf("branch target %#x not word aligned", v))
+		default:
+			ins[0].Imm = int32(uint32(v)-it.addr-4) / 4
 		}
-		return []uint32{w}, nil
-	case fixBranch, fixJal:
-		target, err := a.resolve(it)
-		if err != nil {
-			return nil, err
-		}
-		if target&3 != 0 {
-			return nil, &Error{Line: it.line, Msg: "branch target not word aligned"}
-		}
-		in := it.in
-		in.Imm = (int32(target) - int32(it.addr+4)) / 4
+	}
+	words := make([]uint32, len(ins))
+	for i, in := range ins {
 		w, err := isa.Encode(in)
 		if err != nil {
-			return nil, &Error{Line: it.line, Msg: err.Error()}
+			return bad(err)
 		}
-		return []uint32{w}, nil
-	case fixLiLa:
-		v, err := a.resolve(it)
-		if err != nil {
-			return nil, err
-		}
-		hi, err1 := isa.Encode(isa.Instr{Op: isa.OpLui, Rd: it.in.Rd, Imm: int32(int16(v >> 16))})
-		lo, err2 := isa.Encode(isa.Instr{Op: isa.OpOri, Rd: it.in.Rd, Rs1: it.in.Rd, Imm: int32(int16(v & 0xffff))})
-		if err1 != nil || err2 != nil {
-			return nil, &Error{Line: it.line, Msg: "cannot encode la"}
-		}
-		return []uint32{hi, lo}, nil
-	default:
-		return nil, &Error{Line: it.line, Msg: "internal: unknown fixup"}
+		words[i] = w
 	}
+	return words, nil
 }

@@ -158,7 +158,18 @@ _start:
     cvtsw r9, f10
     fneg f1, f2
     jalr r1, r2, 8
+back:
+    beq  r1, r2, back
+    bne  r3, r4, 0x1000
+    blt  r5, r6, fwd
+    bge  r7, r8, fwd+4
+    bltu r9, r10, back-8
+    bgeu r11, r12, _start
+    jal  fwd
+    jal  0x2000
     nop
+fwd:
+    halt
     halt
 `
 	p1 := mustAssemble(t, src)
@@ -195,11 +206,20 @@ func TestAssemblerErrors(t *testing.T) {
 		{"bad directive", ".bogus 1"},
 		{"odd space", ".space 3"},
 		{"missing operand", "add r1, r2"},
+		{"extra operand", "halt r1"},
+		{"float register for an integer one", "add r1, f2, r3"},
+		{"integer register for a float one", "fadd f1, r2, f3"},
+		{"memory operand without ( )", "lw r1, 4"},
+		{"empty operand", "beq r1, r2,"},
+		{"overlapping .org", ".org 0x1000\n.word 1, 2\n.org 0x1004\n.word 3"},
+		{".org back onto the first segment", "x: .word 1\n.org 0x1000\nhalt"},
+		{"growing into a later segment", ".org 0x1008\n.word 1\n.org 0x1000\n.word 1, 2, 3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Assemble(c.src, 0x1000); err == nil {
-				t.Fatalf("assembled %q without error", c.src)
+			_, err := Assemble(c.src, 0x1000)
+			if _, ok := err.(*Error); !ok {
+				t.Fatalf("Assemble(%q) = %v, want an *asm.Error", c.src, err)
 			}
 		})
 	}
@@ -243,6 +263,72 @@ func TestErrorFormatting(t *testing.T) {
 	}
 	if e.Line != 1 || !strings.Contains(e.Error(), "line 1") {
 		t.Fatalf("error = %v", e)
+	}
+	// An operand error names the mnemonic as written and the operand.
+	for src, want := range map[string]string{
+		"add r1, r99, r2":           `asm: line 1: add: bad register "r99"`,
+		"nop\naddi r1, r0, 100000":  `asm: line 2: addi: immediate 100000 out of range`,
+		"mv r1":                     `asm: line 1: mv: needs 2 operands, got 1`,
+		"flw f1, 4(f2)":             `asm: line 1: flw: bad register "f2"`,
+		"la t0, nowhere":            `asm: line 1: la: undefined symbol or bad number "nowhere"`,
+		".word 1\n.org 0x1000\nj 0": `asm: line 3: 0x1000 overlaps the segment at 0x1000`,
+	} {
+		if _, err := Assemble(src, 0x1000); err == nil || err.Error() != want {
+			t.Errorf("Assemble(%q) = %v, want %s", src, err, want)
+		}
+	}
+}
+
+// TestSyntaxTableRoundTrip holds the assembler to isa's operand-syntax
+// table: for every defined op, with each operand drawn at both ends of
+// its range (registers 0 and 31, the immediate field's limits, near and
+// farthest targets either side of the instruction), the text Disasm
+// prints assembles to the word Encode gives, and that word disassembles
+// to the same text.
+func TestSyntaxTableRoundTrip(t *testing.T) {
+	const pc = 0x40000
+	draws := []struct {
+		reg      uint8
+		imm, rel int32 // rel: target offset in words, scaled to the class below
+	}{
+		{0, isa.ImmIMin, -1}, {31, isa.ImmIMax, 1}, {7, -1, -3}, {24, 12, 9},
+	}
+	for op := isa.OpInvalid + 1; op != isa.OpInvalid; op++ { // every Op value
+		if _, ok := isa.OpByName(op.Name()); !ok {
+			continue
+		}
+		for _, d := range draws {
+			in := isa.Instr{Op: op}
+			for _, c := range []byte(op.Syntax()) {
+				switch c {
+				case isa.SynImm:
+					in.Imm = d.imm
+				case isa.SynMem:
+					in.Imm, in.Rs1 = d.imm, d.reg
+				case isa.SynAddr:
+					in.Imm = d.rel
+					if d.rel == -1 || d.rel == 1 { // the farthest target
+						in.Imm *= isa.ImmIMax
+						if op.Class() == isa.ClassJ {
+							in.Imm = d.rel * isa.ImmJMax
+						}
+					}
+				default:
+					*in.Reg(c) = d.reg
+				}
+			}
+			text := isa.Disasm(in, pc)
+			prog, err := Assemble(text, pc)
+			if err != nil {
+				t.Errorf("%q: %v", text, err)
+				continue
+			}
+			if got, want := prog.Segments[pc], isa.MustEncode(in); len(got) != 1 || got[0] != want {
+				t.Errorf("%q assembled to %#x, Encode gives %#08x", text, got, want)
+			} else if again := isa.Disasm(isa.Decode(got[0]), pc); again != text {
+				t.Errorf("%q disassembles back as %q", text, again)
+			}
+		}
 	}
 }
 

@@ -40,30 +40,13 @@ func (a *Assembler) parseNum(tok string) (int64, error) {
 	return 0, fmt.Errorf("undefined symbol or bad number %q", tok)
 }
 
-// parseMemOperand parses "off(rs)" where off may be empty or a number.
-func (a *Assembler) parseMemOperand(tok string) (int32, uint8, error) {
-	open := strings.Index(tok, "(")
-	close := strings.LastIndex(tok, ")")
-	if open < 0 || close < open {
-		return 0, 0, fmt.Errorf("bad memory operand %q", tok)
+// imm parses an operand that must fit the I-type immediate field.
+func (a *Assembler) imm(tok string) (int32, error) {
+	v, err := a.parseNum(tok)
+	if err == nil && (v < isa.ImmIMin || v > isa.ImmIMax) {
+		err = fmt.Errorf("immediate %d out of range", v)
 	}
-	offTok := strings.TrimSpace(tok[:open])
-	off := int64(0)
-	if offTok != "" {
-		v, err := a.parseNum(offTok)
-		if err != nil {
-			return 0, 0, err
-		}
-		off = v
-	}
-	reg, err := parseReg(strings.TrimSpace(tok[open+1 : close]))
-	if err != nil {
-		return 0, 0, err
-	}
-	if off < isa.ImmIMin || off > isa.ImmIMax {
-		return 0, 0, fmt.Errorf("offset %d out of range", off)
-	}
-	return int32(off), reg, nil
+	return int32(v), err
 }
 
 func (a *Assembler) push(it item) {
@@ -150,259 +133,79 @@ func (a *Assembler) directive(ln int, op, rest string) error {
 	return nil
 }
 
-func (a *Assembler) instruction(ln int, op, rest string) error {
+// instruction assembles one instruction: it looks the mnemonic up in
+// isa's table and parses one operand per letter of the row's syntax.
+// No machine instruction is named here; the six pseudo-instructions
+// first rewrite themselves into one, in source text.
+func (a *Assembler) instruction(ln int, name, rest string) error {
 	ops := splitOperands(rest)
 	bad := func(format string, args ...any) error {
-		return &Error{Line: ln, Msg: fmt.Sprintf(format, args...)}
+		return &Error{Line: ln, Msg: name + ": " + fmt.Sprintf(format, args...)}
 	}
-	need := func(n int) error {
-		if len(ops) != n {
-			return bad("%s needs %d operands, got %d", op, n, len(ops))
+	for _, tok := range ops {
+		if tok == "" {
+			return bad("empty operand")
 		}
-		return nil
 	}
-	reg := func(i int) (uint8, error) { return parseReg(ops[i]) }
-	freg := func(i int) (uint8, error) { return parseFReg(ops[i]) }
-	num := func(i int) (int64, error) { return a.parseNum(ops[i]) }
-
-	pushIns := func(in isa.Instr) {
-		a.push(item{line: ln, words: 1, isInstr: true, in: in})
-	}
-
-	switch op {
-	case "add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt", "sltu", "mul", "div", "rem":
-		if err := need(3); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		rd, e1 := reg(0)
-		rs1, e2 := reg(1)
-		rs2, e3 := reg(2)
-		if e1 != nil || e2 != nil || e3 != nil {
-			return bad("bad register in %s", op)
-		}
-		pushIns(isa.Instr{Op: o, Rd: rd, Rs1: rs1, Rs2: rs2})
-
-	case "addi", "andi", "ori", "xori", "slti", "slli", "srli", "srai":
-		if err := need(3); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		rd, e1 := reg(0)
-		rs1, e2 := reg(1)
-		v, e3 := num(2)
-		if e1 != nil || e2 != nil {
-			return bad("bad register in %s", op)
-		}
-		if e3 != nil {
-			return bad("%v", e3)
-		}
-		if v < isa.ImmIMin || v > isa.ImmIMax {
-			return bad("immediate %d out of range", v)
-		}
-		pushIns(isa.Instr{Op: o, Rd: rd, Rs1: rs1, Imm: int32(v)})
-
-	case "lui":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := reg(0)
-		v, e2 := num(1)
-		if e1 != nil || e2 != nil {
-			return bad("bad lui operands")
-		}
-		pushIns(isa.Instr{Op: isa.OpLui, Rd: rd, Imm: int32(v)})
-
-	case "lw", "lb", "lbu", "swap":
-		if err := need(2); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		rd, e1 := reg(0)
-		off, rs, e2 := a.parseMemOperand(ops[1])
-		if e1 != nil || e2 != nil {
-			return bad("bad %s operands", op)
-		}
-		pushIns(isa.Instr{Op: o, Rd: rd, Rs1: rs, Imm: off})
-
-	case "sw", "sb":
-		if err := need(2); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		src, e1 := reg(0)
-		off, rs, e2 := a.parseMemOperand(ops[1])
-		if e1 != nil || e2 != nil {
-			return bad("bad %s operands", op)
-		}
-		pushIns(isa.Instr{Op: o, Rd: src, Rs1: rs, Imm: off})
-
-	case "flw", "fsw":
-		if err := need(2); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		fr, e1 := freg(0)
-		off, rs, e2 := a.parseMemOperand(ops[1])
-		if e1 != nil || e2 != nil {
-			return bad("bad %s operands", op)
-		}
-		pushIns(isa.Instr{Op: o, Rd: fr, Rs1: rs, Imm: off})
-
-	case "beq", "bne", "blt", "bge", "bltu", "bgeu":
-		if err := need(3); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		rs1, e1 := reg(0)
-		rs2, e2 := reg(1)
-		if e1 != nil || e2 != nil {
-			return bad("bad register in %s", op)
-		}
-		a.push(item{line: ln, words: 1, isInstr: true, fix: fixBranch, sym: ops[2],
-			in: isa.Instr{Op: o, Rd: rs2, Rs1: rs1}})
-
+	it := item{line: ln, name: name, words: 1}
+	mnem, added := name, 0 // added: operands the rewrite supplies
+	switch name {
 	case "b", "j":
-		if err := need(1); err != nil {
-			return err
-		}
-		a.push(item{line: ln, words: 1, isInstr: true, fix: fixBranch, sym: ops[0],
-			in: isa.Instr{Op: isa.OpBeq}})
-
-	case "jal":
-		if err := need(1); err != nil {
-			return err
-		}
-		a.push(item{line: ln, words: 1, isInstr: true, fix: fixJal, sym: ops[0],
-			in: isa.Instr{Op: isa.OpJal}})
-
-	case "jalr":
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, e1 := reg(0)
-		rs, e2 := reg(1)
-		v, e3 := num(2)
-		if e1 != nil || e2 != nil || e3 != nil {
-			return bad("bad jalr operands")
-		}
-		pushIns(isa.Instr{Op: isa.OpJalr, Rd: rd, Rs1: rs, Imm: int32(v)})
-
+		mnem, ops, added = "beq", append([]string{"r0", "r0"}, ops...), 2
 	case "ret":
-		pushIns(isa.Instr{Op: isa.OpJalr, Rs1: 31})
-
-	case "fadd", "fsub", "fmul", "fdiv":
-		if err := need(3); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		fd, e1 := freg(0)
-		fa, e2 := freg(1)
-		fb, e3 := freg(2)
-		if e1 != nil || e2 != nil || e3 != nil {
-			return bad("bad %s operands", op)
-		}
-		pushIns(isa.Instr{Op: o, Rd: fd, Rs1: fa, Rs2: fb})
-
-	case "feq", "flt", "fle":
-		if err := need(3); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		rd, e1 := reg(0)
-		fa, e2 := freg(1)
-		fb, e3 := freg(2)
-		if e1 != nil || e2 != nil || e3 != nil {
-			return bad("bad %s operands", op)
-		}
-		pushIns(isa.Instr{Op: o, Rd: rd, Rs1: fa, Rs2: fb})
-
-	case "cvtws":
-		if err := need(2); err != nil {
-			return err
-		}
-		fd, e1 := freg(0)
-		rs, e2 := reg(1)
-		if e1 != nil || e2 != nil {
-			return bad("bad cvtws operands")
-		}
-		pushIns(isa.Instr{Op: isa.OpCvtWS, Rd: fd, Rs1: rs})
-
-	case "cvtsw":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := reg(0)
-		fs, e2 := freg(1)
-		if e1 != nil || e2 != nil {
-			return bad("bad cvtsw operands")
-		}
-		pushIns(isa.Instr{Op: isa.OpCvtSW, Rd: rd, Rs1: fs})
-
-	case "fmov", "fabs", "fneg":
-		if err := need(2); err != nil {
-			return err
-		}
-		o, _ := isa.OpByName(op)
-		fd, e1 := freg(0)
-		fs, e2 := freg(1)
-		if e1 != nil || e2 != nil {
-			return bad("bad %s operands", op)
-		}
-		pushIns(isa.Instr{Op: o, Rd: fd, Rs1: fs})
-
-	case "halt":
-		pushIns(isa.Instr{Op: isa.OpHalt})
-	case "nop":
-		pushIns(isa.Instr{Op: isa.OpNop})
-
+		mnem, ops, added = "jalr", append([]string{"r0", "ra", "0"}, ops...), 3
 	case "mv":
-		if err := need(2); err != nil {
-			return err
+		mnem, ops, added = "or", append(ops, "r0"), 1
+	case "li", "la":
+		// addi when li's value is known in pass 1 and fits; else lui
+		// here and pass 2 adds the ori and fills in both halves.
+		mnem = "lui"
+		if len(ops) != 2 {
+			break
 		}
-		rd, e1 := reg(0)
-		rs, e2 := reg(1)
-		if e1 != nil || e2 != nil {
-			return bad("bad mv operands")
+		v, err := a.parseNum(ops[1])
+		if v = int64(int32(v)); name == "li" && err == nil && v >= isa.ImmIMin && v <= isa.ImmIMax {
+			mnem, ops, added = "addi", []string{ops[0], "r0", strconv.FormatInt(v, 10)}, 1
+		} else {
+			it.words, it.target, ops[1] = 2, ops[1], "0"
 		}
-		pushIns(isa.Instr{Op: isa.OpOr, Rd: rd, Rs1: rs})
-
-	case "li":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := reg(0)
-		if e1 != nil {
-			return bad("bad li register")
-		}
-		if v, err := num(1); err == nil {
-			// Literal (or already-defined symbol): expand now.
-			u := uint32(v)
-			if int32(u) >= isa.ImmIMin && int32(u) <= isa.ImmIMax {
-				pushIns(isa.Instr{Op: isa.OpAddi, Rd: rd, Imm: int32(u)})
-			} else {
-				pushIns(isa.Instr{Op: isa.OpLui, Rd: rd, Imm: int32(int16(u >> 16))})
-				pushIns(isa.Instr{Op: isa.OpOri, Rd: rd, Rs1: rd, Imm: int32(int16(u & 0xffff))})
-			}
-			return nil
-		}
-		// Forward symbol reference: reserve the two-word form.
-		a.push(item{line: ln, words: 2, isInstr: true, fix: fixLiLa, sym: ops[1],
-			in: isa.Instr{Op: isa.OpLui, Rd: rd}})
-
-	case "la":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := reg(0)
-		if e1 != nil {
-			return bad("bad la register")
-		}
-		a.push(item{line: ln, words: 2, isInstr: true, fix: fixLiLa, sym: ops[1],
-			in: isa.Instr{Op: isa.OpLui, Rd: rd}})
-
-	default:
-		return bad("unknown mnemonic %q", op)
 	}
+	op, ok := isa.OpByName(mnem)
+	if !ok {
+		return &Error{Line: ln, Msg: fmt.Sprintf("unknown mnemonic %q", name)}
+	}
+	syn := op.Syntax()
+	if len(ops) != len(syn) {
+		return bad("needs %d operands, got %d", len(syn)-added, len(ops)-added)
+	}
+	it.in.Op = op
+	for i, tok := range ops {
+		var err error
+		switch c := syn[i]; c {
+		case isa.SynImm:
+			it.in.Imm, err = a.imm(tok)
+		case isa.SynMem:
+			open, shut := strings.Index(tok, "("), strings.LastIndex(tok, ")")
+			if open < 0 || shut < open {
+				return bad("bad memory operand %q, want imm(reg)", tok)
+			}
+			if off := strings.TrimSpace(tok[:open]); off != "" {
+				it.in.Imm, err = a.imm(off)
+			}
+			if err == nil {
+				it.in.Rs1, err = parseReg(strings.TrimSpace(tok[open+1:shut]), false)
+			}
+		case isa.SynAddr:
+			it.target = tok
+		case isa.SynFd, isa.SynFs1, isa.SynFs2:
+			*it.in.Reg(c), err = parseReg(tok, true)
+		default:
+			*it.in.Reg(c), err = parseReg(tok, false)
+		}
+		if err != nil {
+			return bad("%v", err)
+		}
+	}
+	a.push(it)
 	return nil
 }

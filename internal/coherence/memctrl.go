@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -66,6 +67,16 @@ type dirEntry struct {
 
 	// span is the open observability span of the busy transaction.
 	span obs.SpanID
+}
+
+// open starts the block's multi-message transaction of the given kind
+// on behalf of request m (an upgrade promoted to an exclusive read opens
+// a ReqReadExcl).
+func (e *dirEntry) open(kind MsgKind, m *Msg) {
+	e.busy = true
+	e.kind = kind
+	e.req = *m
+	e.req.Data = nil
 }
 
 // MemCtrl is one memory bank: backing storage timing, the co-located
@@ -278,18 +289,9 @@ func (mc *MemCtrl) respondData(blk uint32, dst int, excl bool, now uint64) {
 // overflows.
 func (mc *MemCtrl) noteSharer(e *dirEntry, cpu int) {
 	e.sharers |= 1 << cpu
-	if k := mc.p.DirPointers; k > 0 && popcount(e.sharers) > k {
+	if k := mc.p.DirPointers; k > 0 && bits.OnesCount64(e.sharers) > k {
 		e.bcast = true
 	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // invalTargets returns the caches an invalidation (or update) must go
@@ -303,23 +305,33 @@ func (mc *MemCtrl) invalTargets(e *dirEntry, writer int) uint64 {
 	return e.sharers &^ (1 << writer)
 }
 
-// sendInvals issues CmdInval to every cache in the mask and returns the
-// count.
+// sendInvals issues CmdInval to every cache in the mask, in ascending
+// CPU order, and returns the count.
 func (mc *MemCtrl) sendInvals(blk uint32, mask uint64, now uint64) int {
 	n := 0
-	for cpu := 0; mask != 0; cpu++ {
-		bit := uint64(1) << cpu
-		if mask&bit != 0 {
-			mask &^= bit
-			if mc.Fault.faultDropInval() {
-				continue // seeded mutation: stale copy survives
-			}
-			mc.node.SendCtrl(mc.newCtrl(CmdInval, blk), cpu, now)
-			mc.st.InvalsSent++
-			n++
+	for ; mask != 0; mask &= mask - 1 {
+		if mc.Fault.faultDropInval() {
+			continue // seeded mutation: stale copy survives
 		}
+		mc.node.SendCtrl(mc.newCtrl(CmdInval, blk), bits.TrailingZeros64(mask), now)
+		mc.st.InvalsSent++
+		n++
 	}
 	return n
+}
+
+// openFetch opens a transaction that must first recall the block from
+// its owner with cmd (CmdFetch or CmdFetchInval), forwarded cache to
+// cache when the platform allows.
+func (mc *MemCtrl) openFetch(e *dirEntry, kind, cmd MsgKind, m *Msg, now uint64) {
+	e.open(kind, m)
+	e.fetchTarget = e.owner
+	e.fetchPending = true
+	mc.st.FetchesSent++
+	c := mc.newCtrl(cmd, m.Addr)
+	c.HasFwd = mc.p.CacheToCache
+	c.Fwd = m.Src
+	mc.node.SendCtrl(c, int(e.owner), now)
 }
 
 func (mc *MemCtrl) handleRead(e *dirEntry, m *Msg, now uint64) {
@@ -330,17 +342,7 @@ func (mc *MemCtrl) handleRead(e *dirEntry, m *Msg, now uint64) {
 		case e.owner >= 0 && int(e.owner) != m.Src:
 			// Remote dirty (or exclusive) copy: fetch it first — the
 			// paper's 4-hop read (3 hops with cache-to-cache forwarding).
-			e.busy = true
-			e.kind = ReqRead
-			e.req = *m
-			e.req.Data = nil
-			e.fetchTarget = e.owner
-			e.fetchPending = true
-			mc.st.FetchesSent++
-			cmd := mc.newCtrl(CmdFetch, blk)
-			cmd.HasFwd = mc.p.CacheToCache
-			cmd.Fwd = m.Src
-			mc.node.SendCtrl(cmd, int(e.owner), now)
+			mc.openFetch(e, ReqRead, CmdFetch, m, now)
 			return
 		case e.owner == int16(m.Src):
 			// The owner itself re-reads after a silent clean eviction.
@@ -366,17 +368,7 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 	blk := m.Addr
 	switch {
 	case e.owner >= 0 && int(e.owner) != m.Src:
-		e.busy = true
-		e.kind = ReqReadExcl
-		e.req = *m
-		e.req.Data = nil
-		e.fetchTarget = e.owner
-		e.fetchPending = true
-		mc.st.FetchesSent++
-		cmd := mc.newCtrl(CmdFetchInval, blk)
-		cmd.HasFwd = mc.p.CacheToCache
-		cmd.Fwd = m.Src
-		mc.node.SendCtrl(cmd, int(e.owner), now)
+		mc.openFetch(e, ReqReadExcl, CmdFetchInval, m, now)
 		// MOESI: an Owned block may also have Shared copies; they are
 		// invalidated in the same transaction.
 		if others := mc.invalTargets(e, m.Src) &^ (1 << uint(e.owner)); others != 0 {
@@ -394,10 +386,7 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 	e.sharers = 0
 	e.bcast = false
 	if others != 0 {
-		e.busy = true
-		e.kind = ReqReadExcl
-		e.req = *m
-		e.req.Data = nil
+		e.open(ReqReadExcl, m)
 		e.waitAcks = mc.sendInvals(blk, others, now)
 		return
 	}
@@ -406,45 +395,26 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 }
 
 func (mc *MemCtrl) handleUpgrade(e *dirEntry, m *Msg, now uint64) {
-	blk := m.Addr
-	if e.owner == int16(m.Src) {
-		// MOESI: the Owned holder wants exclusivity back — invalidate
-		// the Shared copies, no data needed.
-		mc.st.Upgrades++
-		others := mc.invalTargets(e, m.Src)
-		e.sharers = 0
-		e.bcast = false
-		if others != 0 {
-			e.busy = true
-			e.kind = ReqUpgrade
-			e.req = *m
-			e.req.Data = nil
-			e.waitAcks = mc.sendInvals(blk, others, now)
-			return
-		}
-		mc.node.SendCtrl(mc.newCtrl(RspUpgradeAck, blk), m.Src, now+1)
+	// Grantable without data to a requester that still holds the block:
+	// MOESI's Owned holder wanting exclusivity back, or a sharer of an
+	// unowned block.
+	if e.owner != int16(m.Src) && (e.owner >= 0 || e.sharers&(1<<m.Src) == 0) {
+		// The requester lost its copy to an earlier-serialized writer;
+		// the upgrade is promoted to a full exclusive read.
+		mc.handleReadExcl(e, m, now)
 		return
 	}
-	if e.owner < 0 && e.sharers&(1<<m.Src) != 0 {
-		mc.st.Upgrades++
-		others := mc.invalTargets(e, m.Src)
-		e.sharers = 0
-		e.bcast = false
-		if others != 0 {
-			e.busy = true
-			e.kind = ReqUpgrade
-			e.req = *m
-			e.req.Data = nil
-			e.waitAcks = mc.sendInvals(blk, others, now)
-			return
-		}
-		e.owner = int16(m.Src)
-		mc.node.SendCtrl(mc.newCtrl(RspUpgradeAck, blk), m.Src, now+1)
+	mc.st.Upgrades++
+	others := mc.invalTargets(e, m.Src)
+	e.sharers = 0
+	e.bcast = false
+	if others != 0 {
+		e.open(ReqUpgrade, m)
+		e.waitAcks = mc.sendInvals(m.Addr, others, now)
 		return
 	}
-	// The requester lost its copy to an earlier-serialized writer; the
-	// upgrade is promoted to a full exclusive read.
-	mc.handleReadExcl(e, m, now)
+	e.owner = int16(m.Src)
+	mc.node.SendCtrl(mc.newCtrl(RspUpgradeAck, m.Addr), m.Src, now+1)
 }
 
 func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
@@ -472,10 +442,7 @@ func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
 	}
 	// The 4-hop write: invalidate (WTI) or update (WTU) the copies,
 	// acknowledging the writer once their acks are in.
-	e.busy = true
-	e.kind = ReqWriteThrough
-	e.req = *m
-	e.req.Data = nil
+	e.open(ReqWriteThrough, m)
 	if mc.proto == WTU {
 		e.waitAcks = mc.sendUpdates(targets, m.Addr, m.Word, m.ByteEn, now)
 	} else {
@@ -485,20 +452,15 @@ func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
 
 // sendUpdates issues CmdUpdate carrying the written word (addr, word,
 // byteEn — scalars, so no template message is built) to every cache in
-// the mask and returns the count.
+// the mask, in ascending CPU order, and returns the count.
 func (mc *MemCtrl) sendUpdates(mask uint64, addr, word uint32, byteEn uint8, now uint64) int {
-	n := 0
-	for cpu := 0; mask != 0; cpu++ {
-		bit := uint64(1) << cpu
-		if mask&bit != 0 {
-			mask &^= bit
-			upd := mc.newCtrl(CmdUpdate, addr)
-			upd.Word = word
-			upd.ByteEn = byteEn
-			mc.node.SendCtrl(upd, cpu, now)
-			mc.st.UpdatesSent++
-			n++
-		}
+	n := bits.OnesCount64(mask)
+	mc.st.UpdatesSent += uint64(n)
+	for ; mask != 0; mask &= mask - 1 {
+		upd := mc.newCtrl(CmdUpdate, addr)
+		upd.Word = word
+		upd.ByteEn = byteEn
+		mc.node.SendCtrl(upd, bits.TrailingZeros64(mask), now)
 	}
 	return n
 }
@@ -522,10 +484,7 @@ func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 		mc.node.SendCtrl(rsp, m.Src, now+swapLat)
 		return
 	}
-	e.busy = true
-	e.kind = ReqSwap
-	e.req = *m
-	e.req.Data = nil
+	e.open(ReqSwap, m)
 	e.oldWord = old
 	if mc.proto == WTU {
 		e.waitAcks = mc.sendUpdates(others, m.Addr, m.Word, 0xf, now)

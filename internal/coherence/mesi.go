@@ -192,101 +192,66 @@ func (c *MESICache) Hit(addr uint32) bool {
 
 // Store implements DataCache.
 func (c *MESICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
-	if c.pend.active {
-		if c.pend.done {
-			c.pend = mesiPending{}
-			return true
-		}
-		return false
-	}
-	waddr := WordAddr(addr)
-	if set, hit := c.arr.lookup(addr); hit {
-		switch c.arr.state[set] {
-		case Modified:
-			c.st.Stores++
-			c.st.StoreHits++
-			c.arr.writeWord(set, waddr, word, byteEn)
-			c.Obs.Lat(obs.LatWriteHit, 0)
-			return true
-		case Exclusive:
-			c.st.Stores++
-			c.st.StoreHits++
-			c.arr.state[set] = Modified
-			c.arr.writeWord(set, waddr, word, byteEn)
-			c.Obs.Lat(obs.LatWriteHit, 0)
-			return true
-		case Shared, Owned:
-			c.st.Stores++
-			c.st.StoreHits++
-			c.st.Upgrades++
-			c.pend = mesiPending{
-				active: true, kind: ReqUpgrade, blk: c.p.BlockAddr(addr),
-				apply: true, waddr: waddr, word: word, byteEn: byteEn,
-				begin: now,
-			}
-			c.tryIssue(now)
-			return false
-		}
-	}
-	// Write miss: write-allocate with exclusive intent.
-	blk := c.p.BlockAddr(addr)
-	if c.arr.state[c.arr.victim(blk)].Dirty() && c.evict.active {
-		return false // stall until the eviction buffer frees
-	}
-	c.st.Stores++
-	c.st.StoreMisses++
-	c.startMiss(now, ReqReadExcl, blk)
-	c.pend.apply = true
-	c.pend.waddr = waddr
-	c.pend.word = word
-	c.pend.byteEn = byteEn
-	return false
+	_, done := c.write(now, addr, word, byteEn, false)
+	return done
 }
 
 // Swap implements DataCache: obtain exclusivity, then perform the
 // read-modify-write locally.
 func (c *MESICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) {
+	return c.write(now, addr, newWord, 0xf, true)
+}
+
+// write is the one path of a store or swap: a hit on an exclusive line
+// completes at once; a Shared or Owned hit sends a blocking ReqUpgrade,
+// a miss write-allocates with a blocking ReqReadExcl, and either
+// applies the write when exclusivity arrives (completeWrite), the
+// core's retry then collecting the result. It returns the word a swap
+// replaced.
+func (c *MESICache) write(now uint64, addr, word uint32, byteEn uint8, isSwap bool) (uint32, bool) {
 	if c.pend.active {
-		if c.pend.done {
-			old := c.pend.swapOld
-			c.pend = mesiPending{}
-			return old, true
-		}
-		return 0, false
-	}
-	waddr := WordAddr(addr)
-	if set, hit := c.arr.lookup(addr); hit {
-		switch c.arr.state[set] {
-		case Modified, Exclusive:
-			c.st.Swaps++
-			old := c.arr.readWord(set, waddr)
-			c.arr.writeWord(set, waddr, newWord, 0xf)
-			c.arr.state[set] = Modified
-			c.Obs.Lat(obs.LatSwap, 0)
-			return old, true
-		case Shared, Owned:
-			c.st.Swaps++
-			c.st.Upgrades++
-			c.pend = mesiPending{
-				active: true, kind: ReqUpgrade, blk: c.p.BlockAddr(addr),
-				apply: true, isSwap: true, waddr: waddr, word: newWord, byteEn: 0xf,
-				begin: now,
-			}
-			c.tryIssue(now)
+		if !c.pend.done {
 			return 0, false
 		}
+		old := c.pend.swapOld
+		c.pend = mesiPending{}
+		return old, true
 	}
-	blk := c.p.BlockAddr(addr)
-	if c.arr.state[c.arr.victim(blk)].Dirty() && c.evict.active {
-		return 0, false
+	waddr, blk := WordAddr(addr), c.p.BlockAddr(addr)
+	set, hit := c.arr.lookup(addr)
+	if !hit && c.arr.state[c.arr.victim(blk)].Dirty() && c.evict.active {
+		return 0, false // stall until the eviction buffer frees
 	}
-	c.st.Swaps++
-	c.startMiss(now, ReqReadExcl, blk)
-	c.pend.apply = true
-	c.pend.isSwap = true
-	c.pend.waddr = waddr
-	c.pend.word = newWord
-	c.pend.byteEn = 0xf
+	lat := obs.LatWriteHit
+	switch {
+	case isSwap:
+		c.st.Swaps++
+		lat = obs.LatSwap
+	case hit:
+		c.st.Stores++
+		c.st.StoreHits++
+	default:
+		c.st.Stores++
+		c.st.StoreMisses++
+	}
+	if !hit {
+		c.startMiss(now, ReqReadExcl, blk)
+	} else {
+		switch c.arr.state[set] {
+		case Modified, Exclusive:
+			old := c.arr.readWord(set, waddr)
+			c.arr.writeWord(set, waddr, word, byteEn)
+			c.arr.state[set] = Modified
+			c.Obs.Lat(lat, 0)
+			return old, true
+		case Shared, Owned:
+			c.st.Upgrades++
+			c.pend = mesiPending{active: true, kind: ReqUpgrade, blk: blk, begin: now}
+			c.tryIssue(now)
+		}
+	}
+	c.pend.apply, c.pend.isSwap = true, isSwap
+	c.pend.waddr, c.pend.word, c.pend.byteEn = waddr, word, byteEn
 	return 0, false
 }
 

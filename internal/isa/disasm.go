@@ -8,47 +8,30 @@ func RegName(r uint8) string { return fmt.Sprintf("r%d", r) }
 // FRegName returns the conventional name of float register r.
 func FRegName(r uint8) string { return fmt.Sprintf("f%d", r) }
 
-// Disasm renders a decoded instruction in the assembler's input syntax.
-// pc is the address of the instruction; it is used to render branch and
-// jump targets as absolute addresses.
+// Disasm renders a decoded instruction in the assembler's input syntax,
+// operand by operand from the op's syntax letters. pc is the address of
+// the instruction; it is used to render branch and jump targets as
+// absolute addresses.
 func Disasm(in Instr, pc uint32) string {
-	switch in.Op {
-	case OpInvalid:
+	if in.Op == OpInvalid {
 		return ".word <invalid>"
-	case OpHalt:
-		return "halt"
-	case OpNop:
-		return "nop"
-	case OpLui:
-		return fmt.Sprintf("lui %s, %d", RegName(in.Rd), in.Imm)
-	case OpLw, OpLb, OpLbu, OpSwap:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, RegName(in.Rd), in.Imm, RegName(in.Rs1))
-	case OpSw, OpSb:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, RegName(in.Rd), in.Imm, RegName(in.Rs1))
-	case OpFlw, OpFsw:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, FRegName(in.Rd), in.Imm, RegName(in.Rs1))
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		target := pc + 4 + uint32(in.Imm)*4
-		return fmt.Sprintf("%s %s, %s, 0x%x", in.Op, RegName(in.Rs1), RegName(in.Rd), target)
-	case OpJal:
-		target := pc + 4 + uint32(in.Imm)*4
-		return fmt.Sprintf("jal 0x%x", target)
-	case OpJalr:
-		return fmt.Sprintf("jalr %s, %s, %d", RegName(in.Rd), RegName(in.Rs1), in.Imm)
-	case OpFadd, OpFsub, OpFmul, OpFdiv:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, FRegName(in.Rd), FRegName(in.Rs1), FRegName(in.Rs2))
-	case OpFeq, OpFlt, OpFle:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, RegName(in.Rd), FRegName(in.Rs1), FRegName(in.Rs2))
-	case OpCvtWS:
-		return fmt.Sprintf("cvtws %s, %s", FRegName(in.Rd), RegName(in.Rs1))
-	case OpCvtSW:
-		return fmt.Sprintf("cvtsw %s, %s", RegName(in.Rd), FRegName(in.Rs1))
-	case OpFmov, OpFabs, OpFneg:
-		return fmt.Sprintf("%s %s, %s", in.Op, FRegName(in.Rd), FRegName(in.Rs1))
-	default:
-		if in.Op.Class() == ClassR {
-			return fmt.Sprintf("%s %s, %s, %s", in.Op, RegName(in.Rd), RegName(in.Rs1), RegName(in.Rs2))
-		}
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, RegName(in.Rd), RegName(in.Rs1), in.Imm)
 	}
+	s, sep := in.Op.Name(), " "
+	for _, c := range []byte(in.Op.Syntax()) {
+		s += sep
+		switch c {
+		case SynImm:
+			s += fmt.Sprint(in.Imm)
+		case SynMem:
+			s += fmt.Sprintf("%d(%s)", in.Imm, RegName(in.Rs1))
+		case SynAddr:
+			s += fmt.Sprintf("%#x", pc+4+uint32(in.Imm)*4)
+		case SynFd, SynFs1, SynFs2:
+			s += FRegName(*in.Reg(c))
+		default:
+			s += RegName(*in.Reg(c))
+		}
+		sep = ", "
+	}
+	return s
 }

@@ -205,3 +205,38 @@ func TestCanonicalClearsUnusedFields(t *testing.T) {
 		t.Fatalf("I-type canonical kept rs2: %+v", in)
 	}
 }
+
+// TestSyntaxNamesOnlyEncodedFields checks the operand-syntax table
+// against the encodings: every letter fills a field of its own that the
+// op's class encodes (Canonical keeps it), so no written operand is
+// silently dropped, and only halt and nop take no operands.
+func TestSyntaxNamesOnlyEncodedFields(t *testing.T) {
+	for _, op := range AllOps() {
+		in := Instr{Op: op}
+		fill := func(field *uint8) {
+			if *field != 0 {
+				t.Errorf("%v: syntax %q names a register field twice", op, op.Syntax())
+			}
+			*field = 1
+		}
+		for _, c := range []byte(op.Syntax()) {
+			switch c {
+			case SynImm, SynAddr:
+				in.Imm++
+			case SynMem:
+				in.Imm++
+				fill(&in.Rs1)
+			case SynRd, SynRs1, SynRs2, SynFd, SynFs1, SynFs2:
+				fill(in.Reg(c))
+			default:
+				t.Errorf("%v: unknown syntax letter %q", op, c)
+			}
+		}
+		if in.Imm > 1 || Canonical(in) != in {
+			t.Errorf("%v: syntax %q names a field class %d does not encode (or the immediate twice)", op, op.Syntax(), op.Class())
+		}
+		if empty := op == OpHalt || op == OpNop; (op.Syntax() == "") != empty {
+			t.Errorf("%v: syntax %q", op, op.Syntax())
+		}
+	}
+}
