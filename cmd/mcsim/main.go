@@ -209,8 +209,8 @@ func main() {
 			rec.Sampler().Samples(), *obsCSV)
 	}
 	if *checkEvery > 0 {
-		// The quiescent checker is stricter than the periodic runtime
-		// one; run it once over the drained final state.
+		// On the drained final state the runtime checker skips no
+		// block and exempts no byte; run it once there.
 		if err := sys.CheckCoherence(); err != nil {
 			fmt.Fprintln(os.Stderr, "COHERENCE CHECK FAILED:", err)
 			os.Exit(1)

@@ -126,6 +126,52 @@ func TestAnnotations(t *testing.T) {
 	}
 }
 
+// TestPathsFollowC runs from the repository root, as CI does: every
+// finding's file, in -json and in the -annotate lines, is the -C
+// argument joined with the file's path inside the module — relative, so
+// the annotations land on the diff.
+func TestPathsFollowC(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	const dir = "internal/lint/testdata/badmod"
+
+	code, stdout, _ := runCLI(t, "-json", "-C", dir)
+	if code != 1 {
+		t.Fatalf("-json: exit %d, want 1", code)
+	}
+	var findings []struct {
+		File string `json:"file"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
+	}
+	if len(findings) != 7 {
+		t.Fatalf("got %d findings, want 7: %+v", len(findings), findings)
+	}
+	code, stdout, _ = runCLI(t, "-annotate", "-o", os.DevNull, "-C", dir)
+	if code != 1 {
+		t.Fatalf("-annotate: exit %d, want 1", code)
+	}
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(lines) != len(findings) {
+		t.Fatalf("%d annotation lines for %d findings:\n%s", len(lines), len(findings), stdout)
+	}
+	for i, f := range findings {
+		if !strings.HasPrefix(f.File, dir+"/") {
+			t.Errorf("finding file %q does not begin with %s/", f.File, dir)
+		}
+		if want := "::error file=" + f.File + ",line="; !strings.HasPrefix(lines[i], want) {
+			t.Errorf("annotation %q does not begin with %q", lines[i], want)
+		}
+	}
+}
+
 func TestAnnotationEscaping(t *testing.T) {
 	got := escapeData("50% of a\nmulti-line message")
 	if strings.ContainsAny(got, "\n") || !strings.Contains(got, "%25") || !strings.Contains(got, "%0A") {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // holder is one cache's copy of a block.
@@ -31,81 +32,23 @@ func (h *Hierarchy) copies() (blocks map[uint32][]holder, blkAddrs []uint32) {
 }
 
 // CheckCoherence verifies the protocol invariants over a quiescent
-// system (no in-flight transactions):
-//
-//  1. Single writer: at most one cache holds a block in M or E, and
-//     then no other cache holds any copy of it.
-//  2. Clean-copy agreement: every S or E copy's bytes equal memory
-//     (for WTI, every Valid copy — memory is always up to date).
-//  3. Directory agreement: an M/E copy's holder is the directory's
-//     recorded owner; every S copy's holder is in the recorded sharer
-//     set (the directory may record stale sharers for silently dropped
-//     copies, but never the reverse).
+// hierarchy: it is CheckRuntime on a drained one, and reports "not
+// quiescent" with Pending's parts otherwise. Quiescence is what makes
+// it the strict check: with no directory entry busy none of
+// CheckRuntime's checks is skipped, and with no write posted every
+// clean copy must equal memory byte for byte.
 func (h *Hierarchy) CheckCoherence() error {
-	blocks, blkAddrs := h.copies()
-	for _, blk := range blkAddrs {
-		hs := blocks[blk]
-		// At most one supplier (Owned/Exclusive/Modified) per block.
-		supplier := -1
-		var supplierState LineState
-		var supplierData []byte
-		for _, c := range hs {
-			if c.info.State >= Owned {
-				if supplier >= 0 {
-					return fmt.Errorf("coherence: block %#x: two supplier holders (cpu %d and %d)", blk, supplier, c.cpu)
-				}
-				supplier = c.cpu
-				supplierState = c.info.State
-				supplierData = c.info.Data
-			}
-		}
-		// E and M exclude every other copy; O coexists with S copies.
-		if supplier >= 0 && supplierState != Owned && len(hs) > 1 {
-			return fmt.Errorf("coherence: block %#x: exclusive holder cpu %d coexists with %d other copies",
-				blk, supplier, len(hs)-1)
-		}
-		memData := make([]byte, len(hs[0].info.Data))
-		h.space.ReadBlock(blk, memData)
-		mc := h.bankFor(blk)
-		sharers, owner := mc.DirSnapshot(blk)
-		for _, c := range hs {
-			switch c.info.State {
-			case Shared:
-				if supplierState == Owned {
-					// Memory may be stale; the Owned copy is the
-					// authority the Shared copies must agree with.
-					if !bytes.Equal(c.info.Data, supplierData) {
-						return fmt.Errorf("coherence: block %#x: cpu %d shared copy differs from the Owned copy", blk, c.cpu)
-					}
-				} else if !bytes.Equal(c.info.Data, memData) {
-					return fmt.Errorf("coherence: block %#x: cpu %d shared copy differs from memory", blk, c.cpu)
-				}
-				if sharers&(1<<c.cpu) == 0 && owner != c.cpu {
-					return fmt.Errorf("coherence: block %#x: cpu %d holds S copy unknown to the directory", blk, c.cpu)
-				}
-			case Exclusive:
-				if !bytes.Equal(c.info.Data, memData) {
-					return fmt.Errorf("coherence: block %#x: cpu %d exclusive copy differs from memory", blk, c.cpu)
-				}
-				if owner != c.cpu {
-					return fmt.Errorf("coherence: block %#x: cpu %d holds E but directory owner is %d", blk, c.cpu, owner)
-				}
-			case Owned, Modified:
-				if owner != c.cpu {
-					return fmt.Errorf("coherence: block %#x: cpu %d holds %v but directory owner is %d",
-						blk, c.cpu, c.info.State, owner)
-				}
-			}
-		}
+	var parts []string
+	if h.Pending(func(part string) { parts = append(parts, part) }) {
+		return fmt.Errorf("coherence: not quiescent: %s", strings.Join(parts, ", "))
 	}
-	return nil
+	return h.CheckRuntime()
 }
 
 // CheckRuntime verifies the invariants that must hold in EVERY
-// reachable state, transient protocol windows included — unlike
-// CheckCoherence, which demands quiescence. It is cheap enough to run
-// each cycle on small systems and every N cycles on large ones
-// (mcsim -check, the model checker, and the test rigs all use it).
+// reachable state, transient protocol windows included. It is cheap
+// enough to run each cycle on small systems and every N cycles on large
+// ones (mcsim -check, the model checker, and the test rigs all use it).
 //
 // What is checked, and why it is transient-safe:
 //
@@ -125,8 +68,7 @@ func (h *Hierarchy) CheckCoherence() error {
 //  3. Directory agreement, also outside busy windows: every copy's
 //     holder is recorded as a sharer or the owner, and a supplier-state
 //     holder is the recorded owner. (The reverse — the directory
-//     recording caches that silently dropped clean copies — is allowed,
-//     as in CheckCoherence.)
+//     recording caches that silently dropped clean copies — is allowed.)
 func (h *Hierarchy) CheckRuntime() error {
 	blocks, blkAddrs := h.copies()
 	for _, blk := range blkAddrs {

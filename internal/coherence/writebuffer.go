@@ -31,11 +31,6 @@ type writeBuffer struct {
 	// and as a write_drain latency sample.
 	obs    *obs.Recorder
 	obsPid int
-
-	// Stats.
-	Pushes     uint64
-	Coalesced  uint64
-	FullStalls uint64
 }
 
 func newWriteBuffer(depth int) *writeBuffer {
@@ -74,12 +69,10 @@ func (w *writeBuffer) Push(now uint64, addr uint32, word uint32, byteEn uint8) b
 				}
 			}
 			last.byteEn |= byteEn
-			w.Coalesced++
 			return true
 		}
 	}
 	if w.Full() {
-		w.FullStalls++
 		return false
 	}
 	e := wbEntry{addr: addr, word: word, byteEn: byteEn, pushedAt: now}
@@ -87,7 +80,6 @@ func (w *writeBuffer) Push(now uint64, addr uint32, word uint32, byteEn uint8) b
 		e.span = w.obs.Begin(w.obsPid, "wb write", now, addr)
 	}
 	w.entries = append(w.entries, e)
-	w.Pushes++
 	return true
 }
 

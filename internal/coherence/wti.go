@@ -297,12 +297,10 @@ func (c *WTICache) NextWake(now uint64) uint64 {
 }
 
 // Skip implements DataCache: each retry of a store against a full
-// write buffer charges the cache's and the buffer's full-stall
-// counters.
+// write buffer charges the full-stall counter.
 func (c *WTICache) Skip(from, to uint64) {
 	if c.lastStoreFull {
 		c.st.WBufFullStalls += to - from
-		c.wb.FullStalls += to - from
 	}
 }
 

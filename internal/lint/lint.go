@@ -39,8 +39,14 @@
 // reasonless or unknown-analyzer allow is itself reported, as analyzer
 // "directive") on the finding's line or the line directly above it.
 //
-// The analyzers are built on go/parser and go/types only — no external
-// analysis framework — so the gate runs anywhere the Go toolchain does.
+// Loading: the go tool decides what is analyzed. One `go list -deps
+// -test -export -tags soak ./...` names the module's packages and their
+// files exactly as `go build -tags soak` and `go test` select them —
+// the soak tier stays under analysis, since a nondeterministic soak
+// test is still a flaky test — and supplies the export data of the
+// standard library. The module itself is typechecked from source with
+// go/parser and go/types only — no external analysis framework — so the
+// gate runs anywhere the Go toolchain does.
 package lint
 
 import (

@@ -1,8 +1,8 @@
 // Package sim is the build-constraint fixture: on_soak.go (included —
-// the soak tag is in lint.ExtraBuildTags) and off_falsetag.go /
+// the loader lists the module with -tags soak) and off_falsetag.go /
 // off_nosoak.go (excluded) declare the SAME symbols, so the module
-// only typechecks if the loader evaluates constraints the way the go
-// tool does. The excluded files also contain findings that must not be
+// only typechecks if the loader selects files the way the go tool
+// does. The excluded files also contain findings that must not be
 // reported.
 package sim
 

@@ -24,10 +24,10 @@
 // In every state the transient-safe runtime invariants run
 // (Hierarchy.CheckRuntime: SWMR, value agreement, directory agreement)
 // plus a ghost-value check — a completed load or swap must observe a
-// value some CPU actually wrote. In every quiescent state the stricter
-// Hierarchy.CheckCoherence runs too. A state from which the all-silent
-// step changes nothing while work is still in flight is a deadlock.
-// Any violation is reported as a replayable counterexample: the choice
+// value some CPU actually wrote. In every quiescent state
+// Hierarchy.CheckCoherence — CheckRuntime on a drained hierarchy — runs
+// too. A state from which the all-silent step changes nothing while
+// work is still in flight is a deadlock. Any violation is reported as a replayable counterexample: the choice
 // path, re-run with message tracing enabled, prints the full protocol
 // event sequence leading to the bad state.
 package modelcheck

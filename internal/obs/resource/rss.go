@@ -15,10 +15,8 @@ var pageSize = uint64(os.Getpagesize())
 // measured" and the summary omits the RSS fields. statm is preferred
 // over status: it is a fixed single line, so the parse is
 // allocation-light enough to run on every tick. Probing the file at
-// runtime instead of gating on GOOS keeps the package single-variant,
-// which the repo's own lint loader (internal/lint) requires: it
-// typechecks every file in a package together, without build-tag
-// awareness.
+// runtime instead of gating on GOOS keeps the package one file set on
+// every platform, so every host builds and lints the same code.
 func readRSS() uint64 {
 	buf, err := os.ReadFile("/proc/self/statm")
 	if err != nil {
