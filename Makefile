@@ -44,15 +44,14 @@ lint-json:
 	$(GO) run ./cmd/simlint -json -o simlint.json -annotate
 
 # race covers the goroutines that remain: the experiment worker pool
-# (exp.ExecuteAll, the only engine-adjacent concurrency), the
-# off-engine resource sampler, and the engine/stats/fault packages they
-# drive, and finishes with two end-to-end parallel sweeps under the
-# detector: the figure grid and the stream-bench ablation, which goes
-# through the same pool. GOMAXPROCS is forced up so the workers really
+# (exp.ExecuteAll, the only concurrency beside the engine) and the
+# engine/stats/fault packages it drives, and finishes with two
+# end-to-end parallel sweeps under the detector: the figure grid and
+# the stream-bench ablation, which goes through the same pool. GOMAXPROCS is forced up so the workers really
 # interleave even on small CI hosts.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/stats/... ./internal/fault/... \
-		./internal/exp/... ./internal/obs/resource/...
+		./internal/exp/...
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp fig4 -sizes 2,4 -jobs 4 >/dev/null
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -exp bestworst -jobs 4 >/dev/null
 
@@ -95,7 +94,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 50: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 15750
+LOC_CEILING := 15350
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

@@ -4,16 +4,13 @@
 // Usage:
 //
 //	mcsim [-bench ocean|water|lu|counter] [-protocol wti|wtu|wb|moesi]
-//	      [-arch 1|2] [-cpus N] [-noc gmn|mesh|bus] [-strict] [-v]
+//	      [-arch 1|2] [-cpus N] [-noc gmn|mesh|bus] [-strict] [-v | -json]
 //	      [-fault drop=1e-4,delay=1e-3:8,seed=42]
-//	      [-resources DUR] [-resources-csv FILE]
-//	      [-cpuprofile FILE] [-memprofile FILE] [-pprof-http ADDR]
+//	      [-cpuprofile FILE] [-memprofile FILE]
 //
-// -resources samples host-process resource usage (heap, GC, RSS) every
-// DUR from outside the engine; with -json the summary block is merged
-// into the output (exp.Report). The profiling flags are the standard
-// pprof hooks shared with sweep and bench (internal/obs/prof). None of
-// these observe-the-process knobs can change simulation results.
+// The profiling flags are the pprof hooks shared with sweep
+// (internal/obs/prof); they observe the process and cannot change
+// simulation results. For a run's memory, see go run ./benchmark.
 package main
 
 import (
@@ -28,7 +25,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
-	"repro/internal/obs/resource"
 	"repro/internal/stats"
 )
 
@@ -71,8 +67,6 @@ func main() {
 	flag.IntVar(&size.LURows, "lurows", def.LURows, "lu: matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
 	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way, under every -fault plan; for timing comparisons)")
-	resInterval := flag.Duration("resources", 0, "sample host-process resources (heap, GC, RSS) every interval, e.g. 25ms (0 = off)")
-	resCSV := flag.String("resources-csv", "", "write the resource sample series as CSV (needs -resources)")
 	profCfg := prof.RegisterFlags()
 	flag.Parse()
 	if err := rejectPositional(flag.Args()); err != nil {
@@ -103,6 +97,9 @@ func main() {
 
 	if *traceRx && *traceN == 0 {
 		log.Fatal("-trace-rx requires -trace")
+	}
+	if *verbose && *jsonOut {
+		log.Fatal("-v prints tables; it does nothing with -json")
 	}
 	// Run spells the default associativity 0, so a default run's key
 	// and errors read like the figure grid's point, not ".../ways=1".
@@ -140,13 +137,10 @@ func main() {
 	if *obsCSV != "" && *obsInterval == 0 {
 		log.Fatal("-obs-csv requires -obs-interval")
 	}
-	if *resCSV != "" && *resInterval == 0 {
-		log.Fatal("-resources-csv requires -resources")
-	}
 	// Open output files before the (possibly long) run so a bad path
 	// fails immediately instead of after the simulation finishes.
 	var rec *obs.Recorder
-	var traceFile, csvFile, resFile *os.File
+	var traceFile, csvFile *os.File
 	if *obsTrace != "" {
 		if traceFile, err = os.Create(*obsTrace); err != nil {
 			log.Fatal(err)
@@ -157,36 +151,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *resCSV != "" {
-		if resFile, err = os.Create(*resCSV); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *obsTrace != "" || *obsInterval > 0 {
 		rec = obs.New(obs.Config{Trace: *obsTrace != "", SampleInterval: *obsInterval})
 		sys.AttachObserver(rec)
 	}
-	// The resource sampler runs off-engine on its own goroutine; it
-	// brackets exactly the simulation, so the summary is per-run, not
-	// per-process.
-	var resSampler *resource.Sampler
-	if *resInterval > 0 {
-		resSampler = resource.Start(*resInterval)
-	}
 	res, err := sys.Run()
-	resSum := resSampler.Stop()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if resFile != nil {
-		if err := resSampler.WriteCSV(resFile); err != nil {
-			log.Fatal(err)
-		}
-		if err := resFile.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "obs: %d resource samples written to %s\n",
-			resSum.Samples, *resCSV)
 	}
 	if traceFile != nil {
 		if err := rec.WriteTrace(traceFile); err != nil {
@@ -227,16 +198,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		// With resource sampling on, the summary block is merged one
-		// layer above the deterministic Result JSON (exp.Report); the
-		// plain path keeps the byte-identical Result bytes the golden
-		// tests pin.
-		if resSum.Samples > 0 {
-			err = exp.NewReport(res, &resSum).Write(os.Stdout)
-		} else {
-			err = res.WriteJSON(os.Stdout)
-		}
-		if err != nil {
+		if err := res.WriteJSON(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		if err := stopProf(); err != nil {
@@ -284,9 +246,6 @@ func main() {
 			series := rec.Sampler().Series(name)
 			fmt.Printf("%-16s %s\n", name, stats.Sparkline(series, 72))
 		}
-	}
-	if resSum.Samples > 0 {
-		fmt.Printf("\n%s\n", resSum)
 	}
 
 	if *verbose {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -49,13 +50,43 @@ func runMain(t *testing.T, args string) (string, int) {
 	return string(out), cmd.ProcessState.ExitCode()
 }
 
-// TestShardsFlagRejected pins that the removed -shards option is an
-// unknown flag, not a silently accepted no-op: the flag package's usage
-// exit.
+// TestShardsFlagRejected pins that every removed option, -shards the
+// first of them, is an unknown flag, not a silently accepted no-op: the
+// flag package's usage exit.
 func TestShardsFlagRejected(t *testing.T) {
-	out, code := runMain(t, "-bench counter -cpus 2 -incs 5 -shards 2")
-	if code != 2 || !strings.Contains(out, "flag provided but not defined: -shards") {
-		t.Fatalf("mcsim -shards 2: exit %d, output:\n%s", code, out)
+	for _, c := range []struct{ flag, value string }{
+		{"-shards", "2"},
+		{"-resources", "25ms"},
+		{"-resources-csv", "x.csv"},
+		{"-pprof-http", "localhost:0"},
+	} {
+		out, code := runMain(t, "-bench counter -cpus 2 -incs 5 "+c.flag+" "+c.value)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+c.flag) {
+			t.Errorf("mcsim %s %s: exit %d, output:\n%s", c.flag, c.value, code, out)
+		}
+	}
+}
+
+// TestProfilingDoesNotPerturbRun is the determinism pin for host-side
+// measurement, the profiling counterpart of core's
+// TestObserverDoesNotPerturbRun: -json output must be byte-identical
+// with and without both profiles, and both profiles must be written.
+func TestProfilingDoesNotPerturbRun(t *testing.T) {
+	const run = "-bench counter -cpus 2 -incs 5 -json"
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	plain, code := runMain(t, run)
+	if code != 0 {
+		t.Fatalf("mcsim %s: exit %d, output:\n%s", run, code, plain)
+	}
+	profiled, code := runMain(t, run+" -cpuprofile "+cpu+" -memprofile "+mem)
+	if code != 0 || profiled != plain {
+		t.Fatalf("mcsim %s with profiles: exit %d, output differs:\n%s\nvs\n%s", run, code, profiled, plain)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty profile (err %v)", p, err)
+		}
 	}
 }
 
@@ -73,6 +104,10 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{"-bench counter -cpus 2 -protocol mesi", `unknown protocol "mesi"`},
 		// -trace-rx only widens -trace's log; alone it used to be ignored.
 		{"-bench counter -cpus 2 -trace-rx", "-trace-rx requires -trace"},
+		// -json used to return before the -v tables, dropping them.
+		{"-bench counter -cpus 2 -json -v", "-v prints tables; it does nothing with -json"},
+		// The heap profile file is created before the run, not after it.
+		{"-bench counter -cpus 2 -memprofile /no/such/dir/mem.pprof", "prof: open /no/such/dir/mem.pprof: "},
 		// The default -ways 1 is the grid's point: no /ways=1 in its key.
 		{"-bench counter -cpus 2 -fault bogus", "exp: counter/WTI/arch2/n2/fault=bogus: "},
 		{"-bench counter -cpus 2 -ways 2 -fault bogus", "exp: counter/WTI/arch2/n2/ways=2/fault=bogus: "},

@@ -8,6 +8,7 @@
 //	sweep [-exp NAME] [-sizes 4,16,32,64] [-quick] [-csv] [-chart]
 //	      [-jobs N] [-fault drop=1e-4,delay=1e-3:8,seed=42]
 //	      [-obs-interval K [-obs-dir DIR]]
+//	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // -jobs parallelizes across the simulations of each experiment; it
 // changes no output byte.
@@ -24,7 +25,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/obs/prof"
-	"repro/internal/obs/resource"
 	"repro/internal/stats"
 )
 
@@ -38,7 +38,6 @@ func main() {
 	obsInterval := flag.Uint64("obs-interval", 0, "sample metrics every K cycles during every simulation")
 	obsDir := flag.String("obs-dir", "", "directory for per-run interval CSVs (needs -obs-interval)")
 	faultSpec := flag.String("fault", "", "one fault campaign spec instead of the built-in grid, for the experiment that runs campaigns; e.g. drop=1e-4,delay=1e-3:8,seed=42")
-	resInterval := flag.Duration("resources", 0, "sample host-process resources every interval and print a summary on stderr at exit (0 = off)")
 	profCfg := prof.RegisterFlags()
 	flag.Parse()
 	if err := rejectPositional(flag.Args()); err != nil {
@@ -73,21 +72,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Profiling and resource sampling cover the whole sweep: for a
-	// tool whose unit of work is a grid of simulations, the per-
-	// invocation profile is the one that shows where the time and
-	// memory go. An error path through fatal() exits without flushing
-	// profiles, which is fine — the run it would have profiled did not
-	// finish either.
+	// Profiling covers the whole sweep: for a tool whose unit of work
+	// is a grid of simulations, the per-invocation profile is the one
+	// that shows where the time and memory go. An error path through
+	// fatal() exits without flushing profiles, which is fine — the run
+	// it would have profiled did not finish either.
 	defer func() {
 		if err := stopProf(); err != nil {
 			fatal(err)
 		}
 	}()
-	if *resInterval > 0 {
-		rs := resource.Start(*resInterval)
-		defer func() { fmt.Fprintf(os.Stderr, "sweep: %s\n", rs.Stop()) }()
-	}
 
 	done := exp.Results{}
 	for _, e := range selected {

@@ -101,12 +101,18 @@ func sweep(t *testing.T, args ...string) (int, string) {
 	return 0, ""
 }
 
-// TestShardsFlagRejected pins that the removed -shards option is an
-// unknown flag, not a silently accepted no-op.
+// TestShardsFlagRejected pins that every removed option, -shards the
+// first of them, is an unknown flag, not a silently accepted no-op.
 func TestShardsFlagRejected(t *testing.T) {
-	code, out := sweep(t, "-exp", "table2", "-shards", "2")
-	if code != 2 || !strings.Contains(out, "flag provided but not defined: -shards") {
-		t.Fatalf("sweep -shards 2: exit %d, output:\n%s", code, out)
+	for _, c := range []struct{ flag, value string }{
+		{"-shards", "2"},
+		{"-resources", "25ms"},
+		{"-pprof-http", "localhost:0"},
+	} {
+		code, out := sweep(t, "-exp", "table2", c.flag, c.value)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+c.flag) {
+			t.Errorf("sweep %s %s: exit %d, output:\n%s", c.flag, c.value, code, out)
+		}
 	}
 }
 

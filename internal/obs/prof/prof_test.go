@@ -1,9 +1,6 @@
 package prof
 
 import (
-	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,44 +39,14 @@ func TestProfilesWritten(t *testing.T) {
 	}
 }
 
-// TestHTTPEndpoint: -pprof-http must serve the pprof index while
-// running and release the port on stop.
-func TestHTTPEndpoint(t *testing.T) {
-	c := &Config{HTTPAddr: "127.0.0.1:0"}
-	stop, err := c.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ln == nil {
-		t.Fatal("no listener after Start")
-	}
-	addr := c.ln.Addr().String() // ":0" resolved to the bound port
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/", addr))
-	if err != nil {
-		t.Fatalf("GET /debug/pprof/: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if len(body) == 0 {
-		t.Error("empty pprof index")
-	}
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	if c.ln != nil {
-		t.Error("listener still registered after stop")
-	}
-}
-
-// TestBadPathFailsEarly: a bad profile path must fail at Start, before
-// a potentially long run, not at exit.
+// TestBadPathFailsEarly: a bad path for either profile must fail at
+// Start, before a potentially long run, not at exit.
 func TestBadPathFailsEarly(t *testing.T) {
-	c := &Config{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.pprof")}
-	if _, err := c.Start(); err == nil {
-		t.Fatal("Start succeeded with an uncreatable cpuprofile path")
+	bad := filepath.Join(t.TempDir(), "no", "such", "dir", "x.pprof")
+	for _, c := range []*Config{{CPUProfile: bad}, {MemProfile: bad}} {
+		if _, err := c.Start(); err == nil {
+			t.Errorf("Start succeeded with an uncreatable path: %+v", *c)
+		}
 	}
 }
 
