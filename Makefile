@@ -60,11 +60,13 @@ race:
 # -json stdout with and without -noleap compared byte for byte on the
 # four BENCHMARK.json pins, the mesh at n64, a 2-way run (the one
 # associativity above 1 here: the core's line window skips LRU stamps),
-# a fault plan carrying every directive, bankstall included, and the two
+# a fault plan carrying every directive, bankstall included, the two
 # runs that lean on the cores' run-ahead: a spin-dominated arch1 water
 # (14.7 M instructions in 2.7 Mcyc, four fifths of them retired ahead of
 # the clock) and WTU on the bus (the empty-write-buffer rule of
-# DataCache.Hit, the bus's MinTransit) — about 25 s.
+# DataCache.Hit, the bus's MinTransit), and two stream machines, whose
+# CPUs sleep through their think time (the unit matrices stop at n = 2)
+# — about 25 s.
 EQUIV_RUNS := \
 	"-bench ocean -protocol wti -cpus 4 -rows 32 -iters 32" \
 	"-bench water -protocol wb -cpus 16 -mols 6 -steps 4" \
@@ -74,7 +76,9 @@ EQUIV_RUNS := \
 	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
 	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \
 	"-bench water -protocol wb -arch 1 -cpus 32 -mols 2 -steps 1" \
-	"-bench ocean -protocol wtu -cpus 8 -noc bus"
+	"-bench ocean -protocol wtu -cpus 8 -noc bus" \
+	"-bench hotspot -protocol moesi -cpus 16" \
+	"-bench prodcons -protocol wtu -cpus 64"
 equiv:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/mcsim" ./cmd/mcsim || exit 1; \
@@ -94,7 +98,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 50: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 15350
+LOC_CEILING := 15150
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

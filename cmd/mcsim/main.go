@@ -3,10 +3,14 @@
 //
 // Usage:
 //
-//	mcsim [-bench ocean|water|lu|counter] [-protocol wti|wtu|wb|moesi]
-//	      [-arch 1|2] [-cpus N] [-noc gmn|mesh|bus] [-strict] [-v | -json]
-//	      [-fault drop=1e-4,delay=1e-3:8,seed=42]
+//	mcsim [-bench ocean|water|lu|counter|sparse|rmw|prodcons|uniform|hotspot|dense]
+//	      [-protocol wti|wtu|wb|moesi] [-arch 1|2] [-cpus N] [-noc gmn|mesh|bus]
+//	      [-strict] [-v | -json] [-fault drop=1e-4,delay=1e-3:8,seed=42]
 //	      [-cpuprofile FILE] [-memprofile FILE]
+//
+// -bench names any exp.Bench: a program the SR32 interpreters run, or a
+// stream bench whose CPUs replay synthetic references (no host
+// reference to check, and the program-size flags do not apply).
 //
 // The profiling flags are the pprof hooks shared with sweep
 // (internal/obs/prof); they observe the process and cannot change
@@ -39,7 +43,7 @@ func rejectPositional(args []string) error {
 }
 
 func main() {
-	bench := flag.String("bench", "ocean", "workload: ocean, water, lu or counter")
+	bench := flag.String("bench", "ocean", "workload: a program (ocean, water, lu, counter) or a stream (sparse, rmw, prodcons, uniform, hotspot, dense)")
 	protoFlag := flag.String("protocol", "wti", "write policy: wti, wtu, wb or moesi")
 	archFlag := flag.Int("arch", 2, "architecture: 1 (centralized, SMP) or 2 (distributed, DS)")
 	cpus := flag.Int("cpus", 8, "number of processors (1..64)")
@@ -114,17 +118,13 @@ func main() {
 		NoC: nocKind, StrictSC: *strict, C2C: *c2c, Ways: *ways, DirPointers: *dirPtrs,
 		Fault: *faultSpec,
 	}
-	spec, err := exp.BuildSpec(run, size)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg, err := run.Config()
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg.Mem.RowBytes = *rowBytes
 	cfg.DisableLeap = *noleap
-	sys, err := core.Build(cfg, spec.Image)
+	sys, hostCheck, err := exp.Build(run, cfg, size)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func main() {
 	}
 	sys.FlushCaches()
 	check := "no host reference"
-	if spec.Check != nil {
-		if err := spec.Check(sys.Space); err != nil {
+	if hostCheck != nil {
+		if err := hostCheck(sys.Space); err != nil {
 			fmt.Fprintln(os.Stderr, "VERIFICATION FAILED:", err)
 			os.Exit(1)
 		}
@@ -225,14 +225,14 @@ func main() {
 			asked += fmt.Sprintf(", %s %d", c.Name, c.Asked)
 			questions += c.Asked
 		}
-		var ahead, bursts, instr uint64
+		var ahead, bursts uint64
 		for _, c := range sys.CPUs {
 			a, b := c.Ahead()
-			ahead, bursts, instr = ahead+a, bursts+b, instr+c.Stats().Instructions
+			ahead, bursts = ahead+a, bursts+b
 		}
 		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.1f per executed cycle); run ahead: %d of %d instr in %d bursts\n",
 			eng.Leaps(), leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles),
-			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped), ahead, instr, bursts)
+			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped), ahead, res.Instructions(), bursts)
 	}
 
 	if res.Latency != nil {

@@ -111,12 +111,41 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		// The default -ways 1 is the grid's point: no /ways=1 in its key.
 		{"-bench counter -cpus 2 -fault bogus", "exp: counter/WTI/arch2/n2/fault=bogus: "},
 		{"-bench counter -cpus 2 -ways 2 -fault bogus", "exp: counter/WTI/arch2/n2/ways=2/fault=bogus: "},
+		// -bench names a program or a stream; the error lists both.
+		{"-bench zigzag", `exp: no program called "zigzag" (programs: ocean, water, lu, counter; streams: sparse, rmw, prodcons, uniform, hotspot, dense)`},
 	} {
-		out, code := runMain(t, c.args)
-		if code != 1 || !strings.Contains(out, c.want) || strings.Count(out, "\n") != 1 {
-			t.Errorf("mcsim %s: exit %d, want 1 and the one line %q; output:\n%s", c.args, code, c.want, out)
-		}
+		wantOneLineError(t, c.args, c.want)
 	}
+}
+
+// wantOneLineError checks that mcsim args exits 1 with want on its one
+// line of output.
+func wantOneLineError(t *testing.T, args, want string) {
+	t.Helper()
+	out, code := runMain(t, args)
+	if code != 1 || !strings.Contains(out, want) || strings.Count(out, "\n") != 1 {
+		t.Errorf("mcsim %s: exit %d, want 1 and the one line %q; output:\n%s", args, code, want, out)
+	}
+}
+
+// TestStreamBenchBadFlagValuesRejected pins that a stream machine, like
+// a program's, is refused before its generators are built when no
+// machine can be built from the values.
+func TestStreamBenchBadFlagValuesRejected(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-bench hotspot -cpus 0", "bad CPU count 0 (need 1..64)"},
+		{"-bench sparse -cpus 65", "bad CPU count 65 (need 1..64)"},
+		{"-bench uniform -cpus 2 -protocol mesi", `unknown protocol "mesi"`},
+		{"-bench dense -cpus 2 -noc foo", `unknown noc "foo"`},
+	} {
+		wantOneLineError(t, c.args, c.want)
+	}
+}
+
+// TestStreamBenchStrayArgumentRejected pins that a stray positional
+// token after a stream bench is refused, not silently ignored.
+func TestStreamBenchStrayArgumentRejected(t *testing.T) {
+	wantOneLineError(t, "-bench rmw -cpus 2 extra", `unexpected argument "extra"`)
 }
 
 // TestEngineLineReportsPerLayerSkips pins the stderr diagnostic: one
@@ -144,5 +173,16 @@ func TestEngineLineReportsPerLayerSkips(t *testing.T) {
 	}
 	if out, code := runMain(t, run+" -noleap"); code != 0 || strings.Contains(out, "engine:") {
 		t.Fatalf("mcsim %s -noleap: exit %d, output:\n%s", run, code, out)
+	}
+}
+
+// TestStreamBenchRuns pins that a stream bench is a -bench like any
+// program: its machine runs with every mcsim flag, and each completed
+// reference counts as one instruction (prodcons: 4000 per CPU).
+func TestStreamBenchRuns(t *testing.T) {
+	const run = "-bench prodcons -cpus 2 -json"
+	out, code := runMain(t, run)
+	if code != 0 || !strings.Contains(out, `"instructions": 8000,`) {
+		t.Fatalf("mcsim %s: exit %d, output:\n%s", run, code, out)
 	}
 }

@@ -23,7 +23,7 @@ func flatRunner(t *testing.T, b *Builder, base uint32) *cpu.CPU {
 		space.SetByte(base+uint32(i), by)
 	}
 	fm := &flatPort{space: space}
-	c := cpu.New(0, fm, &fm.fetches, fm, cpu.DefaultFPUTiming())
+	c := cpu.New(0, fm, &fm.fetches, fm)
 	c.Reset(base, 0x80000, 1)
 	for cyc := uint64(0); cyc < 1_000_000 && !c.Halted(); cyc++ {
 		c.Tick(cyc)

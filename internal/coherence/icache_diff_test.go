@@ -95,7 +95,7 @@ func newFetchRig(prog []isa.Instr, icacheLines, ways int, ref bool) *fetchRig {
 		m.Space.WriteWord(diffCode+uint32(4*i), isa.MustEncode(in))
 	}
 	port, fetches := m.Port()
-	c := cpu.New(0, port, fetches, m.DCaches[0], cpu.DefaultFPUTiming())
+	c := cpu.New(0, port, fetches, m.DCaches[0])
 	c.Reset(diffCode, 0, 1)
 	return &fetchRig{m, c}
 }
@@ -182,7 +182,7 @@ func TestIllegalInstructionPanicsAtTheFetch(t *testing.T) {
 	m.Space.WriteWord(diffCode, isa.MustEncode(isa.Instr{Op: isa.OpNop}))
 	m.Space.WriteWord(diffCode+4, 0xf4000123) // unassigned major opcode 61
 	port, fetches := m.Port()
-	c := cpu.New(7, port, fetches, m.DCaches[0], cpu.DefaultFPUTiming())
+	c := cpu.New(7, port, fetches, m.DCaches[0])
 	c.Reset(diffCode, 0, 1)
 	defer func() {
 		want := fmt.Sprintf("cpu 7: illegal instruction 0xf4000123 at pc=%#x", diffCode+4)

@@ -9,10 +9,8 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
-	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/mem"
-	"repro/internal/noc"
 )
 
 // NoCKind selects the interconnect model.
@@ -53,16 +51,9 @@ type Config struct {
 	// coherence.DefaultParams(NumCPUs).
 	Mem coherence.Params
 
+	// NoC selects the interconnect, built with its model's default
+	// parameters for the node count.
 	NoC NoCKind
-	// GMN optionally overrides the GMN parameters (zero value: defaults
-	// for the node count). Ignored for MeshNet.
-	GMN noc.GMNConfig
-	// Mesh optionally overrides the mesh parameters.
-	Mesh noc.MeshConfig
-	// Bus optionally overrides the bus parameters.
-	Bus noc.BusConfig
-
-	FPU cpu.FPUTiming
 
 	// Fault, when non-empty, threads the deterministic fault-injection
 	// layer (internal/fault) between the protocol controllers and the
@@ -91,7 +82,6 @@ func DefaultConfig(proto coherence.Protocol, arch mem.Arch, n int) Config {
 		Arch:     arch,
 		NumCPUs:  n,
 		Mem:      coherence.DefaultParams(n),
-		FPU:      cpu.DefaultFPUTiming(),
 	}
 }
 
@@ -112,39 +102,8 @@ func (c *Config) normalize() error {
 	if err := c.Mem.Validate(); err != nil {
 		return err
 	}
-	if c.FPU == (cpu.FPUTiming{}) {
-		c.FPU = cpu.DefaultFPUTiming()
-	}
-	// The selected interconnect's parameters default as a whole (Nodes
-	// == 0) or are taken as given: a partly filled config is an error
-	// naming the field, not a machine with quietly repaired queues.
-	nodes := c.NumCPUs + c.Arch.NumBanks(c.NumCPUs)
-	var configured int
-	var err error
-	switch c.NoC {
-	case GMNNet:
-		if c.GMN.Nodes == 0 {
-			c.GMN = noc.DefaultGMNConfig(nodes)
-		}
-		configured, err = c.GMN.Nodes, c.GMN.Validate()
-	case MeshNet:
-		if c.Mesh.Nodes == 0 {
-			c.Mesh = noc.DefaultMeshConfig(nodes)
-		}
-		configured, err = c.Mesh.Nodes, c.Mesh.Validate()
-	case BusNet:
-		if c.Bus.Nodes == 0 {
-			c.Bus = noc.DefaultBusConfig(nodes)
-		}
-		configured, err = c.Bus.Nodes, c.Bus.Validate()
-	default:
+	if c.NoC < GMNNet || c.NoC > BusNet {
 		return fmt.Errorf("core: unknown NoC kind %d", c.NoC)
-	}
-	if err != nil {
-		return err
-	}
-	if configured != nodes {
-		return fmt.Errorf("core: %v configured for %d nodes, platform has %d", c.NoC, configured, nodes)
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000_000

@@ -6,16 +6,12 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/mem"
-	"repro/internal/noc"
 )
 
 func TestDefaultConfigNormalizes(t *testing.T) {
 	cfg := DefaultConfig(coherence.WTI, mem.Arch2, 8)
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
-	}
-	if cfg.GMN.Nodes != 8+11 {
-		t.Fatalf("GMN nodes = %d, want 19 (8 CPUs + 11 banks)", cfg.GMN.Nodes)
 	}
 	if cfg.MaxCycles == 0 {
 		t.Fatal("MaxCycles not defaulted")
@@ -26,7 +22,7 @@ func TestDefaultConfigNormalizes(t *testing.T) {
 }
 
 func TestConfigRejectsBadValues(t *testing.T) {
-	// with returns the 4-CPU arch1 default (6 nodes) after edit.
+	// with returns the 4-CPU arch1 default after edit.
 	with := func(edit func(c *Config)) Config {
 		c := DefaultConfig(coherence.WTI, mem.Arch1, 4)
 		edit(&c)
@@ -38,43 +34,13 @@ func TestConfigRejectsBadValues(t *testing.T) {
 	}{
 		{Config{Protocol: coherence.WTI, Arch: mem.Arch1, NumCPUs: 0}, "NumCPUs"},
 		{with(func(c *Config) { c.Mem.NumCPUs = 8 }), "Mem.NumCPUs"},
-		{with(func(c *Config) { c.GMN = noc.DefaultGMNConfig(3) }), "gmn configured for 3 nodes"},
 		{with(func(c *Config) { c.NoC = NoCKind(42) }), "NoC kind 42"},
-		// A partly filled NoC config used to be clamped into a machine
-		// nobody asked for (depth-1 router queues here); now it is named.
-		{with(func(c *Config) { c.NoC, c.Mesh = MeshNet, noc.MeshConfig{Nodes: 6, RouterDelay: 3} }), "mesh QueueDepth = 0"},
-		{with(func(c *Config) { c.NoC, c.Mesh = MeshNet, noc.MeshConfig{Nodes: 6, QueueDepth: 4} }), "mesh RouterDelay = 0"},
-		{with(func(c *Config) { c.NoC, c.Mesh = MeshNet, noc.MeshConfig{Nodes: 6, RouterDelay: 2, QueueDepth: -1} }), "mesh QueueDepth = -1"},
-		{with(func(c *Config) { c.GMN = noc.GMNConfig{Nodes: 6, FIFODepth: 8, SrcDepth: 4} }), "GMN Delay = 0"},
-		{with(func(c *Config) { c.GMN = noc.GMNConfig{Nodes: 6, Delay: 5, SrcDepth: 4} }), "GMN FIFODepth = 0"},
-		{with(func(c *Config) { c.GMN = noc.GMNConfig{Nodes: 6, Delay: 5, FIFODepth: 8} }), "GMN SrcDepth = 0"},
-		{with(func(c *Config) { c.NoC, c.Bus = BusNet, noc.BusConfig{Nodes: 6, ArbDelay: -1, QueueDepth: 4} }), "bus ArbDelay = -1"},
-		{with(func(c *Config) { c.NoC, c.Bus = BusNet, noc.BusConfig{Nodes: 6} }), "bus QueueDepth = 0"},
+		{with(func(c *Config) { c.NoC = NoCKind(-1) }), "NoC kind -1"},
 	}
 	for i, b := range bad {
 		if err := b.cfg.normalize(); err == nil || !strings.Contains(err.Error(), b.want) {
 			t.Errorf("bad config %d: normalize() = %v, want an error naming %q", i, err, b.want)
 		}
-	}
-	// Only the selected model's parameters are checked, and a zero
-	// arbitration delay is a legal bus.
-	ok := with(func(c *Config) {
-		c.NoC, c.Bus = BusNet, noc.BusConfig{Nodes: 6, QueueDepth: 1}
-		c.Mesh = noc.MeshConfig{Nodes: 6, QueueDepth: -3}
-	})
-	if err := ok.normalize(); err != nil {
-		t.Errorf("zero-ArbDelay bus with an unselected bad mesh: %v", err)
-	}
-}
-
-func TestConfigMeshNormalization(t *testing.T) {
-	cfg := DefaultConfig(coherence.WBMESI, mem.Arch1, 4)
-	cfg.NoC = MeshNet
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Mesh.Nodes != 6 {
-		t.Fatalf("mesh nodes = %d", cfg.Mesh.Nodes)
 	}
 }
 

@@ -67,11 +67,8 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	var prevInstr uint64
 	sp.AddProbe("ipc", func(now uint64) float64 {
 		var total uint64
-		for _, c := range s.CPUs {
-			total += c.Stats().Instructions
-		}
-		for _, c := range s.Streams {
-			total += c.Stats().Ops
+		for _, f := range s.fronts {
+			total += f.Stats().Instructions
 		}
 		d := total - prevInstr
 		prevInstr = total
@@ -80,11 +77,8 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	var prevStall uint64
 	sp.AddProbe("data_stall_pct", func(now uint64) float64 {
 		var total uint64
-		for _, c := range s.CPUs {
-			total += c.Stats().DataStallCycles
-		}
-		for _, c := range s.Streams {
-			total += c.Stats().StallCycles
+		for _, f := range s.fronts {
+			total += f.Stats().DataStallCycles
 		}
 		d := total - prevStall
 		prevStall = total

@@ -9,7 +9,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Result collects the measurements of one run — the quantities behind
@@ -22,10 +21,8 @@ type Result struct {
 	// Net is the interconnect traffic accumulated over the whole run.
 	Net noc.Stats
 
-	// CPU holds the interpreters' counters, Stream the stream CPUs' of a
-	// machine built by BuildStreams; the other is empty.
+	// CPU holds each CPU slot's counters, interpreter or stream CPU.
 	CPU    []cpu.Stats
-	Stream []trace.CPUStats
 	DCache []coherence.DCacheStats
 	Mem    []coherence.MemStats
 	// IFetches / IMisses aggregate the instruction caches.
@@ -56,11 +53,8 @@ type FaultReport struct {
 func (s *System) collect(cycles uint64) *Result {
 	r := &Result{Config: s.Cfg, Cycles: cycles, Net: s.Net.Stats(),
 		Latency: s.Obs.LatencyReport()}
-	for _, c := range s.CPUs {
-		r.CPU = append(r.CPU, *c.Stats())
-	}
-	for _, c := range s.Streams {
-		r.Stream = append(r.Stream, *c.Stats())
+	for _, f := range s.fronts {
+		r.CPU = append(r.CPU, *f.Stats())
 	}
 	for i := range s.DCaches {
 		r.DCache = append(r.DCache, *s.DCaches[i].Stats())

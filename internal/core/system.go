@@ -22,12 +22,11 @@ type System struct {
 	Space   *mem.Space
 	AddrMap *mem.AddrMap
 
-	// CPUs are the interpreters of a machine built from an image,
-	// Streams the reference-stream CPUs of one built by BuildStreams;
-	// the other is empty.
-	CPUs    []*cpu.CPU
-	Streams []*trace.CPU
-	fronts  []frontEnd // whichever of the two, as the clusters see them
+	// CPUs are the interpreters of a machine built from an image (empty
+	// for one built by BuildStreams); fronts are whatever fills the CPU
+	// slots, as the clusters see them.
+	CPUs   []*cpu.CPU
+	fronts []frontEnd
 
 	// Hierarchy is everything below the CPUs (DCaches, ICaches, Nodes,
 	// Banks, BNodes, Ports) with its invariant checks and FlushCaches.
@@ -54,7 +53,7 @@ type System struct {
 // (runtime-based programs install their own stacks immediately).
 func Build(cfg Config, img *mem.Image) (*System, error) {
 	sys, err := build(cfg, func(s *System, i int) frontEnd {
-		c := cpu.New(i, s.ICaches[i], &s.ICaches[i].Fetches, s.DCaches[i], s.Cfg.FPU)
+		c := cpu.New(i, s.ICaches[i], &s.ICaches[i].Fetches, s.DCaches[i])
 		c.Reset(img.Entry, s.Layout.StackTop(i), s.Cfg.NumCPUs)
 		s.CPUs = append(s.CPUs, c)
 		return c
@@ -76,9 +75,7 @@ func BuildStreams(cfg Config, gen func(cpu int) trace.Generator, ops, think uint
 		if gen != nil {
 			g = gen(i)
 		}
-		c := trace.NewCPU(i, s.DCaches[i], g, ops, think)
-		s.Streams = append(s.Streams, c)
-		return c
+		return trace.NewCPU(i, s.DCaches[i], g, ops, think)
 	})
 }
 
@@ -93,13 +90,13 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	amap := cfg.Arch.BuildMap(layout)
 
 	var net noc.Network
-	switch cfg.NoC {
+	switch nodes := n + cfg.Arch.NumBanks(n); cfg.NoC {
 	case MeshNet:
-		net = noc.NewMesh(cfg.Mesh)
+		net = noc.NewMesh(noc.DefaultMeshConfig(nodes))
 	case BusNet:
-		net = noc.NewBus(cfg.Bus)
+		net = noc.NewBus(noc.DefaultBusConfig(nodes))
 	default:
-		net = noc.NewGMN(cfg.GMN)
+		net = noc.NewGMN(noc.DefaultGMNConfig(nodes))
 	}
 
 	// The fault layer wraps the network only when a plan asks for it;
@@ -173,12 +170,14 @@ func (s *System) register(name string, t sim.Ticker) sim.Waker {
 	return s.Engine.Register(name, t)
 }
 
-// frontEnd is what fills a cluster's CPU slot: the wake contract plus
-// "halted". The SR32 interpreter and the synthetic stream CPU both do.
+// frontEnd is what fills a cluster's CPU slot: the wake contract,
+// "halted" and the counters. The SR32 interpreter and the synthetic
+// stream CPU both do.
 type frontEnd interface {
 	sim.Ticker
 	sim.Sleeper
 	Halted() bool
+	Stats() *cpu.Stats
 }
 
 // cluster is one CPU with its caches and its NoC port, scheduled as a
@@ -305,16 +304,15 @@ func (s *System) EnableRuntimeChecks(every uint64) {
 	})
 }
 
+// pcs names where each running CPU stands: an interpreter's pc, a
+// stream CPU's count of completed references.
 func (s *System) pcs() []string {
-	out := make([]string, 0, len(s.CPUs))
-	for _, c := range s.CPUs {
-		if !c.Halted() {
-			out = append(out, fmt.Sprintf("cpu%d@%#x", c.ID, c.PC()))
-		}
-	}
-	for _, c := range s.Streams {
-		if !c.Halted() {
-			out = append(out, fmt.Sprintf("cpu%d@op%d", c.ID, c.Stats().Ops))
+	var out []string
+	for i, f := range s.fronts {
+		if c, ok := f.(*cpu.CPU); ok && !c.Halted() {
+			out = append(out, fmt.Sprintf("cpu%d@%#x", i, c.PC()))
+		} else if !f.Halted() {
+			out = append(out, fmt.Sprintf("cpu%d@op%d", i, f.Stats().Instructions))
 		}
 	}
 	return out

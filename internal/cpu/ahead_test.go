@@ -199,7 +199,7 @@ func rigCore(prog []uint32, rng *rand.Rand) (*CPU, *rigPort) {
 		p.words[a] = rng.Uint32()
 		p.dValid[a&^(rigBlock-1)] = true
 	}
-	c := New(0, p, &p.fetches, p, FPUTiming{Add: 2, Mul: 4, Div: 16})
+	c := New(0, p, &p.fetches, p)
 	c.Reset(rigCode, 0, 1)
 	c.regs[8] = rigData
 	for r := 1; r < 8; r++ {

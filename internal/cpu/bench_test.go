@@ -22,7 +22,7 @@ func BenchmarkInterpreterALU(b *testing.B) {
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(base, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,7 +43,7 @@ func BenchmarkInterpreterMemOps(b *testing.B) {
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(base, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -66,16 +66,13 @@ type InstrPort interface {
 	Line(now uint64, addr uint32) ([]isa.Instr, bool)
 }
 
-// FPUTiming gives the multi-cycle latencies of floating-point
-// operations (occupancy of the single FPU).
-type FPUTiming struct {
-	Add int
-	Mul int
-	Div int
-}
-
-// DefaultFPUTiming mirrors a simple single-precision SPARC-class FPU.
-func DefaultFPUTiming() FPUTiming { return FPUTiming{Add: 2, Mul: 4, Div: 16} }
+// The multi-cycle latencies of floating-point operations (occupancy of
+// the single FPU), those of a simple single-precision SPARC-class FPU.
+const (
+	fpuAdd = 2
+	fpuMul = 4
+	fpuDiv = 16
+)
 
 // Stats aggregates one CPU's execution counters.
 type Stats struct {
@@ -99,7 +96,6 @@ type CPU struct {
 
 	icache InstrPort
 	dcache coherence.DataCache
-	fpu    FPUTiming
 
 	window  []isa.Instr // the block the last Line returned; nil if it failed
 	winBase uint32      // window's address
@@ -130,8 +126,8 @@ type CPU struct {
 }
 
 // New builds a core wired to its caches; fetches is ic's fetch counter.
-func New(id int, ic InstrPort, fetches *uint64, dc coherence.DataCache, fpu FPUTiming) *CPU {
-	return &CPU{ID: id, icache: ic, fetches: fetches, dcache: dc, fpu: fpu}
+func New(id int, ic InstrPort, fetches *uint64, dc coherence.DataCache) *CPU {
+	return &CPU{ID: id, icache: ic, fetches: fetches, dcache: dc}
 }
 
 // Reset initializes the architectural state: entry PC, stack pointer,
@@ -510,16 +506,16 @@ func (c *CPU) exec(now uint64, in isa.Instr) {
 
 	case isa.OpFadd:
 		c.fregs[in.Rd] = c.fregs[in.Rs1] + c.fregs[in.Rs2]
-		c.fpuBusy(now, c.fpu.Add)
+		c.fpuBusy(now, fpuAdd)
 	case isa.OpFsub:
 		c.fregs[in.Rd] = c.fregs[in.Rs1] - c.fregs[in.Rs2]
-		c.fpuBusy(now, c.fpu.Add)
+		c.fpuBusy(now, fpuAdd)
 	case isa.OpFmul:
 		c.fregs[in.Rd] = c.fregs[in.Rs1] * c.fregs[in.Rs2]
-		c.fpuBusy(now, c.fpu.Mul)
+		c.fpuBusy(now, fpuMul)
 	case isa.OpFdiv:
 		c.fregs[in.Rd] = c.fregs[in.Rs1] / c.fregs[in.Rs2]
-		c.fpuBusy(now, c.fpu.Div)
+		c.fpuBusy(now, fpuDiv)
 	case isa.OpFeq:
 		c.setReg(in.Rd, boolTo32(c.fregs[in.Rs1] == c.fregs[in.Rs2]))
 	case isa.OpFlt:
@@ -528,10 +524,10 @@ func (c *CPU) exec(now uint64, in isa.Instr) {
 		c.setReg(in.Rd, boolTo32(c.fregs[in.Rs1] <= c.fregs[in.Rs2]))
 	case isa.OpCvtWS:
 		c.fregs[in.Rd] = float32(int32(a))
-		c.fpuBusy(now, c.fpu.Add)
+		c.fpuBusy(now, fpuAdd)
 	case isa.OpCvtSW:
 		c.setReg(in.Rd, uint32(int32(c.fregs[in.Rs1])))
-		c.fpuBusy(now, c.fpu.Add)
+		c.fpuBusy(now, fpuAdd)
 	case isa.OpFmov:
 		c.fregs[in.Rd] = c.fregs[in.Rs1]
 	case isa.OpFabs:
@@ -556,11 +552,7 @@ func (c *CPU) branchTarget(in isa.Instr) uint32 {
 }
 
 // fpuBusy occupies the FPU for lat cycles total (this cycle included).
-func (c *CPU) fpuBusy(now uint64, lat int) {
-	if lat > 1 {
-		c.busyUntil = now + uint64(lat)
-	}
-}
+func (c *CPU) fpuBusy(now, lat uint64) { c.busyUntil = now + lat }
 
 func boolTo32(b bool) uint32 {
 	if b {

@@ -61,7 +61,7 @@ func run(t *testing.T, prog []isa.Instr, setup func(*CPU, *flatMem)) (*CPU, *fla
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(base, 0x8000, 1)
 	if setup != nil {
 		setup(c, fm)
@@ -276,7 +276,7 @@ func TestFPUOperationsAndLatency(t *testing.T) {
 		t.Fatalf("flt(6,4) = %d", c.Reg(10))
 	}
 	// Multi-cycle occupancy must be accounted.
-	want := uint64(DefaultFPUTiming().Add + DefaultFPUTiming().Mul + DefaultFPUTiming().Div - 3)
+	want := uint64(fpuAdd + fpuMul + fpuDiv - 3)
 	if got := c.Stats().FPUBusyCycles; got != want {
 		t.Fatalf("FPUBusyCycles = %d, want %d", got, want)
 	}
@@ -314,7 +314,7 @@ func TestLuiOriComposition(t *testing.T) {
 
 func TestResetConventions(t *testing.T) {
 	fm := newFlatMem()
-	c := New(3, fm, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(3, fm, &fm.fetches, fm)
 	c.Reset(0x1000, 0x9000, 8)
 	if c.Reg(RegID) != 3 || c.Reg(RegNum) != 8 || c.Reg(RegSP) != 0x9000 {
 		t.Fatalf("reset registers: id=%d nc=%d sp=%#x", c.Reg(RegID), c.Reg(RegNum), c.Reg(RegSP))
@@ -327,7 +327,7 @@ func TestResetConventions(t *testing.T) {
 func TestIllegalInstructionPanics(t *testing.T) {
 	fm := newFlatMem()
 	fm.space.WriteWord(0x1000, 0xf4000000) // unassigned major opcode 61
-	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(0x1000, 0, 1)
 	defer func() {
 		want := "cpu 0: illegal instruction 0xf4000000 at pc=0x1000"
@@ -341,7 +341,7 @@ func TestIllegalInstructionPanics(t *testing.T) {
 func TestUnalignedAccessPanics(t *testing.T) {
 	fm := newFlatMem()
 	fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpLw, Rd: 1, Rs1: 2, Imm: 1}))
-	c := New(0, fm, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(0x1000, 0, 1)
 	defer func() {
 		if recover() == nil {
@@ -377,7 +377,7 @@ func TestDataStallAccounting(t *testing.T) {
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, &fm.fetches, sp, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, sp)
 	c.Reset(base, 0, 1)
 	for cyc := uint64(0); cyc < 100 && !c.Halted(); cyc++ {
 		c.Tick(cyc)
@@ -498,7 +498,7 @@ func TestInstStallAccounting(t *testing.T) {
 	fm := newFlatMem()
 	sp := &stallFetch{flatMem: fm, delay: 3}
 	fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
-	c := New(0, sp, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(0, sp, &fm.fetches, fm)
 	c.Reset(0x1000, 0, 1)
 	for cyc := uint64(0); cyc < 100 && !c.Halted(); cyc++ {
 		c.Tick(cyc)
@@ -550,7 +550,7 @@ func TestFswStallRetries(t *testing.T) {
 	for i, in := range prog {
 		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
 	}
-	c := New(0, fm, &fm.fetches, sp, DefaultFPUTiming())
+	c := New(0, fm, &fm.fetches, sp)
 	c.Reset(base, 0, 1)
 	c.regs[11] = 77
 	for cyc := uint64(0); cyc < 100 && !c.Halted(); cyc++ {
@@ -589,7 +589,7 @@ func TestWindowServesTheLineAndIsDroppedOnFailure(t *testing.T) {
 	}
 	// Word 5 jumps to the last word of the next line.
 	fm.space.WriteWord(0x1000+4*5, isa.MustEncode(isa.Instr{Op: isa.OpJal, Imm: 15 - 6}))
-	c := New(0, sp, &fm.fetches, fm, DefaultFPUTiming())
+	c := New(0, sp, &fm.fetches, fm)
 	c.Reset(0x1000, 0, 1)
 	now := uint64(0)
 	tick := func(n int) {
@@ -641,7 +641,7 @@ func TestStalledCoreCountsOneFetchPerRetry(t *testing.T) {
 		sp := &stallStore{flatMem: fm, delay: 10}
 		fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpSw, Rd: 11, Rs1: 0, Imm: 0x200}))
 		fm.space.WriteWord(0x1004, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
-		c := New(0, fm, &fm.fetches, sp, DefaultFPUTiming())
+		c := New(0, fm, &fm.fetches, sp)
 		c.Reset(0x1000, 0, 1)
 		for now := uint64(0); !c.Halted(); now++ {
 			c.Tick(now)

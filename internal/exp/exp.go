@@ -171,7 +171,7 @@ func schedModeFor(arch mem.Arch) codegen.SchedMode {
 }
 
 // BuildSpec builds the workload image for one run point whose Bench is
-// a program.
+// a program (Build wires either kind).
 func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 	if r.Scale != (Scale{}) {
 		sc = r.Scale
@@ -196,8 +196,31 @@ func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 			Threads: r.NumCPUs, Incs: sc.CounterIncs,
 		})
 	default:
-		return nil, fmt.Errorf("exp: no program called %q (programs: %s, %s, %s, %s)", r.Bench, Ocean, Water, LU, Counter)
+		streams := make([]string, len(streamBenches))
+		for i, sb := range streamBenches {
+			streams[i] = string(sb.bench)
+		}
+		return nil, fmt.Errorf("exp: no program called %q (programs: %s, %s, %s, %s; streams: %s)",
+			r.Bench, Ocean, Water, LU, Counter, strings.Join(streams, ", "))
 	}
+}
+
+// Build wires r's machine on cfg (r.Config(), possibly adjusted by the
+// caller): interpreters loaded with the program's image, or stream CPUs
+// replaying the bench's references. check is the program's host
+// reference, nil for a stream.
+func Build(r Run, cfg core.Config, sc Scale) (sys *core.System, check func(*mem.Space) error, err error) {
+	if sb, ok := findStream(r.Bench); ok {
+		l := mem.DefaultLayout(r.NumCPUs)
+		sys, err = core.BuildStreams(cfg, func(cpu int) trace.Generator { return sb.gen(l, cpu) }, sb.ops, streamThink)
+		return sys, nil, err
+	}
+	spec, err := BuildSpec(r, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys, err = core.Build(cfg, spec.Image)
+	return sys, spec.Check, err
 }
 
 // Observe configures per-run observability for experiment execution.
@@ -224,19 +247,7 @@ func execute(r Run, sc Scale, o *Observe) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sys *core.System
-	var check func(*mem.Space) error // nil: no host-side reference
-	if sb, ok := streamBenches[r.Bench]; ok {
-		l := mem.DefaultLayout(r.NumCPUs)
-		sys, err = core.BuildStreams(cfg,
-			func(cpu int) trace.Generator { return sb.gen(l, cpu) }, sb.ops, streamThink)
-	} else {
-		var spec *workload.Spec
-		if spec, err = BuildSpec(r, sc); err == nil {
-			check = spec.Check
-			sys, err = core.Build(cfg, spec.Image)
-		}
-	}
+	sys, check, err := Build(r, cfg, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -284,7 +284,7 @@ func TestExperimentTable(t *testing.T) {
 		}
 		// A renderer simulates nothing: everything but the two tables
 		// that are not simulations of Runs declares its points, and
-		// every point names something execute can build.
+		// every point, program or stream, builds.
 		if e.Points == nil {
 			if e.Name != "table1" && e.Name != "table2" {
 				t.Errorf("%s: no points", e.Name)
@@ -292,11 +292,11 @@ func TestExperimentTable(t *testing.T) {
 			continue
 		}
 		for _, r := range e.Points(Params{Sizes: []int{2}}) {
-			if _, stream := streamBenches[r.Bench]; stream {
-				continue
+			cfg, err := r.Config()
+			if err == nil {
+				_, _, err = Build(r, cfg, QuickScale())
 			}
-			r.NumCPUs = 2
-			if _, err := BuildSpec(r, QuickScale()); err != nil {
+			if err != nil {
 				t.Errorf("%s: point %s: %v", e.Name, r.Key(), err)
 			}
 		}
@@ -340,6 +340,27 @@ func TestExperimentTable(t *testing.T) {
 	for name := range seen {
 		if !indexed[name] {
 			t.Errorf("package doc has no index line for %q", name)
+		}
+	}
+}
+
+// TestStreamBenchesStayMapped draws every stream bench's references for
+// every CPU at 1, 33 and 64 CPUs, without simulating them: each must be
+// a word inside a region of the Architecture 2 map (the write streams
+// used to run off the end of the shared region past 32 CPUs).
+func TestStreamBenchesStayMapped(t *testing.T) {
+	for _, n := range []int{1, 33, 64} {
+		l := mem.DefaultLayout(n)
+		amap := mem.Arch2.BuildMap(l)
+		for _, sb := range streamBenches {
+			for cpu := 0; cpu < n; cpu++ {
+				g := sb.gen(l, cpu)
+				for i := uint64(0); i < sb.ops; i++ {
+					if op := g.Next(); op.Addr%4 != 0 || amap.Lookup(op.Addr) == nil {
+						t.Fatalf("%s at n%d: CPU %d's reference %d is to %#x, outside the map", sb.bench, n, cpu, i, op.Addr)
+					}
+				}
+			}
 		}
 	}
 }

@@ -18,17 +18,13 @@ import (
 
 func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) *core.Result {
 	t.Helper()
-	spec, err := BuildSpec(r, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg, err := r.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisableLeap = disableLeap
 	cfg.MaxCycles = 3_000_000
-	sys, err := core.Build(cfg, spec.Image)
+	sys, _, err := Build(r, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

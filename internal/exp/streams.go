@@ -5,8 +5,9 @@ import (
 	"repro/internal/trace"
 )
 
-// The stream benches: synthetic reference patterns, one generator per
-// CPU, replayed by stream CPUs in place of the interpreters.
+// The stream benches the experiments name: synthetic reference
+// patterns, one generator per CPU, replayed by stream CPUs in place of
+// the interpreters.
 const (
 	// SparseWrites: each CPU stores one word per cache block, marching
 	// through its own buffer, never reading it back. WTI posts 4 useful
@@ -28,23 +29,31 @@ const (
 // references.
 const streamThink = 2
 
-// streamBench is one pattern: its row label, the references per CPU
-// and CPU cpu's generator over the layout.
+// streamBench is one pattern: its name, its row label, the references
+// per CPU and CPU cpu's generator over the layout.
 type streamBench struct {
+	bench Bench
 	label string
 	ops   uint64
 	gen   func(l mem.Layout, cpu int) trace.Generator
 }
 
-var streamBenches = map[Bench]streamBench{
-	SparseWrites: {"sparse writes", 8000, func(l mem.Layout, cpu int) trace.Generator {
-		const buf = 512 * 1024
+// streamBuf is each CPU's buffer in the shared region for the write
+// streams: 512 KiB, or an equal share of the region past 32 CPUs.
+func streamBuf(l mem.Layout) uint32 {
+	return min(512<<10, l.SharedSize/uint32(l.NumCPUs)&^31)
+}
+
+// streamBenches is the one table of stream benches.
+var streamBenches = []streamBench{
+	{SparseWrites, "sparse writes", 8000, func(l mem.Layout, cpu int) trace.Generator {
+		buf := streamBuf(l)
 		return trace.NewWriteStream(l.SharedBase+uint32(cpu)*buf, buf, 32)
 	}},
-	PrivateRMW: {"private rmw", 8000, func(l mem.Layout, cpu int) trace.Generator {
+	{PrivateRMW, "private rmw", 8000, func(l mem.Layout, cpu int) trace.Generator {
 		return trace.NewPrivateRMW(l.PrivateSeg(cpu), 2048)
 	}},
-	ProdCons: {"producer/consumer", 4000, func(l mem.Layout, cpu int) trace.Generator {
+	{ProdCons, "producer/consumer", 4000, func(l mem.Layout, cpu int) trace.Generator {
 		hot := l.SharedBase
 		if cpu == 0 {
 			return trace.NewWriteStream(hot, 4, 4)
@@ -55,11 +64,40 @@ var streamBenches = map[Bench]streamBench{
 			HotFrac: 0.5, StoreFrac: 0, Seed: int64(cpu) + 1,
 		})
 	}},
+	// Uniformly random words of 64 KiB of shared data, 30% stores.
+	{"uniform", "uniform shared", 10000, func(l mem.Layout, cpu int) trace.Generator {
+		return trace.NewUniform(trace.UniformParams{Base: l.SharedBase, Size: 64 << 10, StoreFrac: 0.3, Seed: int64(cpu) + 1})
+	}},
+	// Private data plus one contended shared block (5% of references),
+	// 30% stores.
+	{"hotspot", "hot spot", 10000, func(l mem.Layout, cpu int) trace.Generator {
+		return trace.NewHotSpot(trace.HotSpotParams{
+			PrivateBase: l.PrivateSeg(cpu), PrivateSize: 8192,
+			HotBase: l.SharedBase, HotSize: 32,
+			HotFrac: 0.05, StoreFrac: 0.3, Seed: int64(cpu) + 1,
+		})
+	}},
+	// SparseWrites word by word: per-word message overhead costs WTI
+	// more than WB's two block moves.
+	{"dense", "dense writes", 10000, func(l mem.Layout, cpu int) trace.Generator {
+		buf := streamBuf(l)
+		return trace.NewWriteStream(l.SharedBase+uint32(cpu)*buf, buf, 4)
+	}},
+}
+
+// findStream looks a stream bench up by name.
+func findStream(b Bench) (streamBench, bool) {
+	for _, sb := range streamBenches {
+		if sb.bench == b {
+			return sb, true
+		}
+	}
+	return streamBench{}, false
 }
 
 // benchLabel is the bench's name in a table row.
 func benchLabel(b Bench) string {
-	if sb, ok := streamBenches[b]; ok {
+	if sb, ok := findStream(b); ok {
 		return sb.label
 	}
 	return string(b)

@@ -1,15 +1,11 @@
 package stats
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // Histogram counts samples in power-of-two buckets: bucket i holds
 // values in [2^(i-1), 2^i), bucket 0 holds zero. It is the memory-
-// latency distribution tool of the trace harness: cheap to record,
-// good enough for percentile reporting.
+// latency distribution tool of the observer's request-latency table:
+// cheap to record, good enough for percentile reporting.
 type Histogram struct {
 	buckets [40]uint64
 	count   uint64
@@ -74,24 +70,4 @@ func (h *Histogram) Percentile(p float64) uint64 {
 		}
 	}
 	return h.max
-}
-
-// String renders count, mean and the common percentiles.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.1f p50<=%d p95<=%d p99<=%d max=%d",
-		h.count, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.max)
-	return b.String()
-}
-
-// Merge adds other's samples into h (percentile bounds remain valid).
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
 }

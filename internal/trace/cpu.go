@@ -2,23 +2,16 @@ package trace
 
 import (
 	"repro/internal/coherence"
+	"repro/internal/cpu"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
-
-// CPUStats counts one trace CPU's activity.
-type CPUStats struct {
-	Ops         uint64
-	StallCycles uint64
-	ThinkCycles uint64
-	// Latency is the distribution of per-operation completion times in
-	// cycles (from first issue to completion).
-	Latency stats.Histogram
-}
 
 // CPU replays a reference stream against a data cache with a fixed
 // think time between completed operations. It fills the same slot of a
-// platform as the SR32 interpreter (core.BuildStreams).
+// platform as the SR32 interpreter (core.BuildStreams) and counts in
+// the interpreter's cpu.Stats: a completed reference is one instruction
+// and one load or store, a cycle spent waiting on the cache one data
+// stall.
 type CPU struct {
 	ID    int
 	dc    coherence.DataCache
@@ -28,10 +21,9 @@ type CPU struct {
 
 	pending bool
 	op      Op
-	opStart uint64
 	nextAt  uint64
 	done    bool
-	st      CPUStats
+	st      cpu.Stats
 }
 
 // NewCPU builds a trace CPU issuing ops operations of gen, think cycles
@@ -45,15 +37,11 @@ func NewCPU(id int, dc coherence.DataCache, gen Generator, ops, think uint64) *C
 func (c *CPU) Halted() bool { return c.done }
 
 // Stats returns the CPU's counters.
-func (c *CPU) Stats() *CPUStats { return &c.st }
+func (c *CPU) Stats() *cpu.Stats { return &c.st }
 
 // Tick implements sim.Ticker.
 func (c *CPU) Tick(now uint64) {
-	if c.done {
-		return
-	}
-	if now < c.nextAt {
-		c.st.ThinkCycles++
+	if c.done || now < c.nextAt {
 		return
 	}
 	if !c.pending {
@@ -63,21 +51,22 @@ func (c *CPU) Tick(now uint64) {
 		}
 		c.left--
 		c.op = c.gen.Next()
-		c.opStart = now
 		c.pending = true
 	}
-	var ok bool
 	if c.op.Store {
-		ok = c.dc.Store(now, c.op.Addr, c.op.Data, 0xf)
+		if !c.dc.Store(now, c.op.Addr, c.op.Data, 0xf) {
+			c.st.DataStallCycles++
+			return
+		}
+		c.st.Stores++
 	} else {
-		_, ok = c.dc.Load(now, c.op.Addr, 0xf)
+		if _, ok := c.dc.Load(now, c.op.Addr, 0xf); !ok {
+			c.st.DataStallCycles++
+			return
+		}
+		c.st.Loads++
 	}
-	if !ok {
-		c.st.StallCycles++
-		return
-	}
-	c.st.Ops++
-	c.st.Latency.Record(now - c.opStart)
+	c.st.Instructions++
 	c.pending = false
 	c.nextAt = now + 1 + c.think
 }
@@ -92,10 +81,6 @@ func (c *CPU) NextWake(now uint64) uint64 {
 	return max(c.nextAt, now)
 }
 
-// Skip implements sim.Sleeper: skipped cycles are think time unless the
-// stream is exhausted.
-func (c *CPU) Skip(from, to uint64) {
-	if !c.done {
-		c.st.ThinkCycles += to - from
-	}
-}
+// Skip implements sim.Sleeper. The CPU only sleeps through think time
+// and past the end of its stream, and neither is counted.
+func (c *CPU) Skip(from, to uint64) {}

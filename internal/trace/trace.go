@@ -3,16 +3,11 @@
 // replay generated load/store streams with configurable think time.
 // It is used to stress the protocols with access patterns the SPLASH
 // kernels do not produce, and to build the best-case/worst-case
-// comparison the paper leaves as future work.
+// comparison the paper leaves as future work. The named streams are
+// exp's stream benches.
 package trace
 
-import (
-	"fmt"
-	"math/rand"
-	"strings"
-
-	"repro/internal/mem"
-)
+import "math/rand"
 
 // Op is one memory reference.
 type Op struct {
@@ -153,58 +148,4 @@ func (p *PrivateRMW) Next() Op {
 	p.pending = false
 	p.pos = (p.pos + 4) % p.size
 	return Op{Store: true, Addr: addr, Data: p.pos}
-}
-
-// Mix parameterises the random patterns: the fraction of references
-// that are stores and, for hotspot, that hit the hot block.
-type Mix struct {
-	Store float64
-	Hot   float64
-}
-
-// Pattern is a named family of streams over the standard layout, one
-// generator per CPU: what mctrace's -pattern selects.
-type Pattern struct {
-	Name string
-	Doc  string
-	Gen  func(l mem.Layout, cpu int, m Mix) Generator
-}
-
-// streamBuf is each CPU's slice of the shared region for the write
-// streams.
-const streamBuf = 0x40000
-
-// Patterns lists the stock patterns.
-var Patterns = []Pattern{
-	{"uniform", "uniform over 64 KB of shared data", func(l mem.Layout, cpu int, m Mix) Generator {
-		return NewUniform(UniformParams{Base: l.SharedBase, Size: 64 * 1024, StoreFrac: m.Store, Seed: int64(cpu) + 1})
-	}},
-	{"hotspot", "private data plus one contended shared block", func(l mem.Layout, cpu int, m Mix) Generator {
-		return NewHotSpot(HotSpotParams{
-			PrivateBase: l.PrivateSeg(cpu), PrivateSize: 8192,
-			HotBase: l.SharedBase, HotSize: 32,
-			HotFrac: m.Hot, StoreFrac: m.Store, Seed: int64(cpu) + 1,
-		})
-	}},
-	{"sparse", "one store per block, never read back (WTI best case)", func(l mem.Layout, cpu int, _ Mix) Generator {
-		return NewWriteStream(l.SharedBase+uint32(cpu)*streamBuf, streamBuf, 32)
-	}},
-	{"dense", "word-by-word write stream (per-word overhead)", func(l mem.Layout, cpu int, _ Mix) Generator {
-		return NewWriteStream(l.SharedBase+uint32(cpu)*streamBuf, streamBuf, 4)
-	}},
-	{"rmw", "cache-resident private read-modify-write (WB best case)", func(l mem.Layout, cpu int, _ Mix) Generator {
-		return NewPrivateRMW(l.PrivateSeg(cpu), 2048)
-	}},
-}
-
-// FindPattern looks a stock pattern up by name.
-func FindPattern(name string) (Pattern, error) {
-	var names []string
-	for _, p := range Patterns {
-		if p.Name == name {
-			return p, nil
-		}
-		names = append(names, p.Name)
-	}
-	return Pattern{}, fmt.Errorf("unknown pattern %q (valid: %s)", name, strings.Join(names, ", "))
 }
