@@ -48,10 +48,11 @@ lint-json:
 # engine/stats/fault packages it drives, and finishes with two
 # end-to-end parallel sweeps under the detector: the figure grid and
 # the stream-bench ablation, which goes through the same pool. GOMAXPROCS is forced up so the workers really
-# interleave even on small CI hosts.
+# interleave even on small CI hosts. The random-machine rig is skipped
+# here: it runs on one goroutine and would take 40 s under the detector.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/stats/... ./internal/fault/... \
-		./internal/exp/...
+	$(GO) test -race -skip TestRandomMachines ./internal/sim/... ./internal/stats/... \
+		./internal/fault/... ./internal/exp/...
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp fig4 -sizes 2,4 -jobs 4 >/dev/null
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -exp bestworst -jobs 4 >/dev/null
 
@@ -60,13 +61,15 @@ race:
 # -json stdout with and without -noleap compared byte for byte on the
 # four BENCHMARK.json pins, the mesh at n64, a 2-way run (the one
 # associativity above 1 here: the core's line window skips LRU stamps),
-# a fault plan carrying every directive, bankstall included, the two
-# runs that lean on the cores' run-ahead: a spin-dominated arch1 water
-# (14.7 M instructions in 2.7 Mcyc, four fifths of them retired ahead of
-# the clock) and WTU on the bus (the empty-write-buffer rule of
-# DataCache.Hit, the bus's MinTransit), and two stream machines, whose
-# CPUs sleep through their think time (the unit matrices stop at n = 2)
-# — about 25 s.
+# a fault plan carrying every directive, bankstall included, the runs
+# that lean on the cores' run-ahead and spin sleeps: a spin-dominated
+# arch1 water (14.7 M instructions in 2.7 Mcyc), arch1 ocean at n64
+# (1.62 Mcyc; 96% of its instructions retire in spin sleeps) and WTU on
+# the bus (the empty-write-buffer rule of DataCache.Hit, the bus's
+# MinTransit), and two stream machines, whose CPUs sleep through their
+# think time (the unit matrices stop at n = 2) — about 30 s.
+# Water/WB/arch1/n64 stays out: even at -mols 1 -steps 1 its -noleap run
+# takes 40 s.
 EQUIV_RUNS := \
 	"-bench ocean -protocol wti -cpus 4 -rows 32 -iters 32" \
 	"-bench water -protocol wb -cpus 16 -mols 6 -steps 4" \
@@ -76,6 +79,7 @@ EQUIV_RUNS := \
 	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
 	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \
 	"-bench water -protocol wb -arch 1 -cpus 32 -mols 2 -steps 1" \
+	"-bench ocean -protocol wb -arch 1 -cpus 64 -rows 1 -iters 1" \
 	"-bench ocean -protocol wtu -cpus 8 -noc bus" \
 	"-bench hotspot -protocol moesi -cpus 16" \
 	"-bench prodcons -protocol wtu -cpus 64"
@@ -98,7 +102,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 50: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 15150
+LOC_CEILING := 15200
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \
@@ -106,11 +110,13 @@ loc:
 		echo "make loc: $$n non-test Go lines, ceiling $(LOC_CEILING)"; exit 1; \
 	fi
 
-# soak runs the nightly fault-injection tier: the full campaign grid on
-# real workloads (see internal/fault/soak_full_test.go). The quick tier
-# is part of the ordinary `make test`.
+# soak runs the nightly tier: the full fault campaign grid on real
+# workloads (see internal/fault/soak_full_test.go) and the long tail of
+# the random-machine rig (internal/exp/rig_test.go). The quick tiers are
+# part of the ordinary `make test`.
 soak:
 	$(GO) test -tags soak ./internal/fault/ -run TestSoakFull -v
+	$(GO) test -tags soak ./internal/exp/ -run TestRandomMachines -v
 
 # mcheck exhaustively model-checks the default small scope for every
 # row of coherence.Protocols, driving the real cache/directory code.

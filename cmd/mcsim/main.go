@@ -225,14 +225,15 @@ func main() {
 			asked += fmt.Sprintf(", %s %d", c.Name, c.Asked)
 			questions += c.Asked
 		}
-		var ahead, bursts uint64
+		var ahead, bursts, sleeps, slept uint64
 		for _, c := range sys.CPUs {
 			a, b := c.Ahead()
-			ahead, bursts = ahead+a, bursts+b
+			s, n := c.Spun()
+			ahead, bursts, sleeps, slept = ahead+a, bursts+b, sleeps+s, slept+n
 		}
-		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.1f per executed cycle); run ahead: %d of %d instr in %d bursts\n",
-			eng.Leaps(), leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles),
-			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped), ahead, res.Instructions(), bursts)
+		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.1f per executed cycle); run ahead: %d of %d instr in %d bursts, %d spin sleeps of %d cycles\n",
+			eng.Leaps(), leaped, eng.Now(), 100*float64(leaped)/float64(eng.Now()),
+			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped), ahead, res.Instructions(), bursts, sleeps, slept)
 	}
 
 	if res.Latency != nil {

@@ -149,27 +149,33 @@ func TestStreamBenchStrayArgumentRejected(t *testing.T) {
 }
 
 // TestEngineLineReportsPerLayerSkips pins the stderr diagnostic: one
-// run says how many cycles were leaped, per layer what share of its
-// ticks the wake contract skipped and how many NextWake questions that
-// took, then how many of the run's instructions the cores retired ahead
-// of the clock and in how many bursts (the bus looks ahead 3 cycles);
-// the naive schedule skips nothing and says nothing.
+// run says how many of its cycles, drain included, were leaped, per layer
+// what share of its ticks the wake contract skipped and how many
+// NextWake questions that took, then how many of the run's instructions
+// the cores retired ahead of the clock and in how many bursts (the bus
+// looks ahead 3 cycles), and how often and for how long they slept in a
+// spin; the naive schedule skips nothing and says nothing.
 func TestEngineLineReportsPerLayerSkips(t *testing.T) {
-	const run = "-bench counter -cpus 2 -incs 5 -noc bus"
+	const run = "-bench counter -cpus 4 -incs 5 -noc bus"
 	out, code := runMain(t, run)
-	line := regexp.MustCompile(`(?m)^engine: \d+ leaps skipped \d+ of \d+ cycles \([\d.]+%\); ` +
+	line := regexp.MustCompile(`(?m)^engine: \d+ leaps skipped (\d+) of (\d+) cycles \([\d.]+%\); ` +
 		`ticks skipped: cpus [\d.]+%, banks [\d.]+%, noc [\d.]+%; ` +
 		`asked: cpus \d+, banks \d+, noc \d+ \([\d.]+ per executed cycle\); ` +
-		`run ahead: (\d+) of (\d+) instr in (\d+) bursts$`)
+		`run ahead: (\d+) of (\d+) instr in (\d+) bursts, (\d+) spin sleeps of (\d+) cycles$`)
 	m := line.FindStringSubmatch(out)
 	if code != 0 || m == nil {
 		t.Fatalf("mcsim %s: exit %d, no engine line in:\n%s", run, code, out)
 	}
-	ahead, _ := strconv.Atoi(m[1])
-	instr, _ := strconv.Atoi(m[2])
-	bursts, _ := strconv.Atoi(m[3])
+	var n [7]int
+	for i := range n {
+		n[i], _ = strconv.Atoi(m[i+1])
+	}
+	leaped, cycles, ahead, instr, bursts, sleeps, slept := n[0], n[1], n[2], n[3], n[4], n[5], n[6]
 	if bursts == 0 || bursts > ahead || ahead >= instr || !strings.Contains(out, fmt.Sprintf(", %d instr\n", instr)) {
 		t.Fatalf("mcsim %s: %d of %d instr in %d bursts does not add up in:\n%s", run, ahead, instr, bursts, out)
+	}
+	if leaped > cycles || sleeps == 0 || slept < sleeps || slept > 4*cycles {
+		t.Fatalf("mcsim %s: %d of %d cycles leaped, %d spin sleeps of %d cycles do not add up in:\n%s", run, leaped, cycles, sleeps, slept, out)
 	}
 	if out, code := runMain(t, run+" -noleap"); code != 0 || strings.Contains(out, "engine:") {
 		t.Fatalf("mcsim %s -noleap: exit %d, output:\n%s", run, code, out)

@@ -160,37 +160,21 @@ func (b *Builder) imm(op isa.Op, rd, rs1 Reg, imm int32) {
 }
 
 // Integer register-register operations.
-func (b *Builder) Add(rd, rs1, rs2 Reg)  { b.r3(isa.OpAdd, rd, rs1, rs2) }
-func (b *Builder) Sub(rd, rs1, rs2 Reg)  { b.r3(isa.OpSub, rd, rs1, rs2) }
-func (b *Builder) And(rd, rs1, rs2 Reg)  { b.r3(isa.OpAnd, rd, rs1, rs2) }
-func (b *Builder) Or(rd, rs1, rs2 Reg)   { b.r3(isa.OpOr, rd, rs1, rs2) }
-func (b *Builder) Xor(rd, rs1, rs2 Reg)  { b.r3(isa.OpXor, rd, rs1, rs2) }
-func (b *Builder) Sll(rd, rs1, rs2 Reg)  { b.r3(isa.OpSll, rd, rs1, rs2) }
-func (b *Builder) Srl(rd, rs1, rs2 Reg)  { b.r3(isa.OpSrl, rd, rs1, rs2) }
-func (b *Builder) Sra(rd, rs1, rs2 Reg)  { b.r3(isa.OpSra, rd, rs1, rs2) }
-func (b *Builder) Slt(rd, rs1, rs2 Reg)  { b.r3(isa.OpSlt, rd, rs1, rs2) }
-func (b *Builder) Sltu(rd, rs1, rs2 Reg) { b.r3(isa.OpSltu, rd, rs1, rs2) }
-func (b *Builder) Mul(rd, rs1, rs2 Reg)  { b.r3(isa.OpMul, rd, rs1, rs2) }
-func (b *Builder) Div(rd, rs1, rs2 Reg)  { b.r3(isa.OpDiv, rd, rs1, rs2) }
-func (b *Builder) Rem(rd, rs1, rs2 Reg)  { b.r3(isa.OpRem, rd, rs1, rs2) }
+func (b *Builder) Add(rd, rs1, rs2 Reg) { b.r3(isa.OpAdd, rd, rs1, rs2) }
+func (b *Builder) Sub(rd, rs1, rs2 Reg) { b.r3(isa.OpSub, rd, rs1, rs2) }
+func (b *Builder) Mul(rd, rs1, rs2 Reg) { b.r3(isa.OpMul, rd, rs1, rs2) }
+func (b *Builder) Rem(rd, rs1, rs2 Reg) { b.r3(isa.OpRem, rd, rs1, rs2) }
 
 // Integer register-immediate operations.
 func (b *Builder) Addi(rd, rs1 Reg, v int32) { b.imm(isa.OpAddi, rd, rs1, v) }
 func (b *Builder) Andi(rd, rs1 Reg, v int32) { b.imm(isa.OpAndi, rd, rs1, v) }
 func (b *Builder) Ori(rd, rs1 Reg, v int32)  { b.imm(isa.OpOri, rd, rs1, v) }
-func (b *Builder) Xori(rd, rs1 Reg, v int32) { b.imm(isa.OpXori, rd, rs1, v) }
-func (b *Builder) Slti(rd, rs1 Reg, v int32) { b.imm(isa.OpSlti, rd, rs1, v) }
 func (b *Builder) Slli(rd, rs1 Reg, v int32) { b.imm(isa.OpSlli, rd, rs1, v) }
-func (b *Builder) Srli(rd, rs1 Reg, v int32) { b.imm(isa.OpSrli, rd, rs1, v) }
-func (b *Builder) Srai(rd, rs1 Reg, v int32) { b.imm(isa.OpSrai, rd, rs1, v) }
 func (b *Builder) Lui(rd Reg, v int32)       { b.imm(isa.OpLui, rd, R0, v) }
 
 // Memory operations (imm(rs1) addressing).
 func (b *Builder) Lw(rd Reg, off int32, rs1 Reg)   { b.imm(isa.OpLw, rd, rs1, off) }
 func (b *Builder) Sw(src Reg, off int32, rs1 Reg)  { b.imm(isa.OpSw, src, rs1, off) }
-func (b *Builder) Lb(rd Reg, off int32, rs1 Reg)   { b.imm(isa.OpLb, rd, rs1, off) }
-func (b *Builder) Lbu(rd Reg, off int32, rs1 Reg)  { b.imm(isa.OpLbu, rd, rs1, off) }
-func (b *Builder) Sb(src Reg, off int32, rs1 Reg)  { b.imm(isa.OpSb, src, rs1, off) }
 func (b *Builder) Swap(rd Reg, off int32, rs1 Reg) { b.imm(isa.OpSwap, rd, rs1, off) }
 
 // Floating-point operations.
@@ -200,14 +184,8 @@ func (b *Builder) Fadd(fd, fa, fb FReg)            { b.r3(isa.OpFadd, Reg(fd), R
 func (b *Builder) Fsub(fd, fa, fb FReg)            { b.r3(isa.OpFsub, Reg(fd), Reg(fa), Reg(fb)) }
 func (b *Builder) Fmul(fd, fa, fb FReg)            { b.r3(isa.OpFmul, Reg(fd), Reg(fa), Reg(fb)) }
 func (b *Builder) Fdiv(fd, fa, fb FReg)            { b.r3(isa.OpFdiv, Reg(fd), Reg(fa), Reg(fb)) }
-func (b *Builder) Feq(rd Reg, fa, fb FReg)         { b.r3(isa.OpFeq, rd, Reg(fa), Reg(fb)) }
-func (b *Builder) Flt(rd Reg, fa, fb FReg)         { b.r3(isa.OpFlt, rd, Reg(fa), Reg(fb)) }
-func (b *Builder) Fle(rd Reg, fa, fb FReg)         { b.r3(isa.OpFle, rd, Reg(fa), Reg(fb)) }
 func (b *Builder) CvtWS(fd FReg, rs Reg)           { b.r3(isa.OpCvtWS, Reg(fd), rs, R0) }
 func (b *Builder) CvtSW(rd Reg, fs FReg)           { b.r3(isa.OpCvtSW, rd, Reg(fs), R0) }
-func (b *Builder) Fmov(fd, fs FReg)                { b.r3(isa.OpFmov, Reg(fd), Reg(fs), R0) }
-func (b *Builder) Fabs(fd, fs FReg)                { b.r3(isa.OpFabs, Reg(fd), Reg(fs), R0) }
-func (b *Builder) Fneg(fd, fs FReg)                { b.r3(isa.OpFneg, Reg(fd), Reg(fs), R0) }
 
 // Branches to labels (forward references allowed).
 func (b *Builder) branch(op isa.Op, rs1, rs2 Reg, label string) {
@@ -215,12 +193,10 @@ func (b *Builder) branch(op isa.Op, rs1, rs2 Reg, label string) {
 	b.emit(isa.Instr{Op: op, Rd: uint8(rs2), Rs1: uint8(rs1)})
 }
 
-func (b *Builder) Beq(rs1, rs2 Reg, label string)  { b.branch(isa.OpBeq, rs1, rs2, label) }
-func (b *Builder) Bne(rs1, rs2 Reg, label string)  { b.branch(isa.OpBne, rs1, rs2, label) }
-func (b *Builder) Blt(rs1, rs2 Reg, label string)  { b.branch(isa.OpBlt, rs1, rs2, label) }
-func (b *Builder) Bge(rs1, rs2 Reg, label string)  { b.branch(isa.OpBge, rs1, rs2, label) }
-func (b *Builder) Bltu(rs1, rs2 Reg, label string) { b.branch(isa.OpBltu, rs1, rs2, label) }
-func (b *Builder) Bgeu(rs1, rs2 Reg, label string) { b.branch(isa.OpBgeu, rs1, rs2, label) }
+func (b *Builder) Beq(rs1, rs2 Reg, label string) { b.branch(isa.OpBeq, rs1, rs2, label) }
+func (b *Builder) Bne(rs1, rs2 Reg, label string) { b.branch(isa.OpBne, rs1, rs2, label) }
+func (b *Builder) Blt(rs1, rs2 Reg, label string) { b.branch(isa.OpBlt, rs1, rs2, label) }
+func (b *Builder) Bge(rs1, rs2 Reg, label string) { b.branch(isa.OpBge, rs1, rs2, label) }
 
 // J is an unconditional jump to a label (beq r0, r0).
 func (b *Builder) J(label string) { b.Beq(R0, R0, label) }

@@ -333,35 +333,36 @@ func (b *Builder) PC() uint32 { return b.base + uint32(len(b.ins))*4 }
 func (b *Builder) Len() int { return len(b.ins) }
 
 func TestEveryEmitterExecutes(t *testing.T) {
-	// One program touching every builder emitter, verified end to end.
+	// One program touching every builder emitter, verified end to end;
+	// the opcodes no workload emits go through r3, imm and branch.
 	b := NewBuilder(0x1000)
 	b.Li(T0, 12)
 	b.Li(T1, 5)
-	b.Add(T2, T0, T1) // 17
-	b.Sub(T3, T0, T1) // 7
-	b.And(T4, T0, T1) // 4
-	b.Or(T5, T0, T1)  // 13
-	b.Xor(T6, T0, T1) // 9
-	b.Sll(T7, T1, T4) // 5<<4 = 80
-	b.Srl(S0, T7, T4) // 5
+	b.Add(T2, T0, T1)           // 17
+	b.Sub(T3, T0, T1)           // 7
+	b.r3(isa.OpAnd, T4, T0, T1) // 4
+	b.r3(isa.OpOr, T5, T0, T1)  // 13
+	b.r3(isa.OpXor, T6, T0, T1) // 9
+	b.r3(isa.OpSll, T7, T1, T4) // 5<<4 = 80
+	b.r3(isa.OpSrl, S0, T7, T4) // 5
 	b.Li(S1, 0x80000000)
-	b.Sra(S1, S1, T4)    // 0xf8000000
-	b.Slt(S2, T1, T0)    // 1
-	b.Sltu(S3, T0, T1)   // 0
-	b.Mul(S4, T0, T1)    // 60
-	b.Div(S5, T0, T1)    // 2
-	b.Rem(S6, T0, T1)    // 2
-	b.Xori(S7, T0, 0xff) // 0xf3
-	b.Slti(S8, T1, 100)  // 1
-	b.Srli(A1, T7, 2)    // 20
-	b.Srai(A2, S1, 4)    // sign-propagating
+	b.r3(isa.OpSra, S1, S1, T4)     // 0xf8000000
+	b.r3(isa.OpSlt, S2, T1, T0)     // 1
+	b.r3(isa.OpSltu, S3, T0, T1)    // 0
+	b.Mul(S4, T0, T1)               // 60
+	b.r3(isa.OpDiv, S5, T0, T1)     // 2
+	b.Rem(S6, T0, T1)               // 2
+	b.imm(isa.OpXori, S7, T0, 0xff) // 0xf3
+	b.imm(isa.OpSlti, S8, T1, 100)  // 1
+	b.imm(isa.OpSrli, A1, T7, 2)    // 20
+	b.imm(isa.OpSrai, A2, S1, 4)    // sign-propagating
 	// Memory ops, word and byte.
 	b.Li(A0, 0x8000)
 	b.Sw(T2, 0, A0)
 	b.Lw(A3, 0, A0) // 17
-	b.Sb(T1, 5, A0)
-	b.Lb(A4, 5, A0)  // 5
-	b.Lbu(A5, 5, A0) // 5
+	b.imm(isa.OpSb, T1, A0, 5)
+	b.imm(isa.OpLb, A4, A0, 5)  // 5
+	b.imm(isa.OpLbu, A5, A0, 5) // 5
 	// Float path.
 	b.Li(T0, 3)
 	b.CvtWS(F1, T0)
@@ -370,15 +371,15 @@ func TestEveryEmitterExecutes(t *testing.T) {
 	b.Fsub(F4, F2, F1)
 	b.Fmul(F5, F1, F2)
 	b.Fdiv(F6, F5, F2) // 3
-	b.Fneg(F7, F6)
-	b.Fabs(F8, F7) // 3
-	b.Fmov(F9, F8)
+	b.r3(isa.OpFneg, Reg(F7), Reg(F6), R0)
+	b.r3(isa.OpFabs, Reg(F8), Reg(F7), R0) // 3
+	b.r3(isa.OpFmov, Reg(F9), Reg(F8), R0)
 	b.Fsw(F9, 8, A0)
 	b.Flw(F10, 8, A0)
-	b.Feq(T3, F8, F10) // 1
-	b.Flt(T4, F4, F3)  // 2 < 8 -> 1
-	b.Fle(T5, F3, F3)  // 1
-	b.CvtSW(T6, F10)   // 3
+	b.r3(isa.OpFeq, T3, Reg(F8), Reg(F10)) // 1
+	b.r3(isa.OpFlt, T4, Reg(F4), Reg(F3))  // 2 < 8 -> 1
+	b.r3(isa.OpFle, T5, Reg(F3), Reg(F3))  // 1
+	b.CvtSW(T6, F10)                       // 3
 	// Branch variants.
 	b.Blt(R0, T6, "blt_ok")
 	b.Halt()
@@ -386,10 +387,10 @@ func TestEveryEmitterExecutes(t *testing.T) {
 	b.Bge(T6, R0, "bge_ok")
 	b.Halt()
 	b.Label("bge_ok")
-	b.Bltu(R0, T6, "bltu_ok")
+	b.branch(isa.OpBltu, R0, T6, "bltu_ok")
 	b.Halt()
 	b.Label("bltu_ok")
-	b.Bgeu(T6, R0, "bgeu_ok")
+	b.branch(isa.OpBgeu, T6, R0, "bgeu_ok")
 	b.Halt()
 	b.Label("bgeu_ok")
 	b.Swap(T6, 0, A0) // T6=17 (old), mem=3

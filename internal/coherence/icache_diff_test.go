@@ -92,7 +92,7 @@ type fetchRig struct {
 func newFetchRig(prog []isa.Instr, icacheLines, ways int, ref bool) *fetchRig {
 	m := coherence.NewFetchMachine(icacheLines, ways, ref)
 	for i, in := range prog {
-		m.Space.WriteWord(diffCode+uint32(4*i), isa.MustEncode(in))
+		m.Space.WriteWord(diffCode+uint32(4*i), mustEncode(in))
 	}
 	port, fetches := m.Port()
 	c := cpu.New(0, port, fetches, m.DCaches[0])
@@ -179,7 +179,7 @@ func TestFetchByLineMatchesPerFetchReference(t *testing.T) {
 // id, the word and the pc, as before the program was decoded by line.
 func TestIllegalInstructionPanicsAtTheFetch(t *testing.T) {
 	m := coherence.NewFetchMachine(4, 1, false)
-	m.Space.WriteWord(diffCode, isa.MustEncode(isa.Instr{Op: isa.OpNop}))
+	m.Space.WriteWord(diffCode, mustEncode(isa.Instr{Op: isa.OpNop}))
 	m.Space.WriteWord(diffCode+4, 0xf4000123) // unassigned major opcode 61
 	port, fetches := m.Port()
 	c := cpu.New(7, port, fetches, m.DCaches[0])
@@ -198,4 +198,13 @@ func TestIllegalInstructionPanicsAtTheFetch(t *testing.T) {
 		m.Step(now)
 	}
 	t.Fatal("garbage word executed")
+}
+
+// mustEncode encodes an instruction the test built to be encodable.
+func mustEncode(in isa.Instr) uint32 {
+	w, err := isa.Encode(in)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

@@ -112,14 +112,14 @@ func (r *rig) fill(i int, addr uint32) []isa.Instr {
 func TestCodeStoreSharesEqualBlocksOnly(t *testing.T) {
 	r := newRig(t, WTI, 3, 1)
 	a := uint32(rigBase + 0xc00)
-	r.space.WriteWord(a, isa.MustEncode(isa.Instr{Op: isa.OpAddi, Rd: 1, Imm: 1}))
+	r.space.WriteWord(a, mustEncode(isa.Instr{Op: isa.OpAddi, Rd: 1, Imm: 1}))
 	l0, l1 := r.fill(0, a), r.fill(1, a)
 	if &l0[0] != &l1[0] || len(r.code) != 1 {
 		t.Fatalf("two fills of one block hold %d decoded copies", len(r.code))
 	}
 	// The text changes under the caches: the next fill carries other
 	// bytes and must not be handed the first version, nor disturb it.
-	r.space.WriteWord(a, isa.MustEncode(isa.Instr{Op: isa.OpAddi, Rd: 1, Imm: 2}))
+	r.space.WriteWord(a, mustEncode(isa.Instr{Op: isa.OpAddi, Rd: 1, Imm: 2}))
 	l2 := r.fill(2, a)
 	if l2[0].Imm != 2 || &l2[0] == &l0[0] {
 		t.Fatalf("refill after a text change decoded %+v", l2[0])
@@ -136,7 +136,7 @@ func TestSeededCodeStoreDecodesNothingAtFill(t *testing.T) {
 	r := newRig(t, WTI, 2, 1)
 	base, words := uint32(rigBase+0xd04), 24 // unaligned at both ends: 4 blocks
 	for i := 0; i < words; i++ {
-		r.space.WriteWord(base+uint32(4*i), isa.MustEncode(isa.Instr{Op: isa.OpAddi, Rd: 1, Imm: int32(i)}))
+		r.space.WriteWord(base+uint32(4*i), mustEncode(isa.Instr{Op: isa.OpAddi, Rd: 1, Imm: int32(i)}))
 	}
 	r.SeedCode(base, make([]byte, 4*words))
 	if len(r.code) != 4 {
@@ -151,4 +151,13 @@ func TestSeededCodeStoreDecodesNothingAtFill(t *testing.T) {
 	if len(r.code) != 4 {
 		t.Fatalf("fills of a seeded program grew the store to %d blocks", len(r.code))
 	}
+}
+
+// mustEncode encodes an instruction the test built to be encodable.
+func mustEncode(in isa.Instr) uint32 {
+	w, err := isa.Encode(in)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

@@ -27,6 +27,7 @@ type System struct {
 	// slots, as the clusters see them.
 	CPUs   []*cpu.CPU
 	fronts []frontEnd
+	halted int // fronts[:halted] have halted, which is final
 
 	// Hierarchy is everything below the CPUs (DCaches, ICaches, Nodes,
 	// Banks, BNodes, Ports) with its invariant checks and FlushCaches.
@@ -249,8 +250,8 @@ func (s *System) NextWake(now uint64) uint64 { return s.Engine.NextWake(now) }
 // AllHalted reports whether every CPU has executed HALT or exhausted
 // its stream.
 func (s *System) AllHalted() bool {
-	for _, c := range s.fronts {
-		if !c.Halted() {
+	for ; s.halted < len(s.fronts); s.halted++ {
+		if !s.fronts[s.halted].Halted() {
 			return false
 		}
 	}

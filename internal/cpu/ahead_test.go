@@ -180,9 +180,9 @@ func rigProgram(rng *rand.Rand) []uint32 {
 			}
 			in = isa.Instr{Op: isa.OpNop}
 		}
-		prog[i] = isa.MustEncode(in)
+		prog[i] = mustEncode(in)
 	}
-	prog[rigWords-1] = isa.MustEncode(isa.Instr{Op: isa.OpHalt})
+	prog[rigWords-1] = mustEncode(isa.Instr{Op: isa.OpHalt})
 	return prog
 }
 
@@ -325,7 +325,7 @@ func TestRunAheadMatchesPerCycleTicks(t *testing.T) {
 func aheadCore(prog ...isa.Instr) (*CPU, *rigPort) {
 	words := make([]uint32, len(prog))
 	for i, in := range prog {
-		words[i] = isa.MustEncode(in)
+		words[i] = mustEncode(in)
 	}
 	c, p := rigCore(words, rand.New(rand.NewSource(1)))
 	for i := range words {
@@ -389,5 +389,68 @@ func TestTickBehindRunAheadPanics(t *testing.T) {
 	c.Reset(rigCode, 0, 1)
 	if msg := tickOrPanic(c, 0); msg != "" || c.NextWake(1) != 1 {
 		t.Fatalf("after Reset: Tick(0) panicked %q, NextWake(1) = %d", msg, c.NextWake(1))
+	}
+}
+
+// TestSpinSleepStandsWhereTheNaiveCoreStands: a lock spin, run in
+// bursts, proves itself once a burst comes back to the state it started
+// from. The core then sleeps with no wake of its own; Skip to any cycle of
+// the loop leaves registers, pc, counters, fetches and the data port's
+// calls as a core ticked every cycle has them, and the Tick at which the
+// lock word has changed runs on from there. One loop changes a float and
+// an integer register and changes them back; the other flips the sign of
+// a zero, so it only comes back after two turns, which a float compare
+// would not see.
+func TestSpinSleepStandsWhereTheNaiveCoreStands(t *testing.T) {
+	nop := isa.Instr{Op: isa.OpNop}
+	progs := [][]isa.Instr{{
+		{Op: isa.OpLw, Rd: 1, Rs1: 8},            // spin: lw r1, 0(r8)
+		{Op: isa.OpFneg, Rd: 1, Rs1: 1},          // f1 = -f1
+		{Op: isa.OpAddi, Rd: 3, Rs1: 3, Imm: 1},  // r3++
+		{Op: isa.OpFneg, Rd: 1, Rs1: 1},          // f1 = -f1
+		{Op: isa.OpAddi, Rd: 3, Rs1: 3, Imm: -1}, // r3--
+		{Op: isa.OpBne, Rs1: 1, Imm: -6},         // bne r1, r0, spin
+		{Op: isa.OpHalt}, nop,                    // one whole line
+	}, {
+		{Op: isa.OpLw, Rd: 1, Rs1: 8},    // spin: lw r1, 0(r8)
+		{Op: isa.OpFneg, Rd: 3, Rs1: 3},  // f3 = -f3, from +0
+		{Op: isa.OpBne, Rs1: 1, Imm: -3}, // bne r1, r0, spin
+		{Op: isa.OpHalt}, nop, nop, nop, nop,
+	}}
+	for p, prog := range progs {
+		for _, wake := range []uint64{40, 41, 42, 43, 44, 45, 97} {
+			ref, rp := aheadCore(prog...)
+			dut, dp := aheadCore(prog...)
+			rp.words[rigData], dp.words[rigData] = 7, 7
+			ref.fregs[3], dut.fregs[3] = 0, 0
+			slept := false
+			for now := uint64(0); !dut.halted; {
+				if now == wake { // the lock is released: the next load sees it
+					rp.words[rigData], dp.words[rigData] = 0, 0
+				}
+				ref.Tick(now)
+				dut.Tick(now)
+				next := dut.RunAhead(now+1, now+8)
+				if dut.spin.period != 0 {
+					if w := dut.NextWake(next); w != ^uint64(0) {
+						t.Fatalf("loop %d, wake %d: spinning at %d, NextWake = %d", p, wake, next, w)
+					}
+					if next < wake {
+						next, slept = wake, true
+					}
+				}
+				dut.Skip(now+1, next)
+				for c := now + 1; c < next; c++ {
+					ref.Tick(c)
+				}
+				if a, b := snapshot(ref, rp), snapshot(dut, dp); a != b || !reflect.DeepEqual(rp.log, dp.log) {
+					t.Fatalf("loop %d, wake %d: cores differ at cycle %d:\nper-cycle %+v\nspinning  %+v", p, wake, next, a, b)
+				}
+				now = next
+			}
+			if sleeps, cycles := dut.Spun(); !slept || sleeps == 0 || cycles == 0 {
+				t.Fatalf("loop %d, wake %d: the core never slept in the spin (%d sleeps, %d cycles)", p, wake, sleeps, cycles)
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ func BenchmarkInterpreterALU(b *testing.B) {
 		{Op: isa.OpBeq, Rs1: 0, Rd: 0, Imm: -6}, // restart forever
 	}
 	for i, in := range prog {
-		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
+		fm.space.WriteWord(base+uint32(4*i), mustEncode(in))
 	}
 	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(base, 0, 1)
@@ -41,7 +41,7 @@ func BenchmarkInterpreterMemOps(b *testing.B) {
 		{Op: isa.OpBeq, Rs1: 0, Rd: 0, Imm: -3},
 	}
 	for i, in := range prog {
-		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
+		fm.space.WriteWord(base+uint32(4*i), mustEncode(in))
 	}
 	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(base, 0, 1)

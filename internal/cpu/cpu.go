@@ -24,11 +24,18 @@
 // load is too rare to pay for. Stores too, even to an owned line: a
 // store is what the rest of the machine observes (and letting MESI's
 // join measured slower, not faster).
+//
+// A burst back at the state it started from (pc, registers, an idle FPU)
+// has proved a spin: a pure loop that repeats until the core's caches
+// change, which only its cluster's Tick does. RunAhead stops there and
+// the core sleeps in the loop, no wake of its own; Skip replays its loads
+// and leaves the core where the naive one stands; Tick ends the sleep.
 package cpu
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/coherence"
 	"repro/internal/isa"
@@ -46,6 +53,22 @@ const (
 	outcomeInstStall
 	outcomeDataStall
 )
+
+// spinMax bounds the period a burst can prove: no burst is longer than
+// the GMN's lookahead, 21 cycles at 131 nodes.
+const spinMax = 24
+
+// spinLoop is what a burst keeps to prove a spin: its first cycle at,
+// the pc and registers it started from, and which of its first spinMax
+// cycles load (bit j: cycle at+j), from where. Once the burst is back at
+// that state, period is set and the core sleeps in the loop.
+type spinLoop struct {
+	at, period uint64
+	pc, loads  uint32
+	addr       [spinMax]uint32
+	regs       [32]uint32
+	fregs      [32]float32
+}
 
 // Register conventions used by the code generator and runtime: r0 is
 // hardwired zero; at reset r1 holds the CPU id and r2 the CPU count;
@@ -106,13 +129,14 @@ type CPU struct {
 
 	// ahead is the first cycle RunAhead has not executed: Tick comes no
 	// earlier, NextWake answers it, Skip charges nothing below it.
-	// ranAhead and bursts are Ahead's counts.
-	ahead, ranAhead, bursts uint64
+	// ranAhead and bursts are Ahead's counts, spins and spun Spun's.
+	ahead, ranAhead, bursts, spins, spun uint64
 
 	// outcome records what the most recent Tick did, for NextWake and
 	// Skip. It is updated at every Tick return point, so between cycles
 	// it always describes the core's current steady state.
 	outcome uint8
+	spin    spinLoop // the core sleeps in a spin while spin.period != 0
 
 	// Obs, when attached, records stall runs as spans on this CPU's
 	// stall row. stallKind remembers the run in progress (0 none,
@@ -144,6 +168,7 @@ func (c *CPU) Reset(entry, sp uint32, numCPUs int) {
 	c.ahead = 0
 	c.window = nil
 	c.outcome = outcomeActive
+	c.spin.period = 0
 }
 
 // Halted reports whether the core has executed HALT.
@@ -171,11 +196,15 @@ func (c *CPU) setReg(r uint8, v uint32) {
 // bursts they came in (host-side diagnostics, like sim.TickCount).
 func (c *CPU) Ahead() (instructions, bursts uint64) { return c.ranAhead, c.bursts }
 
+// Spun reports the spin sleeps entered and the cycles slept (like Ahead).
+func (c *CPU) Spun() (sleeps, cycles uint64) { return c.spins, c.spun }
+
 // Tick advances the core by one cycle.
 func (c *CPU) Tick(now uint64) {
 	if now < c.ahead {
 		panic(fmt.Sprintf("cpu %d: Tick at cycle %d, already run ahead to %d (pc=%#x)", c.ID, now, c.ahead, c.pc))
 	}
+	c.spin.period = 0 // Skip left the pc and registers where the naive core stands
 	if c.halted {
 		c.outcome = outcomeHalted
 		return
@@ -223,17 +252,21 @@ func (c *CPU) Tick(now uint64) {
 // at. from is the cycle after the last Tick; the caller vouches that
 // before horizon nothing reaches the core's caches and no observer looks.
 func (c *CPU) RunAhead(from, horizon uint64) uint64 {
-	now, retired := from, c.st.Instructions
+	now, retired, s := from, c.st.Instructions, &c.spin
 	if c.halted { // HALT retires like any instruction: outcome cannot tell
 		horizon = from
 	}
+	s.at, s.pc, s.loads = from, c.pc, 0
+	s.regs = c.regs // separate statements: a tuple would copy twice
+	s.fregs = c.fregs
+	noWait := c.busyUntil <= from // a period is one instruction a cycle
 loop:
 	for now < horizon {
 		if c.busyUntil > now {
 			n := min(c.busyUntil, horizon) - now
 			c.st.FPUBusyCycles += n
 			c.outcome = outcomeFPU
-			now += n
+			now, noWait = now+n, false
 			continue
 		}
 		i := (c.pc - c.winBase) >> 2
@@ -243,7 +276,8 @@ loop:
 		// The fetch counts only once the cycle is known to be local.
 		switch in := c.window[i]; in.Op {
 		case isa.OpLw, isa.OpFlw:
-			if addr := c.regs[in.Rs1] + uint32(in.Imm); addr%4 != 0 || !c.dcache.Hit(addr) {
+			addr := c.regs[in.Rs1] + uint32(in.Imm)
+			if addr%4 != 0 || !c.dcache.Hit(addr) {
 				break loop
 			}
 			*c.fetches++
@@ -251,6 +285,9 @@ loop:
 				panic(fmt.Sprintf("cpu %d: load at pc=%#x missed after Hit", c.ID, c.pc))
 			}
 			c.retire(now, c.pc+4)
+			if j := now - from; j < spinMax {
+				s.loads, s.addr[j] = s.loads|1<<j, addr
+			}
 		case isa.OpSw, isa.OpFsw, isa.OpSb, isa.OpLb, isa.OpLbu, isa.OpSwap, isa.OpHalt, isa.OpInvalid:
 			break loop
 		default:
@@ -258,6 +295,10 @@ loop:
 			c.exec(now, in)
 		}
 		now++
+		if c.pc == s.pc && noWait && now-from <= spinMax && c.busyUntil <= now && c.cameBack() {
+			s.period, c.spins = now-from, c.spins+1
+			break
+		}
 	}
 	c.ahead = now
 	if n := c.st.Instructions - retired; n != 0 {
@@ -277,12 +318,16 @@ func (c *CPU) retire(now uint64, nextPC uint32) {
 }
 
 // NextWake implements the sim.Sleeper contract. An active core runs
-// every cycle. A halted or cache-stalled core has no wake of its own —
-// it is woken by a message delivery, which its node reports. An
-// FPU-busy core wakes itself when the unit frees.
+// every cycle. A halted, cache-stalled or spinning core has no wake of
+// its own — it is woken by a message delivery, which its node reports,
+// or by anything else that ticks its cluster. An FPU-busy core wakes
+// itself when the unit frees.
 func (c *CPU) NextWake(now uint64) uint64 {
 	if now < c.ahead {
 		return c.ahead
+	}
+	if c.spin.period != 0 {
+		return ^uint64(0)
 	}
 	switch c.outcome {
 	case outcomeHalted, outcomeInstStall, outcomeDataStall:
@@ -300,10 +345,37 @@ func (c *CPU) NextWake(now uint64) uint64 {
 // a full write buffer changes no state), so the counters are the whole
 // per-cycle effect — the core's own, the fetch inside the window that
 // every retry of a data stall repeats, and what the data cache keeps
-// for the access it re-rejects.
+// for the access it re-rejects. A spinning core runs the cycles past the
+// last whole period of [from, to), which move its pc and registers on;
+// whole periods retire an instruction a cycle and replay their loads.
 func (c *CPU) Skip(from, to uint64) {
 	if from = max(from, c.ahead); from >= to {
 		return // executed ahead of the clock, counters and all
+	}
+	if s := &c.spin; s.period != 0 {
+		c.spun += to - from
+		for end := from + (to-from)%s.period; from < end; from++ {
+			*c.fetches++
+			if in := c.window[(c.pc-c.winBase)>>2]; !in.Op.IsMemory() {
+				c.exec(from, in)
+			} else if c.execMem(from, in) {
+				c.retire(from, c.pc+4)
+			}
+		}
+		c.st.Instructions += to - from
+		*c.fetches += to - from
+		for base := from - (from-s.at)%s.period; base < to; base += s.period {
+			for l := s.loads; l != 0; l &= l - 1 {
+				j := bits.TrailingZeros32(l)
+				if t := base + uint64(j); t >= from && t < to {
+					if _, ok := c.dcache.Load(t, s.addr[j], 0xf); !ok {
+						panic(fmt.Sprintf("cpu %d: spin load of %#x missed", c.ID, s.addr[j]))
+					}
+					c.st.Loads++
+				}
+			}
+		}
+		return
 	}
 	switch c.outcome {
 	case outcomeFPU:
@@ -315,6 +387,16 @@ func (c *CPU) Skip(from, to uint64) {
 		*c.fetches += to - from
 		c.dcache.Skip(from, to)
 	}
+}
+
+// cameBack reports whether the registers are those the burst started
+// from, floats compared by their bits.
+func (c *CPU) cameBack() bool {
+	same := c.regs == c.spin.regs
+	for i, f := range c.fregs {
+		same = same && math.Float32bits(f) == math.Float32bits(c.spin.fregs[i])
+	}
+	return same
 }
 
 // noteStall extends or begins the stall run of the given kind.

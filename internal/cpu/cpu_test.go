@@ -59,7 +59,7 @@ func run(t *testing.T, prog []isa.Instr, setup func(*CPU, *flatMem)) (*CPU, *fla
 	fm := newFlatMem()
 	base := uint32(0x1000)
 	for i, in := range prog {
-		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
+		fm.space.WriteWord(base+uint32(4*i), mustEncode(in))
 	}
 	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(base, 0x8000, 1)
@@ -340,7 +340,7 @@ func TestIllegalInstructionPanics(t *testing.T) {
 
 func TestUnalignedAccessPanics(t *testing.T) {
 	fm := newFlatMem()
-	fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpLw, Rd: 1, Rs1: 2, Imm: 1}))
+	fm.space.WriteWord(0x1000, mustEncode(isa.Instr{Op: isa.OpLw, Rd: 1, Rs1: 2, Imm: 1}))
 	c := New(0, fm, &fm.fetches, fm)
 	c.Reset(0x1000, 0, 1)
 	defer func() {
@@ -375,7 +375,7 @@ func TestDataStallAccounting(t *testing.T) {
 		{Op: isa.OpHalt},
 	}
 	for i, in := range prog {
-		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
+		fm.space.WriteWord(base+uint32(4*i), mustEncode(in))
 	}
 	c := New(0, fm, &fm.fetches, sp)
 	c.Reset(base, 0, 1)
@@ -497,7 +497,7 @@ func TestHaltedCPUStaysHalted(t *testing.T) {
 func TestInstStallAccounting(t *testing.T) {
 	fm := newFlatMem()
 	sp := &stallFetch{flatMem: fm, delay: 3}
-	fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
+	fm.space.WriteWord(0x1000, mustEncode(isa.Instr{Op: isa.OpHalt}))
 	c := New(0, sp, &fm.fetches, fm)
 	c.Reset(0x1000, 0, 1)
 	for cyc := uint64(0); cyc < 100 && !c.Halted(); cyc++ {
@@ -548,7 +548,7 @@ func TestFswStallRetries(t *testing.T) {
 		{Op: isa.OpHalt},
 	}
 	for i, in := range prog {
-		fm.space.WriteWord(base+uint32(4*i), isa.MustEncode(in))
+		fm.space.WriteWord(base+uint32(4*i), mustEncode(in))
 	}
 	c := New(0, fm, &fm.fetches, sp)
 	c.Reset(base, 0, 1)
@@ -585,10 +585,10 @@ func TestWindowServesTheLineAndIsDroppedOnFailure(t *testing.T) {
 	fm := newFlatMem()
 	sp := &stallFetch{flatMem: fm, delay: 1} // every Line succeeds
 	for i := uint32(0); i < 16; i++ {
-		fm.space.WriteWord(0x1000+4*i, isa.MustEncode(isa.Instr{Op: isa.OpNop}))
+		fm.space.WriteWord(0x1000+4*i, mustEncode(isa.Instr{Op: isa.OpNop}))
 	}
 	// Word 5 jumps to the last word of the next line.
-	fm.space.WriteWord(0x1000+4*5, isa.MustEncode(isa.Instr{Op: isa.OpJal, Imm: 15 - 6}))
+	fm.space.WriteWord(0x1000+4*5, mustEncode(isa.Instr{Op: isa.OpJal, Imm: 15 - 6}))
 	c := New(0, sp, &fm.fetches, fm)
 	c.Reset(0x1000, 0, 1)
 	now := uint64(0)
@@ -608,7 +608,7 @@ func TestWindowServesTheLineAndIsDroppedOnFailure(t *testing.T) {
 	}
 	// Falling through into a line whose Line fails stalls the core and
 	// leaves it without a window.
-	fm.space.WriteWord(0x1000+4*16, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
+	fm.space.WriteWord(0x1000+4*16, mustEncode(isa.Instr{Op: isa.OpHalt}))
 	sp.delay, sp.count = 3, 0
 	tick(1)
 	if c.window != nil || c.outcome != outcomeInstStall {
@@ -639,8 +639,8 @@ func TestStalledCoreCountsOneFetchPerRetry(t *testing.T) {
 	run := func(skip bool) (fetches uint64, st Stats) {
 		fm := newFlatMem()
 		sp := &stallStore{flatMem: fm, delay: 10}
-		fm.space.WriteWord(0x1000, isa.MustEncode(isa.Instr{Op: isa.OpSw, Rd: 11, Rs1: 0, Imm: 0x200}))
-		fm.space.WriteWord(0x1004, isa.MustEncode(isa.Instr{Op: isa.OpHalt}))
+		fm.space.WriteWord(0x1000, mustEncode(isa.Instr{Op: isa.OpSw, Rd: 11, Rs1: 0, Imm: 0x200}))
+		fm.space.WriteWord(0x1004, mustEncode(isa.Instr{Op: isa.OpHalt}))
 		c := New(0, fm, &fm.fetches, sp)
 		c.Reset(0x1000, 0, 1)
 		for now := uint64(0); !c.Halted(); now++ {
@@ -663,4 +663,13 @@ func TestStalledCoreCountsOneFetchPerRetry(t *testing.T) {
 	if slept != ticked || sst != tst {
 		t.Fatalf("slept: %d fetches %+v, ticked: %d fetches %+v", slept, sst, ticked, tst)
 	}
+}
+
+// mustEncode encodes an instruction the test built to be encodable.
+func mustEncode(in isa.Instr) uint32 {
+	w, err := isa.Encode(in)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

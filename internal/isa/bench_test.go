@@ -8,7 +8,7 @@ func BenchmarkDecode(b *testing.B) {
 		if i >= len(words) {
 			break
 		}
-		words[i] = MustEncode(Canonical(Instr{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Imm: 5}))
+		words[i] = mustEncode(Canonical(Instr{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Imm: 5}))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -47,16 +47,6 @@ func Encode(in Instr) (uint32, error) {
 	return w, nil
 }
 
-// MustEncode is Encode but panics on error; used by the code generator,
-// whose inputs are constructed rather than parsed.
-func MustEncode(in Instr) uint32 {
-	w, err := Encode(in)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Decode unpacks a 32-bit machine word. Unknown encodings decode to an
 // Instr with Op == OpInvalid rather than an error, so the CPU can treat
 // them as an illegal-instruction condition; Imm then carries the word

@@ -19,7 +19,7 @@ func AllOps() []Op {
 }
 
 // Canonical returns in with fields not used by its encoding class
-// cleared, so that Decode(MustEncode(in)) == Canonical(in) holds for
+// cleared, so that Decode(mustEncode(in)) == Canonical(in) holds for
 // every encodable instruction.
 func Canonical(in Instr) Instr {
 	if in.Op == OpInvalid || in.Op >= numOps {
@@ -150,11 +150,11 @@ func TestOpClassFlags(t *testing.T) {
 }
 
 func TestImmediateSignExtension(t *testing.T) {
-	w := MustEncode(Instr{Op: OpAddi, Rd: 1, Rs1: 2, Imm: -1})
+	w := mustEncode(Instr{Op: OpAddi, Rd: 1, Rs1: 2, Imm: -1})
 	if got := Decode(w); got.Imm != -1 {
 		t.Fatalf("imm decoded to %d, want -1", got.Imm)
 	}
-	w = MustEncode(Instr{Op: OpJal, Imm: -100})
+	w = mustEncode(Instr{Op: OpJal, Imm: -100})
 	if got := Decode(w); got.Imm != -100 {
 		t.Fatalf("jal imm decoded to %d, want -100", got.Imm)
 	}
@@ -239,4 +239,13 @@ func TestSyntaxNamesOnlyEncodedFields(t *testing.T) {
 			t.Errorf("%v: syntax %q", op, op.Syntax())
 		}
 	}
+}
+
+// mustEncode encodes an instruction the test built to be encodable.
+func mustEncode(in Instr) uint32 {
+	w, err := Encode(in)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }
