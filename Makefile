@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint lint-json race equiv bench sweep mcheck soak loc
+.PHONY: all build test check fmt vet lint race equiv bench sweep mcheck soak loc
 
 all: check
 
@@ -36,12 +36,6 @@ vet:
 # the roster.
 lint:
 	$(GO) run ./cmd/simlint
-
-# lint-json emits the same findings as a machine-readable JSON array
-# (simlint.json, gitignored) and GitHub ::error annotations on stdout;
-# CI uploads the file as an artifact. Exit status mirrors `lint`.
-lint-json:
-	$(GO) run ./cmd/simlint -json -o simlint.json -annotate
 
 # race covers the goroutines that remain: the experiment worker pool
 # (exp.ExecuteAll, the only concurrency beside the engine) and the
@@ -102,7 +96,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 50: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 15200
+LOC_CEILING := 14550
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

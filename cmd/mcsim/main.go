@@ -10,7 +10,8 @@
 //
 // -bench names any exp.Bench: a program the SR32 interpreters run, or a
 // stream bench whose CPUs replay synthetic references (no host
-// reference to check, and the program-size flags do not apply).
+// reference to check). A program-size flag (-rows, -incs, ...) given
+// with a bench it does not size is refused.
 //
 // The profiling flags are the pprof hooks shared with sweep
 // (internal/obs/prof); they observe the process and cannot change
@@ -61,14 +62,20 @@ func main() {
 	rowBytes := flag.Int("rowbytes", 0, "DRAM open-page row size (0 = flat bank latency)")
 	ways := flag.Int("ways", 1, "cache associativity (Table 2: 1 = direct-mapped)")
 	c2c := flag.Bool("c2c", false, "MESI cache-to-cache transfers")
+	// Each program-size flag sizes one program; sizedBy records which.
 	var size exp.Scale
 	def := exp.DefaultScale()
-	flag.IntVar(&size.OceanRows, "rows", def.OceanRows, "ocean: rows per processor")
-	flag.IntVar(&size.OceanIters, "iters", def.OceanIters, "ocean: sweeps")
-	flag.IntVar(&size.WaterMols, "mols", def.WaterMols, "water: molecules per processor")
-	flag.IntVar(&size.WaterSteps, "steps", def.WaterSteps, "water: time steps")
-	flag.IntVar(&size.CounterIncs, "incs", def.CounterIncs, "counter: increments per thread")
-	flag.IntVar(&size.LURows, "lurows", def.LURows, "lu: matrix rows per processor")
+	sizedBy := map[string]exp.Bench{}
+	sizeFlag := func(p *int, name string, b exp.Bench, value int, usage string) {
+		flag.IntVar(p, name, value, string(b)+": "+usage)
+		sizedBy[name] = b
+	}
+	sizeFlag(&size.OceanRows, "rows", exp.Ocean, def.OceanRows, "rows per processor")
+	sizeFlag(&size.OceanIters, "iters", exp.Ocean, def.OceanIters, "sweeps")
+	sizeFlag(&size.WaterMols, "mols", exp.Water, def.WaterMols, "molecules per processor")
+	sizeFlag(&size.WaterSteps, "steps", exp.Water, def.WaterSteps, "time steps")
+	sizeFlag(&size.CounterIncs, "incs", exp.Counter, def.CounterIncs, "increments per thread")
+	sizeFlag(&size.LURows, "lurows", exp.LU, def.LURows, "matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
 	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way, under every -fault plan; for timing comparisons)")
 	profCfg := prof.RegisterFlags()
@@ -105,6 +112,11 @@ func main() {
 	if *verbose && *jsonOut {
 		log.Fatal("-v prints tables; it does nothing with -json")
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if b, ok := sizedBy[f.Name]; ok && b != exp.Bench(*bench) {
+			log.Fatalf("-%s sizes %s; it does nothing with -bench %s", f.Name, b, *bench)
+		}
+	})
 	// Run spells the default associativity 0, so a default run's key
 	// and errors read like the figure grid's point, not ".../ways=1".
 	if *ways == 1 {

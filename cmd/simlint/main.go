@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -30,9 +29,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "module root to analyze")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	outPath := fs.String("o", "", "write findings to this file instead of stdout")
-	annotate := fs.Bool("annotate", false, "also emit GitHub ::error workflow annotations on stdout")
 	list := fs.Bool("list", false, "print the analyzer roster with one-line docs and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	if err := fs.Parse(args); err != nil {
@@ -67,61 +63,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	out := io.Writer(stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-		defer f.Close()
-		out = f
-	}
-
-	if *jsonOut {
-		// A findings-free run still emits a valid (empty) array so the
-		// CI annotation step can always parse the artifact.
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(out, f)
-		}
-	}
-	if *annotate {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, annotation(f))
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "simlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// annotation renders one finding as a GitHub Actions workflow command,
-// surfacing it inline on the PR diff. Newlines and the characters the
-// command syntax reserves are percent-escaped per the Actions spec.
-func annotation(f lint.Finding) string {
-	msg := escapeData(fmt.Sprintf("[%s] %s", f.Analyzer, f.Message))
-	return fmt.Sprintf("::error file=%s,line=%d,col=%d::%s",
-		escapeProp(f.Pos.Filename), f.Pos.Line, f.Pos.Column, msg)
-}
-
-func escapeData(s string) string {
-	r := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A")
-	return r.Replace(s)
-}
-
-func escapeProp(s string) string {
-	r := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A", ":", "%3A", ",", "%2C")
-	return r.Replace(s)
 }

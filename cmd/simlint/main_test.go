@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,6 +16,14 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
+// findingLines splits simlint's stdout into its findings, one per line.
+func findingLines(stdout string) []string {
+	if stdout = strings.TrimSpace(stdout); stdout == "" {
+		return nil
+	}
+	return strings.Split(stdout, "\n")
+}
+
 func TestExitCodes(t *testing.T) {
 	if code, _, _ := runCLI(t, "-C", fixture); code != 1 {
 		t.Errorf("fixture with findings: exit %d, want 1", code)
@@ -25,9 +31,24 @@ func TestExitCodes(t *testing.T) {
 	if code, _, stderr := runCLI(t, "-C", "no/such/dir"); code != 2 {
 		t.Errorf("bad dir: exit %d, want 2 (stderr %q)", code, stderr)
 	}
-	if code, _, _ := runCLI(t, "-C", "../../internal/lint/testdata/tagmod",
-		"-only", "maprange"); code != 0 {
-		t.Errorf("clean restricted run: exit non-zero, want 0")
+	if code, stdout, _ := runCLI(t, "-C", "../../internal/lint/testdata/tagmod",
+		"-only", "maprange"); code != 0 || stdout != "" {
+		t.Errorf("clean restricted run: exit %d, stdout %q; want 0 and nothing", code, stdout)
+	}
+}
+
+// TestOnlyKeepsOneAnalyzer: -only keeps that analyzer's findings alone,
+// one line each.
+func TestOnlyKeepsOneAnalyzer(t *testing.T) {
+	code, stdout, _ := runCLI(t, "-C", fixture, "-only", "hotalloc")
+	lines := findingLines(stdout)
+	if code != 1 || len(lines) != 9 {
+		t.Fatalf("-only hotalloc: exit %d, %d findings, want 1 and 9:\n%s", code, len(lines), stdout)
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "/hot.go:") || !strings.Contains(l, ": [hotalloc] ") {
+			t.Errorf("unexpected finding: %q", l)
+		}
 	}
 }
 
@@ -56,80 +77,9 @@ func TestOnlyUnknownName(t *testing.T) {
 	}
 }
 
-func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-C", fixture, "-json", "-only", "hotalloc")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	var findings []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
-	}
-	if len(findings) != 9 {
-		t.Fatalf("got %d findings, want 9: %+v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if f.Analyzer != "hotalloc" || filepath.Base(f.File) != "hot.go" || f.Line == 0 {
-			t.Fatalf("unexpected finding: %+v", f)
-		}
-	}
-}
-
-func TestJSONEmptyArrayWhenClean(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-C", "../../internal/lint/testdata/tagmod",
-		"-json", "-only", "maprange")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if strings.TrimSpace(stdout) != "[]" {
-		t.Fatalf("clean -json run should print an empty array, got %q", stdout)
-	}
-}
-
-func TestOutputFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "findings.json")
-	code, stdout, _ := runCLI(t, "-C", fixture, "-json", "-o", path, "-only", "hotalloc")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if stdout != "" {
-		t.Errorf("-o should leave stdout empty, got %q", stdout)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arr []map[string]any
-	if err := json.Unmarshal(data, &arr); err != nil || len(arr) != 9 {
-		t.Fatalf("file content bad (err %v): %s", err, data)
-	}
-}
-
-func TestAnnotations(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-C", fixture, "-annotate", "-o", os.DevNull, "-only", "hotalloc")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(stdout, "::error file=") || !strings.Contains(stdout, ",line=") {
-		t.Errorf("-annotate output lacks workflow commands:\n%s", stdout)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
-		if !strings.HasPrefix(line, "::error file=") {
-			t.Errorf("stray non-annotation line on stdout with -o set: %q", line)
-		}
-	}
-}
-
 // TestPathsFollowC runs from the repository root, as CI does: every
-// finding's file, in -json and in the -annotate lines, is the -C
-// argument joined with the file's path inside the module — relative, so
-// the annotations land on the diff.
+// finding's file is the -C argument joined with the file's path inside
+// the module.
 func TestPathsFollowC(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -141,40 +91,14 @@ func TestPathsFollowC(t *testing.T) {
 	defer os.Chdir(wd)
 	const dir = "internal/lint/testdata/badmod"
 
-	code, stdout, _ := runCLI(t, "-json", "-C", dir)
-	if code != 1 {
-		t.Fatalf("-json: exit %d, want 1", code)
+	code, stdout, _ := runCLI(t, "-C", dir)
+	lines := findingLines(stdout)
+	if code != 1 || len(lines) != 7 {
+		t.Fatalf("exit %d, %d findings, want 1 and 7:\n%s", code, len(lines), stdout)
 	}
-	var findings []struct {
-		File string `json:"file"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
-	}
-	if len(findings) != 7 {
-		t.Fatalf("got %d findings, want 7: %+v", len(findings), findings)
-	}
-	code, stdout, _ = runCLI(t, "-annotate", "-o", os.DevNull, "-C", dir)
-	if code != 1 {
-		t.Fatalf("-annotate: exit %d, want 1", code)
-	}
-	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if len(lines) != len(findings) {
-		t.Fatalf("%d annotation lines for %d findings:\n%s", len(lines), len(findings), stdout)
-	}
-	for i, f := range findings {
-		if !strings.HasPrefix(f.File, dir+"/") {
-			t.Errorf("finding file %q does not begin with %s/", f.File, dir)
+	for _, l := range lines {
+		if !strings.HasPrefix(l, dir+"/") {
+			t.Errorf("finding %q does not begin with %s/", l, dir)
 		}
-		if want := "::error file=" + f.File + ",line="; !strings.HasPrefix(lines[i], want) {
-			t.Errorf("annotation %q does not begin with %q", lines[i], want)
-		}
-	}
-}
-
-func TestAnnotationEscaping(t *testing.T) {
-	got := escapeData("50% of a\nmulti-line message")
-	if strings.ContainsAny(got, "\n") || !strings.Contains(got, "%25") || !strings.Contains(got, "%0A") {
-		t.Errorf("escapeData broken: %q", got)
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	sweep [-exp NAME] [-sizes 4,16,32,64] [-quick] [-csv] [-chart]
 //	      [-jobs N] [-fault drop=1e-4,delay=1e-3:8,seed=42]
-//	      [-obs-interval K [-obs-dir DIR]]
+//	      [-obs-interval K -obs-dir DIR]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // -jobs parallelizes across the simulations of each experiment; it
@@ -35,7 +35,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "simulations of one experiment to run concurrently (1 = serial)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	chart := flag.Bool("chart", false, "render figure tables as ASCII bar charts too")
-	obsInterval := flag.Uint64("obs-interval", 0, "sample metrics every K cycles during every simulation")
+	obsInterval := flag.Uint64("obs-interval", 0, "sample metrics every K cycles during every simulation (needs -obs-dir)")
 	obsDir := flag.String("obs-dir", "", "directory for per-run interval CSVs (needs -obs-interval)")
 	faultSpec := flag.String("fault", "", "one fault campaign spec instead of the built-in grid, for the experiment that runs campaigns; e.g. drop=1e-4,delay=1e-3:8,seed=42")
 	profCfg := prof.RegisterFlags()
@@ -52,6 +52,9 @@ func main() {
 	}
 	if *obsDir != "" && *obsInterval == 0 {
 		fatal(fmt.Errorf("-obs-dir requires -obs-interval"))
+	}
+	if *obsInterval > 0 && *obsDir == "" {
+		usage(fmt.Errorf("-obs-interval does nothing without -obs-dir: the samples would be discarded"))
 	}
 	sizes, err := parseSizes(*sizesFlag)
 	if err != nil {

@@ -127,6 +127,7 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		{[]string{"-exp", "table2", "-fault", "drop=0.01,seed=7"}, "-fault"},
 		{[]string{"-exp", "all", "-fault", "drop=0.01,seed=7"}, "-fault"},
 		{[]string{"-exp", "table2", "-chart"}, "-chart"},
+		{[]string{"-exp", "table2", "-obs-interval", "1000"}, "-obs-interval"},
 		{[]string{"-exp", "nosuch"}, strings.Join(exp.Names(), ", ")},
 	} {
 		code, out := sweep(t, c.args...)

@@ -58,9 +58,10 @@ type DataCache interface {
 	Lines() []LineInfo
 	// PostedBytes reports which bytes of the aligned word at waddr are
 	// covered by writes the cache has posted but memory has not yet
-	// acknowledged (a byte-enable mask; 0 for a controller without a
-	// write buffer). The runtime checker exempts them from value
-	// agreement with memory.
+	// acknowledged (a byte-enable mask: a write-through cache's
+	// write-buffer entries, a write-back cache's block in its eviction
+	// buffer). The runtime checker exempts them from value agreement
+	// with memory.
 	PostedBytes(waddr uint32) uint8
 	// WBOccupancy reports the occupied write-buffer entries (0 for a
 	// controller without one).

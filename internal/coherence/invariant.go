@@ -59,8 +59,10 @@ func (h *Hierarchy) CheckCoherence() error {
 //  2. Value agreement, skipped while the block's directory entry has an
 //     open transaction (DirBusy) — that is exactly the window in which
 //     copies are legitimately being invalidated, updated, or fetched:
-//     - MESI/MOESI: an S or E copy's bytes equal memory; with an Owned
-//     supplier, S copies must equal the Owned copy instead.
+//     - MESI/MOESI: an S or E copy's bytes equal memory, except while
+//     the recorded owner's writeback of the block is in flight (its
+//     PostedBytes); with an Owned supplier, S copies must equal the
+//     Owned copy instead.
 //     - WTI/WTU: every valid copy's bytes equal memory, except bytes
 //     still covered by the holder's own posted write buffer (a WTI
 //     store updates the line immediately; memory catches up when the
@@ -117,7 +119,7 @@ func (h *Hierarchy) CheckRuntime() error {
 					return fmt.Errorf("coherence: value: block %#x: cpu %d shared copy differs from the Owned copy", blk, c.cpu)
 				}
 			default:
-				if err := checkCopyAgainstMemory(h.DCaches[c.cpu], blk, c, memData); err != nil {
+				if err := h.checkCopyAgainstMemory(blk, c, owner, memData); err != nil {
 					return err
 				}
 			}
@@ -127,11 +129,19 @@ func (h *Hierarchy) CheckRuntime() error {
 }
 
 // checkCopyAgainstMemory compares one clean copy with memory, byte by
-// byte, exempting bytes covered by the holder's own posted writes (the
-// write-through transient).
-func checkCopyAgainstMemory(dc DataCache, blk uint32, c holder, memData []byte) error {
+// byte, exempting bytes covered by writes the holder or the block's
+// recorded owner has posted (the write-through transient, and an Owned
+// block's writeback in flight).
+func (h *Hierarchy) checkCopyAgainstMemory(blk uint32, c holder, owner int, memData []byte) error {
+	posted := func(w uint32) uint8 {
+		p := h.DCaches[c.cpu].PostedBytes(w)
+		if owner >= 0 {
+			p |= h.DCaches[owner].PostedBytes(w)
+		}
+		return p
+	}
 	for i := range memData {
-		if c.info.Data[i] != memData[i] && dc.PostedBytes(blk+uint32(i&^3))&(1<<(i%4)) == 0 {
+		if c.info.Data[i] != memData[i] && posted(blk+uint32(i&^3))&(1<<(i%4)) == 0 {
 			return fmt.Errorf("coherence: value: block %#x: cpu %d %v copy byte %d is %#x, memory has %#x (no covering write)",
 				blk, c.cpu, c.info.State, i, c.info.Data[i], memData[i])
 		}

@@ -322,14 +322,14 @@ func (mc *MemCtrl) sendInvals(blk uint32, mask uint64, now uint64) int {
 
 // openFetch opens a transaction that must first recall the block from
 // its owner with cmd (CmdFetch or CmdFetchInval), forwarded cache to
-// cache when the platform allows.
-func (mc *MemCtrl) openFetch(e *dirEntry, kind, cmd MsgKind, m *Msg, now uint64) {
+// cache when fwd is set.
+func (mc *MemCtrl) openFetch(e *dirEntry, kind, cmd MsgKind, m *Msg, fwd bool, now uint64) {
 	e.open(kind, m)
 	e.fetchTarget = e.owner
 	e.fetchPending = true
 	mc.st.FetchesSent++
 	c := mc.newCtrl(cmd, m.Addr)
-	c.HasFwd = mc.p.CacheToCache
+	c.HasFwd = fwd
 	c.Fwd = m.Src
 	mc.node.SendCtrl(c, int(e.owner), now)
 }
@@ -342,7 +342,7 @@ func (mc *MemCtrl) handleRead(e *dirEntry, m *Msg, now uint64) {
 		case e.owner >= 0 && int(e.owner) != m.Src:
 			// Remote dirty (or exclusive) copy: fetch it first — the
 			// paper's 4-hop read (3 hops with cache-to-cache forwarding).
-			mc.openFetch(e, ReqRead, CmdFetch, m, now)
+			mc.openFetch(e, ReqRead, CmdFetch, m, mc.p.CacheToCache, now)
 			return
 		case e.owner == int16(m.Src):
 			// The owner itself re-reads after a silent clean eviction.
@@ -368,10 +368,12 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 	blk := m.Addr
 	switch {
 	case e.owner >= 0 && int(e.owner) != m.Src:
-		mc.openFetch(e, ReqReadExcl, CmdFetchInval, m, now)
 		// MOESI: an Owned block may also have Shared copies; they are
-		// invalidated in the same transaction.
-		if others := mc.invalTargets(e, m.Src) &^ (1 << uint(e.owner)); others != 0 {
+		// invalidated in the same transaction, and the owner's data then
+		// goes through the bank, so M is granted only after every ack.
+		others := mc.invalTargets(e, m.Src) &^ (1 << uint(e.owner))
+		mc.openFetch(e, ReqReadExcl, CmdFetchInval, m, mc.p.CacheToCache && others == 0, now)
+		if others != 0 {
 			e.waitAcks = mc.sendInvals(blk, others, now)
 		}
 		e.sharers = 0

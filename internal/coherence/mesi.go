@@ -91,8 +91,14 @@ func (c *MESICache) SetObserver(r *obs.Recorder) { c.Obs = r }
 // WBOccupancy implements DataCache: there is no write buffer.
 func (c *MESICache) WBOccupancy() int { return 0 }
 
-// PostedBytes implements DataCache: there are no posted writes.
-func (c *MESICache) PostedBytes(uint32) uint8 { return 0 }
+// PostedBytes implements DataCache: every byte of the block in the
+// eviction buffer, whose writeback memory has not yet acknowledged.
+func (c *MESICache) PostedBytes(waddr uint32) uint8 {
+	if c.evict.active && c.evict.addr == c.p.BlockAddr(waddr) {
+		return 0xf
+	}
+	return 0
+}
 
 func (c *MESICache) bankNode(addr uint32) int {
 	return c.bankBase + c.amap.BankOf(addr)

@@ -6,7 +6,8 @@ package exp
 // agree on the whole Result, the final memory and, when an observer is
 // attached, its latency report and sampled series. It is the net under
 // every fast path of the schedule — sleeps, leaps, run-ahead bursts and
-// spin sleeps — on machines no fixed matrix lists. The draw count is
+// spin sleeps — on machines no fixed matrix lists, and, with the runtime
+// invariant checker armed on a share of the draws, under the protocols. The draw count is
 // rigDraws: a bounded budget in go test, a longer tail under -tags soak
 // (rig_soak_test.go). A failure names the Run key, which is the replay
 // recipe: mcsim takes each of its segments as a flag.
@@ -63,8 +64,9 @@ type rigOutcome struct {
 }
 
 // rigRun runs r on one schedule; interval > 0 attaches an observer
-// sampling at that interval.
-func rigRun(t *testing.T, r Run, naive bool, interval uint64) rigOutcome {
+// sampling at that interval, check > 0 the runtime invariant checker
+// every check cycles.
+func rigRun(t *testing.T, r Run, naive bool, interval, check uint64) rigOutcome {
 	t.Helper()
 	cfg, err := r.Config()
 	if err != nil {
@@ -72,10 +74,11 @@ func rigRun(t *testing.T, r Run, naive bool, interval uint64) rigOutcome {
 	}
 	cfg.DisableLeap = naive
 	cfg.MaxCycles = 5_000_000
-	sys, check, err := Build(r, cfg, Scale{})
+	sys, verify, err := Build(r, cfg, Scale{})
 	if err != nil {
 		t.Fatalf("%s: %v", r.Key(), err)
 	}
+	sys.EnableRuntimeChecks(check)
 	var rec *obs.Recorder
 	if interval > 0 {
 		rec = obs.New(obs.Config{SampleInterval: interval})
@@ -83,11 +86,11 @@ func rigRun(t *testing.T, r Run, naive bool, interval uint64) rigOutcome {
 	}
 	res, err := sys.Run()
 	if err != nil {
-		t.Fatalf("%s (naive=%t, observed every %d): %v", r.Key(), naive, interval, err)
+		t.Fatalf("%s (naive=%t, observed every %d, checked every %d): %v", r.Key(), naive, interval, check, err)
 	}
 	sys.FlushCaches()
-	if check != nil {
-		if err := check(sys.Space); err != nil {
+	if verify != nil {
+		if err := verify(sys.Space); err != nil {
 			t.Fatalf("%s (naive=%t): %v", r.Key(), naive, err)
 		}
 	}
@@ -107,27 +110,61 @@ func rigRun(t *testing.T, r Run, naive bool, interval uint64) rigOutcome {
 	return out
 }
 
+// One draw in rigCheckShare runs scheduled with the runtime invariant
+// checker armed every 1 to rigCheckEvery cycles, and at most rigChecks
+// times a run.
+const rigCheckShare, rigCheckEvery, rigChecks = 2, 16, 500
+
 func TestRandomMachinesScheduledEqualsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(rigSeed))
-	var spins uint64
+	// The checker is armed from a stream of its own, so arming it leaves
+	// the machines drawn unchanged. It rides on the scheduled run alone,
+	// whose Result must not move for it, and its cap keeps a long draw as
+	// cheap to check as a short one.
+	arm := rand.New(rand.NewSource(-rigSeed))
+	var spins, checked uint64
 	for i := 0; i < rigDraws; i++ {
 		r := drawRun(rng)
-		var interval uint64
+		var interval, check uint64
 		if rng.Intn(4) == 0 {
 			interval = 1 + uint64(rng.Intn(200))
 		}
-		naive, sched := rigRun(t, r, true, interval), rigRun(t, r, false, interval)
+		naive := rigRun(t, r, true, interval, 0)
+		if arm.Intn(rigCheckShare) == 0 {
+			check = max(1+uint64(arm.Intn(rigCheckEvery)), naive.res.Cycles/rigChecks)
+			checked++
+		}
+		sched := rigRun(t, r, false, interval, check)
 		if !reflect.DeepEqual(naive.res, sched.res) {
-			t.Fatalf("draw %d, replay %s (observed every %d): results differ:\nnaive     %+v\nscheduled %+v",
-				i, r.Key(), interval, naive.res, sched.res)
+			t.Fatalf("draw %d, replay %s (observed every %d, checked every %d): results differ:\nnaive     %+v\nscheduled %+v",
+				i, r.Key(), interval, check, naive.res, sched.res)
 		}
 		if !reflect.DeepEqual(naive.space, sched.space) || naive.series != sched.series {
 			t.Fatalf("draw %d, replay %s (observed every %d): final memory or sampled series differ", i, r.Key(), interval)
 		}
 		spins += sched.spins
 	}
-	t.Logf("%d machines, %d spin sleeps", rigDraws, spins)
+	t.Logf("%d machines (%d checked at run time), %d spin sleeps", rigDraws, checked, spins)
 	if spins == 0 {
 		t.Fatal("no draw ever put a core into a spin sleep: the rig missed the fast path it guards")
+	}
+}
+
+// TestCacheToCacheCountersHoldInvariantsEveryCycle runs the lock counter
+// under the protocols that move blocks cache to cache, on every network,
+// with the runtime invariant checker on every cycle. Two bugs showed
+// here and nowhere in the model checker's scope: MOESI forwarding an
+// Owned block to a writer before the other sharers' invalidations
+// landed (SWMR), and a sharer's copy compared with memory while the
+// owner's writeback of that block was still in flight.
+func TestCacheToCacheCountersHoldInvariantsEveryCycle(t *testing.T) {
+	for _, proto := range []coherence.Protocol{coherence.MOESI, coherence.WBMESI} {
+		for noc := core.NoCKind(0); noc < 3; noc++ {
+			for _, n := range []int{3, 4} {
+				r := Run{Bench: Counter, Protocol: proto, Arch: mem.Arch2, NumCPUs: n, NoC: noc,
+					C2C: proto == coherence.WBMESI, Scale: Scale{CounterIncs: 4}}
+				rigRun(t, r, false, 0, 1)
+			}
+		}
 	}
 }

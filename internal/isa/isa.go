@@ -114,22 +114,9 @@ const (
 	ClassJ
 )
 
-// Operand-syntax letters: how one assembler operand is written and the
-// Instr field it fills. Each opTable row spells its operands with them,
-// in source order; Disasm prints from that string and internal/asm
-// parses from it, so the two cannot disagree.
-const (
-	SynRd, SynRs1, SynRs2 = 'd', 's', 't' // integer register in that field
-	SynFd, SynFs1, SynFs2 = 'D', 'S', 'T' // float register in that field
-	SynImm                = 'i'           // immediate
-	SynMem                = 'm'           // imm(rs1); the immediate may be omitted
-	SynAddr               = 'a'           // code address; Imm is its word offset from pc+4
-)
-
-// opInfo describes one operation's encoding and assembler syntax.
+// opInfo describes one operation's encoding.
 type opInfo struct {
 	name   string
-	syn    string // operand-syntax letters
 	class  Class
 	major  uint8 // 6-bit major opcode
 	funct  uint16
@@ -144,61 +131,61 @@ const (
 )
 
 var opTable = [numOps]opInfo{
-	OpAdd:  {name: "add", syn: "dst", class: ClassR, major: majR, funct: 1},
-	OpSub:  {name: "sub", syn: "dst", class: ClassR, major: majR, funct: 2},
-	OpAnd:  {name: "and", syn: "dst", class: ClassR, major: majR, funct: 3},
-	OpOr:   {name: "or", syn: "dst", class: ClassR, major: majR, funct: 4},
-	OpXor:  {name: "xor", syn: "dst", class: ClassR, major: majR, funct: 5},
-	OpSll:  {name: "sll", syn: "dst", class: ClassR, major: majR, funct: 6},
-	OpSrl:  {name: "srl", syn: "dst", class: ClassR, major: majR, funct: 7},
-	OpSra:  {name: "sra", syn: "dst", class: ClassR, major: majR, funct: 8},
-	OpSlt:  {name: "slt", syn: "dst", class: ClassR, major: majR, funct: 9},
-	OpSltu: {name: "sltu", syn: "dst", class: ClassR, major: majR, funct: 10},
-	OpMul:  {name: "mul", syn: "dst", class: ClassR, major: majR, funct: 11},
-	OpDiv:  {name: "div", syn: "dst", class: ClassR, major: majR, funct: 12},
-	OpRem:  {name: "rem", syn: "dst", class: ClassR, major: majR, funct: 13},
+	OpAdd:  {name: "add", class: ClassR, major: majR, funct: 1},
+	OpSub:  {name: "sub", class: ClassR, major: majR, funct: 2},
+	OpAnd:  {name: "and", class: ClassR, major: majR, funct: 3},
+	OpOr:   {name: "or", class: ClassR, major: majR, funct: 4},
+	OpXor:  {name: "xor", class: ClassR, major: majR, funct: 5},
+	OpSll:  {name: "sll", class: ClassR, major: majR, funct: 6},
+	OpSrl:  {name: "srl", class: ClassR, major: majR, funct: 7},
+	OpSra:  {name: "sra", class: ClassR, major: majR, funct: 8},
+	OpSlt:  {name: "slt", class: ClassR, major: majR, funct: 9},
+	OpSltu: {name: "sltu", class: ClassR, major: majR, funct: 10},
+	OpMul:  {name: "mul", class: ClassR, major: majR, funct: 11},
+	OpDiv:  {name: "div", class: ClassR, major: majR, funct: 12},
+	OpRem:  {name: "rem", class: ClassR, major: majR, funct: 13},
 
-	OpAddi: {name: "addi", syn: "dsi", class: ClassI, major: 2},
-	OpAndi: {name: "andi", syn: "dsi", class: ClassI, major: 3},
-	OpOri:  {name: "ori", syn: "dsi", class: ClassI, major: 4},
-	OpXori: {name: "xori", syn: "dsi", class: ClassI, major: 5},
-	OpSlti: {name: "slti", syn: "dsi", class: ClassI, major: 6},
-	OpSlli: {name: "slli", syn: "dsi", class: ClassI, major: 7},
-	OpSrli: {name: "srli", syn: "dsi", class: ClassI, major: 8},
-	OpSrai: {name: "srai", syn: "dsi", class: ClassI, major: 9},
-	OpLui:  {name: "lui", syn: "di", class: ClassI, major: 10},
+	OpAddi: {name: "addi", class: ClassI, major: 2},
+	OpAndi: {name: "andi", class: ClassI, major: 3},
+	OpOri:  {name: "ori", class: ClassI, major: 4},
+	OpXori: {name: "xori", class: ClassI, major: 5},
+	OpSlti: {name: "slti", class: ClassI, major: 6},
+	OpSlli: {name: "slli", class: ClassI, major: 7},
+	OpSrli: {name: "srli", class: ClassI, major: 8},
+	OpSrai: {name: "srai", class: ClassI, major: 9},
+	OpLui:  {name: "lui", class: ClassI, major: 10},
 
-	OpLw:   {name: "lw", syn: "dm", class: ClassI, major: 11, memory: true},
-	OpSw:   {name: "sw", syn: "dm", class: ClassI, major: 12, memory: true},
-	OpLb:   {name: "lb", syn: "dm", class: ClassI, major: 13, memory: true},
-	OpLbu:  {name: "lbu", syn: "dm", class: ClassI, major: 14, memory: true},
-	OpSb:   {name: "sb", syn: "dm", class: ClassI, major: 15, memory: true},
-	OpSwap: {name: "swap", syn: "dm", class: ClassI, major: 16, memory: true},
+	OpLw:   {name: "lw", class: ClassI, major: 11, memory: true},
+	OpSw:   {name: "sw", class: ClassI, major: 12, memory: true},
+	OpLb:   {name: "lb", class: ClassI, major: 13, memory: true},
+	OpLbu:  {name: "lbu", class: ClassI, major: 14, memory: true},
+	OpSb:   {name: "sb", class: ClassI, major: 15, memory: true},
+	OpSwap: {name: "swap", class: ClassI, major: 16, memory: true},
 
-	OpBeq:  {name: "beq", syn: "sda", class: ClassI, major: 17},
-	OpBne:  {name: "bne", syn: "sda", class: ClassI, major: 18},
-	OpBlt:  {name: "blt", syn: "sda", class: ClassI, major: 19},
-	OpBge:  {name: "bge", syn: "sda", class: ClassI, major: 20},
-	OpBltu: {name: "bltu", syn: "sda", class: ClassI, major: 21},
-	OpBgeu: {name: "bgeu", syn: "sda", class: ClassI, major: 22},
-	OpJal:  {name: "jal", syn: "a", class: ClassJ, major: 23},
-	OpJalr: {name: "jalr", syn: "dsi", class: ClassI, major: 24},
+	OpBeq:  {name: "beq", class: ClassI, major: 17},
+	OpBne:  {name: "bne", class: ClassI, major: 18},
+	OpBlt:  {name: "blt", class: ClassI, major: 19},
+	OpBge:  {name: "bge", class: ClassI, major: 20},
+	OpBltu: {name: "bltu", class: ClassI, major: 21},
+	OpBgeu: {name: "bgeu", class: ClassI, major: 22},
+	OpJal:  {name: "jal", class: ClassJ, major: 23},
+	OpJalr: {name: "jalr", class: ClassI, major: 24},
 
-	OpFlw: {name: "flw", syn: "Dm", class: ClassI, major: 25, memory: true},
-	OpFsw: {name: "fsw", syn: "Dm", class: ClassI, major: 26, memory: true},
+	OpFlw: {name: "flw", class: ClassI, major: 25, memory: true},
+	OpFsw: {name: "fsw", class: ClassI, major: 26, memory: true},
 
-	OpFadd:  {name: "fadd", syn: "DST", class: ClassR, major: majRF, funct: 1},
-	OpFsub:  {name: "fsub", syn: "DST", class: ClassR, major: majRF, funct: 2},
-	OpFmul:  {name: "fmul", syn: "DST", class: ClassR, major: majRF, funct: 3},
-	OpFdiv:  {name: "fdiv", syn: "DST", class: ClassR, major: majRF, funct: 4},
-	OpFeq:   {name: "feq", syn: "dST", class: ClassR, major: majRF, funct: 5},
-	OpFlt:   {name: "flt", syn: "dST", class: ClassR, major: majRF, funct: 6},
-	OpFle:   {name: "fle", syn: "dST", class: ClassR, major: majRF, funct: 7},
-	OpCvtWS: {name: "cvtws", syn: "Ds", class: ClassR, major: majRF, funct: 8},
-	OpCvtSW: {name: "cvtsw", syn: "dS", class: ClassR, major: majRF, funct: 9},
-	OpFmov:  {name: "fmov", syn: "DS", class: ClassR, major: majRF, funct: 10},
-	OpFabs:  {name: "fabs", syn: "DS", class: ClassR, major: majRF, funct: 11},
-	OpFneg:  {name: "fneg", syn: "DS", class: ClassR, major: majRF, funct: 12},
+	OpFadd:  {name: "fadd", class: ClassR, major: majRF, funct: 1},
+	OpFsub:  {name: "fsub", class: ClassR, major: majRF, funct: 2},
+	OpFmul:  {name: "fmul", class: ClassR, major: majRF, funct: 3},
+	OpFdiv:  {name: "fdiv", class: ClassR, major: majRF, funct: 4},
+	OpFeq:   {name: "feq", class: ClassR, major: majRF, funct: 5},
+	OpFlt:   {name: "flt", class: ClassR, major: majRF, funct: 6},
+	OpFle:   {name: "fle", class: ClassR, major: majRF, funct: 7},
+	OpCvtWS: {name: "cvtws", class: ClassR, major: majRF, funct: 8},
+	OpCvtSW: {name: "cvtsw", class: ClassR, major: majRF, funct: 9},
+	OpFmov:  {name: "fmov", class: ClassR, major: majRF, funct: 10},
+	OpFabs:  {name: "fabs", class: ClassR, major: majRF, funct: 11},
+	OpFneg:  {name: "fneg", class: ClassR, major: majRF, funct: 12},
 
 	OpHalt: {name: "halt", class: ClassJ, major: 62},
 	OpNop:  {name: "nop", class: ClassJ, major: 63},
@@ -239,43 +226,5 @@ func (op Op) Name() string {
 // String implements fmt.Stringer.
 func (op Op) String() string { return op.Name() }
 
-// Syntax returns op's operand-syntax letters, one per operand.
-func (op Op) Syntax() string {
-	if op < numOps {
-		return opTable[op].syn
-	}
-	return ""
-}
-
-// Reg returns the register field that syntax letter c (either case)
-// names.
-func (in *Instr) Reg(c byte) *uint8 {
-	switch c | 0x20 {
-	case SynRd:
-		return &in.Rd
-	case SynRs1:
-		return &in.Rs1
-	}
-	return &in.Rs2
-}
-
 // IsMemory reports whether op accesses data memory.
 func (op Op) IsMemory() bool { return op < numOps && opTable[op].memory }
-
-// Class returns the encoding class of op.
-func (op Op) Class() Class {
-	if op < numOps {
-		return opTable[op].class
-	}
-	return ClassJ
-}
-
-// OpByName returns the operation with the given mnemonic.
-func OpByName(name string) (Op, bool) {
-	for op := Op(1); op < numOps; op++ {
-		if opTable[op].name == name {
-			return op, true
-		}
-	}
-	return OpInvalid, false
-}

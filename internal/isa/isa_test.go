@@ -1,8 +1,6 @@
 package isa
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -60,7 +58,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 			Rs1: rs1 % 32,
 			Rs2: rs2 % 32,
 		}
-		switch in.Op.Class() {
+		switch opTable[in.Op].class {
 		case ClassI:
 			in.Imm = imm % (ImmIMax + 1)
 		case ClassJ:
@@ -114,18 +112,6 @@ func TestEncodeRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestOpByNameCoversAllOps(t *testing.T) {
-	for _, op := range AllOps() {
-		got, ok := OpByName(op.Name())
-		if !ok || got != op {
-			t.Errorf("OpByName(%q) = %v, %v", op.Name(), got, ok)
-		}
-	}
-	if _, ok := OpByName("bogus"); ok {
-		t.Error("OpByName accepted a bogus mnemonic")
-	}
-}
-
 func TestOpClassFlags(t *testing.T) {
 	cases := []struct {
 		op     Op
@@ -160,37 +146,6 @@ func TestImmediateSignExtension(t *testing.T) {
 	}
 }
 
-func TestDisasmMentionsOperands(t *testing.T) {
-	cases := []struct {
-		in   Instr
-		want []string
-	}{
-		{Instr{Op: OpAdd, Rd: 1, Rs1: 2, Rs2: 3}, []string{"add", "r1", "r2", "r3"}},
-		{Instr{Op: OpLw, Rd: 4, Rs1: 29, Imm: 16}, []string{"lw", "r4", "16(r29)"}},
-		{Instr{Op: OpFadd, Rd: 1, Rs1: 2, Rs2: 3}, []string{"fadd", "f1", "f2", "f3"}},
-		{Instr{Op: OpBeq, Rs1: 1, Rd: 2, Imm: 4}, []string{"beq", "r1", "r2"}},
-		{Instr{Op: OpHalt}, []string{"halt"}},
-		{Instr{Op: OpInvalid}, []string{"invalid"}},
-	}
-	for _, c := range cases {
-		s := Disasm(c.in, 0x1000)
-		for _, want := range c.want {
-			if !strings.Contains(s, want) {
-				t.Errorf("Disasm(%+v) = %q, missing %q", c.in, s, want)
-			}
-		}
-	}
-}
-
-func TestDisasmRandomValidWordsNoPanic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		w := rng.Uint32()
-		in := Decode(w)
-		_ = Disasm(in, rng.Uint32()&^3)
-	}
-}
-
 func TestCanonicalClearsUnusedFields(t *testing.T) {
 	in := Canonical(Instr{Op: OpHalt, Rd: 3, Rs1: 4, Rs2: 5, Imm: 6})
 	if in.Rd != 0 || in.Rs1 != 0 || in.Rs2 != 0 {
@@ -203,41 +158,6 @@ func TestCanonicalClearsUnusedFields(t *testing.T) {
 	in = Canonical(Instr{Op: OpAddi, Rd: 3, Rs2: 9, Imm: 6})
 	if in.Rs2 != 0 {
 		t.Fatalf("I-type canonical kept rs2: %+v", in)
-	}
-}
-
-// TestSyntaxNamesOnlyEncodedFields checks the operand-syntax table
-// against the encodings: every letter fills a field of its own that the
-// op's class encodes (Canonical keeps it), so no written operand is
-// silently dropped, and only halt and nop take no operands.
-func TestSyntaxNamesOnlyEncodedFields(t *testing.T) {
-	for _, op := range AllOps() {
-		in := Instr{Op: op}
-		fill := func(field *uint8) {
-			if *field != 0 {
-				t.Errorf("%v: syntax %q names a register field twice", op, op.Syntax())
-			}
-			*field = 1
-		}
-		for _, c := range []byte(op.Syntax()) {
-			switch c {
-			case SynImm, SynAddr:
-				in.Imm++
-			case SynMem:
-				in.Imm++
-				fill(&in.Rs1)
-			case SynRd, SynRs1, SynRs2, SynFd, SynFs1, SynFs2:
-				fill(in.Reg(c))
-			default:
-				t.Errorf("%v: unknown syntax letter %q", op, c)
-			}
-		}
-		if in.Imm > 1 || Canonical(in) != in {
-			t.Errorf("%v: syntax %q names a field class %d does not encode (or the immediate twice)", op, op.Syntax(), op.Class())
-		}
-		if empty := op == OpHalt || op == OpNop; (op.Syntax() == "") != empty {
-			t.Errorf("%v: syntax %q", op, op.Syntax())
-		}
 	}
 }
 

@@ -50,7 +50,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"sort"
@@ -82,26 +81,6 @@ type Finding struct {
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
-}
-
-// findingJSON is the machine-readable shape emitted by MarshalJSON and
-// consumed by the CI annotation step; field names are part of the
-// simlint -json contract.
-type findingJSON struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// MarshalJSON flattens the token.Position into stable file/line/col
-// fields for `simlint -json`.
-func (f Finding) MarshalJSON() ([]byte, error) {
-	return json.Marshal(findingJSON{
-		File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
-		Analyzer: f.Analyzer, Message: f.Message,
-	})
 }
 
 // analyzer inspects one typechecked package and reports findings.
