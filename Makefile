@@ -29,11 +29,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the in-tree analyzer suite (internal/lint): wall-clock and
-# global math/rand use in simulator packages, map-iteration on sim
-# paths, non-exhaustive LineState switches, and hot-path allocations
-# against the committed hotalloc.allow worklist. `simlint -list` prints
-# the roster.
+# lint runs the in-tree analyzers (internal/lint), all of them every
+# time: wall-clock reads, global math/rand draws and map iteration in
+# the internal/ packages, and hot-path allocations against the
+# committed hotalloc.allow worklist.
 lint:
 	$(GO) run ./cmd/simlint
 
@@ -96,7 +95,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 50: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 14550
+LOC_CEILING := 14250
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

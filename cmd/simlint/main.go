@@ -4,8 +4,8 @@
 // trustworthy if two runs with the same seed are bit-identical, and
 // these analyzers reject the usual ways that property quietly erodes —
 // wall-clock reads, the process-global random generator, randomized map
-// iteration order, non-exhaustive protocol-state switches — plus new
-// allocations on the declared hot paths.
+// iteration order — plus new allocations on the declared hot paths.
+// Every analyzer runs on every invocation; -C names the module root.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"text/tabwriter"
 
 	"repro/internal/lint"
 )
@@ -29,8 +28,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "module root to analyze")
-	list := fs.Bool("list", false, "print the analyzer roster with one-line docs and exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -39,25 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *list {
-		tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
-		for _, info := range lint.Roster() {
-			fmt.Fprintf(tw, "%s\t%s\n", info.Name, info.Doc)
-		}
-		tw.Flush()
-		return 0
-	}
-
-	var opts lint.Options
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				opts.Only = append(opts.Only, name)
-			}
-		}
-	}
-
-	findings, err := lint.RunOpts(*dir, opts)
+	findings, err := lint.Run(*dir)
 	if err != nil {
 		fmt.Fprintln(stderr, "simlint:", err)
 		return 2

@@ -31,49 +31,13 @@ func TestExitCodes(t *testing.T) {
 	if code, _, stderr := runCLI(t, "-C", "no/such/dir"); code != 2 {
 		t.Errorf("bad dir: exit %d, want 2 (stderr %q)", code, stderr)
 	}
-	if code, stdout, _ := runCLI(t, "-C", "../../internal/lint/testdata/tagmod",
-		"-only", "maprange"); code != 0 || stdout != "" {
-		t.Errorf("clean restricted run: exit %d, stdout %q; want 0 and nothing", code, stdout)
-	}
-}
-
-// TestOnlyKeepsOneAnalyzer: -only keeps that analyzer's findings alone,
-// one line each.
-func TestOnlyKeepsOneAnalyzer(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-C", fixture, "-only", "hotalloc")
-	lines := findingLines(stdout)
-	if code != 1 || len(lines) != 9 {
-		t.Fatalf("-only hotalloc: exit %d, %d findings, want 1 and 9:\n%s", code, len(lines), stdout)
-	}
-	for _, l := range lines {
-		if !strings.Contains(l, "/hot.go:") || !strings.Contains(l, ": [hotalloc] ") {
-			t.Errorf("unexpected finding: %q", l)
+	// Every analyzer runs on every invocation: there is no flag to
+	// list or select them.
+	for _, flag := range [][]string{{"-list"}, {"-only", "hotalloc"}} {
+		code, stdout, stderr := runCLI(t, append([]string{"-C", fixture}, flag...)...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+flag[0]) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 and an undefined-flag error", flag, code, stdout, stderr)
 		}
-	}
-}
-
-func TestListRoster(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-list")
-	if code != 0 {
-		t.Fatalf("-list: exit %d, want 0", code)
-	}
-	for _, name := range []string{"walltime", "globalrand", "maprange", "exhaustive", "hotalloc"} {
-		if !strings.Contains(stdout, name) {
-			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout)
-		}
-	}
-	if lines := strings.Count(strings.TrimSpace(stdout), "\n") + 1; lines != 5 {
-		t.Errorf("-list printed %d lines, want 5:\n%s", lines, stdout)
-	}
-}
-
-func TestOnlyUnknownName(t *testing.T) {
-	code, _, stderr := runCLI(t, "-C", fixture, "-only", "nosuch")
-	if code != 2 {
-		t.Errorf("-only nosuch: exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, `unknown analyzer "nosuch"`) || !strings.Contains(stderr, "hotalloc") {
-		t.Errorf("-only nosuch stderr should name the roster: %q", stderr)
 	}
 }
 
@@ -93,8 +57,8 @@ func TestPathsFollowC(t *testing.T) {
 
 	code, stdout, _ := runCLI(t, "-C", dir)
 	lines := findingLines(stdout)
-	if code != 1 || len(lines) != 7 {
-		t.Fatalf("exit %d, %d findings, want 1 and 7:\n%s", code, len(lines), stdout)
+	if code != 1 || len(lines) != 5 {
+		t.Fatalf("exit %d, %d findings, want 1 and 5:\n%s", code, len(lines), stdout)
 	}
 	for _, l := range lines {
 		if !strings.HasPrefix(l, dir+"/") {

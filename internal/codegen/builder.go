@@ -74,20 +74,12 @@ const (
 	F11
 )
 
+// fixup is a branch or jal whose word-relative offset to label is
+// patched in by Finalize.
 type fixup struct {
 	index int    // instruction index to patch
 	label string // target label
-	kind  fixKind
 }
-
-type fixKind uint8
-
-const (
-	fixBranch fixKind = iota // I-type word-relative
-	fixJal                   // J-type word-relative
-	fixLuiHi                 // upper half of an absolute label address
-	fixOriLo                 // lower half of an absolute label address
-)
 
 // Builder assembles a code segment instruction by instruction.
 type Builder struct {
@@ -189,7 +181,7 @@ func (b *Builder) CvtSW(rd Reg, fs FReg)           { b.r3(isa.OpCvtSW, rd, Reg(f
 
 // Branches to labels (forward references allowed).
 func (b *Builder) branch(op isa.Op, rs1, rs2 Reg, label string) {
-	b.fixups = append(b.fixups, fixup{index: len(b.ins), label: label, kind: fixBranch})
+	b.fixups = append(b.fixups, fixup{index: len(b.ins), label: label})
 	b.emit(isa.Instr{Op: op, Rd: uint8(rs2), Rs1: uint8(rs1)})
 }
 
@@ -203,7 +195,7 @@ func (b *Builder) J(label string) { b.Beq(R0, R0, label) }
 
 // Jal calls a label, linking into RA.
 func (b *Builder) Jal(label string) {
-	b.fixups = append(b.fixups, fixup{index: len(b.ins), label: label, kind: fixJal})
+	b.fixups = append(b.fixups, fixup{index: len(b.ins), label: label})
 	b.emit(isa.Instr{Op: isa.OpJal})
 }
 
@@ -238,15 +230,6 @@ func (b *Builder) Li(rd Reg, v uint32) {
 	}
 }
 
-// La loads the absolute address of a label (forward references
-// allowed); it always occupies two instructions.
-func (b *Builder) La(rd Reg, label string) {
-	b.fixups = append(b.fixups, fixup{index: len(b.ins), label: label, kind: fixLuiHi})
-	b.emit(isa.Instr{Op: isa.OpLui, Rd: uint8(rd)})
-	b.fixups = append(b.fixups, fixup{index: len(b.ins), label: label, kind: fixOriLo})
-	b.emit(isa.Instr{Op: isa.OpOri, Rd: uint8(rd), Rs1: uint8(rd)})
-}
-
 // Finalize resolves label references and encodes the program. The
 // returned words are ready to be placed at the builder's base address.
 func (b *Builder) Finalize() ([]uint32, error) {
@@ -258,18 +241,7 @@ func (b *Builder) Finalize() ([]uint32, error) {
 		if !ok {
 			return nil, fmt.Errorf("codegen: undefined label %q", f.label)
 		}
-		in := &b.ins[f.index]
-		switch f.kind {
-		case fixBranch, fixJal:
-			off := int32(target - (f.index + 1))
-			in.Imm = off
-		case fixLuiHi:
-			addr := b.base + uint32(target)*4
-			in.Imm = int32(int16(addr >> 16))
-		case fixOriLo:
-			addr := b.base + uint32(target)*4
-			in.Imm = int32(int16(addr & 0xffff))
-		}
+		b.ins[f.index].Imm = int32(target - (f.index + 1))
 	}
 	words := make([]uint32, len(b.ins))
 	for i, in := range b.ins {

@@ -129,19 +129,6 @@ func TestJalCallAndReturn(t *testing.T) {
 	}
 }
 
-func TestLaResolvesForwardLabel(t *testing.T) {
-	b := NewBuilder(0x2000)
-	b.La(T0, "target")
-	b.Halt()
-	b.Label("target")
-	b.Nop()
-	c := flatRunner(t, b, 0x2000)
-	want, _ := b.LabelAddr("target")
-	if got := c.Reg(int(T0)); got != want {
-		t.Fatalf("la = %#x, want %#x", got, want)
-	}
-}
-
 func TestSpinLockMacroSequence(t *testing.T) {
 	// Acquire a free lock: the swap must install 1 and fall through.
 	b := NewBuilder(0x1000)
@@ -406,7 +393,7 @@ func TestEveryEmitterExecutes(t *testing.T) {
 		S7: 12 ^ 0xff, S8: 1, A1: 20,
 		A3: 17, A4: 5, A5: 5,
 	}
-	for r, want := range checks {
+	for r, want := range checks { //lint:allow maprange — each register is checked on its own
 		if got := c.Reg(int(r)); got != want {
 			t.Errorf("r%d = %#x, want %#x", r, got, want)
 		}

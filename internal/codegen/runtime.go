@@ -440,7 +440,7 @@ func (rt *Runtime) BuildImage() (*mem.Image, error) {
 		img.WriteWord(q.addr+qSlots+4*(q.tail%uint32(rt.qCap)), t.tcb)
 		q.tail++
 	}
-	for _, q := range queues {
+	for _, q := range queues { //lint:allow maprange — each queue writes only its own words
 		img.WriteWord(q.addr+qLock, 0)
 		img.WriteWord(q.addr+qHead, 0)
 		img.WriteWord(q.addr+qTail, q.tail)

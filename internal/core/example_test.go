@@ -30,7 +30,7 @@ func Example() {
 	if _, err := sys.Run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("counter =", sys.Space.ReadWord(spec.Image.MustSymbol("counter")))
+	fmt.Println("counter =", sys.Space.ReadWord(spec.Image.Symbols["counter"]))
 	// Output: counter = 100
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
+	"repro/internal/cpu"
 	"repro/internal/obs"
 )
 
@@ -64,26 +65,20 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	sp := r.Sampler()
 	interval := r.SampleInterval()
 
-	var prevInstr uint64
-	sp.AddProbe("ipc", func(now uint64) float64 {
-		var total uint64
-		for _, f := range s.fronts {
-			total += f.Stats().Instructions
-		}
-		d := total - prevInstr
-		prevInstr = total
-		return float64(d) / float64(interval) / float64(n)
-	})
-	var prevStall uint64
-	sp.AddProbe("data_stall_pct", func(now uint64) float64 {
-		var total uint64
-		for _, f := range s.fronts {
-			total += f.Stats().DataStallCycles
-		}
-		d := total - prevStall
-		prevStall = total
-		return 100 * float64(d) / float64(interval) / float64(n)
-	})
+	// perCPUCycle scales a counter summed over the fronts into a rate
+	// per CPU and per cycle of the interval.
+	perCPUCycle := func(scale float64, count func(*cpu.Stats) uint64) obs.Probe {
+		delta := obs.DeltaProbe(func() uint64 {
+			var total uint64
+			for _, f := range s.fronts {
+				total += count(f.Stats())
+			}
+			return total
+		})
+		return func(now uint64) float64 { return scale * delta(now) / float64(interval) / float64(n) }
+	}
+	sp.AddProbe("ipc", perCPUCycle(1, func(st *cpu.Stats) uint64 { return st.Instructions }))
+	sp.AddProbe("data_stall_pct", perCPUCycle(100, func(st *cpu.Stats) uint64 { return st.DataStallCycles }))
 	sp.AddProbe("wb_occupancy", func(now uint64) float64 {
 		var total int
 		for _, dc := range s.DCaches {

@@ -26,6 +26,10 @@ func runCounter(t *testing.T, proto coherence.Protocol, arch mem.Arch, nocKind N
 	}
 	cfg := DefaultConfig(proto, arch, n)
 	cfg.NoC = nocKind
+	// A protocol that deadlocks must fail here in seconds with the pcs,
+	// not at the 2e9-cycle default; the longest run here takes about
+	// 60,000 cycles.
+	cfg.MaxCycles = 2_000_000
 	sys, err := Build(cfg, spec.Image)
 	if err != nil {
 		t.Fatalf("wire: %v", err)

@@ -126,14 +126,14 @@ func TestTablesReusesFinishedPoints(t *testing.T) {
 		t.Fatalf("done holds %d points, want the grid's %d", len(done), len(gridRuns(p.Sizes)))
 	}
 	before := make(Results, len(done))
-	for r, res := range done {
+	for r, res := range done { //lint:allow maprange — a copy; order-independent
 		before[r] = res
 	}
 	fig5, _ := Select("fig5")
 	if _, err := fig5[0].Tables(p, done); err != nil {
 		t.Fatal(err)
 	}
-	for r, res := range done {
+	for r, res := range done { //lint:allow maprange — each point is checked on its own
 		if before[r] != res {
 			t.Errorf("%s: simulated again for the second figure", r.Key())
 		}

@@ -33,7 +33,7 @@ func TestTable1WTI(t *testing.T) {
 		"write miss (2 sharers)":       "4",
 		"write hit S (1 other sharer)": "4",
 	}
-	for name, want := range expectPath {
+	for name, want := range expectPath { //lint:allow maprange — each row is checked on its own
 		r, ok := rows[name]
 		if !ok {
 			t.Fatalf("missing row %q", name)
@@ -70,7 +70,7 @@ func TestTable1WB(t *testing.T) {
 		"write hit E":                  "0",
 		"write hit M":                  "0",
 	}
-	for name, want := range expectPath {
+	for name, want := range expectPath { //lint:allow maprange — each row is checked on its own
 		if rows[name][2] != want {
 			t.Errorf("%s: path hops = %s, want %s", name, rows[name][2], want)
 		}
@@ -115,7 +115,7 @@ func TestGridAndFiguresQuick(t *testing.T) {
 	}
 	// Shape check (paper section 6): the protocols stay within the
 	// same order of magnitude in both time and traffic.
-	for _, r := range grid {
+	for _, r := range grid { //lint:allow maprange — each result is checked on its own
 		if r.Cycles == 0 || r.TrafficBytes() == 0 {
 			t.Fatal("empty result in grid")
 		}
@@ -257,7 +257,7 @@ func TestRunKeyNamesEveryField(t *testing.T) {
 		t.Fatalf("Scale has %d fields, Key names 6: add the new one to Key and here", n)
 	}
 	keys := map[string]string{base.Key(): "the base run"}
-	for field, vary := range variants {
+	for field, vary := range variants { //lint:allow maprange — any order finds every duplicate key
 		r := base
 		vary(&r)
 		if other, dup := keys[r.Key()]; dup {
@@ -337,7 +337,7 @@ func TestExperimentTable(t *testing.T) {
 		}
 		indexed[name] = true
 	}
-	for name := range seen {
+	for name := range seen { //lint:allow maprange — each name is checked on its own
 		if !indexed[name] {
 			t.Errorf("package doc has no index line for %q", name)
 		}

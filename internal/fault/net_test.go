@@ -63,7 +63,7 @@ func (f *fakeNet) NextWake(now uint64) uint64 {
 }
 
 func (f *fakeNet) Quiet() bool {
-	for _, q := range f.queues {
+	for _, q := range f.queues { //lint:allow maprange — an all-empty test is order-independent
 		if len(q) > 0 {
 			return false
 		}
@@ -371,7 +371,7 @@ func TestWakeEdgesUnderFaults(t *testing.T) {
 		"gmn":  func() noc.Network { return noc.NewGMN(noc.DefaultGMNConfig(nodes)) },
 		"mesh": func() noc.Network { return noc.NewMesh(noc.DefaultMeshConfig(nodes)) },
 	}
-	for name, mk := range models {
+	for name, mk := range models { //lint:allow maprange — each model runs on its own
 		var slept, stalls uint64
 		for seed := uint64(1); seed <= 16; seed++ {
 			// One packet every sixth cycle or so, so the network falls

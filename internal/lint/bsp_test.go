@@ -119,45 +119,6 @@ func TestHotallocAllowlistHygiene(t *testing.T) {
 	}
 }
 
-// TestOnlySelection verifies -only semantics: a restricted run reports
-// exactly that analyzer's findings (no directive hygiene), and an
-// unknown name is an error naming the roster.
-func TestOnlySelection(t *testing.T) {
-	findings, err := RunOpts(filepath.Join("testdata", "bspmod"), Options{Only: []string{"hotalloc"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 9 {
-		t.Fatalf("only=hotalloc: got %d findings, want 9: %v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if f.Analyzer != "hotalloc" {
-			t.Fatalf("only=hotalloc reported %v", f)
-		}
-	}
-
-	_, err = RunOpts(filepath.Join("testdata", "bspmod"), Options{Only: []string{"nosuch"}})
-	if err == nil || !strings.Contains(err.Error(), `unknown analyzer "nosuch"`) ||
-		!strings.Contains(err.Error(), "hotalloc") {
-		t.Fatalf("unknown -only name: err = %v", err)
-	}
-}
-
-// TestRoster pins the analyzer roster the -list flag prints.
-func TestRoster(t *testing.T) {
-	var names []string
-	for _, info := range Roster() {
-		names = append(names, info.Name)
-		if info.Doc == "" {
-			t.Errorf("analyzer %s has no one-line doc", info.Name)
-		}
-	}
-	want := []string{"walltime", "globalrand", "maprange", "exhaustive", "hotalloc"}
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("roster = %v, want %v", names, want)
-	}
-}
-
 func TestParseAllow(t *testing.T) {
 	for _, c := range []struct {
 		in, analyzer, reason string

@@ -6,47 +6,25 @@ import (
 	"go/types"
 )
 
-// walltime forbids reading the host's clock in simulation packages.
-// The simulator's only clock is the cycle counter; a wall-clock read
-// that influences behaviour makes runs irreproducible, and one that
-// doesn't belongs in cmd/ where results are reported.
-type walltime struct{}
-
-func (walltime) name() string { return "walltime" }
-
-func (walltime) doc() string {
-	return "no wall-clock reads in simulation packages; simulated time is the only clock"
-}
-
+// walltimeFuncs are the time functions that read or wait on the host's
+// clock.
 var walltimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"Tick": true, "After": true, "AfterFunc": true,
 	"NewTimer": true, "NewTicker": true, "Sleep": true,
 }
 
-func (w walltime) check(p *pkg, report func(token.Pos, string)) {
-	if !p.determinismScoped {
-		return
-	}
+// walltime forbids reading the host's clock in simulation packages.
+// The simulator's only clock is the cycle counter; a wall-clock read
+// that influences behaviour makes runs irreproducible, and one that
+// doesn't belongs in cmd/ where results are reported.
+func walltime(p *pkg, report func(token.Pos, string)) {
 	forEachSelector(p, func(sel *ast.SelectorExpr, pkgPath string) {
 		if pkgPath == "time" && walltimeFuncs[sel.Sel.Name] {
 			report(sel.Pos(), "wall-clock access time."+sel.Sel.Name+
 				" in a simulation package; simulated time is the only clock allowed here")
 		}
 	})
-}
-
-// globalrand forbids math/rand's package-level convenience functions in
-// simulation packages: they share one process-global generator, so any
-// draw perturbs every other draw's sequence, and since Go 1.20 the
-// global generator is seeded randomly at startup. Deterministic code
-// must thread an explicit rand.New(rand.NewSource(seed)).
-type globalrand struct{}
-
-func (globalrand) name() string { return "globalrand" }
-
-func (globalrand) doc() string {
-	return "no process-global math/rand draws; thread an explicitly seeded generator"
 }
 
 // globalrandAllowed are the math/rand functions that construct an
@@ -56,10 +34,12 @@ var globalrandAllowed = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
 }
 
-func (g globalrand) check(p *pkg, report func(token.Pos, string)) {
-	if !p.determinismScoped {
-		return
-	}
+// globalrand forbids math/rand's package-level convenience functions in
+// simulation packages: they share one process-global generator, so any
+// draw perturbs every other draw's sequence, and since Go 1.20 the
+// global generator is seeded randomly at startup. Deterministic code
+// must thread an explicit rand.New(rand.NewSource(seed)).
+func globalrand(p *pkg, report func(token.Pos, string)) {
 	forEachSelector(p, func(sel *ast.SelectorExpr, pkgPath string) {
 		if pkgPath != "math/rand" && pkgPath != "math/rand/v2" {
 			return

@@ -11,6 +11,22 @@ import (
 	"strings"
 )
 
+// HotAllocPackages bounds the hotalloc reachability walk to the
+// packages that execute per-cycle; generators, observability and
+// command-line layers allocate legitimately.
+var HotAllocPackages = []string{
+	"repro/internal/sim",
+	"repro/internal/coherence",
+	"repro/internal/noc",
+	"repro/internal/cpu",
+	"repro/internal/mem",
+	"repro/internal/core",
+	"repro/internal/fault",
+}
+
+// allowFileName is looked up at the analyzed module's root.
+const allowFileName = "hotalloc.allow"
+
 // hotalloc is the zero-alloc guardrail for ROADMAP item "raw speed":
 // it reports heap-allocation constructs in the declared hot set — every
 // function marked `//lint:hot` (the engine tick loop, the node phases,
@@ -43,31 +59,7 @@ import (
 // line) so unrelated edits do not churn the file. An entry without a
 // reason, and an entry matching no current finding (stale), are
 // themselves findings: the file must stay an honest worklist.
-type hotalloc struct{}
-
-func (hotalloc) name() string { return "hotalloc" }
-
-func (hotalloc) doc() string {
-	return "no new heap allocations on //lint:hot paths; known ones live in hotalloc.allow with reasons"
-}
-
-// HotAllocPackages bounds the hotalloc reachability walk to the
-// packages that execute per-cycle; generators, observability and
-// command-line layers allocate legitimately.
-var HotAllocPackages = []string{
-	"repro/internal/sim",
-	"repro/internal/coherence",
-	"repro/internal/noc",
-	"repro/internal/cpu",
-	"repro/internal/mem",
-	"repro/internal/core",
-	"repro/internal/fault",
-}
-
-// allowFileName is looked up at the analyzed module's root.
-const allowFileName = "hotalloc.allow"
-
-func (hotalloc) checkModule(m *module) []Finding {
+func hotalloc(m *module) []Finding {
 	allow, allowFindings, err := loadAllowFile(filepath.Join(m.dir, allowFileName))
 	if err != nil {
 		return []Finding{{Pos: token.Position{Filename: filepath.Join(m.dir, allowFileName)},

@@ -5,8 +5,8 @@
 // statistics, and the model checker's replay-based search is only sound
 // if re-running a choice path reproduces the same state.
 //
-// Per-package analyzers (scoped to the simulation packages listed in
-// DeterminismPackages unless noted):
+// Determinism analyzers, run on every repro/internal package but this
+// one and obs/prof (inDeterminismScope), test files included:
 //
 //   - walltime: forbids reading the wall clock (time.Now, time.Since,
 //     timers). Simulated time is the only clock the simulator may see.
@@ -19,11 +19,6 @@
 //     reached through such a loop differs run to run. Iterate a sorted
 //     key slice instead, or suppress a provably order-independent loop
 //     with `//lint:allow maprange <reason>`.
-//   - exhaustive: module-wide; a switch over coherence.LineState must
-//     either have a default clause or cover every protocol state
-//     (Shared, Owned, Exclusive, Modified) so adding a state revisits
-//     every transition decision. Invalid is exempt: hit-guarded
-//     switches legitimately never see it.
 //
 // Module-wide analyzer (built on the call graph in callgraph.go):
 //
@@ -56,20 +51,15 @@ import (
 	"strings"
 )
 
-// DeterminismPackages are the import paths whose behaviour feeds
-// simulation results; the determinism analyzers apply only here.
-// Workload generators (internal/trace) pass globalrand because they
-// draw from explicitly seeded rand.New(rand.NewSource(seed))
-// generators, which the analyzer permits.
-var DeterminismPackages = []string{
-	"repro/internal/sim",
-	"repro/internal/coherence",
-	"repro/internal/noc",
-	"repro/internal/cpu",
-	"repro/internal/mem",
-	"repro/internal/core",
-	"repro/internal/trace",
-	"repro/internal/modelcheck",
+// inDeterminismScope reports whether the determinism analyzers apply
+// to a package: every package under repro/internal feeds a simulation
+// result, or replays one (fault campaigns, the -jobs pool, workload
+// generators), except the analyzers themselves and obs/prof, whose job
+// is to read the host's clock and heap. Seeded generators
+// (rand.New(rand.NewSource(seed))) pass globalrand anywhere.
+func inDeterminismScope(importPath string) bool {
+	rest, ok := strings.CutPrefix(importPath, "repro/internal/")
+	return ok && rest != "lint" && rest != "obs/prof"
 }
 
 // Finding is one analyzer hit.
@@ -83,106 +73,47 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// analyzer inspects one typechecked package and reports findings.
-type analyzer interface {
-	name() string
-	doc() string
-	check(p *pkg, report func(pos token.Pos, msg string))
+// determinismChecks are the per-package analyzers, each under the name
+// its findings and //lint:allow directives carry. They run on the
+// packages inDeterminismScope admits, test files included.
+var determinismChecks = []struct {
+	name  string
+	check func(p *pkg, report func(pos token.Pos, msg string))
+}{
+	{"walltime", walltime},
+	{"globalrand", globalrand},
+	{"maprange", maprange},
 }
 
-// moduleAnalyzer inspects the whole module at once (it needs the
-// cross-package call graph) and returns its findings directly.
-type moduleAnalyzer interface {
-	name() string
-	doc() string
-	checkModule(m *module) []Finding
-}
-
-// pkgAnalyzers and modAnalyzers together are the roster, in the order
-// -list prints them.
-var pkgAnalyzers = []analyzer{walltime{}, globalrand{}, maprange{}, exhaustive{}}
-var modAnalyzers = []moduleAnalyzer{hotalloc{}}
-
-// AnalyzerInfo names one analyzer for the -list roster.
-type AnalyzerInfo struct {
-	Name string
-	Doc  string
-}
-
-// Roster returns every selectable analyzer with its one-line doc, in
-// display order. (The framework-level "directive" hygiene findings are
-// always on and not selectable.)
-func Roster() []AnalyzerInfo {
-	var out []AnalyzerInfo
-	for _, a := range pkgAnalyzers {
-		out = append(out, AnalyzerInfo{Name: a.name(), Doc: a.doc()})
-	}
-	for _, a := range modAnalyzers {
-		out = append(out, AnalyzerInfo{Name: a.name(), Doc: a.doc()})
-	}
-	return out
-}
-
-// Options controls a Run.
-type Options struct {
-	// Only restricts the run to the named analyzers. Empty means all.
-	// Unknown names are an error (the CLI turns it into exit 2).
-	Only []string
-}
-
-// RunOpts loads every package of the module rooted at dir, typechecks
-// it, and runs the selected analyzers (all, when opts names none).
-// Findings come back sorted by position. Test files are analyzed too: a
-// nondeterministic test is a flaky test.
-func RunOpts(dir string, opts Options) ([]Finding, error) {
-	selected, err := selectAnalyzers(opts.Only)
-	if err != nil {
-		return nil, err
-	}
+// Run loads every package of the module rooted at dir, typechecks it,
+// and runs every analyzer: the determinism checks, hotalloc and the
+// //lint:allow hygiene check. Findings come back sorted by position.
+// Test files are analyzed too: a nondeterministic test is a flaky test.
+func Run(dir string) ([]Finding, error) {
 	pkgs, fset, dirs, err := loadModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	determinism := make(map[string]bool, len(DeterminismPackages))
-	for _, p := range DeterminismPackages {
-		determinism[p] = true
-	}
 	var findings []Finding
 	for _, p := range pkgs {
-		p.determinismScoped = determinism[p.importPath]
-		for _, a := range pkgAnalyzers {
-			if !selected[a.name()] {
-				continue
-			}
-			a := a
-			a.check(p, func(pos token.Pos, msg string) {
+		if !inDeterminismScope(p.importPath) {
+			continue
+		}
+		for _, c := range determinismChecks {
+			c.check(p, func(pos token.Pos, msg string) {
 				position := fset.Position(pos)
-				if dirs.suppressed(a.name(), position) {
-					return
+				if !dirs.suppressed(c.name, position) {
+					findings = append(findings, Finding{Pos: position, Analyzer: c.name, Message: msg})
 				}
-				findings = append(findings, Finding{Pos: position, Analyzer: a.name(), Message: msg})
 			})
 		}
 	}
-	if anySelected(selected, modAnalyzers) {
-		m := buildModule(dir, fset, pkgs)
-		for _, a := range modAnalyzers {
-			if !selected[a.name()] {
-				continue
-			}
-			for _, f := range a.checkModule(m) {
-				if dirs.suppressed(a.name(), f.Pos) {
-					continue
-				}
-				findings = append(findings, f)
-			}
+	for _, f := range hotalloc(buildModule(dir, fset, pkgs)) {
+		if !dirs.suppressed("hotalloc", f.Pos) {
+			findings = append(findings, f)
 		}
 	}
-	// Directive hygiene runs only on full runs so `-only globalrand`
-	// answers exactly the question it was asked.
-	if len(opts.Only) == 0 {
-		findings = append(findings, dirs.hygieneFindings()...)
-	}
+	findings = append(findings, dirs.hygieneFindings()...)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -199,33 +130,14 @@ func RunOpts(dir string, opts Options) ([]Finding, error) {
 	return findings, nil
 }
 
-// selectAnalyzers resolves an -only list against the roster, rejecting
-// unknown names.
-func selectAnalyzers(only []string) (map[string]bool, error) {
-	known := map[string]bool{}
-	for _, info := range Roster() {
-		known[info.Name] = true
+// isAnalyzer reports whether a //lint:allow directive names an analyzer
+// that can be suppressed.
+func isAnalyzer(name string) bool {
+	if name == "hotalloc" {
+		return true
 	}
-	if len(only) == 0 {
-		return known, nil
-	}
-	selected := map[string]bool{}
-	for _, name := range only {
-		if !known[name] {
-			var names []string
-			for _, info := range Roster() {
-				names = append(names, info.Name)
-			}
-			return nil, fmt.Errorf("lint: unknown analyzer %q (known: %s)", name, strings.Join(names, ", "))
-		}
-		selected[name] = true
-	}
-	return selected, nil
-}
-
-func anySelected(selected map[string]bool, as []moduleAnalyzer) bool {
-	for _, a := range as {
-		if selected[a.name()] {
+	for _, c := range determinismChecks {
+		if c.name == name {
 			return true
 		}
 	}
@@ -244,15 +156,6 @@ type allowDirective struct {
 // other.
 type directives struct {
 	byFile map[string][]allowDirective
-	known  map[string]bool // analyzer names, for hygiene checks
-}
-
-func newDirectives() *directives {
-	d := &directives{byFile: map[string][]allowDirective{}, known: map[string]bool{}}
-	for _, info := range Roster() {
-		d.known[info.Name] = true
-	}
-	return d
 }
 
 func (d *directives) add(a allowDirective) {
@@ -281,7 +184,7 @@ func (d *directives) hygieneFindings() []Finding {
 	for _, as := range d.byFile { //lint:allow maprange — findings are sorted by the caller
 		for _, a := range as {
 			switch {
-			case !d.known[a.analyzer]:
+			case !isAnalyzer(a.analyzer):
 				out = append(out, Finding{Pos: a.pos, Analyzer: "directive",
 					Message: fmt.Sprintf("//lint:allow names unknown analyzer %q; the suppression is inert", a.analyzer)})
 			case a.reason == "":

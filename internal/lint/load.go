@@ -33,8 +33,6 @@ type pkg struct {
 	// after the base packages; module-wide analyzers skip them (their
 	// type info may be partial).
 	isTest bool
-
-	determinismScoped bool
 }
 
 // listedPkg is the part of one `go list -json` record the loader reads.
@@ -71,7 +69,7 @@ func loadModule(dir string) ([]*pkg, *token.FileSet, *directives, error) {
 	// of: the module's own packages carry a Match and no ForTest; test
 	// variants, test mains and dependencies are only export data here.
 	fset := token.NewFileSet()
-	dirs := newDirectives()
+	dirs := &directives{byFile: map[string][]allowDirective{}}
 	exports := map[string]string{}
 	var parsed []*pkg
 	for dec := json.NewDecoder(bytes.NewReader(listing)); dec.More(); {

@@ -14,18 +14,7 @@ import (
 // explicit gauge/counter, or — only when the loop is provably
 // order-independent (pure accumulation into an order-insensitive
 // value) — suppress with `//lint:allow maprange <why>`.
-type maprange struct{}
-
-func (maprange) name() string { return "maprange" }
-
-func (maprange) doc() string {
-	return "no map iteration on simulation paths; Go randomizes the order on purpose"
-}
-
-func (m maprange) check(p *pkg, report func(token.Pos, string)) {
-	if !p.determinismScoped {
-		return
-	}
+func maprange(p *pkg, report func(token.Pos, string)) {
 	for _, file := range p.files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)

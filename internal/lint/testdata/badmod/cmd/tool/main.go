@@ -1,14 +1,11 @@
 // Command tool is a lint fixture: outside the determinism scope, the
-// wall clock and global rand are fine; LineState switches are checked
-// everywhere.
+// wall clock, global rand and map ranges are fine.
 package main
 
 import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/coherence"
 )
 
 func main() {
@@ -16,9 +13,5 @@ func main() {
 	m := map[int]int{1: 2}
 	for k := range m {
 		fmt.Println(k)
-	}
-	s := coherence.Shared
-	switch s { // want exhaustive: module-wide rule
-	case coherence.Shared:
 	}
 }

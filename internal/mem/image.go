@@ -73,15 +73,6 @@ func (im *Image) WriteFloat(addr uint32, v float32) {
 // Define records a symbol for later lookup by tests and harnesses.
 func (im *Image) Define(name string, addr uint32) { im.Symbols[name] = addr }
 
-// MustSymbol is Symbol but panics when the symbol is unknown.
-func (im *Image) MustSymbol(name string) uint32 {
-	a, ok := im.Symbols[name]
-	if !ok {
-		panic(fmt.Sprintf("mem: undefined symbol %q", name))
-	}
-	return a
-}
-
 // Code returns the segment the entry point lies in: the program text.
 func (im *Image) Code() (base uint32, data []byte) {
 	for _, s := range im.segments {

@@ -265,7 +265,7 @@ func TestImageSegmentsAndSymbols(t *testing.T) {
 	if got := s.ReadWord(0x3000); got != 42 {
 		t.Fatalf("symbol word = %d", got)
 	}
-	if a := img.MustSymbol("answer"); a != 0x3000 {
+	if a := img.Symbols["answer"]; a != 0x3000 {
 		t.Fatalf("symbol = %#x", a)
 	}
 	if _, ok := img.Symbols["nope"]; ok {

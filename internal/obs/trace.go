@@ -251,7 +251,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 
 	// Metadata: stable order so traces diff cleanly.
 	pids := make([]int32, 0, len(t.procs))
-	for pid := range t.procs {
+	for pid := range t.procs { //lint:allow maprange — keys are sorted below
 		pids = append(pids, pid)
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
@@ -263,7 +263,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		fmt.Fprintf(bw, `{"name":"process_sort_index","ph":"M","pid":%d,"tid":0,"args":{"sort_index":%d}}`, pid, m.sort)
 	}
 	tkeys := make([][2]int32, 0, len(t.threads))
-	for k := range t.threads {
+	for k := range t.threads { //lint:allow maprange — keys are sorted below
 		tkeys = append(tkeys, k)
 	}
 	sort.Slice(tkeys, func(i, j int) bool {
@@ -302,7 +302,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	}
 	// Flush any still-open spans so nothing recorded is lost.
 	openIDs := make([]SpanID, 0, len(t.open))
-	for id := range t.open {
+	for id := range t.open { //lint:allow maprange — keys are sorted below
 		openIDs = append(openIDs, id)
 	}
 	sort.Slice(openIDs, func(i, j int) bool { return openIDs[i] < openIDs[j] })
