@@ -53,8 +53,6 @@ func main() {
 	verbose := flag.Bool("v", false, "per-CPU and per-bank statistics")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of text")
 	checkEvery := flag.Uint64("check", 0, "run the coherence invariant checker every N cycles (0 = off)")
-	traceN := flag.Int("trace", 0, "print the first N protocol messages (event log)")
-	traceRx := flag.Bool("trace-rx", false, "also log message deliveries in the event log")
 	obsTrace := flag.String("obs-trace", "", "write a Chrome/Perfetto trace-event JSON file")
 	obsInterval := flag.Uint64("obs-interval", 0, "sample system metrics every K cycles")
 	obsCSV := flag.String("obs-csv", "", "write interval samples as CSV (needs -obs-interval)")
@@ -106,9 +104,6 @@ func main() {
 		log.Fatalf("bad CPU count %d (need 1..64)", *cpus)
 	}
 
-	if *traceRx && *traceN == 0 {
-		log.Fatal("-trace-rx requires -trace")
-	}
 	if *verbose && *jsonOut {
 		log.Fatal("-v prints tables; it does nothing with -json")
 	}
@@ -139,9 +134,6 @@ func main() {
 	sys, hostCheck, err := exp.Build(run, cfg, size)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *traceN > 0 {
-		sys.TraceMessages(os.Stderr, *traceN, *traceRx)
 	}
 	if *checkEvery > 0 {
 		sys.EnableRuntimeChecks(*checkEvery)
@@ -262,29 +254,10 @@ func main() {
 	}
 
 	if *verbose {
-		tc := stats.NewTable("per-CPU", "cpu", "instr", "loads", "stores", "swaps",
-			"data stall", "inst stall", "fpu busy")
-		for i, c := range res.CPU {
-			tc.AddRow(i, c.Instructions, c.Loads, c.Stores, c.Swaps,
-				c.DataStallCycles, c.InstStallCycles, c.FPUBusyCycles)
-		}
-		fmt.Println(tc.Render())
-
-		td := stats.NewTable("per-dcache", "cpu", "ld miss", "st miss", "invals",
-			"fetches", "writebacks", "upgrades", "wbuf stalls")
-		for i, d := range res.DCache {
-			td.AddRow(i, d.LoadMisses, d.StoreMisses, d.InvalsReceived,
-				d.FetchesServed, d.Writebacks, d.Upgrades, d.WBufFullStalls)
-		}
-		fmt.Println(td.Render())
-
-		tb := stats.NewTable("per-bank", "bank", "reads", "readx", "upgr",
-			"wthrough", "wback", "swaps", "ifetch", "invals sent", "deferred")
-		for i, m := range res.Mem {
-			tb.AddRow(i, m.Reads, m.ReadExcls, m.Upgrades, m.WriteThroughs,
-				m.WriteBacks, m.Swaps, m.IFetches, m.InvalsSent, m.Deferred)
-		}
-		fmt.Println(tb.Render())
+		// Row i is CPU i, data cache i, bank i.
+		fmt.Println(stats.CounterTable("per-CPU", res.CPU).Render())
+		fmt.Println(stats.CounterTable("per-dcache", res.DCache).Render())
+		fmt.Println(stats.CounterTable("per-bank", res.Mem).Render())
 	}
 	if err := stopProf(); err != nil {
 		log.Fatal(err)

@@ -6,10 +6,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/coherence"
+	"repro/internal/cpu"
 )
 
 func TestRejectPositional(t *testing.T) {
@@ -59,6 +64,9 @@ func TestShardsFlagRejected(t *testing.T) {
 		{"-resources", "25ms"},
 		{"-resources-csv", "x.csv"},
 		{"-pprof-http", "localhost:0"},
+		// The text message log: -obs-trace carries every injection.
+		{"-trace", "10"},
+		{"-trace-rx", ""},
 	} {
 		out, code := runMain(t, "-bench counter -cpus 2 -incs 5 "+c.flag+" "+c.value)
 		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+c.flag) {
@@ -102,8 +110,6 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{"-cpus 65", "bad CPU count 65 (need 1..64)"},
 		{"-bench counter -cpus 2 -noc foo", `unknown noc "foo"`},
 		{"-bench counter -cpus 2 -protocol mesi", `unknown protocol "mesi"`},
-		// -trace-rx only widens -trace's log; alone it used to be ignored.
-		{"-bench counter -cpus 2 -trace-rx", "-trace-rx requires -trace"},
 		// -json used to return before the -v tables, dropping them.
 		{"-bench counter -cpus 2 -json -v", "-v prints tables; it does nothing with -json"},
 		// The heap profile file is created before the run, not after it.
@@ -183,6 +189,38 @@ func TestEngineLineReportsPerLayerSkips(t *testing.T) {
 	}
 	if out, code := runMain(t, run+" -noleap"); code != 0 || strings.Contains(out, "engine:") {
 		t.Fatalf("mcsim %s -noleap: exit %d, output:\n%s", run, code, out)
+	}
+}
+
+// TestVerboseTablesShowEveryCounter pins that -v prints each per-unit
+// stats struct as declared: its table is headed by exactly the struct's
+// field names, in order, so a counter added to the struct shows without
+// an edit here.
+func TestVerboseTablesShowEveryCounter(t *testing.T) {
+	const run = "-bench counter -cpus 2 -incs 5 -v"
+	out, code := runMain(t, run)
+	if code != 0 {
+		t.Fatalf("mcsim %s: exit %d, output:\n%s", run, code, out)
+	}
+	lines := strings.Split(out, "\n")
+	for _, c := range []struct {
+		title string
+		typ   reflect.Type
+	}{
+		{"per-CPU", reflect.TypeFor[cpu.Stats]()},
+		{"per-dcache", reflect.TypeFor[coherence.DCacheStats]()},
+		{"per-bank", reflect.TypeFor[coherence.MemStats]()},
+	} {
+		var want []string
+		for _, f := range reflect.VisibleFields(c.typ) {
+			want = append(want, f.Name)
+		}
+		i := slices.Index(lines, "== "+c.title+" ==")
+		if i < 0 || i+1 == len(lines) {
+			t.Errorf("mcsim %s: no %s table in:\n%s", run, c.title, out)
+		} else if got := strings.Fields(lines[i+1]); !slices.Equal(got, want) {
+			t.Errorf("%s header %q, want the fields of %v %q", c.title, got, c.typ, want)
+		}
 	}
 }
 

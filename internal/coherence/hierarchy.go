@@ -27,6 +27,7 @@ type Hierarchy struct {
 	space *mem.Space
 	amap  *mem.AddrMap
 	code  codeStore // the one decoded copy of the program the ICaches share
+	pool  msgPool   // the one Msg free list every port draws from
 }
 
 // NewHierarchy builds the hierarchy for p.NumCPUs caches running proto
@@ -54,12 +55,14 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 		// its node to answer through, hence the two phases.
 		mc := NewMemCtrl(b, n+b, p, proto, space)
 		h.BNodes[b] = NewNode(n+b, net, mc)
+		h.BNodes[b].pool = &h.pool
 		mc.SetNode(h.BNodes[b])
 		h.Banks[b] = mc
 	}
 	for i := range h.DCaches {
 		sink := &CPUSink{}
 		h.Nodes[i] = NewNode(i, net, sink)
+		h.Nodes[i].pool = &h.pool
 		h.DCaches[i] = row.New(proto, i, p, h.Nodes[i], amap, n)
 		h.ICaches[i] = newICache(i, p, h.Nodes[i], amap, n, h.code)
 		sink.D, sink.I = h.DCaches[i], h.ICaches[i]

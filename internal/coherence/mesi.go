@@ -133,26 +133,19 @@ func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) bool {
 	return true
 }
 
-// completePend records the span and latency of the finishing blocking
-// transaction; the caller still owns clearing or completing c.pend.
+// completePend records the finishing blocking transaction; the caller
+// still owns clearing or completing c.pend.
 func (c *MESICache) completePend(now uint64, addr uint32) {
-	if c.Obs == nil {
-		return
-	}
-	var name string
-	var k obs.LatKind
+	k := obs.LatReadMiss
 	switch {
 	case c.pend.isSwap:
-		name, k = "swap", obs.LatSwap
+		k = obs.LatSwap
 	case c.pend.kind == ReqUpgrade:
-		name, k = "upgrade", obs.LatUpgrade
+		k = obs.LatUpgrade
 	case c.pend.apply:
-		name, k = "write alloc", obs.LatWriteAlloc
-	default:
-		name, k = "read miss", obs.LatReadMiss
+		k = obs.LatWriteAlloc
 	}
-	c.Obs.Span(obs.CPUPid(c.id), obs.TidDCache, name, c.pend.begin, now, addr)
-	c.Obs.Lat(k, now-c.pend.begin)
+	c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, k, c.pend.begin, now, addr)
 }
 
 func (c *MESICache) tryIssue(now uint64) {
@@ -337,10 +330,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		if !c.evict.active || c.evict.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: MESI cache %d: stray writeback ack %v", c.id, m))
 		}
-		if c.Obs != nil {
-			c.Obs.Span(obs.CPUPid(c.id), obs.TidEvict, "writeback", c.evict.begin, now, m.Addr)
-			c.Obs.Lat(obs.LatWriteback, now-c.evict.begin)
-		}
+		c.Obs.Done(obs.CPUPid(c.id), obs.TidEvict, obs.LatWriteback, c.evict.begin, now, m.Addr)
 		c.evict = mesiEvict{}
 	case CmdInval:
 		c.st.InvalsReceived++

@@ -1,18 +1,19 @@
 package coherence
 
-// msgPool is a per-node free list of protocol messages. Every message a
-// node sends is drawn from its own pool (Node.NewMsg) and recycled by
-// the *receiving* node once its sink has consumed it (Node.Tick).
+// msgPool is the free list of protocol messages, one per Hierarchy: a
+// node draws what it sends from it (Node.NewMsg) and the *receiving*
+// node recycles it once its sink has consumed it (Node.Tick). Per-node
+// lists would grow at the banks while a cache-to-cache protocol's
+// caches, which send more than they receive, kept allocating.
 // The ownership hand-off is strict and one-way:
 //
-//	sender pool → outbound port → NoC → receiver sink → receiver pool
+//	pool → outbound port → NoC → receiver sink → pool
 //
 // A message in flight is owned by the network and never written; after
 // HandleMsg returns, the receiver owns it exclusively and may recycle
 // it. Handlers therefore must not retain the pointer (they copy what
-// they need — see memctrl.go's value-typed directory state), and
-// observers fire before the recycle point (Node.Trace on "rx",
-// core.TraceMessages) so they may key on the pointer but not keep it.
+// they need — see memctrl.go's value-typed directory state), nor may
+// Node.Trace, which fires before the recycle point.
 type msgPool struct {
 	free []*Msg
 }

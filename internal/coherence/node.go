@@ -40,7 +40,7 @@ type Node struct {
 	net  noc.Network
 	sink Sink
 	outQ sim.Port[outMsg]
-	pool msgPool
+	pool *msgPool // shared by every node of a Hierarchy
 
 	// recvVeto is the first cycle after the most recent consumed
 	// delivery. That cycle must execute (the CPU ticks before the node
@@ -69,12 +69,11 @@ type Node struct {
 	// budget; the engine watchdog polls it via RetryErr.
 	retryErr error
 
-	// Trace, when non-nil, observes every message this node receives
-	// ("rx") and injects ("tx") — the protocol event log.
+	// Trace, when non-nil, is the node's one message hook: every message
+	// it injects ("tx", to peer) and receives ("rx", from peer).
 	Trace func(now uint64, dir string, self, peer int, m *Msg)
 
-	// Obs, when attached, records one instant event per injected
-	// message on this port's trace track.
+	// Obs, when attached, records the retry latency of lost transfers.
 	Obs *obs.Recorder
 
 	// Stats.
@@ -92,7 +91,7 @@ type Node struct {
 // does), the node arms its retransmission state machine with
 // DefaultRetryPolicy.
 func NewNode(id int, net noc.Network, sink Sink) *Node {
-	n := &Node{ID: id, net: net, sink: sink, ReqBound: 4, Retry: DefaultRetryPolicy}
+	n := &Node{ID: id, net: net, sink: sink, pool: new(msgPool), ReqBound: 4, Retry: DefaultRetryPolicy}
 	n.drops, _ = net.(noc.DropNotifier)
 	return n
 }
@@ -102,7 +101,7 @@ func NewNode(id int, net noc.Network, sink Sink) *Node {
 func (n *Node) RetryErr() error { return n.retryErr }
 
 // NewMsg returns a zeroed message owned by the caller, drawn from the
-// node's free list. The caller fills it and hands ownership to the
+// hierarchy's free list. The caller fills it and hands ownership to the
 // outbound port via SendCtrl/TrySendReq; it is recycled by the
 // receiving node after consumption. It runs on every protocol send:
 // hot path.
@@ -163,7 +162,7 @@ func (n *Node) Tick(now uint64) {
 		}
 		n.sink.HandleMsg(msg, now)
 		// HandleMsg never retains the pointer (the pool's ownership
-		// contract), so the message recycles into this node's free list.
+		// contract), so the message recycles into the shared free list.
 		// The consumption also pins the next cycle live: whatever the
 		// handler unblocked acts then, not now.
 		n.pool.put(msg)
@@ -199,9 +198,6 @@ func (n *Node) Tick(now uint64) {
 		}
 		if n.Trace != nil {
 			n.Trace(now, "tx", n.ID, head.dst, head.msg)
-		}
-		if n.Obs != nil {
-			n.Obs.Instant(obs.PortPid(n.ID), 0, head.msg.Kind.String(), now, head.msg.Addr)
 		}
 		n.MsgsSent++
 		n.outQ.Recv(now)

@@ -312,10 +312,7 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 			panic(fmt.Sprintf("coherence: WTI cache %d: unexpected %v", c.id, m))
 		}
 		c.arr.fill(m.Addr, Shared, m.Data)
-		if c.Obs != nil {
-			c.Obs.Span(obs.CPUPid(c.id), obs.TidDCache, "read miss", c.pend.begin, now, m.Addr)
-			c.Obs.Lat(obs.LatReadMiss, now-c.pend.begin)
-		}
+		c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatReadMiss, c.pend.begin, now, m.Addr)
 		c.pend = wtiPending{}
 	case RspWriteAck:
 		if !c.wb.Ack(now, m.Addr) {
@@ -331,10 +328,7 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 		}
 		c.pend.done = true
 		c.pend.oldVal = m.Word
-		if c.Obs != nil {
-			c.Obs.Span(obs.CPUPid(c.id), obs.TidDCache, "swap", c.pend.begin, now, m.Addr)
-			c.Obs.Lat(obs.LatSwap, now-c.pend.begin)
-		}
+		c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatSwap, c.pend.begin, now, m.Addr)
 	case CmdInval:
 		c.st.InvalsReceived++
 		if c.arr.invalidate(m.Addr) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -12,53 +13,83 @@ import (
 )
 
 // allocBudgetPerCycle is the committed steady-state allocation budget
-// for the pinned ocean/WTI run below, in heap allocations per executed
-// cycle. The Msg pool and the value-typed directory state put the
-// steady state at (close to) zero: after warm-up the only sanctioned
-// hot-path allocations are pool misses at a new in-flight high-water
-// mark and first-touch page/queue growth, all of which decay to nothing
-// once the run is warm. The budget leaves headroom for GC-internal
-// bookkeeping; a regression that reintroduces a per-transaction
-// allocation (one Msg per protocol message, at roughly one message per
-// a few cycles here) lands orders of magnitude above it.
+// for the pinned ocean runs below, in heap allocations per cycle. The
+// Msg pool and the value-typed directory state put the steady state at
+// (close to) zero: after warm-up the only sanctioned hot-path
+// allocations are pool misses at a new in-flight high-water mark and
+// first-touch page/queue growth, all of which decay to nothing once the
+// run is warm. The budget leaves headroom for GC-internal bookkeeping; a
+// regression that reintroduces a per-transaction allocation (one Msg per
+// protocol message, at roughly one message per a few cycles here) lands
+// orders of magnitude above it.
 const allocBudgetPerCycle = 0.01
 
-// TestSteadyStateAllocBudget pins the zero-alloc steady state on a
-// pinned ocean/WTI point: warm the system past its pool and queue
-// growth, then count heap allocations over a measured span of executed
-// cycles. Fails go test when the committed budget is exceeded.
+// TestSteadyStateAllocBudget pins the zero-alloc steady state on every
+// protocol (and WB with cache-to-cache transfers), scheduled and under
+// the naive schedule, on a distributed ocean at n4 and a centralized,
+// spin-heavy one at n8: warm each system past its pool and queue
+// growth, then count heap allocations over a measured span of cycles.
+// The scheduled rows cover run-ahead and spin sleeps; the naive rows
+// price every cycle the same. Fails go test when the committed budget
+// is exceeded.
 func TestSteadyStateAllocBudget(t *testing.T) {
-	spec, err := workload.BuildOcean(mem.DefaultLayout(4), codegen.DS,
-		workload.OceanParams{Threads: 4, RowsPerThread: 8, Iters: 40})
-	if err != nil {
-		t.Fatal(err)
+	type point struct {
+		name  string
+		proto coherence.Protocol
+		c2c   bool
 	}
-	cfg := DefaultConfig(coherence.WTI, mem.Arch2, 4)
-	// Stepped execution: the budget is per executed cycle, and leaping
-	// would skew the denominator by skipping exactly the cheap cycles.
-	cfg.DisableLeap = true
-	sys, err := Build(cfg, spec.Image)
-	if err != nil {
-		t.Fatal(err)
+	var points []point
+	for p := range coherence.Protocols {
+		points = append(points, point{coherence.Protocol(p).String(), coherence.Protocol(p), false})
 	}
-
-	// Warm-up: pools reach their in-flight high-water marks, ports and
-	// NoC queues their steady capacities, the page table its footprint.
-	const warmCycles, measureCycles = 60_000, 100_000
-	if _, err := sys.Engine.Run(warmCycles, func() bool { return false }); err != nil {
-		if _, ok := err.(*sim.ErrDeadline); !ok {
+	points = append(points, point{"WB+c2c", coherence.WBMESI, true})
+	for _, m := range []struct {
+		arch  mem.Arch
+		sched codegen.SchedMode
+		n     int
+	}{{mem.Arch2, codegen.DS, 4}, {mem.Arch1, codegen.SMP, 8}} {
+		spec, err := workload.BuildOcean(mem.DefaultLayout(m.n), m.sched,
+			workload.OceanParams{Threads: m.n, RowsPerThread: 8, Iters: 40})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, pt := range points {
+			for _, naive := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%v/n%d/noleap=%v", pt.name, m.arch, m.n, naive)
+				t.Run(name, func(t *testing.T) {
+					cfg := DefaultConfig(pt.proto, m.arch, m.n)
+					cfg.Mem.CacheToCache = pt.c2c
+					cfg.DisableLeap = naive
+					sys, err := Build(cfg, spec.Image)
+					if err != nil {
+						t.Fatal(err)
+					}
+					measureAllocs(t, sys)
+				})
+			}
+		}
 	}
+}
 
+// measureAllocs warms sys up and checks the allocations of the
+// following span against the budget.
+func measureAllocs(t *testing.T, sys *System) {
+	t.Helper()
+	// Warm-up: the pool reaches its in-flight high-water mark, ports and
+	// NoC queues their steady capacities, the page table its footprint.
+	const warmCycles, measureCycles = 60_000, 100_000
+	run := func(cycles uint64) {
+		if _, err := sys.Engine.Run(cycles, func() bool { return false }); err != nil {
+			if _, ok := err.(*sim.ErrDeadline); !ok {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(warmCycles)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := sys.Engine.Run(measureCycles, func() bool { return false }); err != nil {
-		if _, ok := err.(*sim.ErrDeadline); !ok {
-			t.Fatal(err)
-		}
-	}
+	run(measureCycles)
 	runtime.ReadMemStats(&after)
 	if sys.AllHalted() {
 		t.Fatal("workload halted inside the measured span; grow the pinned point")

@@ -41,8 +41,15 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		for b := range s.Banks {
 			r.NameProcess(obs.DirPid(b), fmt.Sprintf("bank%d dir", b), 1000+b)
 		}
-		for p := range s.Ports {
+		// An injected message is marked on its destination's row.
+		tx := func(now uint64, dir string, self, peer int, m *coherence.Msg) {
+			if dir == "tx" {
+				r.Instant(obs.PortPid(self), peer, m.Kind.String(), now, m.Addr)
+			}
+		}
+		for p, nd := range s.Ports {
 			r.NameProcess(obs.PortPid(p), fmt.Sprintf("port%d (%s)", p, s.nodeName(p)), 2000+p)
+			nd.Trace = tx
 		}
 	}
 
@@ -119,4 +126,12 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	}
 
 	s.Engine.Every(interval, r.Sample)
+}
+
+// nodeName renders a node id as cpuN or bankN.
+func (s *System) nodeName(id int) string {
+	if id < s.Cfg.NumCPUs {
+		return fmt.Sprintf("cpu%d", id)
+	}
+	return fmt.Sprintf("bank%d", id-s.Cfg.NumCPUs)
 }

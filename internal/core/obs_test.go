@@ -113,16 +113,33 @@ func TestObservedTraceLoads(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	names := make(map[string]bool)
+	nodes := 0
 	for _, e := range doc.TraceEvents {
 		if e["ph"] == "M" && e["name"] == "process_name" {
-			args := e["args"].(map[string]any)
-			names[args["name"].(string)] = true
+			name := e["args"].(map[string]any)["name"].(string)
+			names[name] = true
+			if strings.HasPrefix(name, "port") {
+				nodes++
+			}
 		}
 	}
 	for _, want := range []string{"metrics", "cpu0", "cpu3", "bank0 dir", "port0 (cpu0)"} {
 		if !names[want] {
 			t.Errorf("trace missing track %q (have %v)", want, names)
 		}
+	}
+	// A port's injection marker sits on the row of its destination node.
+	instants := 0
+	for _, e := range doc.TraceEvents {
+		if pid := int(e["pid"].(float64)); e["ph"] == "i" && pid >= obs.PortPid(0) {
+			instants++
+			if self, dst := pid-obs.PortPid(0), int(e["tid"].(float64)); dst == self || dst < 0 || dst >= nodes {
+				t.Fatalf("port%d instant %v: tid %d is not another of the %d nodes", self, e, dst, nodes)
+			}
+		}
+	}
+	if instants == 0 {
+		t.Error("trace has no port injection markers")
 	}
 	if !strings.Contains(buf.String(), `"ph":"C"`) {
 		t.Error("trace has no counter events despite sampling")

@@ -81,6 +81,16 @@ func (r *Recorder) Lat(k LatKind, cycles uint64) {
 	r.lat.hist[k].Record(cycles)
 }
 
+// Done records one finished transaction of kind k: a span named after k
+// on row tid of pid's track group, and its latency sample.
+func (r *Recorder) Done(pid, tid int, k LatKind, begin, end uint64, addr uint32) {
+	if r == nil {
+		return
+	}
+	r.Span(pid, tid, k.String(), begin, end, addr)
+	r.Lat(k, end-begin)
+}
+
 // LatencySummary is the percentile digest of one request class, in
 // cycles. Percentiles are the power-of-two-bucket upper bounds of
 // stats.Histogram.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -35,6 +36,26 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.rows = append(t.rows, row)
+}
+
+// CounterTable renders a slice of flat counter structs, one row each:
+// one column per exported uint64 field, headed by the field name, in
+// declaration order. A counter added to the struct shows with no edit.
+func CounterTable[T any](title string, rows []T) *Table {
+	t := NewTable(title)
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[T]()) {
+		if f.IsExported() && f.Type.Kind() == reflect.Uint64 {
+			t.Headers = append(t.Headers, f.Name)
+		}
+	}
+	for _, r := range rows {
+		cells := make([]any, len(t.Headers))
+		for i, name := range t.Headers {
+			cells[i] = reflect.ValueOf(r).FieldByName(name).Uint()
+		}
+		t.AddRow(cells...)
+	}
+	return t
 }
 
 // NumRows reports the number of data rows added so far.
