@@ -62,7 +62,9 @@ race:
 # MinTransit), and two stream machines, whose CPUs sleep through their
 # think time (the unit matrices stop at n = 2) — about 30 s.
 # Water/WB/arch1/n64 stays out: even at -mols 1 -steps 1 its -noleap run
-# takes 40 s.
+# takes 40 s. The EQUIV_TRACE_RUNS also compare the -obs-trace and
+# -obs-csv files: arch1 machines at n16 with many overlapping directory
+# transactions, whose trace lanes are placed as each span closes.
 EQUIV_RUNS := \
 	"-bench ocean -protocol wti -cpus 4 -rows 32 -iters 32" \
 	"-bench water -protocol wb -cpus 16 -mols 6 -steps 4" \
@@ -76,6 +78,9 @@ EQUIV_RUNS := \
 	"-bench ocean -protocol wtu -cpus 8 -noc bus" \
 	"-bench hotspot -protocol moesi -cpus 16" \
 	"-bench prodcons -protocol wtu -cpus 64"
+EQUIV_TRACE_RUNS := \
+	"-bench ocean -protocol wti -arch 1 -cpus 16 -rows 2 -iters 2" \
+	"-bench water -protocol moesi -arch 1 -cpus 16 -mols 2 -steps 1"
 equiv:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/mcsim" ./cmd/mcsim || exit 1; \
@@ -85,6 +90,18 @@ equiv:
 		"$$d/mcsim" $$run -json -noleap >"$$d/naive.json" 2>>"$$d/err" && \
 		cmp "$$d/scheduled.json" "$$d/naive.json" || \
 			{ cat "$$d/err"; echo "equiv: scheduled and -noleap differ: mcsim $$run"; exit 1; }; \
+	done; \
+	for run in $(EQUIV_TRACE_RUNS); do \
+		echo "equiv: mcsim $$run -obs-trace -obs-csv"; \
+		for s in scheduled naive; do \
+			leap=; [ $$s = naive ] && leap=-noleap; \
+			"$$d/mcsim" $$run $$leap -json -obs-interval 500 -obs-trace "$$d/$$s.trace" \
+				-obs-csv "$$d/$$s.csv" >"$$d/$$s.json" 2>>"$$d/err" || { cat "$$d/err"; exit 1; }; \
+		done; \
+		for f in json trace csv; do \
+			cmp "$$d/scheduled.$$f" "$$d/naive.$$f" || \
+				{ echo "equiv: scheduled and -noleap $$f differ: mcsim $$run"; exit 1; }; \
+		done; \
 	done
 
 check: fmt vet lint build test race equiv
@@ -95,7 +112,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 50: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 14150
+LOC_CEILING := 14000
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

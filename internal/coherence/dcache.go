@@ -51,8 +51,6 @@ type DataCache interface {
 	// (used for quiescence checks at end of simulation).
 	Drained() bool
 	Stats() *DCacheStats
-	// Protocol identifies the controller's write policy.
-	Protocol() Protocol
 
 	// Lines enumerates the resident (non-Invalid) lines.
 	Lines() []LineInfo

@@ -109,8 +109,8 @@ func (c *ICache) tryIssue(now uint64) {
 // Tick retries an unsent refill request.
 func (c *ICache) Tick(now uint64) { c.tryIssue(now) }
 
-// NextWake reports now while an unissued refill retries (and charges
-// send-stall counters) every cycle; otherwise Tick is a strict no-op
+// NextWake reports now while an unissued refill retries every cycle,
+// since the issue must still be made; otherwise Tick is a strict no-op
 // until protocol state changes. Pure.
 func (c *ICache) NextWake(now uint64) uint64 {
 	if c.pendActive && !c.pendIssued {

@@ -65,8 +65,8 @@ type dirEntry struct {
 	// ReqRead/ReadExcl/Upgrade/WriteThrough/Swap — never carry Data).
 	deferred []Msg
 
-	// span is the open observability span of the busy transaction.
-	span obs.SpanID
+	// begin is the cycle the busy transaction opened (its trace span).
+	begin uint64
 }
 
 // open starts the block's multi-message transaction of the given kind
@@ -259,9 +259,7 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 	// handler just opened a multi-message transaction.
 	if e.busy {
 		mc.busyTx++
-		if mc.Obs.Tracing() {
-			e.span = mc.Obs.Begin(obs.DirPid(mc.bank), e.kind.String(), now, blk)
-		}
+		e.begin = now
 	} else if mc.Obs.Tracing() {
 		// Single-message request, served and answered in this call.
 		mc.Obs.Instant(obs.DirPid(mc.bank), 0, m.Kind.String(), now, m.Addr)
@@ -599,17 +597,14 @@ func (mc *MemCtrl) maybeComplete(e *dirEntry, blk uint32, now uint64) {
 	default:
 		panic(fmt.Sprintf("coherence: bank %d: completion of unexpected %v transaction", mc.bank, e.kind))
 	}
-	mc.finish(e, now)
+	mc.finish(e, blk, now)
 }
 
 // finish closes the block's transaction and replays deferred requests
 // until one of them re-blocks the entry (or none remain).
-func (mc *MemCtrl) finish(e *dirEntry, now uint64) {
+func (mc *MemCtrl) finish(e *dirEntry, blk uint32, now uint64) {
 	mc.busyTx--
-	if e.span != 0 {
-		mc.Obs.End(e.span, now)
-		e.span = 0
-	}
+	mc.Obs.Span(obs.DirPid(mc.bank), obs.TidLane, e.kind.String(), e.begin, now, blk)
 	e.busy = false
 	e.req = Msg{}
 	e.kind = MsgInvalid

@@ -79,9 +79,6 @@ func newWriteBackCache(proto Protocol, id int, p Params, node *Node, amap *mem.A
 	}
 }
 
-// Protocol implements DataCache.
-func (c *MESICache) Protocol() Protocol { return c.proto }
-
 // Stats implements DataCache.
 func (c *MESICache) Stats() *DCacheStats { return &c.st }
 
@@ -258,7 +255,7 @@ func (c *MESICache) write(now uint64, addr, word uint32, byteEn uint8, isSwap bo
 func (c *MESICache) Tick(now uint64) { c.tryIssue(now) }
 
 // NextWake implements DataCache: an unissued pending request retries
-// (and charges send-stall counters) every cycle; an active eviction is
+// every cycle, since the issue must still be made; an active eviction is
 // passive — its writeback already sits in the node's outbound queue.
 func (c *MESICache) NextWake(now uint64) uint64 {
 	if c.pend.active && !c.pend.issued {
@@ -330,7 +327,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		if !c.evict.active || c.evict.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: MESI cache %d: stray writeback ack %v", c.id, m))
 		}
-		c.Obs.Done(obs.CPUPid(c.id), obs.TidEvict, obs.LatWriteback, c.evict.begin, now, m.Addr)
+		c.Obs.Done(obs.CPUPid(c.id), obs.TidLane, obs.LatWriteback, c.evict.begin, now, m.Addr)
 		c.evict = mesiEvict{}
 	case CmdInval:
 		c.st.InvalsReceived++

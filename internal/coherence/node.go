@@ -76,10 +76,6 @@ type Node struct {
 	// Obs, when attached, records the retry latency of lost transfers.
 	Obs *obs.Recorder
 
-	// Stats.
-	SendStallCycles uint64
-	MsgsSent        uint64
-	MsgsReceived    uint64
 	// Retransmits counts transfers lost on the wire and re-offered;
 	// BackoffCycles counts cycles the port held its queue in backoff.
 	Retransmits   uint64
@@ -118,8 +114,7 @@ func (n *Node) SendCtrl(m *Msg, dst int, notBefore uint64) {
 // TrySendReq enqueues a request-class message if the outbound queue is
 // below the admission bound, reporting whether it was admitted.
 func (n *Node) TrySendReq(m *Msg, dst int, notBefore uint64) bool {
-	if n.outQ.Len() >= n.ReqBound {
-		n.SendStallCycles++
+	if !n.CanSendReq() {
 		return false
 	}
 	n.SendCtrl(m, dst, notBefore)
@@ -127,17 +122,9 @@ func (n *Node) TrySendReq(m *Msg, dst int, notBefore uint64) bool {
 }
 
 // CanSendReq reports whether a request-class message would be admitted
-// this cycle, without constructing one. A false result counts a send
-// stall exactly as a rejected TrySendReq would, so retry loops can ask
-// first and skip allocating a message that would only be discarded; a
-// true result guarantees an immediately following TrySendReq succeeds.
-func (n *Node) CanSendReq() bool {
-	if n.outQ.Len() >= n.ReqBound {
-		n.SendStallCycles++
-		return false
-	}
-	return true
-}
+// this cycle, without constructing one, so retry loops can ask first and
+// skip allocating a message that would only be discarded. Pure.
+func (n *Node) CanSendReq() bool { return n.outQ.Len() < n.ReqBound }
 
 // Tick delivers arrived messages to the sink and drains the outbound
 // queue into the network. It runs for every awake node every cycle:
@@ -155,7 +142,6 @@ func (n *Node) Tick(now uint64) {
 		if !ok {
 			break
 		}
-		n.MsgsReceived++
 		msg := m.Payload.(*Msg)
 		if n.Trace != nil {
 			n.Trace(now, "rx", n.ID, m.Src, msg)
@@ -199,7 +185,6 @@ func (n *Node) Tick(now uint64) {
 		if n.Trace != nil {
 			n.Trace(now, "tx", n.ID, head.dst, head.msg)
 		}
-		n.MsgsSent++
 		n.outQ.Recv(now)
 	}
 }

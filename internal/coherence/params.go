@@ -48,9 +48,6 @@ type ProtocolRow struct {
 	// ForcesC2C marks a policy that only works with cache-to-cache
 	// transfers: NewHierarchy switches Params.CacheToCache on for it.
 	ForcesC2C bool
-	// EvictBuffer marks a controller with a background eviction buffer
-	// (the observability trace gives it a track of its own).
-	EvictBuffer bool
 }
 
 // Protocols is the table of write policies, indexed by Protocol.
@@ -61,8 +58,8 @@ type ProtocolRow struct {
 var Protocols = [...]ProtocolRow{
 	WTI:    {Name: "WTI", New: newWriteThroughCache},
 	WTU:    {Name: "WTU", New: newWriteThroughCache},
-	WBMESI: {Name: "WB", New: newWriteBackCache, EvictBuffer: true},
-	MOESI:  {Name: "MOESI", New: newWriteBackCache, EvictBuffer: true, ForcesC2C: true},
+	WBMESI: {Name: "WB", New: newWriteBackCache},
+	MOESI:  {Name: "MOESI", New: newWriteBackCache, ForcesC2C: true},
 }
 
 // String implements fmt.Stringer using the paper's labels.

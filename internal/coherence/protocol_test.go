@@ -803,9 +803,6 @@ func TestProtocolTable(t *testing.T) {
 				t.Errorf("ParseProtocol(%q) = %v, %v", ProtocolNames()[i], got, err)
 			}
 			r := newRig(t, proto, 2, 1)
-			if got := r.DCaches[0].Protocol(); got != proto {
-				t.Errorf("the row's cache reports protocol %v", got)
-			}
 			addr := uint32(rigBase + 0x40)
 			r.store(0, addr, 7) // cpu0 owns the block where the policy has owners
 			r.settle()

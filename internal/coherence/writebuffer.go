@@ -1,7 +1,5 @@
 package coherence
 
-import "repro/internal/obs"
-
 // wbEntry is one posted write: a word address, the data word, and the
 // byte-enable mask selecting which of its bytes are written.
 type wbEntry struct {
@@ -10,8 +8,7 @@ type wbEntry struct {
 	byteEn uint8
 	sent   bool // handed to the node's outbound FIFO, awaiting ack
 
-	pushedAt uint64     // cycle the entry was posted (latency attribution)
-	span     obs.SpanID // open trace span covering the entry's residency
+	pushedAt uint64 // cycle the entry was posted (latency attribution)
 }
 
 // writeBuffer is the paper's 8-word posted-write buffer (Table 2). It
@@ -25,23 +22,10 @@ type wbEntry struct {
 type writeBuffer struct {
 	entries []wbEntry
 	depth   int
-
-	// obs observability: when attached, each entry's push-to-ack
-	// residency is recorded as a trace span on the owner CPU's track
-	// and as a write_drain latency sample.
-	obs    *obs.Recorder
-	obsPid int
 }
 
 func newWriteBuffer(depth int) *writeBuffer {
 	return &writeBuffer{depth: depth}
-}
-
-// attachObs enables observability recording against the given trace
-// process (the owner CPU's track group).
-func (w *writeBuffer) attachObs(r *obs.Recorder, pid int) {
-	w.obs = r
-	w.obsPid = pid
 }
 
 // Full reports whether no more writes can be accepted.
@@ -75,11 +59,7 @@ func (w *writeBuffer) Push(now uint64, addr uint32, word uint32, byteEn uint8) b
 	if w.Full() {
 		return false
 	}
-	e := wbEntry{addr: addr, word: word, byteEn: byteEn, pushedAt: now}
-	if w.obs.Tracing() {
-		e.span = w.obs.Begin(w.obsPid, "wb write", now, addr)
-	}
-	w.entries = append(w.entries, e)
+	w.entries = append(w.entries, wbEntry{addr: addr, word: word, byteEn: byteEn, pushedAt: now})
 	return true
 }
 
@@ -95,20 +75,16 @@ func (w *writeBuffer) NextToSend() (*wbEntry, bool) {
 	return nil, false
 }
 
-// Ack retires the in-flight entry at cycle now, which must match addr,
-// recording the entry's drain latency when observability is attached.
-func (w *writeBuffer) Ack(now uint64, addr uint32) bool {
+// Ack retires the in-flight entry, which must match addr, and returns
+// the cycle it was posted.
+func (w *writeBuffer) Ack(addr uint32) (pushedAt uint64, ok bool) {
 	if len(w.entries) == 0 || !w.entries[0].sent || w.entries[0].addr != addr {
-		return false
+		return 0, false
 	}
-	head := &w.entries[0]
-	if w.obs != nil {
-		w.obs.Lat(obs.LatWriteDrain, now-head.pushedAt)
-		w.obs.End(head.span, now)
-	}
+	pushedAt = w.entries[0].pushedAt
 	copy(w.entries, w.entries[1:])
 	w.entries = w.entries[:len(w.entries)-1]
-	return true
+	return pushedAt, true
 }
 
 // HasUnsentInBlock reports whether any unsent entry targets the block

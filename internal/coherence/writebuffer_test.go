@@ -7,8 +7,8 @@ import (
 
 func TestWriteBufferFIFOAndOneInFlight(t *testing.T) {
 	w := newWriteBuffer(4)
-	w.Push(0, 0x100, 1, 0xf)
-	w.Push(0, 0x104, 2, 0xf)
+	w.Push(3, 0x100, 1, 0xf)
+	w.Push(5, 0x104, 2, 0xf)
 	e, ok := w.NextToSend()
 	if !ok || e.addr != 0x100 {
 		t.Fatalf("NextToSend = %+v, %v", e, ok)
@@ -17,8 +17,8 @@ func TestWriteBufferFIFOAndOneInFlight(t *testing.T) {
 	if _, ok := w.NextToSend(); ok {
 		t.Fatal("second write eligible while the first is in flight")
 	}
-	if !w.Ack(0, 0x100) {
-		t.Fatal("ack rejected")
+	if at, ok := w.Ack(0x100); !ok || at != 3 {
+		t.Fatalf("Ack = %d, %v; want the post cycle 3, true", at, ok)
 	}
 	e, ok = w.NextToSend()
 	if !ok || e.addr != 0x104 {
@@ -29,12 +29,12 @@ func TestWriteBufferFIFOAndOneInFlight(t *testing.T) {
 func TestWriteBufferAckValidation(t *testing.T) {
 	w := newWriteBuffer(4)
 	w.Push(0, 0x100, 1, 0xf)
-	if w.Ack(0, 0x100) {
+	if _, ok := w.Ack(0x100); ok {
 		t.Fatal("ack accepted for an unsent entry")
 	}
 	e, _ := w.NextToSend()
 	e.sent = true
-	if w.Ack(0, 0x200) {
+	if _, ok := w.Ack(0x200); ok {
 		t.Fatal("ack accepted for the wrong address")
 	}
 }
@@ -151,7 +151,7 @@ func TestWriteBufferProperty(t *testing.T) {
 			}
 			e.sent = true
 			got = append(got, e.addr)
-			if !w.Ack(0, e.addr) {
+			if _, ok := w.Ack(e.addr); !ok {
 				return false
 			}
 		}

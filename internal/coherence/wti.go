@@ -39,8 +39,8 @@ type WTICache struct {
 	pend wtiPending
 	st   DCacheStats
 
-	// Obs, when attached, records blocking-transaction spans and
-	// request latencies; the write buffer records its own drains.
+	// Obs, when attached, records transaction spans (a posted write's
+	// push-to-ack drain on a lane) and request latencies.
 	Obs *obs.Recorder
 
 	// strictStore tracks the store blocking for its ack in StrictSC
@@ -89,14 +89,8 @@ func newWriteThroughCache(proto Protocol, id int, p Params, node *Node, amap *me
 	}
 }
 
-// Protocol implements DataCache.
-func (c *WTICache) Protocol() Protocol { return c.proto }
-
 // SetObserver implements DataCache.
-func (c *WTICache) SetObserver(r *obs.Recorder) {
-	c.Obs = r
-	c.wb.attachObs(r, obs.CPUPid(c.id))
-}
+func (c *WTICache) SetObserver(r *obs.Recorder) { c.Obs = r }
 
 // WBOccupancy implements DataCache.
 func (c *WTICache) WBOccupancy() int { return c.wb.Len() }
@@ -283,7 +277,7 @@ func (c *WTICache) Tick(now uint64) {
 }
 
 // NextWake implements DataCache: now while there is an unissued pending
-// request (an issue retry charges send-stall counters), a write-buffer
+// request (the issue must be retried), a write-buffer
 // entry ready to depart, or a departure in the cycle just executed
 // (sendVeto — the CPU's stalled retry may react to it now).
 func (c *WTICache) NextWake(now uint64) uint64 {
@@ -315,9 +309,11 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 		c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatReadMiss, c.pend.begin, now, m.Addr)
 		c.pend = wtiPending{}
 	case RspWriteAck:
-		if !c.wb.Ack(now, m.Addr) {
+		pushedAt, ok := c.wb.Ack(m.Addr)
+		if !ok {
 			panic(fmt.Sprintf("coherence: WTI cache %d: stray write ack %v", c.id, m))
 		}
+		c.Obs.Done(obs.CPUPid(c.id), obs.TidLane, obs.LatWriteDrain, pushedAt, now, m.Addr)
 		if c.strictStore && c.wb.Empty() {
 			c.strictStore = false
 			c.strictDone = true

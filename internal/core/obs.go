@@ -34,9 +34,6 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 			r.NameProcess(pid, fmt.Sprintf("cpu%d", i), 10+i)
 			r.NameThread(pid, obs.TidStall, "stall")
 			r.NameThread(pid, obs.TidDCache, "dcache")
-			if coherence.Protocols[s.Cfg.Protocol].EvictBuffer {
-				r.NameThread(pid, obs.TidEvict, "evict")
-			}
 		}
 		for b := range s.Banks {
 			r.NameProcess(obs.DirPid(b), fmt.Sprintf("bank%d dir", b), 1000+b)

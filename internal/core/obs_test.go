@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -97,11 +98,24 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 }
 
 // TestObservedTraceLoads ensures a full-system trace is valid JSON with
-// the per-entity track metadata the viewers rely on.
+// the per-entity track metadata the viewers rely on, for a write-through
+// and a write-back run: posted writes awaiting their ack (write_drain,
+// writeback) sit on lanes, and a bank's overlapping directory
+// transactions never share one.
 func TestObservedTraceLoads(t *testing.T) {
-	rec := obs.New(obs.Config{Trace: true, SampleInterval: 200})
-	runObserved(t, "ocean", coherence.WTI, 4, rec)
+	for _, tc := range []struct {
+		proto  coherence.Protocol
+		posted string // the span kind of the protocol's posted writes
+	}{{coherence.WTI, "write_drain"}, {coherence.WBMESI, "writeback"}} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			rec := obs.New(obs.Config{Trace: true, SampleInterval: 200})
+			runObserved(t, "ocean", tc.proto, 4, rec)
+			checkTrace(t, rec, tc.posted)
+		})
+	}
+}
 
+func checkTrace(t *testing.T, rec *obs.Recorder, posted string) {
 	var buf bytes.Buffer
 	if err := rec.WriteTrace(&buf); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
@@ -115,11 +129,19 @@ func TestObservedTraceLoads(t *testing.T) {
 	names := make(map[string]bool)
 	nodes := 0
 	for _, e := range doc.TraceEvents {
-		if e["ph"] == "M" && e["name"] == "process_name" {
-			name := e["args"].(map[string]any)["name"].(string)
-			names[name] = true
-			if strings.HasPrefix(name, "port") {
+		if e["ph"] != "M" {
+			continue
+		}
+		name := e["args"].(map[string]any)["name"]
+		switch e["name"] {
+		case "process_name":
+			names[name.(string)] = true
+			if strings.HasPrefix(name.(string), "port") {
 				nodes++
+			}
+		case "thread_name":
+			if name == "evict" {
+				t.Errorf("trace names an evict row: %v", e)
 			}
 		}
 	}
@@ -129,24 +151,65 @@ func TestObservedTraceLoads(t *testing.T) {
 		}
 	}
 	// A port's injection marker sits on the row of its destination node.
-	instants := 0
+	instants, postedSpans := 0, 0
+	type span struct {
+		pid, tid   int
+		begin, end float64
+	}
+	var dirSpans []span
 	for _, e := range doc.TraceEvents {
-		if pid := int(e["pid"].(float64)); e["ph"] == "i" && pid >= obs.PortPid(0) {
+		if e["ph"] == "M" {
+			continue
+		}
+		pid := int(e["pid"].(float64))
+		if e["ph"] == "i" && pid >= obs.PortPid(0) {
 			instants++
 			if self, dst := pid-obs.PortPid(0), int(e["tid"].(float64)); dst == self || dst < 0 || dst >= nodes {
 				t.Fatalf("port%d instant %v: tid %d is not another of the %d nodes", self, e, dst, nodes)
 			}
 		}
+		if e["ph"] != "X" {
+			continue
+		}
+		tid := int(e["tid"].(float64))
+		if e["name"] == posted {
+			postedSpans++
+			if tid < obs.TidLane {
+				t.Fatalf("%s span on row %d, not a lane: %v", posted, tid, e)
+			}
+		}
+		if pid >= obs.DirPid(0) && pid < obs.PortPid(0) {
+			ts := e["ts"].(float64)
+			dirSpans = append(dirSpans, span{pid, tid, ts, ts + e["dur"].(float64)})
+		}
 	}
 	if instants == 0 {
 		t.Error("trace has no port injection markers")
+	}
+	if postedSpans == 0 {
+		t.Errorf("trace has no %s spans", posted)
+	}
+	if len(dirSpans) == 0 {
+		t.Error("trace has no directory spans")
+	}
+	sort.Slice(dirSpans, func(i, j int) bool {
+		a, b := dirSpans[i], dirSpans[j]
+		if a.pid != b.pid || a.tid != b.tid {
+			return a.pid < b.pid || a.pid == b.pid && a.tid < b.tid
+		}
+		return a.begin < b.begin
+	})
+	for i := 1; i < len(dirSpans); i++ {
+		a, b := dirSpans[i-1], dirSpans[i]
+		if a.pid == b.pid && a.tid == b.tid && b.begin < a.end {
+			t.Fatalf("directory spans %+v and %+v overlap on one lane", a, b)
+		}
 	}
 	if !strings.Contains(buf.String(), `"ph":"C"`) {
 		t.Error("trace has no counter events despite sampling")
 	}
 }
 
-// TestResultJSONSchemaVersion pins the export schema version field.
 func TestResultJSONSchemaVersion(t *testing.T) {
 	res := runObserved(t, "water", coherence.WBMESI, 2, nil)
 	var buf bytes.Buffer

@@ -29,23 +29,19 @@ type Config struct {
 	// Trace enables transaction/span recording for Chrome trace
 	// export.
 	Trace bool
-	// MaxTraceEvents caps the in-memory event buffer; once reached,
-	// further events are counted as dropped but not stored.
-	// 0 means DefaultMaxTraceEvents.
-	MaxTraceEvents int
 	// SampleInterval is the metrics sampling period in cycles
 	// (0 disables interval sampling).
 	SampleInterval uint64
 }
 
-// DefaultMaxTraceEvents bounds trace memory to roughly a few hundred
-// megabytes on the largest runs.
-const DefaultMaxTraceEvents = 4_000_000
+// maxTraceEvents caps the in-memory event buffer, bounding trace memory
+// to roughly a few hundred megabytes on the largest runs; once reached,
+// further events are counted as dropped but not stored.
+const maxTraceEvents = 4_000_000
 
 // Recorder is the per-system observability sink. A nil *Recorder is
 // the disabled state: all methods are no-ops.
 type Recorder struct {
-	cfg     Config
 	tb      *traceBuf
 	sampler *Sampler
 	lat     latencySet
@@ -55,13 +51,9 @@ type Recorder struct {
 // always on (it is a handful of counters); tracing and sampling follow
 // cfg.
 func New(cfg Config) *Recorder {
-	r := &Recorder{cfg: cfg}
+	r := &Recorder{}
 	if cfg.Trace {
-		max := cfg.MaxTraceEvents
-		if max <= 0 {
-			max = DefaultMaxTraceEvents
-		}
-		r.tb = newTraceBuf(max)
+		r.tb = newTraceBuf()
 	}
 	if cfg.SampleInterval > 0 {
 		r.sampler = newSampler(cfg.SampleInterval)
@@ -126,8 +118,9 @@ const (
 	// TidDCache is the data-cache transaction row (one outstanding
 	// blocking transaction at a time).
 	TidDCache = 1
-	// TidEvict is the MESI eviction-buffer row.
-	TidEvict = 2
+	// TidLane asks Span for the lowest free lane: rows TidLane,
+	// TidLane+1, … carry activities of one entity that overlap in time.
+	TidLane = 16
 )
 
 // CPUPid returns the trace process id of CPU i.

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -18,11 +20,8 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.NameThread(1, 0, "x")
 	r.Span(1, 0, "s", 0, 10, 0)
 	r.Instant(1, 0, "i", 5, 0)
-	id := r.Begin(1, "b", 0, 0)
-	if id != 0 {
-		t.Fatalf("nil Begin returned live handle %d", id)
-	}
-	r.End(id, 10)
+	r.Span(1, TidLane, "l", 0, 10, 0)
+	r.Done(1, TidLane, LatWriteDrain, 0, 10, 0)
 	r.Lat(LatReadMiss, 42)
 	r.Sample(100)
 	if r.LatencyReport() != nil {
@@ -43,12 +42,8 @@ func TestTraceJSONLoads(t *testing.T) {
 	r.NameProcess(DirPid(1), "dir bank1", 10)
 	r.Span(CPUPid(0), TidStall, "data stall", 10, 60, 0x1000)
 	r.Instant(PortPid(0), 0, "ReqRead", 12, 0x1000)
-	id := r.Begin(DirPid(1), "ReqWriteThrough", 20, 0x2000)
-	id2 := r.Begin(DirPid(1), "ReqRead", 25, 0x2040)
-	r.End(id, 70)
-	r.End(id2, 80)
-	open := r.Begin(DirPid(1), "ReqSwap", 90, 0x2080) // left open on purpose
-	_ = open
+	r.Span(DirPid(1), TidLane, "ReqWriteThrough", 20, 70, 0x2000)
+	r.Span(DirPid(1), TidLane, "ReqRead", 25, 80, 0x2040)
 
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -66,7 +61,7 @@ func TestTraceJSONLoads(t *testing.T) {
 	}
 	joined := strings.Join(names, " ")
 	for _, want := range []string{"process_name", "thread_name", "data stall",
-		"ReqRead", "ReqWriteThrough", "ReqSwap"} {
+		"ReqRead", "ReqWriteThrough"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("trace missing event %q", want)
 		}
@@ -122,21 +117,59 @@ func TestTraceOrderIgnoresTickInterleaving(t *testing.T) {
 	}
 }
 
-func TestLaneReuse(t *testing.T) {
-	r := New(Config{Trace: true})
-	a := r.Begin(DirPid(0), "a", 0, 0)
-	r.End(a, 10)
-	b := r.Begin(DirPid(0), "b", 20, 0)
-	r.End(b, 30)
-	// Sequential spans should reuse the freed lane.
-	tb := r.tb
-	if got := tb.events[0].tid; got != tb.events[1].tid {
-		t.Errorf("sequential spans on different lanes: %d vs %d", tb.events[0].tid, got)
+// TestLanePlacement records random overlapping spans of three track
+// groups as they close (in end order) and checks where TidLane put
+// them: within one group no two spans on a lane overlap, and every
+// lane below a span's own is taken by some span overlapping it.
+func TestLanePlacement(t *testing.T) {
+	type span struct {
+		pid        int
+		begin, end uint64
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spans := make([]span, 200)
+		for i := range spans {
+			b := uint64(rng.Intn(1000))
+			spans[i] = span{DirPid(rng.Intn(3)), b, b + 1 + uint64(rng.Intn(60))}
+		}
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].end < spans[j].end })
+		r := New(Config{Trace: true})
+		for _, s := range spans {
+			r.Span(s.pid, TidLane, "s", s.begin, s.end, 0)
+		}
+		ev := r.tb.events
+		overlap := func(a, b *event) bool { return a.ts < b.ts+b.dur && b.ts < a.ts+a.dur }
+		for i := range ev {
+			a := &ev[i]
+			if a.tid < TidLane {
+				t.Fatalf("seed %d: span %d on row %d, below the lanes", seed, i, a.tid)
+			}
+			taken := map[int32]bool{}
+			for j := range ev {
+				b := &ev[j]
+				if j == i || b.pid != a.pid || !overlap(a, b) {
+					continue
+				}
+				if b.tid == a.tid {
+					t.Fatalf("seed %d: spans [%d,%d) and [%d,%d) of pid %d share lane %d",
+						seed, a.ts, a.ts+a.dur, b.ts, b.ts+b.dur, a.pid, a.tid)
+				}
+				taken[b.tid] = true
+			}
+			for l := int32(TidLane); l < a.tid; l++ {
+				if !taken[l] {
+					t.Fatalf("seed %d: span [%d,%d) of pid %d on lane %d, but lane %d is free over it",
+						seed, a.ts, a.ts+a.dur, a.pid, a.tid, l)
+				}
+			}
+		}
 	}
 }
 
 func TestTraceEventCap(t *testing.T) {
-	r := New(Config{Trace: true, MaxTraceEvents: 3})
+	r := New(Config{Trace: true})
+	r.tb.max = 3
 	for i := 0; i < 10; i++ {
 		r.Instant(1, 0, "e", uint64(i), 0)
 	}

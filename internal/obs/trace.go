@@ -7,11 +7,6 @@ import (
 	"sort"
 )
 
-// SpanID is a handle to an open span returned by Begin. The zero value
-// is invalid and End ignores it, so callers may store handles in state
-// structs unconditionally.
-type SpanID uint64
-
 // event phases, a subset of the Chrome trace-event format.
 const (
 	phComplete = 'X'
@@ -29,41 +24,8 @@ type event struct {
 	dur  uint64
 	name string
 	addr uint32
-	arg  bool    // addr is meaningful
 	val  float64 // counter value (phCounter)
 }
-
-type openSpan struct {
-	pid   int32
-	lane  int32
-	name  string
-	addr  uint32
-	arg   bool
-	begin uint64
-}
-
-// lanePool hands out per-process lanes (rendered as threads) so
-// overlapping spans of one entity — concurrent directory transactions,
-// posted write-buffer entries — each get their own row instead of
-// colliding on one.
-type lanePool struct {
-	base int32
-	free []int32
-	next int32
-}
-
-func (p *lanePool) get() int32 {
-	if n := len(p.free); n > 0 {
-		l := p.free[n-1]
-		p.free = p.free[:n-1]
-		return l
-	}
-	l := p.base + p.next
-	p.next++
-	return l
-}
-
-func (p *lanePool) put(l int32) { p.free = append(p.free, l) }
 
 type traceBuf struct {
 	max     int
@@ -74,9 +36,9 @@ type traceBuf struct {
 	cycle   uint64
 	coreEnd int
 
-	open   map[SpanID]openSpan
-	lanes  map[int32]*lanePool
-	nextID SpanID
+	// laneEnd holds, per track group, the cycle each lane's last span
+	// ends (see lane).
+	laneEnd map[int32][]uint64
 
 	procs   map[int32]procMeta
 	threads map[[2]int32]string
@@ -87,11 +49,10 @@ type procMeta struct {
 	sort int
 }
 
-func newTraceBuf(max int) *traceBuf {
+func newTraceBuf() *traceBuf {
 	return &traceBuf{
-		max:     max,
-		open:    make(map[SpanID]openSpan),
-		lanes:   make(map[int32]*lanePool),
+		max:     maxTraceEvents,
+		laneEnd: make(map[int32][]uint64),
 		procs:   make(map[int32]procMeta),
 		threads: make(map[[2]int32]string),
 	}
@@ -141,19 +102,39 @@ func (r *Recorder) NameThread(pid, tid int, name string) {
 	r.tb.threads[[2]int32{int32(pid), int32(tid)}] = name
 }
 
-// Span records a completed span on an explicitly chosen row. Use it
-// for strictly sequential activities (a CPU's stall runs, a cache's
-// single outstanding transaction) where the caller knows begin and end
-// together; overlapping activities should go through Begin/End so the
-// lane allocator separates them.
+// Span records a completed span, at its end cycle. On row TidLane it
+// goes on the lowest lane of pid's track group free over [begin, end),
+// so overlapping activities of one entity — concurrent directory
+// transactions, posted writes awaiting their ack — each get a row.
 func (r *Recorder) Span(pid, tid int, name string, begin, end uint64, addr uint32) {
 	if r == nil || r.tb == nil {
 		return
 	}
+	stop := max(end, begin+1)
+	if tid == TidLane {
+		tid = r.tb.lane(int32(pid), begin, stop)
+	}
 	r.tb.add(end, event{
 		pid: int32(pid), tid: int32(tid), ph: phComplete,
-		ts: begin, dur: max(end, begin+1) - begin, name: name, addr: addr, arg: true,
+		ts: begin, dur: stop - begin, name: name, addr: addr,
 	})
+}
+
+// lane takes the lowest lane of pid free over [begin, end) until end.
+// Spans are recorded as they close, in cycle order, so a lane is free
+// exactly when its last span ended by begin.
+func (t *traceBuf) lane(pid int32, begin, end uint64) int {
+	ends := t.laneEnd[pid]
+	i := 0
+	for i < len(ends) && ends[i] > begin {
+		i++
+	}
+	if i == len(ends) {
+		ends = append(ends, 0)
+		t.laneEnd[pid] = ends
+	}
+	ends[i] = end
+	return TidLane + i
 }
 
 // Instant records a zero-duration marker event.
@@ -163,50 +144,7 @@ func (r *Recorder) Instant(pid, tid int, name string, now uint64, addr uint32) {
 	}
 	r.tb.add(now, event{
 		pid: int32(pid), tid: int32(tid), ph: phInstant,
-		ts: now, name: name, addr: addr, arg: true,
-	})
-}
-
-// laneBase is the first lane id handed out per process, leaving room
-// for the fixed rows (TidStall..TidEvict and future ones).
-const laneBase = 16
-
-// Begin opens a span on pid's track group, allocating a free lane for
-// it. The returned handle must be closed with End; an exhausted event
-// buffer still returns a live handle so bracketing stays balanced.
-func (r *Recorder) Begin(pid int, name string, now uint64, addr uint32) SpanID {
-	if r == nil || r.tb == nil {
-		return 0
-	}
-	t := r.tb
-	pool := t.lanes[int32(pid)]
-	if pool == nil {
-		pool = &lanePool{base: laneBase}
-		t.lanes[int32(pid)] = pool
-	}
-	t.nextID++
-	id := t.nextID
-	t.open[id] = openSpan{
-		pid: int32(pid), lane: pool.get(), name: name, addr: addr, arg: true, begin: now,
-	}
-	return id
-}
-
-// End closes a span opened by Begin, emitting the completed event.
-func (r *Recorder) End(id SpanID, now uint64) {
-	if r == nil || r.tb == nil || id == 0 {
-		return
-	}
-	t := r.tb
-	s, ok := t.open[id]
-	if !ok {
-		return
-	}
-	delete(t.open, id)
-	t.lanes[s.pid].put(s.lane)
-	t.add(now, event{
-		pid: s.pid, tid: s.lane, ph: phComplete,
-		ts: s.begin, dur: max(now, s.begin+1) - s.begin, name: s.name, addr: s.addr, arg: s.arg,
+		ts: now, name: name, addr: addr,
 	})
 }
 
@@ -229,9 +167,7 @@ func (r *Recorder) TraceDropped() uint64 {
 // WriteTrace emits the recorded events as Chrome trace-event JSON
 // (the "JSON object format": a traceEvents array plus metadata), which
 // chrome://tracing and Perfetto load directly. One simulated cycle is
-// rendered as one microsecond. Spans still open at write time are
-// flushed as-is with their current extent, so a trace of a deadlocked
-// run shows what was in flight.
+// rendered as one microsecond.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	if r == nil || r.tb == nil {
 		return fmt.Errorf("obs: tracing was not enabled")
@@ -278,7 +214,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			k[0], k[1], t.threads[k])
 	}
 
-	writeEvent := func(e *event) {
+	for i := range t.events {
+		e := &t.events[i]
 		sep()
 		switch e.ph {
 		case phComplete:
@@ -290,29 +227,9 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		case phCounter:
 			fmt.Fprintf(bw, `{"name":%q,"ph":"C","pid":%d,"ts":%d,"args":{"value":%g}}`,
 				e.name, e.pid, e.ts, e.val)
-			return
+			continue
 		}
-		if e.arg {
-			fmt.Fprintf(bw, `,"args":{"addr":"0x%x"}`, e.addr)
-		}
-		bw.WriteString("}")
-	}
-	for i := range t.events {
-		writeEvent(&t.events[i])
-	}
-	// Flush any still-open spans so nothing recorded is lost.
-	openIDs := make([]SpanID, 0, len(t.open))
-	for id := range t.open { //lint:allow maprange — keys are sorted below
-		openIDs = append(openIDs, id)
-	}
-	sort.Slice(openIDs, func(i, j int) bool { return openIDs[i] < openIDs[j] })
-	for _, id := range openIDs {
-		s := t.open[id]
-		e := event{
-			pid: s.pid, tid: s.lane, ph: phComplete,
-			ts: s.begin, dur: 1, name: s.name, addr: s.addr, arg: s.arg,
-		}
-		writeEvent(&e)
+		fmt.Fprintf(bw, `,"args":{"addr":"0x%x"}}`, e.addr)
 	}
 	if _, err := bw.WriteString("\n]}\n"); err != nil {
 		return err
