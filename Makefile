@@ -54,7 +54,9 @@ race:
 # -json stdout with and without -noleap compared byte for byte on the
 # four BENCHMARK.json pins, the mesh at n64, a 2-way run (the one
 # associativity above 1 here: the core's line window skips LRU stamps),
-# a fault plan carrying every directive, bankstall included, the runs
+# a fault plan carrying every directive, bankstall included, one with
+# 200-cycle bank stalls (the row whose wakes lie 64 and more cycles
+# ahead, past the engine's 64-bucket wheel), the runs
 # that lean on the cores' run-ahead and spin sleeps: a spin-dominated
 # arch1 water (14.7 M instructions in 2.7 Mcyc), arch1 ocean at n64
 # (1.62 Mcyc; 96% of its instructions retire in spin sleeps) and WTU on
@@ -73,6 +75,7 @@ EQUIV_RUNS := \
 	"-noc mesh -cpus 64 -rows 4 -iters 2" \
 	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
 	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \
+	"-cpus 8 -fault bankstall=0.01:200,seed=5" \
 	"-bench water -protocol wb -arch 1 -cpus 32 -mols 2 -steps 1" \
 	"-bench ocean -protocol wb -arch 1 -cpus 64 -rows 1 -iters 1" \
 	"-bench ocean -protocol wtu -cpus 8 -noc bus" \

@@ -225,32 +225,18 @@ func (b *Builder) SpinUnlock(addr Reg) {
 	b.Sw(R0, 0, addr)
 }
 
-// loadQueueAddrSelf emits code leaving this CPU's ready-queue address
-// in dst (clobbers tmp).
-func (rt *Runtime) loadQueueAddrSelf(dst, tmp Reg) {
+// loadQueueAddr emits code leaving in dst the ready-queue address of
+// the CPU whose id is in cpu (clobbers tmp, which may be cpu).
+func (rt *Runtime) loadQueueAddr(dst, cpu, tmp Reg) {
 	b := rt.B
 	if rt.Mode == SMP {
 		b.Li(dst, rt.qShared)
 		return
 	}
 	shift := int32(bits.TrailingZeros32(rt.Layout.PrivateSize))
-	b.Slli(tmp, ID, shift)
+	b.Slli(tmp, cpu, shift)
 	b.Li(dst, rt.Layout.PrivateBase+rt.qOff)
 	b.Add(dst, dst, tmp)
-}
-
-// loadQueueAddrOf emits code leaving the ready-queue address of the
-// home CPU in homeReg into dst (clobbers homeReg).
-func (rt *Runtime) loadQueueAddrOf(dst, homeReg Reg) {
-	b := rt.B
-	if rt.Mode == SMP {
-		b.Li(dst, rt.qShared)
-		return
-	}
-	shift := int32(bits.TrailingZeros32(rt.Layout.PrivateSize))
-	b.Slli(homeReg, homeReg, shift)
-	b.Li(dst, rt.Layout.PrivateBase+rt.qOff)
-	b.Add(dst, dst, homeReg)
 }
 
 // emitPrologue emits boot + scheduler + thread exit + barrier. The boot
@@ -271,7 +257,7 @@ func (rt *Runtime) emitPrologue() {
 	b.Li(T2, uint32(rt.Threads))
 	b.Beq(T1, T2, "rt_halt")
 	// My ready queue.
-	rt.loadQueueAddrSelf(T3, T4)
+	rt.loadQueueAddr(T3, ID, T4)
 	// Empty test without the lock (cache-friendly idle spin).
 	b.Lw(T5, qHead, T3)
 	b.Lw(T6, qTail, T3)
@@ -352,7 +338,7 @@ func (rt *Runtime) emitPrologue() {
 	b.Lw(T6, barWaitq, T5) // T6 = waiter TCB
 	// Enqueue T6 on its home ready queue.
 	b.Lw(T7, tcbHome, T6)
-	rt.loadQueueAddrOf(K1, T7)
+	rt.loadQueueAddr(K1, T7, T7)
 	b.SpinLock(K1, T7)
 	b.Lw(T7, qTail, K1)
 	b.Andi(T1, T7, mask)

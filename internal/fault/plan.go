@@ -32,6 +32,7 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -220,8 +221,9 @@ func ParsePlan(spec string) (*Plan, error) {
 			p.Seed = n
 			seenSeed = true
 		case "drop", "dup":
-			r, sc, err := parseRateScope(val)
-			if err != nil {
+			body, sc, serr := parseScoped(val)
+			r, err := parseRate(body)
+			if err = cmp.Or(err, serr); err != nil {
 				return nil, fmt.Errorf("fault: %s: %w", key, err)
 			}
 			d := DropSpec{Rate: r, Scope: sc}
@@ -231,8 +233,9 @@ func ParsePlan(spec string) (*Plan, error) {
 				p.Dup = append(p.Dup, d)
 			}
 		case "delay":
-			r, cyc, sc, err := parseRateCyclesScope(val)
-			if err != nil {
+			body, sc, serr := parseScoped(val)
+			r, cyc, err := parseRateCycles(body)
+			if err = cmp.Or(err, serr); err != nil {
 				return nil, fmt.Errorf("fault: delay: %w", err)
 			}
 			p.Delay = append(p.Delay, DelaySpec{Rate: r, Cycles: cyc, Scope: sc})
@@ -294,19 +297,15 @@ func parseScope(s string) (LinkScope, error) {
 	return LinkScope{Src: src, Dst: dst}, nil
 }
 
-func parseRateScope(val string) (float64, LinkScope, error) {
+// parseScoped splits "BODY[@SRC>DST]" into the body and its link scope,
+// every link when there is no suffix.
+func parseScoped(val string) (string, LinkScope, error) {
 	body, scopeStr, scoped := strings.Cut(val, "@")
-	r, err := parseRate(body)
-	if err != nil {
-		return 0, LinkScope{}, err
+	if !scoped {
+		return body, LinkScope{Src: Wildcard, Dst: Wildcard}, nil
 	}
-	sc := LinkScope{Src: Wildcard, Dst: Wildcard}
-	if scoped {
-		if sc, err = parseScope(scopeStr); err != nil {
-			return 0, LinkScope{}, err
-		}
-	}
-	return r, sc, nil
+	sc, err := parseScope(scopeStr)
+	return body, sc, err
 }
 
 func parseRateCycles(val string) (float64, int, error) {
@@ -323,19 +322,4 @@ func parseRateCycles(val string) (float64, int, error) {
 		return 0, 0, fmt.Errorf("bad cycle count %q (need a positive integer)", cycStr)
 	}
 	return r, cyc, nil
-}
-
-func parseRateCyclesScope(val string) (float64, int, LinkScope, error) {
-	body, scopeStr, scoped := strings.Cut(val, "@")
-	r, cyc, err := parseRateCycles(body)
-	if err != nil {
-		return 0, 0, LinkScope{}, err
-	}
-	sc := LinkScope{Src: Wildcard, Dst: Wildcard}
-	if scoped {
-		if sc, err = parseScope(scopeStr); err != nil {
-			return 0, 0, LinkScope{}, err
-		}
-	}
-	return r, cyc, sc, nil
 }

@@ -150,11 +150,11 @@ func (m *module) resolveCalls(node *funcNode) {
 		switch fun := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
 			if fn, ok := info.Uses[fun].(*types.Func); ok {
-				node.calls = append(node.calls, origin(fn))
+				node.calls = append(node.calls, fn.Origin())
 			}
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[fun]; ok && (sel.Kind() == types.MethodVal || sel.Kind() == types.MethodExpr) {
-				fn := origin(sel.Obj().(*types.Func))
+				fn := sel.Obj().(*types.Func).Origin()
 				if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
 					node.calls = append(node.calls, m.implementations(iface, fn.Name())...)
 				} else {
@@ -162,16 +162,12 @@ func (m *module) resolveCalls(node *funcNode) {
 				}
 			} else if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 				// Package-qualified call (pkg.Func).
-				node.calls = append(node.calls, origin(fn))
+				node.calls = append(node.calls, fn.Origin())
 			}
 		}
 		return true
 	})
 }
-
-// origin maps an instantiated generic method/function back to its
-// declaration object, the key funcs is indexed by.
-func origin(fn *types.Func) *types.Func { return fn.Origin() }
 
 // hotRoots returns the //lint:hot functions, sorted.
 func (m *module) hotRoots() []*funcNode {

@@ -297,10 +297,7 @@ func scanCall(info *types.Info, call *ast.CallExpr, add func(pos token.Pos, kind
 // scanAssignBox flags plain assignments of non-pointer concrete values
 // into interface-typed targets.
 func scanAssignBox(info *types.Info, st *ast.AssignStmt, add func(pos token.Pos, kind, what, detail string)) {
-	if st.Tok != token.ASSIGN && st.Tok != token.DEFINE {
-		return
-	}
-	if len(st.Lhs) != len(st.Rhs) {
+	if st.Tok != token.ASSIGN && st.Tok != token.DEFINE || len(st.Lhs) != len(st.Rhs) {
 		return
 	}
 	for i := range st.Lhs {

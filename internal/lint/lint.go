@@ -45,9 +45,10 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -114,18 +115,9 @@ func Run(dir string) ([]Finding, error) {
 		}
 	}
 	findings = append(findings, dirs.hygieneFindings()...)
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return findings, nil
 }
@@ -167,14 +159,12 @@ func (d *directives) add(a allowDirective) {
 // without a reason does not suppress — the reason is the audit trail.
 func (d *directives) suppressed(analyzer string, pos token.Position) bool {
 	for _, a := range d.byFile[pos.Filename] {
-		if a.analyzer == analyzer && a.reason != "" && (a.line() == pos.Line || a.line() == pos.Line-1) {
+		if a.analyzer == analyzer && a.reason != "" && (a.pos.Line == pos.Line || a.pos.Line == pos.Line-1) {
 			return true
 		}
 	}
 	return false
 }
-
-func (a allowDirective) line() int { return a.pos.Line }
 
 // hygieneFindings reports malformed //lint:allow directives: a missing
 // reason (the directive then suppresses nothing) or an unknown analyzer

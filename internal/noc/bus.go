@@ -56,7 +56,7 @@ func (b *Bus) Tick(now uint64) {
 	}
 	// Round-robin: requesters from rr up, then from 0 up to it.
 	for _, from := range [2]int{b.rr, 0} {
-		for src := b.injSet.next(from); src >= 0; src = b.injSet.next(src + 1) {
+		for src := b.injSet.Next(from); src >= 0; src = b.injSet.Next(src + 1) {
 			p, ok := b.take(src, now)
 			if !ok {
 				continue
@@ -79,7 +79,7 @@ func (b *Bus) MinTransit() uint64 { return b.arbDelay + 1 }
 // bus tenure ends (busyTill); the delivery queues are the arrival
 // ports.
 func (b *Bus) NextWake(now uint64) uint64 {
-	if b.injSet.next(0) >= 0 {
+	if b.injSet.Next(0) >= 0 {
 		return max(now, b.busyTill)
 	}
 	return sim.NoWake

@@ -66,7 +66,7 @@ func NewGMN(cfg GMNConfig) *GMN {
 // injection queue into the crossbar, modelling source serialization and
 // destination-FIFO backpressure.
 func (g *GMN) Tick(now uint64) {
-	for i := g.injSet.next(0); i >= 0; i = g.injSet.next(i + 1) {
+	for i := g.injSet.Next(0); i >= 0; i = g.injSet.Next(i + 1) {
 		// A full destination FIFO blocks the head of the line.
 		if s := &g.inj[i]; !s.Ready(now) || g.srcBusy[i] > now || !g.arr[s.Head().Dst].CanSend() {
 			continue
@@ -98,7 +98,7 @@ func (g *GMN) MinTransit() uint64 { return g.delay + 2 }
 // case included, where staying awake is the safe conservative choice.
 func (g *GMN) NextWake(now uint64) uint64 {
 	next := sim.NoWake
-	for i := g.injSet.next(0); i >= 0 && next > now; i = g.injSet.next(i + 1) {
+	for i := g.injSet.Next(0); i >= 0 && next > now; i = g.injSet.Next(i + 1) {
 		next = min(next, max(g.srcBusy[i], now))
 	}
 	return next

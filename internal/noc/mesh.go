@@ -65,7 +65,7 @@ type Mesh struct {
 	routerDelay uint64
 	r           []meshRouter
 	// active holds the routers with a queued packet (wake != sim.NoWake).
-	active bitset
+	active sim.Bitset
 }
 
 // Validate reports the first parameter no mesh can be built with.
@@ -88,7 +88,7 @@ func NewMesh(cfg MeshConfig) *Mesh {
 		step:        [numPorts]int{0, 1, -1, -k, k},
 		routerDelay: uint64(cfg.RouterDelay),
 		r:           make([]meshRouter, k*k),
-		active:      newBitset(k * k),
+		active:      sim.NewBitset(k * k),
 	}
 	for idx := range m.r {
 		r := &m.r[idx]
@@ -137,7 +137,7 @@ func (m *Mesh) Inject(p Packet, now uint64) bool {
 // wake forward: behind another packet it waits for that one's Recv.
 func (m *Mesh) enqueued(idx, in int, at uint64) {
 	r := &m.r[idx]
-	m.active.set(idx)
+	m.active.Set(idx)
 	if q := r.in[in]; q.Len() == 1 {
 		r.want[in] = m.route(idx, q.Head().Dst)
 		r.wake = min(r.wake, max(at, r.outBusy[r.want[in]]))
@@ -151,7 +151,7 @@ func (m *Mesh) enqueued(idx, in int, at uint64) {
 // dequeued this cycle. (One that gets its first packet during the walk
 // may or may not be reached; the packet cannot move before now+1.)
 func (m *Mesh) Tick(now uint64) {
-	for idx := m.active.next(0); idx >= 0; idx = m.active.next(idx + 1) {
+	for idx := m.active.Next(0); idx >= 0; idx = m.active.Next(idx + 1) {
 		r := &m.r[idx]
 		if r.wake > now {
 			continue
@@ -199,7 +199,7 @@ func (m *Mesh) Tick(now uint64) {
 					r.want[in] = m.route(idx, q.Head().Dst)
 					wanted |= 1 << r.want[in]
 				} else if in == portLocal {
-					m.injSet.clear(idx)
+					m.injSet.Clear(idx)
 				}
 				break
 			}
@@ -214,7 +214,7 @@ func (m *Mesh) Tick(now uint64) {
 			}
 		}
 		if r.wake == sim.NoWake {
-			m.active.clear(idx)
+			m.active.Clear(idx)
 		}
 	}
 }
@@ -228,7 +228,7 @@ func (m *Mesh) MinTransit() uint64 { return 1 }
 // not polled.
 func (m *Mesh) NextWake(now uint64) uint64 {
 	next := sim.NoWake
-	for idx := m.active.next(0); idx >= 0 && next > now; idx = m.active.next(idx + 1) {
+	for idx := m.active.Next(0); idx >= 0 && next > now; idx = m.active.Next(idx + 1) {
 		next = min(next, max(m.r[idx].wake, now))
 	}
 	return next

@@ -32,7 +32,6 @@ package noc
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -127,7 +126,7 @@ type endpoints struct {
 	inj, arr []sim.Port[Packet]
 	// injSet holds the non-empty ports of inj: packets enter and leave
 	// them only through Inject and take (or the mesh's own dequeue).
-	injSet bitset
+	injSet sim.Bitset
 	// self and nodes are Attach's wakers, inert until it is called.
 	self      sim.Waker
 	nodes     []sim.Waker
@@ -143,7 +142,7 @@ func newEndpoints(nodes, injDepth, arrDepth int) endpoints {
 	e := endpoints{
 		inj:       make([]sim.Port[Packet], nodes),
 		arr:       make([]sim.Port[Packet], nodes),
-		injSet:    newBitset(nodes),
+		injSet:    sim.NewBitset(nodes),
 		nodes:     make([]sim.Waker, nodes),
 		portFlits: make([]uint64, nodes),
 	}
@@ -170,7 +169,7 @@ func (e *endpoints) Inject(p Packet, now uint64) bool {
 		e.stats.InjectStallCycles++
 		return false
 	}
-	e.injSet.set(p.Src)
+	e.injSet.Set(p.Src)
 	e.live++
 	e.self.Wake(now)
 	return true
@@ -180,7 +179,7 @@ func (e *endpoints) Inject(p Packet, now uint64) bool {
 func (e *endpoints) take(src int, now uint64) (Packet, bool) {
 	p, ok := e.inj[src].Recv(now)
 	if ok && e.inj[src].Empty() {
-		e.injSet.clear(src)
+		e.injSet.Clear(src)
 	}
 	return p, ok
 }
@@ -238,25 +237,6 @@ func (e *endpoints) Stats() Stats { return e.stats }
 
 // PortFlits implements Network.
 func (e *endpoints) PortFlits() []uint64 { return e.portFlits }
-
-// bitset is a fixed-size set of small integers walked in ascending
-// order, for i := b.next(0); i >= 0; i = b.next(i + 1), on the live
-// words: members may be cleared or set as the walk goes.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
-func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
-
-// next returns the smallest member at or after i, or -1.
-func (b bitset) next(i int) int {
-	for w := i >> 6; w < len(b); w, i = w+1, (w+1)<<6 {
-		if word := b[w] >> (i & 63); word != 0 {
-			return i + bits.TrailingZeros64(word)
-		}
-	}
-	return -1
-}
 
 // minField is one configuration value with the least it may be.
 type minField struct {

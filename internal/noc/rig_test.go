@@ -400,7 +400,7 @@ func (m *refMesh) blockedHead(now uint64) bool {
 	return false
 }
 
-func (b bitset) has(i int) bool { return b.next(i) == i }
+func has(b sim.Bitset, i int) bool { return b.Next(i) == i }
 
 // checkOccupancy holds every incrementally maintained summary to the
 // queues it summarises.
@@ -427,14 +427,14 @@ func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
 					t.Fatalf("%v cycle %d: router %d input %d caches route %d, head wants %d", c, cyc, idx, in, r.want[in], want)
 				}
 			}
-			if n.active.has(idx) != (queued > 0) || r.wake != wake {
+			if has(n.active, idx) != (queued > 0) || r.wake != wake {
 				t.Fatalf("%v cycle %d: router %d holds %d packets, next event %d; books say active %v, wake %d",
-					c, cyc, idx, queued, wake, n.active.has(idx), r.wake)
+					c, cyc, idx, queued, wake, has(n.active, idx), r.wake)
 			}
 		}
 	}
 	for i := range e.inj {
-		if e.injSet.has(i) == e.inj[i].Empty() {
+		if has(e.injSet, i) == e.inj[i].Empty() {
 			t.Fatalf("%v cycle %d: node %d occupancy bits disagree with its ports", c, cyc, i)
 		}
 	}

@@ -56,7 +56,7 @@ func New(cfg Config) *Recorder {
 		r.tb = newTraceBuf()
 	}
 	if cfg.SampleInterval > 0 {
-		r.sampler = newSampler(cfg.SampleInterval)
+		r.sampler = &Sampler{interval: cfg.SampleInterval}
 	}
 	return r
 }

@@ -24,10 +24,6 @@ type Sampler struct {
 	rows   [][]float64
 }
 
-func newSampler(interval uint64) *Sampler {
-	return &Sampler{interval: interval}
-}
-
 // AddProbe registers a named column.
 func (s *Sampler) AddProbe(name string, p Probe) {
 	if s == nil {

@@ -2,9 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // event phases, a subset of the Chrome trace-event format.
@@ -190,7 +191,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	for pid := range t.procs { //lint:allow maprange — keys are sorted below
 		pids = append(pids, pid)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	slices.Sort(pids)
 	for _, pid := range pids {
 		m := t.procs[pid]
 		sep()
@@ -202,12 +203,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	for k := range t.threads { //lint:allow maprange — keys are sorted below
 		tkeys = append(tkeys, k)
 	}
-	sort.Slice(tkeys, func(i, j int) bool {
-		if tkeys[i][0] != tkeys[j][0] {
-			return tkeys[i][0] < tkeys[j][0]
-		}
-		return tkeys[i][1] < tkeys[j][1]
-	})
+	slices.SortFunc(tkeys, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	for _, k := range tkeys {
 		sep()
 		fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`,

@@ -36,7 +36,11 @@
 // bounds that through Engine.Horizon.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Ticker is any component advanced once per simulated cycle.
 type Ticker interface {
@@ -101,11 +105,18 @@ type Engine struct {
 	now   uint64
 	slots []slot
 	// wake[i] is the cycle slot i is next asked at: its last answer, the
-	// cycle after its last Tick, or an earlier one a Waker pushed — one
-	// dense word per ticker, so a sleeping machine is a scan. Step and Run
+	// cycle after its last Tick, or an earlier one a Waker pushed — the
+	// one source of truth the calendar below only indexes. Step and Run
 	// forget it on entry: code between calls may touch anything (Table
 	// 1's probes drive the caches between Steps).
 	wake []uint64
+	// due and wheel index wake (sized by Register): due holds the slots to
+	// look at this cycle, bucket t%64 of wheel (word k at wheel[k<<6|t%64])
+	// the slots filed for cycle t or 64k later. Every wake given files its
+	// slot and the clock never leaps past a wake, so each executed cycle's
+	// bucket holds every slot due then.
+	due   Bitset
+	wheel []uint64
 	// limit is the cycle the advance in progress may not reach past.
 	limit     uint64
 	periodics []periodic
@@ -137,6 +148,9 @@ func (e *Engine) Register(name string, t Ticker) Waker {
 	s, _ := t.(Sleeper)
 	e.slots = append(e.slots, slot{name: name, tick: t, sleep: s, settled: e.now})
 	e.wake = append(e.wake, 0)
+	if n := (len(e.wake) + 63) / 64; n > len(e.due) { // Step and Run mark all due
+		e.due, e.wheel = make(Bitset, n), make([]uint64, 64*n)
+	}
 	return Waker{e, len(e.wake) - 1}
 }
 
@@ -150,10 +164,53 @@ type Waker struct {
 // Wake says input handed to the ticker takes effect at cycle at: ask it
 // again by then. It only ever lowers the remembered cycle, so it is safe
 // from any slot at any point of a cycle; too early costs one question.
+// A cycle already come is filed twice: in due for a slot whose turn is
+// still to come, and for the next cycle for one whose turn has passed.
 func (w Waker) Wake(at uint64) {
-	if w.e != nil && at < w.e.wake[w.i] {
-		w.e.wake[w.i] = at
+	e := w.e
+	if e == nil || at >= e.wake[w.i] {
+		return
 	}
+	e.wake[w.i] = at
+	if at <= e.now {
+		e.due.Set(w.i)
+		at = e.now + 1
+	}
+	e.file(w.i, at)
+}
+
+// file puts slot i in the bucket of cycle at; NoWake is never due.
+func (e *Engine) file(i int, at uint64) {
+	if at != NoWake {
+		e.wheel[i>>6<<6|int(at&63)] |= 1 << (i & 63)
+	}
+}
+
+// forget drops every remembered wake: each slot is asked next cycle.
+func (e *Engine) forget() {
+	clear(e.wake)
+	for i := range e.slots {
+		e.due.Set(i)
+	}
+}
+
+// Bitset is a set of small integers, walked in ascending order by
+// for i := b.Next(0); i >= 0; i = b.Next(i + 1) on the live words, so
+// members may be set or cleared as the walk goes.
+type Bitset []uint64
+
+func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
+func (b Bitset) Set(i int)   { b[i>>6] |= 1 << (i & 63) }
+func (b Bitset) Clear(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// Next returns the smallest member at or after i, or -1.
+func (b Bitset) Next(i int) int {
+	for w := i >> 6; w < len(b); w, i = w+1, (w+1)<<6 {
+		if word := b[w] >> (i & 63); word != 0 {
+			return i + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // TickCount is one Register name's share of the schedule: ticks
@@ -268,19 +325,20 @@ func (e *Engine) Watchdog(fn func(now uint64) error) {
 // ticker in registration order except the Sleepers whose wake lies
 // ahead, then the Every hooks.
 func (e *Engine) Step() {
-	clear(e.wake)
+	e.forget()
 	e.advance(e.now + 1)
 	e.settle()
 }
 
-// advance is the one scheduling loop. It passes over every ticker
-// whose remembered wake lies ahead, asks the others, at their turn,
-// whether cycle e.now concerns them, and ticks those it does; if none
-// ran, the cycle was dead for everyone and the clock moves to the
-// earliest wake (e.wake holds every answer) instead of e.now+1 — never
-// past limit, one cycle at a time when neither a wake nor a limit bounds
-// the span. It reports whether any ticker executed. (A Wake can only come
-// from a ticker that ran, so no cycle with one is ever leaped from.)
+// advance is the one scheduling loop. It drains the bucket of cycle
+// e.now into due and walks due in registration order: a slot whose
+// remembered wake has come is asked, at its turn, whether the cycle
+// concerns it, and ticked if it does; one whose wake lies ahead is filed
+// again. If none ran, the cycle was dead for everyone and the clock
+// moves to the earliest wake instead of e.now+1 — never past limit, one
+// cycle at a time when neither bounds the span. It reports whether any
+// ticker executed. (A Wake can only come from a ticker that ran, so no
+// cycle with one is ever leaped from.)
 //
 // This is the hot-path root everything else hangs off: allocations
 // anywhere it reaches are gated by simlint's hotalloc analyzer against
@@ -290,33 +348,50 @@ func (e *Engine) Step() {
 func (e *Engine) advance(limit uint64) bool {
 	now := e.now
 	e.limit = limit
+	for k := range e.due {
+		b := k<<6 | int(now&63)
+		e.due[k] |= e.wheel[b]
+		e.wheel[b] = 0
+	}
 	ran := false
-	for i, w := range e.wake { // read at slot i's turn: an earlier slot's Wake counts
-		if w > now {
-			continue
-		}
-		s := &e.slots[i]
-		if s.sleep != nil {
-			s.asked++
-			if w := s.sleep.NextWake(now); w > now {
-				e.wake[i] = w
+	for k := range e.due { // re-read after each slot: a Wake(now) ahead counts
+		for b, word := 0, e.due[k]; word != 0; word = e.due[k] &^ (2<<b - 1) {
+			b = bits.TrailingZeros64(word)
+			i := k<<6 | b
+			if w := e.wake[i]; w > now {
+				e.file(i, w)
 				continue
 			}
-			if s.settled < now {
-				s.settle(now)
+			s := &e.slots[i]
+			if s.sleep != nil {
+				s.asked++
+				if w := s.sleep.NextWake(now); w > now {
+					e.wake[i] = w
+					e.file(i, w)
+					continue
+				}
+				if s.settled < now {
+					s.settle(now)
+				}
 			}
+			s.tick.Tick(now)
+			s.ticks++
+			s.settled = now + 1
+			e.wake[i] = now + 1
+			e.file(i, now+1)
+			ran = true
 		}
-		s.tick.Tick(now)
-		s.ticks++
-		s.settled = now + 1
-		e.wake[i] = now + 1
-		ran = true
+		e.due[k] = 0
 	}
 	target := now + 1
 	if !ran {
 		wake := limit
 		for _, w := range e.wake {
 			wake = min(wake, w)
+		}
+		if wake <= now { // a slot due and never asked: only a calendar bug does that
+			i := slices.Index(e.wake, wake)
+			panic(fmt.Sprintf("sim: cycle %d: slot %d (%s) due at %d was never asked", now, i, e.slots[i].name, wake))
 		}
 		if wake != NoWake {
 			target = wake
@@ -403,7 +478,7 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	if maxCycles != 0 {
 		limit = start + maxCycles
 	}
-	clear(e.wake)
+	e.forget()
 	defer e.settle()
 	for {
 		if done() {
