@@ -57,7 +57,6 @@ func main() {
 	obsInterval := flag.Uint64("obs-interval", 0, "sample system metrics every K cycles")
 	obsCSV := flag.String("obs-csv", "", "write interval samples as CSV (needs -obs-interval)")
 	dirPtrs := flag.Int("dirptrs", 0, "limited-pointer directory: 0 = full map, k = Dir_k_B")
-	rowBytes := flag.Int("rowbytes", 0, "DRAM open-page row size (0 = flat bank latency)")
 	ways := flag.Int("ways", 1, "cache associativity (Table 2: 1 = direct-mapped)")
 	c2c := flag.Bool("c2c", false, "MESI cache-to-cache transfers")
 	// Each program-size flag sizes one program; sizedBy records which.
@@ -129,7 +128,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Mem.RowBytes = *rowBytes
 	cfg.DisableLeap = *noleap
 	sys, hostCheck, err := exp.Build(run, cfg, size)
 	if err != nil {

@@ -67,6 +67,8 @@ func TestShardsFlagRejected(t *testing.T) {
 		// The text message log: -obs-trace carries every injection.
 		{"-trace", "10"},
 		{"-trace-rx", ""},
+		// The open-page DRAM model: every bank costs MemLatency.
+		{"-rowbytes", "1024"},
 	} {
 		out, code := runMain(t, "-bench counter -cpus 2 -incs 5 "+c.flag+" "+c.value)
 		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+c.flag) {

@@ -57,44 +57,3 @@ func TestLimitedDirStressAllProtocols(t *testing.T) {
 		})
 	}
 }
-
-func TestRowBufferTiming(t *testing.T) {
-	// With the open-page model, the second read to the same row is
-	// faster than a read to a different row.
-	r := newRigWith(t, WTI, 1, 1, func(p *Params) { p.RowBytes = 1024 })
-	start := r.now
-	r.load(0, rigBase) // row miss (cold)
-	cold := r.now - start
-	start = r.now
-	r.load(0, rigBase+64) // same row, different block: row hit
-	hit := r.now - start
-	start = r.now
-	r.load(0, rigBase+4096) // different row: row miss
-	miss := r.now - start
-	if hit >= miss {
-		t.Fatalf("row hit (%d cyc) not faster than row miss (%d cyc)", hit, miss)
-	}
-	if cold <= hit {
-		t.Fatalf("cold access (%d) should be a row miss, hit was %d", cold, hit)
-	}
-	st := r.Banks[0].Stats()
-	if st.RowHits != 1 || st.RowMisses != 2 {
-		t.Fatalf("row stats: hits=%d misses=%d", st.RowHits, st.RowMisses)
-	}
-}
-
-func TestRowBytesValidation(t *testing.T) {
-	p := DefaultParams(4)
-	p.RowBytes = 48 // not a power of two
-	if err := p.Validate(); err == nil {
-		t.Fatal("bad RowBytes accepted")
-	}
-	p.RowBytes = 16 // below block size
-	if err := p.Validate(); err == nil {
-		t.Fatal("RowBytes below block size accepted")
-	}
-	p.RowBytes = 2048
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

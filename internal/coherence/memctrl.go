@@ -23,8 +23,6 @@ type MemStats struct {
 	UpdatesSent   uint64
 	FetchesSent   uint64
 	Deferred      uint64
-	RowHits       uint64
-	RowMisses     uint64
 }
 
 // dirEntry is one block's full-map directory state (Censier–Feautrier:
@@ -106,10 +104,6 @@ type MemCtrl struct {
 	busyTx     int
 	queuedReqs int
 
-	// Open-page row buffer state (Params.RowBytes > 0).
-	rowOpen bool
-	openRow uint32
-
 	// replay is the scratch slot deferred requests are popped into when
 	// a transaction closes: a persistent field, not a loop local, so the
 	// replayed message never escapes to the heap per replay.
@@ -153,24 +147,6 @@ func (mc *MemCtrl) entry(blk uint32) *dirEntry {
 	return e
 }
 
-// accessLatency returns the storage latency for an access to addr and
-// updates the row-buffer state: the paper's flat MemLatency, or the
-// open-page model when RowBytes is configured.
-func (mc *MemCtrl) accessLatency(addr uint32) uint64 {
-	if mc.p.RowBytes == 0 {
-		return uint64(mc.p.MemLatency)
-	}
-	row := addr / uint32(mc.p.RowBytes)
-	if mc.rowOpen && row == mc.openRow {
-		mc.st.RowHits++
-		return uint64(mc.p.MemLatency)
-	}
-	mc.rowOpen = true
-	mc.openRow = row
-	mc.st.RowMisses++
-	return 3 * uint64(mc.p.MemLatency)
-}
-
 // readBlockInto fills m's (reused) data buffer with the block at blk.
 func (mc *MemCtrl) readBlockInto(m *Msg, blk uint32) {
 	m.ensureData(mc.p.BlockBytes)
@@ -209,7 +185,7 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 		mc.st.IFetches++
 		rsp := mc.newCtrl(RspIData, m.Addr)
 		mc.readBlockInto(rsp, m.Addr)
-		mc.node.SendCtrl(rsp, m.Src, now+mc.accessLatency(m.Addr))
+		mc.node.SendCtrl(rsp, m.Src, now+uint64(mc.p.MemLatency))
 		return
 	case ReqWriteBack:
 		// Never deferred: writebacks unblock pending transactions.
@@ -279,7 +255,7 @@ func (mc *MemCtrl) respondData(blk uint32, dst int, excl bool, now uint64) {
 	rsp := mc.newCtrl(RspData, blk)
 	rsp.Excl = excl
 	mc.readBlockInto(rsp, blk)
-	mc.node.SendCtrl(rsp, dst, now+mc.accessLatency(blk))
+	mc.node.SendCtrl(rsp, dst, now+uint64(mc.p.MemLatency))
 }
 
 // noteSharer records a new sharer and, under a limited-pointer
@@ -419,7 +395,6 @@ func (mc *MemCtrl) handleUpgrade(e *dirEntry, m *Msg, now uint64) {
 
 func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
 	mc.st.WriteThroughs++
-	mc.accessLatency(m.Addr) // writes move the open row; acks stay posted
 	if !mc.Fault.faultSkipWTApply() {
 		mc.space.WriteMasked(m.Addr, m.Word, m.ByteEn)
 	}
@@ -467,7 +442,6 @@ func (mc *MemCtrl) sendUpdates(mask uint64, addr, word uint32, byteEn uint8, now
 
 func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 	mc.st.Swaps++
-	swapLat := mc.accessLatency(m.Addr)
 	old := mc.space.ReadWord(m.Addr)
 	mc.space.WriteWord(m.Addr, m.Word)
 	blk := mc.p.BlockAddr(m.Addr)
@@ -481,7 +455,7 @@ func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 	if others == 0 {
 		rsp := mc.newCtrl(RspSwap, m.Addr)
 		rsp.Word = old
-		mc.node.SendCtrl(rsp, m.Src, now+swapLat)
+		mc.node.SendCtrl(rsp, m.Src, now+uint64(mc.p.MemLatency))
 		return
 	}
 	e.open(ReqSwap, m)
@@ -678,5 +652,5 @@ func (mc *MemCtrl) Fingerprint(b *strings.Builder, now uint64) {
 			e.deferred[i].Fingerprint(b)
 		}
 	}
-	fmt.Fprintf(b, "B%d;R%t:%x;", max(mc.busyUntil, now)-now, mc.rowOpen, mc.openRow)
+	fmt.Fprintf(b, "B%d;", max(mc.busyUntil, now)-now)
 }

@@ -114,11 +114,6 @@ type Params struct {
 	// textbook sequential consistency (ablation B); the paper's
 	// configuration is the non-blocking write buffer (false).
 	StrictSC bool
-	// RowBytes enables an open-page DRAM row-buffer model at the
-	// banks: accesses within the currently open row pay MemLatency,
-	// a row change pays 3×MemLatency (precharge + activate + access).
-	// 0 (default) keeps the paper's flat bank latency.
-	RowBytes int
 	// DirPointers selects the directory organization: 0 (default) is
 	// the paper's Censier–Feautrier full map (one presence bit per
 	// cache — the "area overhead [that] does not scale well" the paper
@@ -172,8 +167,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("coherence: bank timing must be non-negative (latency) and positive (service)")
 	case p.DirPointers < 0 || p.DirPointers > p.NumCPUs:
 		return fmt.Errorf("coherence: DirPointers %d outside 0..NumCPUs", p.DirPointers)
-	case p.RowBytes != 0 && (p.RowBytes < p.BlockBytes || p.RowBytes&(p.RowBytes-1) != 0):
-		return fmt.Errorf("coherence: RowBytes must be 0 or a power of two >= the block size")
 	}
 	return nil
 }

@@ -30,7 +30,8 @@ const allocBudgetPerCycle = 0.01
 // spin-heavy one at n8: warm each system past its pool and queue
 // growth, then count heap allocations over a measured span of cycles.
 // The scheduled rows cover run-ahead and spin sleeps; the naive rows
-// price every cycle the same. Fails go test when the committed budget
+// price every cycle the same; four hot-spot stream machines cover the
+// stream CPU and its generator. Fails go test when the committed budget
 // is exceeded.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	type point struct {
@@ -67,6 +68,25 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 					measureAllocs(t, sys)
 				})
 			}
+		}
+	}
+	// Stream machines: simlint's hotalloc cannot follow the stream CPU's
+	// call into its generator, a function value, so only these rows see
+	// an allocation there.
+	l := mem.DefaultLayout(4)
+	for _, proto := range []coherence.Protocol{coherence.WTI, coherence.MOESI} {
+		for _, naive := range []bool{false, true} {
+			t.Run(fmt.Sprintf("hotspot/%v/n4/noleap=%v", proto, naive), func(t *testing.T) {
+				cfg := DefaultConfig(proto, mem.Arch2, 4)
+				cfg.DisableLeap = naive
+				sys, err := BuildStreams(cfg, func(cpu int) func() Ref {
+					return hotSpotRefs(l.PrivateSeg(cpu), 8192, l.SharedBase, 32, 0.05, 0.3, int64(cpu)+1)
+				}, 1<<20, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				measureAllocs(t, sys)
+			})
 		}
 	}
 }

@@ -138,8 +138,5 @@ func (c Config) Describe() string {
 	if cfg.Mem.DirPointers != 0 {
 		s += fmt.Sprintf(" dir=%d", cfg.Mem.DirPointers)
 	}
-	if cfg.Mem.RowBytes != 0 {
-		s += fmt.Sprintf(" rowbytes=%d", cfg.Mem.RowBytes)
-	}
 	return s
 }

@@ -58,8 +58,7 @@ func TestDescribeMentionsEverything(t *testing.T) {
 	cfg.Mem.StrictSC = true
 	cfg.Mem.CacheToCache = true
 	cfg.Mem.DirPointers = 2
-	cfg.Mem.RowBytes = 1024
-	want := strings.Replace(s, "assoc=direct", "assoc=2-way", 1) + " strictsc c2c dir=2 rowbytes=1024"
+	want := strings.Replace(s, "assoc=direct", "assoc=2-way", 1) + " strictsc c2c dir=2"
 	if got := cfg.Describe(); got != want {
 		t.Errorf("Describe() = %q, want %q", got, want)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // System is one fully wired platform ready to run a loaded image.
@@ -67,16 +66,17 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 }
 
 // BuildStreams wires the same platform with no program: CPU i replays
-// ops references of gen(i), think cycles apart, straight into its data
-// cache. With ops == 0 the CPUs are idle from the first cycle (gen may
-// be nil) and the caches can be driven by hand, as Table 1's probes do.
-func BuildStreams(cfg Config, gen func(cpu int) trace.Generator, ops, think uint64) (*System, error) {
+// ops references drawn from gen(i), think cycles apart, straight into
+// its data cache. With ops == 0 the CPUs are idle from the first cycle
+// (gen may be nil) and the caches can be driven by hand, as Table 1's
+// probes do.
+func BuildStreams(cfg Config, gen func(cpu int) func() Ref, ops, think uint64) (*System, error) {
 	return build(cfg, func(s *System, i int) frontEnd {
-		var g trace.Generator
+		c := &streamCPU{dc: s.DCaches[i], left: ops, think: think}
 		if gen != nil {
-			g = gen(i)
+			c.next = gen(i)
 		}
-		return trace.NewCPU(i, s.DCaches[i], g, ops, think)
+		return c
 	})
 }
 
@@ -180,6 +180,81 @@ type frontEnd interface {
 	Halted() bool
 	Stats() *cpu.Stats
 }
+
+// Ref is one memory reference of a stream CPU.
+type Ref struct {
+	Store bool
+	Addr  uint32
+	Data  uint32
+}
+
+// streamCPU replays a reference stream against a data cache with a
+// fixed think time between completed references. It fills the same
+// slot as the SR32 interpreter and counts in the interpreter's
+// cpu.Stats: a completed reference is one instruction and one load or
+// store, a cycle spent waiting on the cache one data stall.
+type streamCPU struct {
+	dc    coherence.DataCache
+	next  func() Ref
+	think uint64
+	left  uint64
+
+	pending bool
+	ref     Ref
+	nextAt  uint64
+	done    bool
+	st      cpu.Stats
+}
+
+// Halted reports whether the stream is exhausted: the stream CPU's
+// counterpart of the interpreter's HALT.
+func (c *streamCPU) Halted() bool { return c.done }
+
+func (c *streamCPU) Stats() *cpu.Stats { return &c.st }
+
+func (c *streamCPU) Tick(now uint64) {
+	if c.done || now < c.nextAt {
+		return
+	}
+	if !c.pending {
+		if c.left == 0 {
+			c.done = true
+			return
+		}
+		c.left--
+		c.ref = c.next()
+		c.pending = true
+	}
+	if c.ref.Store {
+		if !c.dc.Store(now, c.ref.Addr, c.ref.Data, 0xf) {
+			c.st.DataStallCycles++
+			return
+		}
+		c.st.Stores++
+	} else {
+		if _, ok := c.dc.Load(now, c.ref.Addr, 0xf); !ok {
+			c.st.DataStallCycles++
+			return
+		}
+		c.st.Loads++
+	}
+	c.st.Instructions++
+	c.pending = false
+	c.nextAt = now + 1 + c.think
+}
+
+// NextWake sleeps through think time and once the stream is exhausted;
+// a reference in progress polls the cache every cycle.
+func (c *streamCPU) NextWake(now uint64) uint64 {
+	if c.done {
+		return sim.NoWake
+	}
+	return max(c.nextAt, now)
+}
+
+// Skip counts nothing: the CPU only sleeps through think time and past
+// the end of its stream.
+func (c *streamCPU) Skip(from, to uint64) {}
 
 // cluster is one CPU with its caches and its NoC port, scheduled as a
 // unit. A cluster only changes state in its own Tick — everything that

@@ -8,7 +8,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/coherence"
 	"repro/internal/mem"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -134,9 +133,8 @@ func TestStreamMachineRuntimeChecks(t *testing.T) {
 	build := func(proto coherence.Protocol) *System {
 		cfg := DefaultConfig(proto, mem.Arch2, n)
 		cfg.MaxCycles = 100_000
-		sys, err := BuildStreams(cfg, func(cpu int) trace.Generator {
-			return trace.NewUniform(trace.UniformParams{
-				Base: l.SharedBase, Size: 1024, StoreFrac: 0.4, Seed: int64(cpu) + 1})
+		sys, err := BuildStreams(cfg, func(cpu int) func() Ref {
+			return uniformRefs(l.SharedBase, 1024, 0.4, int64(cpu)+1)
 		}, 200, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -41,7 +41,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -212,7 +211,7 @@ func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 func Build(r Run, cfg core.Config, sc Scale) (sys *core.System, check func(*mem.Space) error, err error) {
 	if sb, ok := findStream(r.Bench); ok {
 		l := mem.DefaultLayout(r.NumCPUs)
-		sys, err = core.BuildStreams(cfg, func(cpu int) trace.Generator { return sb.gen(l, cpu) }, sb.ops, streamThink)
+		sys, err = core.BuildStreams(cfg, func(cpu int) func() core.Ref { return sb.gen(l, cpu) }, sb.ops, streamThink)
 		return sys, nil, err
 	}
 	spec, err := BuildSpec(r, sc)

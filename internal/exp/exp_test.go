@@ -354,9 +354,9 @@ func TestStreamBenchesStayMapped(t *testing.T) {
 		amap := mem.Arch2.BuildMap(l)
 		for _, sb := range streamBenches {
 			for cpu := 0; cpu < n; cpu++ {
-				g := sb.gen(l, cpu)
+				next := sb.gen(l, cpu)
 				for i := uint64(0); i < sb.ops; i++ {
-					if op := g.Next(); op.Addr%4 != 0 || amap.Lookup(op.Addr) == nil {
+					if op := next(); op.Addr%4 != 0 || amap.Lookup(op.Addr) == nil {
 						t.Fatalf("%s at n%d: CPU %d's reference %d is to %#x, outside the map", sb.bench, n, cpu, i, op.Addr)
 					}
 				}

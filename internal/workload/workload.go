@@ -1,9 +1,8 @@
-// Package workload builds the simulated programs: the Ocean-class and
-// Water-class kernels standing in for the paper's SPLASH-2 benchmarks,
-// a lock-counter microbenchmark used for correctness, and the directed
-// probes behind the paper's Table 1. Each builder returns a loadable
-// image plus enough host-side information to verify the run's results
-// against a Go reference model.
+// Package workload builds the simulated programs: the Ocean-, Water-
+// and LU-class kernels standing in for the paper's SPLASH-2 benchmarks
+// and a lock-counter microbenchmark used for correctness. Each builder
+// returns a loadable image plus enough host-side information to verify
+// the run's results against a Go reference model.
 package workload
 
 import (
@@ -31,9 +30,9 @@ func checkWord(s *mem.Space, addr uint32, want uint32, what string) error {
 	return nil
 }
 
-// threadsForCPUs returns home CPU t%n for thread t — one thread per
-// CPU in every experiment, matching the paper's per-processor-constant
-// workload.
+// addThreads adds n threads at label, thread t homed on CPU t mod the
+// CPU count — one thread per CPU in every experiment, matching the
+// paper's per-processor-constant workload.
 func addThreads(rt *codegen.Runtime, label string, n int) {
 	for t := 0; t < n; t++ {
 		rt.AddThread(label, uint32(t), t%rt.Layout.NumCPUs)
