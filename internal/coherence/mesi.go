@@ -167,7 +167,6 @@ func (c *MESICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 	if set, hit := c.arr.lookup(addr); hit {
 		c.st.Loads++
 		c.st.LoadHits++
-		c.Obs.Lat(obs.LatReadHit, 0)
 		return c.arr.readWord(set, waddr), true
 	}
 	blk := c.p.BlockAddr(addr)
@@ -218,11 +217,9 @@ func (c *MESICache) write(now uint64, addr, word uint32, byteEn uint8, isSwap bo
 	if !hit && c.arr.state[c.arr.victim(blk)].Dirty() && c.evict.active {
 		return 0, false // stall until the eviction buffer frees
 	}
-	lat := obs.LatWriteHit
 	switch {
 	case isSwap:
 		c.st.Swaps++
-		lat = obs.LatSwap
 	case hit:
 		c.st.Stores++
 		c.st.StoreHits++
@@ -238,7 +235,6 @@ func (c *MESICache) write(now uint64, addr, word uint32, byteEn uint8, isSwap bo
 			old := c.arr.readWord(set, waddr)
 			c.arr.writeWord(set, waddr, word, byteEn)
 			c.arr.state[set] = Modified
-			c.Obs.Lat(lat, 0)
 			return old, true
 		case Shared, Owned:
 			c.st.Upgrades++

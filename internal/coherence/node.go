@@ -33,7 +33,7 @@ type outMsg struct {
 // why the protocols need this. Control-class messages (responses,
 // acknowledgements) may always be enqueued — they are what unblocks the
 // rest of the system — while request-class messages are admitted only
-// below ReqBound, which is how NoC backpressure reaches the write
+// below reqBound, which is how NoC backpressure reaches the write
 // buffer and the miss handlers.
 type Node struct {
 	ID   int
@@ -49,9 +49,6 @@ type Node struct {
 	// values below the current cycle are inert.
 	recvVeto uint64
 
-	// ReqBound is the admission bound for request-class messages.
-	ReqBound int
-
 	// Retry bounds the retransmission loop run when the network loses a
 	// transfer (drops only happen under fault injection; on a reliable
 	// network the retry state machine never leaves its idle state).
@@ -66,7 +63,7 @@ type Node struct {
 	nextTry    uint64
 	retryStart uint64
 	// retryErr latches the liveness failure when attempts exceeds the
-	// budget; the engine watchdog polls it via RetryErr.
+	// budget; the machine polls it via RetryErr.
 	retryErr error
 
 	// Trace, when non-nil, is the node's one message hook: every message
@@ -87,14 +84,17 @@ type Node struct {
 // does), the node arms its retransmission state machine with
 // DefaultRetryPolicy.
 func NewNode(id int, net noc.Network, sink Sink) *Node {
-	n := &Node{ID: id, net: net, sink: sink, pool: new(msgPool), ReqBound: 4, Retry: DefaultRetryPolicy}
+	n := &Node{ID: id, net: net, sink: sink, pool: new(msgPool), Retry: DefaultRetryPolicy}
 	n.drops, _ = net.(noc.DropNotifier)
 	return n
 }
 
 // RetryErr reports the latched liveness failure (nil while the port is
-// within budget); the engine watchdog polls it each cycle.
+// within budget); a machine under a fault plan ends its run on it.
 func (n *Node) RetryErr() error { return n.retryErr }
+
+// AtBudget reports whether the port's next loss spends its budget (or one did).
+func (n *Node) AtBudget() bool { return n.attempts >= n.Retry.Budget }
 
 // NewMsg returns a zeroed message owned by the caller, drawn from the
 // hierarchy's free list. The caller fills it and hands ownership to the
@@ -124,7 +124,10 @@ func (n *Node) TrySendReq(m *Msg, dst int, notBefore uint64) bool {
 // CanSendReq reports whether a request-class message would be admitted
 // this cycle, without constructing one, so retry loops can ask first and
 // skip allocating a message that would only be discarded. Pure.
-func (n *Node) CanSendReq() bool { return n.outQ.Len() < n.ReqBound }
+func (n *Node) CanSendReq() bool { return n.outQ.Len() < reqBound }
+
+// reqBound is the admission bound for request-class messages.
+const reqBound = 4
 
 // Tick delivers arrived messages to the sink and drains the outbound
 // queue into the network. It runs for every awake node every cycle:
@@ -225,9 +228,9 @@ func (n *Node) Skip(from, to uint64) {
 // transferLost runs the retry FSM on a loss notification: schedule the
 // re-offer of the (still queued) head with exponential backoff, and
 // latch the liveness failure once the budget is spent. The port keeps
-// retransmitting even past the budget — the watchdog, not the port,
-// decides to stop the run, and a latched diagnostic must not deadlock
-// a run that has no watchdog attached.
+// retransmitting even past the budget — the machine that polls
+// RetryErr, not the port, decides to stop the run, and a latched
+// diagnostic must not deadlock a run that polls nothing.
 func (n *Node) transferLost(head outMsg, now uint64) {
 	if n.attempts == 0 {
 		n.retryStart = now

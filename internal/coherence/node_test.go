@@ -52,22 +52,23 @@ func TestNodeRequestAdmissionBound(t *testing.T) {
 	n0 := NewNode(0, net, &recordSink{accept: true})
 	dst := &recordSink{accept: true}
 	n1 := NewNode(1, net, dst)
-	n0.ReqBound = 2
-	if !n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0) || !n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0) {
-		t.Fatal("requests below bound refused")
+	for i := 0; i < reqBound; i++ {
+		if !n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0) {
+			t.Fatalf("request %d below bound refused", i)
+		}
 	}
 	if n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0) {
 		t.Fatal("request above bound admitted")
 	}
 	// Control messages are always admitted (they unblock the system).
-	// The refused request was never queued: exactly three arrive.
+	// The refused request was never queued: exactly reqBound+1 arrive.
 	n0.SendCtrl(&Msg{Kind: RspInvAck}, 1, 0)
 	for cyc := uint64(0); cyc < 100; cyc++ {
 		n0.Tick(cyc)
 		n1.Tick(cyc)
 		net.Tick(cyc)
 	}
-	if !n0.Idle() || len(dst.msgs) != 3 || dst.msgs[2].Kind != RspInvAck {
+	if !n0.Idle() || len(dst.msgs) != reqBound+1 || dst.msgs[reqBound].Kind != RspInvAck {
 		t.Fatalf("idle=%t, delivered %d messages: %v", n0.Idle(), len(dst.msgs), dst.msgs)
 	}
 }
@@ -75,12 +76,12 @@ func TestNodeRequestAdmissionBound(t *testing.T) {
 func TestNodeCanSendReqMatchesTrySendReq(t *testing.T) {
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 2, FIFODepth: 1, SrcDepth: 1})
 	n0 := NewNode(0, net, &recordSink{accept: true})
-	n0.ReqBound = 2
-	if !n0.CanSendReq() {
-		t.Fatal("CanSendReq false on an empty queue")
+	for i := 0; i < reqBound; i++ {
+		if !n0.CanSendReq() {
+			t.Fatalf("CanSendReq false below the bound, %d queued", i)
+		}
+		n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0)
 	}
-	n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0)
-	n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0)
 	// At the bound: the pre-check must refuse, as TrySendReq does.
 	if n0.CanSendReq() {
 		t.Fatal("CanSendReq true at the admission bound")

@@ -118,7 +118,6 @@ func (c *WTICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 		if w, ok, conflict := c.wb.Forward(waddr, byteEn); ok {
 			c.st.Loads++
 			c.st.WBForwards++
-			c.Obs.Lat(obs.LatReadHit, 0)
 			return w, true
 		} else if conflict {
 			return 0, false // partial overlap: wait for the drain
@@ -127,14 +126,12 @@ func (c *WTICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 	if set, hit := c.arr.lookup(addr); hit {
 		c.st.Loads++
 		c.st.LoadHits++
-		c.Obs.Lat(obs.LatReadHit, 0)
 		return c.arr.readWord(set, waddr), true
 	}
 	// Forward from the write buffer when it fully covers the access.
 	if w, ok, conflict := c.wb.Forward(waddr, byteEn); ok {
 		c.st.Loads++
 		c.st.WBForwards++
-		c.Obs.Lat(obs.LatReadHit, 0)
 		return w, true
 	} else if conflict {
 		return 0, false // partial overlap: wait for the drain
@@ -186,7 +183,6 @@ func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) boo
 		return false
 	}
 	c.recordStore(addr, waddr, word, byteEn)
-	c.Obs.Lat(obs.LatWriteHit, 0)
 	return true
 }
 

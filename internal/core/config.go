@@ -57,10 +57,10 @@ type Config struct {
 
 	// Fault, when non-empty, threads the deterministic fault-injection
 	// layer (internal/fault) between the protocol controllers and the
-	// interconnect, and arms the ports' retransmission machinery plus
-	// the engine liveness watchdog. nil (or an empty plan) leaves the
-	// network completely unwrapped — the zero-fault path is the same
-	// code that ran before the fault layer existed.
+	// interconnect, and arms the ports' retransmission machinery, whose
+	// spent budget ends the run (System.Run). nil (or an empty plan)
+	// leaves the network completely unwrapped — the zero-fault path is
+	// the same code that ran before the fault layer existed.
 	Fault *fault.Plan
 
 	// MaxCycles bounds the simulation (0 = the defensive default).

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -160,5 +162,40 @@ func TestClustersSleepIndependently(t *testing.T) {
 	if whole := sched.Engine.LeapedCycles() * n; cpus.Name != "cpus" || cpus.Skipped <= whole {
 		t.Errorf("%s: %d ticks skipped, %d of them in whole-machine leaps — no cluster ever slept on its own",
 			cpus.Name, cpus.Skipped, whole)
+	}
+}
+
+// TestLivenessAbortEndsRun pins a port's exhausted retransmission budget
+// through System.Run: a plan that drops every message node 0 sends ends
+// the run at the cycle after the budget ran out, with the replayable
+// plan and the stuck pcs in the error, on both schedules alike.
+func TestLivenessAbortEndsRun(t *testing.T) {
+	const spec = "drop=1@0>*,seed=1"
+	run := func(disableLeap bool) string {
+		cfg := DefaultConfig(coherence.WTI, mem.Arch1, 4)
+		cfg.DisableLeap = disableLeap
+		plan, err := fault.ParsePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Fault = plan
+		sys := buildCounterSys(t, cfg)
+		_, err = sys.Run()
+		var le *coherence.LivenessError
+		if !errors.Is(err, coherence.ErrLivenessBudget) || !errors.As(err, &le) {
+			t.Fatalf("leap=%t: Run = %v; want the liveness budget error", !disableLeap, err)
+		}
+		for _, s := range []string{`(replay: -fault "` + spec + `")`, "(pcs: "} {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("leap=%t: %q lacks %q", !disableLeap, err, s)
+			}
+		}
+		if now := sys.Engine.Now(); now != le.Cycle+1 {
+			t.Errorf("leap=%t: run ended at cycle %d; the budget ran out at %d", !disableLeap, now, le.Cycle)
+		}
+		return err.Error()
+	}
+	if scheduled, naive := run(false), run(true); scheduled != naive {
+		t.Fatalf("schedules disagree:\nscheduled: %s\nnaive:     %s", scheduled, naive)
 	}
 }

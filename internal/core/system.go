@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/coherence"
 	"repro/internal/cpu"
@@ -42,10 +45,10 @@ type System struct {
 	// non-empty; nil on the zero-fault path.
 	FNet *fault.Net
 
-	// runtimeCheckErr records the first runtime-invariant violation
-	// when EnableRuntimeChecks is active; Run surfaces it.
-	runtimeCheckErr   error
-	runtimeCheckCycle uint64
+	// fail is the machine's first failure: a port's spent
+	// retransmission budget (polled by failed) or a runtime invariant
+	// violation (latched by EnableRuntimeChecks). Run ends on it.
+	fail error
 }
 
 // Build wires a platform for cfg whose CPUs interpret the image. Every
@@ -133,7 +136,7 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	// node-id order) and its own.
 	wakers := make([]sim.Waker, 0, len(sys.Ports))
 	for i, f := range sys.fronts {
-		cl := &cluster{cpu: f, dc: sys.DCaches[i], ic: sys.ICaches[i], node: sys.Nodes[i], eng: sys.Engine, net: net}
+		cl := &cluster{cpu: f, dc: sys.DCaches[i], ic: sys.ICaches[i], node: sys.Nodes[i], sys: sys, net: net}
 		// Only an interpreter on the scheduled engine looks ahead: the
 		// reference schedule ticks every cycle, so its lookahead is 0.
 		if cl.core, _ = f.(*cpu.CPU); cl.core != nil && !cfg.DisableLeap {
@@ -145,19 +148,6 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 		wakers = append(wakers, sys.register("banks", nd))
 	}
 	net.Attach(sys.register("noc", net), wakers)
-	// Liveness watchdog: under a fault plan, a port that burns through
-	// its retransmission budget aborts the run right away with a
-	// replayable diagnostic instead of limping to the cycle deadline.
-	if fnet != nil {
-		sys.Engine.Watchdog(func(now uint64) error {
-			for _, nd := range sys.Ports {
-				if err := nd.RetryErr(); err != nil {
-					return fmt.Errorf("%w (replay: -fault %q)", err, cfg.Fault.String())
-				}
-			}
-			return nil
-		})
-	}
 	return sys, nil
 }
 
@@ -275,7 +265,7 @@ type cluster struct {
 	node *coherence.Node
 
 	core      *cpu.CPU // cpu, when it is an interpreter
-	eng       *sim.Engine
+	sys       *System
 	net       noc.Network
 	lookahead uint64
 	ahead     uint64 // the core's: first cycle it has not executed
@@ -288,8 +278,12 @@ func (c *cluster) Tick(now uint64) {
 	c.node.Tick(now)
 	// An active core only: a stalled or halted one has nothing to run.
 	if h := now + c.lookahead; h > now+1 && c.core.NextWake(now+1) == now+1 {
-		h = min(h, c.eng.Horizon(), c.dc.NextWake(now+1), c.ic.NextWake(now+1), c.node.NextWake(now+1))
-		c.ahead = c.core.RunAhead(now+1, h)
+		h = min(h, c.sys.Engine.Horizon(), c.dc.NextWake(now+1), c.ic.NextWake(now+1), c.node.NextWake(now+1))
+		// Not while a port is one loss from its budget: spending it ends the run with
+		// -noleap's pcs. A port that gets there later waits Backoff(Budget) (1024 cycles).
+		if !c.sys.nearBudget() {
+			c.ahead = c.core.RunAhead(now+1, h)
+		}
 	}
 }
 
@@ -339,30 +333,46 @@ func (s *System) Quiescent() bool { return s.AllHalted() && !s.Pending(nil) }
 
 // Run executes until every CPU halts (the measured execution time, as
 // in the paper's Figure 4), then drains in-flight traffic so the final
-// memory state is stable for checking. It returns the results.
+// memory state is stable for checking. It returns the results. Either
+// phase also ends on the machine's first failure, which Run returns.
 func (s *System) Run() (*Result, error) {
-	cycles, err := s.Engine.Run(s.Cfg.MaxCycles, s.AllHalted)
-	if err != nil {
-		err = fmt.Errorf("core: %w (pcs: %v)", err, s.pcs())
-	} else if _, drainErr := s.Engine.Run(1_000_000, s.Quiescent); drainErr != nil {
-		// Drain phase: not part of the measured execution time.
-		err = fmt.Errorf("core: drain did not quiesce: %w", drainErr)
+	cycles, err := s.Engine.Run(s.Cfg.MaxCycles, func() bool { return s.failed() || s.AllHalted() })
+	if err = cmp.Or(s.fail, err); err != nil {
+		return nil, fmt.Errorf("core: %w (pcs: %v)", err, s.pcs())
 	}
-	if s.runtimeCheckErr != nil {
-		// An invariant violation explains a lot more than the hang it
-		// may have caused; report it even if the run timed out.
-		return nil, fmt.Errorf("core: runtime invariant violated at cycle %d: %w",
-			s.runtimeCheckCycle, s.runtimeCheckErr)
-	}
-	if err != nil {
-		return nil, err
+	// Drain phase: not part of the measured execution time.
+	_, err = s.Engine.Run(1_000_000, func() bool { return s.failed() || s.Quiescent() })
+	if s.fail != nil && !errors.Is(s.fail, coherence.ErrLivenessBudget) {
+		return nil, fmt.Errorf("core: %w", s.fail) // a violation, not a hang
+	} else if err = cmp.Or(s.fail, err); err != nil {
+		return nil, fmt.Errorf("core: drain did not quiesce: %w", err)
 	}
 	return s.collect(cycles), nil
 }
 
+// failed reports whether the machine has failed, latching a port's spent
+// retransmission budget (fault plans only) as a replayable diagnostic.
+func (s *System) failed() bool {
+	if s.fail == nil && s.FNet != nil {
+		for _, nd := range s.Ports {
+			if err := nd.RetryErr(); err != nil {
+				s.fail = fmt.Errorf("%w (replay: -fault %q)", err, s.Cfg.Fault.String())
+				break
+			}
+		}
+	}
+	return s.fail != nil
+}
+
+// nearBudget reports whether a drop plan has a port one loss from its budget (or past it).
+func (s *System) nearBudget() bool {
+	return s.FNet != nil && len(s.Cfg.Fault.Drop) > 0 && slices.ContainsFunc(s.Ports, (*coherence.Node).AtBudget)
+}
+
 // EnableRuntimeChecks arranges for CheckRuntime to run every `every`
 // cycles for the rest of the run (mcsim -check). The first violation is
-// recorded and turned into an error by Run — at ~1µs per check on small
+// the machine's failure: Run ends at the check's cycle (or at the end of
+// a leap that crossed it) and returns it — at ~1µs per check on small
 // systems, every=1 is usable in tests; sparser intervals bound the
 // overhead on long experiments while still catching invariant drift
 // close to where it happens.
@@ -371,10 +381,9 @@ func (s *System) EnableRuntimeChecks(every uint64) {
 		return
 	}
 	s.Engine.Every(every, func(now uint64) {
-		if s.runtimeCheckErr == nil {
+		if s.fail == nil {
 			if err := s.CheckRuntime(); err != nil {
-				s.runtimeCheckErr = err
-				s.runtimeCheckCycle = now
+				s.fail = fmt.Errorf("runtime invariant violated at cycle %d: %w", now, err)
 			}
 		}
 	})

@@ -164,7 +164,16 @@ func TestStreamMachineRuntimeChecks(t *testing.T) {
 	for _, b := range sys.Banks {
 		b.Fault.DropInvals = 1
 	}
-	if _, err := sys.Run(); err == nil || !strings.Contains(err.Error(), "runtime invariant violated") {
+	_, err := sys.Run()
+	if err == nil || !strings.Contains(err.Error(), "runtime invariant violated") {
 		t.Fatalf("a dropped invalidation: Run returned %v, want the invariant violation", err)
+	}
+	// The violation ends the run at the cycle of the check that found it.
+	var at uint64
+	if n, serr := fmt.Sscanf(err.Error(), "core: runtime invariant violated at cycle %d:", &at); n != 1 {
+		t.Fatalf("%q names no cycle: %v", err, serr)
+	}
+	if sys.Engine.Now() != at {
+		t.Fatalf("run ended at cycle %d; want the cycle %v names", sys.Engine.Now(), err)
 	}
 }

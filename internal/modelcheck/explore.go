@@ -89,7 +89,7 @@ func Explore(sc Scope) (Result, error) {
 		if n.depth > res.MaxDepth {
 			res.MaxDepth = n.depth
 		}
-		if n.depth >= sc.MaxDepth {
+		if n.depth >= maxDepth {
 			continue
 		}
 		prefix := n.path()

@@ -62,19 +62,21 @@ type Scope struct {
 	// MaxStates aborts exploration after this many distinct states
 	// (0 = unbounded). An aborted run reports Complete=false.
 	MaxStates int
-	// MaxDepth guards against runaway paths (0 = default 10000).
-	MaxDepth int
 	// Fault seeds a protocol mutation into every bank, for verifying
 	// that the checkers catch it (see coherence.FaultPlan).
 	Fault coherence.FaultPlan
-	// Network smallness knobs: crossing delay and queue depths.
-	Delay, SrcDepth, FIFODepth int
-	// WBWords bounds the WTI write buffer.
-	WBWords int
 }
 
-// scopeBase is where the scoped words live (an arbitrary mapped base).
-const scopeBase = 0x10000
+const (
+	// scopeBase is where the scoped words live (an arbitrary mapped base).
+	scopeBase = 0x10000
+	// maxDepth guards against runaway paths.
+	maxDepth = 10000
+	// The network's smallness: crossing delay and queue depths.
+	netDelay, srcDepth, fifoDepth = 2, 2, 4
+	// wbWords bounds the WTI write buffer.
+	wbWords = 2
+)
 
 // ScopeAddrs returns n scoped word addresses, one per consecutive
 // block, so each extra address adds a real block-level interleaving
@@ -99,10 +101,6 @@ func DefaultScope(proto coherence.Protocol) Scope {
 		Vals:      []uint32{1, 2},
 		WithSwap:  true,
 		OpsPerCPU: 2,
-		Delay:     2,
-		SrcDepth:  2,
-		FIFODepth: 4,
-		WBWords:   2,
 	}
 }
 
@@ -130,21 +128,6 @@ func (sc *Scope) normalize() error {
 	}
 	if sc.OpsPerCPU < 1 {
 		sc.OpsPerCPU = 2
-	}
-	if sc.MaxDepth <= 0 {
-		sc.MaxDepth = 10000
-	}
-	if sc.Delay <= 0 {
-		sc.Delay = 2
-	}
-	if sc.SrcDepth <= 0 {
-		sc.SrcDepth = 2
-	}
-	if sc.FIFODepth <= 0 {
-		sc.FIFODepth = 4
-	}
-	if sc.WBWords <= 0 {
-		sc.WBWords = 2
 	}
 	return nil
 }

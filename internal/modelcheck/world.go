@@ -67,7 +67,7 @@ func joinDigits(digits []int, base int) choice {
 // newWorld builds the scoped system from reset.
 func newWorld(sc *Scope, ops []op, values []uint32) *world {
 	p := coherence.DefaultParams(sc.CPUs)
-	p.WriteBufferWords = sc.WBWords
+	p.WriteBufferWords = wbWords
 	p.MemLatency = 2
 	p.MemService = 1
 	// The drivers never fetch, and a world is rebuilt for every replay:
@@ -90,9 +90,9 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 		values: values,
 		net: noc.NewGMN(noc.GMNConfig{
 			Nodes:     sc.CPUs + sc.Banks,
-			Delay:     sc.Delay,
-			SrcDepth:  sc.SrcDepth,
-			FIFODepth: sc.FIFODepth,
+			Delay:     netDelay,
+			SrcDepth:  srcDepth,
+			FIFODepth: fifoDepth,
 		}),
 		space: mem.NewSpace(),
 		drv:   make([]driver, sc.CPUs),

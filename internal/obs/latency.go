@@ -9,22 +9,17 @@ import (
 
 // LatKind classifies a memory request for latency attribution. The
 // kinds mirror the rows of the paper's Table 1 so the histograms
-// reproduce its hop costs empirically from live runs: hits complete in
-// zero cycles, a clean 2-hop miss pays roughly two NoC crossings plus
-// the bank latency, the 4- and 6-hop transactions stack invalidation
-// and fetch round-trips on top.
+// reproduce its hop costs empirically from live runs: a clean 2-hop
+// miss pays roughly two NoC crossings plus the bank latency, the 4- and
+// 6-hop transactions stack invalidation and fetch round-trips on top.
+// Hits complete in zero cycles and are counted by the caches' own
+// statistics (coherence.DCacheStats), not here.
 type LatKind uint8
 
 // Request latency classes.
 const (
-	// LatReadHit: load served by the cache or forwarded from the write
-	// buffer (0 cycles).
-	LatReadHit LatKind = iota
 	// LatReadMiss: blocking load miss, request to fill.
-	LatReadMiss
-	// LatWriteHit: store completed immediately — a WTI posted write
-	// accepted by the buffer, or a MESI E/M hit (0 cycles).
-	LatWriteHit
+	LatReadMiss LatKind = iota
 	// LatWriteDrain: WTI write-buffer residency, post to acknowledge.
 	// This is the paper's non-blocking 2- or 4-hop write as seen by
 	// the buffer, and the series that saturates first under bank
@@ -50,9 +45,7 @@ const (
 )
 
 var latKindNames = [numLatKinds]string{
-	LatReadHit:    "read_hit",
 	LatReadMiss:   "read_miss",
-	LatWriteHit:   "write_hit",
 	LatWriteDrain: "write_drain",
 	LatWriteAlloc: "write_alloc",
 	LatUpgrade:    "upgrade",

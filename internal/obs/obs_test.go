@@ -234,7 +234,7 @@ func TestSamplerCountersAppearInTrace(t *testing.T) {
 func TestLatencyReport(t *testing.T) {
 	r := New(Config{})
 	for i := 0; i < 100; i++ {
-		r.Lat(LatReadHit, 0)
+		r.Lat(LatWriteDrain, 3)
 	}
 	r.Lat(LatReadMiss, 49)
 	r.Lat(LatReadMiss, 51)
@@ -243,11 +243,11 @@ func TestLatencyReport(t *testing.T) {
 	if rep == nil || len(rep.Entries) != 3 {
 		t.Fatalf("report entries = %+v", rep)
 	}
-	if rep.Entries[0].Kind != "read_hit" || rep.Entries[0].Count != 100 {
-		t.Errorf("first entry wrong: %+v", rep.Entries[0])
+	if rep.Entries[0].Kind != "read_miss" || rep.Entries[0].Max != 51 {
+		t.Errorf("read_miss entry wrong: %+v", rep.Entries[0])
 	}
-	if rep.Entries[1].Kind != "read_miss" || rep.Entries[1].Max != 51 {
-		t.Errorf("read_miss entry wrong: %+v", rep.Entries[1])
+	if rep.Entries[1].Kind != "write_drain" || rep.Entries[1].Count != 100 {
+		t.Errorf("write_drain entry wrong: %+v", rep.Entries[1])
 	}
 	if m := rep.Map(); m["swap"].Count != 1 {
 		t.Errorf("map export wrong: %v", m)

@@ -10,7 +10,7 @@ import (
 // scanAdvance is advance without the calendar: every remembered wake is
 // read at its slot's turn, so the due slots are found by a scan of all of
 // them. It is the reference TestCalendarMatchesScan holds advance to.
-func (e *Engine) scanAdvance(limit uint64) bool {
+func (e *Engine) scanAdvance(limit uint64) {
 	now := e.now
 	e.limit = limit
 	ran := false
@@ -64,10 +64,9 @@ func (e *Engine) scanAdvance(limit uint64) bool {
 			}
 		}
 	}
-	return ran
 }
 
-// scanRun is Run (without watchdogs) on scanAdvance.
+// scanRun is Run on scanAdvance.
 func (e *Engine) scanRun(maxCycles uint64, done func() bool) (uint64, error) {
 	start, limit := e.now, NoWake
 	if maxCycles != 0 {

@@ -51,7 +51,7 @@ func (p *Port[T]) Recv(now uint64) (T, bool) {
 	// Shift rather than reslice so the backing array does not grow
 	// without bound across the run. Every queue in the system is a
 	// handful of entries deep (the NoC depths are <= 8, a node's
-	// outbound queue hovers at its ReqBound), so the shift is cheaper
+	// outbound queue hovers at its request bound), so the shift is cheaper
 	// than a ring's index arithmetic on every head probe.
 	copy(p.q, p.q[1:])
 	p.q = p.q[:len(p.q)-1]

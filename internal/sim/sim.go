@@ -26,7 +26,7 @@
 // earliest one. A ticker without the interface is simply always awake:
 // it runs every cycle and no cycle it is registered for is ever leaped.
 // Within one cycle the full order is: tickers in registration order,
-// then Every hooks, then — from Run — the watchdogs.
+// then Every hooks; Run consults done before the next cycle.
 //
 // A ticker may also act early: execute, inside the Tick of cycle t, the
 // cycles after t on which it only touches state no other ticker can
@@ -120,7 +120,6 @@ type Engine struct {
 	// limit is the cycle the advance in progress may not reach past.
 	limit     uint64
 	periodics []periodic
-	watchdogs []func(now uint64) error
 
 	// leaps counts the spans in which no ticker ran, leapedCycles their
 	// summed length.
@@ -285,8 +284,7 @@ func (e *Engine) NextWake(now uint64) uint64 {
 // its Tick: the first cycle it may not execute yet — the limit of the Run
 // or Step in progress or the next Every boundary, whichever comes first
 // — so no hook, deadline or returning Step sees it ahead of the clock.
-// (done, or a watchdog aborting the run, may: see Run.) Only meaningful
-// in a Tick.
+// (done may: see Run.) Only meaningful in a Tick.
 func (e *Engine) Horizon() uint64 {
 	h := e.limit
 	for i := range e.periodics {
@@ -309,18 +307,6 @@ func (e *Engine) Every(interval uint64, fn func(now uint64)) {
 	e.periodics = append(e.periodics, periodic{interval: interval, fn: fn})
 }
 
-// Watchdog registers a liveness check polled by Run once per executed
-// cycle, after all tickers of that cycle. A non-nil error aborts the
-// run immediately with that error — before the deadline would fire — so
-// a stuck transaction surfaces as its own diagnostic instead of the
-// anonymous ErrDeadline thousands of cycles later. fn must only observe
-// state, never mutate it, and must not read Skip-charged counters
-// (they settle at hooks and at return). Runs with no registered
-// watchdog pay nothing.
-func (e *Engine) Watchdog(fn func(now uint64) error) {
-	e.watchdogs = append(e.watchdogs, fn)
-}
-
 // Step advances the simulation by exactly one cycle: every registered
 // ticker in registration order except the Sleepers whose wake lies
 // ahead, then the Every hooks.
@@ -336,16 +322,15 @@ func (e *Engine) Step() {
 // concerns it, and ticked if it does; one whose wake lies ahead is filed
 // again. If none ran, the cycle was dead for everyone and the clock
 // moves to the earliest wake instead of e.now+1 — never past limit, one
-// cycle at a time when neither bounds the span. It reports whether any
-// ticker executed. (A Wake can only come from a ticker that ran, so no
-// cycle with one is ever leaped from.)
+// cycle at a time when neither bounds the span. (A Wake can only come
+// from a ticker that ran, so no cycle with one is ever leaped from.)
 //
 // This is the hot-path root everything else hangs off: allocations
 // anywhere it reaches are gated by simlint's hotalloc analyzer against
 // the committed hotalloc.allow worklist.
 //
 //lint:hot
-func (e *Engine) advance(limit uint64) bool {
+func (e *Engine) advance(limit uint64) {
 	now := e.now
 	e.limit = limit
 	for k := range e.due {
@@ -401,7 +386,7 @@ func (e *Engine) advance(limit uint64) bool {
 	}
 	if len(e.periodics) == 0 {
 		e.now = target
-		return ran
+		return
 	}
 	// Move the clock boundary by boundary so every hook fires at each
 	// multiple of its interval the span crosses, with the counters owed
@@ -428,7 +413,6 @@ func (e *Engine) advance(limit uint64) bool {
 			}
 		}
 	}
-	return ran
 }
 
 // settle charges the ticker's Skip for the cycles [settled, upTo) it
@@ -459,19 +443,18 @@ func (e *ErrDeadline) Error() string {
 }
 
 // Run advances the simulation until done() reports true, checking the
-// predicate before each cycle. It returns the number of cycles elapsed
+// predicate before each cycle: done at cycle t has seen the tickers of
+// t-1 and the Every hooks at t. It returns the number of cycles elapsed
 // (executed plus leaped). If maxCycles is non-zero and elapses first,
-// Run stops and returns ErrDeadline.
+// Run stops and returns ErrDeadline. Those are the only two ways a run
+// ends.
 //
 // A leap never overshoots the end of the run: done and the deadline
 // are checked at the leaped-to cycle before it executes, and leaps are
-// clamped to the deadline. Watchdogs are polled after executed cycles
-// only: a span with every ticker asleep is frozen by definition, so a
-// watchdog that would fire during it already fired at the poll after
-// the last executed cycle. Like watchdogs, done must not read
-// Skip-charged counters — exact again when Run returns — nor what a
-// ticker may do early: when done (or a watchdog) ends the run, a ticker
-// can be ahead of the clock; the NextWake the next Run opens with says so.
+// clamped to the deadline. done must not read Skip-charged counters —
+// exact again when Run returns — nor what a ticker may do early: when
+// done ends the run, a ticker can be ahead of the clock; the NextWake
+// the next Run opens with says so.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	start := e.now
 	limit := NoWake
@@ -487,13 +470,6 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 		if e.now >= limit {
 			return e.now - start, &ErrDeadline{Cycles: maxCycles}
 		}
-		if !e.advance(limit) {
-			continue
-		}
-		for _, w := range e.watchdogs {
-			if err := w(e.now); err != nil {
-				return e.now - start, err
-			}
-		}
+		e.advance(limit)
 	}
 }

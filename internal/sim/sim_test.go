@@ -83,69 +83,30 @@ func TestEngineDeadlineNotHitWhenDoneFirst(t *testing.T) {
 	}
 }
 
-func TestEngineWatchdogAbortsRun(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	e.Register("t", TickFunc(func(now uint64) { ticks++ }))
-	wantErr := errors.New("transaction stuck")
-	polled := []uint64{}
-	e.Watchdog(func(now uint64) error {
-		polled = append(polled, now)
-		if now >= 3 {
-			return wantErr
-		}
-		return nil
-	})
-	cycles, err := e.Run(100, func() bool { return false })
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("Run error = %v; want the watchdog's error", err)
-	}
-	if cycles != 3 || ticks != 3 {
-		t.Fatalf("cycles=%d ticks=%d; want the run aborted right at the failing poll", cycles, ticks)
-	}
-	// Polled once per executed cycle, after that cycle's tickers.
-	if len(polled) != 3 || polled[0] != 1 || polled[2] != 3 {
-		t.Fatalf("watchdog polled at %v; want [1 2 3]", polled)
-	}
-}
-
-func TestEngineWatchdogQuietWhenHealthy(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Register("c", TickFunc(func(now uint64) { count++ }))
-	calls := 0
-	e.Watchdog(func(now uint64) error { calls++; return nil })
-	cycles, err := e.Run(0, func() bool { return count >= 5 })
-	if err != nil || cycles != 5 {
-		t.Fatalf("Run = %d, %v; want 5 clean cycles", cycles, err)
-	}
-	if calls != 5 {
-		t.Fatalf("watchdog polled %d times; want once per cycle", calls)
-	}
-}
-
-// TestEngineWatchdogPolledAfterTickersAndHooks pins the Run-loop order
-// within one cycle: the watchdog polled after executing cycle t-1 (at
-// now == t) has already seen that cycle's tickers and Every hooks.
-func TestEngineWatchdogPolledAfterTickersAndHooks(t *testing.T) {
+// TestEngineDoneSeesTickersAndHooks pins the Run-loop order within one
+// cycle: done consulted at now == t has already seen the tickers of
+// cycle t-1 and the Every hooks at t, so a hook's latch ends the run at
+// the cycle it fired.
+func TestEngineDoneSeesTickersAndHooks(t *testing.T) {
 	e := NewEngine()
 	var lastTick, lastHook uint64
 	e.Register("t", TickFunc(func(now uint64) { lastTick = now }))
 	e.Every(1, func(now uint64) { lastHook = now })
-	var polled []uint64
-	e.Watchdog(func(now uint64) error {
-		if lastTick != now-1 || lastHook != now {
-			t.Fatalf("watchdog at now=%d saw tick of cycle %d, hook at %d; both must precede it",
+	var consulted []uint64
+	cycles, err := e.Run(10, func() bool {
+		now := e.Now()
+		if now > 0 && (lastTick != now-1 || lastHook != now) {
+			t.Fatalf("done at now=%d saw tick of cycle %d, hook at %d; both must precede it",
 				now, lastTick, lastHook)
 		}
-		polled = append(polled, now)
-		return nil
+		consulted = append(consulted, now)
+		return lastHook == 3
 	})
-	if _, err := e.Run(3, func() bool { return false }); err == nil {
-		t.Fatal("Run: want the 3-cycle deadline")
+	if err != nil || cycles != 3 {
+		t.Fatalf("Run = %d, %v; want done at the hook of cycle 3", cycles, err)
 	}
-	if !equalU64(polled, []uint64{1, 2, 3}) {
-		t.Fatalf("watchdog polls = %v, want [1 2 3]", polled)
+	if !equalU64(consulted, []uint64{0, 1, 2, 3}) {
+		t.Fatalf("done consulted at %v, want [0 1 2 3]", consulted)
 	}
 }
 
@@ -388,30 +349,6 @@ func TestLeapDoneObservedAtLeapedToCycle(t *testing.T) {
 	}
 	if !equalU64(s.ticks, []uint64{0}) || !equalSpans(s.spans, [][2]uint64{{1, 9}}) {
 		t.Fatalf("ticks=%v spans=%v; want only cycle 0 executed, [1,9) charged", s.ticks, s.spans)
-	}
-}
-
-func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
-	// Watchdogs observe frozen state while every ticker sleeps, so they
-	// are polled after executed cycles only — and still abort the run
-	// at the first executed cycle after a leap.
-	e := NewEngine()
-	e.Register("t", awakeExceptAt(1, 10))
-	var polled []uint64
-	wantErr := errors.New("stuck")
-	e.Watchdog(func(now uint64) error {
-		polled = append(polled, now)
-		if now >= 11 {
-			return wantErr
-		}
-		return nil
-	})
-	cycles, err := e.Run(50, func() bool { return false })
-	if !errors.Is(err, wantErr) || cycles != 11 {
-		t.Fatalf("Run = %d, %v; want the watchdog abort at cycle 11", cycles, err)
-	}
-	if !equalU64(polled, []uint64{1, 11}) {
-		t.Fatalf("watchdog polled at %v; want [1 11]", polled)
 	}
 }
 
