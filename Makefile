@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race equiv bench sweep mcheck soak loc
+.PHONY: all build test check fmt vet lint race equiv bench sweep mcheck soak loc reach
 
 all: check
 
@@ -122,6 +122,36 @@ loc:
 	if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "make loc: $$n non-test Go lines, ceiling $(LOC_CEILING)"; exit 1; \
 	fi
+
+# reach lists every statement of internal/coherence that no test of the
+# tier-1 suite executes: one coverage profile over every package's tests,
+# a block counted as reached when any package reached it, each unreached
+# block printed with its source. It fails on any that is not a panic(
+# nor inside Validate, ParseProtocol or a String method: a protocol
+# branch is reached by a test that checks it, or it goes. It re-runs the
+# model checker (about 2 minutes), so CI runs it in the modelcheck job,
+# not in check.
+reach:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) test -count=1 -coverpkg=./internal/coherence -coverprofile="$$d/cover" ./... >"$$d/log" 2>&1 || \
+		{ cat "$$d/log"; exit 1; }; \
+	awk 'NR > 1 { if (!($$1 in n)) { key[++m] = $$1; n[$$1] = $$2 } if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (i = 1; i <= m; i++) if (!(key[i] in hit)) unreached(key[i]); \
+			printf "make reach: internal/coherence has %d unreached block(s) exempt, %d not\n", ok, bad; exit (bad > 0) } \
+		function unreached(k,   a, s, e, f, ln, line, fn, text, first) { \
+			split(k, a, /[:,]/); f = a[1]; sub(/^repro\//, "", f); split(a[2], s, "."); split(a[3], e, "."); \
+			for (ln = 1; (getline line < f) > 0 && ln <= e[1]; ln++) { \
+				if (line ~ /^func /) fn = line; \
+				if (ln < s[1]) continue; \
+				if (ln == e[1]) line = substr(line, 1, e[2] - 1); \
+				if (ln == s[1]) line = substr(line, s[2]); \
+				gsub(/^[ \t{}]+|[ \t{}]+$$/, "", line); \
+				if (line == "" || line ~ /^\/\//) continue; \
+				if (first == "") first = line; \
+				text = text sprintf("\n  %s:%d: %s", f, ln, line) } \
+			close(f); sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); \
+			if (n[k] == 1 && first ~ /^panic\(/ || fn ~ /^(Validate|ParseProtocol|String)$$/) { ok++; printf "exempt (%s):%s\n", fn, text } \
+			else { bad++; printf "UNREACHED (%s):%s\n", fn, text } }' "$$d/cover"
 
 # soak runs the nightly tier: the full fault campaign grid on real
 # workloads (see internal/fault/soak_full_test.go) and the long tail of

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -234,5 +235,45 @@ func TestStreamBenchRuns(t *testing.T) {
 	out, code := runMain(t, run)
 	if code != 0 || !strings.Contains(out, `"instructions": 8000,`) {
 		t.Fatalf("mcsim %s: exit %d, output:\n%s", run, code, out)
+	}
+}
+
+// TestFaultPlanOutput pins what a fault plan adds to a run's output:
+// -json's fault block, every counter of it live under a plan carrying
+// every directive and its plan in canonical form, and the same counts in
+// the text headline's [fault: ...] suffix. A run without -fault has
+// neither.
+func TestFaultPlanOutput(t *testing.T) {
+	const run = "-bench counter -cpus 2 -incs 5"
+	const plan = "seed=3,dup=0.02,bankstall=0.01:8,drop=0.02,delay=0.05:4"
+	var got struct{ Fault map[string]any }
+	out, code := runMain(t, run+" -json -fault "+plan)
+	if err := json.Unmarshal([]byte(out), &got); code != 0 || err != nil {
+		t.Fatalf("mcsim -json -fault: exit %d, %v, output:\n%s", code, err, out)
+	}
+	f := got.Fault
+	if f["plan"] != "drop=0.02,delay=0.05:4,dup=0.02,bankstall=0.01:8,seed=3" {
+		t.Errorf("plan %q, want the canonical spec", f["plan"])
+	}
+	for _, k := range []string{"drops", "retransmits", "backoff_cycles", "delayed", "delay_cycles",
+		"dups", "dups_suppressed", "stall_windows", "stall_cycles"} {
+		if v, ok := f[k].(float64); !ok || v == 0 {
+			t.Errorf("fault block %s = %v, want a count above 0", k, f[k])
+		}
+	}
+	if len(f) != 10 {
+		t.Errorf("fault block has %d fields, want 10: %v", len(f), f)
+	}
+	text, code := runMain(t, run+" -fault "+plan)
+	suffix := fmt.Sprintf(" [fault: drops=%v retx=%v delayed=%v dups=%v stalls=%v]",
+		f["drops"], f["retransmits"], f["delayed"], f["dups"], f["stall_windows"])
+	if headline, _, _ := strings.Cut(text, "\n"); code != 0 || !strings.HasSuffix(headline, suffix) {
+		t.Errorf("mcsim -fault: exit %d, headline %q, want it to end %q", code, headline, suffix)
+	}
+	if out, _ := runMain(t, run+" -json"); strings.Contains(out, `"fault"`) {
+		t.Errorf("mcsim -json without -fault has a fault block:\n%s", out)
+	}
+	if text, _ := runMain(t, run); strings.Contains(text, "[fault:") {
+		t.Errorf("mcsim without -fault has a fault suffix:\n%s", text)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // observability layer) asks of any controller, so that none of them
 // names a concrete one.
 //
-// Operations follow a poll-retry discipline: the CPU calls
-// the same operation every cycle until ok is reported; controllers keep
+// Operations follow a poll-retry discipline: one operation is in flight
+// per cache, re-issued every cycle until ok is reported; controllers keep
 // the outstanding transaction state, so repeated calls are idempotent.
 //
 // addr/byteEn convention: addr is the byte address of the access; the

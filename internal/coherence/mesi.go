@@ -101,15 +101,12 @@ func (c *MESICache) bankNode(addr uint32) int {
 	return c.bankBase + c.amap.BankOf(addr)
 }
 
-// startMiss prepares an allocation for addr: dirty victims move to the
-// eviction buffer (stalling when it is occupied) and the request is
-// recorded. It reports whether the miss could start.
-func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) bool {
+// startMiss prepares an allocation for blk: a dirty victim moves to the
+// one-entry eviction buffer, which Load and write, the callers, have
+// found free, and the request is recorded.
+func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) {
 	line := c.arr.victim(blk)
 	if c.arr.state[line].Dirty() {
-		if c.evict.active {
-			return false // eviction buffer busy: stall
-		}
 		victim := c.arr.blockAddr(line)
 		wb := c.node.NewMsg()
 		wb.Kind = ReqWriteBack
@@ -127,7 +124,6 @@ func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) bool {
 	}
 	c.pend = mesiPending{active: true, kind: kind, blk: blk, begin: now}
 	c.tryIssue(now)
-	return true
 }
 
 // completePend records the finishing blocking transaction; the caller
@@ -386,11 +382,11 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		} else {
 			// Silently evicted (clean) or written back (dirty, with the
 			// writeback ordered ahead of this response): memory is or
-			// will be current before this answer arrives.
+			// will be current before this answer arrives. Never Shared:
+			// the directory grants S only to a cache it does not record as
+			// owner, and fetches from its owner only after the grant that
+			// made it one (E, M or O), on the same FIFO channel.
 			rsp.NoData = true
-			if hit && m.Kind == CmdFetchInval {
-				c.arr.state[set] = Invalid
-			}
 		}
 		c.node.SendCtrl(rsp, c.bankNode(m.Addr), now)
 	default:

@@ -28,6 +28,9 @@ type rig struct {
 	// checkEvery > 0 runs the transient-safe runtime invariant checker
 	// every that many cycles inside step().
 	checkEvery uint64
+	// onStep, when set, runs at the start of every step, in the
+	// drivers' slot before the hierarchy's cycle.
+	onStep func()
 }
 
 const rigBase = 0x10000
@@ -38,6 +41,11 @@ func newRig(t testingT, proto Protocol, ncpu, nbank int) *rig {
 
 // newRigWith builds the rig on DefaultParams as adjusted by tweak.
 func newRigWith(t testingT, proto Protocol, ncpu, nbank int, tweak func(*Params)) *rig {
+	return newRigOn(t, proto, ncpu, nbank, noc.DefaultGMNConfig(ncpu+nbank), tweak)
+}
+
+// newRigOn builds it over a GMN configured as gmn, whose Nodes it sets.
+func newRigOn(t testingT, proto Protocol, ncpu, nbank int, gmn noc.GMNConfig, tweak func(*Params)) *rig {
 	t.Helper()
 	p := DefaultParams(ncpu)
 	if tweak != nil {
@@ -53,12 +61,16 @@ func newRigWith(t testingT, proto Protocol, ncpu, nbank int, tweak func(*Params)
 		region.Granule = 64
 	}
 	amap.AddRegion(region)
-	r := &rig{t: t, net: noc.NewGMN(noc.DefaultGMNConfig(ncpu + nbank)), space: mem.NewSpace()}
+	gmn.Nodes = ncpu + nbank
+	r := &rig{t: t, net: noc.NewGMN(gmn), space: mem.NewSpace()}
 	r.Hierarchy = NewHierarchy(r.net, r.space, amap, p, proto)
 	return r
 }
 
 func (r *rig) step() {
+	if r.onStep != nil {
+		r.onStep()
+	}
 	r.Step(r.now)
 	r.now++
 	if r.checkEvery > 0 && r.now%r.checkEvery == 0 {
@@ -504,6 +516,35 @@ func TestWTIWriteBufferFillsUnderLatency(t *testing.T) {
 	r.check()
 }
 
+// TestPartialOverlapLoadWaitsForDrain posts a byte store to a word the
+// cache does not hold, then loads the whole word. The write buffer
+// covers one of its four bytes, so the load can neither forward nor
+// miss around it (WTU asks the buffer before its line, WTI after): it
+// waits for the drain, then misses and returns memory's word with the
+// byte merged, the runtime checker running on every cycle.
+func TestPartialOverlapLoadWaitsForDrain(t *testing.T) {
+	for _, proto := range []Protocol{WTI, WTU} {
+		t.Run(proto.String(), func(t *testing.T) {
+			r := newRig(t, proto, 1, 1)
+			r.checkEvery = 1
+			addr := uint32(rigBase + 0x600)
+			r.space.WriteWord(addr, 0x11223344)
+			if !r.DCaches[0].Store(r.now, addr, 0xaa, 0x1) {
+				t.Fatal("byte store not posted")
+			}
+			if _, ok := r.DCaches[0].Load(r.now, addr, 0xf); ok {
+				t.Fatal("word load served from a buffer entry covering one byte")
+			}
+			if v := r.load(0, addr); v != 0x112233aa {
+				t.Fatalf("load = %#x, want 0x112233aa", v)
+			}
+			if st := r.DCaches[0].Stats(); st.LoadMisses != 1 || st.WBForwards != 0 {
+				t.Fatalf("load misses %d, forwards %d; want 1 and 0", st.LoadMisses, st.WBForwards)
+			}
+		})
+	}
+}
+
 func TestSwapAtomicityUnderContention(t *testing.T) {
 	// N CPUs increment a counter with swap-based locks at rig level:
 	// every lock acquisition must be exclusive.
@@ -685,6 +726,40 @@ func stressRig(t *testing.T, r *rig, ncpu, opsPerCPU int, seed int64) {
 		if pending[c] != nil || left[c] != 0 {
 			t.Fatalf("cpu %d did not finish (%d left)", c, left[c])
 		}
+	}
+}
+
+// TestRefusedRequestsRetry fills CPU ports' outbound queues to reqBound
+// with real traffic, so the admission bound refuses data misses and
+// instruction refills and their controllers retry them from Tick: MOESI,
+// whose cache-to-cache data and acks crowd a CPU's port most, runs the
+// random stress over a GMN with depth-1 queues and a 6-cycle crossing,
+// the runtime checker on every cycle, while each CPU with a data
+// operation in flight also fetches a fresh instruction block every
+// other cycle. A refused request shows as its controller's NextWake
+// asking for the current cycle.
+func TestRefusedRequestsRetry(t *testing.T) {
+	var data, inst int
+	for seed := int64(1); seed <= 8; seed++ {
+		r := newRigOn(t, MOESI, 4, 1, noc.GMNConfig{Delay: 6, FIFODepth: 1, SrcDepth: 1}, nil)
+		r.checkEvery = 1
+		r.onStep = func() {
+			for i, dc := range r.DCaches {
+				if !dc.Drained() && r.now%2 == 0 {
+					r.ICaches[i].Line(r.now, rigBase+0x40000+uint32(r.now/8%512)*32)
+				}
+				if dc.NextWake(r.now) == r.now {
+					data++
+				}
+				if r.ICaches[i].NextWake(r.now) == r.now {
+					inst++
+				}
+			}
+		}
+		stressRig(t, r, 4, 100, seed)
+	}
+	if data == 0 || inst == 0 {
+		t.Fatalf("cycles a refused request waited: %d data misses, %d instruction refills; want both", data, inst)
 	}
 }
 

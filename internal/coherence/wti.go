@@ -170,9 +170,7 @@ func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) boo
 		if c.strictStore || !c.wb.Empty() {
 			return false // previous store still in flight
 		}
-		if !c.wb.Push(now, waddr, word, byteEn) {
-			return false
-		}
+		c.wb.Push(now, waddr, word, byteEn) // cannot fail: empty, and WriteBufferWords >= 1
 		c.recordStore(addr, waddr, word, byteEn)
 		c.strictStore = true
 		return false // completes (returns true) only after the ack
@@ -211,15 +209,14 @@ func (c *WTICache) recordStore(addr, waddr uint32, word uint32, byteEn uint8) {
 // the directory invalidates every other one.
 func (c *WTICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) {
 	waddr := WordAddr(addr)
-	if c.pend.active && c.pend.isSwap {
+	if c.pend.active {
+		// This swap's own: a cache has one operation in flight, re-issued
+		// until ok (DataCache), so no read miss is pending beside it.
 		if c.pend.done {
 			old := c.pend.oldVal
 			c.pend = wtiPending{}
 			return old, true
 		}
-		return 0, false
-	}
-	if c.pend.active {
 		return 0, false
 	}
 	if !c.wb.Empty() {

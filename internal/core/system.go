@@ -94,7 +94,8 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	amap := cfg.Arch.BuildMap(layout)
 
 	var net noc.Network
-	switch nodes := n + cfg.Arch.NumBanks(n); cfg.NoC {
+	nodes := n + cfg.Arch.NumBanks(n)
+	switch cfg.NoC {
 	case MeshNet:
 		net = noc.NewMesh(noc.DefaultMeshConfig(nodes))
 	case BusNet:
@@ -108,7 +109,7 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	// byte-identical to a build without the fault layer.
 	var fnet *fault.Net
 	if !cfg.Fault.Empty() {
-		fnet = fault.Wrap(net, cfg.Fault, n)
+		fnet = fault.Wrap(net, cfg.Fault, nodes, n)
 		net = fnet
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/coherence"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/workload"
 )
@@ -175,5 +176,71 @@ func TestStreamMachineRuntimeChecks(t *testing.T) {
 	}
 	if sys.Engine.Now() != at {
 		t.Fatalf("run ended at cycle %d; want the cycle %v names", sys.Engine.Now(), err)
+	}
+}
+
+// TestDrainPhaseFailures pins Run's text for a failure latched after the
+// last HALT, while the drain runs: a runtime violation reads as it does
+// in the measured phase, and only a spent retry budget says the drain
+// did not quiesce.
+func TestDrainPhaseFailures(t *testing.T) {
+	const n = 4
+	l := mem.DefaultLayout(n)
+	cfg := DefaultConfig(coherence.WTI, mem.Arch2, n)
+	cfg.MaxCycles = 100_000
+	streams := func() *System {
+		sys, err := BuildStreams(cfg, func(cpu int) func() Ref {
+			return uniformRefs(l.SharedBase, 1024, 0.4, int64(cpu)+1)
+		}, 200, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	res, err := streams().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same machine with banks that never write memory: its one check,
+	// the cycle after the last HALT, finds a store hit's copy ahead of
+	// memory while the write buffers still drain.
+	sys := streams()
+	for _, b := range sys.Banks {
+		b.Fault.SkipWTApply = 1 << 30
+	}
+	sys.EnableRuntimeChecks(res.Cycles + 1)
+	_, err = sys.Run()
+	if want := fmt.Sprintf("core: runtime invariant violated at cycle %d: coherence: value:", res.Cycles+1); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("a violation in the drain: Run returned %v, want %q...", err, want)
+	}
+
+	// CPU 0's last reference is a store to bank 4 (node 6), the only
+	// packet it ever sends there, and every transfer on that link is
+	// lost: the machine halts, and the budget runs out in the drain.
+	cfg = DefaultConfig(coherence.WTI, mem.Arch2, 2)
+	cfg.MaxCycles = 100_000
+	if cfg.Fault, err = fault.ParsePlan("drop=1@0>6,seed=1"); err != nil {
+		t.Fatal(err)
+	}
+	l = mem.DefaultLayout(2)
+	const ops, store = 20, 128
+	sys, err = BuildStreams(cfg, func(cpu int) func() Ref {
+		i := uint32(0)
+		return func() Ref {
+			if i++; cpu == 0 && i == ops {
+				return Ref{Store: true, Addr: l.SharedBase + store, Data: 1}
+			}
+			return Ref{Addr: l.PrivateSeg(cpu) + 4*i}
+		}
+	}, ops, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bank := cfg.Arch.BuildMap(l).BankOf(l.SharedBase + store); bank != 4 {
+		t.Fatalf("the store maps to bank %d, want 4", bank)
+	}
+	_, err = sys.Run()
+	if want := fmt.Sprintf("core: drain did not quiesce: coherence: node 0: ReqWriteThrough addr=%#x to node 6: retransmission budget exceeded", l.SharedBase+store); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("a budget spent in the drain: Run returned %v, want %q...", err, want)
 	}
 }

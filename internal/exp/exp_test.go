@@ -220,6 +220,31 @@ func TestAblationMOESIQuick(t *testing.T) {
 	wantRows(t, ablation(t, moesiRuns(4), renderMOESI), 6)
 }
 
+// TestFaultCampaignTable runs the fault experiment as sweep does, on
+// one spec: the zero-fault baseline rows, then the spec's, whose drops
+// and retransmissions the table must show.
+func TestFaultCampaignTable(t *testing.T) {
+	const spec = "drop=0.01,seed=3"
+	sel, err := Select("fault")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs, err := sel[0].Tables(Params{Scale: QuickScale(), Faults: []string{spec}, Jobs: 1}, Results{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows(t, tabs[0], 4)
+	for i, r := range tabs[0].Rows() {
+		proto, faulted, campaign := []string{"WTI", "WB"}[i%2], i >= 2, "(none)"
+		if faulted {
+			campaign = spec
+		}
+		if r[0] != campaign || r[1] != proto || (r[4] != "0") != faulted || (r[5] != "0") != faulted {
+			t.Errorf("row %d = %q; want %s under %q, with drops and retransmissions only under faults", i, r, proto, campaign)
+		}
+	}
+}
+
 // TestRunKeyNamesEveryField pins Key's two promises: the figure grid's
 // keys (and with them the -obs-dir file names) are the four-segment
 // form they always were, and two Runs that differ in any one field

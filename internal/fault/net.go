@@ -82,16 +82,16 @@ const (
 	streamStall
 )
 
-// Wrap threads plan between the controllers and inner. bankBase is the
-// node id of bank 0 (nodes bankBase..Nodes()-1 are memory banks, the
-// scope targets of bankstall directives). A nil or empty plan is
+// Wrap threads plan between the controllers and inner, a network of
+// nodes endpoints. bankBase is the node id of bank 0 (nodes
+// bankBase..nodes-1 are memory banks, the scope targets of bankstall
+// directives). A nil or empty plan is
 // rejected — callers keep the unwrapped network on the zero-fault path
 // so it stays byte-identical to a build without the fault layer.
-func Wrap(inner noc.Network, plan *Plan, bankBase int) *Net {
+func Wrap(inner noc.Network, plan *Plan, nodes, bankBase int) *Net {
 	if plan.Empty() {
 		panic("fault: Wrap needs a non-empty plan")
 	}
-	n := inner.Nodes()
 	return &Net{
 		inner:      inner,
 		plan:       plan,
@@ -99,9 +99,9 @@ func Wrap(inner noc.Network, plan *Plan, bankBase int) *Net {
 		delayRng:   streamRNG(plan.Seed, streamDelay),
 		dupRng:     streamRNG(plan.Seed, streamDup),
 		stallRng:   streamRNG(plan.Seed, streamStall),
-		staged:     make([]sim.Port[noc.Packet], n),
-		dropNote:   make([]bool, n),
-		stallUntil: make([]uint64, n),
+		staged:     make([]sim.Port[noc.Packet], nodes),
+		dropNote:   make([]bool, nodes),
+		stallUntil: make([]uint64, nodes),
 		bankBase:   bankBase,
 	}
 }
@@ -111,9 +111,6 @@ func (f *Net) Plan() *Plan { return f.plan }
 
 // FaultStats returns the injected-fault counters.
 func (f *Net) FaultStats() Stats { return f.st }
-
-// Nodes implements noc.Network.
-func (f *Net) Nodes() int { return f.inner.Nodes() }
 
 // Stats implements noc.Network (traffic counters of the wrapped model;
 // duplicate transfers count as real traffic there, exactly as spurious

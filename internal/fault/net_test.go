@@ -11,15 +11,14 @@ import (
 // fakeNet is a trivial zero-latency noc.Network: injected packets are
 // immediately deliverable at their destination, in injection order.
 type fakeNet struct {
-	nodes   int
 	queues  map[int][]noc.Packet
 	injects []noc.Packet
 	ticks   int
 	reject  bool // refuse all injections (backpressure)
 }
 
-func newFakeNet(nodes int) *fakeNet {
-	return &fakeNet{nodes: nodes, queues: make(map[int][]noc.Packet)}
+func newFakeNet() *fakeNet {
+	return &fakeNet{queues: make(map[int][]noc.Packet)}
 }
 
 func (f *fakeNet) Inject(p noc.Packet, now uint64) bool {
@@ -45,7 +44,6 @@ func (f *fakeNet) Attach(self sim.Waker, nodes []sim.Waker) {}
 func (f *fakeNet) Tick(now uint64)                          { f.ticks++ }
 func (f *fakeNet) Stats() noc.Stats                         { return noc.Stats{} }
 func (f *fakeNet) PortFlits() []uint64                      { return nil }
-func (f *fakeNet) Nodes() int                               { return f.nodes }
 func (f *fakeNet) MinTransit() uint64                       { return 1 }
 
 func (f *fakeNet) ArrivalAt(node int) uint64 {
@@ -86,12 +84,12 @@ func TestWrapRejectsEmptyPlan(t *testing.T) {
 			t.Fatal("Wrap of an empty plan must panic: the zero-fault path must stay unwrapped")
 		}
 	}()
-	Wrap(newFakeNet(4), nil, 2)
+	Wrap(newFakeNet(), nil, 4, 2)
 }
 
 func TestNetDropNotifiesSender(t *testing.T) {
-	inner := newFakeNet(4)
-	n := Wrap(inner, mustPlan(t, "drop=1,seed=3"), 2)
+	inner := newFakeNet()
+	n := Wrap(inner, mustPlan(t, "drop=1,seed=3"), 4, 2)
 	if n.Inject(noc.Packet{Src: 0, Dst: 2, Bytes: 8}, 0) {
 		t.Fatal("Inject under drop=1 must report rejection")
 	}
@@ -111,7 +109,7 @@ func TestNetDropNotifiesSender(t *testing.T) {
 		t.Fatalf("Drops = %d; want 1", st.Drops)
 	}
 	// A plain backpressure rejection must NOT read as a drop.
-	nd := Wrap(newFakeNet(4), mustPlan(t, "dup=0,delay=0:1,seed=3"), 2)
+	nd := Wrap(newFakeNet(), mustPlan(t, "dup=0,delay=0:1,seed=3"), 4, 2)
 	nd.inner.(*fakeNet).reject = true
 	if nd.Inject(noc.Packet{Src: 1, Dst: 2}, 0) {
 		t.Fatal("backpressured Inject must report rejection")
@@ -122,8 +120,8 @@ func TestNetDropNotifiesSender(t *testing.T) {
 }
 
 func TestNetDelayHoldsAndPreservesFIFO(t *testing.T) {
-	inner := newFakeNet(4)
-	n := Wrap(inner, mustPlan(t, "delay=1:5,seed=3"), 2)
+	inner := newFakeNet()
+	n := Wrap(inner, mustPlan(t, "delay=1:5,seed=3"), 4, 2)
 	if !n.Inject(noc.Packet{Src: 0, Dst: 2, Bytes: 4}, 10) {
 		t.Fatal("delayed Inject must report acceptance")
 	}
@@ -157,8 +155,8 @@ func TestNetDelayHoldsAndPreservesFIFO(t *testing.T) {
 // earlier staged transfer from the same source — per-source order is
 // part of the FIFO guarantee the protocols rely on.
 func TestNetDelayFollowerStaysOrdered(t *testing.T) {
-	inner := newFakeNet(4)
-	n := Wrap(inner, mustPlan(t, "delay=1:3@*>2,seed=3"), 2)
+	inner := newFakeNet()
+	n := Wrap(inner, mustPlan(t, "delay=1:3@*>2,seed=3"), 4, 2)
 	if !n.Inject(noc.Packet{Src: 0, Dst: 2}, 0) { // delayed to cycle 3
 		t.Fatal("first Inject rejected")
 	}
@@ -182,8 +180,8 @@ func TestNetDelayFollowerStaysOrdered(t *testing.T) {
 }
 
 func TestNetDuplicateSuppressedAtDelivery(t *testing.T) {
-	inner := newFakeNet(4)
-	n := Wrap(inner, mustPlan(t, "dup=1,seed=3"), 2)
+	inner := newFakeNet()
+	n := Wrap(inner, mustPlan(t, "dup=1,seed=3"), 4, 2)
 	want := noc.Packet{Src: 0, Dst: 2, Bytes: 8, Payload: "hello"}
 	if !n.Inject(want, 0) {
 		t.Fatal("Inject rejected")
@@ -206,9 +204,9 @@ func TestNetDuplicateSuppressedAtDelivery(t *testing.T) {
 }
 
 func TestNetBankStallFreezesDelivery(t *testing.T) {
-	inner := newFakeNet(4)
+	inner := newFakeNet()
 	// Banks are nodes 2 and 3; only bank index 1 (node 3) stalls.
-	n := Wrap(inner, mustPlan(t, "bankstall=1:3@1,seed=3"), 2)
+	n := Wrap(inner, mustPlan(t, "bankstall=1:3@1,seed=3"), 4, 2)
 	if !n.Inject(noc.Packet{Src: 0, Dst: 3}, 0) {
 		t.Fatal("Inject rejected")
 	}
@@ -242,8 +240,8 @@ func TestNetBankStallFreezesDelivery(t *testing.T) {
 }
 
 func TestNetStagedRetriesOnBackpressure(t *testing.T) {
-	inner := newFakeNet(4)
-	n := Wrap(inner, mustPlan(t, "delay=1:1,seed=3"), 2)
+	inner := newFakeNet()
+	n := Wrap(inner, mustPlan(t, "delay=1:1,seed=3"), 4, 2)
 	if !n.Inject(noc.Packet{Src: 0, Dst: 2}, 0) {
 		t.Fatal("Inject rejected")
 	}
@@ -266,8 +264,8 @@ func TestNetStagedRetriesOnBackpressure(t *testing.T) {
 // Different seed → a detectably different fault pattern.
 func TestNetReplayDeterminism(t *testing.T) {
 	run := func(spec string) (Stats, []noc.Packet) {
-		inner := newFakeNet(8)
-		n := Wrap(inner, mustPlan(t, spec), 4)
+		inner := newFakeNet()
+		n := Wrap(inner, mustPlan(t, spec), 8, 4)
 		for now := uint64(0); now < 200; now++ {
 			for src := 0; src < 4; src++ {
 				p := noc.Packet{Src: src, Dst: 4 + src%4, Bytes: 4 + int(now%3)*4}
@@ -390,7 +388,7 @@ func TestWakeEdgesUnderFaults(t *testing.T) {
 				plan := mustPlan(t, "delay=0.2:6,dup=0.1,bankstall=0.02:9")
 				plan.Seed = seed
 				inner := mk()
-				net := Wrap(inner, plan, cpus)
+				net := Wrap(inner, plan, nodes, cpus)
 				if net.MinTransit() != inner.MinTransit() {
 					t.Fatalf("%s: wrapper states MinTransit %d, the model it wraps %d", name, net.MinTransit(), inner.MinTransit())
 				}

@@ -112,15 +112,13 @@ type Network interface {
 	// indexed by node id. The returned slice is a live read-only view
 	// (the observability sampler diffs it between intervals).
 	PortFlits() []uint64
-	// Nodes returns the number of attached nodes.
-	Nodes() int
 }
 
 // endpoints is the node-facing half of every model: one bounded
 // injection port per source, one arrival port per destination whose
 // head is deliverable from its not-before cycle, and the counters. A
-// model embeds it, so ArrivalAt, Deliver, Attach, Quiet, Stats,
-// PortFlits and Nodes are defined here once; its Tick moves packets from
+// model embeds it, so ArrivalAt, Deliver, Attach, Quiet, Stats and
+// PortFlits are defined here once; its Tick moves packets from
 // inj (or from wherever inj leads) to arr.
 type endpoints struct {
 	inj, arr []sim.Port[Packet]
@@ -152,9 +150,6 @@ func newEndpoints(nodes, injDepth, arrDepth int) endpoints {
 	}
 	return e
 }
-
-// Nodes implements Network.
-func (e *endpoints) Nodes() int { return len(e.arr) }
 
 // Attach implements Network.
 func (e *endpoints) Attach(self sim.Waker, nodes []sim.Waker) { e.self, e.nodes = self, nodes }

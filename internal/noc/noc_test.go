@@ -16,7 +16,7 @@ func drive(t *testing.T, n Network, budget int) map[int][]Packet {
 	out := make(map[int][]Packet)
 	for cyc := 0; cyc < budget; cyc++ {
 		n.Tick(uint64(cyc))
-		for node := 0; node < n.Nodes(); node++ {
+		for node := range n.PortFlits() {
 			for {
 				p, ok := n.Deliver(node, uint64(cyc))
 				if !ok {
@@ -191,7 +191,7 @@ func TestPerPairOrdering(t *testing.T) {
 					sent++
 				}
 				n.Tick(uint64(cyc))
-				for node := 0; node < n.Nodes(); node++ {
+				for node := range n.PortFlits() {
 					for {
 						if _, ok := n.Deliver(node, uint64(cyc)); !ok {
 							break

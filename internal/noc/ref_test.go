@@ -36,8 +36,6 @@ func newRefEndpoints(nodes, injDepth, arrDepth int) refEndpoints {
 	return e
 }
 
-func (e *refEndpoints) Nodes() int { return len(e.arr) }
-
 func (e *refEndpoints) Inject(p Packet, now uint64) bool {
 	if p.Src < 0 || p.Src >= len(e.inj) || p.Dst < 0 || p.Dst >= len(e.arr) {
 		panic("noc: packet endpoint out of range")
@@ -73,7 +71,7 @@ func (e *refEndpoints) MinTransit() uint64 { return 1 }
 // arrival, now if one is already deliverable.
 func wholeWake(n Network, now uint64) uint64 {
 	next := n.NextWake(now)
-	for p := 0; p < n.Nodes(); p++ {
+	for p := range n.PortFlits() {
 		next = min(next, max(n.ArrivalAt(p), now))
 	}
 	return next
