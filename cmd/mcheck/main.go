@@ -8,7 +8,7 @@
 // Examples:
 //
 //	mcheck -protocol both          # the paper's two policies, default scope
-//	mcheck -protocol all -short    # all four protocols, no swap op
+//	mcheck -protocol all -swap=false   # every protocol, no swap op
 //	mcheck -protocol wti -fault drop-inval   # prove the checker catches it
 package main
 
@@ -32,7 +32,6 @@ func main() {
 		addrs     = flag.Int("addrs", 1, "number of scoped words (consecutive blocks)")
 		vals      = flag.String("vals", "1,2", "comma-separated store value alphabet")
 		swap      = flag.Bool("swap", true, "include atomic swap in the op alphabet")
-		short     = flag.Bool("short", false, "shorthand for -swap=false (smaller space)")
 		ops       = flag.Int("ops", 2, "operations each CPU may initiate")
 		maxStates = flag.Int("max-states", 0, "abort after this many states (0 = exhaust)")
 		faultFlag = flag.String("fault", "", "seed a mutation: drop-inval|skip-wt-apply (the run must FAIL)")
@@ -74,14 +73,14 @@ func main() {
 		sc.CPUs = *cpus
 		sc.Banks = *banks
 		sc.Vals = values
-		sc.WithSwap = *swap && !*short
+		sc.WithSwap = *swap
 		sc.OpsPerCPU = *ops
 		sc.MaxStates = *maxStates
 		sc.Fault = fault
-		sc.Addrs = modelcheck.ScopeAddrs(*addrs)
+		sc.Addrs = *addrs
 
 		fmt.Printf("mcheck %v: %d cpus, %d banks, %d addr(s), vals %v, swap=%t, %d ops/cpu\n",
-			proto, sc.CPUs, sc.Banks, len(sc.Addrs), sc.Vals, sc.WithSwap, sc.OpsPerCPU)
+			proto, sc.CPUs, sc.Banks, sc.Addrs, sc.Vals, sc.WithSwap, sc.OpsPerCPU)
 		start := time.Now()
 		res, err := modelcheck.Explore(sc)
 		if err != nil {

@@ -28,14 +28,19 @@ func TestExitCodes(t *testing.T) {
 		code int
 		want string
 	}{
-		{"-protocol wti -short -max-states 200", 0, "bounded at 200 states"},
-		{"-protocol mesi -short -max-states 50", 0, "mcheck WB:"},
-		{"-protocol wti -short -fault drop-inval", 1, "FAIL [deadlock]"},
+		{"-protocol wti -swap=false -max-states 200", 0, "bounded at 200 states"},
+		{"-protocol mesi -swap=false -max-states 50", 0, "mcheck WB:"},
+		{"-protocol wti -swap=false -fault drop-inval", 1, "FAIL [deadlock]"},
 		{"-protocol nope", 2, `unknown -protocol "nope" (valid: wti|wtu|wb|moesi|both|all)`},
 		// A stray token used to be ignored (mcheck wti checked "both"),
 		// and -addrs 0 silently became one address.
 		{"wti", 2, `unexpected argument "wti"`},
 		{"-addrs 0", 2, "-addrs 0: need at least one scoped word"},
+		// Scopes the encodings cannot hold used to be explored wrongly:
+		// 17^4 joint choices taken modulo 65536, a 17th written value
+		// lost from its 16-bit ghost set.
+		{"-protocol wti -cpus 4 -addrs 4 -ops 1 -max-states 20000", 2, "a choice holds at most 65536"},
+		{"-protocol wti -swap=false -ops 1 -vals 1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17", 2, "a ghost set holds at most 16"},
 	} {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "MCHECK_TEST_ARGS="+c.args)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // LineState is the stable state of one cache line. WTI uses only
@@ -208,13 +207,15 @@ func (c *cacheArray) lines() []LineInfo {
 	return out
 }
 
-// fingerprint writes every resident line: address, state and bytes.
-// Replacement stamps are left out: the model checker's scopes never
-// fill a set.
-func (c *cacheArray) fingerprint(b *strings.Builder) {
+// fingerprint appends every resident line — state, address and bytes
+// — and then Invalid, which ends the list. Replacement stamps are left
+// out: the model checker's scopes never fill a set.
+func (c *cacheArray) fingerprint(e *Enc) {
 	for line, st := range c.state {
 		if st != Invalid {
-			fmt.Fprintf(b, "L%x:%d:%x;", c.blockAddr(line), st, c.lineData(line))
+			e.U32(uint32(st), c.blockAddr(line))
+			e.Bytes(c.lineData(line))
 		}
 	}
+	e.U32(uint32(Invalid))
 }

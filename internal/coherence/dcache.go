@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"strings"
-
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -68,13 +66,13 @@ type DataCache interface {
 	// see the final architectural state. Write-through caches have
 	// nothing to flush.
 	FlushDirty(s *mem.Space)
-	// Fingerprint writes a canonical encoding of the controller's
-	// complete behaviour-relevant state — pending transactions, posted
-	// writes, resident lines — into b. Counters, observability handles
+	// Fingerprint appends the controller's complete
+	// behaviour-relevant state — pending transactions, posted writes,
+	// resident lines — to e. Counters, observability handles
 	// and latency-attribution timestamps are excluded: they do not
 	// influence future behaviour, and including them would keep the
 	// model checker from ever merging two states.
-	Fingerprint(b *strings.Builder)
+	Fingerprint(e *Enc)
 	// SetObserver attaches the observability recorder (nil detaches).
 	SetObserver(r *obs.Recorder)
 }

@@ -1,8 +1,8 @@
 package coherence
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -135,22 +135,55 @@ func (h *Hierarchy) FlushCaches() {
 	}
 }
 
-// Fingerprint writes the behaviour-relevant state of every data cache,
-// port and bank into b, with all times relative to now so states
+// Fingerprint appends the behaviour-relevant state of every data cache,
+// port and bank to e, with all times relative to now so states
 // reached at different absolute cycles can merge. The instruction
 // caches are left out (nothing that fingerprints a hierarchy fetches
 // through them), as are the interconnect, whose packets only its owner
 // can walk, and memory, of which only the owner knows the words in
 // play.
-func (h *Hierarchy) Fingerprint(b *strings.Builder, now uint64) {
+func (h *Hierarchy) Fingerprint(e *Enc, now uint64) {
 	for i, dc := range h.DCaches {
-		dc.Fingerprint(b)
-		h.Nodes[i].Fingerprint(b, now)
+		dc.Fingerprint(e)
+		h.Nodes[i].Fingerprint(e, now)
 	}
 	for i, mc := range h.Banks {
-		mc.Fingerprint(b, now)
-		h.BNodes[i].Fingerprint(b, now)
+		mc.Fingerprint(e, now)
+		h.BNodes[i].Fingerprint(e, now)
 	}
+}
+
+// Enc is a fingerprint in bytes. Every Fingerprint method appends its
+// fields at fixed width, a slice with its length first and a time as
+// cycles from now, so two states have equal encodings exactly when
+// nothing that steers their future differs.
+type Enc []byte
+
+// U32 appends each value as four little-endian bytes.
+func (e *Enc) U32(vs ...uint32) {
+	for _, v := range vs {
+		*e = binary.LittleEndian.AppendUint32(*e, v)
+	}
+}
+
+// U64 appends v as eight little-endian bytes.
+func (e *Enc) U64(v uint64) { *e = binary.LittleEndian.AppendUint64(*e, v) }
+
+// Bools appends up to eight flags as the bits of one byte.
+func (e *Enc) Bools(bs ...bool) {
+	var x byte
+	for i, b := range bs {
+		if b {
+			x |= 1 << i
+		}
+	}
+	*e = append(*e, x)
+}
+
+// Bytes appends b after its length.
+func (e *Enc) Bytes(b []byte) {
+	e.U32(uint32(len(b)))
+	*e = append(*e, b...)
 }
 
 func (h *Hierarchy) bankFor(addr uint32) *MemCtrl {

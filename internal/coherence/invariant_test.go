@@ -1,7 +1,9 @@
 package coherence
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -110,18 +112,57 @@ func TestCheckCoherenceNotQuiescent(t *testing.T) {
 }
 
 // TestBankFingerprintSortsEntries holds a bank's fingerprint to block
-// order, not the order the directory saw the blocks in.
+// order, not the order the directory saw the blocks in: two banks that
+// learn the same two blocks in opposite orders encode equal, however
+// their maps happen to iterate.
 func TestBankFingerprintSortsEntries(t *testing.T) {
-	r := newRig(t, WTI, 1, 1)
 	hi, lo := uint32(checkedBlk+0x40), uint32(checkedBlk)
-	r.load(0, hi)
-	r.load(0, lo)
-	r.settle()
-	var b strings.Builder
-	r.Banks[0].Fingerprint(&b, r.now)
-	fp := b.String()
-	i, j := strings.Index(fp, fmt.Sprintf("E%x:", lo)), strings.Index(fp, fmt.Sprintf("E%x:", hi))
-	if i < 0 || j < i {
-		t.Fatalf("fingerprint %q: want the entry of %#x before that of %#x", fp, lo, hi)
+	var enc [2]Enc
+	for i, order := range [2][2]uint32{{hi, lo}, {lo, hi}} {
+		r := newRig(t, WTI, 1, 1)
+		r.load(0, order[0])
+		r.load(0, order[1])
+		r.settle()
+		for range 8 {
+			var e Enc
+			r.Banks[0].Fingerprint(&e, r.now)
+			if enc[i] != nil && !bytes.Equal(e, enc[i]) {
+				t.Fatalf("loads of %#x then %#x: the bank encodes two ways", order[0], order[1])
+			}
+			enc[i] = e
+		}
+	}
+	if !bytes.Equal(enc[0], enc[1]) {
+		t.Fatalf("the order the directory saw the blocks in changes its encoding:\n%x\n%x", enc[0], enc[1])
+	}
+}
+
+// TestMsgFingerprintCoversEveryField sets each field of a Msg in turn
+// and requires the encoding to change: a field added to Msg and left
+// out of Fingerprint fails here instead of merging states that differ.
+func TestMsgFingerprintCoversEveryField(t *testing.T) {
+	var zero Enc
+	(&Msg{}).Fingerprint(&zero)
+	typ := reflect.TypeOf(Msg{})
+	for i := range typ.NumField() {
+		var m Msg
+		f := reflect.ValueOf(&m).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(1)
+		case reflect.Uint8, reflect.Uint32:
+			f.SetUint(1)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]byte{1}))
+		default:
+			t.Fatalf("Msg.%s: no non-zero value for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		var e Enc
+		m.Fingerprint(&e)
+		if bytes.Equal(e, zero) {
+			t.Errorf("Msg.%s does not reach the encoding", typ.Field(i).Name)
+		}
 	}
 }

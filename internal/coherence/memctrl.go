@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -624,33 +623,33 @@ func (mc *MemCtrl) DirBusy(blk uint32) bool {
 	return e != nil && e.busy
 }
 
-// Fingerprint writes the bank's behaviour-relevant state into b: every
+// Fingerprint appends the bank's behaviour-relevant state to e: every
 // directory entry holding any state (by block address, so the result is
 // deterministic) with its serialization state and deferred requests,
-// the cycles the service port stays occupied from now, and the open
-// row.
-func (mc *MemCtrl) Fingerprint(b *strings.Builder, now uint64) {
+// then the cycles the service port stays occupied from now.
+func (mc *MemCtrl) Fingerprint(e *Enc, now uint64) {
 	blks := make([]uint32, 0, len(mc.dir))
-	for blk, e := range mc.dir { //lint:allow maprange — sorted immediately below
-		if e.busy || e.sharers != 0 || e.owner >= 0 || e.bcast || len(e.deferred) > 0 {
+	for blk, d := range mc.dir { //lint:allow maprange — sorted immediately below
+		if d.busy || d.sharers != 0 || d.owner >= 0 || d.bcast || len(d.deferred) > 0 {
 			blks = append(blks, blk) // else indistinguishable from an absent entry
 		}
 	}
 	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	e.U32(uint32(len(blks)))
 	for _, blk := range blks {
-		e := mc.dir[blk]
+		d := mc.dir[blk]
 		reqSrc := -1
-		if e.busy {
-			reqSrc = e.req.Src
+		if d.busy {
+			reqSrc = d.req.Src
 		}
-		fmt.Fprintf(b, "E%x:%x:%d:%t:%t:%d:%d:%d:%d:%t%t%t%t%t%t:%x;",
-			blk, e.sharers, e.owner, e.bcast, e.busy, e.kind, reqSrc, e.waitAcks,
-			e.fetchTarget, e.fetchPending, e.fetchSeen, e.fetchFwd, e.fetchHadData,
-			e.retainOwner, e.c2cDone, e.oldWord)
-		for i := range e.deferred {
-			b.WriteByte('d')
-			e.deferred[i].Fingerprint(b)
+		e.U64(d.sharers)
+		e.U32(blk, uint32(d.owner), uint32(d.kind), uint32(reqSrc), uint32(d.waitAcks),
+			uint32(d.fetchTarget), d.oldWord, uint32(len(d.deferred)))
+		e.Bools(d.bcast, d.busy, d.fetchPending, d.fetchSeen, d.fetchFwd, d.fetchHadData,
+			d.retainOwner, d.c2cDone)
+		for i := range d.deferred {
+			d.deferred[i].Fingerprint(e)
 		}
 	}
-	fmt.Fprintf(b, "B%d;", max(mc.busyUntil, now)-now)
+	e.U64(max(mc.busyUntil, now) - now)
 }

@@ -3,7 +3,6 @@ package coherence
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -415,10 +414,9 @@ func (c *MESICache) FlushDirty(s *mem.Space) {
 
 // Fingerprint implements DataCache; the one-entry eviction buffer is
 // part of the transaction state.
-func (c *MESICache) Fingerprint(b *strings.Builder) {
+func (c *MESICache) Fingerprint(e *Enc) {
 	p := &c.pend
-	fmt.Fprintf(b, "P%t%t%t%t%t:%d:%x:%x:%x:%x:%x:%t:%x;", p.active, p.issued, p.apply,
-		p.isSwap, p.done, p.kind, p.blk, p.waddr, p.word, p.byteEn, p.swapOld,
-		c.evict.active, c.evict.addr)
-	c.arr.fingerprint(b)
+	e.Bools(p.active, p.issued, p.apply, p.isSwap, p.done, c.evict.active)
+	e.U32(uint32(p.kind), p.blk, p.waddr, p.word, uint32(p.byteEn), p.swapOld, c.evict.addr)
+	c.arr.fingerprint(e)
 }

@@ -1,9 +1,6 @@
 package coherence
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // MsgKind identifies a protocol message.
 type MsgKind uint8
@@ -139,12 +136,9 @@ func (m *Msg) String() string {
 	return fmt.Sprintf("%s src=%d addr=%#x", m.Kind, m.Src, m.Addr)
 }
 
-// Fingerprint writes a canonical encoding of the message into b. All
-// behaviour-relevant fields participate.
-func (m *Msg) Fingerprint(b *strings.Builder) {
-	fmt.Fprintf(b, "%d:%d:%x:%x:%x", m.Kind, m.Src, m.Addr, m.Word, m.ByteEn)
-	if len(m.Data) > 0 {
-		fmt.Fprintf(b, ":%x", m.Data)
-	}
-	fmt.Fprintf(b, ":%t%t%t%d%t%t;", m.Excl, m.NoData, m.HasFwd, m.Fwd, m.Forwarded, m.RetainOwner)
+// Fingerprint appends every field of the message to e.
+func (m *Msg) Fingerprint(e *Enc) {
+	e.U32(uint32(m.Kind), uint32(m.Src), m.Addr, m.Word, uint32(m.ByteEn), uint32(m.Fwd))
+	e.Bytes(m.Data)
+	e.Bools(m.Excl, m.NoData, m.HasFwd, m.Forwarded, m.RetainOwner)
 }

@@ -1,9 +1,6 @@
 package coherence
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -247,11 +244,14 @@ func (n *Node) transferLost(head outMsg, now uint64) {
 // Idle reports whether the node has nothing left to send.
 func (n *Node) Idle() bool { return n.outQ.Empty() }
 
-// Fingerprint writes the outbound FIFO in order — destination, latch
-// delay relative to now (0 = injectable now), message — into b.
-func (n *Node) Fingerprint(b *strings.Builder, now uint64) {
+// Fingerprint appends the outbound FIFO's length, then each entry in
+// order — destination, latch delay relative to now (0 = injectable
+// now), message — to e.
+func (n *Node) Fingerprint(e *Enc, now uint64) {
+	e.U32(uint32(n.outQ.Len()))
 	n.outQ.Each(func(at uint64, m outMsg) {
-		fmt.Fprintf(b, "Q%d:%d:", m.dst, max(at, now)-now)
-		m.msg.Fingerprint(b)
+		e.U32(uint32(m.dst))
+		e.U64(max(at, now) - now)
+		m.msg.Fingerprint(e)
 	})
 }

@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -370,13 +369,14 @@ func (c *WTICache) PostedBytes(waddr uint32) uint8 {
 func (c *WTICache) FlushDirty(*mem.Space) {}
 
 // Fingerprint implements DataCache.
-func (c *WTICache) Fingerprint(b *strings.Builder) {
+func (c *WTICache) Fingerprint(e *Enc) {
 	p := &c.pend
-	fmt.Fprintf(b, "P%t%t%t%t%t%t:%x:%x:%x;", p.active, p.isSwap, p.issued, p.done,
-		c.strictStore, c.strictDone, p.addr, p.newVal, p.oldVal)
+	e.Bools(p.active, p.isSwap, p.issued, p.done, c.strictStore, c.strictDone)
+	e.U32(p.addr, p.newVal, p.oldVal, uint32(len(c.wb.entries)))
 	for i := range c.wb.entries {
-		e := &c.wb.entries[i]
-		fmt.Fprintf(b, "W%x:%x:%x:%t;", e.addr, e.word, e.byteEn, e.sent)
+		w := &c.wb.entries[i]
+		e.U32(w.addr, w.word, uint32(w.byteEn))
+		e.Bools(w.sent)
 	}
-	c.arr.fingerprint(b)
+	c.arr.fingerprint(e)
 }

@@ -45,10 +45,16 @@ func (v *Violation) Error() string {
 
 // pathNode is one BFS frontier entry; the choice path to a state is
 // recovered by walking parents, so shared prefixes are stored once.
+// It also keeps what the search reads of the state, recorded when the
+// state was found, so a dequeued state is not rebuilt to ask again.
 type pathNode struct {
 	parent *pathNode
 	choice choice
 	depth  int
+	fp     [16]byte
+	// pending is pendingWork; pinned is the world's pinned mask.
+	pending bool
+	pinned  uint8
 }
 
 func (n *pathNode) path() []choice {
@@ -63,58 +69,49 @@ func (n *pathNode) path() []choice {
 // Explore exhaustively enumerates the scope's reachable states by
 // breadth-first search and checks every one. It stops at the first
 // violation (returning it with a rendered counterexample) or when the
-// frontier empties.
+// frontier empties. A state is rebuilt, by replaying its path, once per
+// transition into it, plus once more for a quiescent state's
+// CheckCoherence or a deadlock report.
 func Explore(sc Scope) (Result, error) {
-	if err := sc.normalize(); err != nil {
+	ops, values, err := sc.normalize()
+	if err != nil {
 		return Result{}, err
 	}
-	ops, values := buildAlphabet(&sc)
-	base := len(ops) + 1
+	base, choices, all := len(ops)+1, numChoices(sc.CPUs, len(ops)), uint8(1<<sc.CPUs-1)
+	var enc coherence.Enc
 
-	var res Result
-	visited := make(map[[16]byte]struct{})
-	var queue []*pathNode
-
-	// Reset state.
 	init := newWorld(&sc, ops, values)
-	root := &pathNode{depth: 0}
-	visited[init.fingerprint()] = struct{}{}
-	res.States = 1
-	queue = append(queue, root)
-
-	digits := make([]int, sc.CPUs)
+	root := &pathNode{fp: init.fingerprint(&enc), pending: init.pendingWork(), pinned: init.pinned()}
+	visited := map[[16]byte]struct{}{root.fp: {}}
+	res := Result{States: 1}
+	queue := []*pathNode{root}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		if n.depth > res.MaxDepth {
-			res.MaxDepth = n.depth
-		}
+		res.MaxDepth = max(res.MaxDepth, n.depth)
 		if n.depth >= maxDepth {
 			continue
 		}
 		prefix := n.path()
-		// Re-enter the state by replay (checks off: every prefix state
-		// was checked when first discovered).
-		cur := replay(&sc, ops, values, prefix)
-		curFP := cur.fingerprint()
 
-		if !cur.pendingWork() {
+		if !n.pending {
 			res.Quiescent++
-			if !cur.remainingOps() {
+			if n.pinned == all { // no CPU busy, so every one is out of operations
 				res.Terminal++
 			}
-			if err := cur.CheckCoherence(); err != nil {
+			if err := replay(&sc, ops, values, prefix).CheckCoherence(); err != nil {
 				res.Violation = violationFrom(&sc, ops, values, prefix, "quiescent", err)
 				return res, nil
 			}
 		}
 
-		// Enumerate the joint choices available in this state.
-		for i := range digits {
-			digits[i] = 0
-		}
-		for {
-			c := joinDigits(digits, base)
+		// Every joint choice in ascending order, less those that start
+		// an operation on a pinned CPU.
+		for v := range choices {
+			c := choice(v)
+			if !c.silent(n.pinned, base) {
+				continue
+			}
 			res.Transitions++
 			succ := replay(&sc, ops, values, prefix)
 			succ.step(c, true)
@@ -126,48 +123,27 @@ func Explore(sc Scope) (Result, error) {
 				res.Violation = violationFrom(&sc, ops, values, append(prefix, c), kind, succ.err)
 				return res, nil
 			}
-			fp := succ.fingerprint()
-			if c == 0 && fp == curFP && cur.pendingWork() {
+			fp := succ.fingerprint(&enc)
+			if c == 0 && fp == n.fp && n.pending {
 				// The all-silent step changed nothing, yet work is in
 				// flight: nothing will ever complete it. Deadlock.
-				err := fmt.Errorf("no progress with work in flight (%s)", describePending(cur))
+				err := fmt.Errorf("no progress with work in flight (%s)", describePending(replay(&sc, ops, values, prefix)))
 				res.Violation = violationFrom(&sc, ops, values, prefix, "deadlock", err)
 				return res, nil
 			}
 			if _, seen := visited[fp]; !seen {
 				visited[fp] = struct{}{}
 				res.States++
-				queue = append(queue, &pathNode{parent: n, choice: c, depth: n.depth + 1})
+				queue = append(queue, &pathNode{parent: n, choice: c, depth: n.depth + 1,
+					fp: fp, pending: succ.pendingWork(), pinned: succ.pinned()})
 				if sc.MaxStates > 0 && res.States >= sc.MaxStates {
 					return res, nil
 				}
-			}
-			if !nextChoice(digits, cur, ops, &sc, base) {
-				break
 			}
 		}
 	}
 	res.Complete = true
 	return res, nil
-}
-
-// nextChoice advances digits to the next admissible joint choice,
-// reporting false when exhausted. A busy CPU's digit is pinned to 0
-// (it must keep polling); an idle CPU that has used its operation
-// budget is pinned to 0 as well.
-func nextChoice(digits []int, w *world, ops []op, sc *Scope, base int) bool {
-	for i := 0; i < len(digits); i++ {
-		d := &w.drv[i]
-		if d.busy || d.done >= sc.OpsPerCPU {
-			continue // pinned to 0
-		}
-		if digits[i] < base-1 {
-			digits[i]++
-			return true
-		}
-		digits[i] = 0
-	}
-	return false
 }
 
 // replay rebuilds the world from reset and re-applies a choice path
@@ -201,6 +177,7 @@ func violationFrom(sc *Scope, ops []op, values []uint32, path []choice, kind str
 	fmt.Fprintf(&b, "counterexample: %s, %d CPUs, %d banks, %d cycles\n", sc.Proto, sc.CPUs, sc.Banks, len(path))
 
 	w := newWorld(sc, ops, values)
+	w.log = &b
 	trace := func(now uint64, dir string, self, peer int, m *coherence.Msg) {
 		arrow := "->"
 		if dir == "rx" {
@@ -212,25 +189,8 @@ func violationFrom(sc *Scope, ops []op, values []uint32, path []choice, kind str
 	for _, n := range w.Ports {
 		n.Trace = trace
 	}
-	base := len(ops) + 1
 	for _, c := range path {
-		for cpu := range w.drv {
-			if !w.drv[cpu].busy {
-				if digit := c.digit(cpu, base); digit > 0 {
-					fmt.Fprintf(&b, "  cycle %3d: cpu%d begins %s\n", w.now, cpu, ops[digit-1])
-				}
-			}
-		}
-		busyBefore := make([]bool, len(w.drv))
-		for cpu := range w.drv {
-			busyBefore[cpu] = w.drv[cpu].busy || c.digit(cpu, base) > 0
-		}
 		w.step(c, true)
-		for cpu := range w.drv {
-			if busyBefore[cpu] && !w.drv[cpu].busy {
-				fmt.Fprintf(&b, "  cycle %3d: cpu%d completes %s\n", w.now-1, cpu, w.drv[cpu].op)
-			}
-		}
 	}
 	fmt.Fprintf(&b, "  FAIL: %v\n", verr)
 	return &Violation{Err: verr, Kind: kind, Path: path, Trace: b.String()}

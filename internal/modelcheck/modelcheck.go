@@ -12,14 +12,15 @@
 // the cycle-accurate CPU model does. Because the simulated hardware is
 // deterministic, a state is fully identified by the choice path that
 // produced it, so the search needs no snapshot/restore support: a state
-// is re-entered by replaying its path from reset. States are
-// deduplicated by a 128-bit FNV hash of the complete
-// micro-architectural state (cache lines, pending transactions, write
-// buffers, directory entries, node FIFOs — each component writes its
-// own, Hierarchy.Fingerprint — plus in-flight NoC packets and the
-// scoped memory words), with all times expressed relative to the
-// current cycle so equivalent states reached at different absolute
-// cycles merge.
+// is re-entered by replaying its path from reset, once per transition
+// into it, its frontier entry keeping what the search reads of it
+// later. States are deduplicated by a 128-bit FNV hash of a byte
+// encoding (coherence.Enc) of the complete micro-architectural state
+// (cache lines, pending transactions, write buffers, directory entries,
+// node FIFOs — each component appends its own, Hierarchy.Fingerprint —
+// plus in-flight NoC packets and the scoped memory words), with all
+// times expressed relative to the current cycle so equivalent states
+// reached at different absolute cycles merge.
 //
 // In every state the transient-safe runtime invariants run
 // (Hierarchy.CheckRuntime: SWMR, value agreement, directory agreement)
@@ -49,9 +50,11 @@ type Scope struct {
 	Proto coherence.Protocol
 	// CPUs and Banks size the system (2–3 caches, 1–2 banks).
 	CPUs, Banks int
-	// Addrs are the word addresses the CPUs operate on. Leave nil for
-	// the default single shared word.
-	Addrs []uint32
+	// Addrs is how many words the CPUs operate on (0 = one): the first
+	// word of each of as many consecutive blocks, so each extra address
+	// adds a real block-level interleaving (and, with two banks, a
+	// second bank), not intra-block noise.
+	Addrs int
 	// Vals is the store-value alphabet (must not contain 0, the
 	// initial memory value — ghost checks tell values apart).
 	Vals []uint32
@@ -78,16 +81,11 @@ const (
 	wbWords = 2
 )
 
-// ScopeAddrs returns n scoped word addresses, one per consecutive
-// block, so each extra address adds a real block-level interleaving
-// (and, with two banks, a second bank), not intra-block noise.
-func ScopeAddrs(n int) []uint32 {
-	addrs := make([]uint32, n)
-	for i := range addrs {
-		addrs[i] = scopeBase + uint32(i*coherence.DefaultParams(1).BlockBytes)
-	}
-	return addrs
-}
+// blockBytes is the scope's block size; scoped word i is the first word
+// of block i from scopeBase.
+var blockBytes = coherence.DefaultParams(1).BlockBytes
+
+func scopeAddr(i int) uint32 { return scopeBase + uint32(i*blockBytes) }
 
 // DefaultScope returns the standard small scope for a protocol:
 // 2 CPUs, 1 bank, 1 shared word, values {1,2}, swap enabled,
@@ -97,39 +95,54 @@ func DefaultScope(proto coherence.Protocol) Scope {
 		Proto:     proto,
 		CPUs:      2,
 		Banks:     1,
-		Addrs:     ScopeAddrs(1),
+		Addrs:     1,
 		Vals:      []uint32{1, 2},
 		WithSwap:  true,
 		OpsPerCPU: 2,
 	}
 }
 
-// normalize fills defaults and validates the scope.
-func (sc *Scope) normalize() error {
+// normalize fills defaults, validates the scope and returns its
+// alphabet (see buildAlphabet).
+func (sc *Scope) normalize() (ops []op, values []uint32, err error) {
 	if sc.CPUs < 1 || sc.CPUs > 4 {
-		return fmt.Errorf("modelcheck: CPUs must be 1..4, got %d", sc.CPUs)
+		return nil, nil, fmt.Errorf("modelcheck: CPUs must be 1..4, got %d", sc.CPUs)
 	}
 	if sc.Banks < 1 || sc.Banks > 2 {
-		return fmt.Errorf("modelcheck: Banks must be 1..2, got %d", sc.Banks)
+		return nil, nil, fmt.Errorf("modelcheck: Banks must be 1..2, got %d", sc.Banks)
 	}
-	if len(sc.Addrs) == 0 {
-		sc.Addrs = ScopeAddrs(1)
-	}
+	sc.Addrs = max(sc.Addrs, 1)
 	if len(sc.Vals) == 0 {
 		sc.Vals = []uint32{1, 2}
 	}
 	for _, v := range sc.Vals {
 		if v == 0 {
-			return fmt.Errorf("modelcheck: value 0 is reserved for initial memory")
+			return nil, nil, fmt.Errorf("modelcheck: value 0 is reserved for initial memory")
 		}
 		if v == swapValue {
-			return fmt.Errorf("modelcheck: value %#x is reserved for swap", swapValue)
+			return nil, nil, fmt.Errorf("modelcheck: value %#x is reserved for swap", swapValue)
 		}
 	}
 	if sc.OpsPerCPU < 1 {
 		sc.OpsPerCPU = 2
 	}
-	return nil
+	ops, values = buildAlphabet(sc)
+	if len(values) > 16 {
+		return nil, nil, fmt.Errorf("modelcheck: %d distinct word values (stores, swap and the initial 0); a ghost set holds at most 16", len(values))
+	}
+	if n := numChoices(sc.CPUs, len(ops)); n > 1<<16 {
+		return nil, nil, fmt.Errorf("modelcheck: %d CPUs with %d operations each make %d joint choices; a choice holds at most 65536", sc.CPUs, len(ops), n)
+	}
+	return ops, values, nil
+}
+
+// numChoices is the number of joint choices: len(ops)+1 digits per CPU.
+func numChoices(cpus, ops int) int {
+	n := 1
+	for range cpus {
+		n *= ops + 1
+	}
+	return n
 }
 
 // swapValue is the distinct word every scoped swap writes, so ghost
@@ -143,17 +156,6 @@ const (
 	opStore
 	opSwap
 )
-
-func (k opKind) String() string {
-	switch k {
-	case opLoad:
-		return "load"
-	case opStore:
-		return "store"
-	default:
-		return "swap"
-	}
-}
 
 // op is one entry of the per-CPU choice alphabet.
 type op struct {
@@ -189,7 +191,8 @@ func buildAlphabet(sc *Scope) (ops []op, values []uint32) {
 		values = append(values, v)
 		return len(values) - 1
 	}
-	for _, a := range sc.Addrs {
+	for i := range sc.Addrs {
+		a := scopeAddr(i)
 		ops = append(ops, op{kind: opLoad, addr: a})
 		for _, v := range sc.Vals {
 			ops = append(ops, op{kind: opStore, addr: a, val: v, valID: valID(v)})

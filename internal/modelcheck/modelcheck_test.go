@@ -47,14 +47,17 @@ func TestExhaustiveAllProtocols(t *testing.T) {
 }
 
 // TestExhaustiveWithSwap adds the atomic swap to the alphabet for the
-// paper's two protocols (the bigger spaces take ~10s each; skipped
-// under -short).
+// paper's two protocols and pins the size of each space, as
+// TestExhaustiveAllProtocols does without it (skipped under -short).
 func TestExhaustiveWithSwap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swap-enabled exploration skipped in -short mode")
 	}
+	pins := map[coherence.Protocol]Result{
+		coherence.WTI:    {States: 170502, Transitions: 304974, MaxDepth: 88, Quiescent: 481, Terminal: 210, Complete: true},
+		coherence.WBMESI: {States: 126566, Transitions: 160446, MaxDepth: 143, Quiescent: 486, Terminal: 208, Complete: true},
+	}
 	for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
-		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Explore(DefaultScope(proto))
@@ -64,8 +67,8 @@ func TestExhaustiveWithSwap(t *testing.T) {
 			if res.Violation != nil {
 				t.Fatalf("violation:\n%s", res.Violation.Trace)
 			}
-			if !res.Complete || res.States < 10000 {
-				t.Fatalf("complete=%t states=%d", res.Complete, res.States)
+			if res != pins[proto] {
+				t.Fatalf("explored %+v, pinned %+v", res, pins[proto])
 			}
 		})
 	}
@@ -173,7 +176,7 @@ func TestMaxStatesBound(t *testing.T) {
 }
 
 // TestTwoBankScope exercises the multi-bank address interleave with two
-// addresses mapping to different banks.
+// addresses mapping to different banks, and pins the size of its space.
 func TestTwoBankScope(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-bank exploration skipped in -short mode")
@@ -182,7 +185,7 @@ func TestTwoBankScope(t *testing.T) {
 		Proto:     coherence.WBMESI,
 		CPUs:      2,
 		Banks:     2,
-		Addrs:     ScopeAddrs(2), // distinct blocks, distinct banks
+		Addrs:     2, // distinct blocks, distinct banks
 		Vals:      []uint32{1},
 		OpsPerCPU: 2,
 	}
@@ -193,21 +196,29 @@ func TestTwoBankScope(t *testing.T) {
 	if res.Violation != nil {
 		t.Fatalf("violation:\n%s", res.Violation.Trace)
 	}
-	if !res.Complete {
-		t.Fatal("exploration did not complete")
+	pin := Result{States: 240227, Transitions: 269243, MaxDepth: 172, Quiescent: 555, Terminal: 320, Complete: true}
+	if res != pin {
+		t.Fatalf("explored %+v, pinned %+v", res, pin)
 	}
 }
 
-// TestScopeValidation rejects malformed scopes.
+// TestScopeValidation rejects malformed scopes, and scopes too big for
+// the encodings: a joint choice is a uint16, a ghost set 16 bits.
 func TestScopeValidation(t *testing.T) {
-	for _, sc := range []Scope{
-		{Proto: coherence.WTI, CPUs: 0, Banks: 1},
-		{Proto: coherence.WTI, CPUs: 2, Banks: 3},
-		{Proto: coherence.WTI, CPUs: 2, Banks: 1, Vals: []uint32{0}},
-		{Proto: coherence.WTI, CPUs: 2, Banks: 1, Vals: []uint32{swapValue}},
+	for _, c := range []struct {
+		sc   Scope
+		want string
+	}{
+		{Scope{CPUs: 0, Banks: 1}, "CPUs must be 1..4"},
+		{Scope{CPUs: 2, Banks: 3}, "Banks must be 1..2"},
+		{Scope{CPUs: 2, Banks: 1, Vals: []uint32{0}}, "value 0 is reserved"},
+		{Scope{CPUs: 2, Banks: 1, Vals: []uint32{swapValue}}, "reserved for swap"},
+		{Scope{CPUs: 4, Banks: 1, Addrs: 4, WithSwap: true, OpsPerCPU: 1}, "83521 joint choices; a choice holds at most 65536"},
+		{Scope{CPUs: 2, Banks: 1, Vals: []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}}, "18 distinct word values (stores, swap and the initial 0); a ghost set holds at most 16"},
 	} {
-		if _, err := Explore(Scope{Proto: sc.Proto, CPUs: sc.CPUs, Banks: sc.Banks, Vals: sc.Vals, MaxStates: 10}); err == nil && (sc.CPUs == 0 || sc.Banks == 3 || len(sc.Vals) > 0) {
-			t.Errorf("scope %+v accepted", sc)
+		c.sc.Proto, c.sc.MaxStates = coherence.WTI, 10
+		if _, err := Explore(c.sc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("scope %+v: got %v, want an error containing %q", c.sc, err, c.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package modelcheck
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"strings"
 
 	"repro/internal/coherence"
@@ -33,6 +34,9 @@ type world struct {
 
 	// err is the first invariant or ghost violation observed.
 	err error
+	// log, when set, receives each operation's begin and completion:
+	// the counterexample trace.
+	log *strings.Builder
 }
 
 // driver is one CPU's operation state: idle, or polling one in-flight
@@ -49,19 +53,15 @@ type driver struct {
 // digit i>0 = initiate ops[i-1].
 type choice uint16
 
-func (c choice) digit(cpu, base int) int {
-	for i := 0; i < cpu; i++ {
+// silent reports whether c gives every CPU in the pinned mask digit 0.
+func (c choice) silent(pinned uint8, base int) bool {
+	for ; pinned != 0; pinned >>= 1 {
+		if pinned&1 != 0 && int(c)%base != 0 {
+			return false
+		}
 		c /= choice(base)
 	}
-	return int(c % choice(base))
-}
-
-func joinDigits(digits []int, base int) choice {
-	var c choice
-	for i := len(digits) - 1; i >= 0; i-- {
-		c = c*choice(base) + choice(digits[i])
-	}
-	return c
+	return true
 }
 
 // newWorld builds the scoped system from reset.
@@ -71,8 +71,10 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 	p.MemLatency = 2
 	p.MemService = 1
 	// The drivers never fetch, and a world is rebuilt for every replay:
-	// one line keeps the instruction caches out of the allocator.
+	// one instruction line, and one data line per scoped block (rounded
+	// up to a power of two), keep the caches out of the allocator.
 	p.ICacheBytes = p.BlockBytes
+	p.DCacheBytes = p.BlockBytes << bits.Len(uint(sc.Addrs-1))
 	amap := mem.NewAddrMap(sc.Banks)
 	banks := make([]int, sc.Banks)
 	for i := range banks {
@@ -96,7 +98,7 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 		}),
 		space: mem.NewSpace(),
 		drv:   make([]driver, sc.CPUs),
-		ghost: make([]uint16, len(sc.Addrs)),
+		ghost: make([]uint16, sc.Addrs),
 	}
 	w.Hierarchy = coherence.NewHierarchy(w.net, w.space, amap, p, sc.Proto)
 	for i := range w.ghost {
@@ -108,14 +110,7 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 	return w
 }
 
-func (w *world) addrIndex(addr uint32) int {
-	for i, a := range w.sc.Addrs {
-		if a == addr {
-			return i
-		}
-	}
-	return -1
-}
+func addrIndex(addr uint32) int { return int(addr-scopeBase) / blockBytes }
 
 // step advances the world one cycle under the given joint choice: the
 // CPUs' operations first, then the hierarchy's own cycle
@@ -125,51 +120,59 @@ func (w *world) addrIndex(addr uint32) int {
 // discovered.
 func (w *world) step(c choice, check bool) {
 	base := len(w.ops) + 1
+	var completed uint8
 	for cpu := range w.drv {
 		d := &w.drv[cpu]
-		if !d.busy {
-			if digit := c.digit(cpu, base); digit > 0 {
-				d.op = w.ops[digit-1]
-				d.busy = true
-				if d.op.kind != opLoad {
-					// The written value may become observable to any
-					// CPU from this point on; ghost sets are monotone.
-					w.ghost[w.addrIndex(d.op.addr)] |= 1 << d.op.valID
-				}
+		digit := int(c) % base
+		c /= choice(base)
+		if !d.busy && digit > 0 {
+			d.op = w.ops[digit-1]
+			d.busy = true
+			if w.log != nil {
+				fmt.Fprintf(w.log, "  cycle %3d: cpu%d begins %s\n", w.now, cpu, d.op)
+			}
+			if d.op.kind != opLoad {
+				// The written value may become observable to any
+				// CPU from this point on; ghost sets are monotone.
+				w.ghost[addrIndex(d.op.addr)] |= 1 << d.op.valID
 			}
 		}
-		if d.busy {
-			w.driveOp(cpu)
+		if d.busy && w.driveOp(cpu, d.op) {
+			d.busy = false
+			d.done++
+			completed |= 1 << cpu
 		}
 	}
 	w.Step(w.now)
+	for cpu := range w.drv {
+		if w.log != nil && completed>>cpu&1 != 0 {
+			fmt.Fprintf(w.log, "  cycle %3d: cpu%d completes %s\n", w.now, cpu, w.drv[cpu].op)
+		}
+	}
 	w.now++
 	if check && w.err == nil {
 		w.err = w.CheckRuntime()
 	}
 }
 
-// driveOp polls cpu's in-flight operation once.
-func (w *world) driveOp(cpu int) {
-	d := &w.drv[cpu]
-	switch d.op.kind {
+// driveOp polls o, cpu's operation in flight, once and reports
+// whether it completed.
+func (w *world) driveOp(cpu int, o op) bool {
+	switch o.kind {
 	case opLoad:
-		if v, ok := w.DCaches[cpu].Load(w.now, d.op.addr, 0xF); ok {
-			w.observed(cpu, "load", d.op.addr, v)
-			d.busy = false
-			d.done++
+		v, ok := w.DCaches[cpu].Load(w.now, o.addr, 0xF)
+		if ok {
+			w.observed(cpu, "load", o.addr, v)
 		}
+		return ok
 	case opStore:
-		if w.DCaches[cpu].Store(w.now, d.op.addr, d.op.val, 0xF) {
-			d.busy = false
-			d.done++
+		return w.DCaches[cpu].Store(w.now, o.addr, o.val, 0xF)
+	default:
+		old, ok := w.DCaches[cpu].Swap(w.now, o.addr, o.val)
+		if ok {
+			w.observed(cpu, "swap", o.addr, old)
 		}
-	case opSwap:
-		if old, ok := w.DCaches[cpu].Swap(w.now, d.op.addr, d.op.val); ok {
-			w.observed(cpu, "swap", d.op.addr, old)
-			d.busy = false
-			d.done++
-		}
+		return ok
 	}
 }
 
@@ -180,7 +183,7 @@ func (w *world) observed(cpu int, what string, addr uint32, v uint32) {
 	if w.err != nil {
 		return
 	}
-	idx := w.addrIndex(addr)
+	idx := addrIndex(addr)
 	for id, val := range w.values {
 		if val == v {
 			if w.ghost[idx]&(1<<id) == 0 {
@@ -205,44 +208,53 @@ func (w *world) pendingWork() bool {
 	return w.Pending(nil)
 }
 
-// remainingOps reports whether any CPU may still initiate operations.
-func (w *world) remainingOps() bool {
+// pinned returns the CPUs that may only choose silence: those with an
+// operation in flight, and those out of operations.
+func (w *world) pinned() uint8 {
+	var m uint8
 	for i := range w.drv {
-		if w.drv[i].done < w.sc.OpsPerCPU {
-			return true
+		if w.drv[i].busy || w.drv[i].done >= w.sc.OpsPerCPU {
+			m |= 1 << i
 		}
 	}
-	return false
+	return m
 }
 
-// fingerprint hashes the complete behaviour-relevant state. Everything
-// that influences future behaviour participates; counters, latency
-// timestamps and observability handles do not. All times are relative
-// to the current cycle so states reached at different absolute cycles
-// can merge.
-func (w *world) fingerprint() [16]byte {
-	var b strings.Builder
+// fingerprint hashes the complete behaviour-relevant state, encoded
+// into e (reused across calls). Everything that influences future
+// behaviour participates; counters, latency timestamps and
+// observability handles do not. All times are relative to the current
+// cycle so states reached at different absolute cycles can merge.
+func (w *world) fingerprint(e *coherence.Enc) [16]byte {
+	*e = (*e)[:0]
 	for i := range w.drv {
 		d := &w.drv[i]
-		fmt.Fprintf(&b, "D%t:%d:%x:%x:%d;", d.busy, d.op.kind, d.op.addr, d.op.val, d.done)
+		e.Bools(d.busy)
+		e.U32(uint32(d.op.kind), d.op.addr, d.op.val, uint32(d.done))
 	}
-	fmt.Fprintf(&b, "G%x;", w.ghost)
-	w.Hierarchy.Fingerprint(&b, w.now)
+	for _, g := range w.ghost {
+		e.U32(uint32(g))
+	}
+	w.Hierarchy.Fingerprint(e, w.now)
+	// A tag before each port and each packet marks where a port's
+	// packets end.
 	w.net.Each(w.now, func(dst bool, busy uint64) {
-		tag := 'S'
+		tag := uint32('S')
 		if dst {
 			tag = 'T'
 		}
-		fmt.Fprintf(&b, "%c%d:", tag, busy)
+		e.U32(tag)
+		e.U64(busy)
 	}, func(ready uint64, p noc.Packet) {
-		fmt.Fprintf(&b, "%d>%d:%d:", p.Src, p.Dst, ready)
-		p.Payload.(*coherence.Msg).Fingerprint(&b)
+		e.U32('P', uint32(p.Src), uint32(p.Dst))
+		e.U64(ready)
+		p.Payload.(*coherence.Msg).Fingerprint(e)
 	})
-	for _, a := range w.sc.Addrs {
-		fmt.Fprintf(&b, "M%x;", w.space.ReadWord(a))
+	for i := range w.sc.Addrs {
+		e.U32(w.space.ReadWord(scopeAddr(i)))
 	}
 	h := fnv.New128a()
-	h.Write([]byte(b.String()))
+	h.Write(*e)
 	var fp [16]byte
 	h.Sum(fp[:0])
 	return fp
