@@ -233,7 +233,7 @@ func main() {
 			s, n := c.Spun()
 			ahead, bursts, sleeps, slept = ahead+a, bursts+b, sleeps+s, slept+n
 		}
-		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.1f per executed cycle); run ahead: %d of %d instr in %d bursts, %d spin sleeps of %d cycles\n",
+		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.2f per executed cycle); run ahead: %d of %d instr in %d bursts, %d spin sleeps of %d cycles\n",
 			eng.Leaps(), leaped, eng.Now(), 100*float64(leaped)/float64(eng.Now()),
 			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped), ahead, res.Instructions(), bursts, sleeps, slept)
 	}

@@ -126,12 +126,12 @@ func (n *Node) CanSendReq() bool { return n.outQ.Len() < reqBound }
 // reqBound is the admission bound for request-class messages.
 const reqBound = 4
 
-// Tick delivers arrived messages to the sink and drains the outbound
-// queue into the network. It runs for every awake node every cycle:
-// hot path.
+// Tick delivers arrived messages to the sink, drains the outbound
+// queue into the network and answers NextWake(now+1). It runs for every
+// awake node every cycle: hot path.
 //
 //lint:hot
-func (n *Node) Tick(now uint64) {
+func (n *Node) Tick(now uint64) uint64 {
 	// Receive. The arrival check comes first: on the (common) cycles
 	// with nothing deliverable the sink is never consulted. Both sinks'
 	// Accept are pure queries, so the swapped order cannot change
@@ -187,6 +187,7 @@ func (n *Node) Tick(now uint64) {
 		}
 		n.outQ.Recv(now)
 	}
+	return n.NextWake(now + 1)
 }
 
 // NextWake implements sim.Sleeper: Tick(now) is a strict no-op unless

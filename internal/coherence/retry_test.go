@@ -72,7 +72,7 @@ func (d *lossyNet) TookDrop(src int) bool {
 func (d *lossyNet) Deliver(node int, now uint64) (noc.Packet, bool) { return noc.Packet{}, false }
 func (d *lossyNet) ArrivalAt(node int) uint64                       { return sim.NoWake }
 func (d *lossyNet) Attach(self sim.Waker, nodes []sim.Waker)        {}
-func (d *lossyNet) Tick(now uint64)                                 {}
+func (d *lossyNet) Tick(now uint64) uint64                          { return sim.NoWake }
 func (d *lossyNet) Quiet() bool                                     { return true }
 func (d *lossyNet) NextWake(now uint64) uint64                      { return ^uint64(0) }
 func (d *lossyNet) Stats() noc.Stats                                { return noc.Stats{} }

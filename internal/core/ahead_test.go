@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/coherence"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -150,5 +151,48 @@ func TestSlicedRunResumesCoresAhead(t *testing.T) {
 	a.Config.DisableLeap = false
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("sliced runs differ:\nnaive     %+v\nscheduled %+v", a, b)
+	}
+}
+
+// TestSchedulePinned pins the schedule, not only its Result: a lock
+// counter under WB on arch1 at n = 8, whose cores run ahead and prove
+// spins, clean and under a fault plan whose stall windows and quieting
+// deliveries move wakes later. Every count below was recorded while the
+// engine still asked each ticker NextWake on the cycle after its Tick. A
+// Tick that answers a cycle the ticker would not run at — a cluster
+// answering where its core's run-ahead stopped rather than NextWake there,
+// a network missing its fault layer's Wake — keeps every Result byte and
+// moves these: spin sleeps cut short, fewer ticks skipped.
+func TestSchedulePinned(t *testing.T) {
+	for _, c := range []struct{ fault, want string }{
+		{"", "cpus 81290/1096758; banks 34368/260144; noc 18794/128462; " +
+			"leaped 63705, ahead 210977 in 33377, spun 439 for 25633"},
+		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 82686/1123370; banks 33385/268129; noc 145022/5735; " +
+			"leaped 2081, ahead 214976 in 34087, spun 436 for 26632"},
+	} {
+		cfg := DefaultConfig(coherence.WBMESI, mem.Arch1, 8)
+		var err error
+		if cfg.Fault, err = fault.ParsePlan(c.fault); err != nil {
+			t.Fatal(err)
+		}
+		sys := buildCounterSys(t, cfg)
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, c := range sys.Engine.TickCounts() {
+			got = append(got, fmt.Sprintf("%s %d/%d", c.Name, c.Executed, c.Skipped))
+		}
+		var ahead, bursts, sleeps, slept uint64
+		for _, c := range sys.CPUs {
+			a, b := c.Ahead()
+			s, n := c.Spun()
+			ahead, bursts, sleeps, slept = ahead+a, bursts+b, sleeps+s, slept+n
+		}
+		got = append(got, fmt.Sprintf("leaped %d, ahead %d in %d, spun %d for %d",
+			sys.Engine.LeapedCycles(), ahead, bursts, sleeps, slept))
+		if s := strings.Join(got, "; "); s != c.want {
+			t.Errorf("fault plan %q: schedule moved:\ngot  %s\nwant %s", c.fault, s, c.want)
+		}
 	}
 }

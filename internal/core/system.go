@@ -156,8 +156,8 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 // registers the bare Tick, which the engine then runs on every cycle —
 // the naive reference schedule the equivalence tests compare against.
 func (s *System) register(name string, t sim.Ticker) sim.Waker {
-	if s.Cfg.DisableLeap {
-		t = sim.TickFunc(t.Tick)
+	if tick := t.Tick; s.Cfg.DisableLeap {
+		t = sim.TickFunc(func(now uint64) { tick(now) })
 	}
 	return s.Engine.Register(name, t)
 }
@@ -166,7 +166,7 @@ func (s *System) register(name string, t sim.Ticker) sim.Waker {
 // "halted" and the counters. The SR32 interpreter and the synthetic
 // stream CPU both do.
 type frontEnd interface {
-	sim.Ticker
+	Tick(now uint64)
 	sim.Sleeper
 	Halted() bool
 	Stats() *cpu.Stats
@@ -272,35 +272,32 @@ type cluster struct {
 	ahead     uint64 // the core's: first cycle it has not executed
 }
 
-func (c *cluster) Tick(now uint64) {
+// Tick answers NextWake(now+1): the parts' wakes bound the run-ahead too.
+func (c *cluster) Tick(now uint64) uint64 {
 	c.cpu.Tick(now)
 	c.dc.Tick(now)
 	c.ic.Tick(now)
-	c.node.Tick(now)
-	// An active core only: a stalled or halted one has nothing to run.
-	if h := now + c.lookahead; h > now+1 && c.core.NextWake(now+1) == now+1 {
-		h = min(h, c.sys.Engine.Horizon(), c.dc.NextWake(now+1), c.ic.NextWake(now+1), c.node.NextWake(now+1))
-		// Not while a port is one loss from its budget: spending it ends the run with
-		// -noleap's pcs. A port that gets there later waits Backoff(Budget) (1024 cycles).
-		if !c.sys.nearBudget() {
-			c.ahead = c.core.RunAhead(now+1, h)
-		}
+	next, at := min(c.node.Tick(now), c.dc.NextWake(now+1), c.ic.NextWake(now+1)), now+1
+	// An active core only: a stalled or halted one has nothing to run. Not
+	// while a port is one loss from its budget: spending it ends the run with
+	// -noleap's pcs. A port that gets there later waits Backoff(Budget) (1024 cycles).
+	if h := min(now+c.lookahead, next); h > at && c.core.NextWake(at) == at && !c.sys.nearBudget() {
+		c.ahead = c.core.RunAhead(at, min(h, c.sys.Engine.Horizon()))
+		at = c.ahead
 	}
+	return max(at, min(c.cpu.NextWake(at), next))
 }
 
 func (c *cluster) NextWake(now uint64) uint64 {
-	// A core ahead of the clock answers for the cluster: the horizon it
-	// ran to was the other parts' earliest wake, and an arrival pushed
-	// since is no earlier (MinTransit). One that is falls through, gets
-	// the cluster ticked behind its core, and the core panics.
+	// A core ahead of the clock answers as at the first cycle it has not
+	// executed: the horizon it ran to was the other parts' earliest wake,
+	// and an arrival pushed since is no earlier (MinTransit). One that is
+	// falls through, gets the cluster ticked behind its core, and the core
+	// panics.
 	if now < c.ahead && c.net.ArrivalAt(c.node.ID) >= c.ahead {
-		return c.ahead
+		now = c.ahead
 	}
-	w := c.cpu.NextWake(now)
-	if w <= now {
-		return now
-	}
-	return min(w, c.dc.NextWake(now), c.ic.NextWake(now), c.node.NextWake(now))
+	return max(now, min(c.cpu.NextWake(now), c.dc.NextWake(now), c.ic.NextWake(now), c.node.NextWake(now)))
 }
 
 // Skip charges the stalled core's retries (the core forwards its
@@ -313,8 +310,8 @@ func (c *cluster) Skip(from, to uint64) {
 
 // NextWake reports the earliest cycle at or after now at which any
 // component must run — now itself if one must — or sim.NoWake when only
-// the run deadline can re-awaken the system. It is the pure fold of the
-// per-ticker answers the engine schedules by.
+// the run deadline can re-awaken the system: the pure fold of the answers
+// the engine asks for when a Run opens (a Tick gives the same one after).
 func (s *System) NextWake(now uint64) uint64 { return s.Engine.NextWake(now) }
 
 // AllHalted reports whether every CPU has executed HALT or exhausted

@@ -51,7 +51,8 @@ type dupPayload struct {
 type Net struct {
 	inner noc.Network
 	plan  *Plan
-	self  sim.Waker // the network's own slot, see Attach
+	self  sim.Waker   // the network's own slot, see Attach
+	nodes []sim.Waker // the endpoints', see Attach
 
 	dropRng  rng
 	delayRng rng
@@ -103,6 +104,7 @@ func Wrap(inner noc.Network, plan *Plan, nodes, bankBase int) *Net {
 		dropNote:   make([]bool, nodes),
 		stallUntil: make([]uint64, nodes),
 		bankBase:   bankBase,
+		nodes:      make([]sim.Waker, nodes),
 	}
 }
 
@@ -166,8 +168,10 @@ func (f *Net) stage(p noc.Packet, at uint64) {
 }
 
 // Attach implements noc.Network; the wrapped model announces the arrivals.
+// The wrapper only moves answers later (a stall window, the last delivery):
+// a Wake(0) has the one concerned asked again at its next turn.
 func (f *Net) Attach(self sim.Waker, nodes []sim.Waker) {
-	f.self = self
+	f.self, f.nodes = self, nodes
 	f.inner.Attach(self, nodes)
 }
 
@@ -180,7 +184,7 @@ func (f *Net) TookDrop(src int) bool {
 
 // Tick implements noc.Network: one cycle of Skip's stall windows, release
 // staged transfers whose delay elapsed, then tick the wrapped model.
-func (f *Net) Tick(now uint64) {
+func (f *Net) Tick(now uint64) uint64 {
 	f.Skip(now, now+1)
 	if f.stagedN > 0 {
 		for src := range f.staged {
@@ -194,6 +198,7 @@ func (f *Net) Tick(now uint64) {
 		}
 	}
 	f.inner.Tick(now)
+	return f.NextWake(now + 1)
 }
 
 // Skip implements sim.Sleeper, which is what core registers the wrapper
@@ -212,6 +217,7 @@ func (f *Net) Skip(from, to uint64) {
 			s := f.plan.stallFor(node - f.bankBase)
 			if s != nil && s.Rate > 0 && f.stallRng.chance(s.Rate) {
 				f.stallUntil[node] = now + uint64(s.Window)
+				f.nodes[node].Wake(0)
 				f.st.StallWindows++
 				f.st.StallCycles++
 			}
@@ -239,6 +245,9 @@ func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
 		p, ok := f.inner.Deliver(node, now)
 		if !ok {
 			return noc.Packet{}, false
+		}
+		if f.Quiet() {
+			f.self.Wake(0)
 		}
 		if _, isDup := p.Payload.(dupPayload); isDup {
 			f.st.DupsSuppressed++

@@ -41,7 +41,7 @@ func (f *fakeNet) Deliver(node int, now uint64) (noc.Packet, bool) {
 }
 
 func (f *fakeNet) Attach(self sim.Waker, nodes []sim.Waker) {}
-func (f *fakeNet) Tick(now uint64)                          { f.ticks++ }
+func (f *fakeNet) Tick(now uint64) uint64                   { f.ticks++; return f.NextWake(now + 1) }
 func (f *fakeNet) Stats() noc.Stats                         { return noc.Stats{} }
 func (f *fakeNet) PortFlits() []uint64                      { return nil }
 func (f *fakeNet) MinTransit() uint64                       { return 1 }
@@ -314,7 +314,7 @@ type edgeNode struct {
 	t        *testing.T
 }
 
-func (n *edgeNode) Tick(now uint64) {
+func (n *edgeNode) Tick(now uint64) uint64 {
 	for ; len(n.offers) > 0 && n.offers[0] == now; n.offers = n.offers[1:] {
 		for _, p := range n.script[now] {
 			if p.Src == n.id {
@@ -336,6 +336,7 @@ func (n *edgeNode) Tick(now uint64) {
 		n.accepted[n.backlog[0].Payload.(int)] = now
 		n.backlog = n.backlog[1:]
 	}
+	return n.NextWake(now + 1)
 }
 
 func (n *edgeNode) NextWake(now uint64) uint64 {

@@ -50,13 +50,10 @@ func NewBus(cfg BusConfig) *Bus {
 
 // Tick implements Network: at most one bus tenure is granted per idle
 // cycle, round-robin over requesting nodes.
-func (b *Bus) Tick(now uint64) {
-	if b.busyTill > now {
-		return
-	}
+func (b *Bus) Tick(now uint64) uint64 {
 	// Round-robin: requesters from rr up, then from 0 up to it.
 	for _, from := range [2]int{b.rr, 0} {
-		for src := b.injSet.Next(from); src >= 0; src = b.injSet.Next(src + 1) {
+		for src := b.injSet.Next(from); src >= 0 && b.busyTill <= now; src = b.injSet.Next(src + 1) {
 			p, ok := b.take(src, now)
 			if !ok {
 				continue
@@ -67,9 +64,9 @@ func (b *Bus) Tick(now uint64) {
 			b.count(p, flits)
 			b.stats.TotalFlits += flits
 			b.rr = (src + 1) % len(b.inj)
-			return
 		}
 	}
+	return b.NextWake(now + 1)
 }
 
 // MinTransit implements Network: a one-flit tenure.

@@ -64,28 +64,32 @@ func NewGMN(cfg GMNConfig) *GMN {
 
 // Tick implements Network: moves at most one packet per source from the
 // injection queue into the crossbar, modelling source serialization and
-// destination-FIFO backpressure.
-func (g *GMN) Tick(now uint64) {
+// destination-FIFO backpressure, and folds NextWake(now+1) on the way.
+func (g *GMN) Tick(now uint64) uint64 {
+	next := sim.NoWake
 	for i := g.injSet.Next(0); i >= 0; i = g.injSet.Next(i + 1) {
 		// A full destination FIFO blocks the head of the line.
-		if s := &g.inj[i]; !s.Ready(now) || g.srcBusy[i] > now || !g.arr[s.Head().Dst].CanSend() {
-			continue
+		if s := &g.inj[i]; s.Ready(now) && g.srcBusy[i] <= now && g.arr[s.Head().Dst].CanSend() {
+			p, _ := g.take(i, now)
+			flits := uint64(p.Flits())
+			// The source port serializes the packet...
+			depart := now + flits
+			g.srcBusy[i] = depart
+			// ...it crosses the network...
+			arrive := depart + g.delay
+			// ...and the destination port serializes it in turn.
+			arrive = max(arrive, g.dstBusy[p.Dst])
+			ready := arrive + flits
+			g.dstBusy[p.Dst] = ready
+			g.arrive(p, ready)
+			g.count(p, flits)
+			g.stats.TotalFlits += flits
 		}
-		p, _ := g.take(i, now)
-		flits := uint64(p.Flits())
-		// The source port serializes the packet...
-		depart := now + flits
-		g.srcBusy[i] = depart
-		// ...it crosses the network...
-		arrive := depart + g.delay
-		// ...and the destination port serializes it in turn.
-		arrive = max(arrive, g.dstBusy[p.Dst])
-		ready := arrive + flits
-		g.dstBusy[p.Dst] = ready
-		g.arrive(p, ready)
-		g.count(p, flits)
-		g.stats.TotalFlits += flits
+		if !g.inj[i].Empty() {
+			next = min(next, max(g.srcBusy[i], now+1))
+		}
 	}
+	return next
 }
 
 // MinTransit implements Network: one flit through the source port, the

@@ -149,11 +149,14 @@ func (m *Mesh) enqueued(idx, in int, at uint64) {
 // come are visited, in ascending index as a scan would: whether a
 // downstream queue is full depends on whether that router has already
 // dequeued this cycle. (One that gets its first packet during the walk
-// may or may not be reached; the packet cannot move before now+1.)
-func (m *Mesh) Tick(now uint64) {
+// may or may not be reached; the packet cannot move before now+1.) It
+// folds NextWake(now+1) from the routers it leaves active or reaches behind.
+func (m *Mesh) Tick(now uint64) uint64 {
+	wake := sim.NoWake
 	for idx := m.active.Next(0); idx >= 0; idx = m.active.Next(idx + 1) {
 		r := &m.r[idx]
 		if r.wake > now {
+			wake = min(wake, r.wake)
 			continue
 		}
 		// Outputs no head routes to are not arbitrated (bit numPorts
@@ -187,6 +190,9 @@ func (m *Mesh) Tick(now uint64) {
 						continue // downstream full
 					}
 					m.enqueued(next, inPort, at)
+					if next < idx {
+						wake = min(wake, max(m.r[next].wake, now+1))
+					}
 					m.stats.TotalFlits += flits
 				}
 				r.outBusy[out] = now + flits
@@ -216,7 +222,9 @@ func (m *Mesh) Tick(now uint64) {
 		if r.wake == sim.NoWake {
 			m.active.Clear(idx)
 		}
+		wake = min(wake, max(r.wake, now+1))
 	}
+	return wake
 }
 
 // MinTransit implements Network: a packet already at its last router is

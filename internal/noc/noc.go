@@ -90,21 +90,19 @@ type Network interface {
 	// transit of an idle network. A node thus knows at t every arrival it
 	// can see before then. At least 1, constant for the network's life.
 	MinTransit() uint64
-	// Tick advances internal state by one cycle.
-	Tick(now uint64)
+	// Tick advances internal state by one cycle and answers NextWake(now+1).
+	Tick(now uint64) uint64
 	// Quiet reports whether no packets are in flight or queued.
 	Quiet() bool
 	// NextWake reports the earliest cycle at or after now — the cycle
 	// about to execute — at which Tick can move a queued packet (the
 	// sim.Sleeper question; arrivals are the nodes' to answer, through
-	// ArrivalAt). A network with anything movable at now must return now;
-	// one with nothing queued returns sim.NoWake. Returning a cycle
-	// earlier than the true next event is always safe — the engine just
-	// skips less — while a later one would skip live cycles. The models answer
-	// with the event itself — a queued head's ready cycle or the cycle
-	// the link or port it needs frees, whichever is later — except that a
-	// head held only by a full queue downstream has no timer and keeps
-	// the answer at now. Must be pure.
+	// ArrivalAt): now if anything is movable, sim.NoWake if nothing is
+	// queued, else the event itself — a queued head's ready cycle or the
+	// cycle the link or port it needs frees, whichever is later — except
+	// that a head held only by a full queue downstream has no timer and
+	// keeps the answer at now. Earlier is safe, later skips live cycles.
+	// Must be pure.
 	NextWake(now uint64) uint64
 	// Stats returns accumulated traffic counters.
 	Stats() Stats

@@ -122,7 +122,9 @@ func newRefGMN(cfg GMNConfig) *refGMN {
 	}
 }
 
-func (g *refGMN) Tick(now uint64) {
+func (g *refGMN) Tick(now uint64) uint64 { g.tick(now); return g.NextWake(now + 1) }
+
+func (g *refGMN) tick(now uint64) {
 	for i := range g.inj {
 		s := &g.inj[i]
 		if !s.Ready(now) || g.srcBusy[i] > now {
@@ -235,7 +237,9 @@ func (m *refMesh) Inject(p Packet, now uint64) bool {
 	return true
 }
 
-func (m *refMesh) Tick(now uint64) {
+func (m *refMesh) Tick(now uint64) uint64 { m.tick(now); return m.NextWake(now + 1) }
+
+func (m *refMesh) tick(now uint64) {
 	for idx := range m.r {
 		r := &m.r[idx]
 		x, y := idx%m.k, idx/m.k
@@ -300,7 +304,9 @@ func newRefBus(cfg BusConfig) *refBus {
 	}
 }
 
-func (b *refBus) Tick(now uint64) {
+func (b *refBus) Tick(now uint64) uint64 { b.tick(now); return b.NextWake(now + 1) }
+
+func (b *refBus) tick(now uint64) {
 	if b.busyTill > now {
 		return
 	}

@@ -188,10 +188,11 @@ type rigNode struct {
 	r      *rigNet
 	id     int
 	offers []uint64 // the script cycles that offer a packet from this node, ascending
-	asked  uint64   // the last cycle the engine asked (bookkeeping for the test, not state)
+	seen   uint64   // the last cycle the engine ticked or asked (bookkeeping for the test, not state)
 }
 
-func (n *rigNode) Tick(now uint64) {
+func (n *rigNode) Tick(now uint64) uint64 {
+	n.seen = now
 	for ; len(n.offers) > 0 && n.offers[0] == now; n.offers = n.offers[1:] {
 		for _, p := range n.c.script[now] {
 			if p.Src == n.id {
@@ -201,10 +202,12 @@ func (n *rigNode) Tick(now uint64) {
 		}
 	}
 	n.r.nodeAct(n.t, n.c, now, n.id)
+	return n.wake(now + 1)
 }
 
-func (n *rigNode) NextWake(now uint64) uint64 {
-	n.asked = now
+func (n *rigNode) NextWake(now uint64) uint64 { n.seen = now; return n.wake(now) }
+
+func (n *rigNode) wake(now uint64) uint64 {
 	arrival := n.r.ArrivalAt(n.id)
 	if len(n.r.backlog[n.id]) > 0 || arrival <= now {
 		return now // a refused offer or a refusing sink is retried every cycle
@@ -217,23 +220,26 @@ func (n *rigNode) NextWake(now uint64) uint64 {
 
 func (n *rigNode) Skip(from, to uint64) {}
 
-// rigTicker is the network's slot, noting when the engine asks it.
+// rigTicker is the network's slot, noting when the engine ticks or asks
+// it.
 type rigTicker struct {
 	Network
-	asked uint64
+	seen uint64
 }
 
-func (n *rigTicker) NextWake(now uint64) uint64 { n.asked = now; return n.Network.NextWake(now) }
+func (n *rigTicker) Tick(now uint64) uint64     { n.seen = now; return n.Network.Tick(now) }
+func (n *rigTicker) NextWake(now uint64) uint64 { n.seen = now; return n.Network.NextWake(now) }
 func (n *rigTicker) Skip(from, to uint64)       {}
 
 // TestWakeEdges holds the two edges the network owes an engine that
 // remembers wakes, on the differential rig's seeds: the same traffic is
 // run every-cycle by hand and on a sim.Engine whose node and network
-// tickers are only asked when their remembered wake has come, after
-// they ran, or after a Wake. Every cycle of the engine run, a node with
-// a packet deliverable must have been asked in that cycle (so arrive
-// announced it, with a cycle no later than the packet's, before it came)
-// and so must the network in a cycle with an accepted Inject; at the end
+// tickers only run when the cycle their last Tick answered has come, or
+// are asked after a Wake. Every cycle of the engine run, a node with a
+// packet deliverable must have been ticked or asked in that cycle (so
+// arrive announced it, with a cycle no later than the packet's, before
+// it came) and so must the network in a cycle with an accepted Inject;
+// at the end
 // every packet was delivered in the cycle the every-cycle run delivered
 // it, with the same Stats and PortFlits.
 func TestWakeEdges(t *testing.T) {
@@ -293,13 +299,13 @@ func wakeEdgeRun(t *testing.T, c rigCase, hand, r *rigNet) uint64 {
 			t.Fatalf("%v: not drained after %d cycles", c, cyc)
 		}
 		for _, n := range nodes {
-			if at := r.ArrivalAt(n.id); at <= cyc && n.asked != cyc {
-				t.Fatalf("%v cycle %d: node %d was passed over with a packet deliverable since %d (last asked at %d)",
-					c, cyc, n.id, at, n.asked)
+			if at := r.ArrivalAt(n.id); at <= cyc && n.seen != cyc {
+				t.Fatalf("%v cycle %d: node %d was passed over with a packet deliverable since %d (last seen at %d)",
+					c, cyc, n.id, at, n.seen)
 			}
 		}
-		if r.injected == cyc && net.asked != cyc {
-			t.Fatalf("%v cycle %d: an Inject was accepted, the network not asked (last at %d)", c, cyc, net.asked)
+		if r.injected == cyc && net.seen != cyc {
+			t.Fatalf("%v cycle %d: an Inject was accepted, the network neither ticked nor asked (last at %d)", c, cyc, net.seen)
 		}
 	})
 	if _, err := e.Run(0, func() bool { return e.Now() >= uint64(len(c.script)) && r.pending == 0 }); err != nil {
@@ -336,7 +342,9 @@ func rigRun(t *testing.T, c rigCase, ref, opt, gated *rigNet) {
 			progress = rm.progress()
 		}
 		ref.Tick(cyc)
-		opt.Tick(cyc)
+		if w, want := opt.Tick(cyc), opt.NextWake(cyc+1); w != want {
+			t.Fatalf("%v cycle %d: Tick answered %d, NextWake(%d) %d", c, cyc, w, cyc+1, want)
+		}
 		if gated.NextWake(cyc) <= cyc {
 			gated.Tick(cyc)
 		}

@@ -9,7 +9,8 @@ import (
 
 // scanAdvance is advance without the calendar: every remembered wake is
 // read at its slot's turn, so the due slots are found by a scan of all of
-// them. It is the reference TestCalendarMatchesScan holds advance to.
+// them (ask, which only Wake, forget and the slots' turns touch, is
+// shared). It is the reference TestCalendarMatchesScan holds advance to.
 func (e *Engine) scanAdvance(limit uint64) {
 	now := e.now
 	e.limit = limit
@@ -20,19 +21,21 @@ func (e *Engine) scanAdvance(limit uint64) {
 		}
 		s := &e.slots[i]
 		if s.sleep != nil {
-			s.asked++
-			if w := s.sleep.NextWake(now); w > now {
-				e.wake[i] = w
-				continue
+			if e.ask[i>>6]&(1<<(i&63)) != 0 {
+				s.asked++
+				if w := s.sleep.NextWake(now); w > now {
+					e.wake[i] = w
+					continue
+				}
+				e.ask.Clear(i)
 			}
 			if s.settled < now {
 				s.settle(now)
 			}
 		}
-		s.tick.Tick(now)
+		e.wake[i] = max(s.tick.Tick(now), now+1)
 		s.ticks++
 		s.settled = now + 1
-		e.wake[i] = now + 1
 		ran = true
 	}
 	target := now + 1
@@ -83,10 +86,10 @@ func (e *Engine) scanRun(maxCycles uint64, done func() bool) (uint64, error) {
 	return e.now - start, nil
 }
 
-// rover is a seeded ticker for the lock-step test. After each tick it
-// naps a drawn span — a few cycles, past the wheel's 64, or for good —
-// and sometimes hands a peer input that takes effect this cycle or the
-// next, with the Wake the contract asks for.
+// rover is a seeded ticker for the lock-step test. Each tick answers a
+// drawn nap — a few cycles, past the wheel's 64, or for good — and
+// sometimes hands a peer input that takes effect this cycle or the next,
+// with the Wake the contract asks for.
 type rover struct {
 	id    int
 	rng   *rand.Rand
@@ -97,7 +100,7 @@ type rover struct {
 	log   *[][2]uint64 // cycle, rover id; shared by the machine
 }
 
-func (r *rover) Tick(now uint64) {
+func (r *rover) Tick(now uint64) uint64 {
 	*r.log = append(*r.log, [2]uint64{now, uint64(r.id)})
 	switch d := r.rng.Intn(16); {
 	case d == 0:
@@ -114,6 +117,7 @@ func (r *rover) Tick(now uint64) {
 			p.waker.Wake(at)
 		}
 	}
+	return r.wake
 }
 func (r *rover) NextWake(uint64) uint64 { return r.wake }
 func (r *rover) Skip(from, to uint64)   { r.slept += to - from }
@@ -207,7 +211,7 @@ func TestDeadCycleWithADueSlotPanics(t *testing.T) {
 	e.wake[0] = e.now // due, but filed nowhere
 	clear(e.wheel)
 	defer func() {
-		if r := recover(); r != "sim: cycle 1: slot 0 (dozer) due at 1 was never asked" {
+		if r := recover(); r != "sim: cycle 1: slot 0 (dozer) due at 1 was passed over" {
 			t.Fatalf("recovered %v", r)
 		}
 	}()

@@ -18,13 +18,13 @@
 //
 // # One wake contract
 //
-// There is one schedule and one way to stay off it. A Ticker that also
-// implements Sleeper answers "when must I next run"; the engine
-// remembers the answer, passes the ticker over until that cycle comes —
-// or until whoever hands it input says so through its Waker — and when
+// There is one schedule and one way to stay off it. Every Tick answers
+// "when must I next run"; the engine files the answer and passes the
+// ticker over until that cycle comes — or until whoever hands it input
+// says so through its Waker, and the Sleeper is asked again — and when
 // every ticker's cycle lies ahead it moves the clock straight to the
-// earliest one. A ticker without the interface is simply always awake:
-// it runs every cycle and no cycle it is registered for is ever leaped.
+// earliest one. A ticker that is not a Sleeper is always awake: it runs
+// every cycle and no cycle it is registered for is ever leaped.
 // Within one cycle the full order is: tickers in registration order,
 // then Every hooks; Run consults done before the next cycle.
 //
@@ -44,29 +44,29 @@ import (
 
 // Ticker is any component advanced once per simulated cycle.
 type Ticker interface {
-	// Tick advances the component by one cycle. now is the cycle being
-	// executed.
-	Tick(now uint64)
+	// Tick advances the component by one cycle, now, and answers the cycle
+	// it must next run: a Sleeper's NextWake(now+1), anyone else's now+1.
+	Tick(now uint64) uint64
 }
 
 // TickFunc adapts a function to the Ticker interface.
 type TickFunc func(now uint64)
 
 // Tick implements Ticker.
-func (f TickFunc) Tick(now uint64) { f(now) }
+func (f TickFunc) Tick(now uint64) uint64 { f(now); return now + 1 }
 
 // Sleeper is the optional wake contract of a Ticker.
 //
-// NextWake(now) is asked at the ticker's turn in cycle now. A result
-// > now promises that Tick would change nothing from now until then
-// except the fixed per-cycle counter bumps Skip accounts for — absent
-// input from another ticker. The engine remembers the answer and asks
-// again when that cycle comes, after the ticker ran, or after a Wake:
-// whoever hands a sleeping ticker input owes its Waker the cycle it
-// takes effect, and the next answer, which replaces what was pushed,
-// must show it. A result <= now means "run me"; NoWake means no event of
-// the ticker's own is scheduled at all. It must be pure, and erring
-// early is always safe: the engine just skips less.
+// NextWake(now) is asked at the ticker's turn in cycle now once a Step or
+// Run opened or a Wake came. A result > now promises that Tick would
+// change nothing from now until then except the fixed per-cycle counter
+// bumps Skip accounts for — absent input from another ticker. The engine
+// ticks the ticker when that cycle comes: whoever hands a sleeping ticker
+// input owes its Waker the cycle it takes effect (any cycle come, if the
+// input moves the answer later), and the next answer, which replaces what
+// was pushed, must show it. A result <= now means "run me"; NoWake means
+// no event of the ticker's own is scheduled at all. It must be pure, and
+// erring early is always safe: the engine just skips less.
 //
 // Skip(from, to) charges exactly the statistic increments that
 // executing Tick on cycles [from, to) would have applied, and nothing
@@ -77,8 +77,8 @@ func (f TickFunc) Tick(now uint64) { f(now) }
 // Tick changes, which is frozen while the ticker sleeps.
 //
 // A ticker that acted early (see the package comment) answers NextWake
-// with the first cycle it has not executed, charges nothing in Skip
-// below it, and never runs past Engine.Horizon.
+// below the first cycle it has not executed as at that cycle, charges
+// nothing in Skip below it, and never runs past Engine.Horizon.
 //
 // A run scheduled through Sleepers is byte-identical to the naive run
 // that ticks everything every cycle, just faster.
@@ -104,12 +104,13 @@ type slot struct {
 type Engine struct {
 	now   uint64
 	slots []slot
-	// wake[i] is the cycle slot i is next asked at: its last answer, the
-	// cycle after its last Tick, or an earlier one a Waker pushed — the
-	// one source of truth the calendar below only indexes. Step and Run
-	// forget it on entry: code between calls may touch anything (Table
-	// 1's probes drive the caches between Steps).
+	// wake[i] is the cycle slot i next runs at: its last answer, or an
+	// earlier one a Waker pushed — the one source of truth the calendar
+	// below only indexes. The slots in ask are asked first: woken, or
+	// forgotten by Step and Run on entry (code between calls may touch
+	// anything: Table 1's probes drive the caches between Steps).
 	wake []uint64
+	ask  Bitset
 	// due and wheel index wake (sized by Register): due holds the slots to
 	// look at this cycle, bucket t%64 of wheel (word k at wheel[k<<6|t%64])
 	// the slots filed for cycle t or 64k later. Every wake given files its
@@ -148,7 +149,7 @@ func (e *Engine) Register(name string, t Ticker) Waker {
 	e.slots = append(e.slots, slot{name: name, tick: t, sleep: s, settled: e.now})
 	e.wake = append(e.wake, 0)
 	if n := (len(e.wake) + 63) / 64; n > len(e.due) { // Step and Run mark all due
-		e.due, e.wheel = make(Bitset, n), make([]uint64, 64*n)
+		e.due, e.ask, e.wheel = make(Bitset, n), make(Bitset, n), make([]uint64, 64*n)
 	}
 	return Waker{e, len(e.wake) - 1}
 }
@@ -171,6 +172,7 @@ func (w Waker) Wake(at uint64) {
 		return
 	}
 	e.wake[w.i] = at
+	e.ask.Set(w.i)
 	if at <= e.now {
 		e.due.Set(w.i)
 		at = e.now + 1
@@ -190,6 +192,7 @@ func (e *Engine) forget() {
 	clear(e.wake)
 	for i := range e.slots {
 		e.due.Set(i)
+		e.ask.Set(i)
 	}
 }
 
@@ -263,7 +266,7 @@ func (e *Engine) LeapedCycles() uint64 { return e.leapedCycles }
 // NextWake folds the registered tickers' answers into the engine's own:
 // now if any ticker must run at now, else the earliest wake, else
 // NoWake. Pure, and it asks everyone; the scheduler itself never calls
-// it (advance asks the tickers whose remembered cycle has come).
+// it (advance asks only the due tickers a Wake or a Run left in ask).
 func (e *Engine) NextWake(now uint64) uint64 {
 	wake := NoWake
 	for i := range e.slots {
@@ -317,10 +320,10 @@ func (e *Engine) Step() {
 }
 
 // advance is the one scheduling loop. It drains the bucket of cycle
-// e.now into due and walks due in registration order: a slot whose
-// remembered wake has come is asked, at its turn, whether the cycle
-// concerns it, and ticked if it does; one whose wake lies ahead is filed
-// again. If none ran, the cycle was dead for everyone and the clock
+// e.now into due and walks due in registration order: a slot whose wake
+// has come is ticked at its turn (if in ask, once NextWake says the cycle
+// concerns it) and filed at its answer; one whose wake lies ahead is
+// filed again. If none ran, the cycle was dead for everyone and the clock
 // moves to the earliest wake instead of e.now+1 — never past limit, one
 // cycle at a time when neither bounds the span. (A Wake can only come
 // from a ticker that ran, so no cycle with one is ever leaped from.)
@@ -348,22 +351,23 @@ func (e *Engine) advance(limit uint64) {
 				continue
 			}
 			s := &e.slots[i]
-			if s.sleep != nil {
+			if s.sleep != nil && e.ask[k]>>b&1 != 0 {
 				s.asked++
+				e.ask[k] &^= 1 << b
 				if w := s.sleep.NextWake(now); w > now {
 					e.wake[i] = w
 					e.file(i, w)
 					continue
 				}
-				if s.settled < now {
-					s.settle(now)
-				}
 			}
-			s.tick.Tick(now)
+			if s.sleep != nil && s.settled < now {
+				s.settle(now)
+			}
+			w := max(s.tick.Tick(now), now+1)
 			s.ticks++
 			s.settled = now + 1
-			e.wake[i] = now + 1
-			e.file(i, now+1)
+			e.wake[i] = w
+			e.file(i, w)
 			ran = true
 		}
 		e.due[k] = 0
@@ -374,9 +378,9 @@ func (e *Engine) advance(limit uint64) {
 		for _, w := range e.wake {
 			wake = min(wake, w)
 		}
-		if wake <= now { // a slot due and never asked: only a calendar bug does that
+		if wake <= now { // a slot due and passed over: only a calendar bug does that
 			i := slices.Index(e.wake, wake)
-			panic(fmt.Sprintf("sim: cycle %d: slot %d (%s) due at %d was never asked", now, i, e.slots[i].name, wake))
+			panic(fmt.Sprintf("sim: cycle %d: slot %d (%s) due at %d was passed over", now, i, e.slots[i].name, wake))
 		}
 		if wake != NoWake {
 			target = wake

@@ -147,7 +147,7 @@ type sleeper struct {
 	spans [][2]uint64
 }
 
-func (s *sleeper) Tick(now uint64)            { s.ticks = append(s.ticks, now) }
+func (s *sleeper) Tick(now uint64) uint64     { s.ticks = append(s.ticks, now); return s.wake(now + 1) }
 func (s *sleeper) NextWake(now uint64) uint64 { return s.wake(now) }
 func (s *sleeper) Skip(from, to uint64)       { s.spans = append(s.spans, [2]uint64{from, to}) }
 func awakeExceptAt(at, until uint64) *sleeper {
@@ -319,8 +319,7 @@ func TestTickerWithoutNextWakeIsNeverSkipped(t *testing.T) {
 func TestLeapVetoedKeepsStepping(t *testing.T) {
 	// NextWake <= now means "run me": every cycle executes normally.
 	e := NewEngine()
-	consulted := 0
-	s := &sleeper{wake: func(now uint64) uint64 { consulted++; return now }}
+	s := &sleeper{wake: func(now uint64) uint64 { return now }}
 	e.Register("t", s)
 	if _, err := e.Run(6, func() bool { return false }); err == nil {
 		t.Fatal("want ErrDeadline")
@@ -329,9 +328,9 @@ func TestLeapVetoedKeepsStepping(t *testing.T) {
 		t.Fatalf("ticks=%v leaps=%d leaped=%d spans=%v; want 6 stepped, nothing skipped",
 			s.ticks, e.Leaps(), e.LeapedCycles(), s.spans)
 	}
-	// Asked once per cycle, at its turn.
-	if consulted != 6 {
-		t.Fatalf("NextWake asked %d times; want 6", consulted)
+	// Asked once, at the Run's opening: from then on each Tick answers.
+	if asked := e.TickCounts()[0].Asked; asked != 1 {
+		t.Fatalf("NextWake asked %d times; want 1", asked)
 	}
 }
 
@@ -367,10 +366,10 @@ type napper struct {
 	log    []uint64 // cycles worked
 }
 
-func (n *napper) Tick(now uint64) {
+func (n *napper) Tick(now uint64) uint64 {
 	if now < n.wakeAt {
 		n.idle++
-		return
+		return n.wakeAt
 	}
 	n.log = append(n.log, now)
 	n.wakeAt = now + 1 + uint64(n.rng.Intn(4)*n.rng.Intn(12))
@@ -378,6 +377,7 @@ func (n *napper) Tick(now uint64) {
 		p.wakeAt = now + 1
 		p.waker.Wake(now + 1)
 	}
+	return n.wakeAt
 }
 
 func (n *napper) NextWake(now uint64) uint64 { return max(n.wakeAt, now) }
@@ -406,7 +406,7 @@ func TestLeapEquivalentToSteppedRun(t *testing.T) {
 			if scheduled {
 				c.waker = e.Register("n", c)
 			} else {
-				e.Register("n", TickFunc(c.Tick))
+				e.Register("n", TickFunc(func(now uint64) { c.Tick(now) }))
 			}
 		}
 		for id, k := range []uint64{1 + uint64(rng.Intn(7)), 10} {
@@ -469,11 +469,12 @@ type dozer struct {
 	asked  int
 }
 
-func (d *dozer) Tick(now uint64) {
+func (d *dozer) Tick(now uint64) uint64 {
 	if now >= d.wakeAt {
 		d.worked = append(d.worked, now)
 		d.wakeAt = NoWake
 	}
+	return d.wakeAt
 }
 func (d *dozer) NextWake(now uint64) uint64 { d.asked++; return max(d.wakeAt, now) }
 func (d *dozer) Skip(from, to uint64)       {}
@@ -485,11 +486,12 @@ type poker struct {
 	do func(now uint64)
 }
 
-func (p *poker) Tick(now uint64) {
+func (p *poker) Tick(now uint64) uint64 {
 	if len(p.at) > 0 && p.at[0] == now {
 		p.at = p.at[1:]
 		p.do(now)
 	}
+	return p.NextWake(now + 1)
 }
 func (p *poker) NextWake(now uint64) uint64 {
 	if len(p.at) == 0 {
@@ -557,9 +559,11 @@ func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
 	// pushed), from a later one (its turn has passed: nothing to undo),
 	// and from a later one with a cycle that is already here (asked at
 	// its next turn, one cycle on — where the naive schedule sees the
-	// poke too). A wake later than the remembered cycle (cycle 3 pushes 8
-	// onto the 5 pushed at 2) must not raise it. The target is asked on
-	// due, after a tick and after a wake, never otherwise.
+	// poke too), or with the next cycle after the target's own Tick
+	// answered NoWake in this one (cycle 15). A wake later than the
+	// remembered cycle (cycle 3 pushes 8 onto the 5 pushed at 2) must not
+	// raise it. The target is asked at the Run's opening and after a wake,
+	// never after a tick.
 	run := func(scheduled bool) *dozer {
 		e := NewEngine()
 		d := &dozer{wakeAt: NoWake}
@@ -568,7 +572,7 @@ func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
 			return func(now uint64) { d.wakeAt = now + delays[now]; w.Wake(d.wakeAt) }
 		}
 		early := &poker{at: []uint64{2, 15}, do: poke(map[uint64]uint64{2: 3, 15: 0})}
-		late := &poker{at: []uint64{7, 11}, do: poke(map[uint64]uint64{7: 2, 11: 0})}
+		late := &poker{at: []uint64{7, 11, 15}, do: poke(map[uint64]uint64{7: 2, 11: 0, 15: 1})}
 		noise := &poker{at: []uint64{3}, do: func(uint64) { w.Wake(8) }}
 		if scheduled {
 			e.Register("early", early)
@@ -577,7 +581,7 @@ func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
 			e.Register("noise", noise)
 		} else {
 			for _, c := range []Ticker{early, d, late, noise} {
-				e.Register("naive", TickFunc(c.Tick))
+				e.Register("naive", TickFunc(func(now uint64) { c.Tick(now) }))
 			}
 		}
 		if cycles, _ := e.Run(20, func() bool { return false }); cycles != 20 {
@@ -586,13 +590,13 @@ func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
 		return d
 	}
 	naive, sched := run(false), run(true)
-	if want := []uint64{5, 9, 12, 15}; !equalU64(naive.worked, want) || !equalU64(sched.worked, want) {
+	if want := []uint64{5, 9, 12, 15, 16}; !equalU64(naive.worked, want) || !equalU64(sched.worked, want) {
 		t.Fatalf("worked: naive %v, scheduled %v; want %v", naive.worked, sched.worked, want)
 	}
-	// Cycle 0; due at 5, 9, 12 and 15 (pushed at 2, 7, 11 and 15), each
-	// followed by the question after the tick.
-	if sched.asked != 9 {
-		t.Fatalf("dozer asked %d times, want 9", sched.asked)
+	// Cycle 0; due at 5, 9, 12, 15 and 16 (pushed at 2, 7, 11 and twice
+	// at 15), each Tick answering NoWake.
+	if sched.asked != 6 {
+		t.Fatalf("dozer asked %d times, want 6", sched.asked)
 	}
 	var zero Waker
 	zero.Wake(3) // wakes nobody, touches nothing
@@ -622,11 +626,12 @@ type eager struct {
 	slept uint64 // cycles charged by Skip
 }
 
-func (g *eager) Tick(now uint64) {
+func (g *eager) Tick(now uint64) uint64 {
 	if now != g.ahead {
 		g.t.Fatalf("Tick(%d) with cycles up to %d accounted for", now, g.ahead)
 	}
 	g.ahead = max(now+1, min(now+1+g.reach, g.e.Horizon()))
+	return g.ahead
 }
 
 func (g *eager) NextWake(now uint64) uint64 { return max(now, g.ahead) }
