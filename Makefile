@@ -52,10 +52,13 @@ race:
 # equiv holds the scheduled run to the naive reference schedule at the
 # sizes the unit matrices (n <= 4) stop short of: mcsim built once, then
 # -json stdout with and without -noleap compared byte for byte on the
-# four BENCHMARK.json pins, the mesh at n64, a 2-way run (the one
-# associativity above 1 here: the core's line window skips LRU stamps),
-# a fault plan carrying every directive, bankstall included, one with
-# 200-cycle bank stalls (the row whose wakes lie 64 and more cycles
+# four BENCHMARK.json pins, the mesh at n64, a 2-way run (the core's
+# line window skips LRU stamps; it sleeps in a spin only 347 times), a
+# 4-way arch1 water that sleeps in spins 2,945 times over 387,509 cycles
+# (a slept spin's counted hits stamp no line: the last period, executed,
+# must leave every stamp where the naive core does), a fault plan
+# carrying every directive, bankstall included, one with 200-cycle bank
+# stalls (the row whose wakes lie 64 and more cycles
 # ahead, past the engine's 64-bucket wheel), the runs
 # that lean on the cores' run-ahead and spin sleeps: a spin-dominated
 # arch1 water (14.7 M instructions in 2.7 Mcyc), arch1 ocean at n64
@@ -74,6 +77,7 @@ EQUIV_RUNS := \
 	"-bench ocean -protocol wti -cpus 16 -noc mesh -rows 8 -iters 4" \
 	"-noc mesh -cpus 64 -rows 4 -iters 2" \
 	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
+	"-bench water -protocol wb -arch 1 -cpus 16 -ways 4 -mols 2 -steps 1" \
 	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \
 	"-cpus 8 -fault bankstall=0.01:200,seed=5" \
 	"-bench water -protocol wb -arch 1 -cpus 32 -mols 2 -steps 1" \

@@ -209,9 +209,6 @@ func (b *Builder) Ret() { b.Jalr(R0, RA, 0) }
 // Halt stops the executing CPU.
 func (b *Builder) Halt() { b.emit(isa.Instr{Op: isa.OpHalt}) }
 
-// Nop emits a no-operation.
-func (b *Builder) Nop() { b.emit(isa.Instr{Op: isa.OpNop}) }
-
 // Mv copies a register (or rd, rs, r0).
 func (b *Builder) Mv(rd, rs Reg) { b.r3(isa.OpOr, rd, rs, R0) }
 

@@ -381,7 +381,7 @@ func TestEveryEmitterExecutes(t *testing.T) {
 	b.Halt()
 	b.Label("bgeu_ok")
 	b.Swap(T6, 0, A0) // T6=17 (old), mem=3
-	b.Nop()
+	b.emit(isa.Instr{Op: isa.OpNop})
 	b.Halt()
 	if b.Len() == 0 || b.PC() != 0x1000+uint32(4*b.Len()) {
 		t.Fatal("PC/Len inconsistent")

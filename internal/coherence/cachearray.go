@@ -128,6 +128,15 @@ func (c *cacheArray) lookup(addr uint32) (line int, hit bool) {
 	return line, hit
 }
 
+// chargeHits counts n read hits through lookup in st and advances the
+// clock past them; their lines are stamped by the caller's later lookups.
+func (c *cacheArray) chargeHits(st *DCacheStats, n uint64) {
+	st.Loads, st.LoadHits = st.Loads+n, st.LoadHits+n
+	if c.lru != nil {
+		c.clock += n
+	}
+}
+
 // victim returns the line a fill of addr would use: the block itself if
 // resident, else an Invalid way, else the least recently used way.
 func (c *cacheArray) victim(addr uint32) int {

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +178,66 @@ func TestSetAssociativeLRU(t *testing.T) {
 	}
 	if _, hit := c.probe(d); !hit {
 		t.Fatal("fill lost the new block")
+	}
+}
+
+// TestChargeHitsActsAsLoadsThatHit: a load pattern that repeats, n of
+// its hits charged by ChargeHits and the k after them loaded (k at least
+// a period, so each line is loaded again), leaves the cache where n+k
+// Loads leave it: the counters, the replacement clock, every line's
+// stamp and so the victim of the next conflicting fill — for every
+// policy at every associativity.
+func TestChargeHitsActsAsLoadsThatHit(t *testing.T) {
+	for i := range Protocols {
+		for _, ways := range []int{1, 2, 4} {
+			stride := uint32(DefaultParams(1).DCacheBytes / ways) // one set apart
+			var set, period []uint32                              // the ways of one set; the pattern
+			for w := 0; w < ways; w++ {
+				set = append(set, rigBase+0x40+uint32(w)*stride)
+			}
+			period = append(period, rigBase+0x84) // a line of another set, then the set backwards
+			for w := ways - 1; w >= 0; w-- {
+				period = append(period, set[w]+uint32(4*w))
+			}
+			l := len(period)
+			for _, nk := range [][2]int{{0, l}, {1, l}, {l, l}, {3*l + 2, l + 1}, {13, 2*l + 3}} {
+				n, k := nk[0], nk[1]
+				var rigs [2]*rig
+				for j := range rigs {
+					r := newRigWith(t, Protocol(i), 1, 1, func(p *Params) { p.Ways = ways })
+					for _, a := range append(set, period[0]) { // stamped in this order
+						r.load(0, a)
+					}
+					rigs[j] = r
+				}
+				ref, dut := rigs[0], rigs[1]
+				hit := func(r *rig, x int) {
+					if _, ok := r.DCaches[0].Load(r.now, period[x%l], 0xf); !ok {
+						t.Fatalf("%v ways=%d: load of %#x missed", Protocol(i), ways, period[x%l])
+					}
+				}
+				for x := 0; x < n+k; x++ {
+					hit(ref, x)
+				}
+				dut.DCaches[0].ChargeHits(uint64(n))
+				for x := n; x < n+k; x++ {
+					hit(dut, x)
+				}
+				ra, _ := ref.line(0, set[0])
+				da, _ := dut.line(0, set[0])
+				if *ref.DCaches[0].Stats() != *dut.DCaches[0].Stats() || ra.clock != da.clock || !reflect.DeepEqual(ra.lru, da.lru) {
+					t.Fatalf("%v ways=%d n=%d k=%d: %d Loads left %+v clock %d stamps %v; ChargeHits and %d Loads %+v clock %d stamps %v",
+						Protocol(i), ways, n, k, n+k, *ref.DCaches[0].Stats(), ra.clock, ra.lru, k, *dut.DCaches[0].Stats(), da.clock, da.lru)
+				}
+				for _, r := range rigs {
+					r.load(0, set[0]+uint32(ways)*stride) // conflicts with every way of the set
+					r.settle()
+				}
+				if a, b := ref.DCaches[0].Lines(), dut.DCaches[0].Lines(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%v ways=%d n=%d k=%d: a conflicting fill left %v after Loads, %v after ChargeHits", Protocol(i), ways, n, k, a, b)
+				}
+			}
+		}
 	}
 }
 

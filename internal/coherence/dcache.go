@@ -32,6 +32,9 @@ type DataCache interface {
 	// first). Pure; it stays true until the controller's next Tick or
 	// HandleMsg, which is what lets a core load ahead of the clock.
 	Hit(addr uint32) bool
+	// ChargeHits counts n word Loads Hit vouched for, stamping no line:
+	// the caller loads each line they hit again before the next Tick.
+	ChargeHits(n uint64)
 	// Tick retries any postponed protocol actions (posted writes,
 	// unsent requests).
 	Tick(now uint64)

@@ -180,6 +180,9 @@ func (c *MESICache) Hit(addr uint32) bool {
 	return hit && !c.pend.active
 }
 
+// ChargeHits implements DataCache.
+func (c *MESICache) ChargeHits(n uint64) { c.arr.chargeHits(&c.st, n) }
+
 // Store implements DataCache.
 func (c *MESICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
 	_, done := c.write(now, addr, word, byteEn, false)

@@ -157,6 +157,9 @@ func (c *WTICache) Hit(addr uint32) bool {
 	return hit
 }
 
+// ChargeHits implements DataCache.
+func (c *WTICache) ChargeHits(n uint64) { c.arr.chargeHits(&c.st, n) }
+
 // Store implements DataCache.
 func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
 	waddr := WordAddr(addr)

@@ -28,14 +28,13 @@
 // A burst back at the state it started from (pc, registers, an idle FPU)
 // has proved a spin: a pure loop that repeats until the core's caches
 // change, which only its cluster's Tick does. RunAhead stops there and
-// the core sleeps in the loop, no wake of its own; Skip replays its loads
+// the core sleeps in the loop, no wake of its own; Skip counts its periods
 // and leaves the core where the naive one stands; Tick ends the sleep.
 package cpu
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/coherence"
 	"repro/internal/isa"
@@ -54,20 +53,15 @@ const (
 	outcomeDataStall
 )
 
-// spinMax bounds the period a burst can prove: no burst is longer than
-// the GMN's lookahead, 21 cycles at 131 nodes.
-const spinMax = 24
-
-// spinLoop is what a burst keeps to prove a spin: its first cycle at,
-// the pc and registers it started from, and which of its first spinMax
-// cycles load (bit j: cycle at+j), from where. Once the burst is back at
-// that state, period is set and the core sleeps in the loop.
+// spinLoop is what a burst keeps to prove a spin: the pc and registers
+// it started from and the loads it has retired. Once the burst is back
+// at that state, period is set (loads is then what any period cycles in
+// a row of the loop load) and the core sleeps in the loop.
 type spinLoop struct {
-	at, period uint64
-	pc, loads  uint32
-	addr       [spinMax]uint32
-	regs       [32]uint32
-	fregs      [32]float32
+	period, loads uint64
+	pc            uint32
+	regs          [32]uint32
+	fregs         [32]float32
 }
 
 // Register conventions used by the code generator and runtime: r0 is
@@ -256,7 +250,7 @@ func (c *CPU) RunAhead(from, horizon uint64) uint64 {
 	if c.halted { // HALT retires like any instruction: outcome cannot tell
 		horizon = from
 	}
-	s.at, s.pc, s.loads = from, c.pc, 0
+	s.pc, s.loads = c.pc, 0
 	s.regs = c.regs // separate statements: a tuple would copy twice
 	s.fregs = c.fregs
 	noWait := c.busyUntil <= from // a period is one instruction a cycle
@@ -285,9 +279,7 @@ loop:
 				panic(fmt.Sprintf("cpu %d: load at pc=%#x missed after Hit", c.ID, c.pc))
 			}
 			c.retire(now, c.pc+4)
-			if j := now - from; j < spinMax {
-				s.loads, s.addr[j] = s.loads|1<<j, addr
-			}
+			s.loads++
 		case isa.OpSw, isa.OpFsw, isa.OpSb, isa.OpLb, isa.OpLbu, isa.OpSwap, isa.OpHalt, isa.OpInvalid:
 			break loop
 		default:
@@ -295,7 +287,7 @@ loop:
 			c.exec(now, in)
 		}
 		now++
-		if c.pc == s.pc && noWait && now-from <= spinMax && c.busyUntil <= now && c.cameBack() {
+		if c.pc == s.pc && noWait && c.busyUntil <= now && c.cameBack() {
 			s.period, c.spins = now-from, c.spins+1
 			break
 		}
@@ -345,34 +337,31 @@ func (c *CPU) NextWake(now uint64) uint64 {
 // a full write buffer changes no state), so the counters are the whole
 // per-cycle effect — the core's own, the fetch inside the window that
 // every retry of a data stall repeats, and what the data cache keeps
-// for the access it re-rejects. A spinning core runs the cycles past the
-// last whole period of [from, to), which move its pc and registers on;
-// whole periods retire an instruction a cycle and replay their loads.
+// for the access it re-rejects. A spinning core counts all but the last
+// whole period of [from, to) — an instruction and a fetch a cycle, its
+// loads charged as hits — and executes the rest, which stamps each line
+// it loads and moves pc and registers to where the naive core stands.
 func (c *CPU) Skip(from, to uint64) {
 	if from = max(from, c.ahead); from >= to {
 		return // executed ahead of the clock, counters and all
 	}
 	if s := &c.spin; s.period != 0 {
 		c.spun += to - from
-		for end := from + (to-from)%s.period; from < end; from++ {
+		if k := (to - from) / s.period; k > 1 {
+			n, loads := (k-1)*s.period, (k-1)*s.loads
+			c.st.Instructions, *c.fetches = c.st.Instructions+n, *c.fetches+n
+			c.st.Loads += loads
+			c.dcache.ChargeHits(loads)
+			from += n
+		}
+		for ; from < to; from++ {
 			*c.fetches++
 			if in := c.window[(c.pc-c.winBase)>>2]; !in.Op.IsMemory() {
 				c.exec(from, in)
 			} else if c.execMem(from, in) {
 				c.retire(from, c.pc+4)
-			}
-		}
-		c.st.Instructions += to - from
-		*c.fetches += to - from
-		for base := from - (from-s.at)%s.period; base < to; base += s.period {
-			for l := s.loads; l != 0; l &= l - 1 {
-				j := bits.TrailingZeros32(l)
-				if t := base + uint64(j); t >= from && t < to {
-					if _, ok := c.dcache.Load(t, s.addr[j], 0xf); !ok {
-						panic(fmt.Sprintf("cpu %d: spin load of %#x missed", c.ID, s.addr[j]))
-					}
-					c.st.Loads++
-				}
+			} else {
+				panic(fmt.Sprintf("cpu %d: spin load at pc=%#x missed", c.ID, c.pc))
 			}
 		}
 		return
