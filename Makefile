@@ -52,7 +52,9 @@ race:
 # equiv holds the scheduled run to the naive reference schedule at the
 # sizes the unit matrices (n <= 4) stop short of: mcsim built once, then
 # -json stdout with and without -noleap compared byte for byte on the
-# four BENCHMARK.json pins, the mesh at n64, a 2-way run (the core's
+# four BENCHMARK.json pins, the mesh at n64 and under MESI with every
+# link fault (the other two mesh rows are WTI and fault-free), a 2-way
+# run (the core's
 # line window skips LRU stamps; it sleeps in a spin only 347 times), a
 # 4-way arch1 water that sleeps in spins 2,945 times over 387,509 cycles
 # (a slept spin's counted hits stamp no line: the last period, executed,
@@ -76,6 +78,7 @@ EQUIV_RUNS := \
 	"-bench ocean -protocol wti -cpus 64 -rows 4 -iters 2" \
 	"-bench ocean -protocol wti -cpus 16 -noc mesh -rows 8 -iters 4" \
 	"-noc mesh -cpus 64 -rows 4 -iters 2" \
+	"-bench water -protocol wb -cpus 16 -noc mesh -mols 2 -steps 1 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,seed=42" \
 	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
 	"-bench water -protocol wb -arch 1 -cpus 16 -ways 4 -mols 2 -steps 1" \
 	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \

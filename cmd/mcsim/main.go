@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -32,16 +33,6 @@ import (
 	"repro/internal/obs/prof"
 	"repro/internal/stats"
 )
-
-// rejectPositional refuses leftover positional arguments: every option
-// is a flag, so a stray token is almost always a misplaced flag and
-// silently ignoring it would simulate a different point than asked.
-func rejectPositional(args []string) error {
-	if len(args) > 0 {
-		return fmt.Errorf("unexpected argument %q (all options are flags; see -h)", args[0])
-	}
-	return nil
-}
 
 func main() {
 	bench := flag.String("bench", "ocean", "workload: a program (ocean, water, lu, counter) or a stream (sparse, rmw, prodcons, uniform, hotspot, dense)")
@@ -77,7 +68,7 @@ func main() {
 	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way, under every -fault plan; for timing comparisons)")
 	profCfg := prof.RegisterFlags()
 	flag.Parse()
-	if err := rejectPositional(flag.Args()); err != nil {
+	if err := prof.RejectPositional(flag.Args()); err != nil {
 		log.Fatal(err)
 	}
 	stopProf, err := profCfg.Start()
@@ -162,20 +153,14 @@ func main() {
 		log.Fatal(err)
 	}
 	if traceFile != nil {
-		if err := rec.WriteTrace(traceFile); err != nil {
-			log.Fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
+		if err := errors.Join(rec.WriteTrace(traceFile), traceFile.Close()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "obs: %d trace events written to %s (%d dropped)\n",
 			rec.TraceEvents(), *obsTrace, rec.TraceDropped())
 	}
 	if csvFile != nil {
-		if err := rec.Sampler().WriteCSV(csvFile); err != nil {
-			log.Fatal(err)
-		}
-		if err := csvFile.Close(); err != nil {
+		if err := errors.Join(rec.Sampler().WriteCSV(csvFile), csvFile.Close()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "obs: %d samples written to %s\n",

@@ -16,17 +16,18 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/cpu"
+	"repro/internal/obs/prof"
 )
 
 func TestRejectPositional(t *testing.T) {
-	if err := rejectPositional(nil); err != nil {
+	if err := prof.RejectPositional(nil); err != nil {
 		t.Errorf("no leftover args: %v", err)
 	}
 	// A forgotten flag value (`mcsim -fault -cpus 4`) leaves later
 	// tokens positional; they must be refused, not silently ignored.
 	for _, args := range [][]string{{"ocean"}, {"-cpus"}, {"4", "-v"}} {
-		if err := rejectPositional(args); err == nil {
-			t.Errorf("rejectPositional(%q) = nil, want error", args)
+		if err := prof.RejectPositional(args); err == nil {
+			t.Errorf("RejectPositional(%q) = nil, want error", args)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 	faultSpec := flag.String("fault", "", "one fault campaign spec instead of the built-in grid, for the experiment that runs campaigns; e.g. drop=1e-4,delay=1e-3:8,seed=42")
 	profCfg := prof.RegisterFlags()
 	flag.Parse()
-	if err := rejectPositional(flag.Args()); err != nil {
+	if err := prof.RejectPositional(flag.Args()); err != nil {
 		fatal(err)
 	}
 	selected, err := exp.Select(*which)
@@ -161,16 +161,6 @@ func parseSizes(s string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// rejectPositional refuses leftover positional arguments: every option
-// is a flag, so a stray token is almost always a misplaced flag and
-// silently ignoring it would run a different sweep than asked.
-func rejectPositional(args []string) error {
-	if len(args) > 0 {
-		return fmt.Errorf("unexpected argument %q (all options are flags; see -h)", args[0])
-	}
-	return nil
 }
 
 func fatal(err error) {

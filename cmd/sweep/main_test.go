@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/obs/prof"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -46,12 +47,12 @@ func TestParseSizesRejectsBadInput(t *testing.T) {
 }
 
 func TestRejectPositional(t *testing.T) {
-	if err := rejectPositional(nil); err != nil {
+	if err := prof.RejectPositional(nil); err != nil {
 		t.Errorf("no leftover args: %v", err)
 	}
 	for _, args := range [][]string{{"fig4"}, {"-quick"}, {"4,16"}} {
-		if err := rejectPositional(args); err == nil {
-			t.Errorf("rejectPositional(%q) = nil, want error", args)
+		if err := prof.RejectPositional(args); err == nil {
+			t.Errorf("RejectPositional(%q) = nil, want error", args)
 		}
 	}
 }

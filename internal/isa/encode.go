@@ -63,22 +63,14 @@ func Decode(w uint32) Instr {
 	if op == OpInvalid {
 		return Instr{Op: OpInvalid, Imm: int32(w)}
 	}
+	in := Instr{Op: op, Rd: uint8(w >> 21 & 31), Rs1: uint8(w >> 16 & 31)}
 	switch opTable[op].class {
 	case ClassR:
-		return Instr{
-			Op:  op,
-			Rd:  uint8(w >> 21 & 31),
-			Rs1: uint8(w >> 16 & 31),
-			Rs2: uint8(w >> 11 & 31),
-		}
+		in.Rs2 = uint8(w >> 11 & 31)
 	case ClassI:
-		return Instr{
-			Op:  op,
-			Rd:  uint8(w >> 21 & 31),
-			Rs1: uint8(w >> 16 & 31),
-			Imm: int32(int16(w & 0xffff)),
-		}
+		in.Imm = int32(int16(w & 0xffff))
 	default: // ClassJ
 		return Instr{Op: op, Imm: int32(w<<6) >> 6} // sign-extend 26 bits
 	}
+	return in
 }

@@ -72,16 +72,11 @@ func (g *GMN) Tick(now uint64) uint64 {
 		if s := &g.inj[i]; s.Ready(now) && g.srcBusy[i] <= now && g.arr[s.Head().Dst].CanSend() {
 			p, _ := g.take(i, now)
 			flits := uint64(p.Flits())
-			// The source port serializes the packet...
-			depart := now + flits
-			g.srcBusy[i] = depart
-			// ...it crosses the network...
-			arrive := depart + g.delay
-			// ...and the destination port serializes it in turn.
-			arrive = max(arrive, g.dstBusy[p.Dst])
-			ready := arrive + flits
-			g.dstBusy[p.Dst] = ready
-			g.arrive(p, ready)
+			// The source port serializes the packet, it crosses the
+			// network, and the destination port serializes it in turn.
+			g.srcBusy[i] = now + flits
+			g.dstBusy[p.Dst] = max(now+flits+g.delay, g.dstBusy[p.Dst]) + flits
+			g.arrive(p, g.dstBusy[p.Dst])
 			g.count(p, flits)
 			g.stats.TotalFlits += flits
 		}

@@ -22,11 +22,11 @@
 // model that faces the nodes — injection and arrival ports, delivery,
 // the traffic counters — is the one endpoints struct all three embed.
 // A model's own file holds only its transit: Tick, NextWake, and the
-// point at which it counts a packet. No model scans for work: one
-// occupancy bit per non-empty injection port (and, on the mesh, per
-// non-empty router) is kept where packets are enqueued and dequeued, and
-// Tick and NextWake walk the set bits. Nor is one polled: arrive tells
-// the destination's sim.Waker the cycle, Inject the network's own.
+// point at which it counts a packet. No model scans for work: the GMN
+// and the bus walk one occupancy bit per non-empty injection port, kept
+// where packets are enqueued and dequeued; the mesh files each router
+// holding a packet on a sim.Wheel at its wake. Nor is one polled: arrive
+// tells the destination's sim.Waker the cycle, Inject the network's own.
 package noc
 
 import (

@@ -9,16 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// drive ticks the network and collects deliveries for every node until
-// quiet or the cycle budget runs out.
-func drive(t *testing.T, n Network, budget int) map[int][]Packet {
+// drive ticks the network from cycle start and collects deliveries for
+// every node until quiet or the cycle budget runs out.
+func drive(t *testing.T, n Network, start uint64, budget int) map[int][]Packet {
 	t.Helper()
 	out := make(map[int][]Packet)
-	for cyc := 0; cyc < budget; cyc++ {
-		n.Tick(uint64(cyc))
+	for cyc := start; cyc < start+uint64(budget); cyc++ {
+		n.Tick(cyc)
 		for node := range n.PortFlits() {
 			for {
-				p, ok := n.Deliver(node, uint64(cyc))
+				p, ok := n.Deliver(node, cyc)
 				if !ok {
 					break
 				}
@@ -65,7 +65,7 @@ func TestDelivery(t *testing.T) {
 			if !n.Inject(Packet{Src: 0, Dst: 8, Bytes: 12, Payload: "hello"}, 0) {
 				t.Fatal("inject refused on an idle network")
 			}
-			got := drive(t, n, 1000)
+			got := drive(t, n, 0, 1000)
 			if len(got[8]) != 1 || got[8][0].Payload != "hello" {
 				t.Fatalf("deliveries = %v", got)
 			}
@@ -351,30 +351,29 @@ func TestMeshLatencyGrowsWithDistance(t *testing.T) {
 func TestMeshAllPairsDeliver(t *testing.T) {
 	const nodes = 9
 	m := NewMesh(DefaultMeshConfig(nodes))
-	want := 0
+	// One clock throughout: a refused Inject ticks the cycle and moves on,
+	// and what is delivered meanwhile counts.
+	want, total, cyc := 0, 0, uint64(0)
 	for s := 0; s < nodes; s++ {
 		for d := 0; d < nodes; d++ {
 			if s == d {
 				continue
 			}
 			want++
-			for cyc := uint64(0); ; cyc++ {
-				if m.Inject(Packet{Src: s, Dst: d, Bytes: 4, Payload: fmt.Sprintf("%d->%d", s, d)}, cyc) {
-					break
-				}
+			for ; !m.Inject(Packet{Src: s, Dst: d, Bytes: 4, Payload: fmt.Sprintf("%d->%d", s, d)}, cyc); cyc++ {
 				m.Tick(cyc)
 				for n := 0; n < nodes; n++ {
 					for {
 						if _, ok := m.Deliver(n, cyc); !ok {
 							break
 						}
+						total++
 					}
 				}
 			}
 		}
 	}
-	got := drive(t, m, 100000)
-	total := 0
+	got := drive(t, m, cyc, 100000)
 	for _, ps := range got { //lint:allow maprange — order-independent sum
 		total += len(ps)
 	}

@@ -40,7 +40,7 @@ func newRigCase(seed int) rigCase {
 		nodesFirst: seed/12%2 == 0,
 	}
 	c.gmn = GMNConfig{Nodes: c.nodes, Delay: pick(1, MeshLatency(c.nodes, 2, 3)), FIFODepth: pick(1, 2, 8), SrcDepth: pick(1, 4)}
-	c.mesh = MeshConfig{Nodes: c.nodes, RouterDelay: pick(1, 2, 3), QueueDepth: pick(1, 2, 4)}
+	c.mesh = MeshConfig{Nodes: c.nodes, RouterDelay: pick(1, 2, 3, 64), QueueDepth: pick(1, 2, 4)}
 	c.bus = BusConfig{Nodes: c.nodes, ArbDelay: pick(0, 2), QueueDepth: pick(1, 4)}
 
 	genCycles := 40 + rng.Intn(80)
@@ -261,6 +261,9 @@ func TestWakeEdges(t *testing.T) {
 				c := newRigCase(seed)
 				hand := newRigNet(m.mk(c), c)
 				for cyc := uint64(0); cyc < uint64(len(c.script)) || hand.pending > 0; cyc++ {
+					if cyc > 200000 {
+						t.Fatalf("%v: not drained after %d cycles", c, cyc)
+					}
 					hand.nodesAct(t, c, cyc)
 					hand.Tick(cyc)
 				}
@@ -421,24 +424,35 @@ func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
 		e = &n.endpoints
 	case *Mesh:
 		e = &n.endpoints
+		soon := sim.NoWake
 		for idx := range n.r {
 			r := &n.r[idx]
-			queued, wake := 0, ^uint64(0)
+			wake := sim.NoWake
 			for in, q := range r.in {
-				queued += q.Len()
-				want := uint8(numPorts)
-				if at, ok := q.NextAt(); ok {
+				want, at, ok := uint8(numPorts), sim.NoWake, false
+				if at, ok = q.NextAt(); ok {
 					want = n.route(idx, q.Head().Dst)
 					wake = min(wake, max(at, r.outBusy[want]))
+				} else {
+					at = sim.NoWake
 				}
-				if r.want[in] != want {
-					t.Fatalf("%v cycle %d: router %d input %d caches route %d, head wants %d", c, cyc, idx, in, r.want[in], want)
+				if r.want[in] != want || r.at[in] != at {
+					t.Fatalf("%v cycle %d: router %d input %d caches route %d at %d, head wants %d at %d",
+						c, cyc, idx, in, r.want[in], r.at[in], want, at)
 				}
 			}
-			if has(n.active, idx) != (queued > 0) || r.wake != wake {
-				t.Fatalf("%v cycle %d: router %d holds %d packets, next event %d; books say active %v, wake %d",
-					c, cyc, idx, queued, wake, has(n.active, idx), r.wake)
+			if r.wake != wake {
+				t.Fatalf("%v cycle %d: router %d's next event is %d, books say %d", c, cyc, idx, wake, r.wake)
 			}
+			// A router with a packet is filed in the bucket of the first
+			// cycle Tick may visit it.
+			if f := max(wake, n.ticked); wake != sim.NoWake && n.wheel[idx>>6<<6|int(f&63)]>>(idx&63)&1 == 0 {
+				t.Fatalf("%v cycle %d: router %d due at %d is not filed for it (ticked %d)", c, cyc, idx, wake, n.ticked)
+			}
+			soon = min(soon, max(wake, n.ticked))
+		}
+		if n.soon != soon {
+			t.Fatalf("%v cycle %d: the routers' first wake is %d, soon says %d", c, cyc, soon, n.soon)
 		}
 	}
 	for i := range e.inj {

@@ -1,6 +1,6 @@
 // Package prof wires Go's pprof profilers into the two simulation
 // commands (mcsim, sweep) through one shared flag set, so both spell
-// the hooks the same way:
+// the hooks the same way, and refuses what both refuse:
 //
 //	-cpuprofile FILE   CPU profile for the whole invocation
 //	-memprofile FILE   heap profile written at exit (after a GC)
@@ -34,6 +34,16 @@ func RegisterFlags() *Config {
 	flag.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole invocation to `file`")
 	flag.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile to `file` at exit")
 	return c
+}
+
+// RejectPositional refuses leftover positional arguments: every option
+// is a flag, so a stray token is almost always a misplaced flag and
+// silently ignoring it would run something other than asked.
+func RejectPositional(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q (all options are flags; see -h)", args[0])
+	}
+	return nil
 }
 
 // Start creates the requested profile files and begins the CPU profile.

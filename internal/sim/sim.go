@@ -112,12 +112,11 @@ type Engine struct {
 	wake []uint64
 	ask  Bitset
 	// due and wheel index wake (sized by Register): due holds the slots to
-	// look at this cycle, bucket t%64 of wheel (word k at wheel[k<<6|t%64])
-	// the slots filed for cycle t or 64k later. Every wake given files its
-	// slot and the clock never leaps past a wake, so each executed cycle's
-	// bucket holds every slot due then.
+	// look at this cycle, wheel the slots filed for the cycles ahead. Every
+	// wake given files its slot and the clock never leaps past a wake, so
+	// each executed cycle's bucket holds every slot due then.
 	due   Bitset
-	wheel []uint64
+	wheel Wheel
 	// limit is the cycle the advance in progress may not reach past.
 	limit     uint64
 	periodics []periodic
@@ -149,7 +148,7 @@ func (e *Engine) Register(name string, t Ticker) Waker {
 	e.slots = append(e.slots, slot{name: name, tick: t, sleep: s, settled: e.now})
 	e.wake = append(e.wake, 0)
 	if n := (len(e.wake) + 63) / 64; n > len(e.due) { // Step and Run mark all due
-		e.due, e.ask, e.wheel = make(Bitset, n), make(Bitset, n), make([]uint64, 64*n)
+		e.due, e.ask, e.wheel = make(Bitset, n), make(Bitset, n), NewWheel(len(e.wake))
 	}
 	return Waker{e, len(e.wake) - 1}
 }
@@ -177,14 +176,7 @@ func (w Waker) Wake(at uint64) {
 		e.due.Set(w.i)
 		at = e.now + 1
 	}
-	e.file(w.i, at)
-}
-
-// file puts slot i in the bucket of cycle at; NoWake is never due.
-func (e *Engine) file(i int, at uint64) {
-	if at != NoWake {
-		e.wheel[i>>6<<6|int(at&63)] |= 1 << (i & 63)
-	}
+	e.wheel.File(w.i, at)
 }
 
 // forget drops every remembered wake: each slot is asked next cycle.
@@ -193,6 +185,29 @@ func (e *Engine) forget() {
 	for i := range e.slots {
 		e.due.Set(i)
 		e.ask.Set(i)
+	}
+}
+
+// Wheel is a 64-bucket calendar over a Bitset's members: bucket t%64
+// (word k at [k<<6|t%64]) holds those filed for cycle t or a multiple of
+// 64 cycles later. A member may sit in several buckets; its owner keeps
+// the one true cycle and re-files what it drains early.
+type Wheel []uint64
+
+func NewWheel(n int) Wheel { return make(Wheel, 64*((n+63)/64)) }
+
+// File puts member i in the bucket of cycle at; NoWake is never due.
+func (w Wheel) File(i int, at uint64) {
+	if at != NoWake {
+		w[i>>6<<6|int(at&63)] |= 1 << (i & 63)
+	}
+}
+
+// Drain moves the bucket of cycle t into due and empties it.
+func (w Wheel) Drain(t uint64, due Bitset) {
+	for k := range due {
+		due[k] |= w[k<<6|int(t&63)]
+		w[k<<6|int(t&63)] = 0
 	}
 }
 
@@ -336,18 +351,14 @@ func (e *Engine) Step() {
 func (e *Engine) advance(limit uint64) {
 	now := e.now
 	e.limit = limit
-	for k := range e.due {
-		b := k<<6 | int(now&63)
-		e.due[k] |= e.wheel[b]
-		e.wheel[b] = 0
-	}
+	e.wheel.Drain(now, e.due)
 	ran := false
 	for k := range e.due { // re-read after each slot: a Wake(now) ahead counts
 		for b, word := 0, e.due[k]; word != 0; word = e.due[k] &^ (2<<b - 1) {
 			b = bits.TrailingZeros64(word)
 			i := k<<6 | b
 			if w := e.wake[i]; w > now {
-				e.file(i, w)
+				e.wheel.File(i, w)
 				continue
 			}
 			s := &e.slots[i]
@@ -356,7 +367,7 @@ func (e *Engine) advance(limit uint64) {
 				e.ask[k] &^= 1 << b
 				if w := s.sleep.NextWake(now); w > now {
 					e.wake[i] = w
-					e.file(i, w)
+					e.wheel.File(i, w)
 					continue
 				}
 			}
@@ -367,7 +378,7 @@ func (e *Engine) advance(limit uint64) {
 			s.ticks++
 			s.settled = now + 1
 			e.wake[i] = w
-			e.file(i, w)
+			e.wheel.File(i, w)
 			ran = true
 		}
 		e.due[k] = 0

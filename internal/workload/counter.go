@@ -46,8 +46,7 @@ func BuildCounter(l mem.Layout, mode codegen.SchedMode, p CounterParams) (*Spec,
 	b.Jal("rt_barrier")
 	b.J("rt_thread_exit")
 
-	addThreads(rt, "counter_main", p.Threads)
-	img, err := rt.BuildImage()
+	img, err := buildImage(rt, "counter_main", p.Threads)
 	if err != nil {
 		return nil, err
 	}

@@ -148,8 +148,7 @@ func BuildLU(l mem.Layout, mode codegen.SchedMode, p LUParams) (*Spec, error) {
 	b.Blt(sK, codegen.T0, "lu_step")
 	b.J("rt_thread_exit")
 
-	addThreads(rt, "lu_main", p.Threads)
-	img, err := rt.BuildImage()
+	img, err := buildImage(rt, "lu_main", p.Threads)
 	if err != nil {
 		return nil, err
 	}

@@ -147,8 +147,7 @@ func BuildOcean(l mem.Layout, mode codegen.SchedMode, p OceanParams) (*Spec, err
 	b.Label("ocean_done")
 	b.J("rt_thread_exit")
 
-	addThreads(rt, "ocean_main", p.Threads)
-	img, err := rt.BuildImage()
+	img, err := buildImage(rt, "ocean_main", p.Threads)
 	if err != nil {
 		return nil, err
 	}

@@ -239,8 +239,7 @@ func BuildWater(l mem.Layout, mode codegen.SchedMode, p WaterParams) (*Spec, err
 	b.Label("water_done")
 	b.J("rt_thread_exit")
 
-	addThreads(rt, "water_main", p.Threads)
-	img, err := rt.BuildImage()
+	img, err := buildImage(rt, "water_main", p.Threads)
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,12 @@ func checkWord(s *mem.Space, addr uint32, want uint32, what string) error {
 	return nil
 }
 
-// addThreads adds n threads at label, thread t homed on CPU t mod the
+// buildImage adds n threads at label, thread t homed on CPU t mod the
 // CPU count — one thread per CPU in every experiment, matching the
-// paper's per-processor-constant workload.
-func addThreads(rt *codegen.Runtime, label string, n int) {
+// paper's per-processor-constant workload — and builds the image.
+func buildImage(rt *codegen.Runtime, label string, n int) (*mem.Image, error) {
 	for t := 0; t < n; t++ {
 		rt.AddThread(label, uint32(t), t%rt.Layout.NumCPUs)
 	}
+	return rt.BuildImage()
 }
