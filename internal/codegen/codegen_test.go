@@ -55,6 +55,9 @@ func (f *flatPort) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	return f.line[:], true
 }
 
+// Resident reports nothing resident: these tests never run ahead.
+func (f *flatPort) Resident(addr uint32) ([]isa.Instr, bool) { return nil, false }
+
 func (f *flatPort) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 	return f.space.ReadWord(addr &^ 3), true
 }

@@ -36,12 +36,13 @@ func (s codeStore) block(data []byte) []isa.Instr {
 // delays instruction refills exactly as the paper describes.
 //
 // It is tags plus a reference per line into the hierarchy's code store,
-// and the core fetches by line: Line hands out the resident block and
-// the core indexes it while the pc stays inside, counting those fetches
-// in Fetches itself. A line is replaced only by the fill answering this
-// core's own miss, and on that miss — a failed Line — the core drops its
-// line. Those fetches skip the LRU stamp: re-touching the most recent
-// line cannot change the order victim reads; stamps are in no output.
+// and the core fetches by line: Line (or, running ahead, Resident) hands
+// out the resident block and the core indexes it while the pc stays
+// inside, counting those fetches in Fetches itself. A line is replaced
+// only by the fill answering this core's own miss, and on that miss — a
+// failed Line — the core drops its line. Those fetches skip the LRU
+// stamp: re-touching the most recent line cannot change the order victim
+// reads; stamps are in no output.
 type ICache struct {
 	id       int
 	p        Params
@@ -82,14 +83,25 @@ func (c *ICache) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 		return nil, false
 	}
 	c.Fetches++
-	if line, hit := c.arr.lookup(addr); hit {
-		return c.lines[line], true
+	if b, ok := c.Resident(addr); ok {
+		return b, true
 	}
 	c.Misses++
 	c.pendActive = true
 	c.pendIssued = false
 	c.pendAddr = c.p.BlockAddr(addr)
 	c.tryIssue(now)
+	return nil, false
+}
+
+// Resident is Line's hit, stamp and all, without its fetch; a miss, or
+// any call while a refill is pending, changes nothing and starts nothing.
+func (c *ICache) Resident(addr uint32) ([]isa.Instr, bool) {
+	if !c.pendActive {
+		if line, hit := c.arr.lookup(addr); hit {
+			return c.lines[line], true
+		}
+	}
 	return nil, false
 }
 

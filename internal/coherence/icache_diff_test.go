@@ -111,13 +111,26 @@ func (r *fetchRig) state(now uint64) string {
 		r.m.Net.Stats(), r.m.Banks[0].Stats().IFetches)
 }
 
+// horizon is the cycle a cluster would let the core run ahead to after
+// cycle now: nothing reaches the caches before the node's, caches' and
+// veto's next wakes, nor before a bank's answer crosses the network.
+func (r *fetchRig) horizon(now uint64) uint64 {
+	n := r.m.Nodes[0]
+	return min(now+r.m.Net.MinTransit(), n.NextWake(now+1), n.RecvVeto(now+1),
+		r.m.DCaches[0].NextWake(now+1), r.m.ICaches[0].NextWake(now+1))
+}
+
 // TestFetchByLineMatchesPerFetchReference is the differential rig for
 // the core's line window: the real ICache and the per-fetch reference
 // (icache_ref_test.go) run the same random program on identical
-// machines in lock-step, ticked every cycle, and must agree after every
-// cycle on pc, tick outcome, Fetches, Misses and refill traffic — over
-// 2- and 4-line I-caches at every associativity they admit, so lines
-// conflict, alternate in one set and are evicted under the window.
+// machines in lock-step and must agree on pc, tick outcome, Fetches,
+// Misses and refill traffic — over 2- and 4-line I-caches at every
+// associativity they admit, so lines conflict, alternate in one set and
+// are evicted under the window. The reference is ticked every cycle;
+// the real core is too, or, in the run-ahead half, offered a random
+// horizon after each Tick as its cluster would (RunAhead, whose bursts
+// take the next line through Resident), and compared at each cycle it
+// is ticked.
 func TestFetchByLineMatchesPerFetchReference(t *testing.T) {
 	geometries := []struct{ lines, ways int }{{2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}}
 	seeds := 40
@@ -125,25 +138,34 @@ func TestFetchByLineMatchesPerFetchReference(t *testing.T) {
 		seeds = 8
 	}
 	var total cpu.Stats
-	var misses uint64
+	var misses, ahead uint64
 	for _, g := range geometries {
-		for seed := 0; seed < seeds; seed++ {
-			rng := rand.New(rand.NewSource(int64(seed)))
+		for seed := 0; seed < 2*seeds; seed++ {
+			runAhead := seed >= seeds
+			rng := rand.New(rand.NewSource(int64(seed % seeds)))
 			// From programs that fit the cache to ones three times its size.
 			prog := branchyProgram(rng, 2+rng.Intn(3*g.lines), 2+rng.Intn(6))
 			opt, ref := newFetchRig(prog, g.lines, g.ways, false), newFetchRig(prog, g.lines, g.ways, true)
-			name := fmt.Sprintf("lines=%d ways=%d seed=%d", g.lines, g.ways, seed)
-			var now uint64
-			for ; !(opt.c.Halted() && ref.c.Halted()); now++ {
+			name := fmt.Sprintf("lines=%d ways=%d seed=%d run-ahead=%t", g.lines, g.ways, seed%seeds, runAhead)
+			for now, next := uint64(0), uint64(0); !(opt.c.Halted() && ref.c.Halted()); now = next {
 				if now > 200_000 {
 					t.Fatalf("%s: not halted after %d cycles (pc=%#x)", name, now, opt.c.PC())
 				}
-				for _, r := range []*fetchRig{opt, ref} {
-					r.c.Tick(now)
-					r.m.Step(now)
+				opt.c.Tick(now)
+				opt.m.Step(now)
+				next = now + 1
+				if h := min(next+uint64(rng.Intn(24)), opt.horizon(now)); runAhead && h > next && opt.c.NextWake(next) == next {
+					next = opt.c.RunAhead(next, h)
 				}
-				if a, b := opt.state(now+1), ref.state(now+1); a != b {
-					t.Fatalf("%s: cycle %d:\n  line window: %s\n  per fetch:   %s", name, now, a, b)
+				for cyc := now; cyc < next; cyc++ {
+					if cyc > now {
+						opt.m.Step(cyc)
+					}
+					ref.c.Tick(cyc)
+					ref.m.Step(cyc)
+				}
+				if a, b := opt.state(next), ref.state(next); a != b {
+					t.Fatalf("%s: cycle %d:\n  line window: %s\n  per fetch:   %s", name, next, a, b)
 				}
 				// What the per-fetch cache counted, stated without either
 				// implementation: every tick that retires or data-stalls
@@ -151,7 +173,7 @@ func TestFetchByLineMatchesPerFetchReference(t *testing.T) {
 				st := opt.c.Stats()
 				if f, m := opt.m.IStats(); f != st.Instructions+st.DataStallCycles+m {
 					t.Fatalf("%s: cycle %d: %d fetches for %d instructions, %d data stalls, %d misses",
-						name, now, f, st.Instructions, st.DataStallCycles, m)
+						name, next, f, st.Instructions, st.DataStallCycles, m)
 				}
 			}
 			for r := 0; r < 32; r++ {
@@ -160,16 +182,17 @@ func TestFetchByLineMatchesPerFetchReference(t *testing.T) {
 				}
 			}
 			_, m := opt.m.IStats()
-			misses += m
+			a, _ := opt.c.Ahead()
+			misses, ahead = misses+m, ahead+a
 			total.Instructions += opt.c.Stats().Instructions
 			total.DataStallCycles += opt.c.Stats().DataStallCycles
 			total.FPUBusyCycles += opt.c.Stats().FPUBusyCycles
 		}
 	}
-	t.Logf("%d instructions, %d I-misses, %d data-stall and %d FPU-busy cycles",
-		total.Instructions, misses, total.DataStallCycles, total.FPUBusyCycles)
-	if misses == 0 || total.DataStallCycles == 0 || total.FPUBusyCycles == 0 {
-		t.Fatal("the rig wants refills, data-stall retries and FPU retries in its runs")
+	t.Logf("%d instructions (%d run ahead), %d I-misses, %d data-stall and %d FPU-busy cycles",
+		total.Instructions, ahead, misses, total.DataStallCycles, total.FPUBusyCycles)
+	if misses == 0 || ahead == 0 || total.DataStallCycles == 0 || total.FPUBusyCycles == 0 {
+		t.Fatal("the rig wants refills, run-ahead, data-stall retries and FPU retries in its runs")
 	}
 }
 

@@ -51,6 +51,10 @@ func (c *refICache) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	return nil, false
 }
 
+// Resident reports nothing resident: the reference core is ticked every
+// cycle and never runs ahead.
+func (c *refICache) Resident(addr uint32) ([]isa.Instr, bool) { return nil, false }
+
 func (c *refICache) tryIssue(now uint64) {
 	if !c.pendActive || c.pendIssued || !c.node.CanSendReq() {
 		return
@@ -120,6 +124,7 @@ func NewFetchMachine(icacheLines, ways int, ref bool) *FetchMachine {
 // and the counter of its fetches.
 func (m *FetchMachine) Port() (interface {
 	Line(now uint64, addr uint32) ([]isa.Instr, bool)
+	Resident(addr uint32) ([]isa.Instr, bool)
 }, *uint64) {
 	if m.ref != nil {
 		return m.ref, &m.ref.Fetches

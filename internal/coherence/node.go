@@ -39,12 +39,7 @@ type Node struct {
 	outQ sim.Port[outMsg]
 	pool *msgPool // shared by every node of a Hierarchy
 
-	// recvVeto is the first cycle after the most recent consumed
-	// delivery. That cycle must execute (the CPU ticks before the node
-	// sees a fill, so its reaction to the delivery happens one cycle
-	// later) — NextWake refuses to sleep through it. Monotonic; stale
-	// values below the current cycle are inert.
-	recvVeto uint64
+	recvVeto uint64 // the cycle after the latest consumed delivery (RecvVeto)
 
 	// Retry bounds the retransmission loop run when the network loses a
 	// transfer (drops only happen under fault injection; on a reliable
@@ -149,8 +144,6 @@ func (n *Node) Tick(now uint64) uint64 {
 		n.sink.HandleMsg(msg, now)
 		// HandleMsg never retains the pointer (the pool's ownership
 		// contract), so the message recycles into the shared free list.
-		// The consumption also pins the next cycle live: whatever the
-		// handler unblocked acts then, not now.
 		n.pool.put(msg)
 		n.recvVeto = now + 1
 	}
@@ -191,14 +184,14 @@ func (n *Node) Tick(now uint64) uint64 {
 }
 
 // NextWake implements sim.Sleeper: Tick(now) is a strict no-op unless
-// a packet is deliverable, a queued send is ready to offer, or the
-// previous cycle consumed a delivery. A send that is latched for later
-// — or only backing off — wakes at its injection attempt, a packet on
-// its way at its arrival: the network pushes that cycle to the node's
-// Waker, but the next answer replaces what was pushed. Must be pure.
+// a packet is deliverable or a queued send is ready to offer. A send
+// that is latched for later — or only backing off — wakes at its
+// injection attempt, a packet on its way at its arrival: the network
+// pushes that cycle to the node's Waker, but the next answer replaces
+// what was pushed. Must be pure.
 func (n *Node) NextWake(now uint64) uint64 {
 	arrival := n.net.ArrivalAt(n.ID)
-	if n.recvVeto >= now || arrival <= now {
+	if arrival <= now {
 		return now
 	}
 	at, ok := n.outQ.NextAt()
@@ -212,6 +205,16 @@ func (n *Node) NextWake(now uint64) uint64 {
 	// event (a refused Inject charges the network's stall counter every
 	// cycle).
 	return min(arrival, max(at, now))
+}
+
+// RecvVeto is now while now is at most the cycle after the latest
+// consumed delivery, else sim.NoWake: a CPU's core, ticked before its
+// node, reacts then. A bank's sink reacts inside HandleMsg. Pure.
+func (n *Node) RecvVeto(now uint64) uint64 {
+	if n.recvVeto >= now {
+		return now
+	}
+	return sim.NoWake
 }
 
 // Skip implements sim.Sleeper: the only per-cycle counter a sleeping

@@ -137,13 +137,14 @@ func TestNodeNextWake(t *testing.T) {
 	if len(sink.msgs) != 1 {
 		t.Fatal("packet not delivered")
 	}
-	// The cycle after a consumed delivery stays live (whatever the
-	// handler unblocked acts then); after it the drained node sleeps.
-	if w := n1.NextWake(arrived + 1); w != arrived+1 {
-		t.Fatalf("cycle after a delivery: NextWake = %d, want awake", w)
-	}
-	if n0.NextWake(arrived) != never || n1.NextWake(arrived+2) != never {
+	// The drained node sleeps, the cycle after the delivery included:
+	// whoever reacts to it then (a CPU's core) asks RecvVeto, which
+	// names that cycle and no later one.
+	if n0.NextWake(arrived) != never || n1.NextWake(arrived+1) != never {
 		t.Fatal("drained nodes not asleep")
+	}
+	if n1.RecvVeto(arrived+1) != arrived+1 || n1.RecvVeto(arrived+2) != never {
+		t.Fatalf("RecvVeto after a delivery at %d: %d, %d", arrived, n1.RecvVeto(arrived+1), n1.RecvVeto(arrived+2))
 	}
 }
 

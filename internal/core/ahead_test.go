@@ -154,21 +154,77 @@ func TestSlicedRunResumesCoresAhead(t *testing.T) {
 	}
 }
 
+// TestOnlyACoreWakesAfterADelivery: a core ticks before its node, so it
+// reacts to a delivery a cycle late and its cluster must run on the cycle
+// after; a bank's sink reacts inside HandleMsg, so a bank node whose own
+// wake lies later sleeps through that cycle. On the naive schedule, which
+// ticks every part every cycle, the bank's Tick there must be a strict
+// no-op: its port, directory, service slot and counters do not move.
+func TestOnlyACoreWakesAfterADelivery(t *testing.T) {
+	for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
+		sys := buildWaterSys(t, proto, 4, true, 0)
+		var clusters []*cluster
+		for i, c := range sys.CPUs {
+			clusters = append(clusters, &cluster{cpu: c, dc: sys.DCaches[i], ic: sys.ICaches[i], node: sys.Nodes[i], sys: sys, net: sys.Net})
+		}
+		bank := func(b int, now uint64) string {
+			var e coherence.Enc
+			sys.BNodes[b].Fingerprint(&e, now)
+			sys.Banks[b].Fingerprint(&e, now)
+			nd := sys.BNodes[b]
+			return fmt.Sprintf("%x %+v %d %d", e, *sys.Banks[b].Stats(), nd.Retransmits, nd.BackoffCycles)
+		}
+		var cores, slept int
+		sys.Engine.Step() // cycle 0: RecvVeto's zero value names it
+		for now := uint64(1); now < 30_000 && !sys.AllHalted(); now++ {
+			for i, cl := range clusters {
+				if sys.Nodes[i].RecvVeto(now) == now {
+					if w := cl.NextWake(now); w != now {
+						t.Fatalf("%v: cluster %d consumed a delivery at %d, NextWake(%d) = %d", proto, i, now-1, now, w)
+					}
+					cores++
+				}
+			}
+			type snap struct {
+				b  int
+				fp string
+			}
+			var sleeping []snap
+			for b, nd := range sys.BNodes {
+				if nd.RecvVeto(now) == now && nd.NextWake(now) > now {
+					sleeping = append(sleeping, snap{b, bank(b, now)})
+				}
+			}
+			sys.Engine.Step()
+			for _, s := range sleeping {
+				if fp := bank(s.b, now); fp != s.fp {
+					t.Fatalf("%v: bank %d's Tick at %d, the cycle after a delivery, changed it:\n%s\n%s", proto, s.b, now, s.fp, fp)
+				}
+			}
+			slept += len(sleeping)
+		}
+		t.Logf("%v: %d cluster wakes after a delivery, %d bank nodes asleep after one", proto, cores, slept)
+		if cores == 0 || slept == 0 {
+			t.Fatalf("%v: vacuous: %d cluster wakes, %d sleeping banks", proto, cores, slept)
+		}
+	}
+}
+
 // TestSchedulePinned pins the schedule, not only its Result: a lock
 // counter under WB on arch1 at n = 8, whose cores run ahead and prove
 // spins, clean and under a fault plan whose stall windows and quieting
-// deliveries move wakes later. Every count below was recorded while the
-// engine still asked each ticker NextWake on the cycle after its Tick. A
-// Tick that answers a cycle the ticker would not run at — a cluster
+// deliveries move wakes later. The counts were recorded with bursts that
+// cross I-lines and bank nodes that sleep through the cycle after a
+// delivery. A Tick that answers a cycle the ticker would not run at — a cluster
 // answering where its core's run-ahead stopped rather than NextWake there,
 // a network missing its fault layer's Wake — keeps every Result byte and
 // moves these: spin sleeps cut short, fewer ticks skipped.
 func TestSchedulePinned(t *testing.T) {
 	for _, c := range []struct{ fault, want string }{
-		{"", "cpus 81290/1096758; banks 34368/260144; noc 18794/128462; " +
-			"leaped 63705, ahead 210977 in 33377, spun 439 for 25633"},
-		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 82686/1123370; banks 33385/268129; noc 145022/5735; " +
-			"leaped 2081, ahead 214976 in 34087, spun 436 for 26632"},
+		{"", "cpus 44896/1133152; banks 25913/268599; noc 18794/128462; " +
+			"leaped 80995, ahead 247745 in 27225, spun 439 for 25259"},
+		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 45545/1160511; banks 26028/275486; noc 145022/5735; " +
+			"leaped 3470, ahead 252452 in 27768, spun 435 for 26297"},
 	} {
 		cfg := DefaultConfig(coherence.WBMESI, mem.Arch1, 8)
 		var err error

@@ -277,7 +277,7 @@ func (c *cluster) Tick(now uint64) uint64 {
 	c.cpu.Tick(now)
 	c.dc.Tick(now)
 	c.ic.Tick(now)
-	next, at := min(c.node.Tick(now), c.dc.NextWake(now+1), c.ic.NextWake(now+1)), now+1
+	next, at := min(c.node.Tick(now), c.node.RecvVeto(now+1), c.dc.NextWake(now+1), c.ic.NextWake(now+1)), now+1
 	// An active core only: a stalled or halted one has nothing to run. Not
 	// while a port is one loss from its budget: spending it ends the run with
 	// -noleap's pcs. A port that gets there later waits Backoff(Budget) (1024 cycles).
@@ -297,7 +297,7 @@ func (c *cluster) NextWake(now uint64) uint64 {
 	if now < c.ahead && c.net.ArrivalAt(c.node.ID) >= c.ahead {
 		now = c.ahead
 	}
-	return max(now, min(c.cpu.NextWake(now), c.dc.NextWake(now), c.ic.NextWake(now), c.node.NextWake(now)))
+	return max(now, min(c.cpu.NextWake(now), c.dc.NextWake(now), c.ic.NextWake(now), c.node.NextWake(now), c.node.RecvVeto(now)))
 }
 
 // Skip charges the stalled core's retries (the core forwards its

@@ -16,10 +16,10 @@ import (
 // misses and starts a refill that lands missLat cycles later; like the
 // real controllers it changes state only in step — the rig's stand-in
 // for the cluster's Tick, where fills land and invalidations strike —
-// and never inside Load, Hit or Line. Every data access is logged, and
-// so is every ChargeHits. Like an LRU array, the port keeps a clock that
-// each load hit, charged hit and fill advances, and stamps a data line
-// with it at its every hit and fill.
+// and never inside Load, Hit, Line or Resident. Every data access is
+// logged, and so is every ChargeHits. Like an LRU array, the port keeps
+// a clock that each load hit, charged hit and fill advances, and stamps
+// a data line with it at its every hit and fill.
 type rigPort struct {
 	coherence.DataCache // the rest of the interface is never called
 
@@ -29,6 +29,7 @@ type rigPort struct {
 	dPend, iPend   uint32                 // block being refilled, 0 if none
 	dAt, iAt       uint64                 // cycle its fill lands
 	fetches        uint64
+	crossed        uint64 // Resident's hits: a burst ran into another I-line
 	clock, charged uint64
 	stamp          [rigLines]uint64 // each data line's last touch
 	log            []string
@@ -49,6 +50,15 @@ func (p *rigPort) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 		return p.code[blk], true
 	}
 	p.iPend, p.iAt = blk, now+rigMissLat
+	return nil, false
+}
+
+// Resident is Line's hit, counted in crossed, not in fetches.
+func (p *rigPort) Resident(addr uint32) ([]isa.Instr, bool) {
+	if blk := addr &^ (rigBlock - 1); p.iPend == 0 && p.iValid[blk] {
+		p.crossed++
+		return p.code[blk], true
+	}
 	return nil, false
 }
 
@@ -297,7 +307,7 @@ func tickOrPanic(c *CPU, now uint64) (msg string) {
 // many load hits of the per-cycle core.
 func TestRunAheadMatchesPerCycleTicks(t *testing.T) {
 	const seeds, maxCycles = 300, 1500
-	var ahead, bursts, slept, panics, charged uint64
+	var ahead, bursts, slept, panics, charged, crossed uint64
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := rigProgram(rng)
@@ -356,12 +366,12 @@ func TestRunAheadMatchesPerCycleTicks(t *testing.T) {
 			now = next
 		}
 		a, b := dut.Ahead()
-		ahead, bursts, charged = ahead+a, bursts+b, charged+dp.charged
+		ahead, bursts, charged, crossed = ahead+a, bursts+b, charged+dp.charged, crossed+dp.crossed
 	}
-	t.Logf("%d instructions ahead of the clock in %d bursts, %d sleeps, %d hits charged, %d runs ended in a panic",
-		ahead, bursts, slept, charged, panics)
-	if ahead == 0 || bursts == 0 || slept == 0 || charged == 0 || panics == 0 {
-		t.Fatal("the rig never ran ahead, never slept, never charged a hit or never reached a panic: vacuous")
+	t.Logf("%d instructions ahead of the clock in %d bursts, %d I-lines crossed, %d sleeps, %d hits charged, %d runs ended in a panic",
+		ahead, bursts, crossed, slept, charged, panics)
+	if ahead == 0 || bursts == 0 || crossed == 0 || slept == 0 || charged == 0 || panics == 0 {
+		t.Fatal("the rig never ran ahead, never crossed a line, never slept, never charged a hit or never reached a panic: vacuous")
 	}
 }
 

@@ -9,27 +9,28 @@
 // The core fetches by line: Line gives it the decoded block around the
 // pc and it serves the fetches inside that window by index, counting
 // them itself. The core owns the window; one rule keeps it true: a
-// failed Line (and Reset) drops it. See coherence.ICache.
+// failed Line or Resident (and Reset) drops it. See coherence.ICache.
 //
 // A core can run ahead of the clock (RunAhead) through cycles that are
-// local: an FPU wait, or an instruction inside the window it holds that
-// is a register, branch or FPU operation or an aligned word load its
-// data cache says hits (coherence.DataCache.Hit). Such a cycle touches
-// only the core's registers, counters and the cache's replacement
-// stamps — nothing a message, another ticker or a hook can observe
-// before that cycle comes — so executing it early, with that cycle as
-// now, is executing it. Everything else runs at its own cycle through
-// Tick: a miss or a window exit starts a transaction, HALT ends the run,
-// an illegal or misaligned access must panic where it stands, a byte
-// load is too rare to pay for. Stores too, even to an owned line: a
-// store is what the rest of the machine observes (and letting MESI's
-// join measured slower, not faster).
+// local: an FPU wait, or an instruction whose block is resident (the
+// window, or the block Resident hands a burst that leaves it) that is a
+// register, branch or FPU operation or an aligned word load its data
+// cache says hits (coherence.DataCache.Hit). Such a cycle touches only
+// the core's registers, counters and the caches' replacement stamps —
+// nothing a message, another ticker or a hook can observe before that
+// cycle comes — so executing it early, with that cycle as now, is
+// executing it. Everything else runs at its own cycle through Tick: a
+// miss or a fetch whose block is not resident starts a transaction, HALT
+// ends the run, an illegal or misaligned access must panic where it
+// stands, a byte load is too rare to pay for. Stores too, even to an
+// owned line: a store is what the rest of the machine observes (and
+// letting MESI's join measured slower, not faster).
 //
-// A burst back at the state it started from (pc, registers, an idle FPU)
-// has proved a spin: a pure loop that repeats until the core's caches
-// change, which only its cluster's Tick does. RunAhead stops there and
-// the core sleeps in the loop, no wake of its own; Skip counts its periods
-// and leaves the core where the naive one stands; Tick ends the sleep.
+// A burst back at its starting state (pc, registers, an idle FPU) in one
+// window has proved a spin: a pure loop that repeats until the core's
+// caches change, which only its cluster's Tick does. RunAhead stops there
+// and the core sleeps in the loop, no wake of its own; Skip counts its
+// periods and leaves the core where the naive one stands; Tick ends it.
 package cpu
 
 import (
@@ -81,6 +82,8 @@ type InstrPort interface {
 	// Line counts one fetch at addr and returns the decoded, naturally
 	// aligned block holding it, or false while that block is refilled.
 	Line(now uint64, addr uint32) ([]isa.Instr, bool)
+	// Resident is Line's hit without its fetch; else false, changing nothing.
+	Resident(addr uint32) ([]isa.Instr, bool)
 }
 
 // The multi-cycle latencies of floating-point operations (occupancy of
@@ -114,7 +117,7 @@ type CPU struct {
 	icache InstrPort
 	dcache coherence.DataCache
 
-	window  []isa.Instr // the block the last Line returned; nil if it failed
+	window  []isa.Instr // the block Line or Resident last returned; nil if it failed
 	winBase uint32      // window's address
 	fetches *uint64     // icache's fetch counter
 
@@ -253,19 +256,26 @@ func (c *CPU) RunAhead(from, horizon uint64) uint64 {
 	s.pc, s.loads = c.pc, 0
 	s.regs = c.regs // separate statements: a tuple would copy twice
 	s.fregs = c.fregs
-	noWait := c.busyUntil <= from // a period is one instruction a cycle
+	canSpin := c.busyUntil <= from // a period: one instruction a cycle, one window
 loop:
 	for now < horizon {
 		if c.busyUntil > now {
 			n := min(c.busyUntil, horizon) - now
 			c.st.FPUBusyCycles += n
 			c.outcome = outcomeFPU
-			now, noWait = now+n, false
+			now, canSpin = now+n, false
 			continue
 		}
 		i := (c.pc - c.winBase) >> 2
 		if i >= uint32(len(c.window)) {
-			break
+			var ok bool
+			if c.window, ok = c.icache.Resident(c.pc); !ok {
+				break // a miss starts its refill at its own cycle, in Tick
+			}
+			// Only this core's own refill replaces an I-line. Skip's tail
+			// indexes one window: the burst can prove no spin.
+			i, canSpin = c.pc/4%uint32(len(c.window)), false
+			c.winBase = c.pc - c.pc%4 - 4*i
 		}
 		// The fetch counts only once the cycle is known to be local.
 		switch in := c.window[i]; in.Op {
@@ -287,7 +297,7 @@ loop:
 			c.exec(now, in)
 		}
 		now++
-		if c.pc == s.pc && noWait && c.busyUntil <= now && c.cameBack() {
+		if c.pc == s.pc && canSpin && c.busyUntil <= now && c.cameBack() {
 			s.period, c.spins = now-from, c.spins+1
 			break
 		}

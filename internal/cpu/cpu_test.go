@@ -36,6 +36,9 @@ func (f *flatMem) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	return f.line[:], true
 }
 
+// Resident reports nothing resident: the tests on flatMem never run ahead.
+func (f *flatMem) Resident(addr uint32) ([]isa.Instr, bool) { return nil, false }
+
 func (f *flatMem) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 	return f.space.ReadWord(addr &^ 3), true
 }

@@ -28,6 +28,8 @@
 package exp
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -279,11 +281,7 @@ func writeSamples(path string, rec *obs.Recorder) error {
 	if err != nil {
 		return err
 	}
-	if err := rec.Sampler().WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(rec.Sampler().WriteCSV(f), f.Close())
 }
 
 // ExecuteAll executes runs with up to jobs simulations in flight
@@ -315,10 +313,7 @@ func forEach(n, jobs int, fn func(i int) error) error {
 	if jobs < 1 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
+	if jobs = min(jobs, n); jobs <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -343,10 +338,5 @@ func forEach(n, jobs int, fn func(i int) error) error {
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return cmp.Or(errs...)
 }

@@ -18,15 +18,13 @@ func BarChart(title string, bars []Bar, width int) string {
 	if width <= 0 {
 		width = 50
 	}
-	var max float64
+	var top float64
 	labelW := 0
 	for _, b := range bars {
-		if b.Value > max {
-			max = b.Value
+		if b.Value > top {
+			top = b.Value
 		}
-		if len(b.Label) > labelW {
-			labelW = len(b.Label)
-		}
+		labelW = max(labelW, len(b.Label))
 	}
 	var sb strings.Builder
 	if title != "" {
@@ -34,8 +32,8 @@ func BarChart(title string, bars []Bar, width int) string {
 	}
 	for _, b := range bars {
 		n := 0
-		if max > 0 {
-			n = int(b.Value / max * float64(width))
+		if top > 0 {
+			n = int(b.Value / top * float64(width))
 		}
 		if b.Value > 0 && n == 0 {
 			n = 1

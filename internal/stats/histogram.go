@@ -15,16 +15,10 @@ type Histogram struct {
 
 // Record adds one sample.
 func (h *Histogram) Record(v uint64) {
-	i := bits.Len64(v)
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
+	h.buckets[min(bits.Len64(v), len(h.buckets)-1)]++
 	h.count++
 	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
+	h.max = max(h.max, v)
 }
 
 // Count reports the number of samples.
@@ -47,10 +41,7 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	if h.count == 0 {
 		return 0
 	}
-	target := uint64(p / 100 * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
+	target := min(uint64(p/100*float64(h.count)), h.count-1)
 	var seen uint64
 	for i, c := range h.buckets {
 		seen += c
@@ -62,11 +53,7 @@ func (h *Histogram) Percentile(p float64) uint64 {
 				// Overflow bucket: the power-of-two bound is meaningless.
 				return h.max
 			}
-			top := uint64(1)<<i - 1
-			if top > h.max {
-				top = h.max
-			}
-			return top
+			return min(uint64(1)<<i-1, h.max)
 		}
 	}
 	return h.max
