@@ -135,9 +135,9 @@ check: fmt vet lint build test race equiv
 # Go outside benchmark/ and the lint fixtures' testdata/ — and fails
 # above LOC_CEILING, so "end the round with fewer lines" is a gate (CI
 # runs it), not a printed number. The ceiling is the count at the last
-# PR that moved it, rounded up to the next 50: lower it when a PR
+# PR that moved it, rounded up to the next 10: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 13800
+LOC_CEILING := 13600
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

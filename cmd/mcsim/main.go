@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mcsim [-bench ocean|water|lu|counter|sparse|rmw|prodcons|uniform|hotspot|dense]
+//	mcsim [-bench ocean|water|counter|sparse|rmw|prodcons|uniform|hotspot|dense]
 //	      [-protocol wti|wtu|wb|moesi] [-arch 1|2] [-cpus N] [-noc gmn|mesh|bus]
 //	      [-strict] [-v | -json] [-fault drop=1e-4,delay=1e-3:8,seed=42]
 //	      [-cpuprofile FILE] [-memprofile FILE]
@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "ocean", "workload: a program (ocean, water, lu, counter) or a stream (sparse, rmw, prodcons, uniform, hotspot, dense)")
+	bench := flag.String("bench", "ocean", "workload: a program (ocean, water, counter) or a stream (sparse, rmw, prodcons, uniform, hotspot, dense)")
 	protoFlag := flag.String("protocol", "wti", "write policy: wti, wtu, wb or moesi")
 	archFlag := flag.Int("arch", 2, "architecture: 1 (centralized, SMP) or 2 (distributed, DS)")
 	cpus := flag.Int("cpus", 8, "number of processors (1..64)")
@@ -63,7 +63,6 @@ func main() {
 	sizeFlag(&size.WaterMols, "mols", exp.Water, def.WaterMols, "molecules per processor")
 	sizeFlag(&size.WaterSteps, "steps", exp.Water, def.WaterSteps, "time steps")
 	sizeFlag(&size.CounterIncs, "incs", exp.Counter, def.CounterIncs, "increments per thread")
-	sizeFlag(&size.LURows, "lurows", exp.LU, def.LURows, "matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
 	noleap := flag.Bool("noleap", false, "the naive reference schedule: tick every component on every cycle, skip and leap nothing (results are byte-identical either way, under every -fault plan; for timing comparisons)")
 	profCfg := prof.RegisterFlags()

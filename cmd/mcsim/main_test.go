@@ -122,11 +122,10 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{"-bench counter -cpus 2 -fault bogus", "exp: counter/WTI/arch2/n2/fault=bogus: "},
 		{"-bench counter -cpus 2 -ways 2 -fault bogus", "exp: counter/WTI/arch2/n2/ways=2/fault=bogus: "},
 		// -bench names a program or a stream; the error lists both.
-		{"-bench zigzag", `exp: no program called "zigzag" (programs: ocean, water, lu, counter; streams: sparse, rmw, prodcons, uniform, hotspot, dense)`},
+		{"-bench zigzag", `exp: no program called "zigzag" (programs: ocean, water, counter; streams: sparse, rmw, prodcons, uniform, hotspot, dense)`},
 		// A program-size flag the bench does not read used to be ignored.
 		{"-bench ocean -cpus 2 -incs 5", "-incs sizes counter; it does nothing with -bench ocean"},
 		{"-bench hotspot -cpus 2 -rows 9", "-rows sizes ocean; it does nothing with -bench hotspot"},
-		{"-bench counter -cpus 2 -lurows 2", "-lurows sizes lu; it does nothing with -bench counter"},
 	} {
 		wantOneLineError(t, c.args, c.want)
 	}

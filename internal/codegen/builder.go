@@ -155,7 +155,6 @@ func (b *Builder) imm(op isa.Op, rd, rs1 Reg, imm int32) {
 func (b *Builder) Add(rd, rs1, rs2 Reg) { b.r3(isa.OpAdd, rd, rs1, rs2) }
 func (b *Builder) Sub(rd, rs1, rs2 Reg) { b.r3(isa.OpSub, rd, rs1, rs2) }
 func (b *Builder) Mul(rd, rs1, rs2 Reg) { b.r3(isa.OpMul, rd, rs1, rs2) }
-func (b *Builder) Rem(rd, rs1, rs2 Reg) { b.r3(isa.OpRem, rd, rs1, rs2) }
 
 // Integer register-immediate operations.
 func (b *Builder) Addi(rd, rs1 Reg, v int32) { b.imm(isa.OpAddi, rd, rs1, v) }
@@ -187,7 +186,6 @@ func (b *Builder) branch(op isa.Op, rs1, rs2 Reg, label string) {
 
 func (b *Builder) Beq(rs1, rs2 Reg, label string) { b.branch(isa.OpBeq, rs1, rs2, label) }
 func (b *Builder) Bne(rs1, rs2 Reg, label string) { b.branch(isa.OpBne, rs1, rs2, label) }
-func (b *Builder) Blt(rs1, rs2 Reg, label string) { b.branch(isa.OpBlt, rs1, rs2, label) }
 func (b *Builder) Bge(rs1, rs2 Reg, label string) { b.branch(isa.OpBge, rs1, rs2, label) }
 
 // J is an unconditional jump to a label (beq r0, r0).

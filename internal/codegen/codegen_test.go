@@ -341,7 +341,7 @@ func TestEveryEmitterExecutes(t *testing.T) {
 	b.r3(isa.OpSltu, S3, T0, T1)    // 0
 	b.Mul(S4, T0, T1)               // 60
 	b.r3(isa.OpDiv, S5, T0, T1)     // 2
-	b.Rem(S6, T0, T1)               // 2
+	b.r3(isa.OpRem, S6, T0, T1)     // 2
 	b.imm(isa.OpXori, S7, T0, 0xff) // 0xf3
 	b.imm(isa.OpSlti, S8, T1, 100)  // 1
 	b.imm(isa.OpSrli, A1, T7, 2)    // 20
@@ -371,7 +371,7 @@ func TestEveryEmitterExecutes(t *testing.T) {
 	b.r3(isa.OpFle, T5, Reg(F3), Reg(F3))  // 1
 	b.CvtSW(T6, F10)                       // 3
 	// Branch variants.
-	b.Blt(R0, T6, "blt_ok")
+	b.branch(isa.OpBlt, R0, T6, "blt_ok")
 	b.Halt()
 	b.Label("blt_ok")
 	b.Bge(T6, R0, "bge_ok")

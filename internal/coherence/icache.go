@@ -113,9 +113,8 @@ func (c *ICache) tryIssue(now uint64) {
 	m.Kind = ReqIFetch
 	m.Src = c.id
 	m.Addr = c.pendAddr
-	if c.node.TrySendReq(m, c.bankBase+c.amap.BankOf(c.pendAddr), now) {
-		c.pendIssued = true
-	}
+	c.node.SendCtrl(m, c.bankBase+c.amap.BankOf(c.pendAddr), now)
+	c.pendIssued = true
 }
 
 // Tick retries an unsent refill request.

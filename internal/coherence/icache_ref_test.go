@@ -63,9 +63,8 @@ func (c *refICache) tryIssue(now uint64) {
 	m.Kind = ReqIFetch
 	m.Src = c.id
 	m.Addr = c.pendAddr
-	if c.node.TrySendReq(m, c.bankBase+c.amap.BankOf(c.pendAddr), now) {
-		c.pendIssued = true
-	}
+	c.node.SendCtrl(m, c.bankBase+c.amap.BankOf(c.pendAddr), now)
+	c.pendIssued = true
 }
 
 // Accept and HandleMsg make the reference its node's sink: the refill

@@ -148,9 +148,8 @@ func (c *MESICache) tryIssue(now uint64) {
 	m.Kind = c.pend.kind
 	m.Src = c.id
 	m.Addr = c.pend.blk
-	if c.node.TrySendReq(m, c.bankNode(c.pend.blk), now) {
-		c.pend.issued = true
-	}
+	c.node.SendCtrl(m, c.bankNode(c.pend.blk), now)
+	c.pend.issued = true
 }
 
 // Load implements DataCache.

@@ -29,9 +29,9 @@ type outMsg struct {
 // their program order on the wire; see the package documentation for
 // why the protocols need this. Control-class messages (responses,
 // acknowledgements) may always be enqueued — they are what unblocks the
-// rest of the system — while request-class messages are admitted only
-// below reqBound, which is how NoC backpressure reaches the write
-// buffer and the miss handlers.
+// rest of the system — while a request-class sender waits for
+// CanSendReq, true below reqBound, which is how NoC backpressure
+// reaches the write buffer and the miss handlers.
 type Node struct {
 	ID   int
 	net  noc.Network
@@ -90,32 +90,21 @@ func (n *Node) AtBudget() bool { return n.attempts >= n.Retry.Budget }
 
 // NewMsg returns a zeroed message owned by the caller, drawn from the
 // hierarchy's free list. The caller fills it and hands ownership to the
-// outbound port via SendCtrl/TrySendReq; it is recycled by the
-// receiving node after consumption. It runs on every protocol send:
-// hot path.
+// outbound port via SendCtrl; it is recycled by the receiving node
+// after consumption. It runs on every protocol send: hot path.
 //
 //lint:hot
 func (n *Node) NewMsg() *Msg { return n.pool.get() }
 
-// SendCtrl enqueues a control-class message (always admitted) for dst,
-// not injectable before cycle notBefore.
+// SendCtrl enqueues m for dst, not injectable before cycle notBefore.
+// It admits every message: a control-class sender never waits, and a
+// request-class sender asks CanSendReq first, before it draws the Msg.
 func (n *Node) SendCtrl(m *Msg, dst int, notBefore uint64) {
 	n.outQ.Send(outMsg{dst: dst, msg: m}, notBefore)
 }
 
-// TrySendReq enqueues a request-class message if the outbound queue is
-// below the admission bound, reporting whether it was admitted.
-func (n *Node) TrySendReq(m *Msg, dst int, notBefore uint64) bool {
-	if !n.CanSendReq() {
-		return false
-	}
-	n.SendCtrl(m, dst, notBefore)
-	return true
-}
-
-// CanSendReq reports whether a request-class message would be admitted
-// this cycle, without constructing one, so retry loops can ask first and
-// skip allocating a message that would only be discarded. Pure.
+// CanSendReq reports whether a request-class message is admitted this
+// cycle: the outbound queue is below the admission bound. Pure.
 func (n *Node) CanSendReq() bool { return n.outQ.Len() < reqBound }
 
 // reqBound is the admission bound for request-class messages.

@@ -27,9 +27,10 @@ func TestNodeOutboundFIFOOrder(t *testing.T) {
 	// Interleave ctrl and request sends: wire order must match enqueue
 	// order regardless of class.
 	n0.SendCtrl(&Msg{Kind: RspInvAck, Addr: 1}, 1, 0)
-	if !n0.TrySendReq(&Msg{Kind: ReqRead, Addr: 2}, 1, 0) {
+	if !n0.CanSendReq() {
 		t.Fatal("request refused below bound")
 	}
+	n0.SendCtrl(&Msg{Kind: ReqRead, Addr: 2}, 1, 0)
 	n0.SendCtrl(&Msg{Kind: RspInvAck, Addr: 3}, 1, 0)
 
 	for cyc := uint64(0); cyc < 100 && len(sinks[1].msgs) < 3; cyc++ {
@@ -47,20 +48,24 @@ func TestNodeOutboundFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestNodeRequestAdmissionBound walks CanSendReq's bound: it admits a
+// request per queued message below reqBound and refuses one at it,
+// where control messages are still admitted (they unblock the system),
+// and it admits again once the queue drains.
 func TestNodeRequestAdmissionBound(t *testing.T) {
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 2, FIFODepth: 1, SrcDepth: 1})
 	n0 := NewNode(0, net, &recordSink{accept: true})
 	dst := &recordSink{accept: true}
 	n1 := NewNode(1, net, dst)
 	for i := 0; i < reqBound; i++ {
-		if !n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0) {
+		if !n0.CanSendReq() {
 			t.Fatalf("request %d below bound refused", i)
 		}
+		n0.SendCtrl(&Msg{Kind: ReqRead}, 1, 0)
 	}
-	if n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0) {
-		t.Fatal("request above bound admitted")
+	if n0.CanSendReq() {
+		t.Fatal("request at the bound admitted")
 	}
-	// Control messages are always admitted (they unblock the system).
 	// The refused request was never queued: exactly reqBound+1 arrive.
 	n0.SendCtrl(&Msg{Kind: RspInvAck}, 1, 0)
 	for cyc := uint64(0); cyc < 100; cyc++ {
@@ -71,23 +76,8 @@ func TestNodeRequestAdmissionBound(t *testing.T) {
 	if !n0.Idle() || len(dst.msgs) != reqBound+1 || dst.msgs[reqBound].Kind != RspInvAck {
 		t.Fatalf("idle=%t, delivered %d messages: %v", n0.Idle(), len(dst.msgs), dst.msgs)
 	}
-}
-
-func TestNodeCanSendReqMatchesTrySendReq(t *testing.T) {
-	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 2, FIFODepth: 1, SrcDepth: 1})
-	n0 := NewNode(0, net, &recordSink{accept: true})
-	for i := 0; i < reqBound; i++ {
-		if !n0.CanSendReq() {
-			t.Fatalf("CanSendReq false below the bound, %d queued", i)
-		}
-		n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0)
-	}
-	// At the bound: the pre-check must refuse, as TrySendReq does.
-	if n0.CanSendReq() {
-		t.Fatal("CanSendReq true at the admission bound")
-	}
-	if n0.TrySendReq(&Msg{Kind: ReqRead}, 1, 0) {
-		t.Fatal("TrySendReq admitted what CanSendReq refused")
+	if !n0.CanSendReq() {
+		t.Fatal("request refused after the queue drained")
 	}
 }
 

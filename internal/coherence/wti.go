@@ -231,10 +231,8 @@ func (c *WTICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) 
 	return 0, false
 }
 
-// tryIssue attempts to place the pending miss or swap on the wire. The
-// admission pre-check keeps backpressured retry cycles (which recur
-// every cycle until the queue drains) from allocating a message that
-// would only be rejected.
+// tryIssue places the pending miss or swap on the wire once the node
+// admits a request; a refused cycle allocates nothing and retries.
 func (c *WTICache) tryIssue(now uint64) {
 	if !c.pend.active || c.pend.issued || !c.node.CanSendReq() {
 		return
@@ -248,9 +246,8 @@ func (c *WTICache) tryIssue(now uint64) {
 	} else {
 		m.Kind = ReqRead
 	}
-	if c.node.TrySendReq(m, c.bankNode(c.pend.addr), now) {
-		c.pend.issued = true
-	}
+	c.node.SendCtrl(m, c.bankNode(c.pend.addr), now)
+	c.pend.issued = true
 }
 
 // Tick implements DataCache: retries unsent requests and drains the
@@ -264,10 +261,9 @@ func (c *WTICache) Tick(now uint64) {
 		m.Addr = e.addr
 		m.Word = e.word
 		m.ByteEn = e.byteEn
-		if c.node.TrySendReq(m, c.bankNode(e.addr), now) {
-			e.sent = true
-			c.sendVeto = now + 1
-		}
+		c.node.SendCtrl(m, c.bankNode(e.addr), now)
+		e.sent = true
+		c.sendVeto = now + 1
 	}
 }
 

@@ -54,14 +54,13 @@ type Scale struct {
 	OceanIters  int
 	WaterMols   int // molecules per thread
 	WaterSteps  int
-	LURows      int // matrix rows per thread
 	CounterIncs int // increments per thread
 }
 
 // DefaultScale is used by cmd/sweep, cmd/mcsim's flag defaults and the
 // benchmarks.
 func DefaultScale() Scale {
-	return Scale{OceanRows: 4, OceanIters: 4, WaterMols: 3, WaterSteps: 3, LURows: 3, CounterIncs: 100}
+	return Scale{OceanRows: 4, OceanIters: 4, WaterMols: 3, WaterSteps: 3, CounterIncs: 100}
 }
 
 // QuickScale keeps tests fast.
@@ -74,11 +73,10 @@ func QuickScale() Scale {
 type Bench string
 
 // The programs: the two applications of the paper's evaluation, then
-// the LU kernel and the lock-counter microbenchmark.
+// the lock-counter microbenchmark.
 const (
 	Ocean   Bench = "ocean"
 	Water   Bench = "water"
-	LU      Bench = "lu"
 	Counter Bench = "counter"
 )
 
@@ -132,8 +130,8 @@ func (r Run) Key() string {
 	}
 	if s := r.Scale; s != (Scale{}) {
 		k += fmt.Sprintf("/scale=%d.%d.%d.%d", s.OceanRows, s.OceanIters, s.WaterMols, s.WaterSteps)
-		if s.LURows != 0 || s.CounterIncs != 0 {
-			k += fmt.Sprintf(".%d.%d", s.LURows, s.CounterIncs)
+		if s.CounterIncs != 0 {
+			k += fmt.Sprintf(".%d", s.CounterIncs)
 		}
 	}
 	if r.Fault != "" {
@@ -188,10 +186,6 @@ func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 		return workload.BuildWater(l, mode, workload.WaterParams{
 			Threads: r.NumCPUs, MolsPerThread: sc.WaterMols, Steps: sc.WaterSteps,
 		})
-	case LU:
-		return workload.BuildLU(l, mode, workload.LUParams{
-			Threads: r.NumCPUs, RowsPerThread: sc.LURows,
-		})
 	case Counter:
 		return workload.BuildCounter(l, mode, workload.CounterParams{
 			Threads: r.NumCPUs, Incs: sc.CounterIncs,
@@ -201,8 +195,8 @@ func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 		for i, sb := range streamBenches {
 			streams[i] = string(sb.bench)
 		}
-		return nil, fmt.Errorf("exp: no program called %q (programs: %s, %s, %s, %s; streams: %s)",
-			r.Bench, Ocean, Water, LU, Counter, strings.Join(streams, ", "))
+		return nil, fmt.Errorf("exp: no program called %q (programs: %s, %s, %s; streams: %s)",
+			r.Bench, Ocean, Water, Counter, strings.Join(streams, ", "))
 	}
 }
 

@@ -270,16 +270,15 @@ func TestRunKeyNamesEveryField(t *testing.T) {
 	if n := reflect.TypeOf(base).NumField(); n != len(variants) {
 		t.Fatalf("Run has %d fields, the table varies %d: add the new field here and to Key", n, len(variants))
 	}
-	// Every other bench, and the two sizes the scale segment names only
-	// when set.
-	for _, b := range []Bench{LU, Counter, SparseWrites, PrivateRMW, ProdCons} {
+	// Every other bench, and the size the scale segment names only when
+	// set.
+	for _, b := range []Bench{Counter, SparseWrites, PrivateRMW, ProdCons} {
 		b := b
 		variants["Bench="+string(b)] = func(r *Run) { r.Bench = b }
 	}
-	variants["Scale.LURows"] = func(r *Run) { r.Scale = Scale{OceanRows: 8, OceanIters: 3, LURows: 2} }
 	variants["Scale.CounterIncs"] = func(r *Run) { r.Scale = Scale{OceanRows: 8, OceanIters: 3, CounterIncs: 2} }
-	if n := reflect.TypeOf(Scale{}).NumField(); n != 6 {
-		t.Fatalf("Scale has %d fields, Key names 6: add the new one to Key and here", n)
+	if n := reflect.TypeOf(Scale{}).NumField(); n != 5 {
+		t.Fatalf("Scale has %d fields, Key names 5: add the new one to Key and here", n)
 	}
 	keys := map[string]string{base.Key(): "the base run"}
 	for field, vary := range variants { //lint:allow maprange — any order finds every duplicate key

@@ -56,6 +56,10 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 		// Bank stall windows: -noleap must stay the reference when the
 		// network ticker sleeps through cycles that draw.
 		{Bench: Water, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 4, Fault: "bankstall=0.005:16,seed=42"},
+		// MESI's eviction-buffer stall on a load miss (its victim dirty,
+		// the previous writeback still unacknowledged): the cheapest
+		// machine measured that reaches it, once, in 0.1 Mcyc.
+		{Bench: Water, Protocol: coherence.MOESI, Arch: mem.Arch2, NumCPUs: 8},
 	}
 	check := func(r Run, sc Scale) {
 		naive := runPoint(t, r, sc, true)

@@ -25,7 +25,7 @@ import (
 	"repro/internal/obs"
 )
 
-// drawRun draws one machine: a program (counter, lu, ocean, water, on the
+// drawRun draws one machine: a program (counter, ocean, water, on the
 // runtime its architecture pairs with) or the prodcons stream, any
 // protocol, architecture and network, 2 to 8 CPUs, direct-mapped or
 // 2-way caches, a full-map or one-pointer directory, strict stores or
@@ -33,7 +33,7 @@ import (
 // a fault plan — at or below QuickScale.
 func drawRun(rng *rand.Rand) Run {
 	r := Run{
-		Bench:       []Bench{Counter, LU, Ocean, Water, ProdCons}[rng.Intn(5)],
+		Bench:       []Bench{Counter, Ocean, Water, ProdCons}[rng.Intn(4)],
 		Protocol:    coherence.Protocol(rng.Intn(len(coherence.Protocols))),
 		Arch:        []mem.Arch{mem.Arch1, mem.Arch2}[rng.Intn(2)],
 		NumCPUs:     []int{2, 3, 4, 8}[rng.Intn(4)],
@@ -41,7 +41,7 @@ func drawRun(rng *rand.Rand) Run {
 		Ways:        2 * rng.Intn(2),
 		DirPointers: rng.Intn(2),
 		Scale: Scale{OceanRows: 1 + rng.Intn(2), OceanIters: 1 + rng.Intn(2), WaterMols: 1 + rng.Intn(2),
-			WaterSteps: 1 + rng.Intn(2), LURows: 1 + rng.Intn(2), CounterIncs: 1 + rng.Intn(8)},
+			WaterSteps: 1 + rng.Intn(2), CounterIncs: 1 + rng.Intn(8)},
 	}
 	switch r.Protocol {
 	case coherence.WTI, coherence.WTU:

@@ -18,22 +18,12 @@ func TestOceanRejectsOversizedGrid(t *testing.T) {
 	}
 }
 
-func TestLURejectsDegenerateMatrix(t *testing.T) {
-	l := mem.DefaultLayout(1)
-	if _, err := BuildLU(l, codegen.DS, LUParams{Threads: 1, RowsPerThread: 1}); err == nil {
-		t.Fatal("1x1 LU accepted")
-	}
-}
-
 func TestGridGeometryHelpers(t *testing.T) {
 	if (OceanParams{Threads: 4, RowsPerThread: 4}).Grid() != 18 {
 		t.Fatal("ocean grid")
 	}
 	if (WaterParams{Threads: 4, MolsPerThread: 3}).Mols() != 12 {
 		t.Fatal("water mols")
-	}
-	if (LUParams{Threads: 4, RowsPerThread: 3}).N() != 12 {
-		t.Fatal("lu n")
 	}
 }
 
@@ -54,13 +44,6 @@ func TestSpecSymbolsDefined(t *testing.T) {
 	}
 	if _, ok := water.Image.Symbols["water_pos"]; !ok {
 		t.Error("water image missing water_pos")
-	}
-	lu, err := BuildLU(l, codegen.DS, LUParams{Threads: 2, RowsPerThread: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lu.Image.Symbols["lu_matrix"]; !ok {
-		t.Error("lu image missing lu_matrix")
 	}
 }
 

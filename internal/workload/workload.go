@@ -1,5 +1,5 @@
-// Package workload builds the simulated programs: the Ocean-, Water-
-// and LU-class kernels standing in for the paper's SPLASH-2 benchmarks
+// Package workload builds the simulated programs: the Ocean- and
+// Water-class kernels standing in for the paper's SPLASH-2 benchmarks
 // and a lock-counter microbenchmark used for correctness. Each builder
 // returns a loadable image plus enough host-side information to verify
 // the run's results against a Go reference model.
