@@ -53,7 +53,10 @@ race:
 # sizes the unit matrices (n <= 4) stop short of: mcsim built once, then
 # -json stdout with and without -noleap compared byte for byte on the
 # four BENCHMARK.json pins, the mesh at n64 and under MESI with every
-# link fault (the other two mesh rows are WTI and fault-free), a 2-way
+# link fault (the other mesh rows are WTI and fault-free), the same on
+# arch1, whose cores run ahead on the mesh's Reach and sleep in spins
+# through the fault layer's delegation (823,561 instructions ahead, 3,000
+# spin sleeps), a 2-way
 # run (the core's
 # line window skips LRU stamps; it sleeps in a spin only 347 times), a
 # 4-way arch1 water that sleeps in spins 2,945 times over 387,509 cycles
@@ -66,7 +69,7 @@ race:
 # arch1 water (14.7 M instructions in 2.7 Mcyc), arch1 ocean at n64
 # (1.62 Mcyc; 96% of its instructions retire in spin sleeps) and WTU on
 # the bus (the empty-write-buffer rule of DataCache.Hit, the bus's
-# MinTransit), and two stream machines, whose CPUs sleep through their
+# Reach), and two stream machines, whose CPUs sleep through their
 # think time (the unit matrices stop at n = 2) — about 30 s.
 # Water/WB/arch1/n64 stays out: even at -mols 1 -steps 1 its -noleap run
 # takes 40 s. The EQUIV_TRACE_RUNS also compare the -obs-trace and
@@ -84,6 +87,7 @@ EQUIV_PINS := \
 EQUIV_RUNS := $(EQUIV_PINS) \
 	"-noc mesh -cpus 64 -rows 4 -iters 2" \
 	"-bench water -protocol wb -cpus 16 -noc mesh -mols 2 -steps 1 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,seed=42" \
+	"-bench water -protocol wb -arch 1 -cpus 16 -noc mesh -mols 2 -steps 1 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,seed=42" \
 	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
 	"-bench water -protocol wb -arch 1 -cpus 16 -ways 4 -mols 2 -steps 1" \
 	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \
@@ -137,7 +141,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 10: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 13600
+LOC_CEILING := 13590
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

@@ -77,7 +77,7 @@ func (d *lossyNet) Quiet() bool                                     { return tru
 func (d *lossyNet) NextWake(now uint64) uint64                      { return ^uint64(0) }
 func (d *lossyNet) Stats() noc.Stats                                { return noc.Stats{} }
 func (d *lossyNet) PortFlits() []uint64                             { return nil }
-func (d *lossyNet) MinTransit() uint64                              { return 1 }
+func (d *lossyNet) Reach(dst int, now uint64) uint64                { return now + 1 }
 
 type nullSink struct{}
 

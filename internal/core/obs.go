@@ -72,52 +72,23 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	// perCPUCycle scales a counter summed over the fronts into a rate
 	// per CPU and per cycle of the interval.
 	perCPUCycle := func(scale float64, count func(*cpu.Stats) uint64) obs.Probe {
-		delta := obs.DeltaProbe(func() uint64 {
-			var total uint64
-			for _, f := range s.fronts {
-				total += count(f.Stats())
-			}
-			return total
-		})
+		delta := obs.DeltaProbe(func() uint64 { return sum(s.fronts, func(f frontEnd) uint64 { return count(f.Stats()) }) })
 		return func(now uint64) float64 { return scale * delta(now) / float64(interval) / float64(n) }
 	}
 	sp.AddProbe("ipc", perCPUCycle(1, func(st *cpu.Stats) uint64 { return st.Instructions }))
 	sp.AddProbe("data_stall_pct", perCPUCycle(100, func(st *cpu.Stats) uint64 { return st.DataStallCycles }))
-	sp.AddProbe("wb_occupancy", func(now uint64) float64 {
-		var total int
-		for _, dc := range s.DCaches {
-			total += dc.WBOccupancy()
-		}
-		return float64(total)
-	})
-	sp.AddProbe("dir_queue", func(now uint64) float64 {
-		var total int
-		for _, b := range s.Banks {
-			total += b.QueuedRequests()
-		}
-		return float64(total)
-	})
-	sp.AddProbe("dir_busy", func(now uint64) float64 {
-		var total int
-		for _, b := range s.Banks {
-			total += b.PendingTx()
-		}
-		return float64(total)
-	})
+	sp.AddProbe("wb_occupancy", func(uint64) float64 { return float64(sum(s.DCaches, coherence.DataCache.WBOccupancy)) })
+	sp.AddProbe("dir_queue", func(uint64) float64 { return float64(sum(s.Banks, (*coherence.MemCtrl).QueuedRequests)) })
+	sp.AddProbe("dir_busy", func(uint64) float64 { return float64(sum(s.Banks, (*coherence.MemCtrl).PendingTx)) })
 	if s.FNet != nil {
 		sp.AddProbe("fault_drops",
 			obs.DeltaProbe(func() uint64 { return s.FNet.FaultStats().Drops }))
 		sp.AddProbe("fault_retransmits", obs.DeltaProbe(func() uint64 {
-			var total uint64
-			for _, nd := range s.Ports {
-				total += nd.Retransmits
-			}
-			return total
+			return sum(s.Ports, func(nd *coherence.Node) uint64 { return nd.Retransmits })
 		}))
 	}
 	flits := s.Net.PortFlits()
 	for p := range flits {
-		p := p
 		sp.AddProbe(fmt.Sprintf("port%d_flits", p),
 			obs.DeltaProbe(func() uint64 { return flits[p] }))
 	}

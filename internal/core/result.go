@@ -85,39 +85,33 @@ func (r *Result) TrafficBytes() uint64 { return r.Net.TotalBytes }
 // spent stalled on data-cache accesses (including write-buffer-full
 // and write-allocate stalls), averaged over the CPUs.
 func (r *Result) DataStallPercent() float64 {
-	var stall uint64
-	for i := range r.CPU {
-		stall += r.CPU[i].DataStallCycles
-	}
-	return stats.Percent(stall, uint64(len(r.CPU))*r.Cycles)
+	return stats.Percent(sum(r.CPU, func(c cpu.Stats) uint64 { return c.DataStallCycles }), uint64(len(r.CPU))*r.Cycles)
 }
 
 // InstStallPercent is the instruction-refill counterpart.
 func (r *Result) InstStallPercent() float64 {
-	var stall uint64
-	for i := range r.CPU {
-		stall += r.CPU[i].InstStallCycles
-	}
-	return stats.Percent(stall, uint64(len(r.CPU))*r.Cycles)
+	return stats.Percent(sum(r.CPU, func(c cpu.Stats) uint64 { return c.InstStallCycles }), uint64(len(r.CPU))*r.Cycles)
 }
 
 // Instructions totals retired instructions across CPUs.
 func (r *Result) Instructions() uint64 {
-	var n uint64
-	for i := range r.CPU {
-		n += r.CPU[i].Instructions
-	}
-	return n
+	return sum(r.CPU, func(c cpu.Stats) uint64 { return c.Instructions })
 }
 
 // LoadMissRate is data-cache load misses over loads, across CPUs.
 func (r *Result) LoadMissRate() float64 {
-	var loads, misses uint64
-	for i := range r.DCache {
-		loads += r.DCache[i].Loads
-		misses += r.DCache[i].LoadMisses
-	}
+	loads := sum(r.DCache, func(d coherence.DCacheStats) uint64 { return d.Loads })
+	misses := sum(r.DCache, func(d coherence.DCacheStats) uint64 { return d.LoadMisses })
 	return stats.Ratio(float64(misses), float64(loads))
+}
+
+// sum totals one count over every part.
+func sum[T any, N int | uint64](parts []T, count func(T) N) N {
+	var total N
+	for _, p := range parts {
+		total += count(p)
+	}
+	return total
 }
 
 // Summary renders the headline numbers on one line. Fault campaigns

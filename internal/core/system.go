@@ -139,9 +139,9 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	for i, f := range sys.fronts {
 		cl := &cluster{cpu: f, dc: sys.DCaches[i], ic: sys.ICaches[i], node: sys.Nodes[i], sys: sys, net: net}
 		// Only an interpreter on the scheduled engine looks ahead: the
-		// reference schedule ticks every cycle, so its lookahead is 0.
-		if cl.core, _ = f.(*cpu.CPU); cl.core != nil && !cfg.DisableLeap {
-			cl.lookahead = net.MinTransit()
+		// reference schedule ticks every cycle.
+		if !cfg.DisableLeap {
+			cl.core, _ = f.(*cpu.CPU)
 		}
 		wakers = append(wakers, sys.register("cpus", cl))
 	}
@@ -256,8 +256,8 @@ func (c *streamCPU) Skip(from, to uint64) {}
 // For the same reason it may run its core ahead of the clock: once the
 // four parts have ticked, nothing reaches the cluster before the earliest
 // of its caches' and node's next events (arrivals on their way included)
-// and now + lookahead, the network's MinTransit, and nobody looks before
-// the engine's Horizon. Up to there the core executes every cycle that
+// and the network's Reach for its node, and nobody looks before the
+// engine's Horizon. Up to there the core executes every cycle that
 // is local to it (cpu.CPU.RunAhead).
 type cluster struct {
 	cpu  frontEnd
@@ -265,11 +265,10 @@ type cluster struct {
 	ic   *coherence.ICache
 	node *coherence.Node
 
-	core      *cpu.CPU // cpu, when it is an interpreter
-	sys       *System
-	net       noc.Network
-	lookahead uint64
-	ahead     uint64 // the core's: first cycle it has not executed
+	core  *cpu.CPU // cpu, when it is an interpreter on the scheduled engine
+	sys   *System
+	net   noc.Network
+	ahead uint64 // the core's: first cycle it has not executed
 }
 
 // Tick answers NextWake(now+1): the parts' wakes bound the run-ahead too.
@@ -281,9 +280,11 @@ func (c *cluster) Tick(now uint64) uint64 {
 	// An active core only: a stalled or halted one has nothing to run. Not
 	// while a port is one loss from its budget: spending it ends the run with
 	// -noleap's pcs. A port that gets there later waits Backoff(Budget) (1024 cycles).
-	if h := min(now+c.lookahead, next); h > at && c.core.NextWake(at) == at && !c.sys.nearBudget() {
-		c.ahead = c.core.RunAhead(at, min(h, c.sys.Engine.Horizon()))
-		at = c.ahead
+	if c.core != nil && next > at && c.core.NextWake(at) == at && !c.sys.nearBudget() {
+		if h := min(c.net.Reach(c.node.ID, now), next); h > at {
+			c.ahead = c.core.RunAhead(at, min(h, c.sys.Engine.Horizon()))
+			at = c.ahead
+		}
 	}
 	return max(at, min(c.cpu.NextWake(at), next))
 }
@@ -291,7 +292,7 @@ func (c *cluster) Tick(now uint64) uint64 {
 func (c *cluster) NextWake(now uint64) uint64 {
 	// A core ahead of the clock answers as at the first cycle it has not
 	// executed: the horizon it ran to was the other parts' earliest wake,
-	// and an arrival pushed since is no earlier (MinTransit). One that is
+	// and an arrival pushed since is no earlier (Reach). One that is
 	// falls through, gets the cluster ticked behind its core, and the core
 	// panics.
 	if now < c.ahead && c.net.ArrivalAt(c.node.ID) >= c.ahead {

@@ -16,7 +16,7 @@ import (
 	"repro/internal/mem"
 )
 
-func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) *core.Result {
+func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) (*core.Result, *core.System) {
 	t.Helper()
 	cfg, err := r.Config()
 	if err != nil {
@@ -32,7 +32,7 @@ func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) *core.Result {
 	if err != nil {
 		t.Fatalf("%s leap=%t: %v", r.Key(), !disableLeap, err)
 	}
-	return res
+	return res, sys
 }
 
 func TestLeapEquivalenceWorkloads(t *testing.T) {
@@ -61,9 +61,11 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 		// machine measured that reaches it, once, in 0.1 Mcyc.
 		{Bench: Water, Protocol: coherence.MOESI, Arch: mem.Arch2, NumCPUs: 8},
 	}
-	check := func(r Run, sc Scale) {
-		naive := runPoint(t, r, sc, true)
-		sched := runPoint(t, r, sc, false)
+	// check returns the instructions the scheduled run's cores retired
+	// ahead of the clock and the spin sleeps they entered.
+	check := func(r Run, sc Scale) (ahead, spins uint64) {
+		naive, _ := runPoint(t, r, sc, true)
+		sched, sys := runPoint(t, r, sc, false)
 		if naive.Cycles != sched.Cycles {
 			t.Errorf("%s: cycles naive=%d scheduled=%d (diff %d)",
 				r.Key(), naive.Cycles, sched.Cycles,
@@ -76,6 +78,12 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 		if !reflect.DeepEqual(naive, sched) {
 			t.Errorf("%s: results differ:\nnaive:     %+v\nscheduled: %+v", r.Key(), naive, sched)
 		}
+		for _, c := range sys.CPUs {
+			n, _ := c.Ahead()
+			s, _ := c.Spun()
+			ahead, spins = ahead+n, spins+s
+		}
+		return ahead, spins
 	}
 	for _, r := range pts {
 		check(r, sc)
@@ -85,4 +93,11 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 	// point; this one, 0.12 Mcyc at the default scale, is the cheapest
 	// measured that reaches it.
 	check(Run{Bench: Ocean, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 16}, DefaultScale())
+	// The mesh's lookahead is its routers' Reach for the cluster's node,
+	// not one constant a packet at its last router bounds: its cores run
+	// ahead and sleep in spins as the GMN's do.
+	mesh := Run{Bench: Water, Protocol: coherence.WBMESI, Arch: mem.Arch1, NumCPUs: 16, NoC: core.MeshNet}
+	if ahead, spins := check(mesh, sc); ahead == 0 || spins == 0 {
+		t.Errorf("%s: %d instructions run ahead, %d spin sleeps: the mesh row leans on nothing", mesh.Key(), ahead, spins)
+	}
 }

@@ -122,9 +122,11 @@ func (f *Net) Stats() noc.Stats { return f.inner.Stats() }
 // PortFlits implements noc.Network.
 func (f *Net) PortFlits() []uint64 { return f.inner.PortFlits() }
 
-// MinTransit implements noc.Network: a staged transfer enters the wrapped
-// model later than offered, never sooner.
-func (f *Net) MinTransit() uint64 { return f.inner.MinTransit() }
+// Reach implements noc.Network: a staged transfer enters the wrapped model
+// at its source, later than offered, which the model's answer covers.
+//
+//lint:hot
+func (f *Net) Reach(dst int, now uint64) uint64 { return f.inner.Reach(dst, now) }
 
 // Inject implements noc.Network. The fault draws happen here, once per
 // offered transfer, in a fixed order (drop, delay, duplicate) so a

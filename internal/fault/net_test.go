@@ -44,7 +44,7 @@ func (f *fakeNet) Attach(self sim.Waker, nodes []sim.Waker) {}
 func (f *fakeNet) Tick(now uint64) uint64                   { f.ticks++; return f.NextWake(now + 1) }
 func (f *fakeNet) Stats() noc.Stats                         { return noc.Stats{} }
 func (f *fakeNet) PortFlits() []uint64                      { return nil }
-func (f *fakeNet) MinTransit() uint64                       { return 1 }
+func (f *fakeNet) Reach(dst int, now uint64) uint64         { return now + 1 }
 
 func (f *fakeNet) ArrivalAt(node int) uint64 {
 	if len(f.queues[node]) > 0 {
@@ -308,10 +308,11 @@ type edgeNode struct {
 	offers  []uint64       // the cycles with one from this node, ascending
 	backlog []noc.Packet
 	at      []int // delivery cycle per packet id, shared by the nodes
-	// accepted is the cycle each packet's Inject was taken, shared too:
-	// staged or not, none is delivered sooner than MinTransit after it.
-	accepted []uint64
-	t        *testing.T
+	// reach is the network's Reach for each packet's destination, asked
+	// the cycle its Inject was taken (the nodes act before the network),
+	// shared too: staged or not, none is delivered sooner.
+	reach []uint64
+	t     *testing.T
 }
 
 func (n *edgeNode) Tick(now uint64) uint64 {
@@ -327,13 +328,13 @@ func (n *edgeNode) Tick(now uint64) uint64 {
 		if !ok {
 			break // a suppressed duplicate was all there was
 		}
-		if at := n.accepted[p.Payload.(int)]; now < at+n.net.MinTransit() {
-			n.t.Fatalf("packet %d accepted at %d, delivered at %d: sooner than MinTransit() = %d", p.Payload, at, now, n.net.MinTransit())
+		if r := n.reach[p.Payload.(int)]; now < r {
+			n.t.Fatalf("packet %d delivered at %d, sooner than Reach = %d", p.Payload, now, r)
 		}
 		n.at[p.Payload.(int)] = int(now)
 	}
 	for len(n.backlog) > 0 && n.net.Inject(n.backlog[0], now) {
-		n.accepted[n.backlog[0].Payload.(int)] = now
+		n.reach[n.backlog[0].Payload.(int)] = n.net.Reach(n.backlog[0].Dst, now)
 		n.backlog = n.backlog[1:]
 	}
 	return n.NextWake(now + 1)
@@ -361,9 +362,10 @@ func (n *edgeNode) Skip(from, to uint64) {}
 // announces it), and the draws of the cycles the network slept through
 // must be replayed by Skip: any of them missing shows as a packet
 // delivered in a different cycle, different fault counters, or a run
-// that never drains. The wrapper states its inner model's MinTransit: a
+// that never drains. The wrapper states its inner model's Reach: a
 // delayed or duplicated transfer enters it later than offered, never
-// sooner, so no delivery may come earlier than that after its Inject.
+// sooner, so no delivery may come earlier than the Reach asked as its
+// Inject was taken.
 func TestWakeEdgesUnderFaults(t *testing.T) {
 	const cpus, nodes, genCycles, limit = 4, 8, 400, 20000
 	models := map[string]func() noc.Network{
@@ -390,13 +392,10 @@ func TestWakeEdgesUnderFaults(t *testing.T) {
 				plan.Seed = seed
 				inner := mk()
 				net := Wrap(inner, plan, nodes, cpus)
-				if net.MinTransit() != inner.MinTransit() {
-					t.Fatalf("%s: wrapper states MinTransit %d, the model it wraps %d", name, net.MinTransit(), inner.MinTransit())
-				}
-				at, accepted := make([]int, ids), make([]uint64, ids)
+				at, reach := make([]int, ids), make([]uint64, ids)
 				ns := make([]*edgeNode, nodes)
 				for id := range ns {
-					ns[id] = &edgeNode{net: net, id: id, script: script, at: at, accepted: accepted, t: t}
+					ns[id] = &edgeNode{net: net, id: id, script: script, at: at, reach: reach, t: t}
 				}
 				for cyc, offered := range script {
 					for _, p := range offered {
@@ -416,6 +415,9 @@ func TestWakeEdgesUnderFaults(t *testing.T) {
 					for ; !done() && now < limit; now++ {
 						for _, n := range ns {
 							n.Tick(now)
+							if r, want := net.Reach(n.id, now), inner.Reach(n.id, now); r != want {
+								t.Fatalf("%s cycle %d: wrapper states Reach(%d) = %d, the model it wraps %d", name, now, n.id, r, want)
+							}
 						}
 						net.Tick(now)
 					}

@@ -286,15 +286,9 @@ func parseScope(s string) (LinkScope, error) {
 		}
 		return n, nil
 	}
-	src, err := end(srcStr)
-	if err != nil {
-		return LinkScope{}, err
-	}
-	dst, err := end(dstStr)
-	if err != nil {
-		return LinkScope{}, err
-	}
-	return LinkScope{Src: src, Dst: dst}, nil
+	src, serr := end(srcStr)
+	dst, derr := end(dstStr)
+	return LinkScope{Src: src, Dst: dst}, cmp.Or(serr, derr)
 }
 
 // parseScoped splits "BODY[@SRC>DST]" into the body and its link scope,

@@ -69,8 +69,10 @@ func (b *Bus) Tick(now uint64) uint64 {
 	return b.NextWake(now + 1)
 }
 
-// MinTransit implements Network: a one-flit tenure.
-func (b *Bus) MinTransit() uint64 { return b.arbDelay + 1 }
+// Reach implements Network: a one-flit tenure.
+//
+//lint:hot
+func (b *Bus) Reach(dst int, now uint64) uint64 { return now + b.arbDelay + 1 }
 
 // NextWake implements Network: a nonempty request queue acts when the
 // bus tenure ends (busyTill); the delivery queues are the arrival

@@ -87,9 +87,11 @@ func (g *GMN) Tick(now uint64) uint64 {
 	return next
 }
 
-// MinTransit implements Network: one flit through the source port, the
+// Reach implements Network: one flit through the source port, the
 // crossing, one flit through the destination port.
-func (g *GMN) MinTransit() uint64 { return g.delay + 2 }
+//
+//lint:hot
+func (g *GMN) Reach(dst int, now uint64) uint64 { return now + g.delay + 2 }
 
 // NextWake implements Network. A source queue's head moves when the
 // port frees (srcBusy); the delay FIFOs are the arrival ports. A head

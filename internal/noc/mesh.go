@@ -252,9 +252,25 @@ func (m *Mesh) visit(idx int, r *meshRouter, now uint64) {
 	}
 }
 
-// MinTransit implements Network: a packet already at its last router is
-// one flit from ejection.
-func (m *Mesh) MinTransit() uint64 { return 1 }
+// Reach implements Network from router dst's cached link-input heads (its
+// local input holds dst's own sends): a head routed to the endpoint ejects
+// one flit after its ready cycle, and one queued behind a head is exposed by
+// a grant no sooner than now and granted the local output, the first a
+// visit serves, no sooner than the next visit. Any other packet has a link
+// into the router to cross first.
+//
+//lint:hot
+func (m *Mesh) Reach(dst int, now uint64) uint64 {
+	r, reach := &m.r[dst], now+2+m.routerDelay
+	for in := portEast; in < numPorts; in++ {
+		if r.want[in] == portLocal {
+			reach = min(reach, max(r.at[in], now)+1)
+		} else if r.in[in].Len() > 1 {
+			reach = min(reach, now+2)
+		}
+	}
+	return reach
+}
 
 // NextWake implements Network: the earliest router wake, which is the
 // next cycle a Tick can do anything — a busy output link is waited out,

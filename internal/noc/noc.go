@@ -84,12 +84,14 @@ type Network interface {
 	// becomes deliverable at node p, and self — the network's own slot —
 	// is woken by every accepted Inject. Unattached, it wakes nobody.
 	Attach(self sim.Waker, nodes []sim.Waker)
-	// MinTransit is the model's lookahead: a packet not yet in an arrival
-	// port when cycle t executes is deliverable no sooner than
-	// t+MinTransit(), whatever is injected at t or later — the one-flit
-	// transit of an idle network. A node thus knows at t every arrival it
-	// can see before then. At least 1, constant for the network's life.
-	MinTransit() uint64
+	// Reach is the model's lookahead for one destination, asked at now
+	// before the network ticks: a packet from another node that is not yet
+	// in dst's arrival port — in flight, or injected at now or later — is
+	// deliverable there no sooner than Reach(dst, now). A node thus knows
+	// at now every arrival it can see before then; its own sends it knows
+	// already (a self-send can eject the cycle after it is injected, so no
+	// lookahead could cover it). Above now; pure.
+	Reach(dst int, now uint64) uint64
 	// Tick advances internal state by one cycle and answers NextWake(now+1).
 	Tick(now uint64) uint64
 	// Quiet reports whether no packets are in flight or queued.

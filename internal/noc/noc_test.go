@@ -131,15 +131,18 @@ func TestMinimumLatency(t *testing.T) {
 	}
 }
 
-// TestMinTransitIsTheIdleOneFlitTransit pins the lookahead each model
-// states where no pinned run can see it (every coherence message is two
-// flits or more, so a bound a cycle or two too long passes them all): a
-// one-flit packet a node injects at cycle t on an idle network — the
-// node's turn, then the network's, as the engine orders them — is
-// deliverable at exactly t + MinTransit(), for configurations off the
-// defaults too. The mesh's bound is its last hop, ejection one flit
-// after a packet reaches its own router; only a self-send is that close.
-func TestMinTransitIsTheIdleOneFlitTransit(t *testing.T) {
+// TestReachOnAnIdleNetwork pins the lookahead each model states where no
+// pinned run can see it (every coherence message is two flits or more, so
+// a bound a cycle or two too long passes them all): a one-flit packet
+// from another node, injected at cycle t on an idle network — the node's
+// turn, then the network's, as the engine orders them — is deliverable at
+// exactly Reach(dst, t), for configurations off the defaults too. The
+// GMN and the bus know the cycle at once. On the mesh the packet has a
+// link to cross first, and Reach asked once it heads its last router's
+// input, routed to the endpoint, is the cycle after: the ejection. A mesh
+// self-send ejects the cycle after its injection, which no lookahead
+// could cover: a node's own sends are outside Reach.
+func TestReachOnAnIdleNetwork(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		n        Network
@@ -151,32 +154,39 @@ func TestMinTransitIsTheIdleOneFlitTransit(t *testing.T) {
 		{"gmn/n131", NewGMN(DefaultGMNConfig(131)), 130, 7, 19 + 2},
 		{"bus", NewBus(DefaultBusConfig(9)), 0, 5, 3},
 		{"bus/arb=0", NewBus(BusConfig{Nodes: 4, ArbDelay: 0, QueueDepth: 1}), 2, 1, 1},
-		{"mesh", NewMesh(DefaultMeshConfig(9)), 4, 4, 1},
-		{"mesh/delay=3", NewMesh(MeshConfig{Nodes: 4, RouterDelay: 3, QueueDepth: 1}), 0, 0, 1},
+		{"mesh", NewMesh(DefaultMeshConfig(9)), 3, 4, 2 + 2},
+		{"mesh/delay=3", NewMesh(MeshConfig{Nodes: 4, RouterDelay: 3, QueueDepth: 1}), 1, 0, 2 + 3},
 	} {
-		if got := c.n.MinTransit(); got != c.want {
-			t.Errorf("%s: MinTransit() = %d, want %d", c.name, got, c.want)
-		}
 		const at = 5
+		_, mesh := c.n.(*Mesh)
+		var reach uint64
 		for cyc := uint64(0); cyc < at+100; cyc++ {
 			if cyc == at && !c.n.Inject(Packet{Src: c.src, Dst: c.dst, Bytes: FlitBytes}, cyc) {
 				t.Fatalf("%s: idle network refused the packet", c.name)
 			}
+			if reach = c.n.Reach(c.dst, cyc); cyc == at && reach != at+c.want {
+				t.Errorf("%s: Reach(%d, %d) = %d, want %d", c.name, c.dst, at, reach, at+c.want)
+			}
 			c.n.Tick(cyc)
 			if arr := c.n.ArrivalAt(c.dst); arr != sim.NoWake {
-				if arr != at+c.n.MinTransit() || cyc != at {
-					t.Errorf("%s: injected at %d, deliverable at %d (known at %d), want %d known at once",
-						c.name, at, arr, cyc, at+c.n.MinTransit())
+				if arr != at+c.want || (!mesh && cyc != at) || (mesh && reach != arr) {
+					t.Errorf("%s: injected at %d, deliverable at %d (known at %d, when Reach was %d), want %d",
+						c.name, at, arr, cyc, reach, at+c.want)
 				}
 				break
 			}
 		}
-		if _, ok := c.n.Deliver(c.dst, at+c.n.MinTransit()-1); ok {
+		if _, ok := c.n.Deliver(c.dst, at+c.want-1); ok {
 			t.Errorf("%s: delivered a cycle early", c.name)
 		}
-		if _, ok := c.n.Deliver(c.dst, at+c.n.MinTransit()); !ok {
-			t.Errorf("%s: not delivered at inject + MinTransit", c.name)
+		if _, ok := c.n.Deliver(c.dst, at+c.want); !ok {
+			t.Errorf("%s: not delivered at Reach", c.name)
 		}
+	}
+	m := NewMesh(DefaultMeshConfig(9))
+	m.Inject(Packet{Src: 4, Dst: 4, Bytes: FlitBytes}, 5)
+	if m.Tick(5); m.ArrivalAt(4) != 6 {
+		t.Errorf("mesh self-send injected at 5: deliverable at %d, want 6", m.ArrivalAt(4))
 	}
 }
 

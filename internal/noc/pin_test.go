@@ -20,7 +20,9 @@ import (
 // offer their backlog in order until refused, as coherence.Node does,
 // and every sink refuses one cycle in three, so injection backpressure,
 // full internal FIFOs and delivered-but-unconsumed packets all occur.
-// No packet may be delivered sooner than MinTransit after its Inject.
+// No packet may be delivered sooner than the network's Reach for its
+// destination, asked as the cycle after its Inject opens (the network
+// ticks before the nodes act here).
 func scriptedTraffic(t *testing.T, n Network) string {
 	t.Helper()
 	const nodes, genCycles, perCycle = 9, 40, 3
@@ -32,7 +34,7 @@ func scriptedTraffic(t *testing.T, n Network) string {
 	}
 	backlog := make([][]Packet, nodes)
 	delivered := make([]int, 0, genCycles*perCycle)
-	var accepted [genCycles * perCycle]uint64 // the cycle each packet's Inject was taken
+	var reach [genCycles * perCycle]uint64 // Reach(Dst, ·) as the cycle after each packet's Inject opens
 	pending, wakeHash := 0, uint64(14695981039346656037)
 	for cyc := uint64(0); ; cyc++ {
 		if cyc > 20000 {
@@ -62,14 +64,14 @@ func scriptedTraffic(t *testing.T, n Network) string {
 				if !ok || p.Dst != node {
 					t.Fatalf("cycle %d node %d: arrival due but Deliver = %+v, %v", cyc, node, p, ok)
 				}
-				if at := accepted[p.Payload.(int)]; cyc < at+n.MinTransit() {
-					t.Fatalf("packet %d accepted at %d, delivered at %d: sooner than MinTransit() = %d", p.Payload, at, cyc, n.MinTransit())
+				if r := reach[p.Payload.(int)]; cyc < r {
+					t.Fatalf("packet %d delivered at %d, sooner than Reach = %d", p.Payload, cyc, r)
 				}
 				delivered[p.Payload.(int)] = int(cyc)
 				pending--
 			}
 			for len(backlog[node]) > 0 && n.Inject(backlog[node][0], cyc) {
-				accepted[backlog[node][0].Payload.(int)] = cyc
+				reach[backlog[node][0].Payload.(int)] = n.Reach(backlog[node][0].Dst, cyc+1)
 				backlog[node] = backlog[node][1:]
 			}
 		}

@@ -63,8 +63,8 @@ func (e *refEndpoints) ArrivalAt(node int) uint64 {
 
 func (e *refEndpoints) Attach(self sim.Waker, nodes []sim.Waker) {}
 
-// MinTransit is the interface's floor: nobody looks ahead on a reference.
-func (e *refEndpoints) MinTransit() uint64 { return 1 }
+// Reach is the interface's floor: nobody looks ahead on a reference.
+func (e *refEndpoints) Reach(dst int, now uint64) uint64 { return now + 1 }
 
 // wholeWake is the question the networks answered until arrivals became
 // the nodes' to answer for: n's own NextWake folded with every node's
