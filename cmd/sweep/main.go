@@ -47,11 +47,11 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	if err := checkFlagUse(selected, *faultSpec != "", *chart); err != nil {
+	if err := checkFlagUse(selected, *faultSpec != "", *chart, *obsInterval > 0 || *obsDir != ""); err != nil {
 		usage(err)
 	}
 	if *obsDir != "" && *obsInterval == 0 {
-		fatal(fmt.Errorf("-obs-dir requires -obs-interval"))
+		usage(fmt.Errorf("-obs-dir requires -obs-interval"))
 	}
 	if *obsInterval > 0 && *obsDir == "" {
 		usage(fmt.Errorf("-obs-interval does nothing without -obs-dir: the samples would be discarded"))
@@ -107,17 +107,21 @@ func main() {
 
 // checkFlagUse refuses flags the selection would silently ignore: the
 // fault spec when the selection is not an experiment that reads it,
-// and -chart when nothing selected is a figure.
-func checkFlagUse(selected []*exp.Experiment, fault, chart bool) error {
-	var anyChart bool
+// -chart when nothing selected is a figure, and the observe flags when
+// nothing selected has simulation points to sample.
+func checkFlagUse(selected []*exp.Experiment, fault, chart, observe bool) error {
+	var anyChart, anyPoints bool
 	for _, e := range selected {
 		anyChart = anyChart || e.Chart
+		anyPoints = anyPoints || e.Points != nil
 	}
 	switch {
 	case fault && (len(selected) != 1 || !selected[0].Faults):
 		return fmt.Errorf("-fault does nothing with this -exp: no selected experiment takes a fault spec")
 	case chart && !anyChart:
 		return fmt.Errorf("-chart does nothing with this -exp: no selected experiment is a figure")
+	case observe && !anyPoints:
+		return fmt.Errorf("-obs-interval and -obs-dir do nothing with this -exp: no selected experiment has points to sample")
 	}
 	return nil
 }

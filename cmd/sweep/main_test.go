@@ -121,6 +121,7 @@ func TestShardsFlagRejected(t *testing.T) {
 // would not read is refused by name instead of silently dropped, and
 // that an unknown experiment is answered with the table's names.
 func TestIgnoredFlagsRejected(t *testing.T) {
+	dir := t.TempDir()
 	for _, c := range []struct {
 		args []string
 		want string
@@ -129,6 +130,9 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		{[]string{"-exp", "all", "-fault", "drop=0.01,seed=7"}, "-fault"},
 		{[]string{"-exp", "table2", "-chart"}, "-chart"},
 		{[]string{"-exp", "table2", "-obs-interval", "1000"}, "-obs-interval"},
+		{[]string{"-exp", "table2", "-obs-interval", "1000", "-obs-dir", dir}, "-obs-interval"},
+		{[]string{"-exp", "table1", "-obs-interval", "1000", "-obs-dir", dir}, "-obs-dir"},
+		{[]string{"-exp", "fig4", "-obs-dir", dir}, "-obs-dir requires -obs-interval"},
 		{[]string{"-exp", "nosuch"}, strings.Join(exp.Names(), ", ")},
 	} {
 		code, out := sweep(t, c.args...)

@@ -58,12 +58,12 @@ func (f *flatPort) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 // Resident reports nothing resident: these tests never run ahead.
 func (f *flatPort) Resident(addr uint32) ([]isa.Instr, bool) { return nil, false }
 
-func (f *flatPort) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
-	return f.space.ReadWord(addr &^ 3), true
+func (f *flatPort) Load(now uint64, addr uint32) (uint32, bool) {
+	return f.space.ReadWord(addr), true
 }
 
-func (f *flatPort) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
-	f.space.WriteMasked(addr&^3, word, byteEn)
+func (f *flatPort) Store(now uint64, addr uint32, word uint32) bool {
+	f.space.WriteWord(addr, word)
 	return true
 }
 
@@ -323,89 +323,80 @@ func (b *Builder) PC() uint32 { return b.base + uint32(len(b.ins))*4 }
 func (b *Builder) Len() int { return len(b.ins) }
 
 func TestEveryEmitterExecutes(t *testing.T) {
-	// One program touching every builder emitter, verified end to end;
-	// the opcodes no workload emits go through r3, imm and branch.
+	// One program touching every public builder emitter, verified end to
+	// end. The ops it decodes to must be exactly the ops of the ISA: an
+	// op no emitter produces is an op no program runs.
 	b := NewBuilder(0x1000)
-	b.Li(T0, 12)
-	b.Li(T1, 5)
-	b.Add(T2, T0, T1)           // 17
-	b.Sub(T3, T0, T1)           // 7
-	b.r3(isa.OpAnd, T4, T0, T1) // 4
-	b.r3(isa.OpOr, T5, T0, T1)  // 13
-	b.r3(isa.OpXor, T6, T0, T1) // 9
-	b.r3(isa.OpSll, T7, T1, T4) // 5<<4 = 80
-	b.r3(isa.OpSrl, S0, T7, T4) // 5
-	b.Li(S1, 0x80000000)
-	b.r3(isa.OpSra, S1, S1, T4)     // 0xf8000000
-	b.r3(isa.OpSlt, S2, T1, T0)     // 1
-	b.r3(isa.OpSltu, S3, T0, T1)    // 0
-	b.Mul(S4, T0, T1)               // 60
-	b.r3(isa.OpDiv, S5, T0, T1)     // 2
-	b.r3(isa.OpRem, S6, T0, T1)     // 2
-	b.imm(isa.OpXori, S7, T0, 0xff) // 0xf3
-	b.imm(isa.OpSlti, S8, T1, 100)  // 1
-	b.imm(isa.OpSrli, A1, T7, 2)    // 20
-	b.imm(isa.OpSrai, A2, S1, 4)    // sign-propagating
-	// Memory ops, word and byte.
+	b.Li(T0, 12)         // addi
+	b.Li(T1, 0x12345)    // lui, ori
+	b.Add(T2, T0, T0)    // 24
+	b.Sub(T3, T2, T0)    // 12
+	b.Mul(T4, T0, T3)    // 144
+	b.Andi(T5, T1, 0xff) // 0x45
+	b.Slli(T6, T0, 4)    // 192
+	b.Mv(T7, T0)         // or: 12
+	// Memory ops.
 	b.Li(A0, 0x8000)
 	b.Sw(T2, 0, A0)
-	b.Lw(A3, 0, A0) // 17
-	b.imm(isa.OpSb, T1, A0, 5)
-	b.imm(isa.OpLb, A4, A0, 5)  // 5
-	b.imm(isa.OpLbu, A5, A0, 5) // 5
+	b.Lw(A3, 0, A0) // 24
 	// Float path.
 	b.Li(T0, 3)
+	b.Li(T1, 5)
 	b.CvtWS(F1, T0)
-	b.CvtWS(F2, T1) // 5.0
-	b.Fadd(F3, F1, F2)
-	b.Fsub(F4, F2, F1)
-	b.Fmul(F5, F1, F2)
+	b.CvtWS(F2, T1)
+	b.Fadd(F3, F1, F2) // 8
+	b.Fsub(F4, F2, F1) // 2
+	b.Fmul(F5, F1, F2) // 15
 	b.Fdiv(F6, F5, F2) // 3
-	b.r3(isa.OpFneg, Reg(F7), Reg(F6), R0)
-	b.r3(isa.OpFabs, Reg(F8), Reg(F7), R0) // 3
-	b.r3(isa.OpFmov, Reg(F9), Reg(F8), R0)
-	b.Fsw(F9, 8, A0)
-	b.Flw(F10, 8, A0)
-	b.r3(isa.OpFeq, T3, Reg(F8), Reg(F10)) // 1
-	b.r3(isa.OpFlt, T4, Reg(F4), Reg(F3))  // 2 < 8 -> 1
-	b.r3(isa.OpFle, T5, Reg(F3), Reg(F3))  // 1
-	b.CvtSW(T6, F10)                       // 3
-	// Branch variants.
-	b.branch(isa.OpBlt, R0, T6, "blt_ok")
-	b.Halt()
-	b.Label("blt_ok")
-	b.Bge(T6, R0, "bge_ok")
+	b.Fsw(F6, 8, A0)
+	b.Flw(F7, 8, A0)
+	b.CvtSW(S0, F7) // 3
+	// Branches, a call and the swap.
+	b.Bge(S0, R0, "bge_ok")
 	b.Halt()
 	b.Label("bge_ok")
-	b.branch(isa.OpBltu, R0, T6, "bltu_ok")
+	b.Bne(S0, R0, "bne_ok")
 	b.Halt()
-	b.Label("bltu_ok")
-	b.branch(isa.OpBgeu, T6, R0, "bgeu_ok")
-	b.Halt()
-	b.Label("bgeu_ok")
-	b.Swap(T6, 0, A0) // T6=17 (old), mem=3
-	b.emit(isa.Instr{Op: isa.OpNop})
+	b.Label("bne_ok")
+	b.J("main") // beq
+	b.Label("fn")
+	b.Addi(S1, S1, 1)
+	b.Ret() // jalr
+	b.Label("main")
+	b.Jal("fn")
+	b.Swap(S2, 0, A0) // S2 = 24, the word it replaced
 	b.Halt()
 	if b.Len() == 0 || b.PC() != 0x1000+uint32(4*b.Len()) {
 		t.Fatal("PC/Len inconsistent")
 	}
-	c := flatRunner(t, b, 0x1000)
-	checks := map[Reg]uint32{
-		T2: 17, T3: 1, T4: 1, T5: 1, T6: 17,
-		S0: 5, S2: 1, S3: 0, S4: 60, S5: 2, S6: 2,
-		S7: 12 ^ 0xff, S8: 1, A1: 20,
-		A3: 17, A4: 5, A5: 5,
+	words, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for r, want := range checks { //lint:allow maprange — each register is checked on its own
-		if got := c.Reg(int(r)); got != want {
-			t.Errorf("r%d = %#x, want %#x", r, got, want)
+	var emitted [256]bool
+	for _, w := range words {
+		emitted[isa.Decode(w).Op] = true
+	}
+	for op := isa.Op(1); op != 0; op++ {
+		if _, err := isa.Encode(isa.Instr{Op: op}); (err == nil) != emitted[op] {
+			t.Errorf("%v: in the ISA %t, emitted %t", op, err == nil, emitted[op])
 		}
 	}
-	if got := c.Reg(int(S1)); got != 0xf8000000 {
-		t.Errorf("sra = %#x", got)
+	c := flatRunner(t, b, 0x1000)
+	checks := []struct {
+		r    Reg
+		want uint32
+	}{
+		{T2, 24}, {T3, 12}, {T4, 144}, {T5, 0x45}, {T6, 192}, {T7, 12},
+		{A3, 24}, {S0, 3}, {S1, 1}, {S2, 24},
 	}
-	if c.FReg(int(F3)) != 8 || c.FReg(int(F6)) != 3 || c.FReg(int(F8)) != 3 {
-		t.Errorf("float chain: %v %v %v", c.FReg(int(F3)), c.FReg(int(F6)), c.FReg(int(F8)))
+	for _, ck := range checks {
+		if got := c.Reg(int(ck.r)); got != ck.want {
+			t.Errorf("r%d = %#x, want %#x", ck.r, got, ck.want)
+		}
+	}
+	if c.FReg(int(F3)) != 8 || c.FReg(int(F4)) != 2 || c.FReg(int(F6)) != 3 || c.FReg(int(F7)) != 3 {
+		t.Errorf("float chain: %v %v %v %v", c.FReg(int(F3)), c.FReg(int(F4)), c.FReg(int(F6)), c.FReg(int(F7)))
 	}
 }
 

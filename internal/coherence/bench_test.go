@@ -8,7 +8,7 @@ func BenchmarkWTILoadHit(b *testing.B) {
 	r.load(0, rigBase)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := r.DCaches[0].Load(r.now, rigBase, 0xf); !ok {
+		if _, ok := r.DCaches[0].Load(r.now, rigBase); !ok {
 			b.Fatal("hit missed")
 		}
 	}
@@ -19,7 +19,7 @@ func BenchmarkMESIStoreHitM(b *testing.B) {
 	r.store(0, rigBase, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !r.DCaches[0].Store(r.now, rigBase, uint32(i), 0xf) {
+		if !r.DCaches[0].Store(r.now, rigBase, uint32(i)) {
 			b.Fatal("M hit stalled")
 		}
 	}

@@ -184,15 +184,10 @@ func (c *cacheArray) readWord(line int, addr uint32) uint32 {
 	return binary.LittleEndian.Uint32(d[off : off+4])
 }
 
-// writeWord updates bytes of the word at addr selected by byteEn.
-func (c *cacheArray) writeWord(line int, addr uint32, v uint32, byteEn uint8) {
+// writeWord stores v as the word at addr in the hitting line.
+func (c *cacheArray) writeWord(line int, addr uint32, v uint32) {
 	off := addr & (1<<c.blockShift - 1) &^ 3
-	d := c.lineData(line)
-	for i := uint32(0); i < 4; i++ {
-		if byteEn&(1<<i) != 0 {
-			d[off+i] = byte(v >> (8 * i))
-		}
-	}
+	binary.LittleEndian.PutUint32(c.lineData(line)[off:off+4], v)
 }
 
 // invalidate drops the block containing addr if present; it reports

@@ -51,14 +51,27 @@ func TestCacheArrayLookupAndConflict(t *testing.T) {
 	}
 }
 
+// TestCacheArrayWriteWordByteEnables: every access is an aligned word,
+// so writeWord enables all four byte lanes of its word, little-endian,
+// and none of its neighbours'.
 func TestCacheArrayWriteWordByteEnables(t *testing.T) {
 	c := newCacheArray(4096, 32, 1)
 	blk := uint32(0x2000)
-	set := c.fill(blk, Modified, make([]byte, 32))
-	c.writeWord(set, blk+8, 0x11223344, 0xf)
-	c.writeWord(set, blk+8, 0xffaaffbb, 0b0101)
-	if got := c.readWord(set, blk+8); got != 0x11aa33bb {
-		t.Fatalf("masked writeWord = %#x", got)
+	data := make([]byte, 32)
+	for i := range data {
+		data[i] = 0xee
+	}
+	set := c.fill(blk, Modified, data)
+	c.writeWord(set, blk+8, 0x11223344)
+	c.writeWord(set, blk+9, 0xffaaffbb) // the same word: its low address bits are ignored
+	if got := c.readWord(set, blk+8); got != 0xffaaffbb {
+		t.Fatalf("writeWord = %#x, want every byte replaced", got)
+	}
+	if d := c.lineData(set); d[8] != 0xbb || d[11] != 0xff {
+		t.Fatalf("word bytes % x, want little-endian", d[8:12])
+	}
+	if c.readWord(set, blk+4) != 0xeeeeeeee || c.readWord(set, blk+12) != 0xeeeeeeee {
+		t.Fatal("writeWord touched a neighbouring word")
 	}
 }
 
@@ -118,18 +131,6 @@ func TestMsgWireBytes(t *testing.T) {
 		if got := c.m.WireBytes(); got != c.want {
 			t.Errorf("WireBytes(%v) = %d, want %d", c.m.Kind, got, c.want)
 		}
-	}
-}
-
-func TestByteEnFor(t *testing.T) {
-	if ByteEnFor(0x103, 1) != 0b1000 {
-		t.Fatalf("byte 3 enable = %04b", ByteEnFor(0x103, 1))
-	}
-	if ByteEnFor(0x102, 2) != 0b1100 {
-		t.Fatalf("half 1 enable = %04b", ByteEnFor(0x102, 2))
-	}
-	if ByteEnFor(0x100, 4) != 0xf {
-		t.Fatal("word enable")
 	}
 }
 
@@ -212,7 +213,7 @@ func TestChargeHitsActsAsLoadsThatHit(t *testing.T) {
 				}
 				ref, dut := rigs[0], rigs[1]
 				hit := func(r *rig, x int) {
-					if _, ok := r.DCaches[0].Load(r.now, period[x%l], 0xf); !ok {
+					if _, ok := r.DCaches[0].Load(r.now, period[x%l]); !ok {
 						t.Fatalf("%v ways=%d: load of %#x missed", Protocol(i), ways, period[x%l])
 					}
 				}

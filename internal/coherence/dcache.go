@@ -15,15 +15,10 @@ import (
 // per cache, re-issued every cycle until ok is reported; controllers keep
 // the outstanding transaction state, so repeated calls are idempotent.
 //
-// addr/byteEn convention: addr is the byte address of the access; the
-// controller works on the aligned word containing it, with byteEn
-// selecting the accessed bytes (bit 0 = least significant byte of the
-// word). Load returns the full aligned word; only the bytes selected by
-// byteEn are meaningful. Store expects the data positioned within the
-// word at the addressed bytes.
+// Every access is one aligned word: addr is a multiple of 4.
 type DataCache interface {
-	Load(now uint64, addr uint32, byteEn uint8) (word uint32, ok bool)
-	Store(now uint64, addr uint32, word uint32, byteEn uint8) bool
+	Load(now uint64, addr uint32) (word uint32, ok bool)
+	Store(now uint64, addr uint32, word uint32) bool
 	Swap(now uint64, addr uint32, newWord uint32) (old uint32, ok bool)
 	// Hit reports whether an aligned word Load of addr would be served
 	// this cycle from the cache's own line, touching nothing a message
@@ -55,13 +50,12 @@ type DataCache interface {
 
 	// Lines enumerates the resident (non-Invalid) lines.
 	Lines() []LineInfo
-	// PostedBytes reports which bytes of the aligned word at waddr are
-	// covered by writes the cache has posted but memory has not yet
-	// acknowledged (a byte-enable mask: a write-through cache's
-	// write-buffer entries, a write-back cache's block in its eviction
-	// buffer). The runtime checker exempts them from value agreement
-	// with memory.
-	PostedBytes(waddr uint32) uint8
+	// Posted reports whether the word at waddr is covered by a write
+	// the cache has posted but memory has not yet acknowledged (a
+	// write-through cache's write-buffer entry, a write-back cache's
+	// block in its eviction buffer). The runtime checker exempts such a
+	// word from value agreement with memory.
+	Posted(waddr uint32) bool
 	// WBOccupancy reports the occupied write-buffer entries (0 for a
 	// controller without one).
 	WBOccupancy() int
@@ -121,19 +115,3 @@ type DCacheStats struct {
 
 // WordAddr returns the aligned word address containing addr.
 func WordAddr(addr uint32) uint32 { return addr &^ 3 }
-
-// ByteEnFor returns the byte-enable mask for an access of the given
-// size (1, 2 or 4 bytes) at addr.
-func ByteEnFor(addr uint32, size int) uint8 {
-	shift := addr & 3
-	switch size {
-	case 1:
-		return 1 << shift
-	case 2:
-		return 3 << shift
-	case 4:
-		return 0xf
-	default:
-		panic("coherence: unsupported access size")
-	}
-}

@@ -58,13 +58,11 @@ func branchyProgram(rng *rand.Rand, lines, trips int) []isa.Instr {
 		case r < 5:
 			prog[i] = isa.Instr{Op: isa.OpAddi, Rd: 12, Rs1: 12, Imm: int32(rng.Intn(64) - 20)}
 		case r < 7:
-			prog[i] = isa.Instr{Op: isa.OpXor, Rd: 13, Rs1: 12, Rs2: 11}
+			prog[i] = isa.Instr{Op: isa.OpAdd, Rd: 13, Rs1: 12, Rs2: 11}
 		case r < 9:
 			prog[i] = isa.Instr{Op: isa.OpLw, Rd: 14, Rs1: 10, Imm: off()}
-		case r < 11:
-			prog[i] = isa.Instr{Op: isa.OpSw, Rd: 12, Rs1: 10, Imm: off()}
 		case r < 12:
-			prog[i] = isa.Instr{Op: isa.OpSb, Rd: 13, Rs1: 10, Imm: int32(rng.Intn(256))}
+			prog[i] = isa.Instr{Op: isa.OpSw, Rd: 12, Rs1: 10, Imm: off()}
 		case r < 13:
 			prog[i] = isa.Instr{Op: isa.OpSwap, Rd: 14, Rs1: 10, Imm: off()}
 		case r < 14:
@@ -72,12 +70,12 @@ func branchyProgram(rng *rand.Rand, lines, trips int) []isa.Instr {
 		case r < 15:
 			prog[i] = isa.Instr{Op: isa.OpFlw, Rd: 1, Rs1: 10, Imm: off()}
 		case r < 18:
-			op := []isa.Op{isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBgeu}[rng.Intn(4)]
+			op := []isa.Op{isa.OpBeq, isa.OpBne, isa.OpBge}[rng.Intn(3)]
 			prog[i] = isa.Instr{Op: op, Rs1: 12, Rd: 13, Imm: target(i)}
 		case r < 19:
 			prog[i] = isa.Instr{Op: isa.OpJal, Imm: target(i)}
 		default:
-			prog[i] = isa.Instr{Op: isa.OpNop}
+			prog[i] = isa.Instr{Op: isa.OpAddi} // addi r0, r0, 0
 		}
 	}
 	return prog
@@ -204,8 +202,8 @@ func TestFetchByLineMatchesPerFetchReference(t *testing.T) {
 // id, the word and the pc, as before the program was decoded by line.
 func TestIllegalInstructionPanicsAtTheFetch(t *testing.T) {
 	m := coherence.NewFetchMachine(4, 1, false)
-	m.Space.WriteWord(diffCode, mustEncode(isa.Instr{Op: isa.OpNop}))
-	m.Space.WriteWord(diffCode+4, 0xf4000123) // unassigned major opcode 61
+	m.Space.WriteWord(diffCode, mustEncode(isa.Instr{Op: isa.OpAddi})) // a no-op
+	m.Space.WriteWord(diffCode+4, 0xf4000123)                          // unassigned major opcode 61
 	port, fetches := m.Port()
 	c := cpu.New(7, port, fetches, m.DCaches[0])
 	c.Reset(diffCode, 0, 1)

@@ -61,7 +61,7 @@ func (h *Hierarchy) CheckCoherence() error {
 //     copies are legitimately being invalidated, updated, or fetched:
 //     - MESI/MOESI: an S or E copy's bytes equal memory, except while
 //     the recorded owner's writeback of the block is in flight (its
-//     PostedBytes); with an Owned supplier, S copies must equal the
+//     Posted words); with an Owned supplier, S copies must equal the
 //     Owned copy instead.
 //     - WTI/WTU: every valid copy's bytes equal memory, except bytes
 //     still covered by the holder's own posted write buffer (a WTI
@@ -129,19 +129,15 @@ func (h *Hierarchy) CheckRuntime() error {
 }
 
 // checkCopyAgainstMemory compares one clean copy with memory, byte by
-// byte, exempting bytes covered by writes the holder or the block's
+// byte, exempting words covered by writes the holder or the block's
 // recorded owner has posted (the write-through transient, and an Owned
 // block's writeback in flight).
 func (h *Hierarchy) checkCopyAgainstMemory(blk uint32, c holder, owner int, memData []byte) error {
-	posted := func(w uint32) uint8 {
-		p := h.DCaches[c.cpu].PostedBytes(w)
-		if owner >= 0 {
-			p |= h.DCaches[owner].PostedBytes(w)
-		}
-		return p
+	posted := func(w uint32) bool {
+		return h.DCaches[c.cpu].Posted(w) || owner >= 0 && h.DCaches[owner].Posted(w)
 	}
 	for i := range memData {
-		if c.info.Data[i] != memData[i] && posted(blk+uint32(i&^3))&(1<<(i%4)) == 0 {
+		if c.info.Data[i] != memData[i] && !posted(blk+uint32(i&^3)) {
 			return fmt.Errorf("coherence: value: block %#x: cpu %d %v copy byte %d is %#x, memory has %#x (no covering write)",
 				blk, c.cpu, c.info.State, i, c.info.Data[i], memData[i])
 		}

@@ -102,7 +102,7 @@ func TestCheckerCopyUnknownToDirectory(t *testing.T) {
 
 func TestCheckCoherenceNotQuiescent(t *testing.T) {
 	r := newRig(t, WTI, 1, 1)
-	if _, ok := r.DCaches[0].Load(r.now, checkedBlk, 0xf); ok {
+	if _, ok := r.DCaches[0].Load(r.now, checkedBlk); ok {
 		t.Fatal("cold load hit")
 	}
 	r.step() // the request leaves the port for the network

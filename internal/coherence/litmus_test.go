@@ -57,11 +57,11 @@ func runLitmus(t *testing.T, r *rig, seqs [][]litmusOp, delay int) {
 					idx[c]++
 				}
 			case op.store:
-				if r.DCaches[c].Store(r.now, op.addr, op.val, 0xf) {
+				if r.DCaches[c].Store(r.now, op.addr, op.val) {
 					idx[c]++
 				}
 			default:
-				if v, ok := r.DCaches[c].Load(r.now, op.addr, 0xf); ok {
+				if v, ok := r.DCaches[c].Load(r.now, op.addr); ok {
 					if op.spin && v != op.spinUntil {
 						break // retry the same load
 					}

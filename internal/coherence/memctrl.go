@@ -395,7 +395,7 @@ func (mc *MemCtrl) handleUpgrade(e *dirEntry, m *Msg, now uint64) {
 func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
 	mc.st.WriteThroughs++
 	if !mc.Fault.faultSkipWTApply() {
-		mc.space.WriteMasked(m.Addr, m.Word, m.ByteEn)
+		mc.space.WriteWord(m.Addr, m.Word)
 	}
 	blk := mc.p.BlockAddr(m.Addr)
 	// WTU updates every sharer, the writer included: all copies must
@@ -418,22 +418,21 @@ func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
 	// acknowledging the writer once their acks are in.
 	e.open(ReqWriteThrough, m)
 	if mc.proto == WTU {
-		e.waitAcks = mc.sendUpdates(targets, m.Addr, m.Word, m.ByteEn, now)
+		e.waitAcks = mc.sendUpdates(targets, m.Addr, m.Word, now)
 	} else {
 		e.waitAcks = mc.sendInvals(blk, targets, now)
 	}
 }
 
-// sendUpdates issues CmdUpdate carrying the written word (addr, word,
-// byteEn — scalars, so no template message is built) to every cache in
-// the mask, in ascending CPU order, and returns the count.
-func (mc *MemCtrl) sendUpdates(mask uint64, addr, word uint32, byteEn uint8, now uint64) int {
+// sendUpdates issues CmdUpdate carrying the written word (addr and word
+// — scalars, so no template message is built) to every cache in the
+// mask, in ascending CPU order, and returns the count.
+func (mc *MemCtrl) sendUpdates(mask uint64, addr, word uint32, now uint64) int {
 	n := bits.OnesCount64(mask)
 	mc.st.UpdatesSent += uint64(n)
 	for ; mask != 0; mask &= mask - 1 {
 		upd := mc.newCtrl(CmdUpdate, addr)
 		upd.Word = word
-		upd.ByteEn = byteEn
 		mc.node.SendCtrl(upd, bits.TrailingZeros64(mask), now)
 	}
 	return n
@@ -460,7 +459,7 @@ func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 	e.open(ReqSwap, m)
 	e.oldWord = old
 	if mc.proto == WTU {
-		e.waitAcks = mc.sendUpdates(others, m.Addr, m.Word, 0xf, now)
+		e.waitAcks = mc.sendUpdates(others, m.Addr, m.Word, now)
 	} else {
 		e.waitAcks = mc.sendInvals(blk, others, now)
 	}

@@ -46,7 +46,6 @@ type mesiPending struct {
 	isSwap  bool
 	waddr   uint32
 	word    uint32
-	byteEn  uint8
 	swapOld uint32
 	done    bool   // store/swap completed; the retry returns success
 	begin   uint64 // cycle the transaction started (latency attribution)
@@ -87,13 +86,10 @@ func (c *MESICache) SetObserver(r *obs.Recorder) { c.Obs = r }
 // WBOccupancy implements DataCache: there is no write buffer.
 func (c *MESICache) WBOccupancy() int { return 0 }
 
-// PostedBytes implements DataCache: every byte of the block in the
-// eviction buffer, whose writeback memory has not yet acknowledged.
-func (c *MESICache) PostedBytes(waddr uint32) uint8 {
-	if c.evict.active && c.evict.addr == c.p.BlockAddr(waddr) {
-		return 0xf
-	}
-	return 0
+// Posted implements DataCache: every word of the block in the eviction
+// buffer, whose writeback memory has not yet acknowledged.
+func (c *MESICache) Posted(waddr uint32) bool {
+	return c.evict.active && c.evict.addr == c.p.BlockAddr(waddr)
 }
 
 func (c *MESICache) bankNode(addr uint32) int {
@@ -153,7 +149,7 @@ func (c *MESICache) tryIssue(now uint64) {
 }
 
 // Load implements DataCache.
-func (c *MESICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
+func (c *MESICache) Load(now uint64, addr uint32) (uint32, bool) {
 	if c.pend.active {
 		return 0, false
 	}
@@ -183,15 +179,15 @@ func (c *MESICache) Hit(addr uint32) bool {
 func (c *MESICache) ChargeHits(n uint64) { c.arr.chargeHits(&c.st, n) }
 
 // Store implements DataCache.
-func (c *MESICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
-	_, done := c.write(now, addr, word, byteEn, false)
+func (c *MESICache) Store(now uint64, addr uint32, word uint32) bool {
+	_, done := c.write(now, addr, word, false)
 	return done
 }
 
 // Swap implements DataCache: obtain exclusivity, then perform the
 // read-modify-write locally.
 func (c *MESICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) {
-	return c.write(now, addr, newWord, 0xf, true)
+	return c.write(now, addr, newWord, true)
 }
 
 // write is the one path of a store or swap: a hit on an exclusive line
@@ -200,7 +196,7 @@ func (c *MESICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool)
 // applies the write when exclusivity arrives (completeWrite), the
 // core's retry then collecting the result. It returns the word a swap
 // replaced.
-func (c *MESICache) write(now uint64, addr, word uint32, byteEn uint8, isSwap bool) (uint32, bool) {
+func (c *MESICache) write(now uint64, addr, word uint32, isSwap bool) (uint32, bool) {
 	if c.pend.active {
 		if !c.pend.done {
 			return 0, false
@@ -230,7 +226,7 @@ func (c *MESICache) write(now uint64, addr, word uint32, byteEn uint8, isSwap bo
 		switch c.arr.state[set] {
 		case Modified, Exclusive:
 			old := c.arr.readWord(set, waddr)
-			c.arr.writeWord(set, waddr, word, byteEn)
+			c.arr.writeWord(set, waddr, word)
 			c.arr.state[set] = Modified
 			return old, true
 		case Shared, Owned:
@@ -240,7 +236,7 @@ func (c *MESICache) write(now uint64, addr, word uint32, byteEn uint8, isSwap bo
 		}
 	}
 	c.pend.apply, c.pend.isSwap = true, isSwap
-	c.pend.waddr, c.pend.word, c.pend.byteEn = waddr, word, byteEn
+	c.pend.waddr, c.pend.word = waddr, word
 	return 0, false
 }
 
@@ -267,7 +263,7 @@ func (c *MESICache) completeWrite(set int) {
 	if c.pend.isSwap {
 		c.pend.swapOld = c.arr.readWord(set, c.pend.waddr)
 	}
-	c.arr.writeWord(set, c.pend.waddr, c.pend.word, c.pend.byteEn)
+	c.arr.writeWord(set, c.pend.waddr, c.pend.word)
 	c.arr.state[set] = Modified
 	c.pend.done = true
 }
@@ -419,6 +415,6 @@ func (c *MESICache) FlushDirty(s *mem.Space) {
 func (c *MESICache) Fingerprint(e *Enc) {
 	p := &c.pend
 	e.Bools(p.active, p.issued, p.apply, p.isSwap, p.done, c.evict.active)
-	e.U32(uint32(p.kind), p.blk, p.waddr, p.word, uint32(p.byteEn), p.swapOld, c.evict.addr)
+	e.U32(uint32(p.kind), p.blk, p.waddr, p.word, p.swapOld, c.evict.addr)
 	c.arr.fingerprint(e)
 }

@@ -151,16 +151,16 @@ func TestMOESICounterEndToEndRig(t *testing.T) {
 					a.phase = 1
 				}
 			case 1:
-				if v, ok := r.DCaches[i].Load(r.now, counter, 0xf); ok {
+				if v, ok := r.DCaches[i].Load(r.now, counter); ok {
 					a.val = v
 					a.phase = 2
 				}
 			case 2:
-				if r.DCaches[i].Store(r.now, counter, a.val+1, 0xf) {
+				if r.DCaches[i].Store(r.now, counter, a.val+1) {
 					a.phase = 3
 				}
 			case 3:
-				if r.DCaches[i].Store(r.now, lock, 0, 0xf) {
+				if r.DCaches[i].Store(r.now, lock, 0) {
 					a.phase = 0
 					a.todo--
 				}

@@ -14,7 +14,7 @@ const (
 	ReqRead         // read a block with shared intent
 	ReqReadExcl     // read a block with exclusive intent (MESI write allocate)
 	ReqUpgrade      // MESI: request exclusivity for an already-Shared block
-	ReqWriteThrough // WTI: write one word (with byte enables) to memory
+	ReqWriteThrough // WTI: write one word to memory
 	ReqWriteBack    // MESI: eviction writeback — carries a block
 	ReqSwap         // WTI: atomic word swap performed at the bank
 	ReqIFetch       // instruction block read (outside the directory)
@@ -78,12 +78,9 @@ type Msg struct {
 	Kind MsgKind
 	// Src is the node id of the original requester (so directories can
 	// route responses) or of the responding cache for Rsp* kinds.
-	Src  int
-	Addr uint32 // block-aligned for block operations, word-aligned for word operations
-	Word uint32 // word payload (write-through data, swap operand, swap result)
-	// ByteEn selects bytes of Word for sub-word write-throughs
-	// (bit 0 = least significant byte).
-	ByteEn uint8
+	Src    int
+	Addr   uint32 // block-aligned for block operations, word-aligned for word operations
+	Word   uint32 // word payload (write-through data, swap operand, swap result)
 	Data   []byte // block payload for data-bearing messages
 	Excl   bool   // RspData: exclusivity granted
 	NoData bool   // RspFetch: owner no longer holds the block
@@ -138,7 +135,7 @@ func (m *Msg) String() string {
 
 // Fingerprint appends every field of the message to e.
 func (m *Msg) Fingerprint(e *Enc) {
-	e.U32(uint32(m.Kind), uint32(m.Src), m.Addr, m.Word, uint32(m.ByteEn), uint32(m.Fwd))
+	e.U32(uint32(m.Kind), uint32(m.Src), m.Addr, m.Word, uint32(m.Fwd))
 	e.Bytes(m.Data)
 	e.Bools(m.Excl, m.NoData, m.HasFwd, m.Forwarded, m.RetainOwner)
 }

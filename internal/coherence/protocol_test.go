@@ -92,7 +92,7 @@ func (r *rig) settle() {
 
 func (r *rig) load(cpu int, addr uint32) uint32 {
 	for i := 0; i < 100000; i++ {
-		if v, ok := r.DCaches[cpu].Load(r.now, addr, 0xf); ok {
+		if v, ok := r.DCaches[cpu].Load(r.now, addr); ok {
 			return v
 		}
 		r.step()
@@ -103,7 +103,7 @@ func (r *rig) load(cpu int, addr uint32) uint32 {
 
 func (r *rig) store(cpu int, addr uint32, v uint32) {
 	for i := 0; i < 100000; i++ {
-		if r.DCaches[cpu].Store(r.now, addr, v, 0xf) {
+		if r.DCaches[cpu].Store(r.now, addr, v) {
 			return
 		}
 		r.step()
@@ -170,8 +170,8 @@ func TestWTUWriterOwnCopySerialization(t *testing.T) {
 		r.load(cpu, addr)
 	}
 	r.settle()
-	r.DCaches[0].Store(r.now, addr, 111, 0xf)
-	r.DCaches[1].Store(r.now, addr, 222, 0xf)
+	r.DCaches[0].Store(r.now, addr, 111)
+	r.DCaches[1].Store(r.now, addr, 222)
 	r.settle()
 	r.check()
 	final := r.space.ReadWord(addr)
@@ -454,10 +454,10 @@ func TestConcurrentUpgradeRace(t *testing.T) {
 	done0, done1 := false, false
 	for i := 0; i < 100000 && !(done0 && done1); i++ {
 		if !done0 {
-			done0 = r.DCaches[0].Store(r.now, addr, 100, 0xf)
+			done0 = r.DCaches[0].Store(r.now, addr, 100)
 		}
 		if !done1 {
-			done1 = r.DCaches[1].Store(r.now, addr, 200, 0xf)
+			done1 = r.DCaches[1].Store(r.now, addr, 200)
 		}
 		r.step()
 	}
@@ -478,8 +478,8 @@ func TestConcurrentWriteRaceWTI(t *testing.T) {
 	r.load(0, addr)
 	r.load(1, addr)
 	r.settle()
-	r.DCaches[0].Store(r.now, addr, 100, 0xf)
-	r.DCaches[1].Store(r.now, addr, 200, 0xf)
+	r.DCaches[0].Store(r.now, addr, 100)
+	r.DCaches[1].Store(r.now, addr, 200)
 	r.settle()
 	v := r.space.ReadWord(addr)
 	if v != 100 && v != 200 {
@@ -502,7 +502,7 @@ func TestWTIWriteBufferFillsUnderLatency(t *testing.T) {
 	// the buffer must eventually refuse.
 	accepted := 0
 	for i := 0; i < p.WriteBufferWords+4; i++ {
-		if r.DCaches[0].Store(r.now, uint32(rigBase+i*64), uint32(i), 0xf) {
+		if r.DCaches[0].Store(r.now, uint32(rigBase+i*64), uint32(i)) {
 			accepted++
 		}
 	}
@@ -516,12 +516,13 @@ func TestWTIWriteBufferFillsUnderLatency(t *testing.T) {
 	r.check()
 }
 
-// TestPartialOverlapLoadWaitsForDrain posts a byte store to a word the
-// cache does not hold, then loads the whole word. The write buffer
-// covers one of its four bytes, so the load can neither forward nor
-// miss around it (WTU asks the buffer before its line, WTI after): it
-// waits for the drain, then misses and returns memory's word with the
-// byte merged, the runtime checker running on every cycle.
+// TestPartialOverlapLoadWaitsForDrain posts a store to one word of a
+// block the cache does not hold, then loads the block's next word. The
+// write buffer covers the block but not the word, so the load can
+// neither forward nor miss around it (the fill could overtake the
+// write): it waits for the drain, then misses and returns memory's
+// word, and the filled line holds the posted one, the runtime checker
+// running on every cycle.
 func TestPartialOverlapLoadWaitsForDrain(t *testing.T) {
 	for _, proto := range []Protocol{WTI, WTU} {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -529,18 +530,27 @@ func TestPartialOverlapLoadWaitsForDrain(t *testing.T) {
 			r.checkEvery = 1
 			addr := uint32(rigBase + 0x600)
 			r.space.WriteWord(addr, 0x11223344)
-			if !r.DCaches[0].Store(r.now, addr, 0xaa, 0x1) {
-				t.Fatal("byte store not posted")
+			r.space.WriteWord(addr+4, 0x55667788)
+			if !r.DCaches[0].Store(r.now, addr, 0xaa) {
+				t.Fatal("store not posted")
 			}
-			if _, ok := r.DCaches[0].Load(r.now, addr, 0xf); ok {
-				t.Fatal("word load served from a buffer entry covering one byte")
+			if _, ok := r.DCaches[0].Load(r.now, addr+4); ok {
+				t.Fatal("load served around a posted write to its block")
 			}
-			if v := r.load(0, addr); v != 0x112233aa {
-				t.Fatalf("load = %#x, want 0x112233aa", v)
+			if st := r.DCaches[0].Stats(); st.LoadMisses != 0 {
+				t.Fatalf("load missed with the block's write still posted (%d misses)", st.LoadMisses)
+			}
+			if v := r.load(0, addr+4); v != 0x55667788 {
+				t.Fatalf("load = %#x, want 0x55667788", v)
+			}
+			if v := r.load(0, addr); v != 0xaa {
+				t.Fatalf("posted word reads %#x after the fill, want 0xaa", v)
 			}
 			if st := r.DCaches[0].Stats(); st.LoadMisses != 1 || st.WBForwards != 0 {
 				t.Fatalf("load misses %d, forwards %d; want 1 and 0", st.LoadMisses, st.WBForwards)
 			}
+			r.settle()
+			r.check()
 		})
 	}
 }
@@ -576,16 +586,16 @@ func TestSwapAtomicityUnderContention(t *testing.T) {
 							a.phase = 1
 						}
 					case 1:
-						if v, ok := r.DCaches[i].Load(r.now, counter, 0xf); ok {
+						if v, ok := r.DCaches[i].Load(r.now, counter); ok {
 							a.val = v
 							a.phase = 2
 						}
 					case 2:
-						if r.DCaches[i].Store(r.now, counter, a.val+1, 0xf) {
+						if r.DCaches[i].Store(r.now, counter, a.val+1) {
 							a.phase = 3
 						}
 					case 3:
-						if r.DCaches[i].Store(r.now, lock, 0, 0xf) {
+						if r.DCaches[i].Store(r.now, lock, 0) {
 							a.phase = 0
 							a.todo--
 						}
@@ -690,11 +700,11 @@ func stressRig(t *testing.T, r *rig, ncpu, opsPerCPU int, seed int64) {
 					pending[c] = nil
 				}
 			case o.store:
-				if r.DCaches[c].Store(r.now, o.addr, o.val, 0xf) {
+				if r.DCaches[c].Store(r.now, o.addr, o.val) {
 					pending[c] = nil
 				}
 			default:
-				if v, ok := r.DCaches[c].Load(r.now, o.addr, 0xf); ok {
+				if v, ok := r.DCaches[c].Load(r.now, o.addr); ok {
 					if !written[o.addr][v] {
 						t.Fatalf("load at %#x returned %d, never written there", o.addr, v)
 					}
@@ -825,10 +835,10 @@ func TestCrossProtocolFinalMemoryAgreement(t *testing.T) {
 				alldone = false
 				o := scripts[c][idx[c]]
 				if o.store {
-					if r.DCaches[c].Store(r.now, o.addr, o.val, 0xf) {
+					if r.DCaches[c].Store(r.now, o.addr, o.val) {
 						idx[c]++
 					}
-				} else if _, ok := r.DCaches[c].Load(r.now, o.addr, 0xf); ok {
+				} else if _, ok := r.DCaches[c].Load(r.now, o.addr); ok {
 					idx[c]++
 				}
 			}
@@ -882,7 +892,7 @@ func TestProtocolTable(t *testing.T) {
 			r.store(0, addr, 7) // cpu0 owns the block where the policy has owners
 			r.settle()
 			var parts []string
-			if _, ok := r.DCaches[1].Load(r.now, addr, 0xf); ok {
+			if _, ok := r.DCaches[1].Load(r.now, addr); ok {
 				t.Fatal("cold remote load hit")
 			}
 			if !r.Pending(func(part string) { parts = append(parts, part) }) || parts[0] != "cache1 not drained" {

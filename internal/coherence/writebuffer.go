@@ -1,12 +1,10 @@
 package coherence
 
-// wbEntry is one posted write: a word address, the data word, and the
-// byte-enable mask selecting which of its bytes are written.
+// wbEntry is one posted write: a word address and the data word.
 type wbEntry struct {
-	addr   uint32
-	word   uint32
-	byteEn uint8
-	sent   bool // handed to the node's outbound FIFO, awaiting ack
+	addr uint32
+	word uint32
+	sent bool // handed to the node's outbound FIFO, awaiting ack
 
 	pushedAt uint64 // cycle the entry was posted (latency attribution)
 }
@@ -40,26 +38,19 @@ func (w *writeBuffer) Len() int { return len(w.entries) }
 // Push posts a write at cycle now. A write to the same word as the
 // newest unsent entry coalesces into it; otherwise a new entry is
 // taken. Push reports whether the write was accepted (false when full).
-func (w *writeBuffer) Push(now uint64, addr uint32, word uint32, byteEn uint8) bool {
+func (w *writeBuffer) Push(now uint64, addr uint32, word uint32) bool {
 	// Coalesce only with the newest entry when unsent and same word:
 	// merging with older entries would reorder stores.
 	if n := len(w.entries); n > 0 {
-		last := &w.entries[n-1]
-		if !last.sent && last.addr == addr {
-			for i := uint32(0); i < 4; i++ {
-				if byteEn&(1<<i) != 0 {
-					mask := uint32(0xff) << (8 * i)
-					last.word = last.word&^mask | word&mask
-				}
-			}
-			last.byteEn |= byteEn
+		if last := &w.entries[n-1]; !last.sent && last.addr == addr {
+			last.word = word
 			return true
 		}
 	}
 	if w.Full() {
 		return false
 	}
-	w.entries = append(w.entries, wbEntry{addr: addr, word: word, byteEn: byteEn, pushedAt: now})
+	w.entries = append(w.entries, wbEntry{addr: addr, word: word, pushedAt: now})
 	return true
 }
 
@@ -101,22 +92,13 @@ func (w *writeBuffer) HasUnsentInBlock(blockAddr uint32, blockBytes int) bool {
 	return false
 }
 
-// Forward looks for the newest entry fully covering the byteEn bytes of
-// the word at addr and returns its value. ok is false when no entry
-// covers the requested bytes; conflict is true when some entry overlaps
-// them only partially (the load must then wait for the drain).
-func (w *writeBuffer) Forward(addr uint32, byteEn uint8) (word uint32, ok, conflict bool) {
+// Forward returns the word of the newest entry for the word at addr;
+// ok is false when no entry holds it.
+func (w *writeBuffer) Forward(addr uint32) (word uint32, ok bool) {
 	for i := len(w.entries) - 1; i >= 0; i-- {
-		e := &w.entries[i]
-		if e.addr != addr {
-			continue
-		}
-		if e.byteEn&byteEn == byteEn {
-			return e.word, true, false
-		}
-		if e.byteEn&byteEn != 0 {
-			return 0, false, true
+		if e := &w.entries[i]; e.addr == addr {
+			return e.word, true
 		}
 	}
-	return 0, false, false
+	return 0, false
 }

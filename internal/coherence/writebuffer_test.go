@@ -7,8 +7,8 @@ import (
 
 func TestWriteBufferFIFOAndOneInFlight(t *testing.T) {
 	w := newWriteBuffer(4)
-	w.Push(3, 0x100, 1, 0xf)
-	w.Push(5, 0x104, 2, 0xf)
+	w.Push(3, 0x100, 1)
+	w.Push(5, 0x104, 2)
 	e, ok := w.NextToSend()
 	if !ok || e.addr != 0x100 {
 		t.Fatalf("NextToSend = %+v, %v", e, ok)
@@ -28,7 +28,7 @@ func TestWriteBufferFIFOAndOneInFlight(t *testing.T) {
 
 func TestWriteBufferAckValidation(t *testing.T) {
 	w := newWriteBuffer(4)
-	w.Push(0, 0x100, 1, 0xf)
+	w.Push(0, 0x100, 1)
 	if _, ok := w.Ack(0x100); ok {
 		t.Fatal("ack accepted for an unsent entry")
 	}
@@ -41,22 +41,21 @@ func TestWriteBufferAckValidation(t *testing.T) {
 
 func TestWriteBufferCoalescing(t *testing.T) {
 	w := newWriteBuffer(2)
-	w.Push(0, 0x100, 0x000000aa, 0b0001)
-	w.Push(0, 0x100, 0x0000bb00, 0b0010) // same word: coalesce
+	w.Push(0, 0x100, 0xaa)
+	w.Push(0, 0x100, 0xbb) // same word: coalesce
 	if w.Len() != 1 {
 		t.Fatalf("Len = %d, want coalesced 1", w.Len())
 	}
-	v, ok, _ := w.Forward(0x100, 0b0011)
-	if !ok || v&0xffff != 0xbbaa {
+	if v, ok := w.Forward(0x100); !ok || v != 0xbb {
 		t.Fatalf("Forward = %#x, %v", v, ok)
 	}
 	// A different word must not coalesce.
-	w.Push(0, 0x104, 1, 0xf)
+	w.Push(0, 0x104, 1)
 	if w.Len() != 2 {
 		t.Fatalf("Len = %d", w.Len())
 	}
 	// Coalescing with a non-newest entry would reorder: not allowed.
-	w.Push(0, 0x100, 0xcc, 0xf)
+	w.Push(0, 0x100, 0xcc)
 	if w.Len() != 2 && !w.Full() {
 		t.Fatalf("old-entry coalesce created odd state: len=%d", w.Len())
 	}
@@ -64,52 +63,40 @@ func TestWriteBufferCoalescing(t *testing.T) {
 
 func TestWriteBufferCapacity(t *testing.T) {
 	w := newWriteBuffer(2)
-	if !w.Push(0, 0x100, 1, 0xf) || !w.Push(0, 0x104, 2, 0xf) {
+	if !w.Push(0, 0x100, 1) || !w.Push(0, 0x104, 2) {
 		t.Fatal("pushes within capacity failed")
 	}
-	if w.Push(0, 0x108, 3, 0xf) {
+	if w.Push(0, 0x108, 3) {
 		t.Fatal("push above capacity accepted")
 	}
 }
 
 func TestWriteBufferForwarding(t *testing.T) {
 	w := newWriteBuffer(8)
-	w.Push(0, 0x100, 0x11223344, 0xf)
-	v, ok, conflict := w.Forward(0x100, 0xf)
-	if !ok || conflict || v != 0x11223344 {
-		t.Fatalf("full forward = %#x %v %v", v, ok, conflict)
-	}
-	// Partial coverage is a conflict, not a forward.
-	w2 := newWriteBuffer(8)
-	w2.Push(0, 0x200, 0xaa, 0b0001)
-	if _, ok, conflict := w2.Forward(0x200, 0xf); ok || !conflict {
-		t.Fatal("partial overlap must report a conflict")
-	}
-	// Disjoint bytes: no forward, no conflict.
-	if _, ok, conflict := w2.Forward(0x200, 0b0100); ok || conflict {
-		t.Fatal("disjoint bytes must be a clean miss")
+	w.Push(0, 0x100, 0x11223344)
+	if v, ok := w.Forward(0x100); !ok || v != 0x11223344 {
+		t.Fatalf("forward = %#x %v", v, ok)
 	}
 	// Unrelated address: nothing.
-	if _, ok, conflict := w2.Forward(0x300, 0xf); ok || conflict {
+	if _, ok := w.Forward(0x300); ok {
 		t.Fatal("unrelated address must be a clean miss")
 	}
 }
 
 func TestWriteBufferNewestWins(t *testing.T) {
 	w := newWriteBuffer(8)
-	w.Push(0, 0x100, 1, 0xf)
+	w.Push(0, 0x100, 1)
 	e, _ := w.NextToSend()
 	e.sent = true // freeze the first entry so the second doesn't coalesce
-	w.Push(0, 0x100, 2, 0xf)
-	v, ok, _ := w.Forward(0x100, 0xf)
-	if !ok || v != 2 {
+	w.Push(0, 0x100, 2)
+	if v, ok := w.Forward(0x100); !ok || v != 2 {
 		t.Fatalf("Forward returned %d, want the newest value 2", v)
 	}
 }
 
 func TestWriteBufferHasUnsentInBlock(t *testing.T) {
 	w := newWriteBuffer(8)
-	w.Push(0, 0x104, 1, 0xf)
+	w.Push(0, 0x104, 1)
 	if !w.HasUnsentInBlock(0x100, 32) {
 		t.Fatal("unsent entry in block not found")
 	}
@@ -133,12 +120,12 @@ func TestWriteBufferProperty(t *testing.T) {
 			addr := uint32(a&0x3f) * 4
 			if n := len(want); n > 0 && want[n-1] == addr {
 				// coalesces into the newest entry
-				if !w.Push(0, addr, uint32(i), 0xf) {
+				if !w.Push(0, addr, uint32(i)) {
 					return false
 				}
 				continue
 			}
-			if !w.Push(0, addr, uint32(i), 0xf) {
+			if !w.Push(0, addr, uint32(i)) {
 				return false
 			}
 			want = append(want, addr)

@@ -102,7 +102,7 @@ func (c *WTICache) bankNode(addr uint32) int {
 }
 
 // Load implements DataCache.
-func (c *WTICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
+func (c *WTICache) Load(now uint64, addr uint32) (uint32, bool) {
 	if c.pend.active && !c.pend.isSwap {
 		// Outstanding read miss; the fill handler clears pend and the
 		// retry will hit below.
@@ -114,12 +114,10 @@ func (c *WTICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 	// buffer must be consulted before a line hit; under WTI a store
 	// hit updated the line immediately, so the hit is always fresh.
 	if c.proto == WTU {
-		if w, ok, conflict := c.wb.Forward(waddr, byteEn); ok {
+		if w, ok := c.wb.Forward(waddr); ok {
 			c.st.Loads++
 			c.st.WBForwards++
 			return w, true
-		} else if conflict {
-			return 0, false // partial overlap: wait for the drain
 		}
 	}
 	if set, hit := c.arr.lookup(addr); hit {
@@ -127,13 +125,11 @@ func (c *WTICache) Load(now uint64, addr uint32, byteEn uint8) (uint32, bool) {
 		c.st.LoadHits++
 		return c.arr.readWord(set, waddr), true
 	}
-	// Forward from the write buffer when it fully covers the access.
-	if w, ok, conflict := c.wb.Forward(waddr, byteEn); ok {
+	// Forward from the write buffer when it holds the word.
+	if w, ok := c.wb.Forward(waddr); ok {
 		c.st.Loads++
 		c.st.WBForwards++
 		return w, true
-	} else if conflict {
-		return 0, false // partial overlap: wait for the drain
 	}
 	blk := c.p.BlockAddr(addr)
 	if c.wb.HasUnsentInBlock(blk, c.p.BlockBytes) {
@@ -161,7 +157,7 @@ func (c *WTICache) Hit(addr uint32) bool {
 func (c *WTICache) ChargeHits(n uint64) { c.arr.chargeHits(&c.st, n) }
 
 // Store implements DataCache.
-func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
+func (c *WTICache) Store(now uint64, addr uint32, word uint32) bool {
 	waddr := WordAddr(addr)
 	c.lastStoreFull = false
 	if c.p.StrictSC {
@@ -172,17 +168,17 @@ func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) boo
 		if c.strictStore || !c.wb.Empty() {
 			return false // previous store still in flight
 		}
-		c.wb.Push(now, waddr, word, byteEn) // cannot fail: empty, and WriteBufferWords >= 1
-		c.recordStore(addr, waddr, word, byteEn)
+		c.wb.Push(now, waddr, word) // cannot fail: empty, and WriteBufferWords >= 1
+		c.recordStore(addr, waddr, word)
 		c.strictStore = true
 		return false // completes (returns true) only after the ack
 	}
-	if !c.wb.Push(now, waddr, word, byteEn) {
+	if !c.wb.Push(now, waddr, word) {
 		c.st.WBufFullStalls++
 		c.lastStoreFull = true
 		return false
 	}
-	c.recordStore(addr, waddr, word, byteEn)
+	c.recordStore(addr, waddr, word)
 	return true
 }
 
@@ -194,12 +190,12 @@ func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) boo
 // update that was serialized earlier but arrives later. The window
 // until the writer's own CmdUpdate arrives is covered by write-buffer
 // forwarding.
-func (c *WTICache) recordStore(addr, waddr uint32, word uint32, byteEn uint8) {
+func (c *WTICache) recordStore(addr, waddr uint32, word uint32) {
 	c.st.Stores++
 	if set, hit := c.arr.lookup(addr); hit {
 		c.st.StoreHits++
 		if c.proto != WTU {
-			c.arr.writeWord(set, waddr, word, byteEn)
+			c.arr.writeWord(set, waddr, word)
 		}
 	} else {
 		c.st.StoreMisses++ // write-no-allocate: nothing else to do
@@ -260,7 +256,6 @@ func (c *WTICache) Tick(now uint64) {
 		m.Src = c.id
 		m.Addr = e.addr
 		m.Word = e.word
-		m.ByteEn = e.byteEn
 		c.node.SendCtrl(m, c.bankNode(e.addr), now)
 		e.sent = true
 		c.sendVeto = now + 1
@@ -325,7 +320,7 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 	case CmdUpdate:
 		c.st.UpdatesReceived++
 		if set, hit := c.arr.lookup(m.Addr); hit {
-			c.arr.writeWord(set, WordAddr(m.Addr), m.Word, m.ByteEn)
+			c.arr.writeWord(set, WordAddr(m.Addr), m.Word)
 			c.st.UpdatesApplied++
 		}
 		c.sendInvAck(m.Addr, now)
@@ -351,16 +346,10 @@ func (c *WTICache) Drained() bool {
 // Lines implements DataCache.
 func (c *WTICache) Lines() []LineInfo { return c.arr.lines() }
 
-// PostedBytes implements DataCache: the union of the write buffer's
-// entries for the word.
-func (c *WTICache) PostedBytes(waddr uint32) uint8 {
-	var covered uint8
-	for i := range c.wb.entries {
-		if e := &c.wb.entries[i]; e.addr == waddr {
-			covered |= e.byteEn
-		}
-	}
-	return covered
+// Posted implements DataCache: the write buffer holds the word.
+func (c *WTICache) Posted(waddr uint32) bool {
+	_, ok := c.wb.Forward(waddr)
+	return ok
 }
 
 // FlushDirty implements DataCache: memory is always up to date, one of
@@ -374,7 +363,7 @@ func (c *WTICache) Fingerprint(e *Enc) {
 	e.U32(p.addr, p.newVal, p.oldVal, uint32(len(c.wb.entries)))
 	for i := range c.wb.entries {
 		w := &c.wb.entries[i]
-		e.U32(w.addr, w.word, uint32(w.byteEn))
+		e.U32(w.addr, w.word)
 		e.Bools(w.sent)
 	}
 	c.arr.fingerprint(e)

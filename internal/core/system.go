@@ -217,13 +217,13 @@ func (c *streamCPU) Tick(now uint64) {
 		c.pending = true
 	}
 	if c.ref.Store {
-		if !c.dc.Store(now, c.ref.Addr, c.ref.Data, 0xf) {
+		if !c.dc.Store(now, c.ref.Addr, c.ref.Data) {
 			c.st.DataStallCycles++
 			return
 		}
 		c.st.Stores++
 	} else {
-		if _, ok := c.dc.Load(now, c.ref.Addr, 0xf); !ok {
+		if _, ok := c.dc.Load(now, c.ref.Addr); !ok {
 			c.st.DataStallCycles++
 			return
 		}

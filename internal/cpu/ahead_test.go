@@ -64,7 +64,7 @@ func (p *rigPort) Resident(addr uint32) ([]isa.Instr, bool) {
 
 func (p *rigPort) Hit(addr uint32) bool { return p.dPend == 0 && p.dValid[addr&^(rigBlock-1)] }
 
-func (p *rigPort) Load(now uint64, addr uint32, byteEn uint8) (w uint32, ok bool) {
+func (p *rigPort) Load(now uint64, addr uint32) (w uint32, ok bool) {
 	if p.dPend != 0 {
 		return 0, false // the pure retry of a stalled load: not logged, a sleeping core skips it
 	}
@@ -74,22 +74,16 @@ func (p *rigPort) Load(now uint64, addr uint32, byteEn uint8) (w uint32, ok bool
 	} else {
 		p.dPend, p.dAt = blk, now+rigMissLat
 	}
-	p.log = append(p.log, fmt.Sprintf("%d load %#x/%x = %#x %t", now, addr, byteEn, w, ok))
+	p.log = append(p.log, fmt.Sprintf("%d load %#x = %#x %t", now, addr, w, ok))
 	return w, ok
 }
 
-func (p *rigPort) Store(now uint64, addr uint32, word uint32, byteEn uint8) bool {
+func (p *rigPort) Store(now uint64, addr uint32, word uint32) bool {
 	ok := p.dPend == 0
 	if ok {
-		old := p.words[addr&^3]
-		for i := uint32(0); i < 4; i++ {
-			if byteEn>>i&1 != 0 {
-				old = old&^(0xff<<(8*i)) | word&(0xff<<(8*i))
-			}
-		}
-		p.words[addr&^3] = old
+		p.words[addr] = word
 	}
-	p.log = append(p.log, fmt.Sprintf("%d store %#x/%x = %#x %t", now, addr, byteEn, word, ok))
+	p.log = append(p.log, fmt.Sprintf("%d store %#x = %#x %t", now, addr, word, ok))
 	return ok
 }
 
@@ -172,6 +166,9 @@ func (p *rigPort) nextEvent(now uint64, invals []uint32) uint64 {
 	return next
 }
 
+// nop is addi r0, r0, 0: SR32 has no no-op of its own.
+var nop = isa.Instr{Op: isa.OpAddi}
+
 const (
 	rigCode  = 0x1000
 	rigData  = 0x4000
@@ -181,17 +178,16 @@ const (
 
 // rigProgram draws a branchy program over every kind of instruction the
 // core tells apart: register and immediate ALU ops, branches and jumps
-// that stay inside the program, word loads (a few misaligned), byte
-// loads, stores, swaps, FPU ops of every latency, the odd illegal word
+// that stay inside the program, word loads (a few misaligned), stores,
+// swaps, FPU ops of every latency, the odd illegal word
 // and HALT. r8 holds the data base; r1..r7 and f1..f7 are scratch.
 func rigProgram(rng *rand.Rand) []uint32 {
 	reg := func() uint8 { return uint8(1 + rng.Intn(7)) }
 	off := func(align int) int32 { return int32(rng.Intn(rigLines*rigBlock/align) * align) }
-	alu := []isa.Op{isa.OpAdd, isa.OpSub, isa.OpXor, isa.OpSll, isa.OpSlt, isa.OpMul, isa.OpDiv, isa.OpRem}
-	imm := []isa.Op{isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpSlti, isa.OpSrli, isa.OpLui}
-	br := []isa.Op{isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu}
-	fpu := []isa.Op{isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv, isa.OpFeq, isa.OpFlt, isa.OpFle,
-		isa.OpCvtWS, isa.OpCvtSW, isa.OpFmov, isa.OpFabs, isa.OpFneg}
+	alu := []isa.Op{isa.OpAdd, isa.OpSub, isa.OpOr, isa.OpMul}
+	imm := []isa.Op{isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpSlli, isa.OpLui}
+	br := []isa.Op{isa.OpBeq, isa.OpBne, isa.OpBge}
+	fpu := []isa.Op{isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv, isa.OpCvtWS, isa.OpCvtSW}
 	prog := make([]uint32, rigWords)
 	for i := range prog {
 		var in isa.Instr
@@ -211,24 +207,20 @@ func rigProgram(rng *rand.Rand) []uint32 {
 			}
 		case r < 76:
 			in = isa.Instr{Op: isa.OpFlw, Rd: reg(), Rs1: 8, Imm: off(4)}
-		case r < 79:
-			in = isa.Instr{Op: []isa.Op{isa.OpLb, isa.OpLbu}[rng.Intn(2)], Rd: reg(), Rs1: 8, Imm: off(1)}
 		case r < 84:
 			in = isa.Instr{Op: []isa.Op{isa.OpSw, isa.OpFsw}[rng.Intn(2)], Rd: reg(), Rs1: 8, Imm: off(4)}
-		case r < 85:
-			in = isa.Instr{Op: isa.OpSb, Rd: reg(), Rs1: 8, Imm: off(1)}
 		case r < 86:
 			in = isa.Instr{Op: isa.OpSwap, Rd: reg(), Rs1: 8, Imm: off(4)}
 		case r < 98:
 			in = isa.Instr{Op: fpu[rng.Intn(len(fpu))], Rd: reg(), Rs1: reg(), Rs2: reg()}
 		case r < 99:
-			in = isa.Instr{Op: isa.OpNop}
+			in = nop
 		default:
 			if rng.Intn(8) == 0 {
 				prog[i] = 0 // decodes to OpInvalid
 				continue
 			}
-			in = isa.Instr{Op: isa.OpNop}
+			in = nop
 		}
 		prog[i] = mustEncode(in)
 	}
@@ -410,8 +402,7 @@ func TestRunAheadStopsAtHalt(t *testing.T) {
 // TestRunAheadCountsTheFetchOnceLocal: a load the burst refuses has not
 // been fetched yet — its Tick will count it.
 func TestRunAheadCountsTheFetchOnceLocal(t *testing.T) {
-	c, p := aheadCore(isa.Instr{Op: isa.OpNop}, isa.Instr{Op: isa.OpNop},
-		isa.Instr{Op: isa.OpLw, Rd: 1, Rs1: 8}, isa.Instr{Op: isa.OpHalt})
+	c, p := aheadCore(nop, nop, isa.Instr{Op: isa.OpLw, Rd: 1, Rs1: 8}, isa.Instr{Op: isa.OpHalt})
 	p.dValid[rigData] = false
 	c.Tick(0)
 	if next := c.RunAhead(1, 100); next != 2 || p.fetches != 2 || len(p.log) != 0 {
@@ -428,7 +419,7 @@ func TestRunAheadCountsTheFetchOnceLocal(t *testing.T) {
 // bound is ever wrong, the first symptom is this panic, not a wrong
 // number. Reset clears it.
 func TestTickBehindRunAheadPanics(t *testing.T) {
-	c, _ := aheadCore(isa.Instr{Op: isa.OpNop}, isa.Instr{Op: isa.OpNop}, isa.Instr{Op: isa.OpNop}, isa.Instr{Op: isa.OpHalt})
+	c, _ := aheadCore(nop, nop, nop, isa.Instr{Op: isa.OpHalt})
 	c.ID = 5
 	c.Tick(0)
 	if next := c.RunAhead(1, 3); next != 3 {
@@ -453,23 +444,28 @@ func TestTickBehindRunAheadPanics(t *testing.T) {
 // (a ChargeHits standing for as many load hits) and its line stamps as a
 // core ticked every cycle has them, and the Tick at which the lock word
 // has changed runs on from there. One loop changes a float and an
-// integer register and changes them back; one flips the sign of a zero,
-// so it only comes back after two turns, which a float compare would not
-// see; one loads two lines at two phases of its period.
+// integer register and changes them back; one loads -0 over a +0, which
+// a float compare would take for the state it started from; one loads a
+// NaN, which a float compare would never see come back; one loads two
+// lines at two phases of its period.
 func TestSpinSleepStandsWhereTheNaiveCoreStands(t *testing.T) {
-	nop := isa.Instr{Op: isa.OpNop}
 	progs := [][]isa.Instr{{
 		{Op: isa.OpLw, Rd: 1, Rs1: 8},            // spin: lw r1, 0(r8)
-		{Op: isa.OpFneg, Rd: 1, Rs1: 1},          // f1 = -f1
+		{Op: isa.OpFlw, Rd: 1, Rs1: 8, Imm: 4},   // f1 = 2.5
 		{Op: isa.OpAddi, Rd: 3, Rs1: 3, Imm: 1},  // r3++
-		{Op: isa.OpFneg, Rd: 1, Rs1: 1},          // f1 = -f1
+		{Op: isa.OpFlw, Rd: 1, Rs1: 8, Imm: 8},   // f1 = +0, as it started
 		{Op: isa.OpAddi, Rd: 3, Rs1: 3, Imm: -1}, // r3--
 		{Op: isa.OpBne, Rs1: 1, Imm: -6},         // bne r1, r0, spin
 		{Op: isa.OpHalt}, nop,                    // one whole line
 	}, {
-		{Op: isa.OpLw, Rd: 1, Rs1: 8},    // spin: lw r1, 0(r8)
-		{Op: isa.OpFneg, Rd: 3, Rs1: 3},  // f3 = -f3, from +0
-		{Op: isa.OpBne, Rs1: 1, Imm: -3}, // bne r1, r0, spin
+		{Op: isa.OpLw, Rd: 1, Rs1: 8},           // spin: lw r1, 0(r8)
+		{Op: isa.OpFlw, Rd: 3, Rs1: 8, Imm: 12}, // f3 = -0, from +0
+		{Op: isa.OpBne, Rs1: 1, Imm: -3},        // bne r1, r0, spin
+		{Op: isa.OpHalt}, nop, nop, nop, nop,
+	}, {
+		{Op: isa.OpLw, Rd: 1, Rs1: 8},           // spin: lw r1, 0(r8)
+		{Op: isa.OpFlw, Rd: 3, Rs1: 8, Imm: 16}, // f3 = NaN
+		{Op: isa.OpBne, Rs1: 1, Imm: -3},        // bne r1, r0, spin
 		{Op: isa.OpHalt}, nop, nop, nop, nop,
 	}, {
 		{Op: isa.OpLw, Rd: 1, Rs1: 8},            // spin: lw r1, 0(r8)
@@ -483,7 +479,12 @@ func TestSpinSleepStandsWhereTheNaiveCoreStands(t *testing.T) {
 		for _, wake := range []uint64{40, 41, 42, 43, 44, 45, 97} {
 			ref, rp := aheadCore(prog...)
 			dut, dp := aheadCore(prog...)
-			rp.words[rigData], dp.words[rigData] = 7, 7
+			for _, port := range []*rigPort{rp, dp} {
+				w := port.words
+				w[rigData], w[rigData+4], w[rigData+8] = 7, math.Float32bits(2.5), 0
+				w[rigData+12], w[rigData+16] = 0x80000000, 0x7fc00000 // -0, NaN
+			}
+			ref.fregs[1], dut.fregs[1] = 0, 0
 			ref.fregs[3], dut.fregs[3] = 0, 0
 			slept := false
 			for now := uint64(0); !dut.halted; {

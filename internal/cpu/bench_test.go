@@ -14,7 +14,7 @@ func BenchmarkInterpreterALU(b *testing.B) {
 	prog := []isa.Instr{
 		{Op: isa.OpAddi, Rd: 10, Rs1: 0, Imm: 1000},
 		{Op: isa.OpAddi, Rd: 11, Rs1: 11, Imm: 3}, // loop body
-		{Op: isa.OpXor, Rd: 12, Rs1: 11, Rs2: 10},
+		{Op: isa.OpAdd, Rd: 12, Rs1: 11, Rs2: 10},
 		{Op: isa.OpAddi, Rd: 10, Rs1: 10, Imm: -1},
 		{Op: isa.OpBne, Rs1: 10, Rd: 0, Imm: -4},
 		{Op: isa.OpBeq, Rs1: 0, Rd: 0, Imm: -6}, // restart forever

@@ -22,9 +22,9 @@
 // executing it. Everything else runs at its own cycle through Tick: a
 // miss or a fetch whose block is not resident starts a transaction, HALT
 // ends the run, an illegal or misaligned access must panic where it
-// stands, a byte load is too rare to pay for. Stores too, even to an
-// owned line: a store is what the rest of the machine observes (and
-// letting MESI's join measured slower, not faster).
+// stands. Stores too, even to an owned line: a store is what the rest
+// of the machine observes (and letting MESI's join measured slower, not
+// faster).
 //
 // A burst back at its starting state (pc, registers, an idle FPU) in one
 // window has proved a spin: a pure loop that repeats until the core's
@@ -290,7 +290,7 @@ loop:
 			}
 			c.retire(now, c.pc+4)
 			s.loads++
-		case isa.OpSw, isa.OpFsw, isa.OpSb, isa.OpLb, isa.OpLbu, isa.OpSwap, isa.OpHalt, isa.OpInvalid:
+		case isa.OpSw, isa.OpFsw, isa.OpSwap, isa.OpHalt, isa.OpInvalid:
 			break loop
 		default:
 			*c.fetches++
@@ -427,56 +427,35 @@ func (c *CPU) flushStall(now uint64) {
 // access has not completed (the CPU retries next cycle).
 func (c *CPU) execMem(now uint64, in isa.Instr) bool {
 	addr := c.regs[in.Rs1] + uint32(in.Imm)
+	if addr%4 != 0 {
+		panic(fmt.Sprintf("cpu %d: unaligned 4-byte access at %#x (pc=%#x)", c.ID, addr, c.pc))
+	}
 	switch in.Op {
 	case isa.OpLw:
-		c.checkAlign(addr, 4)
-		w, ok := c.dcache.Load(now, addr, 0xf)
+		w, ok := c.dcache.Load(now, addr)
 		if !ok {
 			return false
 		}
 		c.setReg(in.Rd, w)
 		c.st.Loads++
 	case isa.OpFlw:
-		c.checkAlign(addr, 4)
-		w, ok := c.dcache.Load(now, addr, 0xf)
+		w, ok := c.dcache.Load(now, addr)
 		if !ok {
 			return false
 		}
 		c.fregs[in.Rd] = math.Float32frombits(w)
 		c.st.Loads++
-	case isa.OpLb, isa.OpLbu:
-		be := coherence.ByteEnFor(addr, 1)
-		w, ok := c.dcache.Load(now, addr, be)
-		if !ok {
-			return false
-		}
-		b := byte(w >> (8 * (addr & 3)))
-		if in.Op == isa.OpLb {
-			c.setReg(in.Rd, uint32(int32(int8(b))))
-		} else {
-			c.setReg(in.Rd, uint32(b))
-		}
-		c.st.Loads++
 	case isa.OpSw:
-		c.checkAlign(addr, 4)
-		if !c.dcache.Store(now, addr, c.regs[in.Rd], 0xf) {
+		if !c.dcache.Store(now, addr, c.regs[in.Rd]) {
 			return false
 		}
 		c.st.Stores++
 	case isa.OpFsw:
-		c.checkAlign(addr, 4)
-		if !c.dcache.Store(now, addr, math.Float32bits(c.fregs[in.Rd]), 0xf) {
-			return false
-		}
-		c.st.Stores++
-	case isa.OpSb:
-		sh := 8 * (addr & 3)
-		if !c.dcache.Store(now, addr, (c.regs[in.Rd]&0xff)<<sh, coherence.ByteEnFor(addr, 1)) {
+		if !c.dcache.Store(now, addr, math.Float32bits(c.fregs[in.Rd])) {
 			return false
 		}
 		c.st.Stores++
 	case isa.OpSwap:
-		c.checkAlign(addr, 4)
 		old, ok := c.dcache.Swap(now, addr, c.regs[in.Rd])
 		if !ok {
 			return false
@@ -489,12 +468,6 @@ func (c *CPU) execMem(now uint64, in isa.Instr) bool {
 	return true
 }
 
-func (c *CPU) checkAlign(addr uint32, n uint32) {
-	if addr%n != 0 {
-		panic(fmt.Sprintf("cpu %d: unaligned %d-byte access at %#x (pc=%#x)", c.ID, n, addr, c.pc))
-	}
-}
-
 func (c *CPU) exec(now uint64, in isa.Instr) {
 	next := c.pc + 4
 	a, b := c.regs[in.Rs1], c.regs[in.Rs2]
@@ -503,36 +476,10 @@ func (c *CPU) exec(now uint64, in isa.Instr) {
 		c.setReg(in.Rd, a+b)
 	case isa.OpSub:
 		c.setReg(in.Rd, a-b)
-	case isa.OpAnd:
-		c.setReg(in.Rd, a&b)
 	case isa.OpOr:
 		c.setReg(in.Rd, a|b)
-	case isa.OpXor:
-		c.setReg(in.Rd, a^b)
-	case isa.OpSll:
-		c.setReg(in.Rd, a<<(b&31))
-	case isa.OpSrl:
-		c.setReg(in.Rd, a>>(b&31))
-	case isa.OpSra:
-		c.setReg(in.Rd, uint32(int32(a)>>(b&31)))
-	case isa.OpSlt:
-		c.setReg(in.Rd, boolTo32(int32(a) < int32(b)))
-	case isa.OpSltu:
-		c.setReg(in.Rd, boolTo32(a < b))
 	case isa.OpMul:
 		c.setReg(in.Rd, a*b)
-	case isa.OpDiv:
-		if b == 0 {
-			c.setReg(in.Rd, 0xffffffff)
-		} else {
-			c.setReg(in.Rd, uint32(int32(a)/int32(b)))
-		}
-	case isa.OpRem:
-		if b == 0 {
-			c.setReg(in.Rd, a)
-		} else {
-			c.setReg(in.Rd, uint32(int32(a)%int32(b)))
-		}
 
 	case isa.OpAddi:
 		c.setReg(in.Rd, a+uint32(in.Imm))
@@ -540,16 +487,8 @@ func (c *CPU) exec(now uint64, in isa.Instr) {
 		c.setReg(in.Rd, a&uint32(uint16(in.Imm)))
 	case isa.OpOri:
 		c.setReg(in.Rd, a|uint32(uint16(in.Imm)))
-	case isa.OpXori:
-		c.setReg(in.Rd, a^uint32(uint16(in.Imm)))
-	case isa.OpSlti:
-		c.setReg(in.Rd, boolTo32(int32(a) < in.Imm))
 	case isa.OpSlli:
 		c.setReg(in.Rd, a<<(uint32(in.Imm)&31))
-	case isa.OpSrli:
-		c.setReg(in.Rd, a>>(uint32(in.Imm)&31))
-	case isa.OpSrai:
-		c.setReg(in.Rd, uint32(int32(a)>>(uint32(in.Imm)&31)))
 	case isa.OpLui:
 		c.setReg(in.Rd, uint32(in.Imm)<<16)
 
@@ -561,20 +500,8 @@ func (c *CPU) exec(now uint64, in isa.Instr) {
 		if a != c.regs[in.Rd] {
 			next = c.branchTarget(in)
 		}
-	case isa.OpBlt:
-		if int32(a) < int32(c.regs[in.Rd]) {
-			next = c.branchTarget(in)
-		}
 	case isa.OpBge:
 		if int32(a) >= int32(c.regs[in.Rd]) {
-			next = c.branchTarget(in)
-		}
-	case isa.OpBltu:
-		if a < c.regs[in.Rd] {
-			next = c.branchTarget(in)
-		}
-	case isa.OpBgeu:
-		if a >= c.regs[in.Rd] {
 			next = c.branchTarget(in)
 		}
 	case isa.OpJal:
@@ -597,31 +524,17 @@ func (c *CPU) exec(now uint64, in isa.Instr) {
 	case isa.OpFdiv:
 		c.fregs[in.Rd] = c.fregs[in.Rs1] / c.fregs[in.Rs2]
 		c.fpuBusy(now, fpuDiv)
-	case isa.OpFeq:
-		c.setReg(in.Rd, boolTo32(c.fregs[in.Rs1] == c.fregs[in.Rs2]))
-	case isa.OpFlt:
-		c.setReg(in.Rd, boolTo32(c.fregs[in.Rs1] < c.fregs[in.Rs2]))
-	case isa.OpFle:
-		c.setReg(in.Rd, boolTo32(c.fregs[in.Rs1] <= c.fregs[in.Rs2]))
 	case isa.OpCvtWS:
 		c.fregs[in.Rd] = float32(int32(a))
 		c.fpuBusy(now, fpuAdd)
 	case isa.OpCvtSW:
 		c.setReg(in.Rd, uint32(int32(c.fregs[in.Rs1])))
 		c.fpuBusy(now, fpuAdd)
-	case isa.OpFmov:
-		c.fregs[in.Rd] = c.fregs[in.Rs1]
-	case isa.OpFabs:
-		c.fregs[in.Rd] = float32(math.Abs(float64(c.fregs[in.Rs1])))
-	case isa.OpFneg:
-		c.fregs[in.Rd] = -c.fregs[in.Rs1]
 
 	case isa.OpHalt:
 		c.halted = true
 		c.st.HaltedAt = now
 		c.Obs.Instant(obs.CPUPid(c.ID), obs.TidStall, "halt", now, c.pc)
-	case isa.OpNop:
-		// nothing
 	default:
 		panic(fmt.Sprintf("cpu %d: exec on %v", c.ID, in.Op))
 	}
@@ -634,10 +547,3 @@ func (c *CPU) branchTarget(in isa.Instr) uint32 {
 
 // fpuBusy occupies the FPU for lat cycles total (this cycle included).
 func (c *CPU) fpuBusy(now, lat uint64) { c.busyUntil = now + lat }
-
-func boolTo32(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}

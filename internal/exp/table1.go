@@ -67,14 +67,14 @@ func (p *probeRig) measure(op func(now uint64) bool) (blocking uint64, hops uint
 
 func (p *probeRig) load(cpu int, addr uint32) (uint64, uint64, error) {
 	return p.measure(func(now uint64) bool {
-		_, ok := p.sys.DCaches[cpu].Load(now, addr, 0xf)
+		_, ok := p.sys.DCaches[cpu].Load(now, addr)
 		return ok
 	})
 }
 
 func (p *probeRig) store(cpu int, addr uint32, v uint32) (uint64, uint64, error) {
 	return p.measure(func(now uint64) bool {
-		return p.sys.DCaches[cpu].Store(now, addr, v, 0xf)
+		return p.sys.DCaches[cpu].Store(now, addr, v)
 	})
 }
 

@@ -17,7 +17,7 @@ const (
 // Encode packs an instruction into its 32-bit machine word. It returns
 // an error when a register index or immediate does not fit its field.
 func Encode(in Instr) (uint32, error) {
-	if in.Op == OpInvalid || in.Op >= numOps || opTable[in.Op].name == "" {
+	if in.Op == OpInvalid || in.Op >= numOps {
 		return 0, fmt.Errorf("isa: encode: invalid op %d", in.Op)
 	}
 	if in.Rd > 31 || in.Rs1 > 31 || in.Rs2 > 31 {

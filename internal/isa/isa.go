@@ -5,9 +5,11 @@
 // of the write-policy study the processor only matters as a generator of
 // dependent load/store/atomic streams, so SR32 keeps the essentials:
 // 32 integer registers (r0 hardwired to zero), 32 single-precision float
-// registers, word/byte loads and stores, an atomic SWAP (the SPARC
+// registers, word loads and stores, an atomic SWAP (the SPARC
 // synchronization primitive the runtime's spin-locks are built on),
-// branches, jump-and-link, and a small FPU.
+// branches, jump-and-link, and a small FPU. It holds exactly the
+// operations codegen.Builder emits: an op no workload can produce is not
+// an op of the machine.
 //
 // Instructions are fixed 32-bit words:
 //
@@ -31,44 +33,25 @@ const (
 	// Integer register-register ALU.
 	OpAdd
 	OpSub
-	OpAnd
 	OpOr
-	OpXor
-	OpSll
-	OpSrl
-	OpSra
-	OpSlt
-	OpSltu
 	OpMul
-	OpDiv
-	OpRem
 
 	// Integer register-immediate ALU.
 	OpAddi
 	OpAndi
 	OpOri
-	OpXori
-	OpSlti
 	OpSlli
-	OpSrli
-	OpSrai
 	OpLui
 
 	// Memory.
 	OpLw
 	OpSw
-	OpLb
-	OpLbu
-	OpSb
 	OpSwap // atomic: rd <-> mem32[rs1+imm]
 
 	// Control flow.
 	OpBeq
 	OpBne
-	OpBlt
 	OpBge
-	OpBltu
-	OpBgeu
 	OpJal
 	OpJalr
 
@@ -79,18 +62,11 @@ const (
 	OpFsub
 	OpFmul
 	OpFdiv
-	OpFeq   // rd = (f(rs1) == f(rs2))
-	OpFlt   // rd = (f(rs1) <  f(rs2))
-	OpFle   // rd = (f(rs1) <= f(rs2))
 	OpCvtWS // f(rd) = float(r(rs1))
 	OpCvtSW // r(rd) = int(f(rs1))
-	OpFmov  // f(rd) = f(rs1)
-	OpFabs  // f(rd) = |f(rs1)|
-	OpFneg  // f(rd) = -f(rs1)
 
 	// System.
 	OpHalt
-	OpNop
 
 	numOps
 )
@@ -131,43 +107,24 @@ const (
 )
 
 var opTable = [numOps]opInfo{
-	OpAdd:  {name: "add", class: ClassR, major: majR, funct: 1},
-	OpSub:  {name: "sub", class: ClassR, major: majR, funct: 2},
-	OpAnd:  {name: "and", class: ClassR, major: majR, funct: 3},
-	OpOr:   {name: "or", class: ClassR, major: majR, funct: 4},
-	OpXor:  {name: "xor", class: ClassR, major: majR, funct: 5},
-	OpSll:  {name: "sll", class: ClassR, major: majR, funct: 6},
-	OpSrl:  {name: "srl", class: ClassR, major: majR, funct: 7},
-	OpSra:  {name: "sra", class: ClassR, major: majR, funct: 8},
-	OpSlt:  {name: "slt", class: ClassR, major: majR, funct: 9},
-	OpSltu: {name: "sltu", class: ClassR, major: majR, funct: 10},
-	OpMul:  {name: "mul", class: ClassR, major: majR, funct: 11},
-	OpDiv:  {name: "div", class: ClassR, major: majR, funct: 12},
-	OpRem:  {name: "rem", class: ClassR, major: majR, funct: 13},
+	OpAdd: {name: "add", class: ClassR, major: majR, funct: 1},
+	OpSub: {name: "sub", class: ClassR, major: majR, funct: 2},
+	OpOr:  {name: "or", class: ClassR, major: majR, funct: 4},
+	OpMul: {name: "mul", class: ClassR, major: majR, funct: 11},
 
 	OpAddi: {name: "addi", class: ClassI, major: 2},
 	OpAndi: {name: "andi", class: ClassI, major: 3},
 	OpOri:  {name: "ori", class: ClassI, major: 4},
-	OpXori: {name: "xori", class: ClassI, major: 5},
-	OpSlti: {name: "slti", class: ClassI, major: 6},
 	OpSlli: {name: "slli", class: ClassI, major: 7},
-	OpSrli: {name: "srli", class: ClassI, major: 8},
-	OpSrai: {name: "srai", class: ClassI, major: 9},
 	OpLui:  {name: "lui", class: ClassI, major: 10},
 
 	OpLw:   {name: "lw", class: ClassI, major: 11, memory: true},
 	OpSw:   {name: "sw", class: ClassI, major: 12, memory: true},
-	OpLb:   {name: "lb", class: ClassI, major: 13, memory: true},
-	OpLbu:  {name: "lbu", class: ClassI, major: 14, memory: true},
-	OpSb:   {name: "sb", class: ClassI, major: 15, memory: true},
 	OpSwap: {name: "swap", class: ClassI, major: 16, memory: true},
 
 	OpBeq:  {name: "beq", class: ClassI, major: 17},
 	OpBne:  {name: "bne", class: ClassI, major: 18},
-	OpBlt:  {name: "blt", class: ClassI, major: 19},
 	OpBge:  {name: "bge", class: ClassI, major: 20},
-	OpBltu: {name: "bltu", class: ClassI, major: 21},
-	OpBgeu: {name: "bgeu", class: ClassI, major: 22},
 	OpJal:  {name: "jal", class: ClassJ, major: 23},
 	OpJalr: {name: "jalr", class: ClassI, major: 24},
 
@@ -178,17 +135,10 @@ var opTable = [numOps]opInfo{
 	OpFsub:  {name: "fsub", class: ClassR, major: majRF, funct: 2},
 	OpFmul:  {name: "fmul", class: ClassR, major: majRF, funct: 3},
 	OpFdiv:  {name: "fdiv", class: ClassR, major: majRF, funct: 4},
-	OpFeq:   {name: "feq", class: ClassR, major: majRF, funct: 5},
-	OpFlt:   {name: "flt", class: ClassR, major: majRF, funct: 6},
-	OpFle:   {name: "fle", class: ClassR, major: majRF, funct: 7},
 	OpCvtWS: {name: "cvtws", class: ClassR, major: majRF, funct: 8},
 	OpCvtSW: {name: "cvtsw", class: ClassR, major: majRF, funct: 9},
-	OpFmov:  {name: "fmov", class: ClassR, major: majRF, funct: 10},
-	OpFabs:  {name: "fabs", class: ClassR, major: majRF, funct: 11},
-	OpFneg:  {name: "fneg", class: ClassR, major: majRF, funct: 12},
 
 	OpHalt: {name: "halt", class: ClassJ, major: 62},
-	OpNop:  {name: "nop", class: ClassJ, major: 63},
 }
 
 // decode tables built at init time.
@@ -201,9 +151,6 @@ var (
 func init() {
 	for op := Op(1); op < numOps; op++ {
 		info := opTable[op]
-		if info.name == "" {
-			continue
-		}
 		switch {
 		case info.class == ClassR && info.major == majR:
 			rFunct[info.funct] = op

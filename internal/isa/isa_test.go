@@ -9,9 +9,7 @@ import (
 func AllOps() []Op {
 	out := make([]Op, 0, int(numOps)-1)
 	for op := Op(1); op < numOps; op++ {
-		if opTable[op].name != "" {
-			out = append(out, op)
-		}
+		out = append(out, op)
 	}
 	return out
 }

@@ -55,19 +55,6 @@ func TestSpaceByteWordConsistency(t *testing.T) {
 	}
 }
 
-func TestSpaceMaskedWrite(t *testing.T) {
-	s := NewSpace()
-	s.WriteWord(0x10, 0x11223344)
-	s.WriteMasked(0x10, 0xaabbccdd, 0b0101)
-	if got := s.ReadWord(0x10); got != 0x11bb33dd {
-		t.Fatalf("masked write = %#x", got)
-	}
-	s.WriteMasked(0x10, 0xffffffff, 0)
-	if got := s.ReadWord(0x10); got != 0x11bb33dd {
-		t.Fatalf("empty mask changed memory: %#x", got)
-	}
-}
-
 func TestSpaceBlockRoundTrip(t *testing.T) {
 	s := NewSpace()
 	blk := make([]byte, 32)
@@ -96,7 +83,6 @@ func TestSpaceUnalignedPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { s.ReadWord(1) },
 		func() { s.WriteWord(2, 0) },
-		func() { s.WriteMasked(3, 0, 0xf) },
 		func() { s.ReadBlock(8, make([]byte, 32)) },
 	} {
 		func() {

@@ -73,23 +73,6 @@ func (s *Space) WriteWord(addr uint32, v uint32) {
 	binary.LittleEndian.PutUint32(p[off:off+4], v)
 }
 
-// WriteMasked stores the bytes of v selected by the 4-bit byte-enable
-// mask (bit 0 = least significant byte) at word-aligned addr. This is
-// the write-through datapath: sub-word stores travel to memory with
-// byte enables, exactly like a VCI write cell.
-func (s *Space) WriteMasked(addr uint32, v uint32, byteEn uint8) {
-	if addr&3 != 0 {
-		panic(fmt.Sprintf("mem: unaligned masked write at %#x", addr))
-	}
-	p := s.page(addr, true)
-	off := addr & pageMask
-	for i := 0; i < 4; i++ {
-		if byteEn&(1<<i) != 0 {
-			p[off+uint32(i)] = byte(v >> (8 * i))
-		}
-	}
-}
-
 // ReadBlock copies the block of len(dst) bytes starting at addr into
 // dst. addr must be aligned to len(dst).
 func (s *Space) ReadBlock(addr uint32, dst []byte) {

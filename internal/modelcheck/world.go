@@ -160,13 +160,13 @@ func (w *world) step(c choice, check bool) {
 func (w *world) driveOp(cpu int, o op) bool {
 	switch o.kind {
 	case opLoad:
-		v, ok := w.DCaches[cpu].Load(w.now, o.addr, 0xF)
+		v, ok := w.DCaches[cpu].Load(w.now, o.addr)
 		if ok {
 			w.observed(cpu, "load", o.addr, v)
 		}
 		return ok
 	case opStore:
-		return w.DCaches[cpu].Store(w.now, o.addr, o.val, 0xF)
+		return w.DCaches[cpu].Store(w.now, o.addr, o.val)
 	default:
 		old, ok := w.DCaches[cpu].Swap(w.now, o.addr, o.val)
 		if ok {
