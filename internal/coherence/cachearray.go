@@ -45,44 +45,42 @@ func (s LineState) String() string {
 // cacheArray is a set-associative tag/data array with LRU replacement.
 // The paper's platforms are direct-mapped (Table 2), the default; the
 // associativity knob exists for the cache-geometry ablation. Lines are
-// addressed by a flat line index (set*ways + way). Block size and set
-// count are powers of two — the contract, Params.Validate rejects the
-// rest — so set and tag are a shift and a mask. A direct-mapped array
+// addressed by a flat line index (set*ways + way). The set count is a
+// power of two — the contract, Params.Validate rejects the rest — so
+// set and tag are a shift and a mask. A direct-mapped array
 // keeps no replacement state: a set's only way is its victim.
 type cacheArray struct {
-	ways       int
-	blockShift uint32
-	setMask    uint32
-	tagShift   uint32
+	ways     int
+	setMask  uint32
+	tagShift uint32
 
 	state []LineState
 	tag   []uint32
 	lru   []uint64 // last-touch stamp per line; nil when ways == 1
-	data  []byte   // lines*blockBytes; nil in a tag-only array
+	data  []byte   // lines*BlockBytes; nil in a tag-only array
 	clock uint64
 }
 
 // newCacheArray builds the tag and data arrays of a cache.
-func newCacheArray(cacheBytes, blockBytes, ways int) *cacheArray {
-	c := newTagArray(cacheBytes, blockBytes, ways)
+func newCacheArray(cacheBytes, ways int) *cacheArray {
+	c := newTagArray(cacheBytes, ways)
 	c.data = make([]byte, cacheBytes)
 	return c
 }
 
 // newTagArray builds one without data: the owner keeps the lines' content.
-func newTagArray(cacheBytes, blockBytes, ways int) *cacheArray {
-	lines := cacheBytes / blockBytes
-	if ways < 1 || lines%ways != 0 || !isPow2(lines/ways) || !isPow2(blockBytes) {
-		panic(fmt.Sprintf("coherence: %d lines of %d bytes cannot form a power-of-two number of %d-way sets", lines, blockBytes, ways))
+func newTagArray(cacheBytes, ways int) *cacheArray {
+	lines := cacheBytes / BlockBytes
+	if ways < 1 || lines%ways != 0 || !isPow2(lines/ways) {
+		panic(fmt.Sprintf("coherence: %d lines cannot form a power-of-two number of %d-way sets", lines, ways))
 	}
 	c := &cacheArray{
-		ways:       ways,
-		blockShift: uint32(bits.TrailingZeros32(uint32(blockBytes))),
-		setMask:    uint32(lines/ways - 1),
-		state:      make([]LineState, lines),
-		tag:        make([]uint32, lines),
+		ways:    ways,
+		setMask: uint32(lines/ways - 1),
+		state:   make([]LineState, lines),
+		tag:     make([]uint32, lines),
 	}
-	c.tagShift = c.blockShift + uint32(bits.Len32(c.setMask))
+	c.tagShift = blockShift + uint32(bits.Len32(c.setMask))
 	if ways > 1 {
 		c.lru = make([]uint64, lines)
 	}
@@ -93,7 +91,7 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // blockAddr reconstructs the block address stored at line.
 func (c *cacheArray) blockAddr(line int) uint32 {
-	return c.tag[line]<<c.tagShift | uint32(line/c.ways)<<c.blockShift
+	return c.tag[line]<<c.tagShift | uint32(line/c.ways)<<blockShift
 }
 
 // probe locates the addressed block without touching replacement state
@@ -103,7 +101,7 @@ func (c *cacheArray) blockAddr(line int) uint32 {
 //lint:hot
 func (c *cacheArray) probe(addr uint32) (line int, hit bool) {
 	tag := addr >> c.tagShift
-	base := int(addr>>c.blockShift&c.setMask) * c.ways
+	base := int(addr>>blockShift&c.setMask) * c.ways
 	if c.ways == 1 {
 		return base, c.state[base] != Invalid && c.tag[base] == tag
 	}
@@ -158,7 +156,7 @@ func (c *cacheArray) victim(addr uint32) int {
 
 // lineData returns the data slice of line.
 func (c *cacheArray) lineData(line int) []byte {
-	return c.data[line<<c.blockShift : (line+1)<<c.blockShift]
+	return c.data[line<<blockShift : (line+1)<<blockShift]
 }
 
 // fill installs a block into its victim way, marked most recently used,
@@ -179,14 +177,14 @@ func (c *cacheArray) fill(addr uint32, st LineState, block []byte) int {
 
 // readWord returns the 32-bit word at addr from the hitting line.
 func (c *cacheArray) readWord(line int, addr uint32) uint32 {
-	off := addr & (1<<c.blockShift - 1) &^ 3
+	off := addr & (BlockBytes - 1) &^ 3
 	d := c.lineData(line)
 	return binary.LittleEndian.Uint32(d[off : off+4])
 }
 
 // writeWord stores v as the word at addr in the hitting line.
 func (c *cacheArray) writeWord(line int, addr uint32, v uint32) {
-	off := addr & (1<<c.blockShift - 1) &^ 3
+	off := addr & (BlockBytes - 1) &^ 3
 	binary.LittleEndian.PutUint32(c.lineData(line)[off:off+4], v)
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCacheArrayGeometry(t *testing.T) {
-	c := newCacheArray(4096, 32, 1)
+	c := newCacheArray(4096, 1)
 	if sets := len(c.state) / c.ways; sets != 128 || c.setMask != 127 {
 		t.Fatalf("%d sets, mask %#x; want 128 (Table 2: 4KB direct-mapped, 32B blocks)", sets, c.setMask)
 	}
@@ -15,7 +15,7 @@ func TestCacheArrayGeometry(t *testing.T) {
 
 func TestCacheArrayAddressDecomposition(t *testing.T) {
 	// blockAddr(index(a)) must reconstruct the block address after fill.
-	c := newCacheArray(4096, 32, 1)
+	c := newCacheArray(4096, 1)
 	f := func(addr uint32) bool {
 		blk := addr &^ 31
 		set := c.fill(blk, Shared, make([]byte, 32))
@@ -27,7 +27,7 @@ func TestCacheArrayAddressDecomposition(t *testing.T) {
 }
 
 func TestCacheArrayLookupAndConflict(t *testing.T) {
-	c := newCacheArray(4096, 32, 1)
+	c := newCacheArray(4096, 1)
 	blk := uint32(0x10000)
 	data := make([]byte, 32)
 	data[4] = 0xaa
@@ -55,7 +55,7 @@ func TestCacheArrayLookupAndConflict(t *testing.T) {
 // so writeWord enables all four byte lanes of its word, little-endian,
 // and none of its neighbours'.
 func TestCacheArrayWriteWordByteEnables(t *testing.T) {
-	c := newCacheArray(4096, 32, 1)
+	c := newCacheArray(4096, 1)
 	blk := uint32(0x2000)
 	data := make([]byte, 32)
 	for i := range data {
@@ -76,7 +76,7 @@ func TestCacheArrayWriteWordByteEnables(t *testing.T) {
 }
 
 func TestCacheArrayInvalidate(t *testing.T) {
-	c := newCacheArray(4096, 32, 1)
+	c := newCacheArray(4096, 1)
 	blk := uint32(0x3000)
 	c.fill(blk, Exclusive, make([]byte, 32))
 	if !c.invalidate(blk) {
@@ -107,7 +107,7 @@ func TestLineStateString(t *testing.T) {
 }
 
 func TestMsgWireBytes(t *testing.T) {
-	blk := make([]byte, 32)
+	var blk [BlockBytes]byte
 	cases := []struct {
 		m    Msg
 		want int
@@ -141,7 +141,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 	bad := []Params{
 		func() Params { p := DefaultParams(8); p.NumCPUs = 65; return p }(),
-		func() Params { p := DefaultParams(8); p.BlockBytes = 24; return p }(),
 		func() Params { p := DefaultParams(8); p.DCacheBytes = 100; return p }(),
 		// 96 sets: every array indexes by shift and mask.
 		func() Params { p := DefaultParams(8); p.DCacheBytes = 96 * 32; return p }(),
@@ -158,7 +157,7 @@ func TestParamsValidate(t *testing.T) {
 
 func TestSetAssociativeLRU(t *testing.T) {
 	// 2-way: two conflicting blocks coexist; a third evicts the LRU.
-	c := newCacheArray(4096, 32, 2)
+	c := newCacheArray(4096, 2)
 	sets := uint32(4096 / 32 / 2)
 	a := uint32(0x10000)
 	b := a + sets*32   // same set, different tag
@@ -246,7 +245,7 @@ func TestAssociativityReducesConflictMisses(t *testing.T) {
 	// Alternating between two conflicting blocks: the direct-mapped
 	// array misses every time, the 2-way array hits after warm-up.
 	count := func(ways int) int {
-		c := newCacheArray(4096, 32, ways)
+		c := newCacheArray(4096, ways)
 		sets := uint32(4096 / 32 / ways)
 		a, b := uint32(0x2000), uint32(0x2000)+sets*32
 		misses := 0
@@ -269,7 +268,7 @@ func TestAssociativityReducesConflictMisses(t *testing.T) {
 }
 
 func TestFillReplacesResidentBlockInPlace(t *testing.T) {
-	c := newCacheArray(4096, 32, 2)
+	c := newCacheArray(4096, 2)
 	a := uint32(0x3000)
 	l1 := c.fill(a, Shared, make([]byte, 32))
 	l2 := c.fill(a, Modified, make([]byte, 32))

@@ -48,7 +48,7 @@ func TestUnexpectedDataAtCachePanics(t *testing.T) {
 	for _, proto := range []Protocol{WTI, WBMESI} {
 		r := newRig(t, proto, 1, 1)
 		expectPanic(t, "unexpected data response", func() {
-			r.DCaches[0].HandleMsg(&Msg{Kind: RspData, Addr: rigBase, Data: make([]byte, 32)}, 0)
+			r.DCaches[0].HandleMsg(&Msg{Kind: RspData, Addr: rigBase}, 0)
 		})
 	}
 }
@@ -67,13 +67,13 @@ func TestWriteBackUnderWTIPanics(t *testing.T) {
 func TestMOESIWithoutC2CPanics(t *testing.T) {
 	p := DefaultParams(1)
 	expectPanic(t, "MOESI without cache-to-cache", func() {
-		newWriteBackCache(MOESI, 0, p, nil, nil, 1)
+		newWriteBackCache(MOESI, 0, p, nil)
 	})
 }
 
 func TestCacheArrayBadGeometryPanics(t *testing.T) {
 	expectPanic(t, "indivisible ways", func() {
-		newCacheArray(4096, 32, 3)
+		newCacheArray(4096, 3)
 	})
 }
 

@@ -63,8 +63,9 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 		sink := &CPUSink{}
 		h.Nodes[i] = NewNode(i, net, sink)
 		h.Nodes[i].pool = &h.pool
-		h.DCaches[i] = row.New(proto, i, p, h.Nodes[i], amap, n)
-		h.ICaches[i] = newICache(i, p, h.Nodes[i], amap, n, h.code)
+		h.Nodes[i].amap, h.Nodes[i].bankBase = amap, n
+		h.DCaches[i] = row.New(proto, i, p, h.Nodes[i])
+		h.ICaches[i] = newICache(i, p, h.Nodes[i], h.code)
 		sink.D, sink.I = h.DCaches[i], h.ICaches[i]
 	}
 	return h
@@ -73,10 +74,10 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 // SeedCode decodes the code loaded at base, as memory holds it, ahead
 // of the run, so the fills of an unmodified program allocate nothing.
 func (h *Hierarchy) SeedCode(base uint32, code []byte) {
-	buf := make([]byte, h.ICaches[0].p.BlockBytes)
-	for a := base &^ uint32(len(buf)-1); a < base+uint32(len(code)); a += uint32(len(buf)) {
-		h.space.ReadBlock(a, buf)
-		h.code.block(buf)
+	var buf [BlockBytes]byte
+	for a := BlockAddr(base); a < base+uint32(len(code)); a += BlockBytes {
+		h.space.ReadBlock(a, buf[:])
+		h.code.block(buf[:])
 	}
 }
 

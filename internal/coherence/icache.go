@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -44,14 +43,11 @@ func (s codeStore) block(data []byte) []isa.Instr {
 // stamp: re-touching the most recent line cannot change the order victim
 // reads; stamps are in no output.
 type ICache struct {
-	id       int
-	p        Params
-	arr      *cacheArray   // tags only
-	lines    [][]isa.Instr // per line of arr: its block in code
-	code     codeStore
-	node     *Node
-	amap     *mem.AddrMap
-	bankBase int
+	id    int
+	arr   *cacheArray   // tags only
+	lines [][]isa.Instr // per line of arr: its block in code
+	code  codeStore
+	node  *Node
 
 	pendActive bool
 	pendIssued bool
@@ -63,16 +59,13 @@ type ICache struct {
 }
 
 // newICache builds the instruction cache for CPU id.
-func newICache(id int, p Params, node *Node, amap *mem.AddrMap, bankBase int, code codeStore) *ICache {
+func newICache(id int, p Params, node *Node, code codeStore) *ICache {
 	return &ICache{
-		id:       id,
-		p:        p,
-		arr:      newTagArray(p.ICacheBytes, p.BlockBytes, p.Ways),
-		lines:    make([][]isa.Instr, p.ICacheBytes/p.BlockBytes),
-		code:     code,
-		node:     node,
-		amap:     amap,
-		bankBase: bankBase,
+		id:    id,
+		arr:   newTagArray(p.ICacheBytes, p.Ways),
+		lines: make([][]isa.Instr, p.ICacheBytes/BlockBytes),
+		code:  code,
+		node:  node,
 	}
 }
 
@@ -89,7 +82,7 @@ func (c *ICache) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	c.Misses++
 	c.pendActive = true
 	c.pendIssued = false
-	c.pendAddr = c.p.BlockAddr(addr)
+	c.pendAddr = BlockAddr(addr)
 	c.tryIssue(now)
 	return nil, false
 }
@@ -113,7 +106,7 @@ func (c *ICache) tryIssue(now uint64) {
 	m.Kind = ReqIFetch
 	m.Src = c.id
 	m.Addr = c.pendAddr
-	c.node.SendCtrl(m, c.bankBase+c.amap.BankOf(c.pendAddr), now)
+	c.node.SendHome(m, now)
 	c.pendIssued = true
 }
 
@@ -135,7 +128,7 @@ func (c *ICache) HandleMsg(m *Msg, now uint64) {
 	if m.Kind != RspIData || !c.pendActive || m.Addr != c.pendAddr {
 		panic(fmt.Sprintf("coherence: icache %d: unexpected %v", c.id, m))
 	}
-	c.lines[c.arr.fill(m.Addr, Shared, nil)] = c.code.block(m.Data)
+	c.lines[c.arr.fill(m.Addr, Shared, nil)] = c.code.block(m.Data[:])
 	c.pendActive = false
 }
 

@@ -46,7 +46,7 @@ func (c *refICache) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	c.Misses++
 	c.pendActive = true
 	c.pendIssued = false
-	c.pendAddr = c.p.BlockAddr(addr)
+	c.pendAddr = BlockAddr(addr)
 	c.tryIssue(now)
 	return nil, false
 }
@@ -85,7 +85,7 @@ func (s *refSink) HandleMsg(m *Msg, now uint64) {
 	if !c.pendActive || m.Addr != c.pendAddr {
 		panic(fmt.Sprintf("coherence: ref icache %d: unexpected %v", c.id, m))
 	}
-	c.arr.fill(m.Addr, Shared, m.Data)
+	c.arr.fill(m.Addr, Shared, m.Data[:])
 	c.pendActive = false
 }
 
@@ -106,14 +106,14 @@ const FetchMachineBase = rigBase
 
 func NewFetchMachine(icacheLines, ways int, ref bool) *FetchMachine {
 	p := DefaultParams(1)
-	p.ICacheBytes = icacheLines * p.BlockBytes
+	p.ICacheBytes = icacheLines * BlockBytes
 	p.Ways = ways
 	amap := mem.NewAddrMap(1)
 	amap.AddRegion(mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: []int{0}})
 	m := &FetchMachine{Net: noc.NewGMN(noc.DefaultGMNConfig(2)), Space: mem.NewSpace()}
 	m.Hierarchy = NewHierarchy(m.Net, m.Space, amap, p, WTI)
 	if ref {
-		m.ref = &refICache{p: p, arr: newCacheArray(p.ICacheBytes, p.BlockBytes, ways), node: m.Nodes[0], amap: amap, bankBase: 1}
+		m.ref = &refICache{p: p, arr: newCacheArray(p.ICacheBytes, ways), node: m.Nodes[0], amap: amap, bankBase: 1}
 		m.Nodes[0].sink = &refSink{m.DCaches[0], m.ref}
 	}
 	return m

@@ -96,7 +96,7 @@ func TestCheckerSharedDiffersFromOwned(t *testing.T) {
 
 func TestCheckerCopyUnknownToDirectory(t *testing.T) {
 	r := newRig(t, WTI, 1, 1)
-	r.DCaches[0].(*WTICache).arr.fill(checkedBlk, Shared, make([]byte, DefaultParams(1).BlockBytes))
+	r.DCaches[0].(*WTICache).arr.fill(checkedBlk, Shared, make([]byte, BlockBytes))
 	wantViolation(t, r.CheckRuntime(), fmt.Sprintf("coherence: directory: block %#x: cpu 0 holds a S copy unknown to the directory", checkedBlk))
 }
 
@@ -140,6 +140,8 @@ func TestBankFingerprintSortsEntries(t *testing.T) {
 // TestMsgFingerprintCoversEveryField sets each field of a Msg in turn
 // and requires the encoding to change: a field added to Msg and left
 // out of Fingerprint fails here instead of merging states that differ.
+// Only scalar and byte-array fields have a value here, so a Msg also
+// stays pointer-free: no copy of one can alias a pooled message.
 func TestMsgFingerprintCoversEveryField(t *testing.T) {
 	var zero Enc
 	(&Msg{}).Fingerprint(&zero)
@@ -154,8 +156,8 @@ func TestMsgFingerprintCoversEveryField(t *testing.T) {
 			f.SetInt(1)
 		case reflect.Uint8, reflect.Uint32:
 			f.SetUint(1)
-		case reflect.Slice:
-			f.Set(reflect.ValueOf([]byte{1}))
+		case reflect.Array:
+			f.Index(0).SetUint(1)
 		default:
 			t.Fatalf("Msg.%s: no non-zero value for kind %s", typ.Field(i).Name, f.Kind())
 		}

@@ -39,10 +39,9 @@ type dirEntry struct {
 	busy bool
 	kind MsgKind // transaction being completed
 	// req is a value copy of the original request awaiting completion:
-	// the delivered *Msg is recycled into the node's pool the moment
-	// HandleMsg returns, so the directory may never retain the pointer.
-	// Every deferrable/completable kind is data-free, and the copy's
-	// Data slice is nilled to keep the pooled buffer unreferenced.
+	// the delivered *Msg is recycled into the hierarchy's pool the
+	// moment HandleMsg returns, so the directory may never retain the
+	// pointer.
 	req         Msg
 	fetchTarget int16 // owner a Cmd{Fetch,FetchInval} was sent to
 	waitAcks    int
@@ -58,8 +57,7 @@ type dirEntry struct {
 	retainOwner  bool
 	c2cDone      bool
 	// deferred queues requests behind a busy block, as value copies for
-	// the same pool-ownership reason as req (the queued kinds —
-	// ReqRead/ReadExcl/Upgrade/WriteThrough/Swap — never carry Data).
+	// the same reason as req.
 	deferred []Msg
 
 	// begin is the cycle the busy transaction opened (its trace span).
@@ -73,7 +71,6 @@ func (e *dirEntry) open(kind MsgKind, m *Msg) {
 	e.busy = true
 	e.kind = kind
 	e.req = *m
-	e.req.Data = nil
 }
 
 // MemCtrl is one memory bank: backing storage timing, the co-located
@@ -146,12 +143,6 @@ func (mc *MemCtrl) entry(blk uint32) *dirEntry {
 	return e
 }
 
-// readBlockInto fills m's (reused) data buffer with the block at blk.
-func (mc *MemCtrl) readBlockInto(m *Msg, blk uint32) {
-	m.ensureData(mc.p.BlockBytes)
-	mc.space.ReadBlock(blk, m.Data)
-}
-
 // newCtrl draws a pooled message and stamps the bank as its source.
 func (mc *MemCtrl) newCtrl(kind MsgKind, addr uint32) *Msg {
 	m := mc.node.NewMsg()
@@ -183,13 +174,13 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 	case ReqIFetch:
 		mc.st.IFetches++
 		rsp := mc.newCtrl(RspIData, m.Addr)
-		mc.readBlockInto(rsp, m.Addr)
+		mc.space.ReadBlock(m.Addr, rsp.Data[:])
 		mc.node.SendCtrl(rsp, m.Src, now+uint64(mc.p.MemLatency))
 		return
 	case ReqWriteBack:
 		// Never deferred: writebacks unblock pending transactions.
 		mc.st.WriteBacks++
-		mc.space.WriteBlock(m.Addr, m.Data)
+		mc.space.WriteBlock(m.Addr, m.Data[:])
 		e := mc.entry(m.Addr)
 		if e.owner == int16(m.Src) {
 			e.owner = -1
@@ -207,13 +198,12 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 		return
 	}
 
-	blk := mc.p.BlockAddr(m.Addr)
+	blk := BlockAddr(m.Addr)
 	e := mc.entry(blk)
 	if e.busy {
 		mc.st.Deferred++
 		mc.queuedReqs++
 		e.deferred = append(e.deferred, *m)
-		e.deferred[len(e.deferred)-1].Data = nil
 		return
 	}
 	switch m.Kind {
@@ -253,7 +243,7 @@ func (mc *MemCtrl) QueuedRequests() int { return mc.queuedReqs }
 func (mc *MemCtrl) respondData(blk uint32, dst int, excl bool, now uint64) {
 	rsp := mc.newCtrl(RspData, blk)
 	rsp.Excl = excl
-	mc.readBlockInto(rsp, blk)
+	mc.space.ReadBlock(blk, rsp.Data[:])
 	mc.node.SendCtrl(rsp, dst, now+uint64(mc.p.MemLatency))
 }
 
@@ -397,7 +387,7 @@ func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
 	if !mc.Fault.faultSkipWTApply() {
 		mc.space.WriteWord(m.Addr, m.Word)
 	}
-	blk := mc.p.BlockAddr(m.Addr)
+	blk := BlockAddr(m.Addr)
 	// WTU updates every sharer, the writer included: all copies must
 	// observe the bank's serialization order. WTI invalidates the
 	// other copies; the writer's own copy was updated at store time
@@ -442,7 +432,7 @@ func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 	mc.st.Swaps++
 	old := mc.space.ReadWord(m.Addr)
 	mc.space.WriteWord(m.Addr, m.Word)
-	blk := mc.p.BlockAddr(m.Addr)
+	blk := BlockAddr(m.Addr)
 	others := mc.invalTargets(e, m.Src) // the requester self-invalidated
 	if mc.proto == WTU {
 		e.sharers &^= 1 << m.Src // other copies survive, updated in place
@@ -466,7 +456,7 @@ func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 }
 
 func (mc *MemCtrl) handleInvAck(m *Msg, now uint64) {
-	blk := mc.p.BlockAddr(m.Addr)
+	blk := BlockAddr(m.Addr)
 	e := mc.dir[blk]
 	if e == nil || !e.busy || e.waitAcks <= 0 {
 		panic(fmt.Sprintf("coherence: bank %d: stray inv ack %v", mc.bank, m))
@@ -476,7 +466,7 @@ func (mc *MemCtrl) handleInvAck(m *Msg, now uint64) {
 }
 
 func (mc *MemCtrl) handleC2CDone(m *Msg, now uint64) {
-	blk := mc.p.BlockAddr(m.Addr)
+	blk := BlockAddr(m.Addr)
 	e := mc.dir[blk]
 	if e == nil || !e.busy {
 		panic(fmt.Sprintf("coherence: bank %d: stray c2c done %v", mc.bank, m))
@@ -492,7 +482,7 @@ func (mc *MemCtrl) handleFetchRsp(m *Msg, now uint64) {
 		panic(fmt.Sprintf("coherence: bank %d: stray fetch response %v", mc.bank, m))
 	}
 	if !m.NoData {
-		mc.space.WriteBlock(blk, m.Data)
+		mc.space.WriteBlock(blk, m.Data[:])
 	}
 	e.fetchSeen = true
 	e.fetchFwd = m.Forwarded

@@ -18,13 +18,10 @@ import (
 // whose writeback proceeds in the background (the "+2 n.b." of
 // Table 1).
 type MESICache struct {
-	id       int
-	proto    Protocol
-	p        Params
-	arr      *cacheArray
-	node     *Node
-	amap     *mem.AddrMap
-	bankBase int
+	id    int
+	proto Protocol
+	arr   *cacheArray
+	node  *Node
 
 	pend  mesiPending
 	evict mesiEvict
@@ -62,18 +59,15 @@ type mesiEvict struct {
 // in which a fetched dirty block stays with its owner in Owned state
 // and is supplied cache-to-cache without refreshing memory, so it
 // requires Params.CacheToCache.
-func newWriteBackCache(proto Protocol, id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) DataCache {
+func newWriteBackCache(proto Protocol, id int, p Params, node *Node) DataCache {
 	if proto == MOESI && !p.CacheToCache {
 		panic("coherence: MOESI requires Params.CacheToCache")
 	}
 	return &MESICache{
-		id:       id,
-		proto:    proto,
-		p:        p,
-		arr:      newCacheArray(p.DCacheBytes, p.BlockBytes, p.Ways),
-		node:     node,
-		amap:     amap,
-		bankBase: bankBase,
+		id:    id,
+		proto: proto,
+		arr:   newCacheArray(p.DCacheBytes, p.Ways),
+		node:  node,
 	}
 }
 
@@ -89,11 +83,7 @@ func (c *MESICache) WBOccupancy() int { return 0 }
 // Posted implements DataCache: every word of the block in the eviction
 // buffer, whose writeback memory has not yet acknowledged.
 func (c *MESICache) Posted(waddr uint32) bool {
-	return c.evict.active && c.evict.addr == c.p.BlockAddr(waddr)
-}
-
-func (c *MESICache) bankNode(addr uint32) int {
-	return c.bankBase + c.amap.BankOf(addr)
+	return c.evict.active && c.evict.addr == BlockAddr(waddr)
 }
 
 // startMiss prepares an allocation for blk: a dirty victim moves to the
@@ -107,15 +97,13 @@ func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) {
 		wb.Kind = ReqWriteBack
 		wb.Src = c.id
 		wb.Addr = victim
-		wb.ensureData(c.p.BlockBytes)
-		copy(wb.Data, c.arr.lineData(line))
+		copy(wb.Data[:], c.arr.lineData(line))
 		c.evict = mesiEvict{active: true, addr: victim, begin: now}
 		c.arr.state[line] = Invalid
 		c.st.Writebacks++
 		// Writebacks are control-class: they must keep their place in
 		// the node's FIFO ahead of any later no-data fetch response.
-		// The message owns its data copy exclusively (pool contract).
-		c.node.SendCtrl(wb, c.bankNode(victim), now)
+		c.node.SendHome(wb, now)
 	}
 	c.pend = mesiPending{active: true, kind: kind, blk: blk, begin: now}
 	c.tryIssue(now)
@@ -144,7 +132,7 @@ func (c *MESICache) tryIssue(now uint64) {
 	m.Kind = c.pend.kind
 	m.Src = c.id
 	m.Addr = c.pend.blk
-	c.node.SendCtrl(m, c.bankNode(c.pend.blk), now)
+	c.node.SendHome(m, now)
 	c.pend.issued = true
 }
 
@@ -159,7 +147,7 @@ func (c *MESICache) Load(now uint64, addr uint32) (uint32, bool) {
 		c.st.LoadHits++
 		return c.arr.readWord(set, waddr), true
 	}
-	blk := c.p.BlockAddr(addr)
+	blk := BlockAddr(addr)
 	if c.arr.state[c.arr.victim(blk)].Dirty() && c.evict.active {
 		return 0, false // stall until the eviction buffer frees
 	}
@@ -205,7 +193,7 @@ func (c *MESICache) write(now uint64, addr, word uint32, isSwap bool) (uint32, b
 		c.pend = mesiPending{}
 		return old, true
 	}
-	waddr, blk := WordAddr(addr), c.p.BlockAddr(addr)
+	waddr, blk := WordAddr(addr), BlockAddr(addr)
 	set, hit := c.arr.lookup(addr)
 	if !hit && c.arr.state[c.arr.victim(blk)].Dirty() && c.evict.active {
 		return 0, false // stall until the eviction buffer frees
@@ -283,13 +271,13 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 			done.Kind = RspC2CDone
 			done.Src = c.id
 			done.Addr = m.Addr
-			c.node.SendCtrl(done, c.bankNode(m.Addr), now)
+			c.node.SendHome(done, now)
 		}
 		st := Shared
 		if m.Excl {
 			st = Exclusive
 		}
-		set := c.arr.fill(m.Addr, st, m.Data)
+		set := c.arr.fill(m.Addr, st, m.Data[:])
 		c.completePend(now, m.Addr)
 		if c.pend.apply {
 			if !m.Excl {
@@ -327,7 +315,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		ack.Kind = RspInvAck
 		ack.Src = c.id
 		ack.Addr = m.Addr
-		c.node.SendCtrl(ack, c.bankNode(m.Addr), now)
+		c.node.SendHome(ack, now)
 	case CmdFetch, CmdFetchInval:
 		c.st.FetchesServed++
 		rsp := c.node.NewMsg()
@@ -344,8 +332,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 				// requester. For an exclusive transfer (and for an
 				// Owned retention) the memory copy is skipped; a MESI
 				// shared downgrade must still refresh memory so all
-				// clean copies agree with it. Each message carries its
-				// own copy of the line (pool contract: no sharing).
+				// clean copies agree with it.
 				c.st.C2CTransfers++
 				fwd := c.node.NewMsg()
 				fwd.Kind = RspData
@@ -353,19 +340,16 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 				fwd.Addr = m.Addr
 				fwd.Excl = m.Kind == CmdFetchInval
 				fwd.Forwarded = true
-				fwd.ensureData(c.p.BlockBytes)
-				copy(fwd.Data, c.arr.lineData(set))
+				copy(fwd.Data[:], c.arr.lineData(set))
 				c.node.SendCtrl(fwd, m.Fwd, now)
 				rsp.Forwarded = true
 				if m.Kind == CmdFetch && !retain {
-					rsp.ensureData(c.p.BlockBytes)
-					copy(rsp.Data, c.arr.lineData(set))
+					copy(rsp.Data[:], c.arr.lineData(set))
 				} else {
 					rsp.NoData = true
 				}
 			} else {
-				rsp.ensureData(c.p.BlockBytes)
-				copy(rsp.Data, c.arr.lineData(set))
+				copy(rsp.Data[:], c.arr.lineData(set))
 			}
 			rsp.RetainOwner = retain
 			switch {
@@ -385,7 +369,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 			// made it one (E, M or O), on the same FIFO channel.
 			rsp.NoData = true
 		}
-		c.node.SendCtrl(rsp, c.bankNode(m.Addr), now)
+		c.node.SendHome(rsp, now)
 	default:
 		panic(fmt.Sprintf("coherence: MESI cache %d: unhandled %v", c.id, m))
 	}

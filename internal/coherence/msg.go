@@ -79,11 +79,11 @@ type Msg struct {
 	// Src is the node id of the original requester (so directories can
 	// route responses) or of the responding cache for Rsp* kinds.
 	Src    int
-	Addr   uint32 // block-aligned for block operations, word-aligned for word operations
-	Word   uint32 // word payload (write-through data, swap operand, swap result)
-	Data   []byte // block payload for data-bearing messages
-	Excl   bool   // RspData: exclusivity granted
-	NoData bool   // RspFetch: owner no longer holds the block
+	Addr   uint32           // block-aligned for block operations, word-aligned for word operations
+	Word   uint32           // word payload (write-through data, swap operand, swap result)
+	Data   [BlockBytes]byte // block payload for data-bearing messages
+	Excl   bool             // RspData: exclusivity granted
+	NoData bool             // RspFetch: owner no longer holds the block
 	// Cache-to-cache transfer (the optimization the paper suggests):
 	// HasFwd marks a Cmd{Fetch,FetchInval} carrying the requester id in
 	// Fwd, asking the owner to send the data straight to it; Forwarded
@@ -109,24 +109,13 @@ func (m *Msg) WireBytes() int {
 	case ReqWriteThrough, ReqSwap, RspSwap, CmdUpdate:
 		n += 4
 	case ReqWriteBack, RspData, RspIData:
-		n += len(m.Data)
+		n += BlockBytes
 	case RspFetch:
 		if !m.NoData {
-			n += len(m.Data)
+			n += BlockBytes
 		}
 	}
 	return n
-}
-
-// ensureData sizes m.Data to n bytes, reusing the buffer a pooled
-// message kept through recycling and growing it only on first use (or
-// on a block-size change, which no configuration does mid-run).
-func (m *Msg) ensureData(n int) {
-	if cap(m.Data) < n {
-		m.Data = make([]byte, n)
-		return
-	}
-	m.Data = m.Data[:n]
 }
 
 func (m *Msg) String() string {
@@ -136,6 +125,6 @@ func (m *Msg) String() string {
 // Fingerprint appends every field of the message to e.
 func (m *Msg) Fingerprint(e *Enc) {
 	e.U32(uint32(m.Kind), uint32(m.Src), m.Addr, m.Word, uint32(m.Fwd))
-	e.Bytes(m.Data)
+	e.Bytes(m.Data[:])
 	e.Bools(m.Excl, m.NoData, m.HasFwd, m.Forwarded, m.RetainOwner)
 }

@@ -9,11 +9,12 @@ package coherence
 //
 //	pool → outbound port → NoC → receiver sink → pool
 //
-// A message in flight is owned by the network and never written; after
-// HandleMsg returns, the receiver owns it exclusively and may recycle
-// it. Handlers therefore must not retain the pointer (they copy what
-// they need — see memctrl.go's value-typed directory state), nor may
-// Node.Trace, which fires before the recycle point.
+// A message in flight is owned by the network and never written; the
+// receiving node recycles it the moment HandleMsg returns. The one rule
+// is therefore: never retain the *Msg — not in a handler, nor in
+// Node.Trace, which fires before the recycle point. A Msg holds no
+// pointer (its block travels by value), so a value copy, such as
+// memctrl.go's directory keeps, is always safe.
 type msgPool struct {
 	free []*Msg
 }
@@ -32,11 +33,8 @@ func (p *msgPool) get() *Msg {
 	return &Msg{}
 }
 
-// put recycles m. The data buffer's backing array survives the reset so
-// a block-carrying reuse skips the make as well as the Msg allocation.
+// put recycles m.
 func (p *msgPool) put(m *Msg) {
-	d := m.Data[:0]
 	*m = Msg{}
-	m.Data = d
 	p.free = append(p.free, m)
 }

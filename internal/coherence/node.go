@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -38,6 +39,10 @@ type Node struct {
 	sink Sink
 	outQ sim.Port[outMsg]
 	pool *msgPool // shared by every node of a Hierarchy
+	// amap and bankBase route a CPU-side node's SendHome: bank b is
+	// node bankBase+b. A bank's node leaves them unset.
+	amap     *mem.AddrMap
+	bankBase int
 
 	recvVeto uint64 // the cycle after the latest consumed delivery (RecvVeto)
 
@@ -101,6 +106,13 @@ func (n *Node) NewMsg() *Msg { return n.pool.get() }
 // request-class sender asks CanSendReq first, before it draws the Msg.
 func (n *Node) SendCtrl(m *Msg, dst int, notBefore uint64) {
 	n.outQ.Send(outMsg{dst: dst, msg: m}, notBefore)
+}
+
+// SendHome enqueues m for the bank that is home to m.Addr, the
+// destination of every message a CPU's caches send but MESI's
+// cache-to-cache forward.
+func (n *Node) SendHome(m *Msg, notBefore uint64) {
+	n.SendCtrl(m, n.bankBase+n.amap.BankOf(m.Addr), notBefore)
 }
 
 // CanSendReq reports whether a request-class message is admitted this

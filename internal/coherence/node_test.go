@@ -186,17 +186,16 @@ func TestCPUSinkRouting(t *testing.T) {
 	net := noc.NewGMN(noc.DefaultGMNConfig(2))
 	sink := &CPUSink{}
 	node := NewNode(0, net, sink)
-	amap := mem.NewAddrMap(1)
-	amap.AddRegion(mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: []int{0}})
-	dc := newWriteThroughCache(WTI, 0, p, node, amap, 1)
-	ic := newICache(0, p, node, amap, 1, codeStore{})
+	node.amap, node.bankBase = mem.NewAddrMap(1), 1
+	node.amap.AddRegion(mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: []int{0}})
+	dc := newWriteThroughCache(WTI, 0, p, node)
+	ic := newICache(0, p, node, codeStore{})
 	sink.D = dc
 	sink.I = ic
 
 	// An instruction response goes to the icache...
 	ic.Line(0, rigBase) // start a pending refill so the handler accepts
-	blk := make([]byte, p.BlockBytes)
-	sink.HandleMsg(&Msg{Kind: RspIData, Addr: rigBase, Data: blk}, 1)
+	sink.HandleMsg(&Msg{Kind: RspIData, Addr: rigBase}, 1)
 	if !ic.Drained() {
 		t.Fatal("icache did not receive its refill")
 	}

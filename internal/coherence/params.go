@@ -3,8 +3,6 @@ package coherence
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/mem"
 )
 
 // Protocol selects the memory write policy under study: an index into
@@ -43,8 +41,8 @@ type ProtocolRow struct {
 	// Name is the paper's label; the CLIs take it in lower case.
 	Name string
 	// New builds the policy's data-cache controller for CPU id, whose
-	// port is node and whose banks are nodes bankBase, bankBase+1, ….
-	New func(proto Protocol, id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) DataCache
+	// port is node.
+	New func(proto Protocol, id int, p Params, node *Node) DataCache
 	// ForcesC2C marks a policy that only works with cache-to-cache
 	// transfers: NewHierarchy switches Params.CacheToCache on for it.
 	ForcesC2C bool
@@ -91,12 +89,17 @@ func ParseProtocol(name string) (Protocol, error) {
 	return 0, fmt.Errorf("unknown protocol %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
+// BlockBytes is the cache block size, fixed by the paper's platform
+// (Table 2: 32 bytes); blockShift is its base-2 logarithm.
+const (
+	BlockBytes = 32
+	blockShift = 5
+)
+
 // Params collects the memory-hierarchy parameters shared by every
 // controller. Defaults mirror the paper's Table 2.
 type Params struct {
 	NumCPUs int
-	// BlockBytes is the cache block size (Table 2: 32 bytes).
-	BlockBytes int
 	// DCacheBytes / ICacheBytes are the cache sizes (Table 2: 4 KiB each).
 	DCacheBytes int
 	ICacheBytes int
@@ -136,7 +139,6 @@ type Params struct {
 func DefaultParams(n int) Params {
 	return Params{
 		NumCPUs:          n,
-		BlockBytes:       32,
 		DCacheBytes:      4096,
 		ICacheBytes:      4096,
 		Ways:             1,
@@ -151,15 +153,13 @@ func (p Params) Validate() error {
 	switch {
 	case p.NumCPUs < 1 || p.NumCPUs > 64:
 		return fmt.Errorf("coherence: NumCPUs %d outside 1..64 (the full-map directory uses a 64-bit sharer set)", p.NumCPUs)
-	case p.BlockBytes < 4 || p.BlockBytes&(p.BlockBytes-1) != 0:
-		return fmt.Errorf("coherence: BlockBytes %d must be a power of two >= 4", p.BlockBytes)
-	case p.DCacheBytes < p.BlockBytes || p.DCacheBytes%p.BlockBytes != 0:
+	case p.DCacheBytes < BlockBytes || p.DCacheBytes%BlockBytes != 0:
 		return fmt.Errorf("coherence: DCacheBytes %d must be a multiple of the block size", p.DCacheBytes)
-	case p.ICacheBytes < p.BlockBytes || p.ICacheBytes%p.BlockBytes != 0:
+	case p.ICacheBytes < BlockBytes || p.ICacheBytes%BlockBytes != 0:
 		return fmt.Errorf("coherence: ICacheBytes %d must be a multiple of the block size", p.ICacheBytes)
-	case p.Ways < 1 || (p.DCacheBytes/p.BlockBytes)%p.Ways != 0 || (p.ICacheBytes/p.BlockBytes)%p.Ways != 0:
+	case p.Ways < 1 || (p.DCacheBytes/BlockBytes)%p.Ways != 0 || (p.ICacheBytes/BlockBytes)%p.Ways != 0:
 		return fmt.Errorf("coherence: Ways %d must divide the line counts", p.Ways)
-	case !isPow2(p.DCacheBytes/p.BlockBytes/p.Ways) || !isPow2(p.ICacheBytes/p.BlockBytes/p.Ways):
+	case !isPow2(p.DCacheBytes/BlockBytes/p.Ways) || !isPow2(p.ICacheBytes/BlockBytes/p.Ways):
 		return fmt.Errorf("coherence: the set counts DCacheBytes/BlockBytes/Ways and ICacheBytes/BlockBytes/Ways must be powers of two")
 	case p.WriteBufferWords < 1:
 		return fmt.Errorf("coherence: WriteBufferWords must be positive")
@@ -172,6 +172,4 @@ func (p Params) Validate() error {
 }
 
 // BlockAddr returns the block-aligned address containing addr.
-func (p Params) BlockAddr(addr uint32) uint32 {
-	return addr &^ uint32(p.BlockBytes-1)
-}
+func BlockAddr(addr uint32) uint32 { return addr &^ (BlockBytes - 1) }

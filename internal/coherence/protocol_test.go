@@ -124,7 +124,7 @@ func (r *rig) swap(cpu int, addr uint32, v uint32) uint32 {
 
 func (r *rig) state(cpu int, addr uint32) LineState {
 	for _, li := range r.DCaches[cpu].Lines() {
-		if li.Addr == DefaultParams(1).BlockAddr(addr) {
+		if li.Addr == BlockAddr(addr) {
 			return li.State
 		}
 	}

@@ -79,13 +79,13 @@ func (w *writeBuffer) Ack(addr uint32) (pushedAt uint64, ok bool) {
 }
 
 // HasUnsentInBlock reports whether any unsent entry targets the block
-// at blockAddr (block size blockBytes). A read miss to such a block
+// at blockAddr. A read miss to such a block
 // must wait for those writes to depart first, or the read would reach
 // the bank ahead of them.
-func (w *writeBuffer) HasUnsentInBlock(blockAddr uint32, blockBytes int) bool {
+func (w *writeBuffer) HasUnsentInBlock(blockAddr uint32) bool {
 	for i := range w.entries {
 		e := &w.entries[i]
-		if !e.sent && e.addr&^uint32(blockBytes-1) == blockAddr {
+		if !e.sent && BlockAddr(e.addr) == blockAddr {
 			return true
 		}
 	}

@@ -97,15 +97,15 @@ func TestWriteBufferNewestWins(t *testing.T) {
 func TestWriteBufferHasUnsentInBlock(t *testing.T) {
 	w := newWriteBuffer(8)
 	w.Push(0, 0x104, 1)
-	if !w.HasUnsentInBlock(0x100, 32) {
+	if !w.HasUnsentInBlock(0x100) {
 		t.Fatal("unsent entry in block not found")
 	}
-	if w.HasUnsentInBlock(0x120, 32) {
+	if w.HasUnsentInBlock(0x120) {
 		t.Fatal("wrong block matched")
 	}
 	e, _ := w.NextToSend()
 	e.sent = true
-	if w.HasUnsentInBlock(0x100, 32) {
+	if w.HasUnsentInBlock(0x100) {
 		t.Fatal("sent entry still reported as unsent")
 	}
 }

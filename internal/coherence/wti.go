@@ -26,14 +26,12 @@ import (
 //   - atomic swap: performed at the bank, blocking, after the write
 //     buffer has drained (it is the synchronization primitive).
 type WTICache struct {
-	id       int // CPU / node id
-	proto    Protocol
-	p        Params
-	arr      *cacheArray
-	wb       *writeBuffer
-	node     *Node
-	amap     *mem.AddrMap
-	bankBase int // node id of bank 0
+	id    int // CPU / node id
+	proto Protocol
+	p     Params
+	arr   *cacheArray
+	wb    *writeBuffer
+	node  *Node
 
 	pend wtiPending
 	st   DCacheStats
@@ -75,16 +73,14 @@ type wtiPending struct {
 
 // newWriteThroughCache builds the write-through controller for CPU id
 // under proto (WTI or WTU); the Protocols table's constructor.
-func newWriteThroughCache(proto Protocol, id int, p Params, node *Node, amap *mem.AddrMap, bankBase int) DataCache {
+func newWriteThroughCache(proto Protocol, id int, p Params, node *Node) DataCache {
 	return &WTICache{
-		id:       id,
-		proto:    proto,
-		p:        p,
-		arr:      newCacheArray(p.DCacheBytes, p.BlockBytes, p.Ways),
-		wb:       newWriteBuffer(p.WriteBufferWords),
-		node:     node,
-		amap:     amap,
-		bankBase: bankBase,
+		id:    id,
+		proto: proto,
+		p:     p,
+		arr:   newCacheArray(p.DCacheBytes, p.Ways),
+		wb:    newWriteBuffer(p.WriteBufferWords),
+		node:  node,
 	}
 }
 
@@ -96,10 +92,6 @@ func (c *WTICache) WBOccupancy() int { return c.wb.Len() }
 
 // Stats implements DataCache.
 func (c *WTICache) Stats() *DCacheStats { return &c.st }
-
-func (c *WTICache) bankNode(addr uint32) int {
-	return c.bankBase + c.amap.BankOf(addr)
-}
 
 // Load implements DataCache.
 func (c *WTICache) Load(now uint64, addr uint32) (uint32, bool) {
@@ -131,8 +123,8 @@ func (c *WTICache) Load(now uint64, addr uint32) (uint32, bool) {
 		c.st.WBForwards++
 		return w, true
 	}
-	blk := c.p.BlockAddr(addr)
-	if c.wb.HasUnsentInBlock(blk, c.p.BlockBytes) {
+	blk := BlockAddr(addr)
+	if c.wb.HasUnsentInBlock(blk) {
 		return 0, false // posted writes to this block must depart first
 	}
 	if !c.pend.active {
@@ -242,7 +234,7 @@ func (c *WTICache) tryIssue(now uint64) {
 	} else {
 		m.Kind = ReqRead
 	}
-	c.node.SendCtrl(m, c.bankNode(c.pend.addr), now)
+	c.node.SendHome(m, now)
 	c.pend.issued = true
 }
 
@@ -256,7 +248,7 @@ func (c *WTICache) Tick(now uint64) {
 		m.Src = c.id
 		m.Addr = e.addr
 		m.Word = e.word
-		c.node.SendCtrl(m, c.bankNode(e.addr), now)
+		c.node.SendHome(m, now)
 		e.sent = true
 		c.sendVeto = now + 1
 	}
@@ -291,7 +283,7 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 		if !c.pend.active || c.pend.isSwap || c.pend.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: WTI cache %d: unexpected %v", c.id, m))
 		}
-		c.arr.fill(m.Addr, Shared, m.Data)
+		c.arr.fill(m.Addr, Shared, m.Data[:])
 		c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatReadMiss, c.pend.begin, now, m.Addr)
 		c.pend = wtiPending{}
 	case RspWriteAck:
@@ -335,7 +327,7 @@ func (c *WTICache) sendInvAck(addr uint32, now uint64) {
 	m.Kind = RspInvAck
 	m.Src = c.id
 	m.Addr = addr
-	c.node.SendCtrl(m, c.bankNode(addr), now)
+	c.node.SendHome(m, now)
 }
 
 // Drained implements DataCache.

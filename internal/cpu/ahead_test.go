@@ -299,7 +299,7 @@ func tickOrPanic(c *CPU, now uint64) (msg string) {
 // many load hits of the per-cycle core.
 func TestRunAheadMatchesPerCycleTicks(t *testing.T) {
 	const seeds, maxCycles = 300, 1500
-	var ahead, bursts, slept, panics, charged, crossed uint64
+	var ahead, bursts, slept, panics, charged, crossed, spins, spinSeeds uint64
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := rigProgram(rng)
@@ -359,11 +359,14 @@ func TestRunAheadMatchesPerCycleTicks(t *testing.T) {
 		}
 		a, b := dut.Ahead()
 		ahead, bursts, charged, crossed = ahead+a, bursts+b, charged+dp.charged, crossed+dp.crossed
+		if s, _ := dut.Spun(); s > 0 {
+			spins, spinSeeds = spins+s, spinSeeds+1
+		}
 	}
-	t.Logf("%d instructions ahead of the clock in %d bursts, %d I-lines crossed, %d sleeps, %d hits charged, %d runs ended in a panic",
-		ahead, bursts, crossed, slept, charged, panics)
-	if ahead == 0 || bursts == 0 || crossed == 0 || slept == 0 || charged == 0 || panics == 0 {
-		t.Fatal("the rig never ran ahead, never crossed a line, never slept, never charged a hit or never reached a panic: vacuous")
+	t.Logf("%d instructions ahead of the clock in %d bursts, %d I-lines crossed, %d sleeps (%d in a spin, on %d of %d seeds), %d hits charged, %d runs ended in a panic",
+		ahead, bursts, crossed, slept, spins, spinSeeds, seeds, charged, panics)
+	if ahead == 0 || bursts == 0 || crossed == 0 || slept == 0 || spins == 0 || charged == 0 || panics == 0 {
+		t.Fatal("the rig never ran ahead, never crossed a line, never slept in a spin, never charged a hit or never reached a panic: vacuous")
 	}
 }
 

@@ -20,7 +20,7 @@ func Table2(sizes []int) *stats.Table {
 		g := noc.DefaultGMNConfig(nodes1)
 		t.AddRow(n,
 			mem.Arch1.NumBanks(n), mem.Arch2.NumBanks(n),
-			p.DCacheBytes, p.ICacheBytes, p.BlockBytes,
+			p.DCacheBytes, p.ICacheBytes, coherence.BlockBytes,
 			"direct", p.WriteBufferWords, g.Delay)
 	}
 	return t

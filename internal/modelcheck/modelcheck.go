@@ -81,11 +81,8 @@ const (
 	wbWords = 2
 )
 
-// blockBytes is the scope's block size; scoped word i is the first word
-// of block i from scopeBase.
-var blockBytes = coherence.DefaultParams(1).BlockBytes
-
-func scopeAddr(i int) uint32 { return scopeBase + uint32(i*blockBytes) }
+// scopeAddr is scoped word i: the first word of block i from scopeBase.
+func scopeAddr(i int) uint32 { return scopeBase + uint32(i*coherence.BlockBytes) }
 
 // DefaultScope returns the standard small scope for a protocol:
 // 2 CPUs, 1 bank, 1 shared word, values {1,2}, swap enabled,

@@ -73,8 +73,8 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 	// The drivers never fetch, and a world is rebuilt for every replay:
 	// one instruction line, and one data line per scoped block (rounded
 	// up to a power of two), keep the caches out of the allocator.
-	p.ICacheBytes = p.BlockBytes
-	p.DCacheBytes = p.BlockBytes << bits.Len(uint(sc.Addrs-1))
+	p.ICacheBytes = coherence.BlockBytes
+	p.DCacheBytes = coherence.BlockBytes << bits.Len(uint(sc.Addrs-1))
 	amap := mem.NewAddrMap(sc.Banks)
 	banks := make([]int, sc.Banks)
 	for i := range banks {
@@ -82,7 +82,7 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 	}
 	region := mem.Region{Name: "scope", Base: scopeBase, Size: 1 << 20, Banks: banks}
 	if sc.Banks > 1 {
-		region.Granule = uint32(p.BlockBytes)
+		region.Granule = coherence.BlockBytes
 	}
 	amap.AddRegion(region)
 
@@ -110,7 +110,7 @@ func newWorld(sc *Scope, ops []op, values []uint32) *world {
 	return w
 }
 
-func addrIndex(addr uint32) int { return int(addr-scopeBase) / blockBytes }
+func addrIndex(addr uint32) int { return int(addr-scopeBase) / coherence.BlockBytes }
 
 // step advances the world one cycle under the given joint choice: the
 // CPUs' operations first, then the hierarchy's own cycle
