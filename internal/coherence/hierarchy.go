@@ -27,7 +27,7 @@ type Hierarchy struct {
 	space *mem.Space
 	amap  *mem.AddrMap
 	code  codeStore // the one decoded copy of the program the ICaches share
-	pool  msgPool   // the one Msg free list every port draws from
+	msgs  msgSlab   // every message between its send and its delivery
 }
 
 // NewHierarchy builds the hierarchy for p.NumCPUs caches running proto
@@ -54,15 +54,13 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 		// The node needs the controller as its sink and the controller
 		// its node to answer through, hence the two phases.
 		mc := NewMemCtrl(b, n+b, p, proto, space)
-		h.BNodes[b] = NewNode(n+b, net, mc)
-		h.BNodes[b].pool = &h.pool
+		h.BNodes[b] = newNode(n+b, net, mc, &h.msgs)
 		mc.SetNode(h.BNodes[b])
 		h.Banks[b] = mc
 	}
 	for i := range h.DCaches {
 		sink := &CPUSink{}
-		h.Nodes[i] = NewNode(i, net, sink)
-		h.Nodes[i].pool = &h.pool
+		h.Nodes[i] = newNode(i, net, sink, &h.msgs)
 		h.Nodes[i].amap, h.Nodes[i].bankBase = amap, n
 		h.DCaches[i] = row.New(proto, i, p, h.Nodes[i])
 		h.ICaches[i] = newICache(i, p, h.Nodes[i], h.code)
@@ -70,6 +68,11 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 	}
 	return h
 }
+
+// InFlight returns the message packet p carries while p is in flight on
+// h's network: sent, not yet delivered. A duplicate a fault plan made
+// of it outlives that; the network discards it unread.
+func (h *Hierarchy) InFlight(p noc.Packet) *Msg { return &h.msgs.msgs[p.Ref] }
 
 // SeedCode decodes the code loaded at base, as memory holds it, ahead
 // of the run, so the fills of an unmodified program allocate nothing.

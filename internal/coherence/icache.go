@@ -102,11 +102,7 @@ func (c *ICache) tryIssue(now uint64) {
 	if !c.pendActive || c.pendIssued || !c.node.CanSendReq() {
 		return
 	}
-	m := c.node.NewMsg()
-	m.Kind = ReqIFetch
-	m.Src = c.id
-	m.Addr = c.pendAddr
-	c.node.SendHome(m, now)
+	c.node.SendHome(Msg{Kind: ReqIFetch, Src: c.id, Addr: c.pendAddr}, now)
 	c.pendIssued = true
 }
 

@@ -59,11 +59,7 @@ func (c *refICache) tryIssue(now uint64) {
 	if !c.pendActive || c.pendIssued || !c.node.CanSendReq() {
 		return
 	}
-	m := c.node.NewMsg()
-	m.Kind = ReqIFetch
-	m.Src = c.id
-	m.Addr = c.pendAddr
-	c.node.SendCtrl(m, c.bankBase+c.amap.BankOf(c.pendAddr), now)
+	c.node.SendCtrl(Msg{Kind: ReqIFetch, Src: c.id, Addr: c.pendAddr}, c.bankBase+c.amap.BankOf(c.pendAddr), now)
 	c.pendIssued = true
 }
 

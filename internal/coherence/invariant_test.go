@@ -141,7 +141,7 @@ func TestBankFingerprintSortsEntries(t *testing.T) {
 // and requires the encoding to change: a field added to Msg and left
 // out of Fingerprint fails here instead of merging states that differ.
 // Only scalar and byte-array fields have a value here, so a Msg also
-// stays pointer-free: no copy of one can alias a pooled message.
+// stays pointer-free: no copy of one can alias a message in the slab.
 func TestMsgFingerprintCoversEveryField(t *testing.T) {
 	var zero Enc
 	(&Msg{}).Fingerprint(&zero)

@@ -39,9 +39,8 @@ type dirEntry struct {
 	busy bool
 	kind MsgKind // transaction being completed
 	// req is a value copy of the original request awaiting completion:
-	// the delivered *Msg is recycled into the hierarchy's pool the
-	// moment HandleMsg returns, so the directory may never retain the
-	// pointer.
+	// the delivered *Msg is the node's receive buffer, overwritten by
+	// the next delivery, so the directory may never retain the pointer.
 	req         Msg
 	fetchTarget int16 // owner a Cmd{Fetch,FetchInval} was sent to
 	waitAcks    int
@@ -143,13 +142,9 @@ func (mc *MemCtrl) entry(blk uint32) *dirEntry {
 	return e
 }
 
-// newCtrl draws a pooled message and stamps the bank as its source.
-func (mc *MemCtrl) newCtrl(kind MsgKind, addr uint32) *Msg {
-	m := mc.node.NewMsg()
-	m.Kind = kind
-	m.Src = mc.nodeID
-	m.Addr = addr
-	return m
+// newCtrl returns a message from the bank.
+func (mc *MemCtrl) newCtrl(kind MsgKind, addr uint32) Msg {
+	return Msg{Kind: kind, Src: mc.nodeID, Addr: addr}
 }
 
 func serviceCost(k MsgKind, memService int) int {

@@ -93,11 +93,7 @@ func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) {
 	line := c.arr.victim(blk)
 	if c.arr.state[line].Dirty() {
 		victim := c.arr.blockAddr(line)
-		wb := c.node.NewMsg()
-		wb.Kind = ReqWriteBack
-		wb.Src = c.id
-		wb.Addr = victim
-		copy(wb.Data[:], c.arr.lineData(line))
+		wb := Msg{Kind: ReqWriteBack, Src: c.id, Addr: victim, Data: [BlockBytes]byte(c.arr.lineData(line))}
 		c.evict = mesiEvict{active: true, addr: victim, begin: now}
 		c.arr.state[line] = Invalid
 		c.st.Writebacks++
@@ -128,11 +124,7 @@ func (c *MESICache) tryIssue(now uint64) {
 	if !c.pend.active || c.pend.issued || !c.node.CanSendReq() {
 		return
 	}
-	m := c.node.NewMsg()
-	m.Kind = c.pend.kind
-	m.Src = c.id
-	m.Addr = c.pend.blk
-	c.node.SendHome(m, now)
+	c.node.SendHome(Msg{Kind: c.pend.kind, Src: c.id, Addr: c.pend.blk}, now)
 	c.pend.issued = true
 }
 
@@ -267,11 +259,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 			// Cache-to-cache delivery: tell the directory the transfer
 			// landed so it can close the transaction (a racing
 			// invalidation must not overtake this data).
-			done := c.node.NewMsg()
-			done.Kind = RspC2CDone
-			done.Src = c.id
-			done.Addr = m.Addr
-			c.node.SendHome(done, now)
+			c.node.SendHome(Msg{Kind: RspC2CDone, Src: c.id, Addr: m.Addr}, now)
 		}
 		st := Shared
 		if m.Excl {
@@ -311,17 +299,10 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		if c.arr.invalidate(m.Addr) {
 			c.st.CopiesDropped++
 		}
-		ack := c.node.NewMsg()
-		ack.Kind = RspInvAck
-		ack.Src = c.id
-		ack.Addr = m.Addr
-		c.node.SendHome(ack, now)
+		c.node.SendHome(Msg{Kind: RspInvAck, Src: c.id, Addr: m.Addr}, now)
 	case CmdFetch, CmdFetchInval:
 		c.st.FetchesServed++
-		rsp := c.node.NewMsg()
-		rsp.Kind = RspFetch
-		rsp.Src = c.id
-		rsp.Addr = m.Addr
+		rsp := Msg{Kind: RspFetch, Src: c.id, Addr: m.Addr}
 		if set, hit := c.arr.lookup(m.Addr); hit && c.arr.state[set] >= Owned {
 			// MOESI: a dirty block fetched for reading stays here in
 			// Owned state; memory is not refreshed and this cache keeps
@@ -334,14 +315,8 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 				// shared downgrade must still refresh memory so all
 				// clean copies agree with it.
 				c.st.C2CTransfers++
-				fwd := c.node.NewMsg()
-				fwd.Kind = RspData
-				fwd.Src = c.id
-				fwd.Addr = m.Addr
-				fwd.Excl = m.Kind == CmdFetchInval
-				fwd.Forwarded = true
-				copy(fwd.Data[:], c.arr.lineData(set))
-				c.node.SendCtrl(fwd, m.Fwd, now)
+				c.node.SendCtrl(Msg{Kind: RspData, Src: c.id, Addr: m.Addr, Excl: m.Kind == CmdFetchInval,
+					Forwarded: true, Data: [BlockBytes]byte(c.arr.lineData(set))}, m.Fwd, now)
 				rsp.Forwarded = true
 				if m.Kind == CmdFetch && !retain {
 					copy(rsp.Data[:], c.arr.lineData(set))

@@ -1,40 +1,39 @@
 package coherence
 
-// msgPool is the free list of protocol messages, one per Hierarchy: a
-// node draws what it sends from it (Node.NewMsg) and the *receiving*
-// node recycles it once its sink has consumed it (Node.Tick). Per-node
-// lists would grow at the banks while a cache-to-cache protocol's
-// caches, which send more than they receive, kept allocating.
-// The ownership hand-off is strict and one-way:
+// msgSlab holds every protocol message between its send and its
+// delivery, one slab per Hierarchy shared by every port. SendCtrl
+// stores the message in a slot; the outbound port, and then the
+// packet on the wire (noc.Packet.Ref), carry only the slot number; the
+// receiving node copies the message out into its rx buffer and frees
+// the slot before its sink sees it (Node.Tick). A message is therefore
+// never written in flight, and a packet holds no pointer.
 //
-//	pool → outbound port → NoC → receiver sink → pool
-//
-// A message in flight is owned by the network and never written; the
-// receiving node recycles it the moment HandleMsg returns. The one rule
-// is therefore: never retain the *Msg — not in a handler, nor in
-// Node.Trace, which fires before the recycle point. A Msg holds no
-// pointer (its block travels by value), so a value copy, such as
-// memctrl.go's directory keeps, is always safe.
-type msgPool struct {
-	free []*Msg
+// One slab serves every port, so a slot names the same message at both
+// ends of the wire, and the slots the banks free are the ones a
+// cache-to-cache protocol's caches, which send more than they receive,
+// take next. The slot numbers a run hands out never steer it: nothing
+// orders, fingerprints or reports by them.
+type msgSlab struct {
+	msgs []Msg
+	free []uint32
 }
 
-// get returns a zeroed message, reusing a recycled one when available.
-// The &Msg{} literal here is the single allocation site the pool leaves
-// on the send path: it runs only while the pool grows toward the
-// steady-state working set, after which every send is a reuse.
-func (p *msgPool) get() *Msg {
-	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return m
+// put stores m in a free slot and returns it. The append runs only
+// while the slab grows toward the machine's peak in-flight count, after
+// which every send reuses a freed slot.
+func (s *msgSlab) put(m Msg) uint32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.msgs[i] = m
+		return i
 	}
-	return &Msg{}
+	s.msgs = append(s.msgs, m)
+	return uint32(len(s.msgs) - 1)
 }
 
-// put recycles m.
-func (p *msgPool) put(m *Msg) {
-	*m = Msg{}
-	p.free = append(p.free, m)
+// take frees slot i and returns its message.
+func (s *msgSlab) take(i uint32) Msg {
+	s.free = append(s.free, i)
+	return s.msgs[i]
 }

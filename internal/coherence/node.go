@@ -12,13 +12,15 @@ import (
 type Sink interface {
 	// Accept reports whether the sink can take one more message now.
 	Accept(now uint64) bool
-	// HandleMsg processes a delivered message.
+	// HandleMsg processes a delivered message. m is the node's receive
+	// buffer, overwritten by the next delivery: a sink that keeps the
+	// message keeps a copy.
 	HandleMsg(m *Msg, now uint64)
 }
 
 type outMsg struct {
-	dst int
-	msg *Msg
+	dst  int
+	slot uint32 // in the hierarchy's msgSlab
 }
 
 // Node is one NoC endpoint: the single network port shared by a CPU's
@@ -38,7 +40,8 @@ type Node struct {
 	net  noc.Network
 	sink Sink
 	outQ sim.Port[outMsg]
-	pool *msgPool // shared by every node of a Hierarchy
+	msgs *msgSlab // shared by every node of a Hierarchy
+	rx   Msg      // the delivered message the sink is handling
 	// amap and bankBase route a CPU-side node's SendHome: bank b is
 	// node bankBase+b. A bank's node leaves them unset.
 	amap     *mem.AddrMap
@@ -64,7 +67,8 @@ type Node struct {
 	retryErr error
 
 	// Trace, when non-nil, is the node's one message hook: every message
-	// it injects ("tx", to peer) and receives ("rx", from peer).
+	// it injects ("tx", to peer) and receives ("rx", from peer). Like a
+	// sink, it must not retain m.
 	Trace func(now uint64, dir string, self, peer int, m *Msg)
 
 	// Obs, when attached, records the retry latency of lost transfers.
@@ -76,12 +80,12 @@ type Node struct {
 	BackoffCycles uint64
 }
 
-// NewNode attaches a node to the network. If the network reports
-// transfer losses (noc.DropNotifier — the fault-injection wrapper
-// does), the node arms its retransmission state machine with
-// DefaultRetryPolicy.
-func NewNode(id int, net noc.Network, sink Sink) *Node {
-	n := &Node{ID: id, net: net, sink: sink, pool: new(msgPool), Retry: DefaultRetryPolicy}
+// newNode attaches a node to the network, sending through msgs, the
+// slab its peers share. If the network reports transfer losses
+// (noc.DropNotifier — the fault-injection wrapper does), the node arms
+// its retransmission state machine with DefaultRetryPolicy.
+func newNode(id int, net noc.Network, sink Sink, msgs *msgSlab) *Node {
+	n := &Node{ID: id, net: net, sink: sink, msgs: msgs, Retry: DefaultRetryPolicy}
 	n.drops, _ = net.(noc.DropNotifier)
 	return n
 }
@@ -93,25 +97,20 @@ func (n *Node) RetryErr() error { return n.retryErr }
 // AtBudget reports whether the port's next loss spends its budget (or one did).
 func (n *Node) AtBudget() bool { return n.attempts >= n.Retry.Budget }
 
-// NewMsg returns a zeroed message owned by the caller, drawn from the
-// hierarchy's free list. The caller fills it and hands ownership to the
-// outbound port via SendCtrl; it is recycled by the receiving node
-// after consumption. It runs on every protocol send: hot path.
-//
-//lint:hot
-func (n *Node) NewMsg() *Msg { return n.pool.get() }
-
 // SendCtrl enqueues m for dst, not injectable before cycle notBefore.
 // It admits every message: a control-class sender never waits, and a
-// request-class sender asks CanSendReq first, before it draws the Msg.
-func (n *Node) SendCtrl(m *Msg, dst int, notBefore uint64) {
-	n.outQ.Send(outMsg{dst: dst, msg: m}, notBefore)
+// request-class sender asks CanSendReq first. It runs on every protocol
+// send: hot path.
+//
+//lint:hot
+func (n *Node) SendCtrl(m Msg, dst int, notBefore uint64) {
+	n.outQ.Send(outMsg{dst: dst, slot: n.msgs.put(m)}, notBefore)
 }
 
 // SendHome enqueues m for the bank that is home to m.Addr, the
 // destination of every message a CPU's caches send but MESI's
 // cache-to-cache forward.
-func (n *Node) SendHome(m *Msg, notBefore uint64) {
+func (n *Node) SendHome(m Msg, notBefore uint64) {
 	n.SendCtrl(m, n.bankBase+n.amap.BankOf(m.Addr), notBefore)
 }
 
@@ -138,14 +137,13 @@ func (n *Node) Tick(now uint64) uint64 {
 		if !ok {
 			break
 		}
-		msg := m.Payload.(*Msg)
+		// The copy frees the slot before the handler runs: its sends
+		// may grow the slab, which would move a message read in place.
+		n.rx = n.msgs.take(m.Ref)
 		if n.Trace != nil {
-			n.Trace(now, "rx", n.ID, m.Src, msg)
+			n.Trace(now, "rx", n.ID, m.Src, &n.rx)
 		}
-		n.sink.HandleMsg(msg, now)
-		// HandleMsg never retains the pointer (the pool's ownership
-		// contract), so the message recycles into the shared free list.
-		n.pool.put(msg)
+		n.sink.HandleMsg(&n.rx, now)
 		n.recvVeto = now + 1
 	}
 	// Send, preserving FIFO order (the port enforces it even when a
@@ -163,7 +161,8 @@ func (n *Node) Tick(now uint64) uint64 {
 			n.BackoffCycles++
 			break
 		}
-		pkt := noc.Packet{Src: n.ID, Dst: head.dst, Bytes: head.msg.WireBytes(), Payload: head.msg}
+		msg := &n.msgs.msgs[head.slot]
+		pkt := noc.Packet{Src: n.ID, Dst: head.dst, Bytes: msg.WireBytes(), Ref: head.slot}
 		if !n.net.Inject(pkt, now) {
 			if n.drops != nil && n.drops.TookDrop(n.ID) {
 				n.transferLost(*head, now)
@@ -177,7 +176,7 @@ func (n *Node) Tick(now uint64) uint64 {
 			n.attempts = 0
 		}
 		if n.Trace != nil {
-			n.Trace(now, "tx", n.ID, head.dst, head.msg)
+			n.Trace(now, "tx", n.ID, head.dst, msg)
 		}
 		n.outQ.Recv(now)
 	}
@@ -240,8 +239,9 @@ func (n *Node) transferLost(head outMsg, now uint64) {
 	n.attempts++
 	n.Retransmits++
 	if n.attempts > n.Retry.Budget && n.retryErr == nil {
-		n.retryErr = &LivenessError{Node: n.ID, Dst: head.dst, Kind: head.msg.Kind,
-			Addr: head.msg.Addr, Attempts: n.attempts, Cycle: now}
+		m := &n.msgs.msgs[head.slot]
+		n.retryErr = &LivenessError{Node: n.ID, Dst: head.dst, Kind: m.Kind,
+			Addr: m.Addr, Attempts: n.attempts, Cycle: now}
 	}
 	n.nextTry = now + n.Retry.Backoff(n.attempts)
 }
@@ -257,6 +257,6 @@ func (n *Node) Fingerprint(e *Enc, now uint64) {
 	n.outQ.Each(func(at uint64, m outMsg) {
 		e.U32(uint32(m.dst))
 		e.U64(max(at, now) - now)
-		m.msg.Fingerprint(e)
+		n.msgs.msgs[m.slot].Fingerprint(e)
 	})
 }

@@ -3,13 +3,14 @@ package coherence
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/noc"
 )
 
-// recordSink collects delivered messages. It copies them: the node
-// recycles the delivered *Msg into its pool after HandleMsg returns,
-// so retaining the pointer would observe the recycled reuse.
+// recordSink collects delivered messages. It copies them: the
+// delivered *Msg is the node's receive buffer, which the next delivery
+// overwrites.
 type recordSink struct {
 	accept bool
 	msgs   []Msg
@@ -19,19 +20,20 @@ func (s *recordSink) Accept(now uint64) bool       { return s.accept }
 func (s *recordSink) HandleMsg(m *Msg, now uint64) { s.msgs = append(s.msgs, *m) }
 
 func TestNodeOutboundFIFOOrder(t *testing.T) {
+	msgs := new(msgSlab)
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 2, FIFODepth: 8, SrcDepth: 4})
 	sinks := []*recordSink{{accept: true}, {accept: true}}
-	n0 := NewNode(0, net, sinks[0])
-	n1 := NewNode(1, net, sinks[1])
+	n0 := newNode(0, net, sinks[0], msgs)
+	n1 := newNode(1, net, sinks[1], msgs)
 
 	// Interleave ctrl and request sends: wire order must match enqueue
 	// order regardless of class.
-	n0.SendCtrl(&Msg{Kind: RspInvAck, Addr: 1}, 1, 0)
+	n0.SendCtrl(Msg{Kind: RspInvAck, Addr: 1}, 1, 0)
 	if !n0.CanSendReq() {
 		t.Fatal("request refused below bound")
 	}
-	n0.SendCtrl(&Msg{Kind: ReqRead, Addr: 2}, 1, 0)
-	n0.SendCtrl(&Msg{Kind: RspInvAck, Addr: 3}, 1, 0)
+	n0.SendCtrl(Msg{Kind: ReqRead, Addr: 2}, 1, 0)
+	n0.SendCtrl(Msg{Kind: RspInvAck, Addr: 3}, 1, 0)
 
 	for cyc := uint64(0); cyc < 100 && len(sinks[1].msgs) < 3; cyc++ {
 		n0.Tick(cyc)
@@ -48,26 +50,98 @@ func TestNodeOutboundFIFOOrder(t *testing.T) {
 	}
 }
 
+// dupWatch sits under a fault layer and counts, per slot, the
+// duplicates on the wire that carry it.
+type dupWatch struct {
+	noc.Network
+	dups map[uint32]int
+}
+
+func (w *dupWatch) Inject(p noc.Packet, now uint64) bool {
+	ok := w.Network.Inject(p, now)
+	if ok && p.Dup {
+		w.dups[p.Ref]++
+	}
+	return ok
+}
+
+func (w *dupWatch) Deliver(node int, now uint64) (noc.Packet, bool) {
+	p, ok := w.Network.Deliver(node, now)
+	if ok && p.Dup {
+		w.dups[p.Ref]--
+	}
+	return p, ok
+}
+
+// TestNodeDuplicatesUnderSlotReuse runs two nodes on one slab behind a
+// fault plan that duplicates every transfer, in bursts sent once the
+// previous burst is in. A delivery frees its slot while the duplicate,
+// carrying the same Ref, is still on the wire, and the next send takes
+// that slot: every message must still reach the sink once, in send
+// order, and the reuse must really happen.
+func TestNodeDuplicatesUnderSlotReuse(t *testing.T) {
+	plan, err := fault.ParsePlan("dup=1,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := &dupWatch{Network: noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 2, FIFODepth: 8, SrcDepth: 4}), dups: map[uint32]int{}}
+	net := fault.Wrap(watch, plan, 2, 2)
+	msgs := new(msgSlab)
+	dst := &recordSink{accept: true}
+	n0 := newNode(0, net, &recordSink{accept: true}, msgs)
+	n1 := newNode(1, net, dst, msgs)
+	const count, burst = 30, 3
+	sent, reused := 0, 0
+	for cyc := uint64(0); cyc < 5000 && !(sent == count && net.Quiet()); cyc++ {
+		if sent == len(dst.msgs) {
+			for end := min(sent+burst, count); sent < end; sent++ {
+				if k := len(msgs.free); k > 0 && watch.dups[msgs.free[k-1]] > 0 {
+					reused++
+				}
+				n0.SendCtrl(Msg{Kind: RspWriteAck, Addr: uint32(sent)}, 1, cyc)
+			}
+		}
+		n0.Tick(cyc)
+		n1.Tick(cyc)
+		net.Tick(cyc)
+	}
+	if len(dst.msgs) != count {
+		t.Fatalf("delivered %d of %d messages", len(dst.msgs), count)
+	}
+	for i, m := range dst.msgs {
+		if m.Addr != uint32(i) {
+			t.Fatalf("message %d has addr %d: duplicated, lost or reordered", i, m.Addr)
+		}
+	}
+	if st := net.FaultStats(); st.Dups != count || st.DupsSuppressed != count {
+		t.Fatalf("Dups/DupsSuppressed = %d/%d, want %d/%d", st.Dups, st.DupsSuppressed, count, count)
+	}
+	if reused == 0 {
+		t.Fatal("no send took a slot whose duplicate was still on the wire")
+	}
+}
+
 // TestNodeRequestAdmissionBound walks CanSendReq's bound: it admits a
 // request per queued message below reqBound and refuses one at it,
 // where control messages are still admitted (they unblock the system),
 // and it admits again once the queue drains.
 func TestNodeRequestAdmissionBound(t *testing.T) {
+	msgs := new(msgSlab)
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 2, FIFODepth: 1, SrcDepth: 1})
-	n0 := NewNode(0, net, &recordSink{accept: true})
+	n0 := newNode(0, net, &recordSink{accept: true}, msgs)
 	dst := &recordSink{accept: true}
-	n1 := NewNode(1, net, dst)
+	n1 := newNode(1, net, dst, msgs)
 	for i := 0; i < reqBound; i++ {
 		if !n0.CanSendReq() {
 			t.Fatalf("request %d below bound refused", i)
 		}
-		n0.SendCtrl(&Msg{Kind: ReqRead}, 1, 0)
+		n0.SendCtrl(Msg{Kind: ReqRead}, 1, 0)
 	}
 	if n0.CanSendReq() {
 		t.Fatal("request at the bound admitted")
 	}
 	// The refused request was never queued: exactly reqBound+1 arrive.
-	n0.SendCtrl(&Msg{Kind: RspInvAck}, 1, 0)
+	n0.SendCtrl(Msg{Kind: RspInvAck}, 1, 0)
 	for cyc := uint64(0); cyc < 100; cyc++ {
 		n0.Tick(cyc)
 		n1.Tick(cyc)
@@ -86,15 +160,16 @@ func TestNodeRequestAdmissionBound(t *testing.T) {
 // not-before cycle, awake for a ready send, a deliverable packet and
 // the cycle after a consumed delivery.
 func TestNodeNextWake(t *testing.T) {
+	msgs := new(msgSlab)
 	const never = ^uint64(0)
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 1, FIFODepth: 8, SrcDepth: 4})
 	sink := &recordSink{accept: true}
-	n0 := NewNode(0, net, sink)
-	n1 := NewNode(1, net, sink)
+	n0 := newNode(0, net, sink, msgs)
+	n1 := newNode(1, net, sink, msgs)
 	if n0.NextWake(1) != never || n1.NextWake(1) != never {
 		t.Fatal("fresh nodes not asleep")
 	}
-	n0.SendCtrl(&Msg{Kind: RspWriteAck}, 1, 3)
+	n0.SendCtrl(Msg{Kind: RspWriteAck}, 1, 3)
 	if w := n0.NextWake(1); w != 3 {
 		t.Fatalf("send latched for cycle 3: NextWake(1) = %d", w)
 	}
@@ -139,11 +214,12 @@ func TestNodeNextWake(t *testing.T) {
 }
 
 func TestNodeNotBeforeDelaysInjection(t *testing.T) {
+	msgs := new(msgSlab)
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 1, FIFODepth: 8, SrcDepth: 4})
 	sink := &recordSink{accept: true}
-	n0 := NewNode(0, net, sink)
-	n1 := NewNode(1, net, sink)
-	n0.SendCtrl(&Msg{Kind: RspWriteAck}, 1, 10)
+	n0 := newNode(0, net, sink, msgs)
+	n1 := newNode(1, net, sink, msgs)
+	n0.SendCtrl(Msg{Kind: RspWriteAck}, 1, 10)
 	for cyc := uint64(0); cyc < 9; cyc++ {
 		n0.Tick(cyc)
 		n1.Tick(cyc)
@@ -155,13 +231,14 @@ func TestNodeNotBeforeDelaysInjection(t *testing.T) {
 }
 
 func TestNodeSinkBackpressure(t *testing.T) {
+	msgs := new(msgSlab)
 	// A sink that refuses keeps messages in the network; flipping it
 	// releases them.
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 1, FIFODepth: 8, SrcDepth: 4})
-	src := NewNode(0, net, &recordSink{accept: true})
+	src := newNode(0, net, &recordSink{accept: true}, msgs)
 	dst := &recordSink{accept: false}
-	n1 := NewNode(1, net, dst)
-	src.SendCtrl(&Msg{Kind: RspWriteAck}, 1, 0)
+	n1 := newNode(1, net, dst, msgs)
+	src.SendCtrl(Msg{Kind: RspWriteAck}, 1, 0)
 	for cyc := uint64(0); cyc < 20; cyc++ {
 		src.Tick(cyc)
 		n1.Tick(cyc)
@@ -185,7 +262,7 @@ func TestCPUSinkRouting(t *testing.T) {
 	p := DefaultParams(1)
 	net := noc.NewGMN(noc.DefaultGMNConfig(2))
 	sink := &CPUSink{}
-	node := NewNode(0, net, sink)
+	node := newNode(0, net, sink, new(msgSlab))
 	node.amap, node.bankBase = mem.NewAddrMap(1), 1
 	node.amap.AddRegion(mem.Region{Name: "all", Base: rigBase, Size: 1 << 20, Banks: []int{0}})
 	dc := newWriteThroughCache(WTI, 0, p, node)

@@ -89,10 +89,10 @@ func (nullSink) HandleMsg(m *Msg, now uint64) {}
 // 8+16=24, having held the port 7+15 cycles in backoff.
 func TestNodeRetransmitSchedule(t *testing.T) {
 	net := &lossyNet{losses: 2}
-	n := NewNode(0, net, nullSink{})
+	n := newNode(0, net, nullSink{}, new(msgSlab))
 	rec := obs.New(obs.Config{})
 	n.Obs = rec
-	n.SendCtrl(&Msg{Kind: ReqWriteThrough, Addr: 0x40}, 1, 0)
+	n.SendCtrl(Msg{Kind: ReqWriteThrough, Addr: 0x40}, 1, 0)
 	for now := uint64(0); now <= 24; now++ {
 		n.Tick(now)
 	}
@@ -113,7 +113,7 @@ func TestNodeRetransmitSchedule(t *testing.T) {
 		t.Errorf("latency report %+v; want one LatRetry sample covering the 24-cycle fight", rep)
 	}
 	// The FSM is idle again: a fresh message goes straight out.
-	n.SendCtrl(&Msg{Kind: ReqWriteThrough, Addr: 0x44}, 1, 25)
+	n.SendCtrl(Msg{Kind: ReqWriteThrough, Addr: 0x44}, 1, 25)
 	n.Tick(25)
 	if len(net.injectedAt) != 2 || net.injectedAt[1] != 25 {
 		t.Fatalf("post-recovery injectedAt = %v; want immediate injection at 25", net.injectedAt)
@@ -124,8 +124,8 @@ func TestNodeRetransmitSchedule(t *testing.T) {
 // backoff hold, re-offer on the very next cycle.
 func TestNodeBackpressureIsNotALoss(t *testing.T) {
 	net := &lossyNet{rejectOnly: true}
-	n := NewNode(0, net, nullSink{})
-	n.SendCtrl(&Msg{Kind: ReqWriteThrough, Addr: 0x40}, 1, 0)
+	n := newNode(0, net, nullSink{}, new(msgSlab))
+	n.SendCtrl(Msg{Kind: ReqWriteThrough, Addr: 0x40}, 1, 0)
 	n.Tick(0)
 	n.Tick(1)
 	if n.Retransmits != 0 || n.BackoffCycles != 0 || n.RetryErr() != nil {
@@ -141,9 +141,9 @@ func TestNodeBackpressureIsNotALoss(t *testing.T) {
 
 func TestNodeRetryBudgetExhaustion(t *testing.T) {
 	net := &lossyNet{losses: -1} // the wire never lets anything through
-	n := NewNode(3, net, nullSink{})
+	n := newNode(3, net, nullSink{}, new(msgSlab))
 	n.Retry = RetryPolicy{Base: 1, Cap: 4, Budget: 5}
-	n.SendCtrl(&Msg{Kind: CmdInval, Addr: 0x80}, 1, 0)
+	n.SendCtrl(Msg{Kind: CmdInval, Addr: 0x80}, 1, 0)
 	var now uint64
 	for ; n.RetryErr() == nil && now < 1000; now++ {
 		n.Tick(now)
@@ -167,9 +167,9 @@ func TestNodeRetryBudgetExhaustion(t *testing.T) {
 	}
 	// Deterministic: the same policy exhausts at the same cycle.
 	net2 := &lossyNet{losses: -1}
-	n2 := NewNode(3, net2, nullSink{})
+	n2 := newNode(3, net2, nullSink{}, new(msgSlab))
 	n2.Retry = RetryPolicy{Base: 1, Cap: 4, Budget: 5}
-	n2.SendCtrl(&Msg{Kind: CmdInval, Addr: 0x80}, 1, 0)
+	n2.SendCtrl(Msg{Kind: CmdInval, Addr: 0x80}, 1, 0)
 	var now2 uint64
 	for ; n2.RetryErr() == nil && now2 < 1000; now2++ {
 		n2.Tick(now2)
@@ -182,7 +182,7 @@ func TestNodeRetryBudgetExhaustion(t *testing.T) {
 // A reliable network (no DropNotifier) leaves the FSM unarmed and the
 // send path byte-identical to the pre-fault-layer behaviour.
 func TestNodeReliableNetworkUnarmed(t *testing.T) {
-	n := NewNode(0, &reliableNet{}, nullSink{})
+	n := newNode(0, &reliableNet{}, nullSink{}, new(msgSlab))
 	if n.drops != nil {
 		t.Fatal("reliable network must not arm the drop notifier")
 	}

@@ -225,14 +225,9 @@ func (c *WTICache) tryIssue(now uint64) {
 	if !c.pend.active || c.pend.issued || !c.node.CanSendReq() {
 		return
 	}
-	m := c.node.NewMsg()
-	m.Src = c.id
-	m.Addr = c.pend.addr
+	m := Msg{Kind: ReqRead, Src: c.id, Addr: c.pend.addr}
 	if c.pend.isSwap {
-		m.Kind = ReqSwap
-		m.Word = c.pend.newVal
-	} else {
-		m.Kind = ReqRead
+		m.Kind, m.Word = ReqSwap, c.pend.newVal
 	}
 	c.node.SendHome(m, now)
 	c.pend.issued = true
@@ -243,12 +238,7 @@ func (c *WTICache) tryIssue(now uint64) {
 func (c *WTICache) Tick(now uint64) {
 	c.tryIssue(now)
 	if e, ok := c.wb.NextToSend(); ok && c.node.CanSendReq() {
-		m := c.node.NewMsg()
-		m.Kind = ReqWriteThrough
-		m.Src = c.id
-		m.Addr = e.addr
-		m.Word = e.word
-		c.node.SendHome(m, now)
+		c.node.SendHome(Msg{Kind: ReqWriteThrough, Src: c.id, Addr: e.addr, Word: e.word}, now)
 		e.sent = true
 		c.sendVeto = now + 1
 	}
@@ -323,11 +313,7 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 
 // sendInvAck acknowledges a directory command for addr.
 func (c *WTICache) sendInvAck(addr uint32, now uint64) {
-	m := c.node.NewMsg()
-	m.Kind = RspInvAck
-	m.Src = c.id
-	m.Addr = addr
-	c.node.SendHome(m, now)
+	c.node.SendHome(Msg{Kind: RspInvAck, Src: c.id, Addr: addr}, now)
 }
 
 // Drained implements DataCache.

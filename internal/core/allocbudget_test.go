@@ -14,9 +14,9 @@ import (
 
 // allocBudgetPerCycle is the committed steady-state allocation budget
 // for the pinned ocean runs below, in heap allocations per cycle. The
-// Msg pool and the value-typed directory state put the steady state at
-// (close to) zero: after warm-up the only sanctioned hot-path
-// allocations are pool misses at a new in-flight high-water mark and
+// message slab and the value-typed directory state put the steady state
+// at (close to) zero: after warm-up the only sanctioned hot-path
+// allocations are slab growth at a new in-flight high-water mark and
 // first-touch page/queue growth, all of which decay to nothing once the
 // run is warm. The budget leaves headroom for GC-internal bookkeeping; a
 // regression that reintroduces a per-transaction allocation (one Msg per
@@ -27,7 +27,7 @@ const allocBudgetPerCycle = 0.01
 // TestSteadyStateAllocBudget pins the zero-alloc steady state on every
 // protocol (and WB with cache-to-cache transfers), scheduled and under
 // the naive schedule, on a distributed ocean at n4 and a centralized,
-// spin-heavy one at n8: warm each system past its pool and queue
+// spin-heavy one at n8: warm each system past its slab and queue
 // growth, then count heap allocations over a measured span of cycles.
 // The scheduled rows cover run-ahead and spin sleeps; the naive rows
 // price every cycle the same; four hot-spot stream machines cover the
@@ -95,7 +95,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // following span against the budget.
 func measureAllocs(t *testing.T, sys *System) {
 	t.Helper()
-	// Warm-up: the pool reaches its in-flight high-water mark, ports and
+	// Warm-up: the slab reaches its in-flight high-water mark, ports and
 	// NoC queues their steady capacities, the page table its footprint.
 	const warmCycles, measureCycles = 60_000, 100_000
 	run := func(cycles uint64) {

@@ -26,13 +26,6 @@ type Stats struct {
 	StallCycles  uint64
 }
 
-// dupPayload marks a duplicated transfer's payload so the delivery
-// side can suppress it (the link-level sequence check) before any
-// protocol sink observes it.
-type dupPayload struct {
-	inner any
-}
-
 // Net threads a fault Plan between the protocol controllers and any
 // noc.Network. It implements noc.Network and noc.DropNotifier. See the
 // package comment for the fault model; determinism notes:
@@ -157,7 +150,7 @@ func (f *Net) Inject(p noc.Packet, now uint64) bool {
 	// copy right behind it.
 	f.stage(p, now+uint64(extra))
 	if dup {
-		p.Payload = dupPayload{inner: p.Payload}
+		p.Dup = true
 		f.stage(p, now+uint64(extra))
 	}
 	f.self.Wake(now) // as the model's own accepted Inject does
@@ -251,7 +244,7 @@ func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
 		if f.Quiet() {
 			f.self.Wake(0)
 		}
-		if _, isDup := p.Payload.(dupPayload); isDup {
+		if p.Dup {
 			f.st.DupsSuppressed++
 			continue
 		}

@@ -182,7 +182,7 @@ func TestNetDelayFollowerStaysOrdered(t *testing.T) {
 func TestNetDuplicateSuppressedAtDelivery(t *testing.T) {
 	inner := newFakeNet()
 	n := Wrap(inner, mustPlan(t, "dup=1,seed=3"), 4, 2)
-	want := noc.Packet{Src: 0, Dst: 2, Bytes: 8, Payload: "hello"}
+	want := noc.Packet{Src: 0, Dst: 2, Bytes: 8, Ref: 7}
 	if !n.Inject(want, 0) {
 		t.Fatal("Inject rejected")
 	}
@@ -328,13 +328,13 @@ func (n *edgeNode) Tick(now uint64) uint64 {
 		if !ok {
 			break // a suppressed duplicate was all there was
 		}
-		if r := n.reach[p.Payload.(int)]; now < r {
-			n.t.Fatalf("packet %d delivered at %d, sooner than Reach = %d", p.Payload, now, r)
+		if r := n.reach[int(p.Ref)]; now < r {
+			n.t.Fatalf("packet %d delivered at %d, sooner than Reach = %d", p.Ref, now, r)
 		}
-		n.at[p.Payload.(int)] = int(now)
+		n.at[int(p.Ref)] = int(now)
 	}
 	for len(n.backlog) > 0 && n.net.Inject(n.backlog[0], now) {
-		n.reach[n.backlog[0].Payload.(int)] = n.net.Reach(n.backlog[0].Dst, now)
+		n.reach[int(n.backlog[0].Ref)] = n.net.Reach(n.backlog[0].Dst, now)
 		n.backlog = n.backlog[1:]
 	}
 	return n.NextWake(now + 1)
@@ -383,7 +383,7 @@ func TestWakeEdgesUnderFaults(t *testing.T) {
 				if gen.chance(1.0 / 6) {
 					src := int(gen.next() % nodes)
 					dst := (src + 1 + int(gen.next()%(nodes-1))) % nodes
-					script[cyc] = append(script[cyc], noc.Packet{Src: src, Dst: dst, Bytes: 4 + 4*int(gen.next()%8), Payload: ids})
+					script[cyc] = append(script[cyc], noc.Packet{Src: src, Dst: dst, Bytes: 4 + 4*int(gen.next()%8), Ref: uint32(ids)})
 					ids++
 				}
 			}

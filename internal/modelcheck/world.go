@@ -248,7 +248,7 @@ func (w *world) fingerprint(e *coherence.Enc) [16]byte {
 	}, func(ready uint64, p noc.Packet) {
 		e.U32('P', uint32(p.Src), uint32(p.Dst))
 		e.U64(ready)
-		p.Payload.(*coherence.Msg).Fingerprint(e)
+		w.InFlight(p).Fingerprint(e)
 	})
 	for i := range w.sc.Addrs {
 		e.U32(w.space.ReadWord(scopeAddr(i)))

@@ -40,13 +40,18 @@ import (
 // occupancy), matching a 32-bit VCI data path.
 const FlitBytes = 4
 
-// Packet is one NoC transfer. Payload is opaque to the network; Bytes
-// determines serialization time and traffic accounting.
+// Packet is one NoC transfer. Bytes determines serialization time and
+// traffic accounting; the network reads nothing else of what it
+// carries. Ref names the message for the sender's and receiver's layer
+// (the coherence layer's slot), and Dup marks a duplicate a fault plan
+// injected, which the fault layer discards at delivery. A packet holds
+// no pointer: a network's state is its packets' values.
 type Packet struct {
-	Src     int
-	Dst     int
-	Bytes   int
-	Payload any
+	Src   int
+	Dst   int
+	Bytes int
+	Ref   uint32
+	Dup   bool
 }
 
 // Flits returns the number of flits the packet occupies on a link.

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,15 +59,32 @@ func TestPacketFlits(t *testing.T) {
 	}
 }
 
+// TestPacketHoldsNoPointer admits only integer and bool fields in a
+// Packet, the guard TestMsgFingerprintCoversEveryField keeps for
+// coherence.Msg: a network's queues then hold values only, so a state
+// encoded as bytes can be restored packet by packet, and what a packet
+// carries is reached through Ref, never through the packet.
+func TestPacketHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(Packet{})
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("Packet.%s is a %s: a packet holds integers and flags only", f.Name, f.Type.Kind())
+		}
+	}
+}
+
 func TestDelivery(t *testing.T) {
 	for _, nc := range nets(9) {
 		t.Run(nc.name, func(t *testing.T) {
 			n := nc.mk()
-			if !n.Inject(Packet{Src: 0, Dst: 8, Bytes: 12, Payload: "hello"}, 0) {
+			if !n.Inject(Packet{Src: 0, Dst: 8, Bytes: 12, Ref: 7}, 0) {
 				t.Fatal("inject refused on an idle network")
 			}
 			got := drive(t, n, 0, 1000)
-			if len(got[8]) != 1 || got[8][0].Payload != "hello" {
+			if len(got[8]) != 1 || got[8][0].Ref != 7 {
 				t.Fatalf("deliveries = %v", got)
 			}
 			st := n.Stats()
@@ -87,7 +105,7 @@ func TestDeliverableAgreesWithDeliver(t *testing.T) {
 			if n.ArrivalAt(3) != sim.NoWake {
 				t.Fatal("idle network claims an arrival")
 			}
-			if !n.Inject(Packet{Src: 0, Dst: 3, Bytes: 8, Payload: "p"}, 0) {
+			if !n.Inject(Packet{Src: 0, Dst: 3, Bytes: 8, Ref: 7}, 0) {
 				t.Fatal("inject refused")
 			}
 			delivered := false
@@ -102,7 +120,7 @@ func TestDeliverableAgreesWithDeliver(t *testing.T) {
 					t.Fatalf("cycle %d: ArrivalAt=%d but Deliver=%v", cyc, at, ok)
 				}
 				if ok {
-					if p.Payload != "p" {
+					if p.Ref != 7 {
 						t.Fatalf("wrong packet %v", p)
 					}
 					delivered = true
@@ -197,7 +215,7 @@ func TestPerPairOrdering(t *testing.T) {
 			const count = 20
 			sent := 0
 			for cyc := 0; sent < count && cyc < 10000; cyc++ {
-				if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Payload: sent}, uint64(cyc)) {
+				if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Ref: uint32(sent)}, uint64(cyc)) {
 					sent++
 				}
 				n.Tick(uint64(cyc))
@@ -215,7 +233,7 @@ func TestPerPairOrdering(t *testing.T) {
 			sent = 0
 			for cyc := 0; cyc < 20000; cyc++ {
 				if sent < count {
-					if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Payload: sent}, uint64(cyc)) {
+					if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Ref: uint32(sent)}, uint64(cyc)) {
 						sent++
 					}
 				}
@@ -225,7 +243,7 @@ func TestPerPairOrdering(t *testing.T) {
 					if !ok {
 						break
 					}
-					order = append(order, p.Payload.(int))
+					order = append(order, int(p.Ref))
 				}
 				if sent == count && n.Quiet() {
 					break
@@ -261,7 +279,7 @@ func TestOrderingProperty(t *testing.T) {
 					}
 					pending = append(pending, Packet{
 						Src: k.src, Dst: k.dst, Bytes: 4 + int(fl%5)*8,
-						Payload: nextSeq[k],
+						Ref: uint32(nextSeq[k]),
 					})
 					nextSeq[k]++
 				}
@@ -278,7 +296,7 @@ func TestOrderingProperty(t *testing.T) {
 								break
 							}
 							k := key{src: p.Src, dst: p.Dst}
-							if p.Payload.(int) != wantSeq[k] {
+							if int(p.Ref) != wantSeq[k] {
 								return false
 							}
 							wantSeq[k]++
@@ -370,7 +388,7 @@ func TestMeshAllPairsDeliver(t *testing.T) {
 				continue
 			}
 			want++
-			for ; !m.Inject(Packet{Src: s, Dst: d, Bytes: 4, Payload: fmt.Sprintf("%d->%d", s, d)}, cyc); cyc++ {
+			for ; !m.Inject(Packet{Src: s, Dst: d, Bytes: 4}, cyc); cyc++ {
 				m.Tick(cyc)
 				for n := 0; n < nodes; n++ {
 					for {

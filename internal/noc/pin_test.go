@@ -51,7 +51,7 @@ func scriptedTraffic(t *testing.T, n Network) string {
 					dst = (src + 1) % nodes
 				}
 				backlog[src] = append(backlog[src], Packet{
-					Src: src, Dst: dst, Bytes: sizes[next(len(sizes))], Payload: len(delivered),
+					Src: src, Dst: dst, Bytes: sizes[next(len(sizes))], Ref: uint32(len(delivered)),
 				})
 				delivered = append(delivered, -1)
 				pending++
@@ -64,14 +64,14 @@ func scriptedTraffic(t *testing.T, n Network) string {
 				if !ok || p.Dst != node {
 					t.Fatalf("cycle %d node %d: arrival due but Deliver = %+v, %v", cyc, node, p, ok)
 				}
-				if r := reach[p.Payload.(int)]; cyc < r {
-					t.Fatalf("packet %d delivered at %d, sooner than Reach = %d", p.Payload, cyc, r)
+				if r := reach[int(p.Ref)]; cyc < r {
+					t.Fatalf("packet %d delivered at %d, sooner than Reach = %d", p.Ref, cyc, r)
 				}
-				delivered[p.Payload.(int)] = int(cyc)
+				delivered[int(p.Ref)] = int(cyc)
 				pending--
 			}
 			for len(backlog[node]) > 0 && n.Inject(backlog[node][0], cyc) {
-				reach[backlog[node][0].Payload.(int)] = n.Reach(backlog[node][0].Dst, cyc+1)
+				reach[int(backlog[node][0].Ref)] = n.Reach(backlog[node][0].Dst, cyc+1)
 				backlog[node] = backlog[node][1:]
 			}
 		}

@@ -18,7 +18,7 @@ type rigCase struct {
 	gmn        GMNConfig
 	mesh       MeshConfig
 	bus        BusConfig
-	script     [][]Packet // packets offered per generation cycle, ids in Payload
+	script     [][]Packet // packets offered per generation cycle, ids in Ref
 	packets    int
 	refuse     int  // a sink refuses on cycles where (cyc+node)%refuse == 0; 0 = never
 	nodesFirst bool // nodes act before the network's turn (the engine's order) or after (the pin script's)
@@ -65,7 +65,7 @@ func newRigCase(seed int) rigCase {
 			if dst == src {
 				dst = (src + 1) % c.nodes
 			}
-			offered = append(offered, Packet{Src: src, Dst: dst, Bytes: pick(4, 8, 40), Payload: c.packets})
+			offered = append(offered, Packet{Src: src, Dst: dst, Bytes: pick(4, 8, 40), Ref: uint32(c.packets)})
 			c.packets++
 		}
 		c.script = append(c.script, offered)
@@ -104,7 +104,7 @@ func newRigNet(n Network, c rigCase) *rigNet {
 // has it — then ticks it.
 func (r *rigNet) Tick(now uint64) uint64 {
 	for _, p := range r.unasked {
-		r.reach[p.Payload.(int)] = r.Reach(p.Dst, now)
+		r.reach[int(p.Ref)] = r.Reach(p.Dst, now)
 	}
 	r.unasked = r.unasked[:0]
 	return r.Network.Tick(now)
@@ -131,13 +131,13 @@ func (r *rigNet) nodeAct(t *testing.T, c rigCase, cyc uint64, node int) {
 	refusing := c.refuse != 0 && (cyc+uint64(node))%uint64(c.refuse) == 0
 	for !refusing && r.ArrivalAt(node) <= cyc {
 		p, ok := r.Deliver(node, cyc)
-		if !ok || p.Dst != node || r.at[p.Payload.(int)] != -1 {
+		if !ok || p.Dst != node || r.at[int(p.Ref)] != -1 {
 			t.Fatalf("%v cycle %d node %d: arrival due, but Deliver = %+v, %v", c, cyc, node, p, ok)
 		}
-		if reach := r.reach[p.Payload.(int)]; cyc < reach {
-			t.Fatalf("%v: packet %d delivered at %d, sooner than Reach = %d", c, p.Payload, cyc, reach)
+		if reach := r.reach[int(p.Ref)]; cyc < reach {
+			t.Fatalf("%v: packet %d delivered at %d, sooner than Reach = %d", c, p.Ref, cyc, reach)
 		}
-		r.at[p.Payload.(int)] = int(cyc)
+		r.at[int(p.Ref)] = int(cyc)
 		r.pending--
 	}
 	for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) {
