@@ -199,17 +199,14 @@ func main() {
 		res.Net.Packets, res.Net.TotalFlits, res.Net.InjectStallCycles)
 	// Host-side diagnostics, not part of the deterministic result: how
 	// much of the schedule the wake contract kept off the host, whole
-	// cycles first, then ticks per layer, then what deciding it cost in
-	// NextWake questions, then how many instructions the cores retired
-	// ahead of the clock (EXPERIMENTS.md has the worked example).
+	// cycles first, then ticks per layer, then how many instructions the
+	// cores retired ahead of the clock (EXPERIMENTS.md has the worked
+	// example).
 	if eng := sys.Engine; eng.SkippedTicks() > 0 && res.Cycles > 0 {
 		leaped := eng.LeapedCycles()
-		var skipped, asked string
-		var questions uint64
+		var skipped string
 		for _, c := range eng.TickCounts() {
 			skipped += fmt.Sprintf(", %s %.1f%%", c.Name, 100*float64(c.Skipped)/float64(c.Executed+c.Skipped))
-			asked += fmt.Sprintf(", %s %d", c.Name, c.Asked)
-			questions += c.Asked
 		}
 		var ahead, bursts, sleeps, slept uint64
 		for _, c := range sys.CPUs {
@@ -217,9 +214,9 @@ func main() {
 			s, n := c.Spun()
 			ahead, bursts, sleeps, slept = ahead+a, bursts+b, sleeps+s, slept+n
 		}
-		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; asked: %s (%.2f per executed cycle); run ahead: %d of %d instr in %d bursts, %d spin sleeps of %d cycles\n",
+		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; run ahead: %d of %d instr in %d bursts, %d spin sleeps of %d cycles\n",
 			eng.Leaps(), leaped, eng.Now(), 100*float64(leaped)/float64(eng.Now()),
-			skipped[2:], asked[2:], float64(questions)/float64(eng.Now()-leaped), ahead, res.Instructions(), bursts, sleeps, slept)
+			skipped[2:], ahead, res.Instructions(), bursts, sleeps, slept)
 	}
 
 	if res.Latency != nil {

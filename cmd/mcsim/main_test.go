@@ -163,17 +163,15 @@ func TestStreamBenchStrayArgumentRejected(t *testing.T) {
 
 // TestEngineLineReportsPerLayerSkips pins the stderr diagnostic: one
 // run says how many of its cycles, drain included, were leaped, per layer
-// what share of its ticks the wake contract skipped and how many
-// NextWake questions that took, then how many of the run's instructions
-// the cores retired ahead of the clock and in how many bursts (the bus
-// looks ahead 3 cycles), and how often and for how long they slept in a
-// spin; the naive schedule skips nothing and says nothing.
+// what share of its ticks the wake contract skipped, then how many of the
+// run's instructions the cores retired ahead of the clock and in how many
+// bursts (the bus looks ahead 3 cycles), and how often and for how long
+// they slept in a spin; the naive schedule skips nothing and says nothing.
 func TestEngineLineReportsPerLayerSkips(t *testing.T) {
 	const run = "-bench counter -cpus 4 -incs 5 -noc bus"
 	out, code := runMain(t, run)
 	line := regexp.MustCompile(`(?m)^engine: \d+ leaps skipped (\d+) of (\d+) cycles \([\d.]+%\); ` +
 		`ticks skipped: cpus [\d.]+%, banks [\d.]+%, noc [\d.]+%; ` +
-		`asked: cpus \d+, banks \d+, noc \d+ \([\d.]+ per executed cycle\); ` +
 		`run ahead: (\d+) of (\d+) instr in (\d+) bursts, (\d+) spin sleeps of (\d+) cycles$`)
 	m := line.FindStringSubmatch(out)
 	if code != 0 || m == nil {

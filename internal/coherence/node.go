@@ -49,12 +49,9 @@ type Node struct {
 
 	recvVeto uint64 // the cycle after the latest consumed delivery (RecvVeto)
 
-	// Retry bounds the retransmission loop run when the network loses a
-	// transfer (drops only happen under fault injection; on a reliable
-	// network the retry state machine never leaves its idle state).
-	Retry RetryPolicy
 	// drops is the network's loss-notification interface, nil on
-	// reliable networks. The retry FSM below is armed only when non-nil.
+	// reliable networks. The retry FSM below (see retryBudget) is armed
+	// only when non-nil: drops only happen under fault injection.
 	drops noc.DropNotifier
 	// attempts counts losses of the current head-of-line transfer
 	// (0 = FSM idle); nextTry is the cycle the next re-offer is allowed;
@@ -83,9 +80,9 @@ type Node struct {
 // newNode attaches a node to the network, sending through msgs, the
 // slab its peers share. If the network reports transfer losses
 // (noc.DropNotifier — the fault-injection wrapper does), the node arms
-// its retransmission state machine with DefaultRetryPolicy.
+// its retransmission state machine.
 func newNode(id int, net noc.Network, sink Sink, msgs *msgSlab) *Node {
-	n := &Node{ID: id, net: net, sink: sink, msgs: msgs, Retry: DefaultRetryPolicy}
+	n := &Node{ID: id, net: net, sink: sink, msgs: msgs}
 	n.drops, _ = net.(noc.DropNotifier)
 	return n
 }
@@ -95,7 +92,7 @@ func newNode(id int, net noc.Network, sink Sink, msgs *msgSlab) *Node {
 func (n *Node) RetryErr() error { return n.retryErr }
 
 // AtBudget reports whether the port's next loss spends its budget (or one did).
-func (n *Node) AtBudget() bool { return n.attempts >= n.Retry.Budget }
+func (n *Node) AtBudget() bool { return n.attempts >= retryBudget }
 
 // SendCtrl enqueues m for dst, not injectable before cycle notBefore.
 // It admits every message: a control-class sender never waits, and a
@@ -238,12 +235,12 @@ func (n *Node) transferLost(head outMsg, now uint64) {
 	}
 	n.attempts++
 	n.Retransmits++
-	if n.attempts > n.Retry.Budget && n.retryErr == nil {
+	if n.attempts > retryBudget && n.retryErr == nil {
 		m := &n.msgs.msgs[head.slot]
 		n.retryErr = &LivenessError{Node: n.ID, Dst: head.dst, Kind: m.Kind,
 			Addr: m.Addr, Attempts: n.attempts, Cycle: now}
 	}
-	n.nextTry = now + n.Retry.Backoff(n.attempts)
+	n.nextTry = now + backoff(n.attempts)
 }
 
 // Idle reports whether the node has nothing left to send.

@@ -183,7 +183,7 @@ func TestNodeNextWake(t *testing.T) {
 			break
 		}
 		// A packet on its way is the node's to answer for, now that the
-		// engine remembers: the next re-ask replaces the pushed wake.
+		// engine remembers: the next answer replaces the pushed wake.
 		if at := net.ArrivalAt(1); at != never && n1.NextWake(cyc) != at {
 			t.Fatalf("cycle %d: arrival due at %d, NextWake = %d", cyc, at, n1.NextWake(cyc))
 		}

@@ -39,42 +39,19 @@ func (e *LivenessError) Error() string {
 // Unwrap implements errors.Unwrap.
 func (e *LivenessError) Unwrap() error { return ErrLivenessBudget }
 
-// RetryPolicy bounds the link-level retransmission loop a Node runs
-// when the network reports a transfer lost (noc.DropNotifier): after
-// the attempt-th loss of the same transfer the port holds off
-// Backoff(attempt) cycles before re-offering it, and after Budget
-// losses of one transfer it declares a liveness failure.
-type RetryPolicy struct {
-	// Base is the hold-off after the first loss, in cycles.
-	Base uint64
-	// Cap bounds the exponential growth of the hold-off.
-	Cap uint64
-	// Budget is the number of retransmissions of one transfer allowed
-	// before the port gives up with ErrLivenessBudget.
-	Budget int
-}
+// The link-level retransmission loop a Node runs when the network reports
+// a transfer lost (noc.DropNotifier): after the a-th loss of the same
+// transfer the port holds off backoff(a) cycles before re-offering it —
+// retryBase (about one NoC crossing) doubled per further loss up to
+// retryCap — and after retryBudget losses of one transfer it declares a
+// liveness failure. Even drop=0.5 campaigns survive that, while a
+// pathological plan (drop=1 on a link) fails fast within ~10k cycles.
+const (
+	retryBase   uint64 = 8
+	retryCap    uint64 = 1024
+	retryBudget        = 16
+)
 
-// DefaultRetryPolicy provisions the ports for the fault campaigns of
-// the experiment suite: 8-cycle first hold-off (about one NoC crossing),
-// doubling to a 1024-cycle ceiling, 16 attempts per transfer — enough
-// that even drop=0.5 campaigns survive, while a pathological plan
-// (drop=1 on a link) fails fast within ~10k cycles.
-var DefaultRetryPolicy = RetryPolicy{Base: 8, Cap: 1024, Budget: 16}
-
-// Backoff returns the hold-off before re-offering a transfer that was
-// lost attempt times (attempt >= 1): Base doubled per further loss,
-// clamped to Cap.
-func (p RetryPolicy) Backoff(attempt int) uint64 {
-	if attempt < 1 {
-		return 0
-	}
-	// Shifting past 63 bits would wrap; anything that far is over Cap.
-	if attempt-1 >= 63 {
-		return p.Cap
-	}
-	b := p.Base << (attempt - 1)
-	if b > p.Cap || b>>(attempt-1) != p.Base {
-		return p.Cap
-	}
-	return b
-}
+// backoff returns the hold-off before re-offering a transfer lost a >= 1
+// times.
+func backoff(a int) uint64 { return min(retryBase<<min(a-1, 8), retryCap) }

@@ -10,30 +10,16 @@ import (
 )
 
 func TestRetryPolicyBackoff(t *testing.T) {
-	def := DefaultRetryPolicy
-	cases := []struct {
-		name    string
-		policy  RetryPolicy
-		attempt int
-		want    uint64
-	}{
-		{"idle FSM has no hold-off", def, 0, 0},
-		{"negative attempt", def, -1, 0},
-		{"first loss", def, 1, 8},
-		{"second loss doubles", def, 2, 16},
-		{"third loss doubles again", def, 3, 32},
-		{"exactly at cap", def, 8, 1024},
-		{"clamped past cap", def, 9, 1024},
-		{"deep into the budget", def, 16, 1024},
-		{"shift overflow clamps", def, 80, 1024},
-		{"shift wrap clamps", RetryPolicy{Base: 1 << 62, Cap: 1 << 63, Budget: 4}, 4, 1 << 63},
-		{"base above cap clamps", RetryPolicy{Base: 64, Cap: 10, Budget: 4}, 1, 10},
-		{"odd base", RetryPolicy{Base: 3, Cap: 5, Budget: 4}, 2, 5},
-	}
-	for _, c := range cases {
-		if got := c.policy.Backoff(c.attempt); got != c.want {
-			t.Errorf("%s: Backoff(%d) = %d; want %d", c.name, c.attempt, got, c.want)
+	// 8 cycles after the first loss, doubling to the 1024-cycle cap, which
+	// holds through the budget and past it (the port keeps retrying).
+	want := []uint64{8, 16, 32, 64, 128, 256, 512, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024}
+	for a, w := range want {
+		if got := backoff(a + 1); got != w {
+			t.Errorf("backoff(%d) = %d; want %d", a+1, got, w)
 		}
+	}
+	if got := backoff(80); got != retryCap {
+		t.Errorf("backoff(80) = %d; want the cap %d", got, retryCap)
 	}
 }
 
@@ -84,9 +70,9 @@ type nullSink struct{}
 func (nullSink) Accept(now uint64) bool       { return true }
 func (nullSink) HandleMsg(m *Msg, now uint64) {}
 
-// The retransmission schedule is a pure function of the policy: with
-// two losses and Base=8 the transfer must go out exactly at cycle
-// 8+16=24, having held the port 7+15 cycles in backoff.
+// The retransmission schedule is a pure function of the loss count: with
+// two losses the transfer must go out exactly at cycle 8+16=24, having
+// held the port 7+15 cycles in backoff.
 func TestNodeRetransmitSchedule(t *testing.T) {
 	net := &lossyNet{losses: 2}
 	n := newNode(0, net, nullSink{}, new(msgSlab))
@@ -139,13 +125,14 @@ func TestNodeBackpressureIsNotALoss(t *testing.T) {
 	}
 }
 
+// The 17th loss of one transfer spends the 16-loss budget: 8+16+...+1024
+// and eight more 1024s, cycle 10232.
 func TestNodeRetryBudgetExhaustion(t *testing.T) {
 	net := &lossyNet{losses: -1} // the wire never lets anything through
 	n := newNode(3, net, nullSink{}, new(msgSlab))
-	n.Retry = RetryPolicy{Base: 1, Cap: 4, Budget: 5}
 	n.SendCtrl(Msg{Kind: CmdInval, Addr: 0x80}, 1, 0)
 	var now uint64
-	for ; n.RetryErr() == nil && now < 1000; now++ {
+	for ; n.RetryErr() == nil && now < 20000; now++ {
 		n.Tick(now)
 	}
 	err := n.RetryErr()
@@ -159,19 +146,18 @@ func TestNodeRetryBudgetExhaustion(t *testing.T) {
 	if !errors.As(err, &le) {
 		t.Fatalf("RetryErr %T does not unwrap to *LivenessError", err)
 	}
-	if le.Node != 3 || le.Dst != 1 || le.Kind != CmdInval || le.Addr != 0x80 || le.Attempts != 6 {
-		t.Fatalf("diagnostic %+v; want node 3 → 1, %v addr 0x80, 6 attempts", le, CmdInval)
+	if le.Node != 3 || le.Dst != 1 || le.Kind != CmdInval || le.Addr != 0x80 || le.Attempts != retryBudget+1 || le.Cycle != 10232 {
+		t.Fatalf("diagnostic %+v; want node 3 → 1, %v addr 0x80, %d attempts at cycle 10232", le, CmdInval, retryBudget+1)
 	}
-	if n.Retransmits < 6 {
+	if n.Retransmits < retryBudget+1 {
 		t.Fatalf("Retransmits = %d; want >= budget+1", n.Retransmits)
 	}
-	// Deterministic: the same policy exhausts at the same cycle.
+	// Deterministic: the same losses exhaust the budget at the same cycle.
 	net2 := &lossyNet{losses: -1}
 	n2 := newNode(3, net2, nullSink{}, new(msgSlab))
-	n2.Retry = RetryPolicy{Base: 1, Cap: 4, Budget: 5}
 	n2.SendCtrl(Msg{Kind: CmdInval, Addr: 0x80}, 1, 0)
 	var now2 uint64
-	for ; n2.RetryErr() == nil && now2 < 1000; now2++ {
+	for ; n2.RetryErr() == nil && now2 < 20000; now2++ {
 		n2.Tick(now2)
 	}
 	if now != now2 {

@@ -214,16 +214,17 @@ func TestOnlyACoreWakesAfterADelivery(t *testing.T) {
 // counter under WB on arch1 at n = 8, whose cores run ahead and prove
 // spins, clean and under a fault plan whose stall windows and quieting
 // deliveries move wakes later. The counts were recorded with bursts that
-// cross I-lines and bank nodes that sleep through the cycle after a
-// delivery. A Tick that answers a cycle the ticker would not run at — a cluster
+// cross I-lines, bank nodes that sleep through the cycle after a
+// delivery, and every pushed wake a tick (no NextWake question after a
+// Wake: the network's no-op ticks count as executed). A Tick that answers a cycle the ticker would not run at — a cluster
 // answering where its core's run-ahead stopped rather than NextWake there,
 // a network missing its fault layer's Wake — keeps every Result byte and
 // moves these: spin sleeps cut short, fewer ticks skipped.
 func TestSchedulePinned(t *testing.T) {
 	for _, c := range []struct{ fault, want string }{
-		{"", "cpus 44896/1133152; banks 25913/268599; noc 18794/128462; " +
+		{"", "cpus 44896/1133152; banks 25913/268599; noc 23247/124009; " +
 			"leaped 80995, ahead 247745 in 27225, spun 439 for 25259"},
-		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 45545/1160511; banks 26028/275486; noc 145022/5735; " +
+		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 45545/1160511; banks 26821/274693; noc 146354/4403; " +
 			"leaped 3470, ahead 252452 in 27768, spun 435 for 26297"},
 	} {
 		cfg := DefaultConfig(coherence.WBMESI, mem.Arch1, 8)

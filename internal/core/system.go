@@ -277,7 +277,7 @@ func (c *cluster) Tick(now uint64) uint64 {
 	next, at := min(c.node.Tick(now), c.node.RecvVeto(now+1), c.dc.NextWake(now+1), c.ic.NextWake(now+1)), now+1
 	// An active core only: a stalled or halted one has nothing to run. Not
 	// while a port is one loss from its budget: spending it ends the run with
-	// -noleap's pcs. A port that gets there later waits Backoff(Budget) (1024 cycles).
+	// -noleap's pcs. A port that gets there later waits its last backoff (1024 cycles).
 	if c.core != nil && next > at && c.core.NextWake(at) == at && !c.sys.nearBudget() {
 		if h := min(c.net.Reach(c.node.ID, now), next); h > at {
 			c.ahead = c.core.RunAhead(at, min(h, c.sys.Engine.Horizon()))
@@ -310,7 +310,8 @@ func (c *cluster) Skip(from, to uint64) {
 // NextWake reports the earliest cycle at or after now at which any
 // component must run — now itself if one must — or sim.NoWake when only
 // the run deadline can re-awaken the system: the pure fold of the answers
-// the engine asks for when a Run opens (a Tick gives the same one after).
+// the engine asks for when a Step or Run opens; within a run each Tick
+// answers its own, and a Wake pushes one earlier.
 func (s *System) NextWake(now uint64) uint64 { return s.Engine.NextWake(now) }
 
 // AllHalted reports whether every CPU has executed HALT or exhausted

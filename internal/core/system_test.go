@@ -85,10 +85,8 @@ func TestCounterDeterminism(t *testing.T) {
 // a real run every layer — CPU clusters, bank nodes, the network — must
 // have ticks skipped by the engine (the equivalence matrices and the
 // byte-identical sweep output prove skipping changes no results; this
-// test proves the fast path actually engages), what the engine did
-// not skip it executed, and it took each Tick's word for its next wake:
-// NextWake is asked at each Run's opening and after a Wake, fewer times
-// than ticks are executed.
+// test proves the fast path actually engages), and what the engine did
+// not skip it executed.
 func TestIdleTicksAreSkipped(t *testing.T) {
 	spec, err := buildQuickCounter(2)
 	if err != nil {
@@ -110,9 +108,6 @@ func TestIdleTicksAreSkipped(t *testing.T) {
 		if c.Skipped == 0 || c.Executed == 0 || c.Executed+c.Skipped != tickers[c.Name]*sys.Engine.Now() {
 			t.Errorf("%s: %d executed + %d skipped over %d tickers x %d cycles",
 				c.Name, c.Executed, c.Skipped, tickers[c.Name], sys.Engine.Now())
-		}
-		if c.Asked == 0 || c.Asked >= c.Executed {
-			t.Errorf("%s: asked %d times for %d executed and %d skipped ticks", c.Name, c.Asked, c.Executed, c.Skipped)
 		}
 	}
 }

@@ -201,9 +201,11 @@ func renderBus(runs []Run, res Results) *stats.Table {
 // important trade off"). Higher associativity removes conflict misses
 // for both protocols; the interesting question is whether it moves the
 // WTI/WB comparison. Miss rates and times are reported per way count.
+// Direct-mapped is Ways 0, Run's default, so its cells are the ones the
+// other ocean/arch2 rows run; the table prints it as 1 way.
 func waysRuns(n int) []Run {
 	var runs []Run
-	for _, ways := range []int{1, 2, 4} {
+	for _, ways := range []int{0, 2, 4} {
 		runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, Ways: ways})...)
 	}
 	return runs
@@ -213,7 +215,7 @@ func renderWays(runs []Run, res Results) *stats.Table {
 	t := stats.NewTable("Ablation I — cache associativity at fixed 4KB capacity (ocean)",
 		"ways", "protocol", "Mcycles", "load miss rate", "traffic MB")
 	for _, r := range runs {
-		t.AddRow(r.Ways, r.Protocol.String(), res[r].MegaCycles(),
+		t.AddRow(max(r.Ways, 1), r.Protocol.String(), res[r].MegaCycles(),
 			res[r].LoadMissRate(), float64(res[r].TrafficBytes())/1e6)
 	}
 	return t

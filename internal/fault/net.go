@@ -44,8 +44,7 @@ type Stats struct {
 type Net struct {
 	inner noc.Network
 	plan  *Plan
-	self  sim.Waker   // the network's own slot, see Attach
-	nodes []sim.Waker // the endpoints', see Attach
+	self  sim.Waker // the network's own slot, see Attach
 
 	dropRng  rng
 	delayRng rng
@@ -97,7 +96,6 @@ func Wrap(inner noc.Network, plan *Plan, nodes, bankBase int) *Net {
 		dropNote:   make([]bool, nodes),
 		stallUntil: make([]uint64, nodes),
 		bankBase:   bankBase,
-		nodes:      make([]sim.Waker, nodes),
 	}
 }
 
@@ -163,10 +161,11 @@ func (f *Net) stage(p noc.Packet, at uint64) {
 }
 
 // Attach implements noc.Network; the wrapped model announces the arrivals.
-// The wrapper only moves answers later (a stall window, the last delivery):
-// a Wake(0) has the one concerned asked again at its next turn.
+// Otherwise the wrapper only moves answers later (a stall window, the
+// last delivery), which needs no Wake: a ticker woken too early is ticked
+// on a cycle the naive schedule ticks it too.
 func (f *Net) Attach(self sim.Waker, nodes []sim.Waker) {
-	f.self, f.nodes = self, nodes
+	f.self = self
 	f.inner.Attach(self, nodes)
 }
 
@@ -212,7 +211,6 @@ func (f *Net) Skip(from, to uint64) {
 			s := f.plan.stallFor(node - f.bankBase)
 			if s != nil && s.Rate > 0 && f.stallRng.chance(s.Rate) {
 				f.stallUntil[node] = now + uint64(s.Window)
-				f.nodes[node].Wake(0)
 				f.st.StallWindows++
 				f.st.StallCycles++
 			}
@@ -240,9 +238,6 @@ func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
 		p, ok := f.inner.Deliver(node, now)
 		if !ok {
 			return noc.Packet{}, false
-		}
-		if f.Quiet() {
-			f.self.Wake(0)
 		}
 		if p.Dup {
 			f.st.DupsSuppressed++

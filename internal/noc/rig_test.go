@@ -247,8 +247,8 @@ func (n *rigTicker) Skip(from, to uint64)       {}
 // TestWakeEdges holds the two edges the network owes an engine that
 // remembers wakes, on the differential rig's seeds: the same traffic is
 // run every-cycle by hand and on a sim.Engine whose node and network
-// tickers only run when the cycle their last Tick answered has come, or
-// are asked after a Wake. Every cycle of the engine run, a node with a
+// tickers only run when the cycle their last Tick answered, or a Wake
+// pushed, has come. Every cycle of the engine run, a node with a
 // packet deliverable must have been ticked or asked in that cycle (so
 // arrive announced it, with a cycle no later than the packet's, before
 // it came) and so must the network in a cycle with an accepted Inject;

@@ -9,8 +9,7 @@ import (
 
 // scanAdvance is advance without the calendar: every remembered wake is
 // read at its slot's turn, so the due slots are found by a scan of all of
-// them (ask, which only Wake, forget and the slots' turns touch, is
-// shared). It is the reference TestCalendarMatchesScan holds advance to.
+// them. It is the reference TestCalendarMatchesScan holds advance to.
 func (e *Engine) scanAdvance(limit uint64) {
 	now := e.now
 	e.limit = limit
@@ -20,18 +19,8 @@ func (e *Engine) scanAdvance(limit uint64) {
 			continue
 		}
 		s := &e.slots[i]
-		if s.sleep != nil {
-			if e.ask[i>>6]&(1<<(i&63)) != 0 {
-				s.asked++
-				if w := s.sleep.NextWake(now); w > now {
-					e.wake[i] = w
-					continue
-				}
-				e.ask.Clear(i)
-			}
-			if s.settled < now {
-				s.settle(now)
-			}
+		if s.sleep != nil && s.settled < now {
+			s.settle(now)
 		}
 		e.wake[i] = max(s.tick.Tick(now), now+1)
 		s.ticks++
@@ -75,7 +64,7 @@ func (e *Engine) scanRun(maxCycles uint64, done func() bool) (uint64, error) {
 	if maxCycles != 0 {
 		limit = start + maxCycles
 	}
-	e.forget() // clears e.wake; the scan never reads the calendar
+	e.forget() // fills e.wake; the scan never reads the calendar
 	defer e.settle()
 	for !done() {
 		if e.now >= limit {

@@ -139,16 +139,18 @@ func TestEngineEveryRunsAfterTickersOfItsCycle(t *testing.T) {
 }
 
 // sleeper is a scripted Ticker+Sleeper: wake answers NextWake per
-// question, and every executed tick and every Skip span is recorded so
-// tests can pin exactly what the engine ran and what it charged.
+// question, and every executed tick, every Skip span and every NextWake
+// question is recorded so tests can pin exactly what the engine ran,
+// charged and asked.
 type sleeper struct {
 	wake  func(now uint64) uint64
 	ticks []uint64
 	spans [][2]uint64
+	asked int
 }
 
 func (s *sleeper) Tick(now uint64) uint64     { s.ticks = append(s.ticks, now); return s.wake(now + 1) }
-func (s *sleeper) NextWake(now uint64) uint64 { return s.wake(now) }
+func (s *sleeper) NextWake(now uint64) uint64 { s.asked++; return s.wake(now) }
 func (s *sleeper) Skip(from, to uint64)       { s.spans = append(s.spans, [2]uint64{from, to}) }
 func awakeExceptAt(at, until uint64) *sleeper {
 	return &sleeper{wake: func(now uint64) uint64 {
@@ -212,7 +214,7 @@ func TestEngineIdleSkip(t *testing.T) {
 	if !equalU64(s.ticks, []uint64{0, 1, 4}) {
 		t.Fatalf("ticker did not resume: ticks=%v", s.ticks)
 	}
-	want := []TickCount{{"skippable", 3, 2, 5}, {"plain", 5, 0, 0}}
+	want := []TickCount{{"skippable", 3, 2}, {"plain", 5, 0}}
 	if got := e.TickCounts(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("TickCounts = %+v, want %+v", got, want)
 	}
@@ -329,8 +331,8 @@ func TestLeapVetoedKeepsStepping(t *testing.T) {
 			s.ticks, e.Leaps(), e.LeapedCycles(), s.spans)
 	}
 	// Asked once, at the Run's opening: from then on each Tick answers.
-	if asked := e.TickCounts()[0].Asked; asked != 1 {
-		t.Fatalf("NextWake asked %d times; want 1", asked)
+	if s.asked != 1 {
+		t.Fatalf("NextWake asked %d times; want 1", s.asked)
 	}
 }
 
@@ -466,10 +468,12 @@ func TestLeapEquivalentToSteppedRun(t *testing.T) {
 type dozer struct {
 	wakeAt uint64
 	worked []uint64
+	ticked []uint64
 	asked  int
 }
 
 func (d *dozer) Tick(now uint64) uint64 {
+	d.ticked = append(d.ticked, now)
 	if now >= d.wakeAt {
 		d.worked = append(d.worked, now)
 		d.wakeAt = NoWake
@@ -555,16 +559,17 @@ func TestPokeBetweenCallsNeedsNoWake(t *testing.T) {
 func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
 	// Wake only lowers, so it is safe from a slot earlier in the cycle
 	// (the target's turn is still to come: it is passed over until the
-	// pushed cycle, or asked in this very cycle if that is the one
+	// pushed cycle, or ticked in this very cycle if that is the one
 	// pushed), from a later one (its turn has passed: nothing to undo),
-	// and from a later one with a cycle that is already here (asked at
+	// and from a later one with a cycle that is already here (ticked at
 	// its next turn, one cycle on — where the naive schedule sees the
 	// poke too), or with the next cycle after the target's own Tick
 	// answered NoWake in this one (cycle 15). A wake later than the
 	// remembered cycle (cycle 3 pushes 8 onto the 5 pushed at 2) must not
-	// raise it. The target is asked at the Run's opening and after a wake,
-	// never after a tick.
-	run := func(scheduled bool) *dozer {
+	// raise it. A push is a tick: the target is ticked at every pushed
+	// cycle, 14 too, where it has nothing to do, and asked NextWake only
+	// as a Run or Step opens.
+	run := func(scheduled bool) (*dozer, *Engine) {
 		e := NewEngine()
 		d := &dozer{wakeAt: NoWake}
 		var w Waker
@@ -573,7 +578,7 @@ func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
 		}
 		early := &poker{at: []uint64{2, 15}, do: poke(map[uint64]uint64{2: 3, 15: 0})}
 		late := &poker{at: []uint64{7, 11, 15}, do: poke(map[uint64]uint64{7: 2, 11: 0, 15: 1})}
-		noise := &poker{at: []uint64{3}, do: func(uint64) { w.Wake(8) }}
+		noise := &poker{at: []uint64{3, 13}, do: func(now uint64) { w.Wake(map[uint64]uint64{3: 8, 13: 14}[now]) }}
 		if scheduled {
 			e.Register("early", early)
 			w = e.Register("dozer", d)
@@ -587,16 +592,21 @@ func TestWakeFromEitherSideOfTheSlot(t *testing.T) {
 		if cycles, _ := e.Run(20, func() bool { return false }); cycles != 20 {
 			t.Fatalf("Run = %d cycles, want the 20-cycle deadline", cycles)
 		}
-		return d
+		return d, e
 	}
-	naive, sched := run(false), run(true)
+	naive, _ := run(false)
+	sched, e := run(true)
 	if want := []uint64{5, 9, 12, 15, 16}; !equalU64(naive.worked, want) || !equalU64(sched.worked, want) {
 		t.Fatalf("worked: naive %v, scheduled %v; want %v", naive.worked, sched.worked, want)
 	}
-	// Cycle 0; due at 5, 9, 12, 15 and 16 (pushed at 2, 7, 11 and twice
-	// at 15), each Tick answering NoWake.
-	if sched.asked != 6 {
-		t.Fatalf("dozer asked %d times, want 6", sched.asked)
+	// Pushed at 2, 7, 11, 13 and twice at 15, each Tick answering NoWake.
+	if want := []uint64{5, 9, 12, 14, 15, 16}; !equalU64(sched.ticked, want) || sched.asked != 1 {
+		t.Fatalf("dozer ticked at %v, asked %d times; want %v, asked once", sched.ticked, sched.asked, want)
+	}
+	e.Step()
+	e.Run(3, func() bool { return false })
+	if len(sched.ticked) != 6 || sched.asked != 3 {
+		t.Fatalf("after a Step and a Run: dozer ticked at %v, asked %d times; want no tick, asked twice more", sched.ticked, sched.asked)
 	}
 	var zero Waker
 	zero.Wake(3) // wakes nobody, touches nothing
