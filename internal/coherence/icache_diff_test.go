@@ -110,13 +110,13 @@ func (r *fetchRig) state(now uint64) string {
 }
 
 // horizon is the cycle a cluster would let the core run ahead to after
-// cycle now: nothing reaches the caches before the node's, caches' and
-// veto's next wakes, nor before a bank's answer crosses the network —
-// the network's Reach as cycle now+1 opens, the machine having stepped
+// cycle now: nothing reaches the caches before the node's and caches'
+// next wakes, nor before a bank's answer crosses the network — the
+// network's Reach as cycle now+1 opens, the machine having stepped
 // through now.
 func (r *fetchRig) horizon(now uint64) uint64 {
 	n := r.m.Nodes[0]
-	return min(r.m.Net.Reach(n.ID, now+1), n.NextWake(now+1), n.RecvVeto(now+1),
+	return min(r.m.Net.Reach(n.ID, now+1), n.NextWake(now+1),
 		r.m.DCaches[0].NextWake(now+1), r.m.ICaches[0].NextWake(now+1))
 }
 

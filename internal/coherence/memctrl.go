@@ -24,26 +24,24 @@ type MemStats struct {
 	Deferred      uint64
 }
 
-// dirEntry is one block's full-map directory state (Censier–Feautrier:
-// a presence bit per cache plus an exclusivity owner) together with the
-// per-block transaction serialization state.
+// dirEntry is one block's full-map directory record (Censier–Feautrier:
+// a presence bit per cache plus an exclusivity owner). Records are
+// carved from the bank's chunks, so a block costs its record and its
+// map slot; the bank's few open transactions live in its pool.
 type dirEntry struct {
 	sharers uint64 // presence bitmap, one bit per CPU (hence the 64-CPU cap)
+	tx      *dirTx // the open transaction and the requests behind it; nil while idle
 	owner   int16  // exclusive owner cache id, -1 when none (MESI only)
 	// bcast marks a limited-pointer entry that overflowed its pointers:
 	// the bitmap stays faithful for checking, but the protocol must
 	// broadcast its invalidations/updates as real Dir_k_B hardware
 	// would, having lost precise sharer knowledge.
-	bcast   bool
-	oldWord uint32 // a swap's value to return; finish leaves it, Fingerprint encodes it
-
-	dirTx // the open transaction; zero while the block is idle
-	// deferred queues requests behind a busy block, as value copies for
-	// the same reason as req.
-	deferred []Msg
+	bcast bool
 }
 
-// dirTx is one block's multi-message transaction.
+// dirTx is one block's multi-message transaction, taken from the bank's
+// pool when it opens and returned once the block is idle with nothing
+// deferred.
 type dirTx struct {
 	kind MsgKind // transaction being completed; MsgInvalid: none
 	// req is a value copy of the original request awaiting completion:
@@ -52,6 +50,7 @@ type dirTx struct {
 	req         Msg
 	fetchTarget int16 // owner a Cmd{Fetch,FetchInval} was sent to, while fetchPending
 	waitAcks    int
+	oldWord     uint32 // a swap's value to return
 	// Fetch/forwarding bookkeeping: a transaction with a pending fetch
 	// closes only when the owner's RspFetch arrived (plus, when it was
 	// forwarded cache-to-cache, the requester's RspC2CDone) and every
@@ -62,17 +61,34 @@ type dirTx struct {
 	fetchHadData bool
 	retainOwner  bool
 	c2cDone      bool
-	// begin is the cycle the transaction opened (its trace span).
-	begin uint64
+	begin        uint64 // the cycle the transaction opened (its trace span)
+	// deferred queues requests behind the busy block, as value copies
+	// for the same reason as req; the pool keeps its capacity.
+	deferred []Msg
+	next     *dirTx // the bank's free list
 }
 
 // busy reports whether the block has a transaction open.
-func (e *dirEntry) busy() bool { return e.kind != MsgInvalid }
+func (e *dirEntry) busy() bool { return e.tx != nil && e.tx.kind != MsgInvalid }
 
 // open starts the block's multi-message transaction of the given kind
 // on behalf of request m (an upgrade promoted to an exclusive read opens
-// a ReqReadExcl).
-func (e *dirEntry) open(kind MsgKind, m *Msg) { e.dirTx = dirTx{kind: kind, req: *m} }
+// a ReqReadExcl), in the transaction the block holds while it replays
+// its deferred requests, else in one from the pool.
+func (mc *MemCtrl) open(e *dirEntry, kind MsgKind, m *Msg, now uint64) *dirTx {
+	t := e.tx
+	if t == nil {
+		if t = mc.txFree; t != nil {
+			mc.txFree = t.next
+		} else {
+			t = new(dirTx)
+		}
+		e.tx = t
+	}
+	mc.busyTx++
+	*t = dirTx{kind: kind, req: *m, begin: now, deferred: t.deferred}
+	return t
+}
 
 // MemCtrl is one memory bank: backing storage timing, the co-located
 // full-map directory, and the memory-side protocol engine for whichever
@@ -88,6 +104,8 @@ type MemCtrl struct {
 	space  *mem.Space
 
 	dir       map[uint32]*dirEntry
+	chunk     []dirEntry // the records dir indexes are carved from
+	txFree    *dirTx     // idle transactions, each with its deferred array
 	busyUntil uint64
 	st        MemStats
 
@@ -100,11 +118,6 @@ type MemCtrl struct {
 	// can read bank pressure without walking the directory map.
 	busyTx     int
 	queuedReqs int
-
-	// replay is the scratch slot deferred requests are popped into when
-	// a transaction closes: a persistent field, not a loop local, so the
-	// replayed message never escapes to the heap per replay.
-	replay Msg
 
 	// Fault seeds protocol mutations for verification self-tests; the
 	// zero value (production) injects nothing. See FaultPlan.
@@ -138,7 +151,13 @@ func (mc *MemCtrl) Accept(now uint64) bool { return now >= mc.busyUntil }
 func (mc *MemCtrl) entry(blk uint32) *dirEntry {
 	e := mc.dir[blk]
 	if e == nil {
-		e = &dirEntry{owner: -1}
+		if len(mc.chunk) == cap(mc.chunk) {
+			// 384 B: a larger object with pointers carries a malloc header.
+			mc.chunk = make([]dirEntry, 0, 16)
+		}
+		mc.chunk = mc.chunk[:len(mc.chunk)+1]
+		e = &mc.chunk[len(mc.chunk)-1]
+		e.owner = -1
 		mc.dir[blk] = e
 	}
 	return e
@@ -149,18 +168,13 @@ func (mc *MemCtrl) newCtrl(kind MsgKind, addr uint32) Msg {
 	return Msg{Kind: kind, Src: mc.nodeID, Addr: addr}
 }
 
-func serviceCost(k MsgKind, memService int) int {
-	switch k {
-	case RspInvAck, RspFetch, ReqWriteBack:
-		return 1
-	default:
-		return memService
-	}
-}
-
-// HandleMsg implements Sink.
+// HandleMsg implements Sink: the port stays busy MemService cycles, one
+// for an ack, a fetched block or a writeback.
 func (mc *MemCtrl) HandleMsg(m *Msg, now uint64) {
-	mc.busyUntil = now + uint64(serviceCost(m.Kind, mc.p.MemService))
+	mc.busyUntil = now + uint64(mc.p.MemService)
+	if m.Kind == RspInvAck || m.Kind == RspFetch || m.Kind == ReqWriteBack {
+		mc.busyUntil = now + 1
+	}
 	mc.process(m, now)
 }
 
@@ -184,14 +198,8 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 		}
 		mc.node.SendCtrl(mc.newCtrl(RspWriteAck, m.Addr), m.Src, now+1)
 		return
-	case RspInvAck:
-		mc.handleInvAck(m, now)
-		return
-	case RspFetch:
-		mc.handleFetchRsp(m, now)
-		return
-	case RspC2CDone:
-		mc.handleC2CDone(m, now)
+	case RspInvAck, RspFetch, RspC2CDone:
+		mc.handleRsp(m, now)
 		return
 	}
 
@@ -200,7 +208,7 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 	if e.busy() {
 		mc.st.Deferred++
 		mc.queuedReqs++
-		e.deferred = append(e.deferred, *m)
+		e.tx.deferred = append(e.tx.deferred, *m)
 		return
 	}
 	switch m.Kind {
@@ -217,12 +225,7 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 	default:
 		panic(fmt.Sprintf("coherence: bank %d: unhandled %v", mc.bank, m))
 	}
-	// The entry was idle on dispatch, so a busy entry here means the
-	// handler just opened a multi-message transaction.
-	if e.busy() {
-		mc.busyTx++
-		e.begin = now
-	} else if mc.Obs.Tracing() {
+	if !e.busy() && mc.Obs.Tracing() {
 		// Single-message request, served and answered in this call.
 		mc.Obs.Instant(obs.DirPid(mc.bank), 0, m.Kind.String(), now, m.Addr)
 	}
@@ -284,9 +287,9 @@ func (mc *MemCtrl) sendInvals(blk uint32, mask uint64, now uint64) int {
 // its owner with cmd (CmdFetch or CmdFetchInval), forwarded cache to
 // cache when fwd is set.
 func (mc *MemCtrl) openFetch(e *dirEntry, kind, cmd MsgKind, m *Msg, fwd bool, now uint64) {
-	e.open(kind, m)
-	e.fetchTarget = e.owner
-	e.fetchPending = true
+	t := mc.open(e, kind, m, now)
+	t.fetchTarget = e.owner
+	t.fetchPending = true
 	mc.st.FetchesSent++
 	c := mc.newCtrl(cmd, m.Addr)
 	c.HasFwd = fwd
@@ -334,7 +337,7 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 		others := mc.invalTargets(e, m.Src) &^ (1 << uint(e.owner))
 		mc.openFetch(e, ReqReadExcl, CmdFetchInval, m, mc.p.CacheToCache && others == 0, now)
 		if others != 0 {
-			e.waitAcks = mc.sendInvals(blk, others, now)
+			e.tx.waitAcks = mc.sendInvals(blk, others, now)
 		}
 		e.sharers = 0
 		e.bcast = false
@@ -348,8 +351,7 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 	e.sharers = 0
 	e.bcast = false
 	if others != 0 {
-		e.open(ReqReadExcl, m)
-		e.waitAcks = mc.sendInvals(blk, others, now)
+		mc.open(e, ReqReadExcl, m, now).waitAcks = mc.sendInvals(blk, others, now)
 		return
 	}
 	e.owner = int16(m.Src)
@@ -371,8 +373,7 @@ func (mc *MemCtrl) handleUpgrade(e *dirEntry, m *Msg, now uint64) {
 	e.sharers = 0
 	e.bcast = false
 	if others != 0 {
-		e.open(ReqUpgrade, m)
-		e.waitAcks = mc.sendInvals(m.Addr, others, now)
+		mc.open(e, ReqUpgrade, m, now).waitAcks = mc.sendInvals(m.Addr, others, now)
 		return
 	}
 	e.owner = int16(m.Src)
@@ -403,11 +404,11 @@ func (mc *MemCtrl) handleWriteThrough(e *dirEntry, m *Msg, now uint64) {
 	}
 	// The 4-hop write: invalidate (WTI) or update (WTU) the copies,
 	// acknowledging the writer once their acks are in.
-	e.open(ReqWriteThrough, m)
+	t := mc.open(e, ReqWriteThrough, m, now)
 	if mc.proto == WTU {
-		e.waitAcks = mc.sendUpdates(targets, m.Addr, m.Word, now)
+		t.waitAcks = mc.sendUpdates(targets, m.Addr, m.Word, now)
 	} else {
-		e.waitAcks = mc.sendInvals(blk, targets, now)
+		t.waitAcks = mc.sendInvals(blk, targets, now)
 	}
 }
 
@@ -443,95 +444,76 @@ func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 		mc.node.SendCtrl(rsp, m.Src, now+uint64(mc.p.MemLatency))
 		return
 	}
-	e.open(ReqSwap, m)
-	e.oldWord = old
+	t := mc.open(e, ReqSwap, m, now)
+	t.oldWord = old
 	if mc.proto == WTU {
-		e.waitAcks = mc.sendUpdates(others, m.Addr, m.Word, now)
+		t.waitAcks = mc.sendUpdates(others, m.Addr, m.Word, now)
 	} else {
-		e.waitAcks = mc.sendInvals(blk, others, now)
+		t.waitAcks = mc.sendInvals(blk, others, now)
 	}
 }
 
-func (mc *MemCtrl) handleInvAck(m *Msg, now uint64) {
-	blk := BlockAddr(m.Addr)
-	e := mc.dir[blk]
-	if e == nil || !e.busy() || e.waitAcks <= 0 {
-		panic(fmt.Sprintf("coherence: bank %d: stray inv ack %v", mc.bank, m))
-	}
-	e.waitAcks--
-	mc.maybeComplete(e, blk, now)
-}
-
-func (mc *MemCtrl) handleC2CDone(m *Msg, now uint64) {
+// handleRsp folds an ack, a fetched block or a forward's confirmation
+// into its block's open transaction.
+func (mc *MemCtrl) handleRsp(m *Msg, now uint64) {
 	blk := BlockAddr(m.Addr)
 	e := mc.dir[blk]
 	if e == nil || !e.busy() {
-		panic(fmt.Sprintf("coherence: bank %d: stray c2c done %v", mc.bank, m))
+		panic(fmt.Sprintf("coherence: bank %d: stray %v", mc.bank, m))
 	}
-	e.c2cDone = true
+	switch t := e.tx; {
+	case m.Kind == RspInvAck && t.waitAcks > 0:
+		t.waitAcks--
+	case m.Kind == RspC2CDone:
+		t.c2cDone = true
+	case m.Kind == RspFetch && t.fetchPending && int(t.fetchTarget) == m.Src:
+		if !m.NoData {
+			mc.space.WriteBlock(blk, m.Data[:])
+		}
+		t.fetchSeen, t.fetchFwd, t.fetchHadData, t.retainOwner = true, m.Forwarded, !m.NoData, m.RetainOwner
+	default:
+		panic(fmt.Sprintf("coherence: bank %d: stray %v", mc.bank, m))
+	}
 	mc.maybeComplete(e, blk, now)
-}
-
-func (mc *MemCtrl) handleFetchRsp(m *Msg, now uint64) {
-	blk := m.Addr
-	e := mc.dir[blk]
-	if e == nil || !e.busy() || !e.fetchPending || int(e.fetchTarget) != m.Src {
-		panic(fmt.Sprintf("coherence: bank %d: stray fetch response %v", mc.bank, m))
-	}
-	if !m.NoData {
-		mc.space.WriteBlock(blk, m.Data[:])
-	}
-	e.fetchSeen = true
-	e.fetchFwd = m.Forwarded
-	e.fetchHadData = !m.NoData
-	e.retainOwner = m.RetainOwner
-	mc.maybeComplete(e, blk, now)
-}
-
-// fetchDone reports whether the transaction's fetch leg (if any) has
-// fully landed: the owner answered, and a forwarded transfer was
-// confirmed received by the requester (so a later invalidation can
-// never overtake the forwarded data).
-func (e *dirEntry) fetchDone() bool {
-	if !e.fetchPending {
-		return true
-	}
-	return e.fetchSeen && (!e.fetchFwd || e.c2cDone)
 }
 
 // maybeComplete closes the transaction once every awaited message is
-// in, applying the directory updates and sending the response.
+// in, applying the directory updates and sending the response. A fetch
+// leg has landed when the owner answered and a forwarded transfer was
+// confirmed received by the requester (so a later invalidation can
+// never overtake the forwarded data).
 func (mc *MemCtrl) maybeComplete(e *dirEntry, blk uint32, now uint64) {
-	if e.waitAcks > 0 || !e.fetchDone() {
+	t := e.tx
+	if t.waitAcks > 0 || t.fetchPending && !(t.fetchSeen && (!t.fetchFwd || t.c2cDone)) {
 		return
 	}
-	req := &e.req
-	switch e.kind {
+	req := &t.req
+	switch t.kind {
 	case ReqWriteThrough:
 		mc.node.SendCtrl(mc.newCtrl(RspWriteAck, req.Addr), req.Src, now+1)
 	case ReqSwap:
 		rsp := mc.newCtrl(RspSwap, req.Addr)
-		rsp.Word = e.oldWord
+		rsp.Word = t.oldWord
 		mc.node.SendCtrl(rsp, req.Src, now+1)
 	case ReqRead:
-		if e.retainOwner {
+		if t.retainOwner {
 			// MOESI: the previous owner keeps the block Owned (dirty,
 			// memory stays stale) and supplied the requester directly.
-			if !e.fetchFwd {
+			if !t.fetchFwd {
 				panic(fmt.Sprintf("coherence: bank %d: owner retained without forwarding", mc.bank))
 			}
 			mc.noteSharer(e, req.Src)
 			break
 		}
-		old := int(e.fetchTarget)
+		old := int(t.fetchTarget)
 		e.owner = -1
-		if e.fetchHadData || e.fetchFwd {
+		if t.fetchHadData || t.fetchFwd {
 			// The previous owner keeps a Shared copy only if it still
 			// had the block to answer with.
 			mc.noteSharer(e, old)
 		}
 		switch {
-		case e.fetchFwd:
+		case t.fetchFwd:
 			// Cache-to-cache: the requester already has the data.
 			mc.noteSharer(e, req.Src)
 		case e.sharers == 0:
@@ -545,7 +527,7 @@ func (mc *MemCtrl) maybeComplete(e *dirEntry, blk uint32, now uint64) {
 		e.owner = int16(req.Src)
 		e.sharers = 0
 		e.bcast = false
-		if !e.fetchFwd {
+		if !t.fetchFwd {
 			mc.respondData(blk, req.Src, true, now)
 		}
 	case ReqUpgrade:
@@ -554,23 +536,28 @@ func (mc *MemCtrl) maybeComplete(e *dirEntry, blk uint32, now uint64) {
 		e.bcast = false
 		mc.node.SendCtrl(mc.newCtrl(RspUpgradeAck, blk), req.Src, now+1)
 	default:
-		panic(fmt.Sprintf("coherence: bank %d: completion of unexpected %v transaction", mc.bank, e.kind))
+		panic(fmt.Sprintf("coherence: bank %d: completion of unexpected %v transaction", mc.bank, t.kind))
 	}
 	mc.finish(e, blk, now)
 }
 
 // finish closes the block's transaction and replays deferred requests
-// until one of them re-blocks the entry (or none remain).
+// until one of them re-blocks the entry (or none remain); an idle
+// block's transaction goes back to the pool.
 func (mc *MemCtrl) finish(e *dirEntry, blk uint32, now uint64) {
+	t := e.tx
 	mc.busyTx--
-	mc.Obs.Span(obs.DirPid(mc.bank), obs.TidLane, e.kind.String(), e.begin, now, blk)
-	e.dirTx = dirTx{}
-	for !e.busy() && len(e.deferred) > 0 {
-		mc.replay = e.deferred[0]
-		copy(e.deferred, e.deferred[1:])
-		e.deferred = e.deferred[:len(e.deferred)-1]
+	mc.Obs.Span(obs.DirPid(mc.bank), obs.TidLane, t.kind.String(), t.begin, now, blk)
+	*t = dirTx{deferred: t.deferred}
+	for !e.busy() && len(t.deferred) > 0 {
+		// The head stays in place while it runs: nothing it does
+		// appends to this block's queue.
 		mc.queuedReqs--
-		mc.process(&mc.replay, now)
+		mc.process(&t.deferred[0], now)
+		t.deferred = t.deferred[:copy(t.deferred, t.deferred[1:])]
+	}
+	if !e.busy() {
+		e.tx, t.next, mc.txFree = nil, mc.txFree, t
 	}
 }
 
@@ -607,25 +594,25 @@ func (mc *MemCtrl) DirBusy(blk uint32) bool {
 func (mc *MemCtrl) Fingerprint(e *Enc, now uint64) {
 	blks := make([]uint32, 0, len(mc.dir))
 	for blk, d := range mc.dir { //lint:allow maprange — sorted immediately below
-		if d.busy() || d.sharers != 0 || d.owner >= 0 || d.bcast || len(d.deferred) > 0 {
+		if d.tx != nil || d.sharers != 0 || d.owner >= 0 || d.bcast {
 			blks = append(blks, blk) // else indistinguishable from an absent entry
 		}
 	}
 	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
 	e.U32(uint32(len(blks)))
+	var idle dirTx // an idle block encodes a zero transaction
 	for _, blk := range blks {
-		d := mc.dir[blk]
-		reqSrc := -1
-		if d.busy() {
-			reqSrc = d.req.Src
+		d, t, reqSrc := mc.dir[blk], &idle, -1
+		if d.tx != nil { // open: an idle block's went back to the pool
+			t, reqSrc = d.tx, d.tx.req.Src
 		}
 		e.U64(d.sharers)
-		e.U32(blk, uint32(d.owner), uint32(d.kind), uint32(reqSrc), uint32(d.waitAcks),
-			uint32(d.fetchTarget), d.oldWord, uint32(len(d.deferred)))
-		e.Bools(d.bcast, d.busy(), d.fetchPending, d.fetchSeen, d.fetchFwd, d.fetchHadData,
-			d.retainOwner, d.c2cDone)
-		for i := range d.deferred {
-			d.deferred[i].Fingerprint(e)
+		e.U32(blk, uint32(d.owner), uint32(t.kind), uint32(reqSrc), uint32(t.waitAcks),
+			uint32(t.fetchTarget), t.oldWord, uint32(len(t.deferred)))
+		e.Bools(d.bcast, d.busy(), t.fetchPending, t.fetchSeen, t.fetchFwd, t.fetchHadData,
+			t.retainOwner, t.c2cDone)
+		for i := range t.deferred {
+			t.deferred[i].Fingerprint(e)
 		}
 	}
 	e.U64(max(mc.busyUntil, now) - now)

@@ -47,7 +47,7 @@ type Node struct {
 	amap     *mem.AddrMap
 	bankBase int
 
-	recvVeto uint64 // the cycle after the latest consumed delivery (RecvVeto)
+	veto uint64 // the cycle after the latest delivery or write-through departure (Veto)
 
 	// drops is the network's loss-notification interface, nil on
 	// reliable networks. The retry FSM below (see retryBudget) is armed
@@ -141,7 +141,7 @@ func (n *Node) Tick(now uint64) uint64 {
 			n.Trace(now, "rx", n.ID, m.Src, &n.rx)
 		}
 		n.sink.HandleMsg(&n.rx, now)
-		n.recvVeto = now + 1
+		n.veto = now + 1
 	}
 	// Send, preserving FIFO order (the port enforces it even when a
 	// later message has an earlier not-before cycle). The
@@ -204,11 +204,13 @@ func (n *Node) NextWake(now uint64) uint64 {
 	return min(arrival, max(at, now))
 }
 
-// RecvVeto is now while now is at most the cycle after the latest
-// consumed delivery, else sim.NoWake: a CPU's core, ticked before its
-// node, reacts then. A bank's sink reacts inside HandleMsg. Pure.
-func (n *Node) RecvVeto(now uint64) uint64 {
-	if n.recvVeto >= now {
+// Veto is now while now is at most the cycle after the latest consumed
+// delivery or, at a CPU's port, write-buffer departure, else
+// sim.NoWake: a CPU's core, ticked before its node, reacts then (a load
+// stalled on an unsent write in its block un-blocks on the departure).
+// A bank's sink reacts inside HandleMsg. Pure.
+func (n *Node) Veto(now uint64) uint64 {
+	if n.veto >= now {
 		return now
 	}
 	return sim.NoWake

@@ -203,13 +203,13 @@ func TestNodeNextWake(t *testing.T) {
 		t.Fatal("packet not delivered")
 	}
 	// The drained node sleeps, the cycle after the delivery included:
-	// whoever reacts to it then (a CPU's core) asks RecvVeto, which
+	// whoever reacts to it then (a CPU's core) asks Veto, which
 	// names that cycle and no later one.
 	if n0.NextWake(arrived) != never || n1.NextWake(arrived+1) != never {
 		t.Fatal("drained nodes not asleep")
 	}
-	if n1.RecvVeto(arrived+1) != arrived+1 || n1.RecvVeto(arrived+2) != never {
-		t.Fatalf("RecvVeto after a delivery at %d: %d, %d", arrived, n1.RecvVeto(arrived+1), n1.RecvVeto(arrived+2))
+	if n1.Veto(arrived+1) != arrived+1 || n1.Veto(arrived+2) != never {
+		t.Fatalf("Veto after a delivery at %d: %d, %d", arrived, n1.Veto(arrived+1), n1.Veto(arrived+2))
 	}
 }
 

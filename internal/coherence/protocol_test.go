@@ -773,6 +773,26 @@ func TestRefusedRequestsRetry(t *testing.T) {
 	}
 }
 
+// TestWTIRefusedMissStaysAwake fills a WTI cache's port with sends
+// latched far ahead, so a load miss cannot issue: the cache must answer
+// NextWake with the current cycle on every cycle it is refused, since
+// only its own Tick retries the issue.
+func TestWTIRefusedMissStaysAwake(t *testing.T) {
+	r := newRig(t, WTI, 1, 1)
+	for n := r.Nodes[0]; n.CanSendReq(); {
+		n.SendCtrl(Msg{Kind: ReqRead, Addr: rigBase}, r.BNodes[0].ID, 1<<40)
+	}
+	for range 20 {
+		if _, ok := r.DCaches[0].Load(r.now, rigBase+0x100); ok {
+			t.Fatalf("cycle %d: the load completed through a full port", r.now)
+		}
+		if w := r.DCaches[0].NextWake(r.now); w != r.now {
+			t.Fatalf("cycle %d: a refused miss sleeps until %d", r.now, w)
+		}
+		r.step()
+	}
+}
+
 func TestRandomStressManySeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long stress")

@@ -50,14 +50,6 @@ type WTICache struct {
 	// rejected on a full write buffer: the exact stall Skip charges for
 	// the retry cycles the engine does not execute.
 	lastStoreFull bool
-
-	// sendVeto is the first cycle after the most recent write-buffer
-	// departure (entry handed to the outbound FIFO). That cycle must
-	// execute: a data-stalled load blocked on HasUnsentInBlock may be
-	// unblocked by the departure, and the CPU's retry acts one cycle
-	// after it — the send-side analogue of Node.recvVeto. Monotonic;
-	// stale values below the current cycle are inert.
-	sendVeto uint64
 }
 
 type wtiPending struct {
@@ -240,16 +232,15 @@ func (c *WTICache) Tick(now uint64) {
 	if e, ok := c.wb.NextToSend(); ok && c.node.CanSendReq() {
 		c.node.SendHome(Msg{Kind: ReqWriteThrough, Src: c.id, Addr: e.addr, Word: e.word}, now)
 		e.sent = true
-		c.sendVeto = now + 1
+		c.node.veto = now + 1 // a load stalled on the entry retries then
 	}
 }
 
 // NextWake implements DataCache: now while there is an unissued pending
-// request (the issue must be retried), a write-buffer
-// entry ready to depart, or a departure in the cycle just executed
-// (sendVeto — the CPU's stalled retry may react to it now).
+// request (the issue must be retried) or a write-buffer entry ready to
+// depart. The cycle after a departure is the node's Veto.
 func (c *WTICache) NextWake(now uint64) uint64 {
-	if c.sendVeto >= now || c.pend.active && !c.pend.issued {
+	if c.pend.active && !c.pend.issued {
 		return now
 	}
 	if _, ok := c.wb.NextToSend(); ok {

@@ -175,12 +175,12 @@ func TestOnlyACoreWakesAfterADelivery(t *testing.T) {
 			return fmt.Sprintf("%x %+v %d %d", e, *sys.Banks[b].Stats(), nd.Retransmits, nd.BackoffCycles)
 		}
 		var cores, slept int
-		sys.Engine.Step() // cycle 0: RecvVeto's zero value names it
+		sys.Engine.Step() // cycle 0: Veto's zero value names it
 		for now := uint64(1); now < 30_000 && !sys.AllHalted(); now++ {
 			for i, cl := range clusters {
-				if sys.Nodes[i].RecvVeto(now) == now {
+				if sys.Nodes[i].Veto(now) == now {
 					if w := cl.NextWake(now); w != now {
-						t.Fatalf("%v: cluster %d consumed a delivery at %d, NextWake(%d) = %d", proto, i, now-1, now, w)
+						t.Fatalf("%v: cluster %d consumed a delivery or sent a write-through at %d, NextWake(%d) = %d", proto, i, now-1, now, w)
 					}
 					cores++
 				}
@@ -191,7 +191,7 @@ func TestOnlyACoreWakesAfterADelivery(t *testing.T) {
 			}
 			var sleeping []snap
 			for b, nd := range sys.BNodes {
-				if nd.RecvVeto(now) == now && nd.NextWake(now) > now {
+				if nd.Veto(now) == now && nd.NextWake(now) > now {
 					sleeping = append(sleeping, snap{b, bank(b, now)})
 				}
 			}
@@ -215,17 +215,18 @@ func TestOnlyACoreWakesAfterADelivery(t *testing.T) {
 // spins, clean and under a fault plan whose stall windows and quieting
 // deliveries move wakes later. The counts were recorded with bursts that
 // cross I-lines, bank nodes that sleep through the cycle after a
-// delivery, and every pushed wake a tick (no NextWake question after a
-// Wake: the network's no-op ticks count as executed). A Tick that answers a cycle the ticker would not run at — a cluster
+// delivery, every pushed wake a tick (no NextWake question after a
+// Wake: the network's no-op ticks count as executed), and a core that
+// runs ahead through the cycle after its node's delivery. A Tick that answers a cycle the ticker would not run at — a cluster
 // answering where its core's run-ahead stopped rather than NextWake there,
 // a network missing its fault layer's Wake — keeps every Result byte and
 // moves these: spin sleeps cut short, fewer ticks skipped.
 func TestSchedulePinned(t *testing.T) {
 	for _, c := range []struct{ fault, want string }{
-		{"", "cpus 44896/1133152; banks 25913/268599; noc 23247/124009; " +
-			"leaped 80995, ahead 247745 in 27225, spun 439 for 25259"},
-		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 45545/1160511; banks 26821/274693; noc 146354/4403; " +
-			"leaped 3470, ahead 252452 in 27768, spun 435 for 26297"},
+		{"", "cpus 43123/1134925; banks 25913/268599; noc 23247/124009; " +
+			"leaped 82100, ahead 251367 in 27851, spun 439 for 23410"},
+		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 43676/1162380; banks 26821/274693; noc 146354/4403; " +
+			"leaped 3470, ahead 256233 in 28396, spun 435 for 24385"},
 	} {
 		cfg := DefaultConfig(coherence.WBMESI, mem.Arch1, 8)
 		var err error

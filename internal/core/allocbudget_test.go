@@ -14,11 +14,12 @@ import (
 
 // allocBudgetPerCycle is the committed steady-state allocation budget
 // for the pinned ocean runs below, in heap allocations per cycle. The
-// message slab and the value-typed directory state put the steady state
-// at (close to) zero: after warm-up the only sanctioned hot-path
-// allocations are slab growth at a new in-flight high-water mark and
-// first-touch page/queue growth, all of which decay to nothing once the
-// run is warm. The budget leaves headroom for GC-internal bookkeeping; a
+// message slab, the directory's records carved 16 to a chunk and its
+// pooled transactions put the steady state at (close to) zero: after
+// warm-up the only sanctioned hot-path allocations are slab and pool
+// growth at a new high-water mark and first-touch page, queue and
+// directory-chunk growth, all of which decay to nothing once the run
+// is warm. The budget leaves headroom for GC-internal bookkeeping; a
 // regression that reintroduces a per-transaction allocation (one Msg per
 // protocol message, at roughly one message per a few cycles here) lands
 // orders of magnitude above it.

@@ -270,11 +270,13 @@ type cluster struct {
 }
 
 // Tick answers NextWake(now+1): the parts' wakes bound the run-ahead too.
+// The node's Veto does not: it holds the next cycle for a stalled core,
+// and a core that runs ahead executes that cycle in its burst.
 func (c *cluster) Tick(now uint64) uint64 {
 	c.cpu.Tick(now)
 	c.dc.Tick(now)
 	c.ic.Tick(now)
-	next, at := min(c.node.Tick(now), c.node.RecvVeto(now+1), c.dc.NextWake(now+1), c.ic.NextWake(now+1)), now+1
+	next, at := min(c.node.Tick(now), c.dc.NextWake(now+1), c.ic.NextWake(now+1)), now+1
 	// An active core only: a stalled or halted one has nothing to run. Not
 	// while a port is one loss from its budget: spending it ends the run with
 	// -noleap's pcs. A port that gets there later waits its last backoff (1024 cycles).
@@ -284,7 +286,7 @@ func (c *cluster) Tick(now uint64) uint64 {
 			at = c.ahead
 		}
 	}
-	return max(at, min(c.cpu.NextWake(at), next))
+	return max(at, min(c.cpu.NextWake(at), next, c.node.Veto(at)))
 }
 
 func (c *cluster) NextWake(now uint64) uint64 {
@@ -296,7 +298,7 @@ func (c *cluster) NextWake(now uint64) uint64 {
 	if now < c.ahead && c.net.ArrivalAt(c.node.ID) >= c.ahead {
 		now = c.ahead
 	}
-	return max(now, min(c.cpu.NextWake(now), c.dc.NextWake(now), c.ic.NextWake(now), c.node.NextWake(now), c.node.RecvVeto(now)))
+	return max(now, min(c.cpu.NextWake(now), c.dc.NextWake(now), c.ic.NextWake(now), c.node.NextWake(now), c.node.Veto(now)))
 }
 
 // Skip charges the stalled core's retries (the core forwards its
