@@ -74,7 +74,9 @@ race:
 # Water/WB/arch1/n64 stays out: even at -mols 1 -steps 1 its -noleap run
 # takes 40 s. The EQUIV_TRACE_RUNS also compare the -obs-trace and
 # -obs-csv files: arch1 machines at n16 with many overlapping directory
-# transactions, whose trace lanes are placed as each span closes. The
+# transactions, whose trace lanes are placed as each span closes, and a
+# water/WB run under link faults, the row whose latency table holds
+# retry samples (10, each recorded by the port that lost a transfer). The
 # EQUIV_PINS, the four BENCHMARK.json pins, also compare -v's text with
 # stderr's host-side engine: line left out: -json carries neither the
 # per-bank counters nor the NoC's inject stalls, which are what a change
@@ -99,7 +101,8 @@ EQUIV_RUNS := $(EQUIV_PINS) \
 	"-bench prodcons -protocol wtu -cpus 64"
 EQUIV_TRACE_RUNS := \
 	"-bench ocean -protocol wti -arch 1 -cpus 16 -rows 2 -iters 2" \
-	"-bench water -protocol moesi -arch 1 -cpus 16 -mols 2 -steps 1"
+	"-bench water -protocol moesi -arch 1 -cpus 16 -mols 2 -steps 1" \
+	"-bench water -protocol wb -cpus 8 -mols 2 -steps 1 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,seed=42"
 equiv:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/mcsim" ./cmd/mcsim || exit 1; \
@@ -141,7 +144,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 10: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 13200
+LOC_CEILING := 13140
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

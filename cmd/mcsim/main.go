@@ -4,14 +4,18 @@
 // Usage:
 //
 //	mcsim [-bench ocean|water|counter|sparse|rmw|prodcons|uniform|hotspot|dense]
+//	      [-rows N] [-iters N] [-mols N] [-steps N] [-incs N]
 //	      [-protocol wti|wtu|wb|moesi] [-arch 1|2] [-cpus N] [-noc gmn|mesh|bus]
-//	      [-strict] [-v | -json] [-fault drop=1e-4,delay=1e-3:8,seed=42]
+//	      [-strict] [-c2c] [-ways N] [-dirptrs K]
+//	      [-v | -json] [-check N] [-noleap] [-fault drop=1e-4,delay=1e-3:8,seed=42]
+//	      [-obs-trace FILE] [-obs-interval K] [-obs-csv FILE]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // -bench names any exp.Bench: a program the SR32 interpreters run, or a
 // stream bench whose CPUs replay synthetic references (no host
-// reference to check). A program-size flag (-rows, -incs, ...) given
-// with a bench it does not size is refused.
+// reference to check). The program-size flags each size one program
+// (-rows and -iters ocean, -mols and -steps water, -incs counter); one
+// given with a bench it does not size is refused.
 //
 // The profiling flags are the pprof hooks shared with sweep
 // (internal/obs/prof); they observe the process and cannot change

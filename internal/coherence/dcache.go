@@ -1,9 +1,6 @@
 package coherence
 
-import (
-	"repro/internal/mem"
-	"repro/internal/obs"
-)
+import "repro/internal/mem"
 
 // DataCache is one protocol's data-cache controller: the CPU-facing
 // operations, the scheduling contract, and what the platform around it
@@ -65,13 +62,11 @@ type DataCache interface {
 	FlushDirty(s *mem.Space)
 	// Fingerprint appends the controller's complete
 	// behaviour-relevant state — pending transactions, posted writes,
-	// resident lines — to e. Counters, observability handles
-	// and latency-attribution timestamps are excluded: they do not
-	// influence future behaviour, and including them would keep the
-	// model checker from ever merging two states.
+	// resident lines — to e. Counters and latency-attribution
+	// timestamps are excluded: they do not influence future behaviour,
+	// and including them would keep the model checker from ever merging
+	// two states.
 	Fingerprint(e *Enc)
-	// SetObserver attaches the observability recorder (nil detaches).
-	SetObserver(r *obs.Recorder)
 }
 
 // LineInfo describes one resident cache line for inspection. Data

@@ -109,9 +109,6 @@ type MemCtrl struct {
 	busyUntil uint64
 	st        MemStats
 
-	// Obs, when attached, records directory transactions as trace
-	// spans and keeps the occupancy gauges below exact for sampling.
-	Obs *obs.Recorder
 	// busyTx counts blocks with a transaction in flight; queuedReqs
 	// counts deferred requests waiting behind busy blocks. Both are
 	// maintained unconditionally (two integer bumps) so the sampler
@@ -225,9 +222,9 @@ func (mc *MemCtrl) process(m *Msg, now uint64) {
 	default:
 		panic(fmt.Sprintf("coherence: bank %d: unhandled %v", mc.bank, m))
 	}
-	if !e.busy() && mc.Obs.Tracing() {
+	if !e.busy() && mc.node.Obs.Tracing() {
 		// Single-message request, served and answered in this call.
-		mc.Obs.Instant(obs.DirPid(mc.bank), 0, m.Kind.String(), now, m.Addr)
+		mc.node.Obs.Instant(obs.DirPid(mc.bank), 0, m.Kind.String(), now, m.Addr)
 	}
 }
 
@@ -547,7 +544,7 @@ func (mc *MemCtrl) maybeComplete(e *dirEntry, blk uint32, now uint64) {
 func (mc *MemCtrl) finish(e *dirEntry, blk uint32, now uint64) {
 	t := e.tx
 	mc.busyTx--
-	mc.Obs.Span(obs.DirPid(mc.bank), obs.TidLane, t.kind.String(), t.begin, now, blk)
+	mc.node.Obs.Span(obs.DirPid(mc.bank), obs.TidLane, t.kind.String(), t.begin, now, blk)
 	*t = dirTx{deferred: t.deferred}
 	for !e.busy() && len(t.deferred) > 0 {
 		// The head stays in place while it runs: nothing it does

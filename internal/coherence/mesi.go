@@ -26,10 +26,6 @@ type MESICache struct {
 	pend  mesiPending
 	evict mesiEvict
 	st    DCacheStats
-
-	// Obs, when attached, records blocking-transaction and writeback
-	// spans plus request latencies.
-	Obs *obs.Recorder
 }
 
 type mesiPending struct {
@@ -74,9 +70,6 @@ func newWriteBackCache(proto Protocol, id int, p Params, node *Node) DataCache {
 // Stats implements DataCache.
 func (c *MESICache) Stats() *DCacheStats { return &c.st }
 
-// SetObserver implements DataCache.
-func (c *MESICache) SetObserver(r *obs.Recorder) { c.Obs = r }
-
 // WBOccupancy implements DataCache: there is no write buffer.
 func (c *MESICache) WBOccupancy() int { return 0 }
 
@@ -117,7 +110,7 @@ func (c *MESICache) completePend(now uint64, addr uint32) {
 	case c.pend.apply:
 		k = obs.LatWriteAlloc
 	}
-	c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, k, c.pend.begin, now, addr)
+	c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, k, c.pend.begin, now, addr)
 }
 
 func (c *MESICache) tryIssue(now uint64) {
@@ -292,7 +285,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		if !c.evict.active || c.evict.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: MESI cache %d: stray writeback ack %v", c.id, m))
 		}
-		c.Obs.Done(obs.CPUPid(c.id), obs.TidLane, obs.LatWriteback, c.evict.begin, now, m.Addr)
+		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidLane, obs.LatWriteback, c.evict.begin, now, m.Addr)
 		c.evict = mesiEvict{}
 	case CmdInval:
 		c.st.InvalsReceived++

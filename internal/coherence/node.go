@@ -68,7 +68,10 @@ type Node struct {
 	// sink, it must not retain m.
 	Trace func(now uint64, dir string, self, peer int, m *Msg)
 
-	// Obs, when attached, records the retry latency of lost transfers.
+	// Obs, when attached, is the recorder of this port and of the
+	// controller behind it: the port records the retry latency of lost
+	// transfers, a data cache its transaction spans and latencies, a
+	// bank its directory spans.
 	Obs *obs.Recorder
 
 	// Retransmits counts transfers lost on the wire and re-offered;

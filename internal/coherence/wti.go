@@ -36,10 +36,6 @@ type WTICache struct {
 	pend wtiPending
 	st   DCacheStats
 
-	// Obs, when attached, records transaction spans (a posted write's
-	// push-to-ack drain on a lane) and request latencies.
-	Obs *obs.Recorder
-
 	// strictStore tracks the store blocking for its ack in StrictSC
 	// mode; strictDone reports the ack arrived and the next retry may
 	// complete.
@@ -75,9 +71,6 @@ func newWriteThroughCache(proto Protocol, id int, p Params, node *Node) DataCach
 		node:  node,
 	}
 }
-
-// SetObserver implements DataCache.
-func (c *WTICache) SetObserver(r *obs.Recorder) { c.Obs = r }
 
 // WBOccupancy implements DataCache.
 func (c *WTICache) WBOccupancy() int { return c.wb.Len() }
@@ -265,14 +258,14 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 			panic(fmt.Sprintf("coherence: WTI cache %d: unexpected %v", c.id, m))
 		}
 		c.arr.fill(m.Addr, Shared, m.Data[:])
-		c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatReadMiss, c.pend.begin, now, m.Addr)
+		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatReadMiss, c.pend.begin, now, m.Addr)
 		c.pend = wtiPending{}
 	case RspWriteAck:
 		pushedAt, ok := c.wb.Ack(m.Addr)
 		if !ok {
 			panic(fmt.Sprintf("coherence: WTI cache %d: stray write ack %v", c.id, m))
 		}
-		c.Obs.Done(obs.CPUPid(c.id), obs.TidLane, obs.LatWriteDrain, pushedAt, now, m.Addr)
+		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidLane, obs.LatWriteDrain, pushedAt, now, m.Addr)
 		if c.strictStore && c.wb.Empty() {
 			c.strictStore = false
 			c.strictDone = true
@@ -283,7 +276,7 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 		}
 		c.pend.done = true
 		c.pend.oldVal = m.Word
-		c.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatSwap, c.pend.begin, now, m.Addr)
+		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatSwap, c.pend.begin, now, m.Addr)
 	case CmdInval:
 		c.st.InvalsReceived++
 		if c.arr.invalidate(m.Addr) {

@@ -8,12 +8,13 @@ import (
 	"repro/internal/obs"
 )
 
-// AttachObserver wires an observability recorder through every
-// component of the system: CPUs (stall spans), data caches and write
-// buffers (transaction spans, latency attribution), directories
-// (transaction spans, queue gauges) and NoC ports (injection markers).
-// Call it after Build and before Run; a nil recorder is a no-op, so
-// callers may pass one through unconditionally.
+// AttachObserver wires an observability recorder into the system: the
+// CPUs record their stall spans, and every port's Node.Obs serves the
+// controllers behind it — a data cache's transaction spans and
+// latencies, a bank's directory spans — besides the port's own
+// injection markers and retry latencies. Call it after Build and before
+// Run; a nil recorder is a no-op, so callers may pass one through
+// unconditionally.
 //
 // When the recorder samples (Config.SampleInterval > 0) the standard
 // probe set is registered — IPC (a stream CPU's completed references
@@ -26,41 +27,21 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	}
 	s.Obs = r
 	n := s.Cfg.NumCPUs
-
-	if r.Tracing() {
-		r.NameProcess(obs.MetricsPid, "metrics", 0)
-		for i := 0; i < n; i++ {
-			pid := obs.CPUPid(i)
-			r.NameProcess(pid, fmt.Sprintf("cpu%d", i), 10+i)
-			r.NameThread(pid, obs.TidStall, "stall")
-			r.NameThread(pid, obs.TidDCache, "dcache")
-		}
-		for b := range s.Banks {
-			r.NameProcess(obs.DirPid(b), fmt.Sprintf("bank%d dir", b), 1000+b)
-		}
-		// An injected message is marked on its destination's row.
-		tx := func(now uint64, dir string, self, peer int, m *coherence.Msg) {
-			if dir == "tx" {
-				r.Instant(obs.PortPid(self), peer, m.Kind.String(), now, m.Addr)
-			}
-		}
-		for p, nd := range s.Ports {
-			r.NameProcess(obs.PortPid(p), fmt.Sprintf("port%d (%s)", p, s.nodeName(p)), 2000+p)
-			nd.Trace = tx
-		}
-	}
-
+	r.Machine(n, len(s.Banks))
 	for _, c := range s.CPUs {
 		c.Obs = r
 	}
-	for _, dc := range s.DCaches {
-		dc.SetObserver(r)
+	// An injected message is marked on its destination's row.
+	tx := func(now uint64, dir string, self, peer int, m *coherence.Msg) {
+		if dir == "tx" {
+			r.Instant(obs.PortPid(self), peer, m.Kind.String(), now, m.Addr)
+		}
 	}
 	for _, nd := range s.Ports {
 		nd.Obs = r
-	}
-	for _, b := range s.Banks {
-		b.Obs = r
+		if r.Tracing() {
+			nd.Trace = tx
+		}
 	}
 
 	if !r.Sampling() {
@@ -94,12 +75,4 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 	}
 
 	s.Engine.Every(interval, r.Sample)
-}
-
-// nodeName renders a node id as cpuN or bankN.
-func (s *System) nodeName(id int) string {
-	if id < s.Cfg.NumCPUs {
-		return fmt.Sprintf("cpu%d", id)
-	}
-	return fmt.Sprintf("bank%d", id-s.Cfg.NumCPUs)
 }

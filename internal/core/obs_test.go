@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -207,6 +208,63 @@ func checkTrace(t *testing.T, rec *obs.Recorder, posted string) {
 	}
 	if !strings.Contains(buf.String(), `"ph":"C"`) {
 		t.Error("trace has no counter events despite sampling")
+	}
+}
+
+// TestTraceTrackMetadata pins every track a traced machine names, in
+// the order WriteTrace emits them: the metrics group, each CPU, each
+// bank's directory and each NoC port (CPU ports first, as the nodes are
+// numbered), then each CPU's stall and dcache rows.
+func TestTraceTrackMetadata(t *testing.T) {
+	rec := obs.New(obs.Config{Trace: true})
+	runObserved(t, "ocean", coherence.WTI, 2, rec)
+	var buf bytes.Buffer
+	if err := rec.WriteTrace(&buf); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Pid, Tid int
+			Args     struct {
+				Name      string
+				SortIndex int `json:"sort_index"`
+			}
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var got []string
+	for _, e := range doc.TraceEvents {
+		switch e.Name {
+		case "process_name":
+			got = append(got, fmt.Sprintf("%d %q", e.Pid, e.Args.Name))
+		case "process_sort_index":
+			got = append(got, fmt.Sprintf("%d sort %d", e.Pid, e.Args.SortIndex))
+		case "thread_name":
+			got = append(got, fmt.Sprintf("%d/%d %q", e.Pid, e.Tid, e.Args.Name))
+		}
+	}
+	var want []string
+	for _, p := range []struct {
+		pid  int
+		name string
+		sort int
+	}{
+		{1, "metrics", 0},
+		{1000, "cpu0", 10}, {1001, "cpu1", 11},
+		{2000, "bank0 dir", 1000}, {2001, "bank1 dir", 1001}, {2002, "bank2 dir", 1002},
+		{2003, "bank3 dir", 1003}, {2004, "bank4 dir", 1004},
+		{3000, "port0 (cpu0)", 2000}, {3001, "port1 (cpu1)", 2001}, {3002, "port2 (bank0)", 2002},
+		{3003, "port3 (bank1)", 2003}, {3004, "port4 (bank2)", 2004}, {3005, "port5 (bank3)", 2005},
+		{3006, "port6 (bank4)", 2006},
+	} {
+		want = append(want, fmt.Sprintf("%d %q", p.pid, p.name), fmt.Sprintf("%d sort %d", p.pid, p.sort))
+	}
+	want = append(want, `1000/0 "stall"`, `1000/1 "dcache"`, `1001/0 "stall"`, `1001/1 "dcache"`)
+	if !slices.Equal(got, want) {
+		t.Errorf("track metadata:\n got %q\nwant %q", got, want)
 	}
 }
 

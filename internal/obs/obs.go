@@ -2,15 +2,17 @@
 // level tracing, interval time-series metrics, and per-request-type
 // latency attribution, all recorded against the simulated cycle clock.
 //
-// The design goal is zero overhead when disabled: every component
-// holds a `*Recorder` that is nil by default, and every Recorder
-// method is safe to call on a nil receiver, so instrumentation points
-// cost one pointer test on the hot path. When a Recorder is attached
-// (core.System.AttachObserver), three data products become available:
+// The design goal is zero overhead when disabled: a `*Recorder` is nil
+// by default, and every Recorder method is safe to call on a nil
+// receiver, so instrumentation points cost one pointer test on the hot
+// path. core.System.AttachObserver hands a Recorder to each CPU and to
+// each NoC port; a cache or bank records through its port's. Three
+// data products then become available:
 //
 //   - a Chrome trace-event JSON stream (chrome://tracing and Perfetto
 //     both load it) with one track group per CPU, per bank directory,
-//     and per NoC port — see WriteTrace;
+//     and per NoC port — this package lays the tracks out (the pids
+//     and rows below, the names through Machine) — see WriteTrace;
 //   - interval samples of whole-system time series (IPC, stall share,
 //     write-buffer occupancy, directory queue depth, per-port NoC
 //     flits) — see Sampler and WriteCSV;

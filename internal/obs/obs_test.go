@@ -16,8 +16,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if r.Tracing() || r.Sampling() {
 		t.Fatal("nil recorder reports itself enabled")
 	}
-	r.NameProcess(1, "x", 0)
-	r.NameThread(1, 0, "x")
+	r.Machine(1, 1)
 	r.Span(1, 0, "s", 0, 10, 0)
 	r.Instant(1, 0, "i", 5, 0)
 	r.Span(1, TidLane, "l", 0, 10, 0)
@@ -37,9 +36,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 
 func TestTraceJSONLoads(t *testing.T) {
 	r := New(Config{Trace: true})
-	r.NameProcess(CPUPid(0), "cpu0", 0)
-	r.NameThread(CPUPid(0), TidStall, "stall")
-	r.NameProcess(DirPid(1), "dir bank1", 10)
+	r.Machine(1, 2)
 	r.Span(CPUPid(0), TidStall, "data stall", 10, 60, 0x1000)
 	r.Instant(PortPid(0), 0, "ReqRead", 12, 0x1000)
 	r.Span(DirPid(1), TidLane, "ReqWriteThrough", 20, 70, 0x2000)

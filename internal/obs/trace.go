@@ -2,10 +2,8 @@ package obs
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // event phases, a subset of the Chrome trace-event format.
@@ -41,22 +39,12 @@ type traceBuf struct {
 	// ends (see lane).
 	laneEnd map[int32][]uint64
 
-	procs   map[int32]procMeta
-	threads map[[2]int32]string
-}
-
-type procMeta struct {
-	name string
-	sort int
+	// cpus and banks size the machine whose tracks WriteTrace names.
+	cpus, banks int
 }
 
 func newTraceBuf() *traceBuf {
-	return &traceBuf{
-		max:     maxTraceEvents,
-		laneEnd: make(map[int32][]uint64),
-		procs:   make(map[int32]procMeta),
-		threads: make(map[[2]int32]string),
-	}
+	return &traceBuf{max: maxTraceEvents, laneEnd: make(map[int32][]uint64)}
 }
 
 // add buffers e, recorded at cycle at (nondecreasing across calls). The
@@ -86,21 +74,16 @@ func (t *traceBuf) counter(pid int, name string, now uint64, v float64) {
 	t.add(now, event{pid: int32(pid), ph: phCounter, ts: now, name: name, val: v})
 }
 
-// NameProcess labels a track group (trace "process") and fixes its
-// display order.
-func (r *Recorder) NameProcess(pid int, name string, sortIndex int) {
+// Machine lays the trace's tracks out for a machine of cpus CPUs and
+// banks memory banks, numbered as its NoC nodes are (CPU i is node i,
+// bank b node cpus+b): WriteTrace names, beside the metrics group, each
+// CPU with its stall and dcache rows, each bank's directory and each
+// NoC port.
+func (r *Recorder) Machine(cpus, banks int) {
 	if r == nil || r.tb == nil {
 		return
 	}
-	r.tb.procs[int32(pid)] = procMeta{name: name, sort: sortIndex}
-}
-
-// NameThread labels one row (trace "thread") of a track group.
-func (r *Recorder) NameThread(pid, tid int, name string) {
-	if r == nil || r.tb == nil {
-		return
-	}
-	r.tb.threads[[2]int32{int32(pid), int32(tid)}] = name
+	r.tb.cpus, r.tb.banks = cpus, banks
 }
 
 // Span records a completed span, at its end cycle. On row TidLane it
@@ -186,28 +169,32 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		first = false
 	}
 
-	// Metadata: stable order so traces diff cleanly.
-	pids := make([]int32, 0, len(t.procs))
-	for pid := range t.procs { //lint:allow maprange — keys are sorted below
-		pids = append(pids, pid)
-	}
-	slices.Sort(pids)
-	for _, pid := range pids {
-		m := t.procs[pid]
+	// Metadata, in pid order: the groups, then the CPUs' rows.
+	group := func(pid int, name string, sort int) {
 		sep()
-		fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%q}}`, pid, m.name)
+		fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%q}}`, pid, name)
 		sep()
-		fmt.Fprintf(bw, `{"name":"process_sort_index","ph":"M","pid":%d,"tid":0,"args":{"sort_index":%d}}`, pid, m.sort)
+		fmt.Fprintf(bw, `{"name":"process_sort_index","ph":"M","pid":%d,"tid":0,"args":{"sort_index":%d}}`, pid, sort)
 	}
-	tkeys := make([][2]int32, 0, len(t.threads))
-	for k := range t.threads { //lint:allow maprange — keys are sorted below
-		tkeys = append(tkeys, k)
+	group(MetricsPid, "metrics", 0)
+	for i := range t.cpus {
+		group(CPUPid(i), fmt.Sprintf("cpu%d", i), 10+i)
 	}
-	slices.SortFunc(tkeys, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
-	for _, k := range tkeys {
-		sep()
-		fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`,
-			k[0], k[1], t.threads[k])
+	for b := range t.banks {
+		group(DirPid(b), fmt.Sprintf("bank%d dir", b), 1000+b)
+	}
+	for p := range t.cpus + t.banks {
+		node := fmt.Sprintf("cpu%d", p)
+		if p >= t.cpus {
+			node = fmt.Sprintf("bank%d", p-t.cpus)
+		}
+		group(PortPid(p), fmt.Sprintf("port%d (%s)", p, node), 2000+p)
+	}
+	for i := range t.cpus {
+		for tid, name := range []string{TidStall: "stall", TidDCache: "dcache"} {
+			sep()
+			fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`, CPUPid(i), tid, name)
+		}
 	}
 
 	for i := range t.events {
