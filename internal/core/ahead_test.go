@@ -213,7 +213,8 @@ func TestOnlyACoreWakesAfterADelivery(t *testing.T) {
 // TestSchedulePinned pins the schedule, not only its Result: a lock
 // counter under WB on arch1 at n = 8, whose cores run ahead and prove
 // spins, clean and under a fault plan whose stall windows and quieting
-// deliveries move wakes later. The counts were recorded with bursts that
+// deliveries move wakes later, and clean on the mesh, whose routers
+// are ticked from their own calendar. The counts were recorded with bursts that
 // cross I-lines, bank nodes that sleep through the cycle after a
 // delivery, every pushed wake a tick (no NextWake question after a
 // Wake: the network's no-op ticks count as executed), and a core that
@@ -222,13 +223,19 @@ func TestOnlyACoreWakesAfterADelivery(t *testing.T) {
 // a network missing its fault layer's Wake — keeps every Result byte and
 // moves these: spin sleeps cut short, fewer ticks skipped.
 func TestSchedulePinned(t *testing.T) {
-	for _, c := range []struct{ fault, want string }{
-		{"", "cpus 43123/1134925; banks 25913/268599; noc 23247/124009; " +
+	for _, c := range []struct {
+		noc         NoCKind
+		fault, want string
+	}{
+		{GMNNet, "", "cpus 43123/1134925; banks 25913/268599; noc 23247/124009; " +
 			"leaped 82100, ahead 251367 in 27851, spun 439 for 23410"},
-		{"drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 43676/1162380; banks 26821/274693; noc 146354/4403; " +
+		{GMNNet, "drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 43676/1162380; banks 26821/274693; noc 146354/4403; " +
 			"leaped 3470, ahead 256233 in 28396, spun 435 for 24385"},
+		{MeshNet, "", "cpus 92119/1262289; banks 19408/319194; noc 54567/114734; " +
+			"leaped 67116, ahead 222380 in 76405, spun 378 for 29853"},
 	} {
 		cfg := DefaultConfig(coherence.WBMESI, mem.Arch1, 8)
+		cfg.NoC = c.noc
 		var err error
 		if cfg.Fault, err = fault.ParsePlan(c.fault); err != nil {
 			t.Fatal(err)
@@ -250,7 +257,7 @@ func TestSchedulePinned(t *testing.T) {
 		got = append(got, fmt.Sprintf("leaped %d, ahead %d in %d, spun %d for %d",
 			sys.Engine.LeapedCycles(), ahead, bursts, sleeps, slept))
 		if s := strings.Join(got, "; "); s != c.want {
-			t.Errorf("fault plan %q: schedule moved:\ngot  %s\nwant %s", c.fault, s, c.want)
+			t.Errorf("%v, fault plan %q: schedule moved:\ngot  %s\nwant %s", c.noc, c.fault, s, c.want)
 		}
 	}
 }

@@ -47,9 +47,7 @@ type Config struct {
 	Arch     mem.Arch
 	NumCPUs  int
 
-	// Mem holds the cache/bank parameters; zero value means
-	// coherence.DefaultParams(NumCPUs).
-	Mem coherence.Params
+	Mem coherence.Params // cache/bank parameters; Mem.NumCPUs must equal NumCPUs
 
 	// NoC selects the interconnect, built with its model's default
 	// parameters for the node count.
@@ -92,9 +90,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Protocol < 0 || int(c.Protocol) >= len(coherence.Protocols) {
 		return fmt.Errorf("core: unknown protocol %v", c.Protocol)
-	}
-	if c.Mem.NumCPUs == 0 {
-		c.Mem = coherence.DefaultParams(c.NumCPUs)
 	}
 	if c.Mem.NumCPUs != c.NumCPUs {
 		return fmt.Errorf("core: Mem.NumCPUs (%d) != NumCPUs (%d)", c.Mem.NumCPUs, c.NumCPUs)

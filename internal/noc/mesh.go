@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 
@@ -35,6 +36,14 @@ const (
 // opposite[out] is the input port the link from output out arrives at.
 var opposite = [numPorts]int{portLocal, portWest, portEast, portSouth, portNorth}
 
+// xy[sign(dy)+1][sign(dx)+1] is the output, in XY dimension order, toward
+// a node dx columns east and dy rows south: the column first, then the row.
+var xy = [3][3]uint8{
+	{portWest, portNorth, portEast},
+	{portWest, portLocal, portEast},
+	{portWest, portSouth, portEast},
+}
+
 // meshRouter is one router: an input queue per port (the local one is
 // the node's injection port), and per output the cycle its link frees
 // and the round-robin pointer.
@@ -42,12 +51,14 @@ type meshRouter struct {
 	in      [numPorts]*sim.Port[Packet]
 	outBusy [numPorts]uint64
 	rr      [numPorts]uint8
-	// want[in] and at[in] are the output the head of input in routes to
-	// and its not-before cycle (numPorts and sim.NoWake while the input is
-	// empty), set when a packet becomes the head — enqueued into an empty
-	// input, or exposed by the Recv in front of it.
-	want [numPorts]uint8
-	at   [numPorts]uint64
+	route   []uint8 // route[dst]: the output toward node dst, in XY order
+	// heads has bit in set while input in holds a packet; want[in] and
+	// at[in] are then its head's output and not-before cycle, set when it
+	// became the head — enqueued into an empty input, or exposed by the
+	// Recv in front of it.
+	heads uint8
+	want  [numPorts]uint8
+	at    [numPorts]uint64
 	// wake is the first cycle Tick can do anything here: the minimum
 	// over the non-empty inputs of max(at, the cycle the wanted output
 	// frees), sim.NoWake when all are empty. Tick recomputes it after a
@@ -66,7 +77,6 @@ type meshRouter struct {
 // bucket Tick has not drained, and soon is the least such cycle.
 type Mesh struct {
 	endpoints
-	k            int           // grid side
 	step         [numPorts]int // step[out]: index distance to the router output out leads to
 	routerDelay  uint64
 	r            []meshRouter
@@ -91,7 +101,6 @@ func NewMesh(cfg MeshConfig) *Mesh {
 	k := int(math.Ceil(math.Sqrt(float64(cfg.Nodes))))
 	m := &Mesh{
 		endpoints:   newEndpoints(cfg.Nodes, cfg.QueueDepth, 0),
-		k:           k,
 		step:        [numPorts]int{0, 1, -1, -k, k},
 		routerDelay: uint64(cfg.RouterDelay),
 		r:           make([]meshRouter, k*k),
@@ -103,7 +112,6 @@ func NewMesh(cfg MeshConfig) *Mesh {
 		r := &m.r[idx]
 		r.wake = sim.NoWake
 		for in := range r.in {
-			r.want[in], r.at[in] = numPorts, sim.NoWake
 			if in == portLocal && idx < cfg.Nodes {
 				r.in[in] = &m.inj[idx]
 			} else {
@@ -111,23 +119,21 @@ func NewMesh(cfg MeshConfig) *Mesh {
 			}
 		}
 	}
-	return m
-}
-
-// route returns the output port a packet at router idx bound for node
-// dst should take, using XY dimension order.
-func (m *Mesh) route(idx, dst int) uint8 {
-	switch dx, dy := dst%m.k-idx%m.k, dst/m.k-idx/m.k; {
-	case dx > 0:
-		return portEast
-	case dx < 0:
-		return portWest
-	case dy > 0:
-		return portSouth
-	case dy < 0:
-		return portNorth
+	// Router (x, y)'s routes are a window of its column's strip, the
+	// routes to k rows north of it, its own row and k rows south, from
+	// k-y rows in: no entry costs a division.
+	for x := range k {
+		strip := make([]uint8, 0, (2*k+1)*k)
+		for row := range 2*k + 1 {
+			for col := range k {
+				strip = append(strip, xy[cmp.Compare(row, k)+1][cmp.Compare(col, x)+1])
+			}
+		}
+		for y := range k {
+			m.r[y*k+x].route = strip[(k-y)*k:][:cfg.Nodes:cfg.Nodes]
+		}
 	}
-	return portLocal
+	return m
 }
 
 // Inject implements Network. The mesh counts a packet when it enters
@@ -137,17 +143,17 @@ func (m *Mesh) Inject(p Packet, now uint64) bool {
 		return false
 	}
 	m.count(p, uint64(p.Flits()))
-	m.enqueued(p.Src, portLocal, now)
+	m.enqueued(p.Src, portLocal, p.Dst, now)
 	return true
 }
 
-// enqueued keeps router idx's books for a packet just sent into its
-// input in, movable from at. Only a new head can bring the router's
+// enqueued keeps router idx's books for a packet to dst just sent into
+// its input in, movable from at. Only a new head can bring the router's
 // wake forward: behind another packet it waits for that one's Recv.
-func (m *Mesh) enqueued(idx, in int, at uint64) {
-	r := &m.r[idx]
-	if q := r.in[in]; q.Len() == 1 {
-		r.want[in], r.at[in] = m.route(idx, q.Head().Dst), at
+func (m *Mesh) enqueued(idx, in, dst int, at uint64) {
+	if r := &m.r[idx]; r.heads&(1<<in) == 0 {
+		r.heads |= 1 << in
+		r.want[in], r.at[in] = r.route[dst], at
 		if w := max(at, r.outBusy[r.want[in]]); w < r.wake {
 			r.wake = w
 			m.wheel.File(idx, max(w, m.ticked))
@@ -199,19 +205,22 @@ func (m *Mesh) Tick(now uint64) uint64 {
 }
 
 // visit arbitrates router idx at now. req[out] holds the inputs whose
-// head is ready and routes to out; each output grants the first
-// requester at or after its round-robin pointer. A full downstream queue
-// ends the output's turn: every requester of it is bound for that queue.
-// A head exposed by a grant may be granted by a later output.
+// head is ready and routes to out; each output in outs, lowest first,
+// grants the first requester at or after its round-robin pointer. A full
+// downstream queue ends the output's turn: every requester of it is bound
+// for that queue. A head exposed by a grant may be granted by a later output.
 func (m *Mesh) visit(idx int, r *meshRouter, now uint64) {
 	var req [numPorts]uint16
-	for in, at := range r.at {
-		if at <= now {
+	var outs uint8
+	for heads := r.heads; heads != 0; heads &= heads - 1 {
+		if in := bits.TrailingZeros8(heads); r.at[in] <= now {
 			req[r.want[in]] |= 1 << in
+			outs |= 1 << r.want[in]
 		}
 	}
-	for out := uint8(0); out < numPorts; out++ {
-		if req[out] == 0 || r.outBusy[out] > now {
+	for ; outs != 0; outs &= outs - 1 {
+		out := uint8(bits.TrailingZeros8(outs))
+		if r.outBusy[out] > now {
 			continue
 		}
 		in := (int(r.rr[out]) + bits.TrailingZeros16((req[out]|req[out]<<numPorts)>>r.rr[out])) % numPorts
@@ -225,30 +234,29 @@ func (m *Mesh) visit(idx int, r *meshRouter, now uint64) {
 			if !m.r[next].in[inPort].Send(*head, at) {
 				continue
 			}
-			m.enqueued(next, inPort, at)
+			m.enqueued(next, inPort, head.Dst, at)
 			m.stats.TotalFlits += flits
 		}
 		r.outBusy[out] = now + flits
 		q.Recv(now)
 		r.rr[out] = uint8(in+1) % numPorts
-		r.want[in], r.at[in] = numPorts, sim.NoWake
-		if at, ok := q.NextAt(); ok {
-			r.want[in], r.at[in] = m.route(idx, q.Head().Dst), at
-			if at <= now && r.want[in] > out {
-				req[r.want[in]] |= 1 << in
+		if at, ok := q.NextAt(); !ok {
+			r.heads &^= 1 << in
+			if in == portLocal {
+				m.injSet.Clear(idx)
 			}
-		} else if in == portLocal {
-			m.injSet.Clear(idx)
+		} else if r.want[in], r.at[in] = r.route[q.Head().Dst], at; at <= now && r.want[in] > out {
+			req[r.want[in]] |= 1 << in
+			outs |= 1 << r.want[in]
 		}
 	}
 	// A head left ready with its output free was refused by a full
 	// downstream queue or exposed after its output's turn. Neither has a
 	// timer: the wake stays in the past and the next Tick looks again.
 	r.wake = sim.NoWake
-	for in, at := range r.at {
-		if at != sim.NoWake {
-			r.wake = min(r.wake, max(at, r.outBusy[r.want[in]]))
-		}
+	for heads := r.heads; heads != 0; heads &= heads - 1 {
+		in := bits.TrailingZeros8(heads)
+		r.wake = min(r.wake, max(r.at[in], r.outBusy[r.want[in]]))
 	}
 }
 
@@ -262,8 +270,8 @@ func (m *Mesh) visit(idx int, r *meshRouter, now uint64) {
 //lint:hot
 func (m *Mesh) Reach(dst int, now uint64) uint64 {
 	r, reach := &m.r[dst], now+2+m.routerDelay
-	for in := portEast; in < numPorts; in++ {
-		if r.want[in] == portLocal {
+	for heads := r.heads &^ (1 << portLocal); heads != 0; heads &= heads - 1 {
+		if in := bits.TrailingZeros8(heads); r.want[in] == portLocal {
 			reach = min(reach, max(r.at[in], now)+1)
 		} else if r.in[in].Len() > 1 {
 			reach = min(reach, now+2)

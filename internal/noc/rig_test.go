@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -437,18 +438,21 @@ func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
 		e = &n.endpoints
 	case *Mesh:
 		e = &n.endpoints
-		soon := sim.NoWake
+		soon, k := sim.NoWake, int(math.Sqrt(float64(len(n.r))))
 		for idx := range n.r {
 			r := &n.r[idx]
 			wake := sim.NoWake
 			for in, q := range r.in {
-				want, at, ok := uint8(numPorts), sim.NoWake, false
-				if at, ok = q.NextAt(); ok {
-					want = n.route(idx, q.Head().Dst)
-					wake = min(wake, max(at, r.outBusy[want]))
-				} else {
-					at = sim.NoWake
+				if (r.heads>>in&1 == 1) == q.Empty() {
+					t.Fatalf("%v cycle %d: router %d input %d holds %d packets, head bit %d",
+						c, cyc, idx, in, q.Len(), r.heads>>in&1)
 				}
+				at, ok := q.NextAt()
+				if !ok {
+					continue
+				}
+				want := xyRoute(k, idx, q.Head().Dst)
+				wake = min(wake, max(at, r.outBusy[want]))
 				if r.want[in] != want || r.at[in] != at {
 					t.Fatalf("%v cycle %d: router %d input %d caches route %d at %d, head wants %d at %d",
 						c, cyc, idx, in, r.want[in], r.at[in], want, at)
@@ -471,6 +475,37 @@ func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
 	for i := range e.inj {
 		if has(e.injSet, i) == e.inj[i].Empty() {
 			t.Fatalf("%v cycle %d: node %d occupancy bits disagree with its ports", c, cyc, i)
+		}
+	}
+}
+
+// xyRoute is the XY route from router idx to node dst on a k×k grid,
+// recomputed from their coordinates.
+func xyRoute(k, idx, dst int) uint8 {
+	return uint8((&refMesh{k: k}).route(idx%k, idx/k, dst))
+}
+
+// TestMeshRouteTable holds NewMesh's route table, built without a
+// division, to XY order from coordinates: every router and destination
+// of every grid side from 1 to 12, with the last row holding one node
+// and full.
+func TestMeshRouteTable(t *testing.T) {
+	for k := 1; k <= 12; k++ {
+		for _, nodes := range []int{(k-1)*(k-1) + 1, k * k} {
+			m := NewMesh(DefaultMeshConfig(nodes))
+			if len(m.r) != k*k {
+				t.Fatalf("%d nodes: %d routers, want a %d×%d grid", nodes, len(m.r), k, k)
+			}
+			for idx := range m.r {
+				if route := m.r[idx].route; len(route) != nodes {
+					t.Fatalf("%d nodes: router %d has %d routes", nodes, idx, len(route))
+				}
+				for dst := range nodes {
+					if got, want := m.r[idx].route[dst], xyRoute(k, idx, dst); got != want {
+						t.Fatalf("%d nodes: router %d routes node %d to %d, XY order says %d", nodes, idx, dst, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -58,10 +58,8 @@ func (p *Port[T]) Recv(now uint64) (T, bool) {
 	return msg, true
 }
 
-// Ready reports whether the head message is receivable at cycle now.
-// Arbiters probe many heads per cycle (a mesh router asks all five
-// inputs for each output), so the probe is two comparisons and returns
-// nothing to copy; Head reads the message once the probe has passed.
+// Ready reports whether the head message is receivable at cycle now. The
+// GMN, a node's send loop and the fault layer probe it before Head.
 func (p *Port[T]) Ready(now uint64) bool {
 	return len(p.q) != 0 && p.q[0].at <= now
 }
