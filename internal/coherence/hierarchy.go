@@ -51,12 +51,11 @@ func NewHierarchy(net noc.Network, space *mem.Space, amap *mem.AddrMap, p Params
 	}
 	h.Nodes, h.BNodes = h.Ports[:n:n], h.Ports[n:]
 	for b := range h.Banks {
-		// The node needs the controller as its sink and the controller
-		// its node to answer through, hence the two phases.
-		mc := NewMemCtrl(b, n+b, p, proto, space)
-		h.BNodes[b] = newNode(n+b, net, mc, &h.msgs)
-		mc.SetNode(h.BNodes[b])
-		h.Banks[b] = mc
+		// The port needs the controller as its sink and the controller
+		// its port to answer through.
+		mc := newMemCtrl(b, p, proto, space)
+		mc.node = newNode(n+b, net, mc, &h.msgs)
+		h.Banks[b], h.BNodes[b] = mc, mc.node
 	}
 	for i := range h.DCaches {
 		sink := &CPUSink{}

@@ -96,12 +96,11 @@ func (mc *MemCtrl) open(e *dirEntry, kind MsgKind, m *Msg, now uint64) *dirTx {
 // service interval, so bank contention appears as NoC backpressure —
 // the effect driving the paper's Architecture 1 results.
 type MemCtrl struct {
-	p      Params
-	proto  Protocol
-	bank   int
-	nodeID int
-	node   *Node
-	space  *mem.Space
+	p     Params
+	proto Protocol
+	bank  int
+	node  *Node // the bank's port, set by NewHierarchy
+	space *mem.Space
 
 	dir       map[uint32]*dirEntry
 	chunk     []dirEntry // the records dir indexes are carved from
@@ -121,22 +120,10 @@ type MemCtrl struct {
 	Fault FaultPlan
 }
 
-// NewMemCtrl builds the controller for one bank. Call SetNode before
-// the first cycle.
-func NewMemCtrl(bank, nodeID int, p Params, proto Protocol, space *mem.Space) *MemCtrl {
-	return &MemCtrl{
-		p:      p,
-		proto:  proto,
-		bank:   bank,
-		nodeID: nodeID,
-		space:  space,
-		dir:    make(map[uint32]*dirEntry),
-	}
+// newMemCtrl builds the controller for one bank, all but its port.
+func newMemCtrl(bank int, p Params, proto Protocol, space *mem.Space) *MemCtrl {
+	return &MemCtrl{p: p, proto: proto, bank: bank, space: space, dir: make(map[uint32]*dirEntry)}
 }
-
-// SetNode attaches the bank's NoC node (created after the controller
-// because the node needs the controller as its sink).
-func (mc *MemCtrl) SetNode(n *Node) { mc.node = n }
 
 // Stats returns the bank's counters.
 func (mc *MemCtrl) Stats() *MemStats { return &mc.st }
@@ -162,7 +149,7 @@ func (mc *MemCtrl) entry(blk uint32) *dirEntry {
 
 // newCtrl returns a message from the bank.
 func (mc *MemCtrl) newCtrl(kind MsgKind, addr uint32) Msg {
-	return Msg{Kind: kind, Src: mc.nodeID, Addr: addr}
+	return Msg{Kind: kind, Src: mc.node.ID, Addr: addr}
 }
 
 // HandleMsg implements Sink: the port stays busy MemService cycles, one

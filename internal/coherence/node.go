@@ -49,13 +49,11 @@ type Node struct {
 
 	veto uint64 // the cycle after the latest delivery or write-through departure (Veto)
 
-	// drops is the network's loss-notification interface, nil on
-	// reliable networks. The retry FSM below (see retryBudget) is armed
-	// only when non-nil: drops only happen under fault injection.
-	drops noc.DropNotifier
-	// attempts counts losses of the current head-of-line transfer
-	// (0 = FSM idle); nextTry is the cycle the next re-offer is allowed;
-	// retryStart is when the first loss happened (retry latency).
+	// The retry FSM (see retryBudget) runs on the network's Lost
+	// answers, which only a fault plan gives. attempts counts losses of
+	// the current head-of-line transfer (0 = FSM idle); nextTry is the
+	// cycle the next re-offer is allowed; retryStart is when the first
+	// loss happened (retry latency).
 	attempts   int
 	nextTry    uint64
 	retryStart uint64
@@ -63,15 +61,16 @@ type Node struct {
 	// budget; the machine polls it via RetryErr.
 	retryErr error
 
-	// Trace, when non-nil, is the node's one message hook: every message
-	// it injects ("tx", to peer) and receives ("rx", from peer). Like a
-	// sink, it must not retain m.
+	// Trace, when non-nil, sees every message the node injects ("tx", to
+	// peer) and receives ("rx", from peer): the model checker's
+	// counterexample log. Like a sink, it must not retain m.
 	Trace func(now uint64, dir string, self, peer int, m *Msg)
 
 	// Obs, when attached, is the recorder of this port and of the
-	// controller behind it: the port records the retry latency of lost
-	// transfers, a data cache its transaction spans and latencies, a
-	// bank its directory spans.
+	// controller behind it: the port marks each send on its
+	// destination's row and records the retry latency of lost transfers,
+	// a data cache its transaction spans and latencies, a bank its
+	// directory spans.
 	Obs *obs.Recorder
 
 	// Retransmits counts transfers lost on the wire and re-offered;
@@ -81,13 +80,9 @@ type Node struct {
 }
 
 // newNode attaches a node to the network, sending through msgs, the
-// slab its peers share. If the network reports transfer losses
-// (noc.DropNotifier — the fault-injection wrapper does), the node arms
-// its retransmission state machine.
+// slab its peers share.
 func newNode(id int, net noc.Network, sink Sink, msgs *msgSlab) *Node {
-	n := &Node{ID: id, net: net, sink: sink, msgs: msgs}
-	n.drops, _ = net.(noc.DropNotifier)
-	return n
+	return &Node{ID: id, net: net, sink: sink, msgs: msgs}
 }
 
 // RetryErr reports the latched liveness failure (nil while the port is
@@ -163,8 +158,8 @@ func (n *Node) Tick(now uint64) uint64 {
 		}
 		msg := &n.msgs.msgs[head.slot]
 		pkt := noc.Packet{Src: n.ID, Dst: head.dst, Bytes: msg.WireBytes(), Ref: head.slot}
-		if !n.net.Inject(pkt, now) {
-			if n.drops != nil && n.drops.TookDrop(n.ID) {
+		if fate := n.net.Inject(pkt, now); fate != noc.Sent {
+			if fate == noc.Lost {
 				n.transferLost(*head, now)
 			}
 			break
@@ -174,6 +169,9 @@ func (n *Node) Tick(now uint64) uint64 {
 			// transfer fought the wire and return the FSM to idle.
 			n.Obs.Lat(obs.LatRetry, now-n.retryStart)
 			n.attempts = 0
+		}
+		if n.Obs.Tracing() {
+			n.Obs.Instant(obs.PortPid(n.ID), head.dst, msg.Kind.String(), now, msg.Addr)
 		}
 		if n.Trace != nil {
 			n.Trace(now, "tx", n.ID, head.dst, msg)
@@ -228,7 +226,7 @@ func (n *Node) Skip(from, to uint64) {
 	}
 }
 
-// transferLost runs the retry FSM on a loss notification: schedule the
+// transferLost runs the retry FSM on a Lost answer: schedule the
 // re-offer of the (still queued) head with exponential backoff, and
 // latch the liveness failure once the budget is spent. The port keeps
 // retransmitting even past the budget — the machine that polls

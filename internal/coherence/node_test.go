@@ -1,11 +1,14 @@
 package coherence
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/obs"
 )
 
 // recordSink collects delivered messages. It copies them: the
@@ -50,6 +53,50 @@ func TestNodeOutboundFIFOOrder(t *testing.T) {
 	}
 }
 
+// A port with a tracing recorder and no Trace hook marks each send once,
+// on its destination's row, at the cycle the network took it: a lost
+// attempt marks nothing, its retransmission once.
+func TestNodeMarksEachSend(t *testing.T) {
+	net := &lossyNet{losses: 1}
+	n := newNode(0, net, nullSink{}, new(msgSlab))
+	rec := obs.New(obs.Config{Trace: true})
+	n.Obs = rec
+	for i, dst := range []int{1, 2, 1} {
+		n.SendCtrl(Msg{Kind: ReqRead, Addr: uint32(0x40 * (i + 1))}, dst, 0)
+	}
+	for now := uint64(0); now <= 10; now++ {
+		n.Tick(now)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph       string
+			Pid, Tid int
+			Ts       uint64
+			Name     string
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var rows []int
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "i" {
+			continue
+		}
+		if e.Pid != obs.PortPid(0) || e.Ts != 8 || e.Name != ReqRead.String() {
+			t.Errorf("instant %+v; want port0's %v at cycle 8, the retransmission", e, ReqRead)
+		}
+		rows = append(rows, e.Tid)
+	}
+	if len(rows) != 3 || rows[0] != 1 || rows[1] != 2 || rows[2] != 1 {
+		t.Fatalf("instants on rows %v; want one per send, on [1 2 1]", rows)
+	}
+}
+
 // dupWatch sits under a fault layer and counts, per slot, the
 // duplicates on the wire that carry it.
 type dupWatch struct {
@@ -57,12 +104,12 @@ type dupWatch struct {
 	dups map[uint32]int
 }
 
-func (w *dupWatch) Inject(p noc.Packet, now uint64) bool {
-	ok := w.Network.Inject(p, now)
-	if ok && p.Dup {
+func (w *dupWatch) Inject(p noc.Packet, now uint64) noc.Fate {
+	fate := w.Network.Inject(p, now)
+	if fate == noc.Sent && p.Dup {
 		w.dups[p.Ref]++
 	}
-	return ok
+	return fate
 }
 
 func (w *dupWatch) Deliver(node int, now uint64) (noc.Packet, bool) {

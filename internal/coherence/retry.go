@@ -39,12 +39,11 @@ func (e *LivenessError) Error() string {
 // Unwrap implements errors.Unwrap.
 func (e *LivenessError) Unwrap() error { return ErrLivenessBudget }
 
-// The link-level retransmission loop a Node runs when the network reports
-// a transfer lost (noc.DropNotifier): after the a-th loss of the same
-// transfer the port holds off backoff(a) cycles before re-offering it —
-// retryBase (about one NoC crossing) doubled per further loss up to
-// retryCap — and after retryBudget losses of one transfer it declares a
-// liveness failure. Even drop=0.5 campaigns survive that, while a
+// The link-level retransmission loop a Node runs when Inject answers
+// noc.Lost: after the a-th loss of the same transfer the port holds off
+// backoff(a) cycles before re-offering it — retryBase (about one NoC
+// crossing) doubled per further loss up to retryCap — and after
+// retryBudget losses of one transfer it declares a liveness failure. Even drop=0.5 campaigns survive that, while a
 // pathological plan (drop=1 on a link) fails fast within ~10k cycles.
 const (
 	retryBase   uint64 = 8

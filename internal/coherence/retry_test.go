@@ -23,36 +23,28 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 }
 
-// lossyNet is a minimal noc.Network + DropNotifier: it loses the first
-// `losses` injections (or every one when losses < 0), then accepts.
+// lossyNet is a minimal noc.Network: it loses the first `losses`
+// injections (or every one when losses < 0), then accepts.
 type lossyNet struct {
 	losses     int
-	note       bool
 	injectedAt []uint64
-	// rejectOnly, when set, refuses injections WITHOUT a loss note —
+	// rejectOnly, when set, refuses injections instead of losing them —
 	// plain backpressure.
 	rejectOnly bool
 }
 
-func (d *lossyNet) Inject(p noc.Packet, now uint64) bool {
+func (d *lossyNet) Inject(p noc.Packet, now uint64) noc.Fate {
 	if d.rejectOnly {
-		return false
+		return noc.Refused
 	}
 	if d.losses != 0 {
 		if d.losses > 0 {
 			d.losses--
 		}
-		d.note = true
-		return false
+		return noc.Lost
 	}
 	d.injectedAt = append(d.injectedAt, now)
-	return true
-}
-
-func (d *lossyNet) TookDrop(src int) bool {
-	v := d.note
-	d.note = false
-	return v
+	return noc.Sent
 }
 
 func (d *lossyNet) Deliver(node int, now uint64) (noc.Packet, bool) { return noc.Packet{}, false }
@@ -164,18 +156,3 @@ func TestNodeRetryBudgetExhaustion(t *testing.T) {
 		t.Fatalf("budget exhaustion cycle diverged between identical runs: %d vs %d", now, now2)
 	}
 }
-
-// A reliable network (no DropNotifier) leaves the FSM unarmed and the
-// send path byte-identical to the pre-fault-layer behaviour.
-func TestNodeReliableNetworkUnarmed(t *testing.T) {
-	n := newNode(0, &reliableNet{}, nullSink{}, new(msgSlab))
-	if n.drops != nil {
-		t.Fatal("reliable network must not arm the drop notifier")
-	}
-}
-
-type reliableNet struct{ lossyNet }
-
-// reliableNet hides TookDrop so the type no longer satisfies
-// noc.DropNotifier.
-func (r *reliableNet) TookDrop() {}

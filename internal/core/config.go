@@ -45,9 +45,8 @@ func (k NoCKind) String() string {
 type Config struct {
 	Protocol coherence.Protocol
 	Arch     mem.Arch
-	NumCPUs  int
 
-	Mem coherence.Params // cache/bank parameters; Mem.NumCPUs must equal NumCPUs
+	Mem coherence.Params // cache/bank parameters; Mem.NumCPUs is the machine's CPU count
 
 	// NoC selects the interconnect, built with its model's default
 	// parameters for the node count.
@@ -55,10 +54,10 @@ type Config struct {
 
 	// Fault, when non-empty, threads the deterministic fault-injection
 	// layer (internal/fault) between the protocol controllers and the
-	// interconnect, and arms the ports' retransmission machinery, whose
-	// spent budget ends the run (System.Run). nil (or an empty plan)
-	// leaves the network completely unwrapped — the zero-fault path is
-	// the same code that ran before the fault layer existed.
+	// interconnect; its lost transfers drive the ports' retransmission
+	// machinery, whose spent budget ends the run (System.Run). nil (or
+	// an empty plan) leaves the network unwrapped: the zero-fault path
+	// is the code that ran before the fault layer existed.
 	Fault *fault.Plan
 
 	// MaxCycles bounds the simulation (0 = the defensive default).
@@ -78,21 +77,14 @@ func DefaultConfig(proto coherence.Protocol, arch mem.Arch, n int) Config {
 	return Config{
 		Protocol: proto,
 		Arch:     arch,
-		NumCPUs:  n,
 		Mem:      coherence.DefaultParams(n),
 	}
 }
 
 // normalize fills zero-value fields with defaults and validates.
 func (c *Config) normalize() error {
-	if c.NumCPUs < 1 {
-		return fmt.Errorf("core: NumCPUs must be positive")
-	}
 	if c.Protocol < 0 || int(c.Protocol) >= len(coherence.Protocols) {
 		return fmt.Errorf("core: unknown protocol %v", c.Protocol)
-	}
-	if c.Mem.NumCPUs != c.NumCPUs {
-		return fmt.Errorf("core: Mem.NumCPUs (%d) != NumCPUs (%d)", c.Mem.NumCPUs, c.NumCPUs)
 	}
 	if err := c.Mem.Validate(); err != nil {
 		return err
@@ -121,7 +113,7 @@ func (c Config) Describe() string {
 	}
 	s := fmt.Sprintf(
 		"protocol=%v arch=%v cpus=%d banks=%d dcache=%dB icache=%dB block=%dB assoc=%s wbuf=%dw noc=%v",
-		cfg.Protocol, cfg.Arch, cfg.NumCPUs, cfg.Arch.NumBanks(cfg.NumCPUs),
+		cfg.Protocol, cfg.Arch, cfg.Mem.NumCPUs, cfg.Arch.NumBanks(cfg.Mem.NumCPUs),
 		cfg.Mem.DCacheBytes, cfg.Mem.ICacheBytes, coherence.BlockBytes, assoc,
 		cfg.Mem.WriteBufferWords, cfg.NoC)
 	if cfg.Mem.StrictSC {

@@ -32,9 +32,7 @@ func TestConfigRejectsBadValues(t *testing.T) {
 		cfg  Config
 		want string // the error names the offending field
 	}{
-		{Config{Protocol: coherence.WTI, Arch: mem.Arch1, NumCPUs: 0}, "NumCPUs"},
-		{with(func(c *Config) { c.Mem.NumCPUs = 8 }), "Mem.NumCPUs"},
-		{with(func(c *Config) { c.Mem = coherence.Params{} }), "Mem.NumCPUs (0) != NumCPUs (4)"},
+		{Config{}, "NumCPUs 0 outside 1..64"},
 		{with(func(c *Config) { c.NoC = NoCKind(42) }), "NoC kind 42"},
 		{with(func(c *Config) { c.NoC = NoCKind(-1) }), "NoC kind -1"},
 	}

@@ -74,7 +74,7 @@ func (r *Result) JSON() ResultJSON {
 		SchemaVersion: SchemaVersion,
 		Protocol:      r.Config.Protocol.String(),
 		Arch:          r.Config.Arch.String(),
-		NumCPUs:       r.Config.NumCPUs,
+		NumCPUs:       r.Config.Mem.NumCPUs,
 		NoC:           r.Config.NoC.String(),
 		Cycles:        r.Cycles,
 		MegaCycles:    r.MegaCycles(),

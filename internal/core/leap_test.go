@@ -20,8 +20,8 @@ func buildCounterSys(t *testing.T, cfg Config) *System {
 	if cfg.Arch == mem.Arch2 {
 		mode = codegen.DS
 	}
-	spec, err := workload.BuildCounter(mem.DefaultLayout(cfg.NumCPUs), mode,
-		workload.CounterParams{Threads: cfg.NumCPUs, Incs: 40})
+	spec, err := workload.BuildCounter(mem.DefaultLayout(cfg.Mem.NumCPUs), mode,
+		workload.CounterParams{Threads: cfg.Mem.NumCPUs, Incs: 40})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

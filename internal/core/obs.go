@@ -10,9 +10,9 @@ import (
 
 // AttachObserver wires an observability recorder into the system: the
 // CPUs record their stall spans, and every port's Node.Obs serves the
-// controllers behind it — a data cache's transaction spans and
-// latencies, a bank's directory spans — besides the port's own
-// injection markers and retry latencies. Call it after Build and before
+// port itself — a marker per send, the retry latencies — and the
+// controllers behind it: a data cache's transaction spans and
+// latencies, a bank's directory spans. Call it after Build and before
 // Run; a nil recorder is a no-op, so callers may pass one through
 // unconditionally.
 //
@@ -26,22 +26,13 @@ func (s *System) AttachObserver(r *obs.Recorder) {
 		return
 	}
 	s.Obs = r
-	n := s.Cfg.NumCPUs
+	n := s.Cfg.Mem.NumCPUs
 	r.Machine(n, len(s.Banks))
 	for _, c := range s.CPUs {
 		c.Obs = r
 	}
-	// An injected message is marked on its destination's row.
-	tx := func(now uint64, dir string, self, peer int, m *coherence.Msg) {
-		if dir == "tx" {
-			r.Instant(obs.PortPid(self), peer, m.Kind.String(), now, m.Addr)
-		}
-	}
 	for _, nd := range s.Ports {
 		nd.Obs = r
-		if r.Tracing() {
-			nd.Trace = tx
-		}
 	}
 
 	if !r.Sampling() {

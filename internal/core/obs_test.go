@@ -110,13 +110,15 @@ func TestObservedTraceLoads(t *testing.T) {
 	}{{coherence.WTI, "write_drain"}, {coherence.WBMESI, "writeback"}} {
 		t.Run(tc.proto.String(), func(t *testing.T) {
 			rec := obs.New(obs.Config{Trace: true, SampleInterval: 200})
-			runObserved(t, "ocean", tc.proto, 4, rec)
-			checkTrace(t, rec, tc.posted)
+			res := runObserved(t, "ocean", tc.proto, 4, rec)
+			checkTrace(t, rec, tc.posted, res.Net.Packets)
 		})
 	}
 }
 
-func checkTrace(t *testing.T, rec *obs.Recorder, posted string) {
+// checkTrace checks a fault-free run's trace, whose network carried
+// packets: every one of them was sent once and so marked once.
+func checkTrace(t *testing.T, rec *obs.Recorder, posted string, packets uint64) {
 	var buf bytes.Buffer
 	if err := rec.WriteTrace(&buf); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
@@ -184,8 +186,8 @@ func checkTrace(t *testing.T, rec *obs.Recorder, posted string) {
 			dirSpans = append(dirSpans, span{pid, tid, ts, ts + e["dur"].(float64)})
 		}
 	}
-	if instants == 0 {
-		t.Error("trace has no port injection markers")
+	if uint64(instants) != packets {
+		t.Errorf("trace has %d port injection markers; want one per packet, %d", instants, packets)
 	}
 	if postedSpans == 0 {
 		t.Errorf("trace has no %s spans", posted)

@@ -56,7 +56,7 @@ type System struct {
 func Build(cfg Config, img *mem.Image) (*System, error) {
 	sys, err := build(cfg, func(s *System, i int) frontEnd {
 		c := cpu.New(i, s.ICaches[i], &s.ICaches[i].Fetches, s.DCaches[i])
-		c.Reset(img.Entry, s.Layout.StackTop(i), s.Cfg.NumCPUs)
+		c.Reset(img.Entry, s.Layout.StackTop(i), s.Cfg.Mem.NumCPUs)
 		s.CPUs = append(s.CPUs, c)
 		return c
 	})
@@ -88,7 +88,7 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	n := cfg.NumCPUs
+	n := cfg.Mem.NumCPUs
 	layout := mem.DefaultLayout(n)
 	amap := cfg.Arch.BuildMap(layout)
 

@@ -8,8 +8,8 @@ import (
 // Stats counts the faults a campaign actually injected; campaigns are
 // only measurable when the injected adversity is itself measured.
 type Stats struct {
-	// Drops counts transfers lost on the wire (the sender was notified
-	// and is expected to retransmit).
+	// Drops counts transfers lost on the wire (Inject answered Lost, and
+	// the sender is expected to retransmit).
 	Drops uint64
 	// Delayed counts transfers held back, DelayCycles their summed
 	// extra latency.
@@ -27,8 +27,9 @@ type Stats struct {
 }
 
 // Net threads a fault Plan between the protocol controllers and any
-// noc.Network. It implements noc.Network and noc.DropNotifier. See the
-// package comment for the fault model; determinism notes:
+// noc.Network. It implements noc.Network, and is the one Network whose
+// Inject answers noc.Lost. See the package comment for the fault model;
+// determinism notes:
 //
 //   - every decision is drawn from splitmix64 streams derived from the
 //     plan seed, one independent stream per fault dimension, advanced
@@ -56,8 +57,6 @@ type Net struct {
 	// follower behind one, or a duplicate.
 	staged  []sim.Port[noc.Packet]
 	stagedN int
-	// dropNote[src] records that src's last rejected Inject was a drop.
-	dropNote []bool
 	// stallUntil[node] is the cycle a bank node's delivery stall ends
 	// (exclusive); zero for never-stalled nodes. bankBase maps node ids
 	// to bank indices for scope matching.
@@ -93,7 +92,6 @@ func Wrap(inner noc.Network, plan *Plan, nodes, bankBase int) *Net {
 		dupRng:     streamRNG(plan.Seed, streamDup),
 		stallRng:   streamRNG(plan.Seed, streamStall),
 		staged:     make([]sim.Port[noc.Packet], nodes),
-		dropNote:   make([]bool, nodes),
 		stallUntil: make([]uint64, nodes),
 		bankBase:   bankBase,
 	}
@@ -123,11 +121,10 @@ func (f *Net) Reach(dst int, now uint64) uint64 { return f.inner.Reach(dst, now)
 // offered transfer, in a fixed order (drop, delay, duplicate) so a
 // campaign's decision sequence is a pure function of the plan seed and
 // the traffic.
-func (f *Net) Inject(p noc.Packet, now uint64) bool {
+func (f *Net) Inject(p noc.Packet, now uint64) noc.Fate {
 	if r := f.plan.dropRate(p.Src, p.Dst); r > 0 && f.dropRng.chance(r) {
 		f.st.Drops++
-		f.dropNote[p.Src] = true
-		return false
+		return noc.Lost
 	}
 	extra := 0
 	if d := f.plan.delayFor(p.Src, p.Dst); d != nil && f.delayRng.chance(d.Rate) {
@@ -152,7 +149,7 @@ func (f *Net) Inject(p noc.Packet, now uint64) bool {
 		f.stage(p, now+uint64(extra))
 	}
 	f.self.Wake(now) // as the model's own accepted Inject does
-	return true
+	return noc.Sent
 }
 
 func (f *Net) stage(p noc.Packet, at uint64) {
@@ -169,13 +166,6 @@ func (f *Net) Attach(self sim.Waker, nodes []sim.Waker) {
 	f.inner.Attach(self, nodes)
 }
 
-// TookDrop implements noc.DropNotifier.
-func (f *Net) TookDrop(src int) bool {
-	v := f.dropNote[src]
-	f.dropNote[src] = false
-	return v
-}
-
 // Tick implements noc.Network: one cycle of Skip's stall windows, release
 // staged transfers whose delay elapsed, then tick the wrapped model.
 func (f *Net) Tick(now uint64) uint64 {
@@ -185,7 +175,7 @@ func (f *Net) Tick(now uint64) uint64 {
 			q := &f.staged[src]
 			// A refused Inject is backpressure: keep order, retry next
 			// cycle.
-			for q.Ready(now) && f.inner.Inject(*q.Head(), now) {
+			for q.Ready(now) && f.inner.Inject(*q.Head(), now) == noc.Sent {
 				q.Recv(now)
 				f.stagedN--
 			}

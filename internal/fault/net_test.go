@@ -21,13 +21,13 @@ func newFakeNet() *fakeNet {
 	return &fakeNet{queues: make(map[int][]noc.Packet)}
 }
 
-func (f *fakeNet) Inject(p noc.Packet, now uint64) bool {
+func (f *fakeNet) Inject(p noc.Packet, now uint64) noc.Fate {
 	if f.reject {
-		return false
+		return noc.Refused
 	}
 	f.injects = append(f.injects, p)
 	f.queues[p.Dst] = append(f.queues[p.Dst], p)
-	return true
+	return noc.Sent
 }
 
 func (f *fakeNet) Deliver(node int, now uint64) (noc.Packet, bool) {
@@ -90,20 +90,11 @@ func TestWrapRejectsEmptyPlan(t *testing.T) {
 func TestNetDropNotifiesSender(t *testing.T) {
 	inner := newFakeNet()
 	n := Wrap(inner, mustPlan(t, "drop=1,seed=3"), 4, 2)
-	if n.Inject(noc.Packet{Src: 0, Dst: 2, Bytes: 8}, 0) {
-		t.Fatal("Inject under drop=1 must report rejection")
+	if got := n.Inject(noc.Packet{Src: 0, Dst: 2, Bytes: 8}, 0); got != noc.Lost {
+		t.Fatalf("Inject under drop=1 answered %d; want Lost", got)
 	}
 	if len(inner.injects) != 0 {
 		t.Fatal("dropped transfer must never reach the wrapped network")
-	}
-	if !n.TookDrop(0) {
-		t.Fatal("TookDrop must report the loss to the sender")
-	}
-	if n.TookDrop(0) {
-		t.Fatal("TookDrop must clear after reading")
-	}
-	if n.TookDrop(1) {
-		t.Fatal("a drop on node 0 must not be visible to node 1")
 	}
 	if st := n.FaultStats(); st.Drops != 1 {
 		t.Fatalf("Drops = %d; want 1", st.Drops)
@@ -111,21 +102,18 @@ func TestNetDropNotifiesSender(t *testing.T) {
 	// A plain backpressure rejection must NOT read as a drop.
 	nd := Wrap(newFakeNet(), mustPlan(t, "dup=0,delay=0:1,seed=3"), 4, 2)
 	nd.inner.(*fakeNet).reject = true
-	if nd.Inject(noc.Packet{Src: 1, Dst: 2}, 0) {
-		t.Fatal("backpressured Inject must report rejection")
-	}
-	if nd.TookDrop(1) {
-		t.Fatal("backpressure must not be reported as a drop")
+	if got := nd.Inject(noc.Packet{Src: 1, Dst: 2}, 0); got != noc.Refused {
+		t.Fatalf("backpressured Inject answered %d; want Refused", got)
 	}
 }
 
 func TestNetDelayHoldsAndPreservesFIFO(t *testing.T) {
 	inner := newFakeNet()
 	n := Wrap(inner, mustPlan(t, "delay=1:5,seed=3"), 4, 2)
-	if !n.Inject(noc.Packet{Src: 0, Dst: 2, Bytes: 4}, 10) {
+	if n.Inject(noc.Packet{Src: 0, Dst: 2, Bytes: 4}, 10) != noc.Sent {
 		t.Fatal("delayed Inject must report acceptance")
 	}
-	if !n.Inject(noc.Packet{Src: 0, Dst: 3, Bytes: 8}, 11) {
+	if n.Inject(noc.Packet{Src: 0, Dst: 3, Bytes: 8}, 11) != noc.Sent {
 		t.Fatal("second Inject must report acceptance")
 	}
 	for now := uint64(10); now < 15; now++ {
@@ -157,13 +145,13 @@ func TestNetDelayHoldsAndPreservesFIFO(t *testing.T) {
 func TestNetDelayFollowerStaysOrdered(t *testing.T) {
 	inner := newFakeNet()
 	n := Wrap(inner, mustPlan(t, "delay=1:3@*>2,seed=3"), 4, 2)
-	if !n.Inject(noc.Packet{Src: 0, Dst: 2}, 0) { // delayed to cycle 3
+	if n.Inject(noc.Packet{Src: 0, Dst: 2}, 0) != noc.Sent { // delayed to cycle 3
 		t.Fatal("first Inject rejected")
 	}
-	if !n.Inject(noc.Packet{Src: 0, Dst: 3}, 0) { // out of scope, but must follow
+	if n.Inject(noc.Packet{Src: 0, Dst: 3}, 0) != noc.Sent { // out of scope, but must follow
 		t.Fatal("second Inject rejected")
 	}
-	if !n.Inject(noc.Packet{Src: 1, Dst: 3}, 0) { // other source: goes straight through
+	if n.Inject(noc.Packet{Src: 1, Dst: 3}, 0) != noc.Sent { // other source: goes straight through
 		t.Fatal("third Inject rejected")
 	}
 	if len(inner.injects) != 1 || inner.injects[0].Src != 1 {
@@ -183,7 +171,7 @@ func TestNetDuplicateSuppressedAtDelivery(t *testing.T) {
 	inner := newFakeNet()
 	n := Wrap(inner, mustPlan(t, "dup=1,seed=3"), 4, 2)
 	want := noc.Packet{Src: 0, Dst: 2, Bytes: 8, Ref: 7}
-	if !n.Inject(want, 0) {
+	if n.Inject(want, 0) != noc.Sent {
 		t.Fatal("Inject rejected")
 	}
 	n.Tick(0)
@@ -207,7 +195,7 @@ func TestNetBankStallFreezesDelivery(t *testing.T) {
 	inner := newFakeNet()
 	// Banks are nodes 2 and 3; only bank index 1 (node 3) stalls.
 	n := Wrap(inner, mustPlan(t, "bankstall=1:3@1,seed=3"), 4, 2)
-	if !n.Inject(noc.Packet{Src: 0, Dst: 3}, 0) {
+	if n.Inject(noc.Packet{Src: 0, Dst: 3}, 0) != noc.Sent {
 		t.Fatal("Inject rejected")
 	}
 	n.Tick(0) // opens the stall window: cycles 0..2 frozen
@@ -242,7 +230,7 @@ func TestNetBankStallFreezesDelivery(t *testing.T) {
 func TestNetStagedRetriesOnBackpressure(t *testing.T) {
 	inner := newFakeNet()
 	n := Wrap(inner, mustPlan(t, "delay=1:1,seed=3"), 4, 2)
-	if !n.Inject(noc.Packet{Src: 0, Dst: 2}, 0) {
+	if n.Inject(noc.Packet{Src: 0, Dst: 2}, 0) != noc.Sent {
 		t.Fatal("Inject rejected")
 	}
 	inner.reject = true
@@ -269,8 +257,8 @@ func TestNetReplayDeterminism(t *testing.T) {
 		for now := uint64(0); now < 200; now++ {
 			for src := 0; src < 4; src++ {
 				p := noc.Packet{Src: src, Dst: 4 + src%4, Bytes: 4 + int(now%3)*4}
-				if !n.Inject(p, now) && !n.TookDrop(src) {
-					t.Fatal("fakeNet never backpressures; rejection must be a drop")
+				if n.Inject(p, now) == noc.Refused {
+					t.Fatal("fakeNet never backpressures; only a drop may turn a transfer away")
 				}
 			}
 			n.Tick(now)
@@ -333,7 +321,7 @@ func (n *edgeNode) Tick(now uint64) uint64 {
 		}
 		n.at[int(p.Ref)] = int(now)
 	}
-	for len(n.backlog) > 0 && n.net.Inject(n.backlog[0], now) {
+	for len(n.backlog) > 0 && n.net.Inject(n.backlog[0], now) == noc.Sent {
 		n.reach[int(n.backlog[0].Ref)] = n.net.Reach(n.backlog[0].Dst, now)
 		n.backlog = n.backlog[1:]
 	}

@@ -8,10 +8,10 @@
 // The model is a lossy physical link under the reliable link-level
 // framing real NoCs use (CRC-checked flits with sender retransmission):
 //
-//   - a *drop* corrupts the transfer on the wire; the injecting port is
-//     notified (noc.DropNotifier) and the coherence.Node retransmits
-//     after a bounded exponential backoff, preserving its outbound FIFO
-//     order by head-of-line blocking;
+//   - a *drop* corrupts the transfer on the wire; Inject answers the
+//     injecting port noc.Lost and the coherence.Node retransmits after a
+//     bounded exponential backoff, preserving its outbound FIFO order by
+//     head-of-line blocking;
 //   - a *duplicate* is a spurious retransmission; it consumes real link
 //     bandwidth and queue slots in the wrapped network but is
 //     suppressed by the receiving port's sequence check before the

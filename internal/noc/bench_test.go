@@ -50,7 +50,7 @@ func BenchmarkNoC(b *testing.B) {
 							for n.ArrivalAt(node) <= now {
 								n.Deliver(node, now)
 							}
-							if load.every == 0 && n.Inject(offer[node], now) {
+							if load.every == 0 && n.Inject(offer[node], now) == Sent {
 								offer[node] = packet(node)
 							}
 						}

@@ -138,13 +138,13 @@ func NewMesh(cfg MeshConfig) *Mesh {
 
 // Inject implements Network. The mesh counts a packet when it enters
 // the source router, and its flits once per link crossed.
-func (m *Mesh) Inject(p Packet, now uint64) bool {
-	if !m.endpoints.Inject(p, now) {
-		return false
+func (m *Mesh) Inject(p Packet, now uint64) Fate {
+	if m.endpoints.Inject(p, now) != Sent {
+		return Refused
 	}
 	m.count(p, uint64(p.Flits()))
 	m.enqueued(p.Src, portLocal, p.Dst, now)
-	return true
+	return Sent
 }
 
 // enqueued keeps router idx's books for a packet to dst just sent into

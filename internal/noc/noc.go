@@ -16,7 +16,9 @@
 // All three serialize packets at one flit per cycle per port, give
 // per-(source,destination) FIFO ordering (which the coherence protocols
 // require), exert backpressure through bounded buffers, and account
-// traffic in bytes for the paper's Figure 5.
+// traffic in bytes for the paper's Figure 5. Inject answers each offer's
+// Fate: Sent, or Refused when a buffer is full. None of the three loses
+// a packet; a Lost answer is the fault layer's.
 //
 // Every queue in the package is a sim.Port[Packet], and the half of a
 // model that faces the nodes — injection and arrival ports, delivery,
@@ -70,13 +72,28 @@ type Stats struct {
 	InjectStallCycles uint64
 }
 
+// Fate is Inject's answer: what became of the offered packet.
+type Fate uint8
+
+const (
+	// Sent: the network accepted the packet.
+	Sent Fate = iota
+	// Refused: backpressure. The packet was not taken and may be
+	// offered again any time.
+	Refused
+	// Lost: the transfer was corrupted on the wire (a modelled link
+	// fault; no plain model answers it). The sender's link layer detects
+	// it, as CRC/NACK framing does, and retransmits under its retry
+	// policy.
+	Lost
+)
+
 // Network is the interface between the protocol controllers and the
 // interconnect model.
 type Network interface {
-	// Inject offers a packet at the source port at cycle now. It
-	// reports whether the packet was accepted; rejection means the
-	// source must retry (backpressure).
-	Inject(p Packet, now uint64) bool
+	// Inject offers a packet at the source port at cycle now and
+	// answers its fate.
+	Inject(p Packet, now uint64) Fate
 	// Deliver pops the next packet that has fully arrived at node by
 	// cycle now, if any.
 	Deliver(node int, now uint64) (Packet, bool)
@@ -161,18 +178,18 @@ func (e *endpoints) Attach(self sim.Waker, nodes []sim.Waker) { e.self, e.nodes 
 
 // Inject implements Network: the packet waits in its source's injection
 // port, movable from now.
-func (e *endpoints) Inject(p Packet, now uint64) bool {
+func (e *endpoints) Inject(p Packet, now uint64) Fate {
 	if p.Src < 0 || p.Src >= len(e.inj) || p.Dst < 0 || p.Dst >= len(e.arr) {
 		panic(fmt.Sprintf("noc: packet %d->%d outside the network's %d nodes", p.Src, p.Dst, len(e.arr)))
 	}
 	if !e.inj[p.Src].Send(p, now) {
 		e.stats.InjectStallCycles++
-		return false
+		return Refused
 	}
 	e.injSet.Set(p.Src)
 	e.live++
 	e.self.Wake(now)
-	return true
+	return Sent
 }
 
 // take pops the head of src's injection port if it is movable at now.
@@ -253,20 +270,6 @@ func checkMin(model string, fields ...minField) error {
 		}
 	}
 	return nil
-}
-
-// DropNotifier is the optional sender-side loss-notification interface
-// a Network may implement (the fault-injection wrapper does; the plain
-// models never drop and so never implement it). A rejected Inject is
-// normally backpressure — the packet was refused and may be re-offered
-// any time. When the network instead *lost* the transfer (a modelled
-// link fault), TookDrop reports it: the sender's link layer detected
-// the corruption (CRC/NACK, as real NoC retransmission layers do) and
-// must retransmit under its retry policy rather than plain retry.
-type DropNotifier interface {
-	// TookDrop reports — and clears — whether the most recent rejected
-	// Inject from src was a fault drop rather than backpressure.
-	TookDrop(src int) bool
 }
 
 // MeshLatency returns the default minimum crossing delay, in cycles,

@@ -80,7 +80,7 @@ func TestDelivery(t *testing.T) {
 	for _, nc := range nets(9) {
 		t.Run(nc.name, func(t *testing.T) {
 			n := nc.mk()
-			if !n.Inject(Packet{Src: 0, Dst: 8, Bytes: 12, Ref: 7}, 0) {
+			if n.Inject(Packet{Src: 0, Dst: 8, Bytes: 12, Ref: 7}, 0) != Sent {
 				t.Fatal("inject refused on an idle network")
 			}
 			got := drive(t, n, 0, 1000)
@@ -105,7 +105,7 @@ func TestDeliverableAgreesWithDeliver(t *testing.T) {
 			if n.ArrivalAt(3) != sim.NoWake {
 				t.Fatal("idle network claims an arrival")
 			}
-			if !n.Inject(Packet{Src: 0, Dst: 3, Bytes: 8, Ref: 7}, 0) {
+			if n.Inject(Packet{Src: 0, Dst: 3, Bytes: 8, Ref: 7}, 0) != Sent {
 				t.Fatal("inject refused")
 			}
 			delivered := false
@@ -179,7 +179,7 @@ func TestReachOnAnIdleNetwork(t *testing.T) {
 		_, mesh := c.n.(*Mesh)
 		var reach uint64
 		for cyc := uint64(0); cyc < at+100; cyc++ {
-			if cyc == at && !c.n.Inject(Packet{Src: c.src, Dst: c.dst, Bytes: FlitBytes}, cyc) {
+			if cyc == at && c.n.Inject(Packet{Src: c.src, Dst: c.dst, Bytes: FlitBytes}, cyc) != Sent {
 				t.Fatalf("%s: idle network refused the packet", c.name)
 			}
 			if reach = c.n.Reach(c.dst, cyc); cyc == at && reach != at+c.want {
@@ -215,7 +215,7 @@ func TestPerPairOrdering(t *testing.T) {
 			const count = 20
 			sent := 0
 			for cyc := 0; sent < count && cyc < 10000; cyc++ {
-				if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Ref: uint32(sent)}, uint64(cyc)) {
+				if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Ref: uint32(sent)}, uint64(cyc)) == Sent {
 					sent++
 				}
 				n.Tick(uint64(cyc))
@@ -233,7 +233,7 @@ func TestPerPairOrdering(t *testing.T) {
 			sent = 0
 			for cyc := 0; cyc < 20000; cyc++ {
 				if sent < count {
-					if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Ref: uint32(sent)}, uint64(cyc)) {
+					if n.Inject(Packet{Src: 2, Dst: 7, Bytes: 4 + (sent%3)*16, Ref: uint32(sent)}, uint64(cyc)) == Sent {
 						sent++
 					}
 				}
@@ -285,7 +285,7 @@ func TestOrderingProperty(t *testing.T) {
 				}
 				i := 0
 				for cyc := 0; cyc < 100000; cyc++ {
-					if i < len(pending) && n.Inject(pending[i], uint64(cyc)) {
+					if i < len(pending) && n.Inject(pending[i], uint64(cyc)) == Sent {
 						i++
 					}
 					n.Tick(uint64(cyc))
@@ -318,10 +318,10 @@ func TestOrderingProperty(t *testing.T) {
 func TestBackpressure(t *testing.T) {
 	cfg := GMNConfig{Nodes: 2, Delay: 5, FIFODepth: 1, SrcDepth: 1}
 	g := NewGMN(cfg)
-	if !g.Inject(Packet{Src: 0, Dst: 1, Bytes: 4}, 0) {
+	if g.Inject(Packet{Src: 0, Dst: 1, Bytes: 4}, 0) != Sent {
 		t.Fatal("first inject refused")
 	}
-	if g.Inject(Packet{Src: 0, Dst: 1, Bytes: 4}, 0) {
+	if g.Inject(Packet{Src: 0, Dst: 1, Bytes: 4}, 0) == Sent {
 		t.Fatal("second inject accepted with a full source queue")
 	}
 	if g.Stats().InjectStallCycles != 1 {
@@ -388,7 +388,7 @@ func TestMeshAllPairsDeliver(t *testing.T) {
 				continue
 			}
 			want++
-			for ; !m.Inject(Packet{Src: s, Dst: d, Bytes: 4}, cyc); cyc++ {
+			for ; m.Inject(Packet{Src: s, Dst: d, Bytes: 4}, cyc) != Sent; cyc++ {
 				m.Tick(cyc)
 				for n := 0; n < nodes; n++ {
 					for {

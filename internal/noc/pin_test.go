@@ -70,7 +70,7 @@ func scriptedTraffic(t *testing.T, n Network) string {
 				delivered[int(p.Ref)] = int(cyc)
 				pending--
 			}
-			for len(backlog[node]) > 0 && n.Inject(backlog[node][0], cyc) {
+			for len(backlog[node]) > 0 && n.Inject(backlog[node][0], cyc) == Sent {
 				reach[int(backlog[node][0].Ref)] = n.Reach(backlog[node][0].Dst, cyc+1)
 				backlog[node] = backlog[node][1:]
 			}
@@ -136,7 +136,7 @@ func TestMeshRoundRobinGrantOrder(t *testing.T) {
 			const each = 4
 			for i := 0; i < each; i++ {
 				for _, s := range c.srcs {
-					if !m.Inject(Packet{Src: s, Dst: 4, Bytes: 8}, 0) {
+					if m.Inject(Packet{Src: s, Dst: 4, Bytes: 8}, 0) != Sent {
 						t.Fatalf("inject %d from %d refused", i, s)
 					}
 				}

@@ -117,7 +117,7 @@ func reachRun(t *testing.T, inner noc.Network, wrap bool, seed, nodes, genCycles
 				backlog[src] = append(backlog[src], noc.Packet{Src: src, Dst: rng.Intn(nodes), Bytes: bytes})
 				pending++
 			}
-			for len(backlog[src]) > 0 && net.Inject(backlog[src][0], now) {
+			for len(backlog[src]) > 0 && net.Inject(backlog[src][0], now) == noc.Sent {
 				backlog[src] = backlog[src][1:]
 			}
 		}

@@ -36,16 +36,16 @@ func newRefEndpoints(nodes, injDepth, arrDepth int) refEndpoints {
 	return e
 }
 
-func (e *refEndpoints) Inject(p Packet, now uint64) bool {
+func (e *refEndpoints) Inject(p Packet, now uint64) Fate {
 	if p.Src < 0 || p.Src >= len(e.inj) || p.Dst < 0 || p.Dst >= len(e.arr) {
 		panic("noc: packet endpoint out of range")
 	}
 	if !e.inj[p.Src].Send(p, now) {
 		e.stats.InjectStallCycles++
-		return false
+		return Refused
 	}
 	e.live++
-	return true
+	return Sent
 }
 
 func (e *refEndpoints) count(p Packet, flits uint64) {
@@ -229,12 +229,12 @@ func (m *refMesh) neighbor(idx, out int) (next, inPort int) {
 	panic("noc: neighbor of local port")
 }
 
-func (m *refMesh) Inject(p Packet, now uint64) bool {
-	if !m.refEndpoints.Inject(p, now) {
-		return false
+func (m *refMesh) Inject(p Packet, now uint64) Fate {
+	if m.refEndpoints.Inject(p, now) != Sent {
+		return Refused
 	}
 	m.count(p, uint64(p.Flits()))
-	return true
+	return Sent
 }
 
 func (m *refMesh) Tick(now uint64) uint64 { m.tick(now); return m.NextWake(now + 1) }

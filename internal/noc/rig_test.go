@@ -141,7 +141,7 @@ func (r *rigNet) nodeAct(t *testing.T, c rigCase, cyc uint64, node int) {
 		r.at[int(p.Ref)] = int(cyc)
 		r.pending--
 	}
-	for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) {
+	for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) == Sent {
 		r.unasked = append(r.unasked, r.backlog[node][0])
 		r.backlog[node] = r.backlog[node][1:]
 		r.injected = cyc
