@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/coherence"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -36,9 +35,6 @@ func flatRunner(t *testing.T, b *Builder, base uint32) *cpu.CPU {
 
 type flatPort struct {
 	space *mem.Space
-	// The CPU calls Load, Store, Swap and Skip; the rest of the
-	// interface stays unimplemented.
-	coherence.DataCache
 
 	// line is the block Line decodes afresh on every call (the core
 	// replaces its window with each result, so one buffer serves).
@@ -74,6 +70,11 @@ func (f *flatPort) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) 
 }
 
 func (f *flatPort) Skip(from, to uint64) {}
+
+// Hit vouches for nothing, so the core never loads ahead.
+func (f *flatPort) Hit(addr uint32) bool { return false }
+
+func (f *flatPort) ChargeHits(n uint64) {}
 
 func TestLiLoadsAnyConstantProperty(t *testing.T) {
 	f := func(v uint32) bool {

@@ -1,6 +1,6 @@
 package coherence
 
-import "repro/internal/mem"
+import "repro/internal/sim"
 
 // DataCache is one protocol's data-cache controller: the CPU-facing
 // operations, the scheduling contract, and what the platform around it
@@ -11,6 +11,9 @@ import "repro/internal/mem"
 // Operations follow a poll-retry discipline: one operation is in flight
 // per cache, re-issued every cycle until ok is reported; controllers keep
 // the outstanding transaction state, so repeated calls are idempotent.
+// Both controllers embed dcache, which holds that state's shared part —
+// the one blocking request — beside the line array, the port and the
+// counters; a controller file holds only its policy.
 //
 // Every access is one aligned word: addr is a multiple of 4.
 type DataCache interface {
@@ -56,10 +59,6 @@ type DataCache interface {
 	// WBOccupancy reports the occupied write-buffer entries (0 for a
 	// controller without one).
 	WBOccupancy() int
-	// FlushDirty writes every dirty block into s, so host-side checks
-	// see the final architectural state. Write-through caches have
-	// nothing to flush.
-	FlushDirty(s *mem.Space)
 	// Fingerprint appends the controller's complete
 	// behaviour-relevant state — pending transactions, posted writes,
 	// resident lines — to e. Counters and latency-attribution
@@ -67,6 +66,84 @@ type DataCache interface {
 	// and including them would keep the model checker from ever merging
 	// two states.
 	Fingerprint(e *Enc)
+}
+
+// request is a cache's one blocking transaction (a miss, swap, upgrade
+// or refill): posed when it starts, sent home once the port admits it
+// (Tick retries a refused cycle), cleared when its answer is collected.
+// It holds no Msg (80 B): the message is built only when it goes.
+type request struct {
+	kind   MsgKind // MsgInvalid: none posed
+	issued bool
+	addr   uint32 // block address, or a swap's word address
+	word   uint32 // a swap's new word
+	begin  uint64 // cycle it was posed (latency attribution)
+}
+
+// pose records the request and tries to issue it.
+func (r *request) pose(n *Node, kind MsgKind, addr, word uint32, now uint64) {
+	*r = request{kind: kind, addr: addr, word: word, begin: now}
+	r.issue(n, now)
+}
+
+// issue sends the posed request home through n, a CPU-side port (whose
+// ID is its CPU's), once n admits a request.
+func (r *request) issue(n *Node, now uint64) {
+	if r.kind == MsgInvalid || r.issued || !n.CanSendReq() {
+		return
+	}
+	n.SendHome(Msg{Kind: r.kind, Src: n.ID, Addr: r.addr, Word: r.word}, now)
+	r.issued = true
+}
+
+// wake is now while the request is posed but unissued — only Tick
+// retries the issue — and sim.NoWake otherwise. Pure.
+func (r *request) wake(now uint64) uint64 {
+	if r.kind != MsgInvalid && !r.issued {
+		return now
+	}
+	return sim.NoWake
+}
+
+// fingerprint appends the request's state, begin left out.
+func (r *request) fingerprint(e *Enc) {
+	e.Bools(r.issued)
+	e.U32(uint32(r.kind), r.addr, r.word)
+}
+
+// dcache is what the data-cache controllers share: the CPU and policy
+// they serve, the line array, the port, the blocking request and the
+// counters.
+type dcache struct {
+	id    int // CPU / node id
+	proto Protocol
+	arr   *cacheArray
+	node  *Node
+	req   request
+	st    DCacheStats
+}
+
+// newDCache builds the shared part of CPU id's data cache under proto.
+func newDCache(proto Protocol, id int, p Params, node *Node) dcache {
+	return dcache{id: id, proto: proto, arr: newCacheArray(p.DCacheBytes, p.Ways), node: node}
+}
+
+// Stats implements DataCache.
+func (c *dcache) Stats() *DCacheStats { return &c.st }
+
+// Lines implements DataCache.
+func (c *dcache) Lines() []LineInfo { return c.arr.lines() }
+
+// ChargeHits implements DataCache.
+func (c *dcache) ChargeHits(n uint64) { c.arr.chargeHits(&c.st, n) }
+
+// inval serves a CmdInval: drop the copy, if any, and acknowledge.
+func (c *dcache) inval(m *Msg, now uint64) {
+	c.st.InvalsReceived++
+	if c.arr.invalidate(m.Addr) {
+		c.st.CopiesDropped++
+	}
+	c.node.SendHome(Msg{Kind: RspInvAck, Src: c.id, Addr: m.Addr}, now)
 }
 
 // LineInfo describes one resident cache line for inspection. Data

@@ -134,7 +134,11 @@ func (h *Hierarchy) Pending(report func(part string)) bool {
 // space so host-side checks observe the final architectural state.
 func (h *Hierarchy) FlushCaches() {
 	for _, dc := range h.DCaches {
-		dc.FlushDirty(h.space)
+		for _, li := range dc.Lines() {
+			if li.State.Dirty() {
+				h.space.WriteBlock(li.Addr, li.Data)
+			}
+		}
 	}
 }
 

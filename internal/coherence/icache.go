@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/sim"
 )
 
 // codeStore is the decoded form of every distinct code block a
@@ -48,10 +47,7 @@ type ICache struct {
 	lines [][]isa.Instr // per line of arr: its block in code
 	code  codeStore
 	node  *Node
-
-	pendActive bool
-	pendIssued bool
-	pendAddr   uint32
+	req   request // the refill: ReqIFetch of a block
 
 	// Stats.
 	Fetches uint64
@@ -72,7 +68,7 @@ func newICache(id int, p Params, node *Node, code codeStore) *ICache {
 // Line counts one fetch at addr and returns the decoded block holding
 // it; a miss starts the refill and reports false until it has landed.
 func (c *ICache) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
-	if c.pendActive {
+	if c.req.kind != MsgInvalid {
 		return nil, false
 	}
 	c.Fetches++
@@ -80,17 +76,14 @@ func (c *ICache) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 		return b, true
 	}
 	c.Misses++
-	c.pendActive = true
-	c.pendIssued = false
-	c.pendAddr = BlockAddr(addr)
-	c.tryIssue(now)
+	c.req.pose(c.node, ReqIFetch, BlockAddr(addr), 0, now)
 	return nil, false
 }
 
 // Resident is Line's hit, stamp and all, without its fetch; a miss, or
 // any call while a refill is pending, changes nothing and starts nothing.
 func (c *ICache) Resident(addr uint32) ([]isa.Instr, bool) {
-	if !c.pendActive {
+	if c.req.kind == MsgInvalid {
 		if line, hit := c.arr.lookup(addr); hit {
 			return c.lines[line], true
 		}
@@ -98,35 +91,22 @@ func (c *ICache) Resident(addr uint32) ([]isa.Instr, bool) {
 	return nil, false
 }
 
-func (c *ICache) tryIssue(now uint64) {
-	if !c.pendActive || c.pendIssued || !c.node.CanSendReq() {
-		return
-	}
-	c.node.SendHome(Msg{Kind: ReqIFetch, Src: c.id, Addr: c.pendAddr}, now)
-	c.pendIssued = true
-}
-
 // Tick retries an unsent refill request.
-func (c *ICache) Tick(now uint64) { c.tryIssue(now) }
+func (c *ICache) Tick(now uint64) { c.req.issue(c.node, now) }
 
 // NextWake reports now while an unissued refill retries every cycle,
 // since the issue must still be made; otherwise Tick is a strict no-op
 // until protocol state changes. Pure.
-func (c *ICache) NextWake(now uint64) uint64 {
-	if c.pendActive && !c.pendIssued {
-		return now
-	}
-	return sim.NoWake
-}
+func (c *ICache) NextWake(now uint64) uint64 { return c.req.wake(now) }
 
 // HandleMsg processes the refill response.
 func (c *ICache) HandleMsg(m *Msg, now uint64) {
-	if m.Kind != RspIData || !c.pendActive || m.Addr != c.pendAddr {
+	if m.Kind != RspIData || c.req.kind == MsgInvalid || m.Addr != c.req.addr {
 		panic(fmt.Sprintf("coherence: icache %d: unexpected %v", c.id, m))
 	}
 	c.lines[c.arr.fill(m.Addr, Shared, nil)] = c.code.block(m.Data[:])
-	c.pendActive = false
+	c.req = request{}
 }
 
 // Drained reports whether no refill is outstanding.
-func (c *ICache) Drained() bool { return !c.pendActive }
+func (c *ICache) Drained() bool { return c.req.kind == MsgInvalid }

@@ -1,12 +1,9 @@
 package coherence
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // MESICache is the write-back MESI (Illinois-like) data-cache
@@ -18,30 +15,20 @@ import (
 // whose writeback proceeds in the background (the "+2 n.b." of
 // Table 1).
 type MESICache struct {
-	id    int
-	proto Protocol
-	arr   *cacheArray
-	node  *Node
-
-	pend  mesiPending
-	evict mesiEvict
-	st    DCacheStats
+	dcache // req: ReqRead, ReqReadExcl or ReqUpgrade of a block
+	w      mesiWrite
+	evict  mesiEvict
 }
 
-type mesiPending struct {
-	active bool
-	issued bool
-	kind   MsgKind // ReqRead, ReqReadExcl or ReqUpgrade
-	blk    uint32  // block address
-
-	// Deferred write to apply when exclusivity arrives.
+// mesiWrite is the store or swap deferred until the request's
+// exclusivity arrives. It lives and is cleared with req.
+type mesiWrite struct {
 	apply   bool
 	isSwap  bool
+	done    bool // store/swap completed; the retry returns success
 	waddr   uint32
 	word    uint32
 	swapOld uint32
-	done    bool   // store/swap completed; the retry returns success
-	begin   uint64 // cycle the transaction started (latency attribution)
 }
 
 type mesiEvict struct {
@@ -59,16 +46,8 @@ func newWriteBackCache(proto Protocol, id int, p Params, node *Node) DataCache {
 	if proto == MOESI && !p.CacheToCache {
 		panic("coherence: MOESI requires Params.CacheToCache")
 	}
-	return &MESICache{
-		id:    id,
-		proto: proto,
-		arr:   newCacheArray(p.DCacheBytes, p.Ways),
-		node:  node,
-	}
+	return &MESICache{dcache: newDCache(proto, id, p, node)}
 }
-
-// Stats implements DataCache.
-func (c *MESICache) Stats() *DCacheStats { return &c.st }
 
 // WBOccupancy implements DataCache: there is no write buffer.
 func (c *MESICache) WBOccupancy() int { return 0 }
@@ -81,7 +60,7 @@ func (c *MESICache) Posted(waddr uint32) bool {
 
 // startMiss prepares an allocation for blk: a dirty victim moves to the
 // one-entry eviction buffer, which Load and write, the callers, have
-// found free, and the request is recorded.
+// found free, and the request is posed.
 func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) {
 	line := c.arr.victim(blk)
 	if c.arr.state[line].Dirty() {
@@ -94,36 +73,27 @@ func (c *MESICache) startMiss(now uint64, kind MsgKind, blk uint32) {
 		// the node's FIFO ahead of any later no-data fetch response.
 		c.node.SendHome(wb, now)
 	}
-	c.pend = mesiPending{active: true, kind: kind, blk: blk, begin: now}
-	c.tryIssue(now)
+	c.req.pose(c.node, kind, blk, 0, now)
 }
 
 // completePend records the finishing blocking transaction; the caller
-// still owns clearing or completing c.pend.
+// still owns clearing or completing the request.
 func (c *MESICache) completePend(now uint64, addr uint32) {
 	k := obs.LatReadMiss
 	switch {
-	case c.pend.isSwap:
+	case c.w.isSwap:
 		k = obs.LatSwap
-	case c.pend.kind == ReqUpgrade:
+	case c.req.kind == ReqUpgrade:
 		k = obs.LatUpgrade
-	case c.pend.apply:
+	case c.w.apply:
 		k = obs.LatWriteAlloc
 	}
-	c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, k, c.pend.begin, now, addr)
-}
-
-func (c *MESICache) tryIssue(now uint64) {
-	if !c.pend.active || c.pend.issued || !c.node.CanSendReq() {
-		return
-	}
-	c.node.SendHome(Msg{Kind: c.pend.kind, Src: c.id, Addr: c.pend.blk}, now)
-	c.pend.issued = true
+	c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, k, c.req.begin, now, addr)
 }
 
 // Load implements DataCache.
 func (c *MESICache) Load(now uint64, addr uint32) (uint32, bool) {
-	if c.pend.active {
+	if c.req.kind != MsgInvalid {
 		return 0, false
 	}
 	waddr := WordAddr(addr)
@@ -145,11 +115,8 @@ func (c *MESICache) Load(now uint64, addr uint32) (uint32, bool) {
 // Hit implements DataCache.
 func (c *MESICache) Hit(addr uint32) bool {
 	_, hit := c.arr.probe(addr)
-	return hit && !c.pend.active
+	return hit && c.req.kind == MsgInvalid
 }
-
-// ChargeHits implements DataCache.
-func (c *MESICache) ChargeHits(n uint64) { c.arr.chargeHits(&c.st, n) }
 
 // Store implements DataCache.
 func (c *MESICache) Store(now uint64, addr uint32, word uint32) bool {
@@ -170,12 +137,12 @@ func (c *MESICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool)
 // core's retry then collecting the result. It returns the word a swap
 // replaced.
 func (c *MESICache) write(now uint64, addr, word uint32, isSwap bool) (uint32, bool) {
-	if c.pend.active {
-		if !c.pend.done {
+	if c.req.kind != MsgInvalid {
+		if !c.w.done {
 			return 0, false
 		}
-		old := c.pend.swapOld
-		c.pend = mesiPending{}
+		old := c.w.swapOld
+		c.req, c.w = request{}, mesiWrite{}
 		return old, true
 	}
 	waddr, blk := WordAddr(addr), BlockAddr(addr)
@@ -204,27 +171,20 @@ func (c *MESICache) write(now uint64, addr, word uint32, isSwap bool) (uint32, b
 			return old, true
 		case Shared, Owned:
 			c.st.Upgrades++
-			c.pend = mesiPending{active: true, kind: ReqUpgrade, blk: blk, begin: now}
-			c.tryIssue(now)
+			c.req.pose(c.node, ReqUpgrade, blk, 0, now)
 		}
 	}
-	c.pend.apply, c.pend.isSwap = true, isSwap
-	c.pend.waddr, c.pend.word = waddr, word
+	c.w = mesiWrite{apply: true, isSwap: isSwap, waddr: waddr, word: word}
 	return 0, false
 }
 
 // Tick implements DataCache.
-func (c *MESICache) Tick(now uint64) { c.tryIssue(now) }
+func (c *MESICache) Tick(now uint64) { c.req.issue(c.node, now) }
 
 // NextWake implements DataCache: an unissued pending request retries
 // every cycle, since the issue must still be made; an active eviction is
 // passive — its writeback already sits in the node's outbound queue.
-func (c *MESICache) NextWake(now uint64) uint64 {
-	if c.pend.active && !c.pend.issued {
-		return now
-	}
-	return sim.NoWake
-}
+func (c *MESICache) NextWake(now uint64) uint64 { return c.req.wake(now) }
 
 // Skip implements DataCache: a retry against the pending transaction is
 // rejected without counting anything.
@@ -233,19 +193,19 @@ func (c *MESICache) Skip(from, to uint64) {}
 // completeWrite applies the deferred store/swap to the (now exclusive)
 // line and marks the transaction done.
 func (c *MESICache) completeWrite(set int) {
-	if c.pend.isSwap {
-		c.pend.swapOld = c.arr.readWord(set, c.pend.waddr)
+	if c.w.isSwap {
+		c.w.swapOld = c.arr.readWord(set, c.w.waddr)
 	}
-	c.arr.writeWord(set, c.pend.waddr, c.pend.word)
+	c.arr.writeWord(set, c.w.waddr, c.w.word)
 	c.arr.state[set] = Modified
-	c.pend.done = true
+	c.w.done = true
 }
 
 // HandleMsg implements DataCache.
 func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 	switch m.Kind {
 	case RspData:
-		if !c.pend.active || c.pend.blk != m.Addr {
+		if c.req.kind == MsgInvalid || c.req.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: MESI cache %d: unexpected %v", c.id, m))
 		}
 		if m.Forwarded {
@@ -260,16 +220,16 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		}
 		set := c.arr.fill(m.Addr, st, m.Data[:])
 		c.completePend(now, m.Addr)
-		if c.pend.apply {
+		if c.w.apply {
 			if !m.Excl {
 				panic(fmt.Sprintf("coherence: MESI cache %d: write allocation granted without exclusivity", c.id))
 			}
 			c.completeWrite(set)
 		} else {
-			c.pend = mesiPending{}
+			c.req, c.w = request{}, mesiWrite{}
 		}
 	case RspUpgradeAck:
-		if !c.pend.active || c.pend.kind != ReqUpgrade || c.pend.blk != m.Addr {
+		if c.req.kind != ReqUpgrade || c.req.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: MESI cache %d: unexpected %v", c.id, m))
 		}
 		set, hit := c.arr.lookup(m.Addr)
@@ -288,11 +248,7 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidLane, obs.LatWriteback, c.evict.begin, now, m.Addr)
 		c.evict = mesiEvict{}
 	case CmdInval:
-		c.st.InvalsReceived++
-		if c.arr.invalidate(m.Addr) {
-			c.st.CopiesDropped++
-		}
-		c.node.SendHome(Msg{Kind: RspInvAck, Src: c.id, Addr: m.Addr}, now)
+		c.inval(m, now)
 	case CmdFetch, CmdFetchInval:
 		c.st.FetchesServed++
 		rsp := Msg{Kind: RspFetch, Src: c.id, Addr: m.Addr}
@@ -344,29 +300,13 @@ func (c *MESICache) HandleMsg(m *Msg, now uint64) {
 }
 
 // Drained implements DataCache.
-func (c *MESICache) Drained() bool { return !c.pend.active && !c.evict.active }
-
-// Lines implements DataCache.
-func (c *MESICache) Lines() []LineInfo { return c.arr.lines() }
-
-// FlushDirty implements DataCache.
-func (c *MESICache) FlushDirty(s *mem.Space) {
-	for line := range c.arr.state {
-		if c.arr.state[line].Dirty() {
-			addr := c.arr.blockAddr(line)
-			d := c.arr.lineData(line)
-			for off := 0; off < len(d); off += 4 {
-				s.WriteWord(addr+uint32(off), binary.LittleEndian.Uint32(d[off:off+4]))
-			}
-		}
-	}
-}
+func (c *MESICache) Drained() bool { return c.req.kind == MsgInvalid && !c.evict.active }
 
 // Fingerprint implements DataCache; the one-entry eviction buffer is
 // part of the transaction state.
 func (c *MESICache) Fingerprint(e *Enc) {
-	p := &c.pend
-	e.Bools(p.active, p.issued, p.apply, p.isSwap, p.done, c.evict.active)
-	e.U32(uint32(p.kind), p.blk, p.waddr, p.word, p.swapOld, c.evict.addr)
+	c.req.fingerprint(e)
+	e.Bools(c.w.apply, c.w.isSwap, c.w.done, c.evict.active)
+	e.U32(c.w.waddr, c.w.word, c.w.swapOld, c.evict.addr)
 	c.arr.fingerprint(e)
 }

@@ -773,23 +773,91 @@ func TestRefusedRequestsRetry(t *testing.T) {
 	}
 }
 
-// TestWTIRefusedMissStaysAwake fills a WTI cache's port with sends
-// latched far ahead, so a load miss cannot issue: the cache must answer
-// NextWake with the current cycle on every cycle it is refused, since
-// only its own Tick retries the issue.
-func TestWTIRefusedMissStaysAwake(t *testing.T) {
-	r := newRig(t, WTI, 1, 1)
-	for n := r.Nodes[0]; n.CanSendReq(); {
-		n.SendCtrl(Msg{Kind: ReqRead, Addr: rigBase}, r.BNodes[0].ID, 1<<40)
+// TestRefusedRequestStaysAwake fills a CPU's port with sends latched
+// far ahead, so no blocking request can issue: under every protocol a
+// load miss, a write-allocating store (the write-back rows), a swap and
+// an instruction refill must answer NextWake with the current cycle on
+// every refused cycle, since only the cache's own Tick retries the
+// issue, and send nothing. Once the port frees, exactly the one request
+// leaves on the next tick, and the access completes when it is answered.
+func TestRefusedRequestStaysAwake(t *testing.T) {
+	cases := []struct {
+		name string
+		// wantWT and wantWB are the request the access sends under a
+		// write-through and a write-back row; MsgInvalid: none.
+		wantWT, wantWB MsgKind
+		access         func(dc DataCache, ic *ICache, now uint64) bool
+	}{
+		{"load", ReqRead, ReqRead, func(dc DataCache, _ *ICache, now uint64) bool {
+			_, ok := dc.Load(now, rigBase+0x100)
+			return ok
+		}},
+		{"store", MsgInvalid, ReqReadExcl, func(dc DataCache, _ *ICache, now uint64) bool {
+			return dc.Store(now, rigBase+0x200, 7)
+		}},
+		{"swap", ReqSwap, ReqReadExcl, func(dc DataCache, _ *ICache, now uint64) bool {
+			_, ok := dc.Swap(now, rigBase+0x300, 7)
+			return ok
+		}},
+		{"ifetch", ReqIFetch, ReqIFetch, func(_ DataCache, ic *ICache, now uint64) bool {
+			_, ok := ic.Line(now, rigBase+0x400)
+			return ok
+		}},
 	}
-	for range 20 {
-		if _, ok := r.DCaches[0].Load(r.now, rigBase+0x100); ok {
-			t.Fatalf("cycle %d: the load completed through a full port", r.now)
+	for proto := range Protocols {
+		_, writeBack := newRig(t, Protocol(proto), 1, 1).DCaches[0].(*MESICache)
+		for _, tc := range cases {
+			want := tc.wantWT
+			if writeBack {
+				want = tc.wantWB
+			}
+			if want == MsgInvalid {
+				continue // a write-through store is posted, not a request
+			}
+			t.Run(Protocols[proto].Name+"/"+tc.name, func(t *testing.T) {
+				r := newRig(t, Protocol(proto), 1, 1)
+				dc, ic, n := r.DCaches[0], r.ICaches[0], r.Nodes[0]
+				wake := dc.NextWake
+				if want == ReqIFetch {
+					wake = ic.NextWake
+				}
+				for n.CanSendReq() {
+					n.SendCtrl(Msg{Kind: ReqRead, Addr: rigBase}, r.BNodes[0].ID, 1<<40)
+				}
+				var sent []MsgKind
+				n.Trace = func(_ uint64, dir string, _, _ int, m *Msg) {
+					if dir == "tx" {
+						sent = append(sent, m.Kind)
+					}
+				}
+				for range 20 {
+					if tc.access(dc, ic, r.now) {
+						t.Fatalf("cycle %d: the access completed through a full port", r.now)
+					}
+					if w := wake(r.now); w != r.now {
+						t.Fatalf("cycle %d: a refused request sleeps until %d", r.now, w)
+					}
+					r.step()
+				}
+				if len(sent) != 0 {
+					t.Fatalf("a full port sent %v", sent)
+				}
+				for !n.outQ.Empty() {
+					m, _ := n.outQ.Recv(1 << 40)
+					n.msgs.take(m.slot)
+				}
+				r.step()
+				if len(sent) != 1 || sent[0] != want {
+					t.Fatalf("the freed port sent %v, want [%v]", sent, want)
+				}
+				for i := 0; !tc.access(dc, ic, r.now); i++ {
+					if i == 1000 {
+						t.Fatalf("the %s never completed", tc.name)
+					}
+					r.step()
+				}
+			})
 		}
-		if w := r.DCaches[0].NextWake(r.now); w != r.now {
-			t.Fatalf("cycle %d: a refused miss sleeps until %d", r.now, w)
-		}
-		r.step()
 	}
 }
 

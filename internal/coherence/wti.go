@@ -3,9 +3,7 @@ package coherence
 import (
 	"fmt"
 
-	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // WTICache is the write-through data-cache controller: a direct-mapped,
@@ -26,15 +24,12 @@ import (
 //   - atomic swap: performed at the bank, blocking, after the write
 //     buffer has drained (it is the synchronization primitive).
 type WTICache struct {
-	id    int // CPU / node id
-	proto Protocol
-	p     Params
-	arr   *cacheArray
-	wb    *writeBuffer
-	node  *Node
+	dcache
+	wb     *writeBuffer
+	strict bool // Params.StrictSC
 
-	pend wtiPending
-	st   DCacheStats
+	swapDone bool   // the swap's RspSwap arrived; the retry collects swapOld
+	swapOld  uint32 // the word the swap replaced
 
 	// strictStore tracks the store blocking for its ack in StrictSC
 	// mode; strictDone reports the ack arrived and the next retry may
@@ -48,40 +43,23 @@ type WTICache struct {
 	lastStoreFull bool
 }
 
-type wtiPending struct {
-	active bool
-	isSwap bool
-	issued bool
-	addr   uint32 // block address (read) or word address (swap)
-	newVal uint32 // swap operand
-	oldVal uint32 // swap result
-	done   bool   // swap completed
-	begin  uint64 // cycle the request became pending (latency attribution)
-}
-
 // newWriteThroughCache builds the write-through controller for CPU id
 // under proto (WTI or WTU); the Protocols table's constructor.
 func newWriteThroughCache(proto Protocol, id int, p Params, node *Node) DataCache {
 	return &WTICache{
-		id:    id,
-		proto: proto,
-		p:     p,
-		arr:   newCacheArray(p.DCacheBytes, p.Ways),
-		wb:    newWriteBuffer(p.WriteBufferWords),
-		node:  node,
+		dcache: newDCache(proto, id, p, node),
+		wb:     newWriteBuffer(p.WriteBufferWords),
+		strict: p.StrictSC,
 	}
 }
 
 // WBOccupancy implements DataCache.
 func (c *WTICache) WBOccupancy() int { return c.wb.Len() }
 
-// Stats implements DataCache.
-func (c *WTICache) Stats() *DCacheStats { return &c.st }
-
 // Load implements DataCache.
 func (c *WTICache) Load(now uint64, addr uint32) (uint32, bool) {
-	if c.pend.active && !c.pend.isSwap {
-		// Outstanding read miss; the fill handler clears pend and the
+	if c.req.kind == ReqRead {
+		// Outstanding read miss; the fill handler clears req and the
 		// retry will hit below.
 		return 0, false
 	}
@@ -112,32 +90,28 @@ func (c *WTICache) Load(now uint64, addr uint32) (uint32, bool) {
 	if c.wb.HasUnsentInBlock(blk) {
 		return 0, false // posted writes to this block must depart first
 	}
-	if !c.pend.active {
+	if c.req.kind == MsgInvalid {
 		c.st.Loads++
 		c.st.LoadMisses++
-		c.pend = wtiPending{active: true, addr: blk, begin: now}
-		c.tryIssue(now)
+		c.req.pose(c.node, ReqRead, blk, 0, now)
 	}
 	return 0, false
 }
 
 // Hit implements DataCache.
 func (c *WTICache) Hit(addr uint32) bool {
-	if c.pend.active || c.proto == WTU && !c.wb.Empty() {
+	if c.req.kind != MsgInvalid || c.proto == WTU && !c.wb.Empty() {
 		return false
 	}
 	_, hit := c.arr.probe(addr)
 	return hit
 }
 
-// ChargeHits implements DataCache.
-func (c *WTICache) ChargeHits(n uint64) { c.arr.chargeHits(&c.st, n) }
-
 // Store implements DataCache.
 func (c *WTICache) Store(now uint64, addr uint32, word uint32) bool {
 	waddr := WordAddr(addr)
 	c.lastStoreFull = false
-	if c.p.StrictSC {
+	if c.strict {
 		if c.strictDone {
 			c.strictDone = false
 			return true
@@ -184,12 +158,12 @@ func (c *WTICache) recordStore(addr, waddr uint32, word uint32) {
 // the directory invalidates every other one.
 func (c *WTICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) {
 	waddr := WordAddr(addr)
-	if c.pend.active {
+	if c.req.kind != MsgInvalid {
 		// This swap's own: a cache has one operation in flight, re-issued
 		// until ok (DataCache), so no read miss is pending beside it.
-		if c.pend.done {
-			old := c.pend.oldVal
-			c.pend = wtiPending{}
+		if c.swapDone {
+			old := c.swapOld
+			c.req, c.swapDone, c.swapOld = request{}, false, 0
 			return old, true
 		}
 		return 0, false
@@ -199,29 +173,14 @@ func (c *WTICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) 
 	}
 	c.st.Swaps++
 	c.arr.invalidate(waddr) // self-invalidate: the bank owns the new value
-	c.pend = wtiPending{active: true, isSwap: true, addr: waddr, newVal: newWord, begin: now}
-	c.tryIssue(now)
+	c.req.pose(c.node, ReqSwap, waddr, newWord, now)
 	return 0, false
-}
-
-// tryIssue places the pending miss or swap on the wire once the node
-// admits a request; a refused cycle allocates nothing and retries.
-func (c *WTICache) tryIssue(now uint64) {
-	if !c.pend.active || c.pend.issued || !c.node.CanSendReq() {
-		return
-	}
-	m := Msg{Kind: ReqRead, Src: c.id, Addr: c.pend.addr}
-	if c.pend.isSwap {
-		m.Kind, m.Word = ReqSwap, c.pend.newVal
-	}
-	c.node.SendHome(m, now)
-	c.pend.issued = true
 }
 
 // Tick implements DataCache: retries unsent requests and drains the
 // write buffer (one write-through in flight at a time).
 func (c *WTICache) Tick(now uint64) {
-	c.tryIssue(now)
+	c.req.issue(c.node, now)
 	if e, ok := c.wb.NextToSend(); ok && c.node.CanSendReq() {
 		c.node.SendHome(Msg{Kind: ReqWriteThrough, Src: c.id, Addr: e.addr, Word: e.word}, now)
 		e.sent = true
@@ -233,13 +192,10 @@ func (c *WTICache) Tick(now uint64) {
 // request (the issue must be retried) or a write-buffer entry ready to
 // depart. The cycle after a departure is the node's Veto.
 func (c *WTICache) NextWake(now uint64) uint64 {
-	if c.pend.active && !c.pend.issued {
-		return now
-	}
 	if _, ok := c.wb.NextToSend(); ok {
 		return now
 	}
-	return sim.NoWake
+	return c.req.wake(now)
 }
 
 // Skip implements DataCache: each retry of a store against a full
@@ -254,12 +210,12 @@ func (c *WTICache) Skip(from, to uint64) {
 func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 	switch m.Kind {
 	case RspData:
-		if !c.pend.active || c.pend.isSwap || c.pend.addr != m.Addr {
+		if c.req.kind != ReqRead || c.req.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: WTI cache %d: unexpected %v", c.id, m))
 		}
 		c.arr.fill(m.Addr, Shared, m.Data[:])
-		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatReadMiss, c.pend.begin, now, m.Addr)
-		c.pend = wtiPending{}
+		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatReadMiss, c.req.begin, now, m.Addr)
+		c.req = request{}
 	case RspWriteAck:
 		pushedAt, ok := c.wb.Ack(m.Addr)
 		if !ok {
@@ -271,42 +227,29 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 			c.strictDone = true
 		}
 	case RspSwap:
-		if !c.pend.active || !c.pend.isSwap || c.pend.addr != m.Addr {
+		if c.req.kind != ReqSwap || c.req.addr != m.Addr {
 			panic(fmt.Sprintf("coherence: WTI cache %d: unexpected %v", c.id, m))
 		}
-		c.pend.done = true
-		c.pend.oldVal = m.Word
-		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatSwap, c.pend.begin, now, m.Addr)
+		c.swapDone, c.swapOld = true, m.Word
+		c.node.Obs.Done(obs.CPUPid(c.id), obs.TidDCache, obs.LatSwap, c.req.begin, now, m.Addr)
 	case CmdInval:
-		c.st.InvalsReceived++
-		if c.arr.invalidate(m.Addr) {
-			c.st.CopiesDropped++
-		}
-		c.sendInvAck(m.Addr, now)
+		c.inval(m, now)
 	case CmdUpdate:
 		c.st.UpdatesReceived++
 		if set, hit := c.arr.lookup(m.Addr); hit {
 			c.arr.writeWord(set, WordAddr(m.Addr), m.Word)
 			c.st.UpdatesApplied++
 		}
-		c.sendInvAck(m.Addr, now)
+		c.node.SendHome(Msg{Kind: RspInvAck, Src: c.id, Addr: m.Addr}, now)
 	default:
 		panic(fmt.Sprintf("coherence: WTI cache %d: unhandled %v", c.id, m))
 	}
 }
 
-// sendInvAck acknowledges a directory command for addr.
-func (c *WTICache) sendInvAck(addr uint32, now uint64) {
-	c.node.SendHome(Msg{Kind: RspInvAck, Src: c.id, Addr: addr}, now)
-}
-
 // Drained implements DataCache.
 func (c *WTICache) Drained() bool {
-	return !c.pend.active && c.wb.Empty()
+	return c.req.kind == MsgInvalid && c.wb.Empty()
 }
-
-// Lines implements DataCache.
-func (c *WTICache) Lines() []LineInfo { return c.arr.lines() }
 
 // Posted implements DataCache: the write buffer holds the word.
 func (c *WTICache) Posted(waddr uint32) bool {
@@ -314,15 +257,11 @@ func (c *WTICache) Posted(waddr uint32) bool {
 	return ok
 }
 
-// FlushDirty implements DataCache: memory is always up to date, one of
-// the write-through properties the paper highlights.
-func (c *WTICache) FlushDirty(*mem.Space) {}
-
 // Fingerprint implements DataCache.
 func (c *WTICache) Fingerprint(e *Enc) {
-	p := &c.pend
-	e.Bools(p.active, p.isSwap, p.issued, p.done, c.strictStore, c.strictDone)
-	e.U32(p.addr, p.newVal, p.oldVal, uint32(len(c.wb.entries)))
+	c.req.fingerprint(e)
+	e.Bools(c.swapDone, c.strictStore, c.strictDone)
+	e.U32(c.swapOld, uint32(len(c.wb.entries)))
 	for i := range c.wb.entries {
 		w := &c.wb.entries[i]
 		e.U32(w.addr, w.word)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/coherence"
 	"repro/internal/isa"
 )
 
@@ -21,8 +20,6 @@ import (
 // a clock that each load hit, charged hit and fill advances, and stamps
 // a data line with it at its every hit and fill.
 type rigPort struct {
-	coherence.DataCache // the rest of the interface is never called
-
 	words          map[uint32]uint32
 	code           map[uint32][]isa.Instr // decoded blocks by address
 	dValid, iValid map[uint32]bool        // by block address

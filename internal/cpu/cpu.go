@@ -15,7 +15,7 @@
 // local: an FPU wait, or an instruction whose block is resident (the
 // window, or the block Resident hands a burst that leaves it) that is a
 // register, branch or FPU operation or an aligned word load its data
-// cache says hits (coherence.DataCache.Hit). Such a cycle touches only
+// cache says hits (DataPort.Hit). Such a cycle touches only
 // the core's registers, counters and the caches' replacement stamps —
 // nothing a message, another ticker or a hook can observe before that
 // cycle comes — so executing it early, with that cycle as now, is
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/coherence"
 	"repro/internal/isa"
 	"repro/internal/obs"
 )
@@ -86,6 +85,17 @@ type InstrPort interface {
 	Resident(addr uint32) ([]isa.Instr, bool)
 }
 
+// DataPort is the CPU's data-access interface: what the core calls of
+// its protocol's coherence.DataCache, which documents each method.
+type DataPort interface {
+	Load(now uint64, addr uint32) (word uint32, ok bool)
+	Store(now uint64, addr uint32, word uint32) bool
+	Swap(now uint64, addr uint32, newWord uint32) (old uint32, ok bool)
+	Hit(addr uint32) bool
+	ChargeHits(n uint64)
+	Skip(from, to uint64)
+}
+
 // The multi-cycle latencies of floating-point operations (occupancy of
 // the single FPU), those of a simple single-precision SPARC-class FPU.
 const (
@@ -115,7 +125,7 @@ type CPU struct {
 	pc    uint32
 
 	icache InstrPort
-	dcache coherence.DataCache
+	dcache DataPort
 
 	window  []isa.Instr // the block Line or Resident last returned; nil if it failed
 	winBase uint32      // window's address
@@ -147,7 +157,7 @@ type CPU struct {
 }
 
 // New builds a core wired to its caches; fetches is ic's fetch counter.
-func New(id int, ic InstrPort, fetches *uint64, dc coherence.DataCache) *CPU {
+func New(id int, ic InstrPort, fetches *uint64, dc DataPort) *CPU {
 	return &CPU{ID: id, icache: ic, fetches: fetches, dcache: dc}
 }
 

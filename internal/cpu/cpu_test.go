@@ -5,19 +5,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/coherence"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// flatMem is an always-hit fake memory implementing both the data-
-// cache interface and the instruction port, so instruction semantics
-// can be tested without the coherence machinery.
+// flatMem is an always-hit fake memory implementing both the data port
+// and the instruction port, so instruction semantics can be tested
+// without the coherence machinery.
 type flatMem struct {
 	space *mem.Space
-	// The CPU calls Load, Store, Swap and Skip; the rest of the
-	// interface stays unimplemented.
-	coherence.DataCache
 
 	// line is the block Line decodes afresh on every call (the core
 	// replaces its window with each result, so one buffer serves).
@@ -55,6 +51,11 @@ func (f *flatMem) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) {
 }
 
 func (f *flatMem) Skip(from, to uint64) {}
+
+// Hit vouches for nothing, so the core never loads ahead.
+func (f *flatMem) Hit(addr uint32) bool { return false }
+
+func (f *flatMem) ChargeHits(n uint64) {}
 
 // run executes instructions on a fresh CPU until HALT (or maxCycles).
 func run(t *testing.T, prog []isa.Instr, setup func(*CPU, *flatMem)) (*CPU, *flatMem) {
