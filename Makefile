@@ -80,7 +80,13 @@ race:
 # EQUIV_PINS, the four BENCHMARK.json pins, also compare -v's text with
 # stderr's host-side engine: line left out: -json carries neither the
 # per-bank counters nor the NoC's inject stalls, which are what a change
-# to when a bank node ticks could move (these runs add about 17 s).
+# to when a bank node ticks could move (these runs add about 17 s). The
+# last EQUIV_RUNS row is the GMN under a dense drop+delay+dup plan: its
+# staged transfers are released in the same cycles as other sources'
+# fast-path offers, which the GMN crosses at once, so it is the row where
+# fault.Net's release order reaches the crossbar (a build that forwards
+# a fast-path offer ahead of a lower source's staged transfer moves it
+# against the parent; TestReleaseKeepsSourceOrder pins that order).
 EQUIV_PINS := \
 	"-bench ocean -protocol wti -cpus 4 -rows 32 -iters 32" \
 	"-bench water -protocol wb -cpus 16 -mols 6 -steps 4" \
@@ -98,7 +104,8 @@ EQUIV_RUNS := $(EQUIV_PINS) \
 	"-bench ocean -protocol wb -arch 1 -cpus 64 -rows 1 -iters 1" \
 	"-bench ocean -protocol wtu -cpus 8 -noc bus" \
 	"-bench hotspot -protocol moesi -cpus 16" \
-	"-bench prodcons -protocol wtu -cpus 64"
+	"-bench prodcons -protocol wtu -cpus 64" \
+	"-bench water -protocol wb -cpus 16 -mols 2 -steps 1 -fault drop=1e-2,delay=1e-2:8,dup=1e-2,seed=7"
 EQUIV_TRACE_RUNS := \
 	"-bench ocean -protocol wti -arch 1 -cpus 16 -rows 2 -iters 2" \
 	"-bench water -protocol moesi -arch 1 -cpus 16 -mols 2 -steps 1" \

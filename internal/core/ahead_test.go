@@ -227,7 +227,7 @@ func TestSchedulePinned(t *testing.T) {
 		noc         NoCKind
 		fault, want string
 	}{
-		{GMNNet, "", "cpus 43123/1134925; banks 25913/268599; noc 23247/124009; " +
+		{GMNNet, "", "cpus 43123/1134925; banks 25913/268599; noc 17971/129285; " +
 			"leaped 82100, ahead 251367 in 27851, spun 439 for 23410"},
 		{GMNNet, "drop=1e-3,dup=1e-3,bankstall=0.02:12,seed=42", "cpus 43676/1162380; banks 26821/274693; noc 146354/4403; " +
 			"leaped 3470, ahead 256233 in 28396, spun 435 for 24385"},

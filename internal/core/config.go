@@ -74,11 +74,7 @@ type Config struct {
 // DefaultConfig returns the paper's platform for n CPUs on the given
 // architecture and protocol.
 func DefaultConfig(proto coherence.Protocol, arch mem.Arch, n int) Config {
-	return Config{
-		Protocol: proto,
-		Arch:     arch,
-		Mem:      coherence.DefaultParams(n),
-	}
+	return Config{Protocol: proto, Arch: arch, Mem: coherence.DefaultParams(n)}
 }
 
 // normalize fills zero-value fields with defaults and validates.

@@ -105,7 +105,7 @@ func (r *Result) JSON() ResultJSON {
 	out.Latency = r.Latency.Map()
 	if f := r.Fault; f != nil {
 		out.Fault = &FaultJSON{
-			Plan:           f.Plan,
+			Plan:           r.Config.Fault.String(),
 			Drops:          f.Stats.Drops,
 			Retransmits:    f.Retransmits,
 			BackoffCycles:  f.BackoffCycles,

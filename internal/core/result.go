@@ -38,11 +38,9 @@ type Result struct {
 	Fault *FaultReport
 }
 
-// FaultReport pairs the campaign spec with what it actually did: the
+// FaultReport is what the campaign (Config.Fault) actually did: the
 // wrapper's injection counters and the ports' retransmission totals.
 type FaultReport struct {
-	// Plan is the canonical spec string (replays the campaign verbatim).
-	Plan  string
 	Stats fault.Stats
 	// Retransmits and BackoffCycles aggregate the retry FSMs of every
 	// port (CPU-side and bank-side).
@@ -65,7 +63,7 @@ func (s *System) collect(cycles uint64) *Result {
 		r.Mem = append(r.Mem, *b.Stats())
 	}
 	if s.FNet != nil {
-		fr := &FaultReport{Plan: s.FNet.Plan().String(), Stats: s.FNet.FaultStats()}
+		fr := &FaultReport{Stats: s.FNet.FaultStats()}
 		for _, nd := range s.Ports {
 			fr.Retransmits += nd.Retransmits
 			fr.BackoffCycles += nd.BackoffCycles

@@ -127,12 +127,12 @@ func build(cfg Config, front func(s *System, i int) frontEnd) (*System, error) {
 	}
 
 	// Tick order: each CPU with its caches and node, then the bank
-	// nodes deliver/respond, then the network advances. All
-	// cross-component messages are latched, so this order is a
-	// convention, not a correctness requirement. Every ticker answers
-	// the sim.Sleeper contract; the only input one gets from another
-	// comes through the network, which is handed every node's waker (in
-	// node-id order) and its own.
+	// nodes, then the network. Messages are latched, so no message is
+	// seen the cycle it is sent; the GMN's crossing at the offer matches
+	// its Tick because nodes offer in id order before its turn. Every
+	// ticker answers the sim.Sleeper contract; the only input one gets
+	// from another comes through the network, which is handed every
+	// node's waker (in node-id order) and its own.
 	wakers := make([]sim.Waker, 0, len(sys.Ports))
 	for i, f := range sys.fronts {
 		cl := &cluster{cpu: f, dc: sys.DCaches[i], ic: sys.ICaches[i], node: sys.Nodes[i], sys: sys, net: net}

@@ -28,24 +28,27 @@ type Stats struct {
 
 // Net threads a fault Plan between the protocol controllers and any
 // noc.Network. It implements noc.Network, and is the one Network whose
-// Inject answers noc.Lost. See the package comment for the fault model;
-// determinism notes:
+// Inject answers noc.Lost. Stats, PortFlits and Reach are the wrapped
+// model's: a duplicate is real traffic there, as a spurious
+// retransmission occupies real links, and a staged transfer enters the
+// model at its source, later than offered, which its Reach covers. See
+// the package comment for the fault model; determinism notes:
 //
 //   - every decision is drawn from splitmix64 streams derived from the
 //     plan seed, one independent stream per fault dimension, advanced
 //     only inside Inject and Tick (and Skip, Tick's stand-in) — never
 //     inside the read-only ArrivalAt/Quiet/Stats queries, whose call
 //     counts may legally vary (the engine's wake scheduling probes them);
-//   - delayed transfers are staged per source and released strictly in
-//     arrival order, so the per-(source,destination) FIFO guarantee of
-//     the wrapped model is preserved;
+//   - delayed transfers are staged per source, released in arrival order
+//     (keeping the model's per-(source,destination) FIFO) and, within a
+//     cycle, before any higher source's fast-path offer (release);
 //   - bank stall windows advance once per cycle, in Tick or, for the
 //     cycles the network ticker slept through, in Skip — the same draws
 //     in the same order, so -noleap is the reference under bankstall too.
 type Net struct {
-	inner noc.Network
-	plan  *Plan
-	self  sim.Waker // the network's own slot, see Attach
+	noc.Network // the wrapped model
+	plan        *Plan
+	self        sim.Waker // the network's own slot, see Attach
 
 	dropRng  rng
 	delayRng rng
@@ -57,6 +60,9 @@ type Net struct {
 	// follower behind one, or a duplicate.
 	staged  []sim.Port[noc.Packet]
 	stagedN int
+	// released is the first source whose due transfers this cycle's
+	// release has not offered yet, as of cycle releasedAt-1.
+	released, releasedAt uint64
 	// stallUntil[node] is the cycle a bank node's delivery stall ends
 	// (exclusive); zero for never-stalled nodes. bankBase maps node ids
 	// to bank indices for scope matching.
@@ -85,7 +91,7 @@ func Wrap(inner noc.Network, plan *Plan, nodes, bankBase int) *Net {
 		panic("fault: Wrap needs a non-empty plan")
 	}
 	return &Net{
-		inner:      inner,
+		Network:    inner,
 		plan:       plan,
 		dropRng:    streamRNG(plan.Seed, streamDrop),
 		delayRng:   streamRNG(plan.Seed, streamDelay),
@@ -97,32 +103,15 @@ func Wrap(inner noc.Network, plan *Plan, nodes, bankBase int) *Net {
 	}
 }
 
-// Plan returns the campaign the wrapper runs.
-func (f *Net) Plan() *Plan { return f.plan }
-
 // FaultStats returns the injected-fault counters.
 func (f *Net) FaultStats() Stats { return f.st }
-
-// Stats implements noc.Network (traffic counters of the wrapped model;
-// duplicate transfers count as real traffic there, exactly as spurious
-// retransmissions occupy real links).
-func (f *Net) Stats() noc.Stats { return f.inner.Stats() }
-
-// PortFlits implements noc.Network.
-func (f *Net) PortFlits() []uint64 { return f.inner.PortFlits() }
-
-// Reach implements noc.Network: a staged transfer enters the wrapped model
-// at its source, later than offered, which the model's answer covers.
-//
-//lint:hot
-func (f *Net) Reach(dst int, now uint64) uint64 { return f.inner.Reach(dst, now) }
 
 // Inject implements noc.Network. The fault draws happen here, once per
 // offered transfer, in a fixed order (drop, delay, duplicate) so a
 // campaign's decision sequence is a pure function of the plan seed and
 // the traffic.
 func (f *Net) Inject(p noc.Packet, now uint64) noc.Fate {
-	if r := f.plan.dropRate(p.Src, p.Dst); r > 0 && f.dropRng.chance(r) {
+	if r := firstRate(f.plan.Drop, p.Src, p.Dst); r > 0 && f.dropRng.chance(r) {
 		f.st.Drops++
 		return noc.Lost
 	}
@@ -133,28 +122,31 @@ func (f *Net) Inject(p noc.Packet, now uint64) noc.Fate {
 		f.st.DelayCycles += uint64(d.Cycles)
 	}
 	dup := false
-	if r := f.plan.dupRate(p.Src, p.Dst); r > 0 && f.dupRng.chance(r) {
+	if r := firstRate(f.plan.Dup, p.Src, p.Dst); r > 0 && f.dupRng.chance(r) {
 		dup = true
 		f.st.Dups++
 	}
 	if extra == 0 && !dup && f.staged[p.Src].Empty() {
-		return f.inner.Inject(p, now) // zero-fault fast path: plain backpressure
+		// Zero-fault fast path: plain backpressure, behind the due staged
+		// transfers of the lower sources, which a cycle offers first.
+		f.release(uint64(p.Src), now)
+		if fate := f.Network.Inject(p, now); fate != noc.Sent {
+			return fate
+		}
+	} else {
+		// Stage the original (behind any earlier staged transfer from this
+		// source, preserving its order) and, for a duplication, the marked
+		// copy right behind it.
+		q := &f.staged[p.Src]
+		q.Send(p, now+uint64(extra))
+		if f.stagedN++; dup {
+			p.Dup = true
+			q.Send(p, now+uint64(extra))
+			f.stagedN++
+		}
 	}
-	// Stage the original (behind any earlier staged transfer from this
-	// source, preserving its order) and, for a duplication, the marked
-	// copy right behind it.
-	f.stage(p, now+uint64(extra))
-	if dup {
-		p.Dup = true
-		f.stage(p, now+uint64(extra))
-	}
-	f.self.Wake(now) // as the model's own accepted Inject does
+	f.self.Wake(now) // ticked while anything is in flight; a crossed packet woke nobody
 	return noc.Sent
-}
-
-func (f *Net) stage(p noc.Packet, at uint64) {
-	f.staged[p.Src].Send(p, at)
-	f.stagedN++
 }
 
 // Attach implements noc.Network; the wrapped model announces the arrivals.
@@ -163,26 +155,33 @@ func (f *Net) stage(p noc.Packet, at uint64) {
 // on a cycle the naive schedule ticks it too.
 func (f *Net) Attach(self sim.Waker, nodes []sim.Waker) {
 	f.self = self
-	f.inner.Attach(self, nodes)
+	f.Network.Attach(self, nodes)
 }
 
 // Tick implements noc.Network: one cycle of Skip's stall windows, release
 // staged transfers whose delay elapsed, then tick the wrapped model.
 func (f *Net) Tick(now uint64) uint64 {
 	f.Skip(now, now+1)
-	if f.stagedN > 0 {
-		for src := range f.staged {
-			q := &f.staged[src]
-			// A refused Inject is backpressure: keep order, retry next
-			// cycle.
-			for q.Ready(now) && f.inner.Inject(*q.Head(), now) == noc.Sent {
-				q.Recv(now)
-				f.stagedN--
-			}
+	f.release(uint64(len(f.staged)), now)
+	f.Network.Tick(now)
+	return f.NextWake(now + 1)
+}
+
+// release offers the wrapped model, in source order, the due staged
+// transfers of the sources below below that this cycle has not offered
+// yet: a model takes a cycle's offers in ascending source order.
+func (f *Net) release(below, now uint64) {
+	if f.releasedAt != now+1 {
+		f.released, f.releasedAt = 0, now+1
+	}
+	for ; f.stagedN > 0 && f.released < below; f.released++ {
+		q := &f.staged[f.released]
+		// A refused Inject is backpressure: keep order, retry next cycle.
+		for q.Ready(now) && f.Network.Inject(*q.Head(), now) == noc.Sent {
+			q.Recv(now)
+			f.stagedN--
 		}
 	}
-	f.inner.Tick(now)
-	return f.NextWake(now + 1)
 }
 
 // Skip implements sim.Sleeper, which is what core registers the wrapper
@@ -213,9 +212,7 @@ func (f *Net) Skip(from, to uint64) {
 // announces. Deliver may still yield no packet at that cycle, when only
 // a suppressed duplicate heads the queue; endpoints already tolerate
 // that (a Deliver miss ends their receive loop).
-func (f *Net) ArrivalAt(node int) uint64 {
-	return max(f.inner.ArrivalAt(node), f.stallUntil[node])
-}
+func (f *Net) ArrivalAt(node int) uint64 { return max(f.Network.ArrivalAt(node), f.stallUntil[node]) }
 
 // Deliver implements noc.Network, discarding duplicate transfers (the
 // receiving port's sequence check) so protocol sinks only ever see
@@ -225,20 +222,15 @@ func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
 		return noc.Packet{}, false
 	}
 	for {
-		p, ok := f.inner.Deliver(node, now)
-		if !ok {
-			return noc.Packet{}, false
+		if p, ok := f.Network.Deliver(node, now); !ok || !p.Dup {
+			return p, ok
 		}
-		if p.Dup {
-			f.st.DupsSuppressed++
-			continue
-		}
-		return p, true
+		f.st.DupsSuppressed++
 	}
 }
 
 // Quiet implements noc.Network: staged transfers count as in flight.
-func (f *Net) Quiet() bool { return f.stagedN == 0 && f.inner.Quiet() }
+func (f *Net) Quiet() bool { return f.stagedN == 0 && f.Network.Quiet() }
 
 // NextWake implements noc.Network with the blanket veto: while
 // anything is in flight the fault layer may draw from its RNG streams

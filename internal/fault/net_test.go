@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestNetDropNotifiesSender(t *testing.T) {
 	}
 	// A plain backpressure rejection must NOT read as a drop.
 	nd := Wrap(newFakeNet(), mustPlan(t, "dup=0,delay=0:1,seed=3"), 4, 2)
-	nd.inner.(*fakeNet).reject = true
+	nd.Network.(*fakeNet).reject = true
 	if got := nd.Inject(noc.Packet{Src: 1, Dst: 2}, 0); got != noc.Refused {
 		t.Fatalf("backpressured Inject answered %d; want Refused", got)
 	}
@@ -245,6 +246,37 @@ func TestNetStagedRetriesOnBackpressure(t *testing.T) {
 	}
 	if n.stagedN != 0 {
 		t.Fatal("staging queue must drain")
+	}
+}
+
+// TestReleaseKeepsSourceOrder: the GMN moves a cycle's offers in
+// ascending source order, so a transfer source 0 staged — here the
+// original and copy of a duplication — must reach it before source 1's
+// fast-path offer of the same cycle, as both queued at the Tick before
+// the GMN crossed offers at once. Forwarded first, source 1's packet
+// would cross ahead of source 0's and leave the destination port first.
+func TestReleaseKeepsSourceOrder(t *testing.T) {
+	const at, delay = 4, 5
+	inner := noc.NewGMN(noc.GMNConfig{Nodes: 3, Delay: delay, FIFODepth: 8, SrcDepth: 4})
+	n := Wrap(inner, mustPlan(t, "dup=1@0>2,seed=1"), 3, 3)
+	var got []string
+	for now := uint64(0); now < 40; now++ {
+		if now == at {
+			for _, p := range []noc.Packet{{Src: 0, Dst: 2, Bytes: 8, Ref: 0}, {Src: 1, Dst: 2, Bytes: 4, Ref: 1}} {
+				if n.Inject(p, now) != noc.Sent {
+					t.Fatalf("offer %+v refused", p)
+				}
+			}
+		}
+		n.Tick(now)
+		for p, ok := n.Deliver(2, now); ok; p, ok = n.Deliver(2, now) {
+			got = append(got, fmt.Sprintf("%d@%d", p.Ref, now))
+		}
+	}
+	// Packet 0 (2 flits) leaves the destination port at 4+2+5+2 = 13;
+	// packet 1 (1 flit) crosses in the same cycle behind it, at 14.
+	if want := "[0@13 1@14]"; fmt.Sprint(got) != want || n.FaultStats().DupsSuppressed != 1 {
+		t.Fatalf("deliveries %v, want %s; %+v", got, want, n.FaultStats())
 	}
 }
 

@@ -108,12 +108,8 @@ func (p *Plan) Empty() bool {
 		len(p.Drop) == 0 && len(p.Dup) == 0 && len(p.Delay) == 0 && len(p.BankStall) == 0
 }
 
-// dropRate returns the drop probability for a src→dst transfer.
-func (p *Plan) dropRate(src, dst int) float64 { return firstRate(p.Drop, src, dst) }
-
-// dupRate returns the duplication probability for a src→dst transfer.
-func (p *Plan) dupRate(src, dst int) float64 { return firstRate(p.Dup, src, dst) }
-
+// firstRate returns the rate of the first of specs (drop or duplicate
+// directives) whose scope holds a src→dst transfer, or 0.
 func firstRate(specs []DropSpec, src, dst int) float64 {
 	for i := range specs {
 		if specs[i].Scope.Matches(src, dst) {

@@ -141,11 +141,11 @@ func TestPlanFirstMatchWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := p.dropRate(2, 5); r != 0.75 {
-		t.Errorf("dropRate(2,5) = %v; want scoped 0.75", r)
+	if r := firstRate(p.Drop, 2, 5); r != 0.75 {
+		t.Errorf("firstRate(Drop, 2, 5) = %v; want scoped 0.75", r)
 	}
-	if r := p.dropRate(1, 5); r != 0.25 {
-		t.Errorf("dropRate(1,5) = %v; want global 0.25", r)
+	if r := firstRate(p.Drop, 1, 5); r != 0.25 {
+		t.Errorf("firstRate(Drop, 1, 5) = %v; want global 0.25", r)
 	}
 	if d := p.delayFor(0, 5); d == nil || d.Cycles != 9 {
 		t.Errorf("delayFor(0,5) = %+v; want the scoped 9-cycle spec", d)
@@ -153,8 +153,8 @@ func TestPlanFirstMatchWins(t *testing.T) {
 	if d := p.delayFor(0, 1); d == nil || d.Cycles != 3 {
 		t.Errorf("delayFor(0,1) = %+v; want the global 3-cycle spec", d)
 	}
-	if r := p.dupRate(0, 0); r != 0 {
-		t.Errorf("dupRate with no dup directive = %v; want 0", r)
+	if r := firstRate(p.Dup, 0, 0); r != 0 {
+		t.Errorf("firstRate(Dup) with no dup directive = %v; want 0", r)
 	}
 
 	ps, err := ParsePlan("bankstall=0.5:4@2,bankstall=0.125:8")

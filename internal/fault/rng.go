@@ -13,9 +13,7 @@ type rng struct {
 // streamRNG derives the stream-th independent stream from seed. The
 // golden-ratio increment of splitmix64 keeps nearby (seed, stream)
 // pairs decorrelated.
-func streamRNG(seed, stream uint64) rng {
-	return rng{s: seed + stream*0x9e3779b97f4a7c15}
-}
+func streamRNG(seed, stream uint64) rng { return rng{s: seed + stream*0x9e3779b97f4a7c15} }
 
 // next advances the stream (splitmix64 output function).
 func (r *rng) next() uint64 {
@@ -32,10 +30,6 @@ func (r *rng) next() uint64 {
 func (r *rng) chance(p float64) bool {
 	if p <= 0 {
 		return false
-	}
-	if p >= 1 {
-		r.next()
-		return true
 	}
 	return float64(r.next()>>11)/(1<<53) < p
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -184,15 +185,9 @@ func (m *module) hotRoots() []*funcNode {
 // hasDirective reports whether the comment group contains a line whose
 // directive prefix matches (exactly, or followed by explanatory text).
 func hasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
-			return true
-		}
-	}
-	return false
+	return doc != nil && slices.ContainsFunc(doc.List, func(c *ast.Comment) bool {
+		return c.Text == directive || strings.HasPrefix(c.Text, directive+" ")
+	})
 }
 
 // funcDisplay renders a compact human-readable function name:

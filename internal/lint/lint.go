@@ -125,15 +125,12 @@ func Run(dir string) ([]Finding, error) {
 // isAnalyzer reports whether a //lint:allow directive names an analyzer
 // that can be suppressed.
 func isAnalyzer(name string) bool {
-	if name == "hotalloc" {
-		return true
-	}
 	for _, c := range determinismChecks {
 		if c.name == name {
 			return true
 		}
 	}
-	return false
+	return name == "hotalloc"
 }
 
 // allowDirective is one parsed suppression comment.
@@ -158,12 +155,9 @@ func (d *directives) add(a allowDirective) {
 // the finding's line or the line directly above it. A //lint:allow
 // without a reason does not suppress — the reason is the audit trail.
 func (d *directives) suppressed(analyzer string, pos token.Position) bool {
-	for _, a := range d.byFile[pos.Filename] {
-		if a.analyzer == analyzer && a.reason != "" && (a.pos.Line == pos.Line || a.pos.Line == pos.Line-1) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(d.byFile[pos.Filename], func(a allowDirective) bool {
+		return a.analyzer == analyzer && a.reason != "" && (a.pos.Line == pos.Line || a.pos.Line == pos.Line-1)
+	})
 }
 
 // hygieneFindings reports malformed //lint:allow directives: a missing

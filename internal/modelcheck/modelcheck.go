@@ -35,6 +35,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/coherence"
 )
@@ -88,15 +89,7 @@ func scopeAddr(i int) uint32 { return scopeBase + uint32(i*coherence.BlockBytes)
 // 2 CPUs, 1 bank, 1 shared word, values {1,2}, swap enabled,
 // 2 operations per CPU.
 func DefaultScope(proto coherence.Protocol) Scope {
-	return Scope{
-		Proto:     proto,
-		CPUs:      2,
-		Banks:     1,
-		Addrs:     1,
-		Vals:      []uint32{1, 2},
-		WithSwap:  true,
-		OpsPerCPU: 2,
-	}
+	return Scope{Proto: proto, CPUs: 2, Banks: 1, Addrs: 1, Vals: []uint32{1, 2}, WithSwap: true, OpsPerCPU: 2}
 }
 
 // normalize fills defaults, validates the scope and returns its
@@ -180,10 +173,8 @@ func (o op) String() string {
 func buildAlphabet(sc *Scope) (ops []op, values []uint32) {
 	values = []uint32{0} // initial memory value
 	valID := func(v uint32) int {
-		for i, x := range values {
-			if x == v {
-				return i
-			}
+		if i := slices.Index(values, v); i >= 0 {
+			return i
 		}
 		values = append(values, v)
 		return len(values) - 1

@@ -48,6 +48,15 @@ func NewBus(cfg BusConfig) *Bus {
 	}
 }
 
+// Inject implements Network, marking the port in injSet.
+func (b *Bus) Inject(p Packet, now uint64) Fate {
+	f := b.endpoints.Inject(p, now)
+	if f == Sent {
+		b.injSet.Set(p.Src)
+	}
+	return f
+}
+
 // Tick implements Network: at most one bus tenure is granted per idle
 // cycle, round-robin over requesting nodes.
 func (b *Bus) Tick(now uint64) uint64 {

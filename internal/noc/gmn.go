@@ -18,12 +18,7 @@ type GMNConfig struct {
 // DefaultGMNConfig returns the configuration used by the experiments:
 // mesh-equivalent delay for the node count, 8-packet FIFOs.
 func DefaultGMNConfig(nodes int) GMNConfig {
-	return GMNConfig{
-		Nodes:     nodes,
-		Delay:     MeshLatency(nodes, 2, 3),
-		FIFODepth: 8,
-		SrcDepth:  4,
-	}
+	return GMNConfig{Nodes: nodes, Delay: MeshLatency(nodes, 2, 3), FIFODepth: 8, SrcDepth: 4}
 }
 
 // GMN is the paper's Generic Micro Network: a full crossbar with a
@@ -39,8 +34,11 @@ type GMN struct {
 	endpoints
 	delay uint64
 	// srcBusy[i] and dstBusy[i] are the cycles port i's serializer
-	// frees.
-	srcBusy, dstBusy []uint64
+	// frees, held[i] one past the cycle a packet from i crossed at its
+	// offer, waiting[i] the packets queued for i; ticked is one past the
+	// last cycle Tick ran.
+	srcBusy, dstBusy, held, waiting []uint64
+	ticked, srcDepth                uint64
 }
 
 // Validate reports the first parameter no GMN can be built with.
@@ -59,32 +57,70 @@ func NewGMN(cfg GMNConfig) *GMN {
 		delay:     uint64(cfg.Delay),
 		srcBusy:   make([]uint64, cfg.Nodes),
 		dstBusy:   make([]uint64, cfg.Nodes),
+		held:      make([]uint64, cfg.Nodes),
+		waiting:   make([]uint64, cfg.Nodes),
+		srcDepth:  uint64(cfg.SrcDepth),
 	}
+}
+
+// Inject implements Network. A cycle's offers come in ascending source
+// order before the network's turn, so an offer the Tick would move —
+// its source port idle, nothing queued for its destination, room in
+// that FIFO — crosses at once; any other waits in its source port. A
+// crossed packet holds its slot until the cycle ends, as it would have
+// until the Tick took it.
+func (g *GMN) Inject(p Packet, now uint64) Fate {
+	s, d := p.Src, p.Dst
+	if uint(s) >= uint(len(g.inj)) || uint(d) >= uint(len(g.arr)) {
+		return g.endpoints.Inject(p, now) // which panics, naming the endpoints
+	}
+	if q := &g.inj[s]; !q.Empty() || g.srcBusy[s] > now || now < g.ticked || g.waiting[d] != 0 || !g.arr[d].CanSend() {
+		if n := uint64(q.Len()); n+1 >= g.srcDepth && (n == g.srcDepth || g.held[s] > now) {
+			g.stats.InjectStallCycles++
+			return Refused
+		}
+		q.Send(p, now)
+		g.injSet.Set(s)
+		g.waiting[d]++
+		g.self.Wake(now)
+	} else {
+		g.held[s] = now + 1
+		g.cross(s, p, now)
+	}
+	g.live++
+	return Sent
 }
 
 // Tick implements Network: moves at most one packet per source from the
 // injection queue into the crossbar, modelling source serialization and
 // destination-FIFO backpressure, and folds NextWake(now+1) on the way.
 func (g *GMN) Tick(now uint64) uint64 {
+	g.ticked = now + 1
 	next := sim.NoWake
 	for i := g.injSet.Next(0); i >= 0; i = g.injSet.Next(i + 1) {
 		// A full destination FIFO blocks the head of the line.
 		if s := &g.inj[i]; s.Ready(now) && g.srcBusy[i] <= now && g.arr[s.Head().Dst].CanSend() {
 			p, _ := g.take(i, now)
-			flits := uint64(p.Flits())
-			// The source port serializes the packet, it crosses the
-			// network, and the destination port serializes it in turn.
-			g.srcBusy[i] = now + flits
-			g.dstBusy[p.Dst] = max(now+flits+g.delay, g.dstBusy[p.Dst]) + flits
-			g.arrive(p, g.dstBusy[p.Dst])
-			g.count(p, flits)
-			g.stats.TotalFlits += flits
+			g.waiting[p.Dst]--
+			g.cross(i, p, now)
 		}
 		if !g.inj[i].Empty() {
 			next = min(next, max(g.srcBusy[i], now+1))
 		}
 	}
 	return next
+}
+
+// cross moves p from source s at now: the source port serializes the
+// packet, it crosses the network, and the destination port serializes it
+// in turn.
+func (g *GMN) cross(s int, p Packet, now uint64) {
+	flits := uint64(p.Flits())
+	g.srcBusy[s] = now + flits
+	g.dstBusy[p.Dst] = max(now+flits+g.delay, g.dstBusy[p.Dst]) + flits
+	g.arrive(p, g.dstBusy[p.Dst])
+	g.count(p, flits)
+	g.stats.TotalFlits += flits
 }
 
 // Reach implements Network: one flit through the source port, the

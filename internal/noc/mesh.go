@@ -242,9 +242,6 @@ func (m *Mesh) visit(idx int, r *meshRouter, now uint64) {
 		r.rr[out] = uint8(in+1) % numPorts
 		if at, ok := q.NextAt(); !ok {
 			r.heads &^= 1 << in
-			if in == portLocal {
-				m.injSet.Clear(idx)
-			}
 		} else if r.want[in], r.at[in] = r.route[q.Head().Dst], at; at <= now && r.want[in] > out {
 			req[r.want[in]] |= 1 << in
 			outs |= 1 << r.want[in]

@@ -25,10 +25,12 @@
 // the traffic counters — is the one endpoints struct all three embed.
 // A model's own file holds only its transit: Tick, NextWake, and the
 // point at which it counts a packet. No model scans for work: the GMN
-// and the bus walk one occupancy bit per non-empty injection port, kept
-// where packets are enqueued and dequeued; the mesh files each router
-// holding a packet on a sim.Wheel at its wake. Nor is one polled: arrive
-// tells the destination's sim.Waker the cycle, Inject the network's own.
+// and the bus walk one occupancy bit per non-empty injection port; the
+// mesh files each router holding a packet on a sim.Wheel at its wake.
+// Nor is one polled: arrive tells the destination's sim.Waker the
+// cycle, an offer that stays queued the network's own. A cycle's offers
+// come in ascending source order, before the network's turn, so the GMN
+// crosses at the offer a packet its Tick would move then.
 package noc
 
 import (
@@ -57,9 +59,7 @@ type Packet struct {
 }
 
 // Flits returns the number of flits the packet occupies on a link.
-func (p Packet) Flits() int {
-	return max((p.Bytes+FlitBytes-1)/FlitBytes, 1)
-}
+func (p Packet) Flits() int { return max((p.Bytes+FlitBytes-1)/FlitBytes, 1) }
 
 // Stats aggregates network traffic counters. TotalBytes is the metric
 // of the paper's Figure 5.
@@ -92,7 +92,10 @@ const (
 // interconnect model.
 type Network interface {
 	// Inject offers a packet at the source port at cycle now and
-	// answers its fate.
+	// answers its fate. A cycle's offers come in ascending source order,
+	// before the network's turn: core and coherence.Hierarchy.Step tick
+	// the nodes in id order and the network last, and fault.Net releases
+	// its staged transfers in that order.
 	Inject(p Packet, now uint64) Fate
 	// Deliver pops the next packet that has fully arrived at node by
 	// cycle now, if any.
@@ -104,15 +107,18 @@ type Network interface {
 	// Attach hands the network the two edges it owes an engine that
 	// remembers wakes: nodes[p] is told the cycle of every packet that
 	// becomes deliverable at node p, and self — the network's own slot —
-	// is woken by every accepted Inject. Unattached, it wakes nobody.
+	// is woken by every accepted offer that stays queued (a GMN packet
+	// that crosses at its offer leaves the Tick nothing). Unattached, it
+	// wakes nobody.
 	Attach(self sim.Waker, nodes []sim.Waker)
-	// Reach is the model's lookahead for one destination, asked at now
-	// before the network ticks: a packet from another node that is not yet
-	// in dst's arrival port — in flight, or injected at now or later — is
-	// deliverable there no sooner than Reach(dst, now). A node thus knows
-	// at now every arrival it can see before then; its own sends it knows
-	// already (a self-send can eject the cycle after it is injected, so no
-	// lookahead could cover it). Above now; pure.
+	// Reach is the model's lookahead for one destination, asked at any
+	// point of cycle now before the network ticks: a packet from another
+	// node that is not yet in dst's arrival port — queued, in flight, or
+	// offered at now or later — is deliverable there no sooner than
+	// Reach(dst, now). A node thus knows at now every arrival it can see
+	// before then; its own sends it knows already (a self-send can eject
+	// the cycle after it is injected, so no lookahead could cover it).
+	// Above now; pure.
 	Reach(dst int, now uint64) uint64
 	// Tick advances internal state by one cycle and answers NextWake(now+1).
 	Tick(now uint64) uint64
@@ -144,8 +150,9 @@ type Network interface {
 // inj (or from wherever inj leads) to arr.
 type endpoints struct {
 	inj, arr []sim.Port[Packet]
-	// injSet holds the non-empty ports of inj: packets enter and leave
-	// them only through Inject and take (or the mesh's own dequeue).
+	// injSet holds the non-empty ports of inj for the GMN and the bus,
+	// which set a bit where they queue a packet; take clears it. (A mesh
+	// router's heads mask says the same of its local input.)
 	injSet sim.Bitset
 	// self and nodes are Attach's wakers, inert until it is called.
 	self      sim.Waker
@@ -176,8 +183,8 @@ func newEndpoints(nodes, injDepth, arrDepth int) endpoints {
 // Attach implements Network.
 func (e *endpoints) Attach(self sim.Waker, nodes []sim.Waker) { e.self, e.nodes = self, nodes }
 
-// Inject implements Network: the packet waits in its source's injection
-// port, movable from now.
+// Inject implements Network for the mesh and the bus: the packet waits
+// in its source's injection port, movable from now.
 func (e *endpoints) Inject(p Packet, now uint64) Fate {
 	if p.Src < 0 || p.Src >= len(e.inj) || p.Dst < 0 || p.Dst >= len(e.arr) {
 		panic(fmt.Sprintf("noc: packet %d->%d outside the network's %d nodes", p.Src, p.Dst, len(e.arr)))
@@ -186,7 +193,6 @@ func (e *endpoints) Inject(p Packet, now uint64) Fate {
 		e.stats.InjectStallCycles++
 		return Refused
 	}
-	e.injSet.Set(p.Src)
 	e.live++
 	e.self.Wake(now)
 	return Sent

@@ -329,6 +329,115 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// wakeLog is an engine sleeper that records the cycles it is ticked at.
+type wakeLog struct{ ticks []uint64 }
+
+func (w *wakeLog) Tick(now uint64) uint64     { w.ticks = append(w.ticks, now); return sim.NoWake }
+func (w *wakeLog) NextWake(now uint64) uint64 { return sim.NoWake }
+func (w *wakeLog) Skip(from, to uint64)       {}
+
+// TestGMNCrossesAtTheOffer: on an idle GMN an offer crosses at once, in
+// the node's turn — counted before any Tick, nothing left for the
+// network's slot to do, and the destination's waker told the cycle the
+// packet's two flits have crossed both ports and the delay.
+func TestGMNCrossesAtTheOffer(t *testing.T) {
+	const at, delay = 3, 5
+	g := NewGMN(GMNConfig{Nodes: 3, Delay: delay, FIFODepth: 2, SrcDepth: 4})
+	e := sim.NewEngine()
+	e.Register("src", sim.TickFunc(func(now uint64) {
+		if now != at {
+			return
+		}
+		if g.Inject(Packet{Src: 0, Dst: 2, Bytes: 8}, now) != Sent {
+			t.Fatal("an idle GMN refused the offer")
+		}
+		if g.Stats().Packets != 1 || g.NextWake(now) != sim.NoWake {
+			t.Fatalf("offer at %d: %d packets counted, NextWake %d: it did not cross at once",
+				now, g.Stats().Packets, g.NextWake(now))
+		}
+	}))
+	dst, net := &wakeLog{}, &wakeLog{}
+	wakers := []sim.Waker{e.Register("idle", &wakeLog{}), e.Register("idle", &wakeLog{}), e.Register("dst", dst)}
+	g.Attach(e.Register("net", net), wakers)
+	e.Run(0, func() bool { return e.Now() == 30 })
+	if want := []uint64{at + 2*2 + delay}; !reflect.DeepEqual(dst.ticks, want) || len(net.ticks) != 0 {
+		t.Fatalf("destination woken at %v, want %v; network ticked at %v, want never", dst.ticks, want, net.ticks)
+	}
+	if g.ArrivalAt(2) != at+2*2+delay {
+		t.Fatalf("deliverable at %d, want %d", g.ArrivalAt(2), at+2*2+delay)
+	}
+}
+
+// TestGMNCrossedPacketHoldsItsSlot: a packet that crossed at its offer
+// keeps its source-port slot until the cycle ends, as it would have sat
+// there until the Tick: with four slots the fifth offer of the cycle is
+// refused and counted, as the reference's is, and the next cycle's is
+// not.
+func TestGMNCrossedPacketHoldsItsSlot(t *testing.T) {
+	cfg := GMNConfig{Nodes: 3, Delay: 5, FIFODepth: 8, SrcDepth: 4}
+	for _, n := range []Network{NewGMN(cfg), newRefGMN(cfg)} {
+		var fates []Fate
+		for i := 0; i < 5; i++ {
+			fates = append(fates, n.Inject(Packet{Src: 0, Dst: 1 + i%2, Bytes: 4}, 7))
+		}
+		if want := []Fate{Sent, Sent, Sent, Sent, Refused}; !reflect.DeepEqual(fates, want) || n.Stats().InjectStallCycles != 1 {
+			t.Fatalf("%T: fates %v, want %v; %d refusals counted", n, fates, want, n.Stats().InjectStallCycles)
+		}
+		n.Tick(7)
+		if n.Inject(Packet{Src: 0, Dst: 1, Bytes: 4}, 8) != Sent {
+			t.Fatalf("%T: the crossed packet's slot is still held a cycle later", n)
+		}
+	}
+}
+
+// TestGMNOfferQueuesBehindAWaitingPacket: an offer that could cross on
+// its own still queues while a packet for its destination waits at any
+// source port, so the Tick moves both in source order: source 0's
+// packet, held by its busy serializer until cycle 10, before source 1's
+// offer of cycle 10. The deliveries are the reference model's.
+func TestGMNOfferQueuesBehindAWaitingPacket(t *testing.T) {
+	cfg := GMNConfig{Nodes: 4, Delay: 5, FIFODepth: 8, SrcDepth: 4}
+	var got [2][]string
+	for k, n := range []Network{NewGMN(cfg), newRefGMN(cfg)} {
+		for cyc := uint64(0); cyc < 60; cyc++ {
+			switch cyc {
+			case 0:
+				n.Inject(Packet{Src: 0, Dst: 3, Bytes: 40, Ref: 0}, cyc) // 10 flits: source 0 busy until 10
+				n.Inject(Packet{Src: 0, Dst: 3, Bytes: 8, Ref: 1}, cyc)
+			case 10:
+				n.Inject(Packet{Src: 1, Dst: 3, Bytes: 8, Ref: 2}, cyc)
+				if k == 0 && n.Stats().Packets != 1 {
+					t.Fatalf("offer behind a waiting packet crossed: %d packets counted before the Tick", n.Stats().Packets)
+				}
+			}
+			n.Tick(cyc)
+			for p, ok := n.Deliver(3, cyc); ok; p, ok = n.Deliver(3, cyc) {
+				got[k] = append(got[k], fmt.Sprintf("%d@%d", p.Ref, cyc))
+			}
+		}
+	}
+	// 0 leaves the destination port at 10+5+10 = 25; 1 at 27 and 2 at 29,
+	// serialized behind it in source order.
+	if want := "[0@25 1@27 2@29]"; fmt.Sprint(got[0]) != want || fmt.Sprint(got[1]) != want {
+		t.Fatalf("deliveries %v, reference %v, want %s", got[0], got[1], want)
+	}
+}
+
+// TestGMNOfferAfterTheTickWaits: an offer made after the cycle's Tick,
+// the order the scripted pins drive, waits for the next Tick.
+func TestGMNOfferAfterTheTickWaits(t *testing.T) {
+	g := NewGMN(GMNConfig{Nodes: 2, Delay: 5, FIFODepth: 8, SrcDepth: 4})
+	g.Tick(4)
+	g.Inject(Packet{Src: 0, Dst: 1, Bytes: 4}, 4)
+	if g.Stats().Packets != 0 || g.NextWake(4) != 4 {
+		t.Fatalf("offer after the Tick: %d packets counted, NextWake %d, want 0 and 4", g.Stats().Packets, g.NextWake(4))
+	}
+	g.Tick(5)
+	if g.Stats().Packets != 1 || g.ArrivalAt(1) != 5+1+5+1 {
+		t.Fatalf("after the next Tick: %d packets, deliverable at %d, want 1 and %d", g.Stats().Packets, g.ArrivalAt(1), 5+1+5+1)
+	}
+}
+
 func TestGMNContentionSerializesAtDestination(t *testing.T) {
 	// Two packets from different sources to one destination cannot both
 	// arrive at the minimum latency: the destination port serializes.

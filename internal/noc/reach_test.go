@@ -29,10 +29,11 @@ func (t tap) Deliver(node int, now uint64) (noc.Packet, bool) {
 // TestReachBoundsEveryDelivery holds every model to Reach's contract on
 // random traffic — one-flit packets and self-sends among it, at loads from
 // sparse to saturating — bare and behind a fault.Net staging delayed and
-// duplicated transfers. Before each Tick(t), Reach(d, t) is asked for every
-// d; a packet from another node that reaches d's arrival port during
-// Tick(t') must be deliverable no sooner than every Reach(d, ·) asked up to
-// t', while it was not there. Each configuration must also deliver some
+// duplicated transfers. Before cycle t's offers, Reach(d, t) is asked for
+// every d; a packet from another node that reaches d's arrival port in
+// cycle t' — at its offer, as a GMN packet may, or in Tick(t') — must be
+// deliverable no sooner than every Reach(d, ·) asked up to t', while it
+// was not there. Each configuration must also deliver some
 // packet exactly at its bound: one a cycle too long — which every pinned
 // run passes, coherence messages being two flits or more — fails.
 func TestReachBoundsEveryDelivery(t *testing.T) {
@@ -82,7 +83,7 @@ func reachRun(t *testing.T, inner noc.Network, wrap bool, seed, nodes, genCycles
 	rng := rand.New(rand.NewSource(int64(seed)))
 	load := []float64{0.03, 0.1, 0.3, 0.8}[seed%4]
 	// bound[d][t] is the largest Reach(d, ·) asked up to cycle t;
-	// entered[d] the Tick each packet in d's arrival port arrived in.
+	// entered[d] the cycle each packet in d's arrival port arrived in.
 	bound, entered := make([][]uint64, nodes), make([][]uint64, nodes)
 	var net noc.Network = tap{inner, func(d int, at uint64, p noc.Packet) {
 		te := entered[d][0]
@@ -111,16 +112,6 @@ func reachRun(t *testing.T, inner noc.Network, wrap bool, seed, nodes, genCycles
 		if now > 100_000 {
 			t.Fatalf("seed %d: not drained after %d cycles", seed, now)
 		}
-		for src := range backlog {
-			if now < uint64(genCycles) && rng.Float64() < load {
-				bytes := []int{1, 4, 8, 40}[rng.Intn(4)]
-				backlog[src] = append(backlog[src], noc.Packet{Src: src, Dst: rng.Intn(nodes), Bytes: bytes})
-				pending++
-			}
-			for len(backlog[src]) > 0 && net.Inject(backlog[src][0], now) == noc.Sent {
-				backlog[src] = backlog[src][1:]
-			}
-		}
 		arrived := make([]int, nodes)
 		for d := range bound {
 			r := net.Reach(d, now)
@@ -132,6 +123,16 @@ func reachRun(t *testing.T, inner noc.Network, wrap bool, seed, nodes, genCycles
 			}
 			bound[d] = append(bound[d], r)
 			arrived[d] = noc.Arrived(inner, d)
+		}
+		for src := range backlog {
+			if now < uint64(genCycles) && rng.Float64() < load {
+				bytes := []int{1, 4, 8, 40}[rng.Intn(4)]
+				backlog[src] = append(backlog[src], noc.Packet{Src: src, Dst: rng.Intn(nodes), Bytes: bytes})
+				pending++
+			}
+			for len(backlog[src]) > 0 && net.Inject(backlog[src][0], now) == noc.Sent {
+				backlog[src] = backlog[src][1:]
+			}
 		}
 		net.Tick(now)
 		for d := range entered {

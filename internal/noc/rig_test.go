@@ -84,12 +84,15 @@ func (c rigCase) String() string {
 // the cycle each packet was delivered.
 type rigNet struct {
 	Network
-	backlog  [][]Packet
-	at       []int    // delivery cycle by packet id, -1 until then
-	reach    []uint64 // Reach(Dst, ·) asked at the first Tick after the packet's Inject
+	backlog [][]Packet
+	at      []int // delivery cycle by packet id, -1 until then
+	// reach is Reach(Dst, ·) for each packet, asked just before its
+	// offer where the nodes act before the network's turn, else at the
+	// first Tick after its Inject.
+	reach    []uint64
 	unasked  []Packet // accepted since the last Tick
 	pending  int
-	injected uint64 // the last cycle an Inject was accepted
+	injected uint64 // the last cycle an offer was accepted and left queued
 }
 
 func newRigNet(n Network, c rigCase) *rigNet {
@@ -101,8 +104,8 @@ func newRigNet(n Network, c rigCase) *rigNet {
 }
 
 // Tick asks the network's Reach for the destination of every packet
-// accepted since the last Tick — before the network ticks, as the contract
-// has it — then ticks it.
+// accepted since the last Tick after the network's turn — before the
+// network ticks, as the contract has it — then ticks it.
 func (r *rigNet) Tick(now uint64) uint64 {
 	for _, p := range r.unasked {
 		r.reach[int(p.Ref)] = r.Reach(p.Dst, now)
@@ -141,10 +144,23 @@ func (r *rigNet) nodeAct(t *testing.T, c rigCase, cyc uint64, node int) {
 		r.at[int(p.Ref)] = int(cyc)
 		r.pending--
 	}
-	for len(r.backlog[node]) > 0 && r.Inject(r.backlog[node][0], cyc) == Sent {
-		r.unasked = append(r.unasked, r.backlog[node][0])
+	for len(r.backlog[node]) > 0 {
+		p := r.backlog[node][0]
+		reach := r.Reach(p.Dst, cyc)
+		if r.Inject(p, cyc) != Sent {
+			break
+		}
+		if c.nodesFirst {
+			r.reach[int(p.Ref)] = reach
+		} else {
+			r.unasked = append(r.unasked, p)
+		}
 		r.backlog[node] = r.backlog[node][1:]
-		r.injected = cyc
+		// A GMN packet that crossed at its offer is in no injection port
+		// and needs no network tick.
+		if e := endpointsOf(r.Network); e == nil || !e.inj[node].Empty() {
+			r.injected = cyc
+		}
 	}
 }
 
@@ -154,22 +170,27 @@ func (r *rigNet) nodeAct(t *testing.T, c rigCase, cyc uint64, node int) {
 //
 //   - ref and opt, ticked every cycle, must agree every cycle on Quiet,
 //     Stats and the undelivered count, and at the end on every packet's
-//     delivery cycle and on PortFlits. GMN and bus wholeWake answers
-//     (NextWake folded with the arrivals, as the reference's NextWake
-//     still is) must be equal; the mesh's may only be later than the
-//     reference's (which answers now for any ready head).
+//     delivery cycle and on PortFlits. Bus wholeWake answers (NextWake
+//     folded with the arrivals, as the reference's NextWake still is)
+//     must be equal; the mesh's and the GMN's may only be later than
+//     the reference's (which answers now for any ready head; a GMN
+//     packet that crossed at its offer has no head left to move).
 //   - gated, an opt ticked only on cycles where its own NextWake(now)
 //     <= now, must match opt in all of that, answer included: a wake
-//     that is too late shows as a late packet (soundness).
-//   - on the mesh a NextWake(now) == now must be followed by a Tick that
-//     moves or ejects a packet, or find a head refused by a full
-//     downstream queue, or a deliverable arrival: an answer that is
+//     that is too late shows as a late packet (soundness). Where the
+//     nodes act after the network's turn, an order the machine never
+//     runs, a gated GMN is ticked every cycle: its offers would cross
+//     where opt's, made after that cycle's Tick, wait for the next one.
+//   - on the mesh and the GMN a NextWake(now) == now must be followed by
+//     a Tick that moves or ejects a packet, or find a head refused by a
+//     full downstream queue, or a deliverable arrival: an answer that is
 //     merely safe — "now while anything is queued" — fails (tightness).
 //
 // The occupancy sets and the routers' cached routes are checked against
 // the queues they summarise after every cycle, and no packet is
-// delivered sooner than its model's Reach for its destination, asked at
-// the first Tick after its Inject.
+// delivered sooner than its model's Reach for its destination, asked
+// just before its offer where the nodes act first, else at the first
+// Tick after its Inject.
 func TestDifferentialRig(t *testing.T) {
 	seeds := 216
 	if testing.Short() {
@@ -249,13 +270,15 @@ func (n *rigTicker) Skip(from, to uint64)       {}
 // remembers wakes, on the differential rig's seeds: the same traffic is
 // run every-cycle by hand and on a sim.Engine whose node and network
 // tickers only run when the cycle their last Tick answered, or a Wake
-// pushed, has come. Every cycle of the engine run, a node with a
-// packet deliverable must have been ticked or asked in that cycle (so
-// arrive announced it, with a cycle no later than the packet's, before
-// it came) and so must the network in a cycle with an accepted Inject;
-// at the end
-// every packet was delivered in the cycle the every-cycle run delivered
-// it, with the same Stats and PortFlits.
+// pushed, has come, the nodes before the network in both. Every cycle
+// of the engine run, a node with a packet deliverable must have been
+// ticked or asked in that cycle (so arrive announced it, with a cycle
+// no later than the packet's, before it came) and so must the network
+// in a cycle with an accepted offer left queued (a GMN packet that
+// crossed at its offer leaves nothing to tick); at the end every packet
+// was delivered in the cycle the every-cycle run delivered it, with the
+// same Stats and PortFlits, and none sooner than the Reach asked just
+// before its offer.
 func TestWakeEdges(t *testing.T) {
 	seeds := 216
 	if testing.Short() {
@@ -273,6 +296,7 @@ func TestWakeEdges(t *testing.T) {
 			var passed uint64
 			for seed := 0; seed < seeds; seed++ {
 				c := newRigCase(seed)
+				c.nodesFirst = true // the engine's order, kept by hand too
 				hand := newRigNet(m.mk(c), c)
 				for cyc := uint64(0); cyc < uint64(len(c.script)) || hand.pending > 0; cyc++ {
 					if cyc > 200000 {
@@ -322,7 +346,7 @@ func wakeEdgeRun(t *testing.T, c rigCase, hand, r *rigNet) uint64 {
 			}
 		}
 		if r.injected == cyc && net.seen != cyc {
-			t.Fatalf("%v cycle %d: an Inject was accepted, the network neither ticked nor asked (last at %d)", c, cyc, net.seen)
+			t.Fatalf("%v cycle %d: an offer was left queued, the network neither ticked nor asked (last at %d)", c, cyc, net.seen)
 		}
 	})
 	if _, err := e.Run(0, func() bool { return e.Now() >= uint64(len(c.script)) && r.pending == 0 }); err != nil {
@@ -338,6 +362,7 @@ func wakeEdgeRun(t *testing.T, c rigCase, hand, r *rigNet) uint64 {
 func rigRun(t *testing.T, c rigCase, ref, opt, gated *rigNet) {
 	nets := [...]*rigNet{ref, opt, gated}
 	rm, _ := ref.Network.(*refMesh) // nil unless the model is the mesh
+	og, _ := opt.Network.(*GMN)     // nil unless the model is the GMN
 	for cyc := uint64(0); ; cyc++ {
 		if cyc > 200000 {
 			t.Fatalf("%v: not drained after %d cycles", c, cyc)
@@ -348,25 +373,28 @@ func rigRun(t *testing.T, c rigCase, ref, opt, gated *rigNet) {
 			}
 		}
 		wRef, wOpt, wGated := ref.NextWake(cyc), wholeWake(opt, cyc), wholeWake(gated, cyc)
-		if wOpt < wRef || wGated != wOpt || (rm == nil && wOpt != wRef) {
+		if wOpt < wRef || wGated != wOpt || (rm == nil && og == nil && wOpt != wRef) {
 			t.Fatalf("%v cycle %d: NextWake ref %d, opt %d, gated %d", c, cyc, wRef, wOpt, wGated)
 		}
-		// mustMove: the mesh said now with nothing deliverable and no
-		// head blocked, so this Tick has to move or eject a packet.
+		// mustMove: the mesh or the GMN said now with nothing deliverable
+		// and no head blocked, so this Tick has to move or eject a packet.
 		var progress uint64
-		mustMove := wOpt == cyc && rm != nil && rm.nextArrival(cyc) != cyc && !rm.blockedHead(cyc)
-		if mustMove {
+		mustMove := wOpt == cyc && (rm != nil && rm.nextArrival(cyc) != cyc && !rm.blockedHead(cyc) ||
+			og != nil && !og.deliverable(cyc) && !og.blockedHead(cyc))
+		if mustMove && rm != nil {
 			progress = rm.progress()
+		} else if mustMove {
+			progress = og.stats.Packets
 		}
 		ref.Tick(cyc)
 		if w, want := opt.Tick(cyc), opt.NextWake(cyc+1); w != want {
 			t.Fatalf("%v cycle %d: Tick answered %d, NextWake(%d) %d", c, cyc, w, cyc+1, want)
 		}
-		if gated.NextWake(cyc) <= cyc {
+		if gated.NextWake(cyc) <= cyc || og != nil && !c.nodesFirst {
 			gated.Tick(cyc)
 		}
-		if mustMove && rm.progress() == progress {
-			t.Fatalf("%v cycle %d: mesh NextWake answered now, but nothing was movable, blocked or deliverable", c, cyc)
+		if mustMove && (rm != nil && rm.progress() == progress || og != nil && og.stats.Packets == progress) {
+			t.Fatalf("%v cycle %d: NextWake answered now, but nothing was movable, blocked or deliverable", c, cyc)
 		}
 		if !c.nodesFirst {
 			for _, n := range nets {
@@ -425,19 +453,59 @@ func (m *refMesh) blockedHead(now uint64) bool {
 	return false
 }
 
+// deliverable reports whether some arrival port's head is deliverable at
+// now.
+func (e *endpoints) deliverable(now uint64) bool {
+	for node := range e.arr {
+		if e.ArrivalAt(node) <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// blockedHead reports whether some source's head could move at now but
+// for its full destination FIFO.
+func (g *GMN) blockedHead(now uint64) bool {
+	for i := range g.inj {
+		if q := &g.inj[i]; q.Ready(now) && g.srcBusy[i] <= now && !g.arr[q.Head().Dst].CanSend() {
+			return true
+		}
+	}
+	return false
+}
+
+// endpointsOf is the node-facing half of one of the three models, nil
+// for anything else.
+func endpointsOf(n Network) *endpoints {
+	switch n := n.(type) {
+	case *GMN:
+		return &n.endpoints
+	case *Bus:
+		return &n.endpoints
+	case *Mesh:
+		return &n.endpoints
+	}
+	return nil
+}
+
 func has(b sim.Bitset, i int) bool { return b.Next(i) == i }
 
 // checkOccupancy holds every incrementally maintained summary to the
 // queues it summarises.
 func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
-	var e *endpoints
 	switch n := n.(type) {
 	case *GMN:
-		e = &n.endpoints
-	case *Bus:
-		e = &n.endpoints
+		waiting := make([]uint64, len(n.arr))
+		for i := range n.inj {
+			n.inj[i].Each(func(_ uint64, p Packet) { waiting[p.Dst]++ })
+		}
+		if !reflect.DeepEqual(waiting, n.waiting) {
+			t.Fatalf("%v cycle %d: packets queued per destination %v, books say %v", c, cyc, waiting, n.waiting)
+		}
 	case *Mesh:
-		e = &n.endpoints
+		// The local input is the injection port: its heads bit is the
+		// occupancy bit the GMN and the bus keep in injSet.
 		soon, k := sim.NoWake, int(math.Sqrt(float64(len(n.r))))
 		for idx := range n.r {
 			r := &n.r[idx]
@@ -471,7 +539,9 @@ func checkOccupancy(t *testing.T, c rigCase, cyc uint64, n Network) {
 		if n.soon != soon {
 			t.Fatalf("%v cycle %d: the routers' first wake is %d, soon says %d", c, cyc, soon, n.soon)
 		}
+		return
 	}
+	e := endpointsOf(n)
 	for i := range e.inj {
 		if has(e.injSet, i) == e.inj[i].Empty() {
 			t.Fatalf("%v cycle %d: node %d occupancy bits disagree with its ports", c, cyc, i)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -69,13 +70,7 @@ func (s *Sampler) Series(name string) []float64 {
 	if s == nil {
 		return nil
 	}
-	col := -1
-	for i, n := range s.names {
-		if n == name {
-			col = i
-			break
-		}
-	}
+	col := slices.Index(s.names, name)
 	if col < 0 {
 		return nil
 	}
