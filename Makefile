@@ -49,99 +49,12 @@ race:
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -quick -exp fig4 -sizes 2,4 -jobs 4 >/dev/null
 	GOMAXPROCS=4 $(GO) run -race ./cmd/sweep -exp bestworst -jobs 4 >/dev/null
 
-# equiv holds the scheduled run to the naive reference schedule at the
-# sizes the unit matrices (n <= 4) stop short of: mcsim built once, then
-# -json stdout with and without -noleap compared byte for byte on the
-# four BENCHMARK.json pins, the mesh at n64 and under MESI with every
-# link fault (the other mesh rows are WTI and fault-free), the same on
-# arch1, whose cores run ahead on the mesh's Reach and sleep in spins
-# through the fault layer's delegation (823,561 instructions ahead, 3,000
-# spin sleeps), a 2-way
-# run (the core's
-# line window skips LRU stamps; it sleeps in a spin only 347 times), a
-# 4-way arch1 water that sleeps in spins 2,945 times over 387,509 cycles
-# (a slept spin's counted hits stamp no line: the last period, executed,
-# must leave every stamp where the naive core does), a fault plan
-# carrying every directive, bankstall included, one with 200-cycle bank
-# stalls (the row whose wakes lie 64 and more cycles
-# ahead, past the engine's 64-bucket wheel), the runs
-# that lean on the cores' run-ahead and spin sleeps: a spin-dominated
-# arch1 water (14.7 M instructions in 2.7 Mcyc), arch1 ocean at n64
-# (1.62 Mcyc; 96% of its instructions retire in spin sleeps) and WTU on
-# the bus (the empty-write-buffer rule of DataCache.Hit, the bus's
-# Reach), and two stream machines, whose CPUs sleep through their
-# think time (the unit matrices stop at n = 2) — about 30 s.
-# Water/WB/arch1/n64 stays out: even at -mols 1 -steps 1 its -noleap run
-# takes 40 s. The EQUIV_TRACE_RUNS also compare the -obs-trace and
-# -obs-csv files: arch1 machines at n16 with many overlapping directory
-# transactions, whose trace lanes are placed as each span closes, and a
-# water/WB run under link faults, the row whose latency table holds
-# retry samples (10, each recorded by the port that lost a transfer). The
-# EQUIV_PINS, the four BENCHMARK.json pins, also compare -v's text with
-# stderr's host-side engine: line left out: -json carries neither the
-# per-bank counters nor the NoC's inject stalls, which are what a change
-# to when a bank node ticks could move (these runs add about 17 s). The
-# last EQUIV_RUNS row is the GMN under a dense drop+delay+dup plan: its
-# staged transfers are released in the same cycles as other sources'
-# fast-path offers, which the GMN crosses at once, so it is the row where
-# fault.Net's release order reaches the crossbar (a build that forwards
-# a fast-path offer ahead of a lower source's staged transfer moves it
-# against the parent; TestReleaseKeepsSourceOrder pins that order).
-EQUIV_PINS := \
-	"-bench ocean -protocol wti -cpus 4 -rows 32 -iters 32" \
-	"-bench water -protocol wb -cpus 16 -mols 6 -steps 4" \
-	"-bench ocean -protocol wti -cpus 64 -rows 4 -iters 2" \
-	"-bench ocean -protocol wti -cpus 16 -noc mesh -rows 8 -iters 4"
-EQUIV_RUNS := $(EQUIV_PINS) \
-	"-noc mesh -cpus 64 -rows 4 -iters 2" \
-	"-bench water -protocol wb -cpus 16 -noc mesh -mols 2 -steps 1 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,seed=42" \
-	"-bench water -protocol wb -arch 1 -cpus 16 -noc mesh -mols 2 -steps 1 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,seed=42" \
-	"-bench water -protocol wb -cpus 8 -ways 2 -mols 4 -steps 2" \
-	"-bench water -protocol wb -arch 1 -cpus 16 -ways 4 -mols 2 -steps 1" \
-	"-cpus 8 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,bankstall=0.005:12,seed=42" \
-	"-cpus 8 -fault bankstall=0.01:200,seed=5" \
-	"-bench water -protocol wb -arch 1 -cpus 32 -mols 2 -steps 1" \
-	"-bench ocean -protocol wb -arch 1 -cpus 64 -rows 1 -iters 1" \
-	"-bench ocean -protocol wtu -cpus 8 -noc bus" \
-	"-bench hotspot -protocol moesi -cpus 16" \
-	"-bench prodcons -protocol wtu -cpus 64" \
-	"-bench water -protocol wb -cpus 16 -mols 2 -steps 1 -fault drop=1e-2,delay=1e-2:8,dup=1e-2,seed=7"
-EQUIV_TRACE_RUNS := \
-	"-bench ocean -protocol wti -arch 1 -cpus 16 -rows 2 -iters 2" \
-	"-bench water -protocol moesi -arch 1 -cpus 16 -mols 2 -steps 1" \
-	"-bench water -protocol wb -cpus 8 -mols 2 -steps 1 -fault drop=1e-3,delay=1e-3:8,dup=1e-3,seed=42"
+# equiv runs every row of the pinned-run table (pins_test.go), the
+# expensive ones too, and re-runs every mcsim row under -noleap, which
+# must reproduce the same committed digest (testdata/digests.txt) —
+# about 75 s on 2 vCPUs.
 equiv:
-	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	$(GO) build -o "$$d/mcsim" ./cmd/mcsim || exit 1; \
-	for run in $(EQUIV_RUNS); do \
-		echo "equiv: mcsim $$run"; \
-		"$$d/mcsim" $$run -json >"$$d/scheduled.json" 2>"$$d/err" && \
-		"$$d/mcsim" $$run -json -noleap >"$$d/naive.json" 2>>"$$d/err" && \
-		cmp "$$d/scheduled.json" "$$d/naive.json" || \
-			{ cat "$$d/err"; echo "equiv: scheduled and -noleap differ: mcsim $$run"; exit 1; }; \
-	done; \
-	for run in $(EQUIV_TRACE_RUNS); do \
-		echo "equiv: mcsim $$run -obs-trace -obs-csv"; \
-		for s in scheduled naive; do \
-			leap=; [ $$s = naive ] && leap=-noleap; \
-			"$$d/mcsim" $$run $$leap -json -obs-interval 500 -obs-trace "$$d/$$s.trace" \
-				-obs-csv "$$d/$$s.csv" >"$$d/$$s.json" 2>>"$$d/err" || { cat "$$d/err"; exit 1; }; \
-		done; \
-		for f in json trace csv; do \
-			cmp "$$d/scheduled.$$f" "$$d/naive.$$f" || \
-				{ echo "equiv: scheduled and -noleap $$f differ: mcsim $$run"; exit 1; }; \
-		done; \
-	done; \
-	for run in $(EQUIV_PINS); do \
-		echo "equiv: mcsim $$run -v"; \
-		for s in scheduled naive; do \
-			leap=; [ $$s = naive ] && leap=-noleap; \
-			"$$d/mcsim" $$run $$leap -v >"$$d/$$s.v" 2>"$$d/err" || { cat "$$d/err"; exit 1; }; \
-			grep -v '^engine: ' "$$d/err" >>"$$d/$$s.v"; \
-		done; \
-		cmp "$$d/scheduled.v" "$$d/naive.v" || \
-			{ echo "equiv: scheduled and -noleap -v differ: mcsim $$run"; exit 1; }; \
-	done
+	$(GO) test -tags equiv -count=1 -run TestPinnedRuns .
 
 check: fmt vet lint build test race equiv
 
