@@ -166,12 +166,14 @@ func TestMeshRoundRobinGrantOrder(t *testing.T) {
 // links. Which later answers are right is not for a hash to say:
 // TestDifferentialRig's soundness and tightness properties guard them.
 // The gmn and bus answers, now read off occupancy bits instead of a
-// scan, did not move.
+// scan, did not move then; the gmn's wakehash was re-recorded (was
+// 8b52d97764c7e5e8) when a head held by a full FIFO began to wait parked
+// instead of answering now.
 var scriptedPins = map[string]string{
 	"gmn": `deliveries=[28 38 30 12 31 29 30 51 63 32 90 13 33 73 32 117 19 42 48 32 63 81 33 94 48 33 36 151 36 35 52 46 54 22 76 53 119 32 106 48 137 237 240 120 119 132 174 25 45 70 267 116 237 50 114 106 55 118 258 216 212 121 288 226 289 291 153 252 136 51 57 216 153 38 163 61 192 252 141 228 204 63 183 186 147 274 57 57 59 75 56 62 300 214 187 76 255 76 154 73 246 256 159 69 249 189 256 78 189 239 192 72 93 96 276 257 277 90 202 96]
 stats={Packets:120 TotalFlits:555 TotalBytes:2220 InjectStallCycles:959}
 portflits=[57 32 90 77 40 64 57 86 52]
-wakehash=8b52d97764c7e5e8
+wakehash=3a82ed167090b084
 `,
 	"mesh": `deliveries=[36 23 15 6 15 61 25 40 55 26 87 8 13 39 27 120 19 56 42 27 66 90 37 144 48 29 27 52 28 29 15 75 39 16 74 35 30 44 175 48 34 145 177 142 176 99 156 45 78 58 220 34 132 51 132 128 91 54 168 159 65 78 246 199 262 268 210 223 202 156 169 185 235 32 258 68 160 247 109 213 165 155 141 261 264 257 78 53 54 222 62 56 279 187 264 121 165 91 257 73 211 191 153 168 210 267 267 162 270 240 280 171 189 225 234 260 258 215 291 246]
 stats={Packets:120 TotalFlits:978 TotalBytes:2220 InjectStallCycles:460}
