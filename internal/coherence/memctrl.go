@@ -323,8 +323,7 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 		if others != 0 {
 			e.tx.waitAcks = mc.sendInvals(blk, others, now)
 		}
-		e.sharers = 0
-		e.bcast = false
+		e.sharers, e.bcast = 0, false
 		return
 	case e.owner == int16(m.Src):
 		// Silent clean eviction by the owner itself.
@@ -332,8 +331,7 @@ func (mc *MemCtrl) handleReadExcl(e *dirEntry, m *Msg, now uint64) {
 		return
 	}
 	others := mc.invalTargets(e, m.Src)
-	e.sharers = 0
-	e.bcast = false
+	e.sharers, e.bcast = 0, false
 	if others != 0 {
 		mc.open(e, ReqReadExcl, m, now).waitAcks = mc.sendInvals(blk, others, now)
 		return
@@ -354,8 +352,7 @@ func (mc *MemCtrl) handleUpgrade(e *dirEntry, m *Msg, now uint64) {
 	}
 	mc.st.Upgrades++
 	others := mc.invalTargets(e, m.Src)
-	e.sharers = 0
-	e.bcast = false
+	e.sharers, e.bcast = 0, false
 	if others != 0 {
 		mc.open(e, ReqUpgrade, m, now).waitAcks = mc.sendInvals(m.Addr, others, now)
 		return
@@ -419,8 +416,7 @@ func (mc *MemCtrl) handleSwap(e *dirEntry, m *Msg, now uint64) {
 	if mc.proto == WTU {
 		e.sharers &^= 1 << m.Src // other copies survive, updated in place
 	} else {
-		e.sharers = 0
-		e.bcast = false
+		e.sharers, e.bcast = 0, false
 	}
 	if others == 0 {
 		rsp := mc.newCtrl(RspSwap, m.Addr)
@@ -509,15 +505,13 @@ func (mc *MemCtrl) maybeComplete(e *dirEntry, blk uint32, now uint64) {
 		}
 	case ReqReadExcl:
 		e.owner = int16(req.Src)
-		e.sharers = 0
-		e.bcast = false
+		e.sharers, e.bcast = 0, false
 		if !t.fetchFwd {
 			mc.respondData(blk, req.Src, true, now)
 		}
 	case ReqUpgrade:
 		e.owner = int16(req.Src)
-		e.sharers = 0
-		e.bcast = false
+		e.sharers, e.bcast = 0, false
 		mc.node.SendCtrl(mc.newCtrl(RspUpgradeAck, blk), req.Src, now+1)
 	default:
 		panic(fmt.Sprintf("coherence: bank %d: completion of unexpected %v transaction", mc.bank, t.kind))

@@ -17,6 +17,32 @@ func wtiWB(r Run) []Run {
 	return []Run{wti, wb}
 }
 
+// pairs is an ablation's points: one wtiWB pair per value of its axis,
+// at the point at builds for that value.
+func pairs[T any](axis []T, at func(T) Run) []Run {
+	var runs []Run
+	for _, v := range axis {
+		runs = append(runs, wtiWB(at(v))...)
+	}
+	return runs
+}
+
+// variants is an ablation's points on Ocean, then Water: base, then
+// base changed by each of vary.
+func variants(base Run, vary ...func(*Run)) []Run {
+	var runs []Run
+	for _, bench := range []Bench{Ocean, Water} {
+		base.Bench = bench
+		runs = append(runs, base)
+		for _, v := range vary {
+			r := base
+			v(&r)
+			runs = append(runs, r)
+		}
+	}
+	return runs
+}
+
 // ratioTable renders wtiWB pairs as one row each: the swept axis (its
 // value read off the WTI run by label), the CPU count, both execution
 // times and their ratio.
@@ -38,11 +64,9 @@ func nocLabel(r Run) any { return r.NoC.String() }
 // for a mesh; this checks that the protocol comparison (the WTI/WB
 // ratio) is insensitive to that substitution.
 func meshRuns(n int) []Run {
-	var runs []Run
-	for _, kind := range []core.NoCKind{core.GMNNet, core.MeshNet} {
-		runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, NoC: kind})...)
-	}
-	return runs
+	return pairs([]core.NoCKind{core.GMNNet, core.MeshNet}, func(kind core.NoCKind) Run {
+		return Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, NoC: kind}
+	})
 }
 
 func renderMesh(runs []Run, res Results) *stats.Table {
@@ -54,14 +78,7 @@ func renderMesh(runs []Run, res Results) *stats.Table {
 // block until acknowledged — quantifying how much of WTI's
 // competitiveness comes from write posting.
 func strictSCRuns(n int) []Run {
-	var runs []Run
-	for _, bench := range []Bench{Ocean, Water} {
-		posted := Run{Bench: bench, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: n}
-		strict := posted
-		strict.StrictSC = true
-		runs = append(runs, posted, strict)
-	}
-	return runs
+	return variants(Run{Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: n}, func(r *Run) { r.StrictSC = true })
 }
 
 func renderStrictSC(runs []Run, res Results) *stats.Table {
@@ -81,14 +98,7 @@ func renderStrictSC(runs []Run, res Results) *stats.Table {
 // requesters (3-hop remote-dirty reads, dirty M-to-M handoffs that
 // skip the memory refresh) against the paper's symmetric baseline.
 func c2cRuns(n int) []Run {
-	var runs []Run
-	for _, bench := range []Bench{Ocean, Water} {
-		base := Run{Bench: bench, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: n}
-		c2c := base
-		c2c.C2C = true
-		runs = append(runs, base, c2c)
-	}
-	return runs
+	return variants(Run{Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: n}, func(r *Run) { r.C2C = true })
 }
 
 func renderC2C(runs []Run, res Results) *stats.Table {
@@ -113,12 +123,9 @@ func renderC2C(runs []Run, res Results) *stats.Table {
 // synchronization variables shrinks as real work grows around it. The
 // sweep makes that dependence a measured curve instead of a footnote.
 func scaleRuns(n int, rowsList []int) []Run {
-	var runs []Run
-	for _, rows := range rowsList {
-		runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch1, NumCPUs: n,
-			Scale: Scale{OceanRows: rows, OceanIters: 3, WaterMols: 2, WaterSteps: 2}})...)
-	}
-	return runs
+	return pairs(rowsList, func(rows int) Run {
+		return Run{Bench: Ocean, Arch: mem.Arch1, NumCPUs: n, Scale: Scale{OceanRows: rows, OceanIters: 3, WaterMols: 2, WaterSteps: 2}}
+	})
 }
 
 func renderScale(runs []Run, res Results) *stats.Table {
@@ -149,11 +156,7 @@ func dirBitsPerBlock(n, k int) int {
 // often). The paper cites exactly this class of schemes as the
 // adaptation path for its study.
 func dirRuns(n int) []Run {
-	var runs []Run
-	for _, k := range []int{0, 1, 2, 4} {
-		runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, DirPointers: k})...)
-	}
-	return runs
+	return pairs([]int{0, 1, 2, 4}, func(k int) Run { return Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, DirPointers: k} })
 }
 
 func renderDir(runs []Run, res Results) *stats.Table {
@@ -185,9 +188,7 @@ func renderDir(runs []Run, res Results) *stats.Table {
 func busRuns(sizes []int) []Run {
 	var runs []Run
 	for _, kind := range []core.NoCKind{core.BusNet, core.GMNNet} {
-		for _, n := range sizes {
-			runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, NoC: kind})...)
-		}
+		runs = append(runs, pairs(sizes, func(n int) Run { return Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, NoC: kind} })...)
 	}
 	return runs
 }
@@ -204,11 +205,7 @@ func renderBus(runs []Run, res Results) *stats.Table {
 // Direct-mapped is Ways 0, Run's default, so its cells are the ones the
 // other ocean/arch2 rows run; the table prints it as 1 way.
 func waysRuns(n int) []Run {
-	var runs []Run
-	for _, ways := range []int{0, 2, 4} {
-		runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, Ways: ways})...)
-	}
-	return runs
+	return pairs([]int{0, 2, 4}, func(ways int) Run { return Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, Ways: ways} })
 }
 
 func renderWays(runs []Run, res Results) *stats.Table {
@@ -228,15 +225,8 @@ func renderWays(runs []Run, res Results) *stats.Table {
 // optimization keeps blocks dirty in caches — MOESI is the canonical
 // endpoint of that design direction.
 func moesiRuns(n int) []Run {
-	var runs []Run
-	for _, bench := range []Bench{Ocean, Water} {
-		base := Run{Bench: bench, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: n}
-		c2c, moesi := base, base
-		c2c.C2C = true
-		moesi.Protocol, moesi.C2C = coherence.MOESI, true
-		runs = append(runs, base, c2c, moesi)
-	}
-	return runs
+	return variants(Run{Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: n},
+		func(r *Run) { r.C2C = true }, func(r *Run) { r.Protocol, r.C2C = coherence.MOESI, true })
 }
 
 func renderMOESI(runs []Run, res Results) *stats.Table {

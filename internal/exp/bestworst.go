@@ -9,11 +9,7 @@ import (
 // future work, on two stream benches: sparse writes, which WTI should
 // win clearly, and private read-modify-write, which WB should.
 func bestWorstRuns(n int) []Run {
-	var runs []Run
-	for _, bench := range []Bench{SparseWrites, PrivateRMW} {
-		runs = append(runs, wtiWB(Run{Bench: bench, Arch: mem.Arch2, NumCPUs: n})...)
-	}
-	return runs
+	return pairs([]Bench{SparseWrites, PrivateRMW}, func(b Bench) Run { return Run{Bench: b, Arch: mem.Arch2, NumCPUs: n} })
 }
 
 func renderBestWorst(runs []Run, res Results) *stats.Table {

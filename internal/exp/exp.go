@@ -160,23 +160,18 @@ func (r Run) Config() (core.Config, error) {
 	return cfg, nil
 }
 
-// schedModeFor pairs the architectures with their kernels as the paper
-// does: Architecture 1 runs the SMP kernel, Architecture 2 the DS one.
-func schedModeFor(arch mem.Arch) codegen.SchedMode {
-	if arch == mem.Arch1 {
-		return codegen.SMP
-	}
-	return codegen.DS
-}
-
 // BuildSpec builds the workload image for one run point whose Bench is
 // a program (Build wires either kind).
 func BuildSpec(r Run, sc Scale) (*workload.Spec, error) {
 	if r.Scale != (Scale{}) {
 		sc = r.Scale
 	}
-	l := mem.DefaultLayout(r.NumCPUs)
-	mode := schedModeFor(r.Arch)
+	// The paper pairs the architectures with their kernels: Architecture
+	// 1 runs the SMP kernel, Architecture 2 the DS one.
+	l, mode := mem.DefaultLayout(r.NumCPUs), codegen.DS
+	if r.Arch == mem.Arch1 {
+		mode = codegen.SMP
+	}
 	switch r.Bench {
 	case Ocean:
 		return workload.BuildOcean(l, mode, workload.OceanParams{

@@ -29,11 +29,9 @@ func faultRuns(n int, specs []string) []Run {
 	if specs == nil {
 		specs = DefaultFaultSpecs()
 	}
-	var runs []Run
-	for _, spec := range append([]string{""}, specs...) {
-		runs = append(runs, wtiWB(Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, Fault: spec})...)
-	}
-	return runs
+	return pairs(append([]string{""}, specs...), func(spec string) Run {
+		return Run{Bench: Ocean, Arch: mem.Arch2, NumCPUs: n, Fault: spec}
+	})
 }
 
 func renderFault(runs []Run, res Results) *stats.Table {

@@ -266,11 +266,16 @@ func parseRate(s string) (float64, error) {
 	return r, nil
 }
 
-// parseScope parses "SRC>DST" with "*" wildcards.
-func parseScope(s string) (LinkScope, error) {
-	srcStr, dstStr, ok := strings.Cut(s, ">")
+// parseScoped splits "BODY[@SRC>DST]" into the body and its link scope,
+// "*" a wildcard endpoint, every link when there is no suffix.
+func parseScoped(val string) (string, LinkScope, error) {
+	body, scopeStr, scoped := strings.Cut(val, "@")
+	if !scoped {
+		return body, LinkScope{Src: Wildcard, Dst: Wildcard}, nil
+	}
+	srcStr, dstStr, ok := strings.Cut(scopeStr, ">")
 	if !ok {
-		return LinkScope{}, fmt.Errorf("bad scope %q (need SRC>DST)", s)
+		return body, LinkScope{}, fmt.Errorf("bad scope %q (need SRC>DST)", scopeStr)
 	}
 	end := func(e string) (int, error) {
 		if e == "*" {
@@ -284,18 +289,7 @@ func parseScope(s string) (LinkScope, error) {
 	}
 	src, serr := end(srcStr)
 	dst, derr := end(dstStr)
-	return LinkScope{Src: src, Dst: dst}, cmp.Or(serr, derr)
-}
-
-// parseScoped splits "BODY[@SRC>DST]" into the body and its link scope,
-// every link when there is no suffix.
-func parseScoped(val string) (string, LinkScope, error) {
-	body, scopeStr, scoped := strings.Cut(val, "@")
-	if !scoped {
-		return body, LinkScope{Src: Wildcard, Dst: Wildcard}, nil
-	}
-	sc, err := parseScope(scopeStr)
-	return body, sc, err
+	return body, LinkScope{Src: src, Dst: dst}, cmp.Or(serr, derr)
 }
 
 func parseRateCycles(val string) (float64, int, error) {
