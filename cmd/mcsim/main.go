@@ -215,7 +215,7 @@ func main() {
 		var ahead, bursts, sleeps, slept uint64
 		for _, c := range sys.CPUs {
 			a, b := c.Ahead()
-			s, n := c.Spun()
+			s, n, _ := c.Spun()
 			ahead, bursts, sleeps, slept = ahead+a, bursts+b, sleeps+s, slept+n
 		}
 		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%); ticks skipped: %s; run ahead: %d of %d instr in %d bursts, %d spin sleeps of %d cycles\n",
@@ -227,15 +227,6 @@ func main() {
 		fmt.Println("\nrequest latencies (cycles):")
 		fmt.Print(res.Latency.String())
 	}
-	if rec.Sampling() {
-		fmt.Printf("\ninterval metrics (%d samples of %d cycles):\n",
-			rec.Sampler().Samples(), *obsInterval)
-		for _, name := range []string{"ipc", "data_stall_pct", "wb_occupancy", "dir_queue"} {
-			series := rec.Sampler().Series(name)
-			fmt.Printf("%-16s %s\n", name, stats.Sparkline(series, 72))
-		}
-	}
-
 	if *verbose {
 		// Row i is CPU i, data cache i, bank i.
 		fmt.Println(stats.CounterTable("per-CPU", res.CPU).Render())

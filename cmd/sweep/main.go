@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sweep [-exp NAME] [-sizes 4,16,32,64] [-quick] [-csv] [-chart]
+//	sweep [-exp NAME] [-sizes 4,16,32,64] [-quick] [-csv]
 //	      [-jobs N] [-fault drop=1e-4,delay=1e-3:8,seed=42]
 //	      [-obs-interval K -obs-dir DIR]
 //	      [-cpuprofile FILE] [-memprofile FILE]
@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/obs/prof"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -34,7 +33,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "simulations of one experiment to run concurrently (1 = serial)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	chart := flag.Bool("chart", false, "render figure tables as ASCII bar charts too")
 	obsInterval := flag.Uint64("obs-interval", 0, "sample metrics every K cycles during every simulation (needs -obs-dir)")
 	obsDir := flag.String("obs-dir", "", "directory for per-run interval CSVs (needs -obs-interval)")
 	faultSpec := flag.String("fault", "", "one fault campaign spec instead of the built-in grid, for the experiment that runs campaigns; e.g. drop=1e-4,delay=1e-3:8,seed=42")
@@ -47,7 +45,7 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	if err := checkFlagUse(selected, *faultSpec != "", *chart, *obsInterval > 0 || *obsDir != ""); err != nil {
+	if err := checkFlagUse(selected, *faultSpec != "", *obsInterval > 0 || *obsDir != ""); err != nil {
 		usage(err)
 	}
 	if *obsDir != "" && *obsInterval == 0 {
@@ -98,48 +96,26 @@ func main() {
 			} else {
 				fmt.Println(t.Render())
 			}
-			if *chart && e.Chart {
-				fmt.Println(figureChart(t))
-			}
 		}
 	}
 }
 
 // checkFlagUse refuses flags the selection would silently ignore: the
-// fault spec when the selection is not an experiment that reads it,
-// -chart when nothing selected is a figure, and the observe flags when
-// nothing selected has simulation points to sample.
-func checkFlagUse(selected []*exp.Experiment, fault, chart, observe bool) error {
-	var anyChart, anyPoints bool
+// fault spec when the selection is not an experiment that reads it, and
+// the observe flags when nothing selected has simulation points to
+// sample.
+func checkFlagUse(selected []*exp.Experiment, fault, observe bool) error {
+	var anyPoints bool
 	for _, e := range selected {
-		anyChart = anyChart || e.Chart
 		anyPoints = anyPoints || e.Points != nil
 	}
 	switch {
 	case fault && (len(selected) != 1 || !selected[0].Faults):
 		return fmt.Errorf("-fault does nothing with this -exp: no selected experiment takes a fault spec")
-	case chart && !anyChart:
-		return fmt.Errorf("-chart does nothing with this -exp: no selected experiment is a figure")
 	case observe && !anyPoints:
 		return fmt.Errorf("-obs-interval and -obs-dir do nothing with this -exp: no selected experiment has points to sample")
 	}
 	return nil
-}
-
-// figureChart renders a figure table as bar pairs (WTI vs WB per
-// cell), mimicking the paper's grouped bar figures.
-func figureChart(t *stats.Table) string {
-	var bars []stats.Bar
-	for _, r := range t.Rows() {
-		label := strings.Join(r[:3], "/")
-		var wti, wb float64
-		fmt.Sscanf(r[3], "%f", &wti)
-		fmt.Sscanf(r[4], "%f", &wb)
-		bars = append(bars,
-			stats.Bar{Label: label + " WTI", Value: wti},
-			stats.Bar{Label: label + " WB", Value: wb})
-	}
-	return stats.BarChart(t.Title, bars, 48)
 }
 
 // parseSizes parses the -sizes axis. Duplicates are dropped and the

@@ -128,7 +128,6 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 	}{
 		{[]string{"-exp", "table2", "-fault", "drop=0.01,seed=7"}, "-fault"},
 		{[]string{"-exp", "all", "-fault", "drop=0.01,seed=7"}, "-fault"},
-		{[]string{"-exp", "table2", "-chart"}, "-chart"},
 		{[]string{"-exp", "table2", "-obs-interval", "1000"}, "-obs-interval"},
 		{[]string{"-exp", "table2", "-obs-interval", "1000", "-obs-dir", dir}, "-obs-interval"},
 		{[]string{"-exp", "table1", "-obs-interval", "1000", "-obs-dir", dir}, "-obs-dir"},
@@ -139,10 +138,6 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		if code != 2 || !strings.Contains(out, c.want) {
 			t.Errorf("sweep %v: exit %d, want 2 and %q in:\n%s", c.args, code, c.want, out)
 		}
-	}
-	// The same flags where they mean something are accepted.
-	if code, out := sweep(t, "-exp", "fig4", "-sizes", "2", "-quick", "-chart"); code != 0 {
-		t.Errorf("sweep -exp fig4 -chart: exit %d:\n%s", code, out)
 	}
 }
 

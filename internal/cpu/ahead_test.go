@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,7 +19,11 @@ import (
 // and never inside Load, Hit, Line or Resident. Every data access is
 // logged, and so is every ChargeHits. Like an LRU array, the port keeps
 // a clock that each load hit, charged hit and fill advances, and stamps
-// a data line with it at its every hit and fill.
+// a data line with it at its every hit and fill. With iWays 2 its I-side
+// does the same on a clock of its own at each Line or Resident hit and
+// fill, as a 2-way cacheArray's lookup does; iWays 1 keeps no order, as
+// a direct-mapped array keeps none. An invalidation is a remote store:
+// it changes the line's words.
 type rigPort struct {
 	words          map[uint32]uint32
 	code           map[uint32][]isa.Instr // decoded blocks by address
@@ -29,6 +34,9 @@ type rigPort struct {
 	crossed        uint64 // Resident's hits: a burst ran into another I-line
 	clock, charged uint64
 	stamp          [rigLines]uint64 // each data line's last touch
+	iWays          int
+	iClock         uint64
+	iStamp         map[uint32]uint64 // each I-line's last touch, by block address
 	log            []string
 }
 
@@ -44,6 +52,7 @@ func (p *rigPort) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 	p.fetches++
 	blk := addr &^ (rigBlock - 1)
 	if p.iValid[blk] {
+		p.iTouch(blk)
 		return p.code[blk], true
 	}
 	p.iPend, p.iAt = blk, now+rigMissLat
@@ -54,6 +63,7 @@ func (p *rigPort) Line(now uint64, addr uint32) ([]isa.Instr, bool) {
 func (p *rigPort) Resident(addr uint32) ([]isa.Instr, bool) {
 	if blk := addr &^ (rigBlock - 1); p.iPend == 0 && p.iValid[blk] {
 		p.crossed++
+		p.iTouch(blk)
 		return p.code[blk], true
 	}
 	return nil, false
@@ -105,6 +115,26 @@ func (p *rigPort) touch(blk uint32) {
 	p.stamp[(blk-rigData)/rigBlock] = p.clock
 }
 
+// iTouch stamps the I-line blk with the next I-clock value, if the
+// I-side keeps an order.
+func (p *rigPort) iTouch(blk uint32) {
+	if p.iWays > 1 {
+		p.iClock++
+		p.iStamp[blk] = p.iClock
+	}
+}
+
+// iOrder lists the stamped I-lines from least to most recently used:
+// the order in which a set-associative array's victim picks them.
+func (p *rigPort) iOrder() []uint32 {
+	var blks []uint32
+	for blk := range p.iStamp { //lint:allow maprange — sorted below by stamps, which differ
+		blks = append(blks, blk)
+	}
+	sort.Slice(blks, func(i, j int) bool { return p.iStamp[blks[i]] < p.iStamp[blks[j]] })
+	return blks
+}
+
 // sameCalls reports whether the run-ahead core's port calls dut are the
 // per-cycle core's ref, a "charge n" standing for the next n calls of
 // ref, each of which must be a load that hit: a counted hit's cycle and
@@ -137,10 +167,14 @@ func (p *rigPort) step(now uint64, inval uint32) bool {
 		p.dValid[p.dPend], p.dPend, changed = true, 0, true
 	}
 	if p.iPend != 0 && p.iAt <= now {
+		p.iTouch(p.iPend)
 		p.iValid[p.iPend], p.iPend, changed = true, 0, true
 	}
 	if inval != 0 && p.dValid[inval] {
 		p.dValid[inval], changed = false, true
+		for a := inval; a < inval+rigBlock; a += 4 {
+			p.words[a]++ // a spin on the line sees its word change
+		}
 	}
 	return changed
 }
@@ -177,7 +211,9 @@ const (
 // core tells apart: register and immediate ALU ops, branches and jumps
 // that stay inside the program, word loads (a few misaligned), stores,
 // swaps, FPU ops of every latency, the odd illegal word
-// and HALT. r8 holds the data base; r1..r7 and f1..f7 are scratch.
+// and HALT. r8 holds the data base; r1..r7 and f1..f7 are scratch. One
+// program in three spins across a line boundary on a word until an
+// invalidation changes it.
 func rigProgram(rng *rand.Rand) []uint32 {
 	reg := func() uint8 { return uint8(1 + rng.Intn(7)) }
 	off := func(align int) int32 { return int32(rng.Intn(rigLines*rigBlock/align) * align) }
@@ -221,6 +257,12 @@ func rigProgram(rng *rand.Rand) []uint32 {
 		}
 		prog[i] = mustEncode(in)
 	}
+	if rng.Intn(3) == 0 { // lw r5, x; spin: lw r4, x; beq r4, r5, spin
+		b, x := rigBlock/4*(1+rng.Intn(rigWords*4/rigBlock-1)), off(4)
+		prog[b-2] = mustEncode(isa.Instr{Op: isa.OpLw, Rd: 5, Rs1: 8, Imm: x})
+		prog[b-1] = mustEncode(isa.Instr{Op: isa.OpLw, Rd: 4, Rs1: 8, Imm: x})
+		prog[b] = mustEncode(isa.Instr{Op: isa.OpBeq, Rd: 5, Rs1: 4, Imm: -2})
+	}
 	prog[rigWords-1] = mustEncode(isa.Instr{Op: isa.OpHalt})
 	return prog
 }
@@ -229,7 +271,7 @@ func rigProgram(rng *rand.Rand) []uint32 {
 // valid, code lines invalid (the first fetch of each misses).
 func rigCore(prog []uint32, rng *rand.Rand) (*CPU, *rigPort) {
 	p := &rigPort{words: map[uint32]uint32{}, code: map[uint32][]isa.Instr{},
-		dValid: map[uint32]bool{}, iValid: map[uint32]bool{}}
+		dValid: map[uint32]bool{}, iValid: map[uint32]bool{}, iStamp: map[uint32]uint64{}}
 	for i, w := range prog {
 		blk := (rigCode + uint32(4*i)) &^ (rigBlock - 1)
 		p.code[blk] = append(p.code[blk], isa.Decode(w))
@@ -296,7 +338,7 @@ func tickOrPanic(c *CPU, now uint64) (msg string) {
 // many load hits of the per-cycle core.
 func TestRunAheadMatchesPerCycleTicks(t *testing.T) {
 	const seeds, maxCycles = 300, 1500
-	var ahead, bursts, slept, panics, charged, crossed, spins, spinSeeds uint64
+	var ahead, bursts, slept, panics, charged, crossed, spins, spinSeeds, spinLines uint64
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := rigProgram(rng)
@@ -356,14 +398,14 @@ func TestRunAheadMatchesPerCycleTicks(t *testing.T) {
 		}
 		a, b := dut.Ahead()
 		ahead, bursts, charged, crossed = ahead+a, bursts+b, charged+dp.charged, crossed+dp.crossed
-		if s, _ := dut.Spun(); s > 0 {
-			spins, spinSeeds = spins+s, spinSeeds+1
+		if s, _, l := dut.Spun(); s > 0 {
+			spins, spinSeeds, spinLines = spins+s, spinSeeds+1, spinLines+l
 		}
 	}
-	t.Logf("%d instructions ahead of the clock in %d bursts, %d I-lines crossed, %d sleeps (%d in a spin, on %d of %d seeds), %d hits charged, %d runs ended in a panic",
-		ahead, bursts, crossed, slept, spins, spinSeeds, seeds, charged, panics)
-	if ahead == 0 || bursts == 0 || crossed == 0 || slept == 0 || spins == 0 || charged == 0 || panics == 0 {
-		t.Fatal("the rig never ran ahead, never crossed a line, never slept in a spin, never charged a hit or never reached a panic: vacuous")
+	t.Logf("%d instructions ahead of the clock in %d bursts, %d I-lines crossed, %d sleeps (%d in a spin, on %d of %d seeds, whose tails entered %d I-lines), %d hits charged, %d runs ended in a panic",
+		ahead, bursts, crossed, slept, spins, spinSeeds, seeds, spinLines, charged, panics)
+	if ahead == 0 || bursts == 0 || crossed == 0 || slept == 0 || spins == 0 || spinLines == 0 || charged == 0 || panics == 0 {
+		t.Fatal("the rig never ran ahead, never crossed a line, never slept in a spin, never in one across a line, never charged a hit or never reached a panic: vacuous")
 	}
 }
 
@@ -511,8 +553,75 @@ func TestSpinSleepStandsWhereTheNaiveCoreStands(t *testing.T) {
 				}
 				now = next
 			}
-			if sleeps, cycles := dut.Spun(); !slept || sleeps == 0 || cycles == 0 {
+			if sleeps, cycles, _ := dut.Spun(); !slept || sleeps == 0 || cycles == 0 {
 				t.Fatalf("loop %d, wake %d: the core never slept in the spin (%d sleeps, %d cycles)", p, wake, sleeps, cycles)
+			}
+		}
+	}
+}
+
+// TestSpinAcrossILinesSleeps: a spin whose loop straddles a 32-byte
+// boundary is proved by the one burst that starts in it, at every phase
+// of its period P. Skip over spans of 1, P-1, P and k·P+r cycles then
+// leaves pc, registers, counters, the data port's calls and stamps and
+// the I-side's victim order as a core ticked every cycle leaves them,
+// direct-mapped and 2-way, and the Tick after the lock is released runs
+// on from there to HALT. The counted periods stamp no I-line, so the
+// I-clock falls behind the naive one; the executed tail's last whole
+// period enters every line the loop enters, so each such stamp is the
+// naive one less one shift, above every stamp the sleep left alone —
+// the order within a set, all that victim reads, is the naive one.
+func TestSpinAcrossILinesSleeps(t *testing.T) {
+	const head, period = 6, 4 // the spin's first word; its cycles
+	prog := []isa.Instr{nop, nop, nop, nop, nop, nop,
+		{Op: isa.OpLw, Rd: 1, Rs1: 8},            // spin: lw r1, 0(r8)
+		{Op: isa.OpAddi, Rd: 3, Rs1: 3, Imm: 1},  // r3++, the line's last word
+		{Op: isa.OpAddi, Rd: 3, Rs1: 3, Imm: -1}, // r3--, the next line's first
+		{Op: isa.OpBne, Rs1: 1, Imm: -4},         // bne r1, r0, spin
+		{Op: isa.OpHalt}, nop, nop, nop, nop, nop}
+	for _, ways := range []int{1, 2} {
+		for phase := uint64(0); phase < period; phase++ {
+			ref, rp := aheadCore(prog...)
+			dut, dp := aheadCore(prog...)
+			rp.iWays, dp.iWays = ways, ways
+			rp.words[rigData], dp.words[rigData] = 7, 7
+			name := fmt.Sprintf("ways %d, phase %d", ways, phase)
+			same := func(at uint64) {
+				t.Helper()
+				if a, b := snapshot(ref, rp), snapshot(dut, dp); a != b || !sameCalls(rp.log, dp.log) {
+					t.Fatalf("%s: cores differ at cycle %d:\nper-cycle %+v\nspinning  %+v", name, at, a, b)
+				}
+				if a, b := rp.iOrder(), dp.iOrder(); fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("%s: I-lines by age at cycle %d: per-cycle %#x, spinning %#x", name, at, a, b)
+				}
+			}
+			now := uint64(0)
+			for ; now <= head+phase; now++ {
+				ref.Tick(now)
+				dut.Tick(now)
+			}
+			if next := dut.RunAhead(now, now+1000); next != now+period || dut.spin.period != period {
+				t.Fatalf("%s: burst from %d returned %d with period %d: want a spin of %d proved", name, now, next, dut.spin.period, period)
+			}
+			for ; now < dut.ahead; now++ {
+				ref.Tick(now)
+			}
+			same(now)
+			for _, span := range []uint64{1, period - 1, period, 3*period + 2, 1, 100*period + 1} {
+				dut.Skip(now, now+span)
+				for end := now + span; now < end; now++ {
+					ref.Tick(now)
+				}
+				same(now)
+			}
+			rp.words[rigData], dp.words[rigData] = 0, 0 // the lock is released
+			for ; !dut.halted; now++ {
+				ref.Tick(now)
+				dut.Tick(now)
+			}
+			same(now)
+			if sleeps, cycles, lines := dut.Spun(); sleeps != 1 || cycles == 0 || lines == 0 {
+				t.Fatalf("%s: %d spin sleeps of %d cycles whose tails entered %d I-lines; want one, crossing", name, sleeps, cycles, lines)
 			}
 		}
 	}

@@ -26,9 +26,6 @@ type Experiment struct {
 	Name string
 	// All reports whether the selection "all" includes the experiment.
 	All bool
-	// Chart marks the figures: rows of three label cells, then a WTI
-	// and a WB value, which cmd/sweep can draw as paired bars.
-	Chart bool
 	// Faults marks the experiment that reads Params.Faults.
 	Faults bool
 	// Points lists the simulations to run, in the order their errors
@@ -49,9 +46,9 @@ var Experiments = []*Experiment{
 			return []*stats.Table{Table2(p.Sizes)}, nil
 		}},
 	{Name: "table1", All: true, Render: renderTable1},
-	{Name: "fig4", All: true, Chart: true, Points: gridPoints, Render: figure(Fig4)},
-	{Name: "fig5", All: true, Chart: true, Points: gridPoints, Render: figure(Fig5)},
-	{Name: "fig6", All: true, Chart: true, Points: gridPoints, Render: figure(Fig6)},
+	{Name: "fig4", All: true, Points: gridPoints, Render: figure(Fig4)},
+	{Name: "fig5", All: true, Points: gridPoints, Render: figure(Fig5)},
+	{Name: "fig6", All: true, Points: gridPoints, Render: figure(Fig6)},
 	{Name: "mesh", All: true, Points: fixed(meshRuns(16)), Render: table(renderMesh)},
 	{Name: "strictsc", All: true, Points: fixed(strictSCRuns(16)), Render: table(renderStrictSC)},
 	{Name: "bestworst", All: true, Points: fixed(bestWorstRuns(16)), Render: table(renderBestWorst)},

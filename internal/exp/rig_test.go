@@ -61,6 +61,7 @@ type rigOutcome struct {
 	space  *mem.Space   // final memory, caches flushed
 	series string       // the sampled CSV when observed
 	spins  uint64       // spin sleeps the cores entered
+	lines  uint64       // I-lines the sleeps' tails entered
 }
 
 // rigRun runs r on one schedule; interval > 0 attaches an observer
@@ -103,8 +104,8 @@ func rigRun(t *testing.T, r Run, naive bool, interval, check uint64) rigOutcome 
 		out.series = csv.String()
 	}
 	for _, c := range sys.CPUs {
-		n, _ := c.Spun()
-		out.spins += n
+		n, _, l := c.Spun()
+		out.spins, out.lines = out.spins+n, out.lines+l
 	}
 	res.Config.DisableLeap = false // the one field the schedules may differ in
 	return out
@@ -122,7 +123,7 @@ func TestRandomMachinesScheduledEqualsNaive(t *testing.T) {
 	// whose Result must not move for it, and its cap keeps a long draw as
 	// cheap to check as a short one.
 	arm := rand.New(rand.NewSource(-rigSeed))
-	var spins, checked uint64
+	var spins, lines, checked uint64
 	for i := 0; i < rigDraws; i++ {
 		r := drawRun(rng)
 		var interval, check uint64
@@ -142,11 +143,11 @@ func TestRandomMachinesScheduledEqualsNaive(t *testing.T) {
 		if !reflect.DeepEqual(naive.space, sched.space) || naive.series != sched.series {
 			t.Fatalf("draw %d, replay %s (observed every %d): final memory or sampled series differ", i, r.Key(), interval)
 		}
-		spins += sched.spins
+		spins, lines = spins+sched.spins, lines+sched.lines
 	}
-	t.Logf("%d machines (%d checked at run time), %d spin sleeps", rigDraws, checked, spins)
-	if spins == 0 {
-		t.Fatal("no draw ever put a core into a spin sleep: the rig missed the fast path it guards")
+	t.Logf("%d machines (%d checked at run time), %d spin sleeps, whose tails entered %d I-lines", rigDraws, checked, spins, lines)
+	if spins == 0 || lines == 0 {
+		t.Fatal("no draw ever put a core into a spin sleep, or none into one whose loop straddles an I-line: the rig missed the fast path it guards")
 	}
 
 	// Saturated machines, from a stream of their own so that the draws

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 )
 
@@ -62,23 +61,6 @@ func (s *Sampler) Samples() int {
 		return 0
 	}
 	return len(s.rows)
-}
-
-// Series extracts one named column as a dense slice (nil when the name
-// is unknown).
-func (s *Sampler) Series(name string) []float64 {
-	if s == nil {
-		return nil
-	}
-	col := slices.Index(s.names, name)
-	if col < 0 {
-		return nil
-	}
-	out := make([]float64, len(s.rows))
-	for i, row := range s.rows {
-		out[i] = row[col]
-	}
-	return out
 }
 
 // WriteCSV emits the samples as CSV: a "cycle" column followed by the

@@ -81,36 +81,6 @@ func TestTableFloat32Formatting(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart("demo", []Bar{
-		{Label: "a", Value: 10},
-		{Label: "bb", Value: 5},
-		{Label: "c", Value: 0},
-	}, 20)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 20)) {
-		t.Fatalf("max bar not full width: %q", lines[1])
-	}
-	if strings.Count(lines[2], "#") != 10 {
-		t.Fatalf("half bar wrong: %q", lines[2])
-	}
-	if strings.Contains(lines[3], "#") {
-		t.Fatalf("zero bar drawn: %q", lines[3])
-	}
-}
-
-func TestBarChartTinyValuesVisible(t *testing.T) {
-	out := BarChart("", []Bar{{Label: "big", Value: 1000}, {Label: "tiny", Value: 0.1}}, 30)
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "tiny") && !strings.Contains(line, "#") {
-			t.Fatal("non-zero value rendered with no bar")
-		}
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	var h Histogram
 	if h.Percentile(50) != 0 || h.Mean() != 0 {
@@ -187,70 +157,5 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 	if got := h.Percentile(50); got != 1<<63 {
 		t.Fatalf("overflow p50 = %d, want max", got)
-	}
-}
-
-func TestBarChartDefaultWidth(t *testing.T) {
-	// Zero and negative widths fall back to the default rather than
-	// producing empty or panicking output.
-	for _, w := range []int{0, -5} {
-		out := BarChart("t", []Bar{{Label: "a", Value: 2}}, w)
-		if !strings.Contains(out, strings.Repeat("#", 50)) {
-			t.Fatalf("width %d: max bar not default-width:\n%s", w, out)
-		}
-	}
-}
-
-func TestBarChartAllZero(t *testing.T) {
-	out := BarChart("z", []Bar{{Label: "a", Value: 0}, {Label: "b", Value: 0}}, 20)
-	if strings.Contains(out, "#") {
-		t.Fatalf("all-zero chart drew bars:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // title + two rows
-		t.Fatalf("lines = %d", len(lines))
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil, 10) != "" {
-		t.Fatal("empty series must render empty")
-	}
-	out := Sparkline([]float64{0, 1, 2, 4}, 0)
-	if got := len([]rune(out)); got != 4 {
-		t.Fatalf("rendered %d glyphs, want 4", got)
-	}
-	runes := []rune(out)
-	if runes[0] != '▁' || runes[3] != '█' {
-		t.Fatalf("scaling wrong: %q", out)
-	}
-	// All-zero series keeps its length at the minimum level.
-	flat := []rune(Sparkline([]float64{0, 0, 0}, 0))
-	if len(flat) != 3 || flat[0] != '▁' || flat[2] != '▁' {
-		t.Fatalf("flat series = %q", string(flat))
-	}
-	// Negative values clamp to the lowest glyph instead of indexing out
-	// of range.
-	neg := []rune(Sparkline([]float64{-5, 10}, 0))
-	if neg[0] != '▁' {
-		t.Fatalf("negative value = %q", string(neg))
-	}
-}
-
-func TestSparklineDownsample(t *testing.T) {
-	series := make([]float64, 100)
-	for i := range series {
-		series[i] = float64(i)
-	}
-	out := []rune(Sparkline(series, 10))
-	if len(out) != 10 {
-		t.Fatalf("downsampled to %d glyphs, want 10", len(out))
-	}
-	if out[0] != '▁' || out[9] != '█' {
-		t.Fatalf("monotone series lost its shape: %q", string(out))
-	}
-	// Shorter than the budget: untouched.
-	if got := len([]rune(Sparkline([]float64{1, 2}, 10))); got != 2 {
-		t.Fatalf("short series resampled to %d", got)
 	}
 }
