@@ -64,7 +64,7 @@ check: fmt vet lint build test race equiv
 # runs it), not a printed number. The ceiling is the count at the last
 # PR that moved it, rounded up to the next 10: lower it when a PR
 # shrinks the tree; raising it is a reviewed decision.
-LOC_CEILING := 13050
+LOC_CEILING := 12920
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		-exec cat {} + | wc -l); echo $$n; \

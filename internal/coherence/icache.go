@@ -40,7 +40,9 @@ func (s codeStore) block(data []byte) []isa.Instr {
 // only by the fill answering this core's own miss, and on that miss — a
 // failed Line — the core drops its line. Those fetches skip the LRU
 // stamp: re-touching the most recent line cannot change the order victim
-// reads; stamps are in no output.
+// reads; stamps are in no output. A slept spin's counted periods stamp
+// nothing either: the tail the core then executes restamps every line
+// the loop enters, in the naive order.
 type ICache struct {
 	id    int
 	arr   *cacheArray   // tags only
